@@ -11,9 +11,7 @@ import (
 
 	"yat/internal/compose"
 	"yat/internal/engine"
-	"yat/internal/mediator"
 	"yat/internal/pattern"
-	"yat/internal/source"
 	"yat/internal/tree"
 	"yat/internal/workload"
 	"yat/internal/yatl"
@@ -407,84 +405,6 @@ func BenchmarkCombine(b *testing.B) {
 	}
 }
 
-// --- E13: the parallel engine -------------------------------------------------
-
-// benchParallelism sweeps the engine's worker-pool width on one
-// workload. The parallelism=1 entry exercises the sequential path;
-// speedup claims compare parallelism=N against it on an N-core
-// runner. Outputs are byte-identical at every width (see
-// TestParallelByteIdenticalOnWorkloads), so this measures pure
-// scheduling gain.
-func benchParallelism(b *testing.B, prog *Program, store *Store) {
-	b.Helper()
-	for _, par := range []int{1, 2, 4, 8} {
-		name := fmt.Sprintf("parallelism=%d", par)
-		if par == 1 {
-			name = "sequential"
-		}
-		opts := &RunOptions{Parallelism: par}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(prog, store, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelBrochure is the speedup gate of the parallel
-// engine: Rules 1+2 over a large brochure store.
-func BenchmarkParallelBrochure(b *testing.B) {
-	benchParallelism(b, mustProg(b, Rules1And2), workload.BrochureStore(200, 3, 30, 42))
-}
-
-// BenchmarkParallelCarDealer sweeps the heterogeneous-join workload
-// (Rule 3 over brochures × relational rows).
-func BenchmarkParallelCarDealer(b *testing.B) {
-	n := 120
-	pool := workload.Suppliers(n/2+2, 7)
-	brochures := workload.Brochures(n, 2, pool, 7)
-	db := workload.DealerDatabase(brochures, pool, 7)
-	store := NewStore()
-	for i, br := range brochures {
-		store.Put(PlainName(fmt.Sprintf("b%d", i+1)), br.Tree())
-	}
-	for _, e := range ImportRelational(db).Entries() {
-		store.Put(e.Name, e.Tree)
-	}
-	benchParallelism(b, mustProg(b, "program p\n"+yatl.Rule3Source), store)
-}
-
-// BenchmarkParallelWeb sweeps the recursive Web program, whose
-// round-by-round activation discovery bounds the per-round fan-out.
-func BenchmarkParallelWeb(b *testing.B) {
-	benchParallelism(b, mustProg(b, WebRules), workload.ODMGStore(100, 51, 3, 11))
-}
-
-// BenchmarkMediatorConcurrentClients measures a warm mediator under
-// many concurrent askers (b.RunParallel scales clients with
-// GOMAXPROCS) — the serving scenario the thread-safe materialization
-// exists for.
-func BenchmarkMediatorConcurrentClients(b *testing.B) {
-	prog := mustProg(b, Rules1And2)
-	inputs := workload.BrochureStore(50, 3, 20, 21)
-	m := NewMediator(prog, inputs, nil)
-	if _, err := m.Ask(`X`); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := m.Ask(`class -> supplier < -> name -> N, -> city -> C, -> zip -> Z >`, "Psup"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // Mediator query over the virtual target (extension S19): first query
 // pays the materialization, later queries are matching only.
 func BenchmarkMediatorQuery(b *testing.B) {
@@ -508,111 +428,6 @@ func BenchmarkMediatorQuery(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := m.Ask(`class -> supplier < -> name -> N, -> city -> C, -> zip -> Z >`, "Psup"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// --- E14: the trace layer ----------------------------------------------------
-
-// BenchmarkRunNilSink is the zero-overhead gate for the trace layer:
-// with Options.Trace nil the engine must construct no events, take no
-// timestamps and allocate nothing on behalf of tracing, so this must
-// stay within noise of the pre-trace engine (CI's bench-guard job
-// compares it against the merge base with benchstat).
-func BenchmarkRunNilSink(b *testing.B) {
-	prog := mustProg(b, Rules1And2)
-	store := workload.BrochureStore(60, 3, 15, 42)
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
-			opts := &RunOptions{Parallelism: par}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(prog, store, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRunWithProfile prices the enabled path on the same
-// workload as BenchmarkRunNilSink: the delta between the two is the
-// full cost of observability (event construction, timestamps, and the
-// Profile's locked aggregation).
-func BenchmarkRunWithProfile(b *testing.B) {
-	prog := mustProg(b, Rules1And2)
-	store := workload.BrochureStore(60, 3, 15, 42)
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				profile := NewTraceProfile()
-				if _, err := Run(prog, store, &RunOptions{Parallelism: par, Trace: profile}); err != nil {
-					b.Fatal(err)
-				}
-				if profile.Events() == 0 {
-					b.Fatal("profile saw no events")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSelectiveAsk is the demand-driven payoff experiment: a
-// mediator over a many-view program answers a single-view query. The
-// full strategy materializes every view on the first ask; the demand
-// strategy slices to the one rule the query needs. CI enforces the
-// gap (demand-cold must beat full-cold; see the bench-guard job).
-func BenchmarkSelectiveAsk(b *testing.B) {
-	prog := mustProg(b, workload.SelectiveProgram(8))
-	inputs := workload.BrochureStore(120, 3, 30, 7)
-	const pat = `view < -> name -> N, -> city -> C, -> zip -> Z >`
-	b.Run("full", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m := NewMediator(prog, inputs)
-			if _, err := m.Ask(pat, "Pview1"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("demand", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m := NewMediator(prog, inputs, WithDemandDriven(true))
-			if _, err := m.Ask(pat, "Pview1"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("demand-warm", func(b *testing.B) {
-		m := NewMediator(prog, inputs, WithDemandDriven(true))
-		if _, err := m.Ask(pat, "Pview1"); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Ask(pat, "Pview1"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// The pure cache-hit floor: warm demand cache, cached parsed
-	// pattern, and a pattern that matches nothing — the ask path's
-	// fixed overhead with zero answer construction.
-	b.Run("demand-warm-nomatch", func(b *testing.B) {
-		m := NewMediator(prog, inputs, WithDemandDriven(true))
-		const miss = `nosuchroot < -> name -> N >`
-		if _, err := m.Ask(miss, "Pview1"); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Ask(miss, "Pview1"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -650,46 +465,5 @@ func TestSelectiveAskCacheHitAllocs(t *testing.T) {
 		if got > tc.budget {
 			t.Errorf("%s: demand cache-hit ask allocates %.1f times per op, want <= %.0f", tc.name, got, tc.budget)
 		}
-	}
-}
-
-// BenchmarkSourcedAsk measures the fault-tolerant source layer's cost
-// on the ask path: the brochure store federated across k sources,
-// served through the full decorator chain, cold ask per iteration
-// (Invalidate forces the refetch). "direct" is the no-source-layer
-// baseline on the same merged store.
-func BenchmarkSourcedAsk(b *testing.B) {
-	prog := mustProg(b, yatl.SGMLToODMGSource)
-	store := workload.BrochureStore(64, 2, 16, 42)
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := mediator.New(prog, store)
-			if _, err := m.Ask(`X`, "Psup"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, k := range []int{1, 4} {
-		parts := workload.SplitStore(store, k)
-		b.Run(fmt.Sprintf("sources-%d", k), func(b *testing.B) {
-			clock := source.NewFakeClock()
-			srcs := make([]source.Source, k)
-			for j, p := range parts {
-				srcs[j] = source.WithCache(
-					source.WithBreaker(
-						source.WithRetry(source.Static(fmt.Sprintf("s%d", j), p),
-							source.RetryOptions{Clock: clock}),
-						source.BreakerOptions{Clock: clock}),
-					source.CacheOptions{Clock: clock})
-			}
-			m := mediator.New(prog, nil, mediator.WithSources(srcs...))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Ask(`X`, "Psup"); err != nil {
-					b.Fatal(err)
-				}
-				m.Invalidate()
-			}
-		})
 	}
 }

@@ -7,17 +7,15 @@
 // programs beating the sequential pipeline by skipping the
 // intermediate model.
 //
-// Usage: yatbench [-quick] [-parallelism N]
+// Usage: yatbench [-quick]
 //
-// With -parallelism N every conversion in the sweep runs on an
-// N-worker engine (0 = sequential, -1 = one worker per CPU); the eP
-// series additionally reports sequential vs parallel side by side.
+// System performance — serving, caches, the parallel engine — is the
+// repo benchmark's job (go run ./bench), not this harness's.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"runtime"
 	"time"
 
 	"yat"
@@ -25,10 +23,7 @@ import (
 	"yat/internal/workload"
 )
 
-var (
-	quick       = flag.Bool("quick", false, "smaller sweeps")
-	parallelism = flag.Int("parallelism", 0, "engine workers for all series (0 = sequential, -1 = all CPUs)")
-)
+var quick = flag.Bool("quick", false, "smaller sweeps")
 
 func main() {
 	flag.Parse()
@@ -38,7 +33,6 @@ func main() {
 	e7Transpose()
 	e8WebProgram()
 	e11ComposedVsSequential()
-	ePParallelSpeedup()
 }
 
 // timed runs fn repeatedly and returns the best wall time.
@@ -70,11 +64,7 @@ func mustProgram(src string) *yat.Program {
 }
 
 func mustRun(p *yat.Program, s *yat.Store) *yat.Result {
-	return mustRunOpts(p, s, &yat.RunOptions{Parallelism: *parallelism})
-}
-
-func mustRunOpts(p *yat.Program, s *yat.Store, opts *yat.RunOptions) *yat.Result {
-	r, err := yat.Run(p, s, opts)
+	r, err := yat.Run(p, s)
 	if err != nil {
 		panic(err)
 	}
@@ -226,38 +216,6 @@ func e11ComposedVsSequential() {
 		direct := timed(func() { mustRun(composed, inputs) })
 		fmt.Printf("    %9d  %10v  %8v  %6.2fx  %d\n",
 			n, seq, direct, float64(seq)/float64(direct), intermediates)
-	}
-	fmt.Println()
-}
-
-// eP: the parallel engine — sequential vs worker-pool wall time on
-// the brochure and Web workloads (outputs are byte-identical; only
-// the schedule differs).
-func ePParallelSpeedup() {
-	workers := *parallelism
-	if workers <= 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	fmt.Printf("eP  Parallel engine: sequential vs %d workers\n", workers)
-	fmt.Println("    workload            size  sequential  parallel  speedup")
-	seqOpts := &yat.RunOptions{}
-	parOpts := &yat.RunOptions{Parallelism: workers}
-
-	rules12 := mustProgram(yat.Rules1And2)
-	for _, n := range sizes([]int{20, 100}, []int{20, 100, 400}) {
-		store := workload.BrochureStore(n, 3, n/4+2, 42)
-		seq := timed(func() { mustRunOpts(rules12, store, seqOpts) })
-		par := timed(func() { mustRunOpts(rules12, store, parOpts) })
-		fmt.Printf("    %-18s  %4d  %10v  %8v  %6.2fx\n",
-			"brochures", n, seq, par, float64(seq)/float64(par))
-	}
-	web := mustProgram(yat.WebRules)
-	for _, n := range sizes([]int{25}, []int{25, 100}) {
-		store := workload.ODMGStore(n, n/2+1, 3, 11)
-		seq := timed(func() { mustRunOpts(web, store, seqOpts) })
-		par := timed(func() { mustRunOpts(web, store, parOpts) })
-		fmt.Printf("    %-18s  %4d  %10v  %8v  %6.2fx\n",
-			"web (ODMG→HTML)", n, seq, par, float64(seq)/float64(par))
 	}
 	fmt.Println()
 }

@@ -1,8 +1,7 @@
 // Yatload drives a running yatserve with sustained concurrent asks
-// and reports throughput and latency percentiles. It is the CI gate's
-// measurement half: the serve-bench job runs it for a short window
-// and compares the JSON report against the checked-in
-// BENCH_serve.json trajectory.
+// and reports throughput and latency percentiles: the by-hand load
+// driver, also used by CI's smoke jobs. The numbers CI compares come
+// from the repo benchmark (go run ./bench).
 //
 // Usage:
 //

@@ -35,8 +35,6 @@
 //	              per-source health; 0 = direct store)
 //	-pool         mediator lanes (default 4)
 //	-parallelism  engine worker count per lane (0 = sequential)
-//	-demand       demand-driven lanes (default true; -demand=false
-//	              materializes the full target per lane)
 //	-shards       shard the program across N in-process child mediators
 //	              behind a federation router (0 = plain pool)
 //	-child        base URL of a remote yatserve child; repeatable. The
@@ -102,7 +100,6 @@ func run(args []string, stderr io.Writer) int {
 		splitFlag  = fs.Int("split", 0, "serve the input via N static sources (0 = direct store)")
 		poolFlag   = fs.Int("pool", 4, "mediator lanes")
 		parFlag    = fs.Int("parallelism", 0, "engine worker count per lane (0 = sequential)")
-		demandFlag = fs.Bool("demand", true, "demand-driven lanes")
 		shardsFlag = fs.Int("shards", 0, "shard across N in-process federation children (0 = plain pool)")
 		shardFlag  = fs.String("shard", "", "i/n — serve only shard i of the program's n-way plan")
 		drainFlag  = fs.Duration("drain", 10*time.Second, "graceful-drain deadline on shutdown")
@@ -137,7 +134,6 @@ func run(args []string, stderr io.Writer) int {
 		return 2
 	}
 	cfg := serve.Config{
-		Demand:          demandFlag,
 		Pool:            *poolFlag,
 		DrainTimeout:    *drainFlag,
 		SnapshotDir:     *snapFlag,
@@ -217,7 +213,6 @@ func run(args []string, stderr io.Writer) int {
 		cfg.Askers = []mediator.Asker{fed}
 	case *shardsFlag > 0:
 		fopts := append([]engine.Option{}, cfg.Options...)
-		fopts = append(fopts, mediator.WithDemandDriven(*demandFlag))
 		if len(sources) > 0 {
 			fopts = append(fopts, mediator.WithSources(sources...))
 			sources = nil

@@ -11,11 +11,8 @@ import (
 	"yat/internal/yatl"
 )
 
-// ComposeOptions configures program composition. It predates the
-// functional-option form and is still accepted directly: a
-// *ComposeOptions is itself a ComposeOption that overwrites the whole
-// configuration, so legacy call sites keep working inside the
-// variadic Compose.
+// ComposeOptions is the configuration of a program composition, built
+// from ComposeOption values.
 type ComposeOptions struct {
 	Options
 	// SkipTypeCheck bypasses the §4.3 compatibility check (the output
@@ -26,49 +23,34 @@ type ComposeOptions struct {
 
 // ComposeOption is one functional configuration item for Compose,
 // mirroring the engine's Run/NewMediator option style.
-type ComposeOption interface {
-	applyCompose(*ComposeOptions)
-}
-
-// applyCompose makes the legacy struct usable as an option: it
-// replaces the accumulated configuration wholesale (matching its old
-// all-at-once semantics). A nil *ComposeOptions is a no-op, so
-// historical Compose(a, b, nil) call sites still compile and behave.
-func (o *ComposeOptions) applyCompose(dst *ComposeOptions) {
-	if o != nil {
-		*dst = *o
-	}
-}
-
-type composeOptionFunc func(*ComposeOptions)
-
-func (f composeOptionFunc) applyCompose(o *ComposeOptions) { f(o) }
+type ComposeOption func(*ComposeOptions)
 
 // WithSkipTypeCheck bypasses (or re-enables) the §4.3 compatibility
 // check between the two programs.
 func WithSkipTypeCheck(skip bool) ComposeOption {
-	return composeOptionFunc(func(o *ComposeOptions) { o.SkipTypeCheck = skip })
+	return func(o *ComposeOptions) { o.SkipTypeCheck = skip }
 }
 
 // WithRegistry supplies the function registry used to evaluate
 // external calls on constant arguments at composition time.
 func WithRegistry(r *engine.Registry) ComposeOption {
-	return composeOptionFunc(func(o *ComposeOptions) { o.Registry = r })
+	return func(o *ComposeOptions) { o.Registry = r }
 }
 
 // WithModel supplies extra pattern definitions merged with the
 // programs' declared models.
 func WithModel(m *pattern.Model) ComposeOption {
-	return composeOptionFunc(func(o *ComposeOptions) { o.Model = m })
+	return func(o *ComposeOptions) { o.Model = m }
 }
 
-// NewComposeOptions folds a variadic option list into the legacy
-// struct; nil options are skipped.
+// NewComposeOptions folds a variadic option list into a
+// configuration; nil options are skipped, so Compose(a, b, nil) is
+// Compose(a, b).
 func NewComposeOptions(opts ...ComposeOption) *ComposeOptions {
 	o := &ComposeOptions{}
 	for _, opt := range opts {
 		if opt != nil {
-			opt.applyCompose(o)
+			opt(o)
 		}
 	}
 	return o

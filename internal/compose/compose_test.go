@@ -348,7 +348,7 @@ func TestComposeSkipTypeCheck(t *testing.T) {
 	// fails to derive rules (nothing matches).
 	first := webProgram(t)
 	second := yatl.MustParse(yatl.AnnotatedSGMLToODMGSource)
-	if _, err := Compose(first, second, &ComposeOptions{SkipTypeCheck: true}); err == nil {
+	if _, err := Compose(first, second, WithSkipTypeCheck(true)); err == nil {
 		t.Error("no composed rules should be derivable")
 	}
 }

@@ -272,7 +272,7 @@ rule W {
   from X = out -> V
 }
 `)
-	_, err := Compose(first, second, &ComposeOptions{SkipTypeCheck: true})
+	_, err := Compose(first, second, WithSkipTypeCheck(true))
 	if err == nil || !strings.Contains(err.Error(), "dereferences") {
 		t.Errorf("deref producer head should be reported: %v", err)
 	}

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"context"
-
 	"yat/internal/pattern"
 	"yat/internal/trace"
 )
@@ -26,11 +24,11 @@ type optionFunc func(*Options)
 // Apply implements Option.
 func (f optionFunc) Apply(o *Options) { f(o) }
 
-// Apply makes a legacy *Options value usable wherever an Option is
-// expected: it replaces the configuration wholesale. A nil receiver
-// (the old `Run(prog, inputs, nil)` idiom) applies the defaults.
-//
-// Deprecated: build configurations from With* options instead.
+// Apply makes an *Options value usable wherever an Option is expected:
+// it replaces the configuration wholesale. A nil receiver (the
+// `Run(prog, inputs, nil)` idiom) applies the defaults. This is
+// load-bearing, not legacy: the mediator folds its option list once
+// at construction and hands the folded value back on every run.
 func (o *Options) Apply(dst *Options) {
 	if o == nil {
 		return
@@ -85,15 +83,6 @@ func WithParallelism(n int) Option {
 // zero cost.
 func WithTrace(s trace.Sink) Option {
 	return optionFunc(func(o *Options) { o.Trace = s })
-}
-
-// WithContext sets the run's cancellation context.
-//
-// Prefer RunContext, which takes the context as a first-class
-// parameter; this option exists so context can travel with an option
-// list.
-func WithContext(ctx context.Context) Option {
-	return optionFunc(func(o *Options) { o.Context = ctx })
 }
 
 // WithMaxRounds bounds the activation fixpoint (0 = default 10000).

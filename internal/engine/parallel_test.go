@@ -145,7 +145,7 @@ func TestRunCancelledBeforeStart(t *testing.T) {
 	prog := yatl.MustParse(yatl.SGMLToODMGSource)
 	inputs := mergeStores(fig3Store(), relationalStore())
 	for _, par := range []int{0, 4} {
-		_, err := Run(prog, inputs, &Options{Context: ctx, Parallelism: par})
+		_, err := RunContext(ctx, prog, inputs, &Options{Parallelism: par})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("parallelism=%d: err = %v, want context.Canceled", par, err)
 		}
@@ -182,7 +182,7 @@ rule D {
 		for i := 1; i <= 6; i++ {
 			inputs.Put(tree.PlainName(fmt.Sprintf("i%d", i)), tree.Sym("in", tree.Str("x")))
 		}
-		_, err := Run(prog, inputs, &Options{Context: ctx, Registry: reg, Parallelism: par})
+		_, err := RunContext(ctx, prog, inputs, &Options{Registry: reg, Parallelism: par})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("parallelism=%d: err = %v, want context.Canceled", par, err)
 		}
@@ -195,7 +195,7 @@ func TestRunDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 0)
 	defer cancel()
 	prog := yatl.MustParse(yatl.SGMLToODMGSource)
-	_, err := Run(prog, fig3Store(), &Options{Context: ctx, Parallelism: 2})
+	_, err := RunContext(ctx, prog, fig3Store(), &Options{Parallelism: 2})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want context.DeadlineExceeded", err)
 	}

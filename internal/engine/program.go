@@ -43,14 +43,6 @@ type Options struct {
 	// engine merges their results in the order the sequential
 	// interpreter would have produced them.
 	Parallelism int
-	// Context cancels a run cooperatively: the engine checks it
-	// between rounds and between work batches and, once cancelled,
-	// stops and returns an error wrapping ctx.Err(). Nil means the
-	// run cannot be cancelled.
-	//
-	// Deprecated: pass the context first-class through RunContext (or
-	// WithContext); it overrides this field.
-	Context context.Context
 	// Facts are precomputed program facts (AnalyzeProgram): the
 	// dispatch index and dead-rule sets the run consumes. Facts
 	// computed from a different program value are ignored.
@@ -72,6 +64,11 @@ type Options struct {
 	// ignored lists the names of mediator-only options handed to this
 	// run (collected by NewOptions); the run reports them as warnings.
 	ignored []string
+	// ctx carries RunContext's / RunSlice's context to the run core,
+	// which checks it between rounds and between work batches and, once
+	// cancelled, stops with an error wrapping ctx.Err(). Nil means the
+	// run cannot be cancelled.
+	ctx context.Context
 	// Trace receives typed events for every phase of the run (see
 	// internal/trace): matching attempts, external calls with
 	// durations, dropped bindings with reasons, Skolem definitions,
@@ -146,13 +143,10 @@ func Run(prog *yatl.Program, inputs *tree.Store, opts ...Option) (*Result, error
 	return execute(prog, inputs, NewOptions(opts...), nil)
 }
 
-// RunContext is Run with a first-class cancellation context. It
-// overrides any context carried in the options.
+// RunContext is Run with a cancellation context.
 func RunContext(ctx context.Context, prog *yatl.Program, inputs *tree.Store, opts ...Option) (*Result, error) {
 	o := NewOptions(opts...)
-	if ctx != nil {
-		o.Context = ctx
-	}
+	o.ctx = ctx
 	return execute(prog, inputs, o, nil)
 }
 
@@ -183,7 +177,7 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 	if maxRounds <= 0 {
 		maxRounds = 10000
 	}
-	ctx := opts.Context
+	ctx := opts.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -402,9 +402,7 @@ func RunSlice(ctx context.Context, prog *yatl.Program, inputs *tree.Store, sl *S
 		sl = ComputeSlice(prog)
 	}
 	o := NewOptions(opts...)
-	if ctx != nil {
-		o.Context = ctx
-	}
+	o.ctx = ctx
 	if o.Trace != nil {
 		start := time.Now()
 		defer func() {

@@ -1,0 +1,411 @@
+// The demand cache: the one owner of everything a demand-driven
+// generation has materialized.
+//
+// A slice run caches whole functor groups, and only a group's own rules
+// mint its functor, so the cache is a map from head functor to an
+// immutable *group*: per-rule committed entries and the source records
+// of the group's slice are the truth, one name-deduplicated read bucket
+// is derived from them. A mutator never edits a group; it builds a
+// replacement and swaps the map slot, so a bucket handed to an ask
+// stays a consistent view for as long as the ask holds it.
+//
+// Every write goes through commit, evict, carryOver or memoize, and the
+// first three are the only places the version is bumped and the ask
+// memo cleared. No other file names a field of demandCache or group.
+// Every method runs under the owning generation's lock (demandGen.mu).
+package mediator
+
+import (
+	"sort"
+
+	"yat/internal/engine"
+	"yat/internal/pattern"
+	"yat/internal/tree"
+	"yat/internal/yatl"
+)
+
+// demandCache is one generation's cache of materialized functor groups
+// plus the ask memo layered over them.
+type demandCache struct {
+	// slice computes the (pruned, memoized) rule slice of the program
+	// the cache serves; a group's own slice is slice(functor).
+	slice func(functors ...string) *engine.Slice
+	// groups holds the cached functor groups. Presence is the only
+	// "cached" flag there is.
+	groups map[string]*group
+	// ver counts mutations of groups. A memo write carries the version
+	// its answers were derived from and is refused when stale, so an
+	// ask racing a mutation can never memoize outdated answers.
+	ver uint64
+	// memo holds the assembled answers of completed asks: the repeat of
+	// an identical ask skips matching entirely. Cleared by every
+	// mutation of groups.
+	memo map[askKey]memoVal
+}
+
+// group is one cached functor group. Immutable once published.
+type group struct {
+	// outputs holds, per construct rule of the functor, the entries the
+	// rule committed. Rules of one group that mint the same identity
+	// each list the shared entry.
+	outputs map[string][]tree.StoreEntry
+	// bucket is what asks read: the rules' entries in declaration order
+	// of the rules, each identity once.
+	bucket []tree.StoreEntry
+	// sources holds one record per rule of the group's slice, construct
+	// and support alike: the keys of the source inputs that directly
+	// matched the rule. Its key set is the slice's membership; both are
+	// what invalidations and refreshes find a group's dependencies by.
+	sources map[string]map[string]bool
+}
+
+// sliceRun is what the cache keeps of one engine slice run (or of a
+// snapshot payload, which records the same): the head functors of the
+// groups computed (repeats allowed), each construct rule's entries and
+// each slice rule's matched source keys.
+type sliceRun struct {
+	functors []string
+	outputs  map[string][]tree.StoreEntry
+	sources  map[string]map[string]bool
+}
+
+func runOf(sl *engine.Slice, res *engine.SliceResult) sliceRun {
+	run := sliceRun{outputs: res.RuleOutputs, sources: make(map[string]map[string]bool, len(res.RuleSources))}
+	for _, r := range sl.Construct {
+		run.functors = append(run.functors, r.Head.Functor)
+	}
+	for rule, names := range res.RuleSources {
+		set := make(map[string]bool, len(names))
+		for _, n := range names {
+			set[n.Key()] = true
+		}
+		run.sources[rule] = set
+	}
+	return run
+}
+
+// memoVal is one ask memo entry: the answers plus the identity data a
+// snapshot needs to re-key the entry in another process (the pattern
+// source text — empty when the ask arrived pre-parsed and therefore
+// cannot be persisted — and the functor restriction).
+type memoVal struct {
+	answers  []Answer
+	src      string
+	functors []string
+}
+
+// askKey identifies one memoizable ask: the parsed pattern (by
+// pointer — Ask's pattern parse cache hands back a stable *PTree per
+// source text) and the functor restriction.
+type askKey struct {
+	pt       *pattern.PTree
+	functors string
+}
+
+// maxAskMemo bounds the ask memo; at the cap new asks simply stop
+// memoizing until a mutation clears the map.
+const maxAskMemo = 512
+
+func newDemandCache(slice func(functors ...string) *engine.Slice) *demandCache {
+	return &demandCache{slice: slice, groups: map[string]*group{}, memo: map[askKey]memoVal{}}
+}
+
+func (c *demandCache) version() uint64 { return c.ver }
+
+func (c *demandCache) has(functor string) bool { return c.groups[functor] != nil }
+
+// bucket returns the functor's read bucket (nil when not cached),
+// uncopied: groups are immutable, so the hit path allocates nothing.
+func (c *demandCache) bucket(functor string) []tree.StoreEntry {
+	if g := c.groups[functor]; g != nil {
+		return g.bucket
+	}
+	return nil
+}
+
+// buckets returns the entries of the given functors' buckets (none =
+// every cached group, in functor order).
+func (c *demandCache) buckets(functors ...string) []tree.StoreEntry {
+	switch len(functors) {
+	case 0:
+		for f := range c.groups {
+			functors = append(functors, f)
+		}
+		sort.Strings(functors)
+	case 1:
+		return c.bucket(functors[0])
+	}
+	var out []tree.StoreEntry
+	seen := map[string]bool{}
+	for _, f := range functors {
+		if !seen[f] {
+			seen[f] = true
+			out = append(out, c.bucket(f)...)
+		}
+	}
+	return out
+}
+
+// cachedRules counts the cached construct rules. Stats asks on every
+// federated ask, so it allocates nothing.
+func (c *demandCache) cachedRules() int {
+	n := 0
+	for _, g := range c.groups {
+		n += len(g.outputs)
+	}
+	return n
+}
+
+// rules returns every cached construct rule's committed entries.
+func (c *demandCache) rules() map[string][]tree.StoreEntry {
+	out := map[string][]tree.StoreEntry{}
+	for _, g := range c.groups {
+		for rule, entries := range g.outputs {
+			out[rule] = entries
+		}
+	}
+	return out
+}
+
+// sources returns, per rule with a non-empty source record, the sorted
+// keys of the source inputs that matched it in any cached group.
+func (c *demandCache) sources() map[string][]string {
+	merged := map[string]map[string]bool{}
+	for _, g := range c.groups {
+		for rule, set := range g.sources {
+			if len(set) > 0 {
+				merged[rule] = union(merged[rule], set)
+			}
+		}
+	}
+	out := make(map[string][]string, len(merged))
+	for rule, set := range merged {
+		for k := range set {
+			out[rule] = append(out[rule], k)
+		}
+		sort.Strings(out[rule])
+	}
+	return out
+}
+
+// union returns a ∪ b without modifying either: published records are
+// immutable. This is the only place source records are merged.
+func union(a, b map[string]bool) map[string]bool {
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 {
+		return b
+	}
+	out := make(map[string]bool, len(a)+len(b))
+	for k := range a {
+		out[k] = true
+	}
+	for k := range b {
+		out[k] = true
+	}
+	return out
+}
+
+// dependents lists, sorted, the cached functors whose group depends on
+// one of the rules (the rule is in the group's slice) or on one of the
+// source entries (a slice rule recorded a direct match on the key).
+func (c *demandCache) dependents(rules map[string]bool, sourceKeys []string) []string {
+	var out []string
+	for f, g := range c.groups {
+		if g.dependsOn(rules, sourceKeys) {
+			out = append(out, f)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (g *group) dependsOn(rules map[string]bool, sourceKeys []string) bool {
+	for rule, set := range g.sources {
+		if rules[rule] {
+			return true
+		}
+		for _, k := range sourceKeys {
+			if set[k] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// lookup returns a memoized ask's answers. The slice is the memo's own
+// and must be copied before it is handed to a caller.
+func (c *demandCache) lookup(key askKey) ([]Answer, bool) {
+	val, ok := c.memo[key]
+	return val.answers, ok
+}
+
+// memos is a read-only view of the ask memo's entries.
+func (c *demandCache) memos() map[askKey]memoVal { return c.memo }
+
+// mutated is the one place a change to groups is made visible to the
+// ask memo: the version moves on and every memoized answer goes.
+func (c *demandCache) mutated() {
+	c.ver++
+	if len(c.memo) > 0 {
+		clear(c.memo)
+	}
+}
+
+// commit publishes a run's result: one rebuilt group per functor the
+// run computed. In replace mode (the cold fill, the tier-2 re-run, the
+// snapshot load) the run's entries and source records supersede the
+// old ones. In append mode (the tier-1 insert patch) the run derived
+// only a delta's consequences: they are appended and merged — unless a
+// fresh entry's identity is already cached, when nothing is committed
+// and ok is false (the new bindings belong in an existing entry, which
+// only a re-run can rebuild). changed counts the rules whose entry
+// list differs from what was cached.
+func (c *demandCache) commit(run sliceRun, appendTo bool) (changed int, ok bool) {
+	fresh := map[string]*group{}
+	for _, f := range run.functors {
+		if fresh[f] != nil {
+			continue
+		}
+		old := c.groups[f]
+		if old == nil {
+			old = &group{}
+		}
+		var n int
+		fresh[f], n = c.build(f, run, old, appendTo)
+		changed += n
+	}
+	if appendTo {
+		held := map[string]bool{}
+		for f := range fresh {
+			for _, e := range c.bucket(f) {
+				held[e.Name.Key()] = true
+			}
+		}
+		for _, entries := range run.outputs {
+			for _, e := range entries {
+				if held[e.Name.Key()] {
+					return 0, false
+				}
+			}
+		}
+	}
+	c.mutated()
+	for f, g := range fresh {
+		c.groups[f] = g
+	}
+	return changed, true
+}
+
+// build assembles functor f's group from a run, replacing old or, with
+// appendTo, extending it, and counts the rules whose entry list differs
+// from old's.
+func (c *demandCache) build(f string, run sliceRun, old *group, appendTo bool) (*group, int) {
+	own := c.slice(f)
+	g := &group{outputs: map[string][]tree.StoreEntry{}, sources: make(map[string]map[string]bool, own.Rules())}
+	changed := 0
+	var lists [][]tree.StoreEntry
+	for _, r := range own.Construct {
+		if r.Head.Functor != f {
+			// A dereferenced group: committed under its own functor.
+			continue
+		}
+		entries, kept := run.outputs[r.Name], old.outputs[r.Name]
+		if appendTo {
+			if len(entries) > 0 {
+				changed++
+			}
+			entries = append(kept[:len(kept):len(kept)], entries...)
+		} else if !entriesEqual(kept, entries) {
+			changed++
+		}
+		g.outputs[r.Name] = entries
+		lists = append(lists, entries)
+	}
+	g.bucket = dedup(lists)
+	for _, rules := range [][]*yatl.Rule{own.Construct, own.Support} {
+		for _, r := range rules {
+			g.sources[r.Name] = run.sources[r.Name]
+			if appendTo {
+				g.sources[r.Name] = union(old.sources[r.Name], run.sources[r.Name])
+			}
+		}
+	}
+	return g, changed
+}
+
+// dedup concatenates the per-rule entry lists, keeping each identity's
+// first occurrence. A rule lists an identity once, so a single list is
+// already the bucket and is shared, not copied.
+func dedup(lists [][]tree.StoreEntry) []tree.StoreEntry {
+	if len(lists) == 1 {
+		return lists[0]
+	}
+	var out []tree.StoreEntry
+	seen := map[string]bool{}
+	for _, entries := range lists {
+		for _, e := range entries {
+			if key := e.Name.Key(); !seen[key] {
+				seen[key] = true
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
+
+// entriesEqual reports byte-identity of two committed entry lists:
+// same names, same trees, same order.
+func entriesEqual(a, b []tree.StoreEntry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Name.Key() != b[i].Name.Key() || !a[i].Tree.Equal(b[i].Tree) {
+			return false
+		}
+	}
+	return true
+}
+
+// evict drops the named functor groups. Only a group's own rules mint
+// its functor, so an eviction cannot strand entries another cached
+// group still answers from. Evicting nothing is not a mutation.
+func (c *demandCache) evict(functors ...string) {
+	for _, f := range functors {
+		if c.has(f) {
+			c.mutated()
+			delete(c.groups, f)
+		}
+	}
+}
+
+// carryOver builds the successor cache for a program reload: the
+// groups keep approves are shared with c by pointer (immutable, so
+// asks on the old generation and patches on the new one cannot disturb
+// each other), the rest are left behind. c itself is not modified.
+func (c *demandCache) carryOver(slice func(functors ...string) *engine.Slice, keep func(functor string) bool) *demandCache {
+	next := newDemandCache(slice)
+	next.ver = c.ver
+	next.mutated()
+	for f, g := range c.groups {
+		if keep(f) {
+			next.groups[f] = g
+		}
+	}
+	return next
+}
+
+// memoize records a completed ask's answers, unless the cache mutated
+// since the version the answers were derived from or the memo is full.
+// src is the pattern's source text when known ("" for pre-parsed asks,
+// which then memoize but cannot be persisted).
+func (c *demandCache) memoize(key askKey, src string, functors []string, answers []Answer, version uint64) {
+	if c.ver != version || len(c.memo) >= maxAskMemo {
+		return
+	}
+	c.memo[key] = memoVal{answers: append([]Answer(nil), answers...), src: src,
+		functors: append([]string(nil), functors...)}
+}

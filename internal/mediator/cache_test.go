@@ -1,0 +1,210 @@
+package mediator
+
+import (
+	"context"
+	"testing"
+
+	"yat/internal/source"
+	"yat/internal/tree"
+	"yat/internal/workload"
+	"yat/internal/yatl"
+)
+
+// checkInvariants verifies what every reader of the demand cache
+// relies on: a group holds exactly its functor's construct rules, no
+// entry carries another functor's name, the read bucket is the
+// name-deduplicated concatenation of the per-rule entries in rule
+// order (sharing their trees), and the source records cover exactly
+// the group's slice.
+func checkInvariants(t testing.TB, c *demandCache) {
+	t.Helper()
+	for f, g := range c.groups {
+		own := c.slice(f)
+		var want []tree.StoreEntry
+		seen := map[string]bool{}
+		rules := 0
+		for _, r := range own.Construct {
+			if r.Head.Functor != f {
+				continue
+			}
+			rules++
+			entries, ok := g.outputs[r.Name]
+			if !ok {
+				t.Errorf("group %s: no entry list for its rule %s", f, r.Name)
+			}
+			for _, e := range entries {
+				if e.Name.Functor != f {
+					t.Errorf("group %s: rule %s holds %s, a name outside the group", f, r.Name, e.Name)
+				}
+				if key := e.Name.Key(); !seen[key] {
+					seen[key] = true
+					want = append(want, e)
+				}
+			}
+		}
+		if rules != len(g.outputs) {
+			t.Errorf("group %s: %d entry lists for %d construct rules", f, len(g.outputs), rules)
+		}
+		if len(want) != len(g.bucket) {
+			t.Errorf("group %s: bucket has %d entries, its rules list %d distinct names", f, len(g.bucket), len(want))
+			continue
+		}
+		for i, e := range g.bucket {
+			if e.Name.Key() != want[i].Name.Key() || e.Tree != want[i].Tree {
+				t.Errorf("group %s: bucket[%d] = %s, rule order gives %s", f, i, e.Name, want[i].Name)
+			}
+		}
+		if len(g.sources) != own.Rules() {
+			t.Errorf("group %s: %d source records for a slice of %d rules", f, len(g.sources), own.Rules())
+		}
+		for rule := range g.sources {
+			if !own.Includes(rule) {
+				t.Errorf("group %s: source record for %s, which its slice does not include", f, rule)
+			}
+		}
+	}
+}
+
+// cacheWatch looks at a mediator's current demand cache between the
+// steps of a test: every look checks the invariants under the
+// generation lock and that the cache's version has not moved
+// backwards since the previous look at the same cache.
+type cacheWatch struct {
+	cache *demandCache
+	ver   uint64
+}
+
+// look returns the cache's version and the size of its ask memo. A
+// step that mutated the cache shows as a larger version and — when no
+// ask ran since — an empty memo.
+func (w *cacheWatch) look(t testing.TB, m *Mediator) (ver uint64, memo int) {
+	t.Helper()
+	g := m.state().dgen
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	checkInvariants(t, g.cache)
+	if g.cache == w.cache && g.cache.ver < w.ver {
+		t.Errorf("cache version went from %d back to %d", w.ver, g.cache.ver)
+	}
+	w.cache, w.ver = g.cache, g.cache.ver
+	return g.cache.ver, len(g.cache.memo)
+}
+
+// mutates runs one step that must change the cache and checks it
+// bumped the version and emptied the ask memo.
+func (w *cacheWatch) mutates(t testing.TB, m *Mediator, what string, step func()) {
+	t.Helper()
+	before, _ := w.look(t, m)
+	step()
+	if after, memo := w.look(t, m); after <= before || memo != 0 {
+		t.Errorf("%s: version %d -> %d with %d memoized asks, want a bump and an empty memo", what, before, after, memo)
+	}
+}
+
+// Every mutator bumps the version and clears the ask memo; an eviction
+// of nothing, an empty delta and a stale memoize change nothing.
+func TestCacheMutatorsBumpVersion(t *testing.T) {
+	fault := source.NewFault("src1", alphaStore("ant", "asp"))
+	m := New(yatl.MustParse(twoSourceProgram), nil, WithDemandDriven(true),
+		WithSources(fault, source.Static("src2", betaStore("bee"))))
+	w := &cacheWatch{}
+	ask := func() {
+		t.Helper()
+		for _, f := range []string{"Pa", "Pb"} {
+			if _, err := m.Ask(`X`, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	refresh := func(names ...string) func() {
+		return func() {
+			fault.SetStore(alphaStore(names...))
+			if err := m.RefreshSource(context.Background(), "src1"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	w.mutates(t, m, "cold fill (commit, replace)", func() {
+		if _, err := m.Functors(); err != nil { // fills without memoizing
+			t.Fatal(err)
+		}
+	})
+	ask() // refill the memo so the next step has something to clear
+	w.mutates(t, m, "insert patch (commit, append)", refresh("ant", "asp", "auk"))
+	ask()
+	w.mutates(t, m, "delete re-run (commit, replace)", refresh("ant"))
+	ask()
+	w.mutates(t, m, "InvalidateRule (evict)", func() { m.InvalidateRule("Alpha") })
+	ask()
+	w.mutates(t, m, "Reload (carryOver)", func() { m.Reload(yatl.MustParse(twoSourceProgram)) })
+
+	ask()
+	before, memo := w.look(t, m)
+	if memo == 0 {
+		t.Fatal("vacuous: the asks memoized nothing")
+	}
+	m.InvalidateRule("no-such-rule")
+	refresh("ant")() // an empty delta
+	g := m.state().dgen
+	g.cache.memoize(askKey{}, "", nil, nil, before-1)
+	if after, kept := w.look(t, m); after != before || kept != memo {
+		t.Errorf("no-op steps moved the cache: version %d -> %d, memo %d -> %d", before, after, memo, kept)
+	}
+}
+
+// Reload shares an unchanged group with the old generation instead of
+// copying it, and the sharing is safe: an ask that took its view from
+// the old generation keeps its original bucket after the new
+// generation patches the group.
+func TestReloadSharesUnchangedGroups(t *testing.T) {
+	prog := yatl.MustParse(workload.PartitionedProgram(2))
+	base := workload.PartitionedStore(2, 3)
+	fault := source.NewFault("parts", base)
+	m := New(prog, nil, WithDemandDriven(true), WithSources(fault))
+	want, err := m.Ask(`X`, "Ppart1")
+	if err != nil || len(want) != 3 {
+		t.Fatalf("warm ask = %d answers, %v", len(want), err)
+	}
+	old := m.state()
+	// The in-flight ask: its view of the old generation, taken before
+	// the reload.
+	view, hit, _, err := m.ensureDemand(context.Background(), old, []string{"Ppart1"})
+	if err != nil || !hit || len(view) != 3 {
+		t.Fatalf("view: %d entries, hit=%v err=%v", len(view), hit, err)
+	}
+	original := append([]tree.StoreEntry(nil), view...)
+
+	w := &cacheWatch{}
+	w.mutates(t, m, "Reload", func() { m.Reload(yatl.MustParse(workload.PartitionedProgram(2))) })
+	next := m.state()
+	if next.dgen.cache.groups["Ppart1"] != old.dgen.cache.groups["Ppart1"] {
+		t.Fatal("the unchanged group was copied, not shared with the old generation")
+	}
+
+	grown := base.Clone()
+	n, tr := workload.PartitionedEntry(1, "new", 3)
+	grown.Put(n, tr)
+	fault.SetStore(grown)
+	w.mutates(t, m, "insert patch", func() {
+		if err := m.RefreshSource(context.Background(), "parts"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st := m.Stats(); st.DeltaRuns != 1 || st.DeltaFallbacks != 0 {
+		t.Fatalf("refresh was not an insert patch: %+v", st)
+	}
+	if got, err := m.Ask(`X`, "Ppart1"); err != nil || len(got) != 4 {
+		t.Fatalf("new generation after the patch: %d answers, %v", len(got), err)
+	}
+
+	if len(view) != 3 || len(old.dgen.cache.bucket("Ppart1")) != 3 {
+		t.Fatalf("the patch reached the old generation: view %d, bucket %d entries, want 3",
+			len(view), len(old.dgen.cache.bucket("Ppart1")))
+	}
+	for i, e := range view {
+		if e.Tree != original[i].Tree || e.Name.Key() != original[i].Name.Key() {
+			t.Errorf("in-flight view[%d] changed from %s to %s", i, original[i].Name, e.Name)
+		}
+	}
+	checkInvariants(t, old.dgen.cache)
+}

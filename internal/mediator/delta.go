@@ -163,7 +163,7 @@ func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (
 	if g.degraded[name] {
 		return deltaOutcome{wholesale: true, reason: ReasonDegradedSource}, nil
 	}
-	if len(g.cached) == 0 {
+	if g.cache.cachedRules() == 0 {
 		// Cold cache: nothing to patch; the next Ask fetches fresh.
 		return deltaOutcome{}, nil
 	}
@@ -200,7 +200,7 @@ func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (
 		// The delta is real but no cached rule can observe it.
 		return out, nil
 	}
-	sl := st.sliceFor(groups...)
+	sl := st.facts.SliceFor(groups...)
 
 	reason := tier1Blocker(st.prog, sl, d)
 	if reason == "" {
@@ -223,24 +223,21 @@ func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (
 	res, runErr := engine.RunSlice(ctx, st.prog, inputs, sl, m.opts, engine.WithFacts(st.facts))
 	if runErr != nil {
 		g.lastErr = runErr
-		for _, f := range groups {
-			g.dropFunctor(st.prog, f)
-		}
+		g.cache.evict(groups...)
 		out.reason = ReasonSliceRunError
 		return out, fmt.Errorf("mediator: delta refresh of %s: %w", name, runErr)
 	}
 	g.lastErr = nil
-	out.patched = g.applyRerun(sl, res)
-	g.runs++
-	addStats(&g.stats, res.Stats)
+	out.patched, _ = g.cache.commit(runOf(sl, res), false)
+	g.ran(res.Stats)
 	return out, nil
 }
 
 // affectedGroups returns the cached functor groups whose slices
 // contain a rule the delta can feed: rules that recorded a direct
-// match on a deleted or rewritten entry (ruleSources, from past slice
-// runs) plus rules the inserted or rewritten trees can match
-// (engine.AffectedRules over the dispatch index). Slice closure
+// match on a deleted or rewritten entry (the groups' source records,
+// from past slice runs) plus rules the inserted or rewritten trees can
+// match (engine.AffectedRules over the dispatch index). Slice closure
 // extends direct reachability to derived activations: a rule fed only
 // through minted activations lives in the same slice as its minters.
 func (m *Mediator) affectedGroups(st *progState, g *demandGen, d *delta.Delta) []string {
@@ -257,27 +254,7 @@ func (m *Mediator) affectedGroups(st *progState, g *demandGen, d *delta.Delta) [
 	for _, c := range d.Changed {
 		oldKeys = append(oldKeys, c.Name.Key())
 	}
-	for _, key := range oldKeys {
-		for rule, set := range g.ruleSources {
-			if set[key] {
-				affected[rule] = true
-			}
-		}
-	}
-	if len(affected) == 0 {
-		return nil
-	}
-	var groups []string
-	for _, f := range g.cachedFunctors(st.prog) {
-		sl := st.sliceFor(f)
-		for r := range affected {
-			if sl.Includes(r) {
-				groups = append(groups, f)
-				break
-			}
-		}
-	}
-	return groups
+	return g.cache.dependents(affected, oldKeys)
 }
 
 // tier1Blocker reports why the insert patch would be unsound for this
@@ -333,115 +310,9 @@ func (m *Mediator) insertPatch(ctx context.Context, st *progState, g *demandGen,
 	if err != nil {
 		return 0, false, err
 	}
-	for _, r := range sl.Construct {
-		for _, e := range res.RuleOutputs[r.Name] {
-			if g.store.Has(e.Name) {
-				return 0, false, nil
-			}
-		}
+	patched, ok = g.cache.commit(runOf(sl, res), true)
+	if ok {
+		g.ran(res.Stats)
 	}
-	for _, r := range sl.Construct {
-		entries := res.RuleOutputs[r.Name]
-		if len(entries) == 0 {
-			continue
-		}
-		patched++
-		g.ruleEntries[r.Name] = append(g.ruleEntries[r.Name], entries...)
-		for _, e := range entries {
-			g.put(e.Name, e.Tree)
-		}
-	}
-	// The delta run adds dependencies, it does not recompute old ones:
-	// merge its source records into the existing sets.
-	for rule, srcs := range res.RuleSources {
-		set := g.ruleSources[rule]
-		if set == nil {
-			set = map[string]bool{}
-			g.ruleSources[rule] = set
-		}
-		for _, s := range srcs {
-			set[s.Key()] = true
-		}
-	}
-	g.runs++
-	addStats(&g.stats, res.Stats)
-	return patched, true, nil
-}
-
-// applyRerun swaps a full slice re-run's outputs into the cache in
-// place: the construct rules' old entries are evicted, the new ones
-// committed, and the touched functor buckets rebuilt wholesale (bucket
-// snapshots held by in-flight asks keep their old view). Returns the
-// number of rules whose entries actually changed. Must hold g.mu.
-func (g *demandGen) applyRerun(sl *engine.Slice, res *engine.SliceResult) int {
-	g.version++
-	if len(g.askMemo) > 0 {
-		clear(g.askMemo)
-	}
-	// Evict every old entry first: rules of one group may share minted
-	// identities, and a shared stale entry must not outlive the swap.
-	for _, r := range sl.Construct {
-		for _, e := range g.ruleEntries[r.Name] {
-			g.store.Delete(e.Name)
-		}
-	}
-	patched := 0
-	touched := map[string]bool{}
-	for _, r := range sl.Construct {
-		fresh := res.RuleOutputs[r.Name]
-		if !entriesEqual(g.ruleEntries[r.Name], fresh) {
-			patched++
-		}
-		g.cached[r.Name] = true
-		g.ruleEntries[r.Name] = fresh
-		for _, e := range fresh {
-			g.store.Put(e.Name, e.Tree)
-		}
-		touched[r.Head.Functor] = true
-	}
-	for f := range touched {
-		delete(g.byFunctor, f)
-	}
-	for _, e := range g.store.Entries() {
-		if touched[e.Name.Functor] {
-			g.byFunctor[e.Name.Functor] = append(g.byFunctor[e.Name.Functor], e)
-		}
-	}
-	// The re-run recomputed these rules completely: replace their
-	// source records instead of merging.
-	replaceRuleSources(g, sl.Construct, res)
-	replaceRuleSources(g, sl.Support, res)
-	return patched
-}
-
-func replaceRuleSources(g *demandGen, rules []*yatl.Rule, res *engine.SliceResult) {
-	for _, r := range rules {
-		srcs := res.RuleSources[r.Name]
-		set := make(map[string]bool, len(srcs))
-		for _, s := range srcs {
-			set[s.Key()] = true
-		}
-		g.ruleSources[r.Name] = set
-	}
-}
-
-// entriesEqual reports byte-identity of two committed entry lists:
-// same names, same trees, same order.
-func entriesEqual(a, b []tree.StoreEntry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Name.Key() != b[i].Name.Key() || !a[i].Tree.Equal(b[i].Tree) {
-			return false
-		}
-	}
-	return true
-}
-
-func addStats(dst *engine.Stats, s engine.Stats) {
-	dst.Activations += s.Activations
-	dst.Bindings += s.Bindings
-	dst.Outputs += s.Outputs
-	dst.Rounds += s.Rounds
+	return patched, ok, nil
 }

@@ -77,8 +77,16 @@ func TestDeltaRefreshEquivalence(t *testing.T) {
 					t.Fatalf("warm ask = %d answers, %v", len(got), err)
 				}
 				fault.SetStore(newAlphas)
+				watch := &cacheWatch{}
+				before, memo := watch.look(t, m)
 				if err := m.RefreshSource(context.Background(), "src1"); err != nil {
 					t.Fatalf("refresh: %v", err)
+				}
+				// Every absorbed delta is a cache mutation (version bump,
+				// memo cleared); the empty one leaves both alone.
+				if after, kept := watch.look(t, m); sc.name == "no-op" && (after != before || kept != memo) ||
+					sc.name != "no-op" && (after <= before || kept != 0) {
+					t.Errorf("cache version %d -> %d, memo %d -> %d", before, after, memo, kept)
 				}
 				want := answersFor(t, prog, newAlphas, betas, `X`)
 				got, err := m.Ask(`X`)
@@ -547,6 +555,7 @@ func TestAskRefreshSourceRace(t *testing.T) {
 	wg.Add(1)
 	go func() { // the refresher
 		defer wg.Done()
+		watch := &cacheWatch{}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -562,6 +571,7 @@ func TestAskRefreshSourceRace(t *testing.T) {
 				t.Errorf("refresh: %v", err)
 				return
 			}
+			watch.look(t, m)
 		}
 	}()
 	for w := 0; w < 4; w++ {

@@ -208,6 +208,55 @@ func TestDemandFineGrainedInvalidation(t *testing.T) {
 	}
 }
 
+// InvalidateRule evicts exactly the groups whose recorded slice names
+// the rule. Dead can never fire and is pruned from every slice the
+// mediator runs, so no cached group depends on it — although its head
+// reference mints arbitrary activations, which puts it in the unpruned
+// support set of every other rule.
+func TestInvalidateRuleEvictsDependentsOnly(t *testing.T) {
+	prog := yatl.MustParse(`
+program pruned
+rule Live {
+  head Plive(X) = o -> v -> X
+  from P = alpha < -> k -> X >
+}
+rule Other {
+  head Pother(X) = o -> w -> X
+  from P = alpha < -> k -> X >
+}
+rule Dead {
+  head Pdead(X) = o -> ref -> &Plive(X)
+  from P = alpha < -> k -> X >
+  where 1 == 2
+}
+`)
+	if !engine.ComputeSlice(prog, "Plive").Includes("Dead") || !engine.AnalyzeProgram(prog).Prunable("Dead") {
+		t.Fatal("vacuous: Dead must support Plive's unpruned slice and be prunable")
+	}
+	store := tree.NewStore()
+	store.Put(tree.PlainName("a1"), tree.Sym("alpha", tree.Sym("k", tree.Str("x"))))
+	for _, c := range []struct {
+		rule       string
+		wantCached int
+	}{
+		{"Live", 1},
+		{"no-such-rule", 2},
+		{"Dead", 2}, // invalidating a never-firing (pruned) rule evicts nothing
+	} {
+		m := New(prog, store, WithDemandDriven(true))
+		if _, err := m.Functors(); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Stats().CachedRules; got != 2 {
+			t.Fatalf("warm-up cached %d rules, want Live and Other", got)
+		}
+		m.InvalidateRule(c.rule)
+		if got := m.Stats().CachedRules; got != c.wantCached {
+			t.Errorf("InvalidateRule(%s) left %d rules cached, want %d", c.rule, got, c.wantCached)
+		}
+	}
+}
+
 // On a full-materialization mediator the fine-grained calls degrade to
 // Invalidate (there is nothing smaller to drop).
 func TestInvalidateRuleFullModeDegrades(t *testing.T) {
@@ -329,6 +378,7 @@ func TestDemandConcurrentAskInvalidate(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				watch := &cacheWatch{}
 				for i := 0; i < 20; i++ {
 					switch i % 4 {
 					case 0:
@@ -340,6 +390,7 @@ func TestDemandConcurrentAskInvalidate(t *testing.T) {
 					case 3:
 						m.InvalidateRule("Car")
 					}
+					watch.look(t, m)
 					m.Stats()
 				}
 			}()

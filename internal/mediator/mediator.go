@@ -172,41 +172,16 @@ type progState struct {
 	num                int64
 }
 
-// sliceFor computes the (pruned, memoized) slice for the functors
-// through the program facts; the single-functor probe — the demand
-// cache-hit path — allocates nothing after its first call.
-func (st *progState) sliceFor(functors ...string) *engine.Slice {
-	if st.facts != nil {
-		return st.facts.SliceFor(functors...)
-	}
-	return engine.ComputeSlice(st.prog, functors...)
-}
-
-// demandGen is one demand-driven cache lifetime: a per-rule memo of
-// materialized outputs assembled from slice runs. Invalidate swaps in
-// a fresh one, so a query racing an invalidation keeps a consistent
-// view; InvalidateRule and InvalidateSource instead drop entries
-// surgically under the generation lock.
+// demandGen is one demand-driven cache lifetime: the demand cache
+// (cache.go) plus the bookkeeping of the slice runs that filled it.
+// Invalidate swaps in a fresh one, so a query racing an invalidation
+// keeps a consistent view; InvalidateRule, InvalidateSource and source
+// refreshes instead mutate the cache under the generation lock.
 type demandGen struct {
-	mu sync.Mutex
-	// store accumulates the entries of every cached rule. It is only
-	// read and written under mu; queries match against snapshots.
-	store *tree.Store
-	// cached marks the construct rules whose outputs are materialized.
-	cached map[string]bool
-	// ruleEntries lists each cached rule's committed entries, the
-	// exact set to evict when the rule is invalidated.
-	ruleEntries map[string][]tree.StoreEntry
-	// byFunctor indexes the store's entries by Skolem functor, so the
-	// single-functor ask — the demand cache-hit path — snapshots its
-	// entries without walking the whole store. Buckets are replaced,
-	// never mutated in place, when an existing entry changes: a query
-	// holding an old bucket keeps a consistent view.
-	byFunctor map[string][]tree.StoreEntry
-	// ruleSources records, per slice rule (construct and support), the
-	// keys of source inputs that directly matched it — the dependency
-	// data behind InvalidateSource.
-	ruleSources map[string]map[string]bool
+	// mu guards everything below, cache included; it is held across a
+	// slice run, so concurrent asks missing the same group share one.
+	mu    sync.Mutex
+	cache *demandCache
 	// stats accumulates engine statistics across slice runs.
 	// Overlapping slices re-run shared dependencies, so the totals
 	// measure work performed, not distinct outputs.
@@ -223,56 +198,22 @@ type demandGen struct {
 	// generation (no finer dependency record exists — an absent source
 	// matched nothing).
 	degraded map[string]bool
-	// version counts cache mutations (entry puts and evictions). The
-	// ask memo below tags its writes with the version the answers were
-	// derived from and refuses stale ones, so an ask racing a cache
-	// fill can never memoize answers the fill just outdated.
-	version uint64
-	// askMemo caches the fully-assembled answers of completed
-	// demand-mode asks, keyed by pattern identity and functor list:
-	// the warm repeat of an identical ask skips matching entirely and
-	// returns a copy of the memoized slice. Cleared on every cache
-	// mutation; dies with the generation like every other memo here —
-	// unless a snapshot persists it (the entry then carries its
-	// pattern source text so the restore can re-key it).
-	askMemo map[askKey]memoVal
 	// restored marks a generation warm-started from a snapshot rather
 	// than computed by this process (surfaced in Stats).
 	restored bool
 }
 
-// memoVal is one ask memo entry: the answers plus the identity data a
-// snapshot needs to re-key the entry in another process (the pattern
-// source text — empty when the ask arrived pre-parsed and therefore
-// cannot be persisted — and the functor restriction).
-type memoVal struct {
-	answers  []Answer
-	src      string
-	functors []string
+func newDemandGen(facts *engine.ProgramFacts) *demandGen {
+	return &demandGen{cache: newDemandCache(facts.SliceFor), degraded: map[string]bool{}}
 }
 
-// askKey identifies one memoizable ask: the parsed pattern (by
-// pointer — Ask's pattern parse cache hands back a stable *PTree per
-// source text) and the functor restriction.
-type askKey struct {
-	pt       *pattern.PTree
-	functors string
-}
-
-// maxAskMemo bounds the ask memo; at the cap new asks simply stop
-// memoizing until an invalidation clears the map.
-const maxAskMemo = 512
-
-func newDemandGen() *demandGen {
-	return &demandGen{
-		store:       tree.NewStore(),
-		cached:      map[string]bool{},
-		ruleEntries: map[string][]tree.StoreEntry{},
-		byFunctor:   map[string][]tree.StoreEntry{},
-		ruleSources: map[string]map[string]bool{},
-		degraded:    map[string]bool{},
-		askMemo:     map[askKey]memoVal{},
-	}
+// ran accounts for one successful engine slice run.
+func (g *demandGen) ran(s engine.Stats) {
+	g.runs++
+	g.stats.Activations += s.Activations
+	g.stats.Bindings += s.Bindings
+	g.stats.Outputs += s.Outputs
+	g.stats.Rounds += s.Rounds
 }
 
 // lookupAsk serves a memoized ask. The hit returns a fresh slice
@@ -281,32 +222,14 @@ func newDemandGen() *demandGen {
 // shared, as they are between any two asks over one cache.
 func (g *demandGen) lookupAsk(key askKey) ([]Answer, bool) {
 	g.mu.Lock()
-	memo, ok := g.askMemo[key]
+	memo, ok := g.cache.lookup(key)
 	g.mu.Unlock()
-	if !ok {
-		return nil, false
+	if !ok || len(memo) == 0 {
+		return nil, ok
 	}
-	if len(memo.answers) == 0 {
-		return nil, true
-	}
-	out := make([]Answer, len(memo.answers))
-	copy(out, memo.answers)
+	out := make([]Answer, len(memo))
+	copy(out, memo)
 	return out, true
-}
-
-// storeAsk memoizes a completed ask's answers, unless the cache
-// mutated since the snapshot the answers were derived from. src is
-// the pattern's source text when known ("" for pre-parsed asks, which
-// then memoize but cannot be persisted).
-func (g *demandGen) storeAsk(key askKey, src string, functors []string, out []Answer, version uint64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.version != version || len(g.askMemo) >= maxAskMemo {
-		return
-	}
-	memo := make([]Answer, len(out))
-	copy(memo, out)
-	g.askMemo[key] = memoVal{answers: memo, src: src, functors: append([]string(nil), functors...)}
 }
 
 // Mediator answers queries over the virtual target of a conversion.
@@ -371,7 +294,7 @@ func New(prog *yatl.Program, inputs *tree.Store, opts ...engine.Option) *Mediato
 	m.cur.progHash = snapshot.HashProgram(prog)
 	m.cur.optsHash = snapshot.HashOptions(m.opts)
 	if m.demand {
-		m.cur.dgen = newDemandGen()
+		m.cur.dgen = newDemandGen(m.cur.facts)
 	}
 	if len(m.sources) > 0 {
 		m.srcEntries = map[string][]tree.Name{}
@@ -710,36 +633,33 @@ func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, fun
 		})
 	}
 	if memoGen != nil {
-		memoGen.storeAsk(memoKey, src, functors, out, memoVer)
+		memoGen.mu.Lock()
+		memoGen.cache.memoize(memoKey, src, functors, out, memoVer)
+		memoGen.mu.Unlock()
 	}
 	return out, nil
 }
 
-// ensureDemand guarantees every construct rule of the slice for the
+// ensureDemand guarantees every functor group of the slice for the
 // given functors (none = the whole program) is cached, running the
-// engine over the missing sub-slice when necessary. It returns a
-// consistent snapshot of the cached entries restricted to the
-// requested functors, whether the query was served entirely from
-// cache, and the cache version the snapshot was taken at (for the
-// ask memo's stale-write guard).
+// engine over the missing groups' slice when necessary. It returns a
+// consistent view of the cached entries restricted to the requested
+// functors, whether the query was served entirely from cache, and the
+// cache version the view was taken at (for the ask memo's stale-write
+// guard).
 func (m *Mediator) ensureDemand(ctx context.Context, st *progState, functors []string) ([]tree.StoreEntry, bool, uint64, error) {
 	g := st.dgen
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
-	ask := st.sliceFor(functors...)
-	var missing []*yatl.Rule
-	for _, r := range ask.Construct {
-		if !g.cached[r.Name] {
-			missing = append(missing, r)
+	var missing []string // repeats are harmless: SliceFor dedups
+	for _, r := range st.facts.SliceFor(functors...).Construct {
+		kind := trace.KindCacheHit
+		if !g.cache.has(r.Head.Functor) {
+			kind = trace.KindCacheMiss
+			missing = append(missing, r.Head.Functor)
 		}
-	}
-	if m.opts.Trace != nil {
-		for _, r := range ask.Construct {
-			kind := trace.KindCacheHit
-			if !g.cached[r.Name] {
-				kind = trace.KindCacheMiss
-			}
+		if m.opts.Trace != nil {
 			m.opts.Trace.Emit(trace.Event{Kind: kind, Phase: trace.PhaseSlice, Rule: r.Name})
 		}
 	}
@@ -748,20 +668,12 @@ func (m *Mediator) ensureDemand(ctx context.Context, st *progState, functors []s
 		// re-deriving a cached dependency repeats work but keeps the
 		// activation fixpoint identical to a full run's, which is what
 		// makes the cached entries byte-identical and composable.
-		var fs []string
-		seen := map[string]bool{}
-		for _, r := range missing {
-			if !seen[r.Head.Functor] {
-				seen[r.Head.Functor] = true
-				fs = append(fs, r.Head.Functor)
-			}
-		}
 		inputs, err := m.fetchInputs(ctx)
 		if err != nil {
 			g.lastErr = err
 			return nil, false, 0, err
 		}
-		sub := st.sliceFor(fs...)
+		sub := st.facts.SliceFor(missing...)
 		res, err := engine.RunSlice(ctx, st.prog, inputs, sub, m.opts, engine.WithFacts(st.facts))
 		if err != nil {
 			g.lastErr = err
@@ -778,75 +690,10 @@ func (m *Mediator) ensureDemand(ctx context.Context, st *progState, functors []s
 			}
 		}
 		m.srcMu.Unlock()
-		g.runs++
-		g.stats.Activations += res.Stats.Activations
-		g.stats.Bindings += res.Stats.Bindings
-		g.stats.Outputs += res.Stats.Outputs
-		g.stats.Rounds += res.Stats.Rounds
-		for _, r := range sub.Construct {
-			g.cached[r.Name] = true
-			g.ruleEntries[r.Name] = res.RuleOutputs[r.Name]
-			for _, e := range res.RuleOutputs[r.Name] {
-				g.put(e.Name, e.Tree)
-			}
-		}
-		for rule, srcs := range res.RuleSources {
-			set := g.ruleSources[rule]
-			if set == nil {
-				set = map[string]bool{}
-				g.ruleSources[rule] = set
-			}
-			for _, s := range srcs {
-				set[s.Key()] = true
-			}
-		}
+		g.ran(res.Stats)
+		g.cache.commit(runOf(sub, res), false)
 	}
-	if len(functors) == 1 {
-		// The bucket slice is handed out directly: later cache fills
-		// replace buckets rather than mutating them, so the caller's
-		// view stays consistent without a copy — the cache-hit path
-		// allocates nothing here.
-		return g.byFunctor[functors[0]], len(missing) == 0, g.version, nil
-	}
-	want := map[string]bool{}
-	for _, f := range functors {
-		want[f] = true
-	}
-	var out []tree.StoreEntry
-	for _, e := range g.store.Entries() {
-		if len(want) > 0 && !want[e.Name.Functor] {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out, len(missing) == 0, g.version, nil
-}
-
-// put commits one entry to the assembled store and its functor index.
-// Must hold g.mu. A replacement rebuilds the functor's bucket instead
-// of mutating it, because snapshot slices of the old bucket may still
-// be matched against outside the lock.
-func (g *demandGen) put(name tree.Name, t *tree.Node) {
-	g.version++
-	if len(g.askMemo) > 0 {
-		clear(g.askMemo)
-	}
-	replaced := g.store.Put(name, t)
-	f := name.Functor
-	if !replaced {
-		g.byFunctor[f] = append(g.byFunctor[f], tree.StoreEntry{Name: name, Tree: t})
-		return
-	}
-	old := g.byFunctor[f]
-	fresh := make([]tree.StoreEntry, len(old))
-	key := name.Key()
-	for i, e := range old {
-		if e.Name.Key() == key {
-			e.Tree = t
-		}
-		fresh[i] = e
-	}
-	g.byFunctor[f] = fresh
+	return g.cache.buckets(functors...), len(missing) == 0, g.cache.version(), nil
 }
 
 // Get resolves one virtual object by Skolem identity. A demand-driven
@@ -1032,21 +879,22 @@ func (m *Mediator) sourceStatuses() []SourceStatus {
 // materialization itself; the atomic done flag orders the read after
 // the run's writes.
 func (m *Mediator) Stats() Stats {
+	var s Stats
 	if m.demand {
-		return m.demandStats()
-	}
-	m.mu.Lock()
-	st := m.cur
-	g := st.gen
-	s := Stats{Run: m.lastGood, Generation: st.num}
-	m.mu.Unlock()
-	if g.done.Load() {
-		if g.err != nil {
-			s.Err = g.err
-		} else {
-			s.Materialized = true
-			if g.result != nil {
-				s.Run = g.result.Stats
+		s = m.demandStats()
+	} else {
+		m.mu.Lock()
+		g := m.cur.gen
+		s = Stats{Run: m.lastGood, Generation: m.cur.num}
+		m.mu.Unlock()
+		if g.done.Load() {
+			if g.err != nil {
+				s.Err = g.err
+			} else {
+				s.Materialized = true
+				if g.result != nil {
+					s.Run = g.result.Stats
+				}
 			}
 		}
 	}
@@ -1061,9 +909,10 @@ func (m *Mediator) Stats() Stats {
 	return s
 }
 
-// demandStats assembles Stats for a demand-driven mediator: Run
-// accumulates engine work across slice runs, Materialized means every
-// construct rule of the program is cached.
+// demandStats assembles the cache-state half of Stats for a
+// demand-driven mediator: Run accumulates engine work across slice
+// runs, Materialized means every construct rule of the program is
+// cached.
 func (m *Mediator) demandStats() Stats {
 	st := m.state()
 	g := st.dgen
@@ -1072,28 +921,20 @@ func (m *Mediator) demandStats() Stats {
 		Run:         g.stats,
 		Demand:      true,
 		Restored:    g.restored,
-		CachedRules: len(g.cached),
+		CachedRules: g.cache.cachedRules(),
 		SliceRuns:   g.runs,
 		Err:         g.lastErr,
 		Generation:  st.num,
 	}
-	full := st.sliceFor()
+	full := st.facts.SliceFor()
 	s.Materialized = len(full.Construct) > 0
 	for _, r := range full.Construct {
-		if !g.cached[r.Name] {
+		if !g.cache.has(r.Head.Functor) {
 			s.Materialized = false
 			break
 		}
 	}
 	g.mu.Unlock()
-	s.Asks = m.asks.Load()
-	s.CacheHits = m.cacheHits.Load()
-	s.CacheMisses = m.cacheMiss.Load()
-	s.AskTime = time.Duration(m.askNanos.Load())
-	s.DeltaRuns = m.deltaRuns.Load()
-	s.DeltaFallbacks = m.deltaFallbacks.Load()
-	s.PatchedRules = m.patchedRules.Load()
-	s.Sources = m.sourceStatuses()
 	return s
 }
 
@@ -1105,7 +946,7 @@ func (m *Mediator) Invalidate() {
 	next := &progState{prog: m.cur.prog, gen: &generation{}, facts: m.cur.facts,
 		progHash: m.cur.progHash, optsHash: m.cur.optsHash, num: m.cur.num + 1}
 	if m.demand {
-		next.dgen = newDemandGen()
+		next.dgen = newDemandGen(next.facts)
 	}
 	m.cur = next
 	m.mu.Unlock()
@@ -1119,8 +960,8 @@ func (m *Mediator) Invalidate() {
 // group stays warm exactly when its rule slice — construct and
 // support rules alike — is present in the new program with identical
 // rule names and identical rule text, so nothing that could have
-// influenced its cached outputs changed. Every other group is evicted
-// through the same machinery InvalidateRule uses. A non-demand
+// influenced its cached outputs changed; such a group is shared with
+// the old generation, every other group is left behind. A non-demand
 // mediator reconverts wholesale on the next query.
 //
 // Rule text alone is not the whole cache key: the options hash —
@@ -1137,9 +978,9 @@ func (m *Mediator) Reload(prog *yatl.Program) {
 		progHash: snapshot.HashProgram(prog), optsHash: snapshot.HashOptions(m.opts), num: old.num + 1}
 	if m.demand {
 		if next.optsHash == old.optsHash {
-			next.dgen = old.dgen.cloneFor(old.prog, prog)
+			next.dgen = old.dgen.cloneFor(old.facts, next.facts)
 		} else {
-			next.dgen = newDemandGen()
+			next.dgen = newDemandGen(next.facts)
 		}
 	}
 	m.cur = next
@@ -1156,15 +997,10 @@ func (m *Mediator) InvalidateRule(rule string) {
 		m.Invalidate()
 		return
 	}
-	st := m.state()
-	g := st.dgen
+	g := m.state().dgen
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for _, f := range g.cachedFunctors(st.prog) {
-		if engine.ComputeSlice(st.prog, f).Includes(rule) {
-			g.dropFunctor(st.prog, f)
-		}
-	}
+	g.cache.evict(g.cache.dependents(map[string]bool{rule: true}, nil)...)
 }
 
 // InvalidateSource drops from the demand cache every functor group
@@ -1179,42 +1015,14 @@ func (m *Mediator) InvalidateSource(src tree.Name) error {
 		m.Invalidate()
 		return nil
 	}
-	st := m.state()
-	g := st.dgen
+	g := m.state().dgen
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	key := src.Key()
-	known := false
-	for _, set := range g.ruleSources {
-		if set[key] {
-			known = true
-			break
-		}
-	}
-	if !known {
+	groups := g.cache.dependents(nil, []string{src.Key()})
+	if len(groups) == 0 {
 		return &NotFoundError{Kind: "source entry", Name: src.String()}
 	}
-	for _, f := range g.cachedFunctors(st.prog) {
-		sl := engine.ComputeSlice(st.prog, f)
-		depends := false
-		for _, r := range sl.Construct {
-			if g.ruleSources[r.Name][key] {
-				depends = true
-				break
-			}
-		}
-		if !depends {
-			for _, r := range sl.Support {
-				if g.ruleSources[r.Name][key] {
-					depends = true
-					break
-				}
-			}
-		}
-		if depends {
-			g.dropFunctor(st.prog, f)
-		}
-	}
+	g.cache.evict(groups...)
 	return nil
 }
 
@@ -1260,44 +1068,4 @@ func (m *Mediator) RefreshSource(ctx context.Context, name string) error {
 		return nil
 	}
 	return m.refreshDelta(ctx, name)
-}
-
-// cachedFunctors lists the head functors with cached rules, in
-// declaration order. Slice runs cache whole groups, so "any rule
-// cached" and "all rules cached" coincide per functor.
-func (g *demandGen) cachedFunctors(prog *yatl.Program) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, r := range prog.Rules {
-		if r.Exception || seen[r.Head.Functor] || !g.cached[r.Name] {
-			continue
-		}
-		seen[r.Head.Functor] = true
-		out = append(out, r.Head.Functor)
-	}
-	return out
-}
-
-// dropFunctor evicts every cached rule of the functor's group,
-// deleting its committed entries from the assembled store. Only names
-// minted by the group's rules carry its functor, so the eviction
-// cannot strand entries another cached group still answers from.
-func (g *demandGen) dropFunctor(prog *yatl.Program, f string) {
-	g.version++
-	if len(g.askMemo) > 0 {
-		clear(g.askMemo)
-	}
-	for _, r := range prog.Rules {
-		if r.Exception || r.Head.Functor != f || !g.cached[r.Name] {
-			continue
-		}
-		for _, e := range g.ruleEntries[r.Name] {
-			g.store.Delete(e.Name)
-		}
-		delete(g.ruleEntries, r.Name)
-		delete(g.cached, r.Name)
-	}
-	// Every entry of the bucket was minted by the functor's own group,
-	// so the whole index bucket goes with it.
-	delete(g.byFunctor, f)
 }

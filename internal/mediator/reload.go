@@ -1,93 +1,53 @@
 // Hot program reload: the demand-cache half of Mediator.Reload.
 //
 // Reload swaps the whole progState atomically, so its correctness
-// burden is deciding which cached rule outputs may be carried from
-// the old program's cache into the new one. The rule is conservative
-// and purely syntactic: a functor group survives iff its slice in the
-// new program names exactly the rules its slice in the old program
-// named, and every one of those rules prints identically in both
-// programs. Identical slice text means an identical sub-program, and
-// the engine is deterministic over a sub-program and inputs, so the
-// cached outputs are byte-identical to what a fresh run would
-// produce. Anything less — a rule edited, added to or removed from
-// the slice, or renamed — evicts the group through the same
-// dropFunctor machinery InvalidateRule uses.
+// burden is deciding which cached functor groups may be carried from
+// the old program's cache into the new one. The rule is conservative:
+// a group survives iff its slice in the new program lists, in the same
+// order, exactly the rules its slice in the old program listed, and
+// every one of those rules prints identically in both programs.
+// Identical slice text means an identical sub-program, and the engine
+// is deterministic over a sub-program and inputs, so the cached outputs
+// are byte-identical to what a fresh run would produce. Anything less —
+// a rule edited, added to, removed from or moved within the slice, or
+// renamed — leaves the group behind. Both slices come from the
+// programs' facts (pruned, memoized), the one slicing path fills and
+// refreshes use: a rule the analysis proves never fires in either
+// program is in neither slice.
 package mediator
 
 import (
 	"yat/internal/engine"
-	"yat/internal/tree"
 	"yat/internal/yatl"
 )
 
-// cloneFor builds the successor demand cache for a reload from oldProg
-// to newProg: a copy of g holding only the functor groups whose slices
-// are unchanged between the two programs. g itself is not modified —
-// in-flight queries keep answering from it.
-func (g *demandGen) cloneFor(oldProg, newProg *yatl.Program) *demandGen {
+// cloneFor builds the successor demand generation for a reload from
+// the program analysed as oldFacts to the one analysed as newFacts: the
+// run bookkeeping is copied, the unchanged functor groups are shared.
+// g itself is not modified — in-flight queries keep answering from it.
+func (g *demandGen) cloneFor(oldFacts, newFacts *engine.ProgramFacts) *demandGen {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	c := newDemandGen()
-	c.stats = g.stats
-	c.runs = g.runs
-	c.lastErr = g.lastErr
-	c.store = g.store.Clone()
+	c := &demandGen{stats: g.stats, runs: g.runs, lastErr: g.lastErr,
+		degraded: make(map[string]bool, len(g.degraded))}
 	for k, v := range g.degraded {
 		c.degraded[k] = v
 	}
-	for r, ok := range g.cached {
-		c.cached[r] = ok
-	}
-	for r, es := range g.ruleEntries {
-		c.ruleEntries[r] = append([]tree.StoreEntry(nil), es...)
-	}
-	for r, set := range g.ruleSources {
-		cp := make(map[string]bool, len(set))
-		for k, v := range set {
-			cp[k] = v
-		}
-		c.ruleSources[r] = cp
-	}
-
-	oldText := map[string]string{}
-	for _, r := range oldProg.Rules {
-		oldText[r.Name] = r.String()
-	}
-	// Enumerate and (where needed) evict against the OLD program: the
-	// cached rule names were minted under it, and dropFunctor needs the
-	// program whose rules committed the entries.
-	// The functor index is rebuilt from the cloned store (fresh
-	// buckets: the old generation's snapshots must not alias the new
-	// one's), then trimmed by the evictions below.
-	for _, e := range c.store.Entries() {
-		c.byFunctor[e.Name.Functor] = append(c.byFunctor[e.Name.Functor], e)
-	}
-	for _, f := range c.cachedFunctors(oldProg) {
-		if !sliceUnchanged(oldProg, newProg, f, oldText) {
-			c.dropFunctor(oldProg, f)
-		}
-	}
+	c.cache = g.cache.carryOver(newFacts.SliceFor, func(f string) bool {
+		oldSl, newSl := oldFacts.SliceFor(f), newFacts.SliceFor(f)
+		return sameRules(oldSl.Construct, newSl.Construct) && sameRules(oldSl.Support, newSl.Support)
+	})
 	return c
 }
 
-// sliceUnchanged reports whether functor f's rule slice is the same
-// closed sub-program in both programs: the construct and support rule
-// name sets coincide, and every rule in the new slice prints exactly
-// as its old namesake did.
-func sliceUnchanged(oldProg, newProg *yatl.Program, f string, oldText map[string]string) bool {
-	oldSl := engine.ComputeSlice(oldProg, f)
-	newSl := engine.ComputeSlice(newProg, f)
-	oldRules := append(append([]*yatl.Rule(nil), oldSl.Construct...), oldSl.Support...)
-	newRules := append(append([]*yatl.Rule(nil), newSl.Construct...), newSl.Support...)
-	if len(oldRules) != len(newRules) || len(newSl.Construct) != len(oldSl.Construct) {
+// sameRules reports whether two rule lists hold the same rules in the
+// same order: identical text, which includes the rule name.
+func sameRules(a, b []*yatl.Rule) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	oldNames := make(map[string]bool, len(oldRules))
-	for _, r := range oldRules {
-		oldNames[r.Name] = true
-	}
-	for _, r := range newRules {
-		if !oldNames[r.Name] || r.String() != oldText[r.Name] {
+	for i := range a {
+		if a[i].String() != b[i].String() {
 			return false
 		}
 	}

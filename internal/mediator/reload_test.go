@@ -70,7 +70,7 @@ func TestReloadPreservesUnchangedRules(t *testing.T) {
 		t.Fatalf("warmup: CachedRules=%d SliceRuns=%d, want 2/2", st.CachedRules, st.SliceRuns)
 	}
 
-	m.Reload(v2)
+	(&cacheWatch{}).mutates(t, m, "Reload", func() { m.Reload(v2) })
 	st = m.Stats()
 	if st.CachedRules != 1 {
 		t.Fatalf("after reload: CachedRules=%d, want 1 (View2 warm, View1 evicted)", st.CachedRules)
@@ -116,7 +116,7 @@ func TestReloadEdgeCases(t *testing.T) {
 		if _, err := m.Ask(tagPattern, "Pview2"); err != nil {
 			t.Fatal(err)
 		}
-		m.Reload(v2)
+		(&cacheWatch{}).mutates(t, m, "Reload", func() { m.Reload(v2) })
 		if st := m.Stats(); st.CachedRules != 0 {
 			t.Fatalf("CachedRules=%d, want 0 (Pview2's rule is gone)", st.CachedRules)
 		}

@@ -1,7 +1,7 @@
 // Durable warm starts: the mediator half of internal/snapshot.
 //
-// Snapshot serializes the current demand generation — the assembled
-// store, the per-rule cache with its recorded source dependencies,
+// Snapshot serializes the current demand generation — the read
+// buckets, the per-rule cache with its recorded source dependencies,
 // and the ask memo — through the tree layer's canonical display
 // syntax, stamped with the progState's program and options hashes.
 // Restore is the inverse: it re-parses the payload into a fresh
@@ -44,48 +44,27 @@ func (m *Mediator) Snapshot() (*snapshot.Snapshot, error) {
 	defer g.mu.Unlock()
 
 	payload := &snapshot.Generation{
-		Store: tree.FormatStore(g.store),
+		Store: tree.FormatEntries(g.cache.buckets()),
 		Runs:  g.runs,
-		Stats: snapshot.RunStats{
-			Activations: g.stats.Activations,
-			Bindings:    g.stats.Bindings,
-			Outputs:     g.stats.Outputs,
-			Rounds:      g.stats.Rounds,
-		},
+		Stats: snapshot.RunStats(g.stats),
 	}
 
 	// One RuleCache per rule that holds any cached state: construct
 	// rules carry entries (possibly none — "cached and empty" must
 	// round-trip), support rules carry only their source record.
-	ruleSet := map[string]bool{}
-	for r := range g.cached {
-		ruleSet[r] = true
-	}
-	for r := range g.ruleSources {
-		ruleSet[r] = true
-	}
-	rules := make([]string, 0, len(ruleSet))
-	for r := range ruleSet {
-		rules = append(rules, r)
-	}
-	sort.Strings(rules)
-	for _, r := range rules {
-		rc := snapshot.RuleCache{Rule: r, Cached: g.cached[r]}
-		if rc.Cached {
-			for _, e := range g.ruleEntries[r] {
-				rc.Entries = append(rc.Entries, snapshot.Entry{Name: e.Name.String(), Tree: e.Tree.String()})
-			}
-		}
-		if set := g.ruleSources[r]; len(set) > 0 {
-			keys := make([]string, 0, len(set))
-			for k := range set {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			rc.Sources = keys
+	sources := g.cache.sources()
+	for rule, entries := range g.cache.rules() {
+		rc := snapshot.RuleCache{Rule: rule, Cached: true, Sources: sources[rule]}
+		for _, e := range entries {
+			rc.Entries = append(rc.Entries, snapshot.Entry{Name: e.Name.String(), Tree: e.Tree.String()})
 		}
 		payload.Rules = append(payload.Rules, rc)
+		delete(sources, rule)
 	}
+	for rule, keys := range sources {
+		payload.Rules = append(payload.Rules, snapshot.RuleCache{Rule: rule, Sources: keys})
+	}
+	sort.Slice(payload.Rules, func(i, j int) bool { return payload.Rules[i].Rule < payload.Rules[j].Rule })
 
 	for name, on := range g.degraded {
 		if on {
@@ -97,7 +76,7 @@ func (m *Mediator) Snapshot() (*snapshot.Snapshot, error) {
 	// Memo entries persist only when the ask arrived as source text
 	// (AskContext); pre-parsed asks have no re-keyable identity in
 	// another process.
-	for _, val := range g.askMemo {
+	for _, val := range g.cache.memos() {
 		if val.src == "" {
 			continue
 		}
@@ -149,27 +128,28 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 		return err
 	}
 
-	g := newDemandGen()
+	g := newDemandGen(st.facts)
 	g.restored = true
+	// The store rendering exists to share trees: a rule's entry reuses
+	// the store's tree when it is still the one committed there.
 	store, err := tree.ParseStore(s.Payload.Store)
 	if err != nil {
 		return fmt.Errorf("mediator: restoring snapshot store: %w", err)
 	}
-	g.store = store
-	for _, e := range store.Entries() {
-		g.byFunctor[e.Name.Functor] = append(g.byFunctor[e.Name.Functor], e)
-	}
+	run := sliceRun{outputs: map[string][]tree.StoreEntry{}, sources: map[string]map[string]bool{}}
 	for _, rc := range s.Payload.Rules {
 		if rc.Cached {
-			g.cached[rc.Rule] = true
+			r, ok := st.prog.Rule(rc.Rule)
+			if !ok || r.Exception {
+				return fmt.Errorf("mediator: restoring rule %s: the program constructs no such rule", rc.Rule)
+			}
+			run.functors = append(run.functors, r.Head.Functor)
 			entries := make([]tree.StoreEntry, 0, len(rc.Entries))
 			for _, pe := range rc.Entries {
 				name, err := tree.ParseName(pe.Name)
 				if err != nil {
 					return fmt.Errorf("mediator: restoring rule %s entry name %q: %w", rc.Rule, pe.Name, err)
 				}
-				// Reuse the store's tree when the entry is still the one
-				// committed there; re-parse only superseded entries.
 				t, ok := store.Get(name)
 				if !ok || t.String() != pe.Tree {
 					if t, err = tree.Parse(pe.Tree); err != nil {
@@ -178,25 +158,21 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 				}
 				entries = append(entries, tree.StoreEntry{Name: name, Tree: t})
 			}
-			g.ruleEntries[rc.Rule] = entries
+			run.outputs[rc.Rule] = entries
 		}
 		if len(rc.Sources) > 0 {
 			set := make(map[string]bool, len(rc.Sources))
 			for _, k := range rc.Sources {
 				set[k] = true
 			}
-			g.ruleSources[rc.Rule] = set
+			run.sources[rc.Rule] = set
 		}
 	}
+	g.cache.commit(run, false)
 	for _, name := range s.Payload.Degraded {
 		g.degraded[name] = true
 	}
-	g.stats = engine.Stats{
-		Activations: s.Payload.Stats.Activations,
-		Bindings:    s.Payload.Stats.Bindings,
-		Outputs:     s.Payload.Stats.Outputs,
-		Rounds:      s.Payload.Stats.Rounds,
-	}
+	g.stats = engine.Stats(s.Payload.Stats)
 	g.runs = s.Payload.Runs
 
 	for _, me := range s.Payload.AskMemo {
@@ -224,8 +200,7 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 			answers = append(answers, Answer{Name: name, Binding: binding})
 		}
 		key := askKey{pt: pt, functors: strings.Join(me.Functors, "\x00")}
-		g.askMemo[key] = memoVal{answers: answers, src: me.Pattern,
-			functors: append([]string(nil), me.Functors...)}
+		g.cache.memoize(key, me.Pattern, me.Functors, answers, g.cache.version())
 	}
 
 	m.mu.Lock()

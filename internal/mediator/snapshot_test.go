@@ -68,6 +68,9 @@ func TestSnapshotRestoreWarmStart(t *testing.T) {
 			if err := m.Restore(snap); err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
+			if ver, _ := (&cacheWatch{}).look(t, m); ver == 0 {
+				t.Fatal("the restored cache is at version 0: the load bypassed commit")
+			}
 			st := m.Stats()
 			if !st.Restored {
 				t.Fatal("Stats.Restored = false after Restore")
@@ -190,6 +193,22 @@ func TestRestoreRefusesMismatches(t *testing.T) {
 		err := other.Restore(snap)
 		if got := reasonOf(t, err); got != snapshot.ReasonOptionsHash {
 			t.Fatalf("reason %q, want %q", got, snapshot.ReasonOptionsHash)
+		}
+	})
+
+	// A payload whose hashes verify but which caches a rule the program
+	// does not construct is refused the same way: error, cold mediator.
+	t.Run("unknown-rule", func(t *testing.T) {
+		forged := *snap
+		payload := *snap.Payload
+		payload.Rules = append([]snapshot.RuleCache{{Rule: "NoSuchRule", Cached: true}}, payload.Rules...)
+		forged.Payload = &payload
+		other := selectiveMediator(t)
+		if err := other.Restore(&forged); err == nil {
+			t.Fatal("restore accepted a cached rule the program does not have")
+		}
+		if st := other.Stats(); st.Restored || st.CachedRules != 0 {
+			t.Fatalf("refused restore left state: %+v", st)
 		}
 	})
 

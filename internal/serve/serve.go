@@ -72,9 +72,6 @@ type Config struct {
 	// registry, ...). Trace sinks are rejected: tracing is
 	// request-scoped, the pool always runs with a nil sink.
 	Options []engine.Option
-	// Demand selects demand-driven lanes (per-ask slicing + per-rule
-	// caching). Serving wants this on; it defaults to on in New.
-	Demand *bool
 	// Pool is the number of mediator lanes (default 4).
 	Pool int
 	// DrainTimeout bounds the graceful drain of in-flight asks on
@@ -100,10 +97,9 @@ const SnapshotFile = "yatserve.snapshot.json"
 // Askers — local mediators, federation routers and remote shard
 // clients are interchangeable behind the query interface.
 type Server struct {
-	cfg    Config
-	demand bool
-	pool   []mediator.Asker
-	next   atomic.Uint64
+	cfg  Config
+	pool []mediator.Asker
+	next atomic.Uint64
 
 	admin sync.Mutex // serializes reload/refresh across the pool
 
@@ -138,7 +134,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	s := &Server{cfg: cfg, demand: cfg.Demand == nil || *cfg.Demand, start: time.Now()}
+	s := &Server{cfg: cfg, start: time.Now()}
 	if cfg.SnapshotDir != "" {
 		s.snapPath = filepath.Join(cfg.SnapshotDir, SnapshotFile)
 	}
@@ -277,11 +273,12 @@ func (s *Server) snapshotStatus() *wire.SnapshotStatus {
 }
 
 // laneOptions assembles one mediator's option list: the configured
-// engine options, the serving mode, the shared sources, and (for
-// request-scoped tracing only) a sink.
+// engine options, demand-driven evaluation (what every served lane
+// runs), the shared sources, and (for request-scoped tracing only) a
+// sink.
 func (s *Server) laneOptions(sink trace.Sink) []engine.Option {
 	opts := append([]engine.Option(nil), s.cfg.Options...)
-	opts = append(opts, mediator.WithDemandDriven(s.demand))
+	opts = append(opts, mediator.WithDemandDriven(true))
 	if len(s.cfg.Sources) > 0 {
 		opts = append(opts, mediator.WithSources(s.cfg.Sources...))
 	}

@@ -560,20 +560,3 @@ func TestGracefulDrain(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
-
-func TestPercentiles(t *testing.T) {
-	lat := make([]time.Duration, 100)
-	for i := range lat {
-		lat[i] = time.Duration(i+1) * time.Millisecond // 1..100ms
-	}
-	sum := Summarize(lat)
-	if sum.P50Ms != 50 || sum.P95Ms != 95 || sum.P99Ms != 99 || sum.MaxMs != 100 {
-		t.Fatalf("percentiles: %+v", sum)
-	}
-	if sum.MeanMs != 50.5 {
-		t.Fatalf("mean %v, want 50.5", sum.MeanMs)
-	}
-	if got := Percentile(nil, 99); got != 0 {
-		t.Fatalf("empty percentile %v", got)
-	}
-}

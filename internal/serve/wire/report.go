@@ -1,6 +1,5 @@
-// LoadReport is the machine-readable outcome of a yatload run. The
-// checked-in BENCH_serve.json trajectory and the CI serve-bench gate
-// both consume this schema, so it changes compatibly or not at all.
+// LoadReport is the machine-readable outcome of a yatload run; scripts
+// read it, so it changes compatibly or not at all.
 package wire
 
 import (

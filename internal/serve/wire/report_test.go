@@ -61,3 +61,19 @@ func TestSummarizeEmpty(t *testing.T) {
 		t.Errorf("Summarize(nil) = %+v, want zero", s)
 	}
 }
+
+// Summarize over 1..100 ms: the percentiles are their own ranks and the
+// mean is exact.
+func TestSummarize(t *testing.T) {
+	lat := make([]time.Duration, 100)
+	for i := range lat {
+		lat[i] = time.Duration(i+1) * time.Millisecond
+	}
+	sum := Summarize(lat)
+	if sum.P50Ms != 50 || sum.P95Ms != 95 || sum.P99Ms != 99 || sum.MaxMs != 100 {
+		t.Fatalf("percentiles: %+v", sum)
+	}
+	if sum.MeanMs != 50.5 {
+		t.Fatalf("mean %v, want 50.5", sum.MeanMs)
+	}
+}

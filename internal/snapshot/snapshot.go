@@ -130,9 +130,10 @@ type RunStats struct {
 // lifetime, serialized entirely through the tree layer's canonical
 // display syntax so the restore re-parses to byte-identical values.
 type Generation struct {
-	// Store is the assembled demand store in tree.FormatStore syntax;
-	// entry order is the store's insertion order, which the restore
-	// preserves (answer determinism depends on it).
+	// Store renders every cached entry once, in tree.FormatStore
+	// syntax (the demand cache's read buckets, functors sorted). The
+	// restore parses it first so the per-rule entries below can share
+	// its trees.
 	Store string `json:"store"`
 	// Rules lists each cached rule's state, sorted by rule name for
 	// byte-stable snapshots.

@@ -106,9 +106,13 @@ func ParseValue(input string) (Value, error) {
 }
 
 // FormatStore renders a store in the syntax accepted by ParseStore.
-func FormatStore(s *Store) string {
+func FormatStore(s *Store) string { return FormatEntries(s.Entries()) }
+
+// FormatEntries renders entries, in order, in the syntax accepted by
+// ParseStore.
+func FormatEntries(entries []StoreEntry) string {
 	var b strings.Builder
-	for _, e := range s.Entries() {
+	for _, e := range entries {
 		b.WriteString(e.Name.String())
 		b.WriteString(": ")
 		b.WriteString(e.Tree.String())

@@ -56,10 +56,9 @@ func TestRunContextCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled run returned %v, want context.Canceled", err)
 	}
-	// A live context runs normally, and RunContext overrides a context
-	// smuggled through the deprecated options field.
+	// A live context runs normally.
 	res, err := RunContext(context.Background(), prog, workload.BrochureStore(4, 2, 3, 42),
-		&RunOptions{Context: ctx, Parallelism: 2})
+		&RunOptions{Parallelism: 2})
 	if err != nil || res.Outputs.Len() == 0 {
 		t.Errorf("live RunContext failed: %v", err)
 	}

@@ -300,10 +300,7 @@ var (
 // InstantiateOptions configures program instantiation/composition.
 type InstantiateOptions = compose.Options
 
-// ComposeOptions configures composition. The struct form is legacy:
-// it doubles as a ComposeOption that replaces the configuration
-// wholesale, so pre-variadic call sites — including a literal nil —
-// still compile and behave.
+// ComposeOptions is the configuration ComposeOption values build.
 type ComposeOptions = compose.ComposeOptions
 
 // ComposeOption is one functional configuration item for
@@ -333,8 +330,7 @@ func Combine(name string, progs ...*Program) *Program {
 
 // ComposePrograms fuses prg1 : M1 ↦ M2 and prg2 : M2' ↦ M3 into a
 // one-step M1 ↦ M3 program (§4.3). Options are variadic: pass
-// WithSkipTypeCheck and friends, or a legacy *ComposeOptions struct
-// (including nil) which is itself an option.
+// WithSkipTypeCheck and friends; nil options are skipped.
 func ComposePrograms(prg1, prg2 *Program, opts ...ComposeOption) (*Program, error) {
 	return compose.Compose(prg1, prg2, opts...)
 }
