@@ -141,8 +141,8 @@ func TestFaultFlag(t *testing.T) {
 }
 
 // -stats swaps the EXPLAIN profile for the mediator's statistics,
-// rendered by the shared mediator.StatsView renderer (the same one
-// yatserve's GET /stats serves).
+// rendered by mediator.Stats itself (the document yatserve's GET /stats
+// serves).
 func TestStatsFlag(t *testing.T) {
 	input := brochureFile(t)
 	args := []string{"-program", "sgml2odmg", "-input", input,
@@ -164,7 +164,7 @@ func TestStatsFlag(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-json exit %d, stderr: %s", code, errOut)
 	}
-	// The document is the StatsView schema, deterministic without
+	// The document is mediator.Stats's own JSON, deterministic without
 	// -timing.
 	var doc struct {
 		Generation  int64 `json:"generation"`
@@ -228,5 +228,35 @@ func TestOptimizeFlag(t *testing.T) {
 	}
 	if got := strings.Join(stripped, "\n"); got != plain {
 		t.Errorf("-optimize changed the profile beyond the analysis line:\n got:\n%s\nwant:\n%s", got, plain)
+	}
+}
+
+// TestStatsGolden pins `yatprof -stats` byte for byte, text and JSON:
+// the goldens were captured before mediator.Stats became its own wire
+// document, so the rendering is provably the one the shadow view types
+// produced. -fault 1 puts a source row (with a retry) in the document.
+// YAT_UPDATE_GOLDEN=1 rewrites them.
+func TestStatsGolden(t *testing.T) {
+	input := brochureFile(t)
+	args := []string{"-program", "sgml2odmg", "-input", input,
+		"-ask", "X", "-functors", "Psup", "-demand", "-fault", "1", "-stats"}
+	for golden, extra := range map[string][]string{"stats.golden.txt": nil, "stats.golden.json": {"-json"}} {
+		code, out, errOut := runProf(t, append(args, extra...)...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr: %s", golden, code, errOut)
+		}
+		path := filepath.Join("testdata", golden)
+		if os.Getenv("YAT_UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(want) {
+			t.Errorf("%s drifted:\n got:\n%s\nwant:\n%s", golden, out, want)
+		}
 	}
 }

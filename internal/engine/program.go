@@ -80,12 +80,21 @@ type Options struct {
 	Trace trace.Sink
 }
 
-// Stats reports work done by a run.
+// Stats reports work done by a run. The JSON tags are the wire form
+// GET /stats and the snapshot payload carry; field order is key order.
 type Stats struct {
-	Activations int // ground inputs processed (source + derived)
-	Bindings    int // variable bindings accumulated across rules
-	Outputs     int // Skolem identities defined
-	Rounds      int // activation fixpoint rounds
+	Activations int `json:"activations"` // ground inputs processed (source + derived)
+	Bindings    int `json:"bindings"`    // variable bindings accumulated across rules
+	Outputs     int `json:"outputs"`     // Skolem identities defined
+	Rounds      int `json:"rounds"`      // activation fixpoint rounds
+}
+
+// Add accumulates another run's work into s.
+func (s *Stats) Add(o Stats) {
+	s.Activations += o.Activations
+	s.Bindings += o.Bindings
+	s.Outputs += o.Outputs
+	s.Rounds += o.Rounds
 }
 
 // Result is the outcome of a successful run.

@@ -11,10 +11,8 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"yat/internal/engine"
 	"yat/internal/mediator"
 	"yat/internal/serve/wire"
-	"yat/internal/tree"
 )
 
 // Client is a remote federation child: a mediator.Asker over a
@@ -109,22 +107,12 @@ func (c *Client) AskContext(ctx context.Context, patternSrc string, functors ...
 	c.gen.Store(out.Generation)
 	answers := make([]mediator.Answer, 0, len(out.Answers))
 	for _, wa := range out.Answers {
-		name, err := tree.ParseName(wa.Name)
+		a, err := mediator.ParseAnswer(wa.Name, wa.Binding)
 		if err != nil {
-			return nil, fmt.Errorf("shard %s: unparseable answer name %q: %w", c.name, wa.Name, err)
+			return nil, fmt.Errorf("shard %s: %w", c.name, err)
 		}
-		var binding engine.Binding
-		if len(wa.Binding) > 0 {
-			binding = make(engine.Binding, len(wa.Binding))
-			for v, disp := range wa.Binding {
-				val, err := tree.ParseValue(disp)
-				if err != nil {
-					return nil, fmt.Errorf("shard %s: unparseable binding %s=%q: %w", c.name, v, disp, err)
-				}
-				binding[v] = val
-			}
-		}
-		answers = append(answers, mediator.Answer{Name: name, Binding: binding, WireKey: wa.Key})
+		a.WireKey = wa.Key
+		answers = append(answers, a)
 	}
 	return answers, nil
 }
@@ -139,18 +127,17 @@ func (c *Client) Functors() ([]string, error) {
 	return out.Functors, nil
 }
 
-// Stats implements Asker: GET /stats?timing=0 decoded through the
-// shared StatsView renderer's inverse, so a federation aggregates a
-// remote child with the same fold it uses for a local one. A failed
-// fetch yields a snapshot whose Err carries the transport error.
+// Stats implements Asker: GET /stats?timing=0 decodes straight into
+// the Stats it was marshaled from, so a federation aggregates a remote
+// child with the same fold it uses for a local one. A failed fetch
+// yields a snapshot whose Err carries the transport error.
 func (c *Client) Stats() mediator.Stats {
 	var out wire.StatsResponse
 	if err := c.do(context.Background(), http.MethodGet, "/stats?timing=0", nil, &out); err != nil {
 		return mediator.Stats{Err: err, Generation: c.Generation()}
 	}
-	s := out.Mediator.Stats()
-	c.gen.Store(s.Generation)
-	return s
+	c.gen.Store(out.Mediator.Generation)
+	return out.Mediator
 }
 
 // Generation is the last generation observed on any response (1

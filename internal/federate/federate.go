@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,7 +123,7 @@ func New(cfg Config) (*Federation, error) {
 				if cl, ok := c.Asker.(*Client); ok {
 					name = cl.Name()
 				} else {
-					name = "shard" + itoa(i)
+					name = "shard" + strconv.Itoa(i)
 				}
 			}
 			owned := c.Functors
@@ -149,7 +150,7 @@ func New(cfg Config) (*Federation, error) {
 		// cfg.Options wins because later options do.
 		opts := append([]engine.Option{mediator.WithDemandDriven(true)}, cfg.Options...)
 		med := mediator.New(p.Prog, cfg.Inputs, opts...)
-		f.addChild("shard"+itoa(p.Index), med, p.Functors, false, guard)
+		f.addChild("shard"+strconv.Itoa(p.Index), med, p.Functors, false, guard)
 	}
 	return f, nil
 }
@@ -403,20 +404,4 @@ func (f *Federation) emit(e trace.Event) {
 	if f.sink != nil {
 		f.sink.Emit(e)
 	}
-}
-
-// itoa is strconv.Itoa for the tiny shard indexes used here, avoiding
-// the import for two call sites.
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [8]byte
-	n := len(b)
-	for i > 0 {
-		n--
-		b[n] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[n:])
 }

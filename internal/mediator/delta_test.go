@@ -469,7 +469,7 @@ func TestNotFoundErrorShapes(t *testing.T) {
 }
 
 // The delta events reach both renderers: EXPLAIN profiles get per-
-// refresh `delta:` lines with the aggregate counts, and the StatsView
+// refresh `delta:` lines with the aggregate counts, and mediator.Stats
 // (the document yatserve and yatprof share) reports the same counters.
 func TestDeltaTraceAndStatsRender(t *testing.T) {
 	prof := trace.NewProfile()

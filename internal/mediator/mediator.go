@@ -30,6 +30,7 @@ package mediator
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -210,10 +211,7 @@ func newDemandGen(facts *engine.ProgramFacts) *demandGen {
 // ran accounts for one successful engine slice run.
 func (g *demandGen) ran(s engine.Stats) {
 	g.runs++
-	g.stats.Activations += s.Activations
-	g.stats.Bindings += s.Bindings
-	g.stats.Outputs += s.Outputs
-	g.stats.Rounds += s.Rounds
+	g.stats.Add(s)
 }
 
 // lookupAsk serves a memoized ask. The hit returns a fresh slice
@@ -472,6 +470,26 @@ func (a *Answer) MergeKey() string {
 	return a.Name.Key() + "\x00" + a.Binding.Key()
 }
 
+// ParseAnswer reconstructs an answer from its display form, the one
+// the wire and the snapshot's ask memo both carry: tree.ParseName and
+// tree.ParseValue invert Name.String and Value.Display.
+func ParseAnswer(name string, binding map[string]string) (Answer, error) {
+	n, err := tree.ParseName(name)
+	if err != nil {
+		return Answer{}, fmt.Errorf("unparseable answer name %q: %w", name, err)
+	}
+	a := Answer{Name: n}
+	if len(binding) > 0 {
+		a.Binding = make(engine.Binding, len(binding))
+		for v, disp := range binding {
+			if a.Binding[v], err = tree.ParseValue(disp); err != nil {
+				return Answer{}, fmt.Errorf("unparseable binding %s=%q: %w", v, disp, err)
+			}
+		}
+	}
+	return a, nil
+}
+
 // Ask matches a pattern (in YATL concrete syntax) against the virtual
 // target and returns one answer per (object, binding). Optional
 // functors restrict the search to objects minted by those Skolem
@@ -561,62 +579,30 @@ var storelessMatcher = &engine.Matcher{}
 
 func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, functors []string) ([]Answer, error) {
 	st := m.state()
-	var entries []tree.StoreEntry
-	var matcher *engine.Matcher
 	var memoGen *demandGen
 	var memoKey askKey
-	var memoVer uint64
-	if m.demand {
-		g := st.dgen
-		if m.opts.Trace == nil {
-			// The repeat of an identical ask skips matching entirely.
-			// Traced asks bypass the memo in both directions: EXPLAIN
-			// exists to show the slice and per-rule cache decisions,
-			// which a memoized answer would hide.
-			memoKey = askKey{pt: pt, functors: strings.Join(functors, "\x00")}
-			if out, ok := g.lookupAsk(memoKey); ok {
-				m.cacheHits.Add(1)
-				return out, nil
-			}
-			memoGen = g
-		}
-		es, hit, ver, err := m.ensureDemand(ctx, st, functors)
-		if err != nil {
-			m.cacheMiss.Add(1)
-			return nil, err
-		}
-		if hit {
+	if g := st.dgen; g != nil && m.opts.Trace == nil {
+		// The repeat of an identical ask skips matching entirely.
+		// Traced asks bypass the memo in both directions: EXPLAIN
+		// exists to show the slice and per-rule cache decisions,
+		// which a memoized answer would hide.
+		memoKey = askKey{pt: pt, functors: strings.Join(functors, "\x00")}
+		if out, ok := g.lookupAsk(memoKey); ok {
 			m.cacheHits.Add(1)
-		} else {
-			m.cacheMiss.Add(1)
+			return out, nil
 		}
-		entries = es
-		matcher = storelessMatcher
-		memoVer = ver
+		memoGen = g
+	}
+	entries, matcher, hit, memoVer, err := m.read(ctx, st, functors)
+	if hit {
+		m.cacheHits.Add(1)
 	} else {
-		res, warm, err := m.materialize(ctx, st)
-		if err != nil {
-			// A memoized failure is still a miss on every ask: nothing
-			// usable was served from cache.
-			m.cacheMiss.Add(1)
-			return nil, err
-		}
-		if warm {
-			m.cacheHits.Add(1)
-		} else {
-			m.cacheMiss.Add(1)
-		}
-		want := map[string]bool{}
-		for _, f := range functors {
-			want[f] = true
-		}
-		for _, e := range res.Outputs.Entries() {
-			if len(want) > 0 && !want[e.Name.Functor] {
-				continue
-			}
-			entries = append(entries, e)
-		}
-		matcher = &engine.Matcher{Store: res.Outputs}
+		// A failure — memoized ones included — is a miss on every ask:
+		// nothing usable was served from cache.
+		m.cacheMiss.Add(1)
+	}
+	if err != nil {
+		return nil, err
 	}
 	var out []Answer
 	for _, e := range entries {
@@ -638,6 +624,37 @@ func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, fun
 		memoGen.mu.Unlock()
 	}
 	return out, nil
+}
+
+// read is the one read path behind Ask, Get and Functors, and the one
+// mode branch on the read side. It returns the target's entries
+// restricted to the given functors (none = the whole target), the
+// matcher to read them with, whether they were served entirely from an
+// already-successful materialization (false on error), and — demand
+// mode — the cache version the view was taken at. Demand-driven, only
+// the functors' slice is ensured; otherwise the whole target
+// materializes once and is filtered: an engine run independent of the
+// demand cache, which is what lets the benchmark use it as the oracle.
+func (m *Mediator) read(ctx context.Context, st *progState, functors []string) ([]tree.StoreEntry, *engine.Matcher, bool, uint64, error) {
+	if m.demand {
+		entries, hit, ver, err := m.ensureDemand(ctx, st, functors)
+		return entries, storelessMatcher, hit, ver, err
+	}
+	res, warm, err := m.materialize(ctx, st)
+	if err != nil {
+		return nil, nil, false, 0, err
+	}
+	entries := res.Outputs.Entries()
+	if len(functors) > 0 {
+		var kept []tree.StoreEntry
+		for _, e := range entries {
+			if slices.Contains(functors, e.Name.Functor) {
+				kept = append(kept, e)
+			}
+		}
+		entries = kept
+	}
+	return entries, &engine.Matcher{Store: res.Outputs}, warm, 0, nil
 }
 
 // ensureDemand guarantees every functor group of the slice for the
@@ -705,46 +722,26 @@ func (m *Mediator) Get(name tree.Name) (*tree.Node, bool, error) {
 // GetContext is Get with a cancellation context applied to any engine
 // run the lookup triggers.
 func (m *Mediator) GetContext(ctx context.Context, name tree.Name) (*tree.Node, bool, error) {
-	st := m.state()
-	if m.demand {
-		entries, _, _, err := m.ensureDemand(ctx, st, []string{name.Functor})
-		if err != nil {
-			return nil, false, err
-		}
-		key := name.Key()
-		for _, e := range entries {
-			if e.Name.Key() == key {
-				return e.Tree, true, nil
-			}
-		}
-		return nil, false, nil
-	}
-	res, _, err := m.materialize(ctx, st)
+	entries, _, _, _, err := m.read(ctx, m.state(), []string{name.Functor})
 	if err != nil {
 		return nil, false, err
 	}
-	n, ok := res.Outputs.Get(name)
-	return n, ok, nil
+	key := name.Key()
+	for _, e := range entries {
+		if e.Name.Key() == key {
+			return e.Tree, true, nil
+		}
+	}
+	return nil, false, nil
 }
 
 // Functors lists the Skolem functors present in the target, sorted.
 // This needs the whole target, so a demand-driven mediator fully
 // materializes here.
 func (m *Mediator) Functors() ([]string, error) {
-	st := m.state()
-	var entries []tree.StoreEntry
-	if m.demand {
-		es, _, _, err := m.ensureDemand(nil, st, nil)
-		if err != nil {
-			return nil, err
-		}
-		entries = es
-	} else {
-		res, _, err := m.materialize(nil, st)
-		if err != nil {
-			return nil, err
-		}
-		entries = res.Outputs.Entries()
+	entries, _, _, _, err := m.read(nil, m.state(), nil)
+	if err != nil {
+		return nil, err
 	}
 	seen := map[string]bool{}
 	var out []string
@@ -760,44 +757,46 @@ func (m *Mediator) Functors() ([]string, error) {
 
 // Stats reports the mediator's materialization state and query
 // counters. The zero value of every field is meaningful before the
-// first query.
+// first query. It is its own wire document: the JSON tags (field order
+// is key order) are what GET /stats serves, `yatprof -stats -json`
+// prints and the remote shard client decodes — see statsjson.go.
 type Stats struct {
-	// Run holds the statistics of the current materialization when
-	// one succeeded, else those of the last good generation (kept
-	// readable across Invalidate until the replacement materializes).
-	Run engine.Stats
+	// Generation is the current program-state generation number (1 on
+	// construction, +1 per Invalidate or Reload).
+	Generation int64 `json:"generation"`
 	// Materialized reports that the *current* generation has
 	// materialized successfully. False both before the first query
 	// and after Invalidate.
-	Materialized bool
+	Materialized bool `json:"materialized"`
 	// Err is the materialization error of the current generation, if
 	// it ran and failed. Nil when the generation has not run yet —
 	// Materialized false with a nil Err means "no query has run",
 	// resolving the ambiguity a bare zero engine.Stats used to hide.
-	Err error
-	// Asks counts AskPattern calls; CacheHits of those found the
-	// generation already materialized, CacheMisses triggered (or
-	// waited on) a materialization.
-	Asks, CacheHits, CacheMisses int64
-	// AskTime is the cumulative wall time spent inside Ask calls;
-	// divide by Asks for the mean per-query latency.
-	AskTime time.Duration
-	// Generation is the current program-state generation number (1 on
-	// construction, +1 per Invalidate or Reload).
-	Generation int64
+	// On the wire it is its message ("err", omitted when nil).
+	Err error `json:"-"`
+	// Demand reports the mediator evaluates demand-driven. CachedRules,
+	// SliceRuns and the delta counters are only meaningful when it is
+	// set.
+	Demand bool `json:"demand"`
 	// Restored reports the current generation was warm-started from a
 	// persisted snapshot rather than computed by this process; its
 	// cached answers came from disk, validated by program and options
 	// hash.
-	Restored bool
-	// Demand reports the mediator evaluates demand-driven. The fields
-	// below are only meaningful when it is set.
-	Demand bool
+	Restored bool `json:"restored,omitempty"`
+	// Asks counts AskPattern calls; CacheHits of those found the
+	// generation already materialized, CacheMisses triggered (or
+	// waited on) a materialization.
+	Asks        int64 `json:"asks"`
+	CacheHits   int64 `json:"cache_hits"`
+	CacheMisses int64 `json:"cache_misses"`
+	// AskTime is the cumulative wall time spent inside Ask calls;
+	// divide by Asks for the mean per-query latency.
+	AskTime source.Millis `json:"ask_time_ms,omitempty"`
 	// CachedRules is the number of construct rules currently cached.
-	CachedRules int
+	CachedRules int `json:"cached_rules"`
 	// SliceRuns counts engine slice executions performed; an Ask that
 	// increments CacheHits performed none.
-	SliceRuns int64
+	SliceRuns int64 `json:"slice_runs"`
 	// DeltaRuns counts RefreshSource calls absorbed incrementally: the
 	// refreshed fetch was diffed against the previous one and the
 	// per-rule cache was patched in place (or the delta was empty, or
@@ -807,16 +806,22 @@ type Stats struct {
 	// degraded sources — and the mediator re-ran the affected slice or
 	// invalidated wholesale instead. PatchedRules counts the cached
 	// rules whose entries were rewritten across both paths.
-	DeltaRuns, DeltaFallbacks, PatchedRules int64
+	DeltaRuns      int64 `json:"delta_runs"`
+	DeltaFallbacks int64 `json:"delta_fallbacks"`
+	PatchedRules   int64 `json:"patched_rules"`
+	// Run holds the statistics of the current materialization when
+	// one succeeded, else those of the last good generation (kept
+	// readable across Invalidate until the replacement materializes).
+	Run engine.Stats `json:"run"`
 	// Sources reports per-source health for a mediator consuming
 	// fault-tolerant sources (WithSources), in declaration order;
 	// empty otherwise.
-	Sources []SourceStatus
+	Sources []SourceStatus `json:"sources,omitempty"`
 	// Shards reports per-child health for a federation router, in
 	// child declaration order; empty for a plain mediator. Aggregate
 	// concatenates them, so a pool of federations reports every lane's
 	// children.
-	Shards []ShardStatus
+	Shards []ShardStatus `json:"shards,omitempty"`
 }
 
 // ShardStatus is one federation child's health as the router sees it:
@@ -824,23 +829,24 @@ type Stats struct {
 // the outcome of the router's most recent call.
 type ShardStatus struct {
 	// Name identifies the child (configured name or client base URL).
-	Name string
+	Name string `json:"name"`
 	// Remote reports the child is reached over HTTP rather than
 	// in-process.
-	Remote bool
+	Remote bool `json:"remote,omitempty"`
 	// Functors is the number of functor groups routed to the child.
-	Functors int
+	Functors int `json:"functors"`
 	// Asks and Failures count the router's calls into the child and
 	// how many of them errored after the guard chain gave up.
-	Asks, Failures int64
+	Asks     int64 `json:"asks"`
+	Failures int64 `json:"failures"`
 	// Healthy reports the most recent call succeeded (true before the
 	// first call: a child is innocent until it fails).
-	Healthy bool
+	Healthy bool `json:"healthy"`
 	// Breaker is the guard chain's breaker state ("closed", "open",
 	// "half-open"; empty when no breaker is configured).
-	Breaker string
+	Breaker string `json:"breaker,omitempty"`
 	// LastErr is the most recent call error, "" when it succeeded.
-	LastErr string
+	LastErr string `json:"last_err,omitempty"`
 }
 
 // SourceStatus is one source's health as the mediator sees it: the
@@ -850,10 +856,10 @@ type SourceStatus struct {
 	source.Stats
 	// FetchErr is the error of the mediator's most recent fetch of
 	// this source, "" when it succeeded (or never ran).
-	FetchErr string
+	FetchErr string `json:"fetch_err,omitempty"`
 	// Entries is the number of store entries the source contributed to
 	// the most recent successful merge.
-	Entries int
+	Entries int `json:"entries"`
 }
 
 // sourceStatuses snapshots every source's health, in declaration
@@ -901,7 +907,7 @@ func (m *Mediator) Stats() Stats {
 	s.Asks = m.asks.Load()
 	s.CacheHits = m.cacheHits.Load()
 	s.CacheMisses = m.cacheMiss.Load()
-	s.AskTime = time.Duration(m.askNanos.Load())
+	s.AskTime = source.Millis(m.askNanos.Load())
 	s.DeltaRuns = m.deltaRuns.Load()
 	s.DeltaFallbacks = m.deltaFallbacks.Load()
 	s.PatchedRules = m.patchedRules.Load()

@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strings"
 
-	"yat/internal/engine"
 	"yat/internal/snapshot"
 	"yat/internal/tree"
 )
@@ -46,7 +45,7 @@ func (m *Mediator) Snapshot() (*snapshot.Snapshot, error) {
 	payload := &snapshot.Generation{
 		Store: tree.FormatEntries(g.cache.buckets()),
 		Runs:  g.runs,
-		Stats: snapshot.RunStats(g.stats),
+		Stats: g.stats,
 	}
 
 	// One RuleCache per rule that holds any cached state: construct
@@ -172,7 +171,7 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 	for _, name := range s.Payload.Degraded {
 		g.degraded[name] = true
 	}
-	g.stats = engine.Stats(s.Payload.Stats)
+	g.stats = s.Payload.Stats
 	g.runs = s.Payload.Runs
 
 	for _, me := range s.Payload.AskMemo {
@@ -182,22 +181,11 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 		}
 		answers := make([]Answer, 0, len(me.Answers))
 		for _, ma := range me.Answers {
-			name, err := tree.ParseName(ma.Name)
+			a, err := ParseAnswer(ma.Name, ma.Binding)
 			if err != nil {
-				return fmt.Errorf("mediator: restoring memoized answer %q: %w", ma.Name, err)
+				return fmt.Errorf("mediator: restoring ask memo of %q: %w", me.Pattern, err)
 			}
-			var binding engine.Binding
-			if len(ma.Binding) > 0 {
-				binding = make(engine.Binding, len(ma.Binding))
-				for v, disp := range ma.Binding {
-					val, err := tree.ParseValue(disp)
-					if err != nil {
-						return fmt.Errorf("mediator: restoring memoized binding %s=%q: %w", v, disp, err)
-					}
-					binding[v] = val
-				}
-			}
-			answers = append(answers, Answer{Name: name, Binding: binding})
+			answers = append(answers, a)
 		}
 		key := askKey{pt: pt, functors: strings.Join(me.Functors, "\x00")}
 		g.cache.memoize(key, me.Pattern, me.Functors, answers, g.cache.version())

@@ -1,249 +1,109 @@
-// The one stats renderer. Every consumer that shows mediator
-// statistics to a human or a machine — cmd/yatprof's -stats flag and
-// yatserve's GET /stats endpoint — goes through StatsView, so the two
-// report byte-identical documents for the same program and ask
-// sequence and can never drift into rival hand-rolled formatters.
+// The one stats document and the one fold over it. Stats (mediator.go)
+// is its own wire form: yatprof -stats, yatserve's GET /stats and the
+// remote shard client marshal, render or decode the value itself, so
+// they cannot drift into rival formatters. A new counter is one tagged
+// field on Stats, one line in Aggregate and one in Render.
 package mediator
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
-
-	"yat/internal/engine"
-	"yat/internal/source"
 )
 
-// RunView is the engine-work portion of a StatsView.
-type RunView struct {
-	Activations int `json:"activations"`
-	Bindings    int `json:"bindings"`
-	Outputs     int `json:"outputs"`
-	Rounds      int `json:"rounds"`
-}
+// StatsView is the former name of the wire document, kept only because
+// the frozen bench/ package still spells it.
+type StatsView = Stats
 
-// SourceView is one source's health in a StatsView.
-type SourceView struct {
-	Name         string  `json:"name"`
-	Attempts     int64   `json:"attempts"`
-	Failures     int64   `json:"failures"`
-	Retries      int64   `json:"retries"`
-	Timeouts     int64   `json:"timeouts"`
-	BreakerState string  `json:"breaker_state,omitempty"`
-	BreakerOpens int64   `json:"breaker_opens,omitempty"`
-	Rejections   int64   `json:"rejections,omitempty"`
-	StaleServed  int64   `json:"stale_served,omitempty"`
-	StaleAgeMS   float64 `json:"stale_age_ms,omitempty"`
-	LastErr      string  `json:"last_err,omitempty"`
-	FetchErr     string  `json:"fetch_err,omitempty"`
-	Entries      int     `json:"entries"`
-}
+// plainStats is Stats without its methods, so the marshalers below can
+// delegate to the struct encoding without recursing.
+type plainStats Stats
 
-// ShardView is one federation child's health in a StatsView.
-type ShardView struct {
-	Name     string `json:"name"`
-	Remote   bool   `json:"remote,omitempty"`
-	Functors int    `json:"functors"`
-	Asks     int64  `json:"asks"`
-	Failures int64  `json:"failures"`
-	Healthy  bool   `json:"healthy"`
-	Breaker  string `json:"breaker,omitempty"`
-	LastErr  string `json:"last_err,omitempty"`
-}
-
-// StatsView is the stable rendering of a Stats snapshot. Timing
-// fields (AskTimeMS, StaleAgeMS) are only populated when the view is
-// built with timing on, so untimed views are deterministic for a given
-// program and ask sequence — the property the yatprof/yatserve parity
-// test pins.
-type StatsView struct {
-	Generation     int64        `json:"generation"`
-	Materialized   bool         `json:"materialized"`
-	Err            string       `json:"err,omitempty"`
-	Demand         bool         `json:"demand"`
-	Restored       bool         `json:"restored,omitempty"`
-	Asks           int64        `json:"asks"`
-	CacheHits      int64        `json:"cache_hits"`
-	CacheMisses    int64        `json:"cache_misses"`
-	AskTimeMS      float64      `json:"ask_time_ms,omitempty"`
-	CachedRules    int          `json:"cached_rules"`
-	SliceRuns      int64        `json:"slice_runs"`
-	DeltaRuns      int64        `json:"delta_runs"`
-	DeltaFallbacks int64        `json:"delta_fallbacks"`
-	PatchedRules   int64        `json:"patched_rules"`
-	Run            RunView      `json:"run"`
-	Sources        []SourceView `json:"sources,omitempty"`
-	Shards         []ShardView  `json:"shards,omitempty"`
-}
-
-// View builds the stable rendering of the snapshot. With timing off,
-// wall-clock fields are zeroed (and omitted from JSON), leaving only
-// fields deterministic for a given program and ask sequence.
-func (s Stats) View(timing bool) StatsView {
-	v := StatsView{
-		Generation:     s.Generation,
-		Materialized:   s.Materialized,
-		Demand:         s.Demand,
-		Restored:       s.Restored,
-		Asks:           s.Asks,
-		CacheHits:      s.CacheHits,
-		CacheMisses:    s.CacheMisses,
-		CachedRules:    s.CachedRules,
-		SliceRuns:      s.SliceRuns,
-		DeltaRuns:      s.DeltaRuns,
-		DeltaFallbacks: s.DeltaFallbacks,
-		PatchedRules:   s.PatchedRules,
-		Run: RunView{
-			Activations: s.Run.Activations,
-			Bindings:    s.Run.Bindings,
-			Outputs:     s.Run.Outputs,
-			Rounds:      s.Run.Rounds,
-		},
-	}
+// MarshalJSON is the tagged struct encoding with Err as its message.
+// The leading fields shadow the embedded ones only to keep "err" where
+// the document has always carried it, right after "materialized".
+func (s Stats) MarshalJSON() ([]byte, error) {
+	doc := struct {
+		Generation   int64  `json:"generation"`
+		Materialized bool   `json:"materialized"`
+		Err          string `json:"err,omitempty"`
+		plainStats
+	}{Generation: s.Generation, Materialized: s.Materialized, plainStats: plainStats(s)}
 	if s.Err != nil {
-		v.Err = s.Err.Error()
+		doc.Err = s.Err.Error()
 	}
-	if timing {
-		v.AskTimeMS = float64(s.AskTime) / float64(time.Millisecond)
-	}
-	for _, src := range s.Sources {
-		sv := SourceView{
-			Name:         src.Name,
-			Attempts:     src.Attempts,
-			Failures:     src.Failures,
-			Retries:      src.Retries,
-			Timeouts:     src.Timeouts,
-			BreakerState: src.BreakerState,
-			BreakerOpens: src.BreakerOpens,
-			Rejections:   src.Rejections,
-			StaleServed:  src.StaleServed,
-			LastErr:      src.LastErr,
-			FetchErr:     src.FetchErr,
-			Entries:      src.Entries,
-		}
-		if timing {
-			sv.StaleAgeMS = float64(src.StaleAge) / float64(time.Millisecond)
-		}
-		v.Sources = append(v.Sources, sv)
-	}
-	for _, sh := range s.Shards {
-		v.Shards = append(v.Shards, ShardView{
-			Name:     sh.Name,
-			Remote:   sh.Remote,
-			Functors: sh.Functors,
-			Asks:     sh.Asks,
-			Failures: sh.Failures,
-			Healthy:  sh.Healthy,
-			Breaker:  sh.Breaker,
-			LastErr:  sh.LastErr,
-		})
-	}
-	return v
+	return json.Marshal(doc)
 }
 
-// Stats inverts View for the untimed fields: it reconstructs a Stats
-// snapshot from its stable rendering. The remote shard client uses it
-// to turn GET /stats documents back into the Stats the Asker
-// interface promises, so a federation can Aggregate over remote
-// children with the same fold it uses for local ones. Wall-clock
-// fields survive the round trip only when the view carried them.
-func (v StatsView) Stats() Stats {
-	s := Stats{
-		Generation:     v.Generation,
-		Materialized:   v.Materialized,
-		Demand:         v.Demand,
-		Restored:       v.Restored,
-		Asks:           v.Asks,
-		CacheHits:      v.CacheHits,
-		CacheMisses:    v.CacheMisses,
-		AskTime:        time.Duration(v.AskTimeMS * float64(time.Millisecond)),
-		CachedRules:    v.CachedRules,
-		SliceRuns:      v.SliceRuns,
-		DeltaRuns:      v.DeltaRuns,
-		DeltaFallbacks: v.DeltaFallbacks,
-		PatchedRules:   v.PatchedRules,
-		Run: engine.Stats{
-			Activations: v.Run.Activations,
-			Bindings:    v.Run.Bindings,
-			Outputs:     v.Run.Outputs,
-			Rounds:      v.Run.Rounds,
-		},
+// UnmarshalJSON inverts MarshalJSON; an "err" message comes back as an
+// opaque error carrying that text. It is how a federation reads a
+// remote child's GET /stats, to Aggregate it like a local child's.
+func (s *Stats) UnmarshalJSON(data []byte) error {
+	doc := struct {
+		Err string `json:"err"`
+		*plainStats
+	}{plainStats: (*plainStats)(s)}
+	err := json.Unmarshal(data, &doc)
+	if err == nil && doc.Err != "" {
+		s.Err = errors.New(doc.Err)
 	}
-	if v.Err != "" {
-		s.Err = errors.New(v.Err)
-	}
-	for _, sv := range v.Sources {
-		s.Sources = append(s.Sources, SourceStatus{
-			Stats: source.Stats{
-				Name:         sv.Name,
-				Attempts:     sv.Attempts,
-				Failures:     sv.Failures,
-				Retries:      sv.Retries,
-				Timeouts:     sv.Timeouts,
-				BreakerState: sv.BreakerState,
-				BreakerOpens: sv.BreakerOpens,
-				Rejections:   sv.Rejections,
-				StaleServed:  sv.StaleServed,
-				StaleAge:     time.Duration(sv.StaleAgeMS * float64(time.Millisecond)),
-				LastErr:      sv.LastErr,
-			},
-			FetchErr: sv.FetchErr,
-			Entries:  sv.Entries,
-		})
-	}
-	for _, sh := range v.Shards {
-		s.Shards = append(s.Shards, ShardStatus{
-			Name:     sh.Name,
-			Remote:   sh.Remote,
-			Functors: sh.Functors,
-			Asks:     sh.Asks,
-			Failures: sh.Failures,
-			Healthy:  sh.Healthy,
-			Breaker:  sh.Breaker,
-			LastErr:  sh.LastErr,
-		})
+	return err
+}
+
+// Untimed returns a copy with the wall-clock fields (AskTime, every
+// source's StaleAge) zeroed, hence omitted from JSON: the rest is
+// deterministic for a given program and ask sequence.
+func (s Stats) Untimed() Stats {
+	s.AskTime = 0
+	s.Sources = append([]SourceStatus(nil), s.Sources...)
+	for i := range s.Sources {
+		s.Sources[i].StaleAge = 0
 	}
 	return s
 }
 
-// JSON renders the snapshot as indented, key-stable JSON.
+// JSON renders the snapshot as indented JSON, Untimed unless timing.
 func (s Stats) JSON(timing bool) ([]byte, error) {
-	return json.MarshalIndent(s.View(timing), "", "  ")
+	if !timing {
+		s = s.Untimed()
+	}
+	return json.MarshalIndent(s, "", "  ")
 }
 
 // Render writes the snapshot as a human-oriented text table.
 func (s Stats) Render(w io.Writer, timing bool) error {
-	v := s.View(timing)
 	mode := "full"
-	if v.Demand {
+	if s.Demand {
 		mode = "demand"
 	}
-	if v.Restored {
+	if s.Restored {
 		mode += ", restored"
 	}
-	if _, err := fmt.Fprintf(w, "mediator stats (generation %d, %s mode)\n", v.Generation, mode); err != nil {
+	if _, err := fmt.Fprintf(w, "mediator stats (generation %d, %s mode)\n", s.Generation, mode); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "  materialized: %v", v.Materialized)
-	if v.Err != "" {
-		fmt.Fprintf(w, "  err: %s", v.Err)
+	fmt.Fprintf(w, "  materialized: %v", s.Materialized)
+	if s.Err != nil {
+		fmt.Fprintf(w, "  err: %s", s.Err)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "  asks: %d  hits: %d  misses: %d", v.Asks, v.CacheHits, v.CacheMisses)
+	fmt.Fprintf(w, "  asks: %d  hits: %d  misses: %d", s.Asks, s.CacheHits, s.CacheMisses)
 	if timing {
-		fmt.Fprintf(w, "  ask-time: %.3fms", v.AskTimeMS)
+		fmt.Fprintf(w, "  ask-time: %.3fms", float64(s.AskTime)/float64(time.Millisecond))
 	}
 	fmt.Fprintln(w)
-	if v.Demand {
-		fmt.Fprintf(w, "  cached-rules: %d  slice-runs: %d\n", v.CachedRules, v.SliceRuns)
+	if s.Demand {
+		fmt.Fprintf(w, "  cached-rules: %d  slice-runs: %d\n", s.CachedRules, s.SliceRuns)
 		fmt.Fprintf(w, "  deltas: runs=%d fallbacks=%d patched-rules=%d\n",
-			v.DeltaRuns, v.DeltaFallbacks, v.PatchedRules)
+			s.DeltaRuns, s.DeltaFallbacks, s.PatchedRules)
 	}
 	fmt.Fprintf(w, "  run: activations=%d bindings=%d outputs=%d rounds=%d\n",
-		v.Run.Activations, v.Run.Bindings, v.Run.Outputs, v.Run.Rounds)
-	for _, src := range v.Sources {
+		s.Run.Activations, s.Run.Bindings, s.Run.Outputs, s.Run.Rounds)
+	for _, src := range s.Sources {
 		fmt.Fprintf(w, "  source %s: attempts=%d failures=%d retries=%d entries=%d",
 			src.Name, src.Attempts, src.Failures, src.Retries, src.Entries)
 		if src.BreakerState != "" {
@@ -254,7 +114,7 @@ func (s Stats) Render(w io.Writer, timing bool) error {
 		}
 		fmt.Fprintln(w)
 	}
-	for _, sh := range v.Shards {
+	for _, sh := range s.Shards {
 		kind := "local"
 		if sh.Remote {
 			kind = "remote"
@@ -272,43 +132,48 @@ func (s Stats) Render(w io.Writer, timing bool) error {
 	return nil
 }
 
-// Aggregate folds the stats of a pool of mediators serving the same
-// program into one pool-wide snapshot: counters sum, Materialized is
-// the conjunction, Generation is the minimum (the pool's slowest lane
-// — the number every lane reaches once a reload settles), Err is the
-// first non-nil, and Sources are taken from the first snapshot (pool
-// lanes share the same source chains, whose counters are already
-// chain-global). Aggregating a single snapshot returns it unchanged.
+// Aggregate is the one fold over stats snapshots — a pool's lanes, a
+// federation's children. Counters sum, Materialized and Restored are
+// conjunctions, Generation is the minimum (the number every lane
+// reaches once a reload settles), Err is the first non-nil. Sources
+// merge by name in first-seen order: the chain counters are shared by
+// all lanes and taken once, while FetchErr and Entries are one lane's
+// latest fetch — any lane may never have fetched — so the first
+// non-empty FetchErr and the largest Entries win. Shards are each
+// snapshot's own children and concatenate. No slice is shared with ss.
 func Aggregate(ss ...Stats) Stats {
 	if len(ss) == 0 {
 		return Stats{}
 	}
 	out := ss[0]
-	for _, s := range ss[1:] {
-		out.Run.Activations += s.Run.Activations
-		out.Run.Bindings += s.Run.Bindings
-		out.Run.Outputs += s.Run.Outputs
-		out.Run.Rounds += s.Run.Rounds
-		out.Materialized = out.Materialized && s.Materialized
-		// A pool is warm-started only if every lane restored.
-		out.Restored = out.Restored && s.Restored
-		if out.Err == nil {
-			out.Err = s.Err
+	out.Sources, out.Shards = nil, nil
+	for i, s := range ss {
+		if i > 0 {
+			out.Generation = min(out.Generation, s.Generation)
+			out.Materialized = out.Materialized && s.Materialized
+			out.Err = cmp.Or(out.Err, s.Err)
+			out.Restored = out.Restored && s.Restored
+			out.Asks += s.Asks
+			out.CacheHits += s.CacheHits
+			out.CacheMisses += s.CacheMisses
+			out.AskTime += s.AskTime
+			out.CachedRules += s.CachedRules
+			out.SliceRuns += s.SliceRuns
+			out.DeltaRuns += s.DeltaRuns
+			out.DeltaFallbacks += s.DeltaFallbacks
+			out.PatchedRules += s.PatchedRules
+			out.Run.Add(s.Run)
 		}
-		out.Asks += s.Asks
-		out.CacheHits += s.CacheHits
-		out.CacheMisses += s.CacheMisses
-		out.AskTime += s.AskTime
-		if s.Generation < out.Generation {
-			out.Generation = s.Generation
+		for _, src := range s.Sources {
+			j := slices.IndexFunc(out.Sources, func(o SourceStatus) bool { return o.Name == src.Name })
+			if j < 0 {
+				out.Sources = append(out.Sources, src)
+				continue
+			}
+			have := &out.Sources[j]
+			have.FetchErr = cmp.Or(have.FetchErr, src.FetchErr)
+			have.Entries = max(have.Entries, src.Entries)
 		}
-		out.CachedRules += s.CachedRules
-		out.SliceRuns += s.SliceRuns
-		out.DeltaRuns += s.DeltaRuns
-		out.DeltaFallbacks += s.DeltaFallbacks
-		out.PatchedRules += s.PatchedRules
-		// Unlike Sources (shared chains, counted once), each snapshot's
-		// Shards describe that lane's own children; concatenate them.
 		out.Shards = append(out.Shards, s.Shards...)
 	}
 	return out

@@ -174,18 +174,10 @@ func (s *Server) restoreSnapshot() {
 		}
 		return
 	}
-	restorers := make([]interface {
-		Restore(*snapshot.Snapshot) error
-	}, len(s.pool))
-	for i, m := range s.pool {
-		r, ok := m.(interface {
-			Restore(*snapshot.Snapshot) error
-		})
-		if !ok {
-			fallback("unsupported", "pool lanes do not support restore (remote or federated askers)")
-			return
-		}
-		restorers[i] = r
+	restorers, ok := lanesAs[restorer](s.pool)
+	if !ok {
+		fallback("unsupported", "pool lanes do not support restore (remote or federated askers)")
+		return
 	}
 	for i, r := range restorers {
 		if err := r.Restore(snap); err != nil {
@@ -198,7 +190,7 @@ func (s *Server) restoreSnapshot() {
 				// Later-lane failures are config bugs (all lanes share program
 				// and options); re-cool the already-warmed lanes.
 				for _, m := range s.pool {
-					if inv, ok := m.(interface{ Invalidate() }); ok {
+					if inv, ok := m.(invalidator); ok {
 						inv.Invalidate()
 					}
 				}
@@ -218,15 +210,11 @@ func (s *Server) restoreSnapshot() {
 // drain and an admin request cannot interleave their temp files.
 func (s *Server) writeSnapshot() (*wire.SnapshotResponse, error) {
 	var (
-		warmest interface {
-			Snapshot() (*snapshot.Snapshot, error)
-		}
-		warmth int = -1
+		warmest snapshotter
+		warmth  int = -1
 	)
 	for _, m := range s.pool {
-		sn, ok := m.(interface {
-			Snapshot() (*snapshot.Snapshot, error)
-		})
+		sn, ok := m.(snapshotter)
 		if !ok {
 			continue
 		}
@@ -288,6 +276,40 @@ func (s *Server) laneOptions(sink trace.Sink) []engine.Option {
 	return opts
 }
 
+// The optional lane capabilities, discovered by type assertion: a
+// local *mediator.Mediator has them all, remote shard clients and
+// federation routers only some.
+type (
+	reloader  interface{ Reload(*yatl.Program) }
+	refresher interface {
+		RefreshSource(context.Context, string) error
+	}
+	snapshotter interface {
+		Snapshot() (*snapshot.Snapshot, error)
+	}
+	restorer interface {
+		Restore(*snapshot.Snapshot) error
+	}
+	invalidator  interface{ Invalidate() }
+	programmer   interface{ Program() *yatl.Program }
+	generationer interface{ Generation() int64 }
+)
+
+// lanesAs asserts capability C on every lane, all or nothing: an
+// admin operation checks the whole pool before mutating any lane, so a
+// mixed pool never ends up half-swapped.
+func lanesAs[C any](pool []mediator.Asker) ([]C, bool) {
+	out := make([]C, len(pool))
+	for i, m := range pool {
+		c, ok := m.(C)
+		if !ok {
+			return nil, false
+		}
+		out[i] = c
+	}
+	return out, true
+}
+
 // lane picks the next pool lane, round-robin.
 func (s *Server) lane() mediator.Asker {
 	return s.pool[s.next.Add(1)%uint64(len(s.pool))]
@@ -298,7 +320,7 @@ func (s *Server) lane() mediator.Asker {
 // reload). Lanes that cannot report one — remote clients — fall back
 // to the configured program, which may be nil.
 func (s *Server) program() *yatl.Program {
-	if p, ok := s.pool[0].(interface{ Program() *yatl.Program }); ok {
+	if p, ok := s.pool[0].(programmer); ok {
 		if prog := p.Program(); prog != nil {
 			return prog
 		}
@@ -318,7 +340,7 @@ func (s *Server) progName() string {
 // generationOf reads a lane's generation, through the optional
 // interface when offered, else from its stats snapshot.
 func generationOf(a mediator.Asker) int64 {
-	if g, ok := a.(interface{ Generation() int64 }); ok {
+	if g, ok := a.(generationer); ok {
 		return g.Generation()
 	}
 	return a.Stats().Generation
@@ -393,11 +415,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// writeErr sends the wire error envelope; every non-2xx reply goes
+// through it.
+func writeErr(w http.ResponseWriter, status int, code, message string) {
+	writeJSON(w, status, wire.ErrorResponse{Error: errorBody{Code: code, Message: message}})
+}
+
+// writeError is writeErr for an ask error, classified by ErrorCode.
 func writeError(w http.ResponseWriter, err error) {
 	code, status := ErrorCode(err)
-	writeJSON(w, status, wire.ErrorResponse{
-		Error: errorBody{Code: code, Message: err.Error()},
-	})
+	writeErr(w, status, code, err.Error())
 }
 
 // The request/response shapes live in internal/serve/wire, shared
@@ -443,14 +470,12 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		s.failed.Add(1)
-		writeJSON(w, http.StatusBadRequest, map[string]errorBody{
-			"error": {Code: "bad_request", Message: "body must be JSON: " + err.Error()}})
+		writeErr(w, http.StatusBadRequest, "bad_request", "body must be JSON: "+err.Error())
 		return
 	}
 	if req.Pattern == "" {
 		s.failed.Add(1)
-		writeJSON(w, http.StatusBadRequest, map[string]errorBody{
-			"error": {Code: "bad_request", Message: `"pattern" is required`}})
+		writeErr(w, http.StatusBadRequest, "bad_request", `"pattern" is required`)
 		return
 	}
 	if r.URL.Query().Get("explain") == "1" {
@@ -482,9 +507,8 @@ func (s *Server) explainAsk(w http.ResponseWriter, r *http.Request, pattern stri
 		// Askers-only servers over remote lanes have no local program to
 		// re-run under a profile.
 		s.failed.Add(1)
-		writeJSON(w, http.StatusNotImplemented, wire.ErrorResponse{
-			Error: errorBody{Code: "explain_unavailable",
-				Message: "EXPLAIN needs a local program; this server fronts opaque askers"}})
+		writeErr(w, http.StatusNotImplemented, "explain_unavailable",
+			"EXPLAIN needs a local program; this server fronts opaque askers")
 		return
 	}
 	timing := r.URL.Query().Get("timing") == "1"
@@ -517,8 +541,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	pattern := q.Get("pattern")
 	if pattern == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]errorBody{
-			"error": {Code: "bad_request", Message: `"pattern" query parameter is required`}})
+		writeErr(w, http.StatusBadRequest, "bad_request", `"pattern" query parameter is required`)
 		return
 	}
 	var functors []string
@@ -547,13 +570,19 @@ func (s *Server) handleFunctors(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	timing := r.URL.Query().Get("timing") != "0"
+// poolStats is the one fold over the pool's lanes; /stats and /healthz
+// both project it, so they cannot disagree about a source or a shard.
+func (s *Server) poolStats() mediator.Stats {
 	views := make([]mediator.Stats, len(s.pool))
 	for i, m := range s.pool {
 		views[i] = m.Stats()
 	}
-	agg := mediator.Aggregate(views...)
+	return mediator.Aggregate(views...)
+}
+
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	timing := r.URL.Query().Get("timing") != "0"
+	med := s.poolStats()
 	srv := wire.ServerStats{
 		Pool:     len(s.pool),
 		Inflight: s.inflight.Load(),
@@ -563,77 +592,49 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if timing {
 		srv.UptimeMS = float64(time.Since(s.start)) / float64(time.Millisecond)
+	} else {
+		med = med.Untimed()
 	}
 	srv.Snapshot = s.snapshotStatus()
-	writeJSON(w, http.StatusOK, wire.StatsResponse{
-		Mediator: agg.View(timing),
-		Server:   srv,
-	})
+	writeJSON(w, http.StatusOK, wire.StatsResponse{Mediator: med, Server: srv})
+}
+
+// worsen folds one tier's health (sources, then shards) into the
+// service status: all of a tier failing fails the service, some of it
+// degrades it — partial answers are the point of degrading per source
+// and of the scatter-gather's fault isolation.
+func worsen(status string, failing, n int) string {
+	switch {
+	case failing == 0 || status == "failing":
+		return status
+	case failing == n:
+		return "failing"
+	}
+	return "degraded"
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	// The chain counters in a SourceStatus are shared across the pool,
-	// but FetchErr and Entries describe one lane's most recent fetch —
-	// and round-robin means any single lane may never have served an
-	// ask. Fold every lane's view: a source is unhealthy if any lane's
-	// latest fetch of it failed.
-	views := make([]mediator.Stats, len(s.pool))
-	for i, m := range s.pool {
-		views[i] = m.Stats()
-	}
-	st := views[0]
-	status := "ok"
+	st := s.poolStats()
 	var sources []wire.SourceHealth
-	if n := len(st.Sources); n > 0 {
-		failing := 0
-		for i, src := range st.Sources {
-			h := wire.SourceHealth{Name: src.Name, Healthy: true, Breaker: src.BreakerState}
-			for _, v := range views {
-				lane := v.Sources[i]
-				if lane.FetchErr != "" {
-					h.Healthy = false
-					if h.FetchErr == "" {
-						h.FetchErr = lane.FetchErr
-					}
-				}
-				if lane.Entries > h.Entries {
-					h.Entries = lane.Entries
-				}
-			}
-			if !h.Healthy {
-				failing++
-			}
-			sources = append(sources, h)
+	failing := 0
+	for _, src := range st.Sources {
+		h := wire.SourceHealth{Name: src.Name, Healthy: src.FetchErr == "", FetchErr: src.FetchErr,
+			Breaker: src.BreakerState, Entries: src.Entries}
+		if !h.Healthy {
+			failing++
 		}
-		switch failing {
-		case 0:
-		case n:
-			status = "failing"
-		default:
-			status = "degraded"
-		}
+		sources = append(sources, h)
 	}
-	// A federated lane reports its children; a dead shard degrades the
-	// service (partial answers) rather than failing it — that is the
-	// point of the scatter-gather's fault isolation.
+	status := worsen("ok", failing, len(sources))
 	var shards []wire.ShardHealth
-	if n := len(st.Shards); n > 0 {
-		failing := 0
-		for _, sh := range st.Shards {
-			h := wire.ShardHealth{Name: sh.Name, Healthy: sh.Healthy, Breaker: sh.Breaker, LastErr: sh.LastErr}
-			if !h.Healthy {
-				failing++
-			}
-			shards = append(shards, h)
+	failing = 0
+	for _, sh := range st.Shards {
+		if !sh.Healthy {
+			failing++
 		}
-		switch {
-		case failing == 0:
-		case failing == n:
-			status = "failing"
-		case status == "ok":
-			status = "degraded"
-		}
+		shards = append(shards, wire.ShardHealth{Name: sh.Name, Healthy: sh.Healthy, Breaker: sh.Breaker, LastErr: sh.LastErr})
 	}
+	status = worsen(status, failing, len(shards))
 	code := http.StatusOK
 	if status == "failing" {
 		code = http.StatusServiceUnavailable
@@ -651,8 +652,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]errorBody{
-			"error": {Code: "bad_request", Message: err.Error()}})
+		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
 	prog, err := yatl.Parse(string(body))
@@ -663,26 +663,18 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	// An empty body parses to an empty program; swapping that in would
 	// silently wipe the served target.
 	if len(prog.Rules) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]errorBody{
-			"error": {Code: "bad_request", Message: "program has no rules"}})
+		writeErr(w, http.StatusBadRequest, "bad_request", "program has no rules")
 		return
 	}
 	if err := engine.CheckSafety(prog); err != nil {
 		writeError(w, err)
 		return
 	}
-	// Check every lane supports reloading before mutating any: a mixed
-	// pool must not end up half-swapped.
-	reloaders := make([]interface{ Reload(*yatl.Program) }, len(s.pool))
-	for i, m := range s.pool {
-		rl, ok := m.(interface{ Reload(*yatl.Program) })
-		if !ok {
-			writeJSON(w, http.StatusNotImplemented, wire.ErrorResponse{
-				Error: errorBody{Code: "reload_unsupported",
-					Message: "pool lanes do not support hot reload (remote or federated askers)"}})
-			return
-		}
-		reloaders[i] = rl
+	reloaders, ok := lanesAs[reloader](s.pool)
+	if !ok {
+		writeErr(w, http.StatusNotImplemented, "reload_unsupported",
+			"pool lanes do not support hot reload (remote or federated askers)")
+		return
 	}
 	s.admin.Lock()
 	for _, rl := range reloaders {
@@ -710,24 +702,14 @@ func (s *Server) handleRefreshSource(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !known {
-		writeJSON(w, http.StatusNotFound, map[string]errorBody{
-			"error": {Code: "unknown_source", Message: fmt.Sprintf("no source named %q", name)}})
+		writeErr(w, http.StatusNotFound, "unknown_source", fmt.Sprintf("no source named %q", name))
 		return
 	}
-	refreshers := make([]interface {
-		RefreshSource(context.Context, string) error
-	}, len(s.pool))
-	for i, m := range s.pool {
-		rf, ok := m.(interface {
-			RefreshSource(context.Context, string) error
-		})
-		if !ok {
-			writeJSON(w, http.StatusNotImplemented, wire.ErrorResponse{
-				Error: errorBody{Code: "refresh_unsupported",
-					Message: "pool lanes do not support source refresh (remote or federated askers)"}})
-			return
-		}
-		refreshers[i] = rf
+	refreshers, ok := lanesAs[refresher](s.pool)
+	if !ok {
+		writeErr(w, http.StatusNotImplemented, "refresh_unsupported",
+			"pool lanes do not support source refresh (remote or federated askers)")
+		return
 	}
 	s.admin.Lock()
 	defer s.admin.Unlock()
@@ -743,15 +725,13 @@ func (s *Server) handleRefreshSource(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.snapPath == "" {
-		writeJSON(w, http.StatusNotImplemented, wire.ErrorResponse{
-			Error: errorBody{Code: "snapshot_unconfigured",
-				Message: "server was started without a snapshot directory"}})
+		writeErr(w, http.StatusNotImplemented, "snapshot_unconfigured",
+			"server was started without a snapshot directory")
 		return
 	}
 	resp, err := s.writeSnapshot()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, wire.ErrorResponse{
-			Error: errorBody{Code: "snapshot_failed", Message: err.Error()}})
+		writeErr(w, http.StatusInternalServerError, "snapshot_failed", err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -66,7 +66,7 @@ type FunctorsResponse struct {
 }
 
 // ServerStats is the server's own half of GET /stats; the mediator
-// half is the shared mediator.StatsView renderer.
+// half is mediator.Stats itself.
 type ServerStats struct {
 	Pool     int     `json:"pool"`
 	Inflight int64   `json:"inflight"`
@@ -110,8 +110,8 @@ type SnapshotResponse struct {
 // StatsResponse is the GET /stats document. Mediator precedes Server
 // to preserve the historical (alphabetical) key order byte-for-byte.
 type StatsResponse struct {
-	Mediator mediator.StatsView `json:"mediator"`
-	Server   ServerStats        `json:"server"`
+	Mediator mediator.Stats `json:"mediator"`
+	Server   ServerStats    `json:"server"`
 }
 
 // SourceHealth is one source's entry in GET /healthz.

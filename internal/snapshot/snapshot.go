@@ -118,14 +118,6 @@ type MemoEntry struct {
 	Answers  []MemoAnswer `json:"answers"`
 }
 
-// RunStats mirrors engine.Stats for the payload.
-type RunStats struct {
-	Activations int `json:"activations"`
-	Bindings    int `json:"bindings"`
-	Outputs     int `json:"outputs"`
-	Rounds      int `json:"rounds"`
-}
-
 // Generation is the payload: one demand-mode materialization
 // lifetime, serialized entirely through the tree layer's canonical
 // display syntax so the restore re-parses to byte-identical values.
@@ -142,7 +134,7 @@ type Generation struct {
 	// slice run (their recovery invalidates the generation).
 	Degraded []string `json:"degraded,omitempty"`
 	// Stats accumulates the engine work performed across slice runs.
-	Stats RunStats `json:"stats"`
+	Stats engine.Stats `json:"stats"`
 	// Runs counts engine slice executions.
 	Runs int64 `json:"runs"`
 	// AskMemo carries the memoized ask answers, sorted by (pattern,

@@ -30,7 +30,7 @@ func sample() *Snapshot {
 				{Rule: "Support", Sources: []string{"b2:Pbr"}},
 			},
 			Degraded: []string{"src1"},
-			Stats:    RunStats{Activations: 4, Bindings: 9, Outputs: 2, Rounds: 3},
+			Stats:    engine.Stats{Activations: 4, Bindings: 9, Outputs: 2, Rounds: 3},
 			Runs:     2,
 			AskMemo: []MemoEntry{{
 				Pattern:  `view < -> name -> N >`,

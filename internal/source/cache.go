@@ -186,7 +186,7 @@ func (c *Cached) SourceStats() Stats {
 	s.StaleServed += c.staleServed.Load()
 	c.mu.Lock()
 	if c.snap != nil {
-		s.StaleAge = c.opts.Clock.Now().Sub(c.snapAt)
+		s.StaleAge = Millis(c.opts.Clock.Now().Sub(c.snapAt))
 	}
 	if c.lastErr != nil && s.LastErr == "" {
 		s.LastErr = c.lastErr.Error()

@@ -32,6 +32,7 @@ package source
 
 import (
 	"context"
+	"encoding/json"
 	"sync/atomic"
 	"time"
 
@@ -53,31 +54,53 @@ type Source interface {
 // Stats is a point-in-time snapshot of one source chain's counters.
 // Each decorator fills in its own fields and passes the rest through,
 // so the snapshot of the outermost decorator describes the whole
-// chain.
+// chain. The JSON tags are the wire form GET /stats serves (embedded in
+// mediator.SourceStatus); field order is key order.
 type Stats struct {
 	// Name is the source's stable name.
-	Name string
+	Name string `json:"name"`
 	// Attempts counts fetches attempted against the decorated source
 	// (including retries); Failures counts the attempts that errored.
-	Attempts, Failures int64
+	Attempts int64 `json:"attempts"`
+	Failures int64 `json:"failures"`
 	// Retries counts re-attempts after a failed fetch.
-	Retries int64
+	Retries int64 `json:"retries"`
 	// Timeouts counts attempts that exceeded the per-fetch deadline.
-	Timeouts int64
-	// BreakerOpens counts closed/half-open → open transitions;
+	Timeouts int64 `json:"timeouts"`
 	// BreakerState is "" without a breaker, else "closed", "open" or
-	// "half-open". Rejections counts fetches refused while open.
-	BreakerOpens int64
-	BreakerState string
-	Rejections   int64
+	// "half-open"; BreakerOpens counts closed/half-open → open
+	// transitions. Rejections counts fetches refused while open.
+	BreakerState string `json:"breaker_state,omitempty"`
+	BreakerOpens int64  `json:"breaker_opens,omitempty"`
+	Rejections   int64  `json:"rejections,omitempty"`
 	// StaleServed counts fetches answered with an expired snapshot
 	// while a refresh ran (or failed); StaleAge is the current
 	// snapshot's age, zero without a cache or snapshot.
-	StaleServed int64
-	StaleAge    time.Duration
+	StaleServed int64  `json:"stale_served,omitempty"`
+	StaleAge    Millis `json:"stale_age_ms,omitempty"`
 	// LastErr is the most recent fetch error observed by the retry
 	// decorator ("" after a success).
-	LastErr string
+	LastErr string `json:"last_err,omitempty"`
+}
+
+// Millis is a wall-clock duration that travels as JSON milliseconds,
+// the unit the stats documents carry; zero is omitted under omitempty,
+// which is what keeps an untimed document deterministic.
+type Millis time.Duration
+
+// MarshalJSON renders the duration as (fractional) milliseconds.
+func (d Millis) MarshalJSON() ([]byte, error) {
+	return json.Marshal(float64(d) / float64(time.Millisecond))
+}
+
+// UnmarshalJSON inverts MarshalJSON.
+func (d *Millis) UnmarshalJSON(data []byte) error {
+	var ms float64
+	if err := json.Unmarshal(data, &ms); err != nil {
+		return err
+	}
+	*d = Millis(ms * float64(time.Millisecond))
+	return nil
 }
 
 // Statser is implemented by sources that can report Stats. All

@@ -330,8 +330,8 @@ func TestCacheServesStaleAcrossFailures(t *testing.T) {
 	if st.LastErr == "" {
 		t.Error("refresh failure not recorded in LastErr")
 	}
-	if st.StaleAge < 5*time.Minute {
-		t.Errorf("StaleAge = %v, want >= 5m", st.StaleAge)
+	if time.Duration(st.StaleAge) < 5*time.Minute {
+		t.Errorf("StaleAge = %v, want >= 5m", time.Duration(st.StaleAge))
 	}
 	// Refresh (forced, failing) keeps the snapshot and returns the error.
 	if err := c.Refresh(ctx); err == nil {
