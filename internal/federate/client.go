@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"yat/internal/mediator"
 	"yat/internal/serve/wire"
@@ -117,10 +118,22 @@ func (c *Client) AskContext(ctx context.Context, patternSrc string, functors ...
 	return answers, nil
 }
 
+// introspectTimeout bounds Functors and Stats. Asker hands neither a
+// context, and Stats runs outside the federation's guard chain — behind
+// the parent's /stats and /healthz — so without a bound of their own a
+// hung child hangs the parent's liveness endpoint with it.
+const introspectTimeout = 2 * time.Second
+
+func (c *Client) introspect(path string, out any) error {
+	ctx, cancel := context.WithTimeout(context.Background(), introspectTimeout)
+	defer cancel()
+	return c.do(ctx, http.MethodGet, path, nil, out)
+}
+
 // Functors implements Asker via GET /functors.
 func (c *Client) Functors() ([]string, error) {
 	var out wire.FunctorsResponse
-	if err := c.do(context.Background(), http.MethodGet, "/functors", nil, &out); err != nil {
+	if err := c.introspect("/functors", &out); err != nil {
 		return nil, err
 	}
 	c.gen.Store(out.Generation)
@@ -133,7 +146,7 @@ func (c *Client) Functors() ([]string, error) {
 // yields a snapshot whose Err carries the transport error.
 func (c *Client) Stats() mediator.Stats {
 	var out wire.StatsResponse
-	if err := c.do(context.Background(), http.MethodGet, "/stats?timing=0", nil, &out); err != nil {
+	if err := c.introspect("/stats?timing=0", &out); err != nil {
 		return mediator.Stats{Err: err, Generation: c.Generation()}
 	}
 	c.gen.Store(out.Mediator.Generation)

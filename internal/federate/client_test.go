@@ -4,6 +4,7 @@
 package federate_test
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -202,6 +203,79 @@ func TestKilledChildDegrades(t *testing.T) {
 	if !alive.Remote || !dying.Remote {
 		t.Error("remote children not flagged Remote in shard status")
 	}
+}
+
+// TestHungChildIntrospectionIsBounded: a child that accepts /stats and
+// /functors but never answers must not hang its parent. Both calls give
+// up at the client's own deadline, so Stats reports the error, Functors
+// degrades to the healthy child, and the parent's /healthz — which
+// folds every child's Stats — answers "degraded" instead of never.
+func TestHungChildIntrospectionIsBounded(t *testing.T) {
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done() // the caller giving up is the only way out
+	}))
+	t.Cleanup(hung.Close)
+	t.Cleanup(hung.CloseClientConnections) // first: Close waits for handlers
+	hungClient := federate.NewClient(hung.URL, nil)
+	t.Cleanup(hungClient.Close)
+
+	prog := yatl.MustParse(workload.SelectiveProgram(2))
+	inputs := workload.BrochureStore(2, 1, 2, 4)
+	plans := federate.PlanShards(prog, 2)
+	_, alive := childServer(t, plans[0].Prog, inputs)
+	fed, err := federate.New(federate.Config{
+		Children: []federate.Child{
+			{Name: "alive", Asker: alive, Functors: plans[0].Functors},
+			{Name: "hung", Asker: hungClient, Functors: plans[1].Functors},
+		},
+		Guard: &federate.GuardOptions{Retry: &source.RetryOptions{MaxAttempts: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// within fails the test — instead of hanging it — when a call
+	// outlives the bound by more than scheduling slack.
+	within := func(what string, call func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); call() }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s still blocked on the hung child after 5s", what)
+		}
+	}
+	within("Client.Stats beside Federation.Functors", func() {
+		stats := make(chan mediator.Stats)
+		go func() { stats <- hungClient.Stats() }()
+		fs, err := fed.Functors()
+		if err != nil || !reflect.DeepEqual(fs, plans[0].Functors) {
+			t.Errorf("Functors = %v, %v; want the healthy child's %v", fs, err, plans[0].Functors)
+		}
+		if st := <-stats; st.Err == nil {
+			t.Error("Stats of a hung child reports no error")
+		}
+	})
+
+	s, err := serve.New(serve.Config{Askers: []mediator.Asker{fed}, Prog: prog, Inputs: inputs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := httptest.NewServer(s.Handler())
+	t.Cleanup(parent.Close)
+	within("the parent's /healthz", func() {
+		resp, err := http.Get(parent.URL + "/healthz")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer resp.Body.Close()
+		var doc struct{ Status string }
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil || doc.Status != "degraded" {
+			t.Errorf("healthz = %d %q (%v), want 200 degraded", resp.StatusCode, doc.Status, err)
+		}
+	})
 }
 
 // TestNoGoroutineLeak pins that a full remote-federation lifecycle —

@@ -1,11 +1,10 @@
 // Incremental view maintenance: the delta-propagation half of
 // Mediator.RefreshSource.
 //
-// A refresh used to drop every cached functor group that had matched
-// one of the source's entries and let the next Ask re-materialize
-// from scratch. Here the refreshed fetch is instead diffed against
-// the previous merged input store (internal/delta) and absorbed in
-// three tiers, cheapest proven-sound tier first:
+// The refreshed fetch is diffed (internal/delta) against the input
+// snapshot this generation's cache was computed from — the pin, see
+// inputs.go — and absorbed in three tiers, cheapest proven-sound tier
+// first:
 //
 //  1. Insert patch. For an insert-only delta, the union slice of the
 //     affected cached groups is re-run in delta-evaluation mode
@@ -29,14 +28,14 @@
 //     exception rules or a collision make the patch unprovable, the
 //     union slice of the affected groups is re-run normally over the
 //     new inputs and swapped into the cache in place. Unaffected
-//     groups stay warm; this is still far cheaper than the old
-//     wholesale drop when the source feeds few of the cached groups.
+//     groups stay warm: far cheaper than a wholesale drop when the
+//     source feeds few of the cached groups.
 //
-//  3. Wholesale invalidation. A source that had been failing while
-//     rules were cached has no dependency record (absent data matched
-//     nothing), and a fetch that fails or degrades during the refresh
-//     has no complete picture to diff — both fall back to
-//     Invalidate(), exactly the old behaviour.
+//  3. Wholesale invalidation. A source that was failing in the pinned
+//     snapshot has no dependency record (absent data matched nothing),
+//     a restored generation has no pinned store to diff against, and a
+//     fetch that fails or degrades during the refresh has no complete
+//     new picture — all fall back to Invalidate().
 //
 // Affected groups are found without running anything: the deleted and
 // changed entries' keys are looked up in the per-rule source records
@@ -51,6 +50,7 @@ package mediator
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"yat/internal/delta"
 	"yat/internal/engine"
@@ -86,13 +86,14 @@ const (
 	// ReasonSliceRunError: the fallback re-run failed too; the
 	// affected groups are dropped and the error is returned.
 	ReasonSliceRunError = "slice-run-error"
-	// ReasonDegradedSource: the refreshed source had been failing
-	// while rules were cached; no dependency record exists.
+	// ReasonDegradedSource: the refreshed source was failing in the
+	// pinned snapshot; no dependency record exists.
 	ReasonDegradedSource = "degraded-source"
 	// ReasonFetchFailed: the refresh fetch failed or left some source
 	// degraded; there is no complete new picture to diff.
 	ReasonFetchFailed = "fetch-failed"
-	// ReasonNoBaseline: no previous merge is recorded to diff against.
+	// ReasonNoBaseline: the generation was restored from a snapshot, so
+	// it pins no input store to diff against.
 	ReasonNoBaseline = "no-baseline"
 )
 
@@ -125,31 +126,21 @@ func (o deltaOutcome) detail(name string) string {
 // lock is released — Invalidate takes m.mu, and the established lock
 // order (Reload) is m.mu before g.mu.
 func (m *Mediator) refreshDelta(ctx context.Context, name string) error {
-	st := m.state()
-	out, err := m.applyDelta(ctx, st, name)
-	switch {
-	case out.wholesale:
-		m.deltaFallbacks.Add(1)
-		m.emitDelta(trace.KindDeltaFallback, out, name)
+	out, err := m.applyDelta(ctx, m.state(), name)
+	kind, count := trace.KindDeltaApplied, &m.deltaRuns
+	if out.wholesale || out.fallback {
+		kind, count = trace.KindDeltaFallback, &m.deltaFallbacks
+	}
+	count.Add(1)
+	m.patchedRules.Add(int64(out.patched))
+	if m.opts.Trace != nil {
+		m.opts.Trace.Emit(trace.Event{Kind: kind, Phase: trace.PhaseSlice,
+			Detail: out.detail(name), Count: out.patched})
+	}
+	if out.wholesale {
 		m.Invalidate()
-	case out.fallback:
-		m.deltaFallbacks.Add(1)
-		m.patchedRules.Add(int64(out.patched))
-		m.emitDelta(trace.KindDeltaFallback, out, name)
-	default:
-		m.deltaRuns.Add(1)
-		m.patchedRules.Add(int64(out.patched))
-		m.emitDelta(trace.KindDeltaApplied, out, name)
 	}
 	return err
-}
-
-func (m *Mediator) emitDelta(kind trace.Kind, out deltaOutcome, name string) {
-	if m.opts.Trace == nil {
-		return
-	}
-	m.opts.Trace.Emit(trace.Event{Kind: kind, Phase: trace.PhaseSlice,
-		Detail: out.detail(name), Count: out.patched})
 }
 
 // applyDelta performs the diff and the patch/re-run under the
@@ -160,35 +151,28 @@ func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
-	if g.degraded[name] {
+	if slices.Contains(g.pin.degraded(), name) {
 		return deltaOutcome{wholesale: true, reason: ReasonDegradedSource}, nil
 	}
 	if g.cache.cachedRules() == 0 {
-		// Cold cache: nothing to patch; the next Ask fetches fresh.
+		// Cold cache: nothing to patch; dropping the pin makes the next
+		// Ask fetch fresh.
+		g.pin = nil
 		return deltaOutcome{}, nil
 	}
-	m.srcMu.Lock()
-	prev := m.lastMerged
-	m.srcMu.Unlock()
+	prev := g.pin.store()
 	if prev == nil {
 		return deltaOutcome{wholesale: true, reason: ReasonNoBaseline}, nil
 	}
-	inputs, err := m.fetchInputs(ctx)
-	if err != nil {
+	next, err := m.fetch(ctx)
+	if err != nil || len(next.degraded()) > 0 {
 		return deltaOutcome{wholesale: true, reason: ReasonFetchFailed}, nil
 	}
-	degradedNow := false
-	m.srcMu.Lock()
-	for _, ferr := range m.srcErrs {
-		if ferr != nil {
-			degradedNow = true
-			break
-		}
-	}
-	m.srcMu.Unlock()
-	if degradedNow {
-		return deltaOutcome{wholesale: true, reason: ReasonFetchFailed}, nil
-	}
+	// Every path below leaves the cache consistent with the new fetch —
+	// patched, re-run, evicted or provably unaffected — so the pin
+	// advances here, once.
+	g.pin = next
+	inputs := next.store()
 
 	d := delta.Diff(prev, inputs)
 	out := deltaOutcome{ins: len(d.Inserted), del: len(d.Deleted), chg: len(d.Changed)}

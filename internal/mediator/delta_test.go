@@ -187,8 +187,6 @@ func boomRegistry(failures *atomic.Int64) *engine.Registry {
 // Every reachable fallback reason is forced at least once and shows up
 // in the trace; after each fallback the cache still answers
 // byte-identically to a fresh mediator over the new world.
-// (ReasonNoBaseline guards a state no public API sequence can reach —
-// a warm cache without a recorded merge — and stays untested here.)
 func TestDeltaFallbackReasons(t *testing.T) {
 	ctx := context.Background()
 
@@ -359,6 +357,40 @@ func TestDeltaFallbackReasons(t *testing.T) {
 		if answersKey(t, got) != want {
 			t.Fatalf("degraded answers wrong:\n%s\nwant:\n%s", answersKey(t, got), want)
 		}
+	})
+
+	t.Run("no-baseline", func(t *testing.T) {
+		// A restored generation is warm but pins no input store: its
+		// groups were computed from the donor's inputs, which this
+		// process never saw — and here they have changed since. What the
+		// recipient fetched for itself before the restore is no baseline
+		// for the donor's groups either.
+		prog := yatl.MustParse(twoSourceProgram)
+		betas := betaStore("bee")
+		donor := New(prog, nil, WithDemandDriven(true),
+			WithSources(source.Static("src1", alphaStore("ant", "asp")), source.Static("src2", betas)))
+		if _, err := donor.Ask(`X`); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := donor.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &trace.Recorder{}
+		newAlphas := alphaStore("ant", "auk")
+		m := New(prog, nil, engine.WithTrace(rec), WithDemandDriven(true),
+			WithSources(source.Static("src1", newAlphas), source.Static("src2", betas)))
+		if _, err := m.Ask(`X`, "Pb"); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RefreshSource(ctx, "src1"); err != nil {
+			t.Fatal(err)
+		}
+		wantFallback(t, rec, ReasonNoBaseline)
+		equivalent(t, m, twoSourceProgram, nil, newAlphas, betas)
 	})
 
 	t.Run("delta-run-error", func(t *testing.T) {

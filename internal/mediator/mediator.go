@@ -17,8 +17,10 @@
 // the dependency-closed rule slice for those functors
 // (engine.ComputeSlice), runs only that slice, and memoizes the
 // materialized outputs per rule so overlapping slices reuse work.
-// InvalidateRule and InvalidateSource then drop only the cached rules
-// whose outputs could have depended on the change.
+// Every slice run of one cache generation reads the one input snapshot
+// the generation pinned (inputs.go), and RefreshSource diffs against
+// it. InvalidateRule and InvalidateSource then drop only the cached
+// rules whose outputs could have depended on the change.
 //
 // A Mediator is safe for concurrent use: a production mediator serves
 // many clients at once, so concurrent Ask/Get/Functors calls share a
@@ -133,7 +135,7 @@ type generation struct {
 
 func (g *generation) materialize(ctx context.Context, m *Mediator, st *progState) (*engine.Result, error) {
 	g.once.Do(func() {
-		inputs, err := m.fetchInputs(ctx)
+		snap, err := m.fetch(ctx)
 		if err != nil {
 			g.err = err
 			g.done.Store(true)
@@ -141,7 +143,7 @@ func (g *generation) materialize(ctx context.Context, m *Mediator, st *progState
 		}
 		// The facts option rides after m.opts (later options win), so a
 		// legacy *Options value in m.opts cannot erase it.
-		g.result, g.err = engine.RunContext(ctx, st.prog, inputs, m.opts, engine.WithFacts(st.facts))
+		g.result, g.err = engine.RunContext(ctx, st.prog, snap.store(), m.opts, engine.WithFacts(st.facts))
 		g.done.Store(true)
 	})
 	return g.result, g.err
@@ -193,19 +195,17 @@ type demandGen struct {
 	// success. Unlike the full-mode generation, a failed slice run is
 	// not memoized: the next query retries.
 	lastErr error
-	// degraded names the sources that were failing during some cached
-	// slice run: rules cached then may silently miss that source's
-	// data, so a recovery of the source invalidates the whole
-	// generation (no finer dependency record exists — an absent source
-	// matched nothing).
-	degraded map[string]bool
+	// pin is the input snapshot (inputs.go) every cached group was
+	// computed from: the generation's first successful fetch (nil until
+	// then), advanced only by a RefreshSource the cache has absorbed.
+	pin *inputSnap
 	// restored marks a generation warm-started from a snapshot rather
 	// than computed by this process (surfaced in Stats).
 	restored bool
 }
 
 func newDemandGen(facts *engine.ProgramFacts) *demandGen {
-	return &demandGen{cache: newDemandCache(facts.SliceFor), degraded: map[string]bool{}}
+	return &demandGen{cache: newDemandCache(facts.SliceFor)}
 }
 
 // ran accounts for one successful engine slice run.
@@ -237,17 +237,10 @@ type Mediator struct {
 	demand bool
 
 	// sources is the fault-tolerant source layer (WithSources); when
-	// non-empty, materializations fetch and merge these instead of
-	// consuming inputs alone. srcMu guards the per-source bookkeeping
-	// below: the entries each source contributed to the most recent
-	// merge, its most recent fetch error (nil when healthy), and the
-	// most recent successfully merged input store — the baseline
-	// RefreshSource diffs a fresh fetch against for delta propagation.
-	sources    []source.Source
-	srcMu      sync.Mutex
-	srcEntries map[string][]tree.Name
-	srcErrs    map[string]error
-	lastMerged *tree.Store
+	// non-empty, fetch (inputs.go) merges these over inputs. latest is
+	// the outcome of the most recent fetch, for Stats.
+	sources []source.Source
+	latest  atomic.Pointer[inputSnap]
 
 	mu sync.Mutex // guards cur and lastGood
 	// cur is the current program state; queries snapshot it once.
@@ -294,10 +287,6 @@ func New(prog *yatl.Program, inputs *tree.Store, opts ...engine.Option) *Mediato
 	if m.demand {
 		m.cur.dgen = newDemandGen(m.cur.facts)
 	}
-	if len(m.sources) > 0 {
-		m.srcEntries = map[string][]tree.Name{}
-		m.srcErrs = map[string]error{}
-	}
 	return m
 }
 
@@ -320,91 +309,6 @@ func (m *Mediator) Program() *yatl.Program { return m.state().prog }
 // reporting the same generation were answered by the same program and
 // cache lifetime.
 func (m *Mediator) Generation() int64 { return m.state().num }
-
-// fetchInputs assembles the engine's input store. Without sources it
-// is the constructor's store; with sources, every source is fetched
-// concurrently and the snapshots are merged in declaration order
-// (after the constructor's store, later sources winning name
-// collisions), so the merged store — and therefore every downstream
-// result — is deterministic regardless of fetch completion order. A
-// failing source contributes nothing (degradation); only all sources
-// failing is an error.
-func (m *Mediator) fetchInputs(ctx context.Context) (*tree.Store, error) {
-	if len(m.sources) == 0 {
-		return m.inputs, nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sink := m.opts.Trace
-	if sink != nil {
-		ctx = source.WithSink(ctx, sink)
-	}
-	type fetchResult struct {
-		store *tree.Store
-		err   error
-		dur   time.Duration
-	}
-	results := make([]fetchResult, len(m.sources))
-	var wg sync.WaitGroup
-	for i, s := range m.sources {
-		wg.Add(1)
-		go func(i int, s source.Source) {
-			defer wg.Done()
-			var start time.Time
-			if sink != nil {
-				start = time.Now()
-			}
-			st, err := s.Fetch(ctx)
-			res := fetchResult{store: st, err: err}
-			if sink != nil {
-				res.dur = time.Since(start)
-			}
-			results[i] = res
-		}(i, s)
-	}
-	wg.Wait()
-
-	merged := tree.NewStore()
-	if m.inputs != nil {
-		for _, e := range m.inputs.Entries() {
-			merged.Put(e.Name, e.Tree)
-		}
-	}
-	failed := map[string]error{}
-	m.srcMu.Lock()
-	for i, s := range m.sources {
-		r := results[i]
-		if sink != nil {
-			ok := 1
-			if r.err != nil {
-				ok = 0
-			}
-			sink.Emit(trace.Event{Kind: trace.KindSourceFetch, Phase: trace.PhaseSource,
-				Detail: s.Name(), Count: ok, Duration: r.dur})
-		}
-		if r.err != nil {
-			failed[s.Name()] = r.err
-			m.srcErrs[s.Name()] = r.err
-			continue
-		}
-		m.srcErrs[s.Name()] = nil
-		names := make([]tree.Name, 0, r.store.Len())
-		for _, e := range r.store.Entries() {
-			merged.Put(e.Name, e.Tree)
-			names = append(names, e.Name)
-		}
-		m.srcEntries[s.Name()] = names
-	}
-	m.srcMu.Unlock()
-	if len(failed) == len(m.sources) {
-		return nil, &FetchError{Errs: failed}
-	}
-	m.srcMu.Lock()
-	m.lastMerged = merged
-	m.srcMu.Unlock()
-	return merged, nil
-}
 
 // materialize runs the conversion once per generation; concurrent
 // callers block on the same sync.Once and share the outcome. The
@@ -685,28 +589,27 @@ func (m *Mediator) ensureDemand(ctx context.Context, st *progState, functors []s
 		// re-deriving a cached dependency repeats work but keeps the
 		// activation fixpoint identical to a full run's, which is what
 		// makes the cached entries byte-identical and composable.
-		inputs, err := m.fetchInputs(ctx)
-		if err != nil {
-			g.lastErr = err
-			return nil, false, 0, err
+		// One input snapshot per generation: the first successful fetch
+		// is pinned and every later cold slice runs over it. A restored
+		// generation's store-less pin stays, so its slices each fetch.
+		snap := g.pin
+		if snap.store() == nil {
+			var err error
+			if snap, err = m.fetch(ctx); err != nil {
+				g.lastErr = err
+				return nil, false, 0, err
+			}
+			if g.pin == nil {
+				g.pin = snap
+			}
 		}
 		sub := st.facts.SliceFor(missing...)
-		res, err := engine.RunSlice(ctx, st.prog, inputs, sub, m.opts, engine.WithFacts(st.facts))
+		res, err := engine.RunSlice(ctx, st.prog, snap.store(), sub, m.opts, engine.WithFacts(st.facts))
 		if err != nil {
 			g.lastErr = err
 			return nil, false, 0, err
 		}
 		g.lastErr = nil
-		// Rules cached from a degraded fetch silently lack the failed
-		// sources' data; remember which, so RefreshSource can drop the
-		// generation when such a source comes back.
-		m.srcMu.Lock()
-		for name, ferr := range m.srcErrs {
-			if ferr != nil {
-				g.degraded[name] = true
-			}
-		}
-		m.srcMu.Unlock()
 		g.ran(res.Stats)
 		g.cache.commit(runOf(sub, res), false)
 	}
@@ -798,7 +701,7 @@ type Stats struct {
 	// increments CacheHits performed none.
 	SliceRuns int64 `json:"slice_runs"`
 	// DeltaRuns counts RefreshSource calls absorbed incrementally: the
-	// refreshed fetch was diffed against the previous one and the
+	// new fetch was diffed against the generation's pinned one and the
 	// per-rule cache was patched in place (or the delta was empty, or
 	// touched no cached rule). DeltaFallbacks counts refreshes where
 	// patching would have been unsound — deletions, multi-pattern
@@ -860,25 +763,6 @@ type SourceStatus struct {
 	// Entries is the number of store entries the source contributed to
 	// the most recent successful merge.
 	Entries int `json:"entries"`
-}
-
-// sourceStatuses snapshots every source's health, in declaration
-// order.
-func (m *Mediator) sourceStatuses() []SourceStatus {
-	if len(m.sources) == 0 {
-		return nil
-	}
-	out := make([]SourceStatus, len(m.sources))
-	m.srcMu.Lock()
-	defer m.srcMu.Unlock()
-	for i, s := range m.sources {
-		st := SourceStatus{Stats: source.StatsOf(s), Entries: len(m.srcEntries[s.Name()])}
-		if err := m.srcErrs[s.Name()]; err != nil {
-			st.FetchErr = err.Error()
-		}
-		out[i] = st
-	}
-	return out
 }
 
 // Stats exposes the mediator's statistics. It never triggers a
@@ -1037,9 +921,9 @@ func (m *Mediator) InvalidateSource(src tree.Name) error {
 // the source carries a stale-while-revalidate cache the refresh is
 // forced through it (a failing refresh keeps the old snapshot and
 // returns the error without invalidating anything — the served data
-// did not change). A demand-driven mediator then diffs the refreshed
-// merge against the previous one and propagates the delta through
-// only the affected rule slices (see refreshDelta in delta.go),
+// did not change). A demand-driven mediator then diffs the new fetch
+// against the snapshot this generation's cache was computed from and
+// propagates the delta through only the affected rule slices (delta.go),
 // patching the per-rule cache in place where that is provably
 // byte-identical to a re-run and falling back to a slice re-run — or,
 // for a previously degraded source, wholesale invalidation — where it
@@ -1061,9 +945,7 @@ func (m *Mediator) RefreshSource(ctx context.Context, name string) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if m.opts.Trace != nil {
-		ctx = source.WithSink(ctx, m.opts.Trace)
-	}
+	ctx = source.WithSink(ctx, m.opts.Trace)
 	if r, ok := src.(interface{ Refresh(context.Context) error }); ok {
 		if err := r.Refresh(ctx); err != nil {
 			return fmt.Errorf("mediator: refreshing source %s: %w", name, err)

@@ -23,16 +23,13 @@ import (
 
 // cloneFor builds the successor demand generation for a reload from
 // the program analysed as oldFacts to the one analysed as newFacts: the
-// run bookkeeping is copied, the unchanged functor groups are shared.
-// g itself is not modified — in-flight queries keep answering from it.
+// run bookkeeping is copied, the unchanged functor groups are shared and
+// with them the input snapshot they were computed from. g itself is not
+// modified — in-flight queries keep answering from it.
 func (g *demandGen) cloneFor(oldFacts, newFacts *engine.ProgramFacts) *demandGen {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	c := &demandGen{stats: g.stats, runs: g.runs, lastErr: g.lastErr,
-		degraded: make(map[string]bool, len(g.degraded))}
-	for k, v := range g.degraded {
-		c.degraded[k] = v
-	}
+	c := &demandGen{stats: g.stats, runs: g.runs, lastErr: g.lastErr, pin: g.pin}
 	c.cache = g.cache.carryOver(newFacts.SliceFor, func(f string) bool {
 		oldSl, newSl := oldFacts.SliceFor(f), newFacts.SliceFor(f)
 		return sameRules(oldSl.Construct, newSl.Construct) && sameRules(oldSl.Support, newSl.Support)

@@ -43,9 +43,10 @@ func (m *Mediator) Snapshot() (*snapshot.Snapshot, error) {
 	defer g.mu.Unlock()
 
 	payload := &snapshot.Generation{
-		Store: tree.FormatEntries(g.cache.buckets()),
-		Runs:  g.runs,
-		Stats: g.stats,
+		Store:    tree.FormatEntries(g.cache.buckets()),
+		Runs:     g.runs,
+		Stats:    g.stats,
+		Degraded: g.pin.degraded(),
 	}
 
 	// One RuleCache per rule that holds any cached state: construct
@@ -64,13 +65,6 @@ func (m *Mediator) Snapshot() (*snapshot.Snapshot, error) {
 		payload.Rules = append(payload.Rules, snapshot.RuleCache{Rule: rule, Sources: keys})
 	}
 	sort.Slice(payload.Rules, func(i, j int) bool { return payload.Rules[i].Rule < payload.Rules[j].Rule })
-
-	for name, on := range g.degraded {
-		if on {
-			payload.Degraded = append(payload.Degraded, name)
-		}
-	}
-	sort.Strings(payload.Degraded)
 
 	// Memo entries persist only when the ask arrived as source text
 	// (AskContext); pre-parsed asks have no re-keyable identity in
@@ -168,9 +162,7 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 		}
 	}
 	g.cache.commit(run, false)
-	for _, name := range s.Payload.Degraded {
-		g.degraded[name] = true
-	}
+	g.pin = restoredSnap(s.Payload.Degraded)
 	g.stats = s.Payload.Stats
 	g.runs = s.Payload.Runs
 

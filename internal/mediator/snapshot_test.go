@@ -3,6 +3,7 @@ package mediator
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"yat/internal/engine"
@@ -278,7 +279,7 @@ func TestSnapshotRoundTripsDegraded(t *testing.T) {
 	g := m.state().dgen
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if !g.degraded["src1"] {
+	if !slices.Contains(g.pin.degraded(), "src1") {
 		t.Fatal("degraded record lost in restore")
 	}
 }
