@@ -4,10 +4,14 @@
 package federate_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -368,5 +372,62 @@ func TestAskAfterCloseIsTypedError(t *testing.T) {
 	}
 	if st := c.Stats(); !errors.As(st.Err, &closed) {
 		t.Fatalf("post-Close Stats.Err: %v, want *ClosedError", st.Err)
+	}
+}
+
+// TestClientDecodesBothReplyLayouts is the mixed-version federation
+// guarantee: a child of the previous release replies indented, a
+// current one compact, and both decode through Client.AskContext to
+// the same answers and the same WireKeys — so a parent merges their
+// streams byte-identically whichever release each child runs. The
+// indented reply is the golden captured from the previous release's
+// server (internal/serve/testdata).
+func TestClientDecodesBothReplyLayouts(t *testing.T) {
+	indented, err := os.ReadFile(filepath.Join("..", "serve", "testdata", "ask_keyed_indented.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, indented); err != nil {
+		t.Fatal(err)
+	}
+	compact.WriteByte('\n')
+	if bytes.Equal(indented, compact.Bytes()) {
+		t.Fatal("golden is not indented; the test would compare a reply with itself")
+	}
+	ask := func(reply []byte) []mediator.Answer {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/ask" || r.URL.Query().Get("keys") != "1" {
+				t.Errorf("client asked %s, want /ask?keys=1", r.URL)
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(reply)
+		}))
+		defer ts.Close()
+		c := federate.NewClient(ts.URL, nil)
+		defer c.Close()
+		answers, err := c.AskContext(context.Background(), "X", "Pview1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answers
+	}
+	old, cur := ask(indented), ask(compact.Bytes())
+	if len(old) == 0 || len(old) != len(cur) {
+		t.Fatalf("%d answers from the indented reply, %d from the compact one", len(old), len(cur))
+	}
+	if !reflect.DeepEqual(renderAnswers(old), renderAnswers(cur)) {
+		t.Errorf("answers differ:\nindented %v\n compact %v", renderAnswers(old), renderAnswers(cur))
+	}
+	for i := range old {
+		if old[i].WireKey == "" || old[i].WireKey != cur[i].WireKey {
+			t.Errorf("answer %d: WireKey %q (indented) vs %q (compact)", i, old[i].WireKey, cur[i].WireKey)
+		}
+		// The producer's key is the one this release computes for the
+		// re-parsed answer: the merge order cannot depend on the layout.
+		local := mediator.Answer{Name: cur[i].Name, Binding: cur[i].Binding}
+		if local.MergeKey() != cur[i].WireKey {
+			t.Errorf("answer %d: wire key %q, locally %q", i, cur[i].WireKey, local.MergeKey())
+		}
 	}
 }

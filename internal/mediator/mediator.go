@@ -366,12 +366,43 @@ type Answer struct {
 // MergeKey is the canonical (Name, Binding) sort key doAsk orders
 // answers by, shared with the federation's cross-shard merge. The NUL
 // separator cannot occur inside either component key (both render
-// strings Go-quoted), so concatenation stays injective.
+// strings Go-quoted), so concatenation stays injective. It is defined
+// through AppendMergeKey, so the two cannot drift.
 func (a *Answer) MergeKey() string {
 	if a.WireKey != "" {
 		return a.WireKey
 	}
-	return a.Name.Key() + "\x00" + a.Binding.Key()
+	return string(a.AppendMergeKey(nil))
+}
+
+// AppendMergeKey appends the bytes of MergeKey to dst — Name.Key, NUL,
+// Binding.Key — without building either component string: a keyed
+// reply (?keys=1) renders one per answer.
+func (a *Answer) AppendMergeKey(dst []byte) []byte {
+	if a.WireKey != "" {
+		return append(dst, a.WireKey...)
+	}
+	dst = a.Name.AppendKey(dst)
+	dst = append(dst, 0)
+	var buf [8]string
+	vars := buf[:0]
+	for v := range a.Binding {
+		vars = append(vars, v)
+	}
+	slices.Sort(vars)
+	for _, v := range vars {
+		dst = append(dst, v...)
+		dst = append(dst, '=')
+		// Trees contribute their canonical key, not their display form
+		// (engine.Binding.Key's rule).
+		if tv, ok := a.Binding[v].(tree.TreeVal); ok {
+			dst = tv.Root.AppendKey(dst)
+		} else {
+			dst = tree.AppendDisplay(dst, a.Binding[v])
+		}
+		dst = append(dst, ';')
+	}
+	return dst
 }
 
 // ParseAnswer reconstructs an answer from its display form, the one

@@ -331,3 +331,47 @@ func TestAnswersDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendMergeKeyMatchesMergeKey: the append form is MergeKey byte
+// for byte, and both are the composition doAsk sorts by — Name.Key,
+// NUL, engine.Binding.Key (trees by canonical key) — unless the wire
+// supplied the key.
+func TestAppendMergeKeyMatchesMergeKey(t *testing.T) {
+	subtree := tree.TreeVal{Root: tree.Sym("car", tree.Str("Golf"), tree.IntLeaf(3), tree.FloatLeaf(2))}
+	wide := engine.Binding{}
+	for i := 0; i < 12; i++ {
+		wide[fmt.Sprintf("V%02d", 11-i)] = tree.Int(int64(i))
+	}
+	answers := []Answer{
+		{Name: tree.PlainName("b1")},
+		{Name: tree.PlainName("b1"), Binding: engine.Binding{}},
+		{Name: tree.SkolemName("Psup", tree.String("VW center"), tree.Symbol("VW"), subtree),
+			Binding: engine.Binding{"T": subtree, "N": tree.String("a\x00b;c=\"d\""), "F": tree.Float(2),
+				"R": tree.Ref{Name: tree.SkolemName("Pcar", tree.Int(1))}, "B": tree.Bool(true), "": tree.Symbol("s")}},
+		{Name: tree.PlainName("wide"), Binding: wide},
+		{Name: tree.PlainName("remote"), Binding: engine.Binding{"N": tree.Int(1)}, WireKey: "the\x00wire=key;"},
+	}
+	for i, a := range answers {
+		want := a.Name.Key() + "\x00" + a.Binding.Key()
+		if a.WireKey != "" {
+			want = a.WireKey
+		}
+		if got := a.MergeKey(); got != want {
+			t.Errorf("answer %d: MergeKey = %q, want %q", i, got, want)
+		}
+		if got := string(a.AppendMergeKey([]byte("k="))); got != "k="+want {
+			t.Errorf("answer %d: AppendMergeKey = %q, want %q", i, got, "k="+want)
+		}
+	}
+	// Every answer a real ask produces, too.
+	m := newCarMediator(t, 6)
+	got, err := m.Ask(`class -> car -*> X`)
+	if err != nil || len(got) == 0 {
+		t.Fatalf("ask: %d answers, err %v", len(got), err)
+	}
+	for _, a := range got {
+		if k := string(a.AppendMergeKey(nil)); k != a.Name.Key()+"\x00"+a.Binding.Key() {
+			t.Errorf("AppendMergeKey(%s) = %q", a.Name, k)
+		}
+	}
+}

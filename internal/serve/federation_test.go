@@ -38,7 +38,7 @@ func newFederatedServer(t *testing.T, shards int) (*federate.Federation, *Server
 
 func TestFederatedServerAsk(t *testing.T) {
 	_, _, url := newFederatedServer(t, 2)
-	resp, out := postAsk(t, url, AskRequest{Pattern: "X", Functors: []string{"Pview1"}})
+	resp, out := postAsk(t, url, wire.AskRequest{Pattern: "X", Functors: []string{"Pview1"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -54,7 +54,7 @@ func TestFederatedServerAsk(t *testing.T) {
 
 func TestFederatedServerUnroutable(t *testing.T) {
 	_, _, url := newFederatedServer(t, 2)
-	resp, _ := postAsk(t, url, AskRequest{Pattern: "X", Functors: []string{"Pnope"}})
+	resp, _ := postAsk(t, url, wire.AskRequest{Pattern: "X", Functors: []string{"Pnope"}})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", resp.StatusCode)
 	}
@@ -89,7 +89,7 @@ func TestFederatedServerHealthzShards(t *testing.T) {
 
 func TestFederatedServerStatsShards(t *testing.T) {
 	_, _, url := newFederatedServer(t, 2)
-	if resp, _ := postAsk(t, url, AskRequest{Pattern: "X"}); resp.StatusCode != http.StatusOK {
+	if resp, _ := postAsk(t, url, wire.AskRequest{Pattern: "X"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm-up ask status %d", resp.StatusCode)
 	}
 	resp, err := http.Get(url + "/stats?timing=0")
@@ -165,7 +165,7 @@ func TestFederatedServerRefreshUnsupported(t *testing.T) {
 // relies on: keys appear when asked for, never otherwise.
 func TestAskKeysParameter(t *testing.T) {
 	_, ts := newTestServer(t, Config{Pool: 1})
-	resp, out := postAsk(t, ts.URL, AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}})
+	resp, out := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -181,7 +181,7 @@ func TestAskKeysParameter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Body.Close()
-	var keyed AskResponse
+	var keyed wire.AskResponse
 	if err := json.NewDecoder(r.Body).Decode(&keyed); err != nil {
 		t.Fatal(err)
 	}

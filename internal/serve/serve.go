@@ -35,7 +35,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -405,8 +407,9 @@ func ErrorCode(err error) (code string, status int) {
 	}
 }
 
-type errorBody = wire.ErrorBody
-
+// writeJSON sends every document but the ask reply: indented, for
+// the humans and the byte goldens that read /stats, /healthz,
+// /functors, the admin replies and the error envelope.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -418,7 +421,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeErr sends the wire error envelope; every non-2xx reply goes
 // through it.
 func writeErr(w http.ResponseWriter, status int, code, message string) {
-	writeJSON(w, status, wire.ErrorResponse{Error: errorBody{Code: code, Message: message}})
+	writeJSON(w, status, wire.ErrorResponse{Error: wire.ErrorBody{Code: code, Message: message}})
 }
 
 // writeError is writeErr for an ask error, classified by ErrorCode.
@@ -427,43 +430,44 @@ func writeError(w http.ResponseWriter, err error) {
 	writeErr(w, status, code, err.Error())
 }
 
-// The request/response shapes live in internal/serve/wire, shared
-// with the federation's shard client and cmd/yatload; the aliases
-// keep this package's historical API surface.
-type (
-	// AskRequest is the POST /ask body.
-	AskRequest = wire.AskRequest
-	// AskAnswer is one answer on the wire.
-	AskAnswer = wire.AskAnswer
-	// AskResponse is the POST /ask (and GET /explain) response.
-	AskResponse = wire.AskResponse
-)
+// askBufs pools the ask reply buffers. A buffer that grew past
+// maxPooledAskBuf is dropped instead of returned, so one huge reply
+// cannot pin its memory on every P for the life of the process.
+var askBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4<<10)
+	return &b
+}}
 
-// wireAnswers renders answers for the wire; withKeys adds each
-// answer's canonical merge key (?keys=1 — the shard client always
-// asks, so a parent federation can merge by the producer's order).
-func wireAnswers(answers []mediator.Answer, withKeys bool) []AskAnswer {
-	out := make([]AskAnswer, 0, len(answers))
-	for _, a := range answers {
-		wa := AskAnswer{Name: a.Name.String()}
-		if len(a.Binding) > 0 {
-			wa.Binding = make(map[string]string, len(a.Binding))
-			for k, v := range a.Binding {
-				wa.Binding[k] = v.Display()
-			}
-		}
-		if withKeys {
-			wa.Key = a.MergeKey()
-		}
-		out = append(out, wa)
+const maxPooledAskBuf = 64 << 10
+
+// writeAsk is the ask path's one encode-and-send: /ask, /ask?explain=1
+// and GET /explain all reply through it. wire.AppendAskResponse
+// renders the answers compact into a pooled buffer, and the finished
+// body goes out in one Write with its Content-Length. The body is
+// complete before the status line is, so the ask counts as served only
+// once the client has it and as failed when the client went away
+// mid-write.
+func (s *Server) writeAsk(w http.ResponseWriter, generation int64, answers []mediator.Answer, keyed bool, profile json.RawMessage) {
+	bp := askBufs.Get().(*[]byte)
+	body := wire.AppendAskResponse((*bp)[:0], generation, answers, keyed, profile)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	if _, err := w.Write(body); err != nil {
+		s.failed.Add(1)
+	} else {
+		s.served.Add(1)
 	}
-	return out
+	if cap(body) <= maxPooledAskBuf {
+		*bp = body
+		askBufs.Put(bp)
+	}
 }
 
 func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	var req AskRequest
+	var req wire.AskRequest
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err == nil {
 		err = json.Unmarshal(body, &req)
@@ -478,8 +482,9 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", `"pattern" is required`)
 		return
 	}
-	if r.URL.Query().Get("explain") == "1" {
-		s.explainAsk(w, r, req.Pattern, req.Functors)
+	q := r.URL.Query()
+	if q.Get("explain") == "1" {
+		s.explainAsk(w, r, q, req.Pattern, req.Functors)
 		return
 	}
 	med := s.lane()
@@ -489,19 +494,14 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.served.Add(1)
-	writeJSON(w, http.StatusOK, AskResponse{
-		Generation: generationOf(med),
-		Count:      len(answers),
-		Answers:    wireAnswers(answers, r.URL.Query().Get("keys") == "1"),
-	})
+	s.writeAsk(w, generationOf(med), answers, q.Get("keys") == "1", nil)
 }
 
 // explainAsk serves one ask under a request-scoped profile: a fresh
 // mediator over the current program with its own trace.Profile, so
 // the EXPLAIN covers exactly this request (cold, slices and cache
 // decisions visible) and the pool's nil-sink lanes stay untouched.
-func (s *Server) explainAsk(w http.ResponseWriter, r *http.Request, pattern string, functors []string) {
+func (s *Server) explainAsk(w http.ResponseWriter, r *http.Request, q url.Values, pattern string, functors []string) {
 	prog := s.program()
 	if prog == nil {
 		// Askers-only servers over remote lanes have no local program to
@@ -511,7 +511,6 @@ func (s *Server) explainAsk(w http.ResponseWriter, r *http.Request, pattern stri
 			"EXPLAIN needs a local program; this server fronts opaque askers")
 		return
 	}
-	timing := r.URL.Query().Get("timing") == "1"
 	profile := trace.NewProfile()
 	med := mediator.New(prog, s.cfg.Inputs, s.laneOptions(profile)...)
 	answers, err := med.AskContext(r.Context(), pattern, functors...)
@@ -520,19 +519,13 @@ func (s *Server) explainAsk(w http.ResponseWriter, r *http.Request, pattern stri
 		writeError(w, err)
 		return
 	}
-	data, err := profile.JSON(timing)
+	data, err := profile.JSON(q.Get("timing") == "1")
 	if err != nil {
 		s.failed.Add(1)
 		writeError(w, err)
 		return
 	}
-	s.served.Add(1)
-	writeJSON(w, http.StatusOK, AskResponse{
-		Generation: med.Generation(),
-		Count:      len(answers),
-		Answers:    wireAnswers(answers, r.URL.Query().Get("keys") == "1"),
-		Profile:    data,
-	})
+	s.writeAsk(w, med.Generation(), answers, q.Get("keys") == "1", data)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -550,7 +543,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			functors = append(functors, f)
 		}
 	}
-	s.explainAsk(w, r, pattern, functors)
+	s.explainAsk(w, r, q, pattern, functors)
 }
 
 func (s *Server) handleFunctors(w http.ResponseWriter, r *http.Request) {
@@ -737,11 +730,28 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// Connection hygiene, fixed rather than configurable: a client that
+// connects and never finishes its request headers, or parks an idle
+// keep-alive connection, gives its goroutine back after these long.
+// idleTimeout outlasts the 90 s a Go client's default transport keeps
+// an idle connection, so shard clients and load drivers hang up first
+// and never race a server-side close with a POST. Neither bounds a
+// request that is being served — body reads, the ask itself and the
+// reply stay with the request context and the drain.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve runs the HTTP service on the listener until ctx is cancelled,
 // then drains: in-flight asks get up to DrainTimeout to finish before
 // the server gives up on them. A clean drain returns nil.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	s.cfg.Logf("yatserve: listening on %s (pool %d, program %q)",

@@ -19,6 +19,7 @@ import (
 
 	"yat/internal/engine"
 	"yat/internal/mediator"
+	"yat/internal/serve/wire"
 	"yat/internal/source"
 	"yat/internal/workload"
 	"yat/internal/yatl"
@@ -64,21 +65,29 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postAsk(t *testing.T, url string, req AskRequest) (*http.Response, AskResponse) {
+// rawAsk POSTs one ask (query is "" or "?explain=1"…) and returns the
+// response with its body read.
+func rawAsk(t *testing.T, base, query string, req wire.AskRequest) (*http.Response, []byte) {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/ask", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+"/ask"+query, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Buffer the body so callers can re-read it (e.g. decodeError).
+	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return resp, data
+}
+
+func postAsk(t *testing.T, url string, req wire.AskRequest) (*http.Response, wire.AskResponse) {
+	t.Helper()
+	resp, data := rawAsk(t, url, "", req)
+	// Hand the body back so callers can re-read it (e.g. decodeError).
 	resp.Body = io.NopCloser(bytes.NewReader(data))
-	var out AskResponse
+	var out wire.AskResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(data, &out); err != nil {
 			t.Fatal(err)
@@ -87,10 +96,10 @@ func postAsk(t *testing.T, url string, req AskRequest) (*http.Response, AskRespo
 	return resp, out
 }
 
-func decodeError(t *testing.T, resp *http.Response) errorBody {
+func decodeError(t *testing.T, resp *http.Response) wire.ErrorBody {
 	t.Helper()
 	defer resp.Body.Close()
-	var out map[string]errorBody
+	var out map[string]wire.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +108,7 @@ func decodeError(t *testing.T, resp *http.Response) errorBody {
 
 func TestAskEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Pool: 2})
-	resp, out := postAsk(t, ts.URL, AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}})
+	resp, out := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -125,7 +134,7 @@ func TestAskEndpoint(t *testing.T) {
 func TestAskErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	t.Run("bad-pattern", func(t *testing.T) {
-		resp, _ := postAsk(t, ts.URL, AskRequest{Pattern: "view < -> oops"})
+		resp, _ := postAsk(t, ts.URL, wire.AskRequest{Pattern: "view < -> oops"})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status %d, want 400", resp.StatusCode)
 		}
@@ -134,7 +143,7 @@ func TestAskErrors(t *testing.T) {
 		}
 	})
 	t.Run("missing-pattern", func(t *testing.T) {
-		resp, _ := postAsk(t, ts.URL, AskRequest{})
+		resp, _ := postAsk(t, ts.URL, wire.AskRequest{})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status %d, want 400", resp.StatusCode)
 		}
@@ -231,7 +240,7 @@ func TestStatsParity(t *testing.T) {
 		{tagPattern, nil},
 	}
 	for _, a := range asks {
-		if resp, _ := postAsk(t, ts.URL, AskRequest{Pattern: a.pattern, Functors: a.functors}); resp.StatusCode != 200 {
+		if resp, _ := postAsk(t, ts.URL, wire.AskRequest{Pattern: a.pattern, Functors: a.functors}); resp.StatusCode != 200 {
 			t.Fatalf("ask status %d", resp.StatusCode)
 		}
 		if _, err := ref.Ask(a.pattern, a.functors...); err != nil {
@@ -270,36 +279,38 @@ func TestStatsParity(t *testing.T) {
 
 // Request-scoped tracing: explain requests carry an EXPLAIN profile
 // covering exactly that request, and the pool's lanes keep serving
-// untraced (the profile of a later plain ask is absent again).
+// untraced (the profile of a later plain ask is absent again). Explain
+// replies go through the same encoder as any ask reply, so they are
+// framed the same way and honour ?keys=1.
 func TestExplain(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	req := wire.AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}}
 
 	// POST /ask?explain=1 returns the answers plus a request-scoped
 	// profile.
-	body, _ := json.Marshal(AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}})
-	resp, err := http.Post(ts.URL+"/ask?explain=1", "application/json", bytes.NewReader(body))
-	if err != nil {
+	resp, body := rawAsk(t, ts.URL, "?explain=1&keys=1", req)
+	checkAskFraming(t, resp, body)
+	var out wire.AskResponse
+	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	var out AskResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 || out.Count == 0 || out.Profile == nil {
-		t.Fatalf("ask?explain=1: status=%d count=%d profile=%v",
-			resp.StatusCode, out.Count, out.Profile != nil)
+	if out.Count == 0 || out.Profile == nil || out.Answers[0].Key == "" {
+		t.Fatalf("ask?explain=1&keys=1: count=%d profile=%v body=%s", out.Count, out.Profile != nil, body)
 	}
 
 	// GET /explain is the query-string form of the same thing.
-	u := ts.URL + "/explain?functors=Pview1&pattern=" + url.QueryEscape(tagPattern)
-	resp2, err := http.Get(u)
+	resp2, err := http.Get(ts.URL + "/explain?functors=Pview1&pattern=" + url.QueryEscape(tagPattern))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp2.Body.Close()
-	var out2 AskResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&out2); err != nil {
+	body2, err := io.ReadAll(resp2.Body)
+	resp2.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAskFraming(t, resp2, body2)
+	var out2 wire.AskResponse
+	if err := json.Unmarshal(body2, &out2); err != nil {
 		t.Fatal(err)
 	}
 	if out2.Count != out.Count || out2.Profile == nil {
@@ -319,9 +330,10 @@ func TestExplain(t *testing.T) {
 
 	// A plain ask afterwards carries no profile: tracing never leaks
 	// into the pool lanes.
-	resp3, out3 := postAsk(t, ts.URL, AskRequest{Pattern: tagPattern})
-	if resp3.StatusCode != 200 || out3.Profile != nil {
-		t.Fatalf("plain ask after explain: status=%d profile=%v", resp3.StatusCode, out3.Profile != nil)
+	resp3, body3 := rawAsk(t, ts.URL, "", wire.AskRequest{Pattern: tagPattern})
+	checkAskFraming(t, resp3, body3)
+	if bytes.Contains(body3, []byte(`"profile"`)) {
+		t.Fatalf("plain ask after explain carries a profile: %s", body3)
 	}
 }
 
@@ -354,7 +366,7 @@ func TestHealthzAndRefresh(t *testing.T) {
 		t.Fatalf("initial health: %d %v", code, out)
 	}
 
-	if resp, _ := postAsk(t, ts.URL, AskRequest{Pattern: tagPattern}); resp.StatusCode != 200 {
+	if resp, _ := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern}); resp.StatusCode != 200 {
 		t.Fatalf("ask status %d", resp.StatusCode)
 	}
 	if code, out := health(); code != 200 || out["status"] != "ok" {
@@ -373,7 +385,7 @@ func TestHealthzAndRefresh(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("refresh status %d", resp.StatusCode)
 	}
-	if resp, _ := postAsk(t, ts.URL, AskRequest{Pattern: tagPattern}); resp.StatusCode != 200 {
+	if resp, _ := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern}); resp.StatusCode != 200 {
 		t.Fatalf("degraded ask status %d", resp.StatusCode)
 	}
 	code, out := health()
@@ -419,7 +431,7 @@ func TestReloadRaceOverHTTP(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < asksPerWorker; i++ {
-						resp, out := postAsk(t, ts.URL, AskRequest{Pattern: tagPattern})
+						resp, out := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern})
 						if resp.StatusCode != 200 {
 							t.Errorf("ask status %d", resp.StatusCode)
 							return
@@ -487,7 +499,7 @@ func TestReloadRejectsBadPrograms(t *testing.T) {
 	if got := s.program().Name; got != "selective" {
 		t.Fatalf("program swapped to %q on a failed reload", got)
 	}
-	if resp, _ := postAsk(t, ts.URL, AskRequest{Pattern: tagPattern}); resp.StatusCode != 200 {
+	if resp, _ := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern}); resp.StatusCode != 200 {
 		t.Fatalf("ask after failed reload: %d", resp.StatusCode)
 	}
 }
@@ -519,7 +531,7 @@ func TestGracefulDrain(t *testing.T) {
 	// Launch the slow in-flight ask, then pull the plug mid-flight.
 	askDone := make(chan error, 1)
 	go func() {
-		resp, out := postAsk(t, base, AskRequest{Pattern: tagPattern})
+		resp, out := postAsk(t, base, wire.AskRequest{Pattern: tagPattern})
 		if resp.StatusCode != 200 {
 			askDone <- fmt.Errorf("status %d", resp.StatusCode)
 			return

@@ -59,7 +59,7 @@ func TestServerSnapshotRestart(t *testing.T) {
 		t.Fatalf("cold boot status %+v, want fallback %q", st, snapshot.ReasonMissing)
 	}
 
-	resp, cold := postAsk(t, ts.URL, AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}})
+	resp, cold := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}})
 	if resp.StatusCode != http.StatusOK || cold.Count == 0 {
 		t.Fatalf("warm-up ask failed: %d %+v", resp.StatusCode, cold)
 	}
@@ -96,7 +96,7 @@ func TestServerSnapshotRestart(t *testing.T) {
 		t.Fatalf("healthz snapshot status %+v", health.Snapshot)
 	}
 
-	resp, warm := postAsk(t, ts2.URL, AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}})
+	resp, warm := postAsk(t, ts2.URL, wire.AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("restored ask status %d", resp.StatusCode)
 	}
@@ -127,7 +127,7 @@ func TestServerSnapshotFallbacks(t *testing.T) {
 
 	// Seed a valid snapshot by warming a donor server.
 	_, ts := newTestServer(t, snapConfig(dir))
-	if resp, _ := postAsk(t, ts.URL, AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}}); resp.StatusCode != http.StatusOK {
+	if resp, _ := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}}); resp.StatusCode != http.StatusOK {
 		t.Fatal("warm-up failed")
 	}
 	if resp, err := http.Post(ts.URL+"/admin/snapshot", "application/json", nil); err != nil || resp.StatusCode != http.StatusOK {
@@ -146,7 +146,7 @@ func TestServerSnapshotFallbacks(t *testing.T) {
 			t.Fatalf("status %+v, want fallback %q", st, wantReason)
 		}
 		// The cold server still answers.
-		if resp, out := postAsk(t, ts.URL, AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}}); resp.StatusCode != http.StatusOK || out.Count == 0 {
+		if resp, out := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}}); resp.StatusCode != http.StatusOK || out.Count == 0 {
 			t.Fatalf("cold-boot ask failed: %d", resp.StatusCode)
 		}
 	}
@@ -246,7 +246,7 @@ func TestDrainWritesSnapshot(t *testing.T) {
 	go func() { done <- s.Serve(ctx, ln) }()
 
 	url := "http://" + ln.Addr().String()
-	body, _ := json.Marshal(AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}})
+	body, _ := json.Marshal(wire.AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}})
 	resp, err := http.Post(url+"/ask", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func TestStatsGolden(t *testing.T) {
 		Pool:    2,
 	})
 	for _, functors := range [][]string{{"Pview1"}, {"Pview1"}, {"Pview1"}, nil} {
-		if resp, _ := postAsk(t, ts.URL, AskRequest{Pattern: tagPattern, Functors: functors}); resp.StatusCode != 200 {
+		if resp, _ := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern, Functors: functors}); resp.StatusCode != 200 {
 			t.Fatalf("ask status %d", resp.StatusCode)
 		}
 	}

@@ -3,7 +3,10 @@
 // shard client (internal/federate) and the load driver (cmd/yatload).
 // One definition means the three can never drift; the JSON field
 // names are part of the wire contract, pinned by the byte-stability
-// test, and only ever grow.
+// test, and only ever grow. The server does not marshal AskResponse
+// through reflection: AppendAskResponse (encode.go) renders the same
+// bytes straight from the answers, held to json.Marshal of the struct
+// by a differential and a fuzz test.
 package wire
 
 import (

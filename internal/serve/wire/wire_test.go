@@ -2,9 +2,13 @@ package wire
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"testing"
 
+	"yat/internal/engine"
 	"yat/internal/mediator"
+	"yat/internal/tree"
 )
 
 // TestWireByteStability pins the JSON field names and order of every
@@ -144,4 +148,156 @@ func indexOf(data []byte, sub string) int {
 		}
 	}
 	return -1
+}
+
+// oracleAskResponse is the encoder AppendAskResponse replaced — the
+// server's former wireAnswers plus json.Marshal of the struct — kept
+// as the reference the append encoder must match byte for byte.
+func oracleAskResponse(t testing.TB, generation int64, answers []mediator.Answer, keyed bool, profile json.RawMessage) []byte {
+	t.Helper()
+	out := make([]AskAnswer, 0, len(answers))
+	for _, a := range answers {
+		wa := AskAnswer{Name: a.Name.String()}
+		if len(a.Binding) > 0 {
+			wa.Binding = make(map[string]string, len(a.Binding))
+			for k, v := range a.Binding {
+				wa.Binding[k] = v.Display()
+			}
+		}
+		if keyed {
+			wa.Key = a.MergeKey()
+		}
+		out = append(out, wa)
+	}
+	data, err := json.Marshal(AskResponse{Generation: generation, Count: len(answers), Answers: out, Profile: profile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(data, '\n')
+}
+
+// nastyStrings exercise every escaping rule of encoding/json: quotes
+// and backslashes, control bytes (with and without short escapes),
+// the HTML-unsafe set, the JS line separators, invalid UTF-8 in every
+// position, and plain multi-byte text.
+var nastyStrings = []string{
+	"", "plain", `say "hi"`, `back\slash`, "tab\tnl\ncr\rbs\bff\f", "nul\x00bell\x07esc\x1b del\x7f",
+	"<script>&amp;</script>", "line\u2028sep\u2029end", "\xff", "a\xc3", "\xe2\x80", "ok\xf0\x9f\x98", "\xed\xa0\x80",
+	"héllo wörld ✓ 😀", "\ufffd", "N", "a=b;c", "x\x00y",
+}
+
+// oracleValues covers every tree.Value kind, with every nasty string
+// in every position a string can take.
+func oracleValues() []tree.Value {
+	vals := []tree.Value{
+		tree.Int(0), tree.Int(-42), tree.Int(math.MaxInt64), tree.Int(math.MinInt64),
+		tree.Float(2), tree.Float(-0.5), tree.Float(1e21), tree.Float(1e-7), tree.Float(100000),
+		tree.Float(math.Inf(1)), tree.Float(math.Inf(-1)), tree.Float(math.NaN()), tree.Float(math.Copysign(0, -1)),
+		tree.Bool(true), tree.Bool(false),
+		tree.Ref{Name: tree.PlainName("s1")},
+		tree.TreeVal{Root: nil},
+		tree.TreeVal{Root: tree.Sym("leaf")},
+	}
+	for _, s := range nastyStrings {
+		vals = append(vals,
+			tree.Symbol(s), tree.String(s),
+			tree.Ref{Name: tree.SkolemName("Psup", tree.String(s), tree.Int(3))},
+			tree.TreeVal{Root: tree.Sym("car", tree.Sym(s, tree.Str(s)), tree.IntLeaf(7), tree.FloatLeaf(3),
+				tree.RefLeaf(tree.SkolemName(s, tree.Symbol(s))))},
+		)
+	}
+	return vals
+}
+
+// oracleAnswers builds answers over vals: plain and Skolem names,
+// empty, single and wide bindings (past the encoder's stack-held
+// variable list), nasty variable names, and wire-keyed answers.
+func oracleAnswers(vals []tree.Value) []mediator.Answer {
+	answers := []mediator.Answer{
+		{Name: tree.PlainName("b1")},
+		{Name: tree.PlainName("b2"), Binding: engine.Binding{}},
+		{Name: tree.SkolemName("Pview1", tree.String("Supplier 001")), WireKey: "from\x00the <wire>"},
+	}
+	wide := engine.Binding{}
+	for i, v := range vals {
+		name := tree.SkolemName("Pview", v, tree.Int(int64(i)))
+		b := engine.Binding{"N": v, nastyStrings[i%len(nastyStrings)]: vals[(i+1)%len(vals)]}
+		answers = append(answers, mediator.Answer{Name: name, Binding: b})
+		if i < 12 {
+			wide[fmt.Sprintf("V%02d", 11-i)] = v
+		}
+	}
+	return append(answers, mediator.Answer{Name: tree.PlainName("wide"), Binding: wide})
+}
+
+var oracleProfiles = []json.RawMessage{
+	nil, {},
+	json.RawMessage(`{"rules":[]}`),
+	json.RawMessage("{\n  \"rules\": [ {\"rule\": \"<View1> & \u2028\"} ],\n  \"n\": 1.50\n}\n"),
+}
+
+// TestAppendAskResponseMatchesMarshal is the differential test:
+// AppendAskResponse ≡ wireAnswers + json.Marshal + "\n" over every
+// value kind, name shape, binding shape, key mode and profile.
+func TestAppendAskResponseMatchesMarshal(t *testing.T) {
+	answers := oracleAnswers(oracleValues())
+	sets := [][]mediator.Answer{nil, {}, answers[:1], answers}
+	for si, set := range sets {
+		for _, keyed := range []bool{false, true} {
+			for pi, profile := range oracleProfiles {
+				want := oracleAskResponse(t, int64(si+1), set, keyed, profile)
+				// A non-empty dst is appended to, not overwritten.
+				got := AppendAskResponse([]byte("prefix"), int64(si+1), set, keyed, profile)
+				if string(got) != "prefix"+string(want) {
+					t.Fatalf("set %d keyed=%v profile %d diverges from json.Marshal:\n got %q\nwant %q",
+						si, keyed, pi, got[len("prefix"):], want)
+				}
+				if !json.Valid(got[len("prefix"):]) {
+					t.Fatalf("set %d keyed=%v profile %d: invalid JSON", si, keyed, pi)
+				}
+			}
+		}
+	}
+	// An invalid profile (json.Marshal of the struct would fail) is left
+	// out; the reply stays a valid document.
+	got := AppendAskResponse(nil, 1, answers[:1], false, json.RawMessage(`{"unterminated`))
+	if want := oracleAskResponse(t, 1, answers[:1], false, nil); string(got) != string(want) {
+		t.Errorf("invalid profile: got %q, want %q", got, want)
+	}
+}
+
+// FuzzAppendAskResponse holds the byte identity over arbitrary text:
+// the fuzzed strings become a Skolem functor and argument, a variable
+// name, and String, Symbol, Ref and TreeVal binding values; the
+// numbers become Int and Float values and the generation.
+func FuzzAppendAskResponse(f *testing.F) {
+	for i, s := range nastyStrings {
+		f.Add(s, nastyStrings[(i+1)%len(nastyStrings)], int64(i-3), float64(i)/4, i%2 == 0, i%3 == 0)
+	}
+	f.Add("x", "y", int64(math.MinInt64), math.Inf(-1), true, true)
+	f.Add("x", "y", int64(0), math.NaN(), false, true)
+	f.Add("x", "y", int64(1), 2.0, true, false)
+	f.Fuzz(func(t *testing.T, s1, s2 string, n int64, x float64, keyed, withProfile bool) {
+		answers := []mediator.Answer{
+			{Name: tree.PlainName(s1)},
+			{Name: tree.SkolemName(s2, tree.String(s1), tree.Int(n)), Binding: engine.Binding{
+				s1:  tree.String(s2),
+				s2:  tree.Symbol(s1),
+				"F": tree.Float(x),
+				"I": tree.Int(n),
+				"B": tree.Bool(keyed),
+				"R": tree.Ref{Name: tree.SkolemName(s1, tree.Float(x))},
+				"T": tree.TreeVal{Root: tree.Sym(s2, tree.Str(s1), tree.FloatLeaf(x), tree.RefLeaf(tree.PlainName(s2)))},
+			}},
+			{Name: tree.PlainName("remote"), WireKey: s2},
+		}
+		var profile json.RawMessage
+		if withProfile {
+			profile, _ = json.Marshal(map[string]any{s1: s2, "n": n})
+		}
+		want := oracleAskResponse(t, n, answers, keyed, profile)
+		if got := AppendAskResponse(nil, n, answers, keyed, profile); string(got) != string(want) {
+			t.Fatalf("diverges from json.Marshal:\n got %q\nwant %q", got, want)
+		}
+	})
 }

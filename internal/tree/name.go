@@ -1,9 +1,6 @@
 package tree
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Name identifies a tree in a Store. Plain names (b1, s1, Rsuppliers)
 // have an empty Args slice; Skolem-generated names carry the functor
@@ -29,11 +26,24 @@ func (n Name) String() string {
 	if n.IsPlain() {
 		return n.Functor
 	}
-	parts := make([]string, len(n.Args))
-	for i, a := range n.Args {
-		parts[i] = a.Display()
+	return string(n.AppendString(make([]byte, 0, 64)))
+}
+
+// AppendString appends the concrete syntax of the name — the bytes of
+// String() — to dst.
+func (n Name) AppendString(dst []byte) []byte {
+	dst = append(dst, n.Functor...)
+	if n.IsPlain() {
+		return dst
 	}
-	return n.Functor + "(" + strings.Join(parts, ", ") + ")"
+	dst = append(dst, '(')
+	for i, a := range n.Args {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = AppendDisplay(dst, a)
+	}
+	return append(dst, ')')
 }
 
 // Key returns a canonical map key for the name. Two names are equal
@@ -42,21 +52,27 @@ func (n Name) Key() string {
 	if n.IsPlain() {
 		return n.Functor
 	}
-	var b strings.Builder
-	b.WriteString(n.Functor)
-	b.WriteByte('(')
+	return string(n.AppendKey(make([]byte, 0, 96)))
+}
+
+// AppendKey appends the canonical key — the bytes of Key() — to dst.
+func (n Name) AppendKey(dst []byte) []byte {
+	dst = append(dst, n.Functor...)
+	if n.IsPlain() {
+		return dst
+	}
+	dst = append(dst, '(')
 	for i, a := range n.Args {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
 		// Prefix with the kind so that Symbol(x) and String("x")
 		// mint distinct identities.
-		b.WriteString(a.Kind().String())
-		b.WriteByte(':')
-		b.WriteString(a.Display())
+		dst = append(dst, a.Kind().String()...)
+		dst = append(dst, ':')
+		dst = AppendDisplay(dst, a)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(dst, ')')
 }
 
 // Equal reports whether two names identify the same tree.

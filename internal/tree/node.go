@@ -183,29 +183,29 @@ func (n *Node) Refs() []Name {
 // have equal keys exactly when Equal reports true. It is used for
 // duplicate elimination in grouping.
 func (n *Node) Key() string {
-	var b strings.Builder
-	n.writeKey(&b)
-	return b.String()
+	return string(n.AppendKey(make([]byte, 0, 128)))
 }
 
-func (n *Node) writeKey(b *strings.Builder) {
+// AppendKey appends the canonical encoding — the bytes of Key() — to
+// dst.
+func (n *Node) AppendKey(dst []byte) []byte {
 	if n == nil {
-		b.WriteString("·")
-		return
+		return append(dst, "·"...)
 	}
-	b.WriteString(n.Label.Kind().String())
-	b.WriteByte(':')
-	b.WriteString(n.Label.Display())
+	dst = append(dst, n.Label.Kind().String()...)
+	dst = append(dst, ':')
+	dst = AppendDisplay(dst, n.Label)
 	if len(n.Children) > 0 {
-		b.WriteByte('(')
+		dst = append(dst, '(')
 		for i, c := range n.Children {
 			if i > 0 {
-				b.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			c.writeKey(b)
+			dst = c.AppendKey(dst)
 		}
-		b.WriteByte(')')
+		dst = append(dst, ')')
 	}
+	return dst
 }
 
 // String renders the tree in the paper's concrete syntax:
@@ -214,28 +214,25 @@ func (n *Node) writeKey(b *strings.Builder) {
 //
 // with brackets omitted for leaves.
 func (n *Node) String() string {
-	var b strings.Builder
-	n.write(&b)
-	return b.String()
+	return string(n.appendString(make([]byte, 0, 128)))
 }
 
-func (n *Node) write(b *strings.Builder) {
+func (n *Node) appendString(dst []byte) []byte {
 	if n == nil {
-		b.WriteString("<nil>")
-		return
+		return append(dst, "<nil>"...)
 	}
-	b.WriteString(n.Label.Display())
+	dst = AppendDisplay(dst, n.Label)
 	if len(n.Children) == 0 {
-		return
+		return dst
 	}
-	b.WriteString(" < ")
+	dst = append(dst, " < "...)
 	for i, c := range n.Children {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		c.write(b)
+		dst = c.appendString(dst)
 	}
-	b.WriteString(" >")
+	return append(dst, " >"...)
 }
 
 // Indent renders the tree one node per line with two-space

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -508,5 +509,75 @@ func TestEqualValuesCrossKindNumeric(t *testing.T) {
 		if got := EqualValues(c.b, c.a); got != c.want {
 			t.Errorf("EqualValues(%v, %v) = %v (asymmetric)", c.b, c.a, got)
 		}
+	}
+}
+
+// appendCases covers every Value kind, the Float lexeme rule
+// included, nested through Ref and TreeVal.
+func appendCases() []Value {
+	texts := []string{"", "Golf", `say "hi"`, "tab\tnl\n", "<&>", "\u2028", "\xff\xfe", "héllo ✓"}
+	vals := []Value{
+		Int(0), Int(-7), Int(1995), Int(math.MaxInt64), Int(math.MinInt64),
+		Float(2), Float(1.5), Float(-0.25), Float(1e21), Float(1e-7), Float(100000), Float(123456789),
+		Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.NaN()), Float(math.Copysign(0, -1)),
+		Bool(true), Bool(false),
+		Ref{Name: PlainName("s1")},
+		TreeVal{}, TreeVal{Root: Sym("leaf")},
+	}
+	for _, s := range texts {
+		vals = append(vals, Symbol(s), String(s),
+			Ref{Name: SkolemName("Psup", String(s), Int(3), Float(2))},
+			TreeVal{Root: Sym("car", Sym(s, Str(s)), IntLeaf(7), FloatLeaf(3), nil,
+				RefLeaf(SkolemName(s, Symbol(s), TreeVal{Root: Str(s)})))})
+	}
+	return vals
+}
+
+// TestAppendDisplayMatchesDisplay: the append form is the display
+// form, byte for byte, appended after whatever dst already holds.
+func TestAppendDisplayMatchesDisplay(t *testing.T) {
+	for _, v := range appendCases() {
+		if got, want := string(AppendDisplay([]byte("k="), v)), "k="+v.Display(); got != want {
+			t.Errorf("AppendDisplay(%#v) = %q, want %q", v, got, want)
+		}
+		if tv, ok := v.(TreeVal); ok {
+			if got, want := string(tv.Root.AppendKey([]byte("k="))), "k="+tv.Root.Key(); got != want {
+				t.Errorf("Node.AppendKey = %q, want %q", got, want)
+			}
+		}
+	}
+	// The pre-append forms, spelled out: what Display has always meant.
+	for _, c := range []struct {
+		v    Value
+		want string
+	}{
+		{Float(2), "2.0"}, {Float(1e21), "1e+21"}, {Float(math.Inf(-1)), "-Inf"}, {Float(math.NaN()), "NaN"},
+		{String("a\"b\xff"), `"a\"b\xff"`}, {Ref{Name: SkolemName("P", String("x"), Int(1))}, `&P("x", 1)`},
+		{TreeVal{Root: Sym("a", Str("b"), IntLeaf(1))}, `a < "b", 1 >`}, {TreeVal{}, "<nil>"},
+	} {
+		if got := c.v.Display(); got != c.want {
+			t.Errorf("Display(%#v) = %q, want %q", c.v, got, c.want)
+		}
+	}
+}
+
+// TestAppendStringMatchesString: likewise for names, in both the
+// concrete (String) and canonical (Key) forms.
+func TestAppendStringMatchesString(t *testing.T) {
+	vals := appendCases()
+	names := []Name{PlainName("b1"), PlainName(""), SkolemName("Pall", vals...)}
+	for _, v := range vals {
+		names = append(names, SkolemName("Psup", v), SkolemName("Psup", v, Int(1)))
+	}
+	for _, n := range names {
+		if got, want := string(n.AppendString([]byte("&"))), "&"+n.String(); got != want {
+			t.Errorf("AppendString = %q, want %q", got, want)
+		}
+		if got, want := string(n.AppendKey([]byte("&"))), "&"+n.Key(); got != want {
+			t.Errorf("AppendKey = %q, want %q", got, want)
+		}
+	}
+	if got, want := SkolemName("Psup", String("VW"), Float(2)).Key(), `Psup(string:"VW",float:2.0)`; got != want {
+		t.Errorf("Key = %q, want %q", got, want)
 	}
 }

@@ -10,6 +10,7 @@
 package tree
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -101,23 +102,63 @@ func (s Symbol) Display() string { return string(s) }
 
 // Display implements Value. The text is quoted Go-style so it can be
 // re-parsed losslessly.
-func (s String) Display() string { return strconv.Quote(string(s)) }
+func (s String) Display() string {
+	var buf [64]byte
+	return string(strconv.AppendQuote(buf[:0], string(s)))
+}
 
 // Display implements Value.
 func (i Int) Display() string { return strconv.FormatInt(int64(i), 10) }
 
 // Display implements Value.
 func (f Float) Display() string {
-	s := strconv.FormatFloat(float64(f), 'g', -1, 64)
-	// Guarantee a float lexeme (distinguishable from Int on re-parse).
-	if !strings.ContainsAny(s, ".eE") && !strings.Contains(s, "Inf") && !strings.Contains(s, "NaN") {
-		s += ".0"
-	}
-	return s
+	var buf [32]byte
+	return string(appendFloat(buf[:0], float64(f)))
 }
 
 // Display implements Value.
 func (b Bool) Display() string { return strconv.FormatBool(bool(b)) }
+
+// appendFloat is Float's display form, the one place its lexeme rule
+// lives.
+func appendFloat(dst []byte, f float64) []byte {
+	n := len(dst)
+	dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
+	// Guarantee a float lexeme (distinguishable from Int on re-parse):
+	// digits alone gain ".0"; exponents, Inf ('I') and NaN ('N') stay.
+	if !bytes.ContainsAny(dst[n:], ".eEIN") {
+		dst = append(dst, ".0"...)
+	}
+	return dst
+}
+
+// AppendDisplay appends v's display form — the bytes of v.Display() —
+// to dst, without building the intermediate strings: it is how the
+// serving layer renders answers straight into its reply buffer. The
+// composite forms (Float, Ref, TreeVal, Name.String, Node.String) are
+// defined through the append form; String, Int and Bool pair
+// strconv's own Append/Format twins.
+func AppendDisplay(dst []byte, v Value) []byte {
+	switch x := v.(type) {
+	case Symbol:
+		return append(dst, x...)
+	case String:
+		return strconv.AppendQuote(dst, string(x))
+	case Int:
+		return strconv.AppendInt(dst, int64(x), 10)
+	case Float:
+		return appendFloat(dst, float64(x))
+	case Bool:
+		return strconv.AppendBool(dst, bool(x))
+	case Ref:
+		return x.Name.AppendString(append(dst, '&'))
+	case TreeVal:
+		return x.Root.appendString(dst)
+	}
+	// Value implementations outside this package (the engine's
+	// dereference placeholder) only have the string form.
+	return append(dst, v.Display()...)
+}
 
 // Equal implements Value.
 func (s Symbol) Equal(v Value) bool { o, ok := v.(Symbol); return ok && o == s }
@@ -154,7 +195,9 @@ type Ref struct {
 func (Ref) Kind() Kind { return KindRef }
 
 // Display implements Value.
-func (r Ref) Display() string { return "&" + r.Name.String() }
+func (r Ref) Display() string {
+	return string(AppendDisplay(make([]byte, 0, 64), r))
+}
 
 // Equal implements Value.
 func (r Ref) Equal(v Value) bool {
