@@ -3,7 +3,11 @@ package yat
 // One benchmark per experiment of EXPERIMENTS.md (the paper has no
 // quantitative tables; every figure and performance claim maps to a
 // benchmark here — see DESIGN.md §4), plus ablations for the design
-// choices called out in DESIGN.md §6.
+// choices called out in DESIGN.md §6. The six series of EXPERIMENTS.md
+// (E1, E3, E5, E7, E8, E11) sweep their sizes as sub-benchmarks and
+// report the counts of each table row (objects, pages, bindings, …) as
+// metrics beside ns/op, so `go test -run '^$' -bench . .` regenerates
+// every table.
 
 import (
 	"fmt"
@@ -40,19 +44,27 @@ func mustRunB(b *testing.B, p *Program, s *Store) *Result {
 func BenchmarkFig1Scenario(b *testing.B) {
 	first := mustProg(b, Rules1And2)
 	web := mustProg(b, WebRules)
-	inputs := workload.BrochureStore(20, 3, 10, 42)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mid := mustRunB(b, first, inputs)
-		interm := NewStore()
-		for _, e := range mid.Outputs.Entries() {
-			interm.Put(e.Name, e.Tree)
-		}
-		res := mustRunB(b, web, interm)
-		if _, err := ExportHTML(res.Outputs, nil); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{5, 20, 100, 400} {
+		inputs := workload.BrochureStore(n, 3, max(n/2, 2), 42)
+		b.Run(fmt.Sprintf("brochures=%d", n), func(b *testing.B) {
+			var objects, pages int
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mid := mustRunB(b, first, inputs)
+				interm := NewStore()
+				for _, e := range mid.Outputs.Entries() {
+					interm.Put(e.Name, e.Tree)
+				}
+				res := mustRunB(b, web, interm)
+				out, err := ExportHTML(res.Outputs, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				objects, pages = interm.Len(), len(out)
+			}
+			b.ReportMetric(float64(objects), "objects")
+			b.ReportMetric(float64(pages), "pages")
+		})
 	}
 }
 
@@ -82,13 +94,16 @@ func BenchmarkFig2Instantiation(b *testing.B) {
 
 func BenchmarkFig3Rule1(b *testing.B) {
 	prog := mustProg(b, "program p\n"+yatl.Rule1Source)
-	for _, n := range []int{10, 100, 1000} {
+	for _, n := range []int{10, 100, 1000, 4000} {
 		store := workload.BrochureStore(n, 3, 20, 42)
 		b.Run(fmt.Sprintf("brochures=%d", n), func(b *testing.B) {
+			var res *Result
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				mustRunB(b, prog, store)
+				res = mustRunB(b, prog, store)
 			}
+			b.ReportMetric(float64(res.Stats.Bindings), "bindings")
+			b.ReportMetric(float64(res.Outputs.Len()), "objects")
 		})
 	}
 }
@@ -97,7 +112,7 @@ func BenchmarkFig3Rule1(b *testing.B) {
 
 func BenchmarkRule3Join(b *testing.B) {
 	prog := mustProg(b, "program p\n"+yatl.Rule3Source)
-	for _, n := range []int{10, 50, 200} {
+	for _, n := range []int{10, 50, 200, 800} {
 		pool := workload.Suppliers(n/2+2, 7)
 		brochures := workload.Brochures(n, 2, pool, 7)
 		db := workload.DealerDatabase(brochures, pool, 7)
@@ -108,13 +123,32 @@ func BenchmarkRule3Join(b *testing.B) {
 		for _, e := range ImportRelational(db).Entries() {
 			store.Put(e.Name, e.Tree)
 		}
+		rows := 0
+		for _, name := range db.Names() {
+			t, _ := db.Table(name)
+			rows += t.Len()
+		}
 		b.Run(fmt.Sprintf("brochures=%d", n), func(b *testing.B) {
+			var res *Result
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				mustRunB(b, prog, store)
+				res = mustRunB(b, prog, store)
 			}
+			b.ReportMetric(float64(rows), "rows")
+			b.ReportMetric(float64(countFunctor(res, "Pcar")), "cars")
 		})
 	}
+}
+
+// countFunctor counts a run's outputs minted by one Skolem functor.
+func countFunctor(res *Result, functor string) int {
+	n := 0
+	for _, e := range res.Outputs.Entries() {
+		if e.Name.Functor == functor {
+			n++
+		}
+	}
+	return n
 }
 
 // --- E6: Rule 4 ordered grouping --------------------------------------------
@@ -133,7 +167,7 @@ func BenchmarkRule4Grouping(b *testing.B) {
 
 func BenchmarkFig4Transpose(b *testing.B) {
 	prog := mustProg(b, TransposeRule)
-	for _, n := range []int{8, 32, 64} {
+	for _, n := range []int{8, 32, 64, 128} {
 		store := NewStore()
 		store.Put(PlainName("m"), workload.MatrixTree(n, n))
 		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
@@ -141,6 +175,7 @@ func BenchmarkFig4Transpose(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mustRunB(b, prog, store)
 			}
+			b.ReportMetric(float64(n*n), "cells")
 		})
 	}
 }
@@ -149,13 +184,16 @@ func BenchmarkFig4Transpose(b *testing.B) {
 
 func BenchmarkWebProgram(b *testing.B) {
 	prog := mustProg(b, WebRules)
-	for _, n := range []int{5, 25, 100} {
+	for _, n := range []int{5, 25, 100, 400} {
 		store := workload.ODMGStore(n, n/2+1, 3, 11)
 		b.Run(fmt.Sprintf("cars=%d", n), func(b *testing.B) {
+			var res *Result
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				mustRunB(b, prog, store)
+				res = mustRunB(b, prog, store)
 			}
+			b.ReportMetric(float64(countFunctor(res, "HtmlPage")), "pages")
+			b.ReportMetric(float64(countFunctor(res, "HtmlElement")), "elements")
 		})
 	}
 }
@@ -215,9 +253,10 @@ func BenchmarkComposedVsSequential(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, n := range []int{10, 50, 200} {
+	for _, n := range []int{10, 50, 200, 800} {
 		inputs := workload.BrochureStore(n, 3, n/2+2, 5)
 		b.Run(fmt.Sprintf("sequential/brochures=%d", n), func(b *testing.B) {
+			var intermediates int
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				mid := mustRunB(b, first, inputs)
@@ -225,8 +264,10 @@ func BenchmarkComposedVsSequential(b *testing.B) {
 				for _, e := range mid.Outputs.Entries() {
 					interm.Put(e.Name, e.Tree)
 				}
+				intermediates = interm.Len()
 				mustRunB(b, second, interm)
 			}
+			b.ReportMetric(float64(intermediates), "intermediates")
 		})
 		b.Run(fmt.Sprintf("composed/brochures=%d", n), func(b *testing.B) {
 			b.ReportAllocs()

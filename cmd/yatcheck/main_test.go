@@ -218,9 +218,19 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, want 0", code)
 	}
-	for _, name := range []string{"range-restriction", "safety", "typing", "coverage"} {
+	for _, name := range []string{"range-restriction", "safety", "typing", "coverage", "deadrule"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, stdout)
+		}
+	}
+	// One row per analyzer: the optimizer's facts (symbols, dispatch
+	// index, strata) belong to -facts, they are not passes.
+	if rows := strings.Count(stdout, "\n"); rows != 12 {
+		t.Errorf("-list prints %d rows, want 12:\n%s", rows, stdout)
+	}
+	for _, name := range []string{"symtab", "dispatch", "strata"} {
+		if strings.Contains(stdout, name) {
+			t.Errorf("-list still names the silent fact producer %s:\n%s", name, stdout)
 		}
 	}
 }

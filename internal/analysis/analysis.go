@@ -17,9 +17,9 @@ package analysis
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
+	"sync"
 
 	"yat/internal/engine"
 	"yat/internal/pattern"
@@ -117,7 +117,7 @@ type Pass struct {
 	Registry *engine.Registry
 
 	diags *[]Diagnostic
-	facts map[reflect.Type]Fact
+	facts func() *engine.ProgramFacts
 }
 
 // Report records a diagnostic; an empty Category defaults to the
@@ -153,7 +153,7 @@ func Run(prog *yatl.Program, analyzers []*Analyzer, opts *Options) ([]Diagnostic
 		reg = engine.NewRegistry()
 	}
 	var diags []Diagnostic
-	facts := map[reflect.Type]Fact{}
+	facts := sync.OnceValue(func() *engine.ProgramFacts { return engine.AnalyzeProgram(prog) })
 	for _, a := range analyzers {
 		pass := &Pass{Analyzer: a, Prog: prog, Registry: reg, diags: &diags, facts: facts}
 		if err := a.Run(pass); err != nil {
@@ -217,10 +217,9 @@ func AtLeast(diags []Diagnostic, min Severity) int {
 }
 
 // DefaultAnalyzers returns every analyzer of the framework: the eight
-// syntactic checks, the safety, typing and coverage adapters, and the
-// fact-producing optimizer passes (symtab, dispatch and strata export
-// facts; deadrule consumes them and reports the statically-dead
-// rules). Producers precede consumers; Run executes in order.
+// syntactic checks, the safety, typing and coverage adapters, and
+// deadrule, which reports what the optimizer's analysis proves dead.
+// Run executes them in order.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		RangeRestriction,
@@ -234,9 +233,6 @@ func DefaultAnalyzers() []*Analyzer {
 		Safety,
 		Typing,
 		Coverage,
-		Interning,
-		Dispatch,
-		Strata,
 		DeadRule,
 	}
 }

@@ -1,148 +1,22 @@
-// The Facts system: typed values computed by one analyzer and
-// consumed by later ones in the same Run, mirroring go/analysis
-// facts. A fact producer calls Pass.ExportFact once; a consumer calls
-// Pass.ImportFact with a pointer to a zero fact of the wanted type
-// and receives a copy. Facts are keyed by concrete type, are scoped
-// to one driver Run (one program), and never outlive it — reanalysis
-// after a reload starts from an empty fact table.
-//
-// The optimizer passes live here too. One engine.AnalyzeProgram call
-// feeds all of them: Interning exports the symbol table, Dispatch the
-// head-symbol index, Strata the evaluation order, and DeadRule — the
-// only one that speaks — reports the statically-dead rules. The first
-// pass to need the engine facts computes and exports them, so the
-// expensive analysis runs exactly once per driver Run no matter how
-// many passes consume it.
+// The optimizer's analysis, as the framework sees it: DeadRule reports
+// what engine.AnalyzeProgram proves dead, and ReportFacts shapes the
+// same analysis for `yatcheck -facts`. Symbol interning, the dispatch
+// index and the strata are facts of that one analysis, not passes of
+// their own: nothing here has a diagnostic to give about them.
 package analysis
 
 import (
 	"encoding/json"
 	"fmt"
-	"reflect"
 
 	"yat/internal/engine"
 	"yat/internal/yatl"
 )
 
-// Fact is a typed value flowing between analyzers in one driver Run.
-// Implementations are pointer types; AFact is a marker method.
-type Fact interface{ AFact() }
-
-// ExportFact publishes a fact for later analyzers in the same Run.
-// One fact per concrete type: a second export of the same type
-// replaces the first.
-func (p *Pass) ExportFact(f Fact) {
-	if p.facts == nil {
-		p.facts = map[reflect.Type]Fact{}
-	}
-	p.facts[reflect.TypeOf(f)] = f
-}
-
-// ImportFact copies the fact of ptr's type into *ptr and reports
-// whether one was exported. ptr must be a non-nil pointer to a fact
-// value, exactly as exported (a *SymbolsFact imports a *SymbolsFact).
-func (p *Pass) ImportFact(ptr Fact) bool {
-	f, ok := p.facts[reflect.TypeOf(ptr)]
-	if !ok {
-		return false
-	}
-	v := reflect.ValueOf(ptr).Elem()
-	v.Set(reflect.ValueOf(f).Elem())
-	return true
-}
-
-// ProgramFactsFact carries the engine's full optimizer facts — the
-// shared substrate the individual optimizer passes project from.
-type ProgramFactsFact struct{ Facts *engine.ProgramFacts }
-
-// AFact marks ProgramFactsFact as a Fact.
-func (*ProgramFactsFact) AFact() {}
-
-// SymbolsFact carries the program's interned symbol table.
-type SymbolsFact struct {
-	// Count is the number of distinct symbols.
-	Count int
-	// Names lists the symbols in sorted order.
-	Names []string
-}
-
-// AFact marks SymbolsFact as a Fact.
-func (*SymbolsFact) AFact() {}
-
-// DispatchFact summarizes the head-symbol dispatch index.
-type DispatchFact struct {
-	// Roots is the number of distinct root symbols indexed; zero when
-	// dispatch is disabled (duplicate rule names).
-	Roots int
-	// Enabled reports whether the index was built at all.
-	Enabled bool
-}
-
-// AFact marks DispatchFact as a Fact.
-func (*DispatchFact) AFact() {}
-
-// StrataFact carries the dependency stratification: each stratum is
-// one strongly-connected component of the functor demand graph,
-// dependencies before dependents.
-type StrataFact struct{ Strata [][]string }
-
-// AFact marks StrataFact as a Fact.
-func (*StrataFact) AFact() {}
-
-// programFacts returns the engine facts for the pass's program,
-// computing and exporting them on first need so every later pass
-// reuses the same analysis.
-func programFacts(pass *Pass) *engine.ProgramFacts {
-	var pf ProgramFactsFact
-	if pass.ImportFact(&pf) {
-		return pf.Facts
-	}
-	f := engine.AnalyzeProgram(pass.Prog)
-	pass.ExportFact(&ProgramFactsFact{Facts: f})
-	return f
-}
-
-// Interning is the symbol-interning pass: it computes the engine
-// facts (once per Run) and exports the dense symbol table. It reports
-// nothing — interning cannot fail, only inform.
-var Interning = &Analyzer{
-	Name: "symtab",
-	Doc:  "intern every label, functor and Skolem name into a dense symbol table (fact producer)",
-	Run: func(pass *Pass) error {
-		f := programFacts(pass)
-		pass.ExportFact(&SymbolsFact{Count: f.Syms.Len(), Names: f.Syms.Names()})
-		return nil
-	},
-}
-
-// Dispatch is the head-symbol dispatch pass: it exports the index
-// summary the engine's match phase uses to skip rules. Silent.
-var Dispatch = &Analyzer{
-	Name: "dispatch",
-	Doc:  "build the head-symbol dispatch index over interned symbols (fact producer)",
-	Run: func(pass *Pass) error {
-		f := programFacts(pass)
-		fact := &DispatchFact{Enabled: f.Dispatch != nil}
-		if f.Dispatch != nil {
-			fact.Roots = f.Dispatch.Roots()
-		}
-		pass.ExportFact(fact)
-		return nil
-	},
-}
-
-// Strata is the stratification pass: it exports the functor
-// evaluation order (dependencies first). Silent — cycles are legal;
-// the safety analyzer owns the illegal ones.
-var Strata = &Analyzer{
-	Name: "strata",
-	Doc:  "stratify the functor groups by demand dependency (fact producer)",
-	Run: func(pass *Pass) error {
-		f := programFacts(pass)
-		pass.ExportFact(&StrataFact{Strata: f.Strata})
-		return nil
-	},
-}
+// ProgramFacts returns the optimizer's analysis of the pass's program
+// (engine.AnalyzeProgram), computed on first need and shared by every
+// pass of the driver Run.
+func (p *Pass) ProgramFacts() *engine.ProgramFacts { return p.facts() }
 
 // DeadRule reports the statically-dead rules: rules whose constant
 // predicates can never hold, positioned on the offending predicate,
@@ -152,7 +26,7 @@ var DeadRule = &Analyzer{
 	Name: "deadrule",
 	Doc:  "report rules that can never fire and rules unreachable from any root functor",
 	Run: func(pass *Pass) error {
-		f := programFacts(pass)
+		f := pass.ProgramFacts()
 		byName := map[string]*yatl.Rule{}
 		for _, r := range pass.Prog.Rules {
 			byName[r.Name] = r

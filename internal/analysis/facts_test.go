@@ -5,90 +5,33 @@ import (
 	"path/filepath"
 	"testing"
 
-	"yat/internal/yatl"
+	"yat/internal/engine"
 )
 
-// TestFactFlow pins the facts plumbing: a producer's export is
-// visible to every later pass in the same Run, and a fresh Run starts
-// from an empty table.
-func TestFactFlow(t *testing.T) {
-	prog, err := yatl.Parse("program p" + yatl.Rule1Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var syms SymbolsFact
-	var disp DispatchFact
-	var strata StrataFact
-	probe := &Analyzer{
-		Name: "probe",
-		Doc:  "test-only fact consumer",
-		Run: func(pass *Pass) error {
-			if !pass.ImportFact(&syms) {
-				t.Error("SymbolsFact not exported")
-			}
-			if !pass.ImportFact(&disp) {
-				t.Error("DispatchFact not exported")
-			}
-			if !pass.ImportFact(&strata) {
-				t.Error("StrataFact not exported")
-			}
-			return nil
-		},
-	}
-	if _, err := Run(prog, append(DefaultAnalyzers(), probe), nil); err != nil {
-		t.Fatal(err)
-	}
-	if syms.Count == 0 || len(syms.Names) != syms.Count {
-		t.Errorf("symbols fact = %+v", syms)
-	}
-	if !disp.Enabled || disp.Roots == 0 {
-		t.Errorf("dispatch fact = %+v", disp)
-	}
-	if len(strata.Strata) == 0 {
-		t.Errorf("strata fact = %+v", strata)
-	}
-
-	// A consumer running before any producer sees nothing.
-	empty := &Analyzer{
-		Name: "empty-probe",
-		Doc:  "test-only early consumer",
-		Run: func(pass *Pass) error {
-			var f SymbolsFact
-			if pass.ImportFact(&f) {
-				t.Error("fact visible before any producer ran")
-			}
-			return nil
-		},
-	}
-	if _, err := Run(prog, []*Analyzer{empty}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDeadRuleSharesOneAnalysis: the four optimizer passes must share
-// one engine.AnalyzeProgram result via the ProgramFactsFact, not
-// recompute it per pass.
+// TestDeadRuleSharesOneAnalysis: every pass of one Run that asks for
+// the optimizer's analysis gets the same engine.AnalyzeProgram result,
+// computed once, and the next Run computes its own.
 func TestDeadRuleSharesOneAnalysis(t *testing.T) {
 	prog := parseFile(t, filepath.Join("testdata", "unreachable_cycle.yatl"))
-	var pf1, pf2 ProgramFactsFact
-	grab := func(dst *ProgramFactsFact) *Analyzer {
-		return &Analyzer{
-			Name: "grab",
-			Doc:  "test-only fact grabber",
-			Run: func(pass *Pass) error {
-				pass.ImportFact(dst)
-				return nil
-			},
+	var seen []*engine.ProgramFacts
+	grab := &Analyzer{
+		Name: "grab",
+		Doc:  "test-only facts grabber",
+		Run: func(pass *Pass) error {
+			seen = append(seen, pass.ProgramFacts())
+			return nil
+		},
+	}
+	for run := 0; run < 2; run++ {
+		if _, err := Run(prog, []*Analyzer{grab, DeadRule, grab}, nil); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Two grabbers at different points in the pipeline see the same
-	// underlying facts pointer.
-	as := []*Analyzer{Interning, grab(&pf1), Dispatch, Strata, DeadRule, grab(&pf2)}
-	if _, err := Run(prog, as, nil); err != nil {
-		t.Fatal(err)
+	if seen[0] == nil || !seen[0].For(prog) || seen[0] != seen[1] {
+		t.Error("the passes of one Run did not share one AnalyzeProgram result")
 	}
-	if pf1.Facts == nil || pf1.Facts != pf2.Facts {
-		t.Error("optimizer passes did not share one AnalyzeProgram result")
+	if seen[2] == seen[0] || seen[2] != seen[3] {
+		t.Error("a second Run did not compute its own analysis")
 	}
 }
 

@@ -349,7 +349,7 @@ func (ev *evaluator) evalLetsAndPreds(rule *yatl.Rule, b symBinding, d *derivati
 		if !lok || !rok {
 			continue // residualized by substPreds
 		}
-		if !evalComparison(p.Op, lv, rv) {
+		if ok, _ := p.Op.Holds(lv, rv); !ok {
 			return nil, false, nil
 		}
 	}
@@ -380,23 +380,4 @@ func constOperand(o yatl.Operand, b symBinding) (tree.Value, bool) {
 		return c.Value, true
 	}
 	return nil, false
-}
-
-func evalComparison(op yatl.CmpOp, a, b tree.Value) bool {
-	cmp := tree.Compare(a, b)
-	switch op {
-	case yatl.OpEq:
-		return tree.EqualValues(a, b)
-	case yatl.OpNe:
-		return !tree.EqualValues(a, b)
-	case yatl.OpLt:
-		return cmp < 0
-	case yatl.OpLe:
-		return cmp <= 0
-	case yatl.OpGt:
-		return cmp > 0
-	case yatl.OpGe:
-		return cmp >= 0
-	}
-	return false
 }

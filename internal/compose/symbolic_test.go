@@ -141,9 +141,13 @@ func TestEvalComparisonOperators(t *testing.T) {
 		{yatl.OpGe, tree.Int(2), tree.Int(3), false},
 		{yatl.OpLt, tree.String("a"), tree.String("b"), true},
 	}
+	// A comparison between constants is decided at composition time
+	// (yatl.CmpOp.Holds): the alternative survives exactly when it holds.
 	for _, c := range cases {
-		if got := evalComparison(c.op, c.a, c.b); got != c.want {
-			t.Errorf("evalComparison(%v, %v, %v) = %v, want %v", c.op, c.a, c.b, got, c.want)
+		rule := &yatl.Rule{Preds: []yatl.Pred{{Left: yatl.ConstOperand(c.a), Op: c.op, Right: yatl.ConstOperand(c.b)}}}
+		_, got, err := (&evaluator{}).evalLetsAndPreds(rule, symBinding{}, &derivation{})
+		if err != nil || got != c.want {
+			t.Errorf("alternative under %v %v %v kept = %v (%v), want %v", c.a, c.op, c.b, got, err, c.want)
 		}
 	}
 }

@@ -455,25 +455,8 @@ func DeadPredIndex(r *yatl.Rule) int {
 // semantics. Unknown operators evaluate true (the engine errors on
 // them at run time; that is not deadness).
 func constPredTrue(p yatl.Pred) bool {
-	l, r := p.Left.Const, p.Right.Const
-	switch p.Op {
-	case yatl.OpEq:
-		return tree.EqualValues(l, r)
-	case yatl.OpNe:
-		return !tree.EqualValues(l, r)
-	}
-	cmp := tree.Compare(l, r)
-	switch p.Op {
-	case yatl.OpLt:
-		return cmp < 0
-	case yatl.OpLe:
-		return cmp <= 0
-	case yatl.OpGt:
-		return cmp > 0
-	case yatl.OpGe:
-		return cmp >= 0
-	}
-	return true
+	ok, known := p.Op.Holds(p.Left.Const, p.Right.Const)
+	return ok || !known
 }
 
 // headRefs lists the functor names a rule's head tree references

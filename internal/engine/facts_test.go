@@ -226,6 +226,12 @@ func TestNeverFire(t *testing.T) {
 			t.Errorf("singleton dead rule %s not prunable", dead)
 		}
 	}
+	// An operator that is none of the six errors at run time; that is
+	// not deadness, whatever its constant operands are.
+	odd := &yatl.Rule{Preds: []yatl.Pred{{Left: yatl.ConstOperand(tree.Int(1)), Op: yatl.CmpOp(99), Right: yatl.ConstOperand(tree.Int(2))}}}
+	if i := DeadPredIndex(odd); i != -1 {
+		t.Errorf("unknown comparison operator proved the rule dead at predicate %d", i)
+	}
 }
 
 const blockedDeadSource = `

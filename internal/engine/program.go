@@ -897,22 +897,11 @@ func (r *run) evalPred(rule *yatl.Rule, p yatl.Pred, b Binding) (ok bool, warns 
 	if !rok {
 		return false, nil, nil
 	}
-	cmp := tree.Compare(left, right)
-	switch p.Op {
-	case yatl.OpEq:
-		return tree.EqualValues(left, right), nil, nil
-	case yatl.OpNe:
-		return !tree.EqualValues(left, right), nil, nil
-	case yatl.OpLt:
-		return cmp < 0, nil, nil
-	case yatl.OpLe:
-		return cmp <= 0, nil, nil
-	case yatl.OpGt:
-		return cmp > 0, nil, nil
-	case yatl.OpGe:
-		return cmp >= 0, nil, nil
+	ok, known := p.Op.Holds(left, right)
+	if !known {
+		return false, nil, fmt.Errorf("engine: rule %s: unknown comparison", rule.Name)
 	}
-	return false, nil, fmt.Errorf("engine: rule %s: unknown comparison", rule.Name)
+	return ok, nil, nil
 }
 
 func resolveOperands(b Binding, ops []yatl.Operand) ([]tree.Value, bool) {

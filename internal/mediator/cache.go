@@ -40,7 +40,7 @@ type demandCache struct {
 	// memo holds the assembled answers of completed asks: the repeat of
 	// an identical ask skips matching entirely. Cleared by every
 	// mutation of groups.
-	memo map[askKey]memoVal
+	memo map[askKey][]Answer
 }
 
 // group is one cached functor group. Immutable once published.
@@ -84,16 +84,6 @@ func runOf(sl *engine.Slice, res *engine.SliceResult) sliceRun {
 	return run
 }
 
-// memoVal is one ask memo entry: the answers plus the identity data a
-// snapshot needs to re-key the entry in another process (the pattern
-// source text — empty when the ask arrived pre-parsed and therefore
-// cannot be persisted — and the functor restriction).
-type memoVal struct {
-	answers  []Answer
-	src      string
-	functors []string
-}
-
 // askKey identifies one memoizable ask: the parsed pattern (by
 // pointer — Ask's pattern parse cache hands back a stable *PTree per
 // source text) and the functor restriction.
@@ -107,7 +97,7 @@ type askKey struct {
 const maxAskMemo = 512
 
 func newDemandCache(slice func(functors ...string) *engine.Slice) *demandCache {
-	return &demandCache{slice: slice, groups: map[string]*group{}, memo: map[askKey]memoVal{}}
+	return &demandCache{slice: slice, groups: map[string]*group{}, memo: map[askKey][]Answer{}}
 }
 
 func (c *demandCache) version() uint64 { return c.ver }
@@ -238,12 +228,9 @@ func (g *group) dependsOn(rules map[string]bool, sourceKeys []string) bool {
 // lookup returns a memoized ask's answers. The slice is the memo's own
 // and must be copied before it is handed to a caller.
 func (c *demandCache) lookup(key askKey) ([]Answer, bool) {
-	val, ok := c.memo[key]
-	return val.answers, ok
+	answers, ok := c.memo[key]
+	return answers, ok
 }
-
-// memos is a read-only view of the ask memo's entries.
-func (c *demandCache) memos() map[askKey]memoVal { return c.memo }
 
 // mutated is the one place a change to groups is made visible to the
 // ask memo: the version moves on and every memoized answer goes.
@@ -400,12 +387,9 @@ func (c *demandCache) carryOver(slice func(functors ...string) *engine.Slice, ke
 
 // memoize records a completed ask's answers, unless the cache mutated
 // since the version the answers were derived from or the memo is full.
-// src is the pattern's source text when known ("" for pre-parsed asks,
-// which then memoize but cannot be persisted).
-func (c *demandCache) memoize(key askKey, src string, functors []string, answers []Answer, version uint64) {
+func (c *demandCache) memoize(key askKey, answers []Answer, version uint64) {
 	if c.ver != version || len(c.memo) >= maxAskMemo {
 		return
 	}
-	c.memo[key] = memoVal{answers: append([]Answer(nil), answers...), src: src,
-		functors: append([]string(nil), functors...)}
+	c.memo[key] = append([]Answer(nil), answers...)
 }

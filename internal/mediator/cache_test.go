@@ -146,7 +146,7 @@ func TestCacheMutatorsBumpVersion(t *testing.T) {
 	m.InvalidateRule("no-such-rule")
 	refresh("ant")() // an empty delta
 	g := m.state().dgen
-	g.cache.memoize(askKey{}, "", nil, nil, before-1)
+	g.cache.memoize(askKey{}, nil, before-1)
 	if after, kept := w.look(t, m); after != before || kept != memo {
 		t.Errorf("no-op steps moved the cache: version %d -> %d, memo %d -> %d", before, after, memo, kept)
 	}

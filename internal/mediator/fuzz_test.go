@@ -1,0 +1,133 @@
+package mediator
+
+import (
+	"encoding/json"
+	"errors"
+	"slices"
+	"testing"
+
+	"yat/internal/snapshot"
+	"yat/internal/yatl"
+)
+
+// FuzzRestore feeds Restore a snapshot whose envelope is in order — this
+// format, this program's and these options' hashes — around a fuzzed
+// payload, decoded as snapshot.Decode decodes one. Whatever the payload
+// says, the restore either succeeds and then answers without error, or
+// is refused with a typed *snapshot.LoadError, leaving the mediator
+// answering exactly as a cold one. It never panics.
+func FuzzRestore(f *testing.F) {
+	prog := yatl.MustParse(pairProgram)
+	newMediator := func() *Mediator { return New(prog, pairStore(), WithDemandDriven(true)) }
+
+	donor := newMediator()
+	as, err := donor.Ask(`X`, "Pitem")
+	if err != nil || len(as) != 2 {
+		f.Fatalf("donor ask: %d answers, %v", len(as), err)
+	}
+	cold := render(as)
+	snap, err := donor.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	// Seeds: the donor's own payload and the forgeries of the unit tests.
+	seed := func(edit func(*snapshot.Generation)) {
+		g := *snap.Payload
+		g.Rules = append([]snapshot.RuleCache(nil), g.Rules...)
+		edit(&g)
+		data, err := json.Marshal(&g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	seed(func(*snapshot.Generation) {})
+	seed(func(g *snapshot.Generation) { g.Rules = g.Rules[1:] }) // FromBeta without its sibling
+	seed(func(g *snapshot.Generation) {
+		g.Rules = append(g.Rules, snapshot.RuleCache{Rule: "NoSuchRule", Cached: true})
+	})
+	seed(func(g *snapshot.Generation) { g.Degraded = []string{"src1"} })
+	seed(func(g *snapshot.Generation) {
+		g.Rules[0].Entries, g.Rules[1].Entries = g.Rules[1].Entries, g.Rules[0].Entries
+	})
+	seed(func(g *snapshot.Generation) {
+		g.Rules[0].Entries = []snapshot.Entry{{Name: g.Rules[0].Entries[0].Name, Tree: "item <"}}
+	})
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"rules":[{"rule":"FromAlpha","cached":true,"entries":[{"name":"Pitem(","tree":""}]}]}`))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		forged := *snap
+		forged.Payload = &snapshot.Generation{}
+		if json.Unmarshal(payload, forged.Payload) != nil {
+			return // not a payload: Decode refuses it (FuzzDecode)
+		}
+		m := newMediator()
+		err := m.Restore(&forged)
+		st := m.Stats()
+		if err != nil {
+			var lerr *snapshot.LoadError
+			if !errors.As(err, &lerr) || lerr.Reason != snapshot.ReasonCorrupt {
+				t.Fatalf("Restore refused with %T %v, want a *LoadError (corrupt)", err, err)
+			}
+			if st.Restored || st.CachedRules != 0 || st.SliceRuns != 0 {
+				t.Fatalf("refused restore left state: %+v", st)
+			}
+		} else if !st.Restored {
+			t.Fatalf("accepted restore not marked restored: %+v", st)
+		}
+		as, askErr := m.Ask(`X`, "Pitem")
+		if askErr != nil {
+			t.Fatalf("ask after Restore (%v): %v", err, askErr)
+		}
+		// An accepted forgery answers what it says; a refused one must
+		// leave the cold mediator's answer.
+		if got := render(as); err != nil && !slices.Equal(got, cold) {
+			t.Fatalf("ask after a refused restore:\n got %q\nwant %q", got, cold)
+		}
+	})
+}
+
+// FuzzParseAnswer: ParseAnswer never panics, and what it accepts
+// re-renders (Name.String, Value.Display — the forms the wire carries)
+// to text that parses back to the same MergeKey.
+func FuzzParseAnswer(f *testing.F) {
+	as, err := selectiveMediator(f).Ask(viewPattern, "Pview1")
+	if err != nil || len(as) == 0 {
+		f.Fatalf("seed ask: %d answers, %v", len(as), err)
+	}
+	for _, a := range as[:2] {
+		for v, val := range a.Binding {
+			f.Add(a.Name.String(), v, val.Display())
+		}
+	}
+	for _, s := range [][3]string{
+		{"b1", "X", "42"},
+		{"&o1", "N", `"acme"`},
+		{`Psup("a\"b", 3, 2.5)`, "F", "-0.5"},
+		{"Pview1(class < name < \"x\" >, &b1 >)", "T", `view < tag < "v1" >, ref < &Psup("s") > >`},
+		{"Pa(true)", "R", `&Psup("s", 1)`},
+		{"P(", "V", "<"},
+		{"A", "V", `"ends on a backslash\`},
+		{"", "", ""},
+	} {
+		f.Add(s[0], s[1], s[2])
+	}
+	f.Fuzz(func(t *testing.T, name, v, disp string) {
+		a, err := ParseAnswer(name, map[string]string{v: disp})
+		if err != nil {
+			return
+		}
+		again, err := ParseAnswer(a.Name.String(), map[string]string{v: a.Binding[v].Display()})
+		if err != nil {
+			t.Fatalf("ParseAnswer(%q, %q=%q) re-rendered as (%q, %q), which does not parse: %v",
+				name, v, disp, a.Name.String(), a.Binding[v].Display(), err)
+		}
+		if a.MergeKey() != again.MergeKey() {
+			t.Fatalf("ParseAnswer(%q, %q=%q): merge key %q, after a re-render %q",
+				name, v, disp, a.MergeKey(), again.MergeKey())
+		}
+	})
+}

@@ -406,8 +406,8 @@ func (a *Answer) AppendMergeKey(dst []byte) []byte {
 }
 
 // ParseAnswer reconstructs an answer from its display form, the one
-// the wire and the snapshot's ask memo both carry: tree.ParseName and
-// tree.ParseValue invert Name.String and Value.Display.
+// the wire carries: tree.ParseName and tree.ParseValue invert
+// Name.String and Value.Display.
 func ParseAnswer(name string, binding map[string]string) (Answer, error) {
 	n, err := tree.ParseName(name)
 	if err != nil {
@@ -474,7 +474,7 @@ func (m *Mediator) AskContext(ctx context.Context, patternSrc string, functors .
 		m.askNanos.Add(time.Since(start).Nanoseconds())
 		return nil, fmt.Errorf("mediator: %w", err)
 	}
-	return m.askPattern(ctx, start, patternSrc, pt, functors)
+	return m.askPattern(ctx, start, pt, functors)
 }
 
 // AskPattern is Ask over a parsed pattern.
@@ -483,12 +483,10 @@ func (m *Mediator) AskPattern(pt *pattern.PTree, functors ...string) ([]Answer, 
 }
 
 // AskPatternContext is AskPattern with a cancellation context applied
-// to any engine run the query triggers. With no source text in hand,
-// the ask memoizes under the pattern's identity but its memo entry
-// cannot be persisted by a snapshot.
+// to any engine run the query triggers.
 func (m *Mediator) AskPatternContext(ctx context.Context, pt *pattern.PTree, functors ...string) ([]Answer, error) {
 	m.asks.Add(1)
-	return m.askPattern(ctx, time.Now(), "", pt, functors)
+	return m.askPattern(ctx, time.Now(), pt, functors)
 }
 
 // askPattern is the shared ask core; the caller has already counted
@@ -498,10 +496,10 @@ func (m *Mediator) AskPatternContext(ctx context.Context, pt *pattern.PTree, fun
 // — a hit only when the answer came entirely from an already-successful
 // materialization, a miss whenever engine work ran or was awaited,
 // errors included.
-func (m *Mediator) askPattern(ctx context.Context, start time.Time, src string, pt *pattern.PTree, functors []string) ([]Answer, error) {
+func (m *Mediator) askPattern(ctx context.Context, start time.Time, pt *pattern.PTree, functors []string) ([]Answer, error) {
 	// No defer: the closure it would capture allocates on every ask,
 	// and the demand cache-hit path budgets its allocations.
-	out, err := m.doAsk(ctx, src, pt, functors)
+	out, err := m.doAsk(ctx, pt, functors)
 	m.askNanos.Add(time.Since(start).Nanoseconds())
 	return out, err
 }
@@ -512,7 +510,7 @@ func (m *Mediator) askPattern(ctx context.Context, start time.Time, src string, 
 // full-mode matcher — and with no per-ask state it is shared safely.
 var storelessMatcher = &engine.Matcher{}
 
-func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, functors []string) ([]Answer, error) {
+func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []string) ([]Answer, error) {
 	st := m.state()
 	var memoGen *demandGen
 	var memoKey askKey
@@ -555,7 +553,7 @@ func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, fun
 	}
 	if memoGen != nil {
 		memoGen.mu.Lock()
-		memoGen.cache.memoize(memoKey, src, functors, out, memoVer)
+		memoGen.cache.memoize(memoKey, out, memoVer)
 		memoGen.mu.Unlock()
 	}
 	return out, nil

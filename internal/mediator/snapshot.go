@@ -1,22 +1,24 @@
 // Durable warm starts: the mediator half of internal/snapshot.
 //
-// Snapshot serializes the current demand generation — the read
-// buckets, the per-rule cache with its recorded source dependencies,
-// and the ask memo — through the tree layer's canonical display
-// syntax, stamped with the progState's program and options hashes.
-// Restore is the inverse: it re-parses the payload into a fresh
-// demand generation and swaps it in atomically, but only after the
-// snapshot's hashes verify against what this mediator is about to
-// serve. Any mismatch returns a typed *snapshot.LoadError and leaves
-// the mediator exactly as cold as it was — the deterministic
-// fallback the whole layer is built around.
+// Snapshot serializes the current demand generation — the per-rule
+// cache with its recorded source dependencies, every cached entry once
+// — through the tree layer's canonical display syntax, stamped with the
+// progState's program and options hashes. The read buckets and the ask
+// memo are not written: commit derives the buckets from the rule
+// entries, and an ask's first arrival after a restore is a demand-cache
+// hit that memoizes it again. Restore is the inverse: it re-parses the payload
+// into a fresh demand generation and swaps it in atomically, but only
+// after the snapshot's hashes verify against what this mediator is
+// about to serve. Any mismatch, and any payload the program could not
+// have produced, returns a typed *snapshot.LoadError and leaves the
+// mediator exactly as cold as it was — the deterministic fallback the
+// whole layer is built around.
 package mediator
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"yat/internal/snapshot"
 	"yat/internal/tree"
@@ -43,7 +45,6 @@ func (m *Mediator) Snapshot() (*snapshot.Snapshot, error) {
 	defer g.mu.Unlock()
 
 	payload := &snapshot.Generation{
-		Store:    tree.FormatEntries(g.cache.buckets()),
 		Runs:     g.runs,
 		Stats:    g.stats,
 		Degraded: g.pin.degraded(),
@@ -66,35 +67,6 @@ func (m *Mediator) Snapshot() (*snapshot.Snapshot, error) {
 	}
 	sort.Slice(payload.Rules, func(i, j int) bool { return payload.Rules[i].Rule < payload.Rules[j].Rule })
 
-	// Memo entries persist only when the ask arrived as source text
-	// (AskContext); pre-parsed asks have no re-keyable identity in
-	// another process.
-	for _, val := range g.cache.memos() {
-		if val.src == "" {
-			continue
-		}
-		me := snapshot.MemoEntry{Pattern: val.src, Functors: val.functors,
-			Answers: []snapshot.MemoAnswer{}}
-		for _, a := range val.answers {
-			ma := snapshot.MemoAnswer{Name: a.Name.String()}
-			if len(a.Binding) > 0 {
-				ma.Binding = make(map[string]string, len(a.Binding))
-				for v, tv := range a.Binding {
-					ma.Binding[v] = tv.Display()
-				}
-			}
-			me.Answers = append(me.Answers, ma)
-		}
-		payload.AskMemo = append(payload.AskMemo, me)
-	}
-	sort.Slice(payload.AskMemo, func(i, j int) bool {
-		a, b := payload.AskMemo[i], payload.AskMemo[j]
-		if a.Pattern != b.Pattern {
-			return a.Pattern < b.Pattern
-		}
-		return strings.Join(a.Functors, "\x00") < strings.Join(b.Functors, "\x00")
-	})
-
 	return &snapshot.Snapshot{
 		Format:      snapshot.FormatVersion,
 		ProgramHash: st.progHash,
@@ -109,9 +81,9 @@ func (m *Mediator) Snapshot() (*snapshot.Snapshot, error) {
 // snapshot's program and options hashes against the current state,
 // re-parses the payload into a fresh demand generation, and swaps it
 // in atomically. On any error the mediator is unchanged (cold). The
-// intended call site is boot, before traffic; a restore over a warm
-// generation replaces it, exactly like an Invalidate followed by a
-// warm fill.
+// restored generation's ask memo starts empty. The intended call site
+// is boot, before traffic; a restore over a warm generation replaces
+// it, exactly like an Invalidate followed by a warm fill.
 func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 	if !m.demand {
 		return ErrSnapshotDemandOnly
@@ -120,36 +92,43 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 	if err := s.Verify(st.progHash, st.optsHash); err != nil {
 		return err
 	}
-
-	g := newDemandGen(st.facts)
-	g.restored = true
-	// The store rendering exists to share trees: a rule's entry reuses
-	// the store's tree when it is still the one committed there.
-	store, err := tree.ParseStore(s.Payload.Store)
-	if err != nil {
-		return fmt.Errorf("mediator: restoring snapshot store: %w", err)
+	corrupt := func(format string, args ...any) error {
+		return &snapshot.LoadError{Reason: snapshot.ReasonCorrupt, Err: fmt.Errorf(format, args...)}
 	}
+	if s.Payload == nil {
+		return corrupt("no payload")
+	}
+
+	// Rules of one group that mint the same identity each list the shared
+	// entry; the second listing reuses the first one's parse.
+	type parsed struct {
+		src string
+		tree.StoreEntry
+	}
+	shared := map[string]parsed{}
 	run := sliceRun{outputs: map[string][]tree.StoreEntry{}, sources: map[string]map[string]bool{}}
 	for _, rc := range s.Payload.Rules {
 		if rc.Cached {
 			r, ok := st.prog.Rule(rc.Rule)
 			if !ok || r.Exception {
-				return fmt.Errorf("mediator: restoring rule %s: the program constructs no such rule", rc.Rule)
+				return corrupt("rule %s: the program constructs no such rule", rc.Rule)
 			}
 			run.functors = append(run.functors, r.Head.Functor)
 			entries := make([]tree.StoreEntry, 0, len(rc.Entries))
 			for _, pe := range rc.Entries {
-				name, err := tree.ParseName(pe.Name)
-				if err != nil {
-					return fmt.Errorf("mediator: restoring rule %s entry name %q: %w", rc.Rule, pe.Name, err)
-				}
-				t, ok := store.Get(name)
-				if !ok || t.String() != pe.Tree {
-					if t, err = tree.Parse(pe.Tree); err != nil {
-						return fmt.Errorf("mediator: restoring rule %s entry %q: %w", rc.Rule, pe.Name, err)
+				p, ok := shared[pe.Name]
+				if !ok || p.src != pe.Tree {
+					p.src = pe.Tree
+					var err error
+					if p.Name, err = tree.ParseName(pe.Name); err != nil {
+						return corrupt("rule %s entry name %q: %w", rc.Rule, pe.Name, err)
 					}
+					if p.Tree, err = tree.Parse(pe.Tree); err != nil {
+						return corrupt("rule %s entry %q: %w", rc.Rule, pe.Name, err)
+					}
+					shared[pe.Name] = p
 				}
-				entries = append(entries, tree.StoreEntry{Name: name, Tree: t})
+				entries = append(entries, p.StoreEntry)
 			}
 			run.outputs[rc.Rule] = entries
 		}
@@ -161,27 +140,25 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 			run.sources[rc.Rule] = set
 		}
 	}
+	// Group presence is the only "cached" flag, so a group must arrive
+	// whole: commit would file a missing sibling rule as cached and empty.
+	for _, f := range run.functors {
+		for _, r := range st.facts.SliceFor(f).Construct {
+			if r.Head.Functor != f {
+				continue // a dereferenced group: cached, or not, on its own
+			}
+			if _, ok := run.outputs[r.Name]; !ok {
+				return corrupt("functor %s: rule %s of its group is not cached", f, r.Name)
+			}
+		}
+	}
+
+	g := newDemandGen(st.facts)
+	g.restored = true
 	g.cache.commit(run, false)
 	g.pin = restoredSnap(s.Payload.Degraded)
 	g.stats = s.Payload.Stats
 	g.runs = s.Payload.Runs
-
-	for _, me := range s.Payload.AskMemo {
-		pt, err := parsePatternCached(me.Pattern)
-		if err != nil {
-			return fmt.Errorf("mediator: restoring memoized pattern %q: %w", me.Pattern, err)
-		}
-		answers := make([]Answer, 0, len(me.Answers))
-		for _, ma := range me.Answers {
-			a, err := ParseAnswer(ma.Name, ma.Binding)
-			if err != nil {
-				return fmt.Errorf("mediator: restoring ask memo of %q: %w", me.Pattern, err)
-			}
-			answers = append(answers, a)
-		}
-		key := askKey{pt: pt, functors: strings.Join(me.Functors, "\x00")}
-		g.cache.memoize(key, me.Pattern, me.Functors, answers, g.cache.version())
-	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -1,13 +1,17 @@
 package mediator
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
+	"sort"
 	"testing"
 
 	"yat/internal/engine"
-	"yat/internal/pattern"
 	"yat/internal/snapshot"
 	"yat/internal/tree"
 	"yat/internal/workload"
@@ -16,7 +20,7 @@ import (
 
 const viewPattern = `view < -> tag -> TAG, -> name -> N, -> city -> C >`
 
-func selectiveMediator(t *testing.T, opts ...engine.Option) *Mediator {
+func selectiveMediator(t testing.TB, opts ...engine.Option) *Mediator {
 	t.Helper()
 	prog := yatl.MustParse(versionedSelective("v1", "v1", "v1"))
 	inputs := workload.BrochureStore(6, 2, 5, 11)
@@ -51,7 +55,9 @@ func sameAnswers(t *testing.T, got, want []Answer, label string) {
 // The tentpole property: a restored mediator's first Ask is
 // byte-identical to the cold-computed answer and registers as a
 // demand-cache hit — at every parallelism, because the options hash
-// deliberately ignores the worker count.
+// deliberately ignores the worker count. The snapshot carries no ask
+// memo: that first ask matches against the restored rule entries and
+// refills the memo, so its repeat is a memo hit.
 func TestSnapshotRestoreWarmStart(t *testing.T) {
 	warm := selectiveMediator(t)
 	cold, err := warm.Ask(viewPattern, "Pview1")
@@ -69,8 +75,9 @@ func TestSnapshotRestoreWarmStart(t *testing.T) {
 			if err := m.Restore(snap); err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
-			if ver, _ := (&cacheWatch{}).look(t, m); ver == 0 {
-				t.Fatal("the restored cache is at version 0: the load bypassed commit")
+			var watch cacheWatch
+			if ver, memo := watch.look(t, m); ver == 0 || memo != 0 {
+				t.Fatalf("restored cache at version %d with %d memoized asks, want a committed load and an empty memo", ver, memo)
 			}
 			st := m.Stats()
 			if !st.Restored {
@@ -91,65 +98,89 @@ func TestSnapshotRestoreWarmStart(t *testing.T) {
 			if st.SliceRuns != 1 {
 				t.Fatalf("slice runs after restored ask: %d, want the donor's 1", st.SliceRuns)
 			}
+			if _, memo := watch.look(t, m); memo != 1 {
+				t.Fatalf("the first ask left %d memoized asks, want 1", memo)
+			}
+			// The repeat is a memo hit: one allocation, the defensive copy.
+			var repeat []Answer
+			if allocs := testing.AllocsPerRun(50, func() { repeat, err = m.Ask(viewPattern, "Pview1") }); allocs > 1 {
+				t.Errorf("repeat of the restored ask allocates %.1f times, want the memo hit's 1", allocs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAnswers(t, repeat, cold, "restored repeat ask")
+			if st := m.Stats(); st.CacheMisses != 0 || st.SliceRuns != 1 {
+				t.Fatalf("repeat asks: misses=%d slice runs=%d, want 0/1", st.CacheMisses, st.SliceRuns)
+			}
 		})
 	}
 }
 
-// A restored memoized ask short-circuits matching entirely, exactly
-// like a warm repeat within one process.
-func TestSnapshotCarriesAskMemo(t *testing.T) {
-	warm := selectiveMediator(t)
-	first, err := warm.Ask(viewPattern, "Pview2")
+// TestSnapshotGolden pins the format-2 file of a small selective
+// program byte for byte — compact, rules sorted, every cached entry
+// once, no store rendering and no ask memo — and proves the checked-in
+// bytes still decode and restore to the donor's answers.
+// YAT_UPDATE_GOLDEN=1 rewrites it.
+func TestSnapshotGolden(t *testing.T) {
+	newMediator := func() *Mediator {
+		return New(yatl.MustParse(versionedSelective("v1", "v1")), workload.BrochureStore(3, 2, 3, 11), WithDemandDriven(true))
+	}
+	donor := newMediator()
+	want, err := donor.Ask(viewPattern)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := warm.Snapshot()
+	snap, err := donor.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Payload.AskMemo) != 1 {
-		t.Fatalf("snapshot carries %d memo entries, want 1", len(snap.Payload.AskMemo))
+	if !sort.SliceIsSorted(snap.Payload.Rules, func(i, j int) bool { return snap.Payload.Rules[i].Rule < snap.Payload.Rules[j].Rule }) {
+		t.Error("snapshot rules are not sorted by name")
+	}
+	got, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "snapshot_format2.golden.json")
+	if os.Getenv("YAT_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Errorf("format-2 snapshot drifted:\n got: %s\nwant: %s", got, golden)
+	}
+	var env struct{ Payload map[string]json.RawMessage }
+	if err := json.Unmarshal(golden, &env); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"store", "ask_memo"} {
+		if _, ok := env.Payload[key]; ok {
+			t.Errorf("payload carries a %q key: derived state is not persisted", key)
+		}
 	}
 
-	m := selectiveMediator(t)
-	if err := m.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Ask(viewPattern, "Pview2")
+	decoded, err := snapshot.Decode(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameAnswers(t, got, first, "memoized restored ask")
-}
-
-// Asks that arrived pre-parsed (AskPattern) memoize in-process but
-// cannot be persisted: their snapshot identity is a pointer.
-func TestSnapshotSkipsPatternOnlyMemos(t *testing.T) {
-	m := selectiveMediator(t)
-	pt := mustParsePattern(t, viewPattern)
-	if _, err := m.AskPattern(pt, "Pview1"); err != nil {
+	m := newMediator()
+	if err := m.Restore(decoded); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := m.Snapshot()
+	restored, err := m.Ask(viewPattern)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Payload.AskMemo) != 0 {
-		t.Fatalf("pre-parsed ask persisted %d memo entries, want 0", len(snap.Payload.AskMemo))
+	sameAnswers(t, restored, want, "ask restored from the golden file")
+	if st := m.Stats(); st.CacheMisses != 0 {
+		t.Fatalf("restored ask missed the cache %d times", st.CacheMisses)
 	}
-	// The rule cache itself still persists.
-	if len(snap.Payload.Rules) == 0 {
-		t.Fatal("no rule cache in snapshot")
-	}
-}
-
-func mustParsePattern(t *testing.T, src string) *pattern.PTree {
-	t.Helper()
-	pt, err := parsePatternCached(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pt
 }
 
 // Every identity mismatch deterministically refuses the restore and
@@ -205,8 +236,8 @@ func TestRestoreRefusesMismatches(t *testing.T) {
 		payload.Rules = append([]snapshot.RuleCache{{Rule: "NoSuchRule", Cached: true}}, payload.Rules...)
 		forged.Payload = &payload
 		other := selectiveMediator(t)
-		if err := other.Restore(&forged); err == nil {
-			t.Fatal("restore accepted a cached rule the program does not have")
+		if got := reasonOf(t, other.Restore(&forged)); got != snapshot.ReasonCorrupt {
+			t.Fatalf("reason %q, want %q", got, snapshot.ReasonCorrupt)
 		}
 		if st := other.Stats(); st.Restored || st.CachedRules != 0 {
 			t.Fatalf("refused restore left state: %+v", st)
@@ -222,6 +253,104 @@ func TestRestoreRefusesMismatches(t *testing.T) {
 			t.Fatalf("full-mode snapshot: %v, want ErrSnapshotDemandOnly", err)
 		}
 	})
+}
+
+// pairProgram mints one functor from two construct rules, plus a dead
+// sibling the optimizer prunes from every slice the mediator runs.
+const pairProgram = `
+program pair
+
+rule FromAlpha {
+  head Pitem(N) = item < -> name -> N >
+  from A = alpha < -> name -> N >
+}
+
+rule FromBeta {
+  head Pitem(N) = item < -> name -> N >
+  from B = beta < -> name -> N >
+}
+
+rule Dead {
+  head Pitem(N, N) = item < -> name -> N >
+  from A = alpha < -> name -> N >
+  where 1 == 2
+}
+`
+
+// pairStore holds one alpha and one beta tree: one Pitem per live rule.
+func pairStore() *tree.Store {
+	s := alphaStore("ant")
+	for _, e := range betaStore("bee").Entries() {
+		s.Put(e.Name, e.Tree)
+	}
+	return s
+}
+
+// A group must arrive whole. Group presence is the cache's only
+// "cached" flag, so a payload that drops one construct rule of a
+// two-rule functor would otherwise restore the sibling as cached and
+// empty and serve 1 of 2 answers without a slice run. A pruned rule is
+// no part of the group: the donor never lists it and the restore does
+// not ask for it.
+func TestRestoreRefusesIncompleteGroup(t *testing.T) {
+	prog := yatl.MustParse(pairProgram)
+	if !engine.AnalyzeProgram(prog).Prunable("Dead") {
+		t.Fatal("vacuous: Dead must be pruned from Pitem's slice")
+	}
+	newMediator := func() *Mediator { return New(prog, pairStore(), WithDemandDriven(true)) }
+
+	donor := newMediator()
+	want, err := donor.Ask(`X`, "Pitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 2 {
+		t.Fatalf("donor answers %d items, want one per rule", len(want))
+	}
+	snap, err := donor.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	whole := newMediator()
+	if err := whole.Restore(snap); err != nil {
+		t.Fatalf("restore of the whole group: %v", err)
+	}
+	got, err := whole.Ask(`X`, "Pitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswers(t, got, want, "whole group restored")
+
+	forged := *snap
+	payload := *snap.Payload
+	payload.Rules = nil
+	for _, rc := range snap.Payload.Rules {
+		if rc.Rule != "FromBeta" {
+			payload.Rules = append(payload.Rules, rc)
+		}
+	}
+	if len(payload.Rules) != len(snap.Payload.Rules)-1 {
+		t.Fatal("vacuous: the donor snapshot has no FromBeta record to drop")
+	}
+	forged.Payload = &payload
+	m := newMediator()
+	var lerr *snapshot.LoadError
+	if err := m.Restore(&forged); !errors.As(err, &lerr) || lerr.Reason != snapshot.ReasonCorrupt {
+		t.Fatalf("restore of a group missing FromBeta: %v, want a *snapshot.LoadError (corrupt)", err)
+	}
+	if st := m.Stats(); st.Restored || st.CachedRules != 0 || st.SliceRuns != 0 {
+		t.Fatalf("refused restore left state: %+v", st)
+	}
+	// Still cold, and correct: the ask runs the slice itself.
+	got, err = m.Ask(`X`, "Pitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswers(t, got, want, "cold ask after the refusal")
+	if st := m.Stats(); st.CacheMisses != 1 || st.SliceRuns != 1 {
+		t.Fatalf("cold ask after the refusal: misses=%d slice runs=%d, want 1/1", st.CacheMisses, st.SliceRuns)
+	}
 }
 
 // Satellite: Reload's warm-cache carryover keys on the program+options

@@ -202,8 +202,8 @@ func (s *Server) restoreSnapshot() {
 		}
 	}
 	s.snapRestored = true
-	s.cfg.Logf("yatserve: warm start from %s (generation %d, %d cached rules)",
-		s.snapPath, snap.Generation, len(snap.Payload.Rules))
+	s.cfg.Logf("yatserve: warm start from %s (format %d, generation %d, %d rule records)",
+		s.snapPath, snap.Format, snap.Generation, len(snap.Payload.Rules))
 }
 
 // writeSnapshot persists the warmest lane (most cached rules — the

@@ -8,10 +8,10 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
+	"yat/internal/engine"
 	"yat/internal/serve/wire"
 	"yat/internal/snapshot"
 	"yat/internal/workload"
@@ -171,7 +171,7 @@ func TestServerSnapshotFallbacks(t *testing.T) {
 
 	t.Run("version-mismatch", func(t *testing.T) {
 		bumped := bytes.Replace(pristine,
-			[]byte(`"format": 1`), []byte(`"format": 99`), 1)
+			[]byte(`"format":2`), []byte(`"format":99`), 1)
 		if bytes.Equal(bumped, pristine) {
 			t.Fatal("format field not found")
 		}
@@ -189,6 +189,32 @@ func TestServerSnapshotFallbacks(t *testing.T) {
 		cfg := snapConfig(dir)
 		cfg.Prog = yatl.MustParse(versionedSelective("v2", "v1"))
 		check(t, cfg, string(snapshot.ReasonProgramHash))
+	})
+
+	// A file the previous release wrote, for this very program and
+	// options: it is not converted, the boot is cold.
+	t.Run("format-1-file", func(t *testing.T) {
+		old, err := os.ReadFile(filepath.Join("testdata", "snapshot_format1.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct {
+			Format      int
+			ProgramHash string `json:"program_hash"`
+			OptionsHash string `json:"options_hash"`
+		}
+		if err := json.Unmarshal(old, &env); err != nil {
+			t.Fatal(err)
+		}
+		cfg := snapConfig(dir)
+		if env.Format != 1 || env.ProgramHash != snapshot.HashProgram(cfg.Prog) ||
+			env.OptionsHash != snapshot.HashOptions(engine.NewOptions(cfg.Options...)) {
+			t.Fatalf("vacuous: the fixture %+v must differ from what boots in its format alone", env)
+		}
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check(t, cfg, string(snapshot.ReasonVersion))
 	})
 
 	// A crash mid-write leaves a stray temp file next to the previous
@@ -264,10 +290,11 @@ func TestDrainWritesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no snapshot after drain: %v", err)
 	}
-	if len(snap.Payload.Rules) == 0 {
-		t.Fatal("drain snapshot carries no cached rules")
+	warmed := false
+	for _, rc := range snap.Payload.Rules {
+		warmed = warmed || rc.Rule == "View1" && rc.Cached && len(rc.Entries) > 0
 	}
-	if !strings.Contains(snap.Payload.Store, "Pview1") {
-		t.Fatal("drain snapshot store misses the warmed functor")
+	if !warmed {
+		t.Fatalf("drain snapshot misses the warmed rule's entries: %+v", snap.Payload.Rules)
 	}
 }

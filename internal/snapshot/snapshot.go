@@ -1,7 +1,8 @@
 // Package snapshot is the durable warm-start layer: a versioned,
-// checksummed on-disk store for one mediator generation — the
-// materialized demand store, the per-rule cache (post-deref entries
-// plus recorded sources), and the per-generation ask memo.
+// checksummed on-disk store for one mediator generation — the per-rule
+// demand cache (post-deref entries plus recorded sources), each cached
+// entry written once. What the mediator derives from those entries (the
+// read buckets, the ask memo) is not stored.
 //
 // A snapshot is only ever served when it provably describes the exact
 // computation the booting process would perform cold: the envelope
@@ -16,10 +17,10 @@
 package snapshot
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,7 +32,7 @@ import (
 // FormatVersion is the snapshot format this build writes and the only
 // one it reads. Bump it whenever the payload schema or the semantics
 // of any field change; old files then fall back to a cold boot.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // Reason classifies why a snapshot was rejected. Every reason forces
 // the same outcome — a cold boot — but the caller logs and reports
@@ -102,31 +103,10 @@ type RuleCache struct {
 	Sources []string `json:"sources,omitempty"`
 }
 
-// MemoAnswer is one memoized answer: the object's Skolem identity and
-// the binding's display forms.
-type MemoAnswer struct {
-	Name    string            `json:"name"`
-	Binding map[string]string `json:"binding,omitempty"`
-}
-
-// MemoEntry is one memoized ask: the pattern source text, the functor
-// restriction, and the fully-assembled answers in their canonical
-// order.
-type MemoEntry struct {
-	Pattern  string       `json:"pattern"`
-	Functors []string     `json:"functors,omitempty"`
-	Answers  []MemoAnswer `json:"answers"`
-}
-
 // Generation is the payload: one demand-mode materialization
 // lifetime, serialized entirely through the tree layer's canonical
 // display syntax so the restore re-parses to byte-identical values.
 type Generation struct {
-	// Store renders every cached entry once, in tree.FormatStore
-	// syntax (the demand cache's read buckets, functors sorted). The
-	// restore parses it first so the per-rule entries below can share
-	// its trees.
-	Store string `json:"store"`
 	// Rules lists each cached rule's state, sorted by rule name for
 	// byte-stable snapshots.
 	Rules []RuleCache `json:"rules"`
@@ -137,9 +117,6 @@ type Generation struct {
 	Stats engine.Stats `json:"stats"`
 	// Runs counts engine slice executions.
 	Runs int64 `json:"runs"`
-	// AskMemo carries the memoized ask answers, sorted by (pattern,
-	// functors) for byte-stable snapshots.
-	AskMemo []MemoEntry `json:"ask_memo,omitempty"`
 }
 
 // Snapshot is one complete snapshot: the integrity/identity envelope
@@ -163,10 +140,9 @@ type Snapshot struct {
 	Payload *Generation `json:"-"`
 }
 
-// envelope is the on-disk shape: the payload rides as raw JSON, and
-// the checksum covers its compact form — canonical bytes independent
-// of the file's pretty-printing — so any payload tampering or torn
-// write fails the hash.
+// envelope is the on-disk shape, written compact: the payload rides as
+// raw JSON and the checksum covers its bytes exactly as they sit in the
+// file, so any payload tampering or torn write fails the hash.
 type envelope struct {
 	Format      int             `json:"format"`
 	ProgramHash string          `json:"program_hash"`
@@ -235,7 +211,7 @@ func (s *Snapshot) Encode() ([]byte, error) {
 		Checksum:    sum(raw),
 		Payload:     raw,
 	}
-	return json.MarshalIndent(env, "", " ")
+	return json.Marshal(env)
 }
 
 // Write persists the snapshot at path atomically and returns the
@@ -285,35 +261,42 @@ func Write(path string, s *Snapshot) (int, error) {
 func Read(path string) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
+		reason := ReasonCorrupt
 		if os.IsNotExist(err) {
-			return nil, &LoadError{Path: path, Reason: ReasonMissing, Err: err}
+			reason = ReasonMissing
 		}
-		return nil, &LoadError{Path: path, Reason: ReasonCorrupt, Err: err}
+		return nil, &LoadError{Path: path, Reason: reason, Err: err}
 	}
+	s, err := Decode(data)
+	var lerr *LoadError
+	if errors.As(err, &lerr) {
+		lerr.Path = path
+	}
+	return s, err
+}
+
+// Decode is Read past the file system: it parses and integrity-checks
+// the bytes Encode produced. Whatever the bytes, a failure is a
+// *LoadError (without a path).
+func Decode(data []byte) (*Snapshot, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, &LoadError{Path: path, Reason: ReasonCorrupt, Err: err}
+		return nil, &LoadError{Reason: ReasonCorrupt, Err: err}
 	}
 	if env.Format != FormatVersion {
-		return nil, &LoadError{Path: path, Reason: ReasonVersion,
+		return nil, &LoadError{Reason: ReasonVersion,
 			Err: fmt.Errorf("format %d, this build reads %d", env.Format, FormatVersion)}
 	}
 	if len(env.Payload) == 0 {
-		return nil, &LoadError{Path: path, Reason: ReasonCorrupt, Err: fmt.Errorf("empty payload")}
+		return nil, &LoadError{Reason: ReasonCorrupt, Err: fmt.Errorf("empty payload")}
 	}
-	// The checksum covers the payload's compact form — the canonical
-	// bytes Encode hashed — not the pretty-printed layout of the file.
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, env.Payload); err != nil {
-		return nil, &LoadError{Path: path, Reason: ReasonCorrupt, Err: err}
-	}
-	if got := sum(compact.Bytes()); got != env.Checksum {
-		return nil, &LoadError{Path: path, Reason: ReasonChecksum,
+	if got := sum(env.Payload); got != env.Checksum {
+		return nil, &LoadError{Reason: ReasonChecksum,
 			Err: fmt.Errorf("payload hashes to %.12s, envelope records %.12s", got, env.Checksum)}
 	}
 	var payload Generation
 	if err := json.Unmarshal(env.Payload, &payload); err != nil {
-		return nil, &LoadError{Path: path, Reason: ReasonCorrupt, Err: err}
+		return nil, &LoadError{Reason: ReasonCorrupt, Err: err}
 	}
 	return &Snapshot{
 		Format:      env.Format,

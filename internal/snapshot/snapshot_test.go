@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -21,7 +22,6 @@ func sample() *Snapshot {
 		Program:     "selective",
 		Generation:  3,
 		Payload: &Generation{
-			Store: "&o1:Pview1 view < name -> \"acme\" >\n",
 			Rules: []RuleCache{
 				{Rule: "View1", Cached: true,
 					Entries: []Entry{{Name: "&o1:Pview1", Tree: `view < name -> "acme" >`}},
@@ -32,11 +32,6 @@ func sample() *Snapshot {
 			Degraded: []string{"src1"},
 			Stats:    engine.Stats{Activations: 4, Bindings: 9, Outputs: 2, Rounds: 3},
 			Runs:     2,
-			AskMemo: []MemoEntry{{
-				Pattern:  `view < -> name -> N >`,
-				Functors: []string{"Pview1"},
-				Answers:  []MemoAnswer{{Name: "&o1:Pview1", Binding: map[string]string{"N": `"acme"`}}},
-			}},
 		},
 	}
 }
@@ -67,6 +62,40 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	if err := got.Verify("prog-hash", "opts-hash"); err != nil {
 		t.Fatalf("Verify on matching hashes: %v", err)
+	}
+}
+
+// The file is one compact JSON value and the checksum covers the
+// payload bytes exactly as they sit in it: a reader hashes what it read,
+// with no canonicalising pass in between.
+func TestEncodeIsCompactAndChecksumsTheBytesOnDisk(t *testing.T) {
+	data, err := sample().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, data); err != nil || !bytes.Equal(compact.Bytes(), data) {
+		t.Fatalf("Encode is not compact JSON (%v):\n%s", err, data)
+	}
+	var env struct {
+		Checksum string
+		Payload  json.RawMessage
+	}
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, env.Payload) || sum(env.Payload) != env.Checksum {
+		t.Fatalf("checksum %s does not cover the payload bytes of the file", env.Checksum)
+	}
+	// Re-indenting the file keeps it valid JSON with the same content but
+	// changes the payload's bytes: the hash must notice.
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, data, "", " "); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Decode(indented.Bytes())
+	if got := reasonOf(t, err); got != ReasonChecksum {
+		t.Fatalf("re-indented file: reason %q, want %q", got, ReasonChecksum)
 	}
 }
 
@@ -140,15 +169,19 @@ func TestReadTruncated(t *testing.T) {
 	}
 }
 
+// There is one format: a file of the previous one (or a later one) is
+// not converted, it is a cold boot.
 func TestReadVersionMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.json")
-	s := sample()
-	s.Format = FormatVersion + 1
-	if _, err := Write(path, s); err != nil {
-		t.Fatal(err)
-	}
-	if got := reasonOf(t, readErr(t, path)); got != ReasonVersion {
-		t.Fatalf("reason %q, want %q", got, ReasonVersion)
+	for _, format := range []int{FormatVersion - 1, FormatVersion + 1} {
+		path := filepath.Join(t.TempDir(), "snap.json")
+		s := sample()
+		s.Format = format
+		if _, err := Write(path, s); err != nil {
+			t.Fatal(err)
+		}
+		if got := reasonOf(t, readErr(t, path)); got != ReasonVersion {
+			t.Fatalf("format %d: reason %q, want %q", format, got, ReasonVersion)
+		}
 	}
 }
 
@@ -205,11 +238,60 @@ func TestVerifyMismatches(t *testing.T) {
 	}
 }
 
+// FuzzDecode: whatever the bytes, Decode returns a snapshot with a
+// payload or a *LoadError carrying one of the six reasons — never a
+// panic, never an untyped error.
+func FuzzDecode(f *testing.F) {
+	valid, err := sample().Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	future := sample()
+	future.Format = FormatVersion + 1
+	bumped, err := future.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		valid,
+		bumped,
+		valid[:len(valid)/2],
+		bytes.Replace(valid, []byte("acme"), []byte("evil"), 1),
+		[]byte("not json at all{"),
+		[]byte(`{"format":1,"payload":"gar`),
+		[]byte(`{"format":2}`),
+		[]byte(`{"format":2,"checksum":"","payload":null}`),
+		[]byte(`{"format":2,"payload":{"rules":[{"rule":7}]}}`),
+		nil,
+	} {
+		f.Add(seed)
+	}
+	reasons := map[Reason]bool{ReasonMissing: true, ReasonCorrupt: true, ReasonChecksum: true,
+		ReasonVersion: true, ReasonProgramHash: true, ReasonOptionsHash: true}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Decode(data)
+		if err == nil {
+			if s == nil || s.Payload == nil || s.Format != FormatVersion {
+				t.Fatalf("Decode accepted %q as %+v", data, s)
+			}
+			return
+		}
+		var lerr *LoadError
+		if !errors.As(err, &lerr) || !reasons[lerr.Reason] {
+			t.Fatalf("Decode(%q) = %T %v, want a *LoadError with a known reason", data, err, err)
+		}
+	})
+}
+
 func readErr(t *testing.T, path string) error {
 	t.Helper()
 	_, err := Read(path)
 	if err == nil {
 		t.Fatal("Read succeeded, want error")
+	}
+	var lerr *LoadError
+	if errors.As(err, &lerr) && lerr.Path != path {
+		t.Fatalf("Read error names path %q, want %q", lerr.Path, path)
 	}
 	return err
 }

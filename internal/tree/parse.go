@@ -199,7 +199,8 @@ func (p *groundParser) next() {
 		for p.off < len(p.src) {
 			c := p.src[p.off]
 			if c == '\\' {
-				p.off += 2
+				// An input may end on the backslash.
+				p.off = min(p.off+2, len(p.src))
 				continue
 			}
 			if c == '"' {

@@ -336,6 +336,7 @@ func TestParseErrors(t *testing.T) {
 		`a > b`,
 		`&`,
 		`"unterminated`,
+		`"ends on a backslash\`, // used to index past the input
 		`a < b > trailing`,
 		`a(1`, // name syntax only valid after &
 	}

@@ -128,6 +128,28 @@ func (op CmpOp) String() string {
 	}
 }
 
+// Holds decides `a op b`, the one spelling of comparison semantics the
+// engine, its dead-rule analysis and the composer share: equality is
+// tree.EqualValues, ordering is tree.Compare. known is false for a
+// value that is none of the six operators, and ok is then false too.
+func (op CmpOp) Holds(a, b tree.Value) (ok, known bool) {
+	switch op {
+	case OpEq:
+		return tree.EqualValues(a, b), true
+	case OpNe:
+		return !tree.EqualValues(a, b), true
+	case OpLt:
+		return tree.Compare(a, b) < 0, true
+	case OpLe:
+		return tree.Compare(a, b) <= 0, true
+	case OpGt:
+		return tree.Compare(a, b) > 0, true
+	case OpGe:
+		return tree.Compare(a, b) >= 0, true
+	}
+	return false, false
+}
+
 // Operand is one side of a comparison or one argument of a call: a
 // variable or a constant.
 type Operand struct {

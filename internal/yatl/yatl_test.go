@@ -427,3 +427,42 @@ func TestPredString(t *testing.T) {
 		t.Errorf("call String = %q", c.String())
 	}
 }
+
+// TestCmpOpHolds pins the comparison semantics the engine's predicate
+// phase, its dead-rule analysis and the composer share: equality is
+// numeric across Int and Float, ordering is tree.Compare's total order
+// (kinds first: string < int/float by value), and a value that is none
+// of the six operators is reported as unknown, never as false.
+func TestCmpOpHolds(t *testing.T) {
+	one, oneF, two, half := tree.Int(1), tree.Float(1), tree.Int(2), tree.Float(0.5)
+	a, b := tree.String("a"), tree.String("b")
+	for _, c := range []struct {
+		l, r tree.Value
+		// want lists the outcome under ==, !=, <, <=, >, >=.
+		want [6]bool
+	}{
+		{one, one, [6]bool{true, false, false, true, false, true}},
+		{one, two, [6]bool{false, true, true, true, false, false}},
+		{two, one, [6]bool{false, true, false, false, true, true}},
+		{half, one, [6]bool{false, true, true, true, false, false}},
+		{two, half, [6]bool{false, true, false, false, true, true}},
+		// Equal numerics of different kinds are equal, yet Compare breaks
+		// the tie by kind (int before float) to keep sorting total.
+		{one, oneF, [6]bool{true, false, true, true, false, false}},
+		{oneF, one, [6]bool{true, false, false, false, true, true}},
+		{a, b, [6]bool{false, true, true, true, false, false}},
+		{b, b, [6]bool{true, false, false, true, false, true}},
+		{a, one, [6]bool{false, true, true, true, false, false}},
+		{half, b, [6]bool{false, true, false, false, true, true}},
+		{tree.String("1"), one, [6]bool{false, true, true, true, false, false}},
+	} {
+		for i, op := range []CmpOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe} {
+			if ok, known := op.Holds(c.l, c.r); !known || ok != c.want[i] {
+				t.Errorf("%s %s %s = %v (known %v), want %v", c.l.Display(), op, c.r.Display(), ok, known, c.want[i])
+			}
+		}
+	}
+	if ok, known := CmpOp(6).Holds(one, one); ok || known {
+		t.Errorf("unknown operator: ok=%v known=%v, want false/false", ok, known)
+	}
+}
