@@ -17,12 +17,15 @@ import (
 )
 
 // Client is a remote federation child: a mediator.Asker over a
-// yatserve instance, speaking the exact wire types the server serves
+// yatserve instance, speaking the exact wire format the server serves
 // (internal/serve/wire). Asks always request producer-computed merge
 // keys (?keys=1), so a parent federation merges this child's answers
 // in the child's own canonical order even when a display form is
-// exotic. A Client carries no per-request state and is safe for
-// concurrent use.
+// exotic. Replies are read by wire.DecodeAskResponse — one validating
+// pass, no reflection — and each answer carries the child's rendered
+// members with it, so a parent that serves the merge forwards those
+// bytes instead of rendering the trees a second time. A Client carries
+// no per-request state and is safe for concurrent use.
 type Client struct {
 	base string
 	name string
@@ -92,29 +95,28 @@ func (c *Client) Ask(patternSrc string, functors ...string) ([]mediator.Answer, 
 	return c.AskContext(context.Background(), patternSrc, functors...)
 }
 
-// AskContext POSTs /ask?keys=1 and reconstructs typed answers from
-// their wire form: names and binding values re-parse from their
-// display rendering (tree.ParseName/ParseValue are its inverses), and
-// the producer's merge key rides along as Answer.WireKey.
+// AskContext POSTs /ask?keys=1 and decodes the reply into typed
+// answers: names and binding values re-parse from their display
+// rendering (tree.ParseName/ParseValue are its inverses), and the
+// producer's merge key and rendered members ride along inside each
+// Answer. A reply the decoder refuses — malformed, an unparseable
+// display form, a count that disagrees with the answers carried — fails
+// the ask, so the federation degrades this shard rather than serve a
+// short or doubtful stream.
 func (c *Client) AskContext(ctx context.Context, patternSrc string, functors ...string) ([]mediator.Answer, error) {
 	body, err := json.Marshal(wire.AskRequest{Pattern: patternSrc, Functors: functors})
 	if err != nil {
 		return nil, err
 	}
-	var out wire.AskResponse
-	if err := c.do(ctx, http.MethodPost, "/ask?keys=1", body, &out); err != nil {
+	data, err := c.do(ctx, http.MethodPost, "/ask?keys=1", body)
+	if err != nil {
 		return nil, err
 	}
-	c.gen.Store(out.Generation)
-	answers := make([]mediator.Answer, 0, len(out.Answers))
-	for _, wa := range out.Answers {
-		a, err := mediator.ParseAnswer(wa.Name, wa.Binding)
-		if err != nil {
-			return nil, fmt.Errorf("shard %s: %w", c.name, err)
-		}
-		a.WireKey = wa.Key
-		answers = append(answers, a)
+	generation, answers, err := wire.DecodeAskResponse(data)
+	if err != nil {
+		return nil, fmt.Errorf("shard %s: %w", c.name, err)
 	}
+	c.gen.Store(generation)
 	return answers, nil
 }
 
@@ -127,7 +129,14 @@ const introspectTimeout = 2 * time.Second
 func (c *Client) introspect(path string, out any) error {
 	ctx, cancel := context.WithTimeout(context.Background(), introspectTimeout)
 	defer cancel()
-	return c.do(ctx, http.MethodGet, path, nil, out)
+	data, err := c.do(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("shard %s: decoding response: %w", c.name, err)
+	}
+	return nil
 }
 
 // Functors implements Asker via GET /functors.
@@ -162,11 +171,11 @@ func (c *Client) Generation() int64 {
 	return 1
 }
 
-// do runs one round trip. Non-2xx responses decode the wire error
-// envelope into a typed *RemoteError.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+// do runs one round trip and returns the 2xx reply's body. Non-2xx
+// responses decode the wire error envelope into a typed *RemoteError.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	if c.closed.Load() {
-		return &ClosedError{Shard: c.name}
+		return nil, &ClosedError{Shard: c.name}
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -177,32 +186,52 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return fmt.Errorf("shard %s: %w", c.name, err)
+		return nil, fmt.Errorf("shard %s: %w", c.name, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, err := readReply(resp, maxReplyBytes)
 	if err != nil {
-		return fmt.Errorf("shard %s: reading response: %w", c.name, err)
+		return nil, fmt.Errorf("shard %s: reading response: %w", c.name, err)
 	}
 	if resp.StatusCode/100 != 2 {
 		var envelope wire.ErrorResponse
 		if json.Unmarshal(data, &envelope) == nil && envelope.Error.Code != "" {
-			return &RemoteError{Status: resp.StatusCode, Code: envelope.Error.Code, Message: envelope.Error.Message}
+			return nil, &RemoteError{Status: resp.StatusCode, Code: envelope.Error.Code, Message: envelope.Error.Message}
 		}
-		return &RemoteError{Status: resp.StatusCode, Code: "http_error",
+		return nil, &RemoteError{Status: resp.StatusCode, Code: "http_error",
 			Message: strings.TrimSpace(string(data))}
 	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("shard %s: decoding response: %w", c.name, err)
+	return data, nil
+}
+
+// maxReplyBytes caps the reply a Client reads from its child.
+const maxReplyBytes = 64 << 20
+
+// readReply reads a response body of at most limit bytes into a buffer
+// of its own — decoded answers keep pointing into a reply, so it is
+// never pooled. A child that states its Content-Length (yatserve does,
+// for every ask reply) gets exactly one allocation of that size; one
+// that does not is read as it comes. A body past the limit is a typed
+// *RemoteError (reply_too_large), never a silently cut one.
+func readReply(resp *http.Response, limit int64) ([]byte, error) {
+	switch n := resp.ContentLength; {
+	case n < 0:
+		data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+		if err != nil || int64(len(data)) <= limit {
+			return data, err
 		}
+	case n <= limit:
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
 	}
-	return nil
+	return nil, &RemoteError{Status: resp.StatusCode, Code: "reply_too_large",
+		Message: fmt.Sprintf("reply exceeds %d bytes", limit)}
 }

@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,6 +24,7 @@ import (
 	"yat/internal/federate"
 	"yat/internal/mediator"
 	"yat/internal/serve"
+	"yat/internal/serve/wire"
 	"yat/internal/source"
 	"yat/internal/tree"
 	"yat/internal/workload"
@@ -375,11 +377,34 @@ func TestAskAfterCloseIsTypedError(t *testing.T) {
 	}
 }
 
+// cannedClient dials a child that answers every /ask?keys=1 with reply,
+// as it stands, and knows no other endpoint.
+func cannedClient(t *testing.T, reply []byte) *federate.Client {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/ask" {
+			http.NotFound(w, r)
+			return
+		}
+		if r.URL.Query().Get("keys") != "1" {
+			t.Errorf("client asked %s, want /ask?keys=1", r.URL)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(reply)
+	}))
+	t.Cleanup(ts.Close)
+	c := federate.NewClient(ts.URL, &federate.ClientOptions{Name: "canned"})
+	t.Cleanup(c.Close)
+	return c
+}
+
 // TestClientDecodesBothReplyLayouts is the mixed-version federation
 // guarantee: a child of the previous release replies indented, a
 // current one compact, and both decode through Client.AskContext to
-// the same answers and the same WireKeys — so a parent merges their
-// streams byte-identically whichever release each child runs. The
+// the same answers and the same merge keys — so a parent merges their
+// streams byte-identically whichever release each child runs. Only the
+// current one's members are in the encoder's own form, so only they
+// are forwarded; the previous release's are rendered again. The
 // indented reply is the golden captured from the previous release's
 // server (internal/serve/testdata).
 func TestClientDecodesBothReplyLayouts(t *testing.T) {
@@ -396,17 +421,7 @@ func TestClientDecodesBothReplyLayouts(t *testing.T) {
 		t.Fatal("golden is not indented; the test would compare a reply with itself")
 	}
 	ask := func(reply []byte) []mediator.Answer {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path != "/ask" || r.URL.Query().Get("keys") != "1" {
-				t.Errorf("client asked %s, want /ask?keys=1", r.URL)
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(reply)
-		}))
-		defer ts.Close()
-		c := federate.NewClient(ts.URL, nil)
-		defer c.Close()
-		answers, err := c.AskContext(context.Background(), "X", "Pview1")
+		answers, err := cannedClient(t, reply).AskContext(context.Background(), "X", "Pview1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,14 +435,135 @@ func TestClientDecodesBothReplyLayouts(t *testing.T) {
 		t.Errorf("answers differ:\nindented %v\n compact %v", renderAnswers(old), renderAnswers(cur))
 	}
 	for i := range old {
-		if old[i].WireKey == "" || old[i].WireKey != cur[i].WireKey {
-			t.Errorf("answer %d: WireKey %q (indented) vs %q (compact)", i, old[i].WireKey, cur[i].WireKey)
+		if old[i].MergeKey() != cur[i].MergeKey() {
+			t.Errorf("answer %d: merge key %q (indented) vs %q (compact)", i, old[i].MergeKey(), cur[i].MergeKey())
 		}
 		// The producer's key is the one this release computes for the
 		// re-parsed answer: the merge order cannot depend on the layout.
 		local := mediator.Answer{Name: cur[i].Name, Binding: cur[i].Binding}
-		if local.MergeKey() != cur[i].WireKey {
-			t.Errorf("answer %d: wire key %q, locally %q", i, cur[i].WireKey, local.MergeKey())
+		if local.MergeKey() != cur[i].MergeKey() {
+			t.Errorf("answer %d: wire key %q, locally %q", i, cur[i].MergeKey(), local.MergeKey())
+		}
+		if old[i].WireMembers() != "" || cur[i].WireMembers() == "" {
+			t.Errorf("answer %d: forwarding %q from the indented reply and %q from the compact one, want none and some",
+				i, old[i].WireMembers(), cur[i].WireMembers())
+		}
+	}
+	// Rendered again or forwarded, a parent serves the same bytes.
+	for _, keyed := range []bool{false, true} {
+		if a, b := wire.AppendAskResponse(nil, 1, old, keyed, nil), wire.AppendAskResponse(nil, 1, cur, keyed, nil); !bytes.Equal(a, b) {
+			t.Errorf("keyed=%v: a parent would serve\n%s from the indented reply and\n%s from the compact one", keyed, a, b)
+		}
+	}
+}
+
+// TestClientRefusesDoubtfulReplies: a 200 reply the decoder refuses — a
+// count that disagrees with the answers carried (a cut stream, which
+// the parent's own count would otherwise launder into a consistent
+// short reply), a display form that does not parse, malformed JSON —
+// fails the ask with a typed error naming the shard, and a federation
+// degrades that shard instead of serving what it sent.
+func TestClientRefusesDoubtfulReplies(t *testing.T) {
+	const short = `{"generation":1,"count":30,"answers":[{"name":"Pview2(\"a\")","key":"Pview2(string:\"a\")\u0000"}]}`
+	for reply, want := range map[string]string{
+		short: "count is 30, the reply carries 1 answers",
+		`{"generation":1,"count":1,"answers":[{"name":"Pview2("}]}`:                      "unparseable answer name",
+		`{"generation":1,"count":1,"answers":[{"name":"b1","binding":{"N":"a <"}}]}`:     `unparseable binding N="a <"`,
+		`{"generation":1,"count":1,"answers":[{"name":"b1"}`:                             "expected ',' or ']'",
+		`{"generation":1,"count":1,"answers":[{"name":"b1"},{"name":"b1","name":"b2"}]}`: `duplicate member "name"`,
+		`{"generation":1,"count":1,"Answers":[{"name":"b1"}]}`:                           "only in case",
+	} {
+		answers, err := cannedClient(t, []byte(reply)).Ask("X")
+		var derr *wire.DecodeError
+		if !errors.As(err, &derr) || !strings.HasPrefix(err.Error(), "shard canned: ") || !strings.Contains(err.Error(), want) || answers != nil {
+			t.Errorf("%s:\n%d answers, error %v; want a *wire.DecodeError of shard canned saying %q", reply, len(answers), err, want)
+		}
+	}
+
+	prog := yatl.MustParse(workload.SelectiveProgram(2))
+	plans := federate.PlanShards(prog, 2)
+	_, honest := childServer(t, plans[0].Prog, workload.BrochureStore(2, 1, 2, 4))
+	fed, err := federate.New(federate.Config{
+		Children: []federate.Child{
+			{Name: "honest", Asker: honest, Functors: plans[0].Functors},
+			{Name: "short", Asker: cannedClient(t, []byte(short)), Functors: plans[1].Functors},
+		},
+		Guard: &federate.GuardOptions{Retry: &source.RetryOptions{MaxAttempts: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustAsk(t, honest, "X")
+	if got := mustAsk(t, fed, "X"); len(got) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("federation served %v, want the honest shard's %v alone", got, want)
+	}
+	for _, sh := range fed.Stats().Shards {
+		if sh.Healthy != (sh.Name == "honest") {
+			t.Errorf("shard %s healthy=%v (%s)", sh.Name, sh.Healthy, sh.LastErr)
+		}
+		if sh.Name == "short" && !strings.Contains(sh.LastErr, "count is 30") {
+			t.Errorf("short shard's last error %q does not say why", sh.LastErr)
+		}
+	}
+}
+
+// TestClientReplyTooLarge: a reply past the client's cap is refused as
+// too large — typed, with a stable code — and, when the child states
+// its size, before a byte of it is read.
+func TestClientReplyTooLarge(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// 64 MiB and a byte, declared and never sent: the connection is cut
+		// when the handler returns.
+		w.Header().Set("Content-Length", strconv.Itoa(64<<20+1))
+		w.WriteHeader(http.StatusOK)
+	}))
+	t.Cleanup(ts.Close)
+	c := federate.NewClient(ts.URL, nil)
+	t.Cleanup(c.Close)
+	_, err := c.Ask("X")
+	var remote *federate.RemoteError
+	if !errors.As(err, &remote) || remote.Code != "reply_too_large" || remote.Status != http.StatusOK {
+		t.Fatalf("err = %v, want a *RemoteError reply_too_large", err)
+	}
+}
+
+// TestClientAskAllocs bounds what relaying one answer costs a parent:
+// decoding a child's 30-answer keyed reply — the benchmark's
+// serve_federated shape — took 794 allocations through json.Unmarshal
+// and a parse of every display form into a throwaway node, and
+// encoding the merged 60 answers of two such replies rendered every
+// tree again; now the decode is one pass and the encode a copy.
+func TestClientAskAllocs(t *testing.T) {
+	prog := yatl.MustParse(workload.SelectiveProgram(2))
+	med := mediator.New(prog, workload.BrochureStore(120, 3, 30, 1), mediator.WithDemandDriven(true))
+	var replies [2][]byte
+	for i, functor := range []string{"Pview1", "Pview2"} {
+		answers, err := med.Ask(`view < -> name -> N, -> city -> C, -> zip -> Z >`, functor)
+		if err != nil || len(answers) != 30 {
+			t.Fatalf("%s: %d answers (%v), want the benchmark's 30", functor, len(answers), err)
+		}
+		replies[i] = wire.AppendAskResponse(nil, 1, answers, true, nil)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := wire.DecodeAskResponse(replies[0]); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 600 {
+		t.Errorf("decoding a 30-answer keyed reply: %v allocations, want <= 600", n)
+	}
+
+	var merged []mediator.Answer
+	for _, reply := range replies {
+		_, answers, err := wire.DecodeAskResponse(reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged = append(merged, answers...)
+	}
+	buf := make([]byte, 0, 16<<10)
+	for _, keyed := range []bool{false, true} {
+		if n := testing.AllocsPerRun(100, func() { buf = wire.AppendAskResponse(buf[:0], 1, merged, keyed, nil) }); n > 8 {
+			t.Errorf("keyed=%v: encoding 60 forwarded answers: %v allocations, want <= 8", keyed, n)
 		}
 	}
 }

@@ -55,9 +55,10 @@ func (e *ClosedError) Error() string {
 	return fmt.Sprintf("federate: shard client %s is closed", e.Shard)
 }
 
-// RemoteError is a non-2xx response from a remote shard, carrying the
-// wire error code so the parent can reason about the child's failure
-// mode without string matching.
+// RemoteError is a response from a remote shard the client could not
+// use: a non-2xx one, carrying the wire error code so the parent can
+// reason about the child's failure mode without string matching, or a
+// reply too large to read ("reply_too_large", whatever its status).
 type RemoteError struct {
 	// Status is the HTTP status code.
 	Status int

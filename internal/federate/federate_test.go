@@ -1,11 +1,15 @@
 package federate
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -444,5 +448,45 @@ func TestFunctorsUnion(t *testing.T) {
 	want := []string{"Pview1", "Pview2", "Pview3"}
 	if !reflect.DeepEqual(fs, want) {
 		t.Errorf("Functors() = %v, want %v", fs, want)
+	}
+}
+
+// TestReadReplyLimit drives readReply with a limit small enough to
+// cross from a test: a body past it is a typed reply_too_large whether
+// the child states its length (refused before it is read) or streams
+// (refused once the limit is passed) — it used to be cut there and
+// reported as malformed JSON — and one at the limit is read whole
+// either way.
+func TestReadReplyLimit(t *testing.T) {
+	const limit = 1 << 10
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n, _ := strconv.Atoi(r.URL.Query().Get("n"))
+		if r.URL.Query().Get("sized") == "1" {
+			w.Header().Set("Content-Length", strconv.Itoa(n))
+		} else {
+			w.(http.Flusher).Flush() // commits the reply to chunked encoding
+		}
+		w.Write(bytes.Repeat([]byte("x"), n))
+	}))
+	t.Cleanup(ts.Close)
+	for _, sized := range []string{"1", "0"} {
+		for _, n := range []int{0, limit, limit + 1, 4 * limit} {
+			resp, err := http.Get(fmt.Sprintf("%s/?sized=%s&n=%d", ts.URL, sized, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if known := resp.ContentLength >= 0; known != (sized == "1") {
+				t.Fatalf("sized=%s: Content-Length %d", sized, resp.ContentLength)
+			}
+			data, err := readReply(resp, limit)
+			resp.Body.Close()
+			var remote *RemoteError
+			switch {
+			case n <= limit && (err != nil || len(data) != n):
+				t.Errorf("sized=%s n=%d: read %d bytes, %v", sized, n, len(data), err)
+			case n > limit && (!errors.As(err, &remote) || remote.Code != "reply_too_large" || data != nil):
+				t.Errorf("sized=%s n=%d: %d bytes, error %v; want a *RemoteError reply_too_large", sized, n, len(data), err)
+			}
+		}
 	}
 }

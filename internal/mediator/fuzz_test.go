@@ -6,7 +6,9 @@ import (
 	"slices"
 	"testing"
 
+	"yat/internal/engine"
 	"yat/internal/snapshot"
+	"yat/internal/tree"
 	"yat/internal/yatl"
 )
 
@@ -90,9 +92,22 @@ func FuzzRestore(f *testing.F) {
 	})
 }
 
-// FuzzParseAnswer: ParseAnswer never panics, and what it accepts
-// re-renders (Name.String, Value.Display — the forms the wire carries)
-// to text that parses back to the same MergeKey.
+// parseAnswer reconstructs a one-binding answer from its display forms,
+// the way a shard client's decoder (wire.DecodeAskResponse) does.
+func parseAnswer(name, v, disp string) (Answer, error) {
+	n, err := tree.ParseName(name)
+	if err != nil {
+		return Answer{}, err
+	}
+	val, err := tree.ParseValue(disp)
+	return Answer{Name: n, Binding: engine.Binding{v: val}}, err
+}
+
+// FuzzParseAnswer: parsing an answer's display forms never panics, and
+// what parses re-renders (Name.String, Value.Display — the forms the
+// wire carries) to text that parses back to the same MergeKey. The
+// decoder that does this in production is fuzzed, against the same
+// corpus inside whole replies, by wire.FuzzDecodeAskResponse.
 func FuzzParseAnswer(f *testing.F) {
 	as, err := selectiveMediator(f).Ask(viewPattern, "Pview1")
 	if err != nil || len(as) == 0 {
@@ -116,17 +131,17 @@ func FuzzParseAnswer(f *testing.F) {
 		f.Add(s[0], s[1], s[2])
 	}
 	f.Fuzz(func(t *testing.T, name, v, disp string) {
-		a, err := ParseAnswer(name, map[string]string{v: disp})
+		a, err := parseAnswer(name, v, disp)
 		if err != nil {
 			return
 		}
-		again, err := ParseAnswer(a.Name.String(), map[string]string{v: a.Binding[v].Display()})
+		again, err := parseAnswer(a.Name.String(), v, a.Binding[v].Display())
 		if err != nil {
-			t.Fatalf("ParseAnswer(%q, %q=%q) re-rendered as (%q, %q), which does not parse: %v",
+			t.Fatalf("(%q, %q=%q) re-rendered as (%q, %q), which does not parse: %v",
 				name, v, disp, a.Name.String(), a.Binding[v].Display(), err)
 		}
 		if a.MergeKey() != again.MergeKey() {
-			t.Fatalf("ParseAnswer(%q, %q=%q): merge key %q, after a re-render %q",
+			t.Fatalf("(%q, %q=%q): merge key %q, after a re-render %q",
 				name, v, disp, a.MergeKey(), again.MergeKey())
 		}
 	})

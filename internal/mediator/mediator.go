@@ -355,22 +355,62 @@ var _ Asker = (*Mediator)(nil)
 type Answer struct {
 	Name    tree.Name
 	Binding engine.Binding
-	// WireKey, when non-empty, overrides MergeKey with the canonical
-	// key computed where the answer was produced. Remote shard clients
-	// set it from the wire so a federation's merge reproduces the
-	// child's exact sort order even if a display form failed to
-	// round-trip; locally produced answers leave it empty.
-	WireKey string `json:"-"`
+	// wire holds the forms the answer's remote producer rendered, nil for
+	// every locally produced answer. One pointer, not the forms inline:
+	// every cached and memoized answer pays for this struct's size
+	// (56 bytes so), and only relayed ones have anything to keep.
+	wire *wireForms
+}
+
+// wireForms are what a remote producer wrote for one answer, kept so
+// that a federation parent merges in the child's exact order and
+// relays the child's bytes instead of rendering the trees again.
+type wireForms struct {
+	// key is the producer's MergeKey.
+	key string
+	// members is the answer's `"name":…,"binding":{…}` JSON members
+	// exactly as wire.AppendAskResponse writes them for Name and
+	// Binding, or "" when the producer wrote them any other way.
+	members string
+}
+
+// RelayedAnswer builds the answer a decoder of the ask wire format
+// read: the parsed name and binding plus the producer's own forms of
+// them — key, its MergeKey ("" when the reply carried none), and
+// members, the `"name":…,"binding":{…}` bytes to forward. It is the
+// only way to set those forms: members must be byte for byte what
+// wire.AppendAskResponse renders for name and binding, which only a
+// decoder that checked them (wire.DecodeAskResponse) can promise; pass
+// "" otherwise.
+func RelayedAnswer(name tree.Name, binding engine.Binding, key, members string) Answer {
+	a := Answer{Name: name, Binding: binding}
+	if key != "" || members != "" {
+		a.wire = &wireForms{key: key, members: members}
+	}
+	return a
+}
+
+// WireMembers is the answer's `"name":…,"binding":{…}` members as its
+// remote producer rendered them, "" for an answer that must be
+// rendered from Name and Binding.
+func (a *Answer) WireMembers() string {
+	if a.wire == nil {
+		return ""
+	}
+	return a.wire.members
 }
 
 // MergeKey is the canonical (Name, Binding) sort key doAsk orders
 // answers by, shared with the federation's cross-shard merge. The NUL
 // separator cannot occur inside either component key (both render
 // strings Go-quoted), so concatenation stays injective. It is defined
-// through AppendMergeKey, so the two cannot drift.
+// through AppendMergeKey, so the two cannot drift. An answer relayed
+// from a remote producer keeps the key computed there, so a
+// federation's merge reproduces the child's exact sort order even if a
+// display form failed to round-trip.
 func (a *Answer) MergeKey() string {
-	if a.WireKey != "" {
-		return a.WireKey
+	if a.wire != nil && a.wire.key != "" {
+		return a.wire.key
 	}
 	return string(a.AppendMergeKey(nil))
 }
@@ -379,8 +419,8 @@ func (a *Answer) MergeKey() string {
 // Binding.Key — without building either component string: a keyed
 // reply (?keys=1) renders one per answer.
 func (a *Answer) AppendMergeKey(dst []byte) []byte {
-	if a.WireKey != "" {
-		return append(dst, a.WireKey...)
+	if a.wire != nil && a.wire.key != "" {
+		return append(dst, a.wire.key...)
 	}
 	dst = a.Name.AppendKey(dst)
 	dst = append(dst, 0)
@@ -403,26 +443,6 @@ func (a *Answer) AppendMergeKey(dst []byte) []byte {
 		dst = append(dst, ';')
 	}
 	return dst
-}
-
-// ParseAnswer reconstructs an answer from its display form, the one
-// the wire carries: tree.ParseName and tree.ParseValue invert
-// Name.String and Value.Display.
-func ParseAnswer(name string, binding map[string]string) (Answer, error) {
-	n, err := tree.ParseName(name)
-	if err != nil {
-		return Answer{}, fmt.Errorf("unparseable answer name %q: %w", name, err)
-	}
-	a := Answer{Name: n}
-	if len(binding) > 0 {
-		a.Binding = make(engine.Binding, len(binding))
-		for v, disp := range binding {
-			if a.Binding[v], err = tree.ParseValue(disp); err != nil {
-				return Answer{}, fmt.Errorf("unparseable binding %s=%q: %w", v, disp, err)
-			}
-		}
-	}
-	return a, nil
 }
 
 // Ask matches a pattern (in YATL concrete syntax) against the virtual

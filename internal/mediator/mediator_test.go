@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"yat/internal/compose"
 	"yat/internal/engine"
@@ -334,8 +335,10 @@ func TestAnswersDeterministic(t *testing.T) {
 
 // TestAppendMergeKeyMatchesMergeKey: the append form is MergeKey byte
 // for byte, and both are the composition doAsk sorts by — Name.Key,
-// NUL, engine.Binding.Key (trees by canonical key) — unless the wire
-// supplied the key.
+// NUL, engine.Binding.Key (trees by canonical key) — unless the
+// answer's remote producer supplied the key. Relaying must not make an
+// Answer bigger than the 64 bytes it was with a key string inline:
+// retained_heap_mb on every served workload scales with it.
 func TestAppendMergeKeyMatchesMergeKey(t *testing.T) {
 	subtree := tree.TreeVal{Root: tree.Sym("car", tree.Str("Golf"), tree.IntLeaf(3), tree.FloatLeaf(2))}
 	wide := engine.Binding{}
@@ -349,12 +352,20 @@ func TestAppendMergeKeyMatchesMergeKey(t *testing.T) {
 			Binding: engine.Binding{"T": subtree, "N": tree.String("a\x00b;c=\"d\""), "F": tree.Float(2),
 				"R": tree.Ref{Name: tree.SkolemName("Pcar", tree.Int(1))}, "B": tree.Bool(true), "": tree.Symbol("s")}},
 		{Name: tree.PlainName("wide"), Binding: wide},
-		{Name: tree.PlainName("remote"), Binding: engine.Binding{"N": tree.Int(1)}, WireKey: "the\x00wire=key;"},
+		RelayedAnswer(tree.PlainName("remote"), engine.Binding{"N": tree.Int(1)}, "the\x00wire=key;", ""),
+		// Forwarded members without a key: the key is computed locally.
+		RelayedAnswer(tree.PlainName("remote"), nil, "", `"name":"remote"`),
+	}
+	if size := unsafe.Sizeof(Answer{}); size > 64 {
+		t.Errorf("Answer is %d bytes, want <= 64", size)
+	}
+	if a := RelayedAnswer(tree.PlainName("local"), nil, "", ""); a.wire != nil {
+		t.Error("an answer with no producer forms allocated some")
 	}
 	for i, a := range answers {
 		want := a.Name.Key() + "\x00" + a.Binding.Key()
-		if a.WireKey != "" {
-			want = a.WireKey
+		if a.wire != nil && a.wire.key != "" {
+			want = a.wire.key
 		}
 		if got := a.MergeKey(); got != want {
 			t.Errorf("answer %d: MergeKey = %q, want %q", i, got, want)

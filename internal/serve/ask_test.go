@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -219,4 +220,53 @@ func TestServeDropsStalledConnections(t *testing.T) {
 	if waited := time.Since(start); waited < readHeaderTimeout-time.Second {
 		t.Errorf("connection dropped after %s, before readHeaderTimeout (%s)", waited, readHeaderTimeout)
 	}
+}
+
+// FuzzAskRequest sends hostile /ask bodies through the handler, plain,
+// keyed and under EXPLAIN. Whatever arrives, the reply is a 200 whose
+// document holds together or a 4xx carrying the typed wire error —
+// never a panic (the recorder lets one reach the fuzzer) and never a
+// 5xx: nothing a client can put in a body is the server's fault.
+func FuzzAskRequest(f *testing.F) {
+	s, err := New(Config{Prog: yatl.MustParse(versionedSelective("v1", "v2")), Inputs: workload.BrochureStore(6, 2, 5, 11), Pool: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	handler := s.Handler()
+	for i, body := range []string{
+		`{"pattern":"X"}`,
+		`{"pattern":"` + tagPattern + `","functors":["Pview1"]}`,
+		`{"pattern":"view < -> tag -> \"v2\", -> name -> N >","functors":["Pview2","Pview2"]}`,
+		`{"pattern":"X","functors":["Pnope"]}`,
+		`{"pattern":"X","functors":"Pview1"}`,
+		`{"pattern":"X","functors":[null,""]}`,
+		`{"pattern":"< unclosed"}`,
+		`{"pattern":"view < -*> X, -*> Y, -> Z -> Z >"}`,
+		`{"pattern":"\"ends on a backslash\\"}`,
+		`{"pattern":"X : Y & ^Z"}`,
+		`{"pattern":5}`, `{"pattern":null}`, `{"Pattern":"X","PATTERN":"Y"}`, `{}`, `null`, `[]`, ``, `{"pattern":"X"} trailing`,
+		"{\"pattern\":\"\xff\xfe\"}", `{"pattern":"` + strings.Repeat("a < ", 2000) + `"}`,
+		strings.Repeat("[", 20000),
+	} {
+		f.Add([]byte(body), uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, body []byte, query uint8) {
+		q := [...]string{"", "?keys=1", "?explain=1", "?explain=1&keys=1&timing=1"}[query%4]
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ask"+q, bytes.NewReader(body)))
+		switch {
+		case rec.Code == http.StatusOK:
+			var out wire.AskResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out.Count != len(out.Answers) || out.Generation != 1 {
+				t.Fatalf("%q%s: 200 with %q (%v)", body, q, rec.Body, err)
+			}
+		case rec.Code/100 == 4:
+			var out wire.ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out.Error.Code == "" || out.Error.Message == "" {
+				t.Fatalf("%q%s: %d with %q (%v), want the typed error envelope", body, q, rec.Code, rec.Body, err)
+			}
+		default:
+			t.Fatalf("%q%s: status %d: %s", body, q, rec.Code, rec.Body)
+		}
+	})
 }

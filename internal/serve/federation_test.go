@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -10,6 +14,7 @@ import (
 	"yat/internal/mediator"
 	"yat/internal/serve/wire"
 	"yat/internal/source"
+	"yat/internal/tree"
 	"yat/internal/workload"
 	"yat/internal/yatl"
 )
@@ -195,5 +200,168 @@ func TestAskKeysParameter(t *testing.T) {
 		if !strings.Contains(a.Key, "\x00") {
 			t.Errorf("key %q lacks the name/binding separator", a.Key)
 		}
+	}
+}
+
+// remoteFederation builds the two-tier topology over real HTTP: one
+// yatserve per shard of prog, a shard client each, and the parent
+// server over their federation. wrap, when set, stands a different
+// child in front of shard 0's server.
+func remoteFederation(t *testing.T, prog *yatl.Program, inputs *tree.Store, shards int, wrap func(childURL string) string) string {
+	t.Helper()
+	var children []federate.Child
+	for i, p := range federate.PlanShards(prog, shards) {
+		_, ts := newTestServer(t, Config{Prog: p.Prog, Inputs: inputs, Pool: 1})
+		url := ts.URL
+		if i == 0 && wrap != nil {
+			url = wrap(url)
+		}
+		children = append(children, federate.Child{Asker: shardClient(t, url), Functors: p.Functors})
+	}
+	return serveFederation(t, children...)
+}
+
+func shardClient(t *testing.T, url string) *federate.Client {
+	t.Helper()
+	c := federate.NewClient(url, nil)
+	t.Cleanup(c.Close)
+	return c
+}
+
+// serveFederation fronts a federation over children with a server and
+// returns its URL.
+func serveFederation(t *testing.T, children ...federate.Child) string {
+	t.Helper()
+	fed, err := federate.New(federate.Config{Children: children})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Askers: []mediator.Asker{fed}})
+	return ts.URL
+}
+
+// previousRelease stands in front of a child and re-indents its ask
+// replies — the same document the previous release sent, in the layout
+// it sent it.
+func previousRelease(t *testing.T) func(childURL string) string {
+	return func(childURL string) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			req, err := http.NewRequestWithContext(r.Context(), r.Method, childURL+r.URL.RequestURI(), r.Body)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if r.URL.Path == "/ask" && resp.StatusCode == http.StatusOK {
+				var indented bytes.Buffer
+				if err := json.Indent(&indented, body, "", "  "); err != nil {
+					t.Error(err)
+				}
+				body = indented.Bytes()
+			}
+			w.WriteHeader(resp.StatusCode)
+			w.Write(body)
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+}
+
+// TestRemoteFederationServesTheSingleServersBytes is the forwarding
+// contract where a client sees it. A parent relays its children's
+// rendered members instead of rendering their trees again, and for
+// shards 1, 2 and 4 its /ask and /ask?keys=1 bodies are byte for byte
+// the unsharded server's — also when one child is of the previous
+// release, whose indented members are not forwarded but rendered, and
+// through a second tier, where a grandparent forwards what the parent
+// forwarded.
+func TestRemoteFederationServesTheSingleServersBytes(t *testing.T) {
+	prog := yatl.MustParse(workload.SelectiveProgram(4))
+	inputs := workload.BrochureStore(4, 2, 4, 11)
+	_, single := newTestServer(t, Config{Prog: prog, Inputs: inputs, Pool: 1})
+	const view = `view < -> name -> N, -> city -> C, -> zip -> Z >`
+	asks := []wire.AskRequest{
+		{Pattern: "X"}, // binds whole trees
+		{Pattern: view},
+		{Pattern: view, Functors: []string{"Pview3"}},
+		{Pattern: "X", Functors: []string{"Pview4", "Pview1"}},
+	}
+	check := func(topology, url string) {
+		t.Helper()
+		for _, req := range asks {
+			for _, query := range []string{"", "?keys=1"} {
+				_, want := rawAsk(t, single.URL, query, req)
+				resp, got := rawAsk(t, url, query, req)
+				checkAskFraming(t, resp, got)
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: /ask%s %+v differs from the single server:\n got %s\nwant %s", topology, query, req, got, want)
+				}
+			}
+		}
+	}
+	for _, shards := range []int{1, 2, 4} {
+		parent := remoteFederation(t, prog, inputs, shards, nil)
+		check(fmt.Sprintf("%d shards", shards), parent)
+		check(fmt.Sprintf("%d shards, one of the previous release", shards), remoteFederation(t, prog, inputs, shards, previousRelease(t)))
+		check(fmt.Sprintf("grandparent over %d shards", shards), serveFederation(t, federate.Child{Asker: shardClient(t, parent)}))
+	}
+
+	// What makes the bytes equal differs: a current child's members come
+	// back forwardable, the previous release's do not.
+	for url, forwarded := range map[string]bool{single.URL: true, previousRelease(t)(single.URL): false} {
+		answers, err := shardClient(t, url).Ask(view, "Pview1")
+		if err != nil || len(answers) == 0 {
+			t.Fatalf("%d answers, %v", len(answers), err)
+		}
+		for _, a := range answers {
+			if (a.WireMembers() != "") != forwarded {
+				t.Errorf("forwarded=%v child: answer %s carries members %q", forwarded, a.Name, a.WireMembers())
+			}
+		}
+	}
+}
+
+// TestRelayedAnswersKeepTheChildsForms records the one intended change
+// in behaviour: a display form that does not survive ParseValue ∘
+// Display — "1.50" parses to the float that displays "1.5", a spaced
+// Skolem argument to the unspaced name — used to reach the parent's
+// caller re-rendered, silently; forwarded, it arrives as the child
+// wrote it, through one tier and through two.
+func TestRelayedAnswersKeepTheChildsForms(t *testing.T) {
+	const members = `"name":"Pview1( 1 )","binding":{"F":"1.50","S":"\"a\u003cb\""}`
+	const reply = `{"generation":1,"count":1,"answers":[{` + members + `,"key":"Pview1(int:1)\u0000F=1.5;S=\"a\u003cb\";"}]}` + "\n"
+	canned := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/ask" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write([]byte(reply))
+	}))
+	t.Cleanup(canned.Close)
+	parent := serveFederation(t, federate.Child{Asker: shardClient(t, canned.URL), Functors: []string{"Pview1"}})
+	grandparent := serveFederation(t, federate.Child{Asker: shardClient(t, parent), Functors: []string{"Pview1"}})
+	for tier, url := range map[string]string{"parent": parent, "grandparent": grandparent} {
+		if _, got := rawAsk(t, url, "?keys=1", wire.AskRequest{Pattern: "X"}); string(got) != reply {
+			t.Errorf("%s, keyed:\n got %s\nwant %s", tier, got, reply)
+		}
+		want := `{"generation":1,"count":1,"answers":[{` + members + `}]}` + "\n"
+		if _, got := rawAsk(t, url, "", wire.AskRequest{Pattern: "X"}); string(got) != want {
+			t.Errorf("%s, bare:\n got %s\nwant %s", tier, got, want)
+		}
+	}
+	// The typed answer is what the forms parse to, as ever.
+	answers, err := shardClient(t, parent).Ask("X")
+	if err != nil || len(answers) != 1 || answers[0].Name.String() != "Pview1(1)" || answers[0].Binding["F"].Display() != "1.5" {
+		t.Errorf("typed answers %+v, %v", answers, err)
 	}
 }

@@ -13,12 +13,15 @@ import (
 // AppendAskResponse appends the POST /ask (and GET /explain) reply —
 // the compact JSON of an AskResponse plus the newline a json.Encoder
 // ends a document with — to dst, rendering straight from the answer
-// trees: no AskAnswer values, no binding maps, no display strings.
+// trees: no AskAnswer values, no binding maps, no display strings. An
+// answer relayed from a remote child (DecodeAskResponse) is not even
+// rendered: the members the child wrote are forwarded as they came.
 // keyed adds each answer's merge key (?keys=1); a non-empty profile
 // rides at the end.
 //
 // The bytes are exactly json.Marshal(AskResponse{…}) + "\n" for the
-// same answers: field order, omitempty, binding keys sorted, and
+// same answers — for a relayed answer, over the display strings its
+// child sent: field order, omitempty, binding keys sorted, and
 // encoding/json's string escaping (HTML-safe, U+2028/9, U+FFFD for
 // invalid UTF-8). That identity is the wire contract — every decoder
 // of the struct decodes this — and the differential and fuzz tests
@@ -42,26 +45,33 @@ func AppendAskResponse(dst []byte, generation int64, answers []mediator.Answer, 
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, `{"name":`...)
-		scratch = a.Name.AppendString(scratch[:0])
-		dst = appendJSONString(dst, scratch)
-		if len(a.Binding) > 0 {
-			vars := varsBuf[:0]
-			for v := range a.Binding {
-				vars = append(vars, v)
-			}
-			slices.Sort(vars)
-			dst = append(dst, `,"binding":{`...)
-			for j, v := range vars {
-				if j > 0 {
-					dst = append(dst, ',')
+		dst = append(dst, '{')
+		if members := a.WireMembers(); members != "" {
+			// Relayed from a child whose reply DecodeAskResponse read: it
+			// checked that these are the bytes the other branch writes.
+			dst = append(dst, members...)
+		} else {
+			dst = append(dst, `"name":`...)
+			scratch = a.Name.AppendString(scratch[:0])
+			dst = appendJSONString(dst, scratch)
+			if len(a.Binding) > 0 {
+				vars := varsBuf[:0]
+				for v := range a.Binding {
+					vars = append(vars, v)
 				}
-				dst = appendJSONString(dst, v)
-				dst = append(dst, ':')
-				scratch = tree.AppendDisplay(scratch[:0], a.Binding[v])
-				dst = appendJSONString(dst, scratch)
+				slices.Sort(vars)
+				dst = append(dst, `,"binding":{`...)
+				for j, v := range vars {
+					if j > 0 {
+						dst = append(dst, ',')
+					}
+					dst = appendJSONString(dst, v)
+					dst = append(dst, ':')
+					scratch = tree.AppendDisplay(scratch[:0], a.Binding[v])
+					dst = appendJSONString(dst, scratch)
+				}
+				dst = append(dst, '}')
 			}
-			dst = append(dst, '}')
 		}
 		if keyed {
 			if scratch = a.AppendMergeKey(scratch[:0]); len(scratch) > 0 {

@@ -3,10 +3,15 @@
 // shard client (internal/federate) and the load driver (cmd/yatload).
 // One definition means the three can never drift; the JSON field
 // names are part of the wire contract, pinned by the byte-stability
-// test, and only ever grow. The server does not marshal AskResponse
-// through reflection: AppendAskResponse (encode.go) renders the same
-// bytes straight from the answers, held to json.Marshal of the struct
-// by a differential and a fuzz test.
+// test, and only ever grow. Neither end of an ask goes through
+// reflection: AppendAskResponse (encode.go) renders the bytes of
+// json.Marshal(AskResponse) straight from the answers, and
+// DecodeAskResponse (decode.go), its inverse, scans a reply into typed
+// answers that keep the producer's rendering, so a federation parent
+// forwards its children's answers instead of rendering them again.
+// AskResponse and AskAnswer remain the specification of both, held to
+// json.Marshal and json.Unmarshal of the structs by differential and
+// fuzz tests, and the form every other client decodes.
 package wire
 
 import (

@@ -216,7 +216,7 @@ func oracleAnswers(vals []tree.Value) []mediator.Answer {
 	answers := []mediator.Answer{
 		{Name: tree.PlainName("b1")},
 		{Name: tree.PlainName("b2"), Binding: engine.Binding{}},
-		{Name: tree.SkolemName("Pview1", tree.String("Supplier 001")), WireKey: "from\x00the <wire>"},
+		mediator.RelayedAnswer(tree.SkolemName("Pview1", tree.String("Supplier 001")), nil, "from\x00the <wire>", ""),
 	}
 	wide := engine.Binding{}
 	for i, v := range vals {
@@ -266,10 +266,28 @@ func TestAppendAskResponseMatchesMarshal(t *testing.T) {
 	}
 }
 
-// FuzzAppendAskResponse holds the byte identity over arbitrary text:
-// the fuzzed strings become a Skolem functor and argument, a variable
-// name, and String, Symbol, Ref and TreeVal binding values; the
-// numbers become Int and Float values and the generation.
+// fuzzAnswers is the fuzz targets' value generator: the fuzzed strings
+// become a Skolem functor and argument, a variable name, and String,
+// Symbol, Ref and TreeVal binding values; the numbers become Int and
+// Float values.
+func fuzzAnswers(s1, s2 string, n int64, x float64, b bool) []mediator.Answer {
+	return []mediator.Answer{
+		{Name: tree.PlainName(s1)},
+		{Name: tree.SkolemName(s2, tree.String(s1), tree.Int(n)), Binding: engine.Binding{
+			s1:  tree.String(s2),
+			s2:  tree.Symbol(s1),
+			"F": tree.Float(x),
+			"I": tree.Int(n),
+			"B": tree.Bool(b),
+			"R": tree.Ref{Name: tree.SkolemName(s1, tree.Float(x))},
+			"T": tree.TreeVal{Root: tree.Sym(s2, tree.Str(s1), tree.FloatLeaf(x), tree.RefLeaf(tree.PlainName(s2)))},
+		}},
+		mediator.RelayedAnswer(tree.PlainName("remote"), nil, s2, ""),
+	}
+}
+
+// FuzzAppendAskResponse holds the byte identity over arbitrary text
+// (fuzzAnswers; n is the generation too).
 func FuzzAppendAskResponse(f *testing.F) {
 	for i, s := range nastyStrings {
 		f.Add(s, nastyStrings[(i+1)%len(nastyStrings)], int64(i-3), float64(i)/4, i%2 == 0, i%3 == 0)
@@ -278,19 +296,7 @@ func FuzzAppendAskResponse(f *testing.F) {
 	f.Add("x", "y", int64(0), math.NaN(), false, true)
 	f.Add("x", "y", int64(1), 2.0, true, false)
 	f.Fuzz(func(t *testing.T, s1, s2 string, n int64, x float64, keyed, withProfile bool) {
-		answers := []mediator.Answer{
-			{Name: tree.PlainName(s1)},
-			{Name: tree.SkolemName(s2, tree.String(s1), tree.Int(n)), Binding: engine.Binding{
-				s1:  tree.String(s2),
-				s2:  tree.Symbol(s1),
-				"F": tree.Float(x),
-				"I": tree.Int(n),
-				"B": tree.Bool(keyed),
-				"R": tree.Ref{Name: tree.SkolemName(s1, tree.Float(x))},
-				"T": tree.TreeVal{Root: tree.Sym(s2, tree.Str(s1), tree.FloatLeaf(x), tree.RefLeaf(tree.PlainName(s2)))},
-			}},
-			{Name: tree.PlainName("remote"), WireKey: s2},
-		}
+		answers := fuzzAnswers(s1, s2, n, x, keyed)
 		var profile json.RawMessage
 		if withProfile {
 			profile, _ = json.Marshal(map[string]any{s1: s2, "n": n})

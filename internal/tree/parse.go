@@ -137,6 +137,9 @@ const (
 	gtColon
 	gtAmp
 	gtArrow
+	// gtBad is a character no token starts with. No production accepts
+	// it, so it is a parse error wherever it stands.
+	gtBad
 )
 
 type gtToken struct {
@@ -246,7 +249,7 @@ func (p *groundParser) next() {
 		}
 		p.tok = gtToken{kind: gtSymbol, text: p.src[start:p.off], pos: start}
 	default:
-		p.tok = gtToken{kind: gtEOF, text: string(r), pos: start}
+		p.tok = gtToken{kind: gtBad, text: string(r), pos: start}
 		p.off += w
 	}
 }
@@ -339,14 +342,20 @@ func (p *groundParser) parseName() (Name, error) {
 // parseValueOrTree reads a value that may carry tree structure: a
 // bare value when no children follow, else the whole subtree wrapped
 // as a TreeVal. The leaf/value ambiguity is resolved toward the bare
-// value, whose display form is identical.
+// value, whose display form is identical — so a scalar, which is what
+// nearly every binding and Skolem argument on the wire is, builds no
+// node at all.
 func (p *groundParser) parseValueOrTree() (Value, error) {
-	n, err := p.parseTree()
+	v, err := p.parseValue()
 	if err != nil {
 		return nil, err
 	}
-	if len(n.Children) == 0 {
-		return n.Label, nil
+	if p.tok.kind != gtLAngle && p.tok.kind != gtArrow {
+		return v, nil
+	}
+	n, err := p.parseChildren(v)
+	if err != nil {
+		return nil, err
 	}
 	return TreeVal{Root: n}, nil
 }
@@ -356,7 +365,13 @@ func (p *groundParser) parseTree() (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := New(v)
+	return p.parseChildren(v)
+}
+
+// parseChildren builds the node labelled label and reads the children
+// that follow it, if any.
+func (p *groundParser) parseChildren(label Value) (*Node, error) {
+	n := New(label)
 	switch p.tok.kind {
 	case gtLAngle:
 		p.next()

@@ -338,12 +338,18 @@ func TestParseErrors(t *testing.T) {
 		`"unterminated`,
 		`"ends on a backslash\`, // used to index past the input
 		`a < b > trailing`,
-		`a(1`, // name syntax only valid after &
+		`a(1`,   // name syntax only valid after &
+		`a ! b`, // a character no token starts with used to end the input
+		`a < b > # c`,
 	}
 	for _, in := range bad {
 		if _, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", in)
 		}
+	}
+	// ...which let a store drop everything after it without a word.
+	if s, err := ParseStore("a: 1\n; b: 2\nc: 3"); err == nil {
+		t.Errorf("ParseStore read %d of 3 entries past a stray character without an error", s.Len())
 	}
 }
 
@@ -580,5 +586,63 @@ func TestAppendStringMatchesString(t *testing.T) {
 	}
 	if got, want := SkolemName("Psup", String("VW"), Float(2)).Key(), `Psup(string:"VW",float:2.0)`; got != want {
 		t.Errorf("Key = %q, want %q", got, want)
+	}
+}
+
+// TestParseValueAndName: ParseValue and ParseName invert Display and
+// String over every value kind — a leaf tree parses as its bare label,
+// whose display form is the same — and refuse trailing input.
+func TestParseValueAndName(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Value
+	}{
+		{`"Supplier 007"`, String("Supplier 007")}, {"75011", Int(75011)}, {"-0.5", Float(-0.5)},
+		{"Paris", Symbol("Paris")}, {"true", Bool(true)}, {"&s1", Ref{Name: PlainName("s1")}},
+		{`&Psup("s", 1)`, Ref{Name: SkolemName("Psup", String("s"), Int(1))}},
+		{`a < "b", 1 >`, TreeVal{Root: Sym("a", Str("b"), IntLeaf(1))}},
+		{"a -> b -> 1", TreeVal{Root: Sym("a", Sym("b", IntLeaf(1)))}},
+	} {
+		got, err := ParseValue(c.in)
+		if err != nil || got.Kind() != c.want.Kind() || got.Display() != c.want.Display() {
+			t.Errorf("ParseValue(%q) = %#v, %v; want %#v", c.in, got, err, c.want)
+		}
+		name := SkolemName("Pview1", c.want, Int(2))
+		if n, err := ParseName(name.String()); err != nil || n.Key() != name.Key() {
+			t.Errorf("ParseName(%q) = %q, %v; want %q", name.String(), n.Key(), err, name.Key())
+		}
+	}
+	for _, in := range []string{"", "1 2", "a <", "a < >", "a ->", `"open`, "P(", "P(1", "P(1) x", "&", "b1!x", "P(1)!"} {
+		if v, err := ParseValue(in); err == nil {
+			t.Errorf("ParseValue(%q) = %#v, want an error", in, v)
+		}
+		if n, err := ParseName(in); err == nil {
+			t.Errorf("ParseName(%q) = %v, want an error", in, n)
+		}
+	}
+}
+
+// TestParseScalarAllocs: a scalar costs its boxed value and nothing
+// else — no node is built to be thrown away — and a one-argument
+// Skolem name its argument slice and that one value. A federation
+// parent parses four of these per answer it relays.
+func TestParseScalarAllocs(t *testing.T) {
+	for _, in := range []string{`"Supplier 007"`, "75011", "Paris", "&s1"} {
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := ParseValue(in); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 1 {
+			t.Errorf("ParseValue(%s): %v allocations, want <= 1", in, n)
+		}
+	}
+	for in, max := range map[string]float64{"Pview1": 0, `Pview1("Supplier 007")`: 2} {
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := ParseName(in); err != nil {
+				t.Fatal(err)
+			}
+		}); n > max {
+			t.Errorf("ParseName(%s): %v allocations, want <= %v", in, n, max)
+		}
 	}
 }
