@@ -5,9 +5,10 @@
 // mint its functor, so the cache is a map from head functor to an
 // immutable *group*: per-rule committed entries and the source records
 // of the group's slice are the truth, one name-deduplicated read bucket
-// is derived from them. A mutator never edits a group; it builds a
-// replacement and swaps the map slot, so a bucket handed to an ask
-// stays a consistent view for as long as the ask holds it.
+// and the leaf-path index over it (index.go) are derived from them. A
+// mutator never edits a group; it builds a replacement and swaps the
+// map slot, so a bucket handed to an ask stays a consistent view for as
+// long as the ask holds it.
 //
 // Every write goes through commit, evict, carryOver or memoize, and the
 // first three are the only places the version is bumped and the ask
@@ -52,6 +53,10 @@ type group struct {
 	// bucket is what asks read: the rules' entries in declaration order
 	// of the rules, each identity once.
 	bucket []tree.StoreEntry
+	// index finds the bucket entries that hold a constant root-to-leaf
+	// label path (index.go), so a point lookup matches its candidates,
+	// not the bucket. Derived from bucket, like bucket it is not persisted.
+	index pathIndex
 	// sources holds one record per rule of the group's slice, construct
 	// and support alike: the keys of the source inputs that directly
 	// matched the rule. Its key set is the slice's membership; both are
@@ -113,9 +118,17 @@ func (c *demandCache) bucket(functor string) []tree.StoreEntry {
 	return nil
 }
 
-// buckets returns the entries of the given functors' buckets (none =
-// every cached group, in functor order).
-func (c *demandCache) buckets(functors ...string) []tree.StoreEntry {
+// candidates returns the entries of the given functors' buckets (none =
+// every cached group, in functor order) that pt can match: per group,
+// the entries under the pattern's most selective usable path (index.go).
+// A nil pattern, or one with no usable path, selects whole buckets; a
+// single bucket is then returned uncopied.
+func (c *demandCache) candidates(pt *pattern.PTree, functors ...string) []tree.StoreEntry {
+	var buf [8]uint32
+	paths := buf[:0]
+	if pt != nil {
+		paths = appendUsablePaths(paths, pt, pathSeed)
+	}
 	switch len(functors) {
 	case 0:
 		for f := range c.groups {
@@ -123,15 +136,40 @@ func (c *demandCache) buckets(functors ...string) []tree.StoreEntry {
 		}
 		sort.Strings(functors)
 	case 1:
-		return c.bucket(functors[0])
+		if g := c.groups[functors[0]]; g != nil {
+			return g.candidates(paths)
+		}
+		return nil
 	}
 	var out []tree.StoreEntry
 	seen := map[string]bool{}
 	for _, f := range functors {
-		if !seen[f] {
+		if g := c.groups[f]; g != nil && !seen[f] {
 			seen[f] = true
-			out = append(out, c.bucket(f)...)
+			out = append(out, g.candidates(paths)...)
 		}
+	}
+	return out
+}
+
+// candidates returns the bucket entries a pattern with the given usable
+// paths can match, in bucket order: those under its most selective
+// path. No path, or a path every entry holds, selects the bucket
+// itself, uncopied.
+func (g *group) candidates(paths []uint32) []tree.StoreEntry {
+	if len(paths) == 0 {
+		return g.bucket
+	}
+	refs := g.index.narrowest(paths)
+	switch len(refs) {
+	case 0:
+		return nil
+	case len(g.bucket):
+		return g.bucket
+	}
+	out := make([]tree.StoreEntry, len(refs))
+	for i, ref := range refs {
+		out[i] = g.bucket[uint32(ref)]
 	}
 	return out
 }
@@ -312,6 +350,7 @@ func (c *demandCache) build(f string, run sliceRun, old *group, appendTo bool) (
 		lists = append(lists, entries)
 	}
 	g.bucket = dedup(lists)
+	g.index = buildPathIndex(g.bucket)
 	for _, rules := range [][]*yatl.Rule{own.Construct, own.Support} {
 		for _, r := range rules {
 			g.sources[r.Name] = run.sources[r.Name]

@@ -168,7 +168,7 @@ func TestReloadSharesUnchangedGroups(t *testing.T) {
 	old := m.state()
 	// The in-flight ask: its view of the old generation, taken before
 	// the reload.
-	view, hit, _, err := m.ensureDemand(context.Background(), old, []string{"Ppart1"})
+	view, hit, _, err := m.ensureDemand(context.Background(), old, nil, []string{"Ppart1"})
 	if err != nil || !hit || len(view) != 3 {
 		t.Fatalf("view: %d entries, hit=%v err=%v", len(view), hit, err)
 	}

@@ -254,6 +254,7 @@ type Mediator struct {
 	// Query counters (atomics: Ask runs concurrently).
 	asks      atomic.Int64
 	cacheHits atomic.Int64
+	memoHits  atomic.Int64
 	cacheMiss atomic.Int64
 	askNanos  atomic.Int64
 
@@ -542,11 +543,12 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 		memoKey = askKey{pt: pt, functors: strings.Join(functors, "\x00")}
 		if out, ok := g.lookupAsk(memoKey); ok {
 			m.cacheHits.Add(1)
+			m.memoHits.Add(1)
 			return out, nil
 		}
 		memoGen = g
 	}
-	entries, matcher, hit, memoVer, err := m.read(ctx, st, functors)
+	entries, matcher, hit, memoVer, err := m.read(ctx, st, pt, functors)
 	if hit {
 		m.cacheHits.Add(1)
 	} else {
@@ -564,12 +566,11 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 		}
 	}
 	if len(out) > 1 {
-		sort.SliceStable(out, func(i, j int) bool {
-			if k := out[i].Name.Key(); k != out[j].Name.Key() {
-				return k < out[j].Name.Key()
-			}
-			return out[i].Binding.Key() < out[j].Binding.Key()
-		})
+		names := make([]string, len(out))
+		for i := range out {
+			names[i] = out[i].Name.Key()
+		}
+		sort.Stable(&answerOrder{out, names})
 	}
 	if memoGen != nil {
 		memoGen.mu.Lock()
@@ -579,18 +580,42 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 	return out, nil
 }
 
+// answerOrder sorts answers by (Name.Key, Binding.Key), the order
+// MergeKey spells. Each name key is built once; a binding key — the
+// dear one — only on a name tie, which no two objects of one view have.
+type answerOrder struct {
+	answers []Answer
+	names   []string // names[i] is answers[i].Name.Key()
+}
+
+func (o *answerOrder) Len() int { return len(o.answers) }
+
+func (o *answerOrder) Less(i, j int) bool {
+	if o.names[i] != o.names[j] {
+		return o.names[i] < o.names[j]
+	}
+	return o.answers[i].Binding.Key() < o.answers[j].Binding.Key()
+}
+
+func (o *answerOrder) Swap(i, j int) {
+	o.answers[i], o.answers[j] = o.answers[j], o.answers[i]
+	o.names[i], o.names[j] = o.names[j], o.names[i]
+}
+
 // read is the one read path behind Ask, Get and Functors, and the one
 // mode branch on the read side. It returns the target's entries
 // restricted to the given functors (none = the whole target), the
 // matcher to read them with, whether they were served entirely from an
 // already-successful materialization (false on error), and — demand
 // mode — the cache version the view was taken at. Demand-driven, only
-// the functors' slice is ensured; otherwise the whole target
-// materializes once and is filtered: an engine run independent of the
-// demand cache, which is what lets the benchmark use it as the oracle.
-func (m *Mediator) read(ctx context.Context, st *progState, functors []string) ([]tree.StoreEntry, *engine.Matcher, bool, uint64, error) {
+// the functors' slice is ensured, and an ask's pattern (nil for Get and
+// Functors) may narrow the entries to those it can match; otherwise the
+// whole target materializes once and is filtered by functor alone: an
+// engine run independent of the demand cache and its index, which is
+// what lets the benchmark use it as the oracle.
+func (m *Mediator) read(ctx context.Context, st *progState, pt *pattern.PTree, functors []string) ([]tree.StoreEntry, *engine.Matcher, bool, uint64, error) {
 	if m.demand {
-		entries, hit, ver, err := m.ensureDemand(ctx, st, functors)
+		entries, hit, ver, err := m.ensureDemand(ctx, st, pt, functors)
 		return entries, storelessMatcher, hit, ver, err
 	}
 	res, warm, err := m.materialize(ctx, st)
@@ -614,10 +639,11 @@ func (m *Mediator) read(ctx context.Context, st *progState, functors []string) (
 // given functors (none = the whole program) is cached, running the
 // engine over the missing groups' slice when necessary. It returns a
 // consistent view of the cached entries restricted to the requested
-// functors, whether the query was served entirely from cache, and the
-// cache version the view was taken at (for the ask memo's stale-write
-// guard).
-func (m *Mediator) ensureDemand(ctx context.Context, st *progState, functors []string) ([]tree.StoreEntry, bool, uint64, error) {
+// functors — with a pattern, to the candidates the cache's leaf-path
+// index leaves it (every entry it can match, possibly more) — whether
+// the query was served entirely from cache, and the cache version the
+// view was taken at (for the ask memo's stale-write guard).
+func (m *Mediator) ensureDemand(ctx context.Context, st *progState, pt *pattern.PTree, functors []string) ([]tree.StoreEntry, bool, uint64, error) {
 	g := st.dgen
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -662,7 +688,7 @@ func (m *Mediator) ensureDemand(ctx context.Context, st *progState, functors []s
 		g.ran(res.Stats)
 		g.cache.commit(runOf(sub, res), false)
 	}
-	return g.cache.buckets(functors...), len(missing) == 0, g.cache.version(), nil
+	return g.cache.candidates(pt, functors...), len(missing) == 0, g.cache.version(), nil
 }
 
 // Get resolves one virtual object by Skolem identity. A demand-driven
@@ -674,13 +700,14 @@ func (m *Mediator) Get(name tree.Name) (*tree.Node, bool, error) {
 // GetContext is Get with a cancellation context applied to any engine
 // run the lookup triggers.
 func (m *Mediator) GetContext(ctx context.Context, name tree.Name) (*tree.Node, bool, error) {
-	entries, _, _, _, err := m.read(ctx, m.state(), []string{name.Functor})
+	entries, _, _, _, err := m.read(ctx, m.state(), nil, []string{name.Functor})
 	if err != nil {
 		return nil, false, err
 	}
-	key := name.Key()
+	// One reused buffer, not one key string per entry scanned.
+	key, scratch := name.Key(), make([]byte, 0, 96)
 	for _, e := range entries {
-		if e.Name.Key() == key {
+		if scratch = e.Name.AppendKey(scratch[:0]); string(scratch) == key {
 			return e.Tree, true, nil
 		}
 	}
@@ -691,7 +718,7 @@ func (m *Mediator) GetContext(ctx context.Context, name tree.Name) (*tree.Node, 
 // This needs the whole target, so a demand-driven mediator fully
 // materializes here.
 func (m *Mediator) Functors() ([]string, error) {
-	entries, _, _, _, err := m.read(nil, m.state(), nil)
+	entries, _, _, _, err := m.read(nil, m.state(), nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -741,6 +768,10 @@ type Stats struct {
 	Asks        int64 `json:"asks"`
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
+	// MemoHits counts the CacheHits the ask memo served without matching
+	// anything; the rest matched cached (demand mode) or materialized
+	// entries.
+	MemoHits int64 `json:"memo_hits"`
 	// AskTime is the cumulative wall time spent inside Ask calls;
 	// divide by Asks for the mean per-query latency.
 	AskTime source.Millis `json:"ask_time_ms,omitempty"`
@@ -840,6 +871,7 @@ func (m *Mediator) Stats() Stats {
 	s.Asks = m.asks.Load()
 	s.CacheHits = m.cacheHits.Load()
 	s.CacheMisses = m.cacheMiss.Load()
+	s.MemoHits = m.memoHits.Load()
 	s.AskTime = source.Millis(m.askNanos.Load())
 	s.DeltaRuns = m.deltaRuns.Load()
 	s.DeltaFallbacks = m.deltaFallbacks.Load()

@@ -279,8 +279,9 @@ func TestAskCounterConsistency(t *testing.T) {
 		name string
 		mk   func(t *testing.T) *Mediator
 		ask  func(m *Mediator) error
-		// wants after running ask twice
-		asks, hits, misses int64
+		// wants after running ask twice; memo of the hits came from the
+		// ask memo, which only demand mode has
+		asks, hits, misses, memo int64
 	}{
 		{
 			name: "parse failure counts neither hit nor miss",
@@ -304,7 +305,18 @@ func TestAskCounterConsistency(t *testing.T) {
 				return New(prog, alphaStore("ant"), WithDemandDriven(true))
 			},
 			ask:  func(m *Mediator) error { _, err := m.Ask(`X`, "Pa"); return err },
-			asks: 2, hits: 1, misses: 1,
+			asks: 2, hits: 1, misses: 1, memo: 1,
+		},
+		{
+			name: "demand mode cold, then a warm ask the memo has not seen",
+			mk: func(t *testing.T) *Mediator {
+				return New(prog, alphaStore("ant"), WithDemandDriven(true))
+			},
+			ask: func(m *Mediator) error {
+				_, err := m.AskPattern(yatl.MustParsePattern(`X`), "Pa") // a new memo key per parse
+				return err
+			},
+			asks: 2, hits: 1, misses: 1, memo: 0,
 		},
 		{
 			name: "full mode memoized failure is a miss every time",
@@ -341,9 +353,12 @@ func TestAskCounterConsistency(t *testing.T) {
 			err1 := c.ask(m)
 			err2 := c.ask(m)
 			st := m.Stats()
-			if st.Asks != c.asks || st.CacheHits != c.hits || st.CacheMisses != c.misses {
-				t.Errorf("asks/hits/misses = %d/%d/%d, want %d/%d/%d (errs: %v, %v)",
-					st.Asks, st.CacheHits, st.CacheMisses, c.asks, c.hits, c.misses, err1, err2)
+			if st.Asks != c.asks || st.CacheHits != c.hits || st.CacheMisses != c.misses || st.MemoHits != c.memo {
+				t.Errorf("asks/hits/misses/memo = %d/%d/%d/%d, want %d/%d/%d/%d (errs: %v, %v)",
+					st.Asks, st.CacheHits, st.CacheMisses, st.MemoHits, c.asks, c.hits, c.misses, c.memo, err1, err2)
+			}
+			if st.MemoHits > st.CacheHits {
+				t.Errorf("invariant broken: memo hits (%d) exceed cache hits (%d)", st.MemoHits, st.CacheHits)
 			}
 			if st.AskTime <= 0 {
 				t.Errorf("AskTime = %v, want > 0 on every path", st.AskTime)

@@ -91,7 +91,7 @@ func (s Stats) Render(w io.Writer, timing bool) error {
 		fmt.Fprintf(w, "  err: %s", s.Err)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "  asks: %d  hits: %d  misses: %d", s.Asks, s.CacheHits, s.CacheMisses)
+	fmt.Fprintf(w, "  asks: %d  hits: %d  memo-hits: %d  misses: %d", s.Asks, s.CacheHits, s.MemoHits, s.CacheMisses)
 	if timing {
 		fmt.Fprintf(w, "  ask-time: %.3fms", float64(s.AskTime)/float64(time.Millisecond))
 	}
@@ -156,6 +156,7 @@ func Aggregate(ss ...Stats) Stats {
 			out.Asks += s.Asks
 			out.CacheHits += s.CacheHits
 			out.CacheMisses += s.CacheMisses
+			out.MemoHits += s.MemoHits
 			out.AskTime += s.AskTime
 			out.CachedRules += s.CachedRules
 			out.SliceRuns += s.SliceRuns

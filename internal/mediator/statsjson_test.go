@@ -62,7 +62,7 @@ func TestAggregateMergesSourcesByName(t *testing.T) {
 func TestStatsRoundTrip(t *testing.T) {
 	full := Stats{
 		Generation: 3, Materialized: true, Err: errors.New("slice run failed"), Demand: true, Restored: true,
-		Asks: 9, CacheHits: 6, CacheMisses: 2, AskTime: source.Millis(1500 * time.Microsecond),
+		Asks: 9, CacheHits: 6, CacheMisses: 2, MemoHits: 4, AskTime: source.Millis(1500 * time.Microsecond),
 		CachedRules: 4, SliceRuns: 2, DeltaRuns: 1, DeltaFallbacks: 1, PatchedRules: 3,
 		Run: engine.Stats{Activations: 18, Bindings: 33, Outputs: 15, Rounds: 3},
 		Sources: []SourceStatus{{
@@ -103,7 +103,7 @@ func TestStatsRoundTrip(t *testing.T) {
 	// historical place.
 	data, _ := json.Marshal(Stats{Generation: 1, Err: errors.New("x"), Demand: true})
 	const want = `{"generation":1,"materialized":false,"err":"x","demand":true,"asks":0,"cache_hits":0,` +
-		`"cache_misses":0,"cached_rules":0,"slice_runs":0,"delta_runs":0,"delta_fallbacks":0,` +
+		`"cache_misses":0,"memo_hits":0,"cached_rules":0,"slice_runs":0,"delta_runs":0,"delta_fallbacks":0,` +
 		`"patched_rules":0,"run":{"activations":0,"bindings":0,"outputs":0,"rounds":0}}`
 	if string(data) != want {
 		t.Errorf("wire bytes drifted:\n got %s\nwant %s", data, want)
