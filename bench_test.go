@@ -244,6 +244,26 @@ rule Web2 {
 	})
 }
 
+// BenchmarkRuleScan: what the one match path costs as rules multiply.
+// Every activation is tried against every rule of a program of k
+// distinct-rooted rules (≈ 1600 entries in all), and a rule that cannot
+// match fails at the matcher's first label compare. The head-symbol
+// dispatch index this scan replaced only pulled ahead at rule counts no
+// shipped program or benchmark workload comes near (DESIGN.md "One
+// match path" has both sides of every k).
+func BenchmarkRuleScan(b *testing.B) {
+	for _, k := range []int{16, 64, 256} {
+		prog := mustProg(b, workload.PartitionedProgram(k))
+		store := workload.PartitionedStore(k, 1600/k)
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mustRunB(b, prog, store)
+			}
+		})
+	}
+}
+
 // --- E11: composed vs sequential (the §4.3 claim) -------------------------------
 
 func BenchmarkComposedVsSequential(b *testing.B) {

@@ -74,11 +74,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	prog, err := loadProgram(*programFlag)
+	prog, err := library.ResolveProgram(*programFlag)
 	fail(err)
 	analyzeOrFail(*programFlag, prog, *forceFlag)
 	if *composeFlag != "" {
-		second, err := loadProgram(*composeFlag)
+		second, err := library.ResolveProgram(*composeFlag)
 		fail(err)
 		analyzeOrFail(*composeFlag, second, *forceFlag)
 		prog, err = yat.ComposePrograms(prog, second, nil)
@@ -166,16 +166,6 @@ func analyzeOrFail(name string, prog *yat.Program, force bool) {
 	if errors > 0 {
 		fmt.Fprintf(os.Stderr, "yatc: %s: running despite %d analysis error(s) (-force)\n", name, errors)
 	}
-}
-
-func loadProgram(spec string) (*yat.Program, error) {
-	if strings.HasSuffix(spec, ".yatl") {
-		return library.LoadProgram(spec)
-	}
-	if p, ok := library.Builtin().Program(spec); ok {
-		return p, nil
-	}
-	return nil, fmt.Errorf("yatc: unknown program %q (not a .yatl file or built-in)", spec)
 }
 
 func loadInputs(inputFile, sgmlDir, dtdFile string) (*yat.Store, error) {

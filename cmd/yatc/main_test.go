@@ -10,13 +10,14 @@ import (
 	"testing"
 
 	"yat"
+	"yat/internal/library"
 	"yat/internal/sgml"
 	"yat/internal/workload"
 )
 
 func TestLoadProgramBuiltin(t *testing.T) {
 	for _, name := range []string{"sgml2odmg", "odmg2html", "sgml2odmgTyped", "sgml2odmgPrime"} {
-		p, err := loadProgram(name)
+		p, err := library.ResolveProgram(name)
 		if err != nil {
 			t.Errorf("builtin %s: %v", name, err)
 			continue
@@ -25,7 +26,7 @@ func TestLoadProgramBuiltin(t *testing.T) {
 			t.Errorf("builtin %s has no rules", name)
 		}
 	}
-	if _, err := loadProgram("nope"); err == nil {
+	if _, err := library.ResolveProgram("nope"); err == nil {
 		t.Error("unknown builtin accepted")
 	}
 }
@@ -36,7 +37,7 @@ func TestLoadProgramFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(yat.Rules1And2), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p, err := loadProgram(path)
+	p, err := library.ResolveProgram(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +104,11 @@ func TestEndToEndConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := loadProgram("sgml2odmgTyped")
+	prog, err := library.ResolveProgram("sgml2odmgTyped")
 	if err != nil {
 		t.Fatal(err)
 	}
-	web, err := loadProgram("odmg2html")
+	web, err := library.ResolveProgram("odmg2html")
 	if err != nil {
 		t.Fatal(err)
 	}

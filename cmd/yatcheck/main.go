@@ -14,8 +14,6 @@
 //	-severity   exit non-zero when a diagnostic at or above this
 //	            severity is found: info, warning or error (default error)
 //	-list       list the registered analyzers and exit
-//	-facts      emit the optimizer facts (symbol table, dispatch
-//	            roots, dead rules, strata) as JSON and exit
 //
 // Diagnostics print as `file:line:col: severity: [category] message`,
 // in a pinned total order — file, then line, then column, then
@@ -57,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonFlag     = fs.Bool("json", false, "emit diagnostics as JSON")
 		severityFlag = fs.String("severity", "error", "fail when a diagnostic at or above this severity exists (info|warning|error)")
 		listFlag     = fs.Bool("list", false, "list the registered analyzers and exit")
-		factsFlag    = fs.Bool("facts", false, "emit the optimizer facts as JSON and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -100,31 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			prog, _ := lib.Program(name)
 			targets = append(targets, target{name: "builtin:" + name, prog: prog})
 		}
-	}
-
-	if *factsFlag {
-		// Facts mode replaces the diagnostic run: emit the optimizer's
-		// view of each program (symbol table size, dispatch roots, dead
-		// and unreachable rules, strata) as one JSON array.
-		type fileFacts struct {
-			File string `json:"file"`
-			*analysis.FactsReport
-		}
-		var reps []fileFacts
-		for _, t := range targets {
-			if t.err != nil {
-				fmt.Fprintf(stderr, "yatcheck: %s: %v\n", t.name, t.err)
-				return 2
-			}
-			reps = append(reps, fileFacts{File: t.name, FactsReport: analysis.ReportFacts(t.prog)})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(reps); err != nil {
-			fmt.Fprintln(stderr, "yatcheck:", err)
-			return 2
-		}
-		return 0
 	}
 
 	var all []fileDiagnostic

@@ -211,6 +211,9 @@ func TestNoInputIsUsageError(t *testing.T) {
 	if code, _, _ := runCheck(t); code != 2 {
 		t.Errorf("no input: exit %d, want 2", code)
 	}
+	if code, _, _ := runCheck(t, "-facts", "-builtin"); code != 2 {
+		t.Errorf("-facts: exit %d, want 2 (unknown flag)", code)
+	}
 }
 
 func TestListAnalyzers(t *testing.T) {
@@ -223,15 +226,9 @@ func TestListAnalyzers(t *testing.T) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, stdout)
 		}
 	}
-	// One row per analyzer: the optimizer's facts (symbols, dispatch
-	// index, strata) belong to -facts, they are not passes.
+	// One row per analyzer.
 	if rows := strings.Count(stdout, "\n"); rows != 12 {
 		t.Errorf("-list prints %d rows, want 12:\n%s", rows, stdout)
-	}
-	for _, name := range []string{"symtab", "dispatch", "strata"} {
-		if strings.Contains(stdout, name) {
-			t.Errorf("-list still names the silent fact producer %s:\n%s", name, stdout)
-		}
 	}
 }
 
@@ -292,58 +289,6 @@ func TestPinnedOutputOrder(t *testing.T) {
 	}
 	if ia, ib := strings.Index(tf, a), strings.Index(tf, b); ia < 0 || ib < 0 || ia > ib {
 		t.Errorf("text output not grouped by file (a at %d, b at %d):\n%s", ia, ib, tf)
-	}
-}
-
-// TestFactsOutput: -facts emits the optimizer facts as JSON and skips
-// the diagnostic gate entirely.
-func TestFactsOutput(t *testing.T) {
-	path := writeProgram(t, "clean.yatl", cleanSource)
-	code, stdout, stderr := runCheck(t, "-facts", path)
-	if code != 0 {
-		t.Fatalf("exit %d, want 0 (stderr: %s)", code, stderr)
-	}
-	var reps []struct {
-		File          string     `json:"file"`
-		Program       string     `json:"program"`
-		Symbols       int        `json:"symbols"`
-		SymbolNames   []string   `json:"symbol_names"`
-		DispatchRoots int        `json:"dispatch_roots"`
-		Strata        [][]string `json:"strata"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &reps); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, stdout)
-	}
-	if len(reps) != 1 {
-		t.Fatalf("want 1 report, got %d", len(reps))
-	}
-	r := reps[0]
-	if r.File != path || r.Program != "clean" {
-		t.Errorf("report identity = %q / %q", r.File, r.Program)
-	}
-	if r.Symbols == 0 || len(r.SymbolNames) != r.Symbols {
-		t.Errorf("symbols = %d, names = %v", r.Symbols, r.SymbolNames)
-	}
-	if r.DispatchRoots == 0 || len(r.Strata) == 0 {
-		t.Errorf("dispatch_roots = %d, strata = %v", r.DispatchRoots, r.Strata)
-	}
-
-	// Byte-stable across runs, and works against the builtin library.
-	if _, again, _ := runCheck(t, "-facts", path); again != stdout {
-		t.Error("-facts output differs between identical runs")
-	}
-	code, builtins, stderr := runCheck(t, "-facts", "-builtin")
-	if code != 0 {
-		t.Fatalf("-facts -builtin: exit %d (stderr: %s)", code, stderr)
-	}
-	if !strings.Contains(builtins, "builtin:") {
-		t.Errorf("-facts -builtin output names no builtin programs:\n%s", builtins)
-	}
-
-	// A syntax error in facts mode is a hard failure, not a report.
-	bad := writeProgram(t, "bad.yatl", "program p\nrule R {")
-	if code, _, _ := runCheck(t, "-facts", bad); code != 2 {
-		t.Errorf("-facts on unparseable file: exit %d, want 2", code)
 	}
 }
 

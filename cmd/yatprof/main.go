@@ -10,20 +10,14 @@
 //
 //	yatprof -program <file.yatl | name> [flags]
 //
-//	-program      a .yatl file, or the name of a built-in library
+//	-program      a .yatl file, the name of a built-in library
 //	              program (sgml2odmg, sgml2odmgTyped, sgml2odmgPrime,
-//	              odmg2html)
+//	              odmg2html), or selective:K
 //	-input        input store in YAT tree syntax (default: stdin)
 //	-json         emit the profile as JSON instead of the text table
 //	-timing       include wall-clock times (off by default so output
 //	              is deterministic and diffable)
 //	-parallelism  worker count for the run (0 = sequential)
-//	-optimize     run under precomputed program facts (head-symbol
-//	              dispatch, pruned slices); the profile gains an
-//	              `analysis:` line naming the facts in force. Counts
-//	              and outputs are identical either way — mediator
-//	              queries (-ask) always run optimized, like the
-//	              serving layer
 //	-ask          profile a mediator query (YATL pattern) instead of a
 //	              full conversion
 //	-functors     comma-separated Skolem functors restricting -ask
@@ -69,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonFlag    = fs.Bool("json", false, "emit the profile as JSON")
 		timingFlag  = fs.Bool("timing", false, "include wall-clock times in the profile")
 		parFlag     = fs.Int("parallelism", 0, "worker count for the run (0 = sequential)")
-		optFlag     = fs.Bool("optimize", false, "run under precomputed program facts (EXPLAIN gains the analysis line)")
 		askFlag     = fs.String("ask", "", "profile a mediator query (YATL pattern) instead of a run")
 		funcFlag    = fs.String("functors", "", "comma-separated Skolem functors restricting -ask")
 		demandFlag  = fs.Bool("demand", false, "answer -ask demand-driven (slice + per-rule cache)")
@@ -85,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	prog, err := loadProgram(*programFlag)
+	prog, err := library.ResolveProgram(*programFlag)
 	if err != nil {
 		fmt.Fprintln(stderr, "yatprof:", err)
 		return 1
@@ -143,15 +136,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "answers: %d\n", len(answers))
 		}
 	} else {
-		opts := []yat.Option{
-			yat.WithTrace(profile),
-			yat.WithParallelism(*parFlag),
-		}
-		if *optFlag {
-			opts = append(opts, yat.WithFacts(yat.AnalyzeProgram(prog)))
-		}
 		var result *yat.Result
-		result, err = yat.Run(prog, inputs, opts...)
+		result, err = yat.Run(prog, inputs, yat.WithTrace(profile), yat.WithParallelism(*parFlag))
 		warnings = warningsOf(result)
 	}
 	// A failed run still has a profile worth printing (it shows how
@@ -195,16 +181,6 @@ func warningsOf(result *yat.Result) []string {
 		return nil
 	}
 	return result.Warnings
-}
-
-func loadProgram(spec string) (*yat.Program, error) {
-	if strings.HasSuffix(spec, ".yatl") {
-		return library.LoadProgram(spec)
-	}
-	if p, ok := library.Builtin().Program(spec); ok {
-		return p, nil
-	}
-	return nil, fmt.Errorf("unknown program %q (not a .yatl file or built-in)", spec)
 }
 
 func loadInputs(inputFile string) (*yat.Store, error) {

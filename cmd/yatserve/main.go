@@ -263,7 +263,7 @@ func loadPrograms(spec string) ([]*yatl.Program, error) {
 	for _, part := range strings.Split(spec, ",") {
 		// selective:K contains no comma; a bare comma-separated list is
 		// unambiguous.
-		p, err := loadProgram(strings.TrimSpace(part))
+		p, err := library.ResolveProgram(strings.TrimSpace(part))
 		if err != nil {
 			return nil, err
 		}
@@ -291,25 +291,6 @@ func shardProgram(prog *yatl.Program, spec string) (*yatl.Program, []string, err
 		return nil, nil, fmt.Errorf("-shard %s: plan has only %d shards (functor groups)", spec, len(plans))
 	}
 	return plans[i].Prog, plans[i].Functors, nil
-}
-
-// loadProgram resolves one program spec: a .yatl file, a built-in
-// library name, or selective:K.
-func loadProgram(spec string) (*yatl.Program, error) {
-	if k, ok := strings.CutPrefix(spec, "selective:"); ok {
-		n, err := strconv.Atoi(k)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad spec %q: want selective:K with K > 0", spec)
-		}
-		return yatl.Parse(workload.SelectiveProgram(n))
-	}
-	if strings.HasSuffix(spec, ".yatl") {
-		return library.LoadProgram(spec)
-	}
-	if p, ok := library.Builtin().Program(spec); ok {
-		return p, nil
-	}
-	return nil, fmt.Errorf("unknown program %q (not a .yatl file, built-in, or selective:K)", spec)
 }
 
 // loadInputs resolves an -input spec: empty (no inputs — the program

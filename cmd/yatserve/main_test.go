@@ -3,22 +3,24 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"yat/internal/library"
 )
 
 func TestLoadProgramSpecs(t *testing.T) {
-	prog, err := loadProgram("selective:3")
+	prog, err := library.ResolveProgram("selective:3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(prog.Rules) != 3 {
 		t.Fatalf("selective:3 has %d rules", len(prog.Rules))
 	}
-	if _, err := loadProgram("sgml2odmg"); err != nil {
+	if _, err := library.ResolveProgram("sgml2odmg"); err != nil {
 		t.Fatalf("builtin: %v", err)
 	}
 	for _, bad := range []string{"selective:0", "selective:x", "no-such-program"} {
-		if _, err := loadProgram(bad); err == nil {
-			t.Errorf("loadProgram(%q) accepted a bad spec", bad)
+		if _, err := library.ResolveProgram(bad); err == nil {
+			t.Errorf("ResolveProgram(%q) accepted a bad spec", bad)
 		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"yat/internal/pattern"
 	"yat/internal/tree"
 	"yat/internal/typing"
-	"yat/internal/yatl"
 )
 
 func main() {
@@ -44,15 +43,7 @@ func main() {
 }
 
 func inspectProgram(w io.Writer, spec string) error {
-	var prog *yatl.Program
-	var err error
-	if strings.HasSuffix(spec, ".yatl") {
-		prog, err = library.LoadProgram(spec)
-	} else if p, ok := library.Builtin().Program(spec); ok {
-		prog = p
-	} else {
-		err = fmt.Errorf("unknown program %q", spec)
-	}
+	prog, err := library.ResolveProgram(spec)
 	if err != nil {
 		return err
 	}

@@ -218,7 +218,7 @@ func AtLeast(diags []Diagnostic, min Severity) int {
 
 // DefaultAnalyzers returns every analyzer of the framework: the eight
 // syntactic checks, the safety, typing and coverage adapters, and
-// deadrule, which reports what the optimizer's analysis proves dead.
+// deadrule, which reports what engine.AnalyzeProgram proves dead.
 // Run executes them in order.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{

@@ -2,9 +2,8 @@
 // maintenance. A source refresh diffs the old and new input stores
 // (internal/delta); the mediator then needs two things from the
 // engine: a cheap, sound over-approximation of which rules an entry
-// can feed (AffectedRules, reusing the PR-7 dispatch index), and a way
-// to run a slice whose activation fixpoint is seeded from the delta
-// entries alone (WithDeltaSeeds).
+// can feed (AffectedRules), and a way to run a slice whose activation
+// fixpoint is seeded from the delta entries alone (WithDeltaSeeds).
 //
 // Soundness of the insert-only patch the mediator builds on top:
 // with a delta-seeded run over the slice of the affected groups,
@@ -40,33 +39,15 @@ func WithDeltaSeeds(seeds *tree.Store) Option {
 // one of the given entries can feed: a sound over-approximation (a
 // rule whose bindings could change is always included; a rule that
 // merely pattern-matches an entry it would later drop may be too).
-// Candidates come from the dispatch index when valid facts are
-// supplied — one bitset probe per entry instead of a program scan —
-// and are confirmed by a storeless body-pattern match, which is
-// exactly the conformance-free upper bound of the engine's own match
-// phase.
-func AffectedRules(prog *yatl.Program, facts *ProgramFacts, entries []tree.StoreEntry) map[string]bool {
+// The test is a storeless body-pattern match, which is exactly the
+// conformance-free upper bound of the engine's own match phase.
+func AffectedRules(prog *yatl.Program, entries []tree.StoreEntry) map[string]bool {
 	affected := map[string]bool{}
-	if len(entries) == 0 {
-		return affected
-	}
-	if facts != nil && !facts.For(prog) {
-		facts = nil
-	}
 	m := &Matcher{}
 	for _, e := range entries {
-		var admissible *RuleSet
-		if facts != nil && facts.Dispatch != nil {
-			admissible = facts.Dispatch.Lookup(e.Tree)
-		}
 		for _, r := range prog.Rules {
 			if r.Exception || affected[r.Name] {
 				continue
-			}
-			if admissible != nil {
-				if idx, ok := facts.RuleIndex[r.Name]; ok && !admissible.Has(idx) {
-					continue
-				}
 			}
 			for _, bp := range r.Body {
 				if len(m.MatchTree(bp.Tree, e.Tree)) > 0 {

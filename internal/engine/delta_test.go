@@ -29,12 +29,11 @@ func deltaEntry(id, functor, name string) tree.StoreEntry {
 	}
 }
 
-// AffectedRules routes each entry through the dispatch index and
-// confirms with a real match: alpha trees feed Alpha only, beta trees
-// Beta only, and an unmatched tree feeds nothing.
+// AffectedRules matches each entry against every rule body: alpha
+// trees feed Alpha only, beta trees Beta only, and an unmatched tree
+// feeds nothing.
 func TestAffectedRules(t *testing.T) {
 	prog := yatl.MustParse(deltaTwoRuleProgram)
-	facts := AnalyzeProgram(prog)
 	cases := []struct {
 		name    string
 		entries []tree.StoreEntry
@@ -48,7 +47,7 @@ func TestAffectedRules(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := AffectedRules(prog, facts, c.entries)
+			got := AffectedRules(prog, c.entries)
 			if len(got) != len(c.want) {
 				t.Fatalf("affected = %v, want %v", got, c.want)
 			}
@@ -65,8 +64,7 @@ func TestAffectedRules(t *testing.T) {
 // them rather than reporting every delta as affecting them.
 func TestAffectedRulesSkipsExceptions(t *testing.T) {
 	prog := yatl.MustParse(deltaTwoRuleProgram + yatl.ExceptionRuleSource)
-	facts := AnalyzeProgram(prog)
-	got := AffectedRules(prog, facts, []tree.StoreEntry{deltaEntry("a1", "alpha", "ant")})
+	got := AffectedRules(prog, []tree.StoreEntry{deltaEntry("a1", "alpha", "ant")})
 	if got["Exception"] {
 		t.Errorf("affected = %v, exception rules must be excluded", got)
 	}

@@ -2,18 +2,19 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"yat/internal/tree"
+	"yat/internal/workload"
 	"yat/internal/yatl"
 )
 
-// dispatchSource has one alpha-rooted rule, one beta-rooted rule and
-// one variable-rooted (wildcard) rule — the three dispatch classes a
-// plain program exercises.
-const dispatchSource = `
-program dispatch
+// cleanSource has three live, mutually unrelated rules: nothing to
+// report and nothing to prune.
+const cleanSource = `
+program clean
 rule A {
   head Pa(X) = outa -> v -> X
   from P = alpha < -> k -> X >
@@ -38,135 +39,12 @@ func analyze(t *testing.T, src string) *ProgramFacts {
 }
 
 func TestAnalyzeProgramBasics(t *testing.T) {
-	f := analyze(t, dispatchSource)
-	for _, want := range []string{"Pa", "Pb", "Pw", "alpha", "beta", "k", "v", "outa"} {
-		if f.Syms.Lookup(want) < 0 {
-			t.Errorf("%q not interned", want)
-		}
-	}
-	// Variable names are not symbols.
-	if f.Syms.Lookup("X") >= 0 || f.Syms.Lookup("Id") >= 0 {
-		t.Error("variable names leaked into the symbol table")
-	}
-	if f.RuleIndex["A"] != 0 || f.RuleIndex["B"] != 1 || f.RuleIndex["W"] != 2 {
-		t.Errorf("rule index = %v", f.RuleIndex)
-	}
-	if f.Dispatch == nil {
-		t.Fatal("no dispatch index")
-	}
+	f := analyze(t, cleanSource)
 	if len(f.NeverFire) != 0 || len(f.Unreachable) != 0 {
 		t.Errorf("clean program reported dead rules: never=%v unreachable=%v", f.NeverFire, f.Unreachable)
 	}
-	if !strings.Contains(f.Summary(), "dead-rules=0") {
-		t.Errorf("summary = %q", f.Summary())
-	}
-}
-
-func TestDispatchLookup(t *testing.T) {
-	f := analyze(t, dispatchSource)
-	d := f.Dispatch
-	idx := func(name string) int { return f.RuleIndex[name] }
-
-	alpha := tree.Sym("alpha", tree.Sym("k", tree.IntLeaf(1)))
-	beta := tree.Sym("beta", tree.Sym("k", tree.IntLeaf(1)))
-	gamma := tree.Sym("gamma")
-
-	cases := []struct {
-		name string
-		node *tree.Node
-		want map[string]bool // rule -> admissible
-	}{
-		{"alpha root", alpha, map[string]bool{"A": true, "B": false, "W": true}},
-		{"beta root", beta, map[string]bool{"A": false, "B": true, "W": true}},
-		{"unknown symbol", gamma, map[string]bool{"A": false, "B": false, "W": true}},
-		{"nil node", nil, map[string]bool{"A": false, "B": false, "W": true}},
-		{"non-symbol label", tree.Str("data"), map[string]bool{"A": false, "B": false, "W": true}},
-		{"reference leaf", tree.RefLeaf(tree.PlainName("x")), map[string]bool{"A": false, "B": false, "W": true}},
-	}
-	for _, tc := range cases {
-		rs := d.Lookup(tc.node)
-		if rs == nil {
-			t.Fatalf("%s: nil rule set", tc.name)
-		}
-		for rule, want := range tc.want {
-			if got := rs.Has(idx(rule)); got != want {
-				t.Errorf("%s: admits(%s) = %v, want %v", tc.name, rule, got, want)
-			}
-		}
-	}
-}
-
-// TestDispatchSoundness cross-checks the index against the matcher:
-// every rule that actually produces bindings on an input must be in
-// the input's admissible set.
-func TestDispatchSoundness(t *testing.T) {
-	srcs := []string{
-		"program p" + yatl.Rule1Source + yatl.Rule2Source,
-		yatl.SGMLToODMGSource,
-		yatl.WebProgramSource,
-	}
-	inputs := []*tree.Node{
-		tree.Sym("brochure", tree.Sym("number", tree.IntLeaf(1))),
-		tree.Sym("class", tree.Sym("car", tree.Sym("name", tree.Str("Golf")))),
-		tree.Str("leaf"),
-		tree.RefLeaf(tree.PlainName("obj")),
-		tree.Sym("unrelated"),
-	}
-	m := &Matcher{}
-	for _, src := range srcs {
-		prog, err := yatl.Parse(src)
-		if err != nil {
-			t.Fatalf("parse: %v", err)
-		}
-		f := AnalyzeProgram(prog)
-		if f.Dispatch == nil {
-			t.Fatal("no dispatch index")
-		}
-		for _, in := range inputs {
-			rs := f.Dispatch.Lookup(in)
-			for i, r := range prog.Rules {
-				if r.Exception || rs.Has(i) {
-					continue
-				}
-				// Excluded rule: no body pattern may match.
-				for _, bp := range r.Body {
-					if m.Matches(bp.Tree, in) {
-						t.Errorf("%s: rule %s excluded for %s but matches", prog.Name, r.Name, in)
-					}
-				}
-			}
-		}
-	}
-}
-
-const childRefineSource = `
-program refine
-rule R1 {
-  head P1(X) = o -> one -> X
-  from P = rec < -> a -> X >
-}
-rule R2 {
-  head P2(X) = o -> two -> X
-  from P = rec < -> b -> X >
-}
-`
-
-func TestDispatchFirstChildRefinement(t *testing.T) {
-	f := analyze(t, childRefineSource)
-	d := f.Dispatch
-	recA := tree.Sym("rec", tree.Sym("a", tree.IntLeaf(1)))
-	recB := tree.Sym("rec", tree.Sym("b", tree.IntLeaf(1)))
-	recC := tree.Sym("rec", tree.Sym("c", tree.IntLeaf(1)))
-
-	if rs := d.Lookup(recA); !rs.Has(0) || rs.Has(1) {
-		t.Errorf("rec<a>: admits R1=%v R2=%v, want true/false", rs.Has(0), rs.Has(1))
-	}
-	if rs := d.Lookup(recB); rs.Has(0) || !rs.Has(1) {
-		t.Errorf("rec<b>: admits R1=%v R2=%v, want false/true", rs.Has(0), rs.Has(1))
-	}
-	// Unrefined child symbol: neither refined rule can match.
-	if rs := d.Lookup(recC); rs.Has(0) || rs.Has(1) || rs.Len() != 0 {
-		t.Errorf("rec<c>: admissible set %d rules, want empty", rs.Len())
+	if sl := f.SliceFor(); sl.Rules() != 3 {
+		t.Errorf("clean program's full slice = %s, want all 3 rules", sl)
 	}
 }
 
@@ -353,63 +231,27 @@ rule CycB {
 	}
 }
 
-func TestStrata(t *testing.T) {
+// TestDuplicateRuleNamesDisablePruning: every fact here is keyed by
+// rule name, so a program that reuses one gets no verdicts — a dead
+// rule sharing its name with a live one must stay in the slices.
+func TestDuplicateRuleNamesDisablePruning(t *testing.T) {
 	f := analyze(t, `
-program strata
-rule M {
-  head Pm(P) = o -> x -{}> &Pa(X)
-  from P = alpha < -> k -> X >
-}
-rule A {
-  head Pa(X) = o -> x -{}> &Pb(X)
-  from P = alpha < -> k -> X >
-}
-rule B {
-  head Pb(X) = o -> v -> X
-  from P = alpha < -> k -> X >
-}
-`)
-	if len(f.Strata) != 3 {
-		t.Fatalf("strata = %v, want 3 singleton strata", f.Strata)
-	}
-	got := []string{f.Strata[0][0], f.Strata[1][0], f.Strata[2][0]}
-	if got[0] != "Pb" || got[1] != "Pa" || got[2] != "Pm" {
-		t.Errorf("strata order = %v, want dependencies first [Pb Pa Pm]", got)
-	}
-
-	cyc := analyze(t, unreachableSource)
-	found := false
-	for _, s := range cyc.Strata {
-		if strings.Join(s, ",") == "Pca,Pcb" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("cycle not grouped into one stratum: %v", cyc.Strata)
-	}
-}
-
-func TestDuplicateRuleNamesDisableDispatch(t *testing.T) {
-	prog, err := yatl.Parse(`
 program dup
 rule Same {
   head Pa(X) = o -> v -> X
   from P = alpha < -> k -> X >
+  where 1 == 2
 }
 rule Same {
   head Pb(X) = o -> v -> X
   from P = beta < -> k -> X >
 }
 `)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
+	if len(f.NeverFire) != 0 || f.NeverFires("Same") || f.Prunable("Same") {
+		t.Errorf("duplicate rule names still produced by-name verdicts: never=%v", f.NeverFire)
 	}
-	f := AnalyzeProgram(prog)
-	if f.Dispatch != nil {
-		t.Error("duplicate rule names must disable the dispatch index")
-	}
-	if f.Syms.Lookup("alpha") < 0 {
-		t.Error("symbol table should survive duplicate names")
+	if sl := f.SliceFor(); !sl.Includes("Same") {
+		t.Errorf("full slice %s dropped the doubly-named rule", sl)
 	}
 }
 
@@ -464,58 +306,154 @@ func TestSliceForMemoAndPrune(t *testing.T) {
 	}
 }
 
-// TestRunWithFacts pins the engine integration: an optimized run is
-// byte-identical to a plain run, stale facts are ignored rather than
-// trusted, and WithOptimize(false) disables supplied facts.
+// TestRunWithFacts: WithFacts and WithOptimize outlive the path they
+// selected only for the frozen benchmark's sake, whose convert_batch
+// oracle compares a WithOptimize(false) run with a WithFacts one — so
+// they must be accepted, in any combination, and change nothing.
 func TestRunWithFacts(t *testing.T) {
-	src := "program p" + yatl.Rule1Source + yatl.Rule2Source
-	prog := yatl.MustParse(src)
+	prog := yatl.MustParse("program p" + yatl.Rule1Source + yatl.Rule2Source)
 	store := fig3Store()
-	plain, err := Run(prog, store, nil)
+	plain, err := Run(prog, store)
 	if err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
-	want := tree.FormatStore(plain.Outputs)
-
+	want := resultFingerprint(plain)
 	facts := AnalyzeProgram(prog)
-	for _, par := range []int{1, 4} {
-		opt, err := Run(prog, store, WithFacts(facts), WithParallelism(par))
+	for name, opts := range map[string][]Option{
+		"facts":          {WithFacts(facts)},
+		"foreign facts":  {WithFacts(AnalyzeProgram(yatl.MustParse(cleanSource)))},
+		"nil facts":      {WithFacts(nil)},
+		"optimize":       {WithOptimize(true)},
+		"facts, no opt.": {WithFacts(facts), WithOptimize(false)},
+	} {
+		res, err := Run(prog, store, opts...)
 		if err != nil {
-			t.Fatalf("optimized run (par %d): %v", par, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if got := tree.FormatStore(opt.Outputs); got != want {
-			t.Errorf("optimized outputs differ at parallelism %d:\n got: %s\nwant: %s", par, got, want)
-		}
-		if opt.Stats.Activations != plain.Stats.Activations || opt.Stats.Outputs != plain.Stats.Outputs {
-			t.Errorf("optimized stats differ at parallelism %d: %+v vs %+v", par, opt.Stats, plain.Stats)
+		if got := resultFingerprint(res); got != want {
+			t.Errorf("%s changed the run:\n got: %s\nwant: %s", name, got, want)
 		}
 	}
+}
 
-	// Stale facts: computed from a different program value.
-	other := yatl.MustParse(src)
-	stale, err := Run(prog, store, WithFacts(AnalyzeProgram(other)))
-	if err != nil {
-		t.Fatalf("stale-facts run: %v", err)
-	}
-	if got := tree.FormatStore(stale.Outputs); got != want {
-		t.Errorf("stale facts changed outputs:\n got: %s\nwant: %s", got, want)
-	}
+// deadMixSource exercises every pruning path at once: a never-firing
+// rule in a singleton group (prunable), a never-firing rule pinned by
+// an order constraint (not prunable), a live rule, and an unreachable
+// two-rule demand cycle. Pruning must not change a single output byte.
+const deadMixSource = `
+program deadmix
 
-	// The escape hatch wins over supplied facts.
-	off, err := Run(prog, store, WithFacts(facts), WithOptimize(false))
-	if err != nil {
-		t.Fatalf("disabled run: %v", err)
-	}
-	if got := tree.FormatStore(off.Outputs); got != want {
-		t.Errorf("WithOptimize(false) changed outputs:\n got: %s\nwant: %s", got, want)
-	}
+rule Live {
+  head Plive(X) = o -> v -> X
+  from P = alpha < -> k -> X : string >
+}
 
-	// One-shot optimization without precomputed facts.
-	auto, err := Run(prog, store, WithOptimize(true))
-	if err != nil {
-		t.Fatalf("auto-optimized run: %v", err)
+rule DeadAlone {
+  head Pdead(X) = o -> v -> X
+  from P = alpha < -> k -> X : string >
+  where 1 == 2
+}
+
+rule DeadOrdered {
+  head Pord(X) = o -> v -> X
+  from P = alpha < -> k -> X : string >
+  where 2 < 1
+}
+
+rule OtherOrdered {
+  head Poth(X) = o -> w -> X
+  from P = alpha < -> k -> X : string >
+}
+
+rule CycA {
+  head Pca(X) = out -> v -{}> &Pcb(X)
+  from P = alpha < -> k -> X : string >
+}
+
+rule CycB {
+  head Pcb(X) = out -> v -{}> &Pca(X)
+  from P = alpha < -> k -> X : string >
+}
+
+order DeadOrdered before OtherOrdered
+`
+
+// warnHeavySource drops inputs through a failing external function, so
+// every run produces a dense warning stream.
+const warnHeavySource = `
+program warny
+rule W {
+  head Pz(X) = z -> Z
+  from X = addr -> A
+  let Z = zip(A)
+}
+`
+
+func warnHeavyStore() *tree.Store {
+	s := tree.NewStore()
+	for i := 1; i <= 12; i++ {
+		addr := fmt.Sprintf("street %d, 7500%d Paris", i, i%10)
+		if i%3 == 0 {
+			addr = fmt.Sprintf("malformed %d", i) // no comma: zip() errors
+		}
+		s.Put(tree.PlainName(fmt.Sprintf("a%d", i)), tree.Sym("addr", tree.Str(addr)))
 	}
-	if got := tree.FormatStore(auto.Outputs); got != want {
-		t.Errorf("WithOptimize(true) changed outputs:\n got: %s\nwant: %s", got, want)
+	return s
+}
+
+func alphaStore(n int) *tree.Store {
+	s := tree.NewStore()
+	for i := 0; i < n; i++ {
+		s.Put(tree.PlainName(fmt.Sprintf("in%d", i)),
+			tree.Sym("alpha", tree.Sym("k", tree.Str(fmt.Sprintf("v%d", i)))))
+	}
+	return s
+}
+
+// optimizeCases is the pruning-equivalence corpus: every engine
+// workload the test suite exercises elsewhere, plus the dead-rule mix
+// and the warning-heavy program.
+func optimizeCases() []struct {
+	name   string
+	src    string
+	inputs *tree.Store
+} {
+	return []struct {
+		name   string
+		src    string
+		inputs *tree.Store
+	}{
+		{"sgml2odmg", yatl.SGMLToODMGSource, mergeStores(fig3Store(), relationalStore())},
+		{"sgml2odmgBig", yatl.SGMLToODMGSource, workload.BrochureStore(8, 2, 5, 42)},
+		{"sgml2odmgPrime", yatl.SGMLToODMGPrimeSource, workload.BrochureStore(6, 2, 4, 3)},
+		{"annotated", yatl.AnnotatedSGMLToODMGSource, workload.BrochureStore(5, 2, 4, 7)},
+		{"web", yatl.WebProgramSource, workload.ODMGStore(4, 3, 2, 3)},
+		{"selective", workload.SelectiveProgram(12), workload.BrochureStore(6, 2, 5, 11)},
+		{"deadmix", deadMixSource, alphaStore(9)},
+		{"warnheavy", warnHeavySource, warnHeavyStore()},
+	}
+}
+
+// TestOptimizedSliceEquivalence runs each workload through the pruned
+// memoized full slice — the path the mediator takes — and demands the
+// same bytes as a plain Run.
+func TestOptimizedSliceEquivalence(t *testing.T) {
+	for _, c := range optimizeCases() {
+		t.Run(c.name, func(t *testing.T) {
+			prog := yatl.MustParse(c.src)
+			facts := AnalyzeProgram(prog)
+			plain, err := Run(prog, c.inputs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tree.FormatStore(plain.Outputs)
+			res, err := RunSlice(context.Background(), prog, c.inputs, facts.SliceFor())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := tree.FormatStore(res.Outputs); got != want {
+				t.Errorf("pruned full slice diverges:\n got:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }

@@ -107,25 +107,11 @@ func WithDisableSafety(disable bool) Option {
 	return optionFunc(func(o *Options) { o.DisableSafety = disable })
 }
 
-// WithFacts supplies precomputed program facts (AnalyzeProgram) to
-// the run: the dispatch index then replaces the linear rule scan of
-// the match phase. Facts are validated against the program being run
-// — stale facts from another program are ignored, not trusted. The
-// optimized run's outputs, warnings and statistics are byte-identical
-// to the unoptimized run's at every Parallelism setting.
-func WithFacts(f *ProgramFacts) Option {
-	return optionFunc(func(o *Options) { o.Facts = f })
-}
+// WithFacts and WithOptimize selected the dispatch-indexed match path,
+// which is gone: there is one match path and they configure nothing.
+// They stay only because the frozen benchmark (bench/convert.go,
+// bench/layers.go) still passes them; drop them with its next change.
+func WithFacts(*ProgramFacts) Option { return optionFunc(func(*Options) {}) }
 
-// WithOptimize toggles the fact-driven optimizer for a run that has
-// no precomputed facts: true computes facts at run start (one-shot
-// convenience; callers running a program repeatedly should compute
-// AnalyzeProgram once and pass WithFacts), false disables every
-// fact-driven optimization even when facts were supplied — the
-// debugging escape hatch.
-func WithOptimize(on bool) Option {
-	return optionFunc(func(o *Options) {
-		o.Optimize = on
-		o.NoOptimize = !on
-	})
-}
+// WithOptimize configures nothing; see WithFacts.
+func WithOptimize(bool) Option { return optionFunc(func(*Options) {}) }

@@ -43,10 +43,6 @@ type Options struct {
 	// engine merges their results in the order the sequential
 	// interpreter would have produced them.
 	Parallelism int
-	// Facts are precomputed program facts (AnalyzeProgram): the
-	// dispatch index and dead-rule sets the run consumes. Facts
-	// computed from a different program value are ignored.
-	Facts *ProgramFacts
 	// DeltaSeeds, when non-nil, switches the run to delta-evaluation
 	// mode: the activation fixpoint is seeded from these entries only,
 	// while reference resolution and dereferencing still see the full
@@ -55,12 +51,6 @@ type Options struct {
 	// refresh. See WithDeltaSeeds for the soundness preconditions the
 	// caller must establish.
 	DeltaSeeds *tree.Store
-	// Optimize computes facts at run start when none were supplied.
-	Optimize bool
-	// NoOptimize disables every fact-driven optimization, even when
-	// facts were supplied — the debugging escape hatch (see
-	// WithOptimize).
-	NoOptimize bool
 	// ignored lists the names of mediator-only options handed to this
 	// run (collected by NewOptions); the run reports them as warnings.
 	ignored []string
@@ -190,17 +180,6 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Resolve program facts before any program substitution: facts are
-	// validated against the program value the caller ran, and a slice's
-	// sub-program shares its rules (by name), so full-program facts
-	// drive sub-program dispatch soundly.
-	facts := opts.Facts
-	if opts.NoOptimize || !facts.For(prog) {
-		facts = nil
-	}
-	if facts == nil && opts.Optimize && !opts.NoOptimize {
-		facts = AnalyzeProgram(prog)
-	}
 	// A slice run interprets the restricted sub-program: the slice's
 	// rules in declaration order, whole functor groups at a time, so
 	// the §4.2 blocking and ordering semantics within each group are
@@ -224,35 +203,6 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 		seenIDs:   map[string]bool{},
 		ruleState: map[string]*ruleState{},
 	}
-	// Align the dispatch index's rule-index space with the hierarchy's
-	// group order, so the match phase tests admissibility with one
-	// bitset probe per rule instead of a map lookup.
-	if facts != nil {
-		r.facts = facts
-		if facts.Dispatch != nil {
-			gi := make([][]int32, len(r.hier.functorOrder))
-			aligned := true
-			for fi, functor := range r.hier.functorOrder {
-				rules := r.hier.groups[functor]
-				idxs := make([]int32, len(rules))
-				for ri, rule := range rules {
-					idx, found := facts.RuleIndex[rule.Name]
-					if !found {
-						aligned = false
-						break
-					}
-					idxs[ri] = int32(idx)
-				}
-				if !aligned {
-					break
-				}
-				gi[fi] = idxs
-			}
-			if aligned {
-				r.groupIdx = gi
-			}
-		}
-	}
 	// Mediator-only options do nothing on a plain engine run; warn so
 	// the misconfiguration is visible instead of silently absorbed.
 	for _, name := range opts.ignored {
@@ -262,9 +212,6 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 	if r.sink != nil {
 		runStart = time.Now()
 		r.sink.Emit(trace.Event{Kind: trace.KindRunStart, Phase: trace.PhaseRun, Detail: prog.Name})
-		if r.facts != nil {
-			r.sink.Emit(trace.Event{Kind: trace.KindAnalysis, Phase: trace.PhaseRun, Detail: r.facts.Summary()})
-		}
 	}
 	for _, rule := range prog.Rules {
 		if rule.Exception {
@@ -440,12 +387,6 @@ type run struct {
 	matcher *Matcher
 	hier    *hierarchy
 
-	// facts are the validated program facts of this run (nil without
-	// optimization); groupIdx aligns each hierarchy group with the
-	// facts' rule-index space, and is nil whenever dispatch is off.
-	facts    *ProgramFacts
-	groupIdx [][]int32
-
 	active    []*activation
 	processed int
 	seenIDs   map[string]bool
@@ -555,35 +496,13 @@ type matchResult struct {
 // shared mutable state and is safe to call from multiple goroutines.
 func (r *run) collectMatches(a *activation) *matchResult {
 	mr := &matchResult{a: a}
-	// One dispatch probe per activation: the admissible set
-	// over-approximates the rules whose body patterns could match this
-	// node, so skipping the rest reproduces the scan's zero-binding
-	// outcome without running the matcher.
-	var admissible *RuleSet
-	if r.groupIdx != nil {
-		admissible = r.facts.Dispatch.Lookup(a.node)
-	}
-	for fi, functor := range r.hier.functorOrder {
+	for _, functor := range r.hier.functorOrder {
 		// blocked stays nil until a match actually blocks something —
 		// reads of a nil map are legal and the common case allocates
 		// nothing.
 		var blocked map[string]bool
-		var idxs []int32
-		if admissible != nil {
-			idxs = r.groupIdx[fi]
-		}
-		for ri, rule := range r.hier.groups[functor] {
+		for _, rule := range r.hier.groups[functor] {
 			if blocked[rule.Name] {
-				continue
-			}
-			if admissible != nil && !admissible.Has(int(idxs[ri])) {
-				// Statically inadmissible: the scan would have found
-				// zero bindings. Emit the same zero-count event it
-				// would have, so optimized traces stay comparable.
-				if r.sink != nil {
-					r.sink.Emit(trace.Event{Kind: trace.KindMatch, Phase: trace.PhaseMatch,
-						Rule: rule.Name, Round: r.round, Count: 0})
-				}
 				continue
 			}
 			var matchStart time.Time

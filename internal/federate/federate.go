@@ -86,6 +86,19 @@ type fedChild struct {
 	lastErr  atomic.Value // string
 }
 
+// called records the outcome of one guarded call into the child.
+func (c *fedChild) called(err error) {
+	c.asks.Add(1)
+	if err != nil {
+		c.failures.Add(1)
+		c.healthy.Store(false)
+		c.lastErr.Store(err.Error())
+		return
+	}
+	c.healthy.Store(true)
+	c.lastErr.Store("")
+}
+
 // Federation shards a virtual target across child Askers and serves
 // scatter-gather Asks over them. It implements mediator.Asker, so it
 // drops into every seat a *Mediator fits: the serve pool, the tools,
@@ -194,7 +207,9 @@ func (f *Federation) Ask(patternSrc string, functors ...string) ([]mediator.Answ
 }
 
 // AskContext scatters the ask to the owning shards and gathers a
-// deterministic merge. Routing: explicit functors go to their owners
+// deterministic merge. The pattern is parsed here first: a malformed
+// one is refused with the error a mediator returns and reaches no
+// child. Routing: explicit functors go to their owners
 // (an unknown functor is an UnroutableError); a bare ask fans out to
 // every child, each restricted to its owned groups, so no group is
 // answered twice. A failed shard — timeout, open breaker, dead
@@ -205,6 +220,15 @@ func (f *Federation) Ask(patternSrc string, functors ...string) ([]mediator.Answ
 // canonical MergeKey doAsk orders by, and no key collides across
 // shards because each functor group is answered by exactly one.
 func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors ...string) ([]mediator.Answer, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	// Sent on, every child would refuse a malformed pattern, and their
+	// guards would retry it and count it against children that did
+	// nothing wrong.
+	if _, err := mediator.ParsePattern(patternSrc); err != nil {
+		return nil, err
+	}
 	type target struct {
 		c  *fedChild
 		fs []string
@@ -258,18 +282,17 @@ func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors
 				}
 				return err
 			})
-			t.c.asks.Add(1)
 			if err != nil {
-				t.c.failures.Add(1)
-				t.c.healthy.Store(false)
-				t.c.lastErr.Store(err.Error())
 				errs[i] = err
-				f.emit(trace.Event{Kind: trace.KindShardDegraded, Phase: trace.PhaseFederate,
-					Detail: t.c.name + ": " + err.Error()})
+				// A caller that hung up says nothing about the child.
+				if ctx.Err() == nil {
+					t.c.called(err)
+					f.emit(trace.Event{Kind: trace.KindShardDegraded, Phase: trace.PhaseFederate,
+						Detail: t.c.name + ": " + err.Error()})
+				}
 				return
 			}
-			t.c.healthy.Store(true)
-			t.c.lastErr.Store("")
+			t.c.called(nil)
 			results[i] = answers
 			f.emit(trace.Event{Kind: trace.KindShardAsk, Phase: trace.PhaseFederate,
 				Detail: t.c.name, Count: len(answers), Duration: time.Since(start)})
@@ -327,16 +350,11 @@ func (f *Federation) Functors() ([]string, error) {
 			}
 			return err
 		})
-		c.asks.Add(1)
+		c.called(err)
 		if err != nil {
-			c.failures.Add(1)
-			c.healthy.Store(false)
-			c.lastErr.Store(err.Error())
 			failed[c.name] = err
 			continue
 		}
-		c.healthy.Store(true)
-		c.lastErr.Store("")
 		for _, fu := range fs {
 			seen[fu] = true
 		}

@@ -305,6 +305,103 @@ func TestBreakerOpensOnDeadChild(t *testing.T) {
 	}
 }
 
+// hangingAsker answers like the Asker it wraps until hang is set; then
+// an ask announces itself on entered and waits for its caller to give
+// up — a healthy child whose client hangs up mid-ask.
+type hangingAsker struct {
+	mediator.Asker
+	hang    atomic.Bool
+	entered chan struct{}
+}
+
+func (h *hangingAsker) AskContext(ctx context.Context, p string, fs ...string) ([]mediator.Answer, error) {
+	if !h.hang.Load() {
+		return h.Asker.AskContext(ctx, p, fs...)
+	}
+	h.entered <- struct{}{}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestCallersErrorsAreNotTheChildrens: a pattern that does not parse is
+// refused on the parent with the error a mediator gives, before any
+// child is called — six of them used to be retried against every
+// child, open every breaker and fail the next well-formed ask for the
+// cool-down. Nor is a caller that hangs up mid-ask held against the
+// child it was waiting on.
+func TestCallersErrorsAreNotTheChildrens(t *testing.T) {
+	prog := yatl.MustParse(workload.SelectiveProgram(4))
+	inputs := workload.BrochureStore(6, 2, 5, 11)
+	single := mediator.New(prog, inputs, mediator.WithDemandDriven(true))
+	var children []Child
+	var askers []*hangingAsker
+	for _, p := range PlanShards(prog, 2) {
+		a := &hangingAsker{
+			Asker:   mediator.New(p.Prog, inputs, mediator.WithDemandDriven(true)),
+			entered: make(chan struct{}),
+		}
+		askers = append(askers, a)
+		children = append(children, Child{Asker: a, Functors: p.Functors})
+	}
+	fed, err := New(Config{Children: children})
+	if err != nil {
+		t.Fatal(err)
+	}
+	untouched := func(when string, asks int64) {
+		t.Helper()
+		for i, sh := range fed.Stats().Shards {
+			if !sh.Healthy || sh.Breaker != "closed" || sh.Failures != 0 || sh.Asks != asks {
+				t.Errorf("%s: shard %+v, want healthy, breaker closed, 0 failures, %d asks", when, sh, asks)
+			}
+			if st := source.StatsOf(fed.children[i].chain); st.Retries != 0 || st.BreakerOpens != 0 {
+				t.Errorf("%s: %s guard chain counted %+v, want no retry and no breaker trip", when, sh.Name, st)
+			}
+		}
+	}
+
+	const view = `view < -> name -> N, -> city -> C, -> zip -> Z >`
+	for i := 0; i < 6; i++ {
+		_, err := fed.Ask(`view < -> name ->`)
+		_, want := single.Ask(`view < -> name ->`)
+		var pe *yatl.ParseError
+		if !errors.As(err, &pe) || err.Error() != want.Error() {
+			t.Fatalf("malformed ask %d: %v, want the mediator's %v", i, err, want)
+		}
+	}
+	untouched("after six malformed asks", 0)
+	if got, want := mustAsk(t, fed, view), mustAsk(t, single, view); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("ask after the malformed ones = %v, want %v", got, want)
+	}
+	untouched("after the well-formed ask", 1)
+
+	// Six clients hang up mid-ask, one more than the breaker's threshold.
+	for _, a := range askers {
+		a.hang.Store(true)
+	}
+	for i := 0; i < 6; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := fed.AskContext(ctx, view)
+			done <- err
+		}()
+		for _, a := range askers {
+			<-a.entered
+		}
+		cancel()
+		if err := <-done; err == nil {
+			t.Fatalf("cancelled ask %d was answered", i)
+		}
+	}
+	untouched("after six cancelled asks", 1)
+	for _, a := range askers {
+		a.hang.Store(false)
+	}
+	if got, want := mustAsk(t, fed, view), mustAsk(t, single, view); !reflect.DeepEqual(got, want) {
+		t.Errorf("ask after the cancelled ones = %v, want %v", got, want)
+	}
+}
+
 // TestFusedPipelineNoIntermediate: a two-program pipeline hands the
 // planner prg1 : SGML↦ODMG and prg2 : ODMG↦HTML; the federation
 // serves the §4.3 fusion, so the ODMG model never exists — no shard

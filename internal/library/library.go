@@ -10,9 +10,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"yat/internal/pattern"
+	"yat/internal/workload"
 	"yat/internal/yatl"
 )
 
@@ -114,6 +116,26 @@ func LoadProgram(path string) (*yatl.Program, error) {
 		return nil, fmt.Errorf("library: %s: %w", path, err)
 	}
 	return p, nil
+}
+
+// ResolveProgram resolves the program spec every tool's -program flag
+// takes: a .yatl file, the name of a built-in program, or selective:K
+// (the synthetic K-view workload program).
+func ResolveProgram(spec string) (*yatl.Program, error) {
+	if k, ok := strings.CutPrefix(spec, "selective:"); ok {
+		n, err := strconv.Atoi(k)
+		if err != nil || n <= 0 {
+			return nil, fmt.Errorf("bad spec %q: want selective:K with K > 0", spec)
+		}
+		return yatl.Parse(workload.SelectiveProgram(n))
+	}
+	if strings.HasSuffix(spec, ".yatl") {
+		return LoadProgram(spec)
+	}
+	if p, ok := Builtin().Program(spec); ok {
+		return p, nil
+	}
+	return nil, fmt.Errorf("unknown program %q (not a .yatl file, built-in, or selective:K)", spec)
 }
 
 // SaveModel writes a model to a .yatm file as a model block.

@@ -39,12 +39,12 @@
 //
 // Affected groups are found without running anything: the deleted and
 // changed entries' keys are looked up in the per-rule source records
-// of past slice runs, the inserted and rewritten entries are pushed
-// through the PR-7 dispatch index (engine.AffectedRules), and a
-// cached group is affected iff its slice — construct and support
-// rules alike — contains an affected rule. A rule the delta cannot
-// reach directly or through minted activations is, by slice closure,
-// provably byte-identical after the refresh.
+// of past slice runs, the inserted and rewritten entries are matched
+// against every rule body (engine.AffectedRules), and a cached group
+// is affected iff its slice — construct and support rules alike —
+// contains an affected rule. A rule the delta cannot reach directly or
+// through minted activations is, by slice closure, provably
+// byte-identical after the refresh.
 package mediator
 
 import (
@@ -204,7 +204,7 @@ func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (
 	// new inputs and swap it into the cache; unaffected groups stay.
 	out.fallback = true
 	out.reason = reason
-	res, runErr := engine.RunSlice(ctx, st.prog, inputs, sl, m.opts, engine.WithFacts(st.facts))
+	res, runErr := engine.RunSlice(ctx, st.prog, inputs, sl, m.opts)
 	if runErr != nil {
 		g.lastErr = runErr
 		g.cache.evict(groups...)
@@ -221,7 +221,7 @@ func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (
 // contain a rule the delta can feed: rules that recorded a direct
 // match on a deleted or rewritten entry (the groups' source records,
 // from past slice runs) plus rules the inserted or rewritten trees can
-// match (engine.AffectedRules over the dispatch index). Slice closure
+// match (engine.AffectedRules). Slice closure
 // extends direct reachability to derived activations: a rule fed only
 // through minted activations lives in the same slice as its minters.
 func (m *Mediator) affectedGroups(st *progState, g *demandGen, d *delta.Delta) []string {
@@ -230,7 +230,7 @@ func (m *Mediator) affectedGroups(st *progState, g *demandGen, d *delta.Delta) [
 	for _, c := range d.Changed {
 		newSide = append(newSide, tree.StoreEntry{Name: c.Name, Tree: c.New})
 	}
-	affected := engine.AffectedRules(st.prog, st.facts, newSide)
+	affected := engine.AffectedRules(st.prog, newSide)
 	oldKeys := make([]string, 0, len(d.Deleted)+len(d.Changed))
 	for _, e := range d.Deleted {
 		oldKeys = append(oldKeys, e.Name.Key())
@@ -289,8 +289,7 @@ func (m *Mediator) insertPatch(ctx context.Context, st *progState, g *demandGen,
 	for _, e := range d.Inserted {
 		seeds.Put(e.Name, e.Tree)
 	}
-	res, err := engine.RunSlice(ctx, st.prog, inputs, sl, m.opts,
-		engine.WithFacts(st.facts), engine.WithDeltaSeeds(seeds))
+	res, err := engine.RunSlice(ctx, st.prog, inputs, sl, m.opts, engine.WithDeltaSeeds(seeds))
 	if err != nil {
 		return 0, false, err
 	}

@@ -398,3 +398,34 @@ func TestDemandConcurrentAskInvalidate(t *testing.T) {
 		})
 	}
 }
+
+// TestAskMemoIsolation: the demand generation memoizes repeated asks,
+// so the slices handed out must be isolated — a caller clobbering its
+// result slice must not corrupt the next ask's answers.
+func TestAskMemoIsolation(t *testing.T) {
+	prog := yatl.MustParse(workload.SelectiveProgram(4))
+	m := New(prog, workload.BrochureStore(6, 2, 5, 11), WithDemandDriven(true))
+	const pat = `view < -> name -> N, -> city -> C, -> zip -> Z >`
+	want, err := m.Ask(pat, "Pview1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("vacuous: no answers")
+	}
+	wantKey := answersKey(t, want)
+	got, err := m.Ask(pat, "Pview1") // memo hit
+	if err != nil {
+		t.Fatal(err)
+	}
+	got[0] = Answer{} // caller scribbles over its copy
+	_ = append(got, Answer{})
+	again, err := m.Ask(pat, "Pview1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if answersKey(t, again) != wantKey {
+		t.Errorf("memoized answers corrupted by a caller's writes:\n got:\n%s\nwant:\n%s",
+			answersKey(t, again), wantKey)
+	}
+}

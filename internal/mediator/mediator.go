@@ -141,9 +141,7 @@ func (g *generation) materialize(ctx context.Context, m *Mediator, st *progState
 			g.done.Store(true)
 			return
 		}
-		// The facts option rides after m.opts (later options win), so a
-		// legacy *Options value in m.opts cannot erase it.
-		g.result, g.err = engine.RunContext(ctx, st.prog, snap.store(), m.opts, engine.WithFacts(st.facts))
+		g.result, g.err = engine.RunContext(ctx, st.prog, snap.store(), m.opts)
 		g.done.Store(true)
 	})
 	return g.result, g.err
@@ -160,9 +158,10 @@ type progState struct {
 	gen  *generation
 	// dgen is the demand-driven cache, nil unless WithDemandDriven.
 	dgen *demandGen
-	// facts is the optimizer analysis of prog (engine.AnalyzeProgram),
-	// computed once per program lifetime at construction/reload time.
-	// Invalidate reuses it (same program value); Reload recomputes.
+	// facts is prog's analysis (engine.AnalyzeProgram): the memo of
+	// pruned slices every read and refresh goes through, computed once
+	// per program lifetime at construction/reload time. Invalidate
+	// reuses it (same program value); Reload recomputes.
 	facts *engine.ProgramFacts
 	// progHash and optsHash identify the program text and the
 	// result-affecting engine options (registry surface included) this
@@ -456,9 +455,9 @@ func (m *Mediator) Ask(patternSrc string, functors ...string) ([]Answer, error) 
 }
 
 // patCache memoizes parsed query patterns by source text, shared by
-// every mediator in the process (a parse is pure syntax). Capped so a
-// client generating unbounded distinct patterns cannot exhaust
-// memory; patterns past the cap parse uncached.
+// every mediator and federation in the process (a parse is pure
+// syntax). Capped so a client generating unbounded distinct patterns
+// cannot exhaust memory; patterns past the cap parse uncached.
 var (
 	patCache     sync.Map // string -> *pattern.PTree
 	patCacheSize atomic.Int64
@@ -466,13 +465,16 @@ var (
 
 const maxPatCache = 4096
 
-func parsePatternCached(src string) (*pattern.PTree, error) {
+// ParsePattern parses an ask pattern (YATL concrete syntax) through
+// the process-wide pattern cache. The error wraps the *yatl.ParseError;
+// it is the one every Asker returns for a malformed pattern.
+func ParsePattern(src string) (*pattern.PTree, error) {
 	if v, ok := patCache.Load(src); ok {
 		return v.(*pattern.PTree), nil
 	}
 	pt, err := yatl.ParsePattern(src)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mediator: %w", err)
 	}
 	if patCacheSize.Load() < maxPatCache {
 		if _, loaded := patCache.LoadOrStore(src, pt); !loaded {
@@ -487,13 +489,13 @@ func parsePatternCached(src string) (*pattern.PTree, error) {
 func (m *Mediator) AskContext(ctx context.Context, patternSrc string, functors ...string) ([]Answer, error) {
 	start := time.Now()
 	m.asks.Add(1)
-	pt, err := parsePatternCached(patternSrc)
+	pt, err := ParsePattern(patternSrc)
 	if err != nil {
 		// A parse failure is still an ask (Asks and AskTime cover it)
 		// but it never consulted the cache, so it is neither a hit nor
 		// a miss: Asks == CacheHits + CacheMisses + parse failures.
 		m.askNanos.Add(time.Since(start).Nanoseconds())
-		return nil, fmt.Errorf("mediator: %w", err)
+		return nil, err
 	}
 	return m.askPattern(ctx, start, pt, functors)
 }
@@ -525,10 +527,10 @@ func (m *Mediator) askPattern(ctx context.Context, start time.Time, pt *pattern.
 	return out, err
 }
 
-// storelessMatcher serves every demand-mode ask. The demand store may
-// gain entries concurrently; with no model, conformance (the only
-// store consumer) is skipped, so a storeless matcher is exactly the
-// full-mode matcher — and with no per-ask state it is shared safely.
+// storelessMatcher serves every ask, in both modes. An ask pattern
+// comes with no model, and conformance against a model is the
+// matcher's only use of a store, so there is none to hand it — and
+// with no per-ask state it is shared safely.
 var storelessMatcher = &engine.Matcher{}
 
 func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []string) ([]Answer, error) {
@@ -548,7 +550,7 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 		}
 		memoGen = g
 	}
-	entries, matcher, hit, memoVer, err := m.read(ctx, st, pt, functors)
+	entries, hit, memoVer, err := m.read(ctx, st, pt, functors)
 	if hit {
 		m.cacheHits.Add(1)
 	} else {
@@ -561,7 +563,7 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 	}
 	var out []Answer
 	for _, e := range entries {
-		for _, b := range matcher.MatchTree(pt, e.Tree) {
+		for _, b := range storelessMatcher.MatchTree(pt, e.Tree) {
 			out = append(out, Answer{Name: e.Name, Binding: b})
 		}
 	}
@@ -604,23 +606,22 @@ func (o *answerOrder) Swap(i, j int) {
 
 // read is the one read path behind Ask, Get and Functors, and the one
 // mode branch on the read side. It returns the target's entries
-// restricted to the given functors (none = the whole target), the
-// matcher to read them with, whether they were served entirely from an
-// already-successful materialization (false on error), and — demand
-// mode — the cache version the view was taken at. Demand-driven, only
+// restricted to the given functors (none = the whole target), whether
+// they were served entirely from an already-successful materialization
+// (false on error), and — demand mode — the cache version the view was
+// taken at. Demand-driven, only
 // the functors' slice is ensured, and an ask's pattern (nil for Get and
 // Functors) may narrow the entries to those it can match; otherwise the
 // whole target materializes once and is filtered by functor alone: an
 // engine run independent of the demand cache and its index, which is
 // what lets the benchmark use it as the oracle.
-func (m *Mediator) read(ctx context.Context, st *progState, pt *pattern.PTree, functors []string) ([]tree.StoreEntry, *engine.Matcher, bool, uint64, error) {
+func (m *Mediator) read(ctx context.Context, st *progState, pt *pattern.PTree, functors []string) ([]tree.StoreEntry, bool, uint64, error) {
 	if m.demand {
-		entries, hit, ver, err := m.ensureDemand(ctx, st, pt, functors)
-		return entries, storelessMatcher, hit, ver, err
+		return m.ensureDemand(ctx, st, pt, functors)
 	}
 	res, warm, err := m.materialize(ctx, st)
 	if err != nil {
-		return nil, nil, false, 0, err
+		return nil, false, 0, err
 	}
 	entries := res.Outputs.Entries()
 	if len(functors) > 0 {
@@ -632,7 +633,7 @@ func (m *Mediator) read(ctx context.Context, st *progState, pt *pattern.PTree, f
 		}
 		entries = kept
 	}
-	return entries, &engine.Matcher{Store: res.Outputs}, warm, 0, nil
+	return entries, warm, 0, nil
 }
 
 // ensureDemand guarantees every functor group of the slice for the
@@ -679,7 +680,7 @@ func (m *Mediator) ensureDemand(ctx context.Context, st *progState, pt *pattern.
 			}
 		}
 		sub := st.facts.SliceFor(missing...)
-		res, err := engine.RunSlice(ctx, st.prog, snap.store(), sub, m.opts, engine.WithFacts(st.facts))
+		res, err := engine.RunSlice(ctx, st.prog, snap.store(), sub, m.opts)
 		if err != nil {
 			g.lastErr = err
 			return nil, false, 0, err
@@ -700,7 +701,7 @@ func (m *Mediator) Get(name tree.Name) (*tree.Node, bool, error) {
 // GetContext is Get with a cancellation context applied to any engine
 // run the lookup triggers.
 func (m *Mediator) GetContext(ctx context.Context, name tree.Name) (*tree.Node, bool, error) {
-	entries, _, _, _, err := m.read(ctx, m.state(), nil, []string{name.Functor})
+	entries, _, _, err := m.read(ctx, m.state(), nil, []string{name.Functor})
 	if err != nil {
 		return nil, false, err
 	}
@@ -718,7 +719,7 @@ func (m *Mediator) GetContext(ctx context.Context, name tree.Name) (*tree.Node, 
 // This needs the whole target, so a demand-driven mediator fully
 // materializes here.
 func (m *Mediator) Functors() ([]string, error) {
-	entries, _, _, _, err := m.read(nil, m.state(), nil, nil)
+	entries, _, _, err := m.read(nil, m.state(), nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -256,7 +256,7 @@ func TestRestoreRefusesMismatches(t *testing.T) {
 }
 
 // pairProgram mints one functor from two construct rules, plus a dead
-// sibling the optimizer prunes from every slice the mediator runs.
+// sibling pruned from every slice the mediator runs.
 const pairProgram = `
 program pair
 

@@ -68,6 +68,31 @@ func TestFederatedServerUnroutable(t *testing.T) {
 	}
 }
 
+// A malformed pattern is a 400 from a federation as from a mediator,
+// however often it is sent, and costs the shards nothing: the next
+// well-formed ask is answered and every shard is still healthy.
+func TestFederatedServerMalformedPattern(t *testing.T) {
+	fed, _, url := newFederatedServer(t, 2)
+	for i := 0; i < 6; i++ {
+		resp, _ := postAsk(t, url, wire.AskRequest{Pattern: "view < -> name ->"})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("malformed ask %d: status %d, want 400", i, resp.StatusCode)
+		}
+		if e := decodeError(t, resp); e.Code != "parse_error" {
+			t.Fatalf("malformed ask %d: code %q, want parse_error", i, e.Code)
+		}
+	}
+	resp, out := postAsk(t, url, wire.AskRequest{Pattern: "X"})
+	if resp.StatusCode != http.StatusOK || out.Count == 0 {
+		t.Fatalf("well-formed ask after the malformed ones: status %d, %d answers", resp.StatusCode, out.Count)
+	}
+	for _, sh := range fed.Stats().Shards {
+		if !sh.Healthy || sh.Breaker != "closed" || sh.Failures != 0 {
+			t.Errorf("shard %+v, want healthy with a closed breaker and no failure", sh)
+		}
+	}
+}
+
 func TestFederatedServerHealthzShards(t *testing.T) {
 	_, _, url := newFederatedServer(t, 2)
 	resp, err := http.Get(url + "/healthz")

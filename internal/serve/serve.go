@@ -519,7 +519,7 @@ func (s *Server) explainAsk(w http.ResponseWriter, r *http.Request, q url.Values
 		writeError(w, err)
 		return
 	}
-	data, err := profile.JSON(q.Get("timing") == "1")
+	data, err := json.Marshal(profile.Document(q.Get("timing") == "1"))
 	if err != nil {
 		s.failed.Add(1)
 		writeError(w, err)

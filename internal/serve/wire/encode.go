@@ -26,7 +26,7 @@ import (
 // invalid UTF-8). That identity is the wire contract — every decoder
 // of the struct decodes this — and the differential and fuzz tests
 // hold it against encoding/json itself. profile must be valid JSON (it
-// is trace.Profile.JSON's output); one that is not is left out rather
+// is a marshaled trace.Document); one that is not is left out rather
 // than corrupting the reply.
 func AppendAskResponse(dst []byte, generation int64, answers []mediator.Answer, keyed bool, profile json.RawMessage) []byte {
 	// One display form at a time is rendered here, then escaped into

@@ -169,8 +169,8 @@ func HashProgram(prog *yatl.Program) string {
 // HashOptions is the canonical hash of the result-affecting engine
 // options: the registry fingerprint (names and type signatures of
 // every callable), the model environments, the fixpoint bound, the
-// non-determinism policy, the output checker, and the safety/optimizer
-// toggles. Parallelism and tracing are deliberately excluded — the
+// non-determinism policy, the output checker, and the safety
+// toggle. Parallelism and tracing are deliberately excluded — the
 // engine guarantees byte-identical outputs at every worker count, and
 // a sink observes a run without changing it — so a snapshot taken at
 // one parallelism restores at any other.
@@ -186,9 +186,9 @@ func HashOptions(opts *engine.Options) string {
 	if opts.CheckOutputs != nil {
 		check = opts.CheckOutputs.String()
 	}
-	doc := fmt.Sprintf("registry=%s\nmodel=%s\ncheck_outputs=%s\nmax_rounds=%d\nnondet_warn=%t\ndisable_safety=%t\nno_optimize=%t\n",
+	doc := fmt.Sprintf("registry=%s\nmodel=%s\ncheck_outputs=%s\nmax_rounds=%d\nnondet_warn=%t\ndisable_safety=%t\n",
 		opts.Registry.Fingerprint(), model, check,
-		opts.MaxRounds, opts.NonDetWarn, opts.DisableSafety, opts.NoOptimize)
+		opts.MaxRounds, opts.NonDetWarn, opts.DisableSafety)
 	return sum([]byte(doc))
 }
 

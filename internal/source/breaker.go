@@ -121,10 +121,15 @@ func (b *breaker) admit() error {
 func (b *breaker) record(ctx context.Context, err error) {
 	b.mu.Lock()
 	opened := false
-	if err == nil {
+	switch {
+	case err == nil:
 		b.state = stateClosed
 		b.consecFails = 0
-	} else {
+	case ctx.Err() != nil:
+		// The caller gave up; that is not held against the source. A
+		// half-open probe cut short this way leaves the next one to
+		// decide.
+	default:
 		b.consecFails++
 		if b.state == stateHalfOpen || b.consecFails >= b.opts.Threshold {
 			if b.state != stateOpen {

@@ -106,6 +106,7 @@ func (r *retrier) Name() string { return r.inner.Name() }
 // cancelled.
 func (r *retrier) Fetch(ctx context.Context) (*tree.Store, error) {
 	var lastErr error
+	tried := 0
 	for attempt := 1; attempt <= r.opts.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			r.retries.Add(1)
@@ -116,6 +117,7 @@ func (r *retrier) Fetch(ctx context.Context) (*tree.Store, error) {
 			}
 		}
 		r.attempts.Add(1)
+		tried++
 		store, err := r.inner.Fetch(ctx)
 		if err == nil {
 			r.setLastErr(nil)
@@ -132,7 +134,7 @@ func (r *retrier) Fetch(ctx context.Context) (*tree.Store, error) {
 		}
 	}
 	return nil, fmt.Errorf("source %s: giving up after %d attempt(s): %w",
-		r.inner.Name(), r.attempts.Load(), lastErr)
+		r.inner.Name(), tried, lastErr)
 }
 
 // backoff computes the delay before the retry-th re-attempt (1-based):

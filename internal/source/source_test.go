@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -132,6 +133,13 @@ func TestRetryGivesUpAndReportsLastErr(t *testing.T) {
 	if st := StatsOf(s); st.LastErr == "" || st.Failures != 3 {
 		t.Errorf("stats = %+v, want failures=3 and a LastErr", st)
 	}
+	// The message counts this call's attempts, not the decorator's.
+	for call := 1; call <= 2; call++ {
+		if !strings.Contains(err.Error(), "after 3 attempt(s)") {
+			t.Errorf("call %d: %v, want \"after 3 attempt(s)\"", call, err)
+		}
+		_, err = s.Fetch(context.Background())
+	}
 }
 
 func TestRetryStopsOnCancelledContext(t *testing.T) {
@@ -225,6 +233,51 @@ func TestBreakerLifeCycle(t *testing.T) {
 	}
 	if _, err := s.Fetch(ctx); err != nil {
 		t.Fatalf("closed fetch: %v", err)
+	}
+}
+
+// A fetch that fails because its caller gave up says nothing about the
+// source: it neither counts towards the threshold nor fails a half-open
+// probe.
+func TestBreakerIgnoresCallersCancellation(t *testing.T) {
+	clock := NewFakeClock()
+	boom := errors.New("boom")
+	var fail error
+	s := WithBreaker(FromFunc("db", func(ctx context.Context) (*tree.Store, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return nil, fail
+	}), BreakerOptions{Threshold: 2, Cooldown: 10 * time.Second, Clock: clock})
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	for i := 0; i < 5; i++ {
+		if _, err := s.Fetch(gone); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled fetch %d: %v", i, err)
+		}
+	}
+	if st := StatsOf(s); st.BreakerState != "closed" || st.BreakerOpens != 0 {
+		t.Fatalf("after five cancelled fetches: %+v, want closed", st)
+	}
+
+	fail = boom
+	for i := 0; i < 2; i++ {
+		s.Fetch(context.Background())
+	}
+	clock.Advance(10 * time.Second)
+	if _, err := s.Fetch(gone); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled probe: %v", err)
+	}
+	if st := StatsOf(s); st.BreakerState != "half-open" || st.BreakerOpens != 1 {
+		t.Fatalf("after a cancelled probe: %+v, want half-open, still one trip", st)
+	}
+	fail = nil
+	if _, err := s.Fetch(context.Background()); err != nil {
+		t.Fatalf("next probe: %v", err)
+	}
+	if st := StatsOf(s); st.BreakerState != "closed" {
+		t.Fatalf("after the healed probe: %+v, want closed", st)
 	}
 }
 

@@ -24,6 +24,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -88,6 +90,9 @@ func (p Phase) String() string {
 	return fmt.Sprintf("phase(%d)", int(p))
 }
 
+// MarshalText names the phase in the EXPLAIN document.
+func (p Phase) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
 // Kind classifies an event.
 type Kind int
 
@@ -143,10 +148,6 @@ const (
 	// snapshot while a refresh ran; Detail is the source name,
 	// Duration the snapshot's age.
 	KindStaleServed
-	// KindAnalysis announces that the run uses precomputed program
-	// facts (engine.AnalyzeProgram); Detail is the facts summary —
-	// symbol-table size, dispatch roots, dead rules, strata.
-	KindAnalysis
 	// KindDeltaApplied records a source refresh absorbed by delta
 	// propagation (the cache was patched in place, or the delta was
 	// empty or touched no cached rule); Detail carries the source name
@@ -210,8 +211,6 @@ func (k Kind) String() string {
 		return "breaker-open"
 	case KindStaleServed:
 		return "stale-served"
-	case KindAnalysis:
-		return "analysis"
 	case KindDeltaApplied:
 		return "delta-applied"
 	case KindDeltaFallback:
@@ -256,8 +255,11 @@ type Sink interface {
 	Emit(Event)
 }
 
-// PhaseProfile aggregates one rule's activity inside one phase.
+// PhaseProfile aggregates one rule's activity inside one phase: one
+// row of the EXPLAIN document.
 type PhaseProfile struct {
+	// Phase names the row; set by the phase's first event.
+	Phase Phase `json:"phase"`
 	// Events is the number of events attributed to the phase.
 	Events int `json:"events"`
 	// Items sums the event counts: bindings matched (match), calls
@@ -266,27 +268,50 @@ type PhaseProfile struct {
 	// (construct).
 	Items int `json:"items"`
 	// Wall is the accumulated wall time attributed to the phase.
-	Wall time.Duration `json:"wall_ns"`
+	Wall time.Duration `json:"wall_ns,omitempty"`
 }
 
-// RuleProfile aggregates one rule across all phases.
+// PhaseTable holds one rule's phase rows, indexed by Phase. It
+// marshals as the rows EXPLAIN shows: the §3.1 phases that saw events,
+// in order.
+type PhaseTable [numPhases]PhaseProfile
+
+// dataPhases are the phases shown in the EXPLAIN table, in §3.1 order.
+var dataPhases = [...]Phase{PhaseMatch, PhaseFunctions, PhasePredicates, PhaseSkolem, PhaseConstruct}
+
+// rows returns the table's EXPLAIN rows, nil when it has none.
+func (t *PhaseTable) rows() []PhaseProfile {
+	var rows []PhaseProfile
+	for _, ph := range dataPhases {
+		if t[ph].Events > 0 {
+			rows = append(rows, t[ph])
+		}
+	}
+	return rows
+}
+
+// MarshalJSON implements json.Marshaler.
+func (t PhaseTable) MarshalJSON() ([]byte, error) { return json.Marshal(t.rows()) }
+
+// RuleProfile aggregates one rule across all phases. Field order is
+// the EXPLAIN document's key order.
 type RuleProfile struct {
 	Rule string `json:"rule"`
-	// Phases indexes PhaseMatch … PhaseConstruct.
-	Phases [numPhases]PhaseProfile `json:"-"`
 	// Fired is the number of (activation, rule) attempts that
 	// produced at least one binding.
 	Fired int `json:"fired"`
+	// Kept is the number of bindings surviving phases 2–3.
+	Kept int `json:"kept"`
 	// Skolems is the number of distinct head identities defined.
 	Skolems int `json:"skolems"`
 	// Outputs is the number of output trees constructed.
 	Outputs int `json:"outputs"`
+	// Phases indexes PhaseMatch … PhaseConstruct.
+	Phases PhaseTable `json:"phases"`
 	// Calls counts external function invocations by function name.
 	Calls map[string]int `json:"calls,omitempty"`
 	// Drops counts dropped bindings by reason.
 	Drops map[string]int `json:"drops,omitempty"`
-	// Kept is the number of bindings surviving phases 2–3.
-	Kept int `json:"kept"`
 	// CacheHits and CacheMisses count the mediator's per-rule memo
 	// decisions for this rule (demand-driven queries only).
 	CacheHits   int `json:"cache_hits,omitempty"`
@@ -300,7 +325,7 @@ type ShardProfile struct {
 	Asks     int           `json:"asks"`
 	Degraded int           `json:"degraded"`
 	Answers  int           `json:"answers"`
-	Wall     time.Duration `json:"wall_ns"`
+	Wall     time.Duration `json:"wall_ns,omitempty"`
 }
 
 // SourceProfile aggregates the source-layer activity of one named
@@ -313,41 +338,51 @@ type SourceProfile struct {
 	Retries      int           `json:"retries"`
 	BreakerOpens int           `json:"breaker_opens"`
 	StaleServed  int           `json:"stale_served"`
-	Wall         time.Duration `json:"wall_ns"`
+	Wall         time.Duration `json:"wall_ns,omitempty"`
+}
+
+// Document is one consistent reading of a Profile — the EXPLAIN
+// document. Render prints it and JSON marshals it; field order is key
+// order.
+type Document struct {
+	// Program is the name the run announced ("" before it starts).
+	Program string `json:"program"`
+	// Rounds counts the fixpoint rounds, RoundPending the activations
+	// pending at the start of each.
+	Rounds       int   `json:"rounds"`
+	RoundPending []int `json:"round_pending,omitempty"`
+	// Events is the total number of events received.
+	Events int `json:"events"`
+	// Wall is the run's wall time (zero until KindRunEnd).
+	Wall time.Duration `json:"wall_ns,omitempty"`
+	// Slices counts demand-driven slice evaluations; SliceRules sums
+	// the rules they ran.
+	Slices     int `json:"slices,omitempty"`
+	SliceRules int `json:"slice_rules,omitempty"`
+	// DeltaApplied and DeltaFallbacks count incremental-refresh
+	// outcomes; Deltas holds their Detail strings in arrival order.
+	DeltaApplied   int      `json:"delta_applied,omitempty"`
+	DeltaFallbacks int      `json:"delta_fallbacks,omitempty"`
+	Deltas         []string `json:"deltas,omitempty"`
+	// Fused holds the compose-fusion summaries in arrival order.
+	Fused []string `json:"fused,omitempty"`
+	// Shards, Sources and Rules are sorted by name.
+	Shards  []ShardProfile  `json:"shards,omitempty"`
+	Sources []SourceProfile `json:"sources,omitempty"`
+	Rules   []RuleProfile   `json:"rules"`
 }
 
 // Profile is a Sink that aggregates the event stream into a
 // per-rule/per-phase table. The zero value is not ready; use
 // NewProfile.
 type Profile struct {
-	mu      sync.Mutex
-	program string
+	mu sync.Mutex
+	// doc accumulates the document's scalar and list members; Shards,
+	// Sources and Rules are filled per reading from the maps below.
+	doc     Document
 	rules   map[string]*RuleProfile
-	rounds  int
-	// pending per round, in round order.
-	roundPending []int
-	events       int
-	wall         time.Duration
-	// slices counts demand-driven slice evaluations; sliceRules sums
-	// the rules they ran.
-	slices     int
-	sliceRules int
-	// analysis holds the facts summary of an optimized run (empty for
-	// unoptimized runs).
-	analysis string
-	// deltaApplied/deltaFallbacks count incremental-refresh outcomes;
-	// deltaLines retains their Detail strings in arrival order for the
-	// EXPLAIN `delta:` lines.
-	deltaApplied   int
-	deltaFallbacks int
-	deltaLines     []string
-	// sources aggregates source-layer events per source name.
 	sources map[string]*SourceProfile
-	// shards aggregates federation scatter events per shard name;
-	// fusions retains the compose-fusion Detail strings in arrival
-	// order for the EXPLAIN `fused:` lines.
 	shards  map[string]*ShardProfile
-	fusions []string
 }
 
 // NewProfile returns an empty profile ready to attach to a run.
@@ -359,32 +394,29 @@ func NewProfile() *Profile {
 func (p *Profile) Emit(e Event) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.events++
+	p.doc.Events++
 	switch e.Kind {
 	case KindRunStart:
-		p.program = e.Detail
+		p.doc.Program = e.Detail
 		return
 	case KindRunEnd:
-		p.wall = e.Duration
+		p.doc.Wall = e.Duration
 		return
 	case KindRound:
-		p.rounds++
-		p.roundPending = append(p.roundPending, e.Count)
+		p.doc.Rounds++
+		p.doc.RoundPending = append(p.doc.RoundPending, e.Count)
 		return
 	case KindSliceComputed:
-		p.slices++
-		p.sliceRules += e.Count
-		return
-	case KindAnalysis:
-		p.analysis = e.Detail
+		p.doc.Slices++
+		p.doc.SliceRules += e.Count
 		return
 	case KindDeltaApplied:
-		p.deltaApplied++
-		p.deltaLines = append(p.deltaLines, e.Detail)
+		p.doc.DeltaApplied++
+		p.doc.Deltas = append(p.doc.Deltas, e.Detail)
 		return
 	case KindDeltaFallback:
-		p.deltaFallbacks++
-		p.deltaLines = append(p.deltaLines, e.Detail)
+		p.doc.DeltaFallbacks++
+		p.doc.Deltas = append(p.doc.Deltas, e.Detail)
 		return
 	case KindSourceFetch:
 		sp := p.source(e.Detail)
@@ -418,11 +450,12 @@ func (p *Profile) Emit(e Event) {
 		p.shard(name).Degraded++
 		return
 	case KindComposeFused:
-		p.fusions = append(p.fusions, e.Detail)
+		p.doc.Fused = append(p.doc.Fused, e.Detail)
 		return
 	}
 	r := p.rule(e.Rule)
 	ph := &r.Phases[e.Phase]
+	ph.Phase = e.Phase
 	ph.Events++
 	ph.Wall += e.Duration
 	switch e.Kind {
@@ -498,14 +531,14 @@ func (p *Profile) rule(name string) *RuleProfile {
 func (p *Profile) Program() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.program
+	return p.doc.Program
 }
 
 // Rounds returns the number of fixpoint rounds observed.
 func (p *Profile) Rounds() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.rounds
+	return p.doc.Rounds
 }
 
 // Slices returns the number of demand-driven slice evaluations
@@ -513,129 +546,100 @@ func (p *Profile) Rounds() int {
 func (p *Profile) Slices() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.slices
-}
-
-// Analysis returns the facts summary announced by an optimized run
-// (empty for unoptimized runs).
-func (p *Profile) Analysis() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.analysis
+	return p.doc.Slices
 }
 
 // Events returns the total number of events received.
 func (p *Profile) Events() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.events
+	return p.doc.Events
 }
 
 // Wall returns the total run wall time (zero until KindRunEnd).
 func (p *Profile) Wall() time.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.wall
+	return p.doc.Wall
 }
 
 // Shards returns the per-shard profiles sorted by shard name (the
 // values are copies; empty without federation events).
-func (p *Profile) Shards() []ShardProfile {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	names := make([]string, 0, len(p.shards))
-	for n := range p.shards {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]ShardProfile, len(names))
-	for i, n := range names {
-		out[i] = *p.shards[n]
-	}
-	return out
-}
+func (p *Profile) Shards() []ShardProfile { return p.Document(true).Shards }
 
 // Fusions returns the compose-fusion summaries announced by the
 // federation planner, in arrival order (empty without fusions).
-func (p *Profile) Fusions() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]string(nil), p.fusions...)
-}
+func (p *Profile) Fusions() []string { return p.Document(true).Fused }
 
 // Sources returns the per-source profiles sorted by source name (the
 // values are copies; empty without source-layer events).
-func (p *Profile) Sources() []SourceProfile {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	names := make([]string, 0, len(p.sources))
-	for n := range p.sources {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]SourceProfile, len(names))
-	for i, n := range names {
-		out[i] = *p.sources[n]
-	}
-	return out
-}
+func (p *Profile) Sources() []SourceProfile { return p.Document(true).Sources }
 
 // Rules returns the per-rule profiles sorted by rule name. The
 // returned values are deep copies; mutating them does not affect the
 // profile.
-func (p *Profile) Rules() []RuleProfile {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	names := make([]string, 0, len(p.rules))
-	for n := range p.rules {
+func (p *Profile) Rules() []RuleProfile { return p.Document(true).Rules }
+
+// sortedCopies returns a copy of every value of m, in key order; nil
+// for an empty map.
+func sortedCopies[T any](m map[string]*T, copyOf func(*T) T) []T {
+	names := make([]string, 0, len(m))
+	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	out := make([]RuleProfile, len(names))
-	for i, n := range names {
-		out[i] = copyRule(p.rules[n])
+	var out []T
+	for _, n := range names {
+		out = append(out, copyOf(m[n]))
 	}
 	return out
 }
 
 func copyRule(r *RuleProfile) RuleProfile {
 	c := *r
-	c.Calls = copyCounts(r.Calls)
-	c.Drops = copyCounts(r.Drops)
+	c.Calls = maps.Clone(r.Calls)
+	c.Drops = maps.Clone(r.Drops)
 	return c
 }
 
-func copyCounts(m map[string]int) map[string]int {
-	if m == nil {
-		return nil
+// Document reads the whole profile under one lock, so the document
+// cannot disagree with itself however many runs are still emitting.
+// Everything in it is a copy. With timing false every wall time is
+// zero (and so left out of the JSON), which makes the document
+// deterministic across runs and Parallelism settings.
+func (p *Profile) Document(timing bool) Document {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	d := p.doc
+	d.RoundPending = slices.Clone(d.RoundPending)
+	d.Deltas = slices.Clone(d.Deltas)
+	d.Fused = slices.Clone(d.Fused)
+	d.Shards = sortedCopies(p.shards, func(s *ShardProfile) ShardProfile { return *s })
+	d.Sources = sortedCopies(p.sources, func(s *SourceProfile) SourceProfile { return *s })
+	d.Rules = sortedCopies(p.rules, copyRule)
+	if !timing {
+		d.Wall = 0
+		for i := range d.Shards {
+			d.Shards[i].Wall = 0
+		}
+		for i := range d.Sources {
+			d.Sources[i].Wall = 0
+		}
+		for i := range d.Rules {
+			for ph := range d.Rules[i].Phases {
+				d.Rules[i].Phases[ph].Wall = 0
+			}
+		}
 	}
-	c := make(map[string]int, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
+	return d
 }
-
-// dataPhases are the phases shown in the EXPLAIN table, in §3.1 order.
-var dataPhases = [...]Phase{PhaseMatch, PhaseFunctions, PhasePredicates, PhaseSkolem, PhaseConstruct}
 
 // Render writes the EXPLAIN-style table. With timing false the wall
 // columns are omitted, which makes the output deterministic across
 // runs and Parallelism settings — the form the golden tests pin.
 func (p *Profile) Render(w io.Writer, timing bool) error {
-	rules := p.Rules()
-	sources := p.Sources()
-	shards := p.Shards()
-	p.mu.Lock()
-	program, rounds, pending, wall := p.program, p.rounds, append([]int(nil), p.roundPending...), p.wall
-	slices, sliceRules := p.slices, p.sliceRules
-	analysis := p.analysis
-	deltaApplied, deltaFallbacks := p.deltaApplied, p.deltaFallbacks
-	deltaLines := append([]string(nil), p.deltaLines...)
-	fusions := append([]string(nil), p.fusions...)
-	p.mu.Unlock()
-
-	name := program
+	d := p.Document(timing)
+	name := d.Program
 	if name == "" {
 		name = "(unnamed)"
 	}
@@ -643,26 +647,23 @@ func (p *Profile) Render(w io.Writer, timing bool) error {
 		return err
 	}
 	if timing {
-		fmt.Fprintf(w, "rounds: %d %v  total: %v\n", rounds, pending, wall)
+		fmt.Fprintf(w, "rounds: %d %v  total: %v\n", d.Rounds, d.RoundPending, d.Wall)
 	} else {
-		fmt.Fprintf(w, "rounds: %d %v\n", rounds, pending)
+		fmt.Fprintf(w, "rounds: %d %v\n", d.Rounds, d.RoundPending)
 	}
-	if analysis != "" {
-		fmt.Fprintf(w, "analysis: %s\n", analysis)
+	if d.Slices > 0 {
+		fmt.Fprintf(w, "slices: %d rules=%d\n", d.Slices, d.SliceRules)
 	}
-	if slices > 0 {
-		fmt.Fprintf(w, "slices: %d rules=%d\n", slices, sliceRules)
-	}
-	if deltaApplied > 0 || deltaFallbacks > 0 {
-		fmt.Fprintf(w, "deltas: applied=%d fallbacks=%d\n", deltaApplied, deltaFallbacks)
-		for _, l := range deltaLines {
+	if d.DeltaApplied > 0 || d.DeltaFallbacks > 0 {
+		fmt.Fprintf(w, "deltas: applied=%d fallbacks=%d\n", d.DeltaApplied, d.DeltaFallbacks)
+		for _, l := range d.Deltas {
 			fmt.Fprintf(w, "delta: %s\n", l)
 		}
 	}
-	for _, l := range fusions {
+	for _, l := range d.Fused {
 		fmt.Fprintf(w, "fused: %s\n", l)
 	}
-	for _, s := range shards {
+	for _, s := range d.Shards {
 		fmt.Fprintf(w, "shard %s  asks=%d degraded=%d answers=%d",
 			s.Shard, s.Asks, s.Degraded, s.Answers)
 		if timing {
@@ -670,7 +671,7 @@ func (p *Profile) Render(w io.Writer, timing bool) error {
 		}
 		fmt.Fprintln(w)
 	}
-	for _, s := range sources {
+	for _, s := range d.Sources {
 		fmt.Fprintf(w, "source %s  fetches=%d failures=%d retries=%d breaker-opens=%d stale-served=%d",
 			s.Source, s.Fetches, s.Failures, s.Retries, s.BreakerOpens, s.StaleServed)
 		if timing {
@@ -678,18 +679,14 @@ func (p *Profile) Render(w io.Writer, timing bool) error {
 		}
 		fmt.Fprintln(w)
 	}
-	for _, r := range rules {
+	for _, r := range d.Rules {
 		fmt.Fprintf(w, "\nrule %s  fired=%d kept=%d skolems=%d outputs=%d\n",
 			r.Rule, r.Fired, r.Kept, r.Skolems, r.Outputs)
-		for _, ph := range dataPhases {
-			pp := r.Phases[ph]
-			if pp.Events == 0 {
-				continue
-			}
+		for _, pp := range r.Phases.rows() {
 			if timing {
-				fmt.Fprintf(w, "  %-10s events=%-6d items=%-6d wall=%v\n", ph, pp.Events, pp.Items, pp.Wall)
+				fmt.Fprintf(w, "  %-10s events=%-6d items=%-6d wall=%v\n", pp.Phase, pp.Events, pp.Items, pp.Wall)
 			} else {
-				fmt.Fprintf(w, "  %-10s events=%-6d items=%d\n", ph, pp.Events, pp.Items)
+				fmt.Fprintf(w, "  %-10s events=%-6d items=%d\n", pp.Phase, pp.Events, pp.Items)
 			}
 		}
 		if len(r.Calls) > 0 {
@@ -725,132 +722,9 @@ func formatCounts(m map[string]int) string {
 	return strings.Join(parts, " ")
 }
 
-// jsonPhase is the JSON shape of one phase row.
-type jsonPhase struct {
-	Phase  string `json:"phase"`
-	Events int    `json:"events"`
-	Items  int    `json:"items"`
-	WallNS int64  `json:"wall_ns,omitempty"`
-}
-
-// jsonRule is the JSON shape of one rule block.
-type jsonRule struct {
-	Rule        string         `json:"rule"`
-	Fired       int            `json:"fired"`
-	Kept        int            `json:"kept"`
-	Skolems     int            `json:"skolems"`
-	Outputs     int            `json:"outputs"`
-	Phases      []jsonPhase    `json:"phases"`
-	Calls       map[string]int `json:"calls,omitempty"`
-	Drops       map[string]int `json:"drops,omitempty"`
-	CacheHits   int            `json:"cache_hits,omitempty"`
-	CacheMisses int            `json:"cache_misses,omitempty"`
-}
-
-// jsonSource is the JSON shape of one source block.
-type jsonSource struct {
-	Source       string `json:"source"`
-	Fetches      int    `json:"fetches"`
-	Failures     int    `json:"failures"`
-	Retries      int    `json:"retries"`
-	BreakerOpens int    `json:"breaker_opens"`
-	StaleServed  int    `json:"stale_served"`
-	WallNS       int64  `json:"wall_ns,omitempty"`
-}
-
-// jsonShard is the JSON shape of one federation shard block.
-type jsonShard struct {
-	Shard    string `json:"shard"`
-	Asks     int    `json:"asks"`
-	Degraded int    `json:"degraded"`
-	Answers  int    `json:"answers"`
-	WallNS   int64  `json:"wall_ns,omitempty"`
-}
-
-// jsonProfile is the JSON shape of the whole profile.
-type jsonProfile struct {
-	Program        string       `json:"program"`
-	Rounds         int          `json:"rounds"`
-	RoundPending   []int        `json:"round_pending,omitempty"`
-	Events         int          `json:"events"`
-	WallNS         int64        `json:"wall_ns,omitempty"`
-	Slices         int          `json:"slices,omitempty"`
-	SliceRules     int          `json:"slice_rules,omitempty"`
-	DeltaApplied   int          `json:"delta_applied,omitempty"`
-	DeltaFallbacks int          `json:"delta_fallbacks,omitempty"`
-	Deltas         []string     `json:"deltas,omitempty"`
-	Analysis       string       `json:"analysis,omitempty"`
-	Fused          []string     `json:"fused,omitempty"`
-	Shards         []jsonShard  `json:"shards,omitempty"`
-	Sources        []jsonSource `json:"sources,omitempty"`
-	Rules          []jsonRule   `json:"rules"`
-}
-
-// JSON renders the profile as indented JSON. With timing false all
-// wall-time fields are zeroed (and omitted), making the document
-// deterministic across runs.
+// JSON renders the document as indented JSON (see Document for timing).
 func (p *Profile) JSON(timing bool) ([]byte, error) {
-	rules := p.Rules()
-	p.mu.Lock()
-	doc := jsonProfile{
-		Program:        p.program,
-		Rounds:         p.rounds,
-		RoundPending:   append([]int(nil), p.roundPending...),
-		Events:         p.events,
-		Slices:         p.slices,
-		SliceRules:     p.sliceRules,
-		DeltaApplied:   p.deltaApplied,
-		DeltaFallbacks: p.deltaFallbacks,
-		Deltas:         append([]string(nil), p.deltaLines...),
-		Analysis:       p.analysis,
-		Fused:          append([]string(nil), p.fusions...),
-	}
-	if timing {
-		doc.WallNS = p.wall.Nanoseconds()
-	}
-	p.mu.Unlock()
-	for _, s := range p.Shards() {
-		js := jsonShard{Shard: s.Shard, Asks: s.Asks, Degraded: s.Degraded, Answers: s.Answers}
-		if timing {
-			js.WallNS = s.Wall.Nanoseconds()
-		}
-		doc.Shards = append(doc.Shards, js)
-	}
-	for _, s := range p.Sources() {
-		js := jsonSource{Source: s.Source, Fetches: s.Fetches, Failures: s.Failures,
-			Retries: s.Retries, BreakerOpens: s.BreakerOpens, StaleServed: s.StaleServed}
-		if timing {
-			js.WallNS = s.Wall.Nanoseconds()
-		}
-		doc.Sources = append(doc.Sources, js)
-	}
-	for _, r := range rules {
-		jr := jsonRule{
-			Rule:    r.Rule,
-			Fired:   r.Fired,
-			Kept:    r.Kept,
-			Skolems: r.Skolems,
-			Outputs: r.Outputs,
-			Calls:   r.Calls,
-			Drops:   r.Drops,
-
-			CacheHits:   r.CacheHits,
-			CacheMisses: r.CacheMisses,
-		}
-		for _, ph := range dataPhases {
-			pp := r.Phases[ph]
-			if pp.Events == 0 {
-				continue
-			}
-			row := jsonPhase{Phase: ph.String(), Events: pp.Events, Items: pp.Items}
-			if timing {
-				row.WallNS = pp.Wall.Nanoseconds()
-			}
-			jr.Phases = append(jr.Phases, row)
-		}
-		doc.Rules = append(doc.Rules, jr)
-	}
-	return json.MarshalIndent(doc, "", "  ")
+	return json.MarshalIndent(p.Document(timing), "", "  ")
 }
 
 // Recorder is a Sink that retains every event in arrival order —

@@ -188,41 +188,38 @@ func TestStringers(t *testing.T) {
 	if KindSkolemDefined.String() != "skolem-defined" || Kind(99).String() != "kind(99)" {
 		t.Error("Kind.String wrong")
 	}
-	if KindAnalysis.String() != "analysis" {
-		t.Error("KindAnalysis.String wrong")
-	}
 }
 
-// TestAnalysisLine: a KindAnalysis event carries the optimizer facts
-// summary into the profile, its text rendering and its JSON document.
-// Profiles from unoptimized runs render no analysis line at all.
-func TestAnalysisLine(t *testing.T) {
+// TestDocumentIsOneReading: Render and JSON print one Document, read
+// under one lock, so a document taken while a run is still emitting
+// agrees with itself — here every event is a match of rule R, so the
+// total must equal R's match row in every reading.
+func TestDocumentIsOneReading(t *testing.T) {
 	p := NewProfile()
-	p.Emit(Event{Kind: KindRunStart, Detail: "demo"})
-	p.Emit(Event{Kind: KindAnalysis, Phase: PhaseRun, Detail: "syms=7 dispatch-roots=3 dead-rules=1 unreachable=0 strata=2"})
-	p.Emit(Event{Kind: KindRunEnd, Duration: time.Second})
-	if got := p.Analysis(); got != "syms=7 dispatch-roots=3 dead-rules=1 unreachable=0 strata=2" {
-		t.Errorf("Analysis() = %q", got)
+	const n = 20000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			p.Emit(Event{Kind: KindMatch, Phase: PhaseMatch, Rule: "R", Count: 1})
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		d := p.Document(true)
+		matched := 0
+		if len(d.Rules) > 0 {
+			matched = d.Rules[0].Phases[PhaseMatch].Events
+		}
+		if d.Events != matched {
+			t.Fatalf("document disagrees with itself: events=%d, rule R match events=%d", d.Events, matched)
+		}
 	}
-	text := p.Text(false)
-	if !strings.Contains(text, "analysis: syms=7 dispatch-roots=3") {
-		t.Errorf("analysis line missing from rendering:\n%s", text)
-	}
-	doc, err := p.JSON(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(doc), `"analysis": "syms=7`) {
-		t.Errorf("analysis missing from JSON:\n%s", doc)
-	}
-
-	bare := NewProfile()
-	bare.Emit(Event{Kind: KindRunStart, Detail: "demo"})
-	bare.Emit(Event{Kind: KindRunEnd})
-	if strings.Contains(bare.Text(false), "analysis:") {
-		t.Errorf("analysis line rendered without a KindAnalysis event:\n%s", bare.Text(false))
-	}
-	if doc, _ := bare.JSON(false); strings.Contains(string(doc), `"analysis"`) {
-		t.Errorf("analysis key present without a KindAnalysis event:\n%s", doc)
+	if d := p.Document(true); d.Events != n {
+		t.Errorf("events = %d, want %d", d.Events, n)
 	}
 }

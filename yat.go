@@ -165,13 +165,10 @@ var (
 	WithCheckOutputs = engine.WithCheckOutputs
 	// WithDisableSafety skips the §3.4 static cycle check.
 	WithDisableSafety = engine.WithDisableSafety
-	// WithFacts supplies precomputed program facts (AnalyzeProgram):
-	// the run then dispatches through the head-symbol index. Output
-	// stays byte-identical to an unoptimized run.
-	WithFacts = engine.WithFacts
-	// WithOptimize(true) computes facts at run start (one-shot
-	// convenience); WithOptimize(false) disables every fact-driven
-	// optimization — the debugging escape hatch.
+	// WithFacts and WithOptimize configure nothing: the match path they
+	// selected is gone. Kept for the frozen benchmark, which still
+	// passes them.
+	WithFacts    = engine.WithFacts
 	WithOptimize = engine.WithOptimize
 	// WithDemandDriven switches NewMediator to demand-driven
 	// evaluation: queries materialize only the rule slices they need,
@@ -200,14 +197,12 @@ type (
 	// SliceResult is the outcome of a slice-restricted run, with
 	// per-rule outputs and per-rule matched sources.
 	SliceResult = engine.SliceResult
-	// ProgramFacts is the optimizer's precomputed view of a program:
-	// interned symbols, head-symbol dispatch index, dead and
-	// unreachable rules, dependency strata, memoized slices.
+	// ProgramFacts is one analysis of a program: its dead and
+	// unreachable rules and its memoized, pruned slices.
 	ProgramFacts = engine.ProgramFacts
 )
 
-// AnalyzeProgram computes the optimizer facts for a program once;
-// pass the result to runs via WithFacts.
+// AnalyzeProgram computes a program's facts once.
 var AnalyzeProgram = engine.AnalyzeProgram
 
 var (
