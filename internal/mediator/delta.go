@@ -34,8 +34,14 @@
 //  3. Wholesale invalidation. A source that was failing in the pinned
 //     snapshot has no dependency record (absent data matched nothing),
 //     a restored generation has no pinned store to diff against, and a
-//     fetch that fails or degrades during the refresh has no complete
-//     new picture — all fall back to Invalidate().
+//     fetch in which another source degraded has no complete new
+//     picture — all fall back to Invalidate().
+//
+// A fetch that leaves the refreshed source itself down is no tier: the
+// pin is the last good snapshot, so the refresh fails with a
+// *FetchError and the generation — pin, groups, ask memo, version —
+// stays as it was, still answering completely. The next refresh that
+// succeeds diffs against that unmoved pin.
 //
 // Affected groups are found without running anything: the deleted and
 // changed entries' keys are looked up in the per-rule source records
@@ -89,8 +95,10 @@ const (
 	// ReasonDegradedSource: the refreshed source was failing in the
 	// pinned snapshot; no dependency record exists.
 	ReasonDegradedSource = "degraded-source"
-	// ReasonFetchFailed: the refresh fetch failed or left some source
-	// degraded; there is no complete new picture to diff.
+	// ReasonFetchFailed: the refresh fetch left a source down. The
+	// refreshed one: the refresh fails and the generation is kept.
+	// Another one: there is no complete new picture to diff, and a dead
+	// neighbour must not freeze this source's refreshes — wholesale.
 	ReasonFetchFailed = "fetch-failed"
 	// ReasonNoBaseline: the generation was restored from a snapshot, so
 	// it pins no input store to diff against.
@@ -101,8 +109,9 @@ const (
 type deltaOutcome struct {
 	// wholesale: the whole demand generation must be invalidated
 	// (tier 3). fallback: the refresh was absorbed by a slice re-run
-	// (tier 2). Neither set: absorbed incrementally (tier 1, possibly
-	// trivially — empty delta or no cached dependents).
+	// (tier 2), or not at all — the refreshed source's fetch failed.
+	// Neither set: absorbed incrementally (tier 1, possibly trivially —
+	// empty delta or no cached dependents).
 	wholesale bool
 	fallback  bool
 	reason    string
@@ -160,12 +169,20 @@ func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (
 		g.pin = nil
 		return deltaOutcome{}, nil
 	}
+	next, err := m.fetch(ctx)
+	if err == nil {
+		err = next.failure(name)
+	}
+	if err != nil {
+		// The pin is the last good snapshot: a refresh that cannot
+		// replace it keeps it, and everything computed from it.
+		return deltaOutcome{fallback: true, reason: ReasonFetchFailed}, err
+	}
 	prev := g.pin.store()
 	if prev == nil {
 		return deltaOutcome{wholesale: true, reason: ReasonNoBaseline}, nil
 	}
-	next, err := m.fetch(ctx)
-	if err != nil || len(next.degraded()) > 0 {
+	if len(next.degraded()) > 0 {
 		return deltaOutcome{wholesale: true, reason: ReasonFetchFailed}, nil
 	}
 	// Every path below leaves the cache consistent with the new fetch —

@@ -339,12 +339,22 @@ func TestDeltaFallbackReasons(t *testing.T) {
 	})
 
 	t.Run("fetch-failed", func(t *testing.T) {
-		// The refresh fetch leaves src1 degraded: no complete new
-		// picture exists, so the whole generation goes.
+		// The refresh of a healthy src2 finds src1 down: no complete
+		// new picture exists, and a dead neighbour must not freeze
+		// src2's refreshes, so the whole generation goes. (When the
+		// refreshed source itself is down the generation is kept:
+		// TestFailedRefreshKeepsGeneration.)
+		rec := &trace.Recorder{}
+		prog := yatl.MustParse(twoSourceProgram)
 		betas := betaStore("bee")
-		m, _, rec, err := run(t, twoSourceProgram, nil, betas,
-			func(f *source.Fault) { f.SetErr(errors.New("down")) })
-		if err != nil {
+		neighbour := source.NewFault("src1", alphaStore("ant", "asp"))
+		m := New(prog, nil, engine.WithTrace(rec), WithDemandDriven(true),
+			WithSources(neighbour, source.Static("src2", betas)))
+		if _, err := m.Ask(`X`); err != nil {
+			t.Fatalf("warm ask: %v", err)
+		}
+		neighbour.SetErr(errors.New("down"))
+		if err := m.RefreshSource(ctx, "src2"); err != nil {
 			t.Fatal(err)
 		}
 		wantFallback(t, rec, ReasonFetchFailed)
@@ -353,9 +363,12 @@ func TestDeltaFallbackReasons(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := answersFor(t, yatl.MustParse(twoSourceProgram), tree.NewStore(), betas, `X`)
+		want := answersFor(t, prog, tree.NewStore(), betas, `X`)
 		if answersKey(t, got) != want {
 			t.Fatalf("degraded answers wrong:\n%s\nwant:\n%s", answersKey(t, got), want)
+		}
+		if st := m.Stats(); st.Generation != 2 || st.DeltaFallbacks != 1 {
+			t.Errorf("stats = %+v, want one wholesale fallback", st)
 		}
 	})
 
@@ -430,16 +443,16 @@ func TestDeltaFallbackReasons(t *testing.T) {
 
 // Satellite 1: a nil context is normalized before it can reach the
 // source decorators, so a refresh through the conventional
-// cache/timeout/retry chain works and still lands incrementally.
+// timeout/retry/breaker chain works and still lands incrementally.
 func TestRefreshSourceNilContextThroughDecorators(t *testing.T) {
 	prog := yatl.MustParse(twoSourceProgram)
 	clock := source.NewFakeClock()
 	fault := source.NewFault("src1", alphaStore("ant", "asp")).WithClock(clock)
-	chain := source.WithCache(
-		source.WithTimeout(
-			source.WithRetry(fault, source.RetryOptions{MaxAttempts: 2, Clock: clock, Jitter: -1}),
-			time.Second),
-		source.CacheOptions{TTL: time.Hour, Clock: clock})
+	chain := source.WithBreaker(
+		source.WithRetry(
+			source.WithTimeout(fault, time.Second),
+			source.RetryOptions{MaxAttempts: 2, Clock: clock, Jitter: -1}),
+		source.BreakerOptions{Clock: clock})
 	m := New(prog, nil, WithDemandDriven(true),
 		WithSources(chain, source.Static("src2", betaStore("bee"))))
 	if got, err := m.Ask(`X`, "Pa"); err != nil || len(got) != 2 {
@@ -457,7 +470,6 @@ func TestRefreshSourceNilContextThroughDecorators(t *testing.T) {
 	if st := m.Stats(); st.DeltaRuns != 1 || st.DeltaFallbacks != 0 {
 		t.Errorf("refresh through the chain should patch: %+v", st)
 	}
-	chain.Wait()
 }
 
 // Satellite 2: refreshing an unknown source and invalidating an

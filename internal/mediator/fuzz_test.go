@@ -6,9 +6,7 @@ import (
 	"slices"
 	"testing"
 
-	"yat/internal/engine"
 	"yat/internal/snapshot"
-	"yat/internal/tree"
 	"yat/internal/yatl"
 )
 
@@ -88,61 +86,6 @@ func FuzzRestore(f *testing.F) {
 		// leave the cold mediator's answer.
 		if got := render(as); err != nil && !slices.Equal(got, cold) {
 			t.Fatalf("ask after a refused restore:\n got %q\nwant %q", got, cold)
-		}
-	})
-}
-
-// parseAnswer reconstructs a one-binding answer from its display forms,
-// the way a shard client's decoder (wire.DecodeAskResponse) does.
-func parseAnswer(name, v, disp string) (Answer, error) {
-	n, err := tree.ParseName(name)
-	if err != nil {
-		return Answer{}, err
-	}
-	val, err := tree.ParseValue(disp)
-	return Answer{Name: n, Binding: engine.Binding{v: val}}, err
-}
-
-// FuzzParseAnswer: parsing an answer's display forms never panics, and
-// what parses re-renders (Name.String, Value.Display — the forms the
-// wire carries) to text that parses back to the same MergeKey. The
-// decoder that does this in production is fuzzed, against the same
-// corpus inside whole replies, by wire.FuzzDecodeAskResponse.
-func FuzzParseAnswer(f *testing.F) {
-	as, err := selectiveMediator(f).Ask(viewPattern, "Pview1")
-	if err != nil || len(as) == 0 {
-		f.Fatalf("seed ask: %d answers, %v", len(as), err)
-	}
-	for _, a := range as[:2] {
-		for v, val := range a.Binding {
-			f.Add(a.Name.String(), v, val.Display())
-		}
-	}
-	for _, s := range [][3]string{
-		{"b1", "X", "42"},
-		{"&o1", "N", `"acme"`},
-		{`Psup("a\"b", 3, 2.5)`, "F", "-0.5"},
-		{"Pview1(class < name < \"x\" >, &b1 >)", "T", `view < tag < "v1" >, ref < &Psup("s") > >`},
-		{"Pa(true)", "R", `&Psup("s", 1)`},
-		{"P(", "V", "<"},
-		{"A", "V", `"ends on a backslash\`},
-		{"", "", ""},
-	} {
-		f.Add(s[0], s[1], s[2])
-	}
-	f.Fuzz(func(t *testing.T, name, v, disp string) {
-		a, err := parseAnswer(name, v, disp)
-		if err != nil {
-			return
-		}
-		again, err := parseAnswer(a.Name.String(), v, a.Binding[v].Display())
-		if err != nil {
-			t.Fatalf("(%q, %q=%q) re-rendered as (%q, %q), which does not parse: %v",
-				name, v, disp, a.Name.String(), a.Binding[v].Display(), err)
-		}
-		if a.MergeKey() != again.MergeKey() {
-			t.Fatalf("(%q, %q=%q): merge key %q, after a re-render %q",
-				name, v, disp, a.MergeKey(), again.MergeKey())
 		}
 	})
 }

@@ -26,8 +26,9 @@ type inputSnap struct {
 	// from inputs this one never saw, so there is no baseline to diff.
 	merged *tree.Store
 	// down names, sorted, the sources that failed in the fetch: their
-	// data is absent from merged.
+	// data is absent from merged. errs keeps each one's error.
 	down []string
+	errs map[string]error
 	// health is what Stats reports of the fetch per source, declaration
 	// order: the error, and the entries contributed — a failed source
 	// keeping the count of its last successful fetch.
@@ -54,6 +55,15 @@ func (s *inputSnap) degraded() []string {
 		return nil
 	}
 	return s.down
+}
+
+// failure is the error of a refresh aimed at the named source: a
+// *FetchError naming it when the snap holds none of its data, else nil.
+func (s *inputSnap) failure(name string) error {
+	if err, ok := s.errs[name]; ok {
+		return &FetchError{Errs: map[string]error{name: err}}
+	}
+	return nil
 }
 
 // fetch assembles the engine's input store. Without sources it is the
@@ -98,11 +108,11 @@ func (m *Mediator) fetch(ctx context.Context) (*inputSnap, error) {
 			snap.merged.Put(e.Name, e.Tree)
 		}
 	}
-	failed := map[string]error{}
+	snap.errs = map[string]error{}
 	for i, s := range m.sources {
 		r, h, ok := results[i], &snap.health[i], 0
 		if r.err != nil {
-			failed[s.Name()] = r.err
+			snap.errs[s.Name()] = r.err
 			snap.down = append(snap.down, s.Name())
 			h.FetchErr = r.err.Error()
 			if prev != nil {
@@ -122,8 +132,8 @@ func (m *Mediator) fetch(ctx context.Context) (*inputSnap, error) {
 	}
 	sort.Strings(snap.down)
 	m.latest.Store(snap)
-	if len(failed) == len(m.sources) {
-		return nil, &FetchError{Errs: failed}
+	if len(snap.errs) == len(m.sources) {
+		return nil, &FetchError{Errs: snap.errs}
 	}
 	return snap, nil
 }

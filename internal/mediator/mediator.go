@@ -88,9 +88,10 @@ func (sourcesOption) Apply(*engine.Options) {}
 // MediatorOnly marks the option as foreign to the engine.
 func (sourcesOption) MediatorOnly() string { return "WithSources" }
 
-// FetchError reports that a materialization could not proceed because
-// every configured source failed to fetch. Per-source errors are
-// keyed by source name.
+// FetchError reports the sources whose failed fetch stopped an
+// operation: a materialization when every configured source failed, a
+// RefreshSource when the refreshed one did. Per-source errors are keyed
+// by source name.
 type FetchError struct {
 	Errs map[string]error
 }
@@ -105,7 +106,7 @@ func (e *FetchError) Error() string {
 	for i, n := range names {
 		parts[i] = fmt.Sprintf("%s: %v", n, e.Errs[n])
 	}
-	return "mediator: all sources failed: " + strings.Join(parts, "; ")
+	return "mediator: source fetch failed: " + strings.Join(parts, "; ")
 }
 
 // NotFoundError reports a refresh or invalidation aimed at a name the
@@ -999,39 +1000,26 @@ func (m *Mediator) InvalidateSource(src tree.Name) error {
 }
 
 // RefreshSource re-fetches the named source and absorbs whatever
-// changed with as little re-computation as it can prove sound. When
-// the source carries a stale-while-revalidate cache the refresh is
-// forced through it (a failing refresh keeps the old snapshot and
-// returns the error without invalidating anything — the served data
-// did not change). A demand-driven mediator then diffs the new fetch
-// against the snapshot this generation's cache was computed from and
-// propagates the delta through only the affected rule slices (delta.go),
-// patching the per-rule cache in place where that is provably
-// byte-identical to a re-run and falling back to a slice re-run — or,
-// for a previously degraded source, wholesale invalidation — where it
-// is not. A full-materialization mediator reconverts wholesale. A nil
-// ctx is normalized before it can reach source decorators (whose
-// timeout and breaker paths call ctx methods); an unknown name
-// returns a *NotFoundError.
+// changed with as little re-computation as it can prove sound. A
+// demand-driven mediator diffs the new fetch against the snapshot this
+// generation's cache was computed from and propagates the delta
+// through only the affected rule slices (delta.go), patching the
+// per-rule cache in place where that is provably byte-identical to a
+// re-run and falling back to a slice re-run — or, for a previously
+// degraded source, wholesale invalidation — where it is not. When the
+// fetch leaves the named source down it returns a *FetchError naming it
+// and changes nothing: the generation keeps answering, completely, from
+// the snapshot it pinned, while Stats reports the failed fetch. A
+// full-materialization mediator reconverts wholesale. A nil ctx is
+// normalized before it can reach source decorators (whose timeout and
+// breaker paths call ctx methods); an unknown name returns a
+// *NotFoundError.
 func (m *Mediator) RefreshSource(ctx context.Context, name string) error {
-	var src source.Source
-	for _, s := range m.sources {
-		if s.Name() == name {
-			src = s
-			break
-		}
-	}
-	if src == nil {
+	if !slices.ContainsFunc(m.sources, func(s source.Source) bool { return s.Name() == name }) {
 		return &NotFoundError{Kind: "source", Name: name}
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	ctx = source.WithSink(ctx, m.opts.Trace)
-	if r, ok := src.(interface{ Refresh(context.Context) error }); ok {
-		if err := r.Refresh(ctx); err != nil {
-			return fmt.Errorf("mediator: refreshing source %s: %w", name, err)
-		}
 	}
 	if !m.demand {
 		m.Invalidate()

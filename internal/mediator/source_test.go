@@ -244,27 +244,90 @@ func TestRefreshSourceUnknownName(t *testing.T) {
 	}
 }
 
-// RefreshSource through a stale-while-revalidate cache forces the
-// refresh; if the source is down the old snapshot keeps serving and
-// nothing is invalidated.
-func TestRefreshSourceThroughCache(t *testing.T) {
+// A refresh whose fetch leaves the refreshed source down fails with a
+// *FetchError naming it and keeps the generation: pin, groups and ask
+// memo answer on, completely, while Stats reports the failed fetch; the
+// next refresh that succeeds diffs against the unmoved pin.
+func TestFailedRefreshKeepsGeneration(t *testing.T) {
 	prog := yatl.MustParse(twoSourceProgram)
-	clock := source.NewFakeClock()
-	fault := source.NewFault("src2", betaStore("bee")).WithClock(clock)
-	cached := source.WithCache(fault, source.CacheOptions{TTL: time.Hour, Clock: clock})
-	m := New(prog, nil, WithSources(source.Static("src1", alphaStore("ant")), cached))
-	if got, err := m.Ask(`X`, "Pb"); err != nil || len(got) != 1 {
-		t.Fatalf("warm Pb = %d, %v", len(got), err)
+	alphas := alphaStore("ant")
+	fault := source.NewFault("src2", betaStore("bee"))
+	m := New(prog, nil, WithDemandDriven(true),
+		WithSources(source.Static("src1", alphas), fault))
+	warm, err := m.Ask(`X`)
+	if err != nil || len(warm) != 2 {
+		t.Fatalf("warm ask = %d, %v", len(warm), err)
+	}
+	watch := &cacheWatch{}
+	ver, memo := watch.look(t, m)
+	before := m.Stats()
+
+	failedRefresh := func(t *testing.T, m *Mediator) {
+		t.Helper()
+		err := m.RefreshSource(nil, "src2")
+		var fe *FetchError
+		if !errors.As(err, &fe) || len(fe.Errs) != 1 || fe.Errs["src2"] == nil {
+			t.Fatalf("refresh of a down source = %v, want a *FetchError naming src2", err)
+		}
 	}
 	fault.SetErr(errors.New("down"))
-	if err := m.RefreshSource(nil, "src2"); err == nil {
-		t.Fatal("refresh of a down source should surface the error")
+	failedRefresh(t, m)
+	if v, kept := watch.look(t, m); v != ver || kept != memo {
+		t.Errorf("cache version %d -> %d, memo %d -> %d: a failed refresh moved the cache", ver, v, memo, kept)
 	}
-	// The failed refresh kept the snapshot and the cache: still 1 answer.
-	if got, err := m.Ask(`X`, "Pb"); err != nil || len(got) != 1 {
-		t.Fatalf("post-failed-refresh Pb = %d, %v; want the cached answer", len(got), err)
+	got, err := m.Ask(`X`)
+	if err != nil || answersKey(t, got) != answersKey(t, warm) {
+		t.Fatalf("post-failed-refresh ask: %v\n%s\nwant the warm answers\n%s", err, answersKey(t, got), answersKey(t, warm))
 	}
-	cached.Wait()
+	st := m.Stats()
+	if st.MemoHits != before.MemoHits+1 || st.SliceRuns != before.SliceRuns ||
+		st.Generation != before.Generation || st.CachedRules != before.CachedRules ||
+		st.DeltaFallbacks != 1 || st.DeltaRuns != 0 || st.PatchedRules != 0 {
+		t.Errorf("stats after the failed refresh: %+v\nbefore: %+v", st, before)
+	}
+	if st.Sources[0].FetchErr != "" || st.Sources[1].FetchErr == "" || st.Sources[1].Entries != 1 {
+		t.Errorf("source health = %+v, want src2's failed fetch over its last good count", st.Sources)
+	}
+
+	// Healed and grown: one insert patch against the pin the failed
+	// refresh left in place.
+	grown := betaStore("bee", "boa")
+	fault.SetErr(nil)
+	fault.SetStore(grown)
+	if err := m.RefreshSource(nil, "src2"); err != nil {
+		t.Fatal(err)
+	}
+	got, err = m.Ask(`X`)
+	if err != nil || answersKey(t, got) != answersFor(t, prog, alphas, grown, `X`) {
+		t.Fatalf("healed answers differ from a fresh run: %v\n%s", err, answersKey(t, got))
+	}
+	if st := m.Stats(); st.DeltaRuns != 1 || st.DeltaFallbacks != 1 || st.Sources[1].FetchErr != "" {
+		t.Errorf("stats after the healed refresh: %+v", st)
+	}
+
+	// A restored generation has no store to diff but the same claim on
+	// its groups: the failed refresh is decided before the baseline is
+	// missed.
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.SetErr(errors.New("down again"))
+	restored := New(prog, nil, WithDemandDriven(true),
+		WithSources(source.Static("src1", alphas), fault))
+	if err := restored.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	was := restored.Stats()
+	failedRefresh(t, restored)
+	got, err = restored.Ask(`X`)
+	if err != nil || answersKey(t, got) != answersFor(t, prog, alphas, grown, `X`) {
+		t.Fatalf("restored answers after a failed refresh: %v\n%s", err, answersKey(t, got))
+	}
+	if st := restored.Stats(); st.Generation != was.Generation || st.SliceRuns != was.SliceRuns ||
+		st.CacheMisses != was.CacheMisses || st.CachedRules != was.CachedRules {
+		t.Errorf("restored stats after the failed refresh: %+v\nbefore: %+v", st, was)
+	}
 }
 
 // The Ask counter discipline on every path: Asks == CacheHits +

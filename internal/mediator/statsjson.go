@@ -54,15 +54,11 @@ func (s *Stats) UnmarshalJSON(data []byte) error {
 	return err
 }
 
-// Untimed returns a copy with the wall-clock fields (AskTime, every
-// source's StaleAge) zeroed, hence omitted from JSON: the rest is
-// deterministic for a given program and ask sequence.
+// Untimed returns a copy with the one wall-clock field, AskTime,
+// zeroed, hence omitted from JSON: the rest is deterministic for a
+// given program and ask sequence.
 func (s Stats) Untimed() Stats {
 	s.AskTime = 0
-	s.Sources = append([]SourceStatus(nil), s.Sources...)
-	for i := range s.Sources {
-		s.Sources[i].StaleAge = 0
-	}
 	return s
 }
 

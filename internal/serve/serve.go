@@ -685,6 +685,14 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleRefreshSource refreshes the named source on every lane, in pool
+// order, and stops at the first lane that fails, so the lanes behind it
+// stay on the pin they have. A source that is down fails its refresh
+// (503 sources_unavailable) and every warm lane keeps serving the
+// complete answers of the snapshot it pinned, /healthz reporting the
+// failed fetch. A cold lane has pinned nothing to keep: its next ask
+// fetches for itself, degraded while the source is down. Lanes pin
+// independently; only one mediator per server would cure that.
 func (s *Server) handleRefreshSource(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	known := false

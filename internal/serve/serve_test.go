@@ -341,12 +341,13 @@ func TestHealthzAndRefresh(t *testing.T) {
 	prog := yatl.MustParse(versionedSelective("v1"))
 	parts := workload.SplitStore(workload.BrochureStore(6, 2, 5, 11), 2)
 	flaky := source.NewFault("src2", parts[1])
+	const pool = 2
 	cfg := Config{
 		Prog:    prog,
 		Sources: []source.Source{source.Static("src1", parts[0]), flaky},
+		Pool:    pool,
 	}
-	s, ts := newTestServer(t, cfg)
-	_ = s
+	_, ts := newTestServer(t, cfg)
 
 	health := func() (int, map[string]any) {
 		resp, err := http.Get(ts.URL + "/healthz")
@@ -360,45 +361,109 @@ func TestHealthzAndRefresh(t *testing.T) {
 		}
 		return resp.StatusCode, out
 	}
+	// askAll asks 2 × pool times — every lane twice — and returns the
+	// one body they all answered with.
+	askAll := func(base, when string) []byte {
+		t.Helper()
+		var first []byte
+		for i := 0; i < 2*pool; i++ {
+			resp, body := rawAsk(t, base, "", wire.AskRequest{Pattern: tagPattern})
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s: ask %d status %d: %s", when, i, resp.StatusCode, body)
+			}
+			if first == nil {
+				first = body
+			} else if !bytes.Equal(body, first) {
+				t.Fatalf("%s: ask %d differs from the first\n got %s\nwant %s", when, i, body, first)
+			}
+		}
+		return first
+	}
+	sliceRuns := func() float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/stats?timing=0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc struct {
+			Mediator struct {
+				SliceRuns float64 `json:"slice_runs"`
+			} `json:"mediator"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc.Mediator.SliceRuns
+	}
+	refresh := func(name string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/admin/refresh-source/"+name, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
 
 	// Before any ask: no fetches yet, all sources count as healthy.
 	if code, out := health(); code != 200 || out["status"] != "ok" {
 		t.Fatalf("initial health: %d %v", code, out)
 	}
 
-	if resp, _ := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern}); resp.StatusCode != 200 {
-		t.Fatalf("ask status %d", resp.StatusCode)
-	}
+	// Warm every lane: a cold lane has pinned nothing a failed refresh
+	// could keep.
+	warm := askAll(ts.URL, "warm")
 	if code, out := health(); code != 200 || out["status"] != "ok" {
 		t.Fatalf("healthy: %d %v", code, out)
 	}
+	runs := sliceRuns()
 
-	// Break src2, refresh it through the admin endpoint: the next
-	// health probe shows the degradation after a failing ask fetch.
+	// Break src2 and refresh it through the admin endpoint: the refresh
+	// is refused, every lane keeps answering the complete warm bytes at
+	// the same generation without running anything, and health says why.
 	flaky.SetErr(errors.New("src2 down"))
-	req, _ := http.NewRequest("POST", ts.URL+"/admin/refresh-source/src2", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	resp := refresh("src2")
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("refresh of a down source: status %d, want 503", resp.StatusCode)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("refresh status %d", resp.StatusCode)
+	if e := decodeError(t, resp); e.Code != "sources_unavailable" || !strings.Contains(e.Message, "src2") {
+		t.Fatalf("refresh of a down source: %+v, want sources_unavailable naming src2", e)
 	}
-	if resp, _ := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern}); resp.StatusCode != 200 {
-		t.Fatalf("degraded ask status %d", resp.StatusCode)
+	if stale := askAll(ts.URL, "src2 down"); !bytes.Equal(stale, warm) {
+		t.Fatalf("answers moved while src2 is down\n got %s\nwant %s", stale, warm)
+	}
+	if got := sliceRuns(); got != runs {
+		t.Fatalf("slice_runs %v -> %v across a failed refresh", runs, got)
 	}
 	code, out := health()
 	if code != 200 || out["status"] != "degraded" {
 		t.Fatalf("degraded health: %d %v", code, out)
 	}
 
-	// Unknown source name is a 404 with a stable code.
-	req, _ = http.NewRequest("POST", ts.URL+"/admin/refresh-source/nope", nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	// Healed, with new data: the refresh lands and every lane serves
+	// what a server started over the healed sources serves.
+	healed := workload.SplitStore(workload.BrochureStore(10, 2, 9, 11), 2)[1]
+	flaky.SetErr(nil)
+	flaky.SetStore(healed)
+	resp = refresh("src2")
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("healed refresh status %d", resp.StatusCode)
 	}
+	_, fresh := newTestServer(t, Config{
+		Prog:    prog,
+		Sources: []source.Source{source.Static("src1", parts[0]), source.Static("src2", healed)},
+	})
+	want := askAll(fresh.URL, "fresh server")
+	if got := askAll(ts.URL, "healed"); !bytes.Equal(got, want) || bytes.Equal(got, warm) {
+		t.Fatalf("healed answers\n got %s\nwant %s\nwarm %s", got, want, warm)
+	}
+	if code, out := health(); code != 200 || out["status"] != "ok" {
+		t.Fatalf("healed health: %d %v", code, out)
+	}
+
+	// Unknown source name is a 404 with a stable code.
+	resp = refresh("nope")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown source: status %d, want 404", resp.StatusCode)
 	}

@@ -105,8 +105,24 @@ func checkDecode(t testing.TB, data []byte) (accepted, forwarded int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out := AppendAskResponse(nil, gen, got, keyed, nil); string(out) != string(marshaled)+"\n" {
+		out := AppendAskResponse(nil, gen, got, keyed, nil)
+		if string(out) != string(marshaled)+"\n" {
 			t.Fatalf("%q re-encoded (keyed=%v):\n got %q\nwant %q", data, keyed, out, marshaled)
+		}
+		// The display-form round trip: what parsed re-renders to text
+		// that parses back to the same name and binding — the merge key
+		// of an answer computed here; one a child sent travels only in
+		// a keyed reply.
+		_, again, err := DecodeAskResponse(out)
+		if err != nil || len(again) != len(got) {
+			t.Fatalf("%q re-encoded (keyed=%v) as %q, which decodes to %d answers, %v", data, keyed, out, len(again), err)
+		}
+		for i := range got {
+			if again[i].Name.Key() != got[i].Name.Key() || again[i].Binding.Key() != got[i].Binding.Key() ||
+				keyed && again[i].MergeKey() != got[i].MergeKey() {
+				t.Fatalf("%q answer %d: merge key %q, after a re-render (keyed=%v) %q",
+					data, i, got[i].MergeKey(), keyed, again[i].MergeKey())
+			}
 		}
 	}
 	return len(got), forwarded
@@ -297,8 +313,10 @@ func TestDecodeAskResponseRefusals(t *testing.T) {
 	}
 }
 
-// replySeeds wraps FuzzParseAnswer's corpus (internal/mediator) in
-// replies, canonical and spaced.
+// replySeeds wraps hand-written display forms — plain, reference and
+// Skolem names, numbers, nested trees, forms that do not parse — in
+// one-answer replies, canonical and spaced. (Served answers with their
+// whole bindings are the goldens, goldenReplies.)
 func replySeeds(t testing.TB) [][]byte {
 	var seeds [][]byte
 	for _, s := range [][3]string{
@@ -332,11 +350,11 @@ func replySeeds(t testing.TB) [][]byte {
 // FuzzDecodeAskResponse. On arbitrary bytes (data) the decoder never
 // panics, refuses only with a *DecodeError, accepts nothing the
 // reference refuses or reads differently, and re-encodes what it
-// forwards to exactly json.Marshal of the wire struct (checkDecode).
-// On the encoder's own output, over FuzzAppendAskResponse's value
-// generator, it agrees with the reference on acceptance, forwards
-// every answer, and re-encodes to the bytes it was given
-// (checkEncoderOutput).
+// forwards to exactly json.Marshal of the wire struct, which decodes
+// back to the same names and bindings (checkDecode). On the encoder's own
+// output, over FuzzAppendAskResponse's value generator, it agrees with
+// the reference on acceptance, forwards every answer, and re-encodes to
+// the bytes it was given (checkEncoderOutput).
 func FuzzDecodeAskResponse(f *testing.F) {
 	indented, compact := goldenReplies(f)
 	for i, data := range append(append(indented, compact...), replySeeds(f)...) {

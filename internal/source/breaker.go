@@ -64,9 +64,7 @@ type breaker struct {
 }
 
 // WithBreaker decorates a source with a circuit breaker. Place it
-// outside WithRetry so it counts final (post-retry) outcomes, and
-// inside WithCache so an open breaker degrades to stale data instead
-// of an error.
+// outside WithRetry so it counts final (post-retry) outcomes.
 func WithBreaker(s Source, opts BreakerOptions) Source {
 	if opts.Threshold <= 0 {
 		opts.Threshold = 5

@@ -6,8 +6,7 @@ import (
 )
 
 // Clock abstracts the two time operations the decorators need, so
-// backoff, cooldown and staleness behaviour is testable without real
-// sleeps.
+// backoff and cooldown behaviour is testable without real sleeps.
 type Clock interface {
 	Now() time.Time
 	// After behaves like time.After: it returns a channel that fires

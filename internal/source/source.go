@@ -11,23 +11,24 @@
 //	WithRetry    retries with exponential backoff and jitter
 //	WithBreaker  trips a circuit breaker after consecutive failures,
 //	             with half-open probing after a cooldown
-//	WithCache    serves the last good snapshot stale-while-revalidate
 //
 // The conventional chain, outermost first, is
 //
-//	WithCache(WithBreaker(WithRetry(WithTimeout(src, d), rOpts), bOpts), cOpts)
+//	WithBreaker(WithRetry(WithTimeout(src, d), rOpts), bOpts)
 //
-// so the cache absorbs breaker rejections by serving stale data, the
-// breaker counts retried (final) outcomes, and each retry attempt gets
-// its own timeout. Every decorator takes an injectable Clock (and the
-// retry decorator an injectable jitter source), so timing behaviour is
-// testable without real sleeps; see FakeClock.
+// so the breaker counts retried (final) outcomes and each retry attempt
+// gets its own timeout. None of them keeps data: the last good snapshot
+// is the one a mediator's demand generation pins, and a refresh that
+// fails leaves it serving (mediator.RefreshSource). Every decorator
+// takes an injectable Clock (and the retry decorator an injectable
+// jitter source), so timing behaviour is testable without real sleeps;
+// see FakeClock.
 //
 // Decorators report what happened through two channels: counters,
 // exposed as a Stats snapshot via the Statser interface and merged
-// along the chain, and trace events (source-retry, breaker-open,
-// stale-served) emitted to a trace.Sink carried by the fetch context
-// (WithSink) so the mediator's EXPLAIN profile sees them.
+// along the chain, and trace events (source-retry, breaker-open)
+// emitted to a trace.Sink carried by the fetch context (WithSink) so
+// the mediator's EXPLAIN profile sees them.
 package source
 
 import (
@@ -73,11 +74,6 @@ type Stats struct {
 	BreakerState string `json:"breaker_state,omitempty"`
 	BreakerOpens int64  `json:"breaker_opens,omitempty"`
 	Rejections   int64  `json:"rejections,omitempty"`
-	// StaleServed counts fetches answered with an expired snapshot
-	// while a refresh ran (or failed); StaleAge is the current
-	// snapshot's age, zero without a cache or snapshot.
-	StaleServed int64  `json:"stale_served,omitempty"`
-	StaleAge    Millis `json:"stale_age_ms,omitempty"`
 	// LastErr is the most recent fetch error observed by the retry
 	// decorator ("" after a success).
 	LastErr string `json:"last_err,omitempty"`
@@ -161,8 +157,8 @@ func (s *funcSource) Fetch(ctx context.Context) (*tree.Store, error) { return s.
 type sinkKey struct{}
 
 // WithSink returns a context carrying the sink; decorators emit their
-// source-retry / breaker-open / stale-served events to it. A nil sink
-// returns ctx unchanged.
+// source-retry / breaker-open events to it. A nil sink returns ctx
+// unchanged.
 func WithSink(ctx context.Context, s trace.Sink) context.Context {
 	if s == nil {
 		return ctx

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -300,124 +299,6 @@ func TestBreakerEmitsOpenEvent(t *testing.T) {
 	}
 }
 
-// Stale-while-revalidate: a fresh snapshot is served directly; an
-// expired one is served immediately (stale-served event, counter) while
-// one background refresh updates it.
-func TestCacheStaleWhileRevalidate(t *testing.T) {
-	clock := NewFakeClock()
-	newStore := testStore(t, "new")
-	oldStore := testStore(t, "old")
-	var mu sync.Mutex
-	serving := oldStore
-	fetches := 0
-	inner := FromFunc("api", func(context.Context) (*tree.Store, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		fetches++
-		return serving, nil
-	})
-	c := WithCache(inner, CacheOptions{TTL: time.Minute, Clock: clock})
-	ctx := context.Background()
-
-	// Cold fill.
-	got, err := c.Fetch(ctx)
-	if err != nil || got != oldStore {
-		t.Fatalf("cold fetch = %p, %v", got, err)
-	}
-	// Fresh: served from the snapshot, no new fetch.
-	if got, _ = c.Fetch(ctx); got != oldStore {
-		t.Fatal("fresh fetch missed the snapshot")
-	}
-	mu.Lock()
-	if fetches != 1 {
-		mu.Unlock()
-		t.Fatalf("fetches = %d, want 1", fetches)
-	}
-	serving = newStore
-	mu.Unlock()
-
-	// Expired: the stale snapshot is served and a refresh runs.
-	clock.Advance(2 * time.Minute)
-	rec := &trace.Recorder{}
-	got, err = c.Fetch(WithSink(ctx, rec))
-	if err != nil || got != oldStore {
-		t.Fatalf("stale fetch = %p, %v (want the old snapshot)", got, err)
-	}
-	stale := 0
-	for _, e := range rec.Events() {
-		if e.Kind == trace.KindStaleServed && e.Detail == "api" {
-			stale++
-		}
-	}
-	if stale != 1 {
-		t.Errorf("stale-served events = %d, want 1", stale)
-	}
-	c.Wait()
-	if got, _ = c.Fetch(ctx); got != newStore {
-		t.Fatal("refresh did not install the new snapshot")
-	}
-	if st := StatsOf(c); st.StaleServed != 1 {
-		t.Errorf("StaleServed = %d, want 1", st.StaleServed)
-	}
-}
-
-// A failing refresh keeps the last good snapshot serving — the
-// degradation the mediator relies on when a wrapper goes down.
-func TestCacheServesStaleAcrossFailures(t *testing.T) {
-	clock := NewFakeClock()
-	good := testStore(t, "good")
-	fault := NewFault("api", good).WithClock(clock)
-	c := WithCache(fault, CacheOptions{TTL: time.Minute, Clock: clock})
-	ctx := context.Background()
-	if _, err := c.Fetch(ctx); err != nil {
-		t.Fatal(err)
-	}
-	fault.SetErr(errors.New("down"))
-	clock.Advance(5 * time.Minute)
-	got, err := c.Fetch(ctx)
-	if err != nil || got != good {
-		t.Fatalf("degraded fetch = %p, %v, want the stale snapshot", got, err)
-	}
-	c.Wait()
-	st := StatsOf(c)
-	if st.LastErr == "" {
-		t.Error("refresh failure not recorded in LastErr")
-	}
-	if time.Duration(st.StaleAge) < 5*time.Minute {
-		t.Errorf("StaleAge = %v, want >= 5m", time.Duration(st.StaleAge))
-	}
-	// Refresh (forced, failing) keeps the snapshot and returns the error.
-	if err := c.Refresh(ctx); err == nil {
-		t.Fatal("forced refresh of a down source should fail")
-	}
-	if got, _ := c.Fetch(ctx); got != good {
-		t.Fatal("failed forced refresh dropped the snapshot")
-	}
-	// Healed: forced refresh succeeds and resets the error.
-	fault.SetErr(nil)
-	if err := c.Refresh(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if st := StatsOf(c); st.LastErr != "" || st.StaleAge != 0 {
-		t.Errorf("after healed refresh: %+v", st)
-	}
-}
-
-func TestCacheInvalidateForcesColdFill(t *testing.T) {
-	clock := NewFakeClock()
-	fault := NewFault("api", testStore(t, "a")).WithClock(clock)
-	c := WithCache(fault, CacheOptions{Clock: clock})
-	ctx := context.Background()
-	if _, err := c.Fetch(ctx); err != nil {
-		t.Fatal(err)
-	}
-	c.Invalidate()
-	fault.SetErr(errors.New("down"))
-	if _, err := c.Fetch(ctx); err == nil {
-		t.Fatal("cold fill of a down source should fail, not serve the dropped snapshot")
-	}
-}
-
 func TestTimeoutCancelsSlowFetch(t *testing.T) {
 	slow := FromFunc("slow", func(ctx context.Context) (*tree.Store, error) {
 		<-ctx.Done()
@@ -438,20 +319,16 @@ func TestTimeoutCancelsSlowFetch(t *testing.T) {
 }
 
 // The conventional chain composes: stats from every layer merge into
-// one snapshot, and the cache keeps the chain serving when the inner
-// source dies.
+// one snapshot.
 func TestComposedChainStats(t *testing.T) {
 	clock := NewFakeClock()
 	store := testStore(t, "a")
 	fault := NewFault("chain", store,
-		Step{Fail: errors.New("cold blip")}, // absorbed by retry on the cold fill
+		Step{Fail: errors.New("cold blip")}, // absorbed by retry
 	).WithClock(clock)
-	chain := WithCache(
-		WithBreaker(
-			WithRetry(fault, RetryOptions{MaxAttempts: 2, Clock: clock, Jitter: -1}),
-			BreakerOptions{Threshold: 3, Clock: clock},
-		),
-		CacheOptions{TTL: time.Minute, Clock: clock},
+	chain := WithBreaker(
+		WithRetry(fault, RetryOptions{MaxAttempts: 2, Clock: clock, Jitter: -1}),
+		BreakerOptions{Threshold: 3, Clock: clock},
 	)
 	if _, err := chain.Fetch(context.Background()); err != nil {
 		t.Fatal(err)
@@ -465,9 +342,6 @@ func TestComposedChainStats(t *testing.T) {
 	}
 	if st.BreakerState != "closed" || st.BreakerOpens != 0 {
 		t.Errorf("breaker layer: %+v", st)
-	}
-	if st.StaleServed != 0 || st.StaleAge != 0 {
-		t.Errorf("cache layer: %+v", st)
 	}
 }
 
@@ -522,36 +396,6 @@ func TestFaultLoopReplays(t *testing.T) {
 		if wantErr := i%2 == 0; (err != nil) != wantErr {
 			t.Fatalf("call %d: err = %v", i, err)
 		}
-	}
-}
-
-// Concurrent fetches through the full chain are safe and the cold fill
-// is single-flight: racing cold fetches hit the inner source once.
-func TestCacheColdFillSingleFlight(t *testing.T) {
-	var fetches counter
-	inner := FromFunc("api", func(context.Context) (*tree.Store, error) {
-		fetches.Add(1)
-		time.Sleep(time.Millisecond)
-		return tree.NewStore(), nil
-	})
-	c := WithCache(inner, CacheOptions{})
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = c.Fetch(context.Background())
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("fetch %d: %v", i, err)
-		}
-	}
-	if n := fetches.Load(); n != 1 {
-		t.Errorf("inner fetches = %d, want 1 (single-flight cold fill)", n)
 	}
 }
 

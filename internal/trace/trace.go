@@ -55,8 +55,8 @@ const (
 	// per-rule cache decisions of the mediator's query pushdown.
 	PhaseSlice
 	// PhaseSource groups source-layer events: wrapper fetches, retry
-	// attempts, breaker trips and stale-snapshot serves of the
-	// mediator's fault-tolerant source layer.
+	// attempts and breaker trips of the mediator's fault-tolerant
+	// source layer.
 	PhaseSource
 	// PhaseFederate groups federation events: per-shard scatter calls,
 	// degraded children and §4 compose fusions of the federation
@@ -144,10 +144,6 @@ const (
 	// KindBreakerOpen records a circuit breaker tripping open; Detail
 	// is the source name, Count the consecutive-failure count.
 	KindBreakerOpen
-	// KindStaleServed records a fetch answered from an expired
-	// snapshot while a refresh ran; Detail is the source name,
-	// Duration the snapshot's age.
-	KindStaleServed
 	// KindDeltaApplied records a source refresh absorbed by delta
 	// propagation (the cache was patched in place, or the delta was
 	// empty or touched no cached rule); Detail carries the source name
@@ -209,8 +205,6 @@ func (k Kind) String() string {
 		return "source-retry"
 	case KindBreakerOpen:
 		return "breaker-open"
-	case KindStaleServed:
-		return "stale-served"
 	case KindDeltaApplied:
 		return "delta-applied"
 	case KindDeltaFallback:
@@ -329,15 +323,13 @@ type ShardProfile struct {
 }
 
 // SourceProfile aggregates the source-layer activity of one named
-// source: fetches with failures, retry re-attempts, breaker trips and
-// stale-snapshot serves.
+// source: fetches with failures, retry re-attempts and breaker trips.
 type SourceProfile struct {
 	Source       string        `json:"source"`
 	Fetches      int           `json:"fetches"`
 	Failures     int           `json:"failures"`
 	Retries      int           `json:"retries"`
 	BreakerOpens int           `json:"breaker_opens"`
-	StaleServed  int           `json:"stale_served"`
 	Wall         time.Duration `json:"wall_ns,omitempty"`
 }
 
@@ -431,9 +423,6 @@ func (p *Profile) Emit(e Event) {
 		return
 	case KindBreakerOpen:
 		p.source(e.Detail).BreakerOpens++
-		return
-	case KindStaleServed:
-		p.source(e.Detail).StaleServed++
 		return
 	case KindShardAsk:
 		sh := p.shard(e.Detail)
@@ -672,8 +661,8 @@ func (p *Profile) Render(w io.Writer, timing bool) error {
 		fmt.Fprintln(w)
 	}
 	for _, s := range d.Sources {
-		fmt.Fprintf(w, "source %s  fetches=%d failures=%d retries=%d breaker-opens=%d stale-served=%d",
-			s.Source, s.Fetches, s.Failures, s.Retries, s.BreakerOpens, s.StaleServed)
+		fmt.Fprintf(w, "source %s  fetches=%d failures=%d retries=%d breaker-opens=%d",
+			s.Source, s.Fetches, s.Failures, s.Retries, s.BreakerOpens)
 		if timing {
 			fmt.Fprintf(w, " wall=%v", s.Wall)
 		}

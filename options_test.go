@@ -196,11 +196,9 @@ func TestFacadeFaultTolerantSources(t *testing.T) {
 	fault := NewFaultSource("brochures", healthyStore,
 		FaultStep{Fail: errors.New("cold start")},
 	).WithClock(clock)
-	src := SourceWithCache(
-		SourceWithBreaker(
-			SourceWithRetry(fault, RetryOptions{MaxAttempts: 3, Clock: clock}),
-			BreakerOptions{Clock: clock}),
-		CacheOptions{Clock: clock})
+	src := SourceWithBreaker(
+		SourceWithRetry(fault, RetryOptions{MaxAttempts: 3, Clock: clock}),
+		BreakerOptions{Clock: clock})
 	med := NewMediator(prog, nil, WithSources(src))
 	got, err := med.Ask(`class -> supplier -*> Y`, "Psup")
 	if err != nil {
@@ -220,5 +218,4 @@ func TestFacadeFaultTolerantSources(t *testing.T) {
 	if stats := SourceStatsOf(src); stats.Attempts != 2 {
 		t.Errorf("SourceStatsOf = %+v, want 2 attempts", stats)
 	}
-	src.Wait()
 }

@@ -62,26 +62,15 @@ import (
 
 // Core data types.
 type (
-	// Node is one vertex of a ground YAT tree.
-	Node = tree.Node
 	// Name identifies a tree in a Store (plain or Skolem-minted).
 	Name = tree.Name
 	// Store holds named ground trees.
 	Store = tree.Store
-	// Value is a node label.
-	Value = tree.Value
 	// Ref is a reference label naming another tree (&name).
 	Ref = tree.Ref
 
-	// Pattern is a named union of pattern trees.
-	Pattern = pattern.Pattern
-	// Model is a set of patterns — one level of representation.
-	Model = pattern.Model
-
 	// Program is a YATL conversion program.
 	Program = yatl.Program
-	// Rule is one YATL rule.
-	Rule = yatl.Rule
 
 	// RunOptions configures program execution. Prefer building
 	// configurations from the With* options; a *RunOptions literal
@@ -92,14 +81,6 @@ type (
 	Option = engine.Option
 	// Result is the outcome of a run.
 	Result = engine.Result
-	// Registry holds external functions and predicates.
-	Registry = engine.Registry
-
-	// Signature is a program's inferred input/output models.
-	Signature = typing.Signature
-
-	// Library stores named programs and models.
-	Library = library.Library
 )
 
 // Tree and store construction/parsing.
@@ -123,10 +104,6 @@ var (
 	ParseProgram = yatl.Parse
 	// ParseRule parses a single rule block.
 	ParseRule = yatl.ParseRule
-	// ParsePattern parses a pattern tree.
-	ParsePattern = yatl.ParsePattern
-	// ParseModel parses a `model NAME { ... }` block.
-	ParseModel = yatl.ParseModel
 )
 
 // The paper's programs, in YATL source form.
@@ -136,8 +113,6 @@ const (
 	// Rules1And2Typed is the same program with annotated PCDATA
 	// variables (type-checkable and composable).
 	Rules1And2Typed = yatl.AnnotatedSGMLToODMGSource
-	// Rules1Prime2 is Rule 1' + Rule 2 (mutually referencing objects).
-	Rules1Prime2 = yatl.SGMLToODMGPrimeSource
 	// WebRules is the generic ODMG → HTML program (Web1–Web6).
 	WebRules = yatl.WebProgramSource
 	// TransposeRule is Rule 5 (Figure 4), the matrix transpose.
@@ -150,21 +125,11 @@ const (
 var (
 	// WithRegistry supplies the external function/predicate registry.
 	WithRegistry = engine.WithRegistry
-	// WithModel merges an extra model environment into domain checks.
-	WithModel = engine.WithModel
 	// WithParallelism sets the worker count (results are byte-identical
 	// at every setting).
 	WithParallelism = engine.WithParallelism
 	// WithTrace attaches a trace sink (nil disables at zero cost).
 	WithTrace = engine.WithTrace
-	// WithMaxRounds bounds the activation fixpoint.
-	WithMaxRounds = engine.WithMaxRounds
-	// WithNonDetWarn downgrades run-time non-determinism to a warning.
-	WithNonDetWarn = engine.WithNonDetWarn
-	// WithCheckOutputs enables the run-time output type checker.
-	WithCheckOutputs = engine.WithCheckOutputs
-	// WithDisableSafety skips the §3.4 static cycle check.
-	WithDisableSafety = engine.WithDisableSafety
 	// WithFacts and WithOptimize configure nothing: the match path they
 	// selected is gone. Kept for the frozen benchmark, which still
 	// passes them.
@@ -187,24 +152,17 @@ func RunContext(ctx context.Context, prog *Program, inputs *Store, opts ...Optio
 	return engine.RunContext(ctx, prog, inputs, opts...)
 }
 
-// Demand-driven evaluation (the engine half of mediator query
-// pushdown): a Slice is the dependency-closed set of rules needed to
-// materialize some Skolem functors, and RunSlice executes only that
-// slice with full-run fidelity.
-type (
-	// Slice is a dependency-closed rule slice (engine.ComputeSlice).
-	Slice = engine.Slice
-	// SliceResult is the outcome of a slice-restricted run, with
-	// per-rule outputs and per-rule matched sources.
-	SliceResult = engine.SliceResult
-	// ProgramFacts is one analysis of a program: its dead and
-	// unreachable rules and its memoized, pruned slices.
-	ProgramFacts = engine.ProgramFacts
-)
+// ProgramFacts is one analysis of a program: its dead and unreachable
+// rules and its memoized, pruned slices.
+type ProgramFacts = engine.ProgramFacts
 
 // AnalyzeProgram computes a program's facts once.
 var AnalyzeProgram = engine.AnalyzeProgram
 
+// Demand-driven evaluation (the engine half of mediator query
+// pushdown): a slice is the dependency-closed set of rules needed to
+// materialize some Skolem functors, and RunSlice executes only that
+// slice with full-run fidelity.
 var (
 	// ComputeSlice computes the rule slice for a set of functors.
 	ComputeSlice = engine.ComputeSlice
@@ -227,42 +185,21 @@ type (
 	// NonDetError reports run-time non-determinism (one identity, two
 	// distinct values) when NonDetWarn is off.
 	NonDetError = engine.NonDetError
-	// FixpointError reports an activation fixpoint that did not
-	// converge within MaxRounds.
-	FixpointError = engine.FixpointError
 	// ParseError is a positioned YATL syntax error.
 	ParseError = yatl.ParseError
 )
 
 // NewRegistry returns the built-in external functions (city, zip,
-// sameaddress, data_to_string, ...); register more with
-// Registry.Register.
-func NewRegistry() *Registry { return engine.NewRegistry() }
+// sameaddress, data_to_string, ...); register more with its Register
+// method.
+func NewRegistry() *engine.Registry { return engine.NewRegistry() }
 
-// CheckSafety runs the §3.4 static cycle analysis.
-func CheckSafety(prog *Program) error { return engine.CheckSafety(prog) }
-
-// Static analysis (the yatcheck framework).
-type (
-	// Diagnostic is one positioned static-analysis finding.
-	Diagnostic = analysis.Diagnostic
-	// Severity grades a diagnostic (info, warning, error).
-	Severity = analysis.Severity
-)
-
-// The diagnostic severities.
-const (
-	SeverityInfo    = analysis.SeverityInfo
-	SeverityWarning = analysis.SeverityWarning
-	SeverityError   = analysis.SeverityError
-)
-
-// Analyze runs the full static-analysis suite (range restriction,
-// unused variables, rule names, Skolem arities, undefined references,
-// predicate sanity, collection primitives, exception reachability,
-// §3.4 safety, §3.5 typing and coverage) over a program and returns
-// the diagnostics sorted by source position.
-func Analyze(prog *Program) ([]Diagnostic, error) {
+// Analyze runs the full static-analysis suite of the yatcheck framework
+// (range restriction, unused variables, rule names, Skolem arities,
+// undefined references, predicate sanity, collection primitives,
+// exception reachability, §3.4 safety, §3.5 typing and coverage) over a
+// program and returns the diagnostics sorted by source position.
+func Analyze(prog *Program) ([]analysis.Diagnostic, error) {
 	return analysis.Run(prog, analysis.DefaultAnalyzers(), nil)
 }
 
@@ -295,26 +232,8 @@ var (
 // InstantiateOptions configures program instantiation/composition.
 type InstantiateOptions = compose.Options
 
-// ComposeOptions is the configuration ComposeOption values build.
-type ComposeOptions = compose.ComposeOptions
-
-// ComposeOption is one functional configuration item for
-// ComposePrograms, in the same style as the Run/NewMediator options.
-type ComposeOption = compose.ComposeOption
-
-var (
-	// WithSkipTypeCheck bypasses the §4.3 compatibility check.
-	WithSkipTypeCheck = compose.WithSkipTypeCheck
-	// WithComposeRegistry supplies the function registry used for
-	// constant folding during composition.
-	WithComposeRegistry = compose.WithRegistry
-	// WithComposeModel merges extra pattern definitions into the
-	// composition's model context.
-	WithComposeModel = compose.WithModel
-)
-
 // Instantiate specializes a general program onto a pattern (§4.1).
-func Instantiate(prog *Program, input *Pattern, opts *InstantiateOptions) (*Program, error) {
+func Instantiate(prog *Program, input *pattern.Pattern, opts *InstantiateOptions) (*Program, error) {
 	return compose.Instantiate(prog, input, opts)
 }
 
@@ -324,20 +243,16 @@ func Combine(name string, progs ...*Program) *Program {
 }
 
 // ComposePrograms fuses prg1 : M1 ↦ M2 and prg2 : M2' ↦ M3 into a
-// one-step M1 ↦ M3 program (§4.3). Options are variadic: pass
-// WithSkipTypeCheck and friends; nil options are skipped.
-func ComposePrograms(prg1, prg2 *Program, opts ...ComposeOption) (*Program, error) {
+// one-step M1 ↦ M3 program (§4.3). Options are variadic; nil options
+// are skipped.
+func ComposePrograms(prg1, prg2 *Program, opts ...compose.ComposeOption) (*Program, error) {
 	return compose.Compose(prg1, prg2, opts...)
 }
 
-// Wrappers (Figure 6's runtime environment).
-type (
-	// SGMLOptions configures SGML import.
-	SGMLOptions = wrapper.SGMLOptions
-	// HTMLOptions configures HTML export.
-	HTMLOptions = wrapper.HTMLOptions
-)
+// SGMLOptions configures SGML import.
+type SGMLOptions = wrapper.SGMLOptions
 
+// Wrappers (Figure 6's runtime environment).
 var (
 	// ImportSGML parses and imports SGML documents.
 	ImportSGML = wrapper.ImportSGML
@@ -348,13 +263,11 @@ var (
 	ImportODMG = wrapper.ImportODMG
 	// ExportHTML renders page objects as HTML documents.
 	ExportHTML = wrapper.ExportHTML
-	// DTDModel derives the YAT model of a DTD.
-	DTDModel = wrapper.DTDModel
 )
 
 // BuiltinLibrary returns the program/format library preloaded with
 // the paper's programs and models.
-func BuiltinLibrary() *Library { return library.Builtin() }
+func BuiltinLibrary() *library.Library { return library.Builtin() }
 
 // Mediator answers pattern queries over the virtual target of a
 // conversion — the mediator-side querying the paper sketches as the
@@ -364,10 +277,6 @@ type Mediator = mediator.Mediator
 // MediatorAnswer is one query result.
 type MediatorAnswer = mediator.Answer
 
-// MediatorStats reports materialization state, cache hit/miss counts
-// and cumulative Ask latency for a mediator.
-type MediatorStats = mediator.Stats
-
 // NewMediator wraps a program and its sources for querying. Pass
 // WithDemandDriven(true) for per-query slice evaluation with per-rule
 // caching; other options configure the underlying engine runs.
@@ -375,20 +284,12 @@ func NewMediator(prog *Program, inputs *Store, opts ...Option) *Mediator {
 	return mediator.New(prog, inputs, opts...)
 }
 
-// MediatorSourceStatus is one source's health as reported by
-// Mediator.Stats: the chain's own counters plus the outcome of the
-// mediator's most recent fetch of it.
-type MediatorSourceStatus = mediator.SourceStatus
-
-// SourceFetchError is the all-sources-failed error: the mediator
-// degrades through any partial failure, so only every source failing
-// at once aborts a materialization.
+// SourceFetchError names the sources whose failed fetch stopped an
+// operation. The mediator degrades through any partial failure, so only
+// every source failing at once aborts a materialization; a
+// RefreshSource of a source that is down returns one naming it and
+// leaves the answers as they were.
 type SourceFetchError = mediator.FetchError
-
-// MediatorNotFoundError is returned by RefreshSource and
-// InvalidateSource when the named source (or source entry) does not
-// exist; Kind says which namespace the lookup missed.
-type MediatorNotFoundError = mediator.NotFoundError
 
 // Asker is the narrow query interface every mediator-shaped thing
 // satisfies: a *Mediator, a Federation router, a remote shard client.
@@ -410,22 +311,16 @@ type Asker = mediator.Asker
 //	// ... later, in a new process over the same program and options:
 //	snap, _ = yat.ReadSnapshot("warm/yat.snapshot.json")
 //	if err := med.Restore(snap); err != nil { /* cold boot */ }
-type (
-	// MediatorSnapshot is one persistable mediator generation.
-	MediatorSnapshot = snapshot.Snapshot
-	// SnapshotLoadError is the typed fallback-to-cold error; its Reason
-	// says which invariant (checksum, version, program hash, ...) fired.
-	SnapshotLoadError = snapshot.LoadError
-	// SnapshotReason classifies a SnapshotLoadError.
-	SnapshotReason = snapshot.Reason
-)
-
 var (
 	// WriteSnapshot persists a snapshot atomically (temp file + rename).
 	WriteSnapshot = snapshot.Write
 	// ReadSnapshot loads and integrity-checks a snapshot file.
 	ReadSnapshot = snapshot.Read
 )
+
+// SnapshotLoadError is the typed fallback-to-cold error; its Reason
+// says which invariant (checksum, version, program hash, ...) fired.
+type SnapshotLoadError = snapshot.LoadError
 
 // Federated mediation (the internal/federate layer): a parent
 // mediator over child mediators — the Mask-Mediator-Wrapper pattern.
@@ -443,96 +338,45 @@ var (
 //	})
 //	answers, _ := fed.Ask("...", "Psup")
 type (
-	// Federation is the parent router; it implements Asker.
-	Federation = federate.Federation
-	// FederationConfig assembles a Federation: a program pipeline to
+	// FederationConfig assembles a federation: a program pipeline to
 	// shard, or explicit Children (in-process or remote).
 	FederationConfig = federate.Config
 	// FederationChild is one explicitly configured member.
 	FederationChild = federate.Child
-	// FederationGuardOptions tunes the per-child retry/breaker/timeout.
-	FederationGuardOptions = federate.GuardOptions
-	// ShardPlan is one child's share of a sharded program.
-	ShardPlan = federate.ShardPlan
-	// ShardClient is an Asker over a remote yatserve instance.
-	ShardClient = federate.Client
-	// ShardClientOptions tunes NewShardClient.
-	ShardClientOptions = federate.ClientOptions
-	// MediatorShardStatus is one child's health row in a federation's
-	// Stats.
-	MediatorShardStatus = mediator.ShardStatus
-
-	// UnroutableFunctorError reports an Ask for a functor no shard
-	// owns; matchable with errors.As across the facade.
-	UnroutableFunctorError = federate.UnroutableError
-	// FederationFanoutError is the every-shard-failed error — the
-	// federation degrades through partial failure, so only total
-	// failure aborts an Ask.
-	FederationFanoutError = federate.FanoutError
-	// ShardRemoteError is a non-2xx answer from a remote shard, with
-	// the wire protocol's stable error code.
-	ShardRemoteError = federate.RemoteError
 )
 
-// NewFederation builds a federated mediator from cfg.
-func NewFederation(cfg FederationConfig) (*Federation, error) {
+// NewFederation builds a federated mediator — the parent router, an
+// Asker — from cfg.
+func NewFederation(cfg FederationConfig) (*federate.Federation, error) {
 	return federate.New(cfg)
 }
 
-var (
-	// NewShardClient dials a remote yatserve child.
-	NewShardClient = federate.NewClient
-	// PlanShardsFor splits a program across n children by functor
-	// group (round-robin, declaration order) — the plan NewFederation
-	// uses, exposed for launching children as separate processes.
-	PlanShardsFor = federate.PlanShards
-)
-
 // Fault-tolerant sources (the internal/source layer). A Source feeds a
 // mediator live input trees; decorators compose resilience around it,
-// conventionally cache(breaker(retry(timeout(src)))):
+// conventionally breaker(retry(timeout(src))):
 //
-//	src := yat.SourceWithCache(
-//	    yat.SourceWithBreaker(
-//	        yat.SourceWithRetry(
-//	            yat.SourceWithTimeout(api, 2*time.Second),
-//	            yat.RetryOptions{}),
-//	        yat.BreakerOptions{}),
-//	    yat.CacheOptions{})
+//	src := yat.SourceWithBreaker(
+//	    yat.SourceWithRetry(
+//	        yat.SourceWithTimeout(api, 2*time.Second),
+//	        yat.RetryOptions{}),
+//	    yat.BreakerOptions{})
 //	med := yat.NewMediator(prog, nil, yat.WithSources(src))
+//
+// None of them keeps data: the last good snapshot is the one a
+// demand-driven mediator pinned, and a RefreshSource that finds the
+// source down leaves it serving.
 type (
 	// Source produces an input snapshot on demand; the mediator
 	// fetches every source concurrently and merges deterministically.
 	Source = source.Source
-	// SourceStats is a source chain's counters (attempts, retries,
-	// breaker state, staleness); read with SourceStatsOf or through
-	// Mediator.Stats().Sources.
-	SourceStats = source.Stats
 	// RetryOptions tunes SourceWithRetry (attempts, exponential
 	// backoff, jitter; zero values mean the defaults).
 	RetryOptions = source.RetryOptions
 	// BreakerOptions tunes SourceWithBreaker (consecutive-failure
 	// threshold, cooldown before the half-open probe).
 	BreakerOptions = source.BreakerOptions
-	// CacheOptions tunes SourceWithCache (snapshot TTL); expired
-	// snapshots serve stale while one background refresh runs.
-	CacheOptions = source.CacheOptions
-	// CachedSource is the stale-while-revalidate decorator's concrete
-	// type, exposing Refresh/Invalidate/Wait.
-	CachedSource = source.Cached
-	// SourceBreakerOpenError is returned while a breaker rejects
-	// fetches without touching its source.
-	SourceBreakerOpenError = source.ErrBreakerOpen
 	// FaultStep scripts one fetch of a fault-injection source.
 	FaultStep = source.Step
-	// FaultSource is the scriptable fault-injection source for tests,
-	// soaks and demos.
-	FaultSource = source.Fault
-	// SourceClock abstracts time for the source decorators; inject a
-	// FakeSourceClock to test retry/breaker schedules without sleeping.
-	SourceClock = source.Clock
-	// FakeSourceClock is a deterministic manual clock.
-	FakeSourceClock = source.FakeClock
 )
 
 var (
@@ -547,13 +391,12 @@ var (
 	FuncSource   = source.FromFunc
 	// SourceWithTimeout bounds each fetch; SourceWithRetry retries
 	// with exponential backoff and jitter; SourceWithBreaker trips a
-	// circuit breaker on consecutive failures; SourceWithCache serves
-	// stale snapshots while revalidating in the background.
+	// circuit breaker on consecutive failures.
 	SourceWithTimeout = source.WithTimeout
 	SourceWithRetry   = source.WithRetry
 	SourceWithBreaker = source.WithBreaker
-	SourceWithCache   = source.WithCache
-	// NewFaultSource scripts a fault-injection source.
+	// NewFaultSource scripts a fault-injection source for tests, soaks
+	// and demos.
 	NewFaultSource = source.NewFault
 	// NewFakeSourceClock returns a manual clock for deterministic
 	// retry/breaker tests.
@@ -568,13 +411,9 @@ type (
 	// TraceSink consumes typed engine events; implementations must be
 	// safe for concurrent use when Parallelism > 1.
 	TraceSink = trace.Sink
-	// TraceEvent is one observation from the engine's run loop.
-	TraceEvent = trace.Event
 	// TraceProfile aggregates events into a per-rule/per-phase
 	// EXPLAIN table (counts deterministic at every Parallelism).
 	TraceProfile = trace.Profile
-	// TraceRecorder retains every event in arrival order.
-	TraceRecorder = trace.Recorder
 )
 
 // NewTraceProfile returns an empty profile ready to attach to a run:
@@ -583,8 +422,3 @@ type (
 //	res, err := yat.Run(prog, inputs, &yat.RunOptions{Trace: p})
 //	fmt.Print(p.Text(true)) // EXPLAIN table with wall times
 var NewTraceProfile = trace.NewProfile
-
-// TraceMulti fans one event stream out to several sinks (nil sinks
-// are skipped), e.g. a Profile for the table plus a Recorder for the
-// raw events.
-var TraceMulti = trace.Multi
