@@ -9,9 +9,9 @@ import (
 )
 
 // runRule applies a single-rule program to a store.
-func runRule(t *testing.T, ruleSrc string, inputs *tree.Store) *Result {
+func runRule(t *testing.T, ruleText string, inputs *tree.Store) *Result {
 	t.Helper()
-	prog, err := yatl.Parse("program p\n" + ruleSrc)
+	prog, err := yatl.Parse("program p\n" + ruleText)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,19 +10,24 @@
 // every binding chain the run derives descends from a delta entry —
 // the fixpoint has no other roots. If additionally (a) the delta is
 // insert-only, (b) no slice rule joins multiple body patterns, (c) no
-// construct head dereferences a Skolem (^P), and (d) no rule is an
-// exception rule, then the run's outputs relate to the full re-run's
-// as a pure append: a full run's activation order processes the old
-// entries first and the appended delta entries after, old-rooted
-// bindings reproduce exactly the cached outputs (the engine is
-// deterministic), and delta-rooted bindings group under Skolem OIDs
-// that either collide with a cached OID (detected and rejected by the
-// mediator — fallback) or are new, in the delta run's own order.
+// construct head dereferences a Skolem (^P), (d) no rule is an
+// exception rule, and (e) no slice rule's match reads an entry other
+// than the one it is applied to (ReadsOtherEntries), then the run's
+// outputs relate to the full re-run's as a pure append: a full run's
+// activation order processes the old entries first and the appended
+// delta entries after, old-rooted bindings reproduce exactly the cached
+// outputs (the engine is deterministic), and delta-rooted bindings
+// group under Skolem OIDs that either collide with a cached OID
+// (detected and rejected by the mediator — fallback) or are new, in the
+// delta run's own order.
 // Deletions and in-place changes are never patched: removing an entry
 // can unblock a less-specific rule (§4.2 blocking) — non-monotone.
 package engine
 
 import (
+	"slices"
+
+	"yat/internal/pattern"
 	"yat/internal/tree"
 	"yat/internal/yatl"
 )
@@ -39,23 +44,56 @@ func WithDeltaSeeds(seeds *tree.Store) Option {
 // one of the given entries can feed: a sound over-approximation (a
 // rule whose bindings could change is always included; a rule that
 // merely pattern-matches an entry it would later drop may be too).
-// The test is a storeless body-pattern match, which is exactly the
-// conformance-free upper bound of the engine's own match phase.
+// The entries are whatever a delta touches — inserted trees, deleted
+// ones, both sides of a rewrite — so the test is a storeless
+// body-pattern match: the conformance-free upper bound of the engine's
+// own match phase, blind to §4.2 blocking, which removing an entry can
+// lift. A rule that ReadsOtherEntries is fed by every entry.
 func AffectedRules(prog *yatl.Program, entries []tree.StoreEntry) map[string]bool {
 	affected := map[string]bool{}
+	if len(entries) == 0 {
+		return affected
+	}
 	m := &Matcher{}
-	for _, e := range entries {
-		for _, r := range prog.Rules {
-			if r.Exception || affected[r.Name] {
-				continue
-			}
-			for _, bp := range r.Body {
-				if len(m.MatchTree(bp.Tree, e.Tree)) > 0 {
-					affected[r.Name] = true
-					break
-				}
-			}
+	for _, r := range prog.Rules {
+		if r.Exception {
+			continue
+		}
+		if ReadsOtherEntries(r) || slices.ContainsFunc(entries, func(e tree.StoreEntry) bool {
+			return slices.ContainsFunc(r.Body, func(bp yatl.BodyPattern) bool { return m.Matches(bp.Tree, e.Tree) })
+		}) {
+			affected[r.Name] = true
 		}
 	}
 	return affected
+}
+
+// ReadsOtherEntries reports whether matching the rule's body against
+// one entry can consult another: a typed body pattern (from X : P = …),
+// a leaf variable with a pattern or reference domain (V : P, V : &P) and
+// a pattern label (&P(args), ^P) are each checked for conformance
+// through the input store whenever the run's model defines P, following
+// references out of the matched entry — so a change to the *referenced*
+// entry changes the match. Nothing records which entries a match read,
+// and the model may come from the run's options, so the test is
+// syntactic: such a rule is fed by every entry of a delta, and a
+// delta-seeded run, which never re-activates the old entry holding the
+// reference, must not patch a slice that contains one.
+func ReadsOtherEntries(r *yatl.Rule) bool {
+	for _, bp := range r.Body {
+		reads := bp.Domain != ""
+		bp.Tree.Walk(func(pt *pattern.PTree) bool {
+			switch l := pt.Label.(type) {
+			case pattern.PatRef:
+				reads = true
+			case pattern.Var:
+				reads = reads || l.Domain.Pattern != ""
+			}
+			return !reads
+		})
+		if reads {
+			return true
+		}
+	}
+	return false
 }

@@ -73,6 +73,60 @@ func TestAffectedRulesSkipsExceptions(t *testing.T) {
 	}
 }
 
+// A rule whose match can read a second entry — each of the constructs
+// ReadsOtherEntries names — is fed by every entry of a non-empty delta,
+// matching or not, and by nothing when the delta is empty; a rule that
+// uses the same pattern names in its head only is not.
+func TestAffectedRulesTypedReferences(t *testing.T) {
+	prog := yatl.MustParse(`
+program typed
+
+rule TypedBody {
+  head Pa(A) = out -> A
+  from A : Pgood = item -> X
+}
+rule PatternDomain {
+  head Pb(A) = out -> R
+  from A = item -> ref -> R : Pgood
+}
+rule RefDomain {
+  head Pc(A) = out -> R
+  from A = item -> ref -> R : &Pgood
+}
+rule RefLabel {
+  head Pd(X) = out -> X
+  from A = item -> ref -> &Pgood(X)
+}
+rule DerefLabel {
+  head Pe(A) = out -> A
+  from A = item -> ref -> ^Pgood
+}
+rule HeadOnly {
+  head Pf(X) = out < -> ref -> &Pgood(X), -> val -> ^Pa(X) >
+  from A = item -> X : int
+}
+`)
+	reading := []string{"TypedBody", "PatternDomain", "RefDomain", "RefLabel", "DerefLabel"}
+	for _, r := range prog.Rules {
+		want := r.Name != "HeadOnly"
+		if got := ReadsOtherEntries(r); got != want {
+			t.Errorf("ReadsOtherEntries(%s) = %v, want %v", r.Name, got, want)
+		}
+	}
+	got := AffectedRules(prog, []tree.StoreEntry{deltaEntry("g1", "gamma", "gnu")})
+	if len(got) != len(reading) {
+		t.Fatalf("affected = %v, want exactly %v", got, reading)
+	}
+	for _, r := range reading {
+		if !got[r] {
+			t.Errorf("affected = %v, missing %s", got, r)
+		}
+	}
+	if got := AffectedRules(prog, nil); len(got) != 0 {
+		t.Errorf("an empty delta affects %v, want nothing", got)
+	}
+}
+
 // Delta-evaluation mode seeds the fixpoint from the delta entries only:
 // the run derives exactly the delta-rooted outputs while the matcher
 // still sees the full input store.

@@ -100,10 +100,9 @@ type Result struct {
 	Unconverted []tree.Value
 	Stats       Stats
 
-	// Slice-run extras (set by RunSlice, nil on full runs): per-rule
-	// committed identities and per-rule directly-matched sources.
+	// Slice-run extra (set by RunSlice, nil on full runs): per-rule
+	// committed identities.
 	ruleOIDs map[string][]tree.Name
-	ruleSrc  map[string][]tree.Name
 }
 
 // ErrUnconverted is returned when the program contains an exception
@@ -314,7 +313,6 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 			Rounds:      rounds,
 		},
 		ruleOIDs: r.ruleOIDs,
-		ruleSrc:  r.ruleSrc,
 	}
 	if r.sink != nil {
 		r.sink.Emit(trace.Event{Kind: trace.KindRunEnd, Phase: trace.PhaseRun, Duration: time.Since(runStart)})
@@ -396,13 +394,9 @@ type run struct {
 
 	// Slice bookkeeping (nil sl on full runs; the hot path is
 	// untouched then). ruleOIDs records, per construct rule, the
-	// Skolem identities it committed, in store insertion order;
-	// ruleSrc records, per rule, the source inputs that directly
-	// matched it — the seed of fine-grained source invalidation.
+	// Skolem identities it committed, in store insertion order.
 	sl       *Slice
 	ruleOIDs map[string][]tree.Name
-	ruleSrc  map[string][]tree.Name
-	srcSeen  map[string]map[string]bool
 }
 
 func (r *run) warn(msg string) { r.warnings = append(r.warnings, msg) }
@@ -424,31 +418,6 @@ func (r *run) activate(id tree.Value, node *tree.Node, source bool) {
 	}
 	r.seenIDs[key] = true
 	r.active = append(r.active, &activation{id: id, node: node, source: source})
-}
-
-// recordSource notes that a source input directly matched a rule
-// (slice runs only; the mediator's InvalidateSource closes over these
-// sets to find the cached rules a changed source can reach).
-func (r *run) recordSource(rule string, id tree.Value) {
-	ref, ok := id.(tree.Ref)
-	if !ok {
-		return
-	}
-	if r.srcSeen == nil {
-		r.srcSeen = map[string]map[string]bool{}
-		r.ruleSrc = map[string][]tree.Name{}
-	}
-	seen := r.srcSeen[rule]
-	if seen == nil {
-		seen = map[string]bool{}
-		r.srcSeen[rule] = seen
-	}
-	key := ref.Name.Key()
-	if seen[key] {
-		return
-	}
-	seen[key] = true
-	r.ruleSrc[rule] = append(r.ruleSrc[rule], ref.Name)
 }
 
 // activateValue turns a Skolem-argument value into an activation: a
@@ -565,9 +534,6 @@ func (r *run) applyMatches(mr *matchResult) {
 		mr.a.matched = true
 	}
 	for _, rm := range mr.perRule {
-		if r.sl != nil && mr.a.source {
-			r.recordSource(rm.rule.Name, mr.a.id)
-		}
 		s := r.ruleState[rm.rule.Name]
 		if rm.multi == nil {
 			r.addRaw(s, rm.single)

@@ -381,10 +381,6 @@ type SliceResult struct {
 	// store insertion order. Rules of one group that mint the same
 	// identity each list the shared entry.
 	RuleOutputs map[string][]tree.StoreEntry
-	// RuleSources lists, per slice rule, the source inputs that
-	// directly matched it — the raw material of fine-grained source
-	// invalidation.
-	RuleSources map[string][]tree.Name
 	// Warnings collects the run's non-fatal diagnostics (dangling
 	// references excepted: a slice store is partial by design).
 	Warnings []string
@@ -417,7 +413,6 @@ func RunSlice(ctx context.Context, prog *yatl.Program, inputs *tree.Store, sl *S
 	out := &SliceResult{
 		Outputs:     res.Outputs,
 		RuleOutputs: map[string][]tree.StoreEntry{},
-		RuleSources: res.ruleSrc,
 		Warnings:    res.Warnings,
 		Stats:       res.Stats,
 	}

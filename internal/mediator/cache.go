@@ -3,12 +3,13 @@
 //
 // A slice run caches whole functor groups, and only a group's own rules
 // mint its functor, so the cache is a map from head functor to an
-// immutable *group*: per-rule committed entries and the source records
-// of the group's slice are the truth, one name-deduplicated read bucket
-// and the leaf-path index over it (index.go) are derived from them. A
-// mutator never edits a group; it builds a replacement and swaps the
-// map slot, so a bucket handed to an ask stays a consistent view for as
-// long as the ask holds it.
+// immutable *group*: per-rule committed entries are the truth, one
+// name-deduplicated read bucket and the leaf-path index over it
+// (index.go) are derived from them. What a group depends on is not
+// recorded: it is the group's slice, which the program decides
+// (dependents). A mutator never edits a group; it builds a replacement
+// and swaps the map slot, so a bucket handed to an ask stays a
+// consistent view for as long as the ask holds it.
 //
 // Every write goes through commit, evict, carryOver or memoize, and the
 // first three are the only places the version is bumped and the ask
@@ -22,7 +23,6 @@ import (
 	"yat/internal/engine"
 	"yat/internal/pattern"
 	"yat/internal/tree"
-	"yat/internal/yatl"
 )
 
 // demandCache is one generation's cache of materialized functor groups
@@ -57,34 +57,20 @@ type group struct {
 	// label path (index.go), so a point lookup matches its candidates,
 	// not the bucket. Derived from bucket, like bucket it is not persisted.
 	index pathIndex
-	// sources holds one record per rule of the group's slice, construct
-	// and support alike: the keys of the source inputs that directly
-	// matched the rule. Its key set is the slice's membership; both are
-	// what invalidations and refreshes find a group's dependencies by.
-	sources map[string]map[string]bool
 }
 
 // sliceRun is what the cache keeps of one engine slice run (or of a
 // snapshot payload, which records the same): the head functors of the
-// groups computed (repeats allowed), each construct rule's entries and
-// each slice rule's matched source keys.
+// groups computed (repeats allowed) and each construct rule's entries.
 type sliceRun struct {
 	functors []string
 	outputs  map[string][]tree.StoreEntry
-	sources  map[string]map[string]bool
 }
 
 func runOf(sl *engine.Slice, res *engine.SliceResult) sliceRun {
-	run := sliceRun{outputs: res.RuleOutputs, sources: make(map[string]map[string]bool, len(res.RuleSources))}
+	run := sliceRun{outputs: res.RuleOutputs}
 	for _, r := range sl.Construct {
 		run.functors = append(run.functors, r.Head.Functor)
-	}
-	for rule, names := range res.RuleSources {
-		set := make(map[string]bool, len(names))
-		for _, n := range names {
-			set[n.Key()] = true
-		}
-		run.sources[rule] = set
 	}
 	return run
 }
@@ -195,72 +181,23 @@ func (c *demandCache) rules() map[string][]tree.StoreEntry {
 	return out
 }
 
-// sources returns, per rule with a non-empty source record, the sorted
-// keys of the source inputs that matched it in any cached group.
-func (c *demandCache) sources() map[string][]string {
-	merged := map[string]map[string]bool{}
-	for _, g := range c.groups {
-		for rule, set := range g.sources {
-			if len(set) > 0 {
-				merged[rule] = union(merged[rule], set)
-			}
-		}
-	}
-	out := make(map[string][]string, len(merged))
-	for rule, set := range merged {
-		for k := range set {
-			out[rule] = append(out[rule], k)
-		}
-		sort.Strings(out[rule])
-	}
-	return out
-}
-
-// union returns a ∪ b without modifying either: published records are
-// immutable. This is the only place source records are merged.
-func union(a, b map[string]bool) map[string]bool {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make(map[string]bool, len(a)+len(b))
-	for k := range a {
-		out[k] = true
-	}
-	for k := range b {
-		out[k] = true
-	}
-	return out
-}
-
 // dependents lists, sorted, the cached functors whose group depends on
-// one of the rules (the rule is in the group's slice) or on one of the
-// source entries (a slice rule recorded a direct match on the key).
-func (c *demandCache) dependents(rules map[string]bool, sourceKeys []string) []string {
+// one of the rules: the rule is in the group's slice, as construct or
+// support. The slice is the pruned one the group was computed by, so a
+// rule that can never fire is in no group's dependency set.
+func (c *demandCache) dependents(rules map[string]bool) []string {
 	var out []string
-	for f, g := range c.groups {
-		if g.dependsOn(rules, sourceKeys) {
-			out = append(out, f)
+	for f := range c.groups {
+		own := c.slice(f)
+		for rule := range rules {
+			if own.Includes(rule) {
+				out = append(out, f)
+				break
+			}
 		}
 	}
 	sort.Strings(out)
 	return out
-}
-
-func (g *group) dependsOn(rules map[string]bool, sourceKeys []string) bool {
-	for rule, set := range g.sources {
-		if rules[rule] {
-			return true
-		}
-		for _, k := range sourceKeys {
-			if set[k] {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // lookup returns a memoized ask's answers. The slice is the memo's own
@@ -281,13 +218,13 @@ func (c *demandCache) mutated() {
 
 // commit publishes a run's result: one rebuilt group per functor the
 // run computed. In replace mode (the cold fill, the tier-2 re-run, the
-// snapshot load) the run's entries and source records supersede the
-// old ones. In append mode (the tier-1 insert patch) the run derived
-// only a delta's consequences: they are appended and merged — unless a
-// fresh entry's identity is already cached, when nothing is committed
-// and ok is false (the new bindings belong in an existing entry, which
-// only a re-run can rebuild). changed counts the rules whose entry
-// list differs from what was cached.
+// snapshot load) the run's entries supersede the old ones. In append
+// mode (the tier-1 insert patch) the run derived only a delta's
+// consequences: they are appended — unless a fresh entry's identity is
+// already cached, when nothing is committed and ok is false (the new
+// bindings belong in an existing entry, which only a re-run can
+// rebuild). changed counts the rules whose entry list differs from what
+// was cached.
 func (c *demandCache) commit(run sliceRun, appendTo bool) (changed int, ok bool) {
 	fresh := map[string]*group{}
 	for _, f := range run.functors {
@@ -328,11 +265,10 @@ func (c *demandCache) commit(run sliceRun, appendTo bool) (changed int, ok bool)
 // appendTo, extending it, and counts the rules whose entry list differs
 // from old's.
 func (c *demandCache) build(f string, run sliceRun, old *group, appendTo bool) (*group, int) {
-	own := c.slice(f)
-	g := &group{outputs: map[string][]tree.StoreEntry{}, sources: make(map[string]map[string]bool, own.Rules())}
+	g := &group{outputs: map[string][]tree.StoreEntry{}}
 	changed := 0
 	var lists [][]tree.StoreEntry
-	for _, r := range own.Construct {
+	for _, r := range c.slice(f).Construct {
 		if r.Head.Functor != f {
 			// A dereferenced group: committed under its own functor.
 			continue
@@ -351,14 +287,6 @@ func (c *demandCache) build(f string, run sliceRun, old *group, appendTo bool) (
 	}
 	g.bucket = dedup(lists)
 	g.index = buildPathIndex(g.bucket)
-	for _, rules := range [][]*yatl.Rule{own.Construct, own.Support} {
-		for _, r := range rules {
-			g.sources[r.Name] = run.sources[r.Name]
-			if appendTo {
-				g.sources[r.Name] = union(old.sources[r.Name], run.sources[r.Name])
-			}
-		}
-	}
 	return g, changed
 }
 

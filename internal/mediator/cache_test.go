@@ -2,8 +2,11 @@ package mediator
 
 import (
 	"context"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"yat/internal/engine"
 	"yat/internal/source"
 	"yat/internal/tree"
 	"yat/internal/workload"
@@ -14,16 +17,14 @@ import (
 // relies on: a group holds exactly its functor's construct rules, no
 // entry carries another functor's name, the read bucket is the
 // name-deduplicated concatenation of the per-rule entries in rule
-// order (sharing their trees), and the source records cover exactly
-// the group's slice.
+// order (sharing their trees).
 func checkInvariants(t testing.TB, c *demandCache) {
 	t.Helper()
 	for f, g := range c.groups {
-		own := c.slice(f)
 		var want []tree.StoreEntry
 		seen := map[string]bool{}
 		rules := 0
-		for _, r := range own.Construct {
+		for _, r := range c.slice(f).Construct {
 			if r.Head.Functor != f {
 				continue
 			}
@@ -52,14 +53,6 @@ func checkInvariants(t testing.TB, c *demandCache) {
 		for i, e := range g.bucket {
 			if e.Name.Key() != want[i].Name.Key() || e.Tree != want[i].Tree {
 				t.Errorf("group %s: bucket[%d] = %s, rule order gives %s", f, i, e.Name, want[i].Name)
-			}
-		}
-		if len(g.sources) != own.Rules() {
-			t.Errorf("group %s: %d source records for a slice of %d rules", f, len(g.sources), own.Rules())
-		}
-		for rule := range g.sources {
-			if !own.Includes(rule) {
-				t.Errorf("group %s: source record for %s, which its slice does not include", f, rule)
 			}
 		}
 	}
@@ -101,11 +94,33 @@ func (w *cacheWatch) mutates(t testing.TB, m *Mediator, what string, step func()
 	}
 }
 
+// evictProgram is twoSourceProgram with Alpha's name passed through
+// maybe_boom (boomRegistry): while `failures` is positive a slice run
+// that reaches the alpha named "auk" raises, so a refresh that has to
+// re-run Alpha fails and evicts Pa — and only Pa, the one partial
+// eviction the cache still performs (ReasonSliceRunError).
+const evictProgram = `
+program evict
+
+rule Alpha {
+  head Pa(N) = item < -> name -> V >
+  from A = alpha < -> name -> N >
+  let V = maybe_boom(N)
+}
+
+rule Beta {
+  head Pb(N) = item < -> name -> N >
+  from B = beta < -> name -> N >
+}
+`
+
 // Every mutator bumps the version and clears the ask memo; an eviction
 // of nothing, an empty delta and a stale memoize change nothing.
 func TestCacheMutatorsBumpVersion(t *testing.T) {
+	var failures atomic.Int64
 	fault := source.NewFault("src1", alphaStore("ant", "asp"))
-	m := New(yatl.MustParse(twoSourceProgram), nil, WithDemandDriven(true),
+	m := New(yatl.MustParse(evictProgram), nil, WithDemandDriven(true),
+		engine.WithRegistry(boomRegistry(&failures)),
 		WithSources(fault, source.Static("src2", betaStore("bee"))))
 	w := &cacheWatch{}
 	ask := func() {
@@ -132,20 +147,30 @@ func TestCacheMutatorsBumpVersion(t *testing.T) {
 	ask() // refill the memo so the next step has something to clear
 	w.mutates(t, m, "insert patch (commit, append)", refresh("ant", "asp", "auk"))
 	ask()
-	w.mutates(t, m, "delete re-run (commit, replace)", refresh("ant"))
+	w.mutates(t, m, "delete re-run (commit, replace)", refresh("ant", "auk"))
 	ask()
-	w.mutates(t, m, "InvalidateRule (evict)", func() { m.InvalidateRule("Alpha") })
+	w.mutates(t, m, "failed re-run (evict)", func() {
+		failures.Store(1 << 30)
+		defer failures.Store(0)
+		fault.SetStore(alphaStore("auk"))
+		if err := m.RefreshSource(context.Background(), "src1"); err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("refresh = %v, want the raised engine error", err)
+		}
+		if got := m.Stats().CachedRules; got != 1 {
+			t.Fatalf("the failed re-run left %d rules cached, want Beta alone", got)
+		}
+	})
 	ask()
-	w.mutates(t, m, "Reload (carryOver)", func() { m.Reload(yatl.MustParse(twoSourceProgram)) })
+	w.mutates(t, m, "Reload (carryOver)", func() { m.Reload(yatl.MustParse(evictProgram)) })
 
 	ask()
 	before, memo := w.look(t, m)
 	if memo == 0 {
 		t.Fatal("vacuous: the asks memoized nothing")
 	}
-	m.InvalidateRule("no-such-rule")
-	refresh("ant")() // an empty delta
 	g := m.state().dgen
+	g.cache.evict("Pnone")
+	refresh("auk")() // an empty delta
 	g.cache.memoize(askKey{}, nil, before-1)
 	if after, kept := w.look(t, m); after != before || kept != memo {
 		t.Errorf("no-op steps moved the cache: version %d -> %d, memo %d -> %d", before, after, memo, kept)

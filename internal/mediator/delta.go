@@ -13,27 +13,28 @@
 //     delta's consequences. Its outputs are appended to the per-rule
 //     cache. Soundness (see internal/engine/delta.go for the full
 //     argument): every binding chain of the delta run descends from
-//     an inserted entry; with single-pattern rules, no construct-head
-//     Skolem derefs and no exception rules in the slice, the full
-//     re-run's output is exactly the cached output plus these
-//     delta-rooted outputs — unless a delta-rooted binding lands in a
-//     cached identity's group, which the OID collision check detects,
-//     rejecting the patch. Ask answers are sorted before they are
-//     returned (and the ask memo is versioned), so appending at the
-//     cache's tail cannot leak an ordering difference.
+//     an inserted entry; with single-pattern rules that read only the
+//     entry they match, no construct-head Skolem derefs and no
+//     exception rules in the slice, the full re-run's output is
+//     exactly the cached output plus these delta-rooted outputs —
+//     unless a delta-rooted binding lands in a cached identity's
+//     group, which the OID collision check detects, rejecting the
+//     patch. Ask answers are sorted before they are returned (and the
+//     ask memo is versioned), so appending at the cache's tail cannot
+//     leak an ordering difference.
 //
 //  2. Slice re-run. When the delta deletes or rewrites entries
 //     (removing an input can unblock a less-specific rule — §4.2
-//     blocking makes deletion non-monotone), joins, derefs,
-//     exception rules or a collision make the patch unprovable, the
-//     union slice of the affected groups is re-run normally over the
-//     new inputs and swapped into the cache in place. Unaffected
-//     groups stay warm: far cheaper than a wholesale drop when the
-//     source feeds few of the cached groups.
+//     blocking makes deletion non-monotone), joins, derefs, typed
+//     references, exception rules or a collision make the patch
+//     unprovable, the union slice of the affected groups is re-run
+//     normally over the new inputs and swapped into the cache in
+//     place. Unaffected groups stay warm: far cheaper than a wholesale
+//     drop when the source feeds few of the cached groups.
 //
 //  3. Wholesale invalidation. A source that was failing in the pinned
-//     snapshot has no dependency record (absent data matched nothing),
-//     a restored generation has no pinned store to diff against, and a
+//     snapshot has no old side to match (its data was absent), a
+//     restored generation has no pinned store to diff against, and a
 //     fetch in which another source degraded has no complete new
 //     picture — all fall back to Invalidate().
 //
@@ -43,12 +44,12 @@
 // stays as it was, still answering completely. The next refresh that
 // succeeds diffs against that unmoved pin.
 //
-// Affected groups are found without running anything: the deleted and
-// changed entries' keys are looked up in the per-rule source records
-// of past slice runs, the inserted and rewritten entries are matched
-// against every rule body (engine.AffectedRules), and a cached group
-// is affected iff its slice — construct and support rules alike —
-// contains an affected rule. A rule the delta cannot reach directly or
+// Affected groups are found without running anything, and in one
+// place: every tree the delta touches — inserted, deleted, and both
+// sides of a rewrite — is matched against every rule body
+// (engine.AffectedRules), and a cached group is affected iff its slice
+// — construct and support rules alike — contains an affected rule
+// (demandCache.dependents). A rule the delta cannot reach directly or
 // through minted activations is, by slice closure, provably
 // byte-identical after the refresh.
 package mediator
@@ -82,6 +83,11 @@ const (
 	// the patch could bake a partial value of a cached identity into
 	// other outputs.
 	ReasonSkolemDeref = "skolem-deref"
+	// ReasonTypedReference: a slice rule's match reads other entries
+	// through a typed reference (engine.ReadsOtherEntries); an inserted
+	// entry can change the match of an old one that refers to it, which
+	// a delta-seeded run never re-activates.
+	ReasonTypedReference = "typed-reference"
 	// ReasonOutputCollision: the delta run minted an identity the
 	// cache already holds — the new bindings belong in an existing
 	// group, which only a re-run can rebuild.
@@ -93,7 +99,7 @@ const (
 	// affected groups are dropped and the error is returned.
 	ReasonSliceRunError = "slice-run-error"
 	// ReasonDegradedSource: the refreshed source was failing in the
-	// pinned snapshot; no dependency record exists.
+	// pinned snapshot; there is no old side to diff against.
 	ReasonDegradedSource = "degraded-source"
 	// ReasonFetchFailed: the refresh fetch left a source down. The
 	// refreshed one: the refresh fails and the generation is kept.
@@ -235,27 +241,21 @@ func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (
 }
 
 // affectedGroups returns the cached functor groups whose slices
-// contain a rule the delta can feed: rules that recorded a direct
-// match on a deleted or rewritten entry (the groups' source records,
-// from past slice runs) plus rules the inserted or rewritten trees can
-// match (engine.AffectedRules). Slice closure
-// extends direct reachability to derived activations: a rule fed only
-// through minted activations lives in the same slice as its minters.
+// contain a rule the delta can feed (engine.AffectedRules): a rule some
+// inserted, deleted or rewritten tree — old side or new — can match.
+// Matching the old trees ignores §4.2 blocking and conformance, so it
+// names every rule that did match them. Slice closure extends direct
+// reachability to derived activations: a rule fed only through minted
+// activations lives in the same slice as its minters.
 func (m *Mediator) affectedGroups(st *progState, g *demandGen, d *delta.Delta) []string {
-	newSide := make([]tree.StoreEntry, 0, len(d.Inserted)+len(d.Changed))
-	newSide = append(newSide, d.Inserted...)
+	touched := make([]tree.StoreEntry, 0, len(d.Inserted)+len(d.Deleted)+2*len(d.Changed))
+	touched = append(touched, d.Inserted...)
+	touched = append(touched, d.Deleted...)
 	for _, c := range d.Changed {
-		newSide = append(newSide, tree.StoreEntry{Name: c.Name, Tree: c.New})
+		touched = append(touched,
+			tree.StoreEntry{Name: c.Name, Tree: c.Old}, tree.StoreEntry{Name: c.Name, Tree: c.New})
 	}
-	affected := engine.AffectedRules(st.prog, newSide)
-	oldKeys := make([]string, 0, len(d.Deleted)+len(d.Changed))
-	for _, e := range d.Deleted {
-		oldKeys = append(oldKeys, e.Name.Key())
-	}
-	for _, c := range d.Changed {
-		oldKeys = append(oldKeys, c.Name.Key())
-	}
-	return g.cache.dependents(affected, oldKeys)
+	return g.cache.dependents(engine.AffectedRules(st.prog, touched))
 }
 
 // tier1Blocker reports why the insert patch would be unsound for this
@@ -285,6 +285,9 @@ func tier1Blocker(prog *yatl.Program, sl *engine.Slice, d *delta.Delta) string {
 func ruleBlocksPatch(r *yatl.Rule, construct bool) string {
 	if len(r.Body) > 1 {
 		return ReasonMultiPatternJoin
+	}
+	if engine.ReadsOtherEntries(r) {
+		return ReasonTypedReference
 	}
 	if construct && r.Head.Tree != nil {
 		for _, ref := range r.Head.Tree.PatternRefs() {

@@ -184,6 +184,78 @@ func boomRegistry(failures *atomic.Int64) *engine.Registry {
 	return reg
 }
 
+// typedRefProgram's one match reads a second entry: R : &Pgood follows
+// the reference a1 holds and checks its target against the model, so
+// what a1 yields changes when b1 does.
+const typedRefProgram = `
+program typedref
+
+model M {
+  Pgood = good -> X : int
+}
+
+rule Item {
+  head Pitem(A) = out -> R
+  from A = item -> ref -> R : &Pgood
+}
+`
+
+const (
+	typedRefItem = "a1: item < ref < &b1 > >\n"
+	typedRefGood = "b1: good < 1 >\n"
+	typedRefBad  = "b1: bad < 1 >\n"
+)
+
+func storeOf(t *testing.T, src string) *tree.Store {
+	t.Helper()
+	s, err := tree.ParseStore(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// A refresh that changes, deletes or inserts an entry another entry's
+// match reads through a typed reference answers like a fresh
+// full-mode mediator over the new store. Neither side of the rewrite
+// or the deletion, nor the inserted tree, matches Item's body — only
+// the rule's shape says the delta can reach it.
+func TestRefreshFollowsTypedReferences(t *testing.T) {
+	prog := yatl.MustParse(typedRefProgram)
+	for _, c := range []struct {
+		name, before, after string
+		was, want           int
+	}{
+		{"change", typedRefItem + typedRefGood, typedRefItem + typedRefBad, 1, 0},
+		{"delete", typedRefItem + typedRefGood, typedRefItem, 1, 0},
+		{"insert", typedRefItem, typedRefItem + typedRefGood, 0, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fault := source.NewFault("src1", storeOf(t, c.before))
+			m := New(prog, nil, WithDemandDriven(true), WithSources(fault))
+			if got, err := m.Ask(`X`, "Pitem"); err != nil || len(got) != c.was {
+				t.Fatalf("warm ask = %d answers, %v; want %d", len(got), err, c.was)
+			}
+			fault.SetStore(storeOf(t, c.after))
+			if err := m.RefreshSource(context.Background(), "src1"); err != nil {
+				t.Fatal(err)
+			}
+			want, err := New(prog, storeOf(t, c.after)).Ask(`X`, "Pitem")
+			if err != nil || len(want) != c.want {
+				t.Fatalf("fresh full-mode ask = %d answers, %v; want %d", len(want), err, c.want)
+			}
+			got, err := m.Ask(`X`, "Pitem")
+			if err != nil || answersKey(t, got) != answersKey(t, want) {
+				t.Fatalf("refreshed answers differ from a fresh run (%v)\n got:\n%s\nwant:\n%s",
+					err, answersKey(t, got), answersKey(t, want))
+			}
+			if st := m.Stats(); st.DeltaFallbacks != 1 || st.DeltaRuns != 0 {
+				t.Errorf("stats = runs=%d fallbacks=%d, want the slice re-run", st.DeltaRuns, st.DeltaFallbacks)
+			}
+		})
+	}
+}
+
 // Every reachable fallback reason is forced at least once and shows up
 // in the trace; after each fallback the cache still answers
 // byte-identically to a fresh mediator over the new world.
@@ -280,6 +352,24 @@ func TestDeltaFallbackReasons(t *testing.T) {
 		}
 		wantFallback(t, rec, ReasonSkolemDeref)
 		equivalent(t, m, derefProgram, nil, newAlphas, nil)
+	})
+
+	t.Run("typed-reference", func(t *testing.T) {
+		// a1's match reads b1 through R : &Pgood. Inserting b1 changes
+		// what a1 yields, but a run seeded from b1 alone never visits a1.
+		rec := &trace.Recorder{}
+		fault := source.NewFault("src1", storeOf(t, typedRefItem))
+		m := New(yatl.MustParse(typedRefProgram), nil, engine.WithTrace(rec), WithDemandDriven(true), WithSources(fault))
+		if got, err := m.Ask(`X`); err != nil || len(got) != 0 {
+			t.Fatalf("warm ask = %d answers, %v; want none while b1 is missing", len(got), err)
+		}
+		grown := storeOf(t, typedRefItem+typedRefGood)
+		fault.SetStore(grown)
+		if err := m.RefreshSource(ctx, "src1"); err != nil {
+			t.Fatal(err)
+		}
+		wantFallback(t, rec, ReasonTypedReference)
+		equivalent(t, m, typedRefProgram, nil, grown, nil)
 	})
 
 	t.Run("exception-rules", func(t *testing.T) {
@@ -472,8 +562,8 @@ func TestRefreshSourceNilContextThroughDecorators(t *testing.T) {
 	}
 }
 
-// Satellite 2: refreshing an unknown source and invalidating an
-// undepended source entry return the same typed not-found shape.
+// Refreshing a source no configured source carries is a typed
+// not-found, whatever the mediator has cached.
 func TestNotFoundErrorShapes(t *testing.T) {
 	prog := yatl.MustParse(twoSourceProgram)
 	m := New(prog, nil, WithDemandDriven(true),
@@ -481,34 +571,13 @@ func TestNotFoundErrorShapes(t *testing.T) {
 	if _, err := m.Ask(`X`); err != nil {
 		t.Fatal(err)
 	}
-
 	var nf *NotFoundError
 	err := m.RefreshSource(nil, "nope")
-	if !errors.As(err, &nf) || nf.Kind != "source" || nf.Name != "nope" {
-		t.Fatalf("RefreshSource(nope) = %v, want *NotFoundError{source, nope}", err)
+	if !errors.As(err, &nf) || nf.Name != "nope" {
+		t.Fatalf("RefreshSource(nope) = %v, want *NotFoundError{nope}", err)
 	}
-	refreshMsg := err.Error()
-
-	nf = nil
-	err = m.InvalidateSource(tree.PlainName("ghost"))
-	if !errors.As(err, &nf) || nf.Kind != "source entry" || nf.Name != "ghost" {
-		t.Fatalf("InvalidateSource(ghost) = %v, want *NotFoundError{source entry, ghost}", err)
-	}
-	// The two paths share one message shape.
-	for _, msg := range []string{refreshMsg, err.Error()} {
-		if !strings.Contains(msg, "mediator: no source") || !strings.Contains(msg, "named") {
-			t.Errorf("error %q does not follow the shared not-found shape", msg)
-		}
-	}
-
-	// A recorded dependency invalidates without error.
-	if err := m.InvalidateSource(tree.PlainName("a1")); err != nil {
-		t.Errorf("InvalidateSource(a1) = %v, want nil", err)
-	}
-	// Full mode degrades to Invalidate and never reports not-found.
-	full := New(prog, nil, WithSources(source.Static("src1", alphaStore("ant"))))
-	if err := full.InvalidateSource(tree.PlainName("ghost")); err != nil {
-		t.Errorf("full-mode InvalidateSource = %v, want nil", err)
+	if msg := err.Error(); msg != `mediator: no source named "nope"` {
+		t.Errorf("error %q does not follow the not-found shape", msg)
 	}
 }
 

@@ -1,12 +1,15 @@
 package mediator
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"yat/internal/engine"
+	"yat/internal/source"
 	"yat/internal/trace"
 	"yat/internal/tree"
 	"yat/internal/workload"
@@ -162,9 +165,8 @@ rule B {
 	return prog, store, reg, &ca, &cb
 }
 
-// Fine-grained invalidation: dropping one rule re-runs that rule's
-// slice only; the other rule's cache stays warm. Source invalidation
-// drops only the rules that matched the source.
+// Demand mode runs each functor's slice once and serves it from the
+// cache until Invalidate drops the generation.
 func TestDemandFineGrainedInvalidation(t *testing.T) {
 	prog, store, reg, ca, cb := countedViews(t)
 	m := New(prog, store, engine.WithRegistry(reg), WithDemandDriven(true))
@@ -185,35 +187,25 @@ func TestDemandFineGrainedInvalidation(t *testing.T) {
 	if ca.Load() != 3 || cb.Load() != 3 {
 		t.Fatalf("warm asks re-ran the engine: a=%d b=%d", ca.Load(), cb.Load())
 	}
-	m.InvalidateRule("A")
-	ask()
-	if ca.Load() != 6 || cb.Load() != 3 {
-		t.Fatalf("InvalidateRule(A) should re-run A only: a=%d b=%d", ca.Load(), cb.Load())
-	}
-	m.InvalidateSource(tree.PlainName("b2"))
-	ask()
-	if ca.Load() != 6 || cb.Load() != 6 {
-		t.Fatalf("InvalidateSource(b2) should re-run B only: a=%d b=%d", ca.Load(), cb.Load())
-	}
 	m.Invalidate()
 	ask()
-	if ca.Load() != 9 || cb.Load() != 9 {
+	if ca.Load() != 6 || cb.Load() != 6 {
 		t.Fatalf("Invalidate should drop everything: a=%d b=%d", ca.Load(), cb.Load())
 	}
 	// SliceRuns (like Run) is per-generation: the full Invalidate
 	// swapped in a fresh generation, whose two cold asks ran twice.
 	if s := m.Stats(); !s.Materialized || s.CachedRules != 2 || s.SliceRuns != 2 ||
-		s.CacheHits != 4 || s.CacheMisses != 6 {
+		s.CacheHits != 2 || s.CacheMisses != 4 {
 		t.Errorf("final stats: %+v", s)
 	}
 }
 
-// InvalidateRule evicts exactly the groups whose recorded slice names
-// the rule. Dead can never fire and is pruned from every slice the
-// mediator runs, so no cached group depends on it — although its head
-// reference mints arbitrary activations, which puts it in the unpruned
-// support set of every other rule.
-func TestInvalidateRuleEvictsDependentsOnly(t *testing.T) {
+// A cached group depends on exactly the rules of its pruned slice.
+// Feed's head reference mints arbitrary activations, which makes it a
+// support rule of every other group; Dead is the same rule but can never
+// fire, so it is pruned from every slice the mediator runs and no
+// cached group depends on it — although the unpruned slices name it.
+func TestDependentsFollowPrunedSlice(t *testing.T) {
 	prog := yatl.MustParse(`
 program pruned
 rule Live {
@@ -224,56 +216,41 @@ rule Other {
   head Pother(X) = o -> w -> X
   from P = alpha < -> k -> X >
 }
+rule Feed {
+  head Pfeed(X) = o -> ref -> &Plive(X)
+  from P = alpha < -> k -> X >
+}
 rule Dead {
   head Pdead(X) = o -> ref -> &Plive(X)
   from P = alpha < -> k -> X >
   where 1 == 2
 }
 `)
-	if !engine.ComputeSlice(prog, "Plive").Includes("Dead") || !engine.AnalyzeProgram(prog).Prunable("Dead") {
-		t.Fatal("vacuous: Dead must support Plive's unpruned slice and be prunable")
+	facts := engine.AnalyzeProgram(prog)
+	if !engine.ComputeSlice(prog, "Plive").Includes("Dead") || !facts.Prunable("Dead") ||
+		!facts.SliceFor("Pother").Includes("Feed") {
+		t.Fatal("vacuous: Dead must support Plive's unpruned slice and be prunable, Feed must support Pother")
 	}
 	store := tree.NewStore()
 	store.Put(tree.PlainName("a1"), tree.Sym("alpha", tree.Sym("k", tree.Str("x"))))
-	for _, c := range []struct {
-		rule       string
-		wantCached int
-	}{
-		{"Live", 1},
-		{"no-such-rule", 2},
-		{"Dead", 2}, // invalidating a never-firing (pruned) rule evicts nothing
-	} {
-		m := New(prog, store, WithDemandDriven(true))
-		if _, err := m.Functors(); err != nil {
+	m := New(prog, store, WithDemandDriven(true))
+	for _, f := range []string{"Plive", "Pother"} {
+		if _, err := m.Ask(`X`, f); err != nil {
 			t.Fatal(err)
 		}
-		if got := m.Stats().CachedRules; got != 2 {
-			t.Fatalf("warm-up cached %d rules, want Live and Other", got)
+	}
+	g := m.state().dgen
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, c := range []struct{ rule, want string }{
+		{"Live", "[Plive]"},
+		{"Feed", "[Plive Pother]"}, // a live support rule; Pfeed itself is not cached
+		{"Dead", "[]"},             // never fires: pruned, so nothing depends on it
+		{"no-such-rule", "[]"},
+	} {
+		if got := fmt.Sprint(g.cache.dependents(map[string]bool{c.rule: true})); got != c.want {
+			t.Errorf("dependents(%s) = %s, want %s", c.rule, got, c.want)
 		}
-		m.InvalidateRule(c.rule)
-		if got := m.Stats().CachedRules; got != c.wantCached {
-			t.Errorf("InvalidateRule(%s) left %d rules cached, want %d", c.rule, got, c.wantCached)
-		}
-	}
-}
-
-// On a full-materialization mediator the fine-grained calls degrade to
-// Invalidate (there is nothing smaller to drop).
-func TestInvalidateRuleFullModeDegrades(t *testing.T) {
-	prog, store, reg, ca, _ := countedViews(t)
-	m := New(prog, store, engine.WithRegistry(reg))
-	if _, err := m.Ask(`X`); err != nil {
-		t.Fatal(err)
-	}
-	m.InvalidateRule("A")
-	if s := m.Stats(); s.Materialized {
-		t.Error("InvalidateRule on a full mediator must invalidate the generation")
-	}
-	if _, err := m.Ask(`X`); err != nil {
-		t.Fatal(err)
-	}
-	if ca.Load() != 6 {
-		t.Errorf("full-mode re-materialization ran A %d times, want 6", ca.Load())
 	}
 }
 
@@ -334,42 +311,52 @@ rule R {
 	}
 }
 
-// The -race gate for demand mode: overlapping asks racing rule, source
-// and full invalidations at several widths. Answers must stay
-// byte-identical throughout — invalidation changes caching, never
-// results.
+// The -race gate for demand mode: overlapping asks racing the two ways
+// a cache loses groups — Invalidate, which drops the generation, and a
+// refresh whose tier-2 re-run fails, which evicts the affected group
+// and leaves the rest (evictProgram) — at several widths. Every answer
+// is one of the two worlds the source alternates between, or the raised
+// error while the re-run is failing; Pb, which the refreshes cannot
+// reach, never changes.
 func TestDemandConcurrentAskInvalidate(t *testing.T) {
-	prog := yatl.MustParse(yatl.SGMLToODMGSource)
-	inputs := workload.BrochureStore(6, 2, 4, 17)
+	prog := yatl.MustParse(evictProgram)
+	worldA := alphaStore("ant", "auk", "asp")
+	worldB := alphaStore("ant", "auk") // A→B deletes a3
+	betas := betaStore("bee", "boa")
 	for _, par := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
-			m := New(prog, inputs, engine.WithParallelism(par), WithDemandDriven(true))
-			wantSup, err := m.Ask(`X`, "Psup")
-			if err != nil {
-				t.Fatal(err)
+			var failures atomic.Int64
+			opts := []engine.Option{engine.WithRegistry(boomRegistry(&failures)), engine.WithParallelism(par)}
+			fresh := func(store *tree.Store, functor string) string {
+				got, err := New(prog, store, opts...).Ask(`X`, functor)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return answersKey(t, got)
 			}
-			wantCar, err := m.Ask(`X`, "Pcar")
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantSupKey, wantCarKey := answersKey(t, wantSup), answersKey(t, wantCar)
+			wantA, wantB, wantPb := fresh(worldA, "Pa"), fresh(worldB, "Pa"), fresh(betas, "Pb")
+
+			fault := source.NewFault("src1", worldA)
+			m := New(prog, nil, append(opts, WithDemandDriven(true),
+				WithSources(fault, source.Static("src2", betas)))...)
 			var wg sync.WaitGroup
 			for c := 0; c < 4; c++ {
 				wg.Add(1)
 				go func(c int) {
 					defer wg.Done()
 					for i := 0; i < 25; i++ {
-						functor, want := "Psup", wantSupKey
+						functor := "Pb"
 						if (c+i)%2 == 0 {
-							functor, want = "Pcar", wantCarKey
+							functor = "Pa"
 						}
 						got, err := m.Ask(`X`, functor)
-						if err != nil {
+						switch key := answersKey(t, got); {
+						case err != nil && (functor != "Pa" || !strings.Contains(err.Error(), "boom")):
 							t.Errorf("Ask(%s): %v", functor, err)
 							return
-						}
-						if answersKey(t, got) != want {
-							t.Errorf("Ask(%s) answers changed under invalidation", functor)
+						case err == nil && functor == "Pb" && key != wantPb,
+							err == nil && functor == "Pa" && key != wantA && key != wantB:
+							t.Errorf("Ask(%s) answered neither world:\n%s", functor, key)
 							return
 						}
 					}
@@ -379,19 +366,30 @@ func TestDemandConcurrentAskInvalidate(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				watch := &cacheWatch{}
-				for i := 0; i < 20; i++ {
-					switch i % 4 {
-					case 0:
-						m.InvalidateRule("Sup")
-					case 1:
-						m.InvalidateSource(tree.PlainName("b1"))
-					case 2:
-						m.Invalidate()
-					case 3:
-						m.InvalidateRule("Car")
+				for i := 0; i < 10; i++ {
+					fault.SetStore(worldA)
+					m.Invalidate()
+					for _, f := range []string{"Pa", "Pb"} {
+						if _, err := m.Ask(`X`, f); err != nil {
+							t.Errorf("warming %s: %v", f, err)
+							return
+						}
 					}
 					watch.look(t, m)
-					m.Stats()
+					// The delete cannot be patched and its re-run raises:
+					// Pa is evicted, Pb stays, and until the function heals
+					// nothing can fill Pa again.
+					failures.Store(1 << 30)
+					fault.SetStore(worldB)
+					err := m.RefreshSource(context.Background(), "src1")
+					if err == nil || !strings.Contains(err.Error(), "boom") {
+						t.Errorf("refresh = %v, want the raised engine error", err)
+					}
+					watch.look(t, m)
+					if got := m.Stats().CachedRules; got != 1 {
+						t.Errorf("the failed re-run left %d rules cached, want Beta alone", got)
+					}
+					failures.Store(0)
 				}
 			}()
 			wg.Wait()

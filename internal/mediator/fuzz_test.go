@@ -57,6 +57,13 @@ func FuzzRestore(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"rules":[{"rule":"FromAlpha","cached":true,"entries":[{"name":"Pitem(","tree":""}]}]}`))
+	// The layout format 2 had while rules carried source records, which
+	// this build reads and no longer writes — a donor's Snapshot cannot
+	// seed it.
+	f.Add([]byte(`{"rules":[{"rule":"Dead","cached":false,"sources":["a1"]},` +
+		`{"rule":"FromAlpha","cached":true,"entries":[{"name":"Pitem(\"ant\")","tree":"item < name < \"ant\" > >"}],"sources":["a1"]},` +
+		`{"rule":"FromBeta","cached":true,"entries":[{"name":"Pitem(\"bee\")","tree":"item < name < \"bee\" > >"}],"sources":["b1"]}],` +
+		`"stats":{"activations":2,"bindings":2,"outputs":2,"rounds":1},"runs":1}`))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		forged := *snap

@@ -18,9 +18,9 @@
 // (engine.ComputeSlice), runs only that slice, and memoizes the
 // materialized outputs per rule so overlapping slices reuse work.
 // Every slice run of one cache generation reads the one input snapshot
-// the generation pinned (inputs.go), and RefreshSource diffs against
-// it. InvalidateRule and InvalidateSource then drop only the cached
-// rules whose outputs could have depended on the change.
+// the generation pinned (inputs.go); RefreshSource diffs against it and
+// recomputes only the cached functor groups whose rules the changed
+// entries can feed (delta.go).
 //
 // A Mediator is safe for concurrent use: a production mediator serves
 // many clients at once, so concurrent Ask/Get/Functors calls share a
@@ -109,19 +109,14 @@ func (e *FetchError) Error() string {
 	return "mediator: source fetch failed: " + strings.Join(parts, "; ")
 }
 
-// NotFoundError reports a refresh or invalidation aimed at a name the
-// mediator has no record of: RefreshSource with a name no configured
-// source carries (Kind "source"), or InvalidateSource with a source
-// entry no cached rule depends on (Kind "source entry"). Both paths
-// return the same shape so callers can treat "nothing to do, and the
-// name looks wrong" uniformly.
+// NotFoundError reports a RefreshSource aimed at a name no configured
+// source carries.
 type NotFoundError struct {
-	Kind string
 	Name string
 }
 
 func (e *NotFoundError) Error() string {
-	return fmt.Sprintf("mediator: no %s named %q", e.Kind, e.Name)
+	return fmt.Sprintf("mediator: no source named %q", e.Name)
 }
 
 // generation is one materialization lifetime: Invalidate swaps in a
@@ -178,8 +173,8 @@ type progState struct {
 // demandGen is one demand-driven cache lifetime: the demand cache
 // (cache.go) plus the bookkeeping of the slice runs that filled it.
 // Invalidate swaps in a fresh one, so a query racing an invalidation
-// keeps a consistent view; InvalidateRule, InvalidateSource and source
-// refreshes instead mutate the cache under the generation lock.
+// keeps a consistent view; source refreshes instead mutate the cache
+// under the generation lock.
 type demandGen struct {
 	// mu guards everything below, cache included; it is held across a
 	// slice run, so concurrent asks missing the same group share one.
@@ -959,46 +954,6 @@ func (m *Mediator) Reload(prog *yatl.Program) {
 	m.cur = next
 }
 
-// InvalidateRule drops from the demand cache every functor group
-// whose materialization could have involved the named rule (the rule
-// is in the group's slice, as construct or support). Cached groups
-// the rule cannot reach stay warm. On a full-materialization mediator
-// there is nothing finer-grained to drop, so it degrades to
-// Invalidate.
-func (m *Mediator) InvalidateRule(rule string) {
-	if !m.demand {
-		m.Invalidate()
-		return
-	}
-	g := m.state().dgen
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.cache.evict(g.cache.dependents(map[string]bool{rule: true}, nil)...)
-}
-
-// InvalidateSource drops from the demand cache every functor group
-// whose materialization directly matched the given source input (as
-// recorded during its slice runs). A name no cached rule recorded a
-// dependency on returns a *NotFoundError (the same shape RefreshSource
-// returns for an unknown source name) instead of silently doing
-// nothing. On a full-materialization mediator it degrades to
-// Invalidate.
-func (m *Mediator) InvalidateSource(src tree.Name) error {
-	if !m.demand {
-		m.Invalidate()
-		return nil
-	}
-	g := m.state().dgen
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	groups := g.cache.dependents(nil, []string{src.Key()})
-	if len(groups) == 0 {
-		return &NotFoundError{Kind: "source entry", Name: src.String()}
-	}
-	g.cache.evict(groups...)
-	return nil
-}
-
 // RefreshSource re-fetches the named source and absorbs whatever
 // changed with as little re-computation as it can prove sound. A
 // demand-driven mediator diffs the new fetch against the snapshot this
@@ -1016,7 +971,7 @@ func (m *Mediator) InvalidateSource(src tree.Name) error {
 // *NotFoundError.
 func (m *Mediator) RefreshSource(ctx context.Context, name string) error {
 	if !slices.ContainsFunc(m.sources, func(s source.Source) bool { return s.Name() == name }) {
-		return &NotFoundError{Kind: "source", Name: name}
+		return &NotFoundError{Name: name}
 	}
 	if ctx == nil {
 		ctx = context.Background()

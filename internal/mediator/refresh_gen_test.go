@@ -1,0 +1,273 @@
+package mediator
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"os"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"yat/internal/delta"
+	"yat/internal/engine"
+	"yat/internal/source"
+	"yat/internal/trace"
+	"yat/internal/tree"
+	"yat/internal/yatl"
+)
+
+// refreshProgram is the fixed program of the generated refresh test:
+// every way a delta reaches a cached group is in it. Specific and
+// General conflict (§4.2): a hot thing matches both and General is
+// blocked on it, so a rewrite of its tag moves the entry from one rule
+// to the other. Join is the one multi-pattern rule. Feed is a support
+// rule of Pleaf — its head reference activates the feeder's part
+// subtree, which only Leaf matches — so a feeder entry reaches Pleaf
+// without matching any rule of Pleaf's group. Note stands alone.
+const refreshProgram = `program refreshgen
+rule General {
+  head Pitem(X) = item < -> kind -> plain, -> name -> N >
+  from X = thing < -> name -> N, -> tag -> T >
+}
+rule Specific {
+  head Pitem(X) = item < -> kind -> hot, -> name -> N >
+  from X = thing < -> name -> N, -> tag -> hot >
+}
+rule Join {
+  head Pjoin(K) = pair < -> left -> A, -> right -> B >
+  from L = left < -> key -> K, -> val -> A >
+  from R = right < -> key -> K, -> val -> B >
+}
+rule Feed {
+  head Pfeed(F) = fed < -> name -> N, -> part -> &Pleaf(T) >
+  from F = feeder < -> name -> N, -> sub -> T >
+}
+rule Leaf {
+  head Pleaf(T) = leaf -> V
+  from T = part -> V
+}
+rule Note {
+  head Pnote(X) = note -> V
+  from X = note -> V
+}
+`
+
+var (
+	refreshFunctors = []string{"Pitem", "Pjoin", "Pfeed", "Pleaf", "Pnote"}
+	// refreshFamilies are the entry shapes a store is made of; junk
+	// matches no rule. An edit draws from refreshEdits, where the two
+	// families with the rarest traps (a tag moving to or from hot, a second
+	// feeder minting a cached Pleaf) weigh four times the others.
+	refreshFamilies = []string{"thing", "left", "right", "feeder", "part", "note", "junk"}
+	refreshEdits    = append([]string{"thing", "thing", "thing", "feeder", "feeder", "feeder"}, refreshFamilies...)
+)
+
+// refreshIDs bounds the names of a family, so a sequence inserts,
+// rewrites and deletes the same few entries over and over, and
+// refreshSteps is how many refreshes one mediator absorbs.
+const refreshIDs, refreshSteps = 5, 6
+
+type refreshGen struct{ *rand.Rand }
+
+// entry draws one of the trees entry number id of a family can hold —
+// three, two for a feeder. A left and a right of one id share a key;
+// two feeders drawing the same value mint the same Pleaf.
+func (g refreshGen) entry(family string, id int) (tree.Name, *tree.Node) {
+	name, v := tree.PlainName(fmt.Sprintf("%s%d", family, id)), g.Intn(3)
+	switch family {
+	case "thing":
+		return name, tree.MustParse(fmt.Sprintf(`thing < name < "n%d" >, tag < %s > >`, id, []string{"hot", "cold", "mild"}[v]))
+	case "left", "right":
+		return name, tree.MustParse(fmt.Sprintf(`%s < key < %d >, val < %d > >`, family, id, v))
+	case "feeder":
+		return name, tree.MustParse(fmt.Sprintf(`feeder < name < "f%d" >, sub < part < %d > > >`, id, v%2))
+	}
+	return name, tree.MustParse(fmt.Sprintf(`%s < %d >`, family, v)) // part, note, junk
+}
+
+func (g refreshGen) store() *tree.Store {
+	s := tree.NewStore()
+	for _, family := range refreshFamilies {
+		for id := 0; id < refreshIDs; id++ {
+			if g.Intn(3) == 0 {
+				s.Put(g.entry(family, id))
+			}
+		}
+	}
+	return s
+}
+
+// mutate returns a copy of old after up to three edits: an absent name
+// is inserted, a present one deleted or rewritten (never, when
+// insertOnly). Edits may cancel; the caller diffs.
+func (g refreshGen) mutate(old *tree.Store, insertOnly bool) *tree.Store {
+	s := old.Clone()
+	for edits, tries := 1+g.Intn(3), 0; edits > 0 && tries < 50; tries++ {
+		name, t := g.entry(refreshEdits[g.Intn(len(refreshEdits))], g.Intn(refreshIDs))
+		switch prev, had := s.Get(name); {
+		case !had:
+			s.Put(name, t)
+		case insertOnly || prev.Equal(t):
+			continue
+		case g.Intn(3) == 0:
+			s.Delete(name)
+		default:
+			s.Put(name, t)
+		}
+		edits--
+	}
+	return s
+}
+
+// touches reports whether the delta holds an entry of the family, old
+// side or new.
+func touches(d *delta.Delta, family string) bool {
+	is := func(n tree.Name) bool { return strings.HasPrefix(n.String(), family) }
+	return slices.ContainsFunc(d.Inserted, func(e tree.StoreEntry) bool { return is(e.Name) }) ||
+		slices.ContainsFunc(d.Deleted, func(e tree.StoreEntry) bool { return is(e.Name) }) ||
+		slices.ContainsFunc(d.Changed, func(c delta.Change) bool { return is(c.Name) })
+}
+
+// The differential test of RefreshSource (ROADMAP item 2, slice B, its
+// first piece): over seeded sequences of insert / delete / rewrite
+// mixes, a demand mediator that absorbs each refresh answers every
+// cached functor exactly as a fresh full-mode mediator over the same
+// store — whichever tier absorbed it. Functors are warmed a few at a
+// time, some of them by a cold ask between a source change and its
+// refresh (PR 15's drift: that ask answers from the pin and must not
+// move the baseline the refresh diffs against), so the cache is partial
+// through most of a sequence; a functor not yet cached has nothing a
+// refresh could leave stale, is compared when it is first asked, and
+// all of them are after the last refresh. What it guards above all is
+// the one dependency oracle: engine.AffectedRules over both sides of
+// the delta, mapped to groups by demandCache.dependents.
+//
+// YAT_REFRESH_SEED=n runs one seed; YAT_SOAK=1 runs 3000.
+func TestRefreshMatchesRerun(t *testing.T) {
+	prog := yatl.MustParse(refreshProgram)
+	if h := engine.BuildHierarchy(prog, nil); !slices.Contains(h.Blocks["Specific"], "General") ||
+		!engine.AnalyzeProgram(prog).SliceFor("Pleaf").Includes("Feed") {
+		t.Fatal("vacuous: Specific must block General, and Feed must support Pleaf")
+	}
+	first, seeds := int64(1), int64(300)
+	if os.Getenv("YAT_SOAK") != "" {
+		seeds = 3000
+	}
+	if s := os.Getenv("YAT_REFRESH_SEED"); s != "" {
+		n, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, seeds = n, 1
+	}
+	ctx := context.Background()
+	made := map[string]int{}
+	for seed := first; seed < first+seeds; seed++ {
+		g := refreshGen{rand.New(rand.NewSource(seed))}
+		pinned := g.store() // what the generation must be answering from
+		fault := source.NewFault("src", pinned)
+		rec := &trace.Recorder{}
+		m := New(prog, nil, WithDemandDriven(true), engine.WithTrace(rec), WithSources(fault))
+		cached := map[string]bool{}
+		var history []string
+		check := func(what, functor string) {
+			t.Helper()
+			cached[functor] = true
+			want, err := New(prog, pinned).Ask(`X`, functor)
+			if err != nil {
+				t.Fatalf("full mode: %v", err)
+			}
+			got, err := m.Ask(`X`, functor)
+			if err != nil {
+				t.Fatalf("demand mode: %v", err)
+			}
+			if g, w := mergeKeys(got), mergeKeys(want); !slices.Equal(g, w) {
+				t.Fatalf("seed %d, %s: %s differs from a fresh full-mode mediator over the same store\n got %q\nwant %q\n%s\nstore:\n%s\nrerun with YAT_REFRESH_SEED=%d go test ./internal/mediator -run %s",
+					seed, what, functor, g, w, strings.Join(history, "\n"), tree.FormatStore(pinned), seed, t.Name())
+			}
+		}
+		check("warm-up", refreshFunctors[g.Intn(len(refreshFunctors))])
+		for _, f := range refreshFunctors {
+			if g.Intn(3) == 0 {
+				check("warm-up", f)
+			}
+		}
+		for step := 1; step <= refreshSteps; step++ {
+			next := g.mutate(pinned, g.Intn(2) == 0)
+			fault.SetStore(next)
+			d := delta.Diff(pinned, next)
+			what := fmt.Sprintf("step %d (+%d -%d ~%d)", step, len(d.Inserted), len(d.Deleted), len(d.Changed))
+			var cold []string
+			for _, f := range refreshFunctors {
+				if !cached[f] {
+					cold = append(cold, f)
+				}
+			}
+			if len(cold) > 0 && g.Intn(2) == 0 {
+				made["cold ask between a source change and its refresh"]++
+				f := cold[g.Intn(len(cold))]
+				history = append(history, what+": cold ask of "+f)
+				check(what+", before the refresh", f)
+			}
+			if cached["Pleaf"] && touches(d, "feeder") && !touches(d, "part") {
+				made["a cached group reached through its support rule alone"]++
+			}
+			if cached["Pitem"] && slices.ContainsFunc(d.Changed, func(c delta.Change) bool {
+				return strings.Contains(c.Old.String(), "hot") != strings.Contains(c.New.String(), "hot")
+			}) {
+				made["a rewrite moves an entry between Specific and General"]++
+			}
+
+			before := m.Stats()
+			if err := m.RefreshSource(ctx, "src"); err != nil {
+				t.Fatalf("seed %d, %s: refresh: %v", seed, what, err)
+			}
+			pinned = next
+			switch after := m.Stats(); {
+			case after.DeltaFallbacks > before.DeltaFallbacks:
+				made["tier 2: slice re-run"]++
+				falls := deltaEvents(rec, trace.KindDeltaFallback)
+				_, reason, _ := strings.Cut(falls[len(falls)-1].Detail, "reason=")
+				reason, _, _ = strings.Cut(reason, " ")
+				what += " tier 2, " + reason
+				made["reason "+reason]++
+			case after.SliceRuns > before.SliceRuns:
+				made["tier 1: insert patch"]++
+				what += " tier 1"
+			case !d.Empty():
+				made["no cached group affected"]++
+				what += " nothing affected"
+			}
+			history = append(history, what)
+			for _, f := range refreshFunctors {
+				if cached[f] || step == refreshSteps {
+					check(what, f)
+				}
+			}
+		}
+	}
+	if seeds == 1 {
+		return
+	}
+	// Not vacuous: every tier absorbed refreshes, for each reason a fixed
+	// program without exception rules or head derefs can give, and the
+	// traps the oracle exists for were all set.
+	for trap, atLeast := range map[string]int{
+		"tier 1: insert patch":                                  50,
+		"tier 2: slice re-run":                                  50,
+		"no cached group affected":                              50,
+		"reason " + ReasonDeletions:                             20,
+		"reason " + ReasonMultiPatternJoin:                      20,
+		"reason " + ReasonOutputCollision:                       20,
+		"cold ask between a source change and its refresh":      50,
+		"a cached group reached through its support rule alone": 50,
+		"a rewrite moves an entry between Specific and General": 50,
+	} {
+		if made[trap] < atLeast {
+			t.Errorf("%q happened %d times in %d seeds, want ≥ %d", trap, made[trap], seeds, atLeast)
+		}
+	}
+	t.Logf("%d seeds: %v", seeds, made)
+}

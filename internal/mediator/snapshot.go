@@ -1,15 +1,14 @@
 // Durable warm starts: the mediator half of internal/snapshot.
 //
 // Snapshot serializes the current demand generation — the per-rule
-// cache with its recorded source dependencies, every cached entry once
-// — through the tree layer's canonical display syntax, stamped with the
-// progState's program and options hashes. The read buckets and the ask
-// memo are not written: commit derives the buckets from the rule
-// entries, and an ask's first arrival after a restore is a demand-cache
-// hit that memoizes it again. Restore is the inverse: it re-parses the payload
-// into a fresh demand generation and swaps it in atomically, but only
-// after the snapshot's hashes verify against what this mediator is
-// about to serve. Any mismatch, and any payload the program could not
+// cache, every cached entry once — through the tree layer's canonical
+// display syntax, stamped with the progState's program and options
+// hashes. The read buckets and the ask memo are not written: commit
+// derives the buckets from the rule entries, and an ask's first arrival
+// after a restore is a demand-cache hit that memoizes it again. Restore
+// is the inverse: it re-parses the payload into a fresh demand
+// generation and swaps it in atomically, but only after the snapshot's
+// hashes verify against what this mediator is about to serve. Any mismatch, and any payload the program could not
 // have produced, returns a typed *snapshot.LoadError and leaves the
 // mediator exactly as cold as it was — the deterministic fallback the
 // whole layer is built around.
@@ -50,20 +49,14 @@ func (m *Mediator) Snapshot() (*snapshot.Snapshot, error) {
 		Degraded: g.pin.degraded(),
 	}
 
-	// One RuleCache per rule that holds any cached state: construct
-	// rules carry entries (possibly none — "cached and empty" must
-	// round-trip), support rules carry only their source record.
-	sources := g.cache.sources()
+	// One RuleCache per cached construct rule, entries possibly none:
+	// "cached and empty" must round-trip.
 	for rule, entries := range g.cache.rules() {
-		rc := snapshot.RuleCache{Rule: rule, Cached: true, Sources: sources[rule]}
+		rc := snapshot.RuleCache{Rule: rule, Cached: true}
 		for _, e := range entries {
 			rc.Entries = append(rc.Entries, snapshot.Entry{Name: e.Name.String(), Tree: e.Tree.String()})
 		}
 		payload.Rules = append(payload.Rules, rc)
-		delete(sources, rule)
-	}
-	for rule, keys := range sources {
-		payload.Rules = append(payload.Rules, snapshot.RuleCache{Rule: rule, Sources: keys})
 	}
 	sort.Slice(payload.Rules, func(i, j int) bool { return payload.Rules[i].Rule < payload.Rules[j].Rule })
 
@@ -106,8 +99,10 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 		tree.StoreEntry
 	}
 	shared := map[string]parsed{}
-	run := sliceRun{outputs: map[string][]tree.StoreEntry{}, sources: map[string]map[string]bool{}}
+	run := sliceRun{outputs: map[string][]tree.StoreEntry{}}
 	for _, rc := range s.Payload.Rules {
+		// Builds that kept a per-rule source ledger wrote support rules as
+		// cached:false records; nothing restores from them.
 		if rc.Cached {
 			r, ok := st.prog.Rule(rc.Rule)
 			if !ok || r.Exception {
@@ -131,13 +126,6 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 				entries = append(entries, p.StoreEntry)
 			}
 			run.outputs[rc.Rule] = entries
-		}
-		if len(rc.Sources) > 0 {
-			set := make(map[string]bool, len(rc.Sources))
-			for _, k := range rc.Sources {
-				set[k] = true
-			}
-			run.sources[rc.Rule] = set
 		}
 	}
 	// Group presence is the only "cached" flag, so a group must arrive

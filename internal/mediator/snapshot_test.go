@@ -183,6 +183,81 @@ func TestSnapshotGolden(t *testing.T) {
 	}
 }
 
+// Upgrade compatibility, pinned by files the previous build wrote
+// (testdata/snapshot_format2.parent*.json; format 2 then carried each
+// rule's matched source keys in a "sources" member, and support rules
+// as cached:false records holding nothing else): such a file restores
+// warm — first ask a hit, no new slice run, the donor's answers — and
+// what the restored generation snapshots again is, byte for byte, what
+// a donor of this build writes: no "sources", no cached:false record.
+func TestRestoreParentWrittenSnapshot(t *testing.T) {
+	for _, c := range []struct {
+		file        string
+		functors    []string // of the one ask that warmed the file's donor
+		mustHold    string
+		newMediator func() *Mediator
+	}{
+		{"snapshot_format2.parent.json", nil, `"sources":["b1","b2","b3"]`, func() *Mediator {
+			return New(yatl.MustParse(versionedSelective("v1", "v1")), workload.BrochureStore(3, 2, 3, 11), WithDemandDriven(true))
+		}},
+		{"snapshot_format2.parent_support.json", []string{"Psup"}, `{"rule":"Car","cached":false,"sources":["b1","b2","b3"]}`, func() *Mediator {
+			return New(yatl.MustParse(yatl.SGMLToODMGSource), workload.BrochureStore(3, 2, 3, 11), WithDemandDriven(true))
+		}},
+	} {
+		t.Run(c.file, func(t *testing.T) {
+			file, err := os.ReadFile(filepath.Join("testdata", c.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(file, []byte(c.mustHold)) {
+				t.Fatalf("vacuous: the fixture does not hold %s", c.mustHold)
+			}
+			snap, err := snapshot.Decode(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			donor := c.newMediator()
+			want, err := donor.Ask(`X`, c.functors...)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			m := c.newMediator()
+			if err := m.Restore(snap); err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			got, err := m.Ask(`X`, c.functors...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAnswers(t, got, want, "first ask after the restore")
+			if st := m.Stats(); !st.Restored || st.CacheHits != 1 || st.CacheMisses != 0 || st.SliceRuns != snap.Payload.Runs {
+				t.Fatalf("restored ask: %+v, want one hit, no miss and the file's %d slice runs", st, snap.Payload.Runs)
+			}
+
+			encode := func(m *Mediator) []byte {
+				t.Helper()
+				snap, err := m.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := snap.Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}
+			again := encode(m)
+			if bytes.Contains(again, []byte(`"sources"`)) || bytes.Contains(again, []byte(`"cached":false`)) {
+				t.Errorf("the restored generation writes the ledger back:\n%s", again)
+			}
+			if fresh := encode(donor); !bytes.Equal(again, fresh) {
+				t.Errorf("re-snapshot of the restored generation differs from this build's donor:\n got: %s\nwant: %s", again, fresh)
+			}
+		})
+	}
+}
+
 // Every identity mismatch deterministically refuses the restore and
 // leaves the mediator cold.
 func TestRestoreRefusesMismatches(t *testing.T) {

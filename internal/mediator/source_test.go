@@ -236,7 +236,7 @@ func TestRefreshSourceUnknownName(t *testing.T) {
 		WithSources(source.Static("src1", alphaStore("ant"))))
 	err := m.RefreshSource(nil, "nope")
 	var nf *NotFoundError
-	if !errors.As(err, &nf) || nf.Kind != "source" || nf.Name != "nope" {
+	if !errors.As(err, &nf) || nf.Name != "nope" {
 		t.Fatalf("err = %v, want *NotFoundError naming %q", err, "nope")
 	}
 	if !strings.Contains(err.Error(), "nope") {

@@ -1,8 +1,8 @@
 // Package snapshot is the durable warm-start layer: a versioned,
 // checksummed on-disk store for one mediator generation — the per-rule
-// demand cache (post-deref entries plus recorded sources), each cached
-// entry written once. What the mediator derives from those entries (the
-// read buckets, the ask memo) is not stored.
+// demand cache (post-deref entries), each cached entry written once.
+// What the mediator derives from those entries (the read buckets, the
+// ask memo) is not stored.
 //
 // A snapshot is only ever served when it provably describes the exact
 // computation the booting process would perform cold: the envelope
@@ -88,19 +88,21 @@ type Entry struct {
 	Tree string `json:"tree"`
 }
 
-// RuleCache is one construct or support rule's cached state: its
-// committed post-deref entries and the keys of the source inputs that
-// directly matched it (the dependency record behind source
-// invalidation). A construct rule with no outputs still appears here —
-// "cached and empty" and "not cached" are different states.
+// RuleCache is one construct rule's cached state: its committed
+// post-deref entries. A construct rule with no outputs still appears
+// here — "cached and empty" and "not cached" are different states.
+//
+// Format-2 files written before the per-rule source ledger was removed
+// also carry a "sources" member, and support rules as records with
+// Cached=false and nothing else; the decoder drops the member and
+// Restore skips those records, so such a file still restores warm.
 type RuleCache struct {
 	Rule string `json:"rule"`
 	// Cached marks a construct rule whose result set is materialized —
-	// true even when Entries is empty. Support rules appear with
-	// Cached=false, carrying only their source record.
-	Cached  bool     `json:"cached"`
-	Entries []Entry  `json:"entries,omitempty"`
-	Sources []string `json:"sources,omitempty"`
+	// true even when Entries is empty, and true in every record this
+	// build writes.
+	Cached  bool    `json:"cached"`
+	Entries []Entry `json:"entries,omitempty"`
 }
 
 // Generation is the payload: one demand-mode materialization

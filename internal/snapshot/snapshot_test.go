@@ -24,10 +24,8 @@ func sample() *Snapshot {
 		Payload: &Generation{
 			Rules: []RuleCache{
 				{Rule: "View1", Cached: true,
-					Entries: []Entry{{Name: "&o1:Pview1", Tree: `view < name -> "acme" >`}},
-					Sources: []string{"b1:Pbr"}},
+					Entries: []Entry{{Name: "&o1:Pview1", Tree: `view < name -> "acme" >`}}},
 				{Rule: "Empty", Cached: true},
-				{Rule: "Support", Sources: []string{"b2:Pbr"}},
 			},
 			Degraded: []string{"src1"},
 			Stats:    engine.Stats{Activations: 4, Bindings: 9, Outputs: 2, Rounds: 3},

@@ -299,8 +299,8 @@ type Asker = mediator.Asker
 
 // Durable warm starts (the internal/snapshot layer): a versioned,
 // checksummed on-disk store for one mediator generation — the per-rule
-// demand cache with its source records, every cached entry once; the
-// read buckets and the ask memo are derived again after a restore —
+// demand cache, every cached entry once; the read buckets and the ask
+// memo are derived again after a restore —
 // keyed by canonical program+options hashes so a restored process
 // answers byte-identically to a cold one or not at all. The file is
 // format 2; a file of any other format is a cold boot (Reason
