@@ -8,10 +8,7 @@
 //
 // The diff is entry-grained: the unit the engine seeds activations
 // from is a named store entry, so that is the unit the delta
-// evaluation mode consumes. For changed entries the package
-// additionally estimates the size of the changed subtrees (DiffNodes),
-// which feeds the EXPLAIN `delta:` lines but carries no semantic
-// weight.
+// evaluation mode consumes.
 package delta
 
 import (
@@ -80,83 +77,4 @@ func (d *Delta) Empty() bool {
 // — the monotone case the mediator's tier-1 patch path requires.
 func (d *Delta) InsertOnly() bool {
 	return len(d.Deleted) == 0 && len(d.Changed) == 0
-}
-
-// Nodes returns the total node counts of the inserted and deleted
-// subtrees, counting a changed entry's divergent subtrees on both
-// sides (DiffNodes). Display data for EXPLAIN.
-func (d *Delta) Nodes() (inserted, deleted int) {
-	for _, e := range d.Inserted {
-		inserted += e.Tree.Size()
-	}
-	for _, e := range d.Deleted {
-		deleted += e.Tree.Size()
-	}
-	for _, c := range d.Changed {
-		ins, del := DiffNodes(c.Old, c.New)
-		inserted += ins
-		deleted += del
-	}
-	return inserted, deleted
-}
-
-// DiffNodes estimates how many nodes were inserted and deleted between
-// two versions of one tree. Equal subtrees cancel; under a shared
-// label, children are matched by subtree key first (so reordering and
-// duplication cancel too) and the positional remainder is paired off
-// and recursed into. The estimate is conservative in the unmatched
-// case: a subtree with no counterpart counts whole.
-func DiffNodes(old, new *tree.Node) (inserted, deleted int) {
-	switch {
-	case old == nil && new == nil:
-		return 0, 0
-	case old == nil:
-		return new.Size(), 0
-	case new == nil:
-		return 0, old.Size()
-	}
-	if !old.Label.Equal(new.Label) {
-		return new.Size(), old.Size()
-	}
-	// Cancel children that match exactly, regardless of position.
-	unmatchedOld := indexByKey(old.Children)
-	var leftoverNew []*tree.Node
-	for _, c := range new.Children {
-		k := c.Key()
-		if n := unmatchedOld[k]; n > 0 {
-			unmatchedOld[k] = n - 1
-			continue
-		}
-		leftoverNew = append(leftoverNew, c)
-	}
-	var leftoverOld []*tree.Node
-	for _, c := range old.Children {
-		k := c.Key()
-		if unmatchedOld[k] > 0 {
-			unmatchedOld[k]--
-			leftoverOld = append(leftoverOld, c)
-		}
-	}
-	// Pair the remainders in order and recurse; surplus counts whole.
-	i := 0
-	for ; i < len(leftoverOld) && i < len(leftoverNew); i++ {
-		ins, del := DiffNodes(leftoverOld[i], leftoverNew[i])
-		inserted += ins
-		deleted += del
-	}
-	for ; i < len(leftoverNew); i++ {
-		inserted += leftoverNew[i].Size()
-	}
-	for j := len(leftoverNew); j < len(leftoverOld); j++ {
-		deleted += leftoverOld[j].Size()
-	}
-	return inserted, deleted
-}
-
-func indexByKey(nodes []*tree.Node) map[string]int {
-	m := make(map[string]int, len(nodes))
-	for _, n := range nodes {
-		m[n.Key()]++
-	}
-	return m
 }

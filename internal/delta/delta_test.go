@@ -80,51 +80,3 @@ func TestDiffPreservesStoreOrder(t *testing.T) {
 		t.Errorf("Deleted order = %+v, want [m k] (old-store order)", d.Deleted)
 	}
 }
-
-func TestDiffNodes(t *testing.T) {
-	leafA := tree.Sym("name", tree.Str("a"))
-	leafB := tree.Sym("name", tree.Str("b"))
-	leafC := tree.Sym("city", tree.Str("c"))
-
-	// Different root labels: both sides count whole.
-	_, oldT := entry("x", leafA)
-	other := tree.Sym("row", leafA.Clone())
-	ins, del := DiffNodes(oldT, other)
-	if ins != other.Size() || del != oldT.Size() {
-		t.Errorf("label mismatch: ins=%d del=%d, want %d/%d", ins, del, other.Size(), oldT.Size())
-	}
-
-	// Same label, one child replaced: only the divergent subtrees count.
-	_, t1 := entry("x", leafA, leafC)
-	_, t2 := entry("x", leafB, leafC)
-	ins, del = DiffNodes(t1, t2)
-	if ins >= t2.Size() || del >= t1.Size() || ins == 0 || del == 0 {
-		t.Errorf("partial change: ins=%d del=%d, want partial counts", ins, del)
-	}
-
-	// Reordered children cancel completely.
-	_, r1 := entry("x", leafA, leafC)
-	_, r2 := entry("x", leafC.Clone(), leafA.Clone())
-	if ins, del = DiffNodes(r1, r2); ins != 0 || del != 0 {
-		t.Errorf("reorder: ins=%d del=%d, want 0/0", ins, del)
-	}
-
-	// Nil sides count whole.
-	if ins, del = DiffNodes(nil, leafA); ins != leafA.Size() || del != 0 {
-		t.Errorf("nil old: %d/%d", ins, del)
-	}
-	if ins, del = DiffNodes(leafA, nil); ins != 0 || del != leafA.Size() {
-		t.Errorf("nil new: %d/%d", ins, del)
-	}
-}
-
-func TestNodes(t *testing.T) {
-	d := Diff(storeOf("a"), storeOf("b"))
-	ins, del := d.Nodes()
-	if ins == 0 || del == 0 {
-		t.Errorf("Nodes() = %d/%d, want both positive (one insert, one delete)", ins, del)
-	}
-	if d := Diff(storeOf("a"), storeOf("a")); func() bool { i, dd := d.Nodes(); return i != 0 || dd != 0 }() {
-		t.Error("identical stores must report zero changed nodes")
-	}
-}

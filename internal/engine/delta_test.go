@@ -146,7 +146,7 @@ func TestRunSliceWithDeltaSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(full.RuleOutputs["Alpha"]); n != 2 {
+	if n := full.Outputs.Len(); n != 2 {
 		t.Fatalf("full slice run: %d Alpha outputs, want 2", n)
 	}
 
@@ -157,18 +157,12 @@ func TestRunSliceWithDeltaSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := res.RuleOutputs["Alpha"]
+	got := res.Outputs.Entries()
 	if len(got) != 1 {
 		t.Fatalf("delta run: %d Alpha outputs, want only the seeded entry's", len(got))
 	}
 	// The delta output is byte-identical to the corresponding full one.
-	found := false
-	for _, fe := range full.RuleOutputs["Alpha"] {
-		if fe.Name.Key() == got[0].Name.Key() && fe.Tree.Equal(got[0].Tree) {
-			found = true
-		}
-	}
-	if !found {
+	if fe, ok := full.Outputs.Get(got[0].Name); !ok || !fe.Equal(got[0].Tree) {
 		t.Errorf("delta output %s not among the full run's outputs", got[0].Name)
 	}
 
@@ -177,7 +171,7 @@ func TestRunSliceWithDeltaSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.RuleOutputs["Alpha"]) != 0 {
-		t.Errorf("empty seeds produced %d outputs, want 0", len(res.RuleOutputs["Alpha"]))
+	if n := res.Outputs.Len(); n != 0 {
+		t.Errorf("empty seeds produced %d outputs, want 0", n)
 	}
 }

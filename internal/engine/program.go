@@ -99,10 +99,6 @@ type Result struct {
 	// matched — the condition the §3.5 exception rule reports.
 	Unconverted []tree.Value
 	Stats       Stats
-
-	// Slice-run extra (set by RunSlice, nil on full runs): per-rule
-	// committed identities.
-	ruleOIDs map[string][]tree.Name
 }
 
 // ErrUnconverted is returned when the program contains an exception
@@ -189,7 +185,6 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 
 	r := &run{
 		prog:      prog,
-		sl:        sl,
 		reg:       reg,
 		opts:      opts,
 		ctx:       ctx,
@@ -312,7 +307,6 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 			Outputs:     r.outputs.Len(),
 			Rounds:      rounds,
 		},
-		ruleOIDs: r.ruleOIDs,
 	}
 	if r.sink != nil {
 		r.sink.Emit(trace.Event{Kind: trace.KindRunEnd, Phase: trace.PhaseRun, Duration: time.Since(runStart)})
@@ -391,12 +385,6 @@ type run struct {
 
 	ruleState map[string]*ruleState
 	warnings  []string
-
-	// Slice bookkeeping (nil sl on full runs; the hot path is
-	// untouched then). ruleOIDs records, per construct rule, the
-	// Skolem identities it committed, in store insertion order.
-	sl       *Slice
-	ruleOIDs map[string][]tree.Name
 }
 
 func (r *run) warn(msg string) { r.warnings = append(r.warnings, msg) }
@@ -889,12 +877,6 @@ func (r *run) constructRule(rule *yatl.Rule) error {
 			return err
 		}
 		out := outs[i]
-		if r.sl != nil {
-			if r.ruleOIDs == nil {
-				r.ruleOIDs = map[string][]tree.Name{}
-			}
-			r.ruleOIDs[rule.Name] = append(r.ruleOIDs[rule.Name], g.oid)
-		}
 		if prev, ok := r.outputs.Get(g.oid); ok {
 			if !prev.Equal(out) {
 				ndErr := &NonDetError{Rule: rule.Name, OID: g.oid,

@@ -70,9 +70,6 @@ type Slice struct {
 	// Support are the rules run for activation discovery only, in
 	// declaration order.
 	Support []*yatl.Rule
-	// Full reports that the slice is the whole program: every
-	// non-exception rule is in the construct set.
-	Full bool
 
 	construct map[string]bool
 	include   map[string]bool
@@ -231,11 +228,6 @@ func ComputeSlice(prog *yatl.Program, functors ...string) *Slice {
 			sl.Support = append(sl.Support, r)
 		}
 	}
-	total := 0
-	for _, rules := range groups {
-		total += len(rules)
-	}
-	sl.Full = len(sl.Construct) == total
 	return sl
 }
 
@@ -370,30 +362,16 @@ func ruleCanMatchLeaf(r *yatl.Rule) bool {
 	return false
 }
 
-// SliceResult is the outcome of a partial (slice-restricted) run.
-type SliceResult struct {
-	// Outputs holds the constructed trees of the construct rules,
-	// fully dereferenced within the slice. References to functors
-	// outside the closure stay symbolic, exactly as in a full run's
-	// store.
-	Outputs *tree.Store
-	// RuleOutputs lists, per construct rule, its committed entries in
-	// store insertion order. Rules of one group that mint the same
-	// identity each list the shared entry.
-	RuleOutputs map[string][]tree.StoreEntry
-	// Warnings collects the run's non-fatal diagnostics (dangling
-	// references excepted: a slice store is partial by design).
-	Warnings []string
-	Stats    Stats
-}
-
 // RunSlice executes only the given slice of the program over the
 // input store. The outputs of the construct rules are byte-identical
 // to the same rules' outputs in a full run at every Parallelism
-// setting. A nil slice runs the full-program slice. The §3.4 safety
+// setting, fully dereferenced within the slice; references to functors
+// outside the closure stay symbolic, exactly as in a full run's store,
+// and are not warned about as dangling: a slice store is partial by
+// design. A nil slice runs the full-program slice. The §3.4 safety
 // check applies to the whole program, so a slice run fails exactly
 // when the full run would fail the check.
-func RunSlice(ctx context.Context, prog *yatl.Program, inputs *tree.Store, sl *Slice, opts ...Option) (*SliceResult, error) {
+func RunSlice(ctx context.Context, prog *yatl.Program, inputs *tree.Store, sl *Slice, opts ...Option) (*Result, error) {
 	if sl == nil {
 		sl = ComputeSlice(prog)
 	}
@@ -406,28 +384,7 @@ func RunSlice(ctx context.Context, prog *yatl.Program, inputs *tree.Store, sl *S
 				Count: sl.Rules(), Detail: sl.String(), Duration: time.Since(start)})
 		}()
 	}
-	res, err := execute(prog, inputs, o, sl)
-	if err != nil {
-		return nil, err
-	}
-	out := &SliceResult{
-		Outputs:     res.Outputs,
-		RuleOutputs: map[string][]tree.StoreEntry{},
-		Warnings:    res.Warnings,
-		Stats:       res.Stats,
-	}
-	// Re-resolve the committed identities after dereferencing so the
-	// per-rule entries alias the final trees.
-	for rule, oids := range res.ruleOIDs {
-		entries := make([]tree.StoreEntry, 0, len(oids))
-		for _, oid := range oids {
-			if n, ok := res.Outputs.Get(oid); ok {
-				entries = append(entries, tree.StoreEntry{Name: oid, Tree: n})
-			}
-		}
-		out.RuleOutputs[rule] = entries
-	}
-	return out, nil
+	return execute(prog, inputs, o, sl)
 }
 
 func sortedUnique(in []string) []string {

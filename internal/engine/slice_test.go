@@ -30,9 +30,6 @@ func TestComputeSliceTypedProgram(t *testing.T) {
 	if len(sup.Support) != 0 {
 		t.Errorf("Psup support = %s, want none", ruleNames(sup.Support))
 	}
-	if sup.Full {
-		t.Error("one-rule slice reported Full")
-	}
 	car := ComputeSlice(prog, "Pcar")
 	if got := ruleNames(car.Construct); got != "Car" {
 		t.Errorf("Pcar construct = %s, want Car", got)
@@ -65,8 +62,8 @@ func TestComputeSliceUntypedSupport(t *testing.T) {
 func TestComputeSliceWebProgram(t *testing.T) {
 	prog := yatl.MustParse(yatl.WebProgramSource)
 	page := ComputeSlice(prog, "HtmlPage")
-	if !page.Full || len(page.Support) != 0 {
-		t.Errorf("HtmlPage slice = %s, want full", page)
+	if len(page.Construct) != len(prog.Rules) || len(page.Support) != 0 {
+		t.Errorf("HtmlPage slice = %s, want every rule constructed", page)
 	}
 	elem := ComputeSlice(prog, "HtmlElement")
 	if elem.Rules() != len(prog.Rules) {
@@ -75,14 +72,14 @@ func TestComputeSliceWebProgram(t *testing.T) {
 	if got := ruleNames(elem.Support); got != "Web1" {
 		t.Errorf("HtmlElement support = %s, want Web1", got)
 	}
-	if elem.Full {
-		t.Error("HtmlElement slice constructs 5 of 6 rules, must not be Full")
+	if len(elem.Construct) != len(prog.Rules)-1 {
+		t.Errorf("HtmlElement slice constructs %d rules, want 5 of 6", len(elem.Construct))
 	}
 }
 
 func TestComputeSliceEdgeCases(t *testing.T) {
 	prog := yatl.MustParse(yatl.SGMLToODMGSource)
-	if sl := ComputeSlice(prog); !sl.Full || sl.Rules() != 2 {
+	if sl := ComputeSlice(prog); len(sl.Construct) != 2 || sl.Rules() != 2 {
 		t.Errorf("no-functor slice = %s, want full", sl)
 	}
 	if sl := ComputeSlice(prog, "Nope"); sl.Rules() != 0 {
@@ -161,34 +158,6 @@ func TestRunSliceMatchesFullRun(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// RunSlice's per-rule bookkeeping: every committed entry is attributed
-// to a construct rule.
-func TestRunSlicePerRuleOutputs(t *testing.T) {
-	prog := yatl.MustParse(yatl.SGMLToODMGSource)
-	inputs := workload.BrochureStore(4, 2, 3, 5)
-	sl := ComputeSlice(prog, "Psup")
-	res, err := RunSlice(nil, prog, inputs, sl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := res.RuleOutputs["Sup"]
-	if len(entries) == 0 {
-		t.Fatal("no entries attributed to Sup")
-	}
-	seen := map[string]bool{}
-	for _, e := range entries {
-		seen[e.Name.Key()] = true
-		if got, ok := res.Outputs.Get(e.Name); !ok || got != e.Tree {
-			t.Errorf("entry %s does not alias the store tree", e.Name)
-		}
-	}
-	for _, e := range res.Outputs.Entries() {
-		if !seen[e.Name.Key()] {
-			t.Errorf("store entry %s not attributed to any rule", e.Name)
-		}
 	}
 }
 

@@ -3,13 +3,15 @@
 //
 // A slice run caches whole functor groups, and only a group's own rules
 // mint its functor, so the cache is a map from head functor to an
-// immutable *group*: per-rule committed entries are the truth, one
-// name-deduplicated read bucket and the leaf-path index over it
-// (index.go) are derived from them. What a group depends on is not
-// recorded: it is the group's slice, which the program decides
-// (dependents). A mutator never edits a group; it builds a replacement
-// and swaps the map slot, so a bucket handed to an ask stays a
-// consistent view for as long as the ask holds it.
+// immutable *group*: the entries of that functor a run's output store
+// holds — the functor's extent, the unit asks read, refreshes rewrite,
+// reloads carry over and snapshots persist — and the leaf-path index
+// over them (index.go). Which rule of the group minted an entry is not
+// recorded, and neither is what the group depends on: that is the
+// group's slice, which the program decides (dependents). A mutator never
+// edits a group; it builds a replacement and swaps the map slot, so a
+// bucket handed to an ask stays a consistent view for as long as the ask
+// holds it.
 //
 // Every write goes through commit, evict, carryOver or memoize, and the
 // first three are the only places the version is bumped and the ask
@@ -23,6 +25,7 @@ import (
 	"yat/internal/engine"
 	"yat/internal/pattern"
 	"yat/internal/tree"
+	"yat/internal/yatl"
 )
 
 // demandCache is one generation's cache of materialized functor groups
@@ -46,33 +49,16 @@ type demandCache struct {
 
 // group is one cached functor group. Immutable once published.
 type group struct {
-	// outputs holds, per construct rule of the functor, the entries the
-	// rule committed. Rules of one group that mint the same identity
-	// each list the shared entry.
-	outputs map[string][]tree.StoreEntry
-	// bucket is what asks read: the rules' entries in declaration order
-	// of the rules, each identity once.
+	// bucket is the group: the entries its functor mints, each identity
+	// once, in the order the run's output store holds them.
 	bucket []tree.StoreEntry
 	// index finds the bucket entries that hold a constant root-to-leaf
 	// label path (index.go), so a point lookup matches its candidates,
-	// not the bucket. Derived from bucket, like bucket it is not persisted.
+	// not the bucket. Derived from bucket, it is not persisted.
 	index pathIndex
-}
-
-// sliceRun is what the cache keeps of one engine slice run (or of a
-// snapshot payload, which records the same): the head functors of the
-// groups computed (repeats allowed) and each construct rule's entries.
-type sliceRun struct {
-	functors []string
-	outputs  map[string][]tree.StoreEntry
-}
-
-func runOf(sl *engine.Slice, res *engine.SliceResult) sliceRun {
-	run := sliceRun{outputs: res.RuleOutputs}
-	for _, r := range sl.Construct {
-		run.functors = append(run.functors, r.Head.Functor)
-	}
-	return run
+	// rules is the number of construct rules the group stands for (what
+	// Stats reports as cached and patched rules).
+	rules int
 }
 
 // askKey identifies one memoizable ask: the parsed pattern (by
@@ -117,10 +103,7 @@ func (c *demandCache) candidates(pt *pattern.PTree, functors ...string) []tree.S
 	}
 	switch len(functors) {
 	case 0:
-		for f := range c.groups {
-			functors = append(functors, f)
-		}
-		sort.Strings(functors)
+		functors = c.cached()
 	case 1:
 		if g := c.groups[functors[0]]; g != nil {
 			return g.candidates(paths)
@@ -160,25 +143,24 @@ func (g *group) candidates(paths []uint32) []tree.StoreEntry {
 	return out
 }
 
-// cachedRules counts the cached construct rules. Stats asks on every
-// federated ask, so it allocates nothing.
+// cached lists the cached functors, sorted.
+func (c *demandCache) cached() []string {
+	out := make([]string, 0, len(c.groups))
+	for f := range c.groups {
+		out = append(out, f)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// cachedRules counts the construct rules of the cached groups. Stats
+// asks on every federated ask, so it allocates nothing.
 func (c *demandCache) cachedRules() int {
 	n := 0
 	for _, g := range c.groups {
-		n += len(g.outputs)
+		n += g.rules
 	}
 	return n
-}
-
-// rules returns every cached construct rule's committed entries.
-func (c *demandCache) rules() map[string][]tree.StoreEntry {
-	out := map[string][]tree.StoreEntry{}
-	for _, g := range c.groups {
-		for rule, entries := range g.outputs {
-			out[rule] = entries
-		}
-	}
-	return out
 }
 
 // dependents lists, sorted, the cached functors whose group depends on
@@ -217,95 +199,82 @@ func (c *demandCache) mutated() {
 }
 
 // commit publishes a run's result: one rebuilt group per functor the
-// run computed. In replace mode (the cold fill, the tier-2 re-run, the
-// snapshot load) the run's entries supersede the old ones. In append
-// mode (the tier-1 insert patch) the run derived only a delta's
-// consequences: they are appended — unless a fresh entry's identity is
-// already cached, when nothing is committed and ok is false (the new
-// bindings belong in an existing entry, which only a re-run can
-// rebuild). changed counts the rules whose entry list differs from what
-// was cached.
-func (c *demandCache) commit(run sliceRun, appendTo bool) (changed int, ok bool) {
+// run computed. functors are the head functors of the slice's construct
+// rules, one per rule; outputs is the run's output store, of which a
+// group takes the entries its functor mints. In replace mode (the cold
+// fill, the tier-2 re-run, the snapshot load) they supersede the old
+// ones. In append mode (the tier-1 insert patch) the run derived only a
+// delta's consequences: they are appended — unless a fresh entry's
+// identity is already cached, when nothing is committed and ok is false
+// (the new bindings belong in an existing entry, which only a re-run
+// can rebuild). changed counts the construct rules of the groups whose
+// bucket differs from what was cached.
+func (c *demandCache) commit(functors []string, outputs *tree.Store, appendTo bool) (changed int, ok bool) {
+	minted := byFunctor(outputs.Entries())
 	fresh := map[string]*group{}
-	for _, f := range run.functors {
-		if fresh[f] != nil {
+	for _, f := range functors {
+		if fresh[f] == nil {
+			fresh[f] = &group{bucket: minted[f]}
+		}
+		fresh[f].rules++
+	}
+	for f, g := range fresh {
+		old := c.bucket(f)
+		if !appendTo {
+			if !entriesEqual(old, g.bucket) {
+				changed += g.rules
+			}
 			continue
 		}
-		old := c.groups[f]
-		if old == nil {
-			old = &group{}
+		if len(g.bucket) == 0 {
+			g.bucket = old
+			continue
 		}
-		var n int
-		fresh[f], n = c.build(f, run, old, appendTo)
-		changed += n
-	}
-	if appendTo {
-		held := map[string]bool{}
-		for f := range fresh {
-			for _, e := range c.bucket(f) {
-				held[e.Name.Key()] = true
+		held := make(map[string]bool, len(old))
+		for _, e := range old {
+			held[e.Name.Key()] = true
+		}
+		for _, e := range g.bucket {
+			if held[e.Name.Key()] {
+				return 0, false
 			}
 		}
-		for _, entries := range run.outputs {
-			for _, e := range entries {
-				if held[e.Name.Key()] {
-					return 0, false
-				}
-			}
-		}
+		g.bucket = append(old[:len(old):len(old)], g.bucket...)
+		changed += g.rules
 	}
 	c.mutated()
 	for f, g := range fresh {
+		g.index = buildPathIndex(g.bucket)
 		c.groups[f] = g
 	}
 	return changed, true
 }
 
-// build assembles functor f's group from a run, replacing old or, with
-// appendTo, extending it, and counts the rules whose entry list differs
-// from old's.
-func (c *demandCache) build(f string, run sliceRun, old *group, appendTo bool) (*group, int) {
-	g := &group{outputs: map[string][]tree.StoreEntry{}}
-	changed := 0
-	var lists [][]tree.StoreEntry
-	for _, r := range c.slice(f).Construct {
-		if r.Head.Functor != f {
-			// A dereferenced group: committed under its own functor.
-			continue
-		}
-		entries, kept := run.outputs[r.Name], old.outputs[r.Name]
-		if appendTo {
-			if len(entries) > 0 {
-				changed++
-			}
-			entries = append(kept[:len(kept):len(kept)], entries...)
-		} else if !entriesEqual(kept, entries) {
-			changed++
-		}
-		g.outputs[r.Name] = entries
-		lists = append(lists, entries)
+// headFunctors lists the head functor of each rule, in order: what
+// commit takes of a slice's construct rules.
+func headFunctors(rules []*yatl.Rule) []string {
+	out := make([]string, len(rules))
+	for i, r := range rules {
+		out[i] = r.Head.Functor
 	}
-	g.bucket = dedup(lists)
-	g.index = buildPathIndex(g.bucket)
-	return g, changed
+	return out
 }
 
-// dedup concatenates the per-rule entry lists, keeping each identity's
-// first occurrence. A rule lists an identity once, so a single list is
-// already the bucket and is shared, not copied.
-func dedup(lists [][]tree.StoreEntry) []tree.StoreEntry {
-	if len(lists) == 1 {
-		return lists[0]
+// byFunctor splits a run's entries by the functor that mints them,
+// keeping their order, into exactly sized lists: they are retained for
+// as long as the groups are.
+func byFunctor(entries []tree.StoreEntry) map[string][]tree.StoreEntry {
+	sizes := map[string]int{}
+	for _, e := range entries {
+		sizes[e.Name.Functor]++
 	}
-	var out []tree.StoreEntry
-	seen := map[string]bool{}
-	for _, entries := range lists {
-		for _, e := range entries {
-			if key := e.Name.Key(); !seen[key] {
-				seen[key] = true
-				out = append(out, e)
-			}
+	out := make(map[string][]tree.StoreEntry, len(sizes))
+	for _, e := range entries {
+		f := e.Name.Functor
+		if out[f] == nil {
+			out[f] = make([]tree.StoreEntry, 0, sizes[f])
 		}
+		out[f] = append(out[f], e)
 	}
 	return out
 }

@@ -14,45 +14,30 @@ import (
 )
 
 // checkInvariants verifies what every reader of the demand cache
-// relies on: a group holds exactly its functor's construct rules, no
-// entry carries another functor's name, the read bucket is the
-// name-deduplicated concatenation of the per-rule entries in rule
-// order (sharing their trees).
+// relies on: a group stands for exactly its functor's construct rules,
+// no entry carries another functor's name, and the bucket lists each
+// identity once.
 func checkInvariants(t testing.TB, c *demandCache) {
 	t.Helper()
 	for f, g := range c.groups {
-		var want []tree.StoreEntry
-		seen := map[string]bool{}
 		rules := 0
 		for _, r := range c.slice(f).Construct {
-			if r.Head.Functor != f {
-				continue
-			}
-			rules++
-			entries, ok := g.outputs[r.Name]
-			if !ok {
-				t.Errorf("group %s: no entry list for its rule %s", f, r.Name)
-			}
-			for _, e := range entries {
-				if e.Name.Functor != f {
-					t.Errorf("group %s: rule %s holds %s, a name outside the group", f, r.Name, e.Name)
-				}
-				if key := e.Name.Key(); !seen[key] {
-					seen[key] = true
-					want = append(want, e)
-				}
+			if r.Head.Functor == f {
+				rules++
 			}
 		}
-		if rules != len(g.outputs) {
-			t.Errorf("group %s: %d entry lists for %d construct rules", f, len(g.outputs), rules)
+		if rules != g.rules {
+			t.Errorf("group %s: stands for %d rules, its slice constructs it by %d", f, g.rules, rules)
 		}
-		if len(want) != len(g.bucket) {
-			t.Errorf("group %s: bucket has %d entries, its rules list %d distinct names", f, len(g.bucket), len(want))
-			continue
-		}
+		seen := map[string]bool{}
 		for i, e := range g.bucket {
-			if e.Name.Key() != want[i].Name.Key() || e.Tree != want[i].Tree {
-				t.Errorf("group %s: bucket[%d] = %s, rule order gives %s", f, i, e.Name, want[i].Name)
+			if e.Name.Functor != f {
+				t.Errorf("group %s: bucket[%d] = %s, a name outside the group", f, i, e.Name)
+			}
+			if key := e.Name.Key(); seen[key] {
+				t.Errorf("group %s: bucket[%d] = %s, listed twice", f, i, e.Name)
+			} else {
+				seen[key] = true
 			}
 		}
 	}

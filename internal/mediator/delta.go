@@ -10,8 +10,8 @@
 //     affected cached groups is re-run in delta-evaluation mode
 //     (engine.WithDeltaSeeds): the activation fixpoint is seeded from
 //     the inserted entries alone, so the run derives exactly the
-//     delta's consequences. Its outputs are appended to the per-rule
-//     cache. Soundness (see internal/engine/delta.go for the full
+//     delta's consequences. Its outputs are appended to the cached
+//     groups. Soundness (see internal/engine/delta.go for the full
 //     argument): every binding chain of the delta run descends from
 //     an inserted entry; with single-pattern rules that read only the
 //     entry they match, no construct-head Skolem derefs and no
@@ -235,7 +235,7 @@ func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (
 		return out, fmt.Errorf("mediator: delta refresh of %s: %w", name, runErr)
 	}
 	g.lastErr = nil
-	out.patched, _ = g.cache.commit(runOf(sl, res), false)
+	out.patched, _ = g.cache.commit(headFunctors(sl.Construct), res.Outputs, false)
 	g.ran(res.Stats)
 	return out, nil
 }
@@ -313,7 +313,7 @@ func (m *Mediator) insertPatch(ctx context.Context, st *progState, g *demandGen,
 	if err != nil {
 		return 0, false, err
 	}
-	patched, ok = g.cache.commit(runOf(sl, res), true)
+	patched, ok = g.cache.commit(headFunctors(sl.Construct), res.Outputs, true)
 	if ok {
 		g.ran(res.Stats)
 	}

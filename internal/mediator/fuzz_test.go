@@ -34,7 +34,7 @@ func FuzzRestore(f *testing.F) {
 	// Seeds: the donor's own payload and the forgeries of the unit tests.
 	seed := func(edit func(*snapshot.Generation)) {
 		g := *snap.Payload
-		g.Rules = append([]snapshot.RuleCache(nil), g.Rules...)
+		g.Groups = append([]snapshot.Group(nil), g.Groups...)
 		edit(&g)
 		data, err := json.Marshal(&g)
 		if err != nil {
@@ -42,28 +42,34 @@ func FuzzRestore(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	item := snap.Payload.Groups[0]
 	seed(func(*snapshot.Generation) {})
-	seed(func(g *snapshot.Generation) { g.Rules = g.Rules[1:] }) // FromBeta without its sibling
-	seed(func(g *snapshot.Generation) {
-		g.Rules = append(g.Rules, snapshot.RuleCache{Rule: "NoSuchRule", Cached: true})
-	})
+	seed(func(g *snapshot.Generation) { g.Groups[0].Entries = item.Entries[1:] }) // one rule's entry gone: served as it stands
+	seed(func(g *snapshot.Generation) { g.Groups = append(g.Groups, item) })      // the group twice
 	seed(func(g *snapshot.Generation) { g.Degraded = []string{"src1"} })
 	seed(func(g *snapshot.Generation) {
-		g.Rules[0].Entries, g.Rules[1].Entries = g.Rules[1].Entries, g.Rules[0].Entries
+		g.Groups[0].Entries = []snapshot.Entry{item.Entries[1], item.Entries[0]}
 	})
 	seed(func(g *snapshot.Generation) {
-		g.Rules[0].Entries = []snapshot.Entry{{Name: g.Rules[0].Entries[0].Name, Tree: "item <"}}
+		g.Groups[0].Entries = []snapshot.Entry{{Name: item.Entries[0].Name, Tree: "item <"}}
 	})
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
-	f.Add([]byte(`{"rules":[{"rule":"FromAlpha","cached":true,"entries":[{"name":"Pitem(","tree":""}]}]}`))
-	// The layout format 2 had while rules carried source records, which
-	// this build reads and no longer writes — a donor's Snapshot cannot
-	// seed it.
-	f.Add([]byte(`{"rules":[{"rule":"Dead","cached":false,"sources":["a1"]},` +
-		`{"rule":"FromAlpha","cached":true,"entries":[{"name":"Pitem(\"ant\")","tree":"item < name < \"ant\" > >"}],"sources":["a1"]},` +
-		`{"rule":"FromBeta","cached":true,"entries":[{"name":"Pitem(\"bee\")","tree":"item < name < \"bee\" > >"}],"sources":["b1"]}],` +
+	f.Add([]byte(`{"groups":[{"functor":"Pitem","entries":[{"name":"Pitem(","tree":""}]}]}`))
+	// A format-2 payload: per-rule records and no "groups" member, so
+	// nothing in it is read.
+	f.Add([]byte(`{"rules":[{"rule":"FromAlpha","cached":true,"entries":[{"name":"Pitem(\"ant\")","tree":"item < name < \"ant\" > >"}]},` +
+		`{"rule":"FromBeta","cached":true,"entries":[{"name":"Pitem(\"bee\")","tree":"item < name < \"bee\" > >"}]}],` +
 		`"stats":{"activations":2,"bindings":2,"outputs":2,"rounds":1},"runs":1}`))
+	// What the program could not have produced: an identity another
+	// functor mints, a functor no rule mints, an identity listed twice.
+	seed(func(g *snapshot.Generation) {
+		g.Groups[0].Entries = []snapshot.Entry{item.Entries[0], {Name: `Pother("ant")`, Tree: item.Entries[0].Tree}}
+	})
+	seed(func(g *snapshot.Generation) { g.Groups = append(g.Groups, snapshot.Group{Functor: "Pother"}) })
+	seed(func(g *snapshot.Generation) {
+		g.Groups[0].Entries = []snapshot.Entry{item.Entries[0], item.Entries[1], item.Entries[0]}
+	})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		forged := *snap

@@ -15,8 +15,9 @@
 // With WithDemandDriven the mediator goes further and pushes the
 // query into the engine: an Ask restricted to some functors computes
 // the dependency-closed rule slice for those functors
-// (engine.ComputeSlice), runs only that slice, and memoizes the
-// materialized outputs per rule so overlapping slices reuse work.
+// (engine.ComputeSlice), runs only that slice, and caches the
+// materialized outputs per functor group so overlapping slices reuse
+// work.
 // Every slice run of one cache generation reads the one input snapshot
 // the generation pinned (inputs.go); RefreshSource diffs against it and
 // recomputes only the cached functor groups whose rules the changed
@@ -51,7 +52,7 @@ import (
 // WithDemandDriven switches the mediator to demand-driven evaluation:
 // instead of materializing the whole target on the first query, each
 // Ask runs only the rule slice its functors need and caches the
-// results per rule. It is an engine.Option so it can travel in the
+// results per functor group. It is an engine.Option so it can travel in the
 // same option list as engine configuration; passed to engine.Run
 // directly it is a no-op.
 func WithDemandDriven(on bool) engine.Option { return demandOption(on) }
@@ -683,7 +684,7 @@ func (m *Mediator) ensureDemand(ctx context.Context, st *progState, pt *pattern.
 		}
 		g.lastErr = nil
 		g.ran(res.Stats)
-		g.cache.commit(runOf(sub, res), false)
+		g.cache.commit(headFunctors(sub.Construct), res.Outputs, false)
 	}
 	return g.cache.candidates(pt, functors...), len(missing) == 0, g.cache.version(), nil
 }
@@ -772,20 +773,22 @@ type Stats struct {
 	// AskTime is the cumulative wall time spent inside Ask calls;
 	// divide by Asks for the mean per-query latency.
 	AskTime source.Millis `json:"ask_time_ms,omitempty"`
-	// CachedRules is the number of construct rules currently cached.
+	// CachedRules is the number of construct rules of the functor groups
+	// currently cached.
 	CachedRules int `json:"cached_rules"`
 	// SliceRuns counts engine slice executions performed; an Ask that
 	// increments CacheHits performed none.
 	SliceRuns int64 `json:"slice_runs"`
 	// DeltaRuns counts RefreshSource calls absorbed incrementally: the
 	// new fetch was diffed against the generation's pinned one and the
-	// per-rule cache was patched in place (or the delta was empty, or
+	// demand cache was patched in place (or the delta was empty, or
 	// touched no cached rule). DeltaFallbacks counts refreshes where
 	// patching would have been unsound — deletions, multi-pattern
 	// joins, Skolem derefs, exception rules, output collisions,
 	// degraded sources — and the mediator re-ran the affected slice or
-	// invalidated wholesale instead. PatchedRules counts the cached
-	// rules whose entries were rewritten across both paths.
+	// invalidated wholesale instead. PatchedRules counts the construct
+	// rules of the cached groups whose entries were rewritten across
+	// both paths.
 	DeltaRuns      int64 `json:"delta_runs"`
 	DeltaFallbacks int64 `json:"delta_fallbacks"`
 	PatchedRules   int64 `json:"patched_rules"`
@@ -924,7 +927,7 @@ func (m *Mediator) Invalidate() {
 // atomic program state: queries already running finish against the
 // old program's consistent cache, queries arriving afterwards observe
 // the new program — never a mix of the two. On a demand-driven
-// mediator the per-rule cache survives where safe: a cached functor
+// mediator the demand cache survives where safe: a cached functor
 // group stays warm exactly when its rule slice — construct and
 // support rules alike — is present in the new program with identical
 // rule names and identical rule text, so nothing that could have
@@ -959,7 +962,7 @@ func (m *Mediator) Reload(prog *yatl.Program) {
 // demand-driven mediator diffs the new fetch against the snapshot this
 // generation's cache was computed from and propagates the delta
 // through only the affected rule slices (delta.go), patching the
-// per-rule cache in place where that is provably byte-identical to a
+// demand cache in place where that is provably byte-identical to a
 // re-run and falling back to a slice re-run — or, for a previously
 // degraded source, wholesale invalidation — where it is not. When the
 // fetch leaves the named source down it returns a *FetchError naming it

@@ -1,6 +1,7 @@
 package mediator
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 
 	"yat/internal/delta"
 	"yat/internal/engine"
+	"yat/internal/snapshot"
 	"yat/internal/source"
 	"yat/internal/trace"
 	"yat/internal/tree"
@@ -267,6 +269,241 @@ func TestRefreshMatchesRerun(t *testing.T) {
 	} {
 		if made[trap] < atLeast {
 			t.Errorf("%q happened %d times in %d seeds, want ≥ %d", trap, made[trap], seeds, atLeast)
+		}
+	}
+	t.Logf("%d seeds: %v", seeds, made)
+}
+
+// restoreProgram is refreshProgram plus a group whose two rules mint the
+// same identity: a note and a junk entry holding one value both define
+// Pboth of it, with one tree. The group holds that identity once.
+const restoreProgram = refreshProgram + `
+rule BothNote {
+  head Pboth(V) = both -> V
+  from X = note -> V
+}
+rule BothJunk {
+  head Pboth(V) = both -> V
+  from X = junk -> V
+}
+`
+
+var (
+	restoreFunctors = append([]string{"Pboth"}, refreshFunctors...)
+	// restorePatterns are what a generated ask matches with: everything,
+	// one group's shape with variables, and point lookups the restored
+	// groups' rebuilt indexes serve.
+	restorePatterns = []string{`X`, `item < -> kind -> K, -> name -> N >`, `both -> V`, `leaf -> 1`,
+		`pair < -> left -> 0, -> right -> B >`}
+)
+
+const restoreSteps = 5
+
+// The differential test of Snapshot and Restore (ROADMAP item 2, slice
+// B, "snapshot → restore ≡ donor"): after a seeded mix of cold asks and
+// refreshes, the donor's snapshot — through Encode and Decode — warms a
+// fresh mediator that answers every generated ask exactly as the donor,
+// without running a slice, and snapshots again to the donor's bytes. A
+// group is its entries: whichever tier built a bucket, and however many
+// rules minted an identity, the file holds it once and the restored
+// group is the donor's.
+//
+// YAT_RESTORE_SEED=n runs one seed; YAT_SOAK=1 runs 2000.
+func TestRestoreMatchesDonor(t *testing.T) {
+	prog := yatl.MustParse(restoreProgram)
+	first, seeds := int64(1), int64(200)
+	if os.Getenv("YAT_SOAK") != "" {
+		seeds = 2000
+	}
+	if s := os.Getenv("YAT_RESTORE_SEED"); s != "" {
+		n, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, seeds = n, 1
+	}
+	ctx := context.Background()
+	made := map[string]int{}
+	for seed := first; seed < first+seeds; seed++ {
+		g := refreshGen{rand.New(rand.NewSource(seed))}
+		pinned := g.store()
+		fault := source.NewFault("src", pinned)
+		donor := New(prog, nil, WithDemandDriven(true), WithSources(fault))
+		var history []string
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d: %s\n%s\nstore:\n%s\nrerun with YAT_RESTORE_SEED=%d go test ./internal/mediator -run %s",
+				seed, fmt.Sprintf(format, args...), strings.Join(history, "\n"), tree.FormatStore(pinned), seed, t.Name())
+		}
+
+		cached := map[string]bool{}
+		warm := func() {
+			f := restoreFunctors[g.Intn(len(restoreFunctors))]
+			history = append(history, "ask of "+f)
+			if _, err := donor.Ask(`X`, f); err != nil {
+				fail("donor ask: %v", err)
+			}
+			cached[f] = true
+		}
+		warm()
+		for step := 0; step < restoreSteps; step++ {
+			if g.Intn(2) == 0 {
+				warm()
+				continue
+			}
+			pinned = g.mutate(pinned, g.Intn(2) == 0)
+			fault.SetStore(pinned)
+			history = append(history, "refresh")
+			if err := donor.RefreshSource(ctx, "src"); err != nil {
+				fail("refresh: %v", err)
+			}
+		}
+		if st := donor.Stats(); st.DeltaRuns+st.DeltaFallbacks > 0 {
+			made["a refresh rewrote the cache before the snapshot"]++
+		}
+
+		// The generated asks: everything of each cached group, and a few
+		// patterns over random sets of them. Only cached functors are
+		// named, so no ask has a slice to run on either side.
+		type genAsk struct {
+			pattern  string
+			functors []string
+		}
+		var asks []genAsk
+		var held []string
+		for _, f := range restoreFunctors {
+			if cached[f] {
+				held = append(held, f)
+				asks = append(asks, genAsk{`X`, []string{f}})
+			}
+		}
+		for i := 0; i < 3; i++ {
+			a := genAsk{pattern: restorePatterns[g.Intn(len(restorePatterns))]}
+			for _, f := range held {
+				if g.Intn(2) == 0 {
+					a.functors = append(a.functors, f)
+				}
+			}
+			if len(a.functors) > 0 {
+				asks = append(asks, a)
+			}
+		}
+		answers := func(m *Mediator) []string {
+			t.Helper()
+			var out []string
+			for _, a := range asks {
+				as, err := m.Ask(a.pattern, a.functors...)
+				if err != nil {
+					fail("ask %s of %v: %v", a.pattern, a.functors, err)
+				}
+				out = append(out, fmt.Sprintf("%s of %v: %d", a.pattern, a.functors, len(as)))
+				out = append(out, render(as)...)
+			}
+			return out
+		}
+		restore := func(data []byte) *Mediator {
+			t.Helper()
+			snap, err := snapshot.Decode(data)
+			if err != nil {
+				fail("Decode: %v", err)
+			}
+			m := New(prog, nil, WithDemandDriven(true), WithSources(source.Static("src", pinned)))
+			if err := m.Restore(snap); err != nil {
+				fail("Restore: %v", err)
+			}
+			return m
+		}
+		encode := func(m *Mediator) (*snapshot.Snapshot, []byte) {
+			t.Helper()
+			snap, err := m.Snapshot()
+			if err != nil {
+				fail("Snapshot: %v", err)
+			}
+			data, err := snap.Encode()
+			if err != nil {
+				fail("Encode: %v", err)
+			}
+			return snap, data
+		}
+
+		want := answers(donor)
+		snap, file := encode(donor)
+		restored := restore(file)
+		if got := answers(restored); !slices.Equal(got, want) {
+			fail("the restored mediator answers\n got %q\nwant %q", got, want)
+		}
+		if st := restored.Stats(); !st.Restored || st.CacheMisses != 0 || st.SliceRuns != snap.Payload.Runs {
+			fail("restored asks: %+v, want no miss and the file's %d slice runs", st, snap.Payload.Runs)
+		}
+		if _, again := encode(restored); !bytes.Equal(again, file) {
+			fail("re-snapshot of the restored generation\n got: %s\nwant: %s", again, file)
+		}
+		new(cacheWatch).look(t, donor)
+		new(cacheWatch).look(t, restored)
+
+		// What the file holds: one record per cached group, each identity
+		// once — also the one both rules of Pboth mint.
+		if len(snap.Payload.Groups) != len(held) {
+			fail("snapshot holds %d groups, the donor cached %v", len(snap.Payload.Groups), held)
+		}
+		if len(held) > 1 {
+			made["several groups restored"]++
+		}
+		minted := map[string]map[string]bool{"note": {}, "junk": {}}
+		for _, e := range pinned.Entries() {
+			family := strings.TrimRight(e.Name.String(), "0123456789")
+			if minted[family] != nil {
+				minted[family][e.Tree.Children[0].Label.Display()] = true
+			}
+		}
+		for _, rec := range snap.Payload.Groups {
+			if len(rec.Entries) == 0 {
+				made["a cached and empty group restored"]++
+			}
+			listed := map[string]int{}
+			for _, e := range rec.Entries {
+				listed[e.Name]++
+			}
+			for v := range minted["note"] {
+				if name := "Pboth(" + v + ")"; rec.Functor == "Pboth" && minted["junk"][v] {
+					made["an identity two rules of a group mint"]++
+					if listed[name] != 1 {
+						fail("the file lists %s %d times, want once", name, listed[name])
+					}
+				}
+			}
+		}
+
+		// The oracle can fail: a file with one entry dropped restores (it
+		// is a payload the program could have produced) and is told apart.
+		if i := g.Intn(len(snap.Payload.Groups)); len(snap.Payload.Groups[i].Entries) > 0 {
+			forged, payload := *snap, *snap.Payload
+			payload.Groups = slices.Clone(payload.Groups)
+			drop := g.Intn(len(payload.Groups[i].Entries))
+			payload.Groups[i].Entries = slices.Delete(slices.Clone(payload.Groups[i].Entries), drop, drop+1)
+			forged.Payload = &payload
+			data, err := forged.Encode()
+			if err != nil {
+				fail("Encode: %v", err)
+			}
+			if slices.Equal(answers(restore(data)), want) {
+				fail("the oracle cannot fail: dropping entry %d of %s changes no answer", drop, payload.Groups[i].Functor)
+			}
+			made["a dropped entry told apart"]++
+		}
+	}
+	if seeds == 1 {
+		return
+	}
+	for what, atLeast := range map[string]int{
+		"several groups restored":                         100,
+		"a refresh rewrote the cache before the snapshot": 100,
+		"a cached and empty group restored":               20,
+		"an identity two rules of a group mint":           20,
+		"a dropped entry told apart":                      100,
+	} {
+		if made[what] < atLeast {
+			t.Errorf("%q happened %d times in %d seeds, want ≥ %d", what, made[what], seeds, atLeast)
 		}
 	}
 	t.Logf("%d seeds: %v", seeds, made)

@@ -1,23 +1,22 @@
 // Durable warm starts: the mediator half of internal/snapshot.
 //
-// Snapshot serializes the current demand generation — the per-rule
-// cache, every cached entry once — through the tree layer's canonical
-// display syntax, stamped with the progState's program and options
-// hashes. The read buckets and the ask memo are not written: commit
-// derives the buckets from the rule entries, and an ask's first arrival
-// after a restore is a demand-cache hit that memoizes it again. Restore
-// is the inverse: it re-parses the payload into a fresh demand
+// Snapshot serializes the current demand generation — the cached
+// functor groups, every cached entry once — through the tree layer's
+// canonical display syntax, stamped with the progState's program and
+// options hashes. The leaf-path indexes and the ask memo are not
+// written: commit derives an index from its bucket, and an ask's first
+// arrival after a restore is a demand-cache hit that memoizes it again.
+// Restore is the inverse: it re-parses the payload into a fresh demand
 // generation and swaps it in atomically, but only after the snapshot's
-// hashes verify against what this mediator is about to serve. Any mismatch, and any payload the program could not
-// have produced, returns a typed *snapshot.LoadError and leaves the
-// mediator exactly as cold as it was — the deterministic fallback the
-// whole layer is built around.
+// hashes verify against what this mediator is about to serve. Any
+// mismatch, and any payload the program could not have produced, returns
+// a typed *snapshot.LoadError and leaves the mediator exactly as cold as
+// it was — the deterministic fallback the whole layer is built around.
 package mediator
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"yat/internal/snapshot"
 	"yat/internal/tree"
@@ -25,8 +24,8 @@ import (
 
 // ErrSnapshotDemandOnly reports a Snapshot or Restore on a
 // full-materialization mediator. The durable generation store
-// persists the demand-mode per-rule cache; a full-mode mediator has
-// no such cache to persist or warm.
+// persists the demand cache; a full-mode mediator has no such cache
+// to persist or warm.
 var ErrSnapshotDemandOnly = errors.New("mediator: snapshot/restore requires a demand-driven mediator (WithDemandDriven)")
 
 // Snapshot captures the current demand generation as a persistable
@@ -49,16 +48,16 @@ func (m *Mediator) Snapshot() (*snapshot.Snapshot, error) {
 		Degraded: g.pin.degraded(),
 	}
 
-	// One RuleCache per cached construct rule, entries possibly none:
-	// "cached and empty" must round-trip.
-	for rule, entries := range g.cache.rules() {
-		rc := snapshot.RuleCache{Rule: rule, Cached: true}
-		for _, e := range entries {
-			rc.Entries = append(rc.Entries, snapshot.Entry{Name: e.Name.String(), Tree: e.Tree.String()})
+	// One record per cached group, entries possibly none: "cached and
+	// empty" must round-trip.
+	for _, f := range g.cache.cached() {
+		bucket := g.cache.bucket(f)
+		rec := snapshot.Group{Functor: f, Entries: make([]snapshot.Entry, 0, len(bucket))}
+		for _, e := range bucket {
+			rec.Entries = append(rec.Entries, snapshot.Entry{Name: e.Name.String(), Tree: e.Tree.String()})
 		}
-		payload.Rules = append(payload.Rules, rc)
+		payload.Groups = append(payload.Groups, rec)
 	}
-	sort.Slice(payload.Rules, func(i, j int) bool { return payload.Rules[i].Rule < payload.Rules[j].Rule })
 
 	return &snapshot.Snapshot{
 		Format:      snapshot.FormatVersion,
@@ -92,58 +91,45 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 		return corrupt("no payload")
 	}
 
-	// Rules of one group that mint the same identity each list the shared
-	// entry; the second listing reuses the first one's parse.
-	type parsed struct {
-		src string
-		tree.StoreEntry
-	}
-	shared := map[string]parsed{}
-	run := sliceRun{outputs: map[string][]tree.StoreEntry{}}
-	for _, rc := range s.Payload.Rules {
-		// Builds that kept a per-rule source ledger wrote support rules as
-		// cached:false records; nothing restores from them.
-		if rc.Cached {
-			r, ok := st.prog.Rule(rc.Rule)
-			if !ok || r.Exception {
-				return corrupt("rule %s: the program constructs no such rule", rc.Rule)
-			}
-			run.functors = append(run.functors, r.Head.Functor)
-			entries := make([]tree.StoreEntry, 0, len(rc.Entries))
-			for _, pe := range rc.Entries {
-				p, ok := shared[pe.Name]
-				if !ok || p.src != pe.Tree {
-					p.src = pe.Tree
-					var err error
-					if p.Name, err = tree.ParseName(pe.Name); err != nil {
-						return corrupt("rule %s entry name %q: %w", rc.Rule, pe.Name, err)
-					}
-					if p.Tree, err = tree.Parse(pe.Tree); err != nil {
-						return corrupt("rule %s entry %q: %w", rc.Rule, pe.Name, err)
-					}
-					shared[pe.Name] = p
-				}
-				entries = append(entries, p.StoreEntry)
-			}
-			run.outputs[rc.Rule] = entries
+	// A record is a whole group: the functor some construct rule of the
+	// program mints, and nothing but identities of that functor, each
+	// once. Records come sorted by functor, so none repeats.
+	var functors []string
+	outputs := tree.NewStore()
+	for i, rec := range s.Payload.Groups {
+		if i > 0 && rec.Functor <= s.Payload.Groups[i-1].Functor {
+			return corrupt("functor %s: records are not sorted by functor", rec.Functor)
 		}
-	}
-	// Group presence is the only "cached" flag, so a group must arrive
-	// whole: commit would file a missing sibling rule as cached and empty.
-	for _, f := range run.functors {
-		for _, r := range st.facts.SliceFor(f).Construct {
-			if r.Head.Functor != f {
-				continue // a dereferenced group: cached, or not, on its own
+		rules := len(functors)
+		for _, r := range st.facts.SliceFor(rec.Functor).Construct {
+			if r.Head.Functor == rec.Functor {
+				functors = append(functors, rec.Functor)
 			}
-			if _, ok := run.outputs[r.Name]; !ok {
-				return corrupt("functor %s: rule %s of its group is not cached", f, r.Name)
+		}
+		if len(functors) == rules {
+			return corrupt("functor %s: no rule of the program mints it", rec.Functor)
+		}
+		for _, pe := range rec.Entries {
+			name, err := tree.ParseName(pe.Name)
+			if err != nil {
+				return corrupt("functor %s entry name %q: %w", rec.Functor, pe.Name, err)
+			}
+			if name.Functor != rec.Functor {
+				return corrupt("functor %s: entry %q is not of the group", rec.Functor, pe.Name)
+			}
+			t, err := tree.Parse(pe.Tree)
+			if err != nil {
+				return corrupt("functor %s entry %q: %w", rec.Functor, pe.Name, err)
+			}
+			if outputs.Put(name, t) {
+				return corrupt("functor %s: entry %q listed twice", rec.Functor, pe.Name)
 			}
 		}
 	}
 
 	g := newDemandGen(st.facts)
 	g.restored = true
-	g.cache.commit(run, false)
+	g.cache.commit(functors, outputs, false)
 	g.pin = restoredSnap(s.Payload.Degraded)
 	g.stats = s.Payload.Stats
 	g.runs = s.Payload.Runs

@@ -56,7 +56,7 @@ func sameAnswers(t *testing.T, got, want []Answer, label string) {
 // byte-identical to the cold-computed answer and registers as a
 // demand-cache hit — at every parallelism, because the options hash
 // deliberately ignores the worker count. The snapshot carries no ask
-// memo: that first ask matches against the restored rule entries and
+// memo: that first ask matches against the restored group and
 // refills the memo, so its repeat is a memo hit.
 func TestSnapshotRestoreWarmStart(t *testing.T) {
 	warm := selectiveMediator(t)
@@ -117,11 +117,11 @@ func TestSnapshotRestoreWarmStart(t *testing.T) {
 	}
 }
 
-// TestSnapshotGolden pins the format-2 file of a small selective
-// program byte for byte — compact, rules sorted, every cached entry
-// once, no store rendering and no ask memo — and proves the checked-in
-// bytes still decode and restore to the donor's answers.
-// YAT_UPDATE_GOLDEN=1 rewrites it.
+// TestSnapshotGolden pins the format-3 file of a small selective
+// program byte for byte — compact, one record per functor group, sorted,
+// every cached entry once, no store rendering and no ask memo — and
+// proves the checked-in bytes still decode and restore to the donor's
+// answers. YAT_UPDATE_GOLDEN=1 rewrites it.
 func TestSnapshotGolden(t *testing.T) {
 	newMediator := func() *Mediator {
 		return New(yatl.MustParse(versionedSelective("v1", "v1")), workload.BrochureStore(3, 2, 3, 11), WithDemandDriven(true))
@@ -135,14 +135,14 @@ func TestSnapshotGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sort.SliceIsSorted(snap.Payload.Rules, func(i, j int) bool { return snap.Payload.Rules[i].Rule < snap.Payload.Rules[j].Rule }) {
-		t.Error("snapshot rules are not sorted by name")
+	if !sort.SliceIsSorted(snap.Payload.Groups, func(i, j int) bool { return snap.Payload.Groups[i].Functor < snap.Payload.Groups[j].Functor }) {
+		t.Error("snapshot groups are not sorted by functor")
 	}
 	got, err := snap.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "snapshot_format2.golden.json")
+	path := filepath.Join("testdata", "snapshot_format3.golden.json")
 	if os.Getenv("YAT_UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -153,15 +153,18 @@ func TestSnapshotGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, golden) {
-		t.Errorf("format-2 snapshot drifted:\n got: %s\nwant: %s", got, golden)
+		t.Errorf("format-3 snapshot drifted:\n got: %s\nwant: %s", got, golden)
 	}
 	var env struct{ Payload map[string]json.RawMessage }
 	if err := json.Unmarshal(golden, &env); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"store", "ask_memo"} {
+	if _, ok := env.Payload["groups"]; !ok {
+		t.Error("payload carries no \"groups\" key")
+	}
+	for _, key := range []string{"rules", "store", "ask_memo"} {
 		if _, ok := env.Payload[key]; ok {
-			t.Errorf("payload carries a %q key: derived state is not persisted", key)
+			t.Errorf("payload carries a %q key: a group is its entries, and derived state is not persisted", key)
 		}
 	}
 
@@ -183,76 +186,34 @@ func TestSnapshotGolden(t *testing.T) {
 	}
 }
 
-// Upgrade compatibility, pinned by files the previous build wrote
-// (testdata/snapshot_format2.parent*.json; format 2 then carried each
-// rule's matched source keys in a "sources" member, and support rules
-// as cached:false records holding nothing else): such a file restores
-// warm — first ask a hit, no new slice run, the donor's answers — and
-// what the restored generation snapshots again is, byte for byte, what
-// a donor of this build writes: no "sources", no cached:false record.
+// One reader: a file an earlier build wrote — format 1, format 2 with
+// its per-rule records (with and without the source ledger and the
+// cached:false support records of its first months), the old format-2
+// golden — is never converted. Decode refuses it as a typed version
+// mismatch, so there is nothing to hand Restore and the boot is cold.
 func TestRestoreParentWrittenSnapshot(t *testing.T) {
 	for _, c := range []struct {
-		file        string
-		functors    []string // of the one ask that warmed the file's donor
-		mustHold    string
-		newMediator func() *Mediator
+		path   string
+		format int
 	}{
-		{"snapshot_format2.parent.json", nil, `"sources":["b1","b2","b3"]`, func() *Mediator {
-			return New(yatl.MustParse(versionedSelective("v1", "v1")), workload.BrochureStore(3, 2, 3, 11), WithDemandDriven(true))
-		}},
-		{"snapshot_format2.parent_support.json", []string{"Psup"}, `{"rule":"Car","cached":false,"sources":["b1","b2","b3"]}`, func() *Mediator {
-			return New(yatl.MustParse(yatl.SGMLToODMGSource), workload.BrochureStore(3, 2, 3, 11), WithDemandDriven(true))
-		}},
+		{"testdata/snapshot_format2.parent.json", 2},
+		{"testdata/snapshot_format2.parent_support.json", 2},
+		{"testdata/snapshot_format2.golden.json", 2},
+		{"../serve/testdata/snapshot_format1.json", 1},
 	} {
-		t.Run(c.file, func(t *testing.T) {
-			file, err := os.ReadFile(filepath.Join("testdata", c.file))
+		t.Run(filepath.Base(c.path), func(t *testing.T) {
+			file, err := os.ReadFile(c.path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Contains(file, []byte(c.mustHold)) {
-				t.Fatalf("vacuous: the fixture does not hold %s", c.mustHold)
+			var env struct{ Format int }
+			if err := json.Unmarshal(file, &env); err != nil || env.Format != c.format {
+				t.Fatalf("vacuous: the fixture is format %d (%v), want %d", env.Format, err, c.format)
 			}
 			snap, err := snapshot.Decode(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			donor := c.newMediator()
-			want, err := donor.Ask(`X`, c.functors...)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			m := c.newMediator()
-			if err := m.Restore(snap); err != nil {
-				t.Fatalf("Restore: %v", err)
-			}
-			got, err := m.Ask(`X`, c.functors...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameAnswers(t, got, want, "first ask after the restore")
-			if st := m.Stats(); !st.Restored || st.CacheHits != 1 || st.CacheMisses != 0 || st.SliceRuns != snap.Payload.Runs {
-				t.Fatalf("restored ask: %+v, want one hit, no miss and the file's %d slice runs", st, snap.Payload.Runs)
-			}
-
-			encode := func(m *Mediator) []byte {
-				t.Helper()
-				snap, err := m.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				data, err := snap.Encode()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return data
-			}
-			again := encode(m)
-			if bytes.Contains(again, []byte(`"sources"`)) || bytes.Contains(again, []byte(`"cached":false`)) {
-				t.Errorf("the restored generation writes the ledger back:\n%s", again)
-			}
-			if fresh := encode(donor); !bytes.Equal(again, fresh) {
-				t.Errorf("re-snapshot of the restored generation differs from this build's donor:\n got: %s\nwant: %s", again, fresh)
+			var lerr *snapshot.LoadError
+			if snap != nil || !errors.As(err, &lerr) || lerr.Reason != snapshot.ReasonVersion {
+				t.Fatalf("Decode = %v, %v, want no snapshot and a *LoadError (version)", snap, err)
 			}
 		})
 	}
@@ -303,12 +264,12 @@ func TestRestoreRefusesMismatches(t *testing.T) {
 		}
 	})
 
-	// A payload whose hashes verify but which caches a rule the program
-	// does not construct is refused the same way: error, cold mediator.
+	// A payload whose hashes verify but which caches a functor no rule of
+	// the program mints is refused the same way: error, cold mediator.
 	t.Run("unknown-rule", func(t *testing.T) {
 		forged := *snap
 		payload := *snap.Payload
-		payload.Rules = append([]snapshot.RuleCache{{Rule: "NoSuchRule", Cached: true}}, payload.Rules...)
+		payload.Groups = append([]snapshot.Group{{Functor: "Pnone"}}, payload.Groups...)
 		forged.Payload = &payload
 		other := selectiveMediator(t)
 		if got := reasonOf(t, other.Restore(&forged)); got != snapshot.ReasonCorrupt {
@@ -361,13 +322,16 @@ func pairStore() *tree.Store {
 	return s
 }
 
-// A group must arrive whole. Group presence is the cache's only
-// "cached" flag, so a payload that drops one construct rule of a
-// two-rule functor would otherwise restore the sibling as cached and
-// empty and serve 1 of 2 answers without a slice run. A pruned rule is
-// no part of the group: the donor never lists it and the restore does
-// not ask for it.
-func TestRestoreRefusesIncompleteGroup(t *testing.T) {
+// A record is a whole group and nothing else. The donor's two-rule
+// group restores whole — a pruned rule is no part of it: the donor does
+// not count it and the restore does not ask for it. A payload whose
+// hashes verify but which the program could not have produced — an
+// identity another functor mints, an identity or a functor listed twice
+// (a functor no rule mints: TestRestoreRefusesMismatches) — is refused
+// as corrupt and leaves the mediator cold; filed as it stands, the
+// first would be served from cache to asks restricted to the record's
+// functor.
+func TestRestoreRefusesForgedRecords(t *testing.T) {
 	prog := yatl.MustParse(pairProgram)
 	if !engine.AnalyzeProgram(prog).Prunable("Dead") {
 		t.Fatal("vacuous: Dead must be pruned from Pitem's slice")
@@ -386,45 +350,55 @@ func TestRestoreRefusesIncompleteGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(snap.Payload.Groups) != 1 || len(snap.Payload.Groups[0].Entries) != 2 {
+		t.Fatalf("donor snapshot %+v, want the one group with both rules' entries", snap.Payload.Groups)
+	}
 
 	whole := newMediator()
 	if err := whole.Restore(snap); err != nil {
-		t.Fatalf("restore of the whole group: %v", err)
+		t.Fatalf("restore of the donor's snapshot: %v", err)
 	}
 	got, err := whole.Ask(`X`, "Pitem")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameAnswers(t, got, want, "whole group restored")
+	if st := whole.Stats(); st.CachedRules != 2 || st.CacheMisses != 0 {
+		t.Fatalf("restored group: %+v, want its 2 live rules cached and no miss", st)
+	}
 
-	forged := *snap
-	payload := *snap.Payload
-	payload.Rules = nil
-	for _, rc := range snap.Payload.Rules {
-		if rc.Rule != "FromBeta" {
-			payload.Rules = append(payload.Rules, rc)
-		}
-	}
-	if len(payload.Rules) != len(snap.Payload.Rules)-1 {
-		t.Fatal("vacuous: the donor snapshot has no FromBeta record to drop")
-	}
-	forged.Payload = &payload
-	m := newMediator()
-	var lerr *snapshot.LoadError
-	if err := m.Restore(&forged); !errors.As(err, &lerr) || lerr.Reason != snapshot.ReasonCorrupt {
-		t.Fatalf("restore of a group missing FromBeta: %v, want a *snapshot.LoadError (corrupt)", err)
-	}
-	if st := m.Stats(); st.Restored || st.CachedRules != 0 || st.SliceRuns != 0 {
-		t.Fatalf("refused restore left state: %+v", st)
-	}
-	// Still cold, and correct: the ask runs the slice itself.
-	got, err = m.Ask(`X`, "Pitem")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAnswers(t, got, want, "cold ask after the refusal")
-	if st := m.Stats(); st.CacheMisses != 1 || st.SliceRuns != 1 {
-		t.Fatalf("cold ask after the refusal: misses=%d slice runs=%d, want 1/1", st.CacheMisses, st.SliceRuns)
+	ant, bee := snap.Payload.Groups[0].Entries[0], snap.Payload.Groups[0].Entries[1]
+	for _, c := range []struct {
+		name   string
+		groups []snapshot.Group
+	}{
+		{"foreign-identity", []snapshot.Group{{Functor: "Pitem", Entries: []snapshot.Entry{ant, {Name: `Pother("ant")`, Tree: ant.Tree}}}}},
+		{"duplicate-identity", []snapshot.Group{{Functor: "Pitem", Entries: []snapshot.Entry{ant, bee, ant}}}},
+		{"duplicate-functor", []snapshot.Group{{Functor: "Pitem", Entries: []snapshot.Entry{ant}}, {Functor: "Pitem", Entries: []snapshot.Entry{bee}}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			forged := *snap
+			payload := *snap.Payload
+			payload.Groups = c.groups
+			forged.Payload = &payload
+			m := newMediator()
+			var lerr *snapshot.LoadError
+			if err := m.Restore(&forged); !errors.As(err, &lerr) || lerr.Reason != snapshot.ReasonCorrupt {
+				t.Fatalf("Restore = %v, want a *snapshot.LoadError (corrupt)", err)
+			}
+			if st := m.Stats(); st.Restored || st.CachedRules != 0 || st.SliceRuns != 0 {
+				t.Fatalf("refused restore left state: %+v", st)
+			}
+			// Still cold, and correct: the ask runs the slice itself.
+			got, err := m.Ask(`X`, "Pitem")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAnswers(t, got, want, "cold ask after the refusal")
+			if st := m.Stats(); st.CacheMisses != 1 || st.SliceRuns != 1 {
+				t.Fatalf("cold ask after the refusal: misses=%d slice runs=%d, want 1/1", st.CacheMisses, st.SliceRuns)
+			}
+		})
 	}
 }
 

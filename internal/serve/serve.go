@@ -202,8 +202,8 @@ func (s *Server) restoreSnapshot() {
 		}
 	}
 	s.snapRestored = true
-	s.cfg.Logf("yatserve: warm start from %s (format %d, generation %d, %d rule records)",
-		s.snapPath, snap.Format, snap.Generation, len(snap.Payload.Rules))
+	s.cfg.Logf("yatserve: warm start from %s (format %d, generation %d, %d functor groups)",
+		s.snapPath, snap.Format, snap.Generation, len(snap.Payload.Groups))
 }
 
 // writeSnapshot persists the warmest lane (most cached rules — the
@@ -534,6 +534,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	pattern := q.Get("pattern")
 	if pattern == "" {
+		s.failed.Add(1)
 		writeErr(w, http.StatusBadRequest, "bad_request", `"pattern" query parameter is required`)
 		return
 	}

@@ -175,6 +175,43 @@ func TestAskErrors(t *testing.T) {
 	})
 }
 
+// Every 400 bad_request of the two asking endpoints is a failed ask in
+// /stats, whichever endpoint refused it.
+func TestBadRequestsCountAsFailed(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	failed := func() int64 {
+		t.Helper()
+		var stats wire.StatsResponse
+		getJSON(t, ts.URL+"/stats?timing=0", &stats)
+		return stats.Server.Failed
+	}
+	for _, c := range []struct {
+		name, method, path, body string
+	}{
+		{"ask-missing-pattern", http.MethodPost, "/ask", `{}`},
+		{"ask-non-json-body", http.MethodPost, "/ask", `not json`},
+		{"explain-missing-pattern", http.MethodGet, "/explain?functors=Pview1", ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := failed()
+			req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e := decodeError(t, resp); resp.StatusCode != http.StatusBadRequest || e.Code != "bad_request" {
+				t.Fatalf("status %d code %q, want 400 bad_request", resp.StatusCode, e.Code)
+			}
+			if got := failed(); got != before+1 {
+				t.Fatalf("server.failed went from %d to %d, want +1", before, got)
+			}
+		})
+	}
+}
+
 // ErrorCode is a wire contract; pin the full mapping.
 func TestErrorCode(t *testing.T) {
 	cases := []struct {
@@ -379,7 +416,7 @@ func TestHealthzAndRefresh(t *testing.T) {
 		}
 		return first
 	}
-	sliceRuns := func() float64 {
+	runsSoFar := func() float64 {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/stats?timing=0")
 		if err != nil {
@@ -416,7 +453,7 @@ func TestHealthzAndRefresh(t *testing.T) {
 	if code, out := health(); code != 200 || out["status"] != "ok" {
 		t.Fatalf("healthy: %d %v", code, out)
 	}
-	runs := sliceRuns()
+	runs := runsSoFar()
 
 	// Break src2 and refresh it through the admin endpoint: the refresh
 	// is refused, every lane keeps answering the complete warm bytes at
@@ -432,7 +469,7 @@ func TestHealthzAndRefresh(t *testing.T) {
 	if stale := askAll(ts.URL, "src2 down"); !bytes.Equal(stale, warm) {
 		t.Fatalf("answers moved while src2 is down\n got %s\nwant %s", stale, warm)
 	}
-	if got := sliceRuns(); got != runs {
+	if got := runsSoFar(); got != runs {
 		t.Fatalf("slice_runs %v -> %v across a failed refresh", runs, got)
 	}
 	code, out := health()

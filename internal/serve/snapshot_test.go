@@ -171,7 +171,7 @@ func TestServerSnapshotFallbacks(t *testing.T) {
 
 	t.Run("version-mismatch", func(t *testing.T) {
 		bumped := bytes.Replace(pristine,
-			[]byte(`"format":2`), []byte(`"format":99`), 1)
+			[]byte(`"format":3`), []byte(`"format":99`), 1)
 		if bytes.Equal(bumped, pristine) {
 			t.Fatal("format field not found")
 		}
@@ -191,31 +191,44 @@ func TestServerSnapshotFallbacks(t *testing.T) {
 		check(t, cfg, string(snapshot.ReasonProgramHash))
 	})
 
-	// A file the previous release wrote, for this very program and
-	// options: it is not converted, the boot is cold.
-	t.Run("format-1-file", func(t *testing.T) {
-		old, err := os.ReadFile(filepath.Join("testdata", "snapshot_format1.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var env struct {
-			Format      int
-			ProgramHash string `json:"program_hash"`
-			OptionsHash string `json:"options_hash"`
-		}
-		if err := json.Unmarshal(old, &env); err != nil {
-			t.Fatal(err)
-		}
-		cfg := snapConfig(dir)
-		if env.Format != 1 || env.ProgramHash != snapshot.HashProgram(cfg.Prog) ||
-			env.OptionsHash != snapshot.HashOptions(engine.NewOptions(cfg.Options...)) {
-			t.Fatalf("vacuous: the fixture %+v must differ from what boots in its format alone", env)
-		}
-		if err := os.WriteFile(path, old, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		check(t, cfg, string(snapshot.ReasonVersion))
-	})
+	// Files earlier releases wrote — the format-1 one and the selective
+	// format-2 ones for this very program and options: none is
+	// converted, the boot is cold.
+	for _, c := range []struct {
+		name, path string
+		format     int
+		sameHashes bool
+	}{
+		{"format-1-file", "testdata/snapshot_format1.json", 1, true},
+		{"format-2-parent", "../mediator/testdata/snapshot_format2.parent.json", 2, true},
+		{"format-2-parent-support", "../mediator/testdata/snapshot_format2.parent_support.json", 2, false},
+		{"format-2-golden", "../mediator/testdata/snapshot_format2.golden.json", 2, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			old, err := os.ReadFile(c.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env struct {
+				Format      int
+				ProgramHash string `json:"program_hash"`
+				OptionsHash string `json:"options_hash"`
+			}
+			if err := json.Unmarshal(old, &env); err != nil {
+				t.Fatal(err)
+			}
+			cfg := snapConfig(dir)
+			same := env.ProgramHash == snapshot.HashProgram(cfg.Prog) &&
+				env.OptionsHash == snapshot.HashOptions(engine.NewOptions(cfg.Options...))
+			if env.Format != c.format || same != c.sameHashes {
+				t.Fatalf("vacuous: the fixture %+v must be format %d and differ from what boots in its format alone: %v", env, c.format, c.sameHashes)
+			}
+			if err := os.WriteFile(path, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			check(t, cfg, string(snapshot.ReasonVersion))
+		})
+	}
 
 	// A crash mid-write leaves a stray temp file next to the previous
 	// complete snapshot; the boot restores from the intact file.
@@ -291,10 +304,10 @@ func TestDrainWritesSnapshot(t *testing.T) {
 		t.Fatalf("no snapshot after drain: %v", err)
 	}
 	warmed := false
-	for _, rc := range snap.Payload.Rules {
-		warmed = warmed || rc.Rule == "View1" && rc.Cached && len(rc.Entries) > 0
+	for _, rec := range snap.Payload.Groups {
+		warmed = warmed || rec.Functor == "Pview1" && len(rec.Entries) > 0
 	}
 	if !warmed {
-		t.Fatalf("drain snapshot misses the warmed rule's entries: %+v", snap.Payload.Rules)
+		t.Fatalf("drain snapshot misses the warmed group's entries: %+v", snap.Payload.Groups)
 	}
 }

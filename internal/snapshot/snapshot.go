@@ -1,8 +1,8 @@
 // Package snapshot is the durable warm-start layer: a versioned,
-// checksummed on-disk store for one mediator generation — the per-rule
-// demand cache (post-deref entries), each cached entry written once.
-// What the mediator derives from those entries (the read buckets, the
-// ask memo) is not stored.
+// checksummed on-disk store for one mediator generation — the demand
+// cache's functor groups (post-deref entries), each cached entry written
+// once. What the mediator derives from those entries (the leaf-path
+// indexes, the ask memo) is not stored.
 //
 // A snapshot is only ever served when it provably describes the exact
 // computation the booting process would perform cold: the envelope
@@ -31,8 +31,10 @@ import (
 
 // FormatVersion is the snapshot format this build writes and the only
 // one it reads. Bump it whenever the payload schema or the semantics
-// of any field change; old files then fall back to a cold boot.
-const FormatVersion = 2
+// of any field change; old files then fall back to a cold boot. Format 3
+// holds one record per cached functor group; formats 1 and 2 held one per
+// rule.
+const FormatVersion = 3
 
 // Reason classifies why a snapshot was rejected. Every reason forces
 // the same outcome — a cold boot — but the caller logs and reports
@@ -88,30 +90,21 @@ type Entry struct {
 	Tree string `json:"tree"`
 }
 
-// RuleCache is one construct rule's cached state: its committed
-// post-deref entries. A construct rule with no outputs still appears
+// Group is one cached functor group: every entry the functor mints,
+// post-deref, each identity once. A group with no entries still appears
 // here — "cached and empty" and "not cached" are different states.
-//
-// Format-2 files written before the per-rule source ledger was removed
-// also carry a "sources" member, and support rules as records with
-// Cached=false and nothing else; the decoder drops the member and
-// Restore skips those records, so such a file still restores warm.
-type RuleCache struct {
-	Rule string `json:"rule"`
-	// Cached marks a construct rule whose result set is materialized —
-	// true even when Entries is empty, and true in every record this
-	// build writes.
-	Cached  bool    `json:"cached"`
-	Entries []Entry `json:"entries,omitempty"`
+type Group struct {
+	Functor string  `json:"functor"`
+	Entries []Entry `json:"entries"`
 }
 
 // Generation is the payload: one demand-mode materialization
 // lifetime, serialized entirely through the tree layer's canonical
 // display syntax so the restore re-parses to byte-identical values.
 type Generation struct {
-	// Rules lists each cached rule's state, sorted by rule name for
+	// Groups lists the cached functor groups, sorted by functor for
 	// byte-stable snapshots.
-	Rules []RuleCache `json:"rules"`
+	Groups []Group `json:"groups"`
 	// Degraded names sources that were failing during some cached
 	// slice run (their recovery invalidates the generation).
 	Degraded []string `json:"degraded,omitempty"`

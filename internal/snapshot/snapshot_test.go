@@ -22,10 +22,9 @@ func sample() *Snapshot {
 		Program:     "selective",
 		Generation:  3,
 		Payload: &Generation{
-			Rules: []RuleCache{
-				{Rule: "View1", Cached: true,
-					Entries: []Entry{{Name: "&o1:Pview1", Tree: `view < name -> "acme" >`}}},
-				{Rule: "Empty", Cached: true},
+			Groups: []Group{
+				{Functor: "Pempty", Entries: []Entry{}},
+				{Functor: "Pview1", Entries: []Entry{{Name: `Pview1("acme")`, Tree: `view < name -> "acme" >`}}},
 			},
 			Degraded: []string{"src1"},
 			Stats:    engine.Stats{Activations: 4, Bindings: 9, Outputs: 2, Rounds: 3},
@@ -257,9 +256,10 @@ func FuzzDecode(f *testing.F) {
 		bytes.Replace(valid, []byte("acme"), []byte("evil"), 1),
 		[]byte("not json at all{"),
 		[]byte(`{"format":1,"payload":"gar`),
-		[]byte(`{"format":2}`),
-		[]byte(`{"format":2,"checksum":"","payload":null}`),
-		[]byte(`{"format":2,"payload":{"rules":[{"rule":7}]}}`),
+		[]byte(`{"format":2,"payload":{"rules":[{"rule":"View1","cached":true}]}}`),
+		[]byte(`{"format":3}`),
+		[]byte(`{"format":3,"checksum":"","payload":null}`),
+		[]byte(`{"format":3,"payload":{"groups":[{"functor":7}]}}`),
 		nil,
 	} {
 		f.Add(seed)

@@ -737,22 +737,3 @@ func (r *Recorder) Events() []Event {
 	defer r.mu.Unlock()
 	return append([]Event(nil), r.events...)
 }
-
-// Multi fans one event stream out to several sinks.
-func Multi(sinks ...Sink) Sink {
-	out := make(multi, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-type multi []Sink
-
-func (m multi) Emit(e Event) {
-	for _, s := range m {
-		s.Emit(e)
-	}
-}

@@ -150,16 +150,6 @@ func TestRecorderOrder(t *testing.T) {
 	}
 }
 
-func TestMultiFansOutAndSkipsNil(t *testing.T) {
-	p := NewProfile()
-	var r Recorder
-	m := Multi(p, nil, &r)
-	m.Emit(Event{Kind: KindMatch, Phase: PhaseMatch, Rule: "R", Count: 1})
-	if p.Events() != 1 || len(r.Events()) != 1 {
-		t.Errorf("fan-out missed a sink: %d %d", p.Events(), len(r.Events()))
-	}
-}
-
 // TestProfileConcurrent hammers one profile from many goroutines; with
 // -race this pins the Sink concurrency contract.
 func TestProfileConcurrent(t *testing.T) {

@@ -121,16 +121,6 @@ func (s *Store) Get(name Name) (*Node, bool) {
 	return s.items[i].Tree, true
 }
 
-// GetKey returns the tree bound to the canonical key (as produced by
-// Name.Key).
-func (s *Store) GetKey(key string) (*Node, bool) {
-	i, ok := s.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	return s.items[i].Tree, true
-}
-
 // Has reports whether name is bound.
 func (s *Store) Has(name Name) bool {
 	_, ok := s.byKey[name.Key()]

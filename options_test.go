@@ -149,7 +149,7 @@ func TestFacadeDemandMediator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.RuleOutputs["Sup"]) == 0 {
+	if res.Outputs.Len() == 0 {
 		t.Error("facade RunSlice produced no Sup outputs")
 	}
 }

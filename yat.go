@@ -137,7 +137,7 @@ var (
 	WithOptimize = engine.WithOptimize
 	// WithDemandDriven switches NewMediator to demand-driven
 	// evaluation: queries materialize only the rule slices they need,
-	// memoized per rule with fine-grained invalidation.
+	// cached per functor group with fine-grained invalidation.
 	WithDemandDriven = mediator.WithDemandDriven
 )
 
@@ -278,8 +278,9 @@ type Mediator = mediator.Mediator
 type MediatorAnswer = mediator.Answer
 
 // NewMediator wraps a program and its sources for querying. Pass
-// WithDemandDriven(true) for per-query slice evaluation with per-rule
-// caching; other options configure the underlying engine runs.
+// WithDemandDriven(true) for per-query slice evaluation with
+// per-functor-group caching; other options configure the underlying
+// engine runs.
 func NewMediator(prog *Program, inputs *Store, opts ...Option) *Mediator {
 	return mediator.New(prog, inputs, opts...)
 }
@@ -298,12 +299,12 @@ type SourceFetchError = mediator.FetchError
 type Asker = mediator.Asker
 
 // Durable warm starts (the internal/snapshot layer): a versioned,
-// checksummed on-disk store for one mediator generation — the per-rule
-// demand cache, every cached entry once; the read buckets and the ask
-// memo are derived again after a restore —
+// checksummed on-disk store for one mediator generation — the demand
+// cache's functor groups, one record each, every cached entry once; the
+// leaf-path indexes and the ask memo are derived again after a restore —
 // keyed by canonical program+options hashes so a restored process
 // answers byte-identically to a cold one or not at all. The file is
-// format 2; a file of any other format is a cold boot (Reason
+// format 3; a file of any other format is a cold boot (Reason
 // "version"), never a conversion.
 //
 //	snap, _ := med.Snapshot()
