@@ -92,6 +92,10 @@ func BenchmarkFig2Instantiation(b *testing.B) {
 
 // --- E3: Figure 3 / Rule 1 scaling ------------------------------------------
 
+// Measured on a 2-vCPU Xeon container (go test -benchmem -cpu 2); the map
+// interpreter before slot-compiled plans made 254 848 allocs/op here:
+//
+// BenchmarkFig3Rule1/brochures=1000-2   129   9110752 ns/op   2840 bindings   20.00 objects   2675046 B/op   23295 allocs/op
 func BenchmarkFig3Rule1(b *testing.B) {
 	prog := mustProg(b, "program p\n"+yatl.Rule1Source)
 	for _, n := range []int{10, 100, 1000, 4000} {
@@ -322,18 +326,24 @@ func BenchmarkParseProgram(b *testing.B) {
 	}
 }
 
+// One Rule 1 body matched against an 8-supplier brochure through its
+// compiled pattern, the 8 bindings materialized as maps (2-vCPU Xeon):
+//
+// BenchmarkMatcherRule1-2   228091   6295 ns/op   2688 B/op   16 allocs/op
 func BenchmarkMatcherRule1(b *testing.B) {
 	rule, err := ParseRule(trimLead(yatl.Rule1Source))
 	if err != nil {
 		b.Fatal(err)
 	}
 	m := &engine.Matcher{}
+	plan := engine.CompilePattern(rule.Body[0].Tree)
 	store := workload.BrochureStore(1, 8, 8, 1)
 	input, _ := store.Get(PlainName("b1"))
+	var bs []engine.Binding
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if bs := m.MatchTree(rule.Body[0].Tree, input); len(bs) == 0 {
+		if bs = m.Match(bs[:0], plan, input); len(bs) == 0 {
 			b.Fatal("no match")
 		}
 	}
@@ -392,39 +402,6 @@ func BenchmarkSkolemKeying(b *testing.B) {
 			}
 		})
 	}
-}
-
-// Ablation: the binding join strategy — hash join vs the naive
-// Cartesian product with consistency filtering (Rule 3's shape).
-func BenchmarkJoinStrategies(b *testing.B) {
-	mk := func(n int, key string) []engine.Binding {
-		out := make([]engine.Binding, n)
-		for i := range out {
-			out[i] = engine.Binding{
-				key:   tree.Int(int64(i % 50)),
-				"pay": tree.String(fmt.Sprintf("row-%d", i)),
-			}
-		}
-		return out
-	}
-	as := mk(400, "K")
-	bs := mk(400, "K")
-	b.Run("hash-join", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if got := engine.HashJoinForBench(as, bs); len(got) == 0 {
-				b.Fatal("empty join")
-			}
-		}
-	})
-	b.Run("nested-loop", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if got := engine.ProductForBench(as, bs); len(got) == 0 {
-				b.Fatal("empty join")
-			}
-		}
-	})
 }
 
 // Composition setup cost (one-time, amortized over runs).
@@ -493,6 +470,39 @@ func BenchmarkMediatorQuery(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestRunAllocs pins the engine's allocations per run at half of what
+// the map interpreter before the slot-compiled plans made (25 849 for
+// Rule 1 over 100 brochures, 22 476 for the Web program over 25 cars;
+// the plans make ≈ 2 800 and ≈ 9 100). Both stores are the benchmarks'.
+func TestRunAllocs(t *testing.T) {
+	rule1, err := ParseProgram("program p\n" + yatl.Rule1Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	web, err := ParseProgram(WebRules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		prog   *Program
+		store  *Store
+		budget float64
+	}{
+		{"Rule1/brochures=100", rule1, workload.BrochureStore(100, 3, 20, 42), 25849 / 2},
+		{"WebProgram/cars=25", web, workload.ODMGStore(25, 13, 3, 11), 22476 / 2},
+	} {
+		got := testing.AllocsPerRun(5, func() {
+			if _, err := Run(tc.prog, tc.store, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.budget {
+			t.Errorf("%s: a run allocates %.0f times, want <= %.0f", tc.name, got, tc.budget)
+		}
+	}
 }
 
 // TestSelectiveAskCacheHitAllocs pins the demand-mode cache-hit ask to

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"sort"
 	"strings"
 
@@ -11,53 +12,11 @@ import (
 // pattern matching. Values are atoms and symbols for data variables,
 // tree.Ref for pattern variables bound to named inputs, and
 // tree.TreeVal for pattern variables bound to anonymous subtrees.
+//
+// Inside a run a binding is a frame of its rule's plan; a Binding is
+// built only where a match leaves the engine (Matcher.Match, and so
+// every mediator answer).
 type Binding map[string]tree.Value
-
-// Clone returns a copy of the binding.
-func (b Binding) Clone() Binding {
-	c := make(Binding, len(b))
-	for k, v := range b {
-		c[k] = v
-	}
-	return c
-}
-
-// Merge combines two bindings; shared variables must agree ("the SN
-// variable is used in both body patterns to indicate that the
-// supplier name ... should be the same", §3.2). The boolean reports
-// whether the merge is consistent.
-func (b Binding) Merge(other Binding) (Binding, bool) {
-	out := b.Clone()
-	for k, v := range other {
-		if prev, ok := out[k]; ok {
-			if !prev.Equal(v) {
-				return nil, false
-			}
-			continue
-		}
-		out[k] = v
-	}
-	return out, true
-}
-
-// Project returns the canonical key of the binding restricted to the
-// given variables. Unbound variables contribute a distinguished
-// missing marker.
-func (b Binding) Project(vars []string) string {
-	var sb strings.Builder
-	for _, v := range vars {
-		val, ok := b[v]
-		if !ok {
-			sb.WriteString("·∅;")
-			continue
-		}
-		sb.WriteString(val.Kind().String())
-		sb.WriteByte(':')
-		sb.WriteString(displayKey(val))
-		sb.WriteByte(';')
-	}
-	return sb.String()
-}
 
 // displayKey returns an injective string for the value (trees use the
 // canonical Key encoding rather than the display form).
@@ -99,65 +58,158 @@ func (b Binding) String() string {
 	return "[" + strings.Join(parts, "; ") + "]"
 }
 
+// appendKey appends an injective encoding of v to dst: a kind tag (0
+// for an unbound slot), then the value's bytes behind their length —
+// a string's or symbol's own bytes, a subtree's labels and child
+// counts, a reference's functor and arguments, the display form of
+// the other atoms. It refines Binding.Key's rule (trees by structure,
+// everything else by display form) by kind: values of one kind share
+// an encoding when they display alike, and never across kinds, at any
+// depth of a tree or a reference's arguments. Dedup, join and grouping
+// keys are concatenations of these, looked up as m[string(key)] in a
+// reused buffer: only an insert allocates.
+func appendKey(dst []byte, v tree.Value) []byte {
+	if v == nil {
+		return append(dst, 0)
+	}
+	dst = append(dst, byte(v.Kind())+1, 0, 0, 0, 0)
+	at := len(dst)
+	switch x := v.(type) {
+	case tree.String:
+		dst = append(dst, x...)
+	case tree.Symbol:
+		dst = append(dst, x...)
+	case tree.TreeVal:
+		dst = appendTreeKey(dst, x.Root)
+	case tree.Ref:
+		dst = binary.AppendUvarint(dst, uint64(len(x.Name.Functor)))
+		dst = append(dst, x.Name.Functor...)
+		for _, a := range x.Name.Args {
+			dst = appendKey(dst, a)
+		}
+	default:
+		dst = tree.AppendDisplay(dst, v)
+	}
+	binary.LittleEndian.PutUint32(dst[at-4:], uint32(len(dst)-at))
+	return dst
+}
+
+func appendTreeKey(dst []byte, n *tree.Node) []byte {
+	if n == nil {
+		return append(dst, 0)
+	}
+	dst = appendKey(dst, n.Label)
+	dst = binary.AppendUvarint(dst, uint64(len(n.Children)))
+	for _, c := range n.Children {
+		dst = appendTreeKey(dst, c)
+	}
+	return dst
+}
+
+// appendFrameKey appends the key of the frame's slots — all of them
+// when slots is nil.
+func appendFrameKey(dst []byte, f frame, slots []int) []byte {
+	if slots == nil {
+		for _, v := range f {
+			dst = appendKey(dst, v)
+		}
+		return dst
+	}
+	for _, s := range slots {
+		dst = appendKey(dst, f[s])
+	}
+	return dst
+}
+
+// frameSlab cuts the frames a run keeps — join results — out of
+// shared blocks.
+type frameSlab struct {
+	buf []tree.Value
+	off int
+}
+
+// take returns an all-unbound frame of width w.
+func (s *frameSlab) take(w int) frame {
+	if len(s.buf)-s.off < w {
+		s.buf, s.off = make([]tree.Value, max(64*w, 256)), 0
+	}
+	f := s.buf[s.off : s.off+w : s.off+w]
+	s.off += w
+	return f
+}
+
+// untake returns the frame take just gave out.
+func (s *frameSlab) untake(f frame) {
+	clear(f)
+	s.off -= len(f)
+}
+
 // product merges every pair from as × bs, keeping consistent merges.
-func product(as, bs []Binding) []Binding {
+func product(as, bs []frame, sl *frameSlab) []frame {
 	if len(as) == 0 || len(bs) == 0 {
 		return nil
 	}
-	out := make([]Binding, 0, len(as))
+	out := make([]frame, 0, len(as))
 	for _, a := range as {
 		for _, b := range bs {
-			if m, ok := a.Merge(b); ok {
-				out = append(out, m)
+			f := sl.take(len(a))
+			copy(f, a)
+			if merge(f, b) {
+				out = append(out, f)
+			} else {
+				sl.untake(f)
 			}
 		}
 	}
 	return out
 }
 
-// sharedVars returns the variables that occur in bindings of both
-// sides (computed from representative elements — all bindings of one
-// match list bind the same variables).
-func sharedVars(as, bs []Binding) []string {
+// hashJoin merges two frame lists on the slots both bind (as the first
+// frame of each list binds them: all frames of one match list bind the
+// same variables). With no shared slot it degrades to the Cartesian
+// product. This is the join used for multi-pattern rule bodies (Rule
+// 3's heterogeneous join, experiment E5).
+func hashJoin(as, bs []frame, sl *frameSlab) []frame {
 	if len(as) == 0 || len(bs) == 0 {
 		return nil
 	}
-	var out []string
-	for v := range as[0] {
-		if _, ok := bs[0][v]; ok {
-			out = append(out, v)
+	var shared []int
+	for s, v := range as[0] {
+		if v != nil && bs[0][s] != nil {
+			shared = append(shared, s)
 		}
 	}
-	sort.Strings(out)
-	return out
-}
-
-// HashJoinForBench and ProductForBench expose the two join strategies
-// to the ablation benchmarks (BenchmarkJoinStrategies).
-func HashJoinForBench(as, bs []Binding) []Binding { return hashJoin(as, bs) }
-
-// ProductForBench is the naive nested-loop join.
-func ProductForBench(as, bs []Binding) []Binding { return product(as, bs) }
-
-// hashJoin merges two binding lists on their shared variables. With
-// no shared variables it degrades to the Cartesian product. This is
-// the join used for multi-pattern rule bodies (Rule 3's heterogeneous
-// join, experiment E5).
-func hashJoin(as, bs []Binding) []Binding {
-	shared := sharedVars(as, bs)
 	if len(shared) == 0 {
-		return product(as, bs)
+		return product(as, bs, sl)
 	}
-	index := make(map[string][]Binding, len(bs))
-	for _, b := range bs {
-		k := b.Project(shared)
-		index[k] = append(index[k], b)
+	// Per join key, the positions in bs of the frames carrying it.
+	index := make(map[string]int, len(bs))
+	var carriers [][]int
+	var buf []byte
+	for j, b := range bs {
+		buf = appendFrameKey(buf[:0], b, shared)
+		k, ok := index[string(buf)]
+		if !ok {
+			k = len(carriers)
+			index[string(buf)] = k
+			carriers = append(carriers, nil)
+		}
+		carriers[k] = append(carriers[k], j)
 	}
-	var out []Binding
+	var out []frame
 	for _, a := range as {
-		for _, b := range index[a.Project(shared)] {
-			if m, ok := a.Merge(b); ok {
-				out = append(out, m)
+		buf = appendFrameKey(buf[:0], a, shared)
+		k, ok := index[string(buf)]
+		if !ok {
+			continue
+		}
+		for _, j := range carriers[k] {
+			f := sl.take(len(a))
+			copy(f, a)
+			if merge(f, bs[j]) {
+				out = append(out, f)
+			} else {
+				sl.untake(f)
 			}
 		}
 	}

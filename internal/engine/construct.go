@@ -40,98 +40,92 @@ func (e *NonDetError) Error() string {
 	return fmt.Sprintf("engine: non-deterministic program: rule %s, output %s: %s", e.Rule, e.OID, e.Why)
 }
 
-// skolemHook receives every Skolem identity minted while a head tree
-// is constructed, so the engine can register demands (deref targets
-// must exist) and activate subtree arguments for recursive programs.
-type skolemHook func(oid tree.Name, deref bool)
-
-// constructor builds output trees from a head pattern and a group of
-// bindings that share the head's Skolem identity.
+// constructor builds output trees from a compiled head and a group of
+// frames that share the head's Skolem identity. One constructor builds
+// one group, so its key buffer is its own.
 type constructor struct {
-	rule string
+	plan *rulePlan
 	oid  tree.Name
-	hook skolemHook
+	buf  []byte
 }
 
 // construct builds the output tree for one Skolem group. The group
 // must be non-empty.
-func (c *constructor) construct(pt *pattern.PTree, group []Binding) (*tree.Node, error) {
-	switch label := pt.Label.(type) {
-	case pattern.Const:
-		n := tree.New(label.Value)
-		return c.addEdges(n, pt.Edges, group)
+func (c *constructor) construct(h *hnode, group []frame) (*tree.Node, error) {
+	switch h.op {
+	case opConst:
+		return c.addEdges(tree.New(h.label), h.edges, group)
 
-	case pattern.Var:
-		val, err := c.consistentValue(group, label.Name)
+	case opVar:
+		val, err := c.consistentValue(group, h.slot)
 		if err != nil {
 			return nil, err
 		}
-		switch v := val.(type) {
-		case tree.TreeVal:
-			if len(pt.Edges) > 0 {
-				return nil, &NonDetError{Rule: c.rule, OID: c.oid,
-					Why: fmt.Sprintf("variable %s holds a subtree but labels an inner node", label.Name)}
+		if v, ok := val.(tree.TreeVal); ok {
+			if len(h.edges) > 0 {
+				return nil, &NonDetError{Rule: c.plan.rule.Name, OID: c.oid,
+					Why: fmt.Sprintf("variable %s holds a subtree but labels an inner node", c.plan.vars[h.slot])}
 			}
 			return v.Root.Clone(), nil
-		default:
-			n := tree.New(val)
-			return c.addEdges(n, pt.Edges, group)
 		}
+		return c.addEdges(tree.New(val), h.edges, group)
 
-	case pattern.PatRef:
-		oid, err := c.evalSkolem(label, group)
+	case opRef, opDeref:
+		oid, err := c.evalSkolem(h.ref.Name, h.args, group)
 		if err != nil {
 			return nil, err
 		}
-		if len(pt.Edges) > 0 {
-			return nil, fmt.Errorf("engine: rule %s: pattern reference %s cannot have children in a head", c.rule, label.Display())
+		if len(h.edges) > 0 {
+			return nil, fmt.Errorf("engine: rule %s: pattern reference %s cannot have children in a head", c.plan.rule.Name, h.ref.Display())
 		}
-		c.hook(oid, !label.Ref)
-		if label.Ref {
+		if h.op == opRef {
 			return tree.RefLeaf(oid), nil
 		}
 		return tree.New(derefVal{Name: oid}), nil
 	}
-	return nil, fmt.Errorf("engine: rule %s: unknown head label", c.rule)
+	return nil, fmt.Errorf("engine: rule %s: unknown head label", c.plan.rule.Name)
 }
 
-// consistentValue returns the value of a variable, checking that the
-// whole group agrees (a disagreement outside a grouping edge is the
-// run-time non-determinism alert).
-func (c *constructor) consistentValue(group []Binding, name string) (tree.Value, error) {
-	val, ok := group[0][name]
-	if !ok {
-		return nil, fmt.Errorf("engine: rule %s: head variable %s is unbound", c.rule, name)
+// consistentValue returns the value of a slot, checking that the whole
+// group agrees (a disagreement outside a grouping edge is the run-time
+// non-determinism alert).
+func (c *constructor) consistentValue(group []frame, slot int) (tree.Value, error) {
+	val := group[0][slot]
+	if val == nil {
+		return nil, fmt.Errorf("engine: rule %s: head variable %s is unbound", c.plan.rule.Name, c.plan.vars[slot])
 	}
-	for _, b := range group[1:] {
-		other, ok := b[name]
-		if !ok || !other.Equal(val) {
-			return nil, &NonDetError{Rule: c.rule, OID: c.oid,
-				Why: fmt.Sprintf("variable %s takes distinct values %s and %s", name, val.Display(), other.Display())}
+	for _, f := range group[1:] {
+		if other := f[slot]; other == nil || !other.Equal(val) {
+			shown := "nothing"
+			if other != nil {
+				shown = other.Display()
+			}
+			return nil, &NonDetError{Rule: c.plan.rule.Name, OID: c.oid,
+				Why: fmt.Sprintf("variable %s takes distinct values %s and %s", c.plan.vars[slot], val.Display(), shown)}
 		}
 	}
 	return val, nil
 }
 
-// evalSkolem computes the Skolem identity of a pattern reference for
-// the group (arguments must be consistent across the group).
-func (c *constructor) evalSkolem(ref pattern.PatRef, group []Binding) (tree.Name, error) {
-	args := make([]tree.Value, len(ref.Args))
-	for i, a := range ref.Args {
-		if !a.IsVar {
-			args[i] = a.Const
+// evalSkolem computes the Skolem identity functor(args) for the group
+// (arguments must be consistent across the group).
+func (c *constructor) evalSkolem(functor string, args []operand, group []frame) (tree.Name, error) {
+	if len(args) == 0 {
+		return tree.PlainName(functor), nil
+	}
+	vals := make([]tree.Value, len(args))
+	for i, a := range args {
+		if a.slot < 0 {
+			vals[i] = a.konst
 			continue
 		}
-		v, err := c.consistentValue(group, a.Var)
+		v, err := c.consistentValue(group, a.slot)
 		if err != nil {
 			return tree.Name{}, err
 		}
-		args[i] = v
+		vals[i] = v
 	}
-	if len(args) == 0 {
-		return tree.PlainName(ref.Name), nil
-	}
-	return tree.SkolemName(ref.Name, args...), nil
+	return tree.SkolemName(functor, vals...), nil
 }
 
 // addEdges constructs the children of a node according to the
@@ -146,59 +140,38 @@ func (c *constructor) evalSkolem(ref pattern.PatRef, group []Binding) (tree.Name
 //     projection, sorted by the criteria values.
 //   - Index (#I): one child per distinct index value, sorted
 //     numerically — array construction (Rule 5).
-func (c *constructor) addEdges(n *tree.Node, edges []pattern.Edge, group []Binding) (*tree.Node, error) {
-	for _, e := range edges {
-		switch e.Occ {
+func (c *constructor) addEdges(n *tree.Node, edges []hedge, group []frame) (*tree.Node, error) {
+	for i := range edges {
+		e := &edges[i]
+		switch e.occ {
 		case pattern.OccOne:
-			child, err := c.construct(e.To, group)
+			child, err := c.construct(e.to, group)
 			if err != nil {
 				return nil, err
 			}
 			n.Add(child)
 
 		case pattern.OccStar:
-			for _, b := range group {
-				child, err := c.construct(e.To, []Binding{b})
+			for j := range group {
+				child, err := c.construct(e.to, group[j:j+1])
 				if err != nil {
 					return nil, err
 				}
 				n.Add(child)
 			}
 
-		case pattern.OccGroup:
-			subgroups := partition(group, shallowVars(e.To))
-			for _, sg := range subgroups {
-				child, err := c.construct(e.To, sg.bindings)
-				if err != nil {
-					return nil, err
-				}
-				n.Add(child)
+		case pattern.OccGroup, pattern.OccOrdered, pattern.OccIndex:
+			if e.occ == pattern.OccIndex && e.part == nil {
+				return nil, fmt.Errorf("engine: rule %s: index edge without variable", c.plan.rule.Name)
 			}
-
-		case pattern.OccOrdered:
-			vars := append(append([]string(nil), e.OrderBy...), shallowVars(e.To)...)
-			subgroups := partition(group, vars)
-			sort.SliceStable(subgroups, func(i, j int) bool {
-				return lessByCriteria(subgroups[i].bindings[0], subgroups[j].bindings[0], e.OrderBy)
-			})
-			for _, sg := range subgroups {
-				child, err := c.construct(e.To, sg.bindings)
-				if err != nil {
-					return nil, err
-				}
-				n.Add(child)
+			subgroups := c.partition(group, e.part)
+			if e.order != nil {
+				sort.SliceStable(subgroups, func(i, j int) bool {
+					return lessByCriteria(subgroups[i][0], subgroups[j][0], e.order)
+				})
 			}
-
-		case pattern.OccIndex:
-			if e.Index == "" {
-				return nil, fmt.Errorf("engine: rule %s: index edge without variable", c.rule)
-			}
-			subgroups := partition(group, []string{e.Index})
-			sort.SliceStable(subgroups, func(i, j int) bool {
-				return lessByCriteria(subgroups[i].bindings[0], subgroups[j].bindings[0], []string{e.Index})
-			})
 			for _, sg := range subgroups {
-				child, err := c.construct(e.To, sg.bindings)
+				child, err := c.construct(e.to, sg)
 				if err != nil {
 					return nil, err
 				}
@@ -246,40 +219,58 @@ func shallowVars(t *pattern.PTree) []string {
 	return out
 }
 
-type subgroup struct {
-	key      string
-	bindings []Binding
+// partition splits the group by the values of the given slots,
+// preserving first-occurrence order.
+func (c *constructor) partition(group []frame, slots []int) [][]frame {
+	if len(group) == 1 {
+		return [][]frame{group}
+	}
+	ids := make([]int, len(group))
+	index := map[string]int{}
+	var sizes []int
+	for i, f := range group {
+		c.buf = appendFrameKey(c.buf[:0], f, slots)
+		id, ok := index[string(c.buf)]
+		if !ok {
+			id = len(sizes)
+			index[string(c.buf)] = id
+			sizes = append(sizes, 0)
+		}
+		ids[i] = id
+		sizes[id]++
+	}
+	return splitByID(group, ids, sizes)
 }
 
-// partition splits the group by the projection onto vars, preserving
-// first-occurrence order.
-func partition(group []Binding, vars []string) []subgroup {
-	index := map[string]int{}
-	var out []subgroup
-	for _, b := range group {
-		k := b.Project(vars)
-		if i, ok := index[k]; ok {
-			out[i].bindings = append(out[i].bindings, b)
-			continue
+// splitByID returns the frames grouped by ids[i] — a group number, or
+// -1 to drop the frame — where sizes[g] frames fall in group g, each
+// group in frame order. The groups share one backing array.
+func splitByID(frames []frame, ids, sizes []int) [][]frame {
+	out := make([][]frame, len(sizes))
+	all := make([]frame, 0, len(frames))
+	for g, n := range sizes {
+		out[g] = all[len(all) : len(all) : len(all)+n]
+		all = all[:len(all)+n]
+	}
+	for i, f := range frames {
+		if g := ids[i]; g >= 0 {
+			out[g] = append(out[g], f)
 		}
-		index[k] = len(out)
-		out = append(out, subgroup{key: k, bindings: []Binding{b}})
 	}
 	return out
 }
 
-// lessByCriteria orders two bindings by the values of the criteria
-// variables (missing values sort first).
-func lessByCriteria(a, b Binding, crit []string) bool {
-	for _, v := range crit {
-		av, aok := a[v]
-		bv, bok := b[v]
+// lessByCriteria orders two frames by the values of the criteria slots
+// (unbound values sort first).
+func lessByCriteria(a, b frame, crit []int) bool {
+	for _, s := range crit {
+		av, bv := a[s], b[s]
 		switch {
-		case !aok && !bok:
+		case av == nil && bv == nil:
 			continue
-		case !aok:
+		case av == nil:
 			return true
-		case !bok:
+		case bv == nil:
 			return false
 		}
 		if cmp := tree.Compare(av, bv); cmp != 0 {

@@ -59,17 +59,6 @@ func TestBuildHierarchyExported(t *testing.T) {
 	}
 }
 
-func TestJoinBenchHooks(t *testing.T) {
-	as := []Binding{{"K": tree.Int(1)}}
-	bs := []Binding{{"K": tree.Int(1), "V": tree.Int(2)}}
-	if got := HashJoinForBench(as, bs); len(got) != 1 {
-		t.Errorf("hash join = %v", got)
-	}
-	if got := ProductForBench(as, bs); len(got) != 1 {
-		t.Errorf("product = %v", got)
-	}
-}
-
 func TestMatchBodyPatternDomainCheck(t *testing.T) {
 	// A body pattern with a : Domain annotation filters inputs that
 	// do not conform to the named pattern.
@@ -228,18 +217,18 @@ rule Specific {
 }
 
 func TestLessByCriteriaMissingValues(t *testing.T) {
-	a := Binding{"K": tree.Int(1)}
-	b := Binding{}
-	if !lessByCriteria(b, a, []string{"K"}) {
+	a := frame{tree.Int(1)}
+	b := frame{nil}
+	if !lessByCriteria(b, a, []int{0}) {
 		t.Error("missing value should sort first")
 	}
-	if lessByCriteria(a, b, []string{"K"}) {
+	if lessByCriteria(a, b, []int{0}) {
 		t.Error("present value should sort after missing")
 	}
-	if lessByCriteria(a, a, []string{"K"}) {
+	if lessByCriteria(a, a, []int{0}) {
 		t.Error("equal bindings are not less")
 	}
-	if lessByCriteria(b, b, []string{"K"}) {
+	if lessByCriteria(b, b, []int{0}) {
 		t.Error("both missing are not less")
 	}
 }

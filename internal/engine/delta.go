@@ -59,8 +59,16 @@ func AffectedRules(prog *yatl.Program, entries []tree.StoreEntry) map[string]boo
 		if r.Exception {
 			continue
 		}
-		if ReadsOtherEntries(r) || slices.ContainsFunc(entries, func(e tree.StoreEntry) bool {
-			return slices.ContainsFunc(r.Body, func(bp yatl.BodyPattern) bool { return m.Matches(bp.Tree, e.Tree) })
+		if ReadsOtherEntries(r) {
+			affected[r.Name] = true
+			continue
+		}
+		bodies := make([]*PatternPlan, len(r.Body))
+		for i, bp := range r.Body {
+			bodies[i] = CompilePattern(bp.Tree)
+		}
+		if slices.ContainsFunc(entries, func(e tree.StoreEntry) bool {
+			return slices.ContainsFunc(bodies, func(pl *PatternPlan) bool { return m.matches(pl, e.Tree) })
 		}) {
 			affected[r.Name] = true
 		}

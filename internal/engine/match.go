@@ -7,11 +7,10 @@ import (
 	"yat/internal/tree"
 )
 
-// Matcher matches body pattern trees against ground data, producing
-// the sets of variable bindings of rule phase 1 (§3.1). A star edge
-// iterates: each child it covers yields one alternative binding, so a
-// brochure with two suppliers produces two bindings for Rule 1
-// (Figure 3).
+// Matcher matches compiled patterns against ground data, producing the
+// variable bindings of rule phase 1 (§3.1). A star edge iterates: each
+// child it covers yields one alternative binding, so a brochure with
+// two suppliers produces two bindings for Rule 1 (Figure 3).
 type Matcher struct {
 	// Store resolves references when checking pattern-domain
 	// conformance of subtrees. Optional.
@@ -38,73 +37,271 @@ func (m *Matcher) conformance() *pattern.ConformanceChecker {
 	return m.checker
 }
 
+// Match appends to dst one Binding per way tree n matches the plan's
+// pattern, in match order. An ask compiles its pattern once and
+// matches every candidate entry through it.
+func (m *Matcher) Match(dst []Binding, pl *PatternPlan, n *tree.Node) []Binding {
+	c := m.getCtx()
+	c.reset(len(pl.vars))
+	for i := c.matchNode(pl.root, n); i < c.top; i++ {
+		dst = append(dst, pl.binding(c.frame(i)))
+	}
+	m.putCtx(c)
+	return dst
+}
+
 // MatchTree returns all variable bindings under which tree n matches
 // pattern pt. An empty result means no match.
 func (m *Matcher) MatchTree(pt *pattern.PTree, n *tree.Node) []Binding {
-	return m.matchNode(pt, n)
+	return m.Match(nil, CompilePattern(pt), n)
 }
 
 // Matches reports whether the pattern matches at all.
 func (m *Matcher) Matches(pt *pattern.PTree, n *tree.Node) bool {
-	return len(m.matchNode(pt, n)) > 0
+	return m.matches(CompilePattern(pt), n)
 }
 
-func (m *Matcher) matchNode(pt *pattern.PTree, n *tree.Node) []Binding {
-	switch label := pt.Label.(type) {
-	case pattern.Const:
-		if !n.Label.Equal(label.Value) {
-			return nil
-		}
-		return m.matchEdges(pt.Edges, n.Children)
+func (m *Matcher) matches(pl *PatternPlan, n *tree.Node) bool {
+	c := m.getCtx()
+	c.reset(len(pl.vars))
+	ok := c.matchNode(pl.root, n) < c.top
+	m.putCtx(c)
+	return ok
+}
 
-	case pattern.Var:
-		if len(pt.Edges) == 0 {
+// matchCtx is the scratch space of one match: a stack of frames, all
+// of one width, where every step leaves its alternatives on top. A
+// step returns the index of its first frame; it pushes scratch frames
+// above its inputs and moves its results down over them, so nothing is
+// allocated once the stack has grown to the largest match seen. A
+// context serves one goroutine at a time.
+type matchCtx struct {
+	m    *Matcher
+	w    int          // frame width: the plan's slot count
+	top  int          // frames on the stack
+	vals []tree.Value // the frames: top*w values
+	// used is the high-water mark of vals, cleared when the context is
+	// put back so that an idle context keeps no tree alive.
+	used int
+	// bounds holds, per star edge being matched, where each child's
+	// list of alternatives starts on the stack.
+	bounds []int
+	// blocked is a run's scratch for the rules a match shadows (§4.2).
+	blocked []string
+}
+
+var ctxPool = sync.Pool{New: func() any { return new(matchCtx) }}
+
+func (m *Matcher) getCtx() *matchCtx {
+	c := ctxPool.Get().(*matchCtx)
+	c.m = m
+	return c
+}
+
+func (m *Matcher) putCtx(c *matchCtx) {
+	clear(c.vals[:c.used])
+	c.vals, c.used, c.bounds, c.m = c.vals[:0], 0, c.bounds[:0], nil
+	ctxPool.Put(c)
+}
+
+// reset empties the stack for frames of width w.
+func (c *matchCtx) reset(w int) {
+	c.w = w
+	c.truncate(0)
+}
+
+func (c *matchCtx) frame(i int) frame {
+	o := i * c.w
+	return c.vals[o : o+c.w : o+c.w]
+}
+
+// push adds an all-unbound frame on top of the stack and returns it.
+// It may move the stack: frames taken before a push are stale after.
+func (c *matchCtx) push() frame {
+	o := len(c.vals)
+	c.vals = append(c.vals, make([]tree.Value, c.w)...)
+	c.used = max(c.used, len(c.vals))
+	c.top++
+	return c.vals[o : o+c.w : o+c.w]
+}
+
+// pushCopy adds a copy of frame i on top of the stack and returns it.
+func (c *matchCtx) pushCopy(i int) frame {
+	o := len(c.vals)
+	c.vals = append(c.vals, c.vals[i*c.w:(i+1)*c.w]...)
+	c.used = max(c.used, len(c.vals))
+	c.top++
+	return c.vals[o : o+c.w : o+c.w]
+}
+
+func (c *matchCtx) truncate(top int) {
+	c.top = top
+	c.vals = c.vals[:top*c.w]
+}
+
+// keep moves the frames from src to the top down to dst and drops the
+// rest: a step's results replace its scratch.
+func (c *matchCtx) keep(dst, src int) {
+	if dst != src {
+		copy(c.vals[dst*c.w:], c.vals[src*c.w:])
+	}
+	c.truncate(dst + c.top - src)
+}
+
+// merge adds src's bound slots to dst. Shared variables must agree
+// ("the SN variable is used in both body patterns to indicate that the
+// supplier name ... should be the same", §3.2); the result reports
+// whether they do.
+func merge(dst, src frame) bool {
+	for s, v := range src {
+		if v == nil {
+			continue
+		}
+		if prev := dst[s]; prev != nil {
+			if !prev.Equal(v) {
+				return false
+			}
+			continue
+		}
+		dst[s] = v
+	}
+	return true
+}
+
+// overlay is merge with src's values taking precedence: where both
+// bind a slot to Equal values, dst takes src's.
+func overlay(dst, src frame) bool {
+	for s, v := range src {
+		if v == nil {
+			continue
+		}
+		if prev := dst[s]; prev != nil && !v.Equal(prev) {
+			return false
+		}
+		dst[s] = v
+	}
+	return true
+}
+
+// join replaces the frames [lo, mid) and [mid, top) by the consistent
+// merges of every pair, a-major — in place when either side is a
+// single frame, as it mostly is along one edges.
+func (c *matchCtx) join(lo, mid int) {
+	hi := c.top
+	switch {
+	case hi-mid == 1:
+		r := c.frame(mid)
+		out := lo
+		for i := lo; i < mid; i++ {
+			if f := c.frame(i); merge(f, r) {
+				if out != i {
+					copy(c.frame(out), f)
+				}
+				out++
+			}
+		}
+		c.truncate(out)
+	case mid-lo == 1:
+		a := c.frame(lo)
+		out := mid
+		for j := mid; j < hi; j++ {
+			if f := c.frame(j); overlay(f, a) {
+				if out != j {
+					copy(c.frame(out), f)
+				}
+				out++
+			}
+		}
+		c.truncate(out)
+		c.keep(lo, mid)
+	default:
+		c.product(lo, mid, mid, hi, -1, nil)
+		c.keep(lo, hi)
+	}
+}
+
+// product pushes the consistent merges of every frame of [aLo, aHi)
+// with every frame of [bLo, bHi), a-major. A non-negative index slot
+// is set to pos in each a-frame's copy before the merge (the position
+// an index edge binds).
+func (c *matchCtx) product(aLo, aHi, bLo, bHi, index int, pos tree.Value) {
+	for a := aLo; a < aHi; a++ {
+		for b := bLo; b < bHi; b++ {
+			f := c.pushCopy(a)
+			if index >= 0 {
+				f[index] = pos
+			}
+			if !merge(f, c.frame(b)) {
+				c.truncate(c.top - 1)
+			}
+		}
+	}
+}
+
+// bindAll binds slot to val in every frame from lo up, dropping the
+// frames that bind it to something else.
+func (c *matchCtx) bindAll(lo, slot int, val tree.Value) {
+	out := lo
+	for i := lo; i < c.top; i++ {
+		f := c.frame(i)
+		if prev := f[slot]; prev != nil && !prev.Equal(val) {
+			continue
+		}
+		f[slot] = val
+		if out != i {
+			copy(c.frame(out), f)
+		}
+		out++
+	}
+	c.truncate(out)
+}
+
+// matchNode pushes the frames under which tree n matches p.
+func (c *matchCtx) matchNode(p *pnode, n *tree.Node) int {
+	lo := c.top
+	switch p.op {
+	case opConst:
+		if n.Label.Equal(p.label) {
+			c.matchEdges(p.edges, n.Children, 0)
+		}
+
+	case opVar:
+		if len(p.edges) == 0 {
 			// Leaf variable: binds the whole subtree — the label for
 			// plain leaves, the reference for reference leaves, the
 			// wrapped subtree otherwise.
 			val := subtreeValue(n)
-			if !m.domainAdmits(label.Domain, n, val) {
-				return nil
+			if c.m.domainAdmits(p.dom, n, val) {
+				c.push()[p.slot] = val
 			}
-			return []Binding{{label.Name: val}}
+			return lo
 		}
-		// Internal variable: binds the node label only.
-		if label.Domain.IsPattern() {
-			return nil // pattern variables are leaves
+		// Internal variable: binds the node label only. Pattern
+		// variables are leaves, and a reference leaf has no label to
+		// bind.
+		if p.dom.IsPattern() || n.IsRef() || (!p.dom.IsAny() && !p.dom.Contains(n.Label)) {
+			return lo
 		}
-		if n.IsRef() {
-			return nil // a reference leaf has no label to bind
-		}
-		if !label.Domain.IsAny() && !label.Domain.Contains(n.Label) {
-			return nil
-		}
-		bs := m.matchEdges(pt.Edges, n.Children)
-		return bindAll(bs, label.Name, n.Label)
+		c.matchEdges(p.edges, n.Children, 0)
+		c.bindAll(lo, p.slot, n.Label)
 
-	case pattern.PatRef:
-		if label.Ref {
-			// &P(args): the input must be a reference leaf. If the
-			// model defines P, the referenced tree must conform.
-			name, ok := n.RefName()
-			if !ok {
-				return nil
-			}
-			if !m.conformsRef(name, label.Name) {
-				return nil
-			}
-			return matchSkolemArgs(label, name)
+	case opRef:
+		// &P(args): the input must be a reference leaf. If the model
+		// defines P, the referenced tree must conform.
+		if name, ok := n.RefName(); ok && c.m.conformsRef(name, p.pat) {
+			c.matchSkolemArgs(p, name)
 		}
+
+	case opDeref:
 		// ^P: the subtree must be an instance of P (when checkable).
-		if m.Model != nil {
-			if _, defined := m.Model.Get(label.Name); defined {
-				if !m.conformance().Conforms(n, label.Name) {
-					return nil
-				}
+		if c.m.Model != nil {
+			if _, defined := c.m.Model.Get(p.pat); defined && !c.m.conformance().Conforms(n, p.pat) {
+				return lo
 			}
 		}
-		return []Binding{{}}
+		c.push()
 	}
-	return nil
+	return lo
 }
 
 // subtreeValue is the value a leaf variable binds when matched
@@ -185,48 +382,30 @@ func (m *Matcher) conformsRef(name tree.Name, patName string) bool {
 // against the Skolem name of the matched reference. Without
 // arguments, any reference is accepted. With arguments, the reference
 // must have been minted by the same functor with matching arity.
-func matchSkolemArgs(ref pattern.PatRef, name tree.Name) []Binding {
-	if len(ref.Args) == 0 {
-		return []Binding{{}}
+func (c *matchCtx) matchSkolemArgs(p *pnode, name tree.Name) {
+	if len(p.args) == 0 {
+		c.push()
+		return
 	}
-	if name.Functor != ref.Name || len(name.Args) != len(ref.Args) {
-		return nil
+	if name.Functor != p.pat || len(name.Args) != len(p.args) {
+		return
 	}
-	b := Binding{}
-	for i, a := range ref.Args {
+	f := c.push()
+	for i, a := range p.args {
 		v := name.Args[i]
-		if a.IsVar {
-			if prev, ok := b[a.Var]; ok {
-				if !prev.Equal(v) {
-					return nil
-				}
-				continue
+		if a.slot < 0 {
+			if !a.konst.Equal(v) {
+				c.truncate(c.top - 1)
+				return
 			}
-			b[a.Var] = v
 			continue
 		}
-		if !a.Const.Equal(v) {
-			return nil
+		if prev := f[a.slot]; prev != nil && !prev.Equal(v) {
+			c.truncate(c.top - 1)
+			return
 		}
+		f[a.slot] = v
 	}
-	return []Binding{b}
-}
-
-func bindAll(bs []Binding, name string, val tree.Value) []Binding {
-	out := bs[:0]
-	for _, b := range bs {
-		if prev, ok := b[name]; ok {
-			if !prev.Equal(val) {
-				continue
-			}
-			out = append(out, b)
-			continue
-		}
-		nb := b.Clone()
-		nb[name] = val
-		out = append(out, nb)
-	}
-	return out
 }
 
 // matchEdges matches the children sequence against the edge sequence.
@@ -235,76 +414,72 @@ func bindAll(bs []Binding, name string, val tree.Value) []Binding {
 // alternative bindings). Index edges additionally bind the child's
 // 1-based position. Alternatives from different edges combine by
 // consistent merge.
-func (m *Matcher) matchEdges(edges []pattern.Edge, kids []*tree.Node) []Binding {
-	return m.matchEdgesAt(edges, kids, 0)
-}
-
-func (m *Matcher) matchEdgesAt(edges []pattern.Edge, kids []*tree.Node, offset int) []Binding {
+func (c *matchCtx) matchEdges(edges []pedge, kids []*tree.Node, offset int) int {
+	lo := c.top
 	if len(edges) == 0 {
 		if len(kids) == 0 {
-			return []Binding{{}}
+			c.push()
 		}
-		return nil
+		return lo
 	}
-	e := edges[0]
-	if e.Occ == pattern.OccOne {
+	e := &edges[0]
+	if !e.star {
 		if len(kids) == 0 {
-			return nil
+			return lo
 		}
-		head := m.matchNode(e.To, kids[0])
-		if len(head) == 0 {
-			return nil
+		if c.matchNode(e.to, kids[0]); c.top == lo {
+			return lo
 		}
-		rest := m.matchEdgesAt(edges[1:], kids[1:], offset+1)
-		return product(head, rest)
+		mid := c.top
+		if c.matchEdges(edges[1:], kids[1:], offset+1); c.top == mid {
+			c.truncate(lo)
+			return lo
+		}
+		c.join(lo, mid)
+		return lo
 	}
 
-	// Star-like edge: try run lengths 0..len(kids). Per-child match
-	// lists are computed incrementally so each child is matched once.
-	// When the star subtree binds variables, an empty run contributes
-	// no valuation (a brochure without suppliers yields no binding
-	// for SN, hence no output — classical total-valuation semantics);
-	// a variable-free star is a pure structural constraint.
-	hasVars := len(e.To.Vars()) > 0 || e.Occ == pattern.OccIndex
-	var out []Binding
-	childBindings := make([][]Binding, 0, len(kids))
-	for k := 0; ; k++ {
-		rest := m.matchEdgesAt(edges[1:], kids[k:], offset+k)
-		if len(rest) > 0 {
-			switch {
-			case !hasVars:
-				out = append(out, rest...)
-			case k > 0:
-				run := m.runBindings(e, childBindings, offset)
-				out = append(out, product(run, rest)...)
-			}
-		}
-		if k == len(kids) {
+	// Star-like edge: run lengths 0..K, where child K is the first that
+	// does not match (the run cannot be extended past it) or K is
+	// len(kids). A child's alternatives do not depend on the rest of
+	// the match, so all of them are matched once, up front. When the
+	// star subtree binds variables, an empty run contributes no
+	// valuation (a brochure without suppliers yields no binding for SN,
+	// hence no output — classical total-valuation semantics); a
+	// variable-free star is a pure structural constraint.
+	b0 := len(c.bounds)
+	c.bounds = append(c.bounds, lo)
+	for k := 0; k < len(kids); k++ {
+		if c.matchNode(e.to, kids[k]); c.top == c.bounds[len(c.bounds)-1] {
 			break
 		}
-		bs := m.matchNode(e.To, kids[k])
-		if len(bs) == 0 {
-			break // the run cannot be extended past a non-matching child
-		}
-		childBindings = append(childBindings, bs)
+		c.bounds = append(c.bounds, c.top)
 	}
-	return out
-}
-
-// runBindings assembles the alternatives contributed by a star-like
-// edge covering the children whose match lists are given. Index edges
-// extend each alternative with the child position.
-func (m *Matcher) runBindings(e pattern.Edge, perChild [][]Binding, offset int) []Binding {
-	var out []Binding
-	for i, bs := range perChild {
-		for _, b := range bs {
-			nb := b
-			if e.Occ == pattern.OccIndex && e.Index != "" {
-				nb = b.Clone()
-				nb[e.Index] = tree.Int(int64(offset + i + 1))
+	matched := len(c.bounds) - b0 - 1
+	out := c.top
+	for k := 0; k <= matched; k++ {
+		rest := c.top
+		if c.matchEdges(edges[1:], kids[k:], offset+k); c.top == rest {
+			continue
+		}
+		switch {
+		case !e.hasVars:
+			// The rest's alternatives are this run's, already in place.
+		case k > 0:
+			hi := c.top
+			for i := 0; i < k; i++ {
+				var pos tree.Value
+				if e.index >= 0 {
+					pos = tree.Int(int64(offset + i + 1))
+				}
+				c.product(c.bounds[b0+i], c.bounds[b0+i+1], rest, hi, e.index, pos)
 			}
-			out = append(out, nb)
+			c.keep(rest, hi)
+		default:
+			c.truncate(rest)
 		}
 	}
-	return out
+	c.bounds = c.bounds[:b0]
+	c.keep(lo, out)
+	return lo
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"yat/internal/pattern"
@@ -374,27 +375,65 @@ rule B {
 }
 
 func TestBindingMergeAndJoin(t *testing.T) {
+	vars := []string{"X", "Y", "Z", "K", "V", "W", "Q"}
+	fr := func(b Binding) frame {
+		f := make(frame, len(vars))
+		for i, v := range vars {
+			f[i] = b[v]
+		}
+		return f
+	}
+	frs := func(bs ...Binding) []frame {
+		out := make([]frame, len(bs))
+		for i, b := range bs {
+			out[i] = fr(b)
+		}
+		return out
+	}
+	pl := &PatternPlan{vars: vars}
+	keys := func(fs []frame) []string {
+		out := make([]string, len(fs))
+		for i, f := range fs {
+			out[i] = pl.binding(f).Key()
+		}
+		return out
+	}
+
 	a := Binding{"X": tree.Int(1), "Y": tree.String("a")}
 	b := Binding{"Y": tree.String("a"), "Z": tree.Int(2)}
-	m, ok := a.Merge(b)
-	if !ok || len(m) != 3 {
-		t.Errorf("merge = %v, %v", m, ok)
+	if m := fr(a); !merge(m, fr(b)) || len(pl.binding(m)) != 3 {
+		t.Errorf("merge = %v", pl.binding(m))
 	}
-	c := Binding{"Y": tree.String("other")}
-	if _, ok := a.Merge(c); ok {
+	if merge(fr(a), fr(Binding{"Y": tree.String("other")})) {
 		t.Error("conflicting merge should fail")
 	}
 
 	as := []Binding{{"K": tree.Int(1), "V": tree.String("a")}, {"K": tree.Int(2), "V": tree.String("b")}}
 	bs := []Binding{{"K": tree.Int(2), "W": tree.String("w")}, {"K": tree.Int(3), "W": tree.String("x")}}
-	j := hashJoin(as, bs)
-	if len(j) != 1 || !j[0]["V"].Equal(tree.String("b")) {
-		t.Errorf("join = %v", j)
+	cs := []Binding{{"Q": tree.Int(9)}}
+	var sl frameSlab
+	j := hashJoin(frs(as...), frs(bs...), &sl)
+	if len(j) != 1 || !j[0][4].Equal(tree.String("b")) {
+		t.Errorf("join = %v", keys(j))
 	}
 	// No shared vars → Cartesian product.
-	cs := []Binding{{"Q": tree.Int(9)}}
-	if got := hashJoin(as, cs); len(got) != 2 {
-		t.Errorf("cartesian join = %v", got)
+	if got := hashJoin(frs(as...), frs(cs...), &sl); len(got) != 2 {
+		t.Errorf("cartesian join = %v", keys(got))
+	}
+	// Both agree with the reference map join, order included — on
+	// shared keys, on a Cartesian product, and where a shared variable
+	// holds values of two kinds with one display form.
+	ds := []Binding{{"K": tree.Int(2), "W": tree.Symbol("y")}, {"K": tree.Float(2), "W": tree.Symbol("z")}, {"K": tree.Int(2)}}
+	for _, tc := range [][2][]Binding{{as, bs}, {as, cs}, {bs, ds}, {ds, as}, {ds, ds}} {
+		want := refHashJoin(tc[0], tc[1])
+		got := keys(hashJoin(frs(tc[0]...), frs(tc[1]...), &sl))
+		wantKeys := make([]string, len(want))
+		for i, b := range want {
+			wantKeys[i] = b.Key()
+		}
+		if !slices.Equal(got, wantKeys) {
+			t.Errorf("hashJoin(%v, %v) = %q, reference %q", tc[0], tc[1], got, wantKeys)
+		}
 	}
 }
 

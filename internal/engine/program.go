@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -195,7 +196,7 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 		matcher:   &Matcher{Store: inputs, Model: model},
 		hier:      buildHierarchy(prog, model),
 		seenIDs:   map[string]bool{},
-		ruleState: map[string]*ruleState{},
+		ruleState: map[*yatl.Rule]*ruleState{},
 	}
 	// Mediator-only options do nothing on a plain engine run; warn so
 	// the misconfiguration is visible instead of silently absorbed.
@@ -211,7 +212,7 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 		if rule.Exception {
 			continue
 		}
-		r.ruleState[rule.Name] = newRuleState(rule)
+		r.ruleState[rule] = newRuleState(rule)
 	}
 
 	// Seed with the source inputs — or, in delta-evaluation mode, with
@@ -242,14 +243,14 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 		if r.sink != nil {
 			r.sink.Emit(trace.Event{Kind: trace.KindRound, Phase: trace.PhaseRun, Round: rounds, Count: len(pending)})
 		}
-		results := make([]*matchResult, len(pending))
+		results := make([]matchResult, len(pending))
 		if err := forEachIndexed(r.ctx, r.workers, len(pending), func(i int) {
-			results[i] = r.collectMatches(pending[i])
+			r.collectMatches(pending[i], &results[i])
 		}); err != nil {
 			return nil, cancelErr(err)
 		}
-		for _, mr := range results {
-			r.applyMatches(mr)
+		for i := range results {
+			r.applyMatches(&results[i])
 		}
 		// Multi-pattern rules join across all activations; recompute
 		// when their caches grew, then evaluate any new bindings.
@@ -330,36 +331,29 @@ type activation struct {
 }
 
 // ruleState accumulates the matching and evaluation state of one rule
-// across the run.
+// across the run. Its bindings are frames of the rule's plan.
 type ruleState struct {
-	rule *yatl.Rule
-	// perPattern caches, for each body pattern, the bindings obtained
+	plan *rulePlan
+	// perPattern caches, for each body pattern, the frames obtained
 	// from every activation so far (multi-pattern rules only).
-	perPattern [][]Binding
+	perPattern [][]frame
 	grew       bool
-	// raw are the matched bindings not yet put through lets and
+	// raw are the matched frames not yet put through lets and
 	// predicates; keyed for deduplication.
-	raw     []Binding
+	raw     []frame
 	rawSeen map[string]bool
 	rawNext int
-	// evaluated are the bindings that survived phases 2 and 3.
-	evaluated []Binding
+	// evaluated are the frames that survived phases 2 and 3.
+	evaluated []frame
 	evalNext  int
-	// skolemRefs are the pattern references occurring in the head
-	// tree (computed once).
-	skolemRefs []pattern.PatRef
 }
 
 func newRuleState(rule *yatl.Rule) *ruleState {
-	s := &ruleState{
-		rule:       rule,
-		perPattern: make([][]Binding, len(rule.Body)),
+	return &ruleState{
+		plan:       compileRule(rule),
+		perPattern: make([][]frame, len(rule.Body)),
 		rawSeen:    map[string]bool{},
 	}
-	if rule.Head.Tree != nil {
-		s.skolemRefs = rule.Head.Tree.PatternRefs()
-	}
-	return s
 }
 
 type run struct {
@@ -383,8 +377,13 @@ type run struct {
 	processed int
 	seenIDs   map[string]bool
 
-	ruleState map[string]*ruleState
+	ruleState map[*yatl.Rule]*ruleState
 	warnings  []string
+
+	// keyBuf is the scratch of the single-threaded activation, dedup
+	// and Skolem keys; slab holds the frames joins produce.
+	keyBuf []byte
+	slab   frameSlab
 }
 
 func (r *run) warn(msg string) { r.warnings = append(r.warnings, msg) }
@@ -400,11 +399,11 @@ func (r *run) totalBindings() int {
 // activate registers an input for rule application, once per
 // identity.
 func (r *run) activate(id tree.Value, node *tree.Node, source bool) {
-	key := id.Kind().String() + ":" + displayKey(id)
-	if r.seenIDs[key] {
+	r.keyBuf = appendKey(r.keyBuf[:0], id)
+	if r.seenIDs[string(r.keyBuf)] {
 		return
 	}
-	r.seenIDs[key] = true
+	r.seenIDs[string(r.keyBuf)] = true
 	r.active = append(r.active, &activation{id: id, node: node, source: source})
 }
 
@@ -426,17 +425,17 @@ func (r *run) activateValue(v tree.Value) {
 }
 
 // ruleMatches is the outcome of matching one activation against one
-// rule: bindings for a single-body rule, or per-body-pattern binding
-// lists for a multi-pattern rule (multi non-nil distinguishes them).
+// rule: frames for a single-body rule, or per-body-pattern frame lists
+// for a multi-pattern rule (multi non-nil distinguishes them).
 type ruleMatches struct {
 	rule   *yatl.Rule
-	single []Binding
-	multi  [][]Binding
+	single []frame
+	multi  [][]frame
 }
 
 // matchResult is everything phase 1 decides about one activation.
 // Workers compute it from read-only state (the hierarchy, the rule
-// bodies, the input store); the blocking of less specific rules is
+// plans, the input store); the blocking of less specific rules is
 // per-input, so it too is decided locally. applyMatches then merges
 // results into the shared rule state in activation order, which keeps
 // a parallel run's binding order — and therefore every downstream
@@ -450,58 +449,55 @@ type matchResult struct {
 // collectMatches applies phase 1 to one input: per functor group,
 // rules are tried most-specific-first and a match blocks the less
 // specific conflicting rules for this input (§4.2). It touches no
-// shared mutable state and is safe to call from multiple goroutines.
-func (r *run) collectMatches(a *activation) *matchResult {
-	mr := &matchResult{a: a}
+// shared mutable state and is safe to call from multiple goroutines;
+// its match scratch is its own.
+func (r *run) collectMatches(a *activation, mr *matchResult) {
+	mr.a = a
+	c := r.matcher.getCtx()
+	defer r.matcher.putCtx(c)
 	for _, functor := range r.hier.functorOrder {
-		// blocked stays nil until a match actually blocks something —
-		// reads of a nil map are legal and the common case allocates
-		// nothing.
-		var blocked map[string]bool
+		// blocked lists the rules of the group a match has shadowed for
+		// this input, in the context's scratch.
+		blocked := c.blocked[:0]
 		for _, rule := range r.hier.groups[functor] {
-			if blocked[rule.Name] {
+			if slices.Contains(blocked, rule.Name) {
 				continue
 			}
+			rp := r.ruleState[rule].plan
 			var matchStart time.Time
 			if r.sink != nil {
 				matchStart = time.Now()
 			}
-			if len(rule.Body) == 1 {
-				bs := r.matchBodyPattern(rule.Body[0], a)
+			if len(rp.bodies) == 1 {
+				fs := r.matchBodyPattern(c, rp, &rp.bodies[0], a)
 				if r.sink != nil {
 					r.sink.Emit(trace.Event{Kind: trace.KindMatch, Phase: trace.PhaseMatch,
-						Rule: rule.Name, Round: r.round, Count: len(bs), Duration: time.Since(matchStart)})
+						Rule: rule.Name, Round: r.round, Count: len(fs), Duration: time.Since(matchStart)})
 				}
-				if len(bs) == 0 {
+				if len(fs) == 0 {
 					continue
 				}
 				mr.matched = true
-				if names := r.hier.blocks[rule.Name]; len(names) > 0 {
-					if blocked == nil {
-						blocked = make(map[string]bool, len(names))
-					}
-					for _, name := range names {
-						blocked[name] = true
-					}
-				}
-				mr.perRule = append(mr.perRule, ruleMatches{rule: rule, single: bs})
+				blocked = append(blocked, r.hier.blocks[rule.Name]...)
+				c.blocked = blocked
+				mr.perRule = append(mr.perRule, ruleMatches{rule: rule, single: fs})
 				continue
 			}
 			// Multi-pattern rule: cache the matches of every body
 			// pattern; the join happens per round.
-			var multi [][]Binding
+			var multi [][]frame
 			total := 0
-			for i := range rule.Body {
-				bs := r.matchBodyPattern(rule.Body[i], a)
-				if len(bs) == 0 {
+			for i := range rp.bodies {
+				fs := r.matchBodyPattern(c, rp, &rp.bodies[i], a)
+				if len(fs) == 0 {
 					continue
 				}
-				total += len(bs)
+				total += len(fs)
 				mr.matched = true
 				if multi == nil {
-					multi = make([][]Binding, len(rule.Body))
+					multi = make([][]frame, len(rp.bodies))
 				}
-				multi[i] = bs
+				multi[i] = fs
 			}
 			if r.sink != nil {
 				r.sink.Emit(trace.Event{Kind: trace.KindMatch, Phase: trace.PhaseMatch,
@@ -512,7 +508,6 @@ func (r *run) collectMatches(a *activation) *matchResult {
 			}
 		}
 	}
-	return mr
 }
 
 // applyMatches merges one activation's matches into the shared rule
@@ -522,60 +517,69 @@ func (r *run) applyMatches(mr *matchResult) {
 		mr.a.matched = true
 	}
 	for _, rm := range mr.perRule {
-		s := r.ruleState[rm.rule.Name]
+		s := r.ruleState[rm.rule]
 		if rm.multi == nil {
 			r.addRaw(s, rm.single)
 			continue
 		}
-		for i, bs := range rm.multi {
-			if len(bs) == 0 {
+		for i, fs := range rm.multi {
+			if len(fs) == 0 {
 				continue
 			}
-			s.perPattern[i] = append(s.perPattern[i], bs...)
+			s.perPattern[i] = append(s.perPattern[i], fs...)
 			s.grew = true
 		}
 	}
 }
 
 // matchBodyPattern matches one body pattern against an activation and
-// binds the body's pattern variable to the input identity.
-func (r *run) matchBodyPattern(bp yatl.BodyPattern, a *activation) []Binding {
-	if bp.Domain != "" && r.matcher.Model != nil {
-		if _, defined := r.matcher.Model.Get(bp.Domain); defined {
-			if !r.matcher.conformance().Conforms(a.node, bp.Domain) {
+// binds the body's pattern variable to the input identity. The frames
+// are copied out of the match scratch into one block of their own.
+func (r *run) matchBodyPattern(c *matchCtx, rp *rulePlan, bp *bodyPlan, a *activation) []frame {
+	if bp.domain != "" && r.matcher.Model != nil {
+		if _, defined := r.matcher.Model.Get(bp.domain); defined {
+			if !r.matcher.conformance().Conforms(a.node, bp.domain) {
 				return nil
 			}
 		}
 	}
-	bs := r.matcher.MatchTree(bp.Tree, a.node)
-	if len(bs) == 0 {
+	w := len(rp.vars)
+	c.reset(w)
+	c.matchNode(bp.root, a.node)
+	c.bindAll(0, bp.slot, a.id)
+	if c.top == 0 {
 		return nil
 	}
-	return bindAll(bs, bp.Var, a.id)
+	vals := append([]tree.Value(nil), c.vals...)
+	out := make([]frame, c.top)
+	for i := range out {
+		out[i] = vals[i*w : (i+1)*w : (i+1)*w]
+	}
+	return out
 }
 
-func (r *run) addRaw(s *ruleState, bs []Binding) {
-	for _, b := range bs {
-		k := b.Key()
-		if s.rawSeen[k] {
+func (r *run) addRaw(s *ruleState, fs []frame) {
+	for _, f := range fs {
+		r.keyBuf = appendFrameKey(r.keyBuf[:0], f, nil)
+		if s.rawSeen[string(r.keyBuf)] {
 			continue
 		}
-		s.rawSeen[k] = true
-		s.raw = append(s.raw, b)
+		s.rawSeen[string(r.keyBuf)] = true
+		s.raw = append(s.raw, f)
 	}
 }
 
 // joinMultiBody recomputes the cross-pattern join of a multi-pattern
 // rule when any per-pattern cache grew (Rule 3's heterogeneous join).
 func (r *run) joinMultiBody(rule *yatl.Rule) {
-	s := r.ruleState[rule.Name]
+	s := r.ruleState[rule]
 	if !s.grew {
 		return
 	}
 	s.grew = false
 	joined := s.perPattern[0]
 	for i := 1; i < len(s.perPattern); i++ {
-		joined = hashJoin(joined, s.perPattern[i])
+		joined = hashJoin(joined, s.perPattern[i], &r.slab)
 		if len(joined) == 0 {
 			return
 		}
@@ -597,22 +601,20 @@ func (r *run) joinMultiBody(rule *yatl.Rule) {
 // running it after the whole batch preserves sequential semantics.
 func (r *run) evaluateNewBindings() error {
 	type evalTask struct {
-		rule *yatl.Rule
-		s    *ruleState
-		b    Binding
+		s *ruleState
+		f frame
 	}
 	var tasks []evalTask
 	for _, rule := range r.prog.Rules {
 		if rule.Exception {
 			continue
 		}
-		s := r.ruleState[rule.Name]
+		s := r.ruleState[rule]
 		for ; s.rawNext < len(s.raw); s.rawNext++ {
-			tasks = append(tasks, evalTask{rule: rule, s: s, b: s.raw[s.rawNext]})
+			tasks = append(tasks, evalTask{s: s, f: s.raw[s.rawNext]})
 		}
 	}
 	type evalResult struct {
-		b     Binding
 		ok    bool
 		warns []string
 		err   error
@@ -621,7 +623,7 @@ func (r *run) evaluateNewBindings() error {
 	if err := forEachIndexed(r.ctx, r.workers, len(tasks), func(i int) {
 		t := tasks[i]
 		var res evalResult
-		res.b, res.ok, res.warns, res.err = r.evalBinding(t.rule, t.b)
+		res.ok, res.warns, res.err = r.evalBinding(t.s.plan, t.f)
 		results[i] = res
 	}); err != nil {
 		return cancelErr(err)
@@ -633,7 +635,7 @@ func (r *run) evaluateNewBindings() error {
 			return res.err
 		}
 		if res.ok {
-			tasks[i].s.evaluated = append(tasks[i].s.evaluated, res.b)
+			tasks[i].s.evaluated = append(tasks[i].s.evaluated, tasks[i].f)
 		}
 	}
 	// Discover activations minted by the new evaluated bindings.
@@ -641,17 +643,12 @@ func (r *run) evaluateNewBindings() error {
 		if rule.Exception {
 			continue
 		}
-		s := r.ruleState[rule.Name]
+		s := r.ruleState[rule]
 		for ; s.evalNext < len(s.evaluated); s.evalNext++ {
-			b := s.evaluated[s.evalNext]
-			for _, ref := range s.skolemRefs {
-				for _, arg := range ref.Args {
-					if !arg.IsVar {
-						continue
-					}
-					if v, bound := b[arg.Var]; bound {
-						r.activateValue(v)
-					}
+			f := s.evaluated[s.evalNext]
+			for _, slot := range s.plan.minted {
+				if v := f[slot]; v != nil {
+					r.activateValue(v)
 				}
 			}
 		}
@@ -659,54 +656,54 @@ func (r *run) evaluateNewBindings() error {
 	return nil
 }
 
-// evalBinding applies the rule's lets and predicates to one binding.
-// It is called from worker goroutines and must not touch shared run
-// state: diagnostics come back as warns for the caller to append in
-// deterministic order (trace emission is exempt — sinks are
-// concurrency-safe by contract and aggregate order-independently).
-func (r *run) evalBinding(rule *yatl.Rule, b Binding) (_ Binding, ok bool, warns []string, err error) {
-	if len(rule.Lets) > 0 {
-		b = b.Clone()
-	}
-	for _, l := range rule.Lets {
-		args, ok := resolveOperands(b, l.Args)
+// evalBinding applies the rule's lets and predicates to one frame,
+// writing the let values into it: a raw frame belongs to its rule's
+// state alone, and its dedup key is already taken. It is called from
+// worker goroutines and must not touch shared run state: diagnostics
+// come back as warns for the caller to append in deterministic order
+// (trace emission is exempt — sinks are concurrency-safe by contract
+// and aggregate order-independently).
+func (r *run) evalBinding(rp *rulePlan, f frame) (ok bool, warns []string, err error) {
+	rule := rp.rule
+	for _, l := range rp.lets {
+		args, ok := resolveOperands(f, l.args)
 		if !ok {
 			r.traceDrop(rule.Name, trace.PhaseFunctions, trace.DropUnresolvedOperand)
-			return nil, false, nil, nil
+			return false, nil, nil
 		}
 		var callStart time.Time
 		if r.sink != nil {
 			callStart = time.Now()
 		}
-		val, typed, err := r.reg.Call(l.Func, args)
+		val, typed, err := r.reg.Call(l.fn, args)
 		if r.sink != nil {
 			passed := 0
 			if typed && err == nil {
 				passed = 1
 			}
 			r.sink.Emit(trace.Event{Kind: trace.KindCall, Phase: trace.PhaseFunctions,
-				Rule: rule.Name, Round: r.round, Count: passed, Detail: l.Func, Duration: time.Since(callStart)})
+				Rule: rule.Name, Round: r.round, Count: passed, Detail: l.fn, Duration: time.Since(callStart)})
 		}
 		if err != nil {
 			var raised ErrRaised
 			if errors.As(err, &raised) {
-				return nil, false, nil, err
+				return false, nil, err
 			}
 			r.traceDrop(rule.Name, trace.PhaseFunctions, trace.DropFunctionError)
 			warns = append(warns, fmt.Sprintf("rule %s: %v (binding dropped)", rule.Name, err))
-			return nil, false, warns, nil
+			return false, warns, nil
 		}
 		if !typed {
 			r.traceDrop(rule.Name, trace.PhaseFunctions, trace.DropTypeFilter)
-			return nil, false, nil, nil // the §3.1 type filter
+			return false, nil, nil // the §3.1 type filter
 		}
-		b[l.Var] = val
+		f[l.slot] = val
 	}
-	for _, p := range rule.Preds {
-		ok, pwarns, err := r.evalPred(rule, p, b)
+	for i := range rp.preds {
+		ok, pwarns, err := r.evalPred(rule.Name, &rp.preds[i], f)
 		warns = append(warns, pwarns...)
 		if err != nil {
-			return nil, false, warns, err
+			return false, warns, err
 		}
 		if !ok {
 			reason := trace.DropPredicateFalse
@@ -714,14 +711,14 @@ func (r *run) evalBinding(rule *yatl.Rule, b Binding) (_ Binding, ok bool, warns
 				reason = trace.DropPredicateError
 			}
 			r.traceDrop(rule.Name, trace.PhasePredicates, reason)
-			return nil, false, warns, nil
+			return false, warns, nil
 		}
 	}
 	if r.sink != nil {
 		r.sink.Emit(trace.Event{Kind: trace.KindBindingKept, Phase: trace.PhasePredicates,
 			Rule: rule.Name, Round: r.round, Count: 1})
 	}
-	return b, true, warns, nil
+	return true, warns, nil
 }
 
 // traceDrop emits a binding-dropped event; free when tracing is off.
@@ -733,9 +730,10 @@ func (r *run) traceDrop(rule string, phase trace.Phase, reason string) {
 		Rule: rule, Round: r.round, Detail: reason})
 }
 
-func (r *run) evalPred(rule *yatl.Rule, p yatl.Pred, b Binding) (ok bool, warns []string, err error) {
+func (r *run) evalPred(rule string, pp *predPlan, f frame) (ok bool, warns []string, err error) {
+	p := &pp.pred
 	if p.IsCall() {
-		args, ok := resolveOperands(b, p.Args)
+		args, ok := resolveOperands(f, pp.args)
 		if !ok {
 			return false, nil, nil
 		}
@@ -750,51 +748,43 @@ func (r *run) evalPred(rule *yatl.Rule, p yatl.Pred, b Binding) (ok bool, warns 
 				passed = 1
 			}
 			r.sink.Emit(trace.Event{Kind: trace.KindCall, Phase: trace.PhasePredicates,
-				Rule: rule.Name, Round: r.round, Count: passed, Detail: p.Call, Duration: time.Since(callStart)})
+				Rule: rule, Round: r.round, Count: passed, Detail: p.Call, Duration: time.Since(callStart)})
 		}
 		if err != nil {
 			var raised ErrRaised
 			if errors.As(err, &raised) {
 				return false, nil, err
 			}
-			warns = append(warns, fmt.Sprintf("rule %s: %v (binding dropped)", rule.Name, err))
+			warns = append(warns, fmt.Sprintf("rule %s: %v (binding dropped)", rule, err))
 			return false, warns, nil
 		}
 		return res && typed, nil, nil
 	}
-	left, lok := resolveOperand(b, p.Left)
+	left, lok := pp.left.value(f)
 	if !lok {
 		return false, nil, nil
 	}
-	right, rok := resolveOperand(b, p.Right)
+	right, rok := pp.right.value(f)
 	if !rok {
 		return false, nil, nil
 	}
 	ok, known := p.Op.Holds(left, right)
 	if !known {
-		return false, nil, fmt.Errorf("engine: rule %s: unknown comparison", rule.Name)
+		return false, nil, fmt.Errorf("engine: rule %s: unknown comparison", rule)
 	}
 	return ok, nil, nil
 }
 
-func resolveOperands(b Binding, ops []yatl.Operand) ([]tree.Value, bool) {
+func resolveOperands(f frame, ops []operand) ([]tree.Value, bool) {
 	out := make([]tree.Value, len(ops))
 	for i, o := range ops {
-		v, ok := resolveOperand(b, o)
+		v, ok := o.value(f)
 		if !ok {
 			return nil, false
 		}
 		out[i] = v
 	}
 	return out, true
-}
-
-func resolveOperand(b Binding, o yatl.Operand) (tree.Value, bool) {
-	if !o.IsVar {
-		return o.Const, true
-	}
-	v, ok := b[o.Var]
-	return v, ok
 }
 
 // constructRule is phase 4+5 for one rule: evaluate the head Skolem
@@ -804,24 +794,24 @@ func resolveOperand(b Binding, o yatl.Operand) (tree.Value, bool) {
 // order — and the first-error/non-determinism reporting — matches the
 // sequential interpreter.
 func (r *run) constructRule(rule *yatl.Rule) error {
-	s := r.ruleState[rule.Name]
+	s := r.ruleState[rule]
 	if len(s.evaluated) == 0 {
 		return nil
 	}
-	type oidGroup struct {
-		oid      tree.Name
-		bindings []Binding
-	}
+	rp := s.plan
+	// Group the frames by Skolem identity, in first-occurrence order.
+	var oids []tree.Name
 	index := map[string]int{}
-	var groups []oidGroup
-	headRef := pattern.PatRef{Name: rule.Head.Functor, Args: rule.Head.Args}
-	for _, b := range s.evaluated {
-		c := &constructor{rule: rule.Name}
+	ids := make([]int, len(s.evaluated))
+	var sizes []int
+	c := &constructor{plan: rp}
+	for k := range s.evaluated {
+		ids[k] = -1
 		var skolemStart time.Time
 		if r.sink != nil {
 			skolemStart = time.Now()
 		}
-		oid, err := c.evalSkolem(headRef, []Binding{b})
+		oid, err := c.evalSkolem(rule.Head.Functor, rp.skolem, s.evaluated[k:k+1])
 		if err != nil {
 			if r.sink != nil {
 				r.sink.Emit(trace.Event{Kind: trace.KindBindingDropped, Phase: trace.PhaseSkolem,
@@ -830,31 +820,31 @@ func (r *run) constructRule(rule *yatl.Rule) error {
 			r.warn(fmt.Sprintf("rule %s: %v (binding dropped)", rule.Name, err))
 			continue
 		}
-		key := oid.Key()
-		if i, ok := index[key]; ok {
-			groups[i].bindings = append(groups[i].bindings, b)
+		r.keyBuf = oid.AppendKey(r.keyBuf[:0])
+		if g, ok := index[string(r.keyBuf)]; ok {
+			ids[k] = g
+			sizes[g]++
 			continue
 		}
 		if r.sink != nil {
 			r.sink.Emit(trace.Event{Kind: trace.KindSkolemDefined, Phase: trace.PhaseSkolem,
 				Rule: rule.Name, Count: 1, Detail: oid.String(), Duration: time.Since(skolemStart)})
 		}
-		index[key] = len(groups)
-		groups = append(groups, oidGroup{oid: oid, bindings: []Binding{b}})
+		ids[k] = len(oids)
+		index[string(r.keyBuf)] = len(oids)
+		oids = append(oids, oid)
+		sizes = append(sizes, 1)
 	}
+	groups := splitByID(s.evaluated, ids, sizes)
 	outs := make([]*tree.Node, len(groups))
 	errs := make([]error, len(groups))
 	if err := forEachIndexed(r.ctx, r.workers, len(groups), func(i int) {
-		c := &constructor{
-			rule: rule.Name,
-			oid:  groups[i].oid,
-			hook: func(oid tree.Name, deref bool) {},
-		}
+		c := &constructor{plan: rp, oid: oids[i]}
 		var buildStart time.Time
 		if r.sink != nil {
 			buildStart = time.Now()
 		}
-		outs[i], errs[i] = c.construct(rule.Head.Tree, groups[i].bindings)
+		outs[i], errs[i] = c.construct(rp.head, groups[i])
 		if r.sink != nil {
 			built := 0
 			if errs[i] == nil {
@@ -866,7 +856,7 @@ func (r *run) constructRule(rule *yatl.Rule) error {
 	}); err != nil {
 		return cancelErr(err)
 	}
-	for i, g := range groups {
+	for i, oid := range oids {
 		if err := errs[i]; err != nil {
 			var nd *NonDetError
 			if errors.As(err, &nd) && r.opts.NonDetWarn {
@@ -877,9 +867,9 @@ func (r *run) constructRule(rule *yatl.Rule) error {
 			return err
 		}
 		out := outs[i]
-		if prev, ok := r.outputs.Get(g.oid); ok {
+		if prev, ok := r.outputs.Get(oid); ok {
 			if !prev.Equal(out) {
-				ndErr := &NonDetError{Rule: rule.Name, OID: g.oid,
+				ndErr := &NonDetError{Rule: rule.Name, OID: oid,
 					Why: "two distinct values for the same Skolem identity"}
 				if r.opts.NonDetWarn {
 					r.traceDrop(rule.Name, trace.PhaseConstruct, trace.DropNonDeterminism)
@@ -890,7 +880,7 @@ func (r *run) constructRule(rule *yatl.Rule) error {
 			}
 			continue
 		}
-		r.outputs.Put(g.oid, out)
+		r.outputs.Put(oid, out)
 	}
 	return nil
 }

@@ -5,7 +5,7 @@
 // OccOne edges only, through pattern.Const labels only, down to a Const
 // node with no edges. Such a path is a necessary condition for a match:
 // a One edge consumes exactly one child, and a constant pattern leaf
-// matches only a childless node (engine.Matcher.matchEdgesAt), so a
+// matches only a childless node (the matcher's matchEdges), so a
 // matching tree carries the same labels on a root-to-leaf path. Nothing
 // else is usable. Under a star-like edge (OccStar, OccGroup, OccOrdered,
 // OccIndex) a constant need not occur: a variable-free star is a pure
@@ -16,8 +16,9 @@
 //
 // The index is a filter, never a matcher: it may hand over entries that
 // do not match (hash collisions; child positions are ignored) and must
-// never withhold one that does. doAsk runs MatchTree on whatever it is
-// handed, so answers are byte-identical with and without it.
+// never withhold one that does. doAsk matches whatever it is handed
+// against the ask's compiled pattern, so answers are byte-identical
+// with and without it.
 package mediator
 
 import (

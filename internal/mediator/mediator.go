@@ -524,10 +524,11 @@ func (m *Mediator) askPattern(ctx context.Context, start time.Time, pt *pattern.
 	return out, err
 }
 
-// storelessMatcher serves every ask, in both modes. An ask pattern
-// comes with no model, and conformance against a model is the
-// matcher's only use of a store, so there is none to hand it — and
-// with no per-ask state it is shared safely.
+// storelessMatcher serves every ask, in both modes, through the ask's
+// compiled pattern (engine.CompilePattern, once per ask). An ask
+// pattern comes with no model, and conformance against a model is the
+// matcher's only use of a store, so there is none to hand it; its
+// scratch is per match, so it is shared safely.
 var storelessMatcher = &engine.Matcher{}
 
 func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []string) ([]Answer, error) {
@@ -559,9 +560,14 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 		return nil, err
 	}
 	var out []Answer
-	for _, e := range entries {
-		for _, b := range storelessMatcher.MatchTree(pt, e.Tree) {
-			out = append(out, Answer{Name: e.Name, Binding: b})
+	if len(entries) > 0 {
+		plan := engine.CompilePattern(pt)
+		var bs []engine.Binding
+		for _, e := range entries {
+			bs = storelessMatcher.Match(bs[:0], plan, e.Tree)
+			for _, b := range bs {
+				out = append(out, Answer{Name: e.Name, Binding: b})
+			}
 		}
 	}
 	if len(out) > 1 {

@@ -89,16 +89,24 @@ func (e *Element) write(b *strings.Builder, depth int, pretty bool) {
 	fmt.Fprintf(b, "</%s>", e.Name)
 }
 
-// Escape encodes the SGML character entities.
-func Escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "'", "&apos;")
-	return r.Replace(s)
-}
+// The entity replacers are built once: a strings.Replacer is safe for
+// concurrent use, and building one costs more than most replacements.
+var (
+	escaper   = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "'", "&apos;")
+	unescaper = strings.NewReplacer("&lt;", "<", "&gt;", ">", "&quot;", `"`, "&apos;", "'", "&amp;", "&")
+)
 
-// Unescape decodes the SGML character entities.
+// Escape encodes the SGML character entities.
+func Escape(s string) string { return escaper.Replace(s) }
+
+// Unescape decodes the SGML character entities. Text without an '&'
+// has none, and comes back as is: the multi-byte replacer would copy
+// it.
 func Unescape(s string) string {
-	r := strings.NewReplacer("&lt;", "<", "&gt;", ">", "&quot;", `"`, "&apos;", "'", "&amp;", "&")
-	return r.Replace(s)
+	if strings.IndexByte(s, '&') < 0 {
+		return s
+	}
+	return unescaper.Replace(s)
 }
 
 // ParseDocument reads one SGML document instance: nested tags with

@@ -232,6 +232,21 @@ func TestEscapeUnescape(t *testing.T) {
 	}
 }
 
+// TestEscapeAllocs pins the shared replacers: text with no entity to
+// encode or decode comes back as is, without an allocation.
+func TestEscapeAllocs(t *testing.T) {
+	plain := "Supplier 007, 12 Bd Lenoir 75011 Paris"
+	for name, fn := range map[string]func(string) string{"Escape": Escape, "Unescape": Unescape} {
+		if n := testing.AllocsPerRun(200, func() {
+			if fn(plain) != plain {
+				t.Fatal("plain text changed")
+			}
+		}); n != 0 {
+			t.Errorf("%s of plain text: %v allocations, want 0", name, n)
+		}
+	}
+}
+
 func TestFindMissing(t *testing.T) {
 	doc := MustParseDocument(sampleDoc)
 	if _, ok := doc.Find("absent"); ok {

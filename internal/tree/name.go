@@ -99,22 +99,28 @@ func NewStore() *Store {
 // Len reports the number of named trees.
 func (s *Store) Len() int { return len(s.items) }
 
+// Lookups build the name's key in a stack buffer and index the map
+// with string(key), which the compiler does without allocating; only
+// an inserting Put allocates its key.
+
 // Put binds name to t, replacing any previous binding. It reports
 // whether the name was already present.
 func (s *Store) Put(name Name, t *Node) (replaced bool) {
-	key := name.Key()
-	if i, ok := s.byKey[key]; ok {
+	var buf [96]byte
+	key := name.AppendKey(buf[:0])
+	if i, ok := s.byKey[string(key)]; ok {
 		s.items[i].Tree = t
 		return true
 	}
-	s.byKey[key] = len(s.items)
+	s.byKey[string(key)] = len(s.items)
 	s.items = append(s.items, StoreEntry{Name: name, Tree: t})
 	return false
 }
 
 // Get returns the tree bound to name.
 func (s *Store) Get(name Name) (*Node, bool) {
-	i, ok := s.byKey[name.Key()]
+	var buf [96]byte
+	i, ok := s.byKey[string(name.AppendKey(buf[:0]))]
 	if !ok {
 		return nil, false
 	}
@@ -123,21 +129,25 @@ func (s *Store) Get(name Name) (*Node, bool) {
 
 // Has reports whether name is bound.
 func (s *Store) Has(name Name) bool {
-	_, ok := s.byKey[name.Key()]
+	var buf [96]byte
+	_, ok := s.byKey[string(name.AppendKey(buf[:0]))]
 	return ok
 }
 
 // Delete removes the binding for name, if present.
 func (s *Store) Delete(name Name) {
-	key := name.Key()
-	i, ok := s.byKey[key]
+	var buf [96]byte
+	key := name.AppendKey(buf[:0])
+	i, ok := s.byKey[string(key)]
 	if !ok {
 		return
 	}
-	delete(s.byKey, key)
+	delete(s.byKey, string(key))
 	s.items = append(s.items[:i], s.items[i+1:]...)
-	for j := i; j < len(s.items); j++ {
-		s.byKey[s.items[j].Name.Key()] = j
+	for k, j := range s.byKey {
+		if j > i {
+			s.byKey[k] = j - 1
+		}
 	}
 }
 

@@ -217,23 +217,7 @@ func (n *Node) String() string {
 	return string(n.appendString(make([]byte, 0, 128)))
 }
 
-func (n *Node) appendString(dst []byte) []byte {
-	if n == nil {
-		return append(dst, "<nil>"...)
-	}
-	dst = AppendDisplay(dst, n.Label)
-	if len(n.Children) == 0 {
-		return dst
-	}
-	dst = append(dst, " < "...)
-	for i, c := range n.Children {
-		if i > 0 {
-			dst = append(dst, ", "...)
-		}
-		dst = c.appendString(dst)
-	}
-	return append(dst, " >"...)
-}
+func (n *Node) appendString(dst []byte) []byte { return AppendDisplay(dst, TreeVal{Root: n}) }
 
 // Indent renders the tree one node per line with two-space
 // indentation, which is easier to read for large trees.

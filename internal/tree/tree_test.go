@@ -646,3 +646,23 @@ func TestParseScalarAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreLookupAllocs pins Store lookups at no allocation: the key of
+// a Skolem name is built in a stack buffer, never as a string.
+func TestStoreLookupAllocs(t *testing.T) {
+	s := NewStore()
+	name := SkolemName("Psup", String("Supplier 007"), Int(75011))
+	sup := Sym("supplier")
+	s.Put(name, sup)
+	for _, n := range []Name{name, SkolemName("Psup", String("absent"))} {
+		if got := testing.AllocsPerRun(200, func() {
+			s.Get(n)
+			s.Has(n)
+		}); got != 0 {
+			t.Errorf("Get/Has(%s): %v allocations, want 0", n, got)
+		}
+	}
+	if got := testing.AllocsPerRun(200, func() { s.Put(name, sup) }); got != 0 {
+		t.Errorf("replacing Put: %v allocations, want 0", got)
+	}
+}

@@ -138,6 +138,13 @@ func appendFloat(dst []byte, f float64) []byte {
 // composite forms (Float, Ref, TreeVal, Name.String, Node.String) are
 // defined through the append form; String, Int and Bool pair
 // strconv's own Append/Format twins.
+//
+// The function recurses into itself only — a reference's name and a
+// tree's nodes are rendered inline rather than through
+// Name.AppendString and Node.appendString. Escape analysis records a
+// parameter that reaches another function's result through mutual
+// recursion as escaping, and dst would then drag every caller's stack
+// buffer to the heap (Store lookups among them).
 func AppendDisplay(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case Symbol:
@@ -151,9 +158,36 @@ func AppendDisplay(dst []byte, v Value) []byte {
 	case Bool:
 		return strconv.AppendBool(dst, bool(x))
 	case Ref:
-		return x.Name.AppendString(append(dst, '&'))
+		dst = append(dst, '&')
+		dst = append(dst, x.Name.Functor...)
+		if x.Name.IsPlain() {
+			return dst
+		}
+		dst = append(dst, '(')
+		for i, a := range x.Name.Args {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = AppendDisplay(dst, a)
+		}
+		return append(dst, ')')
 	case TreeVal:
-		return x.Root.appendString(dst)
+		n := x.Root
+		if n == nil {
+			return append(dst, "<nil>"...)
+		}
+		dst = AppendDisplay(dst, n.Label)
+		if len(n.Children) == 0 {
+			return dst
+		}
+		dst = append(dst, " < "...)
+		for i, c := range n.Children {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = AppendDisplay(dst, TreeVal{Root: c})
+		}
+		return append(dst, " >"...)
 	}
 	// Value implementations outside this package (the engine's
 	// dereference placeholder) only have the string form.

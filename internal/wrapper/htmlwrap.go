@@ -152,7 +152,8 @@ func anchorParts(n *tree.Node) (href tree.Name, cont *tree.Node, ok bool) {
 	return name, c.Children[0], true
 }
 
-func htmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// htmlEscaper is built once; a strings.Replacer is safe for concurrent
+// use.
+var htmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func htmlEscape(s string) string { return htmlEscaper.Replace(s) }

@@ -309,6 +309,19 @@ func TestHTMLEscaping(t *testing.T) {
 	}
 }
 
+// TestHTMLEscapeAllocs pins the shared replacer: text with nothing to
+// escape comes back as is, without an allocation.
+func TestHTMLEscapeAllocs(t *testing.T) {
+	plain := "Supplier 007, 12 Bd Lenoir 75011 Paris"
+	if n := testing.AllocsPerRun(200, func() {
+		if htmlEscape(plain) != plain {
+			t.Fatal("plain text changed")
+		}
+	}); n != 0 {
+		t.Errorf("htmlEscape of plain text: %v allocations, want 0", n)
+	}
+}
+
 func TestCustomURLMapping(t *testing.T) {
 	store := tree.NewStore()
 	store.Put(tree.SkolemName("HtmlPage", tree.String("x")), tree.Sym("html", tree.Str("hi")))
