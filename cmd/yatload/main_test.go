@@ -40,7 +40,6 @@ func TestDriveAgainstServer(t *testing.T) {
 	s, err := serve.New(serve.Config{
 		Prog:   yatl.MustParse(workload.SelectiveProgram(4)),
 		Inputs: workload.BrochureStore(6, 2, 5, 11),
-		Pool:   2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +80,6 @@ func TestZeroRequestWindow(t *testing.T) {
 	s, err := serve.New(serve.Config{
 		Prog:   yatl.MustParse(workload.SelectiveProgram(1)),
 		Inputs: workload.BrochureStore(2, 1, 2, 7),
-		Pool:   1,
 	})
 	if err != nil {
 		t.Fatal(err)

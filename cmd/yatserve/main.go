@@ -1,9 +1,9 @@
-// Yatserve runs the mediator as a long-running network service: a
-// pool of demand-driven mediators behind an HTTP/JSON API.
+// Yatserve runs the mediator as a long-running network service: one
+// demand-driven mediator behind an HTTP/JSON API.
 //
 //	POST /ask                        pattern query over the virtual target
 //	GET  /functors                   Skolem functors of the target
-//	GET  /stats                      pool-wide mediator stats (?timing=0 for
+//	GET  /stats                      mediator stats (?timing=0 for
 //	                                 the deterministic document)
 //	GET  /explain                    an ask under a request-scoped EXPLAIN
 //	                                 profile (also POST /ask?explain=1)
@@ -33,10 +33,7 @@
 //	-split        serve the input through N static sources instead of a
 //	              pre-materialized store (exercises the source layer and
 //	              per-source health; 0 = direct store)
-//	-pool         mediator lanes (default 4)
-//	-parallelism  engine worker count per lane (0 = sequential)
-//	-shards       shard the program across N in-process child mediators
-//	              behind a federation router (0 = plain pool)
+//	-parallelism  engine worker count (0 = sequential)
 //	-child        base URL of a remote yatserve child; repeatable. The
 //	              server becomes a parent federation over the children,
 //	              discovering each child's functors at startup;
@@ -47,7 +44,7 @@
 //	              launched
 //	-drain        graceful-drain deadline on shutdown (default 10s)
 //	-snapshot-dir directory for the durable warm-start snapshot. On
-//	              boot the server restores its lanes from
+//	              boot the server restores its mediator from
 //	              <dir>/yatserve.snapshot.json when the snapshot's
 //	              program+options hashes match (any mismatch boots
 //	              cold); POST /admin/snapshot writes one on demand
@@ -94,18 +91,16 @@ func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("yatserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addrFlag   = fs.String("addr", ":8080", "listen address")
-		progFlag   = fs.String("program", "", "conversion program (.yatl file, built-in name, or selective:K)")
-		inputFlag  = fs.String("input", "", "input store (file, or brochures:N,S,P[,seed])")
-		splitFlag  = fs.Int("split", 0, "serve the input via N static sources (0 = direct store)")
-		poolFlag   = fs.Int("pool", 4, "mediator lanes")
-		parFlag    = fs.Int("parallelism", 0, "engine worker count per lane (0 = sequential)")
-		shardsFlag = fs.Int("shards", 0, "shard across N in-process federation children (0 = plain pool)")
-		shardFlag  = fs.String("shard", "", "i/n — serve only shard i of the program's n-way plan")
-		drainFlag  = fs.Duration("drain", 10*time.Second, "graceful-drain deadline on shutdown")
-		snapFlag   = fs.String("snapshot-dir", "", "directory for the durable warm-start snapshot (empty = disabled)")
-		snapDrain  = fs.Bool("snapshot-on-drain", false, "write a snapshot during graceful shutdown (needs -snapshot-dir)")
-		quietFlag  = fs.Bool("quiet", false, "suppress operational logs")
+		addrFlag  = fs.String("addr", ":8080", "listen address")
+		progFlag  = fs.String("program", "", "conversion program (.yatl file, built-in name, or selective:K)")
+		inputFlag = fs.String("input", "", "input store (file, or brochures:N,S,P[,seed])")
+		splitFlag = fs.Int("split", 0, "serve the input via N static sources (0 = direct store)")
+		parFlag   = fs.Int("parallelism", 0, "engine worker count (0 = sequential)")
+		shardFlag = fs.String("shard", "", "i/n — serve only shard i of the program's n-way plan")
+		drainFlag = fs.Duration("drain", 10*time.Second, "graceful-drain deadline on shutdown")
+		snapFlag  = fs.String("snapshot-dir", "", "directory for the durable warm-start snapshot (empty = disabled)")
+		snapDrain = fs.Bool("snapshot-on-drain", false, "write a snapshot during graceful shutdown (needs -snapshot-dir)")
+		quietFlag = fs.Bool("quiet", false, "suppress operational logs")
 	)
 	var childFlag stringList
 	fs.Var(&childFlag, "child", "base URL of a remote yatserve child (repeatable)")
@@ -134,7 +129,6 @@ func run(args []string, stderr io.Writer) int {
 		return 2
 	}
 	cfg := serve.Config{
-		Pool:            *poolFlag,
 		DrainTimeout:    *drainFlag,
 		SnapshotDir:     *snapFlag,
 		SnapshotOnDrain: *snapDrain,
@@ -163,7 +157,7 @@ func run(args []string, stderr io.Writer) int {
 	}
 
 	// A multi-program pipeline is fused up front, so every serving mode
-	// below — plain pool, one shard, a federation — works off the
+	// below — plain mediator, one shard, a federation — works off the
 	// one-step program. Fusing here (not in federate.New) also covers
 	// -shard children, which serve a slice of the fused program.
 	if len(progs) > 1 {
@@ -193,9 +187,8 @@ func run(args []string, stderr io.Writer) int {
 		cfg.Prog = sub
 	}
 
-	switch {
-	case len(childFlag) > 0:
-		// Parent federation over remote children: one router lane, the
+	if len(childFlag) > 0 {
+		// Parent federation over remote children: one router, the
 		// children discovered live.
 		fcfg := federate.Config{Programs: progs}
 		for _, base := range childFlag {
@@ -210,25 +203,6 @@ func run(args []string, stderr io.Writer) int {
 		}
 		logf("yatserve: federation over %d remote children: %s",
 			len(childFlag), strings.Join(fed.Children(), ","))
-		cfg.Askers = []mediator.Asker{fed}
-	case *shardsFlag > 0:
-		fopts := append([]engine.Option{}, cfg.Options...)
-		if len(sources) > 0 {
-			fopts = append(fopts, mediator.WithSources(sources...))
-			sources = nil
-		}
-		fed, err := federate.New(federate.Config{
-			Programs: progs,
-			Shards:   *shardsFlag,
-			Inputs:   inputs,
-			Options:  fopts,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "yatserve:", err)
-			return 1
-		}
-		logf("yatserve: sharded %q across %d in-process children",
-			cfg.Prog.Name, len(fed.Children()))
 		cfg.Askers = []mediator.Asker{fed}
 	}
 

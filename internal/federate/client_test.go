@@ -62,7 +62,7 @@ func mustAsk(t *testing.T, a mediator.Asker, pattern string, functors ...string)
 // dialed client.
 func childServer(t *testing.T, prog *yatl.Program, inputs *tree.Store) (*httptest.Server, *federate.Client) {
 	t.Helper()
-	s, err := serve.New(serve.Config{Prog: prog, Inputs: inputs, Pool: 1})
+	s, err := serve.New(serve.Config{Prog: prog, Inputs: inputs})
 	if err != nil {
 		t.Fatal(err)
 	}

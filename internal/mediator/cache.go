@@ -8,19 +8,30 @@
 // reloads carry over and snapshots persist — and the leaf-path index
 // over them (index.go). Which rule of the group minted an entry is not
 // recorded, and neither is what the group depends on: that is the
-// group's slice, which the program decides (dependents). A mutator never
-// edits a group; it builds a replacement and swaps the map slot, so a
-// bucket handed to an ask stays a consistent view for as long as the ask
-// holds it.
+// group's slice, which the program decides (dependents).
 //
-// Every write goes through commit, evict, carryOver or memoize, and the
-// first three are the only places the version is bumped and the ask
-// memo cleared. No other file names a field of demandCache or group.
-// Every method runs under the owning generation's lock (demandGen.mu).
+// The locking rule: reads are lock-free, writes run under the owning
+// generation's lock (demandGen.mu). The cache publishes an immutable
+// view — the groups map, its version and that version's ask memo —
+// behind an atomic pointer. A reader loads the view once and works
+// against it throughout, so a bucket handed to an ask stays consistent
+// for as long as the ask holds it. A writer never edits a published
+// map or group: it builds a new groups map (copy-on-write, the groups
+// themselves shared), and publishing it is the one store of the pointer
+// — with the next version and a fresh, empty memo.
+//
+// Every write goes through commit, evict or carryOver, the only places
+// a view is published; the memo of a view is written by its own asks
+// (askMemo.store). No other file names a field of demandCache, cacheView
+// or group.
 package mediator
 
 import (
+	"maps"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"yat/internal/engine"
 	"yat/internal/pattern"
@@ -34,17 +45,23 @@ type demandCache struct {
 	// slice computes the (pruned, memoized) rule slice of the program
 	// the cache serves; a group's own slice is slice(functor).
 	slice func(functors ...string) *engine.Slice
+	// cur is the published view; never nil.
+	cur atomic.Pointer[cacheView]
+}
+
+// cacheView is one published state of the cache. Immutable but for the
+// memo, which only ever holds answers derived from this view's groups.
+type cacheView struct {
 	// groups holds the cached functor groups. Presence is the only
 	// "cached" flag there is.
 	groups map[string]*group
-	// ver counts mutations of groups. A memo write carries the version
-	// its answers were derived from and is refused when stale, so an
-	// ask racing a mutation can never memoize outdated answers.
+	// ver counts the views published before this one.
 	ver uint64
-	// memo holds the assembled answers of completed asks: the repeat of
-	// an identical ask skips matching entirely. Cleared by every
-	// mutation of groups.
-	memo map[askKey][]Answer
+	// memo holds the assembled answers of completed asks over this view:
+	// the repeat of an identical ask skips matching entirely. An ask
+	// memoizes into the view its answers were read from, so a write that
+	// lost a race with a refresh lands in a view no reader loads again.
+	memo *askMemo
 }
 
 // group is one cached functor group. Immutable once published.
@@ -70,24 +87,86 @@ type askKey struct {
 }
 
 // maxAskMemo bounds the ask memo; at the cap new asks simply stop
-// memoizing until a mutation clears the map.
+// memoizing until the next view starts an empty memo.
 const maxAskMemo = 512
 
-func newDemandCache(slice func(functors ...string) *engine.Slice) *demandCache {
-	return &demandCache{slice: slice, groups: map[string]*group{}, memo: map[askKey][]Answer{}}
+// askMemo is one view's ask memo, safe for concurrent use: asks read
+// and write it without a lock.
+type askMemo struct {
+	answers sync.Map // askKey -> []Answer
+	n       atomic.Int64
 }
 
-func (c *demandCache) version() uint64 { return c.ver }
+// lookup returns a memoized ask's answers. The slice is the memo's own
+// and must be copied before it is handed to a caller.
+func (a *askMemo) lookup(key askKey) ([]Answer, bool) {
+	v, ok := a.answers.Load(key)
+	if !ok {
+		return nil, false
+	}
+	return v.([]Answer), true
+}
 
-func (c *demandCache) has(functor string) bool { return c.groups[functor] != nil }
+// store records a completed ask's answers, unless the memo is full.
+func (a *askMemo) store(key askKey, answers []Answer) {
+	for {
+		n := a.n.Load()
+		if n >= maxAskMemo {
+			return
+		}
+		if a.n.CompareAndSwap(n, n+1) {
+			break
+		}
+	}
+	if _, loaded := a.answers.LoadOrStore(key, slices.Clone(answers)); loaded {
+		a.n.Add(-1)
+	}
+}
+
+// len is the number of memoized asks.
+func (a *askMemo) len() int { return int(a.n.Load()) }
+
+func newDemandCache(slice func(functors ...string) *engine.Slice) *demandCache {
+	c := &demandCache{slice: slice}
+	c.cur.Store(&cacheView{groups: map[string]*group{}, memo: new(askMemo)})
+	return c
+}
+
+// view is the published view: lock-free, and consistent for as long as
+// the caller holds it.
+func (c *demandCache) view() *cacheView { return c.cur.Load() }
+
+// publish installs the successor of the current view: edit fills a copy
+// of its groups map — a map no reader has seen — and only the finished
+// map is published, with the next version and an empty memo. Under
+// demandGen.mu.
+func (c *demandCache) publish(edit func(groups map[string]*group)) {
+	cur := c.view()
+	groups := maps.Clone(cur.groups)
+	edit(groups)
+	c.cur.Store(&cacheView{groups: groups, ver: cur.ver + 1, memo: new(askMemo)})
+}
+
+func (v *cacheView) has(functor string) bool { return v.groups[functor] != nil }
 
 // bucket returns the functor's read bucket (nil when not cached),
 // uncopied: groups are immutable, so the hit path allocates nothing.
-func (c *demandCache) bucket(functor string) []tree.StoreEntry {
-	if g := c.groups[functor]; g != nil {
+func (v *cacheView) bucket(functor string) []tree.StoreEntry {
+	if g := v.groups[functor]; g != nil {
 		return g.bucket
 	}
 	return nil
+}
+
+// covers reports whether every construct rule of the slice has its
+// group cached: an ask over it is a hit.
+func (v *cacheView) covers(sl *engine.Slice) bool {
+	for _, r := range sl.Construct {
+		if !v.has(r.Head.Functor) {
+			return false
+		}
+	}
+	return true
 }
 
 // candidates returns the entries of the given functors' buckets (none =
@@ -95,7 +174,7 @@ func (c *demandCache) bucket(functor string) []tree.StoreEntry {
 // the entries under the pattern's most selective usable path (index.go).
 // A nil pattern, or one with no usable path, selects whole buckets; a
 // single bucket is then returned uncopied.
-func (c *demandCache) candidates(pt *pattern.PTree, functors ...string) []tree.StoreEntry {
+func (v *cacheView) candidates(pt *pattern.PTree, functors ...string) []tree.StoreEntry {
 	var buf [8]uint32
 	paths := buf[:0]
 	if pt != nil {
@@ -103,9 +182,9 @@ func (c *demandCache) candidates(pt *pattern.PTree, functors ...string) []tree.S
 	}
 	switch len(functors) {
 	case 0:
-		functors = c.cached()
+		functors = v.cached()
 	case 1:
-		if g := c.groups[functors[0]]; g != nil {
+		if g := v.groups[functors[0]]; g != nil {
 			return g.candidates(paths)
 		}
 		return nil
@@ -113,7 +192,7 @@ func (c *demandCache) candidates(pt *pattern.PTree, functors ...string) []tree.S
 	var out []tree.StoreEntry
 	seen := map[string]bool{}
 	for _, f := range functors {
-		if g := c.groups[f]; g != nil && !seen[f] {
+		if g := v.groups[f]; g != nil && !seen[f] {
 			seen[f] = true
 			out = append(out, g.candidates(paths)...)
 		}
@@ -144,9 +223,9 @@ func (g *group) candidates(paths []uint32) []tree.StoreEntry {
 }
 
 // cached lists the cached functors, sorted.
-func (c *demandCache) cached() []string {
-	out := make([]string, 0, len(c.groups))
-	for f := range c.groups {
+func (v *cacheView) cached() []string {
+	out := make([]string, 0, len(v.groups))
+	for f := range v.groups {
 		out = append(out, f)
 	}
 	sort.Strings(out)
@@ -155,9 +234,9 @@ func (c *demandCache) cached() []string {
 
 // cachedRules counts the construct rules of the cached groups. Stats
 // asks on every federated ask, so it allocates nothing.
-func (c *demandCache) cachedRules() int {
+func (v *cacheView) cachedRules() int {
 	n := 0
-	for _, g := range c.groups {
+	for _, g := range v.groups {
 		n += g.rules
 	}
 	return n
@@ -169,7 +248,7 @@ func (c *demandCache) cachedRules() int {
 // rule that can never fire is in no group's dependency set.
 func (c *demandCache) dependents(rules map[string]bool) []string {
 	var out []string
-	for f := range c.groups {
+	for f := range c.view().groups {
 		own := c.slice(f)
 		for rule := range rules {
 			if own.Includes(rule) {
@@ -182,44 +261,30 @@ func (c *demandCache) dependents(rules map[string]bool) []string {
 	return out
 }
 
-// lookup returns a memoized ask's answers. The slice is the memo's own
-// and must be copied before it is handed to a caller.
-func (c *demandCache) lookup(key askKey) ([]Answer, bool) {
-	answers, ok := c.memo[key]
-	return answers, ok
-}
-
-// mutated is the one place a change to groups is made visible to the
-// ask memo: the version moves on and every memoized answer goes.
-func (c *demandCache) mutated() {
-	c.ver++
-	if len(c.memo) > 0 {
-		clear(c.memo)
-	}
-}
-
 // commit publishes a run's result: one rebuilt group per functor the
-// run computed. functors are the head functors of the slice's construct
-// rules, one per rule; outputs is the run's output store, of which a
-// group takes the entries its functor mints. In replace mode (the cold
-// fill, the tier-2 re-run, the snapshot load) they supersede the old
-// ones. In append mode (the tier-1 insert patch) the run derived only a
-// delta's consequences: they are appended — unless a fresh entry's
-// identity is already cached, when nothing is committed and ok is false
-// (the new bindings belong in an existing entry, which only a re-run
-// can rebuild). changed counts the construct rules of the groups whose
-// bucket differs from what was cached.
-func (c *demandCache) commit(functors []string, outputs *tree.Store, appendTo bool) (changed int, ok bool) {
+// run computed. rules are the slice's construct rules; outputs is the
+// run's output store, of which a group takes the entries its functor
+// mints. In replace mode (the cold fill, the tier-2 re-run, the
+// snapshot load) they supersede the old ones. In append mode (the
+// tier-1 insert patch) the run derived only a delta's consequences:
+// they are appended — unless a fresh entry's identity is already
+// cached, when nothing is committed and ok is false (the new bindings
+// belong in an existing entry, which only a re-run can rebuild).
+// changed counts the construct rules of the groups whose bucket differs
+// from what was cached. Under demandGen.mu.
+func (c *demandCache) commit(rules []*yatl.Rule, outputs *tree.Store, appendTo bool) (changed int, ok bool) {
+	cur := c.view()
 	minted := byFunctor(outputs.Entries())
 	fresh := map[string]*group{}
-	for _, f := range functors {
+	for _, r := range rules {
+		f := r.Head.Functor
 		if fresh[f] == nil {
 			fresh[f] = &group{bucket: minted[f]}
 		}
 		fresh[f].rules++
 	}
 	for f, g := range fresh {
-		old := c.bucket(f)
+		old := cur.bucket(f)
 		if !appendTo {
 			if !entriesEqual(old, g.bucket) {
 				changed += g.rules
@@ -242,22 +307,11 @@ func (c *demandCache) commit(functors []string, outputs *tree.Store, appendTo bo
 		g.bucket = append(old[:len(old):len(old)], g.bucket...)
 		changed += g.rules
 	}
-	c.mutated()
-	for f, g := range fresh {
+	for _, g := range fresh {
 		g.index = buildPathIndex(g.bucket)
-		c.groups[f] = g
 	}
+	c.publish(func(groups map[string]*group) { maps.Copy(groups, fresh) })
 	return changed, true
-}
-
-// headFunctors lists the head functor of each rule, in order: what
-// commit takes of a slice's construct rules.
-func headFunctors(rules []*yatl.Rule) []string {
-	out := make([]string, len(rules))
-	for i, r := range rules {
-		out[i] = r.Head.Functor
-	}
-	return out
 }
 
 // byFunctor splits a run's entries by the functor that mints them,
@@ -295,14 +349,17 @@ func entriesEqual(a, b []tree.StoreEntry) bool {
 
 // evict drops the named functor groups. Only a group's own rules mint
 // its functor, so an eviction cannot strand entries another cached
-// group still answers from. Evicting nothing is not a mutation.
+// group still answers from. Evicting nothing publishes nothing. Under
+// demandGen.mu.
 func (c *demandCache) evict(functors ...string) {
-	for _, f := range functors {
-		if c.has(f) {
-			c.mutated()
-			delete(c.groups, f)
-		}
+	if !slices.ContainsFunc(functors, c.view().has) {
+		return
 	}
+	c.publish(func(groups map[string]*group) {
+		for _, f := range functors {
+			delete(groups, f)
+		}
+	})
 }
 
 // carryOver builds the successor cache for a program reload: the
@@ -310,22 +367,10 @@ func (c *demandCache) evict(functors ...string) {
 // asks on the old generation and patches on the new one cannot disturb
 // each other), the rest are left behind. c itself is not modified.
 func (c *demandCache) carryOver(slice func(functors ...string) *engine.Slice, keep func(functor string) bool) *demandCache {
-	next := newDemandCache(slice)
-	next.ver = c.ver
-	next.mutated()
-	for f, g := range c.groups {
-		if keep(f) {
-			next.groups[f] = g
-		}
-	}
+	next := &demandCache{slice: slice}
+	next.cur.Store(c.view())
+	next.publish(func(groups map[string]*group) {
+		maps.DeleteFunc(groups, func(f string, _ *group) bool { return !keep(f) })
+	})
 	return next
-}
-
-// memoize records a completed ask's answers, unless the cache mutated
-// since the version the answers were derived from or the memo is full.
-func (c *demandCache) memoize(key askKey, answers []Answer, version uint64) {
-	if c.ver != version || len(c.memo) >= maxAskMemo {
-		return
-	}
-	c.memo[key] = append([]Answer(nil), answers...)
 }

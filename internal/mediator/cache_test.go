@@ -3,6 +3,7 @@ package mediator
 import (
 	"context"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -19,7 +20,7 @@ import (
 // identity once.
 func checkInvariants(t testing.TB, c *demandCache) {
 	t.Helper()
-	for f, g := range c.groups {
+	for f, g := range c.view().groups {
 		rules := 0
 		for _, r := range c.slice(f).Construct {
 			if r.Head.Functor == f {
@@ -52,20 +53,21 @@ type cacheWatch struct {
 	ver   uint64
 }
 
-// look returns the cache's version and the size of its ask memo. A
-// step that mutated the cache shows as a larger version and — when no
-// ask ran since — an empty memo.
+// look returns the version of the cache's view and the size of its ask
+// memo. A step that mutated the cache shows as a larger version and —
+// when no ask ran since — an empty memo.
 func (w *cacheWatch) look(t testing.TB, m *Mediator) (ver uint64, memo int) {
 	t.Helper()
 	g := m.state().dgen
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	checkInvariants(t, g.cache)
-	if g.cache == w.cache && g.cache.ver < w.ver {
-		t.Errorf("cache version went from %d back to %d", w.ver, g.cache.ver)
+	v := g.cache.view()
+	if g.cache == w.cache && v.ver < w.ver {
+		t.Errorf("cache version went from %d back to %d", w.ver, v.ver)
 	}
-	w.cache, w.ver = g.cache, g.cache.ver
-	return g.cache.ver, len(g.cache.memo)
+	w.cache, w.ver = g.cache, v.ver
+	return v.ver, v.memo.len()
 }
 
 // mutates runs one step that must change the cache and checks it
@@ -100,7 +102,8 @@ rule Beta {
 `
 
 // Every mutator bumps the version and clears the ask memo; an eviction
-// of nothing, an empty delta and a stale memoize change nothing.
+// of nothing, an empty delta and a memo write into a superseded view
+// change nothing.
 func TestCacheMutatorsBumpVersion(t *testing.T) {
 	var failures atomic.Int64
 	fault := source.NewFault("src1", alphaStore("ant", "asp"))
@@ -146,6 +149,7 @@ func TestCacheMutatorsBumpVersion(t *testing.T) {
 		}
 	})
 	ask()
+	stale := m.state().dgen.cache.view()
 	w.mutates(t, m, "Reload (carryOver)", func() { m.Reload(yatl.MustParse(evictProgram)) })
 
 	ask()
@@ -156,7 +160,7 @@ func TestCacheMutatorsBumpVersion(t *testing.T) {
 	g := m.state().dgen
 	g.cache.evict("Pnone")
 	refresh("auk")() // an empty delta
-	g.cache.memoize(askKey{}, nil, before-1)
+	stale.memo.store(askKey{}, nil)
 	if after, kept := w.look(t, m); after != before || kept != memo {
 		t.Errorf("no-op steps moved the cache: version %d -> %d, memo %d -> %d", before, after, memo, kept)
 	}
@@ -187,7 +191,7 @@ func TestReloadSharesUnchangedGroups(t *testing.T) {
 	w := &cacheWatch{}
 	w.mutates(t, m, "Reload", func() { m.Reload(yatl.MustParse(workload.PartitionedProgram(2))) })
 	next := m.state()
-	if next.dgen.cache.groups["Ppart1"] != old.dgen.cache.groups["Ppart1"] {
+	if next.dgen.cache.view().groups["Ppart1"] != old.dgen.cache.view().groups["Ppart1"] {
 		t.Fatal("the unchanged group was copied, not shared with the old generation")
 	}
 
@@ -207,9 +211,9 @@ func TestReloadSharesUnchangedGroups(t *testing.T) {
 		t.Fatalf("new generation after the patch: %d answers, %v", len(got), err)
 	}
 
-	if len(view) != 3 || len(old.dgen.cache.bucket("Ppart1")) != 3 {
+	if len(view) != 3 || len(old.dgen.cache.view().bucket("Ppart1")) != 3 {
 		t.Fatalf("the patch reached the old generation: view %d, bucket %d entries, want 3",
-			len(view), len(old.dgen.cache.bucket("Ppart1")))
+			len(view), len(old.dgen.cache.view().bucket("Ppart1")))
 	}
 	for i, e := range view {
 		if e.Tree != original[i].Tree || e.Name.Key() != original[i].Name.Key() {
@@ -217,4 +221,110 @@ func TestReloadSharesUnchangedGroups(t *testing.T) {
 		}
 	}
 	checkInvariants(t, old.dgen.cache)
+}
+
+// churnStores are a base PartitionedStore and the same store grown by
+// one entry in every family: refreshing from one to the other rewrites
+// every cached group in one commit (an insert patch one way, a delete
+// re-run the other), so an ask over all of them that read a
+// half-published cache would mix the two worlds.
+func churnStores(families, per int) (base, grown *tree.Store) {
+	base = workload.PartitionedStore(families, per)
+	grown = base.Clone()
+	for fam := 1; fam <= families; fam++ {
+		n, tr := workload.PartitionedEntry(fam, "new", int64(per))
+		grown.Put(n, tr)
+	}
+	return base, grown
+}
+
+// Memo and demand hits read the published view without a lock while a
+// refresh loops beside them: every reply is byte for byte the
+// full-mode oracle's answer over the store before or after a refresh,
+// never a mix, and no hit ever turns into a miss. Run it under -race:
+// a writer that edits a map it has already published is a data race
+// there, and a mixed answer everywhere.
+func TestLockFreeHitsAcrossRefresh(t *testing.T) {
+	const families, askers, asks = 16, 8, 300
+	prog := yatl.MustParse(workload.PartitionedProgram(families))
+	base, grown := churnStores(families, 5)
+	oracle := func(store *tree.Store) string {
+		got, err := New(prog, store).Ask(`X`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(mergeKeys(got), "\n")
+	}
+	before, after := oracle(base), oracle(grown)
+	var seenBefore, seenAfter atomic.Int64
+
+	fault := source.NewFault("parts", base)
+	m := New(prog, nil, WithDemandDriven(true), WithSources(fault))
+	memoPt := yatl.MustParsePattern(`X`)
+	if _, err := m.AskPattern(memoPt); err != nil { // the one cold fill
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	refreshed := make(chan int)
+	go func() {
+		n := 0
+		defer func() { refreshed <- n }()
+		for {
+			for _, store := range []*tree.Store{grown, base} {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				fault.SetStore(store)
+				if err := m.RefreshSource(context.Background(), "parts"); err != nil {
+					t.Errorf("refresh: %v", err)
+					return
+				}
+				n++
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < askers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < asks; i++ {
+				pt := memoPt
+				if (w+i)%2 == 1 {
+					// A pattern parsed apart is a key the memo has not seen:
+					// a demand hit.
+					pt = yatl.MustParsePattern(`X`)
+				}
+				got, err := m.AskPattern(pt)
+				if err != nil {
+					t.Errorf("ask: %v", err)
+					return
+				}
+				switch key := strings.Join(mergeKeys(got), "\n"); key {
+				case before:
+					seenBefore.Add(1)
+				case after:
+					seenAfter.Add(1)
+				default:
+					t.Errorf("asker %d, ask %d: a reply that is neither world's:\n%s", w, i, key)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if n := <-refreshed; n < 2 || seenBefore.Load() == 0 || seenAfter.Load() == 0 {
+		t.Fatalf("vacuous: %d refreshes ran beside the asks, which saw the base store %d times and the grown one %d",
+			n, seenBefore.Load(), seenAfter.Load())
+	}
+	st := m.Stats()
+	if st.CacheMisses != 1 || st.MemoHits == 0 || st.CacheHits == st.MemoHits {
+		t.Errorf("misses=%d hits=%d memo hits=%d: want the cold fill's one miss, then memo and demand hits alike",
+			st.CacheMisses, st.CacheHits, st.MemoHits)
+	}
+	checkInvariants(t, m.state().dgen.cache)
 }

@@ -159,8 +159,10 @@ func (m *Mediator) refreshDelta(ctx context.Context, name string) error {
 }
 
 // applyDelta performs the diff and the patch/re-run under the
-// generation lock, serializing with ensureDemand so a concurrent Ask
-// observes the cache before or after the refresh, never mid-patch.
+// generation lock, serializing with ensureDemand's misses. Asks that
+// hit keep reading the published view while it runs; its commit
+// publishes the next one, so an ask observes the cache before or after
+// the refresh, never mid-patch.
 func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (deltaOutcome, error) {
 	g := st.dgen
 	g.mu.Lock()
@@ -169,7 +171,7 @@ func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (
 	if slices.Contains(g.pin.degraded(), name) {
 		return deltaOutcome{wholesale: true, reason: ReasonDegradedSource}, nil
 	}
-	if g.cache.cachedRules() == 0 {
+	if g.cache.view().cachedRules() == 0 {
 		// Cold cache: nothing to patch; dropping the pin makes the next
 		// Ask fetch fresh.
 		g.pin = nil
@@ -229,14 +231,13 @@ func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (
 	out.reason = reason
 	res, runErr := engine.RunSlice(ctx, st.prog, inputs, sl, m.opts)
 	if runErr != nil {
-		g.lastErr = runErr
+		g.failed(runErr)
 		g.cache.evict(groups...)
 		out.reason = ReasonSliceRunError
 		return out, fmt.Errorf("mediator: delta refresh of %s: %w", name, runErr)
 	}
-	g.lastErr = nil
-	out.patched, _ = g.cache.commit(headFunctors(sl.Construct), res.Outputs, false)
 	g.ran(res.Stats)
+	out.patched, _ = g.cache.commit(sl.Construct, res.Outputs, false)
 	return out, nil
 }
 
@@ -313,7 +314,7 @@ func (m *Mediator) insertPatch(ctx context.Context, st *progState, g *demandGen,
 	if err != nil {
 		return 0, false, err
 	}
-	patched, ok = g.cache.commit(headFunctors(sl.Construct), res.Outputs, true)
+	patched, ok = g.cache.commit(sl.Construct, res.Outputs, true)
 	if ok {
 		g.ran(res.Stats)
 	}

@@ -1,10 +1,14 @@
 package mediator
 
 import (
+	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"yat/internal/pattern"
+	"yat/internal/source"
+	"yat/internal/tree"
 	"yat/internal/workload"
 	"yat/internal/yatl"
 )
@@ -20,8 +24,8 @@ func fillMemo(tb testing.TB, m *Mediator, pat, functor string) {
 			tb.Fatal(err)
 		}
 	}
-	if g := m.state().dgen; len(g.cache.memo) != maxAskMemo {
-		tb.Fatalf("memo holds %d asks, want it at its cap of %d", len(g.cache.memo), maxAskMemo)
+	if n := m.state().dgen.cache.view().memo.len(); n != maxAskMemo {
+		tb.Fatalf("memo holds %d asks, want it at its cap of %d", n, maxAskMemo)
 	}
 }
 
@@ -53,7 +57,7 @@ func BenchmarkDemandHit(b *testing.B) {
 		candidates := 0
 		for i := range pats {
 			pats[i] = yatl.MustParsePattern(lookupPattern(i + 1))
-			candidates += len(m.state().dgen.cache.candidates(pats[i], "Pview1"))
+			candidates += len(m.state().dgen.cache.view().candidates(pats[i], "Pview1"))
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -76,4 +80,78 @@ func BenchmarkDemandHit(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkAskParallel is the cost of hits asked from every P at once
+// on one mediator over serve_churn's data (sixteen 100-entry views),
+// idle and beside a refresh that loops as fast as it can (the grown
+// store, then the base one again, every view rewritten each time):
+// what the hit path's locks cost under contention, and how long a
+// refresh or a re-run makes a hit wait.
+//
+//	memo:   one ask, repeated — the ask memo's hit (after a refresh,
+//	        the first repeat is a demand hit that memoizes again).
+//	demand: the same ask parsed 8192 times apart, so the memo, full
+//	        (idle) or refilling (refreshing), rarely holds the key — a
+//	        demand-cache hit: the whole Ppart1 view matched and sorted.
+func BenchmarkAskParallel(b *testing.B) {
+	const families = 16
+	prog := yatl.MustParse(workload.PartitionedProgram(families))
+	base, grown := churnStores(families, 100)
+	for _, kind := range []string{"memo", "demand"} {
+		for _, refreshing := range []bool{false, true} {
+			name := kind + "/idle"
+			if refreshing {
+				name = kind + "/refreshing"
+			}
+			b.Run(name, func(b *testing.B) {
+				fault := source.NewFault("parts", base)
+				m := New(prog, nil, WithDemandDriven(true), WithSources(fault))
+				if _, err := m.Ask(`X`); err != nil { // every view cached
+					b.Fatal(err)
+				}
+				pats := []*pattern.PTree{yatl.MustParsePattern(`X`)}
+				if kind == "demand" {
+					fillMemo(b, m, `X`, "Ppart1")
+					pats = make([]*pattern.PTree, 8192)
+					for i := range pats {
+						pats[i] = yatl.MustParsePattern(`X`)
+					}
+				}
+				stop, refreshes := make(chan struct{}), make(chan int)
+				go func() {
+					n := 0
+					for ; refreshing; n++ {
+						select {
+						case <-stop:
+							refreshes <- n
+							return
+						default:
+						}
+						fault.SetStore([]*tree.Store{grown, base}[n%2])
+						if err := m.RefreshSource(context.Background(), "parts"); err != nil {
+							b.Error(err)
+						}
+					}
+					<-stop
+					refreshes <- n
+				}()
+				var next atomic.Int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					for pb.Next() {
+						pt := pats[int(next.Add(1))%len(pats)]
+						if out, err := m.AskPattern(pt, "Ppart1"); err != nil || len(out) < 100 {
+							b.Errorf("%d answers, %v", len(out), err)
+							return
+						}
+					}
+				})
+				b.StopTimer()
+				close(stop)
+				b.ReportMetric(float64(<-refreshes), "refreshes")
+			})
+		}
+	}
 }

@@ -222,14 +222,12 @@ func checkIndexedAsk(t *testing.T, demand, full *Mediator, pt *pattern.PTree, fu
 	if g, w := mergeKeys(got), mergeKeys(want); !slices.Equal(g, w) {
 		t.Errorf("indexed demand-mode answers differ from full mode's\n got %q\nwant %q", g, w)
 	}
-	g := demand.state().dgen
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for f, grp := range g.cache.groups {
+	v := demand.state().dgen.cache.view()
+	for f, grp := range v.groups {
 		if len(functors) > 0 && !slices.Contains(functors, f) {
 			continue
 		}
-		cands := g.cache.candidates(pt, f)
+		cands := v.candidates(pt, f)
 		scanned += len(grp.bucket)
 		candidates += len(cands)
 		at := 0
@@ -443,7 +441,7 @@ func TestPointLookupCandidates(t *testing.T) {
 	if err != nil || len(view) < 400 {
 		t.Fatalf("view: %d answers, %v", len(view), err)
 	}
-	cache := m.state().dgen.cache
+	cache := m.state().dgen.cache.view()
 	bucket := cache.bucket("Pview1")
 	if len(bucket) != len(view) {
 		t.Fatalf("bucket holds %d entries for %d answers", len(bucket), len(view))
@@ -509,7 +507,7 @@ func TestPointLookupAfterCacheMutations(t *testing.T) {
 			t.Errorf("%s: lookup of %s = %q, %v; full mode gives %q", what, id, mergeKeys(got), err, mergeKeys(oracle))
 		}
 		g := m.state().dgen
-		if n := len(g.cache.candidates(yatl.MustParsePattern(lookup(id)), "Ppart1")); n != want {
+		if n := len(g.cache.view().candidates(yatl.MustParsePattern(lookup(id)), "Ppart1")); n != want {
 			t.Errorf("%s: %d candidates for %s, want %d", what, n, id, want)
 		}
 	}
@@ -567,7 +565,7 @@ func TestPointLookupAfterCacheMutations(t *testing.T) {
 // Get compares each scanned entry's key in one reused buffer.
 func TestGetAllocs(t *testing.T) {
 	m := lookupMediator(t)
-	bucket := m.state().dgen.cache.bucket("Pview1")
+	bucket := m.state().dgen.cache.view().bucket("Pview1")
 	last := bucket[len(bucket)-1]
 	if n := testing.AllocsPerRun(100, func() {
 		if tr, ok, err := m.Get(last.Name); err != nil || !ok || tr != last.Tree {

@@ -25,9 +25,11 @@
 //
 // A Mediator is safe for concurrent use: a production mediator serves
 // many clients at once, so concurrent Ask/Get/Functors calls share a
-// single materialization (guarded by sync.Once, or by the demand
-// cache's lock) and then match against a consistent snapshot without
-// further locking.
+// single materialization (guarded by sync.Once, or — demand mode — by
+// the generation lock a miss runs under) and then match against a
+// consistent snapshot without further locking. A demand-mode hit takes
+// no lock at all: the program state and the cache's view are both
+// published behind atomic pointers.
 package mediator
 
 import (
@@ -174,23 +176,17 @@ type progState struct {
 // demandGen is one demand-driven cache lifetime: the demand cache
 // (cache.go) plus the bookkeeping of the slice runs that filled it.
 // Invalidate swaps in a fresh one, so a query racing an invalidation
-// keeps a consistent view; source refreshes instead mutate the cache
-// under the generation lock.
+// keeps a consistent view; source refreshes instead publish new cache
+// views under the generation lock.
 type demandGen struct {
-	// mu guards everything below, cache included; it is held across a
-	// slice run, so concurrent asks missing the same group share one.
+	// mu serializes the writers — a miss's slice run, a refresh, the
+	// run ledger — and guards pin; it is held across a slice run, so
+	// concurrent asks missing the same group share one. Readers of the
+	// cache and the ledger never take it.
 	mu    sync.Mutex
 	cache *demandCache
-	// stats accumulates engine statistics across slice runs.
-	// Overlapping slices re-run shared dependencies, so the totals
-	// measure work performed, not distinct outputs.
-	stats engine.Stats
-	// runs counts engine slice executions.
-	runs int64
-	// lastErr is the error of the most recent slice run, nil after a
-	// success. Unlike the full-mode generation, a failed slice run is
-	// not memoized: the next query retries.
-	lastErr error
+	// ledger is the published run bookkeeping; never nil.
+	ledger atomic.Pointer[runLedger]
 	// pin is the input snapshot (inputs.go) every cached group was
 	// computed from: the generation's first successful fetch (nil until
 	// then), advanced only by a RefreshSource the cache has absorbed.
@@ -200,24 +196,50 @@ type demandGen struct {
 	restored bool
 }
 
-func newDemandGen(facts *engine.ProgramFacts) *demandGen {
-	return &demandGen{cache: newDemandCache(facts.SliceFor)}
+// runLedger is the bookkeeping of a generation's slice runs, immutable
+// once published.
+type runLedger struct {
+	// stats accumulates engine statistics across slice runs.
+	// Overlapping slices re-run shared dependencies, so the totals
+	// measure work performed, not distinct outputs.
+	stats engine.Stats
+	// runs counts engine slice executions.
+	runs int64
+	// err is the error of the most recent slice run, nil after a
+	// success. Unlike the full-mode generation, a failed slice run is
+	// not memoized: the next query retries.
+	err error
 }
 
-// ran accounts for one successful engine slice run.
+func newDemandGen(facts *engine.ProgramFacts, ledger runLedger) *demandGen {
+	g := &demandGen{cache: newDemandCache(facts.SliceFor)}
+	g.ledger.Store(&ledger)
+	return g
+}
+
+// ran accounts for one successful engine slice run. Under g.mu.
 func (g *demandGen) ran(s engine.Stats) {
-	g.runs++
-	g.stats.Add(s)
+	l := *g.ledger.Load()
+	l.runs++
+	l.stats.Add(s)
+	l.err = nil
+	g.ledger.Store(&l)
 }
 
-// lookupAsk serves a memoized ask. The hit returns a fresh slice
-// header over copied elements so a caller appending to its result
-// cannot disturb the memo; the Name trees and Bindings inside are
-// shared, as they are between any two asks over one cache.
+// failed records a failed slice run (or the fetch before it). Under g.mu.
+func (g *demandGen) failed(err error) {
+	l := *g.ledger.Load()
+	l.err = err
+	g.ledger.Store(&l)
+}
+
+// lookupAsk serves a memoized ask from the current view's memo, without
+// a lock. The hit returns a fresh slice header over copied elements so
+// a caller appending to its result cannot disturb the memo; the Name
+// trees and Bindings inside are shared, as they are between any two
+// asks over one cache.
 func (g *demandGen) lookupAsk(key askKey) ([]Answer, bool) {
-	g.mu.Lock()
-	memo, ok := g.cache.lookup(key)
-	g.mu.Unlock()
+	memo, ok := g.cache.view().memo.lookup(key)
 	if !ok || len(memo) == 0 {
 		return nil, ok
 	}
@@ -238,9 +260,12 @@ type Mediator struct {
 	sources []source.Source
 	latest  atomic.Pointer[inputSnap]
 
-	mu sync.Mutex // guards cur and lastGood
-	// cur is the current program state; queries snapshot it once.
-	cur *progState
+	// mu serializes the writers of cur (Invalidate, Reload, Restore)
+	// and guards lastGood.
+	mu sync.Mutex
+	// cur is the current program state; queries snapshot it once,
+	// without a lock.
+	cur atomic.Pointer[progState]
 	// lastGood retains the stats of the most recent successful
 	// materialization so they stay readable after Invalidate until
 	// the next generation materializes.
@@ -265,8 +290,8 @@ type Mediator struct {
 // (a legacy *engine.Options value also works: it satisfies
 // engine.Option); WithDemandDriven selects the evaluation strategy.
 func New(prog *yatl.Program, inputs *tree.Store, opts ...engine.Option) *Mediator {
-	m := &Mediator{inputs: inputs, cur: &progState{
-		prog: prog, gen: &generation{}, facts: engine.AnalyzeProgram(prog), num: 1}}
+	st := &progState{prog: prog, gen: &generation{}, facts: engine.AnalyzeProgram(prog), num: 1}
+	m := &Mediator{inputs: inputs}
 	var eng []engine.Option
 	for _, o := range opts {
 		switch o := o.(type) {
@@ -279,11 +304,12 @@ func New(prog *yatl.Program, inputs *tree.Store, opts ...engine.Option) *Mediato
 		}
 	}
 	m.opts = engine.NewOptions(eng...)
-	m.cur.progHash = snapshot.HashProgram(prog)
-	m.cur.optsHash = snapshot.HashOptions(m.opts)
+	st.progHash = snapshot.HashProgram(prog)
+	st.optsHash = snapshot.HashOptions(m.opts)
 	if m.demand {
-		m.cur.dgen = newDemandGen(m.cur.facts)
+		st.dgen = newDemandGen(st.facts, runLedger{})
 	}
+	m.cur.Store(st)
 	return m
 }
 
@@ -291,11 +317,7 @@ func New(prog *yatl.Program, inputs *tree.Store, opts ...engine.Option) *Mediato
 // afterwards — slicing, materializing, matching — works against this
 // one snapshot, which is what makes Invalidate and Reload atomic from
 // the query's point of view.
-func (m *Mediator) state() *progState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cur
-}
+func (m *Mediator) state() *progState { return m.cur.Load() }
 
 // Program returns the program the mediator currently serves (the one
 // installed by the constructor or the most recent Reload).
@@ -320,7 +342,7 @@ func (m *Mediator) materialize(ctx context.Context, st *progState) (*engine.Resu
 		// Only credit the generation still current: a stale run
 		// finishing after an Invalidate must not overwrite the stats
 		// of a newer materialization.
-		if st == m.cur || !m.hasLastGood {
+		if st == m.cur.Load() || !m.hasLastGood {
 			m.lastGood = res.Stats
 			m.hasLastGood = true
 		}
@@ -533,7 +555,7 @@ var storelessMatcher = &engine.Matcher{}
 
 func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []string) ([]Answer, error) {
 	st := m.state()
-	var memoGen *demandGen
+	memoize := false
 	var memoKey askKey
 	if g := st.dgen; g != nil && m.opts.Trace == nil {
 		// The repeat of an identical ask skips matching entirely.
@@ -546,9 +568,9 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 			m.memoHits.Add(1)
 			return out, nil
 		}
-		memoGen = g
+		memoize = true
 	}
-	entries, hit, memoVer, err := m.read(ctx, st, pt, functors)
+	entries, hit, view, err := m.read(ctx, st, pt, functors)
 	if hit {
 		m.cacheHits.Add(1)
 	} else {
@@ -577,10 +599,8 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 		}
 		sort.Stable(&answerOrder{out, names})
 	}
-	if memoGen != nil {
-		memoGen.mu.Lock()
-		memoGen.cache.memoize(memoKey, out, memoVer)
-		memoGen.mu.Unlock()
+	if memoize {
+		view.memo.store(memoKey, out)
 	}
 	return out, nil
 }
@@ -611,20 +631,20 @@ func (o *answerOrder) Swap(i, j int) {
 // mode branch on the read side. It returns the target's entries
 // restricted to the given functors (none = the whole target), whether
 // they were served entirely from an already-successful materialization
-// (false on error), and — demand mode — the cache version the view was
-// taken at. Demand-driven, only
+// (false on error), and — demand mode — the cache view they were read
+// from, whose memo the ask's answers belong in. Demand-driven, only
 // the functors' slice is ensured, and an ask's pattern (nil for Get and
 // Functors) may narrow the entries to those it can match; otherwise the
 // whole target materializes once and is filtered by functor alone: an
 // engine run independent of the demand cache and its index, which is
 // what lets the benchmark use it as the oracle.
-func (m *Mediator) read(ctx context.Context, st *progState, pt *pattern.PTree, functors []string) ([]tree.StoreEntry, bool, uint64, error) {
+func (m *Mediator) read(ctx context.Context, st *progState, pt *pattern.PTree, functors []string) ([]tree.StoreEntry, bool, *cacheView, error) {
 	if m.demand {
 		return m.ensureDemand(ctx, st, pt, functors)
 	}
 	res, warm, err := m.materialize(ctx, st)
 	if err != nil {
-		return nil, false, 0, err
+		return nil, false, nil, err
 	}
 	entries := res.Outputs.Entries()
 	if len(functors) > 0 {
@@ -636,7 +656,7 @@ func (m *Mediator) read(ctx context.Context, st *progState, pt *pattern.PTree, f
 		}
 		entries = kept
 	}
-	return entries, warm, 0, nil
+	return entries, warm, nil, nil
 }
 
 // ensureDemand guarantees every functor group of the slice for the
@@ -645,22 +665,26 @@ func (m *Mediator) read(ctx context.Context, st *progState, pt *pattern.PTree, f
 // consistent view of the cached entries restricted to the requested
 // functors — with a pattern, to the candidates the cache's leaf-path
 // index leaves it (every entry it can match, possibly more) — whether
-// the query was served entirely from cache, and the cache version the
-// view was taken at (for the ask memo's stale-write guard).
-func (m *Mediator) ensureDemand(ctx context.Context, st *progState, pt *pattern.PTree, functors []string) ([]tree.StoreEntry, bool, uint64, error) {
+// the query was served entirely from cache, and the cache view they
+// were read from. A hit reads the published view and takes no lock; a
+// miss runs under the generation lock, which makes it the singleflight
+// of every ask missing the same groups.
+func (m *Mediator) ensureDemand(ctx context.Context, st *progState, pt *pattern.PTree, functors []string) ([]tree.StoreEntry, bool, *cacheView, error) {
 	g := st.dgen
+	sl := st.facts.SliceFor(functors...)
+	if v := g.cache.view(); v.covers(sl) {
+		m.traceSlice(sl, v)
+		return v.candidates(pt, functors...), true, v, nil
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
+	v := g.cache.view()
+	m.traceSlice(sl, v)
 	var missing []string // repeats are harmless: SliceFor dedups
-	for _, r := range st.facts.SliceFor(functors...).Construct {
-		kind := trace.KindCacheHit
-		if !g.cache.has(r.Head.Functor) {
-			kind = trace.KindCacheMiss
+	for _, r := range sl.Construct {
+		if !v.has(r.Head.Functor) {
 			missing = append(missing, r.Head.Functor)
-		}
-		if m.opts.Trace != nil {
-			m.opts.Trace.Emit(trace.Event{Kind: kind, Phase: trace.PhaseSlice, Rule: r.Name})
 		}
 	}
 	if len(missing) > 0 {
@@ -675,8 +699,8 @@ func (m *Mediator) ensureDemand(ctx context.Context, st *progState, pt *pattern.
 		if snap.store() == nil {
 			var err error
 			if snap, err = m.fetch(ctx); err != nil {
-				g.lastErr = err
-				return nil, false, 0, err
+				g.failed(err)
+				return nil, false, nil, err
 			}
 			if g.pin == nil {
 				g.pin = snap
@@ -685,14 +709,29 @@ func (m *Mediator) ensureDemand(ctx context.Context, st *progState, pt *pattern.
 		sub := st.facts.SliceFor(missing...)
 		res, err := engine.RunSlice(ctx, st.prog, snap.store(), sub, m.opts)
 		if err != nil {
-			g.lastErr = err
-			return nil, false, 0, err
+			g.failed(err)
+			return nil, false, nil, err
 		}
-		g.lastErr = nil
 		g.ran(res.Stats)
-		g.cache.commit(headFunctors(sub.Construct), res.Outputs, false)
+		g.cache.commit(sub.Construct, res.Outputs, false)
+		v = g.cache.view()
 	}
-	return g.cache.candidates(pt, functors...), len(missing) == 0, g.cache.version(), nil
+	return v.candidates(pt, functors...), len(missing) == 0, v, nil
+}
+
+// traceSlice emits one cache hit or miss event per construct rule of
+// the slice, as the view holds its group or not.
+func (m *Mediator) traceSlice(sl *engine.Slice, v *cacheView) {
+	if m.opts.Trace == nil {
+		return
+	}
+	for _, r := range sl.Construct {
+		kind := trace.KindCacheHit
+		if !v.has(r.Head.Functor) {
+			kind = trace.KindCacheMiss
+		}
+		m.opts.Trace.Emit(trace.Event{Kind: kind, Phase: trace.PhaseSlice, Rule: r.Name})
+	}
 }
 
 // Get resolves one virtual object by Skolem identity. A demand-driven
@@ -808,8 +847,8 @@ type Stats struct {
 	Sources []SourceStatus `json:"sources,omitempty"`
 	// Shards reports per-child health for a federation router, in
 	// child declaration order; empty for a plain mediator. Aggregate
-	// concatenates them, so a pool of federations reports every lane's
-	// children.
+	// concatenates them, so a server over several federations reports
+	// all their children.
 	Shards []ShardStatus `json:"shards,omitempty"`
 }
 
@@ -860,8 +899,9 @@ func (m *Mediator) Stats() Stats {
 		s = m.demandStats()
 	} else {
 		m.mu.Lock()
-		g := m.cur.gen
-		s = Stats{Run: m.lastGood, Generation: m.cur.num}
+		st := m.state()
+		g := st.gen
+		s = Stats{Run: m.lastGood, Generation: st.num}
 		m.mu.Unlock()
 		if g.done.Load() {
 			if g.err != nil {
@@ -887,32 +927,24 @@ func (m *Mediator) Stats() Stats {
 }
 
 // demandStats assembles the cache-state half of Stats for a
-// demand-driven mediator: Run accumulates engine work across slice
-// runs, Materialized means every construct rule of the program is
-// cached.
+// demand-driven mediator, without a lock: Run accumulates engine work
+// across slice runs, Materialized means every construct rule of the
+// program is cached.
 func (m *Mediator) demandStats() Stats {
 	st := m.state()
 	g := st.dgen
-	g.mu.Lock()
-	s := Stats{
-		Run:         g.stats,
-		Demand:      true,
-		Restored:    g.restored,
-		CachedRules: g.cache.cachedRules(),
-		SliceRuns:   g.runs,
-		Err:         g.lastErr,
-		Generation:  st.num,
-	}
+	v, l := g.cache.view(), g.ledger.Load()
 	full := st.facts.SliceFor()
-	s.Materialized = len(full.Construct) > 0
-	for _, r := range full.Construct {
-		if !g.cache.has(r.Head.Functor) {
-			s.Materialized = false
-			break
-		}
+	return Stats{
+		Run:          l.stats,
+		Demand:       true,
+		Restored:     g.restored,
+		CachedRules:  v.cachedRules(),
+		SliceRuns:    l.runs,
+		Err:          l.err,
+		Generation:   st.num,
+		Materialized: len(full.Construct) > 0 && v.covers(full),
 	}
-	g.mu.Unlock()
-	return s
 }
 
 // Invalidate drops the materialized target, forcing the next query to
@@ -920,12 +952,13 @@ func (m *Mediator) demandStats() Stats {
 // old generation finish against its consistent snapshot.
 func (m *Mediator) Invalidate() {
 	m.mu.Lock()
-	next := &progState{prog: m.cur.prog, gen: &generation{}, facts: m.cur.facts,
-		progHash: m.cur.progHash, optsHash: m.cur.optsHash, num: m.cur.num + 1}
+	cur := m.state()
+	next := &progState{prog: cur.prog, gen: &generation{}, facts: cur.facts,
+		progHash: cur.progHash, optsHash: cur.optsHash, num: cur.num + 1}
 	if m.demand {
-		next.dgen = newDemandGen(next.facts)
+		next.dgen = newDemandGen(next.facts, runLedger{})
 	}
-	m.cur = next
+	m.cur.Store(next)
 	m.mu.Unlock()
 }
 
@@ -950,17 +983,17 @@ func (m *Mediator) Invalidate() {
 func (m *Mediator) Reload(prog *yatl.Program) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	old := m.cur
+	old := m.state()
 	next := &progState{prog: prog, gen: &generation{}, facts: engine.AnalyzeProgram(prog),
 		progHash: snapshot.HashProgram(prog), optsHash: snapshot.HashOptions(m.opts), num: old.num + 1}
 	if m.demand {
 		if next.optsHash == old.optsHash {
 			next.dgen = old.dgen.cloneFor(old.facts, next.facts)
 		} else {
-			next.dgen = newDemandGen(next.facts)
+			next.dgen = newDemandGen(next.facts, runLedger{})
 		}
 	}
-	m.cur = next
+	m.cur.Store(next)
 }
 
 // RefreshSource re-fetches the named source and absorbs whatever

@@ -29,7 +29,8 @@ import (
 func (g *demandGen) cloneFor(oldFacts, newFacts *engine.ProgramFacts) *demandGen {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	c := &demandGen{stats: g.stats, runs: g.runs, lastErr: g.lastErr, pin: g.pin}
+	c := newDemandGen(newFacts, *g.ledger.Load())
+	c.pin = g.pin
 	c.cache = g.cache.carryOver(newFacts.SliceFor, func(f string) bool {
 		oldSl, newSl := oldFacts.SliceFor(f), newFacts.SliceFor(f)
 		return sameRules(oldSl.Construct, newSl.Construct) && sameRules(oldSl.Support, newSl.Support)

@@ -20,6 +20,7 @@ import (
 
 	"yat/internal/snapshot"
 	"yat/internal/tree"
+	"yat/internal/yatl"
 )
 
 // ErrSnapshotDemandOnly reports a Snapshot or Restore on a
@@ -32,7 +33,8 @@ var ErrSnapshotDemandOnly = errors.New("mediator: snapshot/restore requires a de
 // snapshot, keyed by the canonical program+options hashes so a
 // restore can prove it is warming the exact computation it would
 // otherwise perform cold. In-flight asks are unaffected: the capture
-// happens under the generation lock against a consistent view.
+// reads one published view under the generation lock, which keeps the
+// pin and the run ledger still while it does.
 func (m *Mediator) Snapshot() (*snapshot.Snapshot, error) {
 	if !m.demand {
 		return nil, ErrSnapshotDemandOnly
@@ -42,16 +44,17 @@ func (m *Mediator) Snapshot() (*snapshot.Snapshot, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
+	l, v := g.ledger.Load(), g.cache.view()
 	payload := &snapshot.Generation{
-		Runs:     g.runs,
-		Stats:    g.stats,
+		Runs:     l.runs,
+		Stats:    l.stats,
 		Degraded: g.pin.degraded(),
 	}
 
 	// One record per cached group, entries possibly none: "cached and
 	// empty" must round-trip.
-	for _, f := range g.cache.cached() {
-		bucket := g.cache.bucket(f)
+	for _, f := range v.cached() {
+		bucket := v.bucket(f)
 		rec := snapshot.Group{Functor: f, Entries: make([]snapshot.Entry, 0, len(bucket))}
 		for _, e := range bucket {
 			rec.Entries = append(rec.Entries, snapshot.Entry{Name: e.Name.String(), Tree: e.Tree.String()})
@@ -94,19 +97,19 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 	// A record is a whole group: the functor some construct rule of the
 	// program mints, and nothing but identities of that functor, each
 	// once. Records come sorted by functor, so none repeats.
-	var functors []string
+	var rules []*yatl.Rule
 	outputs := tree.NewStore()
 	for i, rec := range s.Payload.Groups {
 		if i > 0 && rec.Functor <= s.Payload.Groups[i-1].Functor {
 			return corrupt("functor %s: records are not sorted by functor", rec.Functor)
 		}
-		rules := len(functors)
+		known := len(rules)
 		for _, r := range st.facts.SliceFor(rec.Functor).Construct {
 			if r.Head.Functor == rec.Functor {
-				functors = append(functors, rec.Functor)
+				rules = append(rules, r)
 			}
 		}
-		if len(functors) == rules {
+		if len(rules) == known {
 			return corrupt("functor %s: no rule of the program mints it", rec.Functor)
 		}
 		for _, pe := range rec.Entries {
@@ -127,23 +130,21 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 		}
 	}
 
-	g := newDemandGen(st.facts)
+	g := newDemandGen(st.facts, runLedger{stats: s.Payload.Stats, runs: s.Payload.Runs})
 	g.restored = true
-	g.cache.commit(functors, outputs, false)
+	g.cache.commit(rules, outputs, false)
 	g.pin = restoredSnap(s.Payload.Degraded)
-	g.stats = s.Payload.Stats
-	g.runs = s.Payload.Runs
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	// Re-check against the state current at swap time: a reload racing
 	// the restore must not have its program replaced by a stale warm
 	// cache.
-	cur := m.cur
+	cur := m.state()
 	if cur.progHash != st.progHash || cur.optsHash != st.optsHash {
 		return s.Verify(cur.progHash, cur.optsHash)
 	}
-	m.cur = &progState{prog: cur.prog, gen: &generation{}, facts: cur.facts,
-		progHash: cur.progHash, optsHash: cur.optsHash, num: cur.num, dgen: g}
+	m.cur.Store(&progState{prog: cur.prog, gen: &generation{}, facts: cur.facts,
+		progHash: cur.progHash, optsHash: cur.optsHash, num: cur.num, dgen: g})
 	return nil
 }

@@ -50,12 +50,12 @@ func checkAskFraming(t *testing.T, resp *http.Response, body []byte) {
 
 // TestAskReplyGoldens pins the ask reply against the previous
 // release's: the goldens are the indented /ask and /ask?keys=1 replies
-// of the two-lane selective server, captured before the append
+// of the selective server, captured before the append
 // encoder existed, and the served bytes must be exactly their
 // json.Compact plus the newline — "compact on the wire" is the only
 // protocol change.
 func TestAskReplyGoldens(t *testing.T) {
-	_, ts := newTestServer(t, Config{Pool: 2})
+	_, ts := newTestServer(t, Config{})
 	req := wire.AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}}
 	for _, c := range []struct{ query, golden string }{
 		{"", "ask_indented.golden.json"},
@@ -120,7 +120,7 @@ func warmViewAnswers(t *testing.T) []mediator.Answer {
 // that preceded it (a map and a display string per binding, then an
 // indenting json.Encoder) spent 555 allocations on this reply.
 func TestAskEncodeAllocs(t *testing.T) {
-	s, _ := newTestServer(t, Config{Pool: 1})
+	s, _ := newTestServer(t, Config{})
 	answers := warmViewAnswers(t)
 	w := &discardWriter{h: http.Header{}}
 	for _, keyed := range []bool{false, true} {
@@ -137,7 +137,7 @@ func TestAskEncodeAllocs(t *testing.T) {
 // TestAskCountsAfterTheWrite: an ask is served once its reply is
 // written and failed when the client went away mid-write.
 func TestAskCountsAfterTheWrite(t *testing.T) {
-	s, _ := newTestServer(t, Config{Pool: 1})
+	s, _ := newTestServer(t, Config{})
 	answers := warmViewAnswers(t)
 	s.writeAsk(&discardWriter{h: http.Header{}}, 1, answers, false, nil)
 	if served, failed := s.served.Load(), s.failed.Load(); served != 1 || failed != 0 {
@@ -154,7 +154,7 @@ func TestAskCountsAfterTheWrite(t *testing.T) {
 // afterwards — and with nothing else putting, the oversized one would
 // be first — stays under the bound.
 func TestAskBufferPoolIsBounded(t *testing.T) {
-	s, _ := newTestServer(t, Config{Pool: 1})
+	s, _ := newTestServer(t, Config{})
 	huge := []mediator.Answer{{Name: tree.SkolemName("Pbig", tree.String(strings.Repeat("x", 2*maxPooledAskBuf)))}}
 	w := &discardWriter{h: http.Header{}}
 	s.writeAsk(w, 1, huge, false, nil)
@@ -178,7 +178,7 @@ func TestServeDropsStalledConnections(t *testing.T) {
 		t.Skip("waits out readHeaderTimeout")
 	}
 	t.Parallel()
-	s, err := New(Config{Prog: yatl.MustParse(versionedSelective("v1")), Inputs: workload.BrochureStore(6, 2, 5, 11), Pool: 1})
+	s, err := New(Config{Prog: yatl.MustParse(versionedSelective("v1")), Inputs: workload.BrochureStore(6, 2, 5, 11)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestServeDropsStalledConnections(t *testing.T) {
 // never a panic (the recorder lets one reach the fuzzer) and never a
 // 5xx: nothing a client can put in a body is the server's fault.
 func FuzzAskRequest(f *testing.F) {
-	s, err := New(Config{Prog: yatl.MustParse(versionedSelective("v1", "v2")), Inputs: workload.BrochureStore(6, 2, 5, 11), Pool: 1})
+	s, err := New(Config{Prog: yatl.MustParse(versionedSelective("v1", "v2")), Inputs: workload.BrochureStore(6, 2, 5, 11)})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -194,7 +194,7 @@ func TestFederatedServerRefreshUnsupported(t *testing.T) {
 // TestAskKeysParameter pins the ?keys=1 contract the shard client
 // relies on: keys appear when asked for, never otherwise.
 func TestAskKeysParameter(t *testing.T) {
-	_, ts := newTestServer(t, Config{Pool: 1})
+	_, ts := newTestServer(t, Config{})
 	resp, out := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -236,7 +236,7 @@ func remoteFederation(t *testing.T, prog *yatl.Program, inputs *tree.Store, shar
 	t.Helper()
 	var children []federate.Child
 	for i, p := range federate.PlanShards(prog, shards) {
-		_, ts := newTestServer(t, Config{Prog: p.Prog, Inputs: inputs, Pool: 1})
+		_, ts := newTestServer(t, Config{Prog: p.Prog, Inputs: inputs})
 		url := ts.URL
 		if i == 0 && wrap != nil {
 			url = wrap(url)
@@ -313,7 +313,7 @@ func previousRelease(t *testing.T) func(childURL string) string {
 func TestRemoteFederationServesTheSingleServersBytes(t *testing.T) {
 	prog := yatl.MustParse(workload.SelectiveProgram(4))
 	inputs := workload.BrochureStore(4, 2, 4, 11)
-	_, single := newTestServer(t, Config{Prog: prog, Inputs: inputs, Pool: 1})
+	_, single := newTestServer(t, Config{Prog: prog, Inputs: inputs})
 	const view = `view < -> name -> N, -> city -> C, -> zip -> Z >`
 	asks := []wire.AskRequest{
 		{Pattern: "X"}, // binds whole trees

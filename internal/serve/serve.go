@@ -1,10 +1,10 @@
 // Package serve turns the mediator into what the paper says it is —
-// a service. A Server fronts a pool of demand-driven mediators with
-// an HTTP/JSON API:
+// a service. A Server fronts one demand-driven mediator with an
+// HTTP/JSON API:
 //
 //	POST /ask                        pattern query over the virtual target
 //	GET  /functors                   Skolem functors of the target
-//	GET  /stats                      pool-wide mediator.Stats (shared renderer)
+//	GET  /stats                      mediator.Stats (shared renderer)
 //	GET  /explain                    an ask under a request-scoped EXPLAIN profile
 //	GET  /healthz                    liveness + per-source health
 //	POST /admin/reload               hot-swap a recompiled program
@@ -13,18 +13,18 @@
 // Requests ride the existing functional-options API: AskContext
 // carries the request context for cancellation, typed engine errors
 // map onto stable JSON error codes and HTTP statuses, and tracing is
-// strictly request-scoped — the pool's mediators run with a nil trace
+// strictly request-scoped — the served mediator runs with a nil trace
 // sink (the zero-overhead guarantee), while /ask?explain=1 and
 // /explain build a fresh profile, and a fresh mediator under it, for
 // that one request.
 //
-// The pool is N independent lanes over the same program and sources,
-// assigned round-robin: each lane memoizes its own demand cache, so
-// lanes warm independently but never contend on one cache lock.
-// Admin operations apply to every lane; hot reload calls
-// Mediator.Reload per lane, which swaps the program behind an atomic
-// generation and carries warm cache state for unchanged rule slices
-// across the swap.
+// Every request goroutine asks the one mediator: its memo and demand
+// hits take no lock, so they neither contend with each other nor wait
+// behind a refresh or a cold slice. Hot reload calls Mediator.Reload,
+// which swaps the program behind an atomic generation and carries warm
+// cache state for unchanged rule slices across the swap. A server built
+// over Config.Askers instead assigns asks to them round-robin and
+// applies admin operations to every one.
 package serve
 
 import (
@@ -56,11 +56,10 @@ import (
 
 // Config assembles a Server.
 type Config struct {
-	// Askers, when set, are the pool lanes themselves — any
-	// mediator.Asker: a federation router, remote shard clients, or
-	// pre-built mediators. Prog then becomes optional (it still feeds
-	// /explain and the healthz program name when given) and Pool is
-	// ignored.
+	// Askers, when set, are served instead of the server's own mediator,
+	// round-robin — any mediator.Asker: a federation router, remote
+	// shard clients, or pre-built mediators. Prog then becomes optional
+	// (it still feeds /explain and the healthz program name when given).
 	Askers []mediator.Asker
 	// Prog is the conversion program to serve. Required unless Askers
 	// is set.
@@ -68,22 +67,24 @@ type Config struct {
 	// Inputs is the pre-materialized input store (may be nil when
 	// Sources feed the mediators instead).
 	Inputs *tree.Store
-	// Sources are fault-tolerant live sources, shared by every lane.
+	// Sources are fault-tolerant live sources feeding the mediator.
 	Sources []source.Source
-	// Options are engine options applied to every lane (parallelism,
+	// Options are engine options applied to the mediator (parallelism,
 	// registry, ...). Trace sinks are rejected: tracing is
-	// request-scoped, the pool always runs with a nil sink.
+	// request-scoped, the served mediator always runs with a nil sink.
 	Options []engine.Option
-	// Pool is the number of mediator lanes (default 4).
+	// Pool configures nothing: the server runs one mediator. It is kept
+	// only for callers that still set it, and goes in the next change
+	// that may touch them.
 	Pool int
 	// DrainTimeout bounds the graceful drain of in-flight asks on
 	// shutdown (default 10s).
 	DrainTimeout time.Duration
 	// SnapshotDir, when set, enables durable warm starts: New restores
-	// every lane from <dir>/yatserve.snapshot.json when the file's
+	// the mediator from <dir>/yatserve.snapshot.json when the file's
 	// program and options hashes match what the server is about to
 	// serve (any mismatch is logged and boots cold), and POST
-	// /admin/snapshot persists the warmest lane back to it.
+	// /admin/snapshot persists its cache back to it.
 	SnapshotDir string
 	// SnapshotOnDrain also writes a snapshot during graceful shutdown,
 	// after in-flight asks drain.
@@ -95,15 +96,16 @@ type Config struct {
 // SnapshotFile is the name of the snapshot inside Config.SnapshotDir.
 const SnapshotFile = "yatserve.snapshot.json"
 
-// Server is the long-running mediator service. Its pool lanes are
-// Askers — local mediators, federation routers and remote shard
-// clients are interchangeable behind the query interface.
+// Server is the long-running mediator service. What it serves are
+// Askers — its own mediator, or the configured federation routers,
+// remote shard clients and mediators, interchangeable behind the query
+// interface.
 type Server struct {
 	cfg  Config
-	pool []mediator.Asker
+	pool []mediator.Asker // one local mediator unless Config.Askers
 	next atomic.Uint64
 
-	admin sync.Mutex // serializes reload/refresh across the pool
+	admin sync.Mutex // serializes reload/refresh across the askers
 
 	// Durable warm-start state; snapPath is empty when disabled.
 	snapPath     string
@@ -120,9 +122,9 @@ type Server struct {
 	start    time.Time
 }
 
-// New builds a Server over a pool of mediators. It fails fast on a
-// nil program or a traced option set instead of surprising the first
-// request.
+// New builds a Server over one demand-driven mediator (or the
+// configured askers). It fails fast on a nil program or a traced option
+// set instead of surprising the first request.
 func New(cfg Config) (*Server, error) {
 	if cfg.Prog == nil && len(cfg.Askers) == 0 {
 		return nil, errors.New("serve: Config.Prog or Config.Askers is required")
@@ -140,15 +142,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SnapshotDir != "" {
 		s.snapPath = filepath.Join(cfg.SnapshotDir, SnapshotFile)
 	}
-	if len(cfg.Askers) > 0 {
-		s.pool = append(s.pool, cfg.Askers...)
-	} else {
-		if cfg.Pool <= 0 {
-			cfg.Pool = 4
-		}
-		for i := 0; i < cfg.Pool; i++ {
-			s.pool = append(s.pool, mediator.New(cfg.Prog, cfg.Inputs, s.laneOptions(nil)...))
-		}
+	s.pool = cfg.Askers
+	if len(s.pool) == 0 {
+		s.pool = []mediator.Asker{mediator.New(cfg.Prog, cfg.Inputs, s.laneOptions(nil)...)}
 	}
 	if s.snapPath != "" {
 		s.restoreSnapshot()
@@ -156,11 +152,10 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// restoreSnapshot warm-starts the pool from the snapshot file. Every
-// failure — missing file, integrity, identity mismatch, a lane that
-// cannot restore — is a logged fallback to the cold boot New already
-// performed; the server comes up either fully warm or fully cold,
-// never half-restored answering stale conversions from some lanes.
+// restoreSnapshot warm-starts the mediator from the snapshot file.
+// Every failure — missing file, integrity, identity mismatch, an asker
+// that cannot restore — is a logged fallback to the cold boot New
+// already performed.
 func (s *Server) restoreSnapshot() {
 	fallback := func(reason, detail string) {
 		s.snapFallback = reason
@@ -176,60 +171,36 @@ func (s *Server) restoreSnapshot() {
 		}
 		return
 	}
-	restorers, ok := lanesAs[restorer](s.pool)
+	r, ok := only[restorer](s.pool)
 	if !ok {
-		fallback("unsupported", "pool lanes do not support restore (remote or federated askers)")
+		fallback("unsupported", "the served askers do not support restore (remote, federated or several)")
 		return
 	}
-	for i, r := range restorers {
-		if err := r.Restore(snap); err != nil {
-			reason := "restore_error"
-			var lerr *snapshot.LoadError
-			if errors.As(err, &lerr) {
-				reason = string(lerr.Reason)
-			}
-			if i > 0 {
-				// Later-lane failures are config bugs (all lanes share program
-				// and options); re-cool the already-warmed lanes.
-				for _, m := range s.pool {
-					if inv, ok := m.(invalidator); ok {
-						inv.Invalidate()
-					}
-				}
-			}
-			fallback(reason, err.Error())
-			return
+	if err := r.Restore(snap); err != nil {
+		reason := "restore_error"
+		var lerr *snapshot.LoadError
+		if errors.As(err, &lerr) {
+			reason = string(lerr.Reason)
 		}
+		fallback(reason, err.Error())
+		return
 	}
 	s.snapRestored = true
 	s.cfg.Logf("yatserve: warm start from %s (format %d, generation %d, %d functor groups)",
 		s.snapPath, snap.Format, snap.Generation, len(snap.Payload.Groups))
 }
 
-// writeSnapshot persists the warmest lane (most cached rules — the
-// pool's lanes warm independently, so one file holds the best
-// available cache) to the snapshot path. Serialized by snapMu so a
-// drain and an admin request cannot interleave their temp files.
+// writeSnapshot persists the mediator's demand cache to the snapshot
+// path. Serialized by snapMu so a drain and an admin request cannot
+// interleave their temp files.
 func (s *Server) writeSnapshot() (*wire.SnapshotResponse, error) {
-	var (
-		warmest snapshotter
-		warmth  int = -1
-	)
-	for _, m := range s.pool {
-		sn, ok := m.(snapshotter)
-		if !ok {
-			continue
-		}
-		if n := m.Stats().CachedRules; n > warmth {
-			warmest, warmth = sn, n
-		}
-	}
-	if warmest == nil {
-		return nil, errors.New("serve: pool lanes do not support snapshots (remote or federated askers)")
+	sn, ok := only[snapshotter](s.pool)
+	if !ok {
+		return nil, errors.New("serve: the served askers do not support snapshots (remote, federated or several)")
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	snap, err := warmest.Snapshot()
+	snap, err := sn.Snapshot()
 	if err == nil {
 		var n int
 		if n, err = snapshot.Write(s.snapPath, snap); err == nil {
@@ -262,10 +233,9 @@ func (s *Server) snapshotStatus() *wire.SnapshotStatus {
 	}
 }
 
-// laneOptions assembles one mediator's option list: the configured
-// engine options, demand-driven evaluation (what every served lane
-// runs), the shared sources, and (for request-scoped tracing only) a
-// sink.
+// laneOptions assembles a mediator's option list: the configured
+// engine options, demand-driven evaluation (what every served mediator
+// runs), the sources, and (for request-scoped tracing only) a sink.
 func (s *Server) laneOptions(sink trace.Sink) []engine.Option {
 	opts := append([]engine.Option(nil), s.cfg.Options...)
 	opts = append(opts, mediator.WithDemandDriven(true))
@@ -278,7 +248,7 @@ func (s *Server) laneOptions(sink trace.Sink) []engine.Option {
 	return opts
 }
 
-// The optional lane capabilities, discovered by type assertion: a
+// The optional asker capabilities, discovered by type assertion: a
 // local *mediator.Mediator has them all, remote shard clients and
 // federation routers only some.
 type (
@@ -292,14 +262,13 @@ type (
 	restorer interface {
 		Restore(*snapshot.Snapshot) error
 	}
-	invalidator  interface{ Invalidate() }
 	programmer   interface{ Program() *yatl.Program }
 	generationer interface{ Generation() int64 }
 )
 
-// lanesAs asserts capability C on every lane, all or nothing: an
-// admin operation checks the whole pool before mutating any lane, so a
-// mixed pool never ends up half-swapped.
+// lanesAs asserts capability C on every asker, all or nothing: an
+// admin operation checks them all before mutating any, so a mixed set
+// never ends up half-swapped.
 func lanesAs[C any](pool []mediator.Asker) ([]C, bool) {
 	out := make([]C, len(pool))
 	for i, m := range pool {
@@ -312,15 +281,30 @@ func lanesAs[C any](pool []mediator.Asker) ([]C, bool) {
 	return out, true
 }
 
-// lane picks the next pool lane, round-robin.
+// only asserts capability C on the one asker a snapshot is taken of or
+// restored into; several askers, which would each hold a cache of
+// their own, have none.
+func only[C any](pool []mediator.Asker) (C, bool) {
+	if len(pool) != 1 {
+		var none C
+		return none, false
+	}
+	c, ok := pool[0].(C)
+	return c, ok
+}
+
+// lane picks the asker to serve a request: the one mediator, or the
+// next configured asker, round-robin.
 func (s *Server) lane() mediator.Asker {
+	if len(s.pool) == 1 {
+		return s.pool[0]
+	}
 	return s.pool[s.next.Add(1)%uint64(len(s.pool))]
 }
 
 // program is the currently served program (construction or the most
-// recent successful reload; every lane agrees outside an in-flight
-// reload). Lanes that cannot report one — remote clients — fall back
-// to the configured program, which may be nil.
+// recent successful reload). Askers that cannot report one — remote
+// clients — fall back to the configured program, which may be nil.
 func (s *Server) program() *yatl.Program {
 	if p, ok := s.pool[0].(programmer); ok {
 		if prog := p.Program(); prog != nil {
@@ -331,7 +315,7 @@ func (s *Server) program() *yatl.Program {
 }
 
 // progName is the served program's display name, tolerating opaque
-// lanes.
+// askers.
 func (s *Server) progName() string {
 	if p := s.program(); p != nil {
 		return p.Name
@@ -339,7 +323,7 @@ func (s *Server) progName() string {
 	return "(remote)"
 }
 
-// generationOf reads a lane's generation, through the optional
+// generationOf reads an asker's generation, through the optional
 // interface when offered, else from its stats snapshot.
 func generationOf(a mediator.Asker) int64 {
 	if g, ok := a.(generationer); ok {
@@ -500,11 +484,11 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 // explainAsk serves one ask under a request-scoped profile: a fresh
 // mediator over the current program with its own trace.Profile, so
 // the EXPLAIN covers exactly this request (cold, slices and cache
-// decisions visible) and the pool's nil-sink lanes stay untouched.
+// decisions visible) and the served nil-sink mediator stays untouched.
 func (s *Server) explainAsk(w http.ResponseWriter, r *http.Request, q url.Values, pattern string, functors []string) {
 	prog := s.program()
 	if prog == nil {
-		// Askers-only servers over remote lanes have no local program to
+		// Askers-only servers over remote askers have no local program to
 		// re-run under a profile.
 		s.failed.Add(1)
 		writeErr(w, http.StatusNotImplemented, "explain_unavailable",
@@ -564,7 +548,7 @@ func (s *Server) handleFunctors(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// poolStats is the one fold over the pool's lanes; /stats and /healthz
+// poolStats is the one fold over the served askers; /stats and /healthz
 // both project it, so they cannot disagree about a source or a shard.
 func (s *Server) poolStats() mediator.Stats {
 	views := make([]mediator.Stats, len(s.pool))
@@ -667,7 +651,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	reloaders, ok := lanesAs[reloader](s.pool)
 	if !ok {
 		writeErr(w, http.StatusNotImplemented, "reload_unsupported",
-			"pool lanes do not support hot reload (remote or federated askers)")
+			"the served askers do not support hot reload (remote or federated)")
 		return
 	}
 	s.admin.Lock()
@@ -686,14 +670,11 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleRefreshSource refreshes the named source on every lane, in pool
-// order, and stops at the first lane that fails, so the lanes behind it
-// stay on the pin they have. A source that is down fails its refresh
-// (503 sources_unavailable) and every warm lane keeps serving the
-// complete answers of the snapshot it pinned, /healthz reporting the
-// failed fetch. A cold lane has pinned nothing to keep: its next ask
-// fetches for itself, degraded while the source is down. Lanes pin
-// independently; only one mediator per server would cure that.
+// handleRefreshSource refreshes the named source on the mediator (on
+// every configured asker, in order, stopping at the first that fails).
+// A source that is down fails its refresh (503 sources_unavailable) and
+// a warm mediator keeps serving the complete answers of the snapshot it
+// pinned, /healthz reporting the failed fetch.
 func (s *Server) handleRefreshSource(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	known := false
@@ -710,7 +691,7 @@ func (s *Server) handleRefreshSource(w http.ResponseWriter, r *http.Request) {
 	refreshers, ok := lanesAs[refresher](s.pool)
 	if !ok {
 		writeErr(w, http.StatusNotImplemented, "refresh_unsupported",
-			"pool lanes do not support source refresh (remote or federated askers)")
+			"the served askers do not support source refresh (remote or federated)")
 		return
 	}
 	s.admin.Lock()
@@ -763,8 +744,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	s.cfg.Logf("yatserve: listening on %s (pool %d, program %q)",
-		ln.Addr(), len(s.pool), s.progName())
+	s.cfg.Logf("yatserve: listening on %s (program %q)", ln.Addr(), s.progName())
 	select {
 	case err := <-errc:
 		return err

@@ -107,7 +107,7 @@ func decodeError(t *testing.T, resp *http.Response) wire.ErrorBody {
 }
 
 func TestAskEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Pool: 2})
+	_, ts := newTestServer(t, Config{})
 	resp, out := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern, Functors: []string{"Pview1"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -258,14 +258,14 @@ func TestFunctorsEndpoint(t *testing.T) {
 	}
 }
 
-// The stats parity contract: GET /stats renders the pool's aggregated
+// The stats parity contract: GET /stats renders the server's
 // mediator.Stats through the same StatsView renderer yatprof -stats
-// uses, so a pool-of-one server and a directly driven mediator report
+// uses, so a server and a directly driven mediator report
 // byte-identical documents for the same program and ask sequence.
 func TestStatsParity(t *testing.T) {
 	prog := yatl.MustParse(versionedSelective("v1", "v1"))
 	inputs := workload.BrochureStore(6, 2, 5, 11)
-	_, ts := newTestServer(t, Config{Prog: prog, Inputs: inputs, Pool: 1})
+	_, ts := newTestServer(t, Config{Prog: prog, Inputs: inputs})
 
 	ref := mediator.New(prog, inputs, mediator.WithDemandDriven(true))
 	asks := []struct {
@@ -315,7 +315,7 @@ func TestStatsParity(t *testing.T) {
 }
 
 // Request-scoped tracing: explain requests carry an EXPLAIN profile
-// covering exactly that request, and the pool's lanes keep serving
+// covering exactly that request, and the served mediator keeps serving
 // untraced (the profile of a later plain ask is absent again). Explain
 // replies go through the same encoder as any ask reply, so they are
 // framed the same way and honour ?keys=1.
@@ -366,7 +366,7 @@ func TestExplain(t *testing.T) {
 	}
 
 	// A plain ask afterwards carries no profile: tracing never leaks
-	// into the pool lanes.
+	// into the served mediator.
 	resp3, body3 := rawAsk(t, ts.URL, "", wire.AskRequest{Pattern: tagPattern})
 	checkAskFraming(t, resp3, body3)
 	if bytes.Contains(body3, []byte(`"profile"`)) {
@@ -378,11 +378,9 @@ func TestHealthzAndRefresh(t *testing.T) {
 	prog := yatl.MustParse(versionedSelective("v1"))
 	parts := workload.SplitStore(workload.BrochureStore(6, 2, 5, 11), 2)
 	flaky := source.NewFault("src2", parts[1])
-	const pool = 2
 	cfg := Config{
 		Prog:    prog,
 		Sources: []source.Source{source.Static("src1", parts[0]), flaky},
-		Pool:    pool,
 	}
 	_, ts := newTestServer(t, cfg)
 
@@ -398,12 +396,12 @@ func TestHealthzAndRefresh(t *testing.T) {
 		}
 		return resp.StatusCode, out
 	}
-	// askAll asks 2 × pool times — every lane twice — and returns the
-	// one body they all answered with.
+	// askAll asks four times and returns the one body they all answered
+	// with.
 	askAll := func(base, when string) []byte {
 		t.Helper()
 		var first []byte
-		for i := 0; i < 2*pool; i++ {
+		for i := 0; i < 4; i++ {
 			resp, body := rawAsk(t, base, "", wire.AskRequest{Pattern: tagPattern})
 			if resp.StatusCode != 200 {
 				t.Fatalf("%s: ask %d status %d: %s", when, i, resp.StatusCode, body)
@@ -447,19 +445,22 @@ func TestHealthzAndRefresh(t *testing.T) {
 		t.Fatalf("initial health: %d %v", code, out)
 	}
 
-	// Warm every lane: a cold lane has pinned nothing a failed refresh
-	// could keep.
-	warm := askAll(ts.URL, "warm")
+	// One ask warms the server: there is one mediator, so nothing cold
+	// is left to fill degraded once src2 goes down.
+	resp, warm := rawAsk(t, ts.URL, "", wire.AskRequest{Pattern: tagPattern})
+	if resp.StatusCode != 200 {
+		t.Fatalf("warm: status %d: %s", resp.StatusCode, warm)
+	}
 	if code, out := health(); code != 200 || out["status"] != "ok" {
 		t.Fatalf("healthy: %d %v", code, out)
 	}
 	runs := runsSoFar()
 
 	// Break src2 and refresh it through the admin endpoint: the refresh
-	// is refused, every lane keeps answering the complete warm bytes at
-	// the same generation without running anything, and health says why.
+	// is refused, every ask gets the complete warm bytes at the same
+	// generation without running anything, and health says why.
 	flaky.SetErr(errors.New("src2 down"))
-	resp := refresh("src2")
+	resp = refresh("src2")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("refresh of a down source: status %d, want 503", resp.StatusCode)
 	}
@@ -477,7 +478,7 @@ func TestHealthzAndRefresh(t *testing.T) {
 		t.Fatalf("degraded health: %d %v", code, out)
 	}
 
-	// Healed, with new data: the refresh lands and every lane serves
+	// Healed, with new data: the refresh lands and the server serves
 	// what a server started over the healed sources serves.
 	healed := workload.SplitStore(workload.BrochureStore(10, 2, 9, 11), 2)[1]
 	flaky.SetErr(nil)
@@ -523,7 +524,6 @@ func TestReloadRaceOverHTTP(t *testing.T) {
 				Prog:    yatl.MustParse(editions[0]),
 				Inputs:  workload.BrochureStore(6, 2, 5, 11),
 				Options: []engine.Option{engine.WithParallelism(par)},
-				Pool:    2,
 			})
 			const asksPerWorker = 25
 			var wg sync.WaitGroup
@@ -597,7 +597,7 @@ func TestReloadRejectsBadPrograms(t *testing.T) {
 	if e := decodeError(t, resp); e.Code != "bad_request" {
 		t.Fatalf("empty reload code %q, want bad_request", e.Code)
 	}
-	// The pool still serves the original program.
+	// The server still serves the original program.
 	if got := s.program().Name; got != "selective" {
 		t.Fatalf("program swapped to %q on a failed reload", got)
 	}
@@ -616,7 +616,7 @@ func TestGracefulDrain(t *testing.T) {
 	prog := yatl.MustParse(versionedSelective("v1"))
 	inputs := workload.BrochureStore(6, 2, 5, 11)
 	slow := source.NewFault("slow", inputs, source.Step{Latency: 150 * time.Millisecond}).Loop(true)
-	s, err := New(Config{Prog: prog, Sources: []source.Source{slow}, Pool: 1,
+	s, err := New(Config{Prog: prog, Sources: []source.Source{slow},
 		DrainTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)

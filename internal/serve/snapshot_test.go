@@ -41,7 +41,6 @@ func snapConfig(dir string) Config {
 	return Config{
 		Prog:        yatl.MustParse(versionedSelective("v1", "v1")),
 		Inputs:      workload.BrochureStore(6, 2, 5, 11),
-		Pool:        2,
 		SnapshotDir: dir,
 	}
 }
@@ -105,8 +104,8 @@ func TestServerSnapshotRestart(t *testing.T) {
 	if !bytes.Equal(coldJSON, warmJSON) {
 		t.Fatalf("restored answers differ:\n cold %s\n warm %s", coldJSON, warmJSON)
 	}
-	// The first ask after restore is a demand-cache hit on the lane
-	// that served it; no slice ran in this process.
+	// The first ask after restore is a demand-cache hit; no slice ran
+	// in this process.
 	var stats wire.StatsResponse
 	getJSON(t, ts2.URL+"/stats?timing=0", &stats)
 	if stats.Mediator.CacheHits != 1 || stats.Mediator.CacheMisses != 0 {
@@ -247,7 +246,7 @@ func TestServerSnapshotFallbacks(t *testing.T) {
 }
 
 func TestAdminSnapshotUnconfigured(t *testing.T) {
-	_, ts := newTestServer(t, Config{Pool: 1})
+	_, ts := newTestServer(t, Config{})
 	resp, err := http.Post(ts.URL+"/admin/snapshot", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)

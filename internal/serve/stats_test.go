@@ -16,18 +16,15 @@ import (
 	"yat/internal/yatl"
 )
 
-// TestStatsGolden pins GET /stats?timing=0 of a warm two-source,
-// two-lane server byte for byte. The golden was captured before
-// mediator.Stats became its own wire document, so the served bytes are
-// provably the ones the shadow view types produced. Every lane has
-// fetched, so the per-source entries do not depend on which lane the
-// fold reads. YAT_UPDATE_GOLDEN=1 rewrites it.
+// TestStatsGolden pins GET /stats?timing=0 of a warm two-source server
+// byte for byte. The golden was captured before mediator.Stats became
+// its own wire document, so the served bytes are provably the ones the
+// shadow view types produced. YAT_UPDATE_GOLDEN=1 rewrites it.
 func TestStatsGolden(t *testing.T) {
 	parts := workload.SplitStore(workload.BrochureStore(6, 2, 5, 11), 2)
 	_, ts := newTestServer(t, Config{
 		Prog:    yatl.MustParse(versionedSelective("v1", "v1")),
 		Sources: []source.Source{source.Static("src1", parts[0]), source.Static("src2", parts[1])},
-		Pool:    2,
 	})
 	for _, functors := range [][]string{{"Pview1"}, {"Pview1"}, {"Pview1"}, nil} {
 		if resp, _ := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern, Functors: functors}); resp.StatusCode != 200 {

@@ -25,7 +25,7 @@ type AskRequest struct {
 	// Pattern is the query, in YATL concrete pattern syntax.
 	Pattern string `json:"pattern"`
 	// Functors optionally restricts the ask to these Skolem functors
-	// (a demand-driven lane then materializes only their slices).
+	// (a demand-driven mediator then materializes only their slices).
 	Functors []string `json:"functors,omitempty"`
 }
 
@@ -93,7 +93,7 @@ type ServerStats struct {
 type SnapshotStatus struct {
 	// Path is the snapshot file the server restores from and writes to.
 	Path string `json:"path"`
-	// Restored reports whether this process warm-started its lanes from
+	// Restored reports whether this process warm-started its mediator from
 	// the file at boot.
 	Restored bool `json:"restored"`
 	// FallbackReason classifies why a boot fell back to cold when it
