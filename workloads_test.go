@@ -1,13 +1,17 @@
 package yat
 
-// Golden comparison for the parallel engine: every workload of the
-// benchmark suite must produce byte-identical results at every
-// parallelism level. This is the acceptance gate for the worker-pool
-// execution — parallelism is an implementation detail the output must
-// not reveal.
+// Golden outputs for the workloads of the paper's conversions: every
+// case's full result — outputs, warnings, unconverted inputs and stats —
+// and the Figure 1 pipeline's HTML pages are pinned byte for byte under
+// testdata/workloads. A change here means the engine produces different
+// data, not just different bookkeeping. YAT_UPDATE_GOLDEN=1 rewrites the
+// files.
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -72,7 +76,29 @@ func warningStore(n int) *Store {
 	return s
 }
 
-func TestParallelByteIdenticalOnWorkloads(t *testing.T) {
+// checkGolden compares got with testdata/workloads/<name>.golden, first
+// rewriting the file when YAT_UPDATE_GOLDEN is set.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "workloads", filepath.FromSlash(name)+".golden")
+	if os.Getenv("YAT_UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from %s:\n got:\n%s\nwant:\n%s", name, path, got, want)
+	}
+}
+
+func TestWorkloadGoldens(t *testing.T) {
 	composed := func(t *testing.T) *Program {
 		first, err := ParseProgram(Rules1And2Typed)
 		if err != nil {
@@ -112,8 +138,8 @@ func TestParallelByteIdenticalOnWorkloads(t *testing.T) {
 		// Warning-heavy case: half the inputs make city() fail (binding
 		// dropped with a warning), and every output holds a reference
 		// to a Skolem no rule defines (dangling-reference warnings).
-		// This pins the *order* of Result.Warnings across widths — the
-		// other workloads barely warn at all.
+		// This pins the *order* of Result.Warnings — the other
+		// workloads barely warn at all.
 		{name: "warnings/dropped-and-dangling", src: `
 program warny
 rule R {
@@ -136,42 +162,29 @@ rule R {
 				}
 				prog = p
 			}
-			seq, err := Run(prog, tc.inputs, nil)
+			res, err := Run(prog, tc.inputs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.wantWarnings && len(seq.Warnings) < 2 {
-				t.Fatalf("case meant to pin warning order produced %d warnings", len(seq.Warnings))
+			if tc.wantWarnings && len(res.Warnings) < 2 {
+				t.Fatalf("case meant to pin warning order produced %d warnings", len(res.Warnings))
 			}
-			want := fingerprint(seq)
-			for _, par := range []int{2, 4, -1} {
-				res, err := Run(prog, tc.inputs, &RunOptions{Parallelism: par})
-				if err != nil {
-					t.Fatalf("parallelism=%d: %v", par, err)
-				}
-				if got := fingerprint(res); got != want {
-					t.Errorf("parallelism=%d output diverges from sequential", par)
-				}
-			}
+			checkGolden(t, tc.name, fingerprint(res))
 		})
 	}
-}
 
-// TestParallelPipelineByteIdentical chains the Figure 1 two-step
-// conversion (SGML→ODMG→HTML) with both engines and compares the
-// exported HTML byte for byte.
-func TestParallelPipelineByteIdentical(t *testing.T) {
-	first, err := ParseProgram(Rules1And2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	web, err := ParseProgram(WebRules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := workload.BrochureStore(12, 3, 6, 42)
-	render := func(opts *RunOptions) map[string]string {
-		mid, err := Run(first, inputs, opts)
+	// The Figure 1 two-step conversion (SGML→ODMG→HTML), exported to
+	// HTML pages listed by name.
+	t.Run("pipeline/sgml-odmg-html", func(t *testing.T) {
+		first, err := ParseProgram(Rules1And2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		web, err := ParseProgram(WebRules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid, err := Run(first, workload.BrochureStore(12, 3, 6, 42))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +192,7 @@ func TestParallelPipelineByteIdentical(t *testing.T) {
 		for _, e := range mid.Outputs.Entries() {
 			interm.Put(e.Name, e.Tree)
 		}
-		res, err := Run(web, interm, opts)
+		res, err := Run(web, interm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,16 +200,15 @@ func TestParallelPipelineByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pages
-	}
-	want := render(nil)
-	got := render(&RunOptions{Parallelism: 4})
-	if len(got) != len(want) {
-		t.Fatalf("page count: got %d, want %d", len(got), len(want))
-	}
-	for name, html := range want {
-		if got[name] != html {
-			t.Errorf("page %s differs between sequential and parallel runs", name)
+		names := make([]string, 0, len(pages))
+		for name := range pages {
+			names = append(names, name)
 		}
-	}
+		sort.Strings(names)
+		var sb strings.Builder
+		for _, name := range names {
+			fmt.Fprintf(&sb, "== %s ==\n%s\n", name, pages[name])
+		}
+		checkGolden(t, "pipeline/sgml-odmg-html", sb.String())
+	})
 }
