@@ -17,7 +17,6 @@
 //	-json         emit the profile as JSON instead of the text table
 //	-timing       include wall-clock times (off by default so output
 //	              is deterministic and diffable)
-//	-parallelism  worker count for the run (0 = sequential)
 //	-ask          profile a mediator query (YATL pattern) instead of a
 //	              full conversion
 //	-functors     comma-separated Skolem functors restricting -ask
@@ -62,7 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		inputFlag   = fs.String("input", "", "input store file (YAT tree syntax); default stdin")
 		jsonFlag    = fs.Bool("json", false, "emit the profile as JSON")
 		timingFlag  = fs.Bool("timing", false, "include wall-clock times in the profile")
-		parFlag     = fs.Int("parallelism", 0, "worker count for the run (0 = sequential)")
 		askFlag     = fs.String("ask", "", "profile a mediator query (YATL pattern) instead of a run")
 		funcFlag    = fs.String("functors", "", "comma-separated Skolem functors restricting -ask")
 		demandFlag  = fs.Bool("demand", false, "answer -ask demand-driven (slice + per-rule cache)")
@@ -103,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *askFlag != "" {
 		opts := []yat.Option{
 			yat.WithTrace(profile),
-			yat.WithParallelism(*parFlag),
 			yat.WithDemandDriven(*demandFlag),
 		}
 		if *faultFlag > 0 {
@@ -137,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	} else {
 		var result *yat.Result
-		result, err = yat.Run(prog, inputs, yat.WithTrace(profile), yat.WithParallelism(*parFlag))
+		result, err = yat.Run(prog, inputs, yat.WithTrace(profile))
 		warnings = warningsOf(result)
 	}
 	// A failed run still has a profile worth printing (it shows how

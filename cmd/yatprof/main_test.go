@@ -57,20 +57,17 @@ func TestTimingFlag(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossRunsAndParallelism pins the tool's headline
-// property: without -timing the profile is byte-identical run to run
-// and at any parallelism.
-func TestDeterministicAcrossRunsAndParallelism(t *testing.T) {
+// TestDeterministicAcrossRuns pins the tool's headline property:
+// without -timing the profile is byte-identical run to run.
+func TestDeterministicAcrossRuns(t *testing.T) {
 	input := brochureFile(t)
 	_, want, _ := runProf(t, "-program", "sgml2odmg", "-input", input)
-	for _, par := range []string{"1", "4", "8"} {
-		code, out, errOut := runProf(t, "-program", "sgml2odmg", "-input", input, "-parallelism", par)
-		if code != 0 {
-			t.Fatalf("parallelism=%s: exit %d, stderr: %s", par, code, errOut)
-		}
-		if out != want {
-			t.Errorf("parallelism=%s profile diverges:\n got: %s\nwant: %s", par, out, want)
-		}
+	code, out, errOut := runProf(t, "-program", "sgml2odmg", "-input", input)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	}
+	if out != want {
+		t.Errorf("profile diverges:\n got: %s\nwant: %s", out, want)
 	}
 }
 
@@ -108,9 +105,12 @@ func TestBadUsage(t *testing.T) {
 	if code, _, errOut := runProf(t, "-program", "no-such-program", "-input", os.DevNull); code != 1 {
 		t.Errorf("unknown program: exit %d, want 1 (stderr %s)", code, errOut)
 	}
-	// There is one match path, so no flag selects one.
-	if code, _, _ := runProf(t, "-program", "sgml2odmg", "-input", os.DevNull, "-optimize"); code != 2 {
-		t.Errorf("-optimize: exit %d, want 2 (unknown flag)", code)
+	// There is one match path and one engine schedule, so no flag
+	// selects either.
+	for _, gone := range []string{"-optimize", "-parallelism=2"} {
+		if code, _, _ := runProf(t, "-program", "sgml2odmg", "-input", os.DevNull, gone); code != 2 {
+			t.Errorf("%s: exit %d, want 2 (unknown flag)", gone, code)
+		}
 	}
 }
 

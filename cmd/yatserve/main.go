@@ -33,7 +33,6 @@
 //	-split        serve the input through N static sources instead of a
 //	              pre-materialized store (exercises the source layer and
 //	              per-source health; 0 = direct store)
-//	-parallelism  engine worker count (0 = sequential)
 //	-child        base URL of a remote yatserve child; repeatable. The
 //	              server becomes a parent federation over the children,
 //	              discovering each child's functors at startup;
@@ -66,7 +65,6 @@ import (
 	"syscall"
 	"time"
 
-	"yat/internal/engine"
 	"yat/internal/federate"
 	"yat/internal/library"
 	"yat/internal/mediator"
@@ -95,7 +93,6 @@ func run(args []string, stderr io.Writer) int {
 		progFlag  = fs.String("program", "", "conversion program (.yatl file, built-in name, or selective:K)")
 		inputFlag = fs.String("input", "", "input store (file, or brochures:N,S,P[,seed])")
 		splitFlag = fs.Int("split", 0, "serve the input via N static sources (0 = direct store)")
-		parFlag   = fs.Int("parallelism", 0, "engine worker count (0 = sequential)")
 		shardFlag = fs.String("shard", "", "i/n — serve only shard i of the program's n-way plan")
 		drainFlag = fs.Duration("drain", 10*time.Second, "graceful-drain deadline on shutdown")
 		snapFlag  = fs.String("snapshot-dir", "", "directory for the durable warm-start snapshot (empty = disabled)")
@@ -135,9 +132,6 @@ func run(args []string, stderr io.Writer) int {
 	}
 	if len(progs) > 0 {
 		cfg.Prog = progs[0]
-	}
-	if *parFlag > 0 {
-		cfg.Options = []engine.Option{engine.WithParallelism(*parFlag)}
 	}
 	logf := func(string, ...any) {}
 	if !*quietFlag {

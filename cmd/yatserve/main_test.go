@@ -59,9 +59,9 @@ func TestRunBadUsage(t *testing.T) {
 	if code := run([]string{"-program", "selective:2", "-split", "2"}, &stderr); code != 2 {
 		t.Errorf("-split without -input: exit %d, want 2 (stderr %s)", code, stderr.String())
 	}
-	// One mediator per server: the lane count and the in-process
-	// federation are gone.
-	for _, gone := range []string{"-pool", "-shards"} {
+	// One mediator per server and one engine schedule: the lane count,
+	// the in-process federation and the engine worker count are gone.
+	for _, gone := range []string{"-pool", "-shards", "-parallelism"} {
 		stderr.Reset()
 		if code := run([]string{"-program", "selective:2", gone, "2"}, &stderr); code != 2 {
 			t.Errorf("%s: exit %d, want 2 for an unknown flag", gone, code)

@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"yat/internal/engine"
 	"yat/internal/mediator"
 	"yat/internal/source"
 	"yat/internal/tree"
@@ -82,8 +81,7 @@ func TestDeltaBenchGate(t *testing.T) {
 		// Delta lane: warm untimed, then time SetStore + RefreshSource +
 		// re-ask of every family.
 		fault := source.NewFault("src", base)
-		m := mediator.New(prog, nil, engine.WithParallelism(4),
-			mediator.WithDemandDriven(true), mediator.WithSources(fault))
+		m := mediator.New(prog, nil, mediator.WithDemandDriven(true), mediator.WithSources(fault))
 		askAll(t, m)
 		start := time.Now()
 		fault.SetStore(grown)
@@ -98,8 +96,7 @@ func TestDeltaBenchGate(t *testing.T) {
 
 		// Full lane: identical warm state, wholesale invalidation.
 		fault2 := source.NewFault("src", base)
-		m2 := mediator.New(prog, nil, engine.WithParallelism(4),
-			mediator.WithDemandDriven(true), mediator.WithSources(fault2))
+		m2 := mediator.New(prog, nil, mediator.WithDemandDriven(true), mediator.WithSources(fault2))
 		askAll(t, m2)
 		start = time.Now()
 		fault2.SetStore(grown)

@@ -2,9 +2,8 @@ package yat
 
 // Golden EXPLAIN profiles for the library's builtin conversions. The
 // trace layer promises that every *count* in a profile is a function
-// of the program and inputs alone — never of scheduling — so the
-// timing-free rendering must be byte-identical at every Parallelism.
-// These goldens pin the per-rule/per-phase numbers themselves: a
+// of the program and inputs alone, so the timing-free rendering is
+// byte-identical across runs. These goldens pin the per-rule/per-phase numbers themselves: a
 // change here means the engine does different work, not just
 // different bookkeeping.
 
@@ -87,14 +86,12 @@ func TestExplainGolden(t *testing.T) {
 			if !ok {
 				t.Fatalf("builtin %s missing", tc.program)
 			}
-			for _, par := range []int{1, 8} {
-				profile := NewTraceProfile()
-				if _, err := Run(prog, tc.inputs, &RunOptions{Trace: profile, Parallelism: par}); err != nil {
-					t.Fatalf("parallelism=%d: %v", par, err)
-				}
-				if got := profile.Text(false); got != tc.want {
-					t.Errorf("parallelism=%d profile diverges:\n got:\n%s\nwant:\n%s", par, got, tc.want)
-				}
+			profile := NewTraceProfile()
+			if _, err := Run(prog, tc.inputs, &RunOptions{Trace: profile}); err != nil {
+				t.Fatal(err)
+			}
+			if got := profile.Text(false); got != tc.want {
+				t.Errorf("profile diverges:\n got:\n%s\nwant:\n%s", got, tc.want)
 			}
 		})
 	}

@@ -41,8 +41,8 @@ func (e *NonDetError) Error() string {
 }
 
 // constructor builds output trees from a compiled head and a group of
-// frames that share the head's Skolem identity. One constructor builds
-// one group, so its key buffer is its own.
+// frames that share the head's Skolem identity. A rule's groups are
+// built one at a time by one constructor, oid naming the current one.
 type constructor struct {
 	plan *rulePlan
 	oid  tree.Name

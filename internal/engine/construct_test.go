@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -328,6 +329,43 @@ rule R {
 	if _, err := Run(prog, inputs, nil); err == nil ||
 		!strings.Contains(err.Error(), "exception raised") {
 		t.Errorf("raise in let should abort the run, got %v", err)
+	}
+}
+
+// TestRaiseStopsEvaluation: a raised error aborts the run at the
+// binding that raised it; no later binding is evaluated.
+func TestRaiseStopsEvaluation(t *testing.T) {
+	calls := 0
+	reg := NewRegistry()
+	reg.Register(Func{
+		Name: "count_or_raise", Params: []ParamType{Text}, Result: Text,
+		Fn: func(args []tree.Value) (tree.Value, error) {
+			calls++
+			if args[0].Display() == `"boom"` {
+				return nil, ErrRaised{Msg: "boom"}
+			}
+			return args[0], nil
+		},
+	})
+	prog := yatl.MustParse(`
+program p
+rule R {
+  head Pout(X) = out -> V
+  from X = in -> D
+  let V = count_or_raise(D)
+}
+`)
+	inputs := tree.NewStore()
+	inputs.Put(tree.PlainName("i1"), tree.Sym("in", tree.Str("boom")))
+	for i := 2; i <= 6; i++ {
+		inputs.Put(tree.PlainName(fmt.Sprintf("i%d", i)), tree.Sym("in", tree.Str("x")))
+	}
+	_, err := Run(prog, inputs, WithRegistry(reg))
+	if err == nil || !strings.Contains(err.Error(), "exception raised") {
+		t.Fatalf("err = %v, want the raised exception", err)
+	}
+	if calls != 1 {
+		t.Errorf("count_or_raise called %d times, want 1: evaluation must stop at the raising binding", calls)
 	}
 }
 

@@ -2,54 +2,42 @@ package engine
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"yat/internal/tree"
 	"yat/internal/yatl"
 )
 
-// TestUnconvertedDeterministicAcrossParallelism pins the §3.5
-// exception report: the same inputs must yield the same
-// ErrUnconverted message — and the same Result.Unconverted order — at
-// every Parallelism setting. The stray inputs are chosen so that
-// insertion order, lexical order and kind order all disagree.
-func TestUnconvertedDeterministicAcrossParallelism(t *testing.T) {
+// TestUnconvertedDeterministic pins the §3.5 exception report: the
+// ErrUnconverted message and Result.Unconverted list the stray inputs
+// in the total order, not in insertion order. The stray inputs are
+// chosen so that insertion order and lexical order disagree.
+func TestUnconvertedDeterministic(t *testing.T) {
 	prog := yatl.MustParse(yatl.SGMLToODMGSource + yatl.ExceptionRuleSource)
 	store := fig3Store()
 	for _, name := range []string{"stray10", "stray2", "astray", "stray1"} {
 		store.Put(tree.PlainName(name), tree.Sym("memo", tree.Str(name)))
 	}
-
-	var wantMsg string
-	var wantIDs []string
-	for _, par := range []int{1, 4, 8} {
-		res, err := Run(prog, store, &Options{Parallelism: par})
-		var unc *ErrUnconverted
-		if !errors.As(err, &unc) {
-			t.Fatalf("parallelism=%d: expected ErrUnconverted, got %v", par, err)
-		}
-		if res == nil {
-			t.Fatalf("parallelism=%d: partial result missing", par)
-		}
-		ids := make([]string, len(res.Unconverted))
-		for i, id := range res.Unconverted {
-			ids[i] = id.Display()
-		}
-		if wantMsg == "" {
-			wantMsg = unc.Error()
-			wantIDs = ids
-			continue
-		}
-		if unc.Error() != wantMsg {
-			t.Errorf("parallelism=%d: message %q differs from width-1 message %q", par, unc.Error(), wantMsg)
-		}
-		if len(ids) != len(wantIDs) {
-			t.Fatalf("parallelism=%d: %d unconverted, want %d", par, len(ids), len(wantIDs))
-		}
-		for i := range ids {
-			if ids[i] != wantIDs[i] {
-				t.Errorf("parallelism=%d: Unconverted[%d] = %s, want %s", par, i, ids[i], wantIDs[i])
-			}
+	res, err := Run(prog, store)
+	var unc *ErrUnconverted
+	if !errors.As(err, &unc) {
+		t.Fatalf("expected ErrUnconverted, got %v", err)
+	}
+	if res == nil {
+		t.Fatal("partial result missing")
+	}
+	wantIDs := []string{"&astray", "&stray1", "&stray10", "&stray2"}
+	wantMsg := "engine: exception rule fired: input data not converted: " + strings.Join(wantIDs, ", ")
+	if unc.Error() != wantMsg {
+		t.Errorf("message %q, want %q", unc.Error(), wantMsg)
+	}
+	if len(res.Unconverted) != len(wantIDs) {
+		t.Fatalf("%d unconverted, want %d", len(res.Unconverted), len(wantIDs))
+	}
+	for i, id := range res.Unconverted {
+		if id.Display() != wantIDs[i] {
+			t.Errorf("Unconverted[%d] = %s, want %s", i, id.Display(), wantIDs[i])
 		}
 	}
 }

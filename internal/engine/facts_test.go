@@ -306,6 +306,25 @@ func TestSliceForMemoAndPrune(t *testing.T) {
 	}
 }
 
+// resultFingerprint renders everything observable about a run so two
+// runs can be compared byte for byte.
+func resultFingerprint(res *Result) string {
+	var sb strings.Builder
+	sb.WriteString(tree.FormatStore(res.Outputs))
+	sb.WriteString("\n--warnings--\n")
+	for _, w := range res.Warnings {
+		sb.WriteString(w)
+		sb.WriteByte('\n')
+	}
+	sb.WriteString("--unconverted--\n")
+	for _, id := range res.Unconverted {
+		sb.WriteString(id.Display())
+		sb.WriteByte('\n')
+	}
+	fmt.Fprintf(&sb, "--stats--\n%+v\n", res.Stats)
+	return sb.String()
+}
+
 // TestRunWithFacts: WithFacts and WithOptimize outlive the path they
 // selected only for the frozen benchmark's sake, whose convert_batch
 // oracle compares a WithOptimize(false) run with a WithFacts one — so

@@ -27,8 +27,8 @@ type Matcher struct {
 
 // conformance returns the cached conformance checker (the store is
 // fixed for the duration of a run, so the conversion happens once).
-// The engine's worker pool matches concurrently through one Matcher,
-// so both the lazy construction and the checker itself are
+// A mediator's concurrent asks match through one shared Matcher, so
+// both the lazy construction and the checker itself are
 // goroutine-safe.
 func (m *Matcher) conformance() *pattern.ConformanceChecker {
 	m.once.Do(func() {

@@ -7,7 +7,7 @@ import (
 
 // Option configures a run through the functional-options pattern:
 //
-//	engine.Run(prog, inputs, engine.WithParallelism(8), engine.WithTrace(p))
+//	engine.Run(prog, inputs, engine.WithRegistry(reg), engine.WithTrace(p))
 //
 // A literal *Options also satisfies Option (it replaces the whole
 // configuration), so call sites written against the older
@@ -72,12 +72,12 @@ func WithModel(m *pattern.Model) Option {
 	return optionFunc(func(o *Options) { o.Model = m })
 }
 
-// WithParallelism sets the worker count for matching, evaluation and
-// construction. 0 and 1 run sequentially; negative uses one worker
-// per CPU. Results are byte-identical at every setting.
-func WithParallelism(n int) Option {
-	return optionFunc(func(o *Options) { o.Parallelism = n })
-}
+// WithParallelism configures nothing: a run has one schedule, the
+// sequential one of §3.1.
+//
+// Deprecated: it stays only because the frozen benchmark
+// (bench/layers.go) still passes it; drop it with its next change.
+func WithParallelism(int) Option { return optionFunc(func(*Options) {}) }
 
 // WithTrace attaches a trace sink to the run. Nil disables tracing at
 // zero cost.

@@ -36,14 +36,6 @@ type Options struct {
 	// of this model; non-conforming outputs are reported as warnings
 	// ("if required by the user, a type checker", §5.1).
 	CheckOutputs *pattern.Model
-	// Parallelism sets the number of worker goroutines used for the
-	// matching (phase 1), evaluation (phases 2–3) and construction
-	// (phases 4–5) work of a run. 0 and 1 run sequentially; a
-	// negative value uses one worker per available CPU. Results are
-	// byte-identical at every setting: workers only compute, and the
-	// engine merges their results in the order the sequential
-	// interpreter would have produced them.
-	Parallelism int
 	// DeltaSeeds, when non-nil, switches the run to delta-evaluation
 	// mode: the activation fixpoint is seeded from these entries only,
 	// while reference resolution and dereferencing still see the full
@@ -56,18 +48,18 @@ type Options struct {
 	// run (collected by NewOptions); the run reports them as warnings.
 	ignored []string
 	// ctx carries RunContext's / RunSlice's context to the run core,
-	// which checks it between rounds and between work batches and, once
-	// cancelled, stops with an error wrapping ctx.Err(). Nil means the
-	// run cannot be cancelled.
+	// which checks it before each activation, binding and Skolem group
+	// and, once cancelled, stops with an error wrapping ctx.Err(). Nil
+	// means the run cannot be cancelled.
 	ctx context.Context
 	// Trace receives typed events for every phase of the run (see
 	// internal/trace): matching attempts, external calls with
 	// durations, dropped bindings with reasons, Skolem definitions,
 	// construction, and round boundaries. Nil disables tracing at
 	// zero cost — the engine then takes no timestamps and allocates
-	// nothing on behalf of the sink. With Parallelism > 1 events are
-	// emitted from worker goroutines, so the sink must be safe for
-	// concurrent use (trace.Profile is).
+	// nothing on behalf of the sink. A sink shared by concurrent runs
+	// (a mediator's asks) must be safe for concurrent use
+	// (trace.Profile is).
 	Trace trace.Sink
 }
 
@@ -189,7 +181,6 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 		reg:       reg,
 		opts:      opts,
 		ctx:       ctx,
-		workers:   effectiveWorkers(opts.Parallelism),
 		sink:      opts.Trace,
 		inputs:    inputs,
 		outputs:   tree.NewStore(),
@@ -228,9 +219,9 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 
 	// Activation fixpoint: match new inputs, evaluate new bindings,
 	// discover the Skolem arguments they mint, activate them.
-	// Matching never activates, so all inputs pending at the top of a
-	// round can be matched independently — that is the parallel
-	// fan-out — and their results merged in activation order.
+	// Matching never activates, so the inputs pending at the top of a
+	// round are all matched, in activation order, before any binding
+	// they yield is evaluated.
 	rounds := 0
 	for r.processed < len(r.active) {
 		rounds++
@@ -243,14 +234,11 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 		if r.sink != nil {
 			r.sink.Emit(trace.Event{Kind: trace.KindRound, Phase: trace.PhaseRun, Round: rounds, Count: len(pending)})
 		}
-		results := make([]matchResult, len(pending))
-		if err := forEachIndexed(r.ctx, r.workers, len(pending), func(i int) {
-			r.collectMatches(pending[i], &results[i])
-		}); err != nil {
-			return nil, cancelErr(err)
-		}
-		for i := range results {
-			r.applyMatches(&results[i])
+		for _, a := range pending {
+			if err := ctx.Err(); err != nil {
+				return nil, cancelErr(err)
+			}
+			r.matchActivation(a)
 		}
 		// Multi-pattern rules join across all activations; recompute
 		// when their caches grew, then evaluate any new bindings.
@@ -357,16 +345,14 @@ func newRuleState(rule *yatl.Rule) *ruleState {
 }
 
 type run struct {
-	prog    *yatl.Program
-	reg     *Registry
-	opts    *Options
-	ctx     context.Context
-	workers int
+	prog *yatl.Program
+	reg  *Registry
+	opts *Options
+	ctx  context.Context
 	// sink receives trace events; nil disables tracing entirely (the
 	// engine then takes no timestamps and allocates nothing for it).
 	sink trace.Sink
-	// round is the current fixpoint round, set single-threaded before
-	// each parallel fan-out so worker emissions can carry it.
+	// round is the current fixpoint round, carried by trace events.
 	round   int
 	inputs  *tree.Store
 	outputs *tree.Store
@@ -380,13 +366,18 @@ type run struct {
 	ruleState map[*yatl.Rule]*ruleState
 	warnings  []string
 
-	// keyBuf is the scratch of the single-threaded activation, dedup
-	// and Skolem keys; slab holds the frames joins produce.
+	// keyBuf is the scratch of the activation, dedup and Skolem keys;
+	// slab holds the frames joins produce.
 	keyBuf []byte
 	slab   frameSlab
 }
 
 func (r *run) warn(msg string) { r.warnings = append(r.warnings, msg) }
+
+// cancelErr wraps a context error as an engine error.
+func cancelErr(err error) error {
+	return fmt.Errorf("engine: run cancelled: %w", err)
+}
 
 func (r *run) totalBindings() int {
 	total := 0
@@ -424,35 +415,12 @@ func (r *run) activateValue(v tree.Value) {
 	}
 }
 
-// ruleMatches is the outcome of matching one activation against one
-// rule: frames for a single-body rule, or per-body-pattern frame lists
-// for a multi-pattern rule (multi non-nil distinguishes them).
-type ruleMatches struct {
-	rule   *yatl.Rule
-	single []frame
-	multi  [][]frame
-}
-
-// matchResult is everything phase 1 decides about one activation.
-// Workers compute it from read-only state (the hierarchy, the rule
-// plans, the input store); the blocking of less specific rules is
-// per-input, so it too is decided locally. applyMatches then merges
-// results into the shared rule state in activation order, which keeps
-// a parallel run's binding order — and therefore every downstream
-// phase — identical to the sequential interpreter's.
-type matchResult struct {
-	a       *activation
-	matched bool
-	perRule []ruleMatches
-}
-
-// collectMatches applies phase 1 to one input: per functor group,
+// matchActivation applies phase 1 to one input: per functor group,
 // rules are tried most-specific-first and a match blocks the less
-// specific conflicting rules for this input (§4.2). It touches no
-// shared mutable state and is safe to call from multiple goroutines;
-// its match scratch is its own.
-func (r *run) collectMatches(a *activation, mr *matchResult) {
-	mr.a = a
+// specific conflicting rules for this input (§4.2). A single-pattern
+// rule's frames join its raw bindings at once; a multi-pattern rule
+// caches the frames of each body pattern for the round's join.
+func (r *run) matchActivation(a *activation) {
 	c := r.matcher.getCtx()
 	defer r.matcher.putCtx(c)
 	for _, functor := range r.hier.functorOrder {
@@ -463,7 +431,8 @@ func (r *run) collectMatches(a *activation, mr *matchResult) {
 			if slices.Contains(blocked, rule.Name) {
 				continue
 			}
-			rp := r.ruleState[rule].plan
+			s := r.ruleState[rule]
+			rp := s.plan
 			var matchStart time.Time
 			if r.sink != nil {
 				matchStart = time.Now()
@@ -477,15 +446,12 @@ func (r *run) collectMatches(a *activation, mr *matchResult) {
 				if len(fs) == 0 {
 					continue
 				}
-				mr.matched = true
+				a.matched = true
 				blocked = append(blocked, r.hier.blocks[rule.Name]...)
 				c.blocked = blocked
-				mr.perRule = append(mr.perRule, ruleMatches{rule: rule, single: fs})
+				r.addRaw(s, fs)
 				continue
 			}
-			// Multi-pattern rule: cache the matches of every body
-			// pattern; the join happens per round.
-			var multi [][]frame
 			total := 0
 			for i := range rp.bodies {
 				fs := r.matchBodyPattern(c, rp, &rp.bodies[i], a)
@@ -493,41 +459,14 @@ func (r *run) collectMatches(a *activation, mr *matchResult) {
 					continue
 				}
 				total += len(fs)
-				mr.matched = true
-				if multi == nil {
-					multi = make([][]frame, len(rp.bodies))
-				}
-				multi[i] = fs
+				a.matched = true
+				s.perPattern[i] = append(s.perPattern[i], fs...)
+				s.grew = true
 			}
 			if r.sink != nil {
 				r.sink.Emit(trace.Event{Kind: trace.KindMatch, Phase: trace.PhaseMatch,
 					Rule: rule.Name, Round: r.round, Count: total, Duration: time.Since(matchStart)})
 			}
-			if multi != nil {
-				mr.perRule = append(mr.perRule, ruleMatches{rule: rule, multi: multi})
-			}
-		}
-	}
-}
-
-// applyMatches merges one activation's matches into the shared rule
-// state. Called in activation order, single-threaded.
-func (r *run) applyMatches(mr *matchResult) {
-	if mr.matched {
-		mr.a.matched = true
-	}
-	for _, rm := range mr.perRule {
-		s := r.ruleState[rm.rule]
-		if rm.multi == nil {
-			r.addRaw(s, rm.single)
-			continue
-		}
-		for i, fs := range rm.multi {
-			if len(fs) == 0 {
-				continue
-			}
-			s.perPattern[i] = append(s.perPattern[i], fs...)
-			s.grew = true
 		}
 	}
 }
@@ -589,53 +528,29 @@ func (r *run) joinMultiBody(rule *yatl.Rule) {
 
 // evaluateNewBindings runs phases 2 (external functions with type
 // filtering) and 3 (predicates) over the raw bindings accumulated
-// since the last call, then discovers and activates the Skolem
-// arguments minted by the survivors. Bindings are independent of one
-// another, so the evaluation fans out over the worker pool; the merge
-// walks the results in (rule, binding) order, which reproduces the
-// sequential interpreter's evaluated lists, warning order, and — via
-// the discovery loop below — activation order exactly. Discovery is
-// kept out of the parallel section because activateValue appends to
-// the shared activation list; within one call it cannot influence
-// evaluation (new activations are only matched next round), so
-// running it after the whole batch preserves sequential semantics.
+// since the last call, in (rule, binding) order, then discovers and
+// activates the Skolem arguments minted by the survivors. A raised
+// exception stops the run at the binding that raised it. New
+// activations are only matched next round, so discovering them after
+// the whole batch changes nothing the batch computes.
 func (r *run) evaluateNewBindings() error {
-	type evalTask struct {
-		s *ruleState
-		f frame
-	}
-	var tasks []evalTask
 	for _, rule := range r.prog.Rules {
 		if rule.Exception {
 			continue
 		}
 		s := r.ruleState[rule]
 		for ; s.rawNext < len(s.raw); s.rawNext++ {
-			tasks = append(tasks, evalTask{s: s, f: s.raw[s.rawNext]})
-		}
-	}
-	type evalResult struct {
-		ok    bool
-		warns []string
-		err   error
-	}
-	results := make([]evalResult, len(tasks))
-	if err := forEachIndexed(r.ctx, r.workers, len(tasks), func(i int) {
-		t := tasks[i]
-		var res evalResult
-		res.ok, res.warns, res.err = r.evalBinding(t.s.plan, t.f)
-		results[i] = res
-	}); err != nil {
-		return cancelErr(err)
-	}
-	for i := range results {
-		res := &results[i]
-		r.warnings = append(r.warnings, res.warns...)
-		if res.err != nil {
-			return res.err
-		}
-		if res.ok {
-			tasks[i].s.evaluated = append(tasks[i].s.evaluated, tasks[i].f)
+			if err := r.ctx.Err(); err != nil {
+				return cancelErr(err)
+			}
+			f := s.raw[s.rawNext]
+			ok, err := r.evalBinding(s.plan, f)
+			if err != nil {
+				return err
+			}
+			if ok {
+				s.evaluated = append(s.evaluated, f)
+			}
 		}
 	}
 	// Discover activations minted by the new evaluated bindings.
@@ -658,18 +573,16 @@ func (r *run) evaluateNewBindings() error {
 
 // evalBinding applies the rule's lets and predicates to one frame,
 // writing the let values into it: a raw frame belongs to its rule's
-// state alone, and its dedup key is already taken. It is called from
-// worker goroutines and must not touch shared run state: diagnostics
-// come back as warns for the caller to append in deterministic order
-// (trace emission is exempt — sinks are concurrency-safe by contract
-// and aggregate order-independently).
-func (r *run) evalBinding(rp *rulePlan, f frame) (ok bool, warns []string, err error) {
+// state alone, and its dedup key is already taken. A function or
+// predicate error drops the binding with a warning; a raised
+// exception is returned.
+func (r *run) evalBinding(rp *rulePlan, f frame) (bool, error) {
 	rule := rp.rule
 	for _, l := range rp.lets {
 		args, ok := resolveOperands(f, l.args)
 		if !ok {
 			r.traceDrop(rule.Name, trace.PhaseFunctions, trace.DropUnresolvedOperand)
-			return false, nil, nil
+			return false, nil
 		}
 		var callStart time.Time
 		if r.sink != nil {
@@ -687,38 +600,38 @@ func (r *run) evalBinding(rp *rulePlan, f frame) (ok bool, warns []string, err e
 		if err != nil {
 			var raised ErrRaised
 			if errors.As(err, &raised) {
-				return false, nil, err
+				return false, err
 			}
 			r.traceDrop(rule.Name, trace.PhaseFunctions, trace.DropFunctionError)
-			warns = append(warns, fmt.Sprintf("rule %s: %v (binding dropped)", rule.Name, err))
-			return false, warns, nil
+			r.warn(fmt.Sprintf("rule %s: %v (binding dropped)", rule.Name, err))
+			return false, nil
 		}
 		if !typed {
 			r.traceDrop(rule.Name, trace.PhaseFunctions, trace.DropTypeFilter)
-			return false, nil, nil // the §3.1 type filter
+			return false, nil // the §3.1 type filter
 		}
 		f[l.slot] = val
 	}
 	for i := range rp.preds {
-		ok, pwarns, err := r.evalPred(rule.Name, &rp.preds[i], f)
-		warns = append(warns, pwarns...)
+		warned := len(r.warnings)
+		ok, err := r.evalPred(rule.Name, &rp.preds[i], f)
 		if err != nil {
-			return false, warns, err
+			return false, err
 		}
 		if !ok {
 			reason := trace.DropPredicateFalse
-			if len(pwarns) > 0 {
+			if len(r.warnings) > warned {
 				reason = trace.DropPredicateError
 			}
 			r.traceDrop(rule.Name, trace.PhasePredicates, reason)
-			return false, warns, nil
+			return false, nil
 		}
 	}
 	if r.sink != nil {
 		r.sink.Emit(trace.Event{Kind: trace.KindBindingKept, Phase: trace.PhasePredicates,
 			Rule: rule.Name, Round: r.round, Count: 1})
 	}
-	return true, warns, nil
+	return true, nil
 }
 
 // traceDrop emits a binding-dropped event; free when tracing is off.
@@ -730,12 +643,15 @@ func (r *run) traceDrop(rule string, phase trace.Phase, reason string) {
 		Rule: rule, Round: r.round, Detail: reason})
 }
 
-func (r *run) evalPred(rule string, pp *predPlan, f frame) (ok bool, warns []string, err error) {
+// evalPred reports whether one predicate holds for a frame. A failing
+// predicate call warns and does not hold; a raised exception is
+// returned.
+func (r *run) evalPred(rule string, pp *predPlan, f frame) (bool, error) {
 	p := &pp.pred
 	if p.IsCall() {
 		args, ok := resolveOperands(f, pp.args)
 		if !ok {
-			return false, nil, nil
+			return false, nil
 		}
 		var callStart time.Time
 		if r.sink != nil {
@@ -753,26 +669,26 @@ func (r *run) evalPred(rule string, pp *predPlan, f frame) (ok bool, warns []str
 		if err != nil {
 			var raised ErrRaised
 			if errors.As(err, &raised) {
-				return false, nil, err
+				return false, err
 			}
-			warns = append(warns, fmt.Sprintf("rule %s: %v (binding dropped)", rule, err))
-			return false, warns, nil
+			r.warn(fmt.Sprintf("rule %s: %v (binding dropped)", rule, err))
+			return false, nil
 		}
-		return res && typed, nil, nil
+		return res && typed, nil
 	}
 	left, lok := pp.left.value(f)
 	if !lok {
-		return false, nil, nil
+		return false, nil
 	}
 	right, rok := pp.right.value(f)
 	if !rok {
-		return false, nil, nil
+		return false, nil
 	}
 	ok, known := p.Op.Holds(left, right)
 	if !known {
-		return false, nil, fmt.Errorf("engine: rule %s: unknown comparison", rule)
+		return false, fmt.Errorf("engine: rule %s: unknown comparison", rule)
 	}
-	return ok, nil, nil
+	return ok, nil
 }
 
 func resolveOperands(f frame, ops []operand) ([]tree.Value, bool) {
@@ -788,11 +704,8 @@ func resolveOperands(f frame, ops []operand) ([]tree.Value, bool) {
 }
 
 // constructRule is phase 4+5 for one rule: evaluate the head Skolem
-// per binding, group, and construct the output trees. Groups are
-// disjoint, so the tree building fans out over the worker pool; the
-// outputs are then committed in group order so the store's insertion
-// order — and the first-error/non-determinism reporting — matches the
-// sequential interpreter.
+// per binding, group the bindings by identity, then build each group's
+// output tree and commit it, in first-occurrence order.
 func (r *run) constructRule(rule *yatl.Rule) error {
 	s := r.ruleState[rule]
 	if len(s.evaluated) == 0 {
@@ -836,28 +749,25 @@ func (r *run) constructRule(rule *yatl.Rule) error {
 		sizes = append(sizes, 1)
 	}
 	groups := splitByID(s.evaluated, ids, sizes)
-	outs := make([]*tree.Node, len(groups))
-	errs := make([]error, len(groups))
-	if err := forEachIndexed(r.ctx, r.workers, len(groups), func(i int) {
-		c := &constructor{plan: rp, oid: oids[i]}
+	for i, oid := range oids {
+		if err := r.ctx.Err(); err != nil {
+			return cancelErr(err)
+		}
+		c.oid = oid
 		var buildStart time.Time
 		if r.sink != nil {
 			buildStart = time.Now()
 		}
-		outs[i], errs[i] = c.construct(rp.head, groups[i])
+		out, err := c.construct(rp.head, groups[i])
 		if r.sink != nil {
 			built := 0
-			if errs[i] == nil {
+			if err == nil {
 				built = 1
 			}
 			r.sink.Emit(trace.Event{Kind: trace.KindConstruct, Phase: trace.PhaseConstruct,
 				Rule: rule.Name, Count: built, Duration: time.Since(buildStart)})
 		}
-	}); err != nil {
-		return cancelErr(err)
-	}
-	for i, oid := range oids {
-		if err := errs[i]; err != nil {
+		if err != nil {
 			var nd *NonDetError
 			if errors.As(err, &nd) && r.opts.NonDetWarn {
 				r.traceDrop(rule.Name, trace.PhaseConstruct, trace.DropNonDeterminism)
@@ -866,7 +776,6 @@ func (r *run) constructRule(rule *yatl.Rule) error {
 			}
 			return err
 		}
-		out := outs[i]
 		if prev, ok := r.outputs.Get(oid); ok {
 			if !prev.Equal(out) {
 				ndErr := &NonDetError{Rule: rule.Name, OID: oid,
@@ -904,10 +813,9 @@ func (r *run) checkOutputs(model *pattern.Model) {
 }
 
 // unconverted lists source inputs no rule matched, in a total
-// deterministic order (kind, then canonical key): the §3.5 exception
-// message must read identically at every Parallelism setting, and a
-// comparator with ties under an unstable sort would not guarantee
-// that.
+// deterministic order (kind, then canonical key), so the §3.5
+// exception message does not depend on the order inputs were
+// activated in.
 func (r *run) unconverted() []tree.Value {
 	var out []tree.Value
 	for _, a := range r.active {

@@ -140,9 +140,8 @@ type refMatcher struct {
 
 // conformance returns the cached conformance checker (the store is
 // fixed for the duration of a run, so the conversion happens once).
-// The engine's worker pool matches concurrently through one Matcher,
-// so both the lazy construction and the checker itself are
-// goroutine-safe.
+// Concurrent matches may share one matcher, so both the lazy
+// construction and the checker itself are goroutine-safe.
 func (m *refMatcher) conformance() *pattern.ConformanceChecker {
 	m.once.Do(func() {
 		m.checker = pattern.NewConformanceChecker(m.Store, m.Model)

@@ -364,11 +364,10 @@ func ruleCanMatchLeaf(r *yatl.Rule) bool {
 
 // RunSlice executes only the given slice of the program over the
 // input store. The outputs of the construct rules are byte-identical
-// to the same rules' outputs in a full run at every Parallelism
-// setting, fully dereferenced within the slice; references to functors
-// outside the closure stay symbolic, exactly as in a full run's store,
-// and are not warned about as dangling: a slice store is partial by
-// design. A nil slice runs the full-program slice. The §3.4 safety
+// to the same rules' outputs in a full run, fully dereferenced within
+// the slice; references to functors outside the closure stay symbolic,
+// exactly as in a full run's store, and are not warned about as
+// dangling: a slice store is partial by design. A nil slice runs the full-program slice. The §3.4 safety
 // check applies to the whole program, so a slice run fails exactly
 // when the full run would fail the check.
 func RunSlice(ctx context.Context, prog *yatl.Program, inputs *tree.Store, sl *Slice, opts ...Option) (*Result, error) {

@@ -106,8 +106,7 @@ func filterFunctors(s *tree.Store, functors map[string]bool) *tree.Store {
 
 // The correctness bar of demand-driven evaluation: for every builtin
 // program and every functor, the slice run's outputs for the slice's
-// closure are byte-identical to the full run's, at parallelism 1, 4
-// and 8.
+// closure are byte-identical to the full run's.
 func TestRunSliceMatchesFullRun(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -140,20 +139,18 @@ func TestRunSliceMatchesFullRun(t *testing.T) {
 					closure[g] = true
 				}
 				want := tree.FormatStore(filterFunctors(full.Outputs, closure))
-				for _, par := range []int{1, 4, 8} {
-					res, err := RunSlice(nil, prog, c.inputs, sl, WithParallelism(par))
-					if err != nil {
-						t.Fatalf("%s @%d: %v", f, par, err)
-					}
-					got := tree.FormatStore(filterFunctors(res.Outputs, closure))
-					if got != want {
-						t.Errorf("%s @%d: slice outputs differ from full run\n got:\n%s\nwant:\n%s", f, par, got, want)
-					}
-					// The slice constructs nothing outside its closure.
-					for _, e := range res.Outputs.Entries() {
-						if !closure[e.Name.Functor] {
-							t.Errorf("%s @%d: stray output %s outside closure", f, par, e.Name)
-						}
+				res, err := RunSlice(nil, prog, c.inputs, sl)
+				if err != nil {
+					t.Fatalf("%s: %v", f, err)
+				}
+				got := tree.FormatStore(filterFunctors(res.Outputs, closure))
+				if got != want {
+					t.Errorf("%s: slice outputs differ from full run\n got:\n%s\nwant:\n%s", f, got, want)
+				}
+				// The slice constructs nothing outside its closure.
+				for _, e := range res.Outputs.Entries() {
+					if !closure[e.Name.Functor] {
+						t.Errorf("%s: stray output %s outside closure", f, e.Name)
 					}
 				}
 			}

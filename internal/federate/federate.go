@@ -62,7 +62,7 @@ type Config struct {
 	// carries WithSources).
 	Inputs *tree.Store
 	// Options are engine options applied to in-process children
-	// (parallelism, sources, registry). A trace sink configured here
+	// (sources, registry, ...). A trace sink configured here
 	// also receives the federation's own scatter/fusion events.
 	Options []engine.Option
 	// Compose tunes the pipeline fusion.

@@ -56,7 +56,7 @@ func mustAsk(t *testing.T, a mediator.Asker, pattern string, functors ...string)
 
 // TestFederatedEquivalence is the golden property: a federation's
 // merged answers are byte-identical to a single-process mediator over
-// the unsharded program, at every shard count and parallelism, for
+// the unsharded program, at every shard count, for
 // bare asks, single-functor asks, and multi-functor asks that cross
 // shards.
 func TestFederatedEquivalence(t *testing.T) {
@@ -74,40 +74,36 @@ func TestFederatedEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := yatl.MustParse(tc.src)
-			for _, par := range []int{1, 4, 8} {
-				single := mediator.New(prog, tc.inputs,
-					mediator.WithDemandDriven(true), engine.WithParallelism(par))
-				functors, err := single.Functors()
+			single := mediator.New(prog, tc.inputs, mediator.WithDemandDriven(true))
+			functors, err := single.Functors()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBare := mustAsk(t, single, "X")
+			wantAll := mustAsk(t, single, "X", functors...)
+			wantOne := make(map[string][]string, len(functors))
+			for _, f := range functors {
+				wantOne[f] = mustAsk(t, single, "X", f)
+			}
+			for _, shards := range []int{1, 2, 4} {
+				fed, err := New(Config{
+					Programs: []*yatl.Program{prog},
+					Shards:   shards,
+					Inputs:   tc.inputs,
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantBare := mustAsk(t, single, "X")
-				wantAll := mustAsk(t, single, "X", functors...)
-				wantOne := make(map[string][]string, len(functors))
-				for _, f := range functors {
-					wantOne[f] = mustAsk(t, single, "X", f)
+				label := fmt.Sprintf("shards=%d", shards)
+				if got := mustAsk(t, fed, "X"); !reflect.DeepEqual(got, wantBare) {
+					t.Errorf("%s bare ask diverged:\n got %v\nwant %v", label, got, wantBare)
 				}
-				for _, shards := range []int{1, 2, 4} {
-					fed, err := New(Config{
-						Programs: []*yatl.Program{prog},
-						Shards:   shards,
-						Inputs:   tc.inputs,
-						Options:  []engine.Option{engine.WithParallelism(par)},
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					label := fmt.Sprintf("shards=%d par=%d", shards, par)
-					if got := mustAsk(t, fed, "X"); !reflect.DeepEqual(got, wantBare) {
-						t.Errorf("%s bare ask diverged:\n got %v\nwant %v", label, got, wantBare)
-					}
-					if got := mustAsk(t, fed, "X", functors...); !reflect.DeepEqual(got, wantAll) {
-						t.Errorf("%s all-functor ask diverged:\n got %v\nwant %v", label, got, wantAll)
-					}
-					for _, f := range functors {
-						if got := mustAsk(t, fed, "X", f); !reflect.DeepEqual(got, wantOne[f]) {
-							t.Errorf("%s ask(%s) diverged:\n got %v\nwant %v", label, f, got, wantOne[f])
-						}
+				if got := mustAsk(t, fed, "X", functors...); !reflect.DeepEqual(got, wantAll) {
+					t.Errorf("%s all-functor ask diverged:\n got %v\nwant %v", label, got, wantAll)
+				}
+				for _, f := range functors {
+					if got := mustAsk(t, fed, "X", f); !reflect.DeepEqual(got, wantOne[f]) {
+						t.Errorf("%s ask(%s) diverged:\n got %v\nwant %v", label, f, got, wantOne[f])
 					}
 				}
 			}

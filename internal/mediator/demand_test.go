@@ -27,7 +27,7 @@ func answersKey(t *testing.T, as []Answer) string {
 
 // The golden equivalence gate: a demand-driven mediator answers every
 // query byte-identically to a full-materialization mediator, for every
-// builtin program, functor restriction and parallelism setting.
+// builtin program and functor restriction.
 func TestDemandMatchesFullMediator(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -48,32 +48,30 @@ func TestDemandMatchesFullMediator(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			prog := yatl.MustParse(c.src)
-			for _, par := range []int{1, 4, 8} {
-				full := New(prog, c.inputs, engine.WithParallelism(par))
-				want, err := full.Ask(c.pattern, c.functors...)
-				if err != nil {
-					t.Fatalf("full @%d: %v", par, err)
-				}
-				if len(want) == 0 {
-					t.Fatalf("@%d: vacuous case, the pattern matches nothing", par)
-				}
-				demand := New(prog, c.inputs, engine.WithParallelism(par), WithDemandDriven(true))
-				got, err := demand.Ask(c.pattern, c.functors...)
-				if err != nil {
-					t.Fatalf("demand @%d: %v", par, err)
-				}
-				if answersKey(t, got) != answersKey(t, want) {
-					t.Fatalf("@%d: demand answers differ from full\n got:\n%s\nwant:\n%s",
-						par, answersKey(t, got), answersKey(t, want))
-				}
-				// Warm repeat must be identical too.
-				again, err := demand.Ask(c.pattern, c.functors...)
-				if err != nil {
-					t.Fatalf("warm @%d: %v", par, err)
-				}
-				if answersKey(t, again) != answersKey(t, want) {
-					t.Fatalf("@%d: warm demand answers differ", par)
-				}
+			full := New(prog, c.inputs)
+			want, err := full.Ask(c.pattern, c.functors...)
+			if err != nil {
+				t.Fatalf("full: %v", err)
+			}
+			if len(want) == 0 {
+				t.Fatal("vacuous case, the pattern matches nothing")
+			}
+			demand := New(prog, c.inputs, WithDemandDriven(true))
+			got, err := demand.Ask(c.pattern, c.functors...)
+			if err != nil {
+				t.Fatalf("demand: %v", err)
+			}
+			if answersKey(t, got) != answersKey(t, want) {
+				t.Fatalf("demand answers differ from full\n got:\n%s\nwant:\n%s",
+					answersKey(t, got), answersKey(t, want))
+			}
+			// Warm repeat must be identical too.
+			again, err := demand.Ask(c.pattern, c.functors...)
+			if err != nil {
+				t.Fatalf("warm: %v", err)
+			}
+			if answersKey(t, again) != answersKey(t, want) {
+				t.Fatal("warm demand answers differ")
 			}
 		})
 	}
@@ -314,7 +312,7 @@ rule R {
 // The -race gate for demand mode: overlapping asks racing the two ways
 // a cache loses groups — Invalidate, which drops the generation, and a
 // refresh whose tier-2 re-run fails, which evicts the affected group
-// and leaves the rest (evictProgram) — at several widths. Every answer
+// and leaves the rest (evictProgram). Every answer
 // is one of the two worlds the source alternates between, or the raised
 // error while the re-run is failing; Pb, which the refreshes cannot
 // reach, never changes.
@@ -323,78 +321,74 @@ func TestDemandConcurrentAskInvalidate(t *testing.T) {
 	worldA := alphaStore("ant", "auk", "asp")
 	worldB := alphaStore("ant", "auk") // A→B deletes a3
 	betas := betaStore("bee", "boa")
-	for _, par := range []int{1, 4, 8} {
-		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
-			var failures atomic.Int64
-			opts := []engine.Option{engine.WithRegistry(boomRegistry(&failures)), engine.WithParallelism(par)}
-			fresh := func(store *tree.Store, functor string) string {
-				got, err := New(prog, store, opts...).Ask(`X`, functor)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return answersKey(t, got)
-			}
-			wantA, wantB, wantPb := fresh(worldA, "Pa"), fresh(worldB, "Pa"), fresh(betas, "Pb")
-
-			fault := source.NewFault("src1", worldA)
-			m := New(prog, nil, append(opts, WithDemandDriven(true),
-				WithSources(fault, source.Static("src2", betas)))...)
-			var wg sync.WaitGroup
-			for c := 0; c < 4; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for i := 0; i < 25; i++ {
-						functor := "Pb"
-						if (c+i)%2 == 0 {
-							functor = "Pa"
-						}
-						got, err := m.Ask(`X`, functor)
-						switch key := answersKey(t, got); {
-						case err != nil && (functor != "Pa" || !strings.Contains(err.Error(), "boom")):
-							t.Errorf("Ask(%s): %v", functor, err)
-							return
-						case err == nil && functor == "Pb" && key != wantPb,
-							err == nil && functor == "Pa" && key != wantA && key != wantB:
-							t.Errorf("Ask(%s) answered neither world:\n%s", functor, key)
-							return
-						}
-					}
-				}(c)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				watch := &cacheWatch{}
-				for i := 0; i < 10; i++ {
-					fault.SetStore(worldA)
-					m.Invalidate()
-					for _, f := range []string{"Pa", "Pb"} {
-						if _, err := m.Ask(`X`, f); err != nil {
-							t.Errorf("warming %s: %v", f, err)
-							return
-						}
-					}
-					watch.look(t, m)
-					// The delete cannot be patched and its re-run raises:
-					// Pa is evicted, Pb stays, and until the function heals
-					// nothing can fill Pa again.
-					failures.Store(1 << 30)
-					fault.SetStore(worldB)
-					err := m.RefreshSource(context.Background(), "src1")
-					if err == nil || !strings.Contains(err.Error(), "boom") {
-						t.Errorf("refresh = %v, want the raised engine error", err)
-					}
-					watch.look(t, m)
-					if got := m.Stats().CachedRules; got != 1 {
-						t.Errorf("the failed re-run left %d rules cached, want Beta alone", got)
-					}
-					failures.Store(0)
-				}
-			}()
-			wg.Wait()
-		})
+	var failures atomic.Int64
+	opts := []engine.Option{engine.WithRegistry(boomRegistry(&failures))}
+	fresh := func(store *tree.Store, functor string) string {
+		got, err := New(prog, store, opts...).Ask(`X`, functor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answersKey(t, got)
 	}
+	wantA, wantB, wantPb := fresh(worldA, "Pa"), fresh(worldB, "Pa"), fresh(betas, "Pb")
+
+	fault := source.NewFault("src1", worldA)
+	m := New(prog, nil, append(opts, WithDemandDriven(true),
+		WithSources(fault, source.Static("src2", betas)))...)
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				functor := "Pb"
+				if (c+i)%2 == 0 {
+					functor = "Pa"
+				}
+				got, err := m.Ask(`X`, functor)
+				switch key := answersKey(t, got); {
+				case err != nil && (functor != "Pa" || !strings.Contains(err.Error(), "boom")):
+					t.Errorf("Ask(%s): %v", functor, err)
+					return
+				case err == nil && functor == "Pb" && key != wantPb,
+					err == nil && functor == "Pa" && key != wantA && key != wantB:
+					t.Errorf("Ask(%s) answered neither world:\n%s", functor, key)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		watch := &cacheWatch{}
+		for i := 0; i < 10; i++ {
+			fault.SetStore(worldA)
+			m.Invalidate()
+			for _, f := range []string{"Pa", "Pb"} {
+				if _, err := m.Ask(`X`, f); err != nil {
+					t.Errorf("warming %s: %v", f, err)
+					return
+				}
+			}
+			watch.look(t, m)
+			// The delete cannot be patched and its re-run raises:
+			// Pa is evicted, Pb stays, and until the function heals
+			// nothing can fill Pa again.
+			failures.Store(1 << 30)
+			fault.SetStore(worldB)
+			err := m.RefreshSource(context.Background(), "src1")
+			if err == nil || !strings.Contains(err.Error(), "boom") {
+				t.Errorf("refresh = %v, want the raised engine error", err)
+			}
+			watch.look(t, m)
+			if got := m.Stats().CachedRules; got != 1 {
+				t.Errorf("the failed re-run left %d rules cached, want Beta alone", got)
+			}
+			failures.Store(0)
+		}
+	}()
+	wg.Wait()
 }
 
 // TestAskMemoIsolation: the demand generation memoizes repeated asks,

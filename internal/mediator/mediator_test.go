@@ -261,7 +261,7 @@ rule R {
 	for i := 0; i < inputs; i++ {
 		store.Put(tree.PlainName(fmt.Sprintf("i%d", i+1)), tree.Sym("in", tree.Str(fmt.Sprintf("v%d", i+1))))
 	}
-	m := New(prog, store, &engine.Options{Registry: reg, Parallelism: 4})
+	m := New(prog, store, &engine.Options{Registry: reg})
 
 	var wg sync.WaitGroup
 	counts := make([]int, clients)

@@ -72,9 +72,8 @@ func Conforms(t *tree.Node, store *tree.Store, gen *Model, genName string) bool 
 // model, resolving references through a fixed store. The store-to-
 // ground-model conversion happens once and results are cached per
 // (node, pattern) pair, so per-binding domain checks during rule
-// matching stay cheap. The checker is safe for concurrent use: the
-// engine's parallel matching phase shares one checker across its
-// worker goroutines.
+// matching stay cheap. The checker is safe for concurrent use: a
+// mediator's concurrent asks share one checker through their matcher.
 type ConformanceChecker struct {
 	instM *Model
 	gen   *Model

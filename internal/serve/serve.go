@@ -69,8 +69,8 @@ type Config struct {
 	Inputs *tree.Store
 	// Sources are fault-tolerant live sources feeding the mediator.
 	Sources []source.Source
-	// Options are engine options applied to the mediator (parallelism,
-	// registry, ...). Trace sinks are rejected: tracing is
+	// Options are engine options applied to the mediator (registry,
+	// model, ...). Trace sinks are rejected: tracing is
 	// request-scoped, the served mediator always runs with a nil sink.
 	Options []engine.Option
 	// Pool configures nothing: the server runs one mediator. It is kept

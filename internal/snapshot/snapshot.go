@@ -165,10 +165,9 @@ func HashProgram(prog *yatl.Program) string {
 // options: the registry fingerprint (names and type signatures of
 // every callable), the model environments, the fixpoint bound, the
 // non-determinism policy, the output checker, and the safety
-// toggle. Parallelism and tracing are deliberately excluded — the
-// engine guarantees byte-identical outputs at every worker count, and
-// a sink observes a run without changing it — so a snapshot taken at
-// one parallelism restores at any other.
+// toggle. Tracing is deliberately excluded — a sink observes a run
+// without changing it — so a snapshot taken with tracing on restores
+// without it, and the other way round.
 func HashOptions(opts *engine.Options) string {
 	if opts == nil {
 		opts = &engine.Options{}

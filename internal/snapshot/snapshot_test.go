@@ -307,8 +307,7 @@ func TestHashProgramDiscriminates(t *testing.T) {
 }
 
 // HashOptions covers the registry surface and the result-affecting
-// knobs, and deliberately ignores parallelism (outputs are
-// byte-identical at every worker count).
+// knobs.
 func TestHashOptionsDiscriminates(t *testing.T) {
 	base := engine.NewOptions()
 	if HashOptions(base) != HashOptions(engine.NewOptions()) {
@@ -316,10 +315,6 @@ func TestHashOptionsDiscriminates(t *testing.T) {
 	}
 	if HashOptions(base) != HashOptions(nil) {
 		t.Fatal("nil options differ from the zero options")
-	}
-	par := engine.NewOptions(engine.WithParallelism(8))
-	if HashOptions(base) != HashOptions(par) {
-		t.Fatal("parallelism must not affect the options hash")
 	}
 	rounds := engine.NewOptions(engine.WithMaxRounds(7))
 	if HashOptions(base) == HashOptions(rounds) {

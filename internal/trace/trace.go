@@ -6,18 +6,19 @@
 // The package defines one ready-made sink, Profile, which aggregates
 // the event stream into per-rule/per-phase counts and wall times and
 // renders them as an EXPLAIN-style table (text or JSON). Counts are
-// order-independent, so a Profile collected at any Parallelism setting
-// reports identical numbers; only wall times vary with the schedule.
+// order-independent, so a Profile reports identical numbers for
+// identical runs, whatever else shares it; only wall times vary.
 //
 // The contract with the engine is strict in both directions:
 //
 //   - Disabled is free. With a nil sink the engine performs no event
 //     construction, no time.Now() calls and no allocations on behalf
 //     of tracing — the hot path is byte-for-byte the pre-trace code.
-//   - Enabled is concurrent. With Parallelism > 1 events are emitted
-//     from worker goroutines; a Sink must be safe for concurrent use.
-//     Event *order* across rules is schedule-dependent, event *counts*
-//     per (rule, phase, kind) are deterministic.
+//   - Enabled is concurrent. A sink shared by concurrent runs (a
+//     mediator's asks) receives their events from several goroutines;
+//     a Sink must be safe for concurrent use. Event *order* across
+//     runs is schedule-dependent, event *counts* per (rule, phase,
+//     kind) are deterministic.
 package trace
 
 import (
@@ -244,7 +245,7 @@ type Event struct {
 }
 
 // Sink consumes engine events. Implementations must be safe for
-// concurrent use when the run's Parallelism exceeds 1.
+// concurrent use: concurrent runs may share one sink.
 type Sink interface {
 	Emit(Event)
 }
@@ -595,7 +596,7 @@ func copyRule(r *RuleProfile) RuleProfile {
 // cannot disagree with itself however many runs are still emitting.
 // Everything in it is a copy. With timing false every wall time is
 // zero (and so left out of the JSON), which makes the document
-// deterministic across runs and Parallelism settings.
+// deterministic across runs.
 func (p *Profile) Document(timing bool) Document {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -625,7 +626,7 @@ func (p *Profile) Document(timing bool) Document {
 
 // Render writes the EXPLAIN-style table. With timing false the wall
 // columns are omitted, which makes the output deterministic across
-// runs and Parallelism settings — the form the golden tests pin.
+// runs — the form the golden tests pin.
 func (p *Profile) Render(w io.Writer, timing bool) error {
 	d := p.Document(timing)
 	name := d.Program
@@ -718,7 +719,8 @@ func (p *Profile) JSON(timing bool) ([]byte, error) {
 
 // Recorder is a Sink that retains every event in arrival order —
 // useful in tests and for building custom renderers. Unlike Profile
-// its contents are schedule-dependent under parallelism.
+// its contents depend on arrival order, which interleaves when
+// concurrent runs share it.
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event

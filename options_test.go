@@ -20,11 +20,11 @@ func TestFunctionalOptionsEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := workload.BrochureStore(6, 2, 4, 42)
-	legacy, err := Run(prog, inputs, &RunOptions{Registry: NewRegistry(), Parallelism: 4})
+	legacy, err := Run(prog, inputs, &RunOptions{Registry: NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	functional, err := Run(prog, inputs, WithRegistry(NewRegistry()), WithParallelism(4))
+	functional, err := Run(prog, inputs, WithRegistry(NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	// A live context runs normally.
 	res, err := RunContext(context.Background(), prog, workload.BrochureStore(4, 2, 3, 42),
-		&RunOptions{Parallelism: 2})
+		&RunOptions{Registry: NewRegistry()})
 	if err != nil || res.Outputs.Len() == 0 {
 		t.Errorf("live RunContext failed: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestFacadeDemandMediator(t *testing.T) {
 	}
 	inputs := workload.BrochureStore(6, 2, 4, 9)
 	full := NewMediator(prog, inputs)
-	demand := NewMediator(prog, inputs, WithParallelism(4), WithDemandDriven(true))
+	demand := NewMediator(prog, inputs, WithDemandDriven(true))
 	want, err := full.Ask(`class -> supplier -*> X`, "Psup")
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@
 //
 //	prog, _ := yat.ParseProgram(yat.Rules1And2)
 //	inputs, _ := yat.ImportSGML(map[string]string{"b1": doc}, nil)
-//	result, _ := yat.Run(prog, inputs, yat.WithParallelism(8))
+//	result, _ := yat.Run(prog, inputs)
 //	fmt.Print(yat.FormatStore(result.Outputs))
 //
 // Demand-driven querying:
@@ -125,16 +125,14 @@ const (
 var (
 	// WithRegistry supplies the external function/predicate registry.
 	WithRegistry = engine.WithRegistry
-	// WithParallelism sets the worker count (results are byte-identical
-	// at every setting).
-	WithParallelism = engine.WithParallelism
 	// WithTrace attaches a trace sink (nil disables at zero cost).
 	WithTrace = engine.WithTrace
-	// WithFacts and WithOptimize configure nothing: the match path they
-	// selected is gone. Kept for the frozen benchmark, which still
-	// passes them.
-	WithFacts    = engine.WithFacts
-	WithOptimize = engine.WithOptimize
+	// WithFacts, WithOptimize and WithParallelism configure nothing: the
+	// match path and the worker pool they selected are gone. Kept for
+	// the frozen benchmark, which still passes them.
+	WithFacts       = engine.WithFacts
+	WithOptimize    = engine.WithOptimize
+	WithParallelism = engine.WithParallelism
 	// WithDemandDriven switches NewMediator to demand-driven
 	// evaluation: queries materialize only the rule slices they need,
 	// cached per functor group with fine-grained invalidation.
@@ -147,7 +145,8 @@ func Run(prog *Program, inputs *Store, opts ...Option) (*Result, error) {
 }
 
 // RunContext is Run under a cancellation context: the run aborts with
-// the context's error at the next phase boundary after expiry.
+// the context's error at the next activation, binding or Skolem group
+// after expiry.
 func RunContext(ctx context.Context, prog *Program, inputs *Store, opts ...Option) (*Result, error) {
 	return engine.RunContext(ctx, prog, inputs, opts...)
 }
@@ -167,7 +166,7 @@ var (
 	// ComputeSlice computes the rule slice for a set of functors.
 	ComputeSlice = engine.ComputeSlice
 	// RunSlice executes a slice; its construct rules' outputs are
-	// byte-identical to a full run's at every Parallelism setting.
+	// byte-identical to a full run's.
 	RunSlice = engine.RunSlice
 )
 
@@ -409,11 +408,12 @@ var (
 // Observability (the internal/trace layer). Attach a sink through
 // RunOptions.Trace; a nil sink costs nothing.
 type (
-	// TraceSink consumes typed engine events; implementations must be
-	// safe for concurrent use when Parallelism > 1.
+	// TraceSink consumes typed engine events; a sink shared by
+	// concurrent runs (a mediator's asks) must be safe for concurrent
+	// use.
 	TraceSink = trace.Sink
 	// TraceProfile aggregates events into a per-rule/per-phase
-	// EXPLAIN table (counts deterministic at every Parallelism).
+	// EXPLAIN table (counts deterministic across runs).
 	TraceProfile = trace.Profile
 )
 
