@@ -3,6 +3,7 @@ package mediator
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,8 +35,9 @@ func deltaEvents(rec *trace.Recorder, kind trace.Kind) []trace.Event {
 
 // The tentpole's acceptance gate: after RefreshSource absorbs an
 // insert-only, delete-only or mixed delta, every answer is
-// byte-identical to a from-scratch mediator over the new stores, and
-// the stats pin which path absorbed it
+// byte-identical to a from-scratch mediator over the new stores, with
+// 1, 4 and 8 asks in flight at once after the refresh, and the stats
+// pin which path absorbed it
 // (tier-1 patch for the monotone delta, slice re-run otherwise).
 func TestDeltaRefreshEquivalence(t *testing.T) {
 	prog := yatl.MustParse(twoSourceProgram)
@@ -64,47 +66,54 @@ func TestDeltaRefreshEquivalence(t *testing.T) {
 		{"no-op", mkOld, 1, 0, 0},
 	}
 	for _, sc := range scenarios {
-		t.Run(sc.name, func(t *testing.T) {
-			newAlphas := sc.newAlphas()
-			fault := source.NewFault("src1", mkOld())
-			m := New(prog, nil, WithDemandDriven(true),
-				WithSources(fault, source.Static("src2", betas)))
-			if got, err := m.Ask(`X`); err != nil || len(got) == 0 {
-				t.Fatalf("warm ask = %d answers, %v", len(got), err)
-			}
-			fault.SetStore(newAlphas)
-			watch := &cacheWatch{}
-			before, memo := watch.look(t, m)
-			if err := m.RefreshSource(context.Background(), "src1"); err != nil {
-				t.Fatalf("refresh: %v", err)
-			}
-			// Every absorbed delta is a cache mutation (version bump,
-			// memo cleared); the empty one leaves both alone.
-			if after, kept := watch.look(t, m); sc.name == "no-op" && (after != before || kept != memo) ||
-				sc.name != "no-op" && (after <= before || kept != 0) {
-				t.Errorf("cache version %d -> %d, memo %d -> %d", before, after, memo, kept)
-			}
-			want := answersFor(t, prog, newAlphas, betas, `X`)
-			got, err := m.Ask(`X`)
-			if err != nil {
-				t.Fatalf("post-refresh ask: %v", err)
-			}
-			if answersKey(t, got) != want {
-				t.Fatalf("patched answers differ from a fresh run\n got:\n%s\nwant:\n%s",
-					answersKey(t, got), want)
-			}
-			// Per-functor asks go through the same cache.
-			pa, err := m.Ask(`X`, "Pa")
-			if err != nil || answersKey(t, pa) != answersFor(t, prog, newAlphas, nil, `X`) {
-				t.Fatalf("Pa answers diverged: %v\n%s", err, answersKey(t, pa))
-			}
-			st := m.Stats()
-			if st.DeltaRuns != sc.wantRuns || st.DeltaFallbacks != sc.wantFalls || st.PatchedRules != sc.wantPR {
-				t.Errorf("delta stats = runs=%d fallbacks=%d patched=%d, want %d/%d/%d",
-					st.DeltaRuns, st.DeltaFallbacks, st.PatchedRules,
-					sc.wantRuns, sc.wantFalls, sc.wantPR)
-			}
-		})
+		for _, par := range askWidths {
+			t.Run(fmt.Sprintf("%s/par=%d", sc.name, par), func(t *testing.T) {
+				newAlphas := sc.newAlphas()
+				fault := source.NewFault("src1", mkOld())
+				m := New(prog, nil, WithDemandDriven(true),
+					WithSources(fault, source.Static("src2", betas)))
+				if got, err := m.Ask(`X`); err != nil || len(got) == 0 {
+					t.Fatalf("warm ask = %d answers, %v", len(got), err)
+				}
+				fault.SetStore(newAlphas)
+				watch := &cacheWatch{}
+				before, memo := watch.look(t, m)
+				if err := m.RefreshSource(context.Background(), "src1"); err != nil {
+					t.Fatalf("refresh: %v", err)
+				}
+				// Every absorbed delta is a cache mutation (version bump,
+				// memo cleared); the empty one leaves both alone.
+				if after, kept := watch.look(t, m); sc.name == "no-op" && (after != before || kept != memo) ||
+					sc.name != "no-op" && (after <= before || kept != 0) {
+					t.Errorf("cache version %d -> %d, memo %d -> %d", before, after, memo, kept)
+				}
+				want := answersFor(t, prog, newAlphas, betas, `X`)
+				wantPa := answersFor(t, prog, newAlphas, nil, `X`)
+				concurrently(par, func() {
+					got, err := m.Ask(`X`)
+					if err != nil {
+						t.Errorf("post-refresh ask: %v", err)
+						return
+					}
+					if answersKey(t, got) != want {
+						t.Errorf("patched answers differ from a fresh run\n got:\n%s\nwant:\n%s",
+							answersKey(t, got), want)
+						return
+					}
+					// Per-functor asks go through the same cache.
+					pa, err := m.Ask(`X`, "Pa")
+					if err != nil || answersKey(t, pa) != wantPa {
+						t.Errorf("Pa answers diverged: %v\n%s", err, answersKey(t, pa))
+					}
+				})
+				st := m.Stats()
+				if st.DeltaRuns != sc.wantRuns || st.DeltaFallbacks != sc.wantFalls || st.PatchedRules != sc.wantPR {
+					t.Errorf("delta stats = runs=%d fallbacks=%d patched=%d, want %d/%d/%d",
+						st.DeltaRuns, st.DeltaFallbacks, st.PatchedRules,
+						sc.wantRuns, sc.wantFalls, sc.wantPR)
+				}
+			})
+		}
 	}
 }
 

@@ -25,6 +25,25 @@ func answersKey(t *testing.T, as []Answer) string {
 	return out
 }
 
+// askWidths are the numbers of asks the mediator tests keep in flight
+// at once: one alone, and enough to overlap on one cache generation,
+// ask memo and matcher.
+var askWidths = []int{1, 4, 8}
+
+// concurrently runs ask on n goroutines at once and waits for all of
+// them. ask reports with t.Errorf: t.Fatal must not leave a goroutine.
+func concurrently(n int, ask func()) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ask()
+		}()
+	}
+	wg.Wait()
+}
+
 // The golden equivalence gate: a demand-driven mediator answers every
 // query byte-identically to a full-materialization mediator, for every
 // builtin program and functor restriction.
@@ -312,8 +331,8 @@ rule R {
 // The -race gate for demand mode: overlapping asks racing the two ways
 // a cache loses groups — Invalidate, which drops the generation, and a
 // refresh whose tier-2 re-run fails, which evicts the affected group
-// and leaves the rest (evictProgram). Every answer
-// is one of the two worlds the source alternates between, or the raised
+// and leaves the rest (evictProgram) — with 1, 4 and 8 askers. Every
+// answer is one of the two worlds the source alternates between, or the raised
 // error while the re-run is failing; Pb, which the refreshes cannot
 // reach, never changes.
 func TestDemandConcurrentAskInvalidate(t *testing.T) {
@@ -321,74 +340,78 @@ func TestDemandConcurrentAskInvalidate(t *testing.T) {
 	worldA := alphaStore("ant", "auk", "asp")
 	worldB := alphaStore("ant", "auk") // A→B deletes a3
 	betas := betaStore("bee", "boa")
-	var failures atomic.Int64
-	opts := []engine.Option{engine.WithRegistry(boomRegistry(&failures))}
-	fresh := func(store *tree.Store, functor string) string {
-		got, err := New(prog, store, opts...).Ask(`X`, functor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return answersKey(t, got)
-	}
-	wantA, wantB, wantPb := fresh(worldA, "Pa"), fresh(worldB, "Pa"), fresh(betas, "Pb")
+	for _, par := range askWidths {
+		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+			var failures atomic.Int64
+			opts := []engine.Option{engine.WithRegistry(boomRegistry(&failures))}
+			fresh := func(store *tree.Store, functor string) string {
+				got, err := New(prog, store, opts...).Ask(`X`, functor)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return answersKey(t, got)
+			}
+			wantA, wantB, wantPb := fresh(worldA, "Pa"), fresh(worldB, "Pa"), fresh(betas, "Pb")
 
-	fault := source.NewFault("src1", worldA)
-	m := New(prog, nil, append(opts, WithDemandDriven(true),
-		WithSources(fault, source.Static("src2", betas)))...)
-	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				functor := "Pb"
-				if (c+i)%2 == 0 {
-					functor = "Pa"
-				}
-				got, err := m.Ask(`X`, functor)
-				switch key := answersKey(t, got); {
-				case err != nil && (functor != "Pa" || !strings.Contains(err.Error(), "boom")):
-					t.Errorf("Ask(%s): %v", functor, err)
-					return
-				case err == nil && functor == "Pb" && key != wantPb,
-					err == nil && functor == "Pa" && key != wantA && key != wantB:
-					t.Errorf("Ask(%s) answered neither world:\n%s", functor, key)
-					return
-				}
+			fault := source.NewFault("src1", worldA)
+			m := New(prog, nil, append(opts, WithDemandDriven(true),
+				WithSources(fault, source.Static("src2", betas)))...)
+			var wg sync.WaitGroup
+			for c := 0; c < par; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; i < 25; i++ {
+						functor := "Pb"
+						if (c+i)%2 == 0 {
+							functor = "Pa"
+						}
+						got, err := m.Ask(`X`, functor)
+						switch key := answersKey(t, got); {
+						case err != nil && (functor != "Pa" || !strings.Contains(err.Error(), "boom")):
+							t.Errorf("Ask(%s): %v", functor, err)
+							return
+						case err == nil && functor == "Pb" && key != wantPb,
+							err == nil && functor == "Pa" && key != wantA && key != wantB:
+							t.Errorf("Ask(%s) answered neither world:\n%s", functor, key)
+							return
+						}
+					}
+				}(c)
 			}
-		}(c)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				watch := &cacheWatch{}
+				for i := 0; i < 10; i++ {
+					fault.SetStore(worldA)
+					m.Invalidate()
+					for _, f := range []string{"Pa", "Pb"} {
+						if _, err := m.Ask(`X`, f); err != nil {
+							t.Errorf("warming %s: %v", f, err)
+							return
+						}
+					}
+					watch.look(t, m)
+					// The delete cannot be patched and its re-run raises:
+					// Pa is evicted, Pb stays, and until the function heals
+					// nothing can fill Pa again.
+					failures.Store(1 << 30)
+					fault.SetStore(worldB)
+					err := m.RefreshSource(context.Background(), "src1")
+					if err == nil || !strings.Contains(err.Error(), "boom") {
+						t.Errorf("refresh = %v, want the raised engine error", err)
+					}
+					watch.look(t, m)
+					if got := m.Stats().CachedRules; got != 1 {
+						t.Errorf("the failed re-run left %d rules cached, want Beta alone", got)
+					}
+					failures.Store(0)
+				}
+			}()
+			wg.Wait()
+		})
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		watch := &cacheWatch{}
-		for i := 0; i < 10; i++ {
-			fault.SetStore(worldA)
-			m.Invalidate()
-			for _, f := range []string{"Pa", "Pb"} {
-				if _, err := m.Ask(`X`, f); err != nil {
-					t.Errorf("warming %s: %v", f, err)
-					return
-				}
-			}
-			watch.look(t, m)
-			// The delete cannot be patched and its re-run raises:
-			// Pa is evicted, Pb stays, and until the function heals
-			// nothing can fill Pa again.
-			failures.Store(1 << 30)
-			fault.SetStore(worldB)
-			err := m.RefreshSource(context.Background(), "src1")
-			if err == nil || !strings.Contains(err.Error(), "boom") {
-				t.Errorf("refresh = %v, want the raised engine error", err)
-			}
-			watch.look(t, m)
-			if got := m.Stats().CachedRules; got != 1 {
-				t.Errorf("the failed re-run left %d rules cached, want Beta alone", got)
-			}
-			failures.Store(0)
-		}
-	}()
-	wg.Wait()
 }
 
 // TestAskMemoIsolation: the demand generation memoizes repeated asks,

@@ -3,6 +3,7 @@ package mediator
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -11,41 +12,51 @@ import (
 	"yat/internal/yatl"
 )
 
-// The drift sequence: ask Pa, let src1 change, ask a cold Pb, refresh
-// src1. The cold miss must not move the baseline the refresh diffs
-// against, or the change is diffed away and Pa stays stale for good.
+// The drift sequence: ask Pa, let src1 change, ask a cold Pb from 1, 4
+// or 8 askers at once, refresh src1. The cold misses must not move the
+// baseline the refresh diffs against, or the change is diffed away and
+// Pa stays stale for good.
 func TestRefreshAfterColdMissSeesEarlierChange(t *testing.T) {
 	prog := yatl.MustParse(twoSourceProgram)
 	betas := betaStore("bee", "boa")
 	grown := alphaStore("ant", "asp", "auk")
-	fault := source.NewFault("src1", alphaStore("ant", "asp"))
-	m := New(prog, nil, WithDemandDriven(true), WithSources(fault, source.Static("src2", betas)))
-	watch := &cacheWatch{}
-	if got, err := m.Ask(`X`, "Pa"); err != nil || len(got) != 2 {
-		t.Fatalf("warm Pa = %d answers, %v", len(got), err)
+	for _, par := range askWidths {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			fault := source.NewFault("src1", alphaStore("ant", "asp"))
+			m := New(prog, nil, WithDemandDriven(true), WithSources(fault, source.Static("src2", betas)))
+			watch := &cacheWatch{}
+			if got, err := m.Ask(`X`, "Pa"); err != nil || len(got) != 2 {
+				t.Fatalf("warm Pa = %d answers, %v", len(got), err)
+			}
+			fault.SetStore(grown)
+			concurrently(par, func() {
+				if got, err := m.Ask(`X`, "Pb"); err != nil || len(got) != 2 {
+					t.Errorf("cold Pb = %d answers, %v", len(got), err)
+				}
+			})
+			if t.Failed() {
+				t.FailNow()
+			}
+			watch.mutates(t, m, "RefreshSource", func() {
+				if err := m.RefreshSource(context.Background(), "src1"); err != nil {
+					t.Fatalf("refresh: %v", err)
+				}
+			})
+			pa, err := m.Ask(`X`, "Pa")
+			if want := answersFor(t, prog, grown, nil, `X`); err != nil || answersKey(t, pa) != want {
+				t.Fatalf("Pa after the refresh: %v\n got:\n%s\nwant:\n%s", err, answersKey(t, pa), want)
+			}
+			all, err := m.Ask(`X`)
+			if want := answersFor(t, prog, grown, betas, `X`); err != nil || answersKey(t, all) != want {
+				t.Fatalf("X after the refresh: %v\n got:\n%s\nwant:\n%s", err, answersKey(t, all), want)
+			}
+			if st := m.Stats(); st.DeltaRuns != 1 || st.DeltaFallbacks != 0 || st.PatchedRules != 1 {
+				t.Errorf("delta stats = %d/%d/%d, want the insert patched into Alpha (1/0/1)",
+					st.DeltaRuns, st.DeltaFallbacks, st.PatchedRules)
+			}
+			watch.look(t, m)
+		})
 	}
-	fault.SetStore(grown)
-	if got, err := m.Ask(`X`, "Pb"); err != nil || len(got) != 2 {
-		t.Fatalf("cold Pb = %d answers, %v", len(got), err)
-	}
-	watch.mutates(t, m, "RefreshSource", func() {
-		if err := m.RefreshSource(context.Background(), "src1"); err != nil {
-			t.Fatalf("refresh: %v", err)
-		}
-	})
-	pa, err := m.Ask(`X`, "Pa")
-	if want := answersFor(t, prog, grown, nil, `X`); err != nil || answersKey(t, pa) != want {
-		t.Fatalf("Pa after the refresh: %v\n got:\n%s\nwant:\n%s", err, answersKey(t, pa), want)
-	}
-	all, err := m.Ask(`X`)
-	if want := answersFor(t, prog, grown, betas, `X`); err != nil || answersKey(t, all) != want {
-		t.Fatalf("X after the refresh: %v\n got:\n%s\nwant:\n%s", err, answersKey(t, all), want)
-	}
-	if st := m.Stats(); st.DeltaRuns != 1 || st.DeltaFallbacks != 0 || st.PatchedRules != 1 {
-		t.Errorf("delta stats = %d/%d/%d, want the insert patched into Alpha (1/0/1)",
-			st.DeltaRuns, st.DeltaFallbacks, st.PatchedRules)
-	}
-	watch.look(t, m)
 }
 
 // A generation fetches once: cold misses after the first run over the

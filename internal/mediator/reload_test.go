@@ -148,58 +148,61 @@ func TestReloadEdgeCases(t *testing.T) {
 	})
 }
 
-// The atomicity contract, pinned under the race detector: an Ask
-// racing Reload observes the old program or the new one — every
-// answer in one response carries the same version tag, never a mix.
+// The atomicity contract, pinned under the race detector with 1, 4
+// and 8 askers: an Ask racing Reload observes the old program or the
+// new one — every answer in one response carries the same version
+// tag, never a mix.
 func TestReloadAskRace(t *testing.T) {
 	inputs := workload.BrochureStore(8, 2, 6, 17)
 	editions := []*yatl.Program{
 		yatl.MustParse(versionedSelective("v1", "v1")),
 		yatl.MustParse(versionedSelective("v2", "v2")),
 	}
-	for _, demand := range []bool{true, false} {
-		t.Run(fmt.Sprintf("demand=%v", demand), func(t *testing.T) {
-			m := New(editions[0], inputs, WithDemandDriven(demand))
-			const reloads = 40
-			const asksPerWorker = 30
-			var wg sync.WaitGroup
-			var done atomic.Bool
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < asksPerWorker; i++ {
-						// No functor restriction: the answer spans
-						// both rules, which is what makes a torn
-						// reload observable as mixed tags.
-						got, err := m.Ask(tagPattern)
-						if err != nil {
-							t.Errorf("ask: %v", err)
-							return
+	for _, par := range askWidths {
+		for _, demand := range []bool{true, false} {
+			t.Run(fmt.Sprintf("par%d-demand%v", par, demand), func(t *testing.T) {
+				m := New(editions[0], inputs, WithDemandDriven(demand))
+				const reloads = 40
+				const asksPerWorker = 30
+				var wg sync.WaitGroup
+				var done atomic.Bool
+				for w := 0; w < par; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < asksPerWorker; i++ {
+							// No functor restriction: the answer spans
+							// both rules, which is what makes a torn
+							// reload observable as mixed tags.
+							got, err := m.Ask(tagPattern)
+							if err != nil {
+								t.Errorf("ask: %v", err)
+								return
+							}
+							if len(got) == 0 {
+								t.Error("empty answer set")
+								return
+							}
+							if tags := tagsOf(t, got); len(tags) != 1 {
+								t.Errorf("mixed-generation answer: tags %v", tags)
+								return
+							}
 						}
-						if len(got) == 0 {
-							t.Error("empty answer set")
-							return
-						}
-						if tags := tagsOf(t, got); len(tags) != 1 {
-							t.Errorf("mixed-generation answer: tags %v", tags)
-							return
-						}
-					}
-				}()
-			}
-			// Keep reloading while the askers run, with a floor of
-			// `reloads` swaps so the test cannot pass vacuously.
-			go func() { wg.Wait(); done.Store(true) }()
-			n := 0
-			for ; n < reloads || !done.Load(); n++ {
-				m.Reload(editions[(n+1)%2])
-				runtime.Gosched()
-			}
-			wg.Wait()
-			if g := m.Generation(); g != int64(n+1) {
-				t.Fatalf("generation %d, want %d", g, n+1)
-			}
-		})
+					}()
+				}
+				// Keep reloading while the askers run, with a floor of
+				// `reloads` swaps so the test cannot pass vacuously.
+				go func() { wg.Wait(); done.Store(true) }()
+				n := 0
+				for ; n < reloads || !done.Load(); n++ {
+					m.Reload(editions[(n+1)%2])
+					runtime.Gosched()
+				}
+				wg.Wait()
+				if g := m.Generation(); g != int64(n+1) {
+					t.Fatalf("generation %d, want %d", g, n+1)
+				}
+			})
+		}
 	}
 }

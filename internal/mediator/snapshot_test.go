@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -53,9 +54,10 @@ func sameAnswers(t *testing.T, got, want []Answer, label string) {
 
 // The tentpole property: a restored mediator's first Ask is
 // byte-identical to the cold-computed answer and registers as a
-// demand-cache hit. The snapshot carries no ask memo: that first ask
-// matches against the restored group and refills the memo, so its
-// repeat is a memo hit.
+// demand-cache hit — with 1, 4 and 8 first asks in flight at once,
+// none of which may fall back to a slice run. The snapshot carries no
+// ask memo: the first asks match against the restored group and refill
+// the memo, so a repeat is a memo hit.
 func TestSnapshotRestoreWarmStart(t *testing.T) {
 	warm := selectiveMediator(t)
 	cold, err := warm.Ask(viewPattern, "Pview1")
@@ -67,47 +69,59 @@ func TestSnapshotRestoreWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := selectiveMediator(t)
-	if err := m.Restore(snap); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	var watch cacheWatch
-	if ver, memo := watch.look(t, m); ver == 0 || memo != 0 {
-		t.Fatalf("restored cache at version %d with %d memoized asks, want a committed load and an empty memo", ver, memo)
-	}
-	st := m.Stats()
-	if !st.Restored {
-		t.Fatal("Stats.Restored = false after Restore")
-	}
-	got, err := m.Ask(viewPattern, "Pview1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAnswers(t, got, cold, "restored first ask")
-	st = m.Stats()
-	if st.CacheHits != 1 || st.CacheMisses != 0 {
-		t.Fatalf("first ask after restore: hits=%d misses=%d, want 1/0",
-			st.CacheHits, st.CacheMisses)
-	}
-	// The snapshot carries the donor's run counter (one slice run)
-	// and a fully warm restored ask adds none.
-	if st.SliceRuns != 1 {
-		t.Fatalf("slice runs after restored ask: %d, want the donor's 1", st.SliceRuns)
-	}
-	if _, memo := watch.look(t, m); memo != 1 {
-		t.Fatalf("the first ask left %d memoized asks, want 1", memo)
-	}
-	// The repeat is a memo hit: one allocation, the defensive copy.
-	var repeat []Answer
-	if allocs := testing.AllocsPerRun(50, func() { repeat, err = m.Ask(viewPattern, "Pview1") }); allocs > 1 {
-		t.Errorf("repeat of the restored ask allocates %.1f times, want the memo hit's 1", allocs)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameAnswers(t, repeat, cold, "restored repeat ask")
-	if st := m.Stats(); st.CacheMisses != 0 || st.SliceRuns != 1 {
-		t.Fatalf("repeat asks: misses=%d slice runs=%d, want 0/1", st.CacheMisses, st.SliceRuns)
+	for _, par := range askWidths {
+		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) {
+			m := selectiveMediator(t)
+			if err := m.Restore(snap); err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			var watch cacheWatch
+			if ver, memo := watch.look(t, m); ver == 0 || memo != 0 {
+				t.Fatalf("restored cache at version %d with %d memoized asks, want a committed load and an empty memo", ver, memo)
+			}
+			st := m.Stats()
+			if !st.Restored {
+				t.Fatal("Stats.Restored = false after Restore")
+			}
+			concurrently(par, func() {
+				got, err := m.Ask(viewPattern, "Pview1")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(render(got), render(cold)) {
+					t.Errorf("restored first ask:\n got %q\nwant %q", render(got), render(cold))
+				}
+			})
+			if t.Failed() {
+				t.FailNow()
+			}
+			st = m.Stats()
+			if st.CacheHits != int64(par) || st.CacheMisses != 0 {
+				t.Fatalf("first asks after restore: hits=%d misses=%d, want %d/0",
+					st.CacheHits, st.CacheMisses, par)
+			}
+			// The snapshot carries the donor's run counter (one slice run)
+			// and fully warm restored asks add none.
+			if st.SliceRuns != 1 {
+				t.Fatalf("slice runs after restored asks: %d, want the donor's 1", st.SliceRuns)
+			}
+			if _, memo := watch.look(t, m); memo != 1 {
+				t.Fatalf("the first asks left %d memoized asks, want 1", memo)
+			}
+			// The repeat is a memo hit: one allocation, the defensive copy.
+			var repeat []Answer
+			if allocs := testing.AllocsPerRun(50, func() { repeat, err = m.Ask(viewPattern, "Pview1") }); allocs > 1 {
+				t.Errorf("repeat of the restored ask allocates %.1f times, want the memo hit's 1", allocs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAnswers(t, repeat, cold, "restored repeat ask")
+			if st := m.Stats(); st.CacheMisses != 0 || st.SliceRuns != 1 {
+				t.Fatalf("repeat asks: misses=%d slice runs=%d, want 0/1", st.CacheMisses, st.SliceRuns)
+			}
+		})
 	}
 }
 

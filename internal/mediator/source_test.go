@@ -54,96 +54,107 @@ func betaStore(names ...string) *tree.Store {
 // The acceptance gate: with one source failing, asks over functors not
 // depending on it return byte-identical answers to the all-healthy
 // run, Stats reports the per-source failure, and the EXPLAIN profile
-// records the fetch failures and retries — in both evaluation modes.
+// records the fetch failures and retries — in both evaluation modes,
+// with 1, 4 and 8 degraded asks in flight at once.
 func TestPartialFailureDegradation(t *testing.T) {
 	prog := yatl.MustParse(twoSourceProgram)
 	alphas := alphaStore("ant", "asp", "auk")
 	betas := betaStore("bee", "boa")
 	for _, demand := range []bool{false, true} {
-		t.Run(fmt.Sprintf("demand=%v", demand), func(t *testing.T) {
-			healthy := New(prog, nil,
-				WithDemandDriven(demand),
-				WithSources(source.Static("src1", alphas), source.Static("src2", betas)))
-			want, err := healthy.Ask(`X`, "Pa")
-			if err != nil {
-				t.Fatalf("healthy ask: %v", err)
-			}
-			if len(want) != 3 {
-				t.Fatalf("healthy Pa answers = %d, want 3", len(want))
-			}
-
-			clock := source.NewFakeClock()
-			down := source.NewFault("src2", betas).WithClock(clock)
-			down.SetErr(errors.New("connection refused"))
-			prof := trace.NewProfile()
-			degraded := New(prog, nil,
-				engine.WithTrace(prof),
-				WithDemandDriven(demand),
-				WithSources(
-					source.Static("src1", alphas),
-					source.WithRetry(down, source.RetryOptions{MaxAttempts: 3, Clock: clock, Jitter: -1}),
-				))
-			got, err := degraded.Ask(`X`, "Pa")
-			if err != nil {
-				t.Fatalf("degraded ask: %v", err)
-			}
-			if answersKey(t, got) != answersKey(t, want) {
-				t.Fatalf("degraded Pa answers differ from healthy\n got:\n%s\nwant:\n%s",
-					answersKey(t, got), answersKey(t, want))
-			}
-			// The functor that does depend on the dead source
-			// degrades to no answers, not an error.
-			bs, err := degraded.Ask(`X`, "Pb")
-			if err != nil {
-				t.Fatalf("degraded Pb ask: %v", err)
-			}
-			if len(bs) != 0 {
-				t.Fatalf("degraded Pb answers = %d, want 0", len(bs))
-			}
-
-			st := degraded.Stats()
-			if len(st.Sources) != 2 {
-				t.Fatalf("Stats.Sources = %d entries, want 2", len(st.Sources))
-			}
-			s1, s2 := st.Sources[0], st.Sources[1]
-			if s1.Name != "src1" || s1.FetchErr != "" || s1.Entries != 3 {
-				t.Errorf("src1 status = %+v, want healthy with 3 entries", s1)
-			}
-			if s2.Name != "src2" || s2.FetchErr == "" || s2.Entries != 0 {
-				t.Errorf("src2 status = %+v, want a fetch error and 0 entries", s2)
-			}
-			if s2.Retries == 0 || s2.Failures == 0 {
-				t.Errorf("src2 chain counters = %+v, want retries and failures", s2)
-			}
-
-			var src1p, src2p *trace.SourceProfile
-			for i, sp := range prof.Sources() {
-				switch sp.Source {
-				case "src1":
-					src1p = &prof.Sources()[i]
-				case "src2":
-					src2p = &prof.Sources()[i]
+		for _, par := range askWidths {
+			t.Run(fmt.Sprintf("demand=%v/par=%d", demand, par), func(t *testing.T) {
+				healthy := New(prog, nil,
+					WithDemandDriven(demand),
+					WithSources(source.Static("src1", alphas), source.Static("src2", betas)))
+				want, err := healthy.Ask(`X`, "Pa")
+				if err != nil {
+					t.Fatalf("healthy ask: %v", err)
 				}
-			}
-			if src1p == nil || src2p == nil {
-				t.Fatalf("profile sources = %+v, want src1 and src2", prof.Sources())
-			}
-			if src1p.Failures != 0 || src1p.Fetches == 0 {
-				t.Errorf("src1 profile = %+v", src1p)
-			}
-			if src2p.Failures == 0 || src2p.Retries == 0 {
-				t.Errorf("src2 profile = %+v, want failures and retries", src2p)
-			}
-			var sb strings.Builder
-			if err := prof.Render(&sb, false); err != nil {
-				t.Fatal(err)
-			}
-			for _, wantLine := range []string{"source src1", "source src2", fmt.Sprintf("failures=%d", src2p.Failures), fmt.Sprintf("retries=%d", src2p.Retries)} {
-				if !strings.Contains(sb.String(), wantLine) {
-					t.Errorf("rendered profile missing %q:\n%s", wantLine, sb.String())
+				if len(want) != 3 {
+					t.Fatalf("healthy Pa answers = %d, want 3", len(want))
 				}
-			}
-		})
+
+				clock := source.NewFakeClock()
+				down := source.NewFault("src2", betas).WithClock(clock)
+				down.SetErr(errors.New("connection refused"))
+				prof := trace.NewProfile()
+				degraded := New(prog, nil,
+					engine.WithTrace(prof),
+					WithDemandDriven(demand),
+					WithSources(
+						source.Static("src1", alphas),
+						source.WithRetry(down, source.RetryOptions{MaxAttempts: 3, Clock: clock, Jitter: -1}),
+					))
+				concurrently(par, func() {
+					got, err := degraded.Ask(`X`, "Pa")
+					if err != nil {
+						t.Errorf("degraded ask: %v", err)
+						return
+					}
+					if answersKey(t, got) != answersKey(t, want) {
+						t.Errorf("degraded Pa answers differ from healthy\n got:\n%s\nwant:\n%s",
+							answersKey(t, got), answersKey(t, want))
+						return
+					}
+					// The functor that does depend on the dead source
+					// degrades to no answers, not an error.
+					bs, err := degraded.Ask(`X`, "Pb")
+					if err != nil {
+						t.Errorf("degraded Pb ask: %v", err)
+						return
+					}
+					if len(bs) != 0 {
+						t.Errorf("degraded Pb answers = %d, want 0", len(bs))
+					}
+				})
+				if t.Failed() {
+					t.FailNow()
+				}
+
+				st := degraded.Stats()
+				if len(st.Sources) != 2 {
+					t.Fatalf("Stats.Sources = %d entries, want 2", len(st.Sources))
+				}
+				s1, s2 := st.Sources[0], st.Sources[1]
+				if s1.Name != "src1" || s1.FetchErr != "" || s1.Entries != 3 {
+					t.Errorf("src1 status = %+v, want healthy with 3 entries", s1)
+				}
+				if s2.Name != "src2" || s2.FetchErr == "" || s2.Entries != 0 {
+					t.Errorf("src2 status = %+v, want a fetch error and 0 entries", s2)
+				}
+				if s2.Retries == 0 || s2.Failures == 0 {
+					t.Errorf("src2 chain counters = %+v, want retries and failures", s2)
+				}
+
+				var src1p, src2p *trace.SourceProfile
+				for i, sp := range prof.Sources() {
+					switch sp.Source {
+					case "src1":
+						src1p = &prof.Sources()[i]
+					case "src2":
+						src2p = &prof.Sources()[i]
+					}
+				}
+				if src1p == nil || src2p == nil {
+					t.Fatalf("profile sources = %+v, want src1 and src2", prof.Sources())
+				}
+				if src1p.Failures != 0 || src1p.Fetches == 0 {
+					t.Errorf("src1 profile = %+v", src1p)
+				}
+				if src2p.Failures == 0 || src2p.Retries == 0 {
+					t.Errorf("src2 profile = %+v, want failures and retries", src2p)
+				}
+				var sb strings.Builder
+				if err := prof.Render(&sb, false); err != nil {
+					t.Fatal(err)
+				}
+				for _, wantLine := range []string{"source src1", "source src2", fmt.Sprintf("failures=%d", src2p.Failures), fmt.Sprintf("retries=%d", src2p.Retries)} {
+					if !strings.Contains(sb.String(), wantLine) {
+						t.Errorf("rendered profile missing %q:\n%s", wantLine, sb.String())
+					}
+				}
+			})
+		}
 	}
 }
 

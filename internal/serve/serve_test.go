@@ -510,61 +510,66 @@ func TestHealthzAndRefresh(t *testing.T) {
 	}
 }
 
-// Hot reload over HTTP, racing live asks: every response is entirely
-// one program edition (one tag), the old or the new — never a mix.
+// Hot reload over HTTP, racing 1, 4 and 8 live askers: every response
+// is entirely one program edition (one tag), the old or the new —
+// never a mix.
 func TestReloadRaceOverHTTP(t *testing.T) {
 	editions := []string{
 		versionedSelective("v1", "v1"),
 		versionedSelective("v2", "v2"),
 	}
-	_, ts := newTestServer(t, Config{
-		Prog:   yatl.MustParse(editions[0]),
-		Inputs: workload.BrochureStore(6, 2, 5, 11),
-	})
-	const asksPerWorker = 25
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < asksPerWorker; i++ {
-				resp, out := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern})
-				if resp.StatusCode != 200 {
-					t.Errorf("ask status %d", resp.StatusCode)
-					return
-				}
-				tags := map[string]bool{}
-				for _, a := range out.Answers {
-					tags[a.Binding["TAG"]] = true
-				}
-				if len(tags) != 1 {
-					t.Errorf("mixed-generation response: %v", tags)
-					return
-				}
+	for _, par := range []int{1, 4, 8} {
+		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+			_, ts := newTestServer(t, Config{
+				Prog:   yatl.MustParse(editions[0]),
+				Inputs: workload.BrochureStore(6, 2, 5, 11),
+			})
+			const asksPerWorker = 25
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for w := 0; w < par; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < asksPerWorker; i++ {
+						resp, out := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern})
+						if resp.StatusCode != 200 {
+							t.Errorf("ask status %d", resp.StatusCode)
+							return
+						}
+						tags := map[string]bool{}
+						for _, a := range out.Answers {
+							tags[a.Binding["TAG"]] = true
+						}
+						if len(tags) != 1 {
+							t.Errorf("mixed-generation response: %v", tags)
+							return
+						}
+					}
+				}()
 			}
-		}()
+			go func() {
+				i := 0
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					i++
+					resp, err := http.Post(ts.URL+"/admin/reload", "text/plain",
+						strings.NewReader(editions[i%2]))
+					if err != nil {
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}()
+			wg.Wait()
+			close(stop)
+		})
 	}
-	go func() {
-		i := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			i++
-			resp, err := http.Post(ts.URL+"/admin/reload", "text/plain",
-				strings.NewReader(editions[i%2]))
-			if err != nil {
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-	}()
-	wg.Wait()
-	close(stop)
 }
 
 func TestReloadRejectsBadPrograms(t *testing.T) {
