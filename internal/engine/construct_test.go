@@ -176,6 +176,10 @@ rule C {
   head Out(N) = outval -> ^Mid(N)
   from X = item -> N
 }
+rule D {
+  head Alias(N) = ^Mid(N)
+  from X = item -> N
+}
 `
 	inputs := storeOf(t, `a: item < 7 >`)
 	res := runRule(t, src, inputs)
@@ -188,6 +192,11 @@ rule C {
 	mid, _ := res.Outputs.Get(tree.SkolemName("Mid", tree.Int(7)))
 	if !mid.Equal(tree.MustParse(`midval < leafval < 7 > >`)) {
 		t.Errorf("mid not expanded: %s", mid)
+	}
+	// A head that is a dereference is replaced whole.
+	alias, _ := res.Outputs.Get(tree.SkolemName("Alias", tree.Int(7)))
+	if !alias.Equal(mid) {
+		t.Errorf("alias = %s, want %s", alias, mid)
 	}
 }
 

@@ -15,13 +15,11 @@ import (
 // static safety check rules out the latter for accepted programs, but
 // the guard is kept as defence in depth.
 func expandDerefs(outputs *tree.Store) error {
-	e := &derefExpander{outputs: outputs, state: map[string]uint8{}}
-	for _, entry := range outputs.Entries() {
-		expanded, err := e.expandOID(entry.Name)
-		if err != nil {
+	e := &derefExpander{outputs: outputs, state: make([]uint8, outputs.Len())}
+	for i, entry := range outputs.Entries() {
+		if _, err := e.expandAt(i, entry.Name); err != nil {
 			return err
 		}
-		outputs.Put(entry.Name, expanded)
 	}
 	return nil
 }
@@ -31,37 +29,42 @@ const (
 	derefDone       uint8 = 2
 )
 
+// derefExpander keeps its progress per store position: the pass only
+// replaces trees, so an entry keeps its position throughout.
 type derefExpander struct {
 	outputs *tree.Store
-	state   map[string]uint8
+	state   []uint8
 }
 
-func (e *derefExpander) expandOID(name tree.Name) (*tree.Node, error) {
-	key := name.Key()
-	switch e.state[key] {
+// expandAt expands the entry at position i, bound to name.
+func (e *derefExpander) expandAt(i int, name tree.Name) (*tree.Node, error) {
+	n := e.outputs.Entries()[i].Tree
+	switch e.state[i] {
 	case derefInProgress:
 		return nil, fmt.Errorf("engine: cyclic dereferencing through %s at run time", name)
 	case derefDone:
-		n, _ := e.outputs.Get(name)
 		return n, nil
 	}
-	n, ok := e.outputs.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("engine: dereferenced Skolem %s has no associated value", name)
-	}
-	e.state[key] = derefInProgress
+	e.state[i] = derefInProgress
 	expanded, err := e.expandNode(n)
 	if err != nil {
 		return nil, err
 	}
-	e.outputs.Put(name, expanded)
-	e.state[key] = derefDone
+	if expanded != n {
+		// The root itself was a placeholder.
+		e.outputs.Put(name, expanded)
+	}
+	e.state[i] = derefDone
 	return expanded, nil
 }
 
 func (e *derefExpander) expandNode(n *tree.Node) (*tree.Node, error) {
 	if d, ok := n.Label.(derefVal); ok {
-		target, err := e.expandOID(d.Name)
+		i, ok := e.outputs.Index(d.Name)
+		if !ok {
+			return nil, fmt.Errorf("engine: dereferenced Skolem %s has no associated value", d.Name)
+		}
+		target, err := e.expandAt(i, d.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -73,7 +76,9 @@ func (e *derefExpander) expandNode(n *tree.Node) (*tree.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.Children[i] = expanded
+		if expanded != c {
+			n.Children[i] = expanded
+		}
 	}
 	return n, nil
 }

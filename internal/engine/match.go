@@ -25,11 +25,11 @@ type Matcher struct {
 	checker *pattern.ConformanceChecker // lazy, caches conformance results
 }
 
-// conformance returns the cached conformance checker (the store is
-// fixed for the duration of a run, so the conversion happens once).
-// A mediator's concurrent asks match through one shared Matcher, so
-// both the lazy construction and the checker itself are
-// goroutine-safe.
+// conformance returns the matcher's conformance checker, built on
+// first use; the store is fixed for the duration of a run, so the
+// checker's answers hold for all of it. A mediator's concurrent asks
+// match through one shared Matcher, so both the lazy construction and
+// the checker itself are goroutine-safe.
 func (m *Matcher) conformance() *pattern.ConformanceChecker {
 	m.once.Do(func() {
 		m.checker = pattern.NewConformanceChecker(m.Store, m.Model)
@@ -349,7 +349,7 @@ func (m *Matcher) domainAdmits(d pattern.Domain, n *tree.Node, val tree.Value) b
 		}
 		// A pattern domain may be satisfied through a reference (e.g.
 		// P2 : Ptype matching &s1 because Ptype has the &Pclass
-		// branch); the checker resolves it via the store model.
+		// branch); the checker resolves it through the store.
 		return m.conformance().Conforms(n, d.Pattern)
 	}
 	// Kind/symbol domains admit only leaf constants.

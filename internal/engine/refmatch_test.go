@@ -2,9 +2,10 @@ package engine
 
 // The reference matcher: the tree-walking interpreter over Binding maps
 // that the slot-compiled plans replaced, kept verbatim — only renamed,
-// so it cannot collide with the plan's helpers — as the oracle of
-// TestPlanMatchesReference and the join tests. It is never built into
-// the library.
+// so it cannot collide with the plan's helpers, and with its typing
+// checks decided over the store's ground model instead of by
+// pattern.ConformanceChecker — as the oracle of TestPlanMatchesReference
+// and the join tests. It is never built into the library.
 
 import (
 	"sort"
@@ -134,19 +135,32 @@ type refMatcher struct {
 	// (§3.5).
 	Model *pattern.Model
 
-	once    sync.Once
-	checker *pattern.ConformanceChecker // lazy, caches conformance results
+	once sync.Once
+	inst *pattern.Model // the store's ground model, built on first use
 }
 
-// conformance returns the cached conformance checker (the store is
-// fixed for the duration of a run, so the conversion happens once).
-// Concurrent matches may share one matcher, so both the lazy
-// construction and the checker itself are goroutine-safe.
-func (m *refMatcher) conformance() *pattern.ConformanceChecker {
+// conforms reports whether n is an instance of pattern pat the way the
+// instantiation relation decides it over the store's ground model — a
+// path of its own, so that the plan matcher's ConformanceChecker is
+// compared against something it does not share.
+func (m *refMatcher) conforms(n *tree.Node, pat string) bool {
 	m.once.Do(func() {
-		m.checker = pattern.NewConformanceChecker(m.Store, m.Model)
+		m.inst = pattern.NewModel()
+		if m.Store != nil {
+			m.inst = pattern.StoreModel(m.Store)
+		}
 	})
-	return m.checker
+	p, ok := m.Model.Get(pat)
+	if !ok {
+		return false
+	}
+	g := pattern.GroundTree(n)
+	for _, b := range p.Union {
+		if pattern.TreeInstanceOf(m.inst, g, m.Model, b) {
+			return true
+		}
+	}
+	return false
 }
 
 // MatchTree returns all variable bindings under which tree n matches
@@ -208,7 +222,7 @@ func (m *refMatcher) matchNode(pt *pattern.PTree, n *tree.Node) []Binding {
 		// ^P: the subtree must be an instance of P (when checkable).
 		if m.Model != nil {
 			if _, defined := m.Model.Get(label.Name); defined {
-				if !m.conformance().Conforms(n, label.Name) {
+				if !m.conforms(n, label.Name) {
 					return nil
 				}
 			}
@@ -240,7 +254,7 @@ func (m *refMatcher) domainAdmits(d pattern.Domain, n *tree.Node, val tree.Value
 		if !ok {
 			return false
 		}
-		return m.conformance().Conforms(target, d.Pattern)
+		return m.conforms(target, d.Pattern)
 	}
 	if d.IsPattern() {
 		if m.Model == nil {
@@ -252,7 +266,7 @@ func (m *refMatcher) domainAdmits(d pattern.Domain, n *tree.Node, val tree.Value
 		// A pattern domain may be satisfied through a reference (e.g.
 		// P2 : Ptype matching &s1 because Ptype has the &Pclass
 		// branch); the checker resolves it via the store model.
-		return m.conformance().Conforms(n, d.Pattern)
+		return m.conforms(n, d.Pattern)
 	}
 	// Kind/symbol domains admit only leaf constants.
 	if !n.IsLeaf() || n.IsRef() {
@@ -277,7 +291,7 @@ func (m *refMatcher) conformsRef(name tree.Name, patName string) bool {
 	if !ok {
 		return false
 	}
-	return m.conformance().Conforms(target, patName)
+	return m.conforms(target, patName)
 }
 
 // refMatchSkolemArgs binds the argument variables of a &P(args) pattern

@@ -62,24 +62,31 @@ func TreeInstanceOfLoose(inst *Model, ti *PTree, gen *Model, tg *PTree) bool {
 // resolved in store) is an instance of pattern genName in model gen.
 // It is the data-validation entry point ("typing on demand", §3.5).
 // For repeated checks against the same store, use a
-// ConformanceChecker, which converts the store once and caches
-// results.
+// ConformanceChecker, which caches results.
 func Conforms(t *tree.Node, store *tree.Store, gen *Model, genName string) bool {
 	return NewConformanceChecker(store, gen).Conforms(t, genName)
 }
 
 // ConformanceChecker validates ground trees against the patterns of a
-// model, resolving references through a fixed store. The store-to-
-// ground-model conversion happens once and results are cached per
+// model, resolving references through a fixed store. It walks the data
+// trees themselves — the answer is that of the ground model
+// (StoreModel, GroundTree) without building it — and caches results per
 // (node, pattern) pair, so per-binding domain checks during rule
-// matching stay cheap. The checker is safe for concurrent use: a
-// mediator's concurrent asks share one checker through their matcher.
+// matching stay cheap. The store must not change while the checker is
+// in use. The checker is safe for concurrent use: a mediator's
+// concurrent asks share one checker through their matcher.
 type ConformanceChecker struct {
-	instM *Model
+	store *tree.Store
 	gen   *Model
 
 	mu    sync.RWMutex
 	cache map[conformKey]bool
+
+	// Test instrumentation, unset in the library: observe is told of
+	// every reference a walk resolves, and cacheNestedTrue is the
+	// unsound memo the oracle test must catch.
+	observe         func(refEvent)
+	cacheNestedTrue bool
 }
 
 type conformKey struct {
@@ -87,14 +94,20 @@ type conformKey struct {
 	pat  string
 }
 
+// refEvent is what a walk did with one reference leaf.
+type refEvent uint8
+
+const (
+	refDangling    refEvent = iota // the name is not in the store
+	refAssumed                     // the target is under check on this path: a cycle
+	refMemoHit                     // answered from the cache, nested in another target
+	refNestedFalse                 // a nested target failed; its false is cached
+)
+
 // NewConformanceChecker returns a checker resolving references in
 // store (which may be nil) against the patterns of gen.
 func NewConformanceChecker(store *tree.Store, gen *Model) *ConformanceChecker {
-	instM := NewModel()
-	if store != nil {
-		instM = StoreModel(store)
-	}
-	return &ConformanceChecker{instM: instM, gen: gen, cache: make(map[conformKey]bool)}
+	return &ConformanceChecker{store: store, gen: gen, cache: make(map[conformKey]bool)}
 }
 
 // Conforms reports whether t is an instance of pattern genName. Two
@@ -103,20 +116,163 @@ func NewConformanceChecker(store *tree.Store, gen *Model) *ConformanceChecker {
 // stays consistent.
 func (cc *ConformanceChecker) Conforms(t *tree.Node, genName string) bool {
 	key := conformKey{node: t, pat: genName}
-	cc.mu.RLock()
-	res, ok := cc.cache[key]
-	cc.mu.RUnlock()
-	if ok {
+	if res, ok := cc.cached(key); ok {
 		return res
 	}
-	res = false
+	res := false
 	if q, ok := cc.gen.Get(genName); ok {
-		res = newChecker(cc.instM, cc.gen).patternBranchesTree(GroundTree(t), q)
+		w := groundWalk{cc: cc}
+		res = w.branches(t, q)
 	}
+	cc.record(key, res)
+	return res
+}
+
+func (cc *ConformanceChecker) cached(key conformKey) (res, ok bool) {
+	cc.mu.RLock()
+	res, ok = cc.cache[key]
+	cc.mu.RUnlock()
+	return res, ok
+}
+
+func (cc *ConformanceChecker) record(key conformKey, res bool) {
 	cc.mu.Lock()
 	cc.cache[key] = res
 	cc.mu.Unlock()
+}
+
+// groundWalk is the ground-side twin of checker: it decides whether a
+// data tree instantiates a pattern tree exactly as checker.treeInst
+// decides it for GroundTree of that data, with the store standing in
+// for the ground model. A data tree's labels are all constants and its
+// edges all One, so only the general side's cases remain.
+//
+// Reference targets make the relation a greatest fixpoint, as in
+// checker: a (target, pattern) pair under check on the path is assumed
+// to hold. An answer reached with no assumption is exact and is cached;
+// so is a false reached under assumptions, since assuming more can only
+// turn answers true. A true reached under assumptions may rest on one
+// that fails later and is never cached.
+type groundWalk struct {
+	cc     *ConformanceChecker
+	assume []conformKey
+}
+
+func (w *groundWalk) branches(t *tree.Node, q *Pattern) bool {
+	for _, tq := range q.Union {
+		if w.tree(t, tq) {
+			return true
+		}
+	}
+	return false
+}
+
+func (w *groundWalk) tree(t *tree.Node, tg *PTree) bool {
+	switch lg := tg.Label.(type) {
+	case Const:
+		return t.Label.Equal(lg.Value) && w.edges(t.Children, tg.Edges, 0, 0)
+
+	case Var:
+		if lg.Domain.Pattern != "" {
+			dom, ok := w.cc.gen.Get(lg.Domain.Pattern)
+			if !ok {
+				return false
+			}
+			if !lg.Domain.Ref {
+				return w.branches(t, dom)
+			}
+			ref, isRef := t.Label.(tree.Ref)
+			return isRef && len(t.Children) == 0 && w.target(ref.Name, dom)
+		}
+		// Data variable: a constant of the domain. A minted reference is
+		// not a constant of a restricted domain.
+		if _, isRef := t.Label.(tree.Ref); isRef {
+			if !lg.Domain.IsAny() {
+				return false
+			}
+		} else if !lg.Domain.Contains(t.Label) {
+			return false
+		}
+		return w.edges(t.Children, tg.Edges, 0, 0)
+
+	case PatRef:
+		dom, ok := w.cc.gen.Get(lg.Name)
+		if !ok {
+			return false
+		}
+		if !lg.Ref {
+			return w.branches(t, dom) // ^P
+		}
+		ref, isRef := t.Label.(tree.Ref)
+		return isRef && w.target(ref.Name, dom)
+	}
+	return false
+}
+
+// edges is checker.edgesInstAt with every instance edge a One edge:
+// a One edge takes one child, a star-like edge a run of children that
+// ends at the first child its target rejects.
+func (w *groundWalk) edges(kids []*tree.Node, gs []Edge, ki, gi int) bool {
+	if gi == len(gs) {
+		return ki == len(kids)
+	}
+	g := gs[gi]
+	if g.Occ == OccOne {
+		return ki < len(kids) && w.tree(kids[ki], g.To) && w.edges(kids, gs, ki+1, gi+1)
+	}
+	for k := ki; ; k++ {
+		if w.edges(kids, gs, k, gi+1) {
+			return true
+		}
+		if k == len(kids) || !w.tree(kids[k], g.To) {
+			return false
+		}
+	}
+}
+
+// target reports whether the tree the store binds to name instantiates
+// dom (checker.patternInst of the entry's ground pattern).
+func (w *groundWalk) target(name tree.Name, dom *Pattern) bool {
+	var n *tree.Node
+	ok := false
+	if w.cc.store != nil {
+		n, ok = w.cc.store.Get(name)
+	}
+	if !ok {
+		w.cc.note(refDangling)
+		return false
+	}
+	key := conformKey{node: n, pat: dom.Name}
+	for _, a := range w.assume {
+		if a == key {
+			w.cc.note(refAssumed)
+			return true
+		}
+	}
+	nested := len(w.assume) > 0
+	if res, ok := w.cc.cached(key); ok {
+		if nested {
+			w.cc.note(refMemoHit)
+		}
+		return res
+	}
+	w.assume = append(w.assume, key)
+	res := w.branches(n, dom)
+	w.assume = w.assume[:len(w.assume)-1]
+	switch {
+	case !nested || w.cc.cacheNestedTrue:
+		w.cc.record(key, res)
+	case !res:
+		w.cc.note(refNestedFalse)
+		w.cc.record(key, res)
+	}
 	return res
+}
+
+func (cc *ConformanceChecker) note(ev refEvent) {
+	if cc.observe != nil {
+		cc.observe(ev)
+	}
 }
 
 func orEmpty(m *Model) *Model {
@@ -138,6 +294,9 @@ type checker struct {
 	looseLeafVars bool
 }
 
+// newChecker returns a checker with an empty assumption set. Its
+// ground-data use, patternBranchesTree(GroundTree(t), q) over
+// StoreModel(store), is the oracle of ConformanceChecker.
 func newChecker(inst, gen *Model) *checker {
 	return &checker{inst: inst, gen: gen, inProgress: make(map[[2]string]bool)}
 }

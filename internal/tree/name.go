@@ -119,18 +119,24 @@ func (s *Store) Put(name Name, t *Node) (replaced bool) {
 
 // Get returns the tree bound to name.
 func (s *Store) Get(name Name) (*Node, bool) {
-	var buf [96]byte
-	i, ok := s.byKey[string(name.AppendKey(buf[:0]))]
+	i, ok := s.Index(name)
 	if !ok {
 		return nil, false
 	}
 	return s.items[i].Tree, true
 }
 
+// Index returns the position of name's entry in Entries(). A Put that
+// replaces the tree keeps the position.
+func (s *Store) Index(name Name) (int, bool) {
+	var buf [96]byte
+	i, ok := s.byKey[string(name.AppendKey(buf[:0]))]
+	return i, ok
+}
+
 // Has reports whether name is bound.
 func (s *Store) Has(name Name) bool {
-	var buf [96]byte
-	_, ok := s.byKey[string(name.AppendKey(buf[:0]))]
+	_, ok := s.Index(name)
 	return ok
 }
 

@@ -101,7 +101,7 @@ func renderHTML(b *strings.Builder, n *tree.Node, opts *HTMLOptions) error {
 		}
 		if string(label) == "a" {
 			if href, cont, ok := anchorParts(n); ok {
-				fmt.Fprintf(b, `<a href="%s">`, opts.url(href))
+				writeHref(b, opts.url(href))
 				if err := renderHTML(b, cont, opts); err != nil {
 					return err
 				}
@@ -109,13 +109,17 @@ func renderHTML(b *strings.Builder, n *tree.Node, opts *HTMLOptions) error {
 				return nil
 			}
 		}
-		fmt.Fprintf(b, "<%s>", label)
+		b.WriteByte('<')
+		b.WriteString(string(label))
+		b.WriteByte('>')
 		for _, c := range n.Children {
 			if err := renderHTML(b, c, opts); err != nil {
 				return err
 			}
 		}
-		fmt.Fprintf(b, "</%s>", label)
+		b.WriteString("</")
+		b.WriteString(string(label))
+		b.WriteByte('>')
 		return nil
 	case tree.String:
 		b.WriteString(htmlEscape(string(label)))
@@ -126,11 +130,20 @@ func renderHTML(b *strings.Builder, n *tree.Node, opts *HTMLOptions) error {
 	case tree.Ref:
 		// A bare reference renders as a link to the page if it is
 		// one, else as its name.
-		fmt.Fprintf(b, `<a href="%s">%s</a>`, opts.url(label.Name), htmlEscape(label.Name.String()))
+		writeHref(b, opts.url(label.Name))
+		b.WriteString(htmlEscape(label.Name.String()))
+		b.WriteString("</a>")
 		return nil
 	default:
 		return fmt.Errorf("cannot render label %s", n.Label.Display())
 	}
+}
+
+// writeHref opens an anchor to url.
+func writeHref(b *strings.Builder, url string) {
+	b.WriteString(`<a href="`)
+	b.WriteString(url)
+	b.WriteString(`">`)
 }
 
 // anchorParts recognizes the Web6 anchor shape.

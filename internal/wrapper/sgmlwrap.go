@@ -44,20 +44,59 @@ func SGMLTree(e *sgml.Element, opts *SGMLOptions) *tree.Node {
 }
 
 func pcdataValue(text string, infer bool) tree.Value {
-	if !infer {
-		return tree.String(text)
-	}
-	t := strings.TrimSpace(text)
-	if i, err := strconv.ParseInt(t, 10, 64); err == nil && t != "" {
-		return tree.Int(i)
-	}
-	if f, err := strconv.ParseFloat(t, 64); err == nil && strings.ContainsAny(t, ".eE") {
-		return tree.Float(f)
-	}
-	if t == "true" || t == "false" {
-		return tree.Bool(t == "true")
+	if infer {
+		if v, ok := inferAtom(strings.TrimSpace(text)); ok {
+			return v
+		}
 	}
 	return tree.String(text)
+}
+
+// inferAtom types trimmed PCDATA: a base-10 integer, a float written
+// with a fraction or an exponent, or a boolean. strconv sees only text
+// whose bytes could spell such a number, so a name costs no error.
+func inferAtom(t string) (tree.Value, bool) {
+	switch t {
+	case "true", "false":
+		return tree.Bool(t == "true"), true
+	}
+	digits, lexeme := numberBytes(t)
+	if digits {
+		// Out of range when it fails: then no float lexeme either.
+		if i, err := strconv.ParseInt(t, 10, 64); err == nil {
+			return tree.Int(i), true
+		}
+	} else if lexeme && strings.ContainsAny(t, ".eE") {
+		if f, err := strconv.ParseFloat(t, 64); err == nil {
+			return tree.Float(f), true
+		}
+	}
+	return nil, false
+}
+
+// numberBytes reports whether t is an optional sign and decimal digits,
+// what ParseInt accepts in base 10, and whether t could be a float
+// literal: after an optional sign a digit or a point, then only hex
+// digits, signs, points, underscores and x X p P. Every float ParseFloat
+// accepts with a point or an e passes; Inf and NaN have neither.
+func numberBytes(t string) (digits, lexeme bool) {
+	if t != "" && (t[0] == '+' || t[0] == '-') {
+		t = t[1:]
+	}
+	if t == "" || !(t[0] == '.' || '0' <= t[0] && t[0] <= '9') {
+		return false, false
+	}
+	digits = true
+	for i := 0; i < len(t); i++ {
+		switch c := t[i]; {
+		case '0' <= c && c <= '9':
+		case 'a' <= c && c <= 'f', 'A' <= c && c <= 'F', strings.IndexByte("+-._xXpP", c) >= 0:
+			digits = false
+		default:
+			return false, false
+		}
+	}
+	return digits, true
 }
 
 // ImportSGML parses and imports a set of SGML documents into a store,

@@ -1,6 +1,8 @@
 package wrapper
 
 import (
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -62,6 +64,64 @@ func TestPCDataInference(t *testing.T) {
 	for _, c := range cases {
 		if got := pcdataValue(c.in, true); !got.Equal(c.want) {
 			t.Errorf("pcdataValue(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// strconvPCDATA is the inference before the byte pre-filter: strconv on
+// every text. pcdataValue must give every input its value.
+func strconvPCDATA(text string) tree.Value {
+	t := strings.TrimSpace(text)
+	if i, err := strconv.ParseInt(t, 10, 64); err == nil && t != "" {
+		return tree.Int(i)
+	}
+	if f, err := strconv.ParseFloat(t, 64); err == nil && strings.ContainsAny(t, ".eE") {
+		return tree.Float(f)
+	}
+	if t == "true" || t == "false" {
+		return tree.Bool(t == "true")
+	}
+	return tree.String(text)
+}
+
+func TestPCDataMatchesStrconv(t *testing.T) {
+	same := func(in string) {
+		t.Helper()
+		got, want := pcdataValue(in, true), strconvPCDATA(in)
+		if got.Kind() != want.Kind() || got.Display() != want.Display() {
+			t.Errorf("pcdataValue(%q) = %s %s, strconv says %s %s", in, got.Kind(), got.Display(), want.Kind(), want.Display())
+		}
+	}
+	for _, in := range []string{
+		"", " ", "\t\n", "0", "-0", "+7", "-3", " 42 ", "\t12\n", "007",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775809", "99999999999999999999",
+		"2.5", "-.5", ".5", "5.", ".", "-", "+", "+-1", "-0.0", "1e3", "1E3", "1e+3", "1e-3", "+1.5e-2",
+		"e5", "1e", "1e400", "-1e400", "1e-400",
+		"0x1.8p1", "0x1p-2", "0X1P2", "0x1e", "0x1.8", "0x1Ep1", "0xff", "0b101", "0o17",
+		"Inf", "+Inf", "-inf", "infinity", "-Infinity", "NaN", "nan", "Inf.", "NaN.0",
+		"1_000", "1_000.5", "1__0.5", "_1.5", "1.5_", "1_e5", "0x_1p0",
+		"true", "false", "True", "FALSE", " true ", "true1",
+		"12a", "1.2.3", "1.5 kg", "Golf", "VW center", "12 rue de Paris", "Supplier 007", "face.bad", "bad.cafe",
+	} {
+		same(in)
+	}
+	// And every short string over the bytes that matter.
+	const alphabet = "019+-._eEpPxXaAfFinIN t"
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, 1+r.Intn(6))
+		for j := range b {
+			b[j] = alphabet[r.Intn(len(alphabet))]
+		}
+		same(string(b))
+	}
+}
+
+// A name costs strconv nothing: typing it allocates no error value.
+func TestPCDataNameAllocs(t *testing.T) {
+	for _, name := range []string{"Golf", "VW center", "12 rue de Paris", "Supplier 007"} {
+		if got := testing.AllocsPerRun(100, func() { inferAtom(name) }); got != 0 {
+			t.Errorf("typing %q allocates %.0f times, want 0", name, got)
 		}
 	}
 }
