@@ -91,7 +91,7 @@ func TestDeltaBenchGate(t *testing.T) {
 		askAll(t, m)
 		deltaTimes = append(deltaTimes, time.Since(start))
 		if st := m.Stats(); st.DeltaRuns != 1 || st.DeltaFallbacks != 0 {
-			t.Fatalf("delta lane did not patch: %+v", st)
+			t.Fatalf("delta lane was not absorbed in place: %+v", st)
 		}
 
 		// Full lane: identical warm state, wholesale invalidation.

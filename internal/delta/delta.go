@@ -2,13 +2,13 @@
 // source: which named trees appeared, which disappeared, and which
 // changed in place. It is the first stage of the mediator's
 // incremental view maintenance — RefreshSource diffs the previous
-// merged input store against the refreshed one and pushes only the
-// difference through the affected rule slices, instead of dropping
-// every dependent cache entry and re-materializing from scratch.
+// merged input store against the refreshed one and re-runs only the
+// cached groups whose rules the difference can reach, instead of
+// dropping every cached group and re-materializing from scratch.
 //
-// The diff is entry-grained: the unit the engine seeds activations
-// from is a named store entry, so that is the unit the delta
-// evaluation mode consumes.
+// The diff is entry-grained: a named store entry is the unit the
+// engine activates and the unit the mediator matches against the rule
+// bodies to find the affected rules.
 package delta
 
 import (
@@ -24,9 +24,7 @@ type Change struct {
 
 // Delta is the difference from an old store to a new one. Inserted
 // and Changed preserve the new store's entry order and Deleted the old
-// store's — the delta evaluation mode seeds activations from Inserted
-// in order, and the byte-identity argument needs that order to agree
-// with a from-scratch run over the new store.
+// store's.
 type Delta struct {
 	// Inserted lists the entries of new whose names old lacks.
 	Inserted []tree.StoreEntry
@@ -71,10 +69,4 @@ func Diff(old, new *tree.Store) *Delta {
 // Empty reports whether the two stores were identical.
 func (d *Delta) Empty() bool {
 	return len(d.Inserted) == 0 && len(d.Deleted) == 0 && len(d.Changed) == 0
-}
-
-// InsertOnly reports whether the delta consists purely of new entries
-// — the monotone case the mediator's tier-1 patch path requires.
-func (d *Delta) InsertOnly() bool {
-	return len(d.Deleted) == 0 && len(d.Changed) == 0
 }

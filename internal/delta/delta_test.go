@@ -36,18 +36,18 @@ func TestDiffClassifiesEntries(t *testing.T) {
 	if len(d.Changed) != 1 || d.Changed[0].Name.Key() != tree.PlainName("c").Key() {
 		t.Errorf("Changed = %+v, want [c]", d.Changed)
 	}
-	if d.Empty() || d.InsertOnly() {
-		t.Errorf("Empty=%v InsertOnly=%v, want false/false", d.Empty(), d.InsertOnly())
+	if d.Empty() {
+		t.Error("Empty = true, want false")
 	}
 }
 
-func TestDiffEmptyAndInsertOnly(t *testing.T) {
+func TestDiffEmpty(t *testing.T) {
 	s := storeOf("a", "b")
-	if d := Diff(s, s.Clone()); !d.Empty() || !d.InsertOnly() {
-		t.Errorf("identical stores: Empty=%v InsertOnly=%v", d.Empty(), d.InsertOnly())
+	if d := Diff(s, s.Clone()); !d.Empty() {
+		t.Errorf("identical stores: %+v", d)
 	}
 	d := Diff(storeOf("a"), storeOf("a", "b"))
-	if d.Empty() || !d.InsertOnly() || len(d.Inserted) != 1 {
+	if d.Empty() || len(d.Inserted) != 1 || len(d.Deleted) != 0 || len(d.Changed) != 0 {
 		t.Errorf("pure insert: %+v", d)
 	}
 	// Nil stores are empty stores.
@@ -63,7 +63,7 @@ func TestDiffEmptyAndInsertOnly(t *testing.T) {
 }
 
 // Inserted and Changed follow the new store's entry order, Deleted the
-// old store's — the order the delta evaluation mode seeds from.
+// old store's.
 func TestDiffPreservesStoreOrder(t *testing.T) {
 	old := storeOf("x", "y")
 	new := storeOf("m", "x", "y", "k")

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"testing"
 
 	"yat/internal/tree"
@@ -124,54 +123,5 @@ rule HeadOnly {
 	}
 	if got := AffectedRules(prog, nil); len(got) != 0 {
 		t.Errorf("an empty delta affects %v, want nothing", got)
-	}
-}
-
-// Delta-evaluation mode seeds the fixpoint from the delta entries only:
-// the run derives exactly the delta-rooted outputs while the matcher
-// still sees the full input store.
-func TestRunSliceWithDeltaSeeds(t *testing.T) {
-	prog := yatl.MustParse(deltaTwoRuleProgram)
-	inputs := tree.NewStore()
-	for _, e := range []tree.StoreEntry{
-		deltaEntry("a1", "alpha", "ant"),
-		deltaEntry("a2", "alpha", "asp"),
-		deltaEntry("b1", "beta", "bee"),
-	} {
-		inputs.Put(e.Name, e.Tree)
-	}
-	sl := ComputeSlice(prog, "Pa")
-
-	full, err := RunSlice(context.Background(), prog, inputs, sl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := full.Outputs.Len(); n != 2 {
-		t.Fatalf("full slice run: %d Alpha outputs, want 2", n)
-	}
-
-	seeds := tree.NewStore()
-	e := deltaEntry("a2", "alpha", "asp")
-	seeds.Put(e.Name, e.Tree)
-	res, err := RunSlice(context.Background(), prog, inputs, sl, WithDeltaSeeds(seeds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.Outputs.Entries()
-	if len(got) != 1 {
-		t.Fatalf("delta run: %d Alpha outputs, want only the seeded entry's", len(got))
-	}
-	// The delta output is byte-identical to the corresponding full one.
-	if fe, ok := full.Outputs.Get(got[0].Name); !ok || !fe.Equal(got[0].Tree) {
-		t.Errorf("delta output %s not among the full run's outputs", got[0].Name)
-	}
-
-	// An empty seed store derives nothing.
-	res, err = RunSlice(context.Background(), prog, inputs, sl, WithDeltaSeeds(tree.NewStore()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := res.Outputs.Len(); n != 0 {
-		t.Errorf("empty seeds produced %d outputs, want 0", n)
 	}
 }

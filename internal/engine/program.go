@@ -36,14 +36,6 @@ type Options struct {
 	// of this model; non-conforming outputs are reported as warnings
 	// ("if required by the user, a type checker", §5.1).
 	CheckOutputs *pattern.Model
-	// DeltaSeeds, when non-nil, switches the run to delta-evaluation
-	// mode: the activation fixpoint is seeded from these entries only,
-	// while reference resolution and dereferencing still see the full
-	// input store. The run then derives exactly the consequences of
-	// the seed entries — the semi-naive delta of an insert-only source
-	// refresh. See WithDeltaSeeds for the soundness preconditions the
-	// caller must establish.
-	DeltaSeeds *tree.Store
 	// ignored lists the names of mediator-only options handed to this
 	// run (collected by NewOptions); the run reports them as warnings.
 	ignored []string
@@ -89,7 +81,8 @@ type Result struct {
 	// dropped bindings, and (with NonDetWarn) non-determinism alerts.
 	Warnings []string
 	// Unconverted lists the identities of source inputs that no rule
-	// matched — the condition the §3.5 exception rule reports.
+	// matched — the condition the §3.5 exception rule reports. A slice
+	// run (RunSlice) leaves it nil.
 	Unconverted []tree.Value
 	Stats       Stats
 }
@@ -206,14 +199,8 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 		r.ruleState[rule] = newRuleState(rule)
 	}
 
-	// Seed with the source inputs — or, in delta-evaluation mode, with
-	// the delta entries alone (the matcher, reference resolution and
-	// deref expansion still consult the full store).
-	seeds := inputs
-	if opts.DeltaSeeds != nil {
-		seeds = opts.DeltaSeeds
-	}
-	for _, e := range seeds.Entries() {
+	// Seed with the source inputs.
+	for _, e := range inputs.Entries() {
 		r.activate(tree.Ref{Name: e.Name}, e.Tree, true)
 	}
 
@@ -287,15 +274,19 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 	}
 
 	res := &Result{
-		Outputs:     r.outputs,
-		Warnings:    r.warnings,
-		Unconverted: r.unconverted(),
+		Outputs:  r.outputs,
+		Warnings: r.warnings,
 		Stats: Stats{
 			Activations: len(r.active),
 			Bindings:    r.totalBindings(),
 			Outputs:     r.outputs.Len(),
 			Rounds:      rounds,
 		},
+	}
+	// A slice run would list every input outside the slice, and it holds
+	// no exception rule to report them to.
+	if sl == nil {
+		res.Unconverted = r.unconverted()
 	}
 	if r.sink != nil {
 		r.sink.Emit(trace.Event{Kind: trace.KindRunEnd, Phase: trace.PhaseRun, Duration: time.Since(runStart)})

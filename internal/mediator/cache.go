@@ -262,17 +262,12 @@ func (c *demandCache) dependents(rules map[string]bool) []string {
 }
 
 // commit publishes a run's result: one rebuilt group per functor the
-// run computed. rules are the slice's construct rules; outputs is the
-// run's output store, of which a group takes the entries its functor
-// mints. In replace mode (the cold fill, the tier-2 re-run, the
-// snapshot load) they supersede the old ones. In append mode (the
-// tier-1 insert patch) the run derived only a delta's consequences:
-// they are appended — unless a fresh entry's identity is already
-// cached, when nothing is committed and ok is false (the new bindings
-// belong in an existing entry, which only a re-run can rebuild).
-// changed counts the construct rules of the groups whose bucket differs
-// from what was cached. Under demandGen.mu.
-func (c *demandCache) commit(rules []*yatl.Rule, outputs *tree.Store, appendTo bool) (changed int, ok bool) {
+// run computed, superseding what was cached — the cold fill, the
+// refresh's re-run, the snapshot load. rules are the slice's construct
+// rules; outputs is the run's output store, of which a group takes the
+// entries its functor mints. It returns the construct rules of the
+// groups whose bucket differs from what was cached. Under demandGen.mu.
+func (c *demandCache) commit(rules []*yatl.Rule, outputs *tree.Store) (changed int) {
 	cur := c.view()
 	minted := byFunctor(outputs.Entries())
 	fresh := map[string]*group{}
@@ -284,34 +279,13 @@ func (c *demandCache) commit(rules []*yatl.Rule, outputs *tree.Store, appendTo b
 		fresh[f].rules++
 	}
 	for f, g := range fresh {
-		old := cur.bucket(f)
-		if !appendTo {
-			if !entriesEqual(old, g.bucket) {
-				changed += g.rules
-			}
-			continue
+		if !entriesEqual(cur.bucket(f), g.bucket) {
+			changed += g.rules
 		}
-		if len(g.bucket) == 0 {
-			g.bucket = old
-			continue
-		}
-		held := make(map[string]bool, len(old))
-		for _, e := range old {
-			held[e.Name.Key()] = true
-		}
-		for _, e := range g.bucket {
-			if held[e.Name.Key()] {
-				return 0, false
-			}
-		}
-		g.bucket = append(old[:len(old):len(old)], g.bucket...)
-		changed += g.rules
-	}
-	for _, g := range fresh {
 		g.index = buildPathIndex(g.bucket)
 	}
 	c.publish(func(groups map[string]*group) { maps.Copy(groups, fresh) })
-	return changed, true
+	return changed
 }
 
 // byFunctor splits a run's entries by the functor that mints them,
@@ -364,8 +338,9 @@ func (c *demandCache) evict(functors ...string) {
 
 // carryOver builds the successor cache for a program reload: the
 // groups keep approves are shared with c by pointer (immutable, so
-// asks on the old generation and patches on the new one cannot disturb
-// each other), the rest are left behind. c itself is not modified.
+// asks on the old generation and refreshes of the new one cannot
+// disturb each other), the rest are left behind. c itself is not
+// modified.
 func (c *demandCache) carryOver(slice func(functors ...string) *engine.Slice, keep func(functor string) bool) *demandCache {
 	next := &demandCache{slice: slice}
 	next.cur.Store(c.view())

@@ -127,15 +127,15 @@ func TestCacheMutatorsBumpVersion(t *testing.T) {
 			}
 		}
 	}
-	w.mutates(t, m, "cold fill (commit, replace)", func() {
+	w.mutates(t, m, "cold fill (commit)", func() {
 		if _, err := m.Functors(); err != nil { // fills without memoizing
 			t.Fatal(err)
 		}
 	})
 	ask() // refill the memo so the next step has something to clear
-	w.mutates(t, m, "insert patch (commit, append)", refresh("ant", "asp", "auk"))
+	w.mutates(t, m, "insert re-run (commit)", refresh("ant", "asp", "auk"))
 	ask()
-	w.mutates(t, m, "delete re-run (commit, replace)", refresh("ant", "auk"))
+	w.mutates(t, m, "delete re-run (commit)", refresh("ant", "auk"))
 	ask()
 	w.mutates(t, m, "failed re-run (evict)", func() {
 		failures.Store(1 << 30)
@@ -168,8 +168,8 @@ func TestCacheMutatorsBumpVersion(t *testing.T) {
 
 // Reload shares an unchanged group with the old generation instead of
 // copying it, and the sharing is safe: an ask that took its view from
-// the old generation keeps its original bucket after the new
-// generation patches the group.
+// the old generation keeps its original bucket after a refresh of the
+// new generation rewrites the group.
 func TestReloadSharesUnchangedGroups(t *testing.T) {
 	prog := yatl.MustParse(workload.PartitionedProgram(2))
 	base := workload.PartitionedStore(2, 3)
@@ -199,20 +199,20 @@ func TestReloadSharesUnchangedGroups(t *testing.T) {
 	n, tr := workload.PartitionedEntry(1, "new", 3)
 	grown.Put(n, tr)
 	fault.SetStore(grown)
-	w.mutates(t, m, "insert patch", func() {
+	w.mutates(t, m, "insert re-run", func() {
 		if err := m.RefreshSource(context.Background(), "parts"); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if st := m.Stats(); st.DeltaRuns != 1 || st.DeltaFallbacks != 0 {
-		t.Fatalf("refresh was not an insert patch: %+v", st)
+		t.Fatalf("refresh was not absorbed in place: %+v", st)
 	}
 	if got, err := m.Ask(`X`, "Ppart1"); err != nil || len(got) != 4 {
-		t.Fatalf("new generation after the patch: %d answers, %v", len(got), err)
+		t.Fatalf("new generation after the refresh: %d answers, %v", len(got), err)
 	}
 
 	if len(view) != 3 || len(old.dgen.cache.view().bucket("Ppart1")) != 3 {
-		t.Fatalf("the patch reached the old generation: view %d, bucket %d entries, want 3",
+		t.Fatalf("the refresh reached the old generation: view %d, bucket %d entries, want 3",
 			len(view), len(old.dgen.cache.view().bucket("Ppart1")))
 	}
 	for i, e := range view {
@@ -225,8 +225,8 @@ func TestReloadSharesUnchangedGroups(t *testing.T) {
 
 // churnStores are a base PartitionedStore and the same store grown by
 // one entry in every family: refreshing from one to the other rewrites
-// every cached group in one commit (an insert patch one way, a delete
-// re-run the other), so an ask over all of them that read a
+// every cached group in one commit (an insert one way, a delete the
+// other), so an ask over all of them that read a
 // half-published cache would mix the two worlds.
 func churnStores(families, per int) (base, grown *tree.Store) {
 	base = workload.PartitionedStore(families, per)

@@ -3,42 +3,24 @@
 //
 // The refreshed fetch is diffed (internal/delta) against the input
 // snapshot this generation's cache was computed from — the pin, see
-// inputs.go — and absorbed in three tiers, cheapest proven-sound tier
-// first:
+// inputs.go — and absorbed one of two ways:
 //
-//  1. Insert patch. For an insert-only delta, the union slice of the
-//     affected cached groups is re-run in delta-evaluation mode
-//     (engine.WithDeltaSeeds): the activation fixpoint is seeded from
-//     the inserted entries alone, so the run derives exactly the
-//     delta's consequences. Its outputs are appended to the cached
-//     groups. Soundness (see internal/engine/delta.go for the full
-//     argument): every binding chain of the delta run descends from
-//     an inserted entry; with single-pattern rules that read only the
-//     entry they match, no construct-head Skolem derefs and no
-//     exception rules in the slice, the full re-run's output is
-//     exactly the cached output plus these delta-rooted outputs —
-//     unless a delta-rooted binding lands in a cached identity's
-//     group, which the OID collision check detects, rejecting the
-//     patch. Ask answers are sorted before they are returned (and the
-//     ask memo is versioned), so appending at the cache's tail cannot
-//     leak an ordering difference.
+//  1. In place. The union slice of the cached groups the delta can
+//     reach is re-run over the new inputs and committed over them;
+//     unaffected groups stay warm, far cheaper than a wholesale drop
+//     when the source feeds few of the cached groups. An empty delta, or
+//     one no cached group can observe, runs nothing. The re-run is the
+//     same slice run a cold ask performs, so the refreshed groups are
+//     byte-identical to a fresh run's by construction: there is no
+//     second compute path whose soundness has to be argued.
 //
-//  2. Slice re-run. When the delta deletes or rewrites entries
-//     (removing an input can unblock a less-specific rule — §4.2
-//     blocking makes deletion non-monotone), joins, derefs, typed
-//     references, exception rules or a collision make the patch
-//     unprovable, the union slice of the affected groups is re-run
-//     normally over the new inputs and swapped into the cache in
-//     place. Unaffected groups stay warm: far cheaper than a wholesale
-//     drop when the source feeds few of the cached groups.
-//
-//  3. Wholesale invalidation. A source that was failing in the pinned
+//  2. Wholesale invalidation. A source that was failing in the pinned
 //     snapshot has no old side to match (its data was absent), a
 //     restored generation has no pinned store to diff against, and a
 //     fetch in which another source degraded has no complete new
 //     picture — all fall back to Invalidate().
 //
-// A fetch that leaves the refreshed source itself down is no tier: the
+// A fetch that leaves the refreshed source itself down is neither: the
 // pin is the last good snapshot, so the refresh fails with a
 // *FetchError and the generation — pin, groups, ask memo, version —
 // stays as it was, still answering completely. The next refresh that
@@ -63,39 +45,11 @@ import (
 	"yat/internal/engine"
 	"yat/internal/trace"
 	"yat/internal/tree"
-	"yat/internal/yatl"
 )
 
 // Fallback reasons carried by KindDeltaFallback trace events.
 const (
-	// ReasonDeletions: the delta deletes or rewrites entries; removal
-	// is non-monotone under §4.2 blocking, so patching is unsound.
-	ReasonDeletions = "deletions"
-	// ReasonExceptionRules: the program has exception rules, which
-	// fire on the complement of the matched inputs — any delta can
-	// change their output.
-	ReasonExceptionRules = "exception-rules"
-	// ReasonMultiPatternJoin: a slice rule joins several body
-	// patterns; a delta-seeded run would miss joins between new and
-	// old bindings.
-	ReasonMultiPatternJoin = "multi-pattern-join"
-	// ReasonSkolemDeref: a construct head dereferences a Skolem (^P);
-	// the patch could bake a partial value of a cached identity into
-	// other outputs.
-	ReasonSkolemDeref = "skolem-deref"
-	// ReasonTypedReference: a slice rule's match reads other entries
-	// through a typed reference (engine.ReadsOtherEntries); an inserted
-	// entry can change the match of an old one that refers to it, which
-	// a delta-seeded run never re-activates.
-	ReasonTypedReference = "typed-reference"
-	// ReasonOutputCollision: the delta run minted an identity the
-	// cache already holds — the new bindings belong in an existing
-	// group, which only a re-run can rebuild.
-	ReasonOutputCollision = "output-collision"
-	// ReasonDeltaRunError: the delta-seeded run itself failed; the
-	// plain re-run decides.
-	ReasonDeltaRunError = "delta-run-error"
-	// ReasonSliceRunError: the fallback re-run failed too; the
+	// ReasonSliceRunError: the re-run of the affected slice failed; the
 	// affected groups are dropped and the error is returned.
 	ReasonSliceRunError = "slice-run-error"
 	// ReasonDegradedSource: the refreshed source was failing in the
@@ -113,17 +67,16 @@ const (
 
 // deltaOutcome summarizes one refresh for counters and trace events.
 type deltaOutcome struct {
-	// wholesale: the whole demand generation must be invalidated
-	// (tier 3). fallback: the refresh was absorbed by a slice re-run
-	// (tier 2), or not at all — the refreshed source's fetch failed.
-	// Neither set: absorbed incrementally (tier 1, possibly trivially —
-	// empty delta or no cached dependents).
+	// wholesale: the whole demand generation must be invalidated.
 	wholesale bool
-	fallback  bool
-	reason    string
-	ins, del  int
-	chg       int
-	patched   int
+	// reason is why the refresh was not absorbed in place (wholesale, a
+	// failed fetch, a failed re-run); "" when it was — by a re-run of
+	// the affected slice or, for an empty delta, a cold cache or a
+	// delta no cached group observes, with nothing to run.
+	reason   string
+	ins, del int
+	chg      int
+	patched  int
 }
 
 func (o deltaOutcome) detail(name string) string {
@@ -135,15 +88,15 @@ func (o deltaOutcome) detail(name string) string {
 		name, o.ins, o.del, o.chg, o.patched)
 }
 
-// refreshDelta is the demand-mode tail of RefreshSource: diff, patch
-// or re-run under the generation lock, then count and trace the
-// outcome. Wholesale invalidation happens here, after the generation
-// lock is released — Invalidate takes m.mu, and the established lock
-// order (Reload) is m.mu before g.mu.
+// refreshDelta is the demand-mode tail of RefreshSource: diff and
+// re-run under the generation lock, then count and trace the outcome.
+// Wholesale invalidation happens here, after the generation lock is
+// released — Invalidate takes m.mu, and the established lock order
+// (Reload) is m.mu before g.mu.
 func (m *Mediator) refreshDelta(ctx context.Context, name string) error {
-	out, err := m.applyDelta(ctx, m.state(), name)
+	out, err := m.applyDelta(ctx, name)
 	kind, count := trace.KindDeltaApplied, &m.deltaRuns
-	if out.wholesale || out.fallback {
+	if out.reason != "" {
 		kind, count = trace.KindDeltaFallback, &m.deltaFallbacks
 	}
 	count.Add(1)
@@ -158,21 +111,45 @@ func (m *Mediator) refreshDelta(ctx context.Context, name string) error {
 	return err
 }
 
-// applyDelta performs the diff and the patch/re-run under the
-// generation lock, serializing with ensureDemand's misses. Asks that
-// hit keep reading the published view while it runs; its commit
-// publishes the next one, so an ask observes the cache before or after
-// the refresh, never mid-patch.
-func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (deltaOutcome, error) {
+// lockDemand locks the current demand generation and returns the
+// program state that holds it. A Reload that cloned the generation
+// before the lock was taken marked it superseded, and the refresh
+// follows it to the clone — re-reading the state under m.mu, which
+// Reload holds until it has published the clone. A refresh that takes
+// the lock first is carried over by the clone, pin and groups alike.
+// Either way no Reload loses a refresh.
+func (m *Mediator) lockDemand() *progState {
+	st := m.state()
+	for {
+		if m.beforeRefreshLock != nil {
+			m.beforeRefreshLock()
+		}
+		st.dgen.mu.Lock()
+		if !st.dgen.superseded {
+			return st
+		}
+		st.dgen.mu.Unlock()
+		m.mu.Lock()
+		st = m.state()
+		m.mu.Unlock()
+	}
+}
+
+// applyDelta performs the diff and the re-run under the generation
+// lock, serializing with ensureDemand's misses. Asks that hit keep
+// reading the published view while it runs; its commit publishes the
+// next one, so an ask observes the cache before or after the refresh,
+// never mid-way.
+func (m *Mediator) applyDelta(ctx context.Context, name string) (deltaOutcome, error) {
+	st := m.lockDemand()
 	g := st.dgen
-	g.mu.Lock()
 	defer g.mu.Unlock()
 
 	if slices.Contains(g.pin.degraded(), name) {
 		return deltaOutcome{wholesale: true, reason: ReasonDegradedSource}, nil
 	}
 	if g.cache.view().cachedRules() == 0 {
-		// Cold cache: nothing to patch; dropping the pin makes the next
+		// Cold cache: nothing to re-run; dropping the pin makes the next
 		// Ask fetch fresh.
 		g.pin = nil
 		return deltaOutcome{}, nil
@@ -184,7 +161,7 @@ func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (
 	if err != nil {
 		// The pin is the last good snapshot: a refresh that cannot
 		// replace it keeps it, and everything computed from it.
-		return deltaOutcome{fallback: true, reason: ReasonFetchFailed}, err
+		return deltaOutcome{reason: ReasonFetchFailed}, err
 	}
 	prev := g.pin.store()
 	if prev == nil {
@@ -194,8 +171,8 @@ func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (
 		return deltaOutcome{wholesale: true, reason: ReasonFetchFailed}, nil
 	}
 	// Every path below leaves the cache consistent with the new fetch —
-	// patched, re-run, evicted or provably unaffected — so the pin
-	// advances here, once.
+	// re-run, evicted or provably unaffected — so the pin advances here,
+	// once.
 	g.pin = next
 	inputs := next.store()
 
@@ -209,35 +186,22 @@ func (m *Mediator) applyDelta(ctx context.Context, st *progState, name string) (
 		// The delta is real but no cached rule can observe it.
 		return out, nil
 	}
+	// Re-run the union slice of the affected groups over the new inputs
+	// and swap it into the cache; unaffected groups stay.
 	sl := st.facts.SliceFor(groups...)
-
-	reason := tier1Blocker(st.prog, sl, d)
-	if reason == "" {
-		patched, ok, runErr := m.insertPatch(ctx, st, g, sl, d, inputs)
-		if runErr == nil && ok {
-			out.patched = patched
-			return out, nil
-		}
-		if runErr != nil {
-			reason = ReasonDeltaRunError
-		} else {
-			reason = ReasonOutputCollision
-		}
-	}
-
-	// Tier 2: re-run the union slice of the affected groups over the
-	// new inputs and swap it into the cache; unaffected groups stay.
-	out.fallback = true
-	out.reason = reason
-	res, runErr := engine.RunSlice(ctx, st.prog, inputs, sl, m.opts)
-	if runErr != nil {
-		g.failed(runErr)
+	res, err := engine.RunSlice(ctx, st.prog, inputs, sl, m.opts)
+	if err != nil {
+		g.failed(err)
 		g.cache.evict(groups...)
 		out.reason = ReasonSliceRunError
-		return out, fmt.Errorf("mediator: delta refresh of %s: %w", name, runErr)
+		return out, fmt.Errorf("mediator: delta refresh of %s: %w", name, err)
 	}
 	g.ran(res.Stats)
-	out.patched, _ = g.cache.commit(sl.Construct, res.Outputs, false)
+	rules := sl.Construct
+	if m.refreshCommitsOneGroup {
+		rules = rules[:1]
+	}
+	out.patched = g.cache.commit(rules, res.Outputs)
 	return out, nil
 }
 
@@ -257,66 +221,4 @@ func (m *Mediator) affectedGroups(st *progState, g *demandGen, d *delta.Delta) [
 			tree.StoreEntry{Name: c.Name, Tree: c.Old}, tree.StoreEntry{Name: c.Name, Tree: c.New})
 	}
 	return g.cache.dependents(engine.AffectedRules(st.prog, touched))
-}
-
-// tier1Blocker reports why the insert patch would be unsound for this
-// slice and delta — or "" when it is provably safe to try.
-func tier1Blocker(prog *yatl.Program, sl *engine.Slice, d *delta.Delta) string {
-	if !d.InsertOnly() {
-		return ReasonDeletions
-	}
-	for _, r := range prog.Rules {
-		if r.Exception {
-			return ReasonExceptionRules
-		}
-	}
-	for _, r := range sl.Construct {
-		if reason := ruleBlocksPatch(r, true); reason != "" {
-			return reason
-		}
-	}
-	for _, r := range sl.Support {
-		if reason := ruleBlocksPatch(r, false); reason != "" {
-			return reason
-		}
-	}
-	return ""
-}
-
-func ruleBlocksPatch(r *yatl.Rule, construct bool) string {
-	if len(r.Body) > 1 {
-		return ReasonMultiPatternJoin
-	}
-	if engine.ReadsOtherEntries(r) {
-		return ReasonTypedReference
-	}
-	if construct && r.Head.Tree != nil {
-		for _, ref := range r.Head.Tree.PatternRefs() {
-			if !ref.Ref {
-				return ReasonSkolemDeref
-			}
-		}
-	}
-	return ""
-}
-
-// insertPatch runs the slice in delta-evaluation mode and appends its
-// outputs to the cache. ok is false when an output identity collides
-// with a cached one — the caller re-runs instead. Holds g.mu (via
-// applyDelta).
-func (m *Mediator) insertPatch(ctx context.Context, st *progState, g *demandGen,
-	sl *engine.Slice, d *delta.Delta, inputs *tree.Store) (patched int, ok bool, err error) {
-	seeds := tree.NewStore()
-	for _, e := range d.Inserted {
-		seeds.Put(e.Name, e.Tree)
-	}
-	res, err := engine.RunSlice(ctx, st.prog, inputs, sl, m.opts, engine.WithDeltaSeeds(seeds))
-	if err != nil {
-		return 0, false, err
-	}
-	patched, ok = g.cache.commit(sl.Construct, res.Outputs, true)
-	if ok {
-		g.ran(res.Stats)
-	}
-	return patched, ok, nil
 }

@@ -37,8 +37,7 @@ func deltaEvents(rec *trace.Recorder, kind trace.Kind) []trace.Event {
 // insert-only, delete-only or mixed delta, every answer is
 // byte-identical to a from-scratch mediator over the new stores, with
 // 1, 4 and 8 asks in flight at once after the refresh, and the stats
-// pin which path absorbed it
-// (tier-1 patch for the monotone delta, slice re-run otherwise).
+// say each was absorbed in place, rewriting the one group it reaches.
 func TestDeltaRefreshEquivalence(t *testing.T) {
 	prog := yatl.MustParse(twoSourceProgram)
 	betas := betaStore("bee", "boa")
@@ -56,13 +55,13 @@ func TestDeltaRefreshEquivalence(t *testing.T) {
 		}, 1, 0, 1},
 		{"delete-only", func() *tree.Store {
 			return alphaStore("ant") // a2 gone
-		}, 0, 1, 1},
+		}, 1, 0, 1},
 		{"mixed", func() *tree.Store {
 			s := tree.NewStore()
 			putAlpha(s, "a2", "newt") // rewritten
 			putAlpha(s, "a3", "auk")  // inserted; a1 deleted
 			return s
-		}, 0, 1, 1},
+		}, 1, 0, 1},
 		{"no-op", mkOld, 1, 0, 0},
 	}
 	for _, sc := range scenarios {
@@ -96,7 +95,7 @@ func TestDeltaRefreshEquivalence(t *testing.T) {
 						return
 					}
 					if answersKey(t, got) != want {
-						t.Errorf("patched answers differ from a fresh run\n got:\n%s\nwant:\n%s",
+						t.Errorf("refreshed answers differ from a fresh run\n got:\n%s\nwant:\n%s",
 							answersKey(t, got), want)
 						return
 					}
@@ -117,8 +116,8 @@ func TestDeltaRefreshEquivalence(t *testing.T) {
 	}
 }
 
-// A refresh before anything is cached has nothing to patch and counts
-// as incrementally absorbed, not as a fallback.
+// A refresh before anything is cached has nothing to re-run and counts
+// as absorbed in place, not as a fallback.
 func TestDeltaRefreshColdCache(t *testing.T) {
 	fault := source.NewFault("src1", alphaStore("ant"))
 	m := New(yatl.MustParse(twoSourceProgram), nil, WithDemandDriven(true),
@@ -132,8 +131,7 @@ func TestDeltaRefreshColdCache(t *testing.T) {
 	}
 }
 
-// joinProgram forces the multi-pattern-join fallback: the rule joins
-// alpha and beta bodies on a shared variable.
+// joinProgram's rule joins alpha and beta bodies on a shared variable.
 const joinProgram = `
 program join
 
@@ -144,8 +142,7 @@ rule J {
 }
 `
 
-// derefProgram forces the skolem-deref fallback: DA's head
-// dereferences the Pb Skolem minted by DB.
+// derefProgram's DA head dereferences the Pb Skolem minted by DB.
 const derefProgram = `
 program deref
 
@@ -253,16 +250,73 @@ func TestRefreshFollowsTypedReferences(t *testing.T) {
 				t.Fatalf("refreshed answers differ from a fresh run (%v)\n got:\n%s\nwant:\n%s",
 					err, answersKey(t, got), answersKey(t, want))
 			}
-			if st := m.Stats(); st.DeltaFallbacks != 1 || st.DeltaRuns != 0 {
-				t.Errorf("stats = runs=%d fallbacks=%d, want the slice re-run", st.DeltaRuns, st.DeltaFallbacks)
+			if st := m.Stats(); st.DeltaRuns != 1 || st.DeltaFallbacks != 0 {
+				t.Errorf("stats = runs=%d fallbacks=%d, want it absorbed in place", st.DeltaRuns, st.DeltaFallbacks)
 			}
 		})
 	}
 }
 
-// Every reachable fallback reason is forced at least once and shows up
-// in the trace; after each fallback the cache still answers
-// byte-identically to a fresh mediator over the new world.
+// A deletion, a join of two bodies, a head that dereferences a Skolem,
+// exception rules and an insert that re-mints a cached identity are all
+// absorbed in place by the re-run: one applied event, no fallback, and
+// answers byte-identical to a fresh full-mode mediator over the new
+// store.
+func TestRefreshReRunsInPlace(t *testing.T) {
+	collide := alphaStore("ant", "asp")
+	putAlpha(collide, "a9", "ant") // re-mints Pa(ant)
+	for _, c := range []struct {
+		name, prog    string
+		betas, alphas *tree.Store
+	}{
+		{"deletions", twoSourceProgram, betaStore("bee"), alphaStore("ant")},
+		{"multi-pattern-join", joinProgram, betaStore("ant", "auk"), alphaStore("ant", "asp", "auk")},
+		{"skolem-deref", derefProgram, nil, alphaStore("ant", "asp", "auk")},
+		{"exception-rules", twoSourceProgram + yatl.ExceptionRuleSource, betaStore("bee"), alphaStore("ant", "asp", "auk")},
+		{"output-collision", twoSourceProgram, betaStore("bee"), collide},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			prog := yatl.MustParse(c.prog)
+			rec := &trace.Recorder{}
+			fault := source.NewFault("src1", alphaStore("ant", "asp"))
+			srcs := []source.Source{fault}
+			merged := c.alphas.Clone()
+			if c.betas != nil {
+				srcs = append(srcs, source.Static("src2", c.betas))
+				for _, e := range c.betas.Entries() {
+					merged.Put(e.Name, e.Tree)
+				}
+			}
+			m := New(prog, nil, engine.WithTrace(rec), WithDemandDriven(true), WithSources(srcs...))
+			if _, err := m.Ask(`X`); err != nil {
+				t.Fatalf("warm ask: %v", err)
+			}
+			fault.SetStore(c.alphas)
+			if err := m.RefreshSource(context.Background(), "src1"); err != nil {
+				t.Fatal(err)
+			}
+			if n, falls := len(deltaEvents(rec, trace.KindDeltaApplied)), deltaEvents(rec, trace.KindDeltaFallback); n != 1 || len(falls) != 0 {
+				t.Fatalf("%d applied events, fallbacks %+v; want it absorbed in place", n, falls)
+			}
+			want, err := New(prog, merged).Ask(`X`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.Ask(`X`)
+			if err != nil || answersKey(t, got) != answersKey(t, want) {
+				t.Fatalf("refreshed answers differ from a fresh run (%v)\n got:\n%s\nwant:\n%s",
+					err, answersKey(t, got), answersKey(t, want))
+			}
+			if st := m.Stats(); st.DeltaRuns != 1 || st.DeltaFallbacks != 0 {
+				t.Errorf("stats = runs=%d fallbacks=%d, want one refresh absorbed in place", st.DeltaRuns, st.DeltaFallbacks)
+			}
+		})
+	}
+}
+
+// Every fallback reason is forced at least once and shows up in the
+// trace; after each fallback the cache still answers byte-identically
+// to a fresh mediator over the new world.
 func TestDeltaFallbackReasons(t *testing.T) {
 	ctx := context.Background()
 
@@ -322,87 +376,6 @@ func TestDeltaFallbackReasons(t *testing.T) {
 				answersKey(t, got), answersKey(t, want))
 		}
 	}
-
-	t.Run("deletions", func(t *testing.T) {
-		betas := betaStore("bee")
-		newAlphas := alphaStore("ant")
-		m, _, rec, err := run(t, twoSourceProgram, nil, betas,
-			func(f *source.Fault) { f.SetStore(newAlphas) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantFallback(t, rec, ReasonDeletions)
-		equivalent(t, m, twoSourceProgram, nil, newAlphas, betas)
-	})
-
-	t.Run("multi-pattern-join", func(t *testing.T) {
-		betas := betaStore("ant", "auk")
-		newAlphas := alphaStore("ant", "asp", "auk")
-		m, _, rec, err := run(t, joinProgram, nil, betas,
-			func(f *source.Fault) { f.SetStore(newAlphas) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantFallback(t, rec, ReasonMultiPatternJoin)
-		equivalent(t, m, joinProgram, nil, newAlphas, betas)
-	})
-
-	t.Run("skolem-deref", func(t *testing.T) {
-		newAlphas := alphaStore("ant", "asp", "auk")
-		m, _, rec, err := run(t, derefProgram, nil, nil,
-			func(f *source.Fault) { f.SetStore(newAlphas) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantFallback(t, rec, ReasonSkolemDeref)
-		equivalent(t, m, derefProgram, nil, newAlphas, nil)
-	})
-
-	t.Run("typed-reference", func(t *testing.T) {
-		// a1's match reads b1 through R : &Pgood. Inserting b1 changes
-		// what a1 yields, but a run seeded from b1 alone never visits a1.
-		rec := &trace.Recorder{}
-		fault := source.NewFault("src1", storeOf(t, typedRefItem))
-		m := New(yatl.MustParse(typedRefProgram), nil, engine.WithTrace(rec), WithDemandDriven(true), WithSources(fault))
-		if got, err := m.Ask(`X`); err != nil || len(got) != 0 {
-			t.Fatalf("warm ask = %d answers, %v; want none while b1 is missing", len(got), err)
-		}
-		grown := storeOf(t, typedRefItem+typedRefGood)
-		fault.SetStore(grown)
-		if err := m.RefreshSource(ctx, "src1"); err != nil {
-			t.Fatal(err)
-		}
-		wantFallback(t, rec, ReasonTypedReference)
-		equivalent(t, m, typedRefProgram, nil, grown, nil)
-	})
-
-	t.Run("exception-rules", func(t *testing.T) {
-		prog := twoSourceProgram + yatl.ExceptionRuleSource
-		betas := betaStore("bee")
-		newAlphas := alphaStore("ant", "asp", "auk")
-		m, _, rec, err := run(t, prog, nil, betas,
-			func(f *source.Fault) { f.SetStore(newAlphas) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantFallback(t, rec, ReasonExceptionRules)
-		equivalent(t, m, prog, nil, newAlphas, betas)
-	})
-
-	t.Run("output-collision", func(t *testing.T) {
-		// The inserted entry re-mints Pa(ant), which the cache already
-		// holds: the patch must reject itself and re-run.
-		betas := betaStore("bee")
-		newAlphas := alphaStore("ant", "asp")
-		putAlpha(newAlphas, "a9", "ant")
-		m, _, rec, err := run(t, twoSourceProgram, nil, betas,
-			func(f *source.Fault) { f.SetStore(newAlphas) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantFallback(t, rec, ReasonOutputCollision)
-		equivalent(t, m, twoSourceProgram, nil, newAlphas, betas)
-	})
 
 	t.Run("degraded-source", func(t *testing.T) {
 		// Rules cached while src2 was down carry no dependency record
@@ -500,26 +473,10 @@ func TestDeltaFallbackReasons(t *testing.T) {
 		equivalent(t, m, twoSourceProgram, nil, newAlphas, betas)
 	})
 
-	t.Run("delta-run-error", func(t *testing.T) {
-		// The delta-seeded run raises once; the plain re-run succeeds,
-		// so the refresh lands as a fallback, not an error.
-		var failures atomic.Int64
-		failures.Store(1)
-		opts := []engine.Option{engine.WithRegistry(boomRegistry(&failures))}
-		newAlphas := alphaStore("ant", "asp", "auk")
-		m, _, rec, err := run(t, boomProgram, opts, nil,
-			func(f *source.Fault) { f.SetStore(newAlphas) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantFallback(t, rec, ReasonDeltaRunError)
-		equivalent(t, m, boomProgram, opts, newAlphas, nil)
-	})
-
 	t.Run("slice-run-error", func(t *testing.T) {
-		// Both the delta run and the re-run raise: the affected groups
-		// are dropped and the error surfaces; once the function heals,
-		// the next ask recomputes from scratch.
+		// The re-run raises: the affected groups are dropped and the
+		// error surfaces; once the function heals, the next ask
+		// recomputes from scratch.
 		var failures atomic.Int64
 		failures.Store(1 << 30)
 		opts := []engine.Option{engine.WithRegistry(boomRegistry(&failures))}
@@ -535,9 +492,9 @@ func TestDeltaFallbackReasons(t *testing.T) {
 	})
 }
 
-// Satellite 1: a nil context is normalized before it can reach the
-// source decorators, so a refresh through the conventional
-// timeout/retry/breaker chain works and still lands incrementally.
+// A nil context is normalized before it can reach the source
+// decorators, so a refresh through the conventional
+// timeout/retry/breaker chain works and is still absorbed in place.
 func TestRefreshSourceNilContextThroughDecorators(t *testing.T) {
 	prog := yatl.MustParse(twoSourceProgram)
 	clock := source.NewFakeClock()
@@ -562,7 +519,7 @@ func TestRefreshSourceNilContextThroughDecorators(t *testing.T) {
 		t.Fatalf("post-refresh Pa = %d, %v; want 3", len(got), err)
 	}
 	if st := m.Stats(); st.DeltaRuns != 1 || st.DeltaFallbacks != 0 {
-		t.Errorf("refresh through the chain should patch: %+v", st)
+		t.Errorf("refresh through the chain should be absorbed in place: %+v", st)
 	}
 }
 
@@ -601,9 +558,9 @@ func TestDeltaTraceAndStatsRender(t *testing.T) {
 	if err := m.RefreshSource(context.Background(), "src1"); err != nil {
 		t.Fatal(err)
 	}
-	fault.SetStore(alphaStore("ant"))
-	if err := m.RefreshSource(context.Background(), "src1"); err != nil {
-		t.Fatal(err)
+	fault.SetErr(errors.New("down"))
+	if err := m.RefreshSource(context.Background(), "src1"); err == nil {
+		t.Fatal("refresh of a source that is down succeeded")
 	}
 
 	var sb strings.Builder
@@ -614,7 +571,7 @@ func TestDeltaTraceAndStatsRender(t *testing.T) {
 		"deltas: applied=1 fallbacks=1",
 		"delta: source=src1",
 		"inserted=1 deleted=0 changed=0 patched-rules=1",
-		"reason=" + ReasonDeletions,
+		"reason=" + ReasonFetchFailed,
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("profile missing %q:\n%s", want, sb.String())
@@ -622,22 +579,22 @@ func TestDeltaTraceAndStatsRender(t *testing.T) {
 	}
 
 	st := m.Stats()
-	if st.DeltaRuns != 1 || st.DeltaFallbacks != 1 || st.PatchedRules != 2 {
-		t.Fatalf("stats = runs=%d fallbacks=%d patched=%d, want 1/1/2",
+	if st.DeltaRuns != 1 || st.DeltaFallbacks != 1 || st.PatchedRules != 1 {
+		t.Fatalf("stats = runs=%d fallbacks=%d patched=%d, want 1/1/1",
 			st.DeltaRuns, st.DeltaFallbacks, st.PatchedRules)
 	}
 	sb.Reset()
 	if err := st.Render(&sb, false); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "deltas: runs=1 fallbacks=1 patched-rules=2") {
+	if !strings.Contains(sb.String(), "deltas: runs=1 fallbacks=1 patched-rules=1") {
 		t.Errorf("stats render missing the deltas line:\n%s", sb.String())
 	}
 	js, err := st.JSON(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"delta_runs": 1`, `"delta_fallbacks": 1`, `"patched_rules": 2`} {
+	for _, want := range []string{`"delta_runs": 1`, `"delta_fallbacks": 1`, `"patched_rules": 1`} {
 		if !strings.Contains(string(js), want) {
 			t.Errorf("stats JSON missing %q:\n%s", want, js)
 		}
@@ -645,14 +602,14 @@ func TestDeltaTraceAndStatsRender(t *testing.T) {
 
 	// Aggregate (the pool path behind yatserve /stats) sums them.
 	agg := Aggregate(st, st)
-	if agg.DeltaRuns != 2 || agg.DeltaFallbacks != 2 || agg.PatchedRules != 4 {
-		t.Errorf("aggregate = %d/%d/%d, want 2/2/4", agg.DeltaRuns, agg.DeltaFallbacks, agg.PatchedRules)
+	if agg.DeltaRuns != 2 || agg.DeltaFallbacks != 2 || agg.PatchedRules != 2 {
+		t.Errorf("aggregate = %d/%d/%d, want 2/2/2", agg.DeltaRuns, agg.DeltaFallbacks, agg.PatchedRules)
 	}
 }
 
 // Asks racing RefreshSource between two worlds — run under -race.
 // Every answer set must be exactly one of the worlds, never a blend of
-// a half-applied patch.
+// a half-applied refresh.
 func TestAskRefreshSourceRace(t *testing.T) {
 	prog := yatl.MustParse(twoSourceProgram)
 	worldA := alphaStore("ant", "asp")

@@ -330,7 +330,7 @@ rule R {
 
 // The -race gate for demand mode: overlapping asks racing the two ways
 // a cache loses groups — Invalidate, which drops the generation, and a
-// refresh whose tier-2 re-run fails, which evicts the affected group
+// refresh whose re-run fails, which evicts the affected group
 // and leaves the rest (evictProgram) — with 1, 4 and 8 askers. Every
 // answer is one of the two worlds the source alternates between, or the raised
 // error while the re-run is failing; Pb, which the refreshes cannot
@@ -393,7 +393,7 @@ func TestDemandConcurrentAskInvalidate(t *testing.T) {
 						}
 					}
 					watch.look(t, m)
-					// The delete cannot be patched and its re-run raises:
+					// The delete's re-run raises:
 					// Pa is evicted, Pb stays, and until the function heals
 					// nothing can fill Pa again.
 					failures.Store(1 << 30)

@@ -486,8 +486,8 @@ func TestPointLookupCandidates(t *testing.T) {
 }
 
 // A point lookup answers as the full-mode oracle over the same data
-// does after everything that replaces or moves a group: the insert
-// patch, the delete re-run, a Reload that carries the group over, and a
+// does after everything that replaces or moves a group: an insert and
+// a delete absorbed in place, a Reload that carries the group over, and a
 // Snapshot → Restore — each rebuilds or shares the index with the
 // bucket, so none can leave a stale one behind.
 func TestPointLookupAfterCacheMutations(t *testing.T) {
@@ -525,14 +525,14 @@ func TestPointLookupAfterCacheMutations(t *testing.T) {
 
 	refresh(func(s *tree.Store) { s.Put(workload.PartitionedEntry(1, "new", 40)) })
 	if st := m.Stats(); st.DeltaRuns != 1 || st.DeltaFallbacks != 0 {
-		t.Fatalf("the insert was not absorbed as a patch: %+v", st)
+		t.Fatalf("the insert was not absorbed in place: %+v", st)
 	}
-	check(m, "insert patch", "new", 1)
-	check(m, "insert patch", "0007", 1)
+	check(m, "insert re-run", "new", 1)
+	check(m, "insert re-run", "0007", 1)
 
 	refresh(func(s *tree.Store) { s.Delete(tree.PlainName("p1_0007")) })
-	if st := m.Stats(); st.DeltaFallbacks != 1 {
-		t.Fatalf("the delete was not absorbed as a re-run: %+v", st)
+	if st := m.Stats(); st.DeltaRuns != 2 || st.DeltaFallbacks != 0 {
+		t.Fatalf("the delete was not absorbed in place: %+v", st)
 	}
 	check(m, "delete re-run", "0007", 0)
 	check(m, "delete re-run", "new", 1)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestRefreshAfterColdMissSeesEarlierChange(t *testing.T) {
 				t.Fatalf("X after the refresh: %v\n got:\n%s\nwant:\n%s", err, answersKey(t, all), want)
 			}
 			if st := m.Stats(); st.DeltaRuns != 1 || st.DeltaFallbacks != 0 || st.PatchedRules != 1 {
-				t.Errorf("delta stats = %d/%d/%d, want the insert patched into Alpha (1/0/1)",
+				t.Errorf("delta stats = %d/%d/%d, want the insert absorbed into Alpha in place (1/0/1)",
 					st.DeltaRuns, st.DeltaFallbacks, st.PatchedRules)
 			}
 			watch.look(t, m)
@@ -150,10 +151,77 @@ rule Gamma {
 		t.Fatalf("carried Pa after the refresh: %v\n got:\n%s\nwant:\n%s", err, answersKey(t, pa), want)
 	}
 	if st := m.Stats(); st.DeltaRuns != 1 || st.DeltaFallbacks != 0 {
-		t.Errorf("delta stats = %d runs, %d fallbacks; want the carried group patched (1/0)",
+		t.Errorf("delta stats = %d runs, %d fallbacks; want the carried group re-run in place (1/0)",
 			st.DeltaRuns, st.DeltaFallbacks)
 	}
 	watch.look(t, m)
+}
+
+// A refresh that read the program state before a Reload cloned its
+// generation, and locks the generation after, is absorbed by the clone:
+// the new generation answers from the refreshed store, from cache. It
+// used to land in the superseded generation while the new one kept the
+// old pin and served the old answers until the next refresh.
+func TestRefreshRacingReloadLandsInTheClone(t *testing.T) {
+	prog := yatl.MustParse(twoSourceProgram)
+	grown := alphaStore("ant", "asp", "auk")
+	fault := source.NewFault("src1", alphaStore("ant", "asp"))
+	m := New(prog, nil, WithDemandDriven(true), WithSources(fault, source.Static("src2", betaStore("bee"))))
+	if got, err := m.Ask(`X`, "Pa"); err != nil || len(got) != 2 {
+		t.Fatalf("warm Pa = %d answers, %v", len(got), err)
+	}
+	fault.SetStore(grown)
+	var reload sync.Once
+	m.beforeRefreshLock = func() { reload.Do(func() { m.Reload(yatl.MustParse(twoSourceProgram)) }) }
+	if err := m.RefreshSource(context.Background(), "src1"); err != nil {
+		t.Fatal(err)
+	}
+	pa, err := m.Ask(`X`, "Pa")
+	if want := answersFor(t, prog, grown, nil, `X`); err != nil || answersKey(t, pa) != want {
+		t.Fatalf("Pa after the refresh: %v\n got:\n%s\nwant:\n%s", err, answersKey(t, pa), want)
+	}
+	if st := m.Stats(); st.Generation != 2 || st.CacheMisses != 1 || st.DeltaRuns != 1 || st.DeltaFallbacks != 0 {
+		t.Errorf("stats = %+v, want generation 2 answering from cache after one refresh absorbed in place", st)
+	}
+}
+
+// Refreshes and Reloads from two goroutines at once, under -race: each
+// refresh lands in a generation the next Reload carries over, so once
+// both stop, Pa answers the last store the source held, from cache.
+func TestRefreshReloadRace(t *testing.T) {
+	prog := yatl.MustParse(twoSourceProgram)
+	names := []string{"ant"}
+	fault := source.NewFault("src1", alphaStore(names...))
+	m := New(prog, nil, WithDemandDriven(true), WithSources(fault, source.Static("src2", betaStore("bee"))))
+	if _, err := m.Ask(`X`, "Pa"); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 50
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			m.Reload(prog)
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		names = append(names, fmt.Sprintf("n%d", i))
+		fault.SetStore(alphaStore(names...))
+		if err := m.RefreshSource(context.Background(), "src1"); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	wg.Wait()
+	before := m.Stats()
+	pa, err := m.Ask(`X`, "Pa")
+	if want := answersFor(t, prog, alphaStore(names...), nil, `X`); err != nil || answersKey(t, pa) != want {
+		t.Fatalf("Pa after the race: %v\n got:\n%s\nwant:\n%s", err, answersKey(t, pa), want)
+	}
+	if st := m.Stats(); st.CacheMisses != before.CacheMisses || st.DeltaRuns != rounds || st.DeltaFallbacks != 0 {
+		t.Errorf("stats = %+v, want %d refreshes absorbed in place and Pa answered from cache", st, rounds)
+	}
 }
 
 // Stats.Sources renders the latest fetch: the error is that fetch's

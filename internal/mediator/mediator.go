@@ -194,6 +194,9 @@ type demandGen struct {
 	// restored marks a generation warm-started from a snapshot rather
 	// than computed by this process (surfaced in Stats).
 	restored bool
+	// superseded marks a generation a Reload has cloned (reload.go): a
+	// refresh that locks it afterwards moves on to the clone. Under mu.
+	superseded bool
 }
 
 // runLedger is the bookkeeping of a generation's slice runs, immutable
@@ -283,6 +286,13 @@ type Mediator struct {
 	deltaRuns      atomic.Int64
 	deltaFallbacks atomic.Int64
 	patchedRules   atomic.Int64
+
+	// Test instrumentation, unset in the library: beforeRefreshLock runs
+	// each time a refresh is about to lock its generation, and
+	// refreshCommitsOneGroup is the unsound refresh the generated refresh
+	// test must catch — a re-run that commits only its first group.
+	beforeRefreshLock      func()
+	refreshCommitsOneGroup bool
 }
 
 // New returns a mediator over the program and sources. Nothing runs
@@ -713,7 +723,7 @@ func (m *Mediator) ensureDemand(ctx context.Context, st *progState, pt *pattern.
 			return nil, false, nil, err
 		}
 		g.ran(res.Stats)
-		g.cache.commit(sub.Construct, res.Outputs, false)
+		g.cache.commit(sub.Construct, res.Outputs)
 		v = g.cache.view()
 	}
 	return v.candidates(pt, functors...), len(missing) == 0, v, nil
@@ -824,16 +834,14 @@ type Stats struct {
 	// SliceRuns counts engine slice executions performed; an Ask that
 	// increments CacheHits performed none.
 	SliceRuns int64 `json:"slice_runs"`
-	// DeltaRuns counts RefreshSource calls absorbed incrementally: the
-	// new fetch was diffed against the generation's pinned one and the
-	// demand cache was patched in place (or the delta was empty, or
-	// touched no cached rule). DeltaFallbacks counts refreshes where
-	// patching would have been unsound — deletions, multi-pattern
-	// joins, Skolem derefs, exception rules, output collisions,
-	// degraded sources — and the mediator re-ran the affected slice or
-	// invalidated wholesale instead. PatchedRules counts the construct
-	// rules of the cached groups whose entries were rewritten across
-	// both paths.
+	// DeltaRuns counts RefreshSource calls absorbed in place: the new
+	// fetch was diffed against the generation's pinned one and the slice
+	// of the cached groups it reaches was re-run (or the delta was empty,
+	// or touched no cached rule, and nothing ran). DeltaFallbacks counts
+	// the rest: wholesale invalidations (degraded source, no baseline,
+	// another source down), failed fetches of the refreshed source and
+	// failed re-runs. PatchedRules counts the construct rules of the
+	// cached groups whose entries were rewritten.
 	DeltaRuns      int64 `json:"delta_runs"`
 	DeltaFallbacks int64 `json:"delta_fallbacks"`
 	PatchedRules   int64 `json:"patched_rules"`
@@ -997,20 +1005,18 @@ func (m *Mediator) Reload(prog *yatl.Program) {
 }
 
 // RefreshSource re-fetches the named source and absorbs whatever
-// changed with as little re-computation as it can prove sound. A
-// demand-driven mediator diffs the new fetch against the snapshot this
-// generation's cache was computed from and propagates the delta
-// through only the affected rule slices (delta.go), patching the
-// demand cache in place where that is provably byte-identical to a
-// re-run and falling back to a slice re-run — or, for a previously
-// degraded source, wholesale invalidation — where it is not. When the
-// fetch leaves the named source down it returns a *FetchError naming it
-// and changes nothing: the generation keeps answering, completely, from
-// the snapshot it pinned, while Stats reports the failed fetch. A
-// full-materialization mediator reconverts wholesale. A nil ctx is
-// normalized before it can reach source decorators (whose timeout and
-// breaker paths call ctx methods); an unknown name returns a
-// *NotFoundError.
+// changed. A demand-driven mediator diffs the new fetch against the
+// snapshot this generation's cache was computed from and re-runs only
+// the slice of the cached groups the delta can reach (delta.go) — or,
+// for a previously degraded source or a generation with no baseline,
+// invalidates wholesale. A refresh racing a Reload is absorbed by the
+// generation the Reload installs. When the fetch leaves the named
+// source down it returns a *FetchError naming it and changes nothing:
+// the generation keeps answering, completely, from the snapshot it
+// pinned, while Stats reports the failed fetch. A full-materialization
+// mediator reconverts wholesale. A nil ctx is normalized before it can
+// reach source decorators (whose timeout and breaker paths call ctx
+// methods); an unknown name returns a *NotFoundError.
 func (m *Mediator) RefreshSource(ctx context.Context, name string) error {
 	if !slices.ContainsFunc(m.sources, func(s source.Source) bool { return s.Name() == name }) {
 		return &NotFoundError{Name: name}

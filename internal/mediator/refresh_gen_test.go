@@ -15,7 +15,6 @@ import (
 	"yat/internal/engine"
 	"yat/internal/snapshot"
 	"yat/internal/source"
-	"yat/internal/trace"
 	"yat/internal/tree"
 	"yat/internal/yatl"
 )
@@ -136,15 +135,15 @@ func touches(d *delta.Delta, family string) bool {
 // first piece): over seeded sequences of insert / delete / rewrite
 // mixes, a demand mediator that absorbs each refresh answers every
 // cached functor exactly as a fresh full-mode mediator over the same
-// store — whichever tier absorbed it. Functors are warmed a few at a
-// time, some of them by a cold ask between a source change and its
-// refresh (PR 15's drift: that ask answers from the pin and must not
-// move the baseline the refresh diffs against), so the cache is partial
-// through most of a sequence; a functor not yet cached has nothing a
-// refresh could leave stale, is compared when it is first asked, and
-// all of them are after the last refresh. What it guards above all is
-// the one dependency oracle: engine.AffectedRules over both sides of
-// the delta, mapped to groups by demandCache.dependents.
+// store. Functors are warmed a few at a time, some of them by a cold ask
+// between a source change and its refresh (the drift case: that ask
+// answers from the pin and must not move the baseline the refresh diffs
+// against), so the cache is partial through most of a sequence; a
+// functor not yet cached has nothing a refresh could leave stale, is
+// compared when it is first asked, and all of them are after the last
+// refresh. What it guards above all is the one dependency oracle:
+// engine.AffectedRules over both sides of the delta, mapped to groups
+// by demandCache.dependents.
 //
 // YAT_REFRESH_SEED=n runs one seed; YAT_SOAK=1 runs 3000.
 func TestRefreshMatchesRerun(t *testing.T) {
@@ -164,105 +163,24 @@ func TestRefreshMatchesRerun(t *testing.T) {
 		}
 		first, seeds = n, 1
 	}
-	ctx := context.Background()
 	made := map[string]int{}
 	for seed := first; seed < first+seeds; seed++ {
-		g := refreshGen{rand.New(rand.NewSource(seed))}
-		pinned := g.store() // what the generation must be answering from
-		fault := source.NewFault("src", pinned)
-		rec := &trace.Recorder{}
-		m := New(prog, nil, WithDemandDriven(true), engine.WithTrace(rec), WithSources(fault))
-		cached := map[string]bool{}
-		var history []string
-		check := func(what, functor string) {
-			t.Helper()
-			cached[functor] = true
-			want, err := New(prog, pinned).Ask(`X`, functor)
-			if err != nil {
-				t.Fatalf("full mode: %v", err)
-			}
-			got, err := m.Ask(`X`, functor)
-			if err != nil {
-				t.Fatalf("demand mode: %v", err)
-			}
-			if g, w := mergeKeys(got), mergeKeys(want); !slices.Equal(g, w) {
-				t.Fatalf("seed %d, %s: %s differs from a fresh full-mode mediator over the same store\n got %q\nwant %q\n%s\nstore:\n%s\nrerun with YAT_REFRESH_SEED=%d go test ./internal/mediator -run %s",
-					seed, what, functor, g, w, strings.Join(history, "\n"), tree.FormatStore(pinned), seed, t.Name())
-			}
-		}
-		check("warm-up", refreshFunctors[g.Intn(len(refreshFunctors))])
-		for _, f := range refreshFunctors {
-			if g.Intn(3) == 0 {
-				check("warm-up", f)
-			}
-		}
-		for step := 1; step <= refreshSteps; step++ {
-			next := g.mutate(pinned, g.Intn(2) == 0)
-			fault.SetStore(next)
-			d := delta.Diff(pinned, next)
-			what := fmt.Sprintf("step %d (+%d -%d ~%d)", step, len(d.Inserted), len(d.Deleted), len(d.Changed))
-			var cold []string
-			for _, f := range refreshFunctors {
-				if !cached[f] {
-					cold = append(cold, f)
-				}
-			}
-			if len(cold) > 0 && g.Intn(2) == 0 {
-				made["cold ask between a source change and its refresh"]++
-				f := cold[g.Intn(len(cold))]
-				history = append(history, what+": cold ask of "+f)
-				check(what+", before the refresh", f)
-			}
-			if cached["Pleaf"] && touches(d, "feeder") && !touches(d, "part") {
-				made["a cached group reached through its support rule alone"]++
-			}
-			if cached["Pitem"] && slices.ContainsFunc(d.Changed, func(c delta.Change) bool {
-				return strings.Contains(c.Old.String(), "hot") != strings.Contains(c.New.String(), "hot")
-			}) {
-				made["a rewrite moves an entry between Specific and General"]++
-			}
-
-			before := m.Stats()
-			if err := m.RefreshSource(ctx, "src"); err != nil {
-				t.Fatalf("seed %d, %s: refresh: %v", seed, what, err)
-			}
-			pinned = next
-			switch after := m.Stats(); {
-			case after.DeltaFallbacks > before.DeltaFallbacks:
-				made["tier 2: slice re-run"]++
-				falls := deltaEvents(rec, trace.KindDeltaFallback)
-				_, reason, _ := strings.Cut(falls[len(falls)-1].Detail, "reason=")
-				reason, _, _ = strings.Cut(reason, " ")
-				what += " tier 2, " + reason
-				made["reason "+reason]++
-			case after.SliceRuns > before.SliceRuns:
-				made["tier 1: insert patch"]++
-				what += " tier 1"
-			case !d.Empty():
-				made["no cached group affected"]++
-				what += " nothing affected"
-			}
-			history = append(history, what)
-			for _, f := range refreshFunctors {
-				if cached[f] || step == refreshSteps {
-					check(what, f)
-				}
-			}
+		if diff := checkRefreshSeed(t, prog, seed, made, false); diff != "" {
+			t.Fatalf("seed %d: %s\nrerun with YAT_REFRESH_SEED=%d go test ./internal/mediator -run %s",
+				seed, diff, seed, t.Name())
 		}
 	}
 	if seeds == 1 {
 		return
 	}
-	// Not vacuous: every tier absorbed refreshes, for each reason a fixed
-	// program without exception rules or head derefs can give, and the
-	// traps the oracle exists for were all set.
+	// Not vacuous: refreshes were re-run and were found to reach nothing,
+	// and the traps the oracle exists for were all set.
 	for trap, atLeast := range map[string]int{
-		"tier 1: insert patch":                                  50,
-		"tier 2: slice re-run":                                  50,
+		"re-run of the affected slice":                          50,
 		"no cached group affected":                              50,
-		"reason " + ReasonDeletions:                             20,
-		"reason " + ReasonMultiPatternJoin:                      20,
-		"reason " + ReasonOutputCollision:                       20,
+		"an insert into a cached group":                         50,
+		"a deletion or rewrite re-run":                          50,
+		"a join re-run":                                         50,
 		"cold ask between a source change and its refresh":      50,
 		"a cached group reached through its support rule alone": 50,
 		"a rewrite moves an entry between Specific and General": 50,
@@ -272,6 +190,127 @@ func TestRefreshMatchesRerun(t *testing.T) {
 		}
 	}
 	t.Logf("%d seeds: %v", seeds, made)
+}
+
+// TestRefreshMutationDetected proves the oracle can fail: a refresh
+// whose re-run commits only the first of the groups it recomputed is
+// caught.
+func TestRefreshMutationDetected(t *testing.T) {
+	prog := yatl.MustParse(refreshProgram)
+	caught := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		if checkRefreshSeed(t, prog, seed, map[string]int{}, true) != "" {
+			caught++
+		}
+	}
+	if caught < 150 {
+		t.Errorf("committing one group of a re-run was caught on %d of 300 seeds, want ≥ 150", caught)
+	}
+	t.Logf("committing one group of a re-run was caught on %d of 300 seeds", caught)
+}
+
+// checkRefreshSeed runs one seeded sequence of asks and refreshes,
+// counting the traps it sets in made, and returns its first divergence
+// from a fresh full-mode mediator with the edit history behind it, ""
+// when there is none. commitsOneGroup arms the mutant.
+func checkRefreshSeed(t *testing.T, prog *yatl.Program, seed int64, made map[string]int, commitsOneGroup bool) string {
+	t.Helper()
+	ctx := context.Background()
+	g := refreshGen{rand.New(rand.NewSource(seed))}
+	pinned := g.store() // what the generation must be answering from
+	fault := source.NewFault("src", pinned)
+	m := New(prog, nil, WithDemandDriven(true), WithSources(fault))
+	m.refreshCommitsOneGroup = commitsOneGroup
+	cached := map[string]bool{}
+	var history []string
+	check := func(what, functor string) string {
+		t.Helper()
+		cached[functor] = true
+		want, err := New(prog, pinned).Ask(`X`, functor)
+		if err != nil {
+			t.Fatalf("seed %d: full mode: %v", seed, err)
+		}
+		got, err := m.Ask(`X`, functor)
+		if err != nil {
+			t.Fatalf("seed %d: demand mode: %v", seed, err)
+		}
+		if g, w := mergeKeys(got), mergeKeys(want); !slices.Equal(g, w) {
+			return fmt.Sprintf("%s: %s differs from a fresh full-mode mediator over the same store\n got %q\nwant %q\n%s\nstore:\n%s",
+				what, functor, g, w, strings.Join(history, "\n"), tree.FormatStore(pinned))
+		}
+		return ""
+	}
+	if diff := check("warm-up", refreshFunctors[g.Intn(len(refreshFunctors))]); diff != "" {
+		return diff
+	}
+	for _, f := range refreshFunctors {
+		if g.Intn(3) == 0 {
+			if diff := check("warm-up", f); diff != "" {
+				return diff
+			}
+		}
+	}
+	for step := 1; step <= refreshSteps; step++ {
+		next := g.mutate(pinned, g.Intn(2) == 0)
+		fault.SetStore(next)
+		d := delta.Diff(pinned, next)
+		what := fmt.Sprintf("step %d (+%d -%d ~%d)", step, len(d.Inserted), len(d.Deleted), len(d.Changed))
+		var cold []string
+		for _, f := range refreshFunctors {
+			if !cached[f] {
+				cold = append(cold, f)
+			}
+		}
+		if len(cold) > 0 && g.Intn(2) == 0 {
+			made["cold ask between a source change and its refresh"]++
+			f := cold[g.Intn(len(cold))]
+			history = append(history, what+": cold ask of "+f)
+			if diff := check(what+", before the refresh", f); diff != "" {
+				return diff
+			}
+		}
+		if cached["Pleaf"] && touches(d, "feeder") && !touches(d, "part") {
+			made["a cached group reached through its support rule alone"]++
+		}
+		if cached["Pitem"] && slices.ContainsFunc(d.Changed, func(c delta.Change) bool {
+			return strings.Contains(c.Old.String(), "hot") != strings.Contains(c.New.String(), "hot")
+		}) {
+			made["a rewrite moves an entry between Specific and General"]++
+		}
+
+		before := m.Stats()
+		if err := m.RefreshSource(ctx, "src"); err != nil {
+			t.Fatalf("seed %d, %s: refresh: %v", seed, what, err)
+		}
+		pinned = next
+		switch after := m.Stats(); {
+		case after.DeltaFallbacks > before.DeltaFallbacks:
+			t.Fatalf("seed %d, %s: the refresh of a healthy source fell back: %+v", seed, what, after)
+		case after.SliceRuns > before.SliceRuns:
+			made["re-run of the affected slice"]++
+			what += " re-run"
+			if len(d.Deleted)+len(d.Changed) == 0 {
+				made["an insert into a cached group"]++
+			} else {
+				made["a deletion or rewrite re-run"]++
+			}
+			if cached["Pjoin"] && (touches(d, "left") || touches(d, "right")) {
+				made["a join re-run"]++
+			}
+		case !d.Empty():
+			made["no cached group affected"]++
+			what += " nothing affected"
+		}
+		history = append(history, what)
+		for _, f := range refreshFunctors {
+			if cached[f] || step == refreshSteps {
+				if diff := check(what, f); diff != "" {
+					return diff
+				}
+			}
+		}
+	}
+	return ""
 }
 
 // restoreProgram is refreshProgram plus a group whose two rules mint the

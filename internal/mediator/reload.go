@@ -24,11 +24,13 @@ import (
 // cloneFor builds the successor demand generation for a reload from
 // the program analysed as oldFacts to the one analysed as newFacts: the
 // run bookkeeping is copied, the unchanged functor groups are shared and
-// with them the input snapshot they were computed from. g itself is not
-// modified — in-flight queries keep answering from it.
+// with them the input snapshot they were computed from. g is only
+// marked superseded, so a refresh waiting for its lock follows the
+// clone; in-flight queries keep answering from it.
 func (g *demandGen) cloneFor(oldFacts, newFacts *engine.ProgramFacts) *demandGen {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.superseded = true
 	c := newDemandGen(newFacts, *g.ledger.Load())
 	c.pin = g.pin
 	c.cache = g.cache.carryOver(newFacts.SliceFor, func(f string) bool {

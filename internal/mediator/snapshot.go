@@ -132,7 +132,7 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 
 	g := newDemandGen(st.facts, runLedger{stats: s.Payload.Stats, runs: s.Payload.Runs})
 	g.restored = true
-	g.cache.commit(rules, outputs, false)
+	g.cache.commit(rules, outputs)
 	g.pin = restoredSnap(s.Payload.Degraded)
 
 	m.mu.Lock()

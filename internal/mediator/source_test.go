@@ -295,8 +295,8 @@ func TestFailedRefreshKeepsGeneration(t *testing.T) {
 		t.Errorf("source health = %+v, want src2's failed fetch over its last good count", st.Sources)
 	}
 
-	// Healed and grown: one insert patch against the pin the failed
-	// refresh left in place.
+	// Healed and grown: one insert absorbed in place against the pin the
+	// failed refresh left in place.
 	grown := betaStore("bee", "boa")
 	fault.SetErr(nil)
 	fault.SetStore(grown)

@@ -145,17 +145,17 @@ const (
 	// KindBreakerOpen records a circuit breaker tripping open; Detail
 	// is the source name, Count the consecutive-failure count.
 	KindBreakerOpen
-	// KindDeltaApplied records a source refresh absorbed by delta
-	// propagation (the cache was patched in place, or the delta was
+	// KindDeltaApplied records a source refresh absorbed in place (the
+	// slice of the affected cached groups was re-run, or the delta was
 	// empty or touched no cached rule); Detail carries the source name
 	// and inserted/deleted/changed/patched-rule counts, Count the
-	// number of patched rules.
+	// number of construct rules whose groups changed.
 	KindDeltaApplied
-	// KindDeltaFallback records a source refresh that could not be
-	// patched and fell back to a slice re-run or wholesale
-	// invalidation; Detail carries the source name and the machine-
-	// readable fallback reason, Count the number of re-run rules whose
-	// outputs actually changed.
+	// KindDeltaFallback records a source refresh that was not absorbed
+	// in place: wholesale invalidation, a failed fetch or a failed
+	// re-run; Detail carries the source name and the machine-readable
+	// fallback reason, Count the number of construct rules whose groups
+	// changed.
 	KindDeltaFallback
 	// KindShardAsk records one scatter call into a federation child;
 	// Detail is the shard name, Count the number of answers it

@@ -301,8 +301,8 @@ func SplitStore(s *tree.Store, k int) []*tree.Store {
 // own root symbol parti — k independent single-source rule families
 // over disjoint data. A refresh that only touches family i's entries
 // affects exactly one of the k cached functor groups, which is the
-// shape the incremental-refresh benchmark measures: delta propagation
-// should patch one group while full re-materialization redoes all k.
+// shape the incremental-refresh benchmark measures: a refresh should
+// re-run one group while full re-materialization redoes all k.
 func PartitionedProgram(k int) string {
 	var sb strings.Builder
 	sb.WriteString("program partitioned\n")
