@@ -35,32 +35,28 @@ type Delta struct {
 }
 
 // Diff computes the delta from old to new. A nil store is treated as
-// empty. Entries are compared by name key and deep tree equality.
+// empty. Entries are matched through the stores' own index and
+// compared by deep tree equality.
 func Diff(old, new *tree.Store) *Delta {
+	if old == nil {
+		old = tree.NewStore()
+	}
+	if new == nil {
+		new = tree.NewStore()
+	}
 	d := &Delta{}
-	oldKeys := map[string]bool{}
-	if old != nil {
-		for _, e := range old.Entries() {
-			oldKeys[e.Name.Key()] = true
+	for _, e := range new.Entries() {
+		prev, ok := old.Get(e.Name)
+		switch {
+		case !ok:
+			d.Inserted = append(d.Inserted, e)
+		case !prev.Equal(e.Tree):
+			d.Changed = append(d.Changed, Change{Name: e.Name, Old: prev, New: e.Tree})
 		}
 	}
-	if new != nil {
-		for _, e := range new.Entries() {
-			if !oldKeys[e.Name.Key()] {
-				d.Inserted = append(d.Inserted, e)
-				continue
-			}
-			prev, _ := old.Get(e.Name)
-			if !prev.Equal(e.Tree) {
-				d.Changed = append(d.Changed, Change{Name: e.Name, Old: prev, New: e.Tree})
-			}
-		}
-	}
-	if old != nil {
-		for _, e := range old.Entries() {
-			if new == nil || !new.Has(e.Name) {
-				d.Deleted = append(d.Deleted, e)
-			}
+	for _, e := range old.Entries() {
+		if !new.Has(e.Name) {
+			d.Deleted = append(d.Deleted, e)
 		}
 	}
 	return d

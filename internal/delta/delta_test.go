@@ -62,6 +62,25 @@ func TestDiffEmpty(t *testing.T) {
 	}
 }
 
+// Two Skolem names that differ only in their argument's kind are two
+// entries: the symbol x is deleted and the string "x" inserted.
+func TestDiffKindDistinctNames(t *testing.T) {
+	sym, str := tree.SkolemName("P", tree.Symbol("x")), tree.SkolemName("P", tree.String("x"))
+	old, new := tree.NewStore(), tree.NewStore()
+	old.Put(sym, tree.Sym("item"))
+	new.Put(str, tree.Sym("item"))
+	d := Diff(old, new)
+	if len(d.Inserted) != 1 || d.Inserted[0].Name.Key() != str.Key() {
+		t.Errorf("Inserted = %+v, want [%s]", d.Inserted, str)
+	}
+	if len(d.Deleted) != 1 || d.Deleted[0].Name.Key() != sym.Key() {
+		t.Errorf("Deleted = %+v, want [%s]", d.Deleted, sym)
+	}
+	if len(d.Changed) != 0 {
+		t.Errorf("Changed = %+v, want none", d.Changed)
+	}
+}
+
 // Inserted and Changed follow the new store's entry order, Deleted the
 // old store's.
 func TestDiffPreservesStoreOrder(t *testing.T) {

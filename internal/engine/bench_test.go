@@ -11,12 +11,14 @@ import (
 // Cartesian product with consistency filtering (Rule 3's shape), over
 // frames of two 400-binding lists sharing one slot.
 func BenchmarkJoinStrategies(b *testing.B) {
+	var tab values
+	tab.reset()
 	mk := func(n, payload int) []frame {
 		out := make([]frame, n)
 		for i := range out {
 			out[i] = make(frame, 3)
-			out[i][0] = tree.Int(int64(i % 50))
-			out[i][payload] = tree.String(fmt.Sprintf("row-%d", i))
+			out[i][0] = tab.add(tree.Int(int64(i % 50)))
+			out[i][payload] = tab.add(tree.String(fmt.Sprintf("row-%d", i)))
 		}
 		return out
 	}
@@ -25,7 +27,7 @@ func BenchmarkJoinStrategies(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var sl frameSlab
-			if got := hashJoin(as, bs, &sl); len(got) == 0 {
+			if got := hashJoin(&tab, as, bs, &sl); len(got) == 0 {
 				b.Fatal("empty join")
 			}
 		}
@@ -34,7 +36,7 @@ func BenchmarkJoinStrategies(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var sl frameSlab
-			if got := product(as, bs, &sl); len(got) == 0 {
+			if got := product(&tab, as, bs, &sl); len(got) == 0 {
 				b.Fatal("empty join")
 			}
 		}

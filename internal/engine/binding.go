@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/binary"
 	"sort"
 	"strings"
 
@@ -58,80 +57,34 @@ func (b Binding) String() string {
 	return "[" + strings.Join(parts, "; ") + "]"
 }
 
-// appendKey appends an injective encoding of v to dst: a kind tag (0
-// for an unbound slot), then the value's bytes behind their length —
-// a string's or symbol's own bytes, a subtree's labels and child
-// counts, a reference's functor and arguments, the display form of
-// the other atoms. It refines Binding.Key's rule (trees by structure,
-// everything else by display form) by kind: values of one kind share
-// an encoding when they display alike, and never across kinds, at any
-// depth of a tree or a reference's arguments. Dedup, join and grouping
-// keys are concatenations of these, looked up as m[string(key)] in a
-// reused buffer: only an insert allocates.
-func appendKey(dst []byte, v tree.Value) []byte {
-	if v == nil {
-		return append(dst, 0)
-	}
-	dst = append(dst, byte(v.Kind())+1, 0, 0, 0, 0)
-	at := len(dst)
-	switch x := v.(type) {
-	case tree.String:
-		dst = append(dst, x...)
-	case tree.Symbol:
-		dst = append(dst, x...)
-	case tree.TreeVal:
-		dst = appendTreeKey(dst, x.Root)
-	case tree.Ref:
-		dst = binary.AppendUvarint(dst, uint64(len(x.Name.Functor)))
-		dst = append(dst, x.Name.Functor...)
-		for _, a := range x.Name.Args {
-			dst = appendKey(dst, a)
-		}
-	default:
-		dst = tree.AppendDisplay(dst, v)
-	}
-	binary.LittleEndian.PutUint32(dst[at-4:], uint32(len(dst)-at))
-	return dst
-}
-
-func appendTreeKey(dst []byte, n *tree.Node) []byte {
-	if n == nil {
-		return append(dst, 0)
-	}
-	dst = appendKey(dst, n.Label)
-	dst = binary.AppendUvarint(dst, uint64(len(n.Children)))
-	for _, c := range n.Children {
-		dst = appendTreeKey(dst, c)
-	}
-	return dst
-}
-
 // appendFrameKey appends the key of the frame's slots — all of them
-// when slots is nil.
-func appendFrameKey(dst []byte, f frame, slots []int) []byte {
+// when slots is nil — as the concatenation of their values' tree binary
+// keys (an unbound slot is a 0 byte). Dedup, join and partition keys
+// are these, looked up as m[string(key)] in a reused buffer.
+func appendFrameKey(dst []byte, t *values, f frame, slots []int) []byte {
 	if slots == nil {
-		for _, v := range f {
-			dst = appendKey(dst, v)
+		for _, h := range f {
+			dst = tree.AppendBinaryKey(dst, t.vals[h])
 		}
 		return dst
 	}
 	for _, s := range slots {
-		dst = appendKey(dst, f[s])
+		dst = tree.AppendBinaryKey(dst, t.vals[f[s]])
 	}
 	return dst
 }
 
-// frameSlab cuts the frames a run keeps — join results — out of
-// shared blocks.
+// frameSlab cuts the frames a run keeps — matches and join results —
+// out of shared blocks.
 type frameSlab struct {
-	buf []tree.Value
+	buf []uint32
 	off int
 }
 
 // take returns an all-unbound frame of width w.
 func (s *frameSlab) take(w int) frame {
 	if len(s.buf)-s.off < w {
-		s.buf, s.off = make([]tree.Value, max(64*w, 256)), 0
+		s.buf, s.off = make([]uint32, max(64*w, 256)), 0
 	}
 	f := s.buf[s.off : s.off+w : s.off+w]
 	s.off += w
@@ -145,7 +98,7 @@ func (s *frameSlab) untake(f frame) {
 }
 
 // product merges every pair from as × bs, keeping consistent merges.
-func product(as, bs []frame, sl *frameSlab) []frame {
+func product(t *values, as, bs []frame, sl *frameSlab) []frame {
 	if len(as) == 0 || len(bs) == 0 {
 		return nil
 	}
@@ -154,7 +107,7 @@ func product(as, bs []frame, sl *frameSlab) []frame {
 		for _, b := range bs {
 			f := sl.take(len(a))
 			copy(f, a)
-			if merge(f, b) {
+			if t.merge(f, b) {
 				out = append(out, f)
 			} else {
 				sl.untake(f)
@@ -169,25 +122,25 @@ func product(as, bs []frame, sl *frameSlab) []frame {
 // same variables). With no shared slot it degrades to the Cartesian
 // product. This is the join used for multi-pattern rule bodies (Rule
 // 3's heterogeneous join, experiment E5).
-func hashJoin(as, bs []frame, sl *frameSlab) []frame {
+func hashJoin(t *values, as, bs []frame, sl *frameSlab) []frame {
 	if len(as) == 0 || len(bs) == 0 {
 		return nil
 	}
 	var shared []int
-	for s, v := range as[0] {
-		if v != nil && bs[0][s] != nil {
+	for s, h := range as[0] {
+		if h != 0 && bs[0][s] != 0 {
 			shared = append(shared, s)
 		}
 	}
 	if len(shared) == 0 {
-		return product(as, bs, sl)
+		return product(t, as, bs, sl)
 	}
 	// Per join key, the positions in bs of the frames carrying it.
 	index := make(map[string]int, len(bs))
 	var carriers [][]int
 	var buf []byte
 	for j, b := range bs {
-		buf = appendFrameKey(buf[:0], b, shared)
+		buf = appendFrameKey(buf[:0], t, b, shared)
 		k, ok := index[string(buf)]
 		if !ok {
 			k = len(carriers)
@@ -198,7 +151,7 @@ func hashJoin(as, bs []frame, sl *frameSlab) []frame {
 	}
 	var out []frame
 	for _, a := range as {
-		buf = appendFrameKey(buf[:0], a, shared)
+		buf = appendFrameKey(buf[:0], t, a, shared)
 		k, ok := index[string(buf)]
 		if !ok {
 			continue
@@ -206,7 +159,7 @@ func hashJoin(as, bs []frame, sl *frameSlab) []frame {
 		for _, j := range carriers[k] {
 			f := sl.take(len(a))
 			copy(f, a)
-			if merge(f, bs[j]) {
+			if t.merge(f, bs[j]) {
 				out = append(out, f)
 			} else {
 				sl.untake(f)

@@ -45,8 +45,13 @@ func (e *NonDetError) Error() string {
 // built one at a time by one constructor, oid naming the current one.
 type constructor struct {
 	plan *rulePlan
+	tab  *values // the table the frames' handles index
 	oid  tree.Name
 	buf  []byte
+	// parts stacks the partitions of the grouping edges being built;
+	// args is skolemArgs' scratch.
+	parts [][][]frame
+	args  []tree.Value
 }
 
 // construct builds the output tree for one Skolem group. The group
@@ -90,21 +95,37 @@ func (c *constructor) construct(h *hnode, group []frame) (*tree.Node, error) {
 // group agrees (a disagreement outside a grouping edge is the run-time
 // non-determinism alert).
 func (c *constructor) consistentValue(group []frame, slot int) (tree.Value, error) {
-	val := group[0][slot]
-	if val == nil {
+	h := group[0][slot]
+	if h == 0 {
 		return nil, fmt.Errorf("engine: rule %s: head variable %s is unbound", c.plan.rule.Name, c.plan.vars[slot])
 	}
+	val := c.tab.vals[h]
 	for _, f := range group[1:] {
-		if other := f[slot]; other == nil || !other.Equal(val) {
+		if other := f[slot]; other != h && (other == 0 || !c.tab.vals[other].Equal(val)) {
 			shown := "nothing"
-			if other != nil {
-				shown = other.Display()
+			if other != 0 {
+				shown = c.tab.vals[other].Display()
 			}
 			return nil, &NonDetError{Rule: c.plan.rule.Name, OID: c.oid,
 				Why: fmt.Sprintf("variable %s takes distinct values %s and %s", c.plan.vars[slot], val.Display(), shown)}
 		}
 	}
 	return val, nil
+}
+
+// skolemArgs returns the values of a Skolem identity's arguments in
+// frame f, in a scratch slice that the next call reuses; ok is false
+// when one is unbound.
+func (c *constructor) skolemArgs(args []operand, f frame) ([]tree.Value, bool) {
+	c.args = c.args[:0]
+	for _, a := range args {
+		v, ok := a.value(c.tab, f)
+		if !ok {
+			return nil, false
+		}
+		c.args = append(c.args, v)
+	}
+	return c.args, true
 }
 
 // evalSkolem computes the Skolem identity functor(args) for the group
@@ -140,46 +161,85 @@ func (c *constructor) evalSkolem(functor string, args []operand, group []frame) 
 //     projection, sorted by the criteria values.
 //   - Index (#I): one child per distinct index value, sorted
 //     numerically — array construction (Rule 5).
+//
+// The grouping edges are partitioned first, so the node's child count
+// is known and its children slice is allocated once.
 func (c *constructor) addEdges(n *tree.Node, edges []hedge, group []frame) (*tree.Node, error) {
+	if len(edges) == 0 {
+		return n, nil
+	}
+	// c.parts is a stack: this call's partitions sit from base up, and
+	// the nested calls push and pop theirs above them.
+	base, size := len(c.parts), 0
+	for i := range edges {
+		e := &edges[i]
+		switch e.occ {
+		case pattern.OccOne:
+			size++
+		case pattern.OccStar:
+			size += len(group)
+		default:
+			var subgroups [][]frame
+			// An index edge without a variable is reported in order below.
+			if e.occ != pattern.OccIndex || e.part != nil {
+				subgroups = c.partition(group, e.part)
+			}
+			if e.order != nil {
+				sort.SliceStable(subgroups, func(i, j int) bool {
+					return lessByCriteria(c.tab, subgroups[i][0], subgroups[j][0], e.order)
+				})
+			}
+			c.parts = append(c.parts, subgroups)
+			size += len(subgroups)
+		}
+	}
+	n.Children = make([]*tree.Node, 0, size)
+	err := c.addChildren(n, edges, group, base)
+	c.parts = c.parts[:base]
+	if err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// addChildren constructs the edges' children into n, taking the
+// grouping edges' partitions from c.parts, starting at next.
+func (c *constructor) addChildren(n *tree.Node, edges []hedge, group []frame, next int) error {
 	for i := range edges {
 		e := &edges[i]
 		switch e.occ {
 		case pattern.OccOne:
 			child, err := c.construct(e.to, group)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			n.Add(child)
+			n.Children = append(n.Children, child)
 
 		case pattern.OccStar:
 			for j := range group {
 				child, err := c.construct(e.to, group[j:j+1])
 				if err != nil {
-					return nil, err
+					return err
 				}
-				n.Add(child)
+				n.Children = append(n.Children, child)
 			}
 
 		case pattern.OccGroup, pattern.OccOrdered, pattern.OccIndex:
 			if e.occ == pattern.OccIndex && e.part == nil {
-				return nil, fmt.Errorf("engine: rule %s: index edge without variable", c.plan.rule.Name)
+				return fmt.Errorf("engine: rule %s: index edge without variable", c.plan.rule.Name)
 			}
-			subgroups := c.partition(group, e.part)
-			if e.order != nil {
-				sort.SliceStable(subgroups, func(i, j int) bool {
-					return lessByCriteria(subgroups[i][0], subgroups[j][0], e.order)
-				})
-			}
+			subgroups := c.parts[next]
+			next++
 			for _, sg := range subgroups {
 				child, err := c.construct(e.to, sg)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				n.Add(child)
+				n.Children = append(n.Children, child)
 			}
 		}
 	}
-	return n, nil
+	return nil
 }
 
 // shallowVars collects the variables that determine a grouping edge's
@@ -229,7 +289,7 @@ func (c *constructor) partition(group []frame, slots []int) [][]frame {
 	index := map[string]int{}
 	var sizes []int
 	for i, f := range group {
-		c.buf = appendFrameKey(c.buf[:0], f, slots)
+		c.buf = appendFrameKey(c.buf[:0], c.tab, f, slots)
 		id, ok := index[string(c.buf)]
 		if !ok {
 			id = len(sizes)
@@ -260,11 +320,11 @@ func splitByID(frames []frame, ids, sizes []int) [][]frame {
 	return out
 }
 
-// lessByCriteria orders two frames by the values of the criteria slots
-// (unbound values sort first).
-func lessByCriteria(a, b frame, crit []int) bool {
+// lessByCriteria orders two frames of table t by the values of the
+// criteria slots (unbound values sort first).
+func lessByCriteria(t *values, a, b frame, crit []int) bool {
 	for _, s := range crit {
-		av, bv := a[s], b[s]
+		av, bv := t.vals[a[s]], t.vals[b[s]]
 		switch {
 		case av == nil && bv == nil:
 			continue

@@ -217,18 +217,20 @@ rule Specific {
 }
 
 func TestLessByCriteriaMissingValues(t *testing.T) {
-	a := frame{tree.Int(1)}
-	b := frame{nil}
-	if !lessByCriteria(b, a, []int{0}) {
+	var tab values
+	tab.reset()
+	a := frame{tab.add(tree.Int(1))}
+	b := frame{0}
+	if !lessByCriteria(&tab, b, a, []int{0}) {
 		t.Error("missing value should sort first")
 	}
-	if lessByCriteria(a, b, []int{0}) {
+	if lessByCriteria(&tab, a, b, []int{0}) {
 		t.Error("present value should sort after missing")
 	}
-	if lessByCriteria(a, a, []int{0}) {
+	if lessByCriteria(&tab, a, a, []int{0}) {
 		t.Error("equal bindings are not less")
 	}
-	if lessByCriteria(b, b, []int{0}) {
+	if lessByCriteria(&tab, b, b, []int{0}) {
 		t.Error("both missing are not less")
 	}
 }

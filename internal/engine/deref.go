@@ -14,14 +14,23 @@ import (
 // value associated to s1 exists"), as is a dynamic cycle — the
 // static safety check rules out the latter for accepted programs, but
 // the guard is kept as defence in depth.
-func expandDerefs(outputs *tree.Store) error {
-	e := &derefExpander{outputs: outputs, state: make([]uint8, outputs.Len())}
+//
+// With a non-nil inputs store the pass also returns the dangling
+// references: the Skolem-minted references in outputs that resolve
+// neither in outputs nor in inputs (plain names are assumed to refer to
+// source data and are checked against inputs only). Each is listed at
+// its first occurrence in preorder over the final trees in entry order:
+// an inlined value is expanded, and its references visited, exactly
+// where it lands in the first tree that inlines it, and an entry
+// expanded before is one whose references were all visited already.
+func expandDerefs(outputs, inputs *tree.Store) ([]tree.Name, error) {
+	e := &derefExpander{outputs: outputs, inputs: inputs, state: make([]uint8, outputs.Len())}
 	for i, entry := range outputs.Entries() {
 		if _, err := e.expandAt(i, entry.Name); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return e.dangling, nil
 }
 
 const (
@@ -34,6 +43,28 @@ const (
 type derefExpander struct {
 	outputs *tree.Store
 	state   []uint8
+	// inputs, when set, turns on the dangling check: dangling lists what
+	// it found, seen their keys.
+	inputs   *tree.Store
+	dangling []tree.Name
+	seen     map[string]bool
+	buf      []byte
+}
+
+// checkRef records name if it is a dangling reference seen first here.
+func (e *derefExpander) checkRef(name tree.Name) {
+	if e.outputs.Has(name) || e.inputs.Has(name) {
+		return
+	}
+	e.buf = name.AppendBinaryKey(e.buf[:0])
+	if e.seen[string(e.buf)] {
+		return
+	}
+	if e.seen == nil {
+		e.seen = map[string]bool{}
+	}
+	e.seen[string(e.buf)] = true
+	e.dangling = append(e.dangling, name)
 }
 
 // expandAt expands the entry at position i, bound to name.
@@ -71,6 +102,11 @@ func (e *derefExpander) expandNode(n *tree.Node) (*tree.Node, error) {
 		// Clone: the value may be inlined at several places.
 		return target.Clone(), nil
 	}
+	if e.inputs != nil {
+		if name, ok := n.RefName(); ok {
+			e.checkRef(name)
+		}
+	}
 	for i, c := range n.Children {
 		expanded, err := e.expandNode(c)
 		if err != nil {
@@ -81,30 +117,4 @@ func (e *derefExpander) expandNode(n *tree.Node) (*tree.Node, error) {
 		}
 	}
 	return n, nil
-}
-
-// danglingRefs returns the Skolem-minted references in outputs that
-// resolve neither in outputs nor in inputs. Plain (non-Skolem) names
-// are assumed to refer to source data and are checked against the
-// input store only.
-func danglingRefs(outputs, inputs *tree.Store) []tree.Name {
-	seen := map[string]bool{}
-	var out []tree.Name
-	for _, entry := range outputs.Entries() {
-		entry.Tree.Walk(func(n *tree.Node) bool {
-			name, ok := n.RefName()
-			if !ok {
-				return true
-			}
-			if outputs.Has(name) || (inputs != nil && inputs.Has(name)) {
-				return true
-			}
-			if key := name.Key(); !seen[key] {
-				seen[key] = true
-				out = append(out, name)
-			}
-			return true
-		})
-	}
-	return out
 }

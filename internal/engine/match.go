@@ -41,10 +41,10 @@ func (m *Matcher) conformance() *pattern.ConformanceChecker {
 // pattern, in match order. An ask compiles its pattern once and
 // matches every candidate entry through it.
 func (m *Matcher) Match(dst []Binding, pl *PatternPlan, n *tree.Node) []Binding {
-	c := m.getCtx()
+	c := m.getCtx(nil)
 	c.reset(len(pl.vars))
 	for i := c.matchNode(pl.root, n); i < c.top; i++ {
-		dst = append(dst, pl.binding(c.frame(i)))
+		dst = append(dst, pl.binding(c.tab, c.frame(i)))
 	}
 	m.putCtx(c)
 	return dst
@@ -62,7 +62,7 @@ func (m *Matcher) Matches(pt *pattern.PTree, n *tree.Node) bool {
 }
 
 func (m *Matcher) matches(pl *PatternPlan, n *tree.Node) bool {
-	c := m.getCtx()
+	c := m.getCtx(nil)
 	c.reset(len(pl.vars))
 	ok := c.matchNode(pl.root, n) < c.top
 	m.putCtx(c)
@@ -76,13 +76,14 @@ func (m *Matcher) matches(pl *PatternPlan, n *tree.Node) bool {
 // allocated once the stack has grown to the largest match seen. A
 // context serves one goroutine at a time.
 type matchCtx struct {
-	m    *Matcher
-	w    int          // frame width: the plan's slot count
-	top  int          // frames on the stack
-	vals []tree.Value // the frames: top*w values
-	// used is the high-water mark of vals, cleared when the context is
-	// put back so that an idle context keeps no tree alive.
-	used int
+	m *Matcher
+	// tab is the table the frames' handles index: the run's, or own, a
+	// Match call's.
+	tab   *values
+	own   values
+	w     int      // frame width: the plan's slot count
+	top   int      // frames on the stack
+	slots []uint32 // the frames: top*w handles
 	// bounds holds, per star edge being matched, where each child's
 	// list of alternatives starts on the stack.
 	bounds []int
@@ -92,15 +93,23 @@ type matchCtx struct {
 
 var ctxPool = sync.Pool{New: func() any { return new(matchCtx) }}
 
-func (m *Matcher) getCtx() *matchCtx {
+// getCtx returns a context whose frames index tab, or a table of the
+// context's own, emptied, when tab is nil.
+func (m *Matcher) getCtx(tab *values) *matchCtx {
 	c := ctxPool.Get().(*matchCtx)
-	c.m = m
+	if tab == nil {
+		c.own.reset()
+		tab = &c.own
+	}
+	c.m, c.tab = m, tab
 	return c
 }
 
+// putCtx puts the context back, its own table cleared so that an idle
+// context keeps no tree alive.
 func (m *Matcher) putCtx(c *matchCtx) {
-	clear(c.vals[:c.used])
-	c.vals, c.used, c.bounds, c.m = c.vals[:0], 0, c.bounds[:0], nil
+	clear(c.own.vals)
+	c.own.vals, c.slots, c.bounds, c.m, c.tab = c.own.vals[:0], c.slots[:0], c.bounds[:0], nil, nil
 	ctxPool.Put(c)
 }
 
@@ -112,75 +121,38 @@ func (c *matchCtx) reset(w int) {
 
 func (c *matchCtx) frame(i int) frame {
 	o := i * c.w
-	return c.vals[o : o+c.w : o+c.w]
+	return c.slots[o : o+c.w : o+c.w]
 }
 
 // push adds an all-unbound frame on top of the stack and returns it.
 // It may move the stack: frames taken before a push are stale after.
 func (c *matchCtx) push() frame {
-	o := len(c.vals)
-	c.vals = append(c.vals, make([]tree.Value, c.w)...)
-	c.used = max(c.used, len(c.vals))
+	o := len(c.slots)
+	c.slots = append(c.slots, make([]uint32, c.w)...)
 	c.top++
-	return c.vals[o : o+c.w : o+c.w]
+	return c.slots[o : o+c.w : o+c.w]
 }
 
 // pushCopy adds a copy of frame i on top of the stack and returns it.
 func (c *matchCtx) pushCopy(i int) frame {
-	o := len(c.vals)
-	c.vals = append(c.vals, c.vals[i*c.w:(i+1)*c.w]...)
-	c.used = max(c.used, len(c.vals))
+	o := len(c.slots)
+	c.slots = append(c.slots, c.slots[i*c.w:(i+1)*c.w]...)
 	c.top++
-	return c.vals[o : o+c.w : o+c.w]
+	return c.slots[o : o+c.w : o+c.w]
 }
 
 func (c *matchCtx) truncate(top int) {
 	c.top = top
-	c.vals = c.vals[:top*c.w]
+	c.slots = c.slots[:top*c.w]
 }
 
 // keep moves the frames from src to the top down to dst and drops the
 // rest: a step's results replace its scratch.
 func (c *matchCtx) keep(dst, src int) {
 	if dst != src {
-		copy(c.vals[dst*c.w:], c.vals[src*c.w:])
+		copy(c.slots[dst*c.w:], c.slots[src*c.w:])
 	}
 	c.truncate(dst + c.top - src)
-}
-
-// merge adds src's bound slots to dst. Shared variables must agree
-// ("the SN variable is used in both body patterns to indicate that the
-// supplier name ... should be the same", §3.2); the result reports
-// whether they do.
-func merge(dst, src frame) bool {
-	for s, v := range src {
-		if v == nil {
-			continue
-		}
-		if prev := dst[s]; prev != nil {
-			if !prev.Equal(v) {
-				return false
-			}
-			continue
-		}
-		dst[s] = v
-	}
-	return true
-}
-
-// overlay is merge with src's values taking precedence: where both
-// bind a slot to Equal values, dst takes src's.
-func overlay(dst, src frame) bool {
-	for s, v := range src {
-		if v == nil {
-			continue
-		}
-		if prev := dst[s]; prev != nil && !v.Equal(prev) {
-			return false
-		}
-		dst[s] = v
-	}
-	return true
 }
 
 // join replaces the frames [lo, mid) and [mid, top) by the consistent
@@ -193,7 +165,7 @@ func (c *matchCtx) join(lo, mid int) {
 		r := c.frame(mid)
 		out := lo
 		for i := lo; i < mid; i++ {
-			if f := c.frame(i); merge(f, r) {
+			if f := c.frame(i); c.tab.merge(f, r) {
 				if out != i {
 					copy(c.frame(out), f)
 				}
@@ -205,7 +177,7 @@ func (c *matchCtx) join(lo, mid int) {
 		a := c.frame(lo)
 		out := mid
 		for j := mid; j < hi; j++ {
-			if f := c.frame(j); overlay(f, a) {
+			if f := c.frame(j); c.tab.overlay(f, a) {
 				if out != j {
 					copy(c.frame(out), f)
 				}
@@ -215,23 +187,23 @@ func (c *matchCtx) join(lo, mid int) {
 		c.truncate(out)
 		c.keep(lo, mid)
 	default:
-		c.product(lo, mid, mid, hi, -1, nil)
+		c.product(lo, mid, mid, hi, -1, 0)
 		c.keep(lo, hi)
 	}
 }
 
 // product pushes the consistent merges of every frame of [aLo, aHi)
 // with every frame of [bLo, bHi), a-major. A non-negative index slot
-// is set to pos in each a-frame's copy before the merge (the position
-// an index edge binds).
-func (c *matchCtx) product(aLo, aHi, bLo, bHi, index int, pos tree.Value) {
+// is set to the handle pos in each a-frame's copy before the merge (the
+// position an index edge binds).
+func (c *matchCtx) product(aLo, aHi, bLo, bHi, index int, pos uint32) {
 	for a := aLo; a < aHi; a++ {
 		for b := bLo; b < bHi; b++ {
 			f := c.pushCopy(a)
 			if index >= 0 {
 				f[index] = pos
 			}
-			if !merge(f, c.frame(b)) {
+			if !c.tab.merge(f, c.frame(b)) {
 				c.truncate(c.top - 1)
 			}
 		}
@@ -241,13 +213,20 @@ func (c *matchCtx) product(aLo, aHi, bLo, bHi, index int, pos tree.Value) {
 // bindAll binds slot to val in every frame from lo up, dropping the
 // frames that bind it to something else.
 func (c *matchCtx) bindAll(lo, slot int, val tree.Value) {
+	if c.top > lo {
+		c.bindHandle(lo, slot, c.tab.add(val))
+	}
+}
+
+// bindHandle is bindAll of a value already in the table, as handle h.
+func (c *matchCtx) bindHandle(lo, slot int, h uint32) {
 	out := lo
 	for i := lo; i < c.top; i++ {
 		f := c.frame(i)
-		if prev := f[slot]; prev != nil && !prev.Equal(val) {
+		if prev := f[slot]; prev != 0 && !c.tab.same(prev, h) {
 			continue
 		}
-		f[slot] = val
+		f[slot] = h
 		if out != i {
 			copy(c.frame(out), f)
 		}
@@ -272,7 +251,7 @@ func (c *matchCtx) matchNode(p *pnode, n *tree.Node) int {
 			// wrapped subtree otherwise.
 			val := subtreeValue(n)
 			if c.m.domainAdmits(p.dom, n, val) {
-				c.push()[p.slot] = val
+				c.push()[p.slot] = c.tab.add(val)
 			}
 			return lo
 		}
@@ -400,11 +379,11 @@ func (c *matchCtx) matchSkolemArgs(p *pnode, name tree.Name) {
 			}
 			continue
 		}
-		if prev := f[a.slot]; prev != nil && !prev.Equal(v) {
+		if prev := f[a.slot]; prev != 0 && !c.tab.vals[prev].Equal(v) {
 			c.truncate(c.top - 1)
 			return
 		}
-		f[a.slot] = v
+		f[a.slot] = c.tab.add(v)
 	}
 }
 
@@ -468,9 +447,9 @@ func (c *matchCtx) matchEdges(edges []pedge, kids []*tree.Node, offset int) int 
 		case k > 0:
 			hi := c.top
 			for i := 0; i < k; i++ {
-				var pos tree.Value
+				var pos uint32
 				if e.index >= 0 {
-					pos = tree.Int(int64(offset + i + 1))
+					pos = c.tab.add(tree.Int(int64(offset + i + 1)))
 				}
 				c.product(c.bounds[b0+i], c.bounds[b0+i+1], rest, hi, e.index, pos)
 			}

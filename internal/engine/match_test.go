@@ -376,10 +376,14 @@ rule B {
 
 func TestBindingMergeAndJoin(t *testing.T) {
 	vars := []string{"X", "Y", "Z", "K", "V", "W", "Q"}
+	var tab values
+	tab.reset()
 	fr := func(b Binding) frame {
 		f := make(frame, len(vars))
 		for i, v := range vars {
-			f[i] = b[v]
+			if val, ok := b[v]; ok {
+				f[i] = tab.add(val)
+			}
 		}
 		return f
 	}
@@ -394,17 +398,17 @@ func TestBindingMergeAndJoin(t *testing.T) {
 	keys := func(fs []frame) []string {
 		out := make([]string, len(fs))
 		for i, f := range fs {
-			out[i] = pl.binding(f).Key()
+			out[i] = pl.binding(&tab, f).Key()
 		}
 		return out
 	}
 
 	a := Binding{"X": tree.Int(1), "Y": tree.String("a")}
 	b := Binding{"Y": tree.String("a"), "Z": tree.Int(2)}
-	if m := fr(a); !merge(m, fr(b)) || len(pl.binding(m)) != 3 {
-		t.Errorf("merge = %v", pl.binding(m))
+	if m := fr(a); !tab.merge(m, fr(b)) || len(pl.binding(&tab, m)) != 3 {
+		t.Errorf("merge = %v", pl.binding(&tab, m))
 	}
-	if merge(fr(a), fr(Binding{"Y": tree.String("other")})) {
+	if tab.merge(fr(a), fr(Binding{"Y": tree.String("other")})) {
 		t.Error("conflicting merge should fail")
 	}
 
@@ -412,12 +416,12 @@ func TestBindingMergeAndJoin(t *testing.T) {
 	bs := []Binding{{"K": tree.Int(2), "W": tree.String("w")}, {"K": tree.Int(3), "W": tree.String("x")}}
 	cs := []Binding{{"Q": tree.Int(9)}}
 	var sl frameSlab
-	j := hashJoin(frs(as...), frs(bs...), &sl)
-	if len(j) != 1 || !j[0][4].Equal(tree.String("b")) {
+	j := hashJoin(&tab, frs(as...), frs(bs...), &sl)
+	if len(j) != 1 || !tab.vals[j[0][4]].Equal(tree.String("b")) {
 		t.Errorf("join = %v", keys(j))
 	}
 	// No shared vars → Cartesian product.
-	if got := hashJoin(frs(as...), frs(cs...), &sl); len(got) != 2 {
+	if got := hashJoin(&tab, frs(as...), frs(cs...), &sl); len(got) != 2 {
 		t.Errorf("cartesian join = %v", keys(got))
 	}
 	// Both agree with the reference map join, order included — on
@@ -426,7 +430,7 @@ func TestBindingMergeAndJoin(t *testing.T) {
 	ds := []Binding{{"K": tree.Int(2), "W": tree.Symbol("y")}, {"K": tree.Float(2), "W": tree.Symbol("z")}, {"K": tree.Int(2)}}
 	for _, tc := range [][2][]Binding{{as, bs}, {as, cs}, {bs, ds}, {ds, as}, {ds, ds}} {
 		want := refHashJoin(tc[0], tc[1])
-		got := keys(hashJoin(frs(tc[0]...), frs(tc[1]...), &sl))
+		got := keys(hashJoin(&tab, frs(tc[0]...), frs(tc[1]...), &sl))
 		wantKeys := make([]string, len(want))
 		for i, b := range want {
 			wantKeys[i] = b.Key()

@@ -9,15 +9,80 @@ import (
 // A rule is compiled once per run into a plan, and phases 1–5 run over
 // dense slot frames: every variable of the rule — body, let, index,
 // Skolem argument, ordering criterion — gets a slot, and a binding in
-// flight is a frame holding one value per slot, nil where the variable
-// is unbound. Pattern nodes and edges carry what the matcher and the
-// constructor would otherwise recompute at every visited node: the
-// label's kind and slot, the domain, the Skolem argument slots, and
+// flight is a frame holding one value handle per slot, 0 where the
+// variable is unbound. Pattern nodes and edges carry what the matcher
+// and the constructor would otherwise recompute at every visited node:
+// the label's kind and slot, the domain, the Skolem argument slots, and
 // whether a star edge's subtree binds anything.
 
-// frame is a binding in flight: frame[s] is the value of the rule's
-// slot s, nil while it is unbound.
-type frame []tree.Value
+// frame is a binding in flight: frame[s] is the handle, in the values
+// table the frame was made against, of the value of the rule's slot s,
+// 0 while it is unbound. A frame holds no pointer, so the match stack
+// and the frame slabs are cleared and copied without write barriers,
+// and the collector does not scan them.
+type frame []uint32
+
+// values is the table a frame's handles index: handle h stands for
+// vals[h], and vals[0] is the nil of an unbound slot. A run has one,
+// and Matcher.Match one per call; it grows by the values matching,
+// evaluation and index edges bind, less those of a failed match.
+type values struct{ vals []tree.Value }
+
+// reset empties the table, keeping the nil at handle 0.
+func (t *values) reset() {
+	clear(t.vals)
+	t.vals = append(t.vals[:0], nil)
+}
+
+// truncate drops the values entered since the table held n.
+func (t *values) truncate(n int) {
+	clear(t.vals[n:])
+	t.vals = t.vals[:n]
+}
+
+// add enters v and returns its handle.
+func (t *values) add(v tree.Value) uint32 {
+	t.vals = append(t.vals, v)
+	return uint32(len(t.vals) - 1)
+}
+
+// same reports whether two bound handles stand for Equal values.
+func (t *values) same(a, b uint32) bool { return a == b || t.vals[a].Equal(t.vals[b]) }
+
+// merge adds src's bound slots to dst. Shared variables must agree
+// ("the SN variable is used in both body patterns to indicate that the
+// supplier name ... should be the same", §3.2); the result reports
+// whether they do.
+func (t *values) merge(dst, src frame) bool {
+	for s, h := range src {
+		if h == 0 {
+			continue
+		}
+		if prev := dst[s]; prev != 0 {
+			if !t.same(prev, h) {
+				return false
+			}
+			continue
+		}
+		dst[s] = h
+	}
+	return true
+}
+
+// overlay is merge with src's values taking precedence: where both
+// bind a slot to Equal values, dst takes src's.
+func (t *values) overlay(dst, src frame) bool {
+	for s, h := range src {
+		if h == 0 {
+			continue
+		}
+		if prev := dst[s]; prev != 0 && !t.same(h, prev) {
+			return false
+		}
+		dst[s] = h
+	}
+	return true
+}
 
 // slots assigns dense indices to variable names in first-occurrence
 // order. Rules and ask patterns have a handful of variables, so a scan
@@ -64,14 +129,14 @@ func (sl *slots) operand(o yatl.Operand) operand {
 	return operand{slot: -1, konst: o.Const}
 }
 
-// value resolves the operand in frame f; ok is false for an unbound
-// variable.
-func (o operand) value(f frame) (tree.Value, bool) {
+// value resolves the operand in frame f of table t; ok is false for an
+// unbound variable.
+func (o operand) value(t *values, f frame) (tree.Value, bool) {
 	if o.slot < 0 {
 		return o.konst, true
 	}
-	v := f[o.slot]
-	return v, v != nil
+	h := f[o.slot]
+	return t.vals[h], h != 0
 }
 
 // pnode is a body or ask pattern node compiled for matching.
@@ -148,13 +213,14 @@ func CompilePattern(pt *pattern.PTree) *PatternPlan {
 	return &PatternPlan{root: root, vars: sl.names}
 }
 
-// binding materializes a frame of the plan as a Binding: the one place
-// a frame becomes a map, where a match leaves the engine.
-func (pl *PatternPlan) binding(f frame) Binding {
+// binding materializes a frame of the plan, made against table t, as a
+// Binding: the one place a frame becomes a map, where a match leaves
+// the engine.
+func (pl *PatternPlan) binding(t *values, f frame) Binding {
 	b := make(Binding, len(f))
-	for s, v := range f {
-		if v != nil {
-			b[pl.vars[s]] = v
+	for s, h := range f {
+		if h != 0 {
+			b[pl.vars[s]] = t.vals[h]
 		}
 	}
 	return b

@@ -11,15 +11,18 @@ import (
 //
 //	suppliers -*> row < -> sid -> 1, -> name -> "VW center", ... >
 func TableTree(t *relational.Table) *tree.Node {
-	root := tree.Sym(t.Schema.Name)
-	for _, r := range t.Rows() {
-		row := tree.Sym("row")
-		for i, col := range t.Schema.Columns {
-			row.Add(tree.Sym(col.Name, tree.New(relValue(r[i], col.Type))))
+	rows, cols := t.Rows(), t.Schema.Columns
+	// One block holds every row's column nodes, one slice the rows.
+	cells := make([]*tree.Node, len(rows)*len(cols))
+	kids := make([]*tree.Node, len(rows))
+	for j, r := range rows {
+		row := cells[j*len(cols) : (j+1)*len(cols) : (j+1)*len(cols)]
+		for i, col := range cols {
+			row[i] = tree.Sym(col.Name, tree.New(relValue(r[i], col.Type)))
 		}
-		root.Add(row)
+		kids[j] = tree.Sym("row", row...)
 	}
-	return root
+	return tree.Sym(t.Schema.Name, kids...)
 }
 
 func relValue(v relational.Value, t relational.ColType) tree.Value {

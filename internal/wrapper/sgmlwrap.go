@@ -32,15 +32,14 @@ func SGMLTree(e *sgml.Element, opts *SGMLOptions) *tree.Node {
 	if opts == nil {
 		opts = &SGMLOptions{InferTypes: true}
 	}
-	n := tree.Sym(e.Name)
 	if len(e.Children) == 0 {
-		n.Add(tree.New(pcdataValue(e.Text, opts.InferTypes)))
-		return n
+		return tree.Sym(e.Name, tree.New(pcdataValue(e.Text, opts.InferTypes)))
 	}
-	for _, c := range e.Children {
-		n.Add(SGMLTree(c, opts))
+	kids := make([]*tree.Node, len(e.Children))
+	for i, c := range e.Children {
+		kids[i] = SGMLTree(c, opts)
 	}
-	return n
+	return tree.Sym(e.Name, kids...)
 }
 
 func pcdataValue(text string, infer bool) tree.Value {

@@ -149,6 +149,22 @@ rule R {
 }
 `,
 			inputs: warningStore(16), wantWarnings: true},
+		// Dangling references inside ^Pbody targets, which are inlined
+		// into the earlier Ppage entries: the warnings follow the final
+		// trees, inlined values in place, first occurrence only.
+		{name: "warnings/inlined-dangling", src: `
+program inlined
+rule Page {
+  head Ppage(N) = page < -> city -> C, -> body -> ^Pbody(N), -> also -> &Pgone(N), -> lost -> &lost >
+  from X = in -> N
+  let C = city(N)
+}
+rule Body {
+  head Pbody(N) = body < -> link -> &Pmissing(N), -> home -> &Ppage(N), -> lost -> &lost >
+  from X = in -> N
+}
+`,
+			inputs: warningStore(6), wantWarnings: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
