@@ -757,10 +757,10 @@ func (m *Mediator) GetContext(ctx context.Context, name tree.Name) (*tree.Node, 
 	if err != nil {
 		return nil, false, err
 	}
-	// One reused buffer, not one key string per entry scanned.
-	key, scratch := name.Key(), make([]byte, 0, 96)
+	// Identity is the Store's: binary keys, one reused buffer.
+	key, scratch := name.AppendBinaryKey(nil), make([]byte, 0, 96)
 	for _, e := range entries {
-		if scratch = e.Name.AppendKey(scratch[:0]); string(scratch) == key {
+		if scratch = e.Name.AppendBinaryKey(scratch[:0]); string(scratch) == string(key) {
 			return e.Tree, true, nil
 		}
 	}
