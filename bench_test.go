@@ -474,11 +474,14 @@ func BenchmarkMediatorQuery(b *testing.B) {
 	})
 }
 
-// TestRunAllocs pins the engine's allocations per run: ≈ 1 830 for
-// Rule 1 over 100 brochures and ≈ 5 420 for the Web program over 25
-// cars. Under -race, whose sync.Pool drops match stacks, they read
-// ≈ 4 550 and ≈ 6 410; the ceilings sit about 10 % above those. Both
-// stores are the benchmarks'.
+// TestRunAllocs pins the allocations per run of the engine — Rule 1
+// over 100 brochures, the Web program over 25 cars and over the
+// convert_batch objects (≈ 1 680, 2 430 and 3 840) — and of one whole
+// convert_batch conversion, imports and HTML export included (≈ 10 250,
+// what BenchmarkConvertBatch reports). Under -race, whose sync.Pool
+// drops match stacks, the runs read ≈ 4 410, 3 420, 5 810 and 15 900.
+// Each ceiling sits about 10 % above its count. The stores are the
+// benchmarks'.
 func TestRunAllocs(t *testing.T) {
 	rule1, err := ParseProgram("program p\n" + yatl.Rule1Source)
 	if err != nil {
@@ -488,27 +491,36 @@ func TestRunAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name   string
-		prog   *Program
-		store  *Store
-		budget float64
-	}{
-		{"Rule1/brochures=100", rule1, workload.BrochureStore(100, 3, 20, 42), 5000},
-		{"WebProgram/cars=25", web, workload.ODMGStore(25, 13, 3, 11), 7000},
-		// The typed run of the Figure 1 pipeline: the Web program checks
-		// Pclass and Ptype against the ODMG objects that Rules 1+2 and
-		// Rule 3 make of the convert_batch inputs: ≈ 8 980 allocations,
-		// ≈ 10 970 under -race.
-		{"WebProgram/convert_batch", web, convertBatchObjects(t), 11800},
-	} {
-		got := testing.AllocsPerRun(5, func() {
-			if _, err := Run(tc.prog, tc.store, nil); err != nil {
+	run := func(prog *Program, store *Store) func() {
+		return func() {
+			if _, err := Run(prog, store, nil); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if got > tc.budget {
-			t.Errorf("%s: a run allocates %.0f times, want <= %.0f", tc.name, got, tc.budget)
+		}
+	}
+	progs := convertBatchPrograms(t)
+	docs, db := workload.ConvertBatchSources(42)
+	for _, tc := range []struct {
+		name         string
+		run          func()
+		budget, race float64
+	}{
+		{"Rule1/brochures=100", run(rule1, workload.BrochureStore(100, 3, 20, 42)), 1850, 4850},
+		{"WebProgram/cars=25", run(web, workload.ODMGStore(25, 13, 3, 11)), 2650, 3750},
+		// The typed run of the Figure 1 pipeline: the Web program checks
+		// Pclass and Ptype against the ODMG objects that Rules 1+2 and
+		// Rule 3 make of the convert_batch inputs.
+		{"WebProgram/convert_batch", run(web, convertBatchObjects(t)), 4250, 6400},
+		// The whole pipeline pins the wrappers' blocks as well.
+		{"Pipeline/convert_batch", func() { convertBatch(t, progs, docs, db) }, 11300, 17500},
+	} {
+		budget := tc.budget
+		if raceEnabled {
+			budget = tc.race
+		}
+		got := testing.AllocsPerRun(5, tc.run)
+		if got > budget {
+			t.Errorf("%s: a run allocates %.0f times, want <= %.0f", tc.name, got, budget)
 		}
 		t.Logf("%s: %.0f allocations", tc.name, got)
 	}
@@ -517,40 +529,50 @@ func TestRunAllocs(t *testing.T) {
 // BenchmarkConvertBatch is one conversion of the benchmark's
 // convert_batch pipeline (examples/cardealer's Figure 1 pipeline): SGML
 // and relational import, Rules 1+2 and Rule 3 into ODMG objects, the
-// Web program into pages, and the HTML export, over the
-// convertBatchInputs. It is the engine's before/after at -cpu 1.
+// Web program into pages, and the HTML export, over
+// workload.ConvertBatchSources(42). It is the engine's before/after at
+// -cpu 1.
 func BenchmarkConvertBatch(b *testing.B) {
-	docs, db := convertBatchInputs()
-	var progs []*Program
-	for _, src := range []string{Rules1And2, "program join\n" + yatl.Rule3Source, WebRules} {
-		progs = append(progs, mustProg(b, src))
-	}
+	docs, db := workload.ConvertBatchSources(42)
+	progs := convertBatchPrograms(b)
 	var pages int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		objects := convertToObjects(b, progs[:2], docs, db)
-		res := mustRunB(b, progs[2], objects)
-		out, err := ExportHTML(res.Outputs, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pages = len(out)
+		pages = len(convertBatch(b, progs, docs, db))
 	}
 	b.ReportMetric(float64(pages), "pages")
 }
 
-// convertBatchInputs are the convert_batch inputs at seed 42: 40 SGML
-// brochures (3 suppliers each, from a pool of 20) and their dealer
-// database.
-func convertBatchInputs() (map[string]string, *relational.Database) {
-	pool := workload.Suppliers(20, 42)
-	brochures := workload.Brochures(40, 3, pool, 42)
-	docs := make(map[string]string, len(brochures))
-	for i, b := range brochures {
-		docs[fmt.Sprintf("b%d", i+1)] = b.SGML()
+// convertBatchPrograms are the convert_batch pipeline's programs: Rules
+// 1+2, Rule 3 and the Web program.
+func convertBatchPrograms(t testing.TB) []*Program {
+	t.Helper()
+	var progs []*Program
+	for _, src := range []string{Rules1And2, "program join\n" + yatl.Rule3Source, WebRules} {
+		prog, err := ParseProgram(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, prog)
 	}
-	return docs, workload.DealerDatabase(brochures, pool, 42)
+	return progs
+}
+
+// convertBatch runs the convert_batch pipeline once and returns its
+// HTML pages.
+func convertBatch(t testing.TB, progs []*Program, docs map[string]string, db *relational.Database) map[string]string {
+	t.Helper()
+	objects := convertToObjects(t, progs[:2], docs, db)
+	res, err := Run(progs[2], objects, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages, err := ExportHTML(res.Outputs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pages
 }
 
 // convertToObjects imports the documents and the database into one
@@ -579,19 +601,11 @@ func convertToObjects(t testing.TB, progs []*Program, docs map[string]string, db
 
 // convertBatchObjects is what the first stage of the convert_batch
 // pipeline hands the Web program: the objects Rules 1+2 and Rule 3 make
-// of the convertBatchInputs.
+// of workload.ConvertBatchSources(42).
 func convertBatchObjects(t testing.TB) *Store {
 	t.Helper()
-	var progs []*Program
-	for _, src := range []string{Rules1And2, "program join\n" + yatl.Rule3Source} {
-		prog, err := ParseProgram(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		progs = append(progs, prog)
-	}
-	docs, db := convertBatchInputs()
-	return convertToObjects(t, progs, docs, db)
+	docs, db := workload.ConvertBatchSources(42)
+	return convertToObjects(t, convertBatchPrograms(t)[:2], docs, db)
 }
 
 // TestSelectiveAskCacheHitAllocs pins the demand-mode cache-hit ask to

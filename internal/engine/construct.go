@@ -43,11 +43,15 @@ func (e *NonDetError) Error() string {
 // constructor builds output trees from a compiled head and a group of
 // frames that share the head's Skolem identity. A rule's groups are
 // built one at a time by one constructor, oid naming the current one.
+// Nodes, child lists and the arguments of the names they mint come
+// from the run's blocks; a ^P(args) placeholder node, which the
+// dereferencing pass throws away, does not.
 type constructor struct {
-	plan *rulePlan
-	tab  *values // the table the frames' handles index
-	oid  tree.Name
-	buf  []byte
+	plan   *rulePlan
+	tab    *values // the table the frames' handles index
+	blocks *tree.Blocks
+	oid    tree.Name
+	buf    []byte
 	// parts stacks the partitions of the grouping edges being built;
 	// args is skolemArgs' scratch.
 	parts [][][]frame
@@ -59,7 +63,7 @@ type constructor struct {
 func (c *constructor) construct(h *hnode, group []frame) (*tree.Node, error) {
 	switch h.op {
 	case opConst:
-		return c.addEdges(tree.New(h.label), h.edges, group)
+		return c.addEdges(c.blocks.Node(h.label, nil), h.edges, group)
 
 	case opVar:
 		val, err := c.consistentValue(group, h.slot)
@@ -73,7 +77,7 @@ func (c *constructor) construct(h *hnode, group []frame) (*tree.Node, error) {
 			}
 			return v.Root.Clone(), nil
 		}
-		return c.addEdges(tree.New(val), h.edges, group)
+		return c.addEdges(c.blocks.Node(val, nil), h.edges, group)
 
 	case opRef, opDeref:
 		oid, err := c.evalSkolem(h.ref.Name, h.args, group)
@@ -84,7 +88,7 @@ func (c *constructor) construct(h *hnode, group []frame) (*tree.Node, error) {
 			return nil, fmt.Errorf("engine: rule %s: pattern reference %s cannot have children in a head", c.plan.rule.Name, h.ref.Display())
 		}
 		if h.op == opRef {
-			return tree.RefLeaf(oid), nil
+			return c.blocks.Node(tree.Ref{Name: oid}, nil), nil
 		}
 		return tree.New(derefVal{Name: oid}), nil
 	}
@@ -129,12 +133,13 @@ func (c *constructor) skolemArgs(args []operand, f frame) ([]tree.Value, bool) {
 }
 
 // evalSkolem computes the Skolem identity functor(args) for the group
-// (arguments must be consistent across the group).
+// (arguments must be consistent across the group). The arguments come
+// from the blocks.
 func (c *constructor) evalSkolem(functor string, args []operand, group []frame) (tree.Name, error) {
 	if len(args) == 0 {
 		return tree.PlainName(functor), nil
 	}
-	vals := make([]tree.Value, len(args))
+	vals := c.blocks.Values(len(args))
 	for i, a := range args {
 		if a.slot < 0 {
 			vals[i] = a.konst
@@ -163,7 +168,7 @@ func (c *constructor) evalSkolem(functor string, args []operand, group []frame) 
 //     numerically — array construction (Rule 5).
 //
 // The grouping edges are partitioned first, so the node's child count
-// is known and its children slice is allocated once.
+// is known and its child list is cut from the blocks once.
 func (c *constructor) addEdges(n *tree.Node, edges []hedge, group []frame) (*tree.Node, error) {
 	if len(edges) == 0 {
 		return n, nil
@@ -193,7 +198,7 @@ func (c *constructor) addEdges(n *tree.Node, edges []hedge, group []frame) (*tre
 			size += len(subgroups)
 		}
 	}
-	n.Children = make([]*tree.Node, 0, size)
+	n.Children = c.blocks.List(size)
 	err := c.addChildren(n, edges, group, base)
 	c.parts = c.parts[:base]
 	if err != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"slices"
 	"strings"
@@ -351,6 +352,84 @@ b: in < 2 >`)
 	}
 	if !slices.Equal(res.Warnings, walked) {
 		t.Errorf("warnings differ from a walk of the final trees:\n got %q\nwalk %q", res.Warnings, walked)
+	}
+}
+
+// TestDerefSharesExpandedValues pins the dereferencing pass's sharing:
+// a value inlined at several places is its entry's own tree, and
+// nothing writes it afterwards — not the pass, not a second run over
+// the same inputs, not a run that takes the outputs as its inputs — so
+// the digests of the inputs and of the outputs hold, and the dangling
+// warnings keep the order of TestDanglingRefsInInlinedTargets.
+func TestDerefSharesExpandedValues(t *testing.T) {
+	prog := yatl.MustParse("program p\n" + inlinedDanglingProgram + `
+rule Twice {
+  head Twice(N) = twice < -> first -> ^Body(N), -> second -> ^Body(N) >
+  from X = in -> N
+}`)
+	// The next stage copies a subtree of the shared values out.
+	next := yatl.MustParse(`program q
+rule Copy {
+  head Copy(N) = copy -> B
+  from P = page < -> title -> N, -> body -> B, -> also -> G, -> lost -> L >
+}`)
+	inputs := storeOf(t, "a: in < 1 >\nb: in < 2 >")
+	digest := func(s *tree.Store) [sha256.Size]byte { return sha256.Sum256([]byte(tree.FormatStore(s))) }
+	inputsDigest := digest(inputs)
+	first, err := Run(prog, inputs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int64{1, 2} {
+		get := func(functor string) *tree.Node {
+			node, ok := first.Outputs.Get(tree.SkolemName(functor, tree.Int(n)))
+			if !ok {
+				t.Fatalf("%s(%d) missing:\n%s", functor, n, tree.FormatStore(first.Outputs))
+			}
+			return node
+		}
+		body, page, twice := get("Body"), get("Page"), get("Twice")
+		want := tree.MustParse(fmt.Sprintf(`body < link < &Missing(%d) >, home < &Page(%d) >, lost < &Lost > >`, n, n))
+		if !body.Equal(want) {
+			t.Errorf("Body(%d) = %s, want %s", n, body, want)
+		}
+		for i, inlined := range []*tree.Node{page.Children[1].Children[0], twice.Children[0].Children[0], twice.Children[1].Children[0]} {
+			if inlined != body {
+				t.Errorf("inlining %d of Body(%d) is a copy, not the entry's tree", i, n)
+			}
+		}
+	}
+	wantWarnings := []string{
+		"dangling reference &Missing(1) in output",
+		"dangling reference &Lost in output",
+		"dangling reference &Gone(1) in output",
+		"dangling reference &Missing(2) in output",
+		"dangling reference &Gone(2) in output",
+	}
+	if !slices.Equal(first.Warnings, wantWarnings) {
+		t.Errorf("warnings:\n got %q\nwant %q", first.Warnings, wantWarnings)
+	}
+	outputsDigest := digest(first.Outputs)
+
+	second, err := Run(prog, inputs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied, err := Run(next, first.Outputs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if copied.Outputs.Len() != 2 {
+		t.Errorf("next stage built %d outputs, want 2:\n%s", copied.Outputs.Len(), tree.FormatStore(copied.Outputs))
+	}
+	if digest(inputs) != inputsDigest {
+		t.Errorf("the inputs changed under the runs:\n%s", tree.FormatStore(inputs))
+	}
+	if digest(first.Outputs) != outputsDigest {
+		t.Errorf("the first run's outputs changed under later runs:\n%s", tree.FormatStore(first.Outputs))
+	}
+	if digest(second.Outputs) != outputsDigest || !slices.Equal(second.Warnings, wantWarnings) {
+		t.Errorf("a second run differs:\n%s\n%q", tree.FormatStore(second.Outputs), second.Warnings)
 	}
 }
 

@@ -23,6 +23,10 @@ import (
 // an inlined value is expanded, and its references visited, exactly
 // where it lands in the first tree that inlines it, and an entry
 // expanded before is one whose references were all visited already.
+//
+// An inlined value is the target's own tree, not a copy: an entry
+// expands before any tree inlines it and is not walked again, so the
+// pass writes only placeholders' parents, never a shared subtree.
 func expandDerefs(outputs, inputs *tree.Store) ([]tree.Name, error) {
 	e := &derefExpander{outputs: outputs, inputs: inputs, state: make([]uint8, outputs.Len())}
 	for i, entry := range outputs.Entries() {
@@ -99,8 +103,9 @@ func (e *derefExpander) expandNode(n *tree.Node) (*tree.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Clone: the value may be inlined at several places.
-		return target.Clone(), nil
+		// Shared, not copied: a value inlined at several places is one
+		// subtree, which nothing writes once it is expanded.
+		return target, nil
 	}
 	if e.inputs != nil {
 		if name, ok := n.RefName(); ok {

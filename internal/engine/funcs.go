@@ -6,10 +6,13 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 
 	"yat/internal/tree"
 )
@@ -398,19 +401,23 @@ func splitAddress(addr string) (zip int64, city string, err error) {
 }
 
 // addressMatches reconciles the SGML full address against the
-// relational (city, street) pair.
+// relational (city, street) pair. Each side is normalized into a buffer
+// on the stack; only an address longer than it allocates.
 func addressMatches(full, city, street string) bool {
-	nf := normalizeAddr(full)
-	return strings.Contains(nf, normalizeAddr(street)) && strings.Contains(nf, normalizeAddr(city))
+	var fb, sb, cb [96]byte
+	nf := appendNormalAddr(fb[:0], full)
+	return bytes.Contains(nf, appendNormalAddr(sb[:0], street)) && bytes.Contains(nf, appendNormalAddr(cb[:0], city))
 }
 
-func normalizeAddr(s string) string {
-	var b strings.Builder
-	for _, c := range strings.ToLower(s) {
-		if c == ' ' || c == ',' || c == '.' {
-			continue
+// appendNormalAddr appends s lower-cased, without its spaces, commas
+// and points, to dst.
+func appendNormalAddr(dst []byte, s string) []byte {
+	for _, c := range s {
+		switch c = unicode.ToLower(c); c {
+		case ' ', ',', '.':
+		default:
+			dst = utf8.AppendRune(dst, c)
 		}
-		b.WriteRune(c)
 	}
-	return b.String()
+	return dst
 }

@@ -75,7 +75,10 @@ func (s *Stats) Add(o Stats) {
 // Result is the outcome of a successful run.
 type Result struct {
 	// Outputs holds one tree per Skolem identity defined by the
-	// program, fully dereferenced.
+	// program, fully dereferenced. Trees are shared: an inlined value
+	// is the target entry's own tree, and the outputs sit side by side
+	// in shared arrays, so one entry's tree can be a subtree of
+	// another's. Clone a tree before writing to it.
 	Outputs *tree.Store
 	// Warnings collects non-fatal diagnostics: dangling references,
 	// dropped bindings, and (with NonDetWarn) non-determinism alerts.
@@ -373,6 +376,8 @@ type run struct {
 	slab    frameSlab
 	// tab is the values table of every frame of the run.
 	tab values
+	// blocks holds the output trees the construction phase builds.
+	blocks tree.Blocks
 }
 
 func (r *run) warn(msg string) { r.warnings = append(r.warnings, msg) }
@@ -760,7 +765,7 @@ func (r *run) constructRule(rule *yatl.Rule) error {
 	index := make(map[string]int, len(s.evaluated))
 	ids := make([]int, len(s.evaluated))
 	var sizes []int
-	c := &constructor{plan: rp, tab: &r.tab}
+	c := &constructor{plan: rp, tab: &r.tab, blocks: &r.blocks}
 	for k := range s.evaluated {
 		ids[k] = -1
 		var skolemStart time.Time
@@ -787,7 +792,9 @@ func (r *run) constructRule(rule *yatl.Rule) error {
 		case len(args) == 0:
 			oid = tree.PlainName(rule.Head.Functor)
 		default:
-			oid = tree.SkolemName(rule.Head.Functor, slices.Clone(args)...)
+			vals := r.blocks.Values(len(args))
+			copy(vals, args)
+			oid = tree.SkolemName(rule.Head.Functor, vals...)
 		}
 		if err != nil {
 			if r.sink != nil {

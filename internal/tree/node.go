@@ -7,7 +7,13 @@ import (
 
 // Node is one vertex of a ground YAT tree: a label and an ordered
 // list of children. The zero value is not useful; construct nodes
-// with New or the typed helpers below.
+// with New, the typed helpers below or Blocks.
+//
+// A tree is written only while it is built. Once an engine run, a
+// wrapper or a parser returns it, nothing writes its nodes: a run's
+// outputs share the subtrees a dereference inlines at several places,
+// a mediator hands its cached trees to every reader, and the nodes of
+// Blocks sit side by side in one array. To change a tree, Clone it.
 type Node struct {
 	Label    Value
 	Children []*Node

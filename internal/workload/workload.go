@@ -203,6 +203,19 @@ func DealerDatabase(brochures []Brochure, pool []Supplier, seed uint64) *relatio
 	return db
 }
 
+// ConvertBatchSources are the inputs of the convert_batch pipeline at
+// seed: 40 SGML brochures named b1..b40 (3 suppliers each, from a pool
+// of 20) and their dealer database.
+func ConvertBatchSources(seed uint64) (map[string]string, *relational.Database) {
+	pool := Suppliers(20, seed)
+	brochures := Brochures(40, 3, pool, seed)
+	docs := make(map[string]string, len(brochures))
+	for i, b := range brochures {
+		docs[fmt.Sprintf("b%d", i+1)] = b.SGML()
+	}
+	return docs, DealerDatabase(brochures, pool, seed)
+}
+
 // SelectiveProgram builds a k-rule YATL program over the brochure
 // source in which every rule mints an independent Skolem functor
 // (Pview1..Pviewk) and no rule feeds another. A query for one view

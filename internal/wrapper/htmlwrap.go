@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"yat/internal/tree"
 )
@@ -34,18 +35,27 @@ func (o *HTMLOptions) functor() string {
 	return "HtmlPage"
 }
 
-// SanitizeURL is the default identity-to-URL mapping.
+// SanitizeURL is the default identity-to-URL mapping: the canonical
+// key with every rune but an ASCII letter or digit replaced by '_', and
+// ".html". The key is rendered into a stack buffer and the URL into one
+// buffer of the key's length.
 func SanitizeURL(n tree.Name) string {
+	var kb [128]byte
+	key := n.AppendKey(kb[:0])
 	var b strings.Builder
-	for _, r := range n.Key() {
+	b.Grow(len(key) + len(".html"))
+	for len(key) > 0 {
+		r, size := utf8.DecodeRune(key)
+		key = key[size:]
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			b.WriteRune(r)
+			b.WriteByte(byte(r))
 		default:
 			b.WriteByte('_')
 		}
 	}
-	return b.String() + ".html"
+	b.WriteString(".html")
+	return b.String()
 }
 
 // ExportHTML renders every page object of a conversion result into

@@ -12,17 +12,25 @@ import (
 //	suppliers -*> row < -> sid -> 1, -> name -> "VW center", ... >
 func TableTree(t *relational.Table) *tree.Node {
 	rows, cols := t.Rows(), t.Schema.Columns
-	// One block holds every row's column nodes, one slice the rows.
-	cells := make([]*tree.Node, len(rows)*len(cols))
-	kids := make([]*tree.Node, len(rows))
-	for j, r := range rows {
-		row := cells[j*len(cols) : (j+1)*len(cols) : (j+1)*len(cols)]
-		for i, col := range cols {
-			row[i] = tree.Sym(col.Name, tree.New(relValue(r[i], col.Type)))
-		}
-		kids[j] = tree.Sym("row", row...)
+	// One block holds every node and one every child list: per row, the
+	// row, its columns and their atoms; each label is boxed once.
+	var b tree.Blocks
+	b.Reserve(1+len(rows)*(1+2*len(cols)), len(rows)*(1+2*len(cols)))
+	labels := make([]tree.Value, len(cols))
+	for i, col := range cols {
+		labels[i] = tree.Symbol(col.Name)
 	}
-	return tree.Sym(t.Schema.Name, kids...)
+	row := tree.Value(tree.Symbol("row"))
+	kids := b.List(len(rows))
+	for _, r := range rows {
+		cells := b.List(len(cols))
+		for i, col := range cols {
+			atom := b.Node(relValue(r[i], col.Type), nil)
+			cells = append(cells, b.Node(labels[i], append(b.List(1), atom)))
+		}
+		kids = append(kids, b.Node(row, cells))
+	}
+	return b.Node(tree.Symbol(t.Schema.Name), kids)
 }
 
 func relValue(v relational.Value, t relational.ColType) tree.Value {

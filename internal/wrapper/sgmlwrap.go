@@ -28,18 +28,51 @@ type SGMLOptions struct {
 
 // SGMLTree converts one SGML element into a YAT tree: each element
 // becomes a node labeled with its tag; #PCDATA becomes an atom leaf.
+// The tree's nodes and child lists come from shared blocks, and each
+// repeated tag is boxed once.
 func SGMLTree(e *sgml.Element, opts *SGMLOptions) *tree.Node {
 	if opts == nil {
 		opts = &SGMLOptions{InferTypes: true}
 	}
+	d := docBuilder{infer: opts.InferTypes}
+	return d.build(e)
+}
+
+// docBuilder builds the trees of one import from one set of blocks. It
+// boxes the first tags it meets once each: the lookup is a scan, and a
+// DTD names a handful.
+type docBuilder struct {
+	blocks tree.Blocks
+	infer  bool
+	tags   [16]tree.Value
+	ntags  int
+}
+
+func (d *docBuilder) build(e *sgml.Element) *tree.Node {
 	if len(e.Children) == 0 {
-		return tree.Sym(e.Name, tree.New(pcdataValue(e.Text, opts.InferTypes)))
+		atom := d.blocks.Node(pcdataValue(e.Text, d.infer), nil)
+		return d.blocks.Node(d.tag(e.Name), append(d.blocks.List(1), atom))
 	}
-	kids := make([]*tree.Node, len(e.Children))
-	for i, c := range e.Children {
-		kids[i] = SGMLTree(c, opts)
+	kids := d.blocks.List(len(e.Children))
+	for _, c := range e.Children {
+		kids = append(kids, d.build(c))
 	}
-	return tree.Sym(e.Name, kids...)
+	return d.blocks.Node(d.tag(e.Name), kids)
+}
+
+// tag returns the element name as a label, boxed once per builder.
+func (d *docBuilder) tag(name string) tree.Value {
+	for _, t := range d.tags[:d.ntags] {
+		if string(t.(tree.Symbol)) == name {
+			return t
+		}
+	}
+	t := tree.Value(tree.Symbol(name))
+	if d.ntags < len(d.tags) {
+		d.tags[d.ntags] = t
+		d.ntags++
+	}
+	return t
 }
 
 func pcdataValue(text string, infer bool) tree.Value {
@@ -106,6 +139,7 @@ func ImportSGML(docs map[string]string, opts *SGMLOptions) (*tree.Store, error) 
 		opts = &SGMLOptions{InferTypes: true}
 	}
 	store := tree.NewStore()
+	d := docBuilder{infer: opts.InferTypes}
 	// Deterministic import order.
 	names := make([]string, 0, len(docs))
 	for n := range docs {
@@ -122,7 +156,7 @@ func ImportSGML(docs map[string]string, opts *SGMLOptions) (*tree.Store, error) 
 				return nil, fmt.Errorf("wrapper: importing %s: %w", name, err)
 			}
 		}
-		store.Put(tree.PlainName(name), SGMLTree(doc, opts))
+		store.Put(tree.PlainName(name), d.build(doc))
 	}
 	return store, nil
 }

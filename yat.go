@@ -64,7 +64,10 @@ import (
 type (
 	// Name identifies a tree in a Store (plain or Skolem-minted).
 	Name = tree.Name
-	// Store holds named ground trees.
+	// Store holds named ground trees. The trees of a store that Run,
+	// a mediator or a wrapper returns may share nodes with other
+	// entries (an inlined value is its target's own tree): clone a
+	// tree before writing to it.
 	Store = tree.Store
 	// Ref is a reference label naming another tree (&name).
 	Ref = tree.Ref
