@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -295,5 +296,43 @@ func TestPinnedOutputOrder(t *testing.T) {
 func TestMissingFileExitsTwo(t *testing.T) {
 	if code, _, _ := runCheck(t, filepath.Join(t.TempDir(), "nope.yatl")); code != 2 {
 		t.Errorf("missing file: exit %d, want 2", code)
+	}
+}
+
+// TestOutputGolden pins yatcheck's output byte for byte over the two
+// corpora the CI gate runs it on: -json over the analysis fixtures,
+// and the warning gate over the builtin and example programs. Each
+// golden starts with the exit code. YAT_UPDATE_GOLDEN=1 rewrites them.
+func TestOutputGolden(t *testing.T) {
+	glob := func(pattern string) []string {
+		paths, err := filepath.Glob(pattern)
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("glob %s: %v, %d files", pattern, err, len(paths))
+		}
+		return paths
+	}
+	for golden, args := range map[string][]string{
+		"fixtures.golden.json": append([]string{"-json"}, glob("../../internal/analysis/testdata/*.yatl")...),
+		"examples.golden.txt": append([]string{"-builtin", "-severity", "warning"},
+			glob("../../examples/programs/*.yatl")...),
+	} {
+		code, stdout, stderr := runCheck(t, args...)
+		out := fmt.Sprintf("exit %d\n%s%s", code, stdout, stderr)
+		path := filepath.Join("testdata", golden)
+		if os.Getenv("YAT_UPDATE_GOLDEN") != "" {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(want) {
+			t.Errorf("%s drifted:\n got:\n%s\nwant:\n%s", golden, out, want)
+		}
 	}
 }
