@@ -116,8 +116,8 @@ type Pass struct {
 	// Registry supplies external function signatures (never nil).
 	Registry *engine.Registry
 
-	diags *[]Diagnostic
-	facts func() *engine.ProgramFacts
+	diags     *[]Diagnostic
+	deadRules func() *DeadRules
 }
 
 // Report records a diagnostic; an empty Category defaults to the
@@ -153,9 +153,9 @@ func Run(prog *yatl.Program, analyzers []*Analyzer, opts *Options) ([]Diagnostic
 		reg = engine.NewRegistry()
 	}
 	var diags []Diagnostic
-	facts := sync.OnceValue(func() *engine.ProgramFacts { return engine.AnalyzeProgram(prog) })
+	deadRules := sync.OnceValue(func() *DeadRules { return FindDeadRules(prog) })
 	for _, a := range analyzers {
-		pass := &Pass{Analyzer: a, Prog: prog, Registry: reg, diags: &diags, facts: facts}
+		pass := &Pass{Analyzer: a, Prog: prog, Registry: reg, diags: &diags, deadRules: deadRules}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("analysis: %s: %w", a.Name, err)
 		}
@@ -218,7 +218,7 @@ func AtLeast(diags []Diagnostic, min Severity) int {
 
 // DefaultAnalyzers returns every analyzer of the framework: the eight
 // syntactic checks, the safety, typing and coverage adapters, and
-// deadrule, which reports what engine.AnalyzeProgram proves dead.
+// deadrule, which reports what FindDeadRules proves dead.
 // Run executes them in order.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{

@@ -72,13 +72,6 @@ func WithModel(m *pattern.Model) Option {
 	return optionFunc(func(o *Options) { o.Model = m })
 }
 
-// WithParallelism configures nothing: a run has one schedule, the
-// sequential one of §3.1.
-//
-// Deprecated: it stays only because the frozen benchmark
-// (bench/layers.go) still passes it; drop it with its next change.
-func WithParallelism(int) Option { return optionFunc(func(*Options) {}) }
-
 // WithTrace attaches a trace sink to the run. Nil disables tracing at
 // zero cost.
 func WithTrace(s trace.Sink) Option {
@@ -106,12 +99,3 @@ func WithCheckOutputs(m *pattern.Model) Option {
 func WithDisableSafety(disable bool) Option {
 	return optionFunc(func(o *Options) { o.DisableSafety = disable })
 }
-
-// WithFacts and WithOptimize selected the dispatch-indexed match path,
-// which is gone: there is one match path and they configure nothing.
-// They stay only because the frozen benchmark (bench/convert.go,
-// bench/layers.go) still passes them; drop them with its next change.
-func WithFacts(*ProgramFacts) Option { return optionFunc(func(*Options) {}) }
-
-// WithOptimize configures nothing; see WithFacts.
-func WithOptimize(bool) Option { return optionFunc(func(*Options) {}) }

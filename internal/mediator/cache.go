@@ -30,6 +30,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -42,9 +43,9 @@ import (
 // demandCache is one generation's cache of materialized functor groups
 // plus the ask memo layered over them.
 type demandCache struct {
-	// slice computes the (pruned, memoized) rule slice of the program
-	// the cache serves; a group's own slice is slice(functor).
-	slice func(functors ...string) *engine.Slice
+	// slices memoizes the rule slices of the program the cache serves;
+	// a group's own slice is slices.get(functor).
+	slices *sliceMemo
 	// cur is the published view; never nil.
 	cur atomic.Pointer[cacheView]
 }
@@ -80,10 +81,24 @@ type group struct {
 
 // askKey identifies one memoizable ask: the parsed pattern (by
 // pointer — Ask's pattern parse cache hands back a stable *PTree per
-// source text) and the functor restriction.
+// source text) and the functor restriction (functorsKey).
 type askKey struct {
 	pt       *pattern.PTree
 	functors string
+}
+
+// functorsKey joins a functor list into a memo key, NUL-separated. A
+// name holding a NUL names no YATL functor, and would make two lists
+// one key ("A\x00B" and "A", "B"), so such a list has no key: ok is
+// false and the caller bypasses its memo. One functor is its own key,
+// with no allocation.
+func functorsKey(functors []string) (key string, ok bool) {
+	for _, f := range functors {
+		if strings.IndexByte(f, 0) >= 0 {
+			return "", false
+		}
+	}
+	return strings.Join(functors, "\x00"), true
 }
 
 // maxAskMemo bounds the ask memo; at the cap new asks simply stop
@@ -126,8 +141,55 @@ func (a *askMemo) store(key askKey, answers []Answer) {
 // len is the number of memoized asks.
 func (a *askMemo) len() int { return int(a.n.Load()) }
 
-func newDemandCache(slice func(functors ...string) *engine.Slice) *demandCache {
-	c := &demandCache{slice: slice}
+// maxSliceMemo bounds a program's slice memo; combinations past the
+// cap are computed but not retained.
+const maxSliceMemo = 1024
+
+// sliceMemo memoizes one program's rule slices (engine.ComputeSlice)
+// per functor combination, so the demand cache-hit path computes none.
+// One lives per program value: Invalidate and Restore share it, Reload
+// starts a fresh one. Safe for concurrent use.
+type sliceMemo struct {
+	prog *yatl.Program
+
+	mu     sync.Mutex
+	slices map[string]*engine.Slice
+}
+
+func newSliceMemo(prog *yatl.Program) *sliceMemo {
+	return &sliceMemo{prog: prog, slices: map[string]*engine.Slice{}}
+}
+
+// get returns the slice for the functors (none = the whole program).
+// The order of the functors and their repeats do not matter. A repeated
+// single-functor probe allocates nothing.
+func (s *sliceMemo) get(functors ...string) *engine.Slice {
+	if len(functors) > 1 {
+		functors = slices.Clone(functors)
+		slices.Sort(functors)
+		functors = slices.Compact(functors)
+	}
+	key, ok := functorsKey(functors)
+	if !ok {
+		return engine.ComputeSlice(s.prog, functors...)
+	}
+	s.mu.Lock()
+	sl, hit := s.slices[key]
+	s.mu.Unlock()
+	if hit {
+		return sl
+	}
+	sl = engine.ComputeSlice(s.prog, functors...)
+	s.mu.Lock()
+	if len(s.slices) < maxSliceMemo {
+		s.slices[key] = sl
+	}
+	s.mu.Unlock()
+	return sl
+}
+
+func newDemandCache(memo *sliceMemo) *demandCache {
+	c := &demandCache{slices: memo}
 	c.cur.Store(&cacheView{groups: map[string]*group{}, memo: new(askMemo)})
 	return c
 }
@@ -244,12 +306,11 @@ func (v *cacheView) cachedRules() int {
 
 // dependents lists, sorted, the cached functors whose group depends on
 // one of the rules: the rule is in the group's slice, as construct or
-// support. The slice is the pruned one the group was computed by, so a
-// rule that can never fire is in no group's dependency set.
+// support.
 func (c *demandCache) dependents(rules map[string]bool) []string {
 	var out []string
 	for f := range c.view().groups {
-		own := c.slice(f)
+		own := c.slices.get(f)
 		for rule := range rules {
 			if own.Includes(rule) {
 				out = append(out, f)
@@ -341,8 +402,8 @@ func (c *demandCache) evict(functors ...string) {
 // asks on the old generation and refreshes of the new one cannot
 // disturb each other), the rest are left behind. c itself is not
 // modified.
-func (c *demandCache) carryOver(slice func(functors ...string) *engine.Slice, keep func(functor string) bool) *demandCache {
-	next := &demandCache{slice: slice}
+func (c *demandCache) carryOver(memo *sliceMemo, keep func(functor string) bool) *demandCache {
+	next := &demandCache{slices: memo}
 	next.cur.Store(c.view())
 	next.publish(func(groups map[string]*group) {
 		maps.DeleteFunc(groups, func(f string, _ *group) bool { return !keep(f) })

@@ -22,7 +22,7 @@ func checkInvariants(t testing.TB, c *demandCache) {
 	t.Helper()
 	for f, g := range c.view().groups {
 		rules := 0
-		for _, r := range c.slice(f).Construct {
+		for _, r := range c.slices.get(f).Construct {
 			if r.Head.Functor == f {
 				rules++
 			}

@@ -188,7 +188,7 @@ func (m *Mediator) applyDelta(ctx context.Context, name string) (deltaOutcome, e
 	}
 	// Re-run the union slice of the affected groups over the new inputs
 	// and swap it into the cache; unaffected groups stay.
-	sl := st.facts.SliceFor(groups...)
+	sl := st.slices.get(groups...)
 	res, err := engine.RunSlice(ctx, st.prog, inputs, sl, m.opts)
 	if err != nil {
 		g.failed(err)

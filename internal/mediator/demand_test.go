@@ -217,14 +217,15 @@ func TestDemandFineGrainedInvalidation(t *testing.T) {
 	}
 }
 
-// A cached group depends on exactly the rules of its pruned slice.
-// Feed's head reference mints arbitrary activations, which makes it a
-// support rule of every other group; Dead is the same rule but can never
-// fire, so it is pruned from every slice the mediator runs and no
-// cached group depends on it — although the unpruned slices name it.
-func TestDependentsFollowPrunedSlice(t *testing.T) {
+// A cached group depends on exactly the rules of its slice. Feed's head
+// reference mints arbitrary activations, which makes it a support rule
+// of every other group; Dead is the same rule but can never fire. It
+// still is a support rule of every slice, so every group depends on it,
+// as on Feed: a rule that mints nothing costs a refresh a re-run, never
+// a wrong answer.
+func TestDependentsFollowSlice(t *testing.T) {
 	prog := yatl.MustParse(`
-program pruned
+program dead
 rule Live {
   head Plive(X) = o -> v -> X
   from P = alpha < -> k -> X >
@@ -243,10 +244,8 @@ rule Dead {
   where 1 == 2
 }
 `)
-	facts := engine.AnalyzeProgram(prog)
-	if !engine.ComputeSlice(prog, "Plive").Includes("Dead") || !facts.Prunable("Dead") ||
-		!facts.SliceFor("Pother").Includes("Feed") {
-		t.Fatal("vacuous: Dead must support Plive's unpruned slice and be prunable, Feed must support Pother")
+	if !engine.ComputeSlice(prog, "Plive").Includes("Dead") || !engine.ComputeSlice(prog, "Pother").Includes("Feed") {
+		t.Fatal("vacuous: Dead must support Plive's slice, Feed must support Pother's")
 	}
 	store := tree.NewStore()
 	store.Put(tree.PlainName("a1"), tree.Sym("alpha", tree.Sym("k", tree.Str("x"))))
@@ -262,7 +261,7 @@ rule Dead {
 	for _, c := range []struct{ rule, want string }{
 		{"Live", "[Plive]"},
 		{"Feed", "[Plive Pother]"}, // a live support rule; Pfeed itself is not cached
-		{"Dead", "[]"},             // never fires: pruned, so nothing depends on it
+		{"Dead", "[Plive Pother]"}, // never fires, but supports every slice as Feed does
 		{"no-such-rule", "[]"},
 	} {
 		if got := fmt.Sprint(g.cache.dependents(map[string]bool{c.rule: true})); got != c.want {
@@ -442,5 +441,109 @@ func TestAskMemoIsolation(t *testing.T) {
 	if answersKey(t, again) != wantKey {
 		t.Errorf("memoized answers corrupted by a caller's writes:\n got:\n%s\nwant:\n%s",
 			answersKey(t, again), wantKey)
+	}
+}
+
+// TestNULFunctorBypassesMemos: a functor name holding a NUL names no
+// YATL functor, and must not share a memo key with the list its
+// NUL-separated parts spell. Each memo is covered on its own: the ask
+// memo, warmed by the legitimate two-functor ask before the NUL ask with
+// the same pattern; and the slice memo, warmed by the NUL ask before a
+// legitimate ask whose second pattern text misses the ask memo. Both
+// asks must answer what a full-mode mediator answers.
+func TestNULFunctorBypassesMemos(t *testing.T) {
+	prog := yatl.MustParse(workload.SelectiveProgram(4))
+	inputs := workload.BrochureStore(6, 2, 5, 11)
+	const pat = `view < -> name -> N, -> city -> C, -> zip -> Z >`
+	const pat2 = `view < -> name -> S, -> city -> C, -> zip -> Z >`
+	full := New(prog, inputs)
+	oracle := func(pattern string, functors ...string) string {
+		as, err := full.Ask(pattern, functors...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answersKey(t, as)
+	}
+	check := func(t *testing.T, m *Mediator, pattern string, functors ...string) {
+		t.Helper()
+		got, err := m.Ask(pattern, functors...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracle(pattern, functors...); answersKey(t, got) != want {
+			t.Errorf("Ask(%q) = %d answers, full mode answers %d", functors, len(got), strings.Count(want, "\n"))
+		}
+	}
+	if oracle(pat2, "Pview1", "Pview2") == "" || oracle(pat, "Pview1\x00Pview2") != "" {
+		t.Fatal("vacuous: the two views must answer, the NUL functor must not")
+	}
+	t.Run("ask memo", func(t *testing.T) {
+		m := New(prog, inputs, WithDemandDriven(true))
+		check(t, m, pat, "Pview1", "Pview2")
+		check(t, m, pat, "Pview1\x00Pview2")
+	})
+	t.Run("slice memo", func(t *testing.T) {
+		m := New(prog, inputs, WithDemandDriven(true))
+		check(t, m, pat, "Pview1\x00Pview2")
+		check(t, m, pat2, "Pview1", "Pview2")
+	})
+}
+
+// TestSliceMemo: a program's slice memo serves a repeated
+// single-functor probe without allocating, stops retaining at its cap,
+// outlives Invalidate and Restore (same program) and is replaced by
+// Reload.
+func TestSliceMemo(t *testing.T) {
+	prog := yatl.MustParse(workload.SelectiveProgram(4))
+	m := New(prog, workload.BrochureStore(6, 2, 5, 11), WithDemandDriven(true))
+	memo := m.state().slices
+
+	one := memo.get("Pview1")
+	if one != memo.get("Pview1") || memo.get() != memo.get() {
+		t.Error("a repeated probe computed a new slice")
+	}
+	if !one.Constructs("View1") || one.Rules() != 1 {
+		t.Errorf("Pview1 slice = %s, want View1 alone", one)
+	}
+	if pair := memo.get("Pview2", "Pview1", "Pview2"); pair != memo.get("Pview1", "Pview2") || pair.Rules() != 2 {
+		t.Errorf("order and repeats changed the two-view slice: %s", pair)
+	}
+	if n := testing.AllocsPerRun(100, func() { memo.get("Pview1") }); n != 0 {
+		t.Errorf("single-functor probe allocates %.0f, want 0", n)
+	}
+
+	for i := len(memo.slices); i < maxSliceMemo+8; i++ {
+		memo.get(fmt.Sprintf("Pextra%d", i))
+	}
+	if len(memo.slices) != maxSliceMemo {
+		t.Errorf("memo holds %d slices, want the cap %d", len(memo.slices), maxSliceMemo)
+	}
+	if past := "Pextra" + fmt.Sprint(maxSliceMemo+8); memo.get(past) == memo.get(past) {
+		t.Error("a slice past the cap was retained")
+	}
+	if memo.get("Pview1") != one {
+		t.Error("the cap evicted a retained slice")
+	}
+
+	if _, err := m.Ask(`view < -> name -> N >`, "Pview1"); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Invalidate()
+	if m.state().slices != memo {
+		t.Error("Invalidate replaced the slice memo")
+	}
+	if err := m.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.state(); st.slices != memo || st.dgen.cache.slices != memo {
+		t.Error("Restore replaced the slice memo")
+	}
+	m.Reload(yatl.MustParse(workload.SelectiveProgram(4)))
+	if st := m.state(); st.slices == memo || st.dgen.cache.slices != st.slices {
+		t.Error("Reload kept the old program's slice memo")
 	}
 }

@@ -157,11 +157,10 @@ type progState struct {
 	gen  *generation
 	// dgen is the demand-driven cache, nil unless WithDemandDriven.
 	dgen *demandGen
-	// facts is prog's analysis (engine.AnalyzeProgram): the memo of
-	// pruned slices every read and refresh goes through, computed once
-	// per program lifetime at construction/reload time. Invalidate
-	// reuses it (same program value); Reload recomputes.
-	facts *engine.ProgramFacts
+	// slices memoizes prog's rule slices, which every demand read and
+	// refresh goes through. Invalidate and Restore share it (same
+	// program value); Reload starts a fresh one.
+	slices *sliceMemo
 	// progHash and optsHash identify the program text and the
 	// result-affecting engine options (registry surface included) this
 	// state computes under — the same canonical hashes the snapshot
@@ -214,8 +213,8 @@ type runLedger struct {
 	err error
 }
 
-func newDemandGen(facts *engine.ProgramFacts, ledger runLedger) *demandGen {
-	g := &demandGen{cache: newDemandCache(facts.SliceFor)}
+func newDemandGen(memo *sliceMemo, ledger runLedger) *demandGen {
+	g := &demandGen{cache: newDemandCache(memo)}
 	g.ledger.Store(&ledger)
 	return g
 }
@@ -300,7 +299,7 @@ type Mediator struct {
 // (a legacy *engine.Options value also works: it satisfies
 // engine.Option); WithDemandDriven selects the evaluation strategy.
 func New(prog *yatl.Program, inputs *tree.Store, opts ...engine.Option) *Mediator {
-	st := &progState{prog: prog, gen: &generation{}, facts: engine.AnalyzeProgram(prog), num: 1}
+	st := &progState{prog: prog, gen: &generation{}, slices: newSliceMemo(prog), num: 1}
 	m := &Mediator{inputs: inputs}
 	var eng []engine.Option
 	for _, o := range opts {
@@ -317,7 +316,7 @@ func New(prog *yatl.Program, inputs *tree.Store, opts ...engine.Option) *Mediato
 	st.progHash = snapshot.HashProgram(prog)
 	st.optsHash = snapshot.HashOptions(m.opts)
 	if m.demand {
-		st.dgen = newDemandGen(st.facts, runLedger{})
+		st.dgen = newDemandGen(st.slices, runLedger{})
 	}
 	m.cur.Store(st)
 	return m
@@ -572,13 +571,15 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 		// Traced asks bypass the memo in both directions: EXPLAIN
 		// exists to show the slice and per-rule cache decisions,
 		// which a memoized answer would hide.
-		memoKey = askKey{pt: pt, functors: strings.Join(functors, "\x00")}
-		if out, ok := g.lookupAsk(memoKey); ok {
-			m.cacheHits.Add(1)
-			m.memoHits.Add(1)
-			return out, nil
+		var key string
+		if key, memoize = functorsKey(functors); memoize {
+			memoKey = askKey{pt: pt, functors: key}
+			if out, ok := g.lookupAsk(memoKey); ok {
+				m.cacheHits.Add(1)
+				m.memoHits.Add(1)
+				return out, nil
+			}
 		}
-		memoize = true
 	}
 	entries, hit, view, err := m.read(ctx, st, pt, functors)
 	if hit {
@@ -681,7 +682,7 @@ func (m *Mediator) read(ctx context.Context, st *progState, pt *pattern.PTree, f
 // of every ask missing the same groups.
 func (m *Mediator) ensureDemand(ctx context.Context, st *progState, pt *pattern.PTree, functors []string) ([]tree.StoreEntry, bool, *cacheView, error) {
 	g := st.dgen
-	sl := st.facts.SliceFor(functors...)
+	sl := st.slices.get(functors...)
 	if v := g.cache.view(); v.covers(sl) {
 		m.traceSlice(sl, v)
 		return v.candidates(pt, functors...), true, v, nil
@@ -691,7 +692,7 @@ func (m *Mediator) ensureDemand(ctx context.Context, st *progState, pt *pattern.
 
 	v := g.cache.view()
 	m.traceSlice(sl, v)
-	var missing []string // repeats are harmless: SliceFor dedups
+	var missing []string // repeats are harmless: the memo dedups
 	for _, r := range sl.Construct {
 		if !v.has(r.Head.Functor) {
 			missing = append(missing, r.Head.Functor)
@@ -716,7 +717,7 @@ func (m *Mediator) ensureDemand(ctx context.Context, st *progState, pt *pattern.
 				g.pin = snap
 			}
 		}
-		sub := st.facts.SliceFor(missing...)
+		sub := st.slices.get(missing...)
 		res, err := engine.RunSlice(ctx, st.prog, snap.store(), sub, m.opts)
 		if err != nil {
 			g.failed(err)
@@ -942,7 +943,7 @@ func (m *Mediator) demandStats() Stats {
 	st := m.state()
 	g := st.dgen
 	v, l := g.cache.view(), g.ledger.Load()
-	full := st.facts.SliceFor()
+	full := st.slices.get()
 	return Stats{
 		Run:          l.stats,
 		Demand:       true,
@@ -961,10 +962,10 @@ func (m *Mediator) demandStats() Stats {
 func (m *Mediator) Invalidate() {
 	m.mu.Lock()
 	cur := m.state()
-	next := &progState{prog: cur.prog, gen: &generation{}, facts: cur.facts,
+	next := &progState{prog: cur.prog, gen: &generation{}, slices: cur.slices,
 		progHash: cur.progHash, optsHash: cur.optsHash, num: cur.num + 1}
 	if m.demand {
-		next.dgen = newDemandGen(next.facts, runLedger{})
+		next.dgen = newDemandGen(next.slices, runLedger{})
 	}
 	m.cur.Store(next)
 	m.mu.Unlock()
@@ -992,13 +993,13 @@ func (m *Mediator) Reload(prog *yatl.Program) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	old := m.state()
-	next := &progState{prog: prog, gen: &generation{}, facts: engine.AnalyzeProgram(prog),
+	next := &progState{prog: prog, gen: &generation{}, slices: newSliceMemo(prog),
 		progHash: snapshot.HashProgram(prog), optsHash: snapshot.HashOptions(m.opts), num: old.num + 1}
 	if m.demand {
 		if next.optsHash == old.optsHash {
-			next.dgen = old.dgen.cloneFor(old.facts, next.facts)
+			next.dgen = old.dgen.cloneFor(old.slices, next.slices)
 		} else {
-			next.dgen = newDemandGen(next.facts, runLedger{})
+			next.dgen = newDemandGen(next.slices, runLedger{})
 		}
 	}
 	m.cur.Store(next)

@@ -149,7 +149,7 @@ func touches(d *delta.Delta, family string) bool {
 func TestRefreshMatchesRerun(t *testing.T) {
 	prog := yatl.MustParse(refreshProgram)
 	if h := engine.BuildHierarchy(prog, nil); !slices.Contains(h.Blocks["Specific"], "General") ||
-		!engine.AnalyzeProgram(prog).SliceFor("Pleaf").Includes("Feed") {
+		!engine.ComputeSlice(prog, "Pleaf").Includes("Feed") {
 		t.Fatal("vacuous: Specific must block General, and Feed must support Pleaf")
 	}
 	first, seeds := int64(1), int64(300)

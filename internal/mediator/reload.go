@@ -11,30 +11,25 @@
 // are byte-identical to what a fresh run would produce. Anything less —
 // a rule edited, added to, removed from or moved within the slice, or
 // renamed — leaves the group behind. Both slices come from the
-// programs' facts (pruned, memoized), the one slicing path fills and
-// refreshes use: a rule the analysis proves never fires in either
-// program is in neither slice.
+// programs' slice memos, the one slicing path fills and refreshes use.
 package mediator
 
-import (
-	"yat/internal/engine"
-	"yat/internal/yatl"
-)
+import "yat/internal/yatl"
 
 // cloneFor builds the successor demand generation for a reload from
-// the program analysed as oldFacts to the one analysed as newFacts: the
+// the program sliced by oldSlices to the one sliced by newSlices: the
 // run bookkeeping is copied, the unchanged functor groups are shared and
 // with them the input snapshot they were computed from. g is only
 // marked superseded, so a refresh waiting for its lock follows the
 // clone; in-flight queries keep answering from it.
-func (g *demandGen) cloneFor(oldFacts, newFacts *engine.ProgramFacts) *demandGen {
+func (g *demandGen) cloneFor(oldSlices, newSlices *sliceMemo) *demandGen {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.superseded = true
-	c := newDemandGen(newFacts, *g.ledger.Load())
+	c := newDemandGen(newSlices, *g.ledger.Load())
 	c.pin = g.pin
-	c.cache = g.cache.carryOver(newFacts.SliceFor, func(f string) bool {
-		oldSl, newSl := oldFacts.SliceFor(f), newFacts.SliceFor(f)
+	c.cache = g.cache.carryOver(newSlices, func(f string) bool {
+		oldSl, newSl := oldSlices.get(f), newSlices.get(f)
 		return sameRules(oldSl.Construct, newSl.Construct) && sameRules(oldSl.Support, newSl.Support)
 	})
 	return c

@@ -299,8 +299,8 @@ func TestRestoreRefusesMismatches(t *testing.T) {
 	})
 }
 
-// pairProgram mints one functor from two construct rules, plus a dead
-// sibling pruned from every slice the mediator runs.
+// pairProgram mints one functor from two live construct rules, plus a
+// dead sibling that is a construct rule of its group and mints nothing.
 const pairProgram = `
 program pair
 
@@ -330,9 +330,9 @@ func pairStore() *tree.Store {
 	return s
 }
 
-// A record is a whole group and nothing else. The donor's two-rule
-// group restores whole — a pruned rule is no part of it: the donor does
-// not count it and the restore does not ask for it. A payload whose
+// A record is a whole group and nothing else. The donor's three-rule
+// group restores whole — its dead rule too, which minted none of the
+// record's entries and still counts as a rule of it. A payload whose
 // hashes verify but which the program could not have produced — an
 // identity another functor mints, an identity or a functor listed twice
 // (a functor no rule mints: TestRestoreRefusesMismatches) — is refused
@@ -341,8 +341,8 @@ func pairStore() *tree.Store {
 // functor.
 func TestRestoreRefusesForgedRecords(t *testing.T) {
 	prog := yatl.MustParse(pairProgram)
-	if !engine.AnalyzeProgram(prog).Prunable("Dead") {
-		t.Fatal("vacuous: Dead must be pruned from Pitem's slice")
+	if sl := engine.ComputeSlice(prog, "Pitem"); !sl.Constructs("Dead") || len(sl.Construct) != 3 {
+		t.Fatal("vacuous: Dead must be the third construct rule of Pitem's slice")
 	}
 	newMediator := func() *Mediator { return New(prog, pairStore(), WithDemandDriven(true)) }
 
@@ -371,8 +371,8 @@ func TestRestoreRefusesForgedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameAnswers(t, got, want, "whole group restored")
-	if st := whole.Stats(); st.CachedRules != 2 || st.CacheMisses != 0 {
-		t.Fatalf("restored group: %+v, want its 2 live rules cached and no miss", st)
+	if st := whole.Stats(); st.CachedRules != 3 || st.CacheMisses != 0 {
+		t.Fatalf("restored group: %+v, want its 3 rules cached and no miss", st)
 	}
 
 	ant, bee := snap.Payload.Groups[0].Entries[0], snap.Payload.Groups[0].Entries[1]

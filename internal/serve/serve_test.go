@@ -673,3 +673,38 @@ func TestGracefulDrain(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestAskNULFunctor: /ask takes functor names as they come, and one
+// holding a NUL names no functor. Asking for it must not poison what a
+// later legitimate two-functor ask reads: that ask's answers equal a
+// full-mode mediator's.
+func TestAskNULFunctor(t *testing.T) {
+	prog := yatl.MustParse(workload.SelectiveProgram(4))
+	inputs := workload.BrochureStore(6, 2, 5, 11)
+	_, ts := newTestServer(t, Config{Prog: prog, Inputs: inputs})
+	const pat = `view < -> name -> N, -> city -> C, -> zip -> Z >`
+	resp, data := rawAsk(t, ts.URL, "", wire.AskRequest{Pattern: pat, Functors: []string{"Pview1\x00Pview2"}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("NUL functor ask: status %d: %s", resp.StatusCode, data)
+	}
+	want, err := mediator.New(prog, inputs).Ask(pat, "Pview1", "Pview2")
+	if err != nil || len(want) == 0 {
+		t.Fatalf("vacuous: full-mode oracle answered %d (%v)", len(want), err)
+	}
+	resp, data = rawAsk(t, ts.URL, "", wire.AskRequest{Pattern: pat, Functors: []string{"Pview1", "Pview2"}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("two-functor ask: status %d: %s", resp.StatusCode, data)
+	}
+	_, got, err := wire.DecodeAskResponse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("two-functor ask answered %d, full mode %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].MergeKey() != want[i].MergeKey() {
+			t.Errorf("answer %d = %s, full mode %s", i, got[i].MergeKey(), want[i].MergeKey())
+		}
+	}
+}

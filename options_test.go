@@ -39,8 +39,14 @@ func TestFunctionalOptionsEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The benchmark's no-op options are nil, and a run skips them.
+	noop, err := Run(prog, inputs, WithFacts(AnalyzeProgram(prog)), WithOptimize(false), WithParallelism(4))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if FormatStore(bare.Outputs) != FormatStore(viaNil.Outputs) ||
-		FormatStore(bare.Outputs) != FormatStore(legacy.Outputs) {
+		FormatStore(bare.Outputs) != FormatStore(legacy.Outputs) ||
+		FormatStore(bare.Outputs) != FormatStore(noop.Outputs) {
 		t.Error("default configurations disagree")
 	}
 }

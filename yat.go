@@ -130,12 +130,6 @@ var (
 	WithRegistry = engine.WithRegistry
 	// WithTrace attaches a trace sink (nil disables at zero cost).
 	WithTrace = engine.WithTrace
-	// WithFacts, WithOptimize and WithParallelism configure nothing: the
-	// match path and the worker pool they selected are gone. Kept for
-	// the frozen benchmark, which still passes them.
-	WithFacts       = engine.WithFacts
-	WithOptimize    = engine.WithOptimize
-	WithParallelism = engine.WithParallelism
 	// WithDemandDriven switches NewMediator to demand-driven
 	// evaluation: queries materialize only the rule slices they need,
 	// cached per functor group with fine-grained invalidation.
@@ -154,12 +148,30 @@ func RunContext(ctx context.Context, prog *Program, inputs *Store, opts ...Optio
 	return engine.RunContext(ctx, prog, inputs, opts...)
 }
 
-// ProgramFacts is one analysis of a program: its dead and unreachable
-// rules and its memoized, pruned slices.
-type ProgramFacts = engine.ProgramFacts
+// ProgramFacts is a program's dead rules, as yatcheck's deadrule
+// analyzer reports them: the rules that can never fire and the rules
+// no root functor reaches.
+//
+// Deprecated: ProgramFacts, AnalyzeProgram, WithFacts, WithOptimize
+// and WithParallelism stay only because the frozen benchmark names
+// them (bench/convert.go:65,72,74,165 and
+// bench/layers.go:503,581,584,628,629); its next change deletes them.
+// WithFacts, WithOptimize and WithParallelism configure nothing: the
+// match path and the worker pool they selected are gone, and the nil
+// Option they return is skipped by every run.
+type ProgramFacts = analysis.DeadRules
 
-// AnalyzeProgram computes a program's facts once.
-var AnalyzeProgram = engine.AnalyzeProgram
+// AnalyzeProgram computes a program's dead rules; see ProgramFacts.
+var AnalyzeProgram = analysis.FindDeadRules
+
+// WithFacts configures nothing; see ProgramFacts.
+func WithFacts(*ProgramFacts) Option { return nil }
+
+// WithOptimize configures nothing; see ProgramFacts.
+func WithOptimize(bool) Option { return nil }
+
+// WithParallelism configures nothing; see ProgramFacts.
+func WithParallelism(int) Option { return nil }
 
 // Demand-driven evaluation (the engine half of mediator query
 // pushdown): a slice is the dependency-closed set of rules needed to
