@@ -58,10 +58,11 @@ type cacheView struct {
 	groups map[string]*group
 	// ver counts the views published before this one.
 	ver uint64
-	// memo holds the assembled answers of completed asks over this view:
-	// the repeat of an identical ask skips matching entirely. An ask
-	// memoizes into the view its answers were read from, so a write that
-	// lost a race with a refresh lands in a view no reader loads again.
+	// memo holds the assembled answers, or rendered replies, of completed
+	// asks over this view: the repeat of an identical ask skips matching
+	// entirely. An ask memoizes into the view its answers were read from,
+	// so a write that lost a race with a refresh lands in a view no reader
+	// loads again.
 	memo *askMemo
 }
 
@@ -105,36 +106,103 @@ func functorsKey(functors []string) (key string, ok bool) {
 // memoizing until the next view starts an empty memo.
 const maxAskMemo = 512
 
+// askForm is what an ask hands back: its answers (AskContext and the
+// rest of the Asker surface) or one of the two replies AskReply renders,
+// plain or keyed.
+type askForm uint8
+
+const (
+	formAnswers askForm = iota
+	formPlain
+	formKeyed
+)
+
 // askMemo is one view's ask memo, safe for concurrent use: asks read
-// and write it without a lock.
+// and write it without a lock. It holds one entry per memoized ask.
 type askMemo struct {
-	answers sync.Map // askKey -> []Answer
+	entries sync.Map // askKey -> *memoEntry
 	n       atomic.Int64
 }
 
-// lookup returns a memoized ask's answers. The slice is the memo's own
-// and must be copied before it is handed to a caller.
-func (a *askMemo) lookup(key askKey) ([]Answer, bool) {
-	v, ok := a.answers.Load(key)
-	if !ok {
-		return nil, false
-	}
-	return v.([]Answer), true
+// memoEntry is one memoized ask: the forms its callers asked for, each
+// filled on first use, so an ask only ever answered over HTTP keeps its
+// reply bytes and not the answers' binding maps as well. Immutable once
+// stored; filling a form stores a successor.
+type memoEntry struct {
+	// answers are the ask's answers, set iff hasAnswers (nil when there
+	// are none).
+	answers    []Answer
+	hasAnswers bool
+	// bodies are the rendered replies, plain and keyed, nil until asked
+	// for: exact-size copies of what an AskReply render returned.
+	bodies [2][]byte
 }
 
-// store records a completed ask's answers, unless the memo is full.
-func (a *askMemo) store(key askKey, answers []Answer) {
+// lookup returns a memoized ask's entry, nil when there is none. Its
+// answers are the memo's own and must be copied before they are handed
+// to a caller.
+func (a *askMemo) lookup(key askKey) *memoEntry {
+	v, ok := a.entries.Load(key)
+	if !ok {
+		return nil
+	}
+	return v.(*memoEntry)
+}
+
+// store records one form of a completed ask: answers for formAnswers,
+// else the rendered body. A new key takes an entry unless the memo is
+// full; a memoized one gains the form.
+func (a *askMemo) store(key askKey, form askForm, answers []Answer, body []byte) {
+	old := a.lookup(key)
+	if old == nil && a.n.Load() >= maxAskMemo {
+		return // full: copy nothing
+	}
+	var fill memoEntry
+	if form == formAnswers {
+		fill.answers, fill.hasAnswers = slices.Clone(answers), true
+	} else {
+		// Exact size, and never the caller's buffer: a render may hand
+		// back a pooled one it will reuse.
+		fill.bodies[form-formPlain] = append(make([]byte, 0, len(body)), body...)
+	}
+	for {
+		if old == nil {
+			if !a.reserve() {
+				return
+			}
+			e := fill
+			if _, loaded := a.entries.LoadOrStore(key, &e); !loaded {
+				return
+			}
+			a.n.Add(-1)
+		} else {
+			next := *old
+			if fill.hasAnswers {
+				next.answers, next.hasAnswers = fill.answers, true
+			}
+			for i, b := range fill.bodies {
+				if b != nil {
+					next.bodies[i] = b
+				}
+			}
+			if a.entries.CompareAndSwap(key, old, &next) {
+				return
+			}
+		}
+		old = a.lookup(key)
+	}
+}
+
+// reserve claims room for one more entry, false when the memo is full.
+func (a *askMemo) reserve() bool {
 	for {
 		n := a.n.Load()
 		if n >= maxAskMemo {
-			return
+			return false
 		}
 		if a.n.CompareAndSwap(n, n+1) {
-			break
+			return true
 		}
-	}
-	if _, loaded := a.answers.LoadOrStore(key, slices.Clone(answers)); loaded {
-		a.n.Add(-1)
 	}
 }
 

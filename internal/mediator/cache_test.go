@@ -160,7 +160,7 @@ func TestCacheMutatorsBumpVersion(t *testing.T) {
 	g := m.state().dgen
 	g.cache.evict("Pnone")
 	refresh("auk")() // an empty delta
-	stale.memo.store(askKey{}, nil)
+	stale.memo.store(askKey{}, formAnswers, nil, nil)
 	if after, kept := w.look(t, m); after != before || kept != memo {
 		t.Errorf("no-op steps moved the cache: version %d -> %d, memo %d -> %d", before, after, memo, kept)
 	}

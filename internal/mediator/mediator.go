@@ -235,21 +235,6 @@ func (g *demandGen) failed(err error) {
 	g.ledger.Store(&l)
 }
 
-// lookupAsk serves a memoized ask from the current view's memo, without
-// a lock. The hit returns a fresh slice header over copied elements so
-// a caller appending to its result cannot disturb the memo; the Name
-// trees and Bindings inside are shared, as they are between any two
-// asks over one cache.
-func (g *demandGen) lookupAsk(key askKey) ([]Answer, bool) {
-	memo, ok := g.cache.view().memo.lookup(key)
-	if !ok || len(memo) == 0 {
-		return nil, ok
-	}
-	out := make([]Answer, len(memo))
-	copy(out, memo)
-	return out, true
-}
-
 // Mediator answers queries over the virtual target of a conversion.
 type Mediator struct {
 	inputs *tree.Store
@@ -515,6 +500,33 @@ func ParsePattern(src string) (*pattern.PTree, error) {
 // AskContext is Ask with a cancellation context applied to any engine
 // run the query triggers.
 func (m *Mediator) AskContext(ctx context.Context, patternSrc string, functors ...string) ([]Answer, error) {
+	out, _, err := m.ask(ctx, patternSrc, functors, formAnswers, nil)
+	return out, err
+}
+
+// AskReply is AskContext for a caller that sends the answers on rather
+// than reading them: render turns the answers, and the number of the
+// program-state generation that answered them, into the reply AskReply
+// returns. keyed names which of a caller's two reply forms render
+// writes, so a caller must render each form the same way every time:
+// the ask memo keeps the replies instead of the answers, and a repeated
+// ask returns the memoized bytes without calling render. The memo keeps
+// a copy of what render returns, never the slice itself, so render may
+// append into a buffer its caller reuses once the reply is sent; a reply
+// that came from the memo is shared and must not be modified. render
+// must neither modify the answers nor retain them.
+func (m *Mediator) AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool, render func(generation int64, answers []Answer) []byte) ([]byte, error) {
+	form := formPlain
+	if keyed {
+		form = formKeyed
+	}
+	_, body, err := m.ask(ctx, patternSrc, functors, form, render)
+	return body, err
+}
+
+// ask is the one entry of a pattern given as source text: AskContext
+// and AskReply differ only in the form they want back.
+func (m *Mediator) ask(ctx context.Context, patternSrc string, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, []byte, error) {
 	start := time.Now()
 	m.asks.Add(1)
 	pt, err := ParsePattern(patternSrc)
@@ -523,9 +535,9 @@ func (m *Mediator) AskContext(ctx context.Context, patternSrc string, functors .
 		// but it never consulted the cache, so it is neither a hit nor
 		// a miss: Asks == CacheHits + CacheMisses + parse failures.
 		m.askNanos.Add(time.Since(start).Nanoseconds())
-		return nil, err
+		return nil, nil, err
 	}
-	return m.askPattern(ctx, start, pt, functors)
+	return m.askPattern(ctx, start, pt, functors, form, render)
 }
 
 // AskPattern is Ask over a parsed pattern.
@@ -537,7 +549,8 @@ func (m *Mediator) AskPattern(pt *pattern.PTree, functors ...string) ([]Answer, 
 // to any engine run the query triggers.
 func (m *Mediator) AskPatternContext(ctx context.Context, pt *pattern.PTree, functors ...string) ([]Answer, error) {
 	m.asks.Add(1)
-	return m.askPattern(ctx, time.Now(), pt, functors)
+	out, _, err := m.askPattern(ctx, time.Now(), pt, functors, formAnswers, nil)
+	return out, err
 }
 
 // askPattern is the shared ask core; the caller has already counted
@@ -547,12 +560,12 @@ func (m *Mediator) AskPatternContext(ctx context.Context, pt *pattern.PTree, fun
 // — a hit only when the answer came entirely from an already-successful
 // materialization, a miss whenever engine work ran or was awaited,
 // errors included.
-func (m *Mediator) askPattern(ctx context.Context, start time.Time, pt *pattern.PTree, functors []string) ([]Answer, error) {
+func (m *Mediator) askPattern(ctx context.Context, start time.Time, pt *pattern.PTree, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, []byte, error) {
 	// No defer: the closure it would capture allocates on every ask,
 	// and the demand cache-hit path budgets its allocations.
-	out, err := m.doAsk(ctx, pt, functors)
+	out, body, err := m.doAsk(ctx, pt, functors, form, render)
 	m.askNanos.Add(time.Since(start).Nanoseconds())
-	return out, err
+	return out, body, err
 }
 
 // storelessMatcher serves every ask, in both modes, through the ask's
@@ -562,7 +575,10 @@ func (m *Mediator) askPattern(ctx context.Context, start time.Time, pt *pattern.
 // scratch is per match, so it is shared safely.
 var storelessMatcher = &engine.Matcher{}
 
-func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []string) ([]Answer, error) {
+// doAsk answers one ask in the form it wants: the answers, and for a
+// reply form render's reply over them, rendered with the number of the
+// program state the ask read.
+func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, []byte, error) {
 	st := m.state()
 	memoize := false
 	var memoKey askKey
@@ -574,10 +590,13 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 		var key string
 		if key, memoize = functorsKey(functors); memoize {
 			memoKey = askKey{pt: pt, functors: key}
-			if out, ok := g.lookupAsk(memoKey); ok {
-				m.cacheHits.Add(1)
-				m.memoHits.Add(1)
-				return out, nil
+			memo := g.cache.view().memo
+			if e := memo.lookup(memoKey); e != nil {
+				if out, body, ok := fromMemo(st.num, memo, memoKey, e, form, render); ok {
+					m.cacheHits.Add(1)
+					m.memoHits.Add(1)
+					return out, body, nil
+				}
 			}
 		}
 	}
@@ -590,7 +609,7 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 		m.cacheMiss.Add(1)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var out []Answer
 	if len(entries) > 0 {
@@ -610,10 +629,38 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 		}
 		sort.Stable(&answerOrder{out, names})
 	}
-	if memoize {
-		view.memo.store(memoKey, out)
+	var body []byte
+	if form != formAnswers {
+		body = render(st.num, out)
 	}
-	return out, nil
+	if memoize {
+		view.memo.store(memoKey, form, out, body)
+	}
+	return out, body, nil
+}
+
+// fromMemo serves an ask from its memo entry when the entry holds the
+// form the ask wants, or — for a reply — the answers to render it from,
+// which adds the reply to the entry. ok is false when it holds neither:
+// the ask then matches again, over the demand cache. The hit returns a
+// fresh slice header over copied elements so a caller appending to its
+// result cannot disturb the memo; the Name trees and Bindings inside are
+// shared, as they are between any two asks over one cache.
+func fromMemo(generation int64, memo *askMemo, key askKey, e *memoEntry, form askForm, render func(int64, []Answer) []byte) ([]Answer, []byte, bool) {
+	switch {
+	case form == formAnswers:
+		if !e.hasAnswers || len(e.answers) == 0 {
+			return nil, nil, e.hasAnswers
+		}
+		return slices.Clone(e.answers), nil, true
+	case e.bodies[form-formPlain] != nil:
+		return nil, e.bodies[form-formPlain], true
+	case e.hasAnswers:
+		body := render(generation, e.answers)
+		memo.store(key, form, nil, body)
+		return nil, body, true
+	}
+	return nil, nil, false
 }
 
 // answerOrder sorts answers by (Name.Key, Binding.Key), the order
@@ -824,7 +871,13 @@ type Stats struct {
 	CacheMisses int64 `json:"cache_misses"`
 	// MemoHits counts the CacheHits the ask memo served without matching
 	// anything; the rest matched cached (demand mode) or materialized
-	// entries.
+	// entries. A memo entry keeps only the forms its asks wanted — the
+	// answers (AskContext), a plain or a keyed reply (AskReply) — so an
+	// AskReply whose entry holds the answers but not its reply renders
+	// them and is a memo hit, while an ask whose entry holds neither its
+	// form nor, for a reply, the answers (only the other reply, or only
+	// replies behind an AskContext) matches again over the demand cache:
+	// a cache hit, not a memo hit.
 	MemoHits int64 `json:"memo_hits"`
 	// AskTime is the cumulative wall time spent inside Ask calls;
 	// divide by Asks for the mean per-query latency.

@@ -162,9 +162,8 @@ func TestAskBufferPoolIsBounded(t *testing.T) {
 		t.Fatalf("huge reply was %d bytes", w.n)
 	}
 	for i := 0; i < 64; i++ {
-		bp := askBufs.Get().(*[]byte)
-		if cap(*bp) > maxPooledAskBuf {
-			t.Fatalf("pool handed out a %d-byte buffer, bound is %d", cap(*bp), maxPooledAskBuf)
+		if a := askBufs.Get().(*askBuf); cap(a.b) > maxPooledAskBuf {
+			t.Fatalf("pool handed out a %d-byte buffer, bound is %d", cap(a.b), maxPooledAskBuf)
 		}
 	}
 }

@@ -264,6 +264,13 @@ type (
 	}
 	programmer   interface{ Program() *yatl.Program }
 	generationer interface{ Generation() int64 }
+	// replier renders an ask's reply itself, with the generation that
+	// answered, and keeps it in its ask memo: a repeated ask writes the
+	// bytes it rendered once.
+	replier interface {
+		AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool,
+			render func(generation int64, answers []mediator.Answer) []byte) ([]byte, error)
+	}
 )
 
 // lanesAs asserts capability C on every asker, all or nothing: an
@@ -414,26 +421,54 @@ func writeError(w http.ResponseWriter, err error) {
 	writeErr(w, status, code, err.Error())
 }
 
+// askBuf is one pooled ask reply buffer.
+type askBuf struct {
+	b []byte
+	// keyed and render serve an AskReply: render appends the reply, plain
+	// or keyed, into b. It is bound once per buffer; a method value made
+	// per ask would allocate.
+	keyed  bool
+	render func(generation int64, answers []mediator.Answer) []byte
+}
+
+func (a *askBuf) appendReply(generation int64, answers []mediator.Answer) []byte {
+	a.b = wire.AppendAskResponse(a.b[:0], generation, answers, a.keyed, nil)
+	return a.b
+}
+
 // askBufs pools the ask reply buffers. A buffer that grew past
 // maxPooledAskBuf is dropped instead of returned, so one huge reply
 // cannot pin its memory on every P for the life of the process.
 var askBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4<<10)
-	return &b
+	a := &askBuf{b: make([]byte, 0, 4<<10)}
+	a.render = a.appendReply
+	return a
 }}
 
 const maxPooledAskBuf = 64 << 10
 
-// writeAsk is the ask path's one encode-and-send: /ask, /ask?explain=1
-// and GET /explain all reply through it. wire.AppendAskResponse
-// renders the answers compact into a pooled buffer, and the finished
-// body goes out in one Write with its Content-Length. The body is
-// complete before the status line is, so the ask counts as served only
-// once the client has it and as failed when the client went away
-// mid-write.
+func putAskBuf(a *askBuf) {
+	if cap(a.b) <= maxPooledAskBuf {
+		askBufs.Put(a)
+	}
+}
+
+// writeAsk is the encode-and-send of an ask answered by an Asker
+// without AskReply, and of /ask?explain=1 and GET /explain:
+// wire.AppendAskResponse renders the answers compact into a pooled
+// buffer, and sendAsk sends it.
 func (s *Server) writeAsk(w http.ResponseWriter, generation int64, answers []mediator.Answer, keyed bool, profile json.RawMessage) {
-	bp := askBufs.Get().(*[]byte)
-	body := wire.AppendAskResponse((*bp)[:0], generation, answers, keyed, profile)
+	a := askBufs.Get().(*askBuf)
+	a.b = wire.AppendAskResponse(a.b[:0], generation, answers, keyed, profile)
+	s.sendAsk(w, a.b)
+	putAskBuf(a)
+}
+
+// sendAsk sends a finished ask reply in one Write with its
+// Content-Length. The body is complete before the status line is, so
+// the ask counts as served only once the client has it and as failed
+// when the client went away mid-write.
+func (s *Server) sendAsk(w http.ResponseWriter, body []byte) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(body)))
@@ -441,10 +476,6 @@ func (s *Server) writeAsk(w http.ResponseWriter, generation int64, answers []med
 		s.failed.Add(1)
 	} else {
 		s.served.Add(1)
-	}
-	if cap(body) <= maxPooledAskBuf {
-		*bp = body
-		askBufs.Put(bp)
 	}
 }
 
@@ -471,14 +502,36 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		s.explainAsk(w, r, q, req.Pattern, req.Functors)
 		return
 	}
+	keyed := q.Get("keys") == "1"
 	med := s.lane()
+	if rp, ok := med.(replier); ok {
+		s.replyAsk(w, r, rp, req, keyed)
+		return
+	}
 	answers, err := med.AskContext(r.Context(), req.Pattern, req.Functors...)
 	if err != nil {
 		s.failed.Add(1)
 		writeError(w, err)
 		return
 	}
-	s.writeAsk(w, generationOf(med), answers, q.Get("keys") == "1", nil)
+	s.writeAsk(w, generationOf(med), answers, keyed, nil)
+}
+
+// replyAsk serves an ask through an asker that renders the reply
+// itself. The render appends into a pooled buffer, which goes back to
+// the pool once the reply is sent; a memoized reply is the asker's own
+// copy, written and never pooled.
+func (s *Server) replyAsk(w http.ResponseWriter, r *http.Request, rp replier, req wire.AskRequest, keyed bool) {
+	a := askBufs.Get().(*askBuf)
+	a.keyed = keyed
+	body, err := rp.AskReply(r.Context(), req.Pattern, req.Functors, keyed, a.render)
+	if err != nil {
+		s.failed.Add(1)
+		writeError(w, err)
+	} else {
+		s.sendAsk(w, body)
+	}
+	putAskBuf(a)
 }
 
 // explainAsk serves one ask under a request-scoped profile: a fresh
