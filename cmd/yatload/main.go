@@ -176,10 +176,10 @@ func drive(cfg driveConfig) (*wire.LoadReport, error) {
 	if cfg.rotate {
 		bodies = make([][]byte, len(cfg.functors))
 		for i, f := range cfg.functors {
-			bodies[i] = mustBody(cfg.pattern, []string{f})
+			bodies[i] = askBody(cfg.pattern, []string{f})
 		}
 	} else {
-		bodies[0] = mustBody(cfg.pattern, cfg.functors)
+		bodies[0] = askBody(cfg.pattern, cfg.functors)
 	}
 
 	client := &http.Client{Transport: &http.Transport{
@@ -262,12 +262,8 @@ func drive(cfg driveConfig) (*wire.LoadReport, error) {
 	return report, nil
 }
 
-func mustBody(pattern string, functors []string) []byte {
-	body, err := json.Marshal(wire.AskRequest{Pattern: pattern, Functors: functors})
-	if err != nil {
-		panic(err)
-	}
-	return body
+func askBody(pattern string, functors []string) []byte {
+	return wire.AppendAskRequest(nil, wire.AskRequest{Pattern: pattern, Functors: functors})
 }
 
 // ask performs one POST /ask, draining and closing the body so the

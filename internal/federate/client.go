@@ -23,9 +23,10 @@ import (
 // in the child's own canonical order even when a display form is
 // exotic. Replies are read by wire.DecodeAskResponse — one validating
 // pass, no reflection — and each answer carries the child's rendered
-// members with it, so a parent that serves the merge forwards those
-// bytes instead of rendering the trees a second time. A Client carries
-// no per-request state and is safe for concurrent use.
+// members with it; a parent Federation serving /ask reads them with
+// wire.RelayAskResponse instead, which checks the same and parses none
+// of what it forwards. A Client carries no per-request state and is
+// safe for concurrent use.
 type Client struct {
 	base string
 	name string
@@ -104,20 +105,26 @@ func (c *Client) Ask(patternSrc string, functors ...string) ([]mediator.Answer, 
 // the ask, so the federation degrades this shard rather than serve a
 // short or doubtful stream.
 func (c *Client) AskContext(ctx context.Context, patternSrc string, functors ...string) ([]mediator.Answer, error) {
-	body, err := json.Marshal(wire.AskRequest{Pattern: patternSrc, Functors: functors})
-	if err != nil {
-		return nil, err
-	}
+	_, answers, err := c.ask(ctx, patternSrc, functors, wire.DecodeAskResponse)
+	return answers, err
+}
+
+// ask is AskContext reading the reply with decode — a Federation's
+// AskReply reads it with wire.RelayAskResponse — and returning the
+// generation the reply carried.
+func (c *Client) ask(ctx context.Context, patternSrc string, functors []string,
+	decode func([]byte) (int64, []mediator.Answer, error)) (int64, []mediator.Answer, error) {
+	body := wire.AppendAskRequest(nil, wire.AskRequest{Pattern: patternSrc, Functors: functors})
 	data, err := c.do(ctx, http.MethodPost, "/ask?keys=1", body)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	generation, answers, err := wire.DecodeAskResponse(data)
+	generation, answers, err := decode(data)
 	if err != nil {
-		return nil, fmt.Errorf("shard %s: %w", c.name, err)
+		return 0, nil, fmt.Errorf("shard %s: %w", c.name, err)
 	}
 	c.gen.Store(generation)
-	return answers, nil
+	return generation, answers, nil
 }
 
 // introspectTimeout bounds Functors and Stats. Asker hands neither a

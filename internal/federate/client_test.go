@@ -462,17 +462,25 @@ func TestClientDecodesBothReplyLayouts(t *testing.T) {
 // the parent's own count would otherwise launder into a consistent
 // short reply), a display form that does not parse, malformed JSON —
 // fails the ask with a typed error naming the shard, and a federation
-// degrades that shard instead of serving what it sent.
+// degrades that shard instead of serving what it sent: asked by a Go
+// caller, which gets parsed answers, and through a parent's /ask, which
+// relays them unparsed (wire.RelayAskResponse) and refuses alike.
 func TestClientRefusesDoubtfulReplies(t *testing.T) {
 	const short = `{"generation":1,"count":30,"answers":[{"name":"Pview2(\"a\")","key":"Pview2(string:\"a\")\u0000"}]}`
-	for reply, want := range map[string]string{
+	forged := map[string]string{
 		short: "count is 30, the reply carries 1 answers",
 		`{"generation":1,"count":1,"answers":[{"name":"Pview2("}]}`:                      "unparseable answer name",
 		`{"generation":1,"count":1,"answers":[{"name":"b1","binding":{"N":"a <"}}]}`:     `unparseable binding N="a <"`,
 		`{"generation":1,"count":1,"answers":[{"name":"b1"}`:                             "expected ',' or ']'",
 		`{"generation":1,"count":1,"answers":[{"name":"b1"},{"name":"b1","name":"b2"}]}`: `duplicate member "name"`,
 		`{"generation":1,"count":1,"Answers":[{"name":"b1"}]}`:                           "only in case",
-	} {
+		// In the encoder's own form and keyed, so a relay checks them
+		// without parsing.
+		`{"generation":1,"count":1,"answers":[{"name":"Pview2(","key":"k"}]}`:                                "unparseable answer name",
+		`{"generation":1,"count":1,"answers":[{"name":"b1","binding":{"N":"a \u003c"},"key":"k"}]}`:          `unparseable binding N="a <"`,
+		`{"generation":1,"count":1,"answers":[{"name":"b1","binding":{"M":"1","N":"1","N":"2"},"key":"k"}]}`: `duplicate binding variable "N"`,
+	}
+	for reply, want := range forged {
 		answers, err := cannedClient(t, []byte(reply)).Ask("X")
 		var derr *wire.DecodeError
 		if !errors.As(err, &derr) || !strings.HasPrefix(err.Error(), "shard canned: ") || !strings.Contains(err.Error(), want) || answers != nil {
@@ -483,27 +491,57 @@ func TestClientRefusesDoubtfulReplies(t *testing.T) {
 	prog := yatl.MustParse(workload.SelectiveProgram(2))
 	plans := federate.PlanShards(prog, 2)
 	_, honest := childServer(t, plans[0].Prog, workload.BrochureStore(2, 1, 2, 4))
-	fed, err := federate.New(federate.Config{
-		Children: []federate.Child{
-			{Name: "honest", Asker: honest, Functors: plans[0].Functors},
-			{Name: "short", Asker: cannedClient(t, []byte(short)), Functors: plans[1].Functors},
-		},
-		Guard: &federate.GuardOptions{Retry: &source.RetryOptions{MaxAttempts: 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	federation := func(forged string) *federate.Federation {
+		fed, err := federate.New(federate.Config{
+			Children: []federate.Child{
+				{Name: "honest", Asker: honest, Functors: plans[0].Functors},
+				{Name: "forged", Asker: cannedClient(t, []byte(forged)), Functors: plans[1].Functors},
+			},
+			Guard: &federate.GuardOptions{Retry: &source.RetryOptions{MaxAttempts: 1}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fed
+	}
+	degraded := func(fed *federate.Federation, reply, want string) {
+		t.Helper()
+		for _, sh := range fed.Stats().Shards {
+			if sh.Healthy != (sh.Name == "honest") {
+				t.Errorf("%s: shard %s healthy=%v (%s)", reply, sh.Name, sh.Healthy, sh.LastErr)
+			}
+			if sh.Name == "forged" && !strings.Contains(sh.LastErr, want) {
+				t.Errorf("%s: the forged shard's last error %q does not say %q", reply, sh.LastErr, want)
+			}
+		}
 	}
 	want := mustAsk(t, honest, "X")
+	fed := federation(short)
 	if got := mustAsk(t, fed, "X"); len(got) == 0 || !reflect.DeepEqual(got, want) {
 		t.Errorf("federation served %v, want the honest shard's %v alone", got, want)
 	}
-	for _, sh := range fed.Stats().Shards {
-		if sh.Healthy != (sh.Name == "honest") {
-			t.Errorf("shard %s healthy=%v (%s)", sh.Name, sh.Healthy, sh.LastErr)
+	degraded(fed, short, "count is 30")
+
+	for reply, why := range forged {
+		fed := federation(reply)
+		s, err := serve.New(serve.Config{Askers: []mediator.Asker{fed}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if sh.Name == "short" && !strings.Contains(sh.LastErr, "count is 30") {
-			t.Errorf("short shard's last error %q does not say why", sh.LastErr)
+		parent := httptest.NewServer(s.Handler())
+		resp, err := http.Post(parent.URL+"/ask", "application/json", strings.NewReader(`{"pattern":"X"}`))
+		if err != nil {
+			t.Fatal(err)
 		}
+		var out wire.AskResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		parent.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || out.Count != len(want) {
+			t.Errorf("%s: the parent's /ask replied %d with %d answers (%v), want the honest shard's %d",
+				reply, resp.StatusCode, out.Count, err, len(want))
+		}
+		degraded(fed, reply, why)
 	}
 }
 
@@ -532,7 +570,10 @@ func TestClientReplyTooLarge(t *testing.T) {
 // serve_federated shape — took 794 allocations through json.Unmarshal
 // and a parse of every display form into a throwaway node, and
 // encoding the merged 60 answers of two such replies rendered every
-// tree again; now the decode is one pass and the encode a copy.
+// tree again; then the decode was one pass (374 allocations) and the
+// encode a copy. A relay — what a parent serving /ask reads — parses
+// nothing it forwards: a handful of allocations per reply, not per
+// answer.
 func TestClientAskAllocs(t *testing.T) {
 	prog := yatl.MustParse(workload.SelectiveProgram(2))
 	med := mediator.New(prog, workload.BrochureStore(120, 3, 30, 1), mediator.WithDemandDriven(true))
@@ -544,26 +585,35 @@ func TestClientAskAllocs(t *testing.T) {
 		}
 		replies[i] = wire.AppendAskResponse(nil, 1, answers, true, nil)
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, _, err := wire.DecodeAskResponse(replies[0]); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		decode func([]byte) (int64, []mediator.Answer, error)
+		max    float64
+	}{
+		{"decoding", wire.DecodeAskResponse, 320},
+		{"relaying", wire.RelayAskResponse, 8},
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, _, err := c.decode(replies[0]); err != nil {
+				t.Fatal(err)
+			}
+		}); n > c.max {
+			t.Errorf("%s a 30-answer keyed reply: %v allocations, want <= %v", c.name, n, c.max)
 		}
-	}); n > 600 {
-		t.Errorf("decoding a 30-answer keyed reply: %v allocations, want <= 600", n)
-	}
 
-	var merged []mediator.Answer
-	for _, reply := range replies {
-		_, answers, err := wire.DecodeAskResponse(reply)
-		if err != nil {
-			t.Fatal(err)
+		var merged []mediator.Answer
+		for _, reply := range replies {
+			_, answers, err := c.decode(reply)
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged = append(merged, answers...)
 		}
-		merged = append(merged, answers...)
-	}
-	buf := make([]byte, 0, 16<<10)
-	for _, keyed := range []bool{false, true} {
-		if n := testing.AllocsPerRun(100, func() { buf = wire.AppendAskResponse(buf[:0], 1, merged, keyed, nil) }); n > 8 {
-			t.Errorf("keyed=%v: encoding 60 forwarded answers: %v allocations, want <= 8", keyed, n)
+		buf := make([]byte, 0, 16<<10)
+		for _, keyed := range []bool{false, true} {
+			if n := testing.AllocsPerRun(100, func() { buf = wire.AppendAskResponse(buf[:0], 1, merged, keyed, nil) }); n > 8 {
+				t.Errorf("%s, keyed=%v: encoding 60 forwarded answers: %v allocations, want <= 8", c.name, keyed, n)
+			}
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"yat/internal/compose"
 	"yat/internal/engine"
 	"yat/internal/mediator"
+	"yat/internal/serve/wire"
 	"yat/internal/source"
 	"yat/internal/trace"
 	"yat/internal/tree"
@@ -74,10 +75,12 @@ type Config struct {
 
 // fedChild is one child plus its routing and fault-tolerance state.
 type fedChild struct {
-	name   string
-	asker  mediator.Asker
-	owned  []string // owned functors, program declaration order
-	remote bool
+	name  string
+	asker mediator.Asker
+	owned []string // owned functors, program declaration order
+	// client is asker when it is a remote *Client, nil for an in-process
+	// child.
+	client *Client
 	chain  source.Source // guard chain; breaker state persists here
 
 	asks     atomic.Int64
@@ -147,8 +150,7 @@ func New(cfg Config) (*Federation, error) {
 				}
 				owned = fs
 			}
-			_, remote := c.Asker.(*Client)
-			f.addChild(name, c.Asker, owned, remote, guard)
+			f.addChild(name, c.Asker, owned, guard)
 		}
 		return f, nil
 	}
@@ -163,7 +165,7 @@ func New(cfg Config) (*Federation, error) {
 		// cfg.Options wins because later options do.
 		opts := append([]engine.Option{mediator.WithDemandDriven(true)}, cfg.Options...)
 		med := mediator.New(p.Prog, cfg.Inputs, opts...)
-		f.addChild("shard"+strconv.Itoa(p.Index), med, p.Functors, false, guard)
+		f.addChild("shard"+strconv.Itoa(p.Index), med, p.Functors, guard)
 	}
 	return f, nil
 }
@@ -172,9 +174,9 @@ func New(cfg Config) (*Federation, error) {
 // table. On overlap the first claimant wins: slice soundness makes
 // either owner's answers for the group byte-identical, and a
 // deterministic owner keeps the scatter plan stable.
-func (f *Federation) addChild(name string, asker mediator.Asker, owned []string, remote bool, guard GuardOptions) {
-	c := &fedChild{name: name, asker: asker, owned: nil, remote: remote,
-		chain: buildGuard(name, guard)}
+func (f *Federation) addChild(name string, asker mediator.Asker, owned []string, guard GuardOptions) {
+	c := &fedChild{name: name, asker: asker, chain: buildGuard(name, guard)}
+	c.client, _ = asker.(*Client)
 	c.healthy.Store(true)
 	c.lastErr.Store("")
 	idx := len(f.children)
@@ -220,6 +222,31 @@ func (f *Federation) Ask(patternSrc string, functors ...string) ([]mediator.Answ
 // canonical MergeKey doAsk orders by, and no key collides across
 // shards because each functor group is answered by exactly one.
 func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors ...string) ([]mediator.Answer, error) {
+	answers, _, err := f.scatter(ctx, patternSrc, functors, false)
+	return answers, err
+}
+
+// AskReply is AskContext for a caller that sends the merged answers on
+// rather than reading them (serve's /ask): render turns them into the
+// reply AskReply returns, with the generation that answered — the
+// oldest among the children's replies merged, not among the children
+// (an in-process child's is its Generation() once it has answered). A
+// remote child's reply is read by wire.RelayAskResponse, so its
+// answers reach render with the members and merge key the child wrote
+// and no trees: only rendering may read them. keyed is render's
+// business; a federation keeps no memo.
+func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool, render func(generation int64, answers []mediator.Answer) []byte) ([]byte, error) {
+	answers, generation, err := f.scatter(ctx, patternSrc, functors, true)
+	if err != nil {
+		return nil, err
+	}
+	return render(generation, answers), nil
+}
+
+// scatter is the one scatter-gather of AskContext and AskReply (relay):
+// it returns the merge and the oldest generation among the replies in
+// it.
+func (f *Federation) scatter(ctx context.Context, patternSrc string, functors []string, relay bool) ([]mediator.Answer, int64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -227,7 +254,7 @@ func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors
 	// guards would retry it and count it against children that did
 	// nothing wrong.
 	if _, err := mediator.ParsePattern(patternSrc); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	type target struct {
 		c  *fedChild
@@ -247,7 +274,7 @@ func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors
 		for _, fu := range functors {
 			idx, ok := f.route[fu]
 			if !ok {
-				return nil, &UnroutableError{Functor: fu, Shards: len(f.children)}
+				return nil, 0, &UnroutableError{Functor: fu, Shards: len(f.children)}
 			}
 			if seen[fu] {
 				continue
@@ -267,6 +294,7 @@ func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors
 	}
 
 	results := make([][]mediator.Answer, len(targets))
+	gens := make([]int64, len(targets))
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
 	for i, t := range targets {
@@ -274,12 +302,12 @@ func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors
 		go func(i int, t target) {
 			defer wg.Done()
 			start := time.Now()
-			var answers []mediator.Answer
-			err := callGuarded(ctx, t.c.chain, func(ctx context.Context) error {
-				out, err := t.c.asker.AskContext(ctx, patternSrc, t.fs...)
-				if err == nil {
-					answers = out
-				}
+			var (
+				answers []mediator.Answer
+				gen     int64
+			)
+			err := callGuarded(ctx, t.c.chain, func(ctx context.Context) (err error) {
+				answers, gen, err = t.c.ask(ctx, patternSrc, t.fs, relay)
 				return err
 			})
 			if err != nil {
@@ -293,7 +321,7 @@ func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors
 				return
 			}
 			t.c.called(nil)
-			results[i] = answers
+			results[i], gens[i] = answers, gen
 			f.emit(trace.Event{Kind: trace.KindShardAsk, Phase: trace.PhaseFederate,
 				Detail: t.c.name, Count: len(answers), Duration: time.Since(start)})
 		}(i, t)
@@ -301,16 +329,26 @@ func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors
 	wg.Wait()
 
 	failed := map[string]error{}
-	var merged []mediator.Answer
+	var (
+		merged     []mediator.Answer
+		generation int64
+	)
 	for i, t := range targets {
 		if errs[i] != nil {
 			failed[t.c.name] = errs[i]
 			continue
 		}
 		merged = append(merged, results[i]...)
+		if generation == 0 || gens[i] < generation {
+			generation = gens[i]
+		}
 	}
 	if len(targets) > 0 && len(failed) == len(targets) {
-		return nil, &FanoutError{Errs: failed}
+		return nil, 0, &FanoutError{Errs: failed}
+	}
+	if generation == 0 {
+		// No child was asked.
+		generation = f.Generation()
 	}
 	if len(merged) > 1 && len(targets) > 1 {
 		// Precompute keys once: MergeKey allocates, and the comparator
@@ -330,7 +368,24 @@ func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors
 		}
 		merged = out
 	}
-	return merged, nil
+	return merged, generation, nil
+}
+
+// ask asks the child for its share of an ask, and says which generation
+// answered: a remote child's reply names it, an in-process child
+// reports its own once it has answered. relay reads a remote reply for
+// forwarding (wire.RelayAskResponse) instead of parsing it.
+func (c *fedChild) ask(ctx context.Context, patternSrc string, functors []string, relay bool) ([]mediator.Answer, int64, error) {
+	if c.client != nil {
+		decode := wire.DecodeAskResponse
+		if relay {
+			decode = wire.RelayAskResponse
+		}
+		generation, answers, err := c.client.ask(ctx, patternSrc, functors, decode)
+		return answers, generation, err
+	}
+	answers, err := c.asker.AskContext(ctx, patternSrc, functors...)
+	return answers, generationOf(c.asker), err
 }
 
 // Functors gathers the union of the children's functor sets, sorted.
@@ -381,7 +436,7 @@ func (f *Federation) Stats() mediator.Stats {
 		views = append(views, c.asker.Stats())
 		st := mediator.ShardStatus{
 			Name:     c.name,
-			Remote:   c.remote,
+			Remote:   c.client != nil,
 			Functors: len(c.owned),
 			Asks:     c.asks.Load(),
 			Failures: c.failures.Load(),
@@ -404,11 +459,7 @@ func (f *Federation) Stats() mediator.Stats {
 func (f *Federation) Generation() int64 {
 	gen := int64(0)
 	for _, c := range f.children {
-		var g int64 = 1
-		if gn, ok := c.asker.(interface{ Generation() int64 }); ok {
-			g = gn.Generation()
-		}
-		if gen == 0 || g < gen {
+		if g := generationOf(c.asker); gen == 0 || g < gen {
 			gen = g
 		}
 	}
@@ -416,6 +467,15 @@ func (f *Federation) Generation() int64 {
 		gen = 1
 	}
 	return gen
+}
+
+// generationOf is an asker's generation, 1 for one that cannot report
+// any.
+func generationOf(a mediator.Asker) int64 {
+	if gn, ok := a.(interface{ Generation() int64 }); ok {
+		return gn.Generation()
+	}
+	return 1
 }
 
 func (f *Federation) emit(e trace.Event) {

@@ -372,33 +372,35 @@ type Answer struct {
 	// every locally produced answer. One pointer, not the forms inline:
 	// every cached and memoized answer pays for this struct's size
 	// (56 bytes so), and only relayed ones have anything to keep.
-	wire *wireForms
+	wire *WireForms
 }
 
-// wireForms are what a remote producer wrote for one answer, kept so
+// WireForms are what a remote producer wrote for one answer, kept so
 // that a federation parent merges in the child's exact order and
 // relays the child's bytes instead of rendering the trees again.
-type wireForms struct {
-	// key is the producer's MergeKey.
-	key string
-	// members is the answer's `"name":…,"binding":{…}` JSON members
-	// exactly as wire.AppendAskResponse writes them for Name and
-	// Binding, or "" when the producer wrote them any other way.
-	members string
+type WireForms struct {
+	// Key is the producer's MergeKey, "" when its reply carried none.
+	Key string
+	// Members is the answer's `"name":…,"binding":{…}` JSON members
+	// exactly as wire.AppendAskResponse writes them for the answer's Name
+	// and Binding, or "" when the producer wrote them any other way.
+	Members string
 }
 
 // RelayedAnswer builds the answer a decoder of the ask wire format
 // read: the parsed name and binding plus the producer's own forms of
-// them — key, its MergeKey ("" when the reply carried none), and
-// members, the `"name":…,"binding":{…}` bytes to forward. It is the
-// only way to set those forms: members must be byte for byte what
-// wire.AppendAskResponse renders for name and binding, which only a
-// decoder that checked them (wire.DecodeAskResponse) can promise; pass
-// "" otherwise.
-func RelayedAnswer(name tree.Name, binding engine.Binding, key, members string) Answer {
+// them, which the answer shares (a decoder hands out one slab of them
+// per reply; neither may change afterwards). It is the only way to set
+// those forms: Members must be byte for byte what wire.AppendAskResponse
+// renders for name and binding, which only a decoder that checked them
+// (package wire) can promise; leave it "" otherwise. A decoder that
+// relays an answer without parsing it passes a zero name and a nil
+// binding: such an answer is fit only to be merged by its Key and
+// rendered by wire.AppendAskResponse.
+func RelayedAnswer(name tree.Name, binding engine.Binding, forms *WireForms) Answer {
 	a := Answer{Name: name, Binding: binding}
-	if key != "" || members != "" {
-		a.wire = &wireForms{key: key, members: members}
+	if forms != nil && (forms.Key != "" || forms.Members != "") {
+		a.wire = forms
 	}
 	return a
 }
@@ -410,7 +412,7 @@ func (a *Answer) WireMembers() string {
 	if a.wire == nil {
 		return ""
 	}
-	return a.wire.members
+	return a.wire.Members
 }
 
 // MergeKey is the canonical (Name, Binding) sort key doAsk orders
@@ -422,8 +424,8 @@ func (a *Answer) WireMembers() string {
 // federation's merge reproduces the child's exact sort order even if a
 // display form failed to round-trip.
 func (a *Answer) MergeKey() string {
-	if a.wire != nil && a.wire.key != "" {
-		return a.wire.key
+	if a.wire != nil && a.wire.Key != "" {
+		return a.wire.Key
 	}
 	return string(a.AppendMergeKey(nil))
 }
@@ -432,8 +434,8 @@ func (a *Answer) MergeKey() string {
 // Binding.Key — without building either component string: a keyed
 // reply (?keys=1) renders one per answer.
 func (a *Answer) AppendMergeKey(dst []byte) []byte {
-	if a.wire != nil && a.wire.key != "" {
-		return append(dst, a.wire.key...)
+	if a.wire != nil && a.wire.Key != "" {
+		return append(dst, a.wire.Key...)
 	}
 	dst = a.Name.AppendKey(dst)
 	dst = append(dst, 0)

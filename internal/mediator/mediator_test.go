@@ -352,20 +352,20 @@ func TestAppendMergeKeyMatchesMergeKey(t *testing.T) {
 			Binding: engine.Binding{"T": subtree, "N": tree.String("a\x00b;c=\"d\""), "F": tree.Float(2),
 				"R": tree.Ref{Name: tree.SkolemName("Pcar", tree.Int(1))}, "B": tree.Bool(true), "": tree.Symbol("s")}},
 		{Name: tree.PlainName("wide"), Binding: wide},
-		RelayedAnswer(tree.PlainName("remote"), engine.Binding{"N": tree.Int(1)}, "the\x00wire=key;", ""),
+		RelayedAnswer(tree.PlainName("remote"), engine.Binding{"N": tree.Int(1)}, &WireForms{Key: "the\x00wire=key;"}),
 		// Forwarded members without a key: the key is computed locally.
-		RelayedAnswer(tree.PlainName("remote"), nil, "", `"name":"remote"`),
+		RelayedAnswer(tree.PlainName("remote"), nil, &WireForms{Members: `"name":"remote"`}),
 	}
 	if size := unsafe.Sizeof(Answer{}); size > 64 {
 		t.Errorf("Answer is %d bytes, want <= 64", size)
 	}
-	if a := RelayedAnswer(tree.PlainName("local"), nil, "", ""); a.wire != nil {
+	if a := RelayedAnswer(tree.PlainName("local"), nil, &WireForms{}); a.wire != nil {
 		t.Error("an answer with no producer forms allocated some")
 	}
 	for i, a := range answers {
 		want := a.Name.Key() + "\x00" + a.Binding.Key()
-		if a.wire != nil && a.wire.key != "" {
-			want = a.wire.key
+		if a.wire != nil && a.wire.Key != "" {
+			want = a.wire.Key
 		}
 		if got := a.MergeKey(); got != want {
 			t.Errorf("answer %d: MergeKey = %q, want %q", i, got, want)

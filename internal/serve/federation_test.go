@@ -8,7 +8,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"yat/internal/federate"
 	"yat/internal/mediator"
@@ -388,5 +391,79 @@ func TestRelayedAnswersKeepTheChildsForms(t *testing.T) {
 	answers, err := shardClient(t, parent).Ask("X")
 	if err != nil || len(answers) != 1 || answers[0].Name.String() != "Pview1(1)" || answers[0].Binding["F"].Display() != "1.5" {
 		t.Errorf("typed answers %+v, %v", answers, err)
+	}
+}
+
+// TestFederatedReplyGenerationIsTheMerged is the regression for a
+// federated reply labelled with a generation none of its answers came
+// from. Child a answers at generation 1. While child b's reply is held
+// back, a reloads, and a /functors call through the parent's client
+// for a observes generation 2, which b's reply then carries too. The
+// reply merges a's generation-1 answer, so it says 1; read off the
+// clients after the gather, as it was, it said 2.
+func TestFederatedReplyGenerationIsTheMerged(t *testing.T) {
+	var functorsGen atomic.Int64
+	functorsGen.Store(5)
+	a := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/ask":
+			io.WriteString(w, `{"generation":1,"count":1,"answers":[{"name":"Pview1(1)","key":"Pview1(int:1)\u0000"}]}`+"\n")
+		case "/functors":
+			fmt.Fprintf(w, `{"functors":["Pview1"],"generation":%d}`, functorsGen.Load())
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(a.Close)
+	arrived, release := make(chan struct{}, 1), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		<-release
+		io.WriteString(w, `{"generation":2,"count":1,"answers":[{"name":"Pview2(1)","key":"Pview2(int:1)\u0000"}]}`+"\n")
+	}))
+	t.Cleanup(b.Close)
+	t.Cleanup(unblock) // runs before b.Close
+	clientA := shardClient(t, a.URL)
+	// The client for a starts out having seen generation 5, so the moment
+	// it has decoded a's reply shows.
+	if _, err := clientA.Functors(); err != nil || clientA.Generation() != 5 {
+		t.Fatalf("client for a at generation %d (%v), want 5", clientA.Generation(), err)
+	}
+	url := serveFederation(t,
+		federate.Child{Asker: clientA, Functors: []string{"Pview1"}},
+		federate.Child{Asker: shardClient(t, b.URL), Functors: []string{"Pview2"}})
+
+	type reply struct {
+		body []byte
+		err  error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(url+"/ask", "application/json", strings.NewReader(`{"pattern":"X"}`))
+		if err != nil {
+			done <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		done <- reply{body, err}
+	}()
+	<-arrived
+	for deadline := time.Now().Add(10 * time.Second); clientA.Generation() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the parent never decoded child a's reply")
+		}
+	}
+	functorsGen.Store(2)
+	if _, err := clientA.Functors(); err != nil || clientA.Generation() != 2 {
+		t.Fatalf("client for a at generation %d (%v), want 2", clientA.Generation(), err)
+	}
+	unblock()
+	got := <-done
+	const want = `{"generation":1,"count":2,"answers":[{"name":"Pview1(1)"},{"name":"Pview2(1)"}]}` + "\n"
+	if got.err != nil || string(got.body) != want {
+		t.Errorf("reply %s (%v), want %s", got.body, got.err, want)
 	}
 }

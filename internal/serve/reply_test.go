@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"yat/internal/mediator"
 	"yat/internal/serve/wire"
@@ -202,12 +203,26 @@ func TestAskReplyAcrossRefresh(t *testing.T) {
 		}
 	}()
 	var seen [2][3]atomic.Int64 // asks per world and form
+	// Past its asks, an asker goes on until every world has been seen in
+	// every form: on a loaded machine the refresh loop may not have
+	// turned the world over once by then.
+	deadline := time.Now().Add(10 * time.Second)
+	allSeen := func() bool {
+		for w := range seen {
+			for form := range seen[w] {
+				if seen[w][form].Load() == 0 {
+					return false
+				}
+			}
+		}
+		return true
+	}
 	var wg sync.WaitGroup
 	for a := 0; a < askers; a++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < asks; i++ {
+			for i := 0; i < asks || !allSeen() && time.Now().Before(deadline); i++ {
 				form := (a + i) % 3
 				var got []byte
 				if form == 2 {

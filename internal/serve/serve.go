@@ -265,8 +265,9 @@ type (
 	programmer   interface{ Program() *yatl.Program }
 	generationer interface{ Generation() int64 }
 	// replier renders an ask's reply itself, with the generation that
-	// answered, and keeps it in its ask memo: a repeated ask writes the
-	// bytes it rendered once.
+	// answered: a mediator keeps it in its ask memo, so a repeated ask
+	// writes the bytes it rendered once, and a federation renders its
+	// children's bytes into it without parsing them.
 	replier interface {
 		AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool,
 			render func(generation int64, answers []mediator.Answer) []byte) ([]byte, error)
@@ -485,7 +486,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	var req wire.AskRequest
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err == nil {
-		err = json.Unmarshal(body, &req)
+		req, err = wire.DecodeAskRequest(body)
 	}
 	if err != nil {
 		s.failed.Add(1)

@@ -2,29 +2,38 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
+	"unsafe"
 
 	"yat/internal/engine"
 	"yat/internal/mediator"
 	"yat/internal/tree"
 )
 
-// DecodeError reports an ask reply DecodeAskResponse refused: JSON that
-// is malformed or not shaped like an AskResponse, a display form the
-// tree parser rejects, or one of the refusals DecodeAskResponse lists.
+// DecodeError reports a document DecodeAskResponse, RelayAskResponse or
+// DecodeAskRequest refused: JSON that is malformed or not shaped like
+// the wire struct, a display form the tree parser rejects, or one of
+// the refusals DecodeAskResponse lists.
 type DecodeError struct {
-	// Offset is the byte offset into the reply the error was found at.
+	// Offset is the byte offset into the document the error was found at.
 	Offset int
 	Msg    string
+	// request marks a refused AskRequest, which Error names as such.
+	request bool
 }
 
 func (e *DecodeError) Error() string {
-	return fmt.Sprintf("ask reply, offset %d: %s", e.Offset, e.Msg)
+	doc := "ask reply"
+	if e.request {
+		doc = "ask request"
+	}
+	return fmt.Sprintf("%s, offset %d: %s", doc, e.Offset, e.Msg)
 }
 
 // DecodeAskResponse is the inverse of AppendAskResponse, and the one
@@ -61,12 +70,38 @@ func (e *DecodeError) Error() string {
 //     "Name" (encoding/json takes it for the member);
 //   - a count that disagrees with the number of answers carried.
 //
-// The returned answers share one copy of data; data itself is not
-// retained. Every error is a *DecodeError.
+// The returned answers share one copy of data, one buffer of merge
+// keys and one slab of producer forms; data itself is not retained.
+// Every error is a *DecodeError.
 func DecodeAskResponse(data []byte) (generation int64, answers []mediator.Answer, err error) {
-	// One copy, so that every name, variable, display form and forwarded
-	// member below is a substring and not an allocation of its own.
 	d := askDecoder{src: string(data)}
+	return d.reply()
+}
+
+// RelayAskResponse is DecodeAskResponse for a federation parent that
+// forwards the reply's answers and does nothing else with them. It
+// accepts and refuses exactly what DecodeAskResponse does, with the
+// same errors, and makes every check it makes — a display form is
+// checked with tree.CheckName or tree.CheckValue, which run the
+// parser's productions — but an answer whose members are in the
+// encoder's own form and which carries its producer's merge key is
+// not parsed: it comes back with a zero Name, a nil Binding and only
+// those two forms, which is all wire.AppendAskResponse and the merge
+// read. Any other answer is parsed as DecodeAskResponse parses it.
+// Such answers must go nowhere but into AppendAskResponse.
+func RelayAskResponse(data []byte) (generation int64, answers []mediator.Answer, err error) {
+	d := askDecoder{src: string(data), relay: true}
+	return d.reply()
+}
+
+// reply reads the whole reply.
+func (d *askDecoder) reply() (generation int64, answers []mediator.Answer, err error) {
+	// One copy of data (src), so that every name, variable, display form
+	// and forwarded member below is a substring and not an allocation of
+	// its own; one scratch allocation, big enough for all but unusually
+	// large display forms, serves every unquote and re-escape.
+	var scratch [2][256]byte
+	d.unq, d.esc = scratch[0][:0], scratch[1][:0]
 	d.ws()
 	var count int64
 	var seen uint8
@@ -87,7 +122,9 @@ func DecodeAskResponse(data []byte) (generation int64, answers []mediator.Answer
 		case "count":
 			count, err = d.integer()
 		case "answers":
-			answers, err = d.answers()
+			// count is the reply's own only when it came first, as the
+			// encoder writes it; else it is 0 and sizes nothing.
+			err = d.answers(count)
 		default: // the profile, or a member of a later release
 			err = d.skipValue()
 		}
@@ -98,10 +135,92 @@ func DecodeAskResponse(data []byte) (generation int64, answers []mediator.Answer
 	if d.ws(); d.pos != len(d.src) {
 		return 0, nil, d.fail("trailing data after the reply")
 	}
-	if count != int64(len(answers)) {
-		return 0, nil, d.fail("count is %d, the reply carries %d answers", count, len(answers))
+	if count != int64(len(d.out)) {
+		return 0, nil, d.fail("count is %d, the reply carries %d answers", count, len(d.out))
 	}
-	return generation, answers, nil
+	return generation, d.finish(), nil
+}
+
+// DecodeAskRequest reads a POST /ask body with no reflection. It takes
+// exactly the bodies json.Unmarshal takes into an AskRequest, and reads
+// the value json.Unmarshal reads: members in any order, a member name
+// matched under case folding, the last of two members winning, null
+// for a zero value (it leaves the pattern as it was and clears the
+// functors), unknown members skipped. A functors array lands on the
+// slice a previous one left, element by element, as encoding/json
+// decodes it: a null element keeps what it lands on. data is read in
+// place; what the request holds is copied out of it. Every error is a
+// *DecodeError.
+func DecodeAskRequest(data []byte) (req AskRequest, err error) {
+	d := askDecoder{src: unsafe.String(unsafe.SliceData(data), len(data)), request: true}
+	d.ws()
+	if !d.null() {
+		for first := true; ; first = false {
+			key, more, err := d.member(first)
+			if err != nil {
+				return AskRequest{}, err
+			}
+			if !more {
+				break
+			}
+			switch {
+			case strings.EqualFold(key, "pattern"):
+				if !d.null() {
+					req.Pattern, err = d.ownStr()
+				}
+			case strings.EqualFold(key, "functors"):
+				req.Functors, err = d.strs(req.Functors)
+			default:
+				err = d.skipValue()
+			}
+			if err != nil {
+				return AskRequest{}, err
+			}
+		}
+	}
+	if d.ws(); d.pos != len(d.src) {
+		return AskRequest{}, d.fail("trailing data after the request")
+	}
+	return req, nil
+}
+
+// strs reads a string array into dst, or null, which clears it.
+func (d *askDecoder) strs(dst []string) ([]string, error) {
+	if d.null() {
+		return nil, nil
+	}
+	if err := d.open('['); err != nil {
+		return nil, err
+	}
+	i := 0
+	for first := true; ; first = false {
+		more, err := d.next(first, ']')
+		if err != nil {
+			return nil, err
+		}
+		if !more {
+			break
+		}
+		// encoding/json lengthens the slice within its capacity before it
+		// grows it, so an element a shorter array cut off comes back.
+		switch {
+		case i < len(dst):
+		case i < cap(dst):
+			dst = dst[:i+1]
+		default:
+			dst = append(dst, "")
+		}
+		if !d.null() {
+			if dst[i], err = d.ownStr(); err != nil {
+				return nil, err
+			}
+		}
+		i++
+	}
+	if i == 0 {
+		return []string{}, nil
+	}
+	return dst[:i], nil
 }
 
 // The members of AskResponse and AskAnswer, in struct order.
@@ -121,16 +240,38 @@ type askDecoder struct {
 	src   string
 	pos   int
 	depth int
+	// request marks the errors of DecodeAskRequest.
+	request bool
 	// canon is set at the start of each answer object and cleared by
 	// anything inside it AppendAskResponse would have written otherwise.
 	canon bool
 	// unq and esc are scratch for unquoting a string literal and for
 	// re-escaping its content to compare the two.
 	unq, esc []byte
+
+	// relay reads answers as RelayAskResponse does; formsUnchecked is the
+	// mutant its test arms, which skips the display-form checks.
+	relay, formsUnchecked bool
+	// The answers read so far: their trees (none for a relayed one), and
+	// in slots the producer's members and where its merge key ends in
+	// keys, into which every key is unquoted end to end.
+	out   []mediator.Answer
+	slots []answerSlot
+	keys  []byte
 }
 
+type answerSlot struct {
+	forms  mediator.WireForms
+	keyEnd int
+}
+
+// errEager is the relay's refusal of an answer: not in the encoder's
+// form, carrying no key, or refused outright. Only the answer's eager
+// reading says which, and with what error.
+var errEager = errors.New("answer read eagerly")
+
 func (d *askDecoder) fail(format string, args ...any) error {
-	return &DecodeError{Offset: d.pos, Msg: fmt.Sprintf(format, args...)}
+	return &DecodeError{Offset: d.pos, Msg: fmt.Sprintf(format, args...), request: d.request}
 }
 
 // peek is the byte at pos, 0 at the end of the reply (a NUL is valid
@@ -309,11 +450,21 @@ func hex4(s string) rune {
 	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
 		return -1
 	}
-	r, err := strconv.ParseUint(s[2:6], 16, 16)
-	if err != nil {
-		return -1
+	var r rune
+	for _, c := range []byte(s[2:6]) {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return -1
+		}
+		r = r<<4 | rune(c)
 	}
-	return rune(r)
+	return r
 }
 
 // str reads the string literal at pos and returns its content,
@@ -321,25 +472,69 @@ func hex4(s string) rune {
 // escape and each invalid UTF-8 byte become U+FFFD. A literal that is
 // not appendJSONString of that content clears canon.
 func (d *askDecoder) str() (string, error) {
-	quote := d.pos
 	raw, plain, err := d.scanString()
 	if err != nil || plain {
 		return raw, err
 	}
-	b := d.unq[:0]
+	d.unq = d.unquote(d.unq[:0], raw)
+	if string(d.unq) == raw {
+		return raw, nil
+	}
+	return string(d.unq), nil
+}
+
+// scratchStr is str for content the caller is done with before the
+// next string is read: what had to be unquoted is returned in place,
+// sharing d.unq's bytes, which the next unquote overwrites.
+func (d *askDecoder) scratchStr() (string, error) {
+	raw, plain, err := d.scanString()
+	if err != nil || plain {
+		return raw, err
+	}
+	d.unq = d.unquote(d.unq[:0], raw)
+	return unsafe.String(unsafe.SliceData(d.unq), len(d.unq)), nil
+}
+
+// ownStr is str for content that outlives the document: a copy, never
+// a substring of src.
+func (d *askDecoder) ownStr() (string, error) {
+	raw, plain, err := d.scanString()
+	if err != nil || plain {
+		return strings.Clone(raw), err
+	}
+	// The content is unquoted into a buffer of its own, which the string
+	// then owns: escapes only shorten a literal, bar invalid UTF-8.
+	b := d.unquote(make([]byte, 0, len(raw)), raw)
+	return unsafe.String(unsafe.SliceData(b), len(b)), nil
+}
+
+// appendStr is str appending the content to dst.
+func (d *askDecoder) appendStr(dst []byte) ([]byte, error) {
+	raw, plain, err := d.scanString()
+	if err != nil || plain {
+		return append(dst, raw...), err
+	}
+	return d.unquote(dst, raw), nil
+}
+
+// unquote appends the content of raw, the literal scanString just
+// read, to dst, and clears canon if the literal is not how
+// appendJSONString writes that content.
+func (d *askDecoder) unquote(dst []byte, raw string) []byte {
+	start := len(dst)
 	for i := 0; i < len(raw); {
 		c := raw[i]
 		if c != '\\' && c < utf8.RuneSelf {
 			run := i
 			for i++; i < len(raw) && raw[i] != '\\' && raw[i] < utf8.RuneSelf; i++ {
 			}
-			b = append(b, raw[run:i]...)
+			dst = append(dst, raw[run:i]...)
 			continue
 		}
 		switch {
 		case c != '\\':
 			r, size := utf8.DecodeRuneInString(raw[i:])
-			b = utf8.AppendRune(b, r)
+			dst = utf8.AppendRune(dst, r)
 			i += size
 		case raw[i+1] == 'u':
 			r := hex4(raw[i:])
@@ -352,7 +547,7 @@ func (d *askDecoder) str() (string, error) {
 					r = utf8.RuneError
 				}
 			}
-			b = utf8.AppendRune(b, r)
+			dst = utf8.AppendRune(dst, r)
 		default:
 			switch c = raw[i+1]; c {
 			case 'b':
@@ -366,19 +561,15 @@ func (d *askDecoder) str() (string, error) {
 			case 't':
 				c = '\t'
 			}
-			b = append(b, c)
+			dst = append(dst, c)
 			i += 2
 		}
 	}
-	d.unq = b
 	if d.canon {
-		d.esc = appendJSONString(d.esc[:0], b)
-		d.canon = string(d.esc) == d.src[quote:d.pos]
+		d.esc = appendJSONString(d.esc[:0], dst[start:])
+		d.canon = string(d.esc) == d.src[d.pos-len(raw)-2:d.pos]
 	}
-	if string(b) == raw {
-		return raw, nil
-	}
-	return string(b), nil
+	return dst
 }
 
 // number validates the JSON number at pos, moves past it and returns
@@ -455,98 +646,155 @@ func (d *askDecoder) skipValue() error {
 	return d.fail("expected a JSON value")
 }
 
-// answers reads the answers array (or null).
-func (d *askDecoder) answers() ([]mediator.Answer, error) {
+// minAnswerLen is the length of the shortest answer a reply can carry,
+// `{"name":"b"}`: a count claiming more answers than fit in what is left
+// of the reply sizes nothing past that.
+const minAnswerLen = len(`{"name":"b"}`)
+
+// answers reads the answers array (or null); count sizes what it
+// collects.
+func (d *askDecoder) answers(count int64) error {
 	if d.null() {
-		return nil, nil
+		return nil
 	}
 	if err := d.open('['); err != nil {
-		return nil, err
+		return err
 	}
-	var out []mediator.Answer
+	if n := min(count, int64((len(d.src)-d.pos)/minAnswerLen)); n > 0 {
+		d.out = make([]mediator.Answer, 0, n)
+		d.slots = make([]answerSlot, 0, n)
+	}
 	for first := true; ; first = false {
 		if more, err := d.next(first, ']'); !more {
-			return out, err
+			return err
 		}
-		a, err := d.answer()
-		if err != nil {
-			return nil, err
+		if err := d.answer(); err != nil {
+			return err
 		}
-		out = append(out, a)
 	}
 }
 
-// answer reads one answer object.
-func (d *askDecoder) answer() (mediator.Answer, error) {
+// answer reads one answer object. A relay reads it in the encoder's
+// form first, checking its display forms and building nothing; an
+// answer that is not in that form, carries no merge key or is refused
+// is read again from its '{', as the eager decoder reads it, so its
+// trees — or the eager decoder's error — are what the reply gets.
+func (d *askDecoder) answer() error {
+	if d.relay {
+		pos, depth, keys := d.pos, d.depth, len(d.keys)
+		if d.readAnswer(true) == nil {
+			return nil
+		}
+		d.pos, d.depth, d.keys = pos, depth, d.keys[:keys]
+	}
+	return d.readAnswer(false)
+}
+
+// readAnswer reads one answer object into out and slots; relay is
+// answer's first reading, which refuses with errEager whatever it
+// leaves to the eager one.
+func (d *askDecoder) readAnswer(relay bool) error {
 	var (
-		name, key string
-		binding   engine.Binding
-		seen      uint8
+		name    string
+		binding engine.Binding
+		seen    uint8
 	)
 	d.canon = true
-	start, nameAt := d.pos, d.pos
+	start, nameAt, keyStart := d.pos, d.pos, len(d.keys)
 	// The members to forward run from past the '{' to the end of the
 	// name, or of the binding when one follows it.
 	membersEnd := 0
 	for first := true; ; first = false {
 		k, more, err := d.member(first)
 		if err != nil {
-			return mediator.Answer{}, err
+			return err
 		}
 		if !more {
 			break
 		}
 		before := seen
 		if err = d.wireMember(k, answerMembers, &seen); err != nil {
-			return mediator.Answer{}, err
+			return err
 		}
 		switch k {
 		case "name":
 			d.canon = d.canon && before == 0
 			nameAt = d.pos
-			name, err = d.str()
+			if relay {
+				err = d.checkForm(tree.CheckName)
+			} else {
+				name, err = d.str()
+			}
 			membersEnd = d.pos
 		case "binding":
 			d.canon = d.canon && before == sawName // and nothing else
-			binding, err = d.binding()
+			binding, err = d.binding(relay)
 			membersEnd = d.pos
 		case "key":
 			// The key is rendered again from its content, never forwarded:
 			// how its literal is written decides nothing.
 			canon := d.canon
 			if d.canon = false; !d.null() {
-				key, err = d.str()
+				if d.keys == nil {
+					// Every key of the reply fits in what is left of it, bar
+					// invalid UTF-8, which unquotes longer.
+					d.keys = make([]byte, 0, len(d.src)-d.pos)
+				}
+				d.keys, err = d.appendStr(d.keys)
 			}
 			d.canon = canon
 		default:
 			d.canon = false
 			err = d.skipValue()
 		}
+		if err == nil && relay && !d.canon {
+			err = errEager
+		}
 		if err != nil {
-			return mediator.Answer{}, err
+			return err
 		}
 	}
-	n, err := tree.ParseName(name)
-	if err != nil {
-		d.pos = nameAt
-		return mediator.Answer{}, d.fail("unparseable answer name %q: %v", name, err)
+	var n tree.Name
+	if relay {
+		if seen&sawName == 0 || len(d.keys) == keyStart {
+			return errEager
+		}
+	} else {
+		var err error
+		if n, err = tree.ParseName(name); err != nil {
+			d.pos = nameAt
+			return d.fail("unparseable answer name %q: %v", name, err)
+		}
 	}
 	members := ""
 	if d.canon && seen&sawName != 0 {
 		members = d.src[start+1 : membersEnd]
 	}
-	return mediator.RelayedAnswer(n, binding, key, members), nil
+	d.out = append(d.out, mediator.Answer{Name: n, Binding: binding})
+	d.slots = append(d.slots, answerSlot{forms: mediator.WireForms{Members: members}, keyEnd: len(d.keys)})
+	return nil
+}
+
+// checkForm reads a relayed answer's display form and checks it, with
+// tree.CheckName or tree.CheckValue, building nothing.
+func (d *askDecoder) checkForm(check func(string) error) error {
+	form, err := d.scratchStr()
+	if err == nil && !d.formsUnchecked && check(form) != nil {
+		err = errEager
+	}
+	return err
 }
 
 // binding reads one answer's binding object (or null), parsing each
-// display form as it goes. An empty one is nil, and never canonical:
-// the encoder's omitempty leaves it out.
-func (d *askDecoder) binding() (engine.Binding, error) {
+// display form as it goes — or, for a relay, checking it. An empty one
+// is nil, and never canonical: the encoder's omitempty leaves it out.
+func (d *askDecoder) binding(relay bool) (engine.Binding, error) {
 	if d.null() {
 		d.canon = false
 		return nil, nil
 	}
 	var b engine.Binding
+	vars := 0
 	prev := ""
 	for first := true; ; first = false {
 		v, more, err := d.member(first)
@@ -555,6 +803,20 @@ func (d *askDecoder) binding() (engine.Binding, error) {
 		}
 		if !more {
 			break
+		}
+		// Strictly ascending variables are also distinct ones: a relay,
+		// which builds no map, leaves the duplicates to the eager reading.
+		d.canon = d.canon && (first || prev < v)
+		prev = v
+		vars++
+		if relay {
+			if !d.canon {
+				return nil, errEager
+			}
+			if err := d.checkForm(tree.CheckValue); err != nil {
+				return nil, err
+			}
+			continue
 		}
 		at := d.pos
 		disp, err := d.str()
@@ -574,9 +836,19 @@ func (d *askDecoder) binding() (engine.Binding, error) {
 			b = make(engine.Binding)
 		}
 		b[v] = val
-		d.canon = d.canon && (first || prev < v)
-		prev = v
 	}
-	d.canon = d.canon && len(b) > 0
+	d.canon = d.canon && vars > 0
 	return b, nil
+}
+
+// finish hands out the answers read, each with its producer's forms.
+func (d *askDecoder) finish() []mediator.Answer {
+	keys := string(d.keys)
+	from := 0
+	for i := range d.out {
+		s := &d.slots[i]
+		s.forms.Key, from = keys[from:s.keyEnd], s.keyEnd
+		d.out[i] = mediator.RelayedAnswer(d.out[i].Name, d.out[i].Binding, &s.forms)
+	}
+	return d.out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,7 +41,7 @@ func referenceDecode(data []byte) (AskResponse, []mediator.Answer, error) {
 			}
 			binding[v] = val
 		}
-		answers = append(answers, mediator.RelayedAnswer(name, binding, wa.Key, ""))
+		answers = append(answers, mediator.RelayedAnswer(name, binding, &mediator.WireForms{Key: wa.Key}))
 	}
 	return out, answers, nil
 }
@@ -49,6 +50,7 @@ func referenceDecode(data []byte) (AskResponse, []mediator.Answer, error) {
 // many answers it accepted and how many of them carry forwarded
 // members (-1, -1 for a refused reply):
 //
+//   - RelayAskResponse reads it as DecodeAskResponse does (relayDiff);
 //   - a refusal is a *DecodeError;
 //   - whatever is accepted, the reference accepts, with the same
 //     generation and answers of equal names, bindings and merge keys;
@@ -58,6 +60,9 @@ func referenceDecode(data []byte) (AskResponse, []mediator.Answer, error) {
 //     rest.
 func checkDecode(t testing.TB, data []byte) (accepted, forwarded int) {
 	t.Helper()
+	if diff := relayDiff(data, RelayAskResponse); diff != "" {
+		t.Fatalf("%q: %s", data, diff)
+	}
 	gen, got, err := DecodeAskResponse(data)
 	if err != nil {
 		var derr *DecodeError
@@ -155,8 +160,71 @@ func checkEncoderOutput(t testing.TB, generation int64, answers []mediator.Answe
 	}
 	_, got, _ := DecodeAskResponse(reply)
 	want := AppendAskResponse(nil, generation, answers, keyed, nil)
+	// A keyed reply is relayed whole and unparsed.
+	_, relayed, _ := RelayAskResponse(reply)
+	for i, a := range relayed {
+		if keyed != (a.Name.Functor == "" && a.Binding == nil) {
+			t.Fatalf("answer %d relayed as %+v (keyed=%v): %q", i, a, keyed, reply)
+		}
+	}
 	if out := AppendAskResponse(nil, generation, got, keyed, nil); string(out) != string(want) {
 		t.Fatalf("round trip (keyed=%v):\n got %q\nwant %q", keyed, out, want)
+	}
+}
+
+// relayDiff holds RelayAskResponse to DecodeAskResponse on one reply
+// and says how they differ, "" when they do not: they refuse alike,
+// error for error, and of what they accept they read the same
+// generation and merge keys, from which AppendAskResponse writes the
+// same bytes, keyed and plain. relay is RelayAskResponse, or a mutant
+// of it.
+func relayDiff(data []byte, relay func([]byte) (int64, []mediator.Answer, error)) string {
+	rgen, relayed, rerr := relay(data)
+	gen, eager, err := DecodeAskResponse(data)
+	if fmt.Sprint(rerr) != fmt.Sprint(err) {
+		return fmt.Sprintf("relay error %v, eager error %v", rerr, err)
+	}
+	if err != nil {
+		return ""
+	}
+	if rgen != gen || len(relayed) != len(eager) {
+		return fmt.Sprintf("relay read generation %d with %d answers, eager %d with %d", rgen, len(relayed), gen, len(eager))
+	}
+	for i := range eager {
+		if relayed[i].MergeKey() != eager[i].MergeKey() {
+			return fmt.Sprintf("answer %d: relay merge key %q, eager %q", i, relayed[i].MergeKey(), eager[i].MergeKey())
+		}
+	}
+	for _, keyed := range []bool{false, true} {
+		if r, e := AppendAskResponse(nil, gen, relayed, keyed, nil), AppendAskResponse(nil, gen, eager, keyed, nil); !bytes.Equal(r, e) {
+			return fmt.Sprintf("keyed=%v: relayed answers render\n%s\neager ones\n%s", keyed, r, e)
+		}
+	}
+	return ""
+}
+
+// TestRelayMutantCaught proves relayDiff can fail: a relay that skips
+// the display-form checks forwards, from replies in the encoder's own
+// form, names and values the eager decoder refuses.
+func TestRelayMutantCaught(t *testing.T) {
+	unchecked := func(data []byte) (int64, []mediator.Answer, error) {
+		d := askDecoder{src: string(data), relay: true, formsUnchecked: true}
+		return d.reply()
+	}
+	for _, answer := range []string{
+		`{"name":"P(","key":"k"}`,
+		`{"name":"b1 b2","binding":{"N":"1"},"key":"k"}`,
+		`{"name":"b1","binding":{"N":"a \u003c"},"key":"k"}`,
+		`{"name":"b1","binding":{"A":"1","N":"\"open"},"key":"k"}`,
+		`{"name":"Pview1(\"a\")","binding":{"N":""},"key":"k"}`,
+	} {
+		reply := []byte(`{"generation":1,"count":2,"answers":[{"name":"b0","key":"k0"},` + answer + `]}`)
+		if diff := relayDiff(reply, RelayAskResponse); diff != "" {
+			t.Errorf("%s: %s", reply, diff)
+		}
+		if diff := relayDiff(reply, unchecked); diff == "" {
+			t.Errorf("%s: the relay that skips the display-form checks was not caught", reply)
+		}
 	}
 }
 
@@ -354,7 +422,9 @@ func replySeeds(t testing.TB) [][]byte {
 // back to the same names and bindings (checkDecode). On the encoder's own
 // output, over FuzzAppendAskResponse's value generator, it agrees with
 // the reference on acceptance, forwards every answer, and re-encodes to
-// the bytes it was given (checkEncoderOutput).
+// the bytes it was given (checkEncoderOutput). RelayAskResponse reads
+// every reply as DecodeAskResponse does, and relays a keyed one without
+// a parse.
 func FuzzDecodeAskResponse(f *testing.F) {
 	indented, compact := goldenReplies(f)
 	for i, data := range append(append(indented, compact...), replySeeds(f)...) {

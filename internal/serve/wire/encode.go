@@ -93,6 +93,24 @@ func AppendAskResponse(dst []byte, generation int64, answers []mediator.Answer, 
 	return append(dst, "}\n"...)
 }
 
+// AppendAskRequest appends the POST /ask body of req to dst: exactly
+// json.Marshal(req).
+func AppendAskRequest(dst []byte, req AskRequest) []byte {
+	dst = append(dst, `{"pattern":`...)
+	dst = appendJSONString(dst, req.Pattern)
+	if len(req.Functors) > 0 {
+		dst = append(dst, `,"functors":[`...)
+		for i, f := range req.Functors {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(dst, f)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
+}
+
 const hexDigits = "0123456789abcdef"
 
 // appendJSONString appends s as a JSON string literal, escaped the way

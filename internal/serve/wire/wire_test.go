@@ -216,7 +216,7 @@ func oracleAnswers(vals []tree.Value) []mediator.Answer {
 	answers := []mediator.Answer{
 		{Name: tree.PlainName("b1")},
 		{Name: tree.PlainName("b2"), Binding: engine.Binding{}},
-		mediator.RelayedAnswer(tree.SkolemName("Pview1", tree.String("Supplier 001")), nil, "from\x00the <wire>", ""),
+		mediator.RelayedAnswer(tree.SkolemName("Pview1", tree.String("Supplier 001")), nil, &mediator.WireForms{Key: "from\x00the <wire>"}),
 	}
 	wide := engine.Binding{}
 	for i, v := range vals {
@@ -282,7 +282,7 @@ func fuzzAnswers(s1, s2 string, n int64, x float64, b bool) []mediator.Answer {
 			"R": tree.Ref{Name: tree.SkolemName(s1, tree.Float(x))},
 			"T": tree.TreeVal{Root: tree.Sym(s2, tree.Str(s1), tree.FloatLeaf(x), tree.RefLeaf(tree.PlainName(s2)))},
 		}},
-		mediator.RelayedAnswer(tree.PlainName("remote"), nil, s2, ""),
+		mediator.RelayedAnswer(tree.PlainName("remote"), nil, &mediator.WireForms{Key: s2}),
 	}
 }
 

@@ -21,11 +21,11 @@ func Parse(input string) (*Node, error) {
 	p := &groundParser{src: input}
 	p.next()
 	n, err := p.parseTree()
+	if err == nil {
+		err = p.atEOF()
+	}
 	if err != nil {
 		return nil, err
-	}
-	if p.tok.kind != gtEOF {
-		return nil, p.errorf("unexpected trailing input %q", p.tok.text)
 	}
 	return n, nil
 }
@@ -75,15 +75,17 @@ func ParseStore(input string) (*Store, error) {
 // identities from their display form.
 func ParseName(input string) (Name, error) {
 	p := &groundParser{src: input}
-	p.next()
-	n, err := p.parseName()
-	if err != nil {
-		return Name{}, err
-	}
-	if p.tok.kind != gtEOF {
-		return Name{}, p.errorf("unexpected trailing input %q", p.tok.text)
-	}
-	return n, nil
+	return p.wholeName()
+}
+
+// CheckName reports whether ParseName would read input, with ParseName's
+// error when it would not, and builds nothing: the same productions
+// run with construction skipped, so it allocates only for an error. A
+// federation parent checks the names it forwards without parsing them.
+func CheckName(input string) error {
+	p := &groundParser{src: input, check: true}
+	_, err := p.wholeName()
+	return err
 }
 
 // ParseValue reads one value in concrete syntax, the inverse of
@@ -94,15 +96,47 @@ func ParseName(input string) (Name, error) {
 // byte-stable.
 func ParseValue(input string) (Value, error) {
 	p := &groundParser{src: input}
+	return p.wholeValue()
+}
+
+// CheckValue is CheckName for ParseValue.
+func CheckValue(input string) error {
+	p := &groundParser{src: input, check: true}
+	_, err := p.wholeValue()
+	return err
+}
+
+// wholeName reads the whole input as one name.
+func (p *groundParser) wholeName() (Name, error) {
+	p.next()
+	n, err := p.parseName()
+	if err == nil {
+		err = p.atEOF()
+	}
+	if err != nil {
+		return Name{}, err
+	}
+	return n, nil
+}
+
+// wholeValue reads the whole input as one value.
+func (p *groundParser) wholeValue() (Value, error) {
 	p.next()
 	v, err := p.parseValueOrTree()
+	if err == nil {
+		err = p.atEOF()
+	}
 	if err != nil {
 		return nil, err
 	}
-	if p.tok.kind != gtEOF {
-		return nil, p.errorf("unexpected trailing input %q", p.tok.text)
-	}
 	return v, nil
+}
+
+func (p *groundParser) atEOF() error {
+	if p.tok.kind != gtEOF {
+		return p.errorf("unexpected trailing input %q", p.tok.text)
+	}
+	return nil
 }
 
 // FormatStore renders a store in the syntax accepted by ParseStore.
@@ -152,6 +186,10 @@ type groundParser struct {
 	src string
 	off int
 	tok gtToken
+	// check runs the productions without building what they read: every
+	// Value, Name and *Node a parse function returns is then nil or zero
+	// (CheckName, CheckValue).
+	check bool
 }
 
 func (p *groundParser) errorf(format string, args ...interface{}) error {
@@ -160,6 +198,13 @@ func (p *groundParser) errorf(format string, args ...interface{}) error {
 
 func (p *groundParser) next() {
 	for p.off < len(p.src) {
+		if c := p.src[p.off]; c < utf8.RuneSelf {
+			if !asciiSpace(c) {
+				break
+			}
+			p.off++
+			continue
+		}
 		r, w := utf8.DecodeRuneInString(p.src[p.off:])
 		if !unicode.IsSpace(r) {
 			break
@@ -240,6 +285,13 @@ func (p *groundParser) next() {
 	case unicode.IsLetter(r) || r == '_':
 		p.off += w
 		for p.off < len(p.src) {
+			if c := p.src[p.off]; c < utf8.RuneSelf {
+				if 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '_' {
+					p.off++
+					continue
+				}
+				break
+			}
 			r, w := utf8.DecodeRuneInString(p.src[p.off:])
 			if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
 				p.off += w
@@ -254,6 +306,11 @@ func (p *groundParser) next() {
 	}
 }
 
+// asciiSpace is unicode.IsSpace for a byte below utf8.RuneSelf.
+func asciiSpace(c byte) bool {
+	return c == ' ' || '\t' <= c && c <= '\r'
+}
+
 func (p *groundParser) expect(k gtKind) error {
 	if p.tok.kind != k {
 		return p.errorf("expected token kind %d, found %q", k, p.tok.text)
@@ -262,11 +319,27 @@ func (p *groundParser) expect(k gtKind) error {
 	return nil
 }
 
+// unquote is strconv.Unquote, which a check runs as
+// strconv.QuotedPrefix: the same validation, with nothing unescaped.
+func (p *groundParser) unquote(lit string) (string, error) {
+	if !p.check {
+		return strconv.Unquote(lit)
+	}
+	q, err := strconv.QuotedPrefix(lit)
+	if err == nil && len(q) != len(lit) {
+		err = strconv.ErrSyntax
+	}
+	return "", err
+}
+
 func (p *groundParser) parseValue() (Value, error) {
 	switch p.tok.kind {
 	case gtSymbol:
 		text := p.tok.text
 		p.next()
+		if p.check {
+			return nil, nil
+		}
 		switch text {
 		case "true":
 			return Bool(true), nil
@@ -275,11 +348,14 @@ func (p *groundParser) parseValue() (Value, error) {
 		}
 		return Symbol(text), nil
 	case gtString:
-		s, err := strconv.Unquote(p.tok.text)
+		s, err := p.unquote(p.tok.text)
 		if err != nil {
 			return nil, p.errorf("bad string literal %s: %v", p.tok.text, err)
 		}
 		p.next()
+		if p.check {
+			return nil, nil
+		}
 		return String(s), nil
 	case gtInt:
 		i, err := strconv.ParseInt(p.tok.text, 10, 64)
@@ -287,6 +363,9 @@ func (p *groundParser) parseValue() (Value, error) {
 			return nil, p.errorf("bad integer %s: %v", p.tok.text, err)
 		}
 		p.next()
+		if p.check {
+			return nil, nil
+		}
 		return Int(i), nil
 	case gtFloat:
 		f, err := strconv.ParseFloat(p.tok.text, 64)
@@ -294,11 +373,14 @@ func (p *groundParser) parseValue() (Value, error) {
 			return nil, p.errorf("bad float %s: %v", p.tok.text, err)
 		}
 		p.next()
+		if p.check {
+			return nil, nil
+		}
 		return Float(f), nil
 	case gtAmp:
 		p.next()
 		name, err := p.parseName()
-		if err != nil {
+		if err != nil || p.check {
 			return nil, err
 		}
 		return Ref{Name: name}, nil
@@ -314,6 +396,9 @@ func (p *groundParser) parseName() (Name, error) {
 	functor := p.tok.text
 	p.next()
 	if p.tok.kind != gtLParen {
+		if p.check {
+			return Name{}, nil
+		}
 		return PlainName(functor), nil
 	}
 	p.next()
@@ -326,14 +411,16 @@ func (p *groundParser) parseName() (Name, error) {
 		if err != nil {
 			return Name{}, err
 		}
-		args = append(args, v)
+		if !p.check {
+			args = append(args, v)
+		}
 		if p.tok.kind == gtComma {
 			p.next()
 			continue
 		}
 		break
 	}
-	if err := p.expect(gtRParen); err != nil {
+	if err := p.expect(gtRParen); err != nil || p.check {
 		return Name{}, err
 	}
 	return SkolemName(functor, args...), nil
@@ -354,7 +441,7 @@ func (p *groundParser) parseValueOrTree() (Value, error) {
 		return v, nil
 	}
 	n, err := p.parseChildren(v)
-	if err != nil {
+	if err != nil || p.check {
 		return nil, err
 	}
 	return TreeVal{Root: n}, nil
@@ -371,7 +458,10 @@ func (p *groundParser) parseTree() (*Node, error) {
 // parseChildren builds the node labelled label and reads the children
 // that follow it, if any.
 func (p *groundParser) parseChildren(label Value) (*Node, error) {
-	n := New(label)
+	var n *Node
+	if !p.check {
+		n = New(label)
+	}
 	switch p.tok.kind {
 	case gtLAngle:
 		p.next()
@@ -380,7 +470,9 @@ func (p *groundParser) parseChildren(label Value) (*Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			n.Add(c)
+			if n != nil {
+				n.Add(c)
+			}
 			if p.tok.kind == gtComma {
 				p.next()
 				continue
@@ -397,7 +489,9 @@ func (p *groundParser) parseChildren(label Value) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.Add(c)
+		if n != nil {
+			n.Add(c)
+		}
 	}
 	return n, nil
 }

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -665,4 +666,58 @@ func TestStoreLookupAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() { s.Put(name, sup) }); got != 0 {
 		t.Errorf("replacing Put: %v allocations, want 0", got)
 	}
+}
+
+// checkMatchesParse holds CheckName and CheckValue to the parsers they
+// run: each refuses exactly what its parser refuses, with the same
+// error.
+func checkMatchesParse(t *testing.T, in string) {
+	t.Helper()
+	_, perr := ParseName(in)
+	if cerr := CheckName(in); fmt.Sprint(cerr) != fmt.Sprint(perr) {
+		t.Errorf("CheckName(%q) = %v, ParseName says %v", in, cerr, perr)
+	}
+	_, perr = ParseValue(in)
+	if cerr := CheckValue(in); fmt.Sprint(cerr) != fmt.Sprint(perr) {
+		t.Errorf("CheckValue(%q) = %v, ParseValue says %v", in, cerr, perr)
+	}
+}
+
+// checkSeeds are display forms of every kind, and near misses.
+var checkSeeds = []string{
+	`"Supplier 007"`, "75011", "-0.5", "1e3", "Paris", "true", "&s1", `&Psup("s", 1)`,
+	`a < "b", 1 >`, "a -> b -> 1", `Pview1("Supplier 001")`, `Psup("a\"b", 3, 2.5)`,
+	"Pview1(class < name < \"x\" >, &b1 >)", " \t\nb1\r\v\f", "é_1", "x ", " ",
+	"", "1 2", "a <", "a < >", "a ->", `"open`, `"\q"`, "\"a\nb\"", `"\xff"`, "\"\xff\"",
+	"P(", "P(1", "P(1) x", "&", "b1!x", "P(1)!", "99999999999999999999", "1e999", "--1", "+",
+}
+
+// TestCheckMatchesParse: CheckName and CheckValue refuse what ParseName
+// and ParseValue refuse, with their errors, and build nothing for what
+// they accept.
+func TestCheckMatchesParse(t *testing.T) {
+	for _, in := range checkSeeds {
+		checkMatchesParse(t, in)
+	}
+	for in, check := range map[string]func(string) error{
+		`Pview1("Supplier 001", 2.5, &s1)`: CheckName, `"Supplier \"007\""`: CheckValue, "75011": CheckValue,
+		`view < tag < "v1" >, ref < &Psup("s") > >`: CheckValue,
+	} {
+		if n := testing.AllocsPerRun(200, func() {
+			if err := check(in); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("checking %s: %v allocations, want 0", in, n)
+		}
+	}
+}
+
+// FuzzCheckMatchesParse: on any text CheckName ⇔ ParseName and
+// CheckValue ⇔ ParseValue, error for error.
+func FuzzCheckMatchesParse(f *testing.F) {
+	for _, in := range checkSeeds {
+		f.Add(in)
+	}
+	f.Fuzz(checkMatchesParse)
 }
