@@ -31,6 +31,35 @@ func ExampleRun() {
 	// Pcar(&b1): class < car < name < "Golf" >, desc < "Sympa" >, suppliers < set < &Psup("VW center") > > > >
 }
 
+// A trace profile of a run: the EXPLAIN table without wall times is
+// the same on every run of the same program over the same inputs.
+func ExampleNewTraceProfile() {
+	prog, _ := yat.ParseProgram(yat.Rules1And2)
+	inputs, _ := yat.ImportSGML(map[string]string{"b1": exampleBrochure}, nil)
+	profile := yat.NewTraceProfile()
+	if _, err := yat.Run(prog, inputs, yat.WithTrace(profile)); err != nil {
+		fmt.Println(err)
+	}
+	fmt.Print(profile.Text(false))
+	// Output:
+	// EXPLAIN sgml2odmg
+	// rounds: 2 [1 1]
+	//
+	// rule Car  fired=1 kept=1 skolems=1 outputs=1
+	//   match      events=2      items=1
+	//   predicates events=1      items=1
+	//   skolem     events=1      items=1
+	//   construct  events=1      items=1
+	//
+	// rule Sup  fired=1 kept=1 skolems=1 outputs=1
+	//   match      events=2      items=1
+	//   functions  events=2      items=2
+	//   predicates events=1      items=1
+	//   skolem     events=1      items=1
+	//   construct  events=1      items=1
+	//   calls      city=1 zip=1
+}
+
 // The Figure 2 instantiation chain: more specific models instantiate
 // more general ones.
 func ExampleInstanceOf() {

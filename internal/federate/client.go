@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -114,11 +116,24 @@ func (c *Client) AskContext(ctx context.Context, patternSrc string, functors ...
 // generation the reply carried.
 func (c *Client) ask(ctx context.Context, patternSrc string, functors []string,
 	decode func([]byte) (int64, []mediator.Answer, error)) (int64, []mediator.Answer, error) {
-	body := wire.AppendAskRequest(nil, wire.AskRequest{Pattern: patternSrc, Functors: functors})
-	data, err := c.do(ctx, http.MethodPost, "/ask?keys=1", body)
+	reply, err := c.fetchAsk(ctx, patternSrc, functors)
 	if err != nil {
 		return 0, nil, err
 	}
+	defer reply.release()
+	return c.readAsk(reply.b, decode)
+}
+
+// fetchAsk POSTs /ask?keys=1 and returns the reply unread, in a pooled
+// buffer the caller releases once it is done with the bytes.
+func (c *Client) fetchAsk(ctx context.Context, patternSrc string, functors []string) (*replyBuf, error) {
+	body := wire.AppendAskRequest(nil, wire.AskRequest{Pattern: patternSrc, Functors: functors})
+	return c.do(ctx, http.MethodPost, "/ask?keys=1", body)
+}
+
+// readAsk reads a reply fetchAsk returned with decode and notes the
+// generation it carried.
+func (c *Client) readAsk(data []byte, decode func([]byte) (int64, []mediator.Answer, error)) (int64, []mediator.Answer, error) {
 	generation, answers, err := decode(data)
 	if err != nil {
 		return 0, nil, fmt.Errorf("shard %s: %w", c.name, err)
@@ -136,11 +151,12 @@ const introspectTimeout = 2 * time.Second
 func (c *Client) introspect(path string, out any) error {
 	ctx, cancel := context.WithTimeout(context.Background(), introspectTimeout)
 	defer cancel()
-	data, err := c.do(ctx, http.MethodGet, path, nil)
+	reply, err := c.do(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	defer reply.release()
+	if err := json.Unmarshal(reply.b, out); err != nil {
 		return fmt.Errorf("shard %s: decoding response: %w", c.name, err)
 	}
 	return nil
@@ -178,9 +194,10 @@ func (c *Client) Generation() int64 {
 	return 1
 }
 
-// do runs one round trip and returns the 2xx reply's body. Non-2xx
-// responses decode the wire error envelope into a typed *RemoteError.
-func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
+// do runs one round trip and returns the 2xx reply's body in a pooled
+// buffer the caller releases. Non-2xx responses decode the wire error
+// envelope into a typed *RemoteError.
+func (c *Client) do(ctx context.Context, method, path string, body []byte) (*replyBuf, error) {
 	if c.closed.Load() {
 		return nil, &ClosedError{Shard: c.name}
 	}
@@ -203,42 +220,75 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]by
 		return nil, fmt.Errorf("shard %s: %w", c.name, err)
 	}
 	defer resp.Body.Close()
-	data, err := readReply(resp, maxReplyBytes)
+	reply, err := readReply(resp, maxReplyBytes)
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: reading response: %w", c.name, err)
 	}
 	if resp.StatusCode/100 != 2 {
+		defer reply.release()
 		var envelope wire.ErrorResponse
-		if json.Unmarshal(data, &envelope) == nil && envelope.Error.Code != "" {
+		if json.Unmarshal(reply.b, &envelope) == nil && envelope.Error.Code != "" {
 			return nil, &RemoteError{Status: resp.StatusCode, Code: envelope.Error.Code, Message: envelope.Error.Message}
 		}
 		return nil, &RemoteError{Status: resp.StatusCode, Code: "http_error",
-			Message: strings.TrimSpace(string(data))}
+			Message: strings.TrimSpace(string(reply.b))}
 	}
-	return data, nil
+	return reply, nil
 }
 
 // maxReplyBytes caps the reply a Client reads from its child.
 const maxReplyBytes = 64 << 20
 
-// readReply reads a response body of at most limit bytes into a buffer
-// of its own — decoded answers keep pointing into a reply, so it is
-// never pooled. A child that states its Content-Length (yatserve does,
-// for every ask reply) gets exactly one allocation of that size; one
-// that does not is read as it comes. A body past the limit is a typed
-// *RemoteError (reply_too_large), never a silently cut one.
-func readReply(resp *http.Response, limit int64) ([]byte, error) {
-	switch n := resp.ContentLength; {
-	case n < 0:
-		data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
-		if err != nil || int64(len(data)) <= limit {
-			return data, err
-		}
-	case n <= limit:
-		data := make([]byte, n)
-		_, err := io.ReadFull(resp.Body, data)
-		return data, err
+// replyBuf is one pooled reply buffer. Nothing read from a reply points
+// into it — both ask decoders and encoding/json copy what they keep —
+// so it goes back to replyBufs once its reader is done.
+type replyBuf struct{ b []byte }
+
+// replyBufs pools the reply buffers. A buffer past maxPooledReply is
+// dropped instead of returned, so one huge reply cannot pin its memory
+// on every P for the life of the process.
+var replyBufs = sync.Pool{New: func() any { return new(replyBuf) }}
+
+const maxPooledReply = 64 << 10
+
+func (r *replyBuf) release() {
+	if cap(r.b) <= maxPooledReply {
+		r.b = r.b[:0]
+		replyBufs.Put(r)
 	}
-	return nil, &RemoteError{Status: resp.StatusCode, Code: "reply_too_large",
+}
+
+// readReply reads a response body of at most limit bytes into a pooled
+// buffer. A child that states its Content-Length (yatserve does, for
+// every ask reply) is read in one piece into a buffer of at least that
+// size; one that does not is read as it comes. A body past the limit
+// is a typed *RemoteError (reply_too_large), never a silently cut one.
+func readReply(resp *http.Response, limit int64) (*replyBuf, error) {
+	n := resp.ContentLength
+	if n > limit {
+		return nil, tooLarge(resp, limit)
+	}
+	reply := replyBufs.Get().(*replyBuf)
+	var err error
+	if n >= 0 {
+		reply.b = slices.Grow(reply.b[:0], int(n))[:n]
+		_, err = io.ReadFull(resp.Body, reply.b)
+	} else {
+		buf := bytes.NewBuffer(reply.b[:0])
+		_, err = buf.ReadFrom(io.LimitReader(resp.Body, limit+1))
+		reply.b = buf.Bytes()
+		if err == nil && int64(len(reply.b)) > limit {
+			err = tooLarge(resp, limit)
+		}
+	}
+	if err != nil {
+		reply.release()
+		return nil, err
+	}
+	return reply, nil
+}
+
+func tooLarge(resp *http.Response, limit int64) error {
+	return &RemoteError{Status: resp.StatusCode, Code: "reply_too_large",
 		Message: fmt.Sprintf("reply exceeds %d bytes", limit)}
 }

@@ -8,13 +8,18 @@
 // yatserve instances reached through the HTTP shard Client; every
 // child call runs under the source layer's retry/breaker/timeout
 // decorators, so a dead child degrades the Ask to partial results
-// instead of failing it. Pipelines of programs handed to the planner
-// are fused with §4.3 composition before sharding — the intermediate
-// model never crosses the wire because it never exists.
+// instead of failing it. A federation serving /ask over remote
+// children memoizes each reply against digests of the children's
+// replies (AskReply): a repeated ask whose children answer byte for
+// byte as before is not merged or rendered again. Pipelines of
+// programs handed to the planner are fused with §4.3 composition
+// before sharding — the intermediate model never crosses the wire
+// because it never exists.
 package federate
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"sort"
 	"strconv"
@@ -111,6 +116,12 @@ type Federation struct {
 	children []*fedChild
 	route    map[string]int // functor -> children index
 	sink     trace.Sink
+	replies  replyMemo // AskReply's memo
+
+	// replayChecksFirstOnly is test instrumentation, unset in the
+	// library: the unsound memo the reply memo tests must catch, which
+	// replays an entry when only the first target's digest matches.
+	replayChecksFirstOnly bool
 }
 
 var _ mediator.Asker = (*Federation)(nil)
@@ -222,7 +233,11 @@ func (f *Federation) Ask(patternSrc string, functors ...string) ([]mediator.Answ
 // canonical MergeKey doAsk orders by, and no key collides across
 // shards because each functor group is answered by exactly one.
 func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors ...string) ([]mediator.Answer, error) {
-	answers, _, err := f.scatter(ctx, patternSrc, functors, false)
+	targets, err := f.plan(patternSrc, functors)
+	if err != nil {
+		return nil, err
+	}
+	answers, _, err := f.merge(targets, f.gather(ctx, patternSrc, targets, wire.DecodeAskResponse, nil))
 	return answers, err
 }
 
@@ -233,32 +248,81 @@ func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors
 // (an in-process child's is its Generation() once it has answered). A
 // remote child's reply is read by wire.RelayAskResponse, so its
 // answers reach render with the members and merge key the child wrote
-// and no trees: only rendering may read them. keyed is render's
-// business; a federation keeps no memo.
+// and no trees: only rendering may read them.
+//
+// When every child asked is a remote *Client, the reply is memoized
+// against the SHA-256 digest of each child's reply: an ask (pattern,
+// functors as given, keyed) whose children all answer byte for byte as
+// they did for the memoized reply gets that reply back, with no child
+// reply read, merged or rendered. As with Mediator.AskReply, a caller
+// must render each form the same way every time; the memo keeps a copy
+// of what render returns, and a reply that came from the memo is
+// shared and must not be modified. A reply degraded by a failed child
+// is neither memoized nor served from the memo, and any bytes the memo
+// has not seen are read and checked in full.
 func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool, render func(generation int64, answers []mediator.Answer) []byte) ([]byte, error) {
-	answers, generation, err := f.scatter(ctx, patternSrc, functors, true)
+	targets, err := f.plan(patternSrc, functors)
 	if err != nil {
 		return nil, err
 	}
-	return render(generation, answers), nil
+	// seen is the memo's entry for the ask — an empty one for an ask it
+	// has not memoized — and nil when the ask is not memoized at all.
+	var seen *replyEntry
+	key, memoize := replyKeyOf(patternSrc, functors, keyed, targets)
+	if memoize {
+		if seen = f.replies.lookup(key); seen == nil && !f.replies.full() {
+			seen = &replyEntry{}
+		}
+	}
+	replies := f.gather(ctx, patternSrc, targets, wire.RelayAskResponse, seen)
+	if seen != nil && f.replayable(replies) {
+		for _, r := range replies {
+			if r.raw != nil {
+				r.raw.release()
+			}
+		}
+		return seen.body, nil
+	}
+	complete := seen != nil
+	for i := range replies {
+		r := &replies[i]
+		if r.raw != nil {
+			// The bytes the memo saw matched, another child's did not: read
+			// them now. They were read once already, so this cannot fail.
+			r.gen, r.answers, r.err = targets[i].c.client.readAsk(r.raw.b, wire.RelayAskResponse)
+			r.raw.release()
+		}
+		complete = complete && r.err == nil
+	}
+	answers, generation, err := f.merge(targets, replies)
+	if err != nil {
+		return nil, err
+	}
+	body := render(generation, answers)
+	if complete {
+		// Exact size, and never render's buffer, which may be pooled.
+		e := &replyEntry{shards: make([]shardSeen, len(replies)), body: append(make([]byte, 0, len(body)), body...)}
+		for i, r := range replies {
+			e.shards[i] = r.seen
+		}
+		f.replies.store(key, e)
+	}
+	return body, nil
 }
 
-// scatter is the one scatter-gather of AskContext and AskReply (relay):
-// it returns the merge and the oldest generation among the replies in
-// it.
-func (f *Federation) scatter(ctx context.Context, patternSrc string, functors []string, relay bool) ([]mediator.Answer, int64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// target is one child's share of an ask.
+type target struct {
+	c  *fedChild
+	fs []string
+}
+
+// plan checks the pattern and routes an ask to its targets.
+func (f *Federation) plan(patternSrc string, functors []string) ([]target, error) {
 	// Sent on, every child would refuse a malformed pattern, and their
 	// guards would retry it and count it against children that did
 	// nothing wrong.
 	if _, err := mediator.ParsePattern(patternSrc); err != nil {
-		return nil, 0, err
-	}
-	type target struct {
-		c  *fedChild
-		fs []string
+		return nil, err
 	}
 	var targets []target
 	if len(functors) == 0 {
@@ -267,80 +331,113 @@ func (f *Federation) scatter(ctx context.Context, patternSrc string, functors []
 				targets = append(targets, target{c: c, fs: c.owned})
 			}
 		}
-	} else {
-		byChild := map[int][]string{}
-		seen := map[string]bool{}
-		var order []int
-		for _, fu := range functors {
-			idx, ok := f.route[fu]
-			if !ok {
-				return nil, 0, &UnroutableError{Functor: fu, Shards: len(f.children)}
-			}
-			if seen[fu] {
-				continue
-			}
-			seen[fu] = true
-			if _, started := byChild[idx]; !started {
-				order = append(order, idx)
-			}
-			byChild[idx] = append(byChild[idx], fu)
-		}
-		// Contact children in declaration order regardless of the
-		// functor order in the request, matching the bare-ask plan.
-		sort.Ints(order)
-		for _, idx := range order {
-			targets = append(targets, target{c: f.children[idx], fs: byChild[idx]})
-		}
+		return targets, nil
 	}
+	byChild := map[int][]string{}
+	seen := map[string]bool{}
+	var order []int
+	for _, fu := range functors {
+		idx, ok := f.route[fu]
+		if !ok {
+			return nil, &UnroutableError{Functor: fu, Shards: len(f.children)}
+		}
+		if seen[fu] {
+			continue
+		}
+		seen[fu] = true
+		if _, started := byChild[idx]; !started {
+			order = append(order, idx)
+		}
+		byChild[idx] = append(byChild[idx], fu)
+	}
+	// Contact children in declaration order regardless of the
+	// functor order in the request, matching the bare-ask plan.
+	sort.Ints(order)
+	for _, idx := range order {
+		targets = append(targets, target{c: f.children[idx], fs: byChild[idx]})
+	}
+	return targets, nil
+}
 
-	results := make([][]mediator.Answer, len(targets))
-	gens := make([]int64, len(targets))
-	errs := make([]error, len(targets))
+// shardReply is what one target answered.
+type shardReply struct {
+	answers []mediator.Answer
+	gen     int64
+	err     error
+	// seen is the reply as a memo entry records it, set when the gather
+	// digests. raw holds the reply's bytes unread when its digest is the
+	// one the memo saw, and is nil otherwise.
+	seen shardSeen
+	raw  *replyBuf
+}
+
+// gather asks every target at once, under its child's guard chain, and
+// reads a remote child's reply with decode. With seen non-nil (every
+// target remote) it digests each reply and leaves unread one whose
+// digest is seen's for its target.
+func (f *Federation) gather(ctx context.Context, patternSrc string, targets []target,
+	decode func([]byte) (int64, []mediator.Answer, error), seen *replyEntry) []shardReply {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	replies := make([]shardReply, len(targets))
 	var wg sync.WaitGroup
 	for i, t := range targets {
+		var want *shardSeen
+		if seen != nil {
+			want = seen.shard(i)
+		}
 		wg.Add(1)
-		go func(i int, t target) {
+		go func(r *shardReply, t target) {
 			defer wg.Done()
 			start := time.Now()
-			var (
-				answers []mediator.Answer
-				gen     int64
-			)
-			err := callGuarded(ctx, t.c.chain, func(ctx context.Context) (err error) {
-				answers, gen, err = t.c.ask(ctx, patternSrc, t.fs, relay)
+			r.err = callGuarded(ctx, t.c.chain, func(ctx context.Context) error {
+				if seen != nil {
+					return t.c.askDigest(ctx, patternSrc, t.fs, want, r)
+				}
+				var err error
+				r.answers, r.gen, err = t.c.ask(ctx, patternSrc, t.fs, decode)
 				return err
 			})
-			if err != nil {
-				errs[i] = err
+			if r.err != nil {
 				// A caller that hung up says nothing about the child.
 				if ctx.Err() == nil {
-					t.c.called(err)
+					t.c.called(r.err)
 					f.emit(trace.Event{Kind: trace.KindShardDegraded, Phase: trace.PhaseFederate,
-						Detail: t.c.name + ": " + err.Error()})
+						Detail: t.c.name + ": " + r.err.Error()})
 				}
 				return
 			}
 			t.c.called(nil)
-			results[i], gens[i] = answers, gen
+			count := len(r.answers)
+			if r.raw != nil {
+				count = r.seen.count
+			}
 			f.emit(trace.Event{Kind: trace.KindShardAsk, Phase: trace.PhaseFederate,
-				Detail: t.c.name, Count: len(answers), Duration: time.Since(start)})
-		}(i, t)
+				Detail: t.c.name, Count: count, Duration: time.Since(start)})
+		}(&replies[i], t)
 	}
 	wg.Wait()
+	return replies
+}
 
+// merge orders the targets' answers as one mediator would and returns
+// them with the oldest generation among the replies merged. A failed
+// target degrades the merge; all of them failing is a FanoutError.
+func (f *Federation) merge(targets []target, replies []shardReply) ([]mediator.Answer, int64, error) {
 	failed := map[string]error{}
 	var (
 		merged     []mediator.Answer
 		generation int64
 	)
-	for i, t := range targets {
-		if errs[i] != nil {
-			failed[t.c.name] = errs[i]
+	for i, r := range replies {
+		if r.err != nil {
+			failed[targets[i].c.name] = r.err
 			continue
 		}
-		merged = append(merged, results[i]...)
-		if generation == 0 || gens[i] < generation {
-			generation = gens[i]
+		merged = append(merged, r.answers...)
+		if generation == 0 || r.gen < generation {
+			generation = r.gen
 		}
 	}
 	if len(targets) > 0 && len(failed) == len(targets) {
@@ -373,19 +470,50 @@ func (f *Federation) scatter(ctx context.Context, patternSrc string, functors []
 
 // ask asks the child for its share of an ask, and says which generation
 // answered: a remote child's reply names it, an in-process child
-// reports its own once it has answered. relay reads a remote reply for
-// forwarding (wire.RelayAskResponse) instead of parsing it.
-func (c *fedChild) ask(ctx context.Context, patternSrc string, functors []string, relay bool) ([]mediator.Answer, int64, error) {
+// reports its own once it has answered. decode reads a remote child's
+// reply.
+func (c *fedChild) ask(ctx context.Context, patternSrc string, functors []string,
+	decode func([]byte) (int64, []mediator.Answer, error)) ([]mediator.Answer, int64, error) {
 	if c.client != nil {
-		decode := wire.DecodeAskResponse
-		if relay {
-			decode = wire.RelayAskResponse
-		}
 		generation, answers, err := c.client.ask(ctx, patternSrc, functors, decode)
 		return answers, generation, err
 	}
 	answers, err := c.asker.AskContext(ctx, patternSrc, functors...)
 	return answers, generationOf(c.asker), err
+}
+
+// askDigest is a remote child's ask for a memoized AskReply: it digests
+// the reply into r.seen and relays it, unless the digest is want's — a
+// reply byte for byte the one the memo saw is kept unread in r.raw, and
+// the generation and count want recorded stand for it. Digesting inside
+// the guarded call means a reply that fails to read is retried and
+// counted against the child as ever.
+func (c *fedChild) askDigest(ctx context.Context, patternSrc string, functors []string, want *shardSeen, r *shardReply) error {
+	reply, err := c.client.fetchAsk(ctx, patternSrc, functors)
+	if err != nil {
+		return err
+	}
+	r.seen.sum = sha256.Sum256(reply.b)
+	if want != nil && r.seen.sum == want.sum {
+		r.seen, r.raw = *want, reply
+		c.client.gen.Store(want.gen)
+		return nil
+	}
+	r.gen, r.answers, err = c.client.readAsk(reply.b, wire.RelayAskResponse)
+	reply.release()
+	r.seen.gen, r.seen.count = r.gen, len(r.answers)
+	return err
+}
+
+// replayable says whether the gathered replies are those the memo
+// entry saw: every target answered, and with the very bytes.
+func (f *Federation) replayable(replies []shardReply) bool {
+	for i, r := range replies {
+		if r.err != nil || r.raw == nil && !(i > 0 && f.replayChecksFirstOnly) {
+			return false
+		}
+	}
+	return true
 }
 
 // Functors gathers the union of the children's functor sets, sorted.

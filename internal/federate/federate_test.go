@@ -571,14 +571,14 @@ func TestReadReplyLimit(t *testing.T) {
 			if known := resp.ContentLength >= 0; known != (sized == "1") {
 				t.Fatalf("sized=%s: Content-Length %d", sized, resp.ContentLength)
 			}
-			data, err := readReply(resp, limit)
+			reply, err := readReply(resp, limit)
 			resp.Body.Close()
 			var remote *RemoteError
 			switch {
-			case n <= limit && (err != nil || len(data) != n):
-				t.Errorf("sized=%s n=%d: read %d bytes, %v", sized, n, len(data), err)
-			case n > limit && (!errors.As(err, &remote) || remote.Code != "reply_too_large" || data != nil):
-				t.Errorf("sized=%s n=%d: %d bytes, error %v; want a *RemoteError reply_too_large", sized, n, len(data), err)
+			case n <= limit && (err != nil || len(reply.b) != n):
+				t.Errorf("sized=%s n=%d: read %v, %v", sized, n, reply, err)
+			case n > limit && (!errors.As(err, &remote) || remote.Code != "reply_too_large" || reply != nil):
+				t.Errorf("sized=%s n=%d: %v, error %v; want a *RemoteError reply_too_large", sized, n, reply, err)
 			}
 		}
 	}

@@ -1,0 +1,263 @@
+package federate
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"sort"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"yat/internal/engine"
+	"yat/internal/mediator"
+	"yat/internal/serve/wire"
+	"yat/internal/source"
+	"yat/internal/trace"
+	"yat/internal/workload"
+	"yat/internal/yatl"
+)
+
+// cannedChild serves the ask reply *reply holds — an empty one fails
+// with 503 — and functors on /functors.
+func cannedChild(t *testing.T, reply *atomic.Value, functors string) *Client {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/ask":
+			if body := reply.Load().(string); body != "" {
+				io.WriteString(w, body)
+			} else {
+				http.Error(w, "down", http.StatusServiceUnavailable)
+			}
+		case "/functors":
+			fmt.Fprintf(w, `{"functors":%s,"generation":1}`, functors)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL, nil)
+	t.Cleanup(c.Close)
+	return c
+}
+
+// countingRender renders as serve does and counts its calls: an
+// AskReply that renders nothing answered from the memo.
+func countingRender(keyed bool, renders *int) func(int64, []mediator.Answer) []byte {
+	return func(generation int64, answers []mediator.Answer) []byte {
+		*renders++
+		return wire.AppendAskResponse(nil, generation, answers, keyed, nil)
+	}
+}
+
+func cannedReply(functor string, n int) string {
+	return fmt.Sprintf(`{"generation":1,"count":1,"answers":[{"name":"%s(%d)","key":"%s(int:%d)\u0000"}]}`+"\n", functor, n, functor, n)
+}
+
+// replayAfterSecondChildMoves asks a federation over two canned
+// children three times — the second child's reply changes before the
+// third — and returns how the asks went wrong, "" when none did.
+func replayAfterSecondChildMoves(t *testing.T, checksFirstOnly bool) string {
+	var a, b atomic.Value
+	a.Store(cannedReply("Pview1", 1))
+	b.Store(cannedReply("Pview2", 1))
+	fed, err := New(Config{Children: []Child{
+		{Asker: cannedChild(t, &a, `["Pview1"]`)},
+		{Asker: cannedChild(t, &b, `["Pview2"]`)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed.replayChecksFirstOnly = checksFirstOnly
+	renders := 0
+	ask := func() string {
+		body, err := fed.AskReply(context.Background(), "X", nil, false, countingRender(false, &renders))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	first := ask()
+	if again := ask(); again != first || renders != 1 {
+		return fmt.Sprintf("repeated ask rendered %d times: %s, first %s", renders, again, first)
+	}
+	b.Store(cannedReply("Pview2", 2))
+	const want = `{"generation":1,"count":2,"answers":[{"name":"Pview1(1)"},{"name":"Pview2(2)"}]}` + "\n"
+	if got := ask(); got != want || renders != 2 {
+		return fmt.Sprintf("after the second child moved, %d renders: %s, want %s", renders, got, want)
+	}
+	return ""
+}
+
+// TestReplyMemoChecksEveryDigest replays a memoized reply only when
+// every child's digest matches: the mutant that compares the first
+// target's alone replays a reply the second child no longer backs.
+func TestReplyMemoChecksEveryDigest(t *testing.T) {
+	if diff := replayAfterSecondChildMoves(t, false); diff != "" {
+		t.Error(diff)
+	}
+	if replayAfterSecondChildMoves(t, true) == "" {
+		t.Error("vacuous: the first-digest-only mutant served the moved child's reply too")
+	}
+}
+
+// TestReplyMemoSkipsWhatHasNoBytes: an ask with an in-process child, or
+// with no target at all, is rendered every time.
+func TestReplyMemoSkipsWhatHasNoBytes(t *testing.T) {
+	prog := yatl.MustParse(workload.SelectiveProgram(2))
+	var remote atomic.Value
+	remote.Store(cannedReply("Pview2", 1))
+	mixed, err := New(Config{Children: []Child{
+		{Asker: mediator.New(yatl.MustParse(workload.SelectiveProgram(1)), workload.BrochureStore(2, 1, 2, 1)), Functors: []string{"Pview1"}},
+		{Asker: cannedChild(t, &remote, `["Pview2"]`)},
+	}, Programs: []*yatl.Program{prog}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := New(Config{Children: []Child{{Asker: cannedChild(t, &remote, `[]`)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fed := range map[string]*Federation{"in-process child": mixed, "no target": empty} {
+		renders := 0
+		var first []byte
+		for i := 0; i < 3; i++ {
+			body, err := fed.AskReply(context.Background(), "X", nil, true, countingRender(true, &renders))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if first == nil {
+				first = body
+			} else if !bytes.Equal(body, first) {
+				t.Errorf("%s: ask %d differs: %s, first %s", name, i, body, first)
+			}
+		}
+		if renders != 3 || fed.replies.n.Load() != 0 {
+			t.Errorf("%s: %d renders in 3 asks, %d memo entries; want 3 and none", name, renders, fed.replies.n.Load())
+		}
+	}
+}
+
+// TestReplyMemoKeepsNoDegradedReply: while a child fails, every ask is
+// gathered and rendered afresh and the memo keeps none of them; the
+// first ask once the child is back is complete.
+func TestReplyMemoKeepsNoDegradedReply(t *testing.T) {
+	var a, b atomic.Value
+	a.Store(cannedReply("Pview1", 1))
+	b.Store(cannedReply("Pview2", 1))
+	fed, err := New(Config{Children: []Child{
+		{Asker: cannedChild(t, &a, `["Pview1"]`)},
+		{Asker: cannedChild(t, &b, `["Pview2"]`)},
+	}, Guard: &GuardOptions{Retry: &source.RetryOptions{MaxAttempts: 1}, Breaker: &source.BreakerOptions{Threshold: 1 << 20}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	renders := 0
+	ask := func(functors ...string) string {
+		body, err := fed.AskReply(context.Background(), "X", functors, false, countingRender(false, &renders))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	ask() // memoizes the complete reply
+	b.Store("")
+	const degraded = `{"generation":1,"count":1,"answers":[{"name":"Pview1(1)"}]}` + "\n"
+	for i := 0; i < 3; i++ {
+		for _, functors := range [][]string{nil, {"Pview2", "Pview1"}} {
+			before := renders
+			if got := ask(functors...); got != degraded || renders != before+1 {
+				t.Errorf("child down, %v: %d renders, reply %s; want one and %s", functors, renders-before, got, degraded)
+			}
+		}
+	}
+	if n := fed.replies.n.Load(); n != 1 {
+		t.Errorf("%d memo entries after the degraded asks, want the complete one alone", n)
+	}
+	b.Store(cannedReply("Pview2", 1))
+	const complete = `{"generation":1,"count":2,"answers":[{"name":"Pview1(1)"},{"name":"Pview2(1)"}]}` + "\n"
+	for _, functors := range [][]string{nil, {"Pview2", "Pview1"}} {
+		if got := ask(functors...); got != complete {
+			t.Errorf("child back, %v: %s, want %s", functors, got, complete)
+		}
+	}
+}
+
+// TestReplyMemoIsBounded: the memo stops admitting asks at the ask
+// memo's bound; one past it is rendered every time, while one it holds
+// still takes a new entry when a child moves.
+func TestReplyMemoIsBounded(t *testing.T) {
+	var a atomic.Value
+	a.Store(cannedReply("Pview1", 1))
+	fed, err := New(Config{Children: []Child{{Asker: cannedChild(t, &a, `["Pview1"]`)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	renders := 0
+	ask := func(i int) string {
+		body, err := fed.AskReply(context.Background(), fmt.Sprintf("view < -> name -> N%d >", i), nil, false, countingRender(false, &renders))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	for i := 0; i <= mediator.MaxAskMemo; i++ {
+		ask(i)
+	}
+	if n := fed.replies.n.Load(); n != mediator.MaxAskMemo || renders != mediator.MaxAskMemo+1 {
+		t.Fatalf("%d entries after %d renders, want the cap of %d", n, renders, mediator.MaxAskMemo)
+	}
+	before := renders
+	ask(mediator.MaxAskMemo)
+	ask(0)
+	if renders != before+1 {
+		t.Errorf("%d renders for an ask past the cap and a memoized one, want 1", renders-before)
+	}
+	a.Store(cannedReply("Pview1", 2))
+	ask(0)
+	if got := ask(0); renders != before+2 || got != `{"generation":1,"count":1,"answers":[{"name":"Pview1(2)"}]}`+"\n" {
+		t.Errorf("after the child moved: %d renders, %s", renders-before-1, got)
+	}
+}
+
+// TestReplyMemoHitReportsLikeAMiss: a memoized reply still leaves each
+// client at the generation its child's reply carried, and emits the
+// shard-ask events a gathered one does.
+func TestReplyMemoHitReportsLikeAMiss(t *testing.T) {
+	var a, b atomic.Value
+	a.Store(strings.Replace(cannedReply("Pview1", 1), `"generation":1`, `"generation":3`, 1))
+	b.Store(cannedReply("Pview2", 1))
+	ca := cannedChild(t, &a, `["Pview1"]`)
+	rec := &trace.Recorder{}
+	fed, err := New(Config{Children: []Child{{Asker: ca}, {Asker: cannedChild(t, &b, `["Pview2"]`)}},
+		Options: []engine.Option{engine.WithTrace(rec)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	renders := 0
+	var shardAsks [2][]string
+	for i := range shardAsks {
+		ca.gen.Store(7) // as a /functors call observing generation 7 would
+		before := len(rec.Events())
+		if _, err := fed.AskReply(context.Background(), "X", nil, true, countingRender(true, &renders)); err != nil {
+			t.Fatal(err)
+		}
+		if g := ca.Generation(); g != 3 {
+			t.Errorf("ask %d: the client for a is at generation %d, want its reply's 3", i, g)
+		}
+		for _, e := range rec.Events()[before:] {
+			if e.Kind == trace.KindShardAsk {
+				shardAsks[i] = append(shardAsks[i], fmt.Sprintf("%s:%d", e.Detail, e.Count))
+			}
+		}
+		sort.Strings(shardAsks[i])
+	}
+	if renders != 1 || !slices.Equal(shardAsks[0], shardAsks[1]) || len(shardAsks[0]) != 2 {
+		t.Errorf("%d renders; shard asks gathered %v, memoized %v", renders, shardAsks[0], shardAsks[1])
+	}
+}

@@ -102,9 +102,10 @@ func functorsKey(functors []string) (key string, ok bool) {
 	return strings.Join(functors, "\x00"), true
 }
 
-// maxAskMemo bounds the ask memo; at the cap new asks simply stop
-// memoizing until the next view starts an empty memo.
-const maxAskMemo = 512
+// MaxAskMemo bounds the ask memo; at the cap new asks simply stop
+// memoizing until the next view starts an empty memo. A federation's
+// reply memo keeps the same bound.
+const MaxAskMemo = 512
 
 // askForm is what an ask hands back: its answers (AskContext and the
 // rest of the Asker surface) or one of the two replies AskReply renders,
@@ -154,7 +155,7 @@ func (a *askMemo) lookup(key askKey) *memoEntry {
 // full; a memoized one gains the form.
 func (a *askMemo) store(key askKey, form askForm, answers []Answer, body []byte) {
 	old := a.lookup(key)
-	if old == nil && a.n.Load() >= maxAskMemo {
+	if old == nil && a.n.Load() >= MaxAskMemo {
 		return // full: copy nothing
 	}
 	var fill memoEntry
@@ -197,7 +198,7 @@ func (a *askMemo) store(key askKey, form askForm, answers []Answer, body []byte)
 func (a *askMemo) reserve() bool {
 	for {
 		n := a.n.Load()
-		if n >= maxAskMemo {
+		if n >= MaxAskMemo {
 			return false
 		}
 		if a.n.CompareAndSwap(n, n+1) {

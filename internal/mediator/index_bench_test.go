@@ -19,13 +19,13 @@ import (
 // sort, a refused memo write.
 func fillMemo(tb testing.TB, m *Mediator, pat, functor string) {
 	tb.Helper()
-	for i := 0; i <= maxAskMemo; i++ {
+	for i := 0; i <= MaxAskMemo; i++ {
 		if _, err := m.AskPattern(yatl.MustParsePattern(pat), functor); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	if n := m.state().dgen.cache.view().memo.len(); n != maxAskMemo {
-		tb.Fatalf("memo holds %d asks, want it at its cap of %d", n, maxAskMemo)
+	if n := m.state().dgen.cache.view().memo.len(); n != MaxAskMemo {
+		tb.Fatalf("memo holds %d asks, want it at its cap of %d", n, MaxAskMemo)
 	}
 }
 

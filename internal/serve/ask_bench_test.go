@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -92,61 +93,111 @@ func BenchmarkAsk(b *testing.B) {
 }
 
 // BenchmarkFederatedAsk is a federation parent's /ask in
-// serve_federated's shape: one child server per shard of
-// SelectiveProgram(8) over BrochureStore(120, 3, 30, 1), each behind
-// httptest and a shard client, and the parent's handler asked the whole
-// of two adjacent views, so that every ask scatters to both children
-// and merges their 30-answer replies. The children's memo hits and the
-// loopback round trips are in the cost; the bench's traced run cannot
-// show the parent's part of it, which takes AskReply.
+// serve_federated's shape (federatedAsks): every ask scatters to both
+// children and is answered from the parent's reply memo, since the
+// children answer from their ask memos byte for byte as before. The
+// children's memo hits and the loopback round trips are in the cost;
+// the bench's traced run cannot show the parent's part of it, which
+// takes AskReply.
 func BenchmarkFederatedAsk(b *testing.B) {
+	ask, _ := federatedAsks(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ask(b, i)
+	}
+}
+
+// federatedAsks builds serve_federated's topology: one child server per
+// shard of SelectiveProgram(8) over BrochureStore(120, 3, 30, 1), each
+// behind httptest and a shard client, and a parent handler over their
+// federation. ask(tb, i) sends the parent the i-th of eight asks, each
+// the whole of two adjacent views, so that it merges two 30-answer
+// replies; each has been asked once, so the memos hold it. memoized
+// says whether the federation's reply memo answers every one of them.
+func federatedAsks(tb testing.TB) (ask func(tb testing.TB, i int), memoized func() bool) {
 	prog := yatl.MustParse(workload.SelectiveProgram(8))
 	store := workload.BrochureStore(120, 3, 30, 1)
 	var children []federate.Child
 	for _, plan := range federate.PlanShards(prog, 2) {
 		child, err := New(Config{Prog: plan.Prog, Inputs: store})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		ts := httptest.NewServer(child.Handler())
-		b.Cleanup(ts.Close)
+		tb.Cleanup(ts.Close)
 		c := federate.NewClient(ts.URL, nil)
-		b.Cleanup(c.Close)
+		tb.Cleanup(c.Close)
 		children = append(children, federate.Child{Asker: c})
 	}
 	fed, err := federate.New(federate.Config{Children: children})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	parent, err := New(Config{Askers: []mediator.Asker{fed}, Prog: prog})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	h := parent.Handler()
-	var bodies [][]byte
+	var (
+		reqs   []wire.AskRequest
+		bodies [][]byte
+	)
 	for k := 1; k <= 8; k++ {
-		body, err := json.Marshal(wire.AskRequest{Pattern: warmPattern,
-			Functors: []string{fmt.Sprintf("Pview%d", k), fmt.Sprintf("Pview%d", k%8+1)}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bodies = append(bodies, body)
+		req := wire.AskRequest{Pattern: warmPattern,
+			Functors: []string{fmt.Sprintf("Pview%d", k), fmt.Sprintf("Pview%d", k%8+1)}}
+		reqs, bodies = append(reqs, req), append(bodies, wire.AppendAskRequest(nil, req))
 	}
-	ask := func(body []byte) {
+	ask = func(tb testing.TB, i int) {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ask", bytes.NewReader(body)))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ask", bytes.NewReader(bodies[i%len(bodies)])))
 		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+			tb.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	}
-	for _, body := range bodies {
-		ask(body)
+	for i := range reqs {
+		ask(tb, i)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ask(bodies[i%len(bodies)])
+	memoized = func() bool {
+		for _, req := range reqs {
+			rendered := false
+			_, err := fed.AskReply(context.Background(), req.Pattern, req.Functors, false,
+				func(generation int64, answers []mediator.Answer) []byte {
+					rendered = true
+					return wire.AppendAskResponse(nil, generation, answers, false, nil)
+				})
+			if err != nil || rendered {
+				return false
+			}
+		}
+		return true
 	}
+	return ask, memoized
+}
+
+// TestFederatedAskBytes bounds what a repeated federated /ask allocates,
+// children and loopback included. Relayed, merged and rendered afresh
+// on every ask it came to 91.8 KB; from the parent's reply memo it is
+// about half that.
+func TestFederatedAskBytes(t *testing.T) {
+	ask, memoized := federatedAsks(t)
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ask(b, i)
+		}
+	})
+	if !memoized() {
+		t.Fatal("vacuous: the federation's reply memo does not answer the benchmark's asks")
+	}
+	ceiling := int64(60 << 10)
+	if raceEnabled {
+		ceiling = 120 << 10 // its sync.Pool drops reply buffers
+	}
+	if got := r.AllocedBytesPerOp(); r.N == 0 || got > ceiling {
+		t.Errorf("%d bytes allocated per repeated federated ask over %d asks, want <= %d", got, r.N, ceiling)
+	}
+	t.Logf("%d bytes, %d allocations per ask over %d asks", r.AllocedBytesPerOp(), r.AllocsPerOp(), r.N)
 }
 
 // TestMemoHitAskAllocs bounds what a memo-hit /ask allocates in the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -465,5 +466,315 @@ func TestFederatedReplyGenerationIsTheMerged(t *testing.T) {
 	const want = `{"generation":1,"count":2,"answers":[{"name":"Pview1(1)"},{"name":"Pview2(1)"}]}` + "\n"
 	if got.err != nil || string(got.body) != want {
 		t.Errorf("reply %s (%v), want %s", got.body, got.err, want)
+	}
+}
+
+// memoRule is one view of SelectiveProgram over root-labelled trees.
+func memoRule(i int, root string) string {
+	return fmt.Sprintf(`
+rule View%d {
+  head Pview%d(SN) = view < -> name -> SN, -> city -> C, -> zip -> Z >
+  from Pbr = %s < -> number -> Num, -> title -> T,
+                  -> model -> Year, -> desc -> D,
+                  -> spplrs -*> supplier < -> name -> SN, -> address -> Add > >
+  let C = city(Add)
+  let Z = zip(Add)
+}
+`, i, i, root)
+}
+
+// memoWorld is one state of the reply memo tests' data: brochures that
+// never change, and catalogues (brochure trees under another label)
+// that differ from world to world.
+func memoWorld(world int) *tree.Store {
+	store := workload.BrochureStore(4, 2, 4, 11)
+	seed := uint64(5 + world)
+	for i, b := range workload.Brochures(3+2*world, 2, workload.Suppliers(4, seed), seed) {
+		t := b.Tree()
+		t.Label = tree.Symbol("catalogue")
+		store.Put(tree.PlainName(fmt.Sprintf("c%d", i+1)), t)
+	}
+	return store
+}
+
+// memoFederation is BenchmarkFederatedAsk's topology over memoWorld: a
+// parent server over two httptest children, the first serving Pview1
+// and Pview2 (brochures) from world 0, the second Pview3 and Pview4
+// (catalogues) from a source the test moves between worlds and
+// refreshes with POST /admin/refresh-source/src. A refresh of the
+// second child therefore moves only its own views, and the parent's
+// reply stays one a single server over the current world gives.
+type memoFederation struct {
+	fed    *federate.Federation
+	parent string
+	fault  *source.Fault // the second child's source
+	second string        // the second child's URL
+	down   atomic.Bool   // the second child refuses every request
+	single [2]string     // single servers over each world
+}
+
+func newMemoFederation(t *testing.T) *memoFederation {
+	t.Helper()
+	m := &memoFederation{fault: source.NewFault("src", memoWorld(0))}
+	progs := [2]string{"program selective\n", "program selective\n"}
+	for i := 1; i <= 4; i++ {
+		root := "brochure"
+		if i > 2 {
+			root = "catalogue"
+		}
+		progs[(i-1)/2] += memoRule(i, root)
+	}
+	for w := range m.single {
+		_, ts := newTestServer(t, Config{Prog: yatl.MustParse(progs[0] + progs[1][len("program selective\n"):]), Inputs: memoWorld(w)})
+		m.single[w] = ts.URL
+	}
+	_, first := newTestServer(t, Config{Prog: yatl.MustParse(progs[0]), Inputs: memoWorld(0)})
+	second, err := New(Config{Prog: yatl.MustParse(progs[1]), Sources: []source.Source{m.fault}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := second.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if m.down.Load() {
+			writeErr(w, http.StatusServiceUnavailable, "unavailable", "child is down")
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	m.second = ts.URL
+	m.fed, err = federate.New(federate.Config{
+		Children: []federate.Child{
+			{Asker: shardClient(t, first.URL), Functors: []string{"Pview1", "Pview2"}},
+			{Asker: shardClient(t, ts.URL), Functors: []string{"Pview3", "Pview4"}},
+		},
+		// A dead child fails each call once and never opens its breaker,
+		// so it is asked again the moment it is back.
+		Guard: &federate.GuardOptions{Retry: &source.RetryOptions{MaxAttempts: 1},
+			Breaker: &source.BreakerOptions{Threshold: 1 << 20}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, parent := newTestServer(t, Config{Askers: []mediator.Asker{m.fed}})
+	m.parent = parent.URL
+	return m
+}
+
+// moveTo points the second child at a world and refreshes it.
+func (m *memoFederation) moveTo(t testing.TB, world int) {
+	m.fault.SetStore(memoWorld(world))
+	resp, err := http.Post(m.second+"/admin/refresh-source/src", "", nil)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("refresh: status %d", resp.StatusCode)
+	}
+}
+
+// direct asks the federation as serve's /ask does and says whether the
+// reply came from the memo: a memoized reply is not rendered.
+func (m *memoFederation) direct(t testing.TB, req wire.AskRequest, keyed bool) (body []byte, memoized bool) {
+	rendered := false
+	body, err := m.fed.AskReply(context.Background(), req.Pattern, req.Functors, keyed,
+		func(generation int64, answers []mediator.Answer) []byte {
+			rendered = true
+			return wire.AppendAskResponse(nil, generation, answers, keyed, nil)
+		})
+	if err != nil {
+		t.Errorf("AskReply %+v: %v", req, err)
+	}
+	return body, !rendered
+}
+
+var memoAsks = []wire.AskRequest{
+	{Pattern: `view < -> name -> N, -> city -> C, -> zip -> Z >`},
+	{Pattern: "X", Functors: []string{"Pview3", "Pview1"}},
+}
+
+var memoQueries = [2]string{"", "?keys=1"}
+
+// TestFederatedReplyMemo is the reply memo's equivalence: a repeated
+// federated ask is served from the memo, byte for byte the first reply
+// and the single server's; a child whose view moved, or that failed,
+// is never answered for from the memo; and plain and keyed replies are
+// memoized apart.
+func TestFederatedReplyMemo(t *testing.T) {
+	m := newMemoFederation(t)
+	// check asks through the parent twice, and directly, and returns
+	// whether the direct ask was memoized.
+	check := func(when string, req wire.AskRequest, query string, want []byte) bool {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			resp, got := rawAsk(t, m.parent, query, req)
+			checkAskFraming(t, resp, got)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: /ask%s %+v, ask %d:\n got %s\nwant %s", when, query, req, i, got, want)
+			}
+		}
+		got, memoized := m.direct(t, req, query != "")
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: AskReply%s %+v:\n got %s\nwant %s", when, query, req, got, want)
+		}
+		return memoized
+	}
+	for _, req := range memoAsks {
+		// The plain reply is memoized, and not served for a keyed ask.
+		_, want := rawAsk(t, m.single[0], "", req)
+		if !check("world 0", req, "", want) {
+			t.Errorf("world 0: repeated plain %+v did not come from the memo", req)
+		}
+		_, wantKeyed := rawAsk(t, m.single[0], "?keys=1", req)
+		if bytes.Equal(want, wantKeyed) {
+			t.Fatalf("vacuous: %+v is the same plain and keyed", req)
+		}
+		if got, memoized := m.direct(t, req, true); memoized || !bytes.Equal(got, wantKeyed) {
+			t.Errorf("world 0: first keyed %+v memoized=%v:\n got %s\nwant %s", req, memoized, got, wantKeyed)
+		}
+		if !check("world 0", req, "?keys=1", wantKeyed) {
+			t.Errorf("world 0: repeated keyed %+v did not come from the memo", req)
+		}
+	}
+
+	m.moveTo(t, 1)
+	for _, req := range memoAsks {
+		for _, query := range memoQueries {
+			_, old := rawAsk(t, m.single[0], query, req)
+			_, want := rawAsk(t, m.single[1], query, req)
+			if bytes.Equal(old, want) {
+				t.Fatalf("vacuous: the refresh did not move %+v", req)
+			}
+			if got, memoized := m.direct(t, req, query != ""); memoized || !bytes.Equal(got, want) {
+				t.Errorf("world 1: first /ask%s %+v memoized=%v:\n got %s\nwant %s", query, req, memoized, got, want)
+			}
+			if !check("world 1", req, query, want) {
+				t.Errorf("world 1: repeated /ask%s %+v did not come from the memo", query, req)
+			}
+		}
+	}
+
+	// A dead child's share is missing, and the memo neither serves the
+	// reply nor keeps it: the first ask after the child returns is
+	// complete, also for an ask only ever made while it was down.
+	downAsk := wire.AskRequest{Pattern: "X"}
+	m.down.Store(true)
+	for _, req := range append(memoAsks, downAsk) {
+		_, want := rawAsk(t, m.single[1], "", wire.AskRequest{Pattern: req.Pattern, Functors: []string{"Pview1"}})
+		if req.Functors == nil {
+			_, want = rawAsk(t, m.single[1], "", wire.AskRequest{Pattern: req.Pattern, Functors: []string{"Pview1", "Pview2"}})
+		}
+		for i := 0; i < 2; i++ {
+			if got, memoized := m.direct(t, req, false); memoized || !bytes.Equal(got, want) {
+				t.Errorf("child down: %+v, ask %d memoized=%v:\n got %s\nwant %s", req, i, memoized, got, want)
+			}
+		}
+	}
+	m.down.Store(false)
+	for _, req := range append(memoAsks, downAsk) {
+		_, want := rawAsk(t, m.single[1], "", req)
+		if got, _ := m.direct(t, req, false); !bytes.Equal(got, want) {
+			t.Errorf("child back: %+v:\n got %s\nwant %s", req, got, want)
+		}
+		if !check("child back", req, "", want) {
+			t.Errorf("child back: repeated %+v did not come from the memo", req)
+		}
+	}
+}
+
+// TestFederatedMemoAcrossChildRefresh races parent asks, through HTTP
+// and straight into AskReply, against refreshes that move the second
+// child between two worlds: every reply is one of the two single-server
+// replies, never a memoized one the child no longer backs.
+func TestFederatedMemoAcrossChildRefresh(t *testing.T) {
+	m := newMemoFederation(t)
+	req := memoAsks[1]
+	var want [2][2][]byte // [world][keyed]
+	for w := range want {
+		for k, query := range memoQueries {
+			_, want[w][k] = rawAsk(t, m.single[w], query, req)
+		}
+	}
+	stop := make(chan struct{})
+	refreshed := make(chan int)
+	go func() {
+		n := 0
+		defer func() { refreshed <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+			n++
+			m.moveTo(t, n%2)
+		}
+	}()
+	var seen [2][2]atomic.Int64 // replies per world and form
+	var memoized atomic.Int64
+	allSeen := func() bool {
+		for w := range seen {
+			for k := range seen[w] {
+				if seen[w][k].Load() == 0 {
+					return false
+				}
+			}
+		}
+		return memoized.Load() > 0
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	var wg sync.WaitGroup
+	for a := 0; a < 4; a++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 150 || !allSeen() && time.Now().Before(deadline); i++ {
+				k := (a + i) % 2
+				var got []byte
+				if a%2 == 0 {
+					var hit bool
+					if got, hit = m.direct(t, req, k == 1); hit {
+						memoized.Add(1)
+					}
+				} else {
+					resp, err := http.Post(m.parent+"/ask"+memoQueries[k], "application/json",
+						bytes.NewReader(wire.AppendAskRequest(nil, req)))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got, err = io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				world := -1
+				for w := range want {
+					if bytes.Equal(got, want[w][k]) {
+						world = w
+					}
+				}
+				if world < 0 {
+					t.Errorf("reply of neither world:\n got %s\nwant %s\n  or %s", got, want[0][k], want[1][k])
+					return
+				}
+				seen[world][k].Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if n := <-refreshed; n < 2 || !allSeen() {
+		var counts [2][2]int64
+		for w := range seen {
+			for k := range seen[w] {
+				counts[w][k] = seen[w][k].Load()
+			}
+		}
+		t.Errorf("vacuous: %d refreshes, replies per world and form %v, %d memoized", n, counts, memoized.Load())
 	}
 }

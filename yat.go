@@ -420,8 +420,8 @@ var (
 	SourceStatsOf = source.StatsOf
 )
 
-// Observability (the internal/trace layer). Attach a sink through
-// RunOptions.Trace; a nil sink costs nothing.
+// Observability (the internal/trace layer). Attach a sink with
+// WithTrace; a nil sink costs nothing.
 type (
 	// TraceSink consumes typed engine events; a sink shared by
 	// concurrent runs (a mediator's asks) must be safe for concurrent
@@ -435,6 +435,6 @@ type (
 // NewTraceProfile returns an empty profile ready to attach to a run:
 //
 //	p := yat.NewTraceProfile()
-//	res, err := yat.Run(prog, inputs, &yat.RunOptions{Trace: p})
+//	res, err := yat.Run(prog, inputs, yat.WithTrace(p))
 //	fmt.Print(p.Text(true)) // EXPLAIN table with wall times
 var NewTraceProfile = trace.NewProfile
