@@ -476,11 +476,12 @@ func BenchmarkMediatorQuery(b *testing.B) {
 
 // TestRunAllocs pins the allocations per run of the engine — Rule 1
 // over 100 brochures, the Web program over 25 cars and over the
-// convert_batch objects (≈ 1 680, 2 430 and 3 840) — and of one whole
-// convert_batch conversion, imports and HTML export included (≈ 10 250,
+// convert_batch objects (≈ 1 360, 1 620 and 2 610) — and of one whole
+// convert_batch conversion, imports and HTML export included (≈ 7 830,
 // what BenchmarkConvertBatch reports). Under -race, whose sync.Pool
-// drops match stacks, the runs read ≈ 4 410, 3 420, 5 810 and 15 900.
-// Each ceiling sits about 10 % above its count. The stores are the
+// drops match stacks and run scratch, the runs read ≈ 4 130, 2 610,
+// 4 640 and 13 770. Each ceiling sits about 10 % above its count, the
+// -race ones above their older, higher counts. The stores are the
 // benchmarks'.
 func TestRunAllocs(t *testing.T) {
 	rule1, err := ParseProgram("program p\n" + yatl.Rule1Source)
@@ -505,14 +506,14 @@ func TestRunAllocs(t *testing.T) {
 		run          func()
 		budget, race float64
 	}{
-		{"Rule1/brochures=100", run(rule1, workload.BrochureStore(100, 3, 20, 42)), 1850, 4850},
-		{"WebProgram/cars=25", run(web, workload.ODMGStore(25, 13, 3, 11)), 2650, 3750},
+		{"Rule1/brochures=100", run(rule1, workload.BrochureStore(100, 3, 20, 42)), 1500, 4850},
+		{"WebProgram/cars=25", run(web, workload.ODMGStore(25, 13, 3, 11)), 1800, 3750},
 		// The typed run of the Figure 1 pipeline: the Web program checks
 		// Pclass and Ptype against the ODMG objects that Rules 1+2 and
 		// Rule 3 make of the convert_batch inputs.
-		{"WebProgram/convert_batch", run(web, convertBatchObjects(t)), 4250, 6400},
+		{"WebProgram/convert_batch", run(web, convertBatchObjects(t)), 2900, 6400},
 		// The whole pipeline pins the wrappers' blocks as well.
-		{"Pipeline/convert_batch", func() { convertBatch(t, progs, docs, db) }, 11300, 17500},
+		{"Pipeline/convert_batch", func() { convertBatch(t, progs, docs, db) }, 8600, 17500},
 	} {
 		budget := tc.budget
 		if raceEnabled {
@@ -542,6 +543,29 @@ func BenchmarkConvertBatch(b *testing.B) {
 		pages = len(convertBatch(b, progs, docs, db))
 	}
 	b.ReportMetric(float64(pages), "pages")
+}
+
+// TestConvertBatchBytes bounds the bytes one conversion of the
+// convert_batch pipeline allocates, what BenchmarkConvertBatch reports
+// as B/op. With every run building its working memory afresh it came to
+// 1.58 MB; with the runs' scratch pooled it is about 0.74 MB.
+func TestConvertBatchBytes(t *testing.T) {
+	docs, db := workload.ConvertBatchSources(42)
+	progs := convertBatchPrograms(t)
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			convertBatch(b, progs, docs, db)
+		}
+	})
+	ceiling := int64(1_100_000)
+	if raceEnabled {
+		ceiling = 2_000_000 // its sync.Pool drops run scratch
+	}
+	if got := r.AllocedBytesPerOp(); r.N == 0 || got > ceiling {
+		t.Errorf("%d bytes allocated per conversion over %d conversions, want <= %d", got, r.N, ceiling)
+	}
+	t.Logf("%d bytes, %d allocations per conversion over %d conversions", r.AllocedBytesPerOp(), r.AllocsPerOp(), r.N)
 }
 
 // convertBatchPrograms are the convert_batch pipeline's programs: Rules

@@ -96,13 +96,13 @@ func main() {
 	inputs, err := loadInputs(*inputFlag, *sgmlFlag, *dtdFlag)
 	fail(err)
 
-	var opts *yat.RunOptions
 	var profile *yat.TraceProfile
+	var traced yat.Option // nil, and skipped, without -explain
 	if *explainFlag {
 		profile = yat.NewTraceProfile()
-		opts = &yat.RunOptions{Trace: profile}
+		traced = yat.WithTrace(profile)
 	}
-	result, err := yat.Run(prog, inputs, opts)
+	result, err := yat.Run(prog, inputs, traced)
 	fail(err)
 	for _, w := range result.Warnings {
 		fmt.Fprintln(os.Stderr, "yatc: warning:", w)

@@ -87,7 +87,7 @@ func TestExplainGolden(t *testing.T) {
 				t.Fatalf("builtin %s missing", tc.program)
 			}
 			profile := NewTraceProfile()
-			if _, err := Run(prog, tc.inputs, &RunOptions{Trace: profile}); err != nil {
+			if _, err := Run(prog, tc.inputs, WithTrace(profile)); err != nil {
 				t.Fatal(err)
 			}
 			if got := profile.Text(false); got != tc.want {
@@ -102,7 +102,7 @@ func TestExplainGolden(t *testing.T) {
 func TestExplainTimingMonotone(t *testing.T) {
 	prog, _ := BuiltinLibrary().Program("sgml2odmg")
 	profile := NewTraceProfile()
-	if _, err := Run(prog, workload.BrochureStore(10, 3, 6, 1), &RunOptions{Trace: profile}); err != nil {
+	if _, err := Run(prog, workload.BrochureStore(10, 3, 6, 1), WithTrace(profile)); err != nil {
 		t.Fatal(err)
 	}
 	total := profile.Wall()

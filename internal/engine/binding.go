@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"hash/maphash"
 	"sort"
 	"strings"
 
@@ -75,16 +76,24 @@ func appendFrameKey(dst []byte, t *values, f frame, slots []int) []byte {
 }
 
 // frameSlab cuts the frames a run keeps — matches and join results —
-// out of shared blocks.
+// out of shared blocks. The blocks a run used go back zeroed to the
+// free list, for the next run.
 type frameSlab struct {
-	buf []uint32
-	off int
+	buf        []uint32
+	off, words int // words counts the handles of every block
+	used, free [][]uint32
 }
 
 // take returns an all-unbound frame of width w.
 func (s *frameSlab) take(w int) frame {
 	if len(s.buf)-s.off < w {
-		s.buf, s.off = make([]uint32, max(64*w, 256)), 0
+		if n := len(s.free); n > 0 && len(s.free[n-1]) >= w {
+			s.buf, s.free = s.free[n-1], s.free[:n-1]
+		} else {
+			s.buf = make([]uint32, max(64*w, 256))
+			s.words += len(s.buf)
+		}
+		s.used, s.off = append(s.used, s.buf), 0
 	}
 	f := s.buf[s.off : s.off+w : s.off+w]
 	s.off += w
@@ -97,74 +106,89 @@ func (s *frameSlab) untake(f frame) {
 	s.off -= len(f)
 }
 
-// product merges every pair from as × bs, keeping consistent merges.
-func product(t *values, as, bs []frame, sl *frameSlab) []frame {
-	if len(as) == 0 || len(bs) == 0 {
-		return nil
+// reset zeroes the blocks the run used, frees them, and returns how
+// many handles the slab holds.
+func (s *frameSlab) reset() int {
+	for _, b := range s.used {
+		clear(b)
 	}
-	out := make([]frame, 0, len(as))
+	s.free, s.used, s.buf, s.off = append(s.free, s.used...), s.used[:0], nil, 0
+	return s.words
+}
+
+// joiner is the memory hashJoin reuses, with the two lists a chain of
+// joins alternates between.
+type joiner struct {
+	shared     []int
+	buf        []byte
+	keys       keySet
+	head, next []int32
+	out        [2][]frame
+}
+
+// product appends to dst the consistent merges of every pair from
+// as × bs.
+func product(t *values, sl *frameSlab, dst, as, bs []frame) []frame {
 	for _, a := range as {
 		for _, b := range bs {
 			f := sl.take(len(a))
 			copy(f, a)
 			if t.merge(f, b) {
-				out = append(out, f)
+				dst = append(dst, f)
 			} else {
 				sl.untake(f)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // hashJoin merges two frame lists on the slots both bind (as the first
 // frame of each list binds them: all frames of one match list bind the
-// same variables). With no shared slot it degrades to the Cartesian
-// product. This is the join used for multi-pattern rule bodies (Rule
-// 3's heterogeneous join, experiment E5).
-func hashJoin(t *values, as, bs []frame, sl *frameSlab) []frame {
+// same variables), appending the merges to dst. With no shared slot it
+// degrades to the Cartesian product. This is the join used for
+// multi-pattern rule bodies (Rule 3's heterogeneous join, experiment
+// E5).
+func (j *joiner) hashJoin(t *values, sl *frameSlab, dst, as, bs []frame) []frame {
 	if len(as) == 0 || len(bs) == 0 {
-		return nil
+		return dst
 	}
-	var shared []int
+	j.shared = j.shared[:0]
 	for s, h := range as[0] {
 		if h != 0 && bs[0][s] != 0 {
-			shared = append(shared, s)
+			j.shared = append(j.shared, s)
 		}
 	}
-	if len(shared) == 0 {
-		return product(t, as, bs, sl)
+	if len(j.shared) == 0 {
+		return product(t, sl, dst, as, bs)
 	}
-	// Per join key, the positions in bs of the frames carrying it.
-	index := make(map[string]int, len(bs))
-	var carriers [][]int
-	var buf []byte
-	for j, b := range bs {
-		buf = appendFrameKey(buf[:0], t, b, shared)
-		k, ok := index[string(buf)]
-		if !ok {
-			k = len(carriers)
-			index[string(buf)] = k
-			carriers = append(carriers, nil)
+	// Per join key, the chain of the positions in bs carrying it, in
+	// order: bs is read backwards and each position goes in front.
+	j.keys.reset()
+	j.head, j.next = j.head[:0], append(j.next[:0], make([]int32, len(bs))...)
+	for i := len(bs) - 1; i >= 0; i-- {
+		j.buf = appendFrameKey(j.buf[:0], t, bs[i], j.shared)
+		k, fresh := j.keys.add(j.buf)
+		if fresh {
+			j.head = append(j.head, -1)
 		}
-		carriers[k] = append(carriers[k], j)
+		j.next[i], j.head[k] = j.head[k], int32(i)
 	}
-	var out []frame
 	for _, a := range as {
-		buf = appendFrameKey(buf[:0], t, a, shared)
-		k, ok := index[string(buf)]
-		if !ok {
+		j.buf = appendFrameKey(j.buf[:0], t, a, j.shared)
+		k, _ := j.keys.find(maphash.Bytes(keySeed, j.buf), j.buf)
+		if k < 0 {
 			continue
 		}
-		for _, j := range carriers[k] {
+		for i := j.head[k]; i >= 0; i = j.next[i] {
 			f := sl.take(len(a))
 			copy(f, a)
-			if t.merge(f, bs[j]) {
-				out = append(out, f)
+			if t.merge(f, bs[i]) {
+				dst = append(dst, f)
 			} else {
 				sl.untake(f)
 			}
 		}
 	}
-	return out
+	return dst
 }

@@ -56,6 +56,13 @@ type constructor struct {
 	// args is skolemArgs' scratch.
 	parts [][][]frame
 	args  []tree.Value
+	// keys, ids and sizes group a rule's frames or a partition, oids
+	// names a rule's groups; splitByID cuts the groups from two stacks.
+	keys       keySet
+	ids, sizes []int
+	oids       []tree.Name
+	groups     [][]frame
+	frames     []frame
 }
 
 // construct builds the output tree for one Skolem group. The group
@@ -175,7 +182,7 @@ func (c *constructor) addEdges(n *tree.Node, edges []hedge, group []frame) (*tre
 	}
 	// c.parts is a stack: this call's partitions sit from base up, and
 	// the nested calls push and pop theirs above them.
-	base, size := len(c.parts), 0
+	base, groups, frames, size := len(c.parts), len(c.groups), len(c.frames), 0
 	for i := range edges {
 		e := &edges[i]
 		switch e.occ {
@@ -200,7 +207,7 @@ func (c *constructor) addEdges(n *tree.Node, edges []hedge, group []frame) (*tre
 	}
 	n.Children = c.blocks.List(size)
 	err := c.addChildren(n, edges, group, base)
-	c.parts = c.parts[:base]
+	c.parts, c.groups, c.frames = c.parts[:base], c.groups[:groups], c.frames[:frames]
 	if err != nil {
 		return nil, err
 	}
@@ -288,31 +295,32 @@ func shallowVars(t *pattern.PTree) []string {
 // preserving first-occurrence order.
 func (c *constructor) partition(group []frame, slots []int) [][]frame {
 	if len(group) == 1 {
-		return [][]frame{group}
+		c.groups = append(c.groups, group)
+		return c.groups[len(c.groups)-1:]
 	}
-	ids := make([]int, len(group))
-	index := map[string]int{}
-	var sizes []int
-	for i, f := range group {
+	c.keys.reset()
+	c.ids, c.sizes = c.ids[:0], c.sizes[:0]
+	for _, f := range group {
 		c.buf = appendFrameKey(c.buf[:0], c.tab, f, slots)
-		id, ok := index[string(c.buf)]
-		if !ok {
-			id = len(sizes)
-			index[string(c.buf)] = id
-			sizes = append(sizes, 0)
+		id, fresh := c.keys.add(c.buf)
+		if fresh {
+			c.sizes = append(c.sizes, 0)
 		}
-		ids[i] = id
-		sizes[id]++
+		c.ids = append(c.ids, id)
+		c.sizes[id]++
 	}
-	return splitByID(group, ids, sizes)
+	return c.splitByID(group, c.ids, c.sizes)
 }
 
 // splitByID returns the frames grouped by ids[i] — a group number, or
 // -1 to drop the frame — where sizes[g] frames fall in group g, each
-// group in frame order. The groups share one backing array.
-func splitByID(frames []frame, ids, sizes []int) [][]frame {
-	out := make([][]frame, len(sizes))
-	all := make([]frame, 0, len(frames))
+// group in frame order. The groups are cut from the tops of c.groups
+// and c.frames, which addEdges pops.
+func (c *constructor) splitByID(frames []frame, ids, sizes []int) [][]frame {
+	g0, f0 := len(c.groups), len(c.frames)
+	c.groups = append(c.groups, make([][]frame, len(sizes))...)
+	c.frames = append(c.frames, make([]frame, len(frames))...)
+	out, all := c.groups[g0:], c.frames[f0:f0]
 	for g, n := range sizes {
 		out[g] = all[len(all) : len(all) : len(all)+n]
 		all = all[:len(all)+n]

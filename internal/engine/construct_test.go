@@ -276,11 +276,11 @@ rule Sups {
 	// The same through one activation at a time: keep is how the run
 	// adds an activation's frames to the rule's raw bindings.
 	rawAfter := func(keep func(*run, *ruleState, *matchCtx)) []int {
-		r := &run{matcher: &Matcher{Store: inputs}, seenIDs: map[string]bool{}}
+		r := &run{scratch: &scratch{matcher: Matcher{Store: inputs}}}
 		r.tab.reset()
 		var out []int
 		for _, e := range inputs.Entries() {
-			s := newRuleState(prog.Rules[0])
+			s := &ruleState{plan: compileRule(prog.Rules[0])}
 			r.activate(tree.Ref{Name: e.Name}, e.Tree, true)
 			c := r.matcher.getCtx(&r.tab)
 			r.matchBodyPattern(c, s.plan, &s.plan.bodies[0], &r.active[len(r.active)-1])

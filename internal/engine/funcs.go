@@ -111,7 +111,7 @@ func (r *Registry) Lookup(name string) (Func, bool) {
 // normalizes a nil Options.Registry.
 func (r *Registry) Fingerprint() string {
 	if r == nil {
-		return defaultFingerprint()
+		r = defaultRegistry()
 	}
 	names := make([]string, 0, len(r.funcs))
 	for n := range r.funcs {
@@ -148,17 +148,10 @@ func paramTypeKey(p ParamType) string {
 	return strings.Join(parts, "|")
 }
 
-var (
-	defaultFP     string
-	defaultFPOnce sync.Once
-)
-
-// defaultFingerprint memoizes NewRegistry().Fingerprint(): the default
-// builtin set is immutable, so computing it once is enough.
-func defaultFingerprint() string {
-	defaultFPOnce.Do(func() { defaultFP = NewRegistry().Fingerprint() })
-	return defaultFP
-}
+// defaultRegistry is the registry of every run given none: the
+// builtins are stateless and a run only calls them, so one registry
+// serves all runs.
+var defaultRegistry = sync.OnceValue(NewRegistry)
 
 // TypeCheck reports whether the arguments pass the function's type
 // filter.

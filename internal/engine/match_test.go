@@ -416,12 +416,13 @@ func TestBindingMergeAndJoin(t *testing.T) {
 	bs := []Binding{{"K": tree.Int(2), "W": tree.String("w")}, {"K": tree.Int(3), "W": tree.String("x")}}
 	cs := []Binding{{"Q": tree.Int(9)}}
 	var sl frameSlab
-	j := hashJoin(&tab, frs(as...), frs(bs...), &sl)
+	var jn joiner
+	j := jn.hashJoin(&tab, &sl, nil, frs(as...), frs(bs...))
 	if len(j) != 1 || !tab.vals[j[0][4]].Equal(tree.String("b")) {
 		t.Errorf("join = %v", keys(j))
 	}
 	// No shared vars → Cartesian product.
-	if got := hashJoin(&tab, frs(as...), frs(cs...), &sl); len(got) != 2 {
+	if got := jn.hashJoin(&tab, &sl, nil, frs(as...), frs(cs...)); len(got) != 2 {
 		t.Errorf("cartesian join = %v", keys(got))
 	}
 	// Both agree with the reference map join, order included — on
@@ -430,7 +431,7 @@ func TestBindingMergeAndJoin(t *testing.T) {
 	ds := []Binding{{"K": tree.Int(2), "W": tree.Symbol("y")}, {"K": tree.Float(2), "W": tree.Symbol("z")}, {"K": tree.Int(2)}}
 	for _, tc := range [][2][]Binding{{as, bs}, {as, cs}, {bs, ds}, {ds, as}, {ds, ds}} {
 		want := refHashJoin(tc[0], tc[1])
-		got := keys(hashJoin(&tab, frs(tc[0]...), frs(tc[1]...), &sl))
+		got := keys(jn.hashJoin(&tab, &sl, nil, frs(tc[0]...), frs(tc[1]...)))
 		wantKeys := make([]string, len(want))
 		for i, b := range want {
 			wantKeys[i] = b.Key()

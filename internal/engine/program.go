@@ -138,11 +138,23 @@ func RunContext(ctx context.Context, prog *yatl.Program, inputs *tree.Store, opt
 // rules, constructs only the construct set, and skips the full-run
 // diagnostics that assume every rule ran (dangling-reference warnings
 // and the §3.5 exception check — slices never contain exception
-// rules).
+// rules). The run's working memory is a pooled scratch, handed back
+// when the run returns, however it returns.
 func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (*Result, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer func() {
+		if sc.reset() <= maxPooledScratch {
+			scratchPool.Put(sc)
+		}
+	}()
+	return executeIn(sc, prog, inputs, opts, sl)
+}
+
+// executeIn is execute in the given scratch, which it leaves full.
+func executeIn(sc *scratch, prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (*Result, error) {
 	reg := opts.Registry
 	if reg == nil {
-		reg = NewRegistry()
+		reg = defaultRegistry()
 	}
 	if !opts.DisableSafety {
 		if err := CheckSafety(prog); err != nil {
@@ -172,19 +184,19 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 		prog = sl.SubProgram(prog)
 	}
 
+	sc.conform.Reset(inputs, model)
+	sc.matcher = Matcher{Store: inputs, Model: model}
+	sc.matcher.once.Do(func() { sc.matcher.checker = sc.conform }) // the scratch lends its checker
 	r := &run{
-		prog:      prog,
-		reg:       reg,
-		opts:      opts,
-		ctx:       ctx,
-		sink:      opts.Trace,
-		inputs:    inputs,
-		outputs:   tree.NewStore(),
-		matcher:   &Matcher{Store: inputs, Model: model},
-		hier:      buildHierarchy(prog, model),
-		seenIDs:   make(map[string]bool, inputs.Len()),
-		ruleState: map[*yatl.Rule]*ruleState{},
-		tab:       values{vals: make([]tree.Value, 1, 256)},
+		scratch: sc,
+		prog:    prog,
+		reg:     reg,
+		opts:    opts,
+		ctx:     ctx,
+		sink:    opts.Trace,
+		inputs:  inputs,
+		outputs: tree.NewStore(),
+		hier:    buildHierarchy(prog, model),
 	}
 	// Mediator-only options do nothing on a plain engine run; warn so
 	// the misconfiguration is visible instead of silently absorbed.
@@ -200,7 +212,14 @@ func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (
 		if rule.Exception {
 			continue
 		}
-		r.ruleState[rule] = newRuleState(rule)
+		if len(r.ruleState) == len(sc.states) {
+			sc.states = append(sc.states, new(ruleState))
+		}
+		s := sc.states[len(r.ruleState)] // emptied by the scratch's reset
+		s.plan, r.ruleState[rule] = compileRule(rule), s
+		if n := len(rule.Body); n > 1 {
+			s.perPattern = slices.Grow(s.perPattern, n)[:n]
+		}
 	}
 
 	// Seed with the source inputs.
@@ -331,22 +350,16 @@ type ruleState struct {
 	// predicates, without repeats; rawSeen keys those of a multi-pattern
 	// rule.
 	raw     []frame
-	rawSeen map[string]bool
+	rawSeen keySet
 	rawNext int
 	// evaluated are the frames that survived phases 2 and 3.
 	evaluated []frame
 	evalNext  int
 }
 
-func newRuleState(rule *yatl.Rule) *ruleState {
-	s := &ruleState{plan: compileRule(rule)}
-	if len(rule.Body) > 1 {
-		s.perPattern, s.rawSeen = make([][]frame, len(rule.Body)), map[string]bool{}
-	}
-	return s
-}
-
 type run struct {
+	// scratch is the run's working memory.
+	*scratch
 	prog *yatl.Program
 	reg  *Registry
 	opts *Options
@@ -355,27 +368,12 @@ type run struct {
 	// engine then takes no timestamps and allocates nothing for it).
 	sink trace.Sink
 	// round is the current fixpoint round, carried by trace events.
-	round   int
-	inputs  *tree.Store
-	outputs *tree.Store
-	matcher *Matcher
-	hier    *hierarchy
-
-	active    []activation
+	round     int
+	inputs    *tree.Store
+	outputs   *tree.Store
+	hier      *hierarchy
 	processed int
-	seenIDs   map[string]bool
-
-	ruleState map[*yatl.Rule]*ruleState
 	warnings  []string
-
-	// keyBuf is the scratch of the activation, dedup and Skolem keys,
-	// keyEnds where each of one activation's frame keys ends in it;
-	// slab holds the frames the run keeps, matched and joined.
-	keyBuf  []byte
-	keyEnds []int
-	slab    frameSlab
-	// tab is the values table of every frame of the run.
-	tab values
 	// blocks holds the output trees the construction phase builds.
 	blocks tree.Blocks
 }
@@ -399,10 +397,9 @@ func (r *run) totalBindings() int {
 // identity.
 func (r *run) activate(id tree.Value, node *tree.Node, source bool) {
 	r.keyBuf = tree.AppendBinaryKey(r.keyBuf[:0], id)
-	if r.seenIDs[string(r.keyBuf)] {
+	if _, fresh := r.seenIDs.add(r.keyBuf); !fresh {
 		return
 	}
-	r.seenIDs[string(r.keyBuf)] = true
 	r.active = append(r.active, activation{id: id, node: node, source: source, h: r.tab.add(id)})
 }
 
@@ -414,12 +411,12 @@ func (r *run) activateValue(v tree.Value) {
 	switch val := v.(type) {
 	case tree.Ref:
 		if n, ok := r.inputs.Get(val.Name); ok {
-			r.activate(val, n, false)
+			r.activate(v, n, false)
 		}
 	case tree.TreeVal:
-		r.activate(val, val.Root, false)
+		r.activate(v, val.Root, false)
 	default:
-		r.activate(val, tree.New(val), false)
+		r.activate(v, tree.New(val), false)
 	}
 }
 
@@ -517,28 +514,18 @@ func (r *run) keepFrame(f frame) frame {
 // binds the body's slot to the activation id, and seenIDs makes ids
 // unique by key, so frames of two activations never share a key: only
 // one activation's own frames can repeat, and a one-frame match needs
-// no key at all. The map's keys are cut from one string of all the
-// frames' keys, so an activation allocates one key, not one per frame.
+// no key at all; the others go through the dedup set.
 func (r *run) addMatched(s *ruleState, c *matchCtx) {
 	if c.top == 1 {
 		s.raw = append(s.raw, r.keepFrame(c.frame(0)))
 		return
 	}
-	buf, ends := r.keyBuf[:0], r.keyEnds[:0]
+	r.dedup.reset()
 	for i := 0; i < c.top; i++ {
-		buf = appendFrameKey(buf, &r.tab, c.frame(i), nil)
-		ends = append(ends, len(buf))
-	}
-	r.keyBuf, r.keyEnds = buf, ends
-	keys, seen, lo := string(buf), make(map[string]bool, c.top), 0
-	for i, hi := range ends {
-		k := keys[lo:hi]
-		lo = hi
-		if seen[k] {
-			continue
+		r.keyBuf = appendFrameKey(r.keyBuf[:0], &r.tab, c.frame(i), nil)
+		if _, fresh := r.dedup.add(r.keyBuf); fresh {
+			s.raw = append(s.raw, r.keepFrame(c.frame(i)))
 		}
-		seen[k] = true
-		s.raw = append(s.raw, r.keepFrame(c.frame(i)))
 	}
 }
 
@@ -548,10 +535,9 @@ func (r *run) addMatched(s *ruleState, c *matchCtx) {
 func (r *run) addRaw(s *ruleState, fs []frame) {
 	for _, f := range fs {
 		r.keyBuf = appendFrameKey(r.keyBuf[:0], &r.tab, f, nil)
-		if s.rawSeen[string(r.keyBuf)] {
+		if _, fresh := s.rawSeen.add(r.keyBuf); !fresh {
 			continue
 		}
-		s.rawSeen[string(r.keyBuf)] = true
 		s.raw = append(s.raw, f)
 	}
 }
@@ -566,7 +552,8 @@ func (r *run) joinMultiBody(rule *yatl.Rule) {
 	s.grew = false
 	joined := s.perPattern[0]
 	for i := 1; i < len(s.perPattern); i++ {
-		joined = hashJoin(&r.tab, joined, s.perPattern[i], &r.slab)
+		joined = r.join.hashJoin(&r.tab, &r.slab, r.join.out[i%2][:0], joined, s.perPattern[i])
+		r.join.out[i%2] = joined
 		if len(joined) == 0 {
 			return
 		}
@@ -761,13 +748,13 @@ func (r *run) constructRule(rule *yatl.Rule) error {
 	}
 	rp := s.plan
 	// Group the frames by Skolem identity, in first-occurrence order.
-	var oids []tree.Name
-	index := make(map[string]int, len(s.evaluated))
-	ids := make([]int, len(s.evaluated))
-	var sizes []int
-	c := &constructor{plan: rp, tab: &r.tab, blocks: &r.blocks}
+	c := &r.cons
+	c.plan, c.tab, c.blocks, c.groups, c.frames = rp, &r.tab, &r.blocks, c.groups[:0], c.frames[:0]
+	c.keys.reset()
+	clear(c.oids) // the previous rule's names
+	c.ids, c.oids, c.sizes = append(c.ids[:0], make([]int, len(s.evaluated))...), c.oids[:0], c.sizes[:0]
 	for k := range s.evaluated {
-		ids[k] = -1
+		c.ids[k] = -1
 		var skolemStart time.Time
 		if r.sink != nil {
 			skolemStart = time.Now()
@@ -778,9 +765,9 @@ func (r *run) constructRule(rule *yatl.Rule) error {
 		args, bound := c.skolemArgs(rp.skolem, s.evaluated[k])
 		if bound {
 			r.keyBuf = tree.Name{Functor: rule.Head.Functor, Args: args}.AppendBinaryKey(r.keyBuf[:0])
-			if g, ok := index[string(r.keyBuf)]; ok {
-				ids[k] = g
-				sizes[g]++
+			if g, fresh := c.keys.add(r.keyBuf); !fresh {
+				c.ids[k] = g
+				c.sizes[g]++
 				continue
 			}
 		}
@@ -808,13 +795,12 @@ func (r *run) constructRule(rule *yatl.Rule) error {
 			r.sink.Emit(trace.Event{Kind: trace.KindSkolemDefined, Phase: trace.PhaseSkolem,
 				Rule: rule.Name, Count: 1, Detail: oid.String(), Duration: time.Since(skolemStart)})
 		}
-		ids[k] = len(oids)
-		index[string(r.keyBuf)] = len(oids)
-		oids = append(oids, oid)
-		sizes = append(sizes, 1)
+		c.ids[k] = len(c.oids)
+		c.oids = append(c.oids, oid)
+		c.sizes = append(c.sizes, 1)
 	}
-	groups := splitByID(s.evaluated, ids, sizes)
-	for i, oid := range oids {
+	groups := c.splitByID(s.evaluated, c.ids, c.sizes)
+	for i, oid := range c.oids {
 		if err := r.ctx.Err(); err != nil {
 			return cancelErr(err)
 		}

@@ -110,6 +110,20 @@ func NewConformanceChecker(store *tree.Store, gen *Model) *ConformanceChecker {
 	return &ConformanceChecker{store: store, gen: gen, cache: make(map[conformKey]bool)}
 }
 
+// Reset empties the cache and points the checker at store and gen, so
+// one checker can serve run after run, and returns how many answers it
+// dropped. It must not race a Conforms.
+func (cc *ConformanceChecker) Reset(store *tree.Store, gen *Model) int {
+	n := len(cc.cache)
+	cc.store, cc.gen = store, gen
+	if n > 1024 { // clearing keeps the map's size, and later Resets would pay for it
+		cc.cache = make(map[conformKey]bool)
+	} else {
+		clear(cc.cache)
+	}
+	return n
+}
+
 // Conforms reports whether t is an instance of pattern genName. Two
 // goroutines racing on an uncached pair both compute the (identical,
 // deterministic) answer; the duplicated work is bounded and the cache
