@@ -3,6 +3,7 @@ package federate
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,8 +32,13 @@ import (
 // safe for concurrent use.
 type Client struct {
 	base string
-	name string
-	http *http.Client
+	// askURL is base's /ask?keys=1, parsed once: every ask's request
+	// shares it, and nothing writes it. askErr is why it did not parse,
+	// which every ask then fails with.
+	askURL *url.URL
+	askErr error
+	name   string
+	http   *http.Client
 	// ownsHTTP records whether NewClient built the http.Client itself.
 	// Close tears down connection pools only for owned clients — a
 	// caller-supplied ClientOptions.HTTPClient may be shared with the
@@ -62,9 +68,10 @@ func NewClient(base string, opts *ClientOptions) *Client {
 		c.name = opts.Name
 		c.http = opts.HTTPClient
 	}
+	c.askURL, c.askErr = url.Parse(c.base + "/ask?keys=1")
 	if c.name == "" {
-		if u, err := url.Parse(c.base); err == nil && u.Host != "" {
-			c.name = u.Host
+		if c.askErr == nil && c.askURL.Host != "" {
+			c.name = c.askURL.Host
 		} else {
 			c.name = c.base
 		}
@@ -116,7 +123,7 @@ func (c *Client) AskContext(ctx context.Context, patternSrc string, functors ...
 // generation the reply carried.
 func (c *Client) ask(ctx context.Context, patternSrc string, functors []string,
 	decode func([]byte) (int64, []mediator.Answer, error)) (int64, []mediator.Answer, error) {
-	reply, err := c.fetchAsk(ctx, patternSrc, functors)
+	reply, err := c.fetchAsk(ctx, patternSrc, functors, nil)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -125,11 +132,47 @@ func (c *Client) ask(ctx context.Context, patternSrc string, functors []string,
 }
 
 // fetchAsk POSTs /ask?keys=1 and returns the reply unread, in a pooled
-// buffer the caller releases once it is done with the bytes.
-func (c *Client) fetchAsk(ctx context.Context, patternSrc string, functors []string) (*replyBuf, error) {
-	body := wire.AppendAskRequest(nil, wire.AskRequest{Pattern: patternSrc, Functors: functors})
-	return c.do(ctx, http.MethodPost, "/ask?keys=1", body)
+// buffer the caller releases once it is done with the bytes. With a
+// validator the ask is conditional (the wire package's conditional
+// /ask): a child whose reply has that SHA-256 digest answers 304, and
+// fetchAsk returns a nil reply and no error. A child that ignores the
+// header answers in full.
+func (c *Client) fetchAsk(ctx context.Context, patternSrc string, functors []string, validator *[sha256.Size]byte) (*replyBuf, error) {
+	req, err := c.askRequest(ctx, wire.AppendAskRequest(nil, wire.AskRequest{Pattern: patternSrc, Functors: functors}), validator)
+	if err != nil {
+		return nil, err
+	}
+	return c.send(req, validator != nil)
 }
+
+// askRequest builds the POST of an ask body to askURL, parsing nothing.
+func (c *Client) askRequest(ctx context.Context, body []byte, validator *[sha256.Size]byte) (*http.Request, error) {
+	if c.askErr != nil {
+		return nil, c.askErr
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	req := &http.Request{
+		Method:        http.MethodPost,
+		URL:           c.askURL,
+		Header:        http.Header{"Content-Type": jsonContentType},
+		Body:          io.NopCloser(bytes.NewReader(body)),
+		ContentLength: int64(len(body)),
+		// As http.NewRequest sets it: a request that wrote nothing on a
+		// reused connection the child had closed is sent again.
+		GetBody: func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil },
+	}
+	if validator != nil {
+		var tag [2 + 2*sha256.Size]byte
+		req.Header["If-None-Match"] = []string{string(wire.AppendETag(tag[:0], validator))}
+	}
+	return req.WithContext(ctx), nil
+}
+
+// jsonContentType is every ask's Content-Type header value; requests
+// share it and nothing writes it.
+var jsonContentType = []string{"application/json"}
 
 // readAsk reads a reply fetchAsk returned with decode and notes the
 // generation it carried.
@@ -151,7 +194,7 @@ const introspectTimeout = 2 * time.Second
 func (c *Client) introspect(path string, out any) error {
 	ctx, cancel := context.WithTimeout(context.Background(), introspectTimeout)
 	defer cancel()
-	reply, err := c.do(ctx, http.MethodGet, path, nil)
+	reply, err := c.do(ctx, http.MethodGet, path)
 	if err != nil {
 		return err
 	}
@@ -194,32 +237,40 @@ func (c *Client) Generation() int64 {
 	return 1
 }
 
-// do runs one round trip and returns the 2xx reply's body in a pooled
-// buffer the caller releases. Non-2xx responses decode the wire error
-// envelope into a typed *RemoteError.
-func (c *Client) do(ctx context.Context, method, path string, body []byte) (*replyBuf, error) {
-	if c.closed.Load() {
-		return nil, &ClosedError{Shard: c.name}
-	}
+// do runs one round trip of a request without a body, and returns the
+// reply as send does.
+func (c *Client) do(ctx context.Context, method, path string) (*replyBuf, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, nil)
 	if err != nil {
 		return nil, err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	return c.send(req, false)
+}
+
+// send runs one round trip and returns the 2xx reply's body in a pooled
+// buffer the caller releases. Non-2xx responses decode the wire error
+// envelope into a typed *RemoteError. A 304 is a nil reply when the
+// request was conditional, and a *RemoteError when it was not: it
+// cannot stand for a reply the client never named.
+func (c *Client) send(req *http.Request, conditional bool) (*replyBuf, error) {
+	if c.closed.Load() {
+		return nil, &ClosedError{Shard: c.name}
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: %w", c.name, err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotModified {
+		if conditional {
+			return nil, nil
+		}
+		return nil, &RemoteError{Status: resp.StatusCode, Code: "not_modified",
+			Message: "304 Not Modified to an ask that named no reply"}
+	}
 	reply, err := readReply(resp, maxReplyBytes)
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: reading response: %w", c.name, err)

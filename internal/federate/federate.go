@@ -120,7 +120,8 @@ type Federation struct {
 
 	// replayChecksFirstOnly is test instrumentation, unset in the
 	// library: the unsound memo the reply memo tests must catch, which
-	// replays an entry when only the first target's digest matches.
+	// replays an entry when only the first target's reply is the one it
+	// saw.
 	replayChecksFirstOnly bool
 }
 
@@ -251,19 +252,29 @@ func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors
 // and no trees: only rendering may read them.
 //
 // When every child asked is a remote *Client, the reply is memoized
-// against the SHA-256 digest of each child's reply: an ask (pattern,
+// against the SHA-256 digest of each child's reply. An ask (pattern,
 // functors as given, keyed) whose children all answer byte for byte as
 // they did for the memoized reply gets that reply back, with no child
-// reply read, merged or rendered. As with Mediator.AskReply, a caller
-// must render each form the same way every time; the memo keeps a copy
-// of what render returns, and a reply that came from the memo is
-// shared and must not be modified. A reply degraded by a failed child
-// is neither memoized nor served from the memo, and any bytes the memo
-// has not seen are read and checked in full.
-func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool, render func(generation int64, answers []mediator.Answer) []byte) ([]byte, error) {
+// reply read, merged or rendered. Once an ask has been answered so, the
+// next one is conditional: each child is sent its digest (the wire
+// package's conditional /ask) and answers 304 when its reply is still
+// the one the memo saw, which stands for those bytes. When a 304 came
+// but some other child's reply moved or failed, each child that
+// answered 304 is asked again without a validator, as the memo keeps no
+// child bytes, and the asks after it are unconditional until one is
+// answered from the memo again: a child that is down or keeps moving
+// costs the others one round trip per ask, not two. As with
+// Mediator.AskReply, a caller must render each form the same way every
+// time; the memo keeps a copy of what render returns, and a reply that
+// came from the memo is shared and must not be modified. A reply
+// degraded by a failed child is neither memoized nor served from the
+// memo, and any bytes the memo has not seen are read and checked in
+// full. sum is the SHA-256 digest of the reply when it is memoized,
+// nil otherwise.
+func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool, render func(generation int64, answers []mediator.Answer) []byte) (body []byte, sum *[sha256.Size]byte, err error) {
 	targets, err := f.plan(patternSrc, functors)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// seen is the memo's entry for the ask — an empty one for an ask it
 	// has not memoized — and nil when the ask is not memoized at all.
@@ -276,38 +287,64 @@ func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors [
 	}
 	replies := f.gather(ctx, patternSrc, targets, wire.RelayAskResponse, seen)
 	if seen != nil && f.replayable(replies) {
-		for _, r := range replies {
-			if r.raw != nil {
+		for i := range replies {
+			if r := &replies[i]; r.raw != nil {
 				r.raw.release()
+			} else {
+				f.report(ctx, targets[i], r) // a 304
 			}
 		}
-		return seen.body, nil
+		if !seen.replayed.Load() {
+			seen.replayed.Store(true)
+		}
+		return seen.body, &seen.sum, nil
 	}
-	complete := seen != nil
+	if seen != nil && seen.replayed.Load() {
+		seen.replayed.Store(false)
+	}
+	var again []int // the targets that answered 304
 	for i := range replies {
 		r := &replies[i]
-		if r.raw != nil {
+		switch {
+		case r.raw != nil:
 			// The bytes the memo saw matched, another child's did not: read
 			// them now. They were read once already, so this cannot fail.
 			r.gen, r.answers, r.err = targets[i].c.client.readAsk(r.raw.b, wire.RelayAskResponse)
 			r.raw.release()
+		case r.same:
+			again = append(again, i)
 		}
+	}
+	if len(again) > 0 {
+		// A 304 stands for bytes the memo does not keep: ask for them. The
+		// 304 went unreported, so the child's one report is this ask's.
+		sub := make([]target, len(again))
+		for j, i := range again {
+			sub[j] = targets[i]
+		}
+		for j, r := range f.gather(ctx, patternSrc, sub, wire.RelayAskResponse, &replyEntry{}) {
+			replies[again[j]] = r
+		}
+	}
+	complete := seen != nil
+	for _, r := range replies {
 		complete = complete && r.err == nil
 	}
 	answers, generation, err := f.merge(targets, replies)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	body := render(generation, answers)
-	if complete {
-		// Exact size, and never render's buffer, which may be pooled.
-		e := &replyEntry{shards: make([]shardSeen, len(replies)), body: append(make([]byte, 0, len(body)), body...)}
-		for i, r := range replies {
-			e.shards[i] = r.seen
-		}
-		f.replies.store(key, e)
+	body = render(generation, answers)
+	if !complete {
+		return body, nil, nil
 	}
-	return body, nil
+	// Exact size, and never render's buffer, which may be pooled.
+	e := &replyEntry{shards: make([]shardSeen, len(replies)), body: append(make([]byte, 0, len(body)), body...), sum: sha256.Sum256(body)}
+	for i, r := range replies {
+		e.shards[i] = r.seen
+	}
+	f.replies.store(key, e)
+	return body, &e.sum, nil
 }
 
 // target is one child's share of an ask.
@@ -365,60 +402,91 @@ type shardReply struct {
 	gen     int64
 	err     error
 	// seen is the reply as a memo entry records it, set when the gather
-	// digests. raw holds the reply's bytes unread when its digest is the
-	// one the memo saw, and is nil otherwise.
+	// digests. same says the reply is the one the memo saw: the child
+	// answered 304 to its digest, or sent the very bytes, which raw then
+	// holds unread.
 	seen shardSeen
+	same bool
 	raw  *replyBuf
+	took time.Duration // how long the ask took
 }
 
 // gather asks every target at once, under its child's guard chain, and
 // reads a remote child's reply with decode. With seen non-nil (every
 // target remote) it digests each reply and leaves unread one whose
-// digest is seen's for its target.
+// digest is seen's for its target; when seen was replayed by the last
+// ask that found it, it asks each target conditionally on that digest.
+// The last target is asked on the calling goroutine, which would
+// otherwise only wait.
 func (f *Federation) gather(ctx context.Context, patternSrc string, targets []target,
 	decode func([]byte) (int64, []mediator.Answer, error), seen *replyEntry) []shardReply {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	replies := make([]shardReply, len(targets))
+	conditional := seen != nil && seen.replayed.Load()
 	var wg sync.WaitGroup
 	for i, t := range targets {
 		var want *shardSeen
 		if seen != nil {
 			want = seen.shard(i)
 		}
+		if i == len(targets)-1 {
+			f.askTarget(ctx, patternSrc, t, decode, seen != nil, conditional, want, &replies[i])
+			break
+		}
 		wg.Add(1)
-		go func(r *shardReply, t target) {
+		go func(r *shardReply, t target, want *shardSeen) {
 			defer wg.Done()
-			start := time.Now()
-			r.err = callGuarded(ctx, t.c.chain, func(ctx context.Context) error {
-				if seen != nil {
-					return t.c.askDigest(ctx, patternSrc, t.fs, want, r)
-				}
-				var err error
-				r.answers, r.gen, err = t.c.ask(ctx, patternSrc, t.fs, decode)
-				return err
-			})
-			if r.err != nil {
-				// A caller that hung up says nothing about the child.
-				if ctx.Err() == nil {
-					t.c.called(r.err)
-					f.emit(trace.Event{Kind: trace.KindShardDegraded, Phase: trace.PhaseFederate,
-						Detail: t.c.name + ": " + r.err.Error()})
-				}
-				return
-			}
-			t.c.called(nil)
-			count := len(r.answers)
-			if r.raw != nil {
-				count = r.seen.count
-			}
-			f.emit(trace.Event{Kind: trace.KindShardAsk, Phase: trace.PhaseFederate,
-				Detail: t.c.name, Count: count, Duration: time.Since(start)})
-		}(&replies[i], t)
+			f.askTarget(ctx, patternSrc, t, decode, seen != nil, conditional, want, r)
+		}(&replies[i], t, want)
 	}
 	wg.Wait()
 	return replies
+}
+
+// askTarget is gather's ask of one target into r: digested against want
+// when digest is set, and conditional on it when conditional is too,
+// else read with decode. It reports the ask to the child's health and
+// the trace, but for a 304, which AskReply reports once it knows
+// whether the child is asked again.
+func (f *Federation) askTarget(ctx context.Context, patternSrc string, t target,
+	decode func([]byte) (int64, []mediator.Answer, error), digest, conditional bool, want *shardSeen, r *shardReply) {
+	start := time.Now()
+	r.err = callGuarded(ctx, t.c.chain, func(ctx context.Context) error {
+		if digest {
+			return t.c.askDigest(ctx, patternSrc, t.fs, want, conditional, r)
+		}
+		var err error
+		r.answers, r.gen, err = t.c.ask(ctx, patternSrc, t.fs, decode)
+		return err
+	})
+	r.took = time.Since(start)
+	if r.err == nil && r.same && r.raw == nil {
+		return
+	}
+	f.report(ctx, t, r)
+}
+
+// report records a target's reply: against its child's health, and as
+// a shard-ask event, or a shard-degraded one when the ask failed.
+func (f *Federation) report(ctx context.Context, t target, r *shardReply) {
+	if r.err != nil {
+		// A caller that hung up says nothing about the child.
+		if ctx.Err() == nil {
+			t.c.called(r.err)
+			f.emit(trace.Event{Kind: trace.KindShardDegraded, Phase: trace.PhaseFederate,
+				Detail: t.c.name + ": " + r.err.Error()})
+		}
+		return
+	}
+	t.c.called(nil)
+	count := len(r.answers)
+	if r.same {
+		count = r.seen.count
+	}
+	f.emit(trace.Event{Kind: trace.KindShardAsk, Phase: trace.PhaseFederate,
+		Detail: t.c.name, Count: count, Duration: r.took})
 }
 
 // merge orders the targets' answers as one mediator would and returns
@@ -482,20 +550,27 @@ func (c *fedChild) ask(ctx context.Context, patternSrc string, functors []string
 	return answers, generationOf(c.asker), err
 }
 
-// askDigest is a remote child's ask for a memoized AskReply: it digests
-// the reply into r.seen and relays it, unless the digest is want's — a
-// reply byte for byte the one the memo saw is kept unread in r.raw, and
-// the generation and count want recorded stand for it. Digesting inside
-// the guarded call means a reply that fails to read is retried and
-// counted against the child as ever.
-func (c *fedChild) askDigest(ctx context.Context, patternSrc string, functors []string, want *shardSeen, r *shardReply) error {
-	reply, err := c.client.fetchAsk(ctx, patternSrc, functors)
+// askDigest is a remote child's ask for a memoized AskReply. A reply
+// whose digest is want's, kept unread in r.raw, is the reply want
+// recorded: its generation and count stand for it. With conditional
+// set the ask names want's digest, and a 304 stands for that reply as
+// well. Any other reply is digested into r.seen and relayed. Digesting
+// inside the guarded call means a reply that fails to read is retried
+// and counted against the child as ever.
+func (c *fedChild) askDigest(ctx context.Context, patternSrc string, functors []string, want *shardSeen, conditional bool, r *shardReply) error {
+	var validator *[sha256.Size]byte
+	if want != nil && conditional {
+		validator = &want.sum
+	}
+	reply, err := c.client.fetchAsk(ctx, patternSrc, functors, validator)
 	if err != nil {
 		return err
 	}
-	r.seen.sum = sha256.Sum256(reply.b)
-	if want != nil && r.seen.sum == want.sum {
-		r.seen, r.raw = *want, reply
+	if reply != nil {
+		r.seen.sum = sha256.Sum256(reply.b)
+	}
+	if want != nil && (reply == nil || r.seen.sum == want.sum) {
+		r.seen, r.same, r.raw = *want, true, reply
 		c.client.gen.Store(want.gen)
 		return nil
 	}
@@ -506,10 +581,10 @@ func (c *fedChild) askDigest(ctx context.Context, patternSrc string, functors []
 }
 
 // replayable says whether the gathered replies are those the memo
-// entry saw: every target answered, and with the very bytes.
+// entry saw: every target answered, each with a 304 or the very bytes.
 func (f *Federation) replayable(replies []shardReply) bool {
 	for i, r := range replies {
-		if r.err != nil || r.raw == nil && !(i > 0 && f.replayChecksFirstOnly) {
+		if r.err != nil || !r.same && !(i > 0 && f.replayChecksFirstOnly) {
 			return false
 		}
 	}

@@ -26,10 +26,16 @@ type replyKey struct {
 	keyed             bool
 }
 
-// replyEntry is one memoized reply. Immutable once stored.
+// replyEntry is one memoized reply. Immutable once stored, but for
+// replayed.
 type replyEntry struct {
-	shards []shardSeen // per target, in target order
-	body   []byte      // the rendered reply, an exact-size copy
+	shards []shardSeen       // per target, in target order
+	body   []byte            // the rendered reply, an exact-size copy
+	sum    [sha256.Size]byte // body's digest, for asks conditional on it
+	// replayed says the last ask that found the entry was answered from
+	// it. Only then are the children asked conditionally: while one is
+	// down or moving, the others' 304s would have them asked twice.
+	replayed atomic.Bool
 }
 
 // shardSeen is one child's reply as the memo saw it: the SHA-256 digest

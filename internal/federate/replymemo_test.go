@@ -3,6 +3,8 @@ package federate
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,16 +25,32 @@ import (
 )
 
 // cannedChild serves the ask reply *reply holds — an empty one fails
-// with 503 — and functors on /functors.
+// with 503 — and functors on /functors. It ignores If-None-Match, as a
+// child of an earlier release does.
 func cannedChild(t *testing.T, reply *atomic.Value, functors string) *Client {
+	return newCannedChild(t, reply, functors, false)
+}
+
+// conditionalChild is cannedChild answering an ask whose If-None-Match
+// names its reply with a 304, as serve does.
+func conditionalChild(t *testing.T, reply *atomic.Value, functors string) *Client {
+	return newCannedChild(t, reply, functors, true)
+}
+
+func newCannedChild(t *testing.T, reply *atomic.Value, functors string, conditional bool) *Client {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/ask":
-			if body := reply.Load().(string); body != "" {
-				io.WriteString(w, body)
-			} else {
+			body := reply.Load().(string)
+			sum := sha256.Sum256([]byte(body))
+			switch {
+			case body == "":
 				http.Error(w, "down", http.StatusServiceUnavailable)
+			case conditional && r.Header.Get("If-None-Match") == string(wire.AppendETag(nil, &sum)):
+				w.WriteHeader(http.StatusNotModified)
+			default:
+				io.WriteString(w, body)
 			}
 		case "/functors":
 			fmt.Fprintf(w, `{"functors":%s,"generation":1}`, functors)
@@ -61,14 +79,15 @@ func cannedReply(functor string, n int) string {
 
 // replayAfterSecondChildMoves asks a federation over two canned
 // children three times — the second child's reply changes before the
-// third — and returns how the asks went wrong, "" when none did.
-func replayAfterSecondChildMoves(t *testing.T, checksFirstOnly bool) string {
+// third — and returns how the asks went wrong, "" when none did. child
+// builds the children.
+func replayAfterSecondChildMoves(t *testing.T, child func(*testing.T, *atomic.Value, string) *Client, checksFirstOnly bool) string {
 	var a, b atomic.Value
 	a.Store(cannedReply("Pview1", 1))
 	b.Store(cannedReply("Pview2", 1))
 	fed, err := New(Config{Children: []Child{
-		{Asker: cannedChild(t, &a, `["Pview1"]`)},
-		{Asker: cannedChild(t, &b, `["Pview2"]`)},
+		{Asker: child(t, &a, `["Pview1"]`)},
+		{Asker: child(t, &b, `["Pview2"]`)},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +95,7 @@ func replayAfterSecondChildMoves(t *testing.T, checksFirstOnly bool) string {
 	fed.replayChecksFirstOnly = checksFirstOnly
 	renders := 0
 	ask := func() string {
-		body, err := fed.AskReply(context.Background(), "X", nil, false, countingRender(false, &renders))
+		body, _, err := fed.AskReply(context.Background(), "X", nil, false, countingRender(false, &renders))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,14 +114,48 @@ func replayAfterSecondChildMoves(t *testing.T, checksFirstOnly bool) string {
 }
 
 // TestReplyMemoChecksEveryDigest replays a memoized reply only when
-// every child's digest matches: the mutant that compares the first
-// target's alone replays a reply the second child no longer backs.
+// every child's reply is the one the memo saw — by a 304 from a child
+// that honours If-None-Match, by the digest of the bytes from one that
+// ignores it: the mutant that checks the first target's alone replays a
+// reply the second child no longer backs.
 func TestReplyMemoChecksEveryDigest(t *testing.T) {
-	if diff := replayAfterSecondChildMoves(t, false); diff != "" {
-		t.Error(diff)
+	for name, child := range map[string]func(*testing.T, *atomic.Value, string) *Client{
+		"conditional": conditionalChild, "unconditional": cannedChild,
+	} {
+		if diff := replayAfterSecondChildMoves(t, child, false); diff != "" {
+			t.Errorf("%s children: %s", name, diff)
+		}
+		if replayAfterSecondChildMoves(t, child, true) == "" {
+			t.Errorf("%s children: vacuous: the first-target-only mutant served the moved child's reply too", name)
+		}
 	}
-	if replayAfterSecondChildMoves(t, true) == "" {
-		t.Error("vacuous: the first-digest-only mutant served the moved child's reply too")
+}
+
+// TestClientRefusesAnUnaskedNotModified: a 304 to an ask that named no
+// reply stands for nothing, and fails the ask with a typed *RemoteError
+// rather than passing for an empty reply — also the first ask of a
+// federation's memo, which has no digest to send yet.
+func TestClientRefusesAnUnaskedNotModified(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNotModified)
+	}))
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL, nil)
+	t.Cleanup(c.Close)
+	answers, err := c.Ask("X")
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Status != http.StatusNotModified || answers != nil {
+		t.Errorf("Ask against a 304: %v answers, error %v; want a *RemoteError with status 304", answers, err)
+	}
+	fed, err := New(Config{Children: []Child{{Asker: c, Functors: []string{"Pview1"}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	renders := 0
+	body, _, err := fed.AskReply(context.Background(), "X", nil, false, countingRender(false, &renders))
+	var fe *FanoutError
+	if !errors.As(err, &fe) || !strings.Contains(err.Error(), "not_modified") || body != nil || renders != 0 {
+		t.Errorf("AskReply against a 304: reply %q, %d renders, error %v; want the child failed", body, renders, err)
 	}
 }
 
@@ -127,7 +180,7 @@ func TestReplyMemoSkipsWhatHasNoBytes(t *testing.T) {
 		renders := 0
 		var first []byte
 		for i := 0; i < 3; i++ {
-			body, err := fed.AskReply(context.Background(), "X", nil, true, countingRender(true, &renders))
+			body, _, err := fed.AskReply(context.Background(), "X", nil, true, countingRender(true, &renders))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -159,7 +212,7 @@ func TestReplyMemoKeepsNoDegradedReply(t *testing.T) {
 	}
 	renders := 0
 	ask := func(functors ...string) string {
-		body, err := fed.AskReply(context.Background(), "X", functors, false, countingRender(false, &renders))
+		body, _, err := fed.AskReply(context.Background(), "X", functors, false, countingRender(false, &renders))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +253,7 @@ func TestReplyMemoIsBounded(t *testing.T) {
 	}
 	renders := 0
 	ask := func(i int) string {
-		body, err := fed.AskReply(context.Background(), fmt.Sprintf("view < -> name -> N%d >", i), nil, false, countingRender(false, &renders))
+		body, _, err := fed.AskReply(context.Background(), fmt.Sprintf("view < -> name -> N%d >", i), nil, false, countingRender(false, &renders))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,37 +280,60 @@ func TestReplyMemoIsBounded(t *testing.T) {
 
 // TestReplyMemoHitReportsLikeAMiss: a memoized reply still leaves each
 // client at the generation its child's reply carried, and emits the
-// shard-ask events a gathered one does.
+// shard-ask events a gathered one does — whether the children answered
+// 304 or sent the bytes again. Each child is reported once per ask,
+// also when it answered 304 and was asked again because the other
+// child had moved.
 func TestReplyMemoHitReportsLikeAMiss(t *testing.T) {
-	var a, b atomic.Value
-	a.Store(strings.Replace(cannedReply("Pview1", 1), `"generation":1`, `"generation":3`, 1))
-	b.Store(cannedReply("Pview2", 1))
-	ca := cannedChild(t, &a, `["Pview1"]`)
-	rec := &trace.Recorder{}
-	fed, err := New(Config{Children: []Child{{Asker: ca}, {Asker: cannedChild(t, &b, `["Pview2"]`)}},
-		Options: []engine.Option{engine.WithTrace(rec)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	renders := 0
-	var shardAsks [2][]string
-	for i := range shardAsks {
-		ca.gen.Store(7) // as a /functors call observing generation 7 would
-		before := len(rec.Events())
-		if _, err := fed.AskReply(context.Background(), "X", nil, true, countingRender(true, &renders)); err != nil {
+	for name, child := range map[string]func(*testing.T, *atomic.Value, string) *Client{
+		"conditional": conditionalChild, "unconditional": cannedChild,
+	} {
+		var a, b atomic.Value
+		a.Store(strings.Replace(cannedReply("Pview1", 1), `"generation":1`, `"generation":3`, 1))
+		b.Store(cannedReply("Pview2", 1))
+		ca := child(t, &a, `["Pview1"]`)
+		rec := &trace.Recorder{}
+		fed, err := New(Config{Children: []Child{{Asker: ca}, {Asker: child(t, &b, `["Pview2"]`)}},
+			Options: []engine.Option{engine.WithTrace(rec)}})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if g := ca.Generation(); g != 3 {
-			t.Errorf("ask %d: the client for a is at generation %d, want its reply's 3", i, g)
-		}
-		for _, e := range rec.Events()[before:] {
-			if e.Kind == trace.KindShardAsk {
-				shardAsks[i] = append(shardAsks[i], fmt.Sprintf("%s:%d", e.Detail, e.Count))
+		renders := 0
+		// Gathered, replayed from the bytes, replayed from 304s (when the
+		// children give them), and gathered after the second child moved.
+		const asks = 4
+		var shardAsks [asks][]string
+		for i := range shardAsks {
+			if i == asks-1 {
+				b.Store(cannedReply("Pview2", 2))
+			}
+			ca.gen.Store(7) // as a /functors call observing generation 7 would
+			before, called := len(rec.Events()), [2]int64{fed.children[0].asks.Load(), fed.children[1].asks.Load()}
+			if _, _, err := fed.AskReply(context.Background(), "X", nil, true, countingRender(true, &renders)); err != nil {
+				t.Fatal(err)
+			}
+			if g := ca.Generation(); g != 3 {
+				t.Errorf("%s children, ask %d: the client for a is at generation %d, want its reply's 3", name, i, g)
+			}
+			for _, e := range rec.Events()[before:] {
+				if e.Kind == trace.KindShardAsk {
+					shardAsks[i] = append(shardAsks[i], fmt.Sprintf("%s:%d", e.Detail, e.Count))
+				}
+			}
+			sort.Strings(shardAsks[i])
+			for k, c := range fed.children {
+				if n := c.asks.Load() - called[k]; n != 1 {
+					t.Errorf("%s children, ask %d: child %d reported %d times, want once", name, i, k, n)
+				}
 			}
 		}
-		sort.Strings(shardAsks[i])
-	}
-	if renders != 1 || !slices.Equal(shardAsks[0], shardAsks[1]) || len(shardAsks[0]) != 2 {
-		t.Errorf("%d renders; shard asks gathered %v, memoized %v", renders, shardAsks[0], shardAsks[1])
+		for i := 1; i < asks; i++ {
+			if !slices.Equal(shardAsks[i], shardAsks[0]) || len(shardAsks[0]) != 2 {
+				t.Errorf("%s children: shard asks gathered %v, ask %d %v", name, shardAsks[0], i, shardAsks[i])
+			}
+		}
+		if renders != 2 {
+			t.Errorf("%s children: %d renders in %d asks, want the first and the last", name, renders, asks)
+		}
 	}
 }

@@ -27,6 +27,7 @@
 package mediator
 
 import (
+	"crypto/sha256"
 	"maps"
 	"slices"
 	"sort"
@@ -135,8 +136,11 @@ type memoEntry struct {
 	answers    []Answer
 	hasAnswers bool
 	// bodies are the rendered replies, plain and keyed, nil until asked
-	// for: exact-size copies of what an AskReply render returned.
+	// for: exact-size copies of what an AskReply render returned. sums
+	// are their SHA-256 digests, taken as they enter the memo, so a
+	// conditional ask that names one is answered without its bytes.
 	bodies [2][]byte
+	sums   [2][sha256.Size]byte
 }
 
 // lookup returns a memoized ask's entry, nil when there is none. Its
@@ -152,11 +156,12 @@ func (a *askMemo) lookup(key askKey) *memoEntry {
 
 // store records one form of a completed ask: answers for formAnswers,
 // else the rendered body. A new key takes an entry unless the memo is
-// full; a memoized one gains the form.
-func (a *askMemo) store(key askKey, form askForm, answers []Answer, body []byte) {
+// full; a memoized one gains the form. For a body it returns the digest
+// the stored entry holds for it, nil when the memo kept nothing.
+func (a *askMemo) store(key askKey, form askForm, answers []Answer, body []byte) *[sha256.Size]byte {
 	old := a.lookup(key)
 	if old == nil && a.n.Load() >= MaxAskMemo {
-		return // full: copy nothing
+		return nil // full: copy nothing
 	}
 	var fill memoEntry
 	if form == formAnswers {
@@ -165,17 +170,20 @@ func (a *askMemo) store(key askKey, form askForm, answers []Answer, body []byte)
 		// Exact size, and never the caller's buffer: a render may hand
 		// back a pooled one it will reuse.
 		fill.bodies[form-formPlain] = append(make([]byte, 0, len(body)), body...)
+		fill.sums[form-formPlain] = sha256.Sum256(body)
 	}
 	for {
+		var stored *memoEntry
 		if old == nil {
 			if !a.reserve() {
-				return
+				return nil
 			}
 			e := fill
 			if _, loaded := a.entries.LoadOrStore(key, &e); !loaded {
-				return
+				stored = &e
+			} else {
+				a.n.Add(-1)
 			}
-			a.n.Add(-1)
 		} else {
 			next := *old
 			if fill.hasAnswers {
@@ -183,12 +191,18 @@ func (a *askMemo) store(key askKey, form askForm, answers []Answer, body []byte)
 			}
 			for i, b := range fill.bodies {
 				if b != nil {
-					next.bodies[i] = b
+					next.bodies[i], next.sums[i] = b, fill.sums[i]
 				}
 			}
 			if a.entries.CompareAndSwap(key, old, &next) {
-				return
+				stored = &next
 			}
+		}
+		if stored != nil {
+			if form == formAnswers {
+				return nil
+			}
+			return &stored.sums[form-formPlain]
 		}
 		old = a.lookup(key)
 	}

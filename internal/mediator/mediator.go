@@ -34,6 +34,7 @@ package mediator
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"slices"
 	"sort"
@@ -516,19 +517,28 @@ func (m *Mediator) AskContext(ctx context.Context, patternSrc string, functors .
 // a copy of what render returns, never the slice itself, so render may
 // append into a buffer its caller reuses once the reply is sent; a reply
 // that came from the memo is shared and must not be modified. render
-// must neither modify the answers nor retain them.
-func (m *Mediator) AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool, render func(generation int64, answers []Answer) []byte) ([]byte, error) {
+// must neither modify the answers nor retain them. sum is the SHA-256
+// digest of the reply's bytes when the memo holds them — it is taken
+// once, as they enter it — and nil otherwise.
+func (m *Mediator) AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool, render func(generation int64, answers []Answer) []byte) (body []byte, sum *[sha256.Size]byte, err error) {
 	form := formPlain
 	if keyed {
 		form = formKeyed
 	}
-	_, body, err := m.ask(ctx, patternSrc, functors, form, render)
-	return body, err
+	_, r, err := m.ask(ctx, patternSrc, functors, form, render)
+	return r.body, r.sum, err
+}
+
+// reply is a rendered ask reply, and the digest the ask memo holds for
+// its bytes (nil when the memo does not hold them).
+type reply struct {
+	body []byte
+	sum  *[sha256.Size]byte
 }
 
 // ask is the one entry of a pattern given as source text: AskContext
 // and AskReply differ only in the form they want back.
-func (m *Mediator) ask(ctx context.Context, patternSrc string, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, []byte, error) {
+func (m *Mediator) ask(ctx context.Context, patternSrc string, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, reply, error) {
 	start := time.Now()
 	m.asks.Add(1)
 	pt, err := ParsePattern(patternSrc)
@@ -537,7 +547,7 @@ func (m *Mediator) ask(ctx context.Context, patternSrc string, functors []string
 		// but it never consulted the cache, so it is neither a hit nor
 		// a miss: Asks == CacheHits + CacheMisses + parse failures.
 		m.askNanos.Add(time.Since(start).Nanoseconds())
-		return nil, nil, err
+		return nil, reply{}, err
 	}
 	return m.askPattern(ctx, start, pt, functors, form, render)
 }
@@ -562,12 +572,12 @@ func (m *Mediator) AskPatternContext(ctx context.Context, pt *pattern.PTree, fun
 // — a hit only when the answer came entirely from an already-successful
 // materialization, a miss whenever engine work ran or was awaited,
 // errors included.
-func (m *Mediator) askPattern(ctx context.Context, start time.Time, pt *pattern.PTree, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, []byte, error) {
+func (m *Mediator) askPattern(ctx context.Context, start time.Time, pt *pattern.PTree, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, reply, error) {
 	// No defer: the closure it would capture allocates on every ask,
 	// and the demand cache-hit path budgets its allocations.
-	out, body, err := m.doAsk(ctx, pt, functors, form, render)
+	out, r, err := m.doAsk(ctx, pt, functors, form, render)
 	m.askNanos.Add(time.Since(start).Nanoseconds())
-	return out, body, err
+	return out, r, err
 }
 
 // storelessMatcher serves every ask, in both modes, through the ask's
@@ -580,7 +590,7 @@ var storelessMatcher = &engine.Matcher{}
 // doAsk answers one ask in the form it wants: the answers, and for a
 // reply form render's reply over them, rendered with the number of the
 // program state the ask read.
-func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, []byte, error) {
+func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, reply, error) {
 	st := m.state()
 	memoize := false
 	var memoKey askKey
@@ -594,10 +604,10 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 			memoKey = askKey{pt: pt, functors: key}
 			memo := g.cache.view().memo
 			if e := memo.lookup(memoKey); e != nil {
-				if out, body, ok := fromMemo(st.num, memo, memoKey, e, form, render); ok {
+				if out, r, ok := fromMemo(st.num, memo, memoKey, e, form, render); ok {
 					m.cacheHits.Add(1)
 					m.memoHits.Add(1)
-					return out, body, nil
+					return out, r, nil
 				}
 			}
 		}
@@ -611,7 +621,7 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 		m.cacheMiss.Add(1)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, reply{}, err
 	}
 	var out []Answer
 	if len(entries) > 0 {
@@ -631,14 +641,14 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 		}
 		sort.Stable(&answerOrder{out, names})
 	}
-	var body []byte
+	var r reply
 	if form != formAnswers {
-		body = render(st.num, out)
+		r.body = render(st.num, out)
 	}
 	if memoize {
-		view.memo.store(memoKey, form, out, body)
+		r.sum = view.memo.store(memoKey, form, out, r.body)
 	}
-	return out, body, nil
+	return out, r, nil
 }
 
 // fromMemo serves an ask from its memo entry when the entry holds the
@@ -648,21 +658,20 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 // fresh slice header over copied elements so a caller appending to its
 // result cannot disturb the memo; the Name trees and Bindings inside are
 // shared, as they are between any two asks over one cache.
-func fromMemo(generation int64, memo *askMemo, key askKey, e *memoEntry, form askForm, render func(int64, []Answer) []byte) ([]Answer, []byte, bool) {
+func fromMemo(generation int64, memo *askMemo, key askKey, e *memoEntry, form askForm, render func(int64, []Answer) []byte) ([]Answer, reply, bool) {
 	switch {
 	case form == formAnswers:
 		if !e.hasAnswers || len(e.answers) == 0 {
-			return nil, nil, e.hasAnswers
+			return nil, reply{}, e.hasAnswers
 		}
-		return slices.Clone(e.answers), nil, true
+		return slices.Clone(e.answers), reply{}, true
 	case e.bodies[form-formPlain] != nil:
-		return nil, e.bodies[form-formPlain], true
+		return nil, reply{e.bodies[form-formPlain], &e.sums[form-formPlain]}, true
 	case e.hasAnswers:
 		body := render(generation, e.answers)
-		memo.store(key, form, nil, body)
-		return nil, body, true
+		return nil, reply{body, memo.store(key, form, nil, body)}, true
 	}
-	return nil, nil, false
+	return nil, reply{}, false
 }
 
 // answerOrder sorts answers by (Name.Key, Binding.Key), the order

@@ -100,7 +100,7 @@ func BenchmarkAsk(b *testing.B) {
 // the bench's traced run cannot show the parent's part of it, which
 // takes AskReply.
 func BenchmarkFederatedAsk(b *testing.B) {
-	ask, _ := federatedAsks(b)
+	ask, _ := federatedAsks(b, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -113,9 +113,12 @@ func BenchmarkFederatedAsk(b *testing.B) {
 // behind httptest and a shard client, and a parent handler over their
 // federation. ask(tb, i) sends the parent the i-th of eight asks, each
 // the whole of two adjacent views, so that it merges two 30-answer
-// replies; each has been asked once, so the memos hold it. memoized
-// says whether the federation's reply memo answers every one of them.
-func federatedAsks(tb testing.TB) (ask func(tb testing.TB, i int), memoized func() bool) {
+// replies; each has been asked twice, so the memos hold it and the
+// parent's has answered it once, which makes the next ask conditional.
+// memoized says whether the federation's reply memo answers every one
+// of them.
+// With counts set, it counts both children's /ask traffic.
+func federatedAsks(tb testing.TB, counts *childCounts) (ask func(tb testing.TB, i int), memoized func() bool) {
 	prog := yatl.MustParse(workload.SelectiveProgram(8))
 	store := workload.BrochureStore(120, 3, 30, 1)
 	var children []federate.Child
@@ -124,7 +127,11 @@ func federatedAsks(tb testing.TB) (ask func(tb testing.TB, i int), memoized func
 		if err != nil {
 			tb.Fatal(err)
 		}
-		ts := httptest.NewServer(child.Handler())
+		h := child.Handler()
+		if counts != nil {
+			h = counts.wrap(h)
+		}
+		ts := httptest.NewServer(h)
 		tb.Cleanup(ts.Close)
 		c := federate.NewClient(ts.URL, nil)
 		tb.Cleanup(c.Close)
@@ -155,13 +162,13 @@ func federatedAsks(tb testing.TB) (ask func(tb testing.TB, i int), memoized func
 			tb.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	}
-	for i := range reqs {
+	for i := 0; i < 2*len(reqs); i++ {
 		ask(tb, i)
 	}
 	memoized = func() bool {
 		for _, req := range reqs {
 			rendered := false
-			_, err := fed.AskReply(context.Background(), req.Pattern, req.Functors, false,
+			_, _, err := fed.AskReply(context.Background(), req.Pattern, req.Functors, false,
 				func(generation int64, answers []mediator.Answer) []byte {
 					rendered = true
 					return wire.AppendAskResponse(nil, generation, answers, false, nil)
@@ -177,20 +184,30 @@ func federatedAsks(tb testing.TB) (ask func(tb testing.TB, i int), memoized func
 
 // TestFederatedAskBytes bounds what a repeated federated /ask allocates,
 // children and loopback included. Relayed, merged and rendered afresh
-// on every ask it came to 91.8 KB; from the parent's reply memo it is
-// about half that.
+// on every ask it came to 91.8 KB; from the parent's reply memo, with
+// each child sending its whole reply, 32.7 KB; with each child
+// answering 304, 31.9 KB. And it pins the 304s: on these asks the
+// children write no reply body at all.
 func TestFederatedAskBytes(t *testing.T) {
-	ask, memoized := federatedAsks(t)
+	var counts childCounts
+	ask, memoized := federatedAsks(t, &counts)
+	before := counts.snapshot()
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ask(b, i)
 		}
 	})
+	after := counts.snapshot()
 	if !memoized() {
 		t.Fatal("vacuous: the federation's reply memo does not answer the benchmark's asks")
 	}
-	ceiling := int64(60 << 10)
+	conditional, unconditional, notModified, bodyBytes := after[0]-before[0], after[1]-before[1], after[2]-before[2], after[3]-before[3]
+	if conditional == 0 || unconditional != 0 || notModified != conditional || bodyBytes != 0 {
+		t.Errorf("over %d repeated asks the children were asked %d times conditionally and %d times not, answered %d 304s"+
+			" and wrote %d reply-body bytes; want every ask a 304 and no body", r.N, conditional, unconditional, notModified, bodyBytes)
+	}
+	ceiling := int64(40 << 10)
 	if raceEnabled {
 		ceiling = 120 << 10 // its sync.Pool drops reply buffers
 	}

@@ -507,10 +507,11 @@ func memoWorld(world int) *tree.Store {
 type memoFederation struct {
 	fed    *federate.Federation
 	parent string
-	fault  *source.Fault // the second child's source
-	second string        // the second child's URL
-	down   atomic.Bool   // the second child refuses every request
-	single [2]string     // single servers over each world
+	fault  *source.Fault   // the second child's source
+	second string          // the second child's URL
+	down   atomic.Bool     // the second child refuses every request
+	single [2]string       // single servers over each world
+	counts [2]*childCounts // each child's /ask traffic
 }
 
 func newMemoFederation(t *testing.T) *memoFederation {
@@ -528,25 +529,27 @@ func newMemoFederation(t *testing.T) *memoFederation {
 		_, ts := newTestServer(t, Config{Prog: yatl.MustParse(progs[0] + progs[1][len("program selective\n"):]), Inputs: memoWorld(w)})
 		m.single[w] = ts.URL
 	}
-	_, first := newTestServer(t, Config{Prog: yatl.MustParse(progs[0]), Inputs: memoWorld(0)})
+	m.counts = [2]*childCounts{{}, {}}
+	first, err := New(Config{Prog: yatl.MustParse(progs[0]), Inputs: memoWorld(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	second, err := New(Config{Prog: yatl.MustParse(progs[1]), Sources: []source.Source{m.fault}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := second.Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := m.counts[1].wrap(second.Handler())
+	m.second = serveURL(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if m.down.Load() {
 			writeErr(w, http.StatusServiceUnavailable, "unavailable", "child is down")
 			return
 		}
 		h.ServeHTTP(w, r)
 	}))
-	t.Cleanup(ts.Close)
-	m.second = ts.URL
 	m.fed, err = federate.New(federate.Config{
 		Children: []federate.Child{
-			{Asker: shardClient(t, first.URL), Functors: []string{"Pview1", "Pview2"}},
-			{Asker: shardClient(t, ts.URL), Functors: []string{"Pview3", "Pview4"}},
+			{Asker: shardClient(t, serveURL(t, m.counts[0].wrap(first.Handler()))), Functors: []string{"Pview1", "Pview2"}},
+			{Asker: shardClient(t, m.second), Functors: []string{"Pview3", "Pview4"}},
 		},
 		// A dead child fails each call once and never opens its breaker,
 		// so it is asked again the moment it is back.
@@ -559,6 +562,25 @@ func newMemoFederation(t *testing.T) *memoFederation {
 	_, parent := newTestServer(t, Config{Askers: []mediator.Asker{m.fed}})
 	m.parent = parent.URL
 	return m
+}
+
+// traffic is both children's counts now.
+func (m *memoFederation) traffic() [2][4]int64 {
+	return [2][4]int64{m.counts[0].snapshot(), m.counts[1].snapshot()}
+}
+
+// trafficSince is each child's /ask traffic since before: its asks as
+// (conditional, unconditional, answered 304), and the body bytes it
+// wrote.
+func (m *memoFederation) trafficSince(before [2][4]int64) (asks [2][3]int64, bodies [2]int64) {
+	now := m.traffic()
+	for i := range now {
+		for k := range asks[i] {
+			asks[i][k] = now[i][k] - before[i][k]
+		}
+		bodies[i] = now[i][3] - before[i][3]
+	}
+	return asks, bodies
 }
 
 // moveTo points the second child at a world and refreshes it.
@@ -579,7 +601,7 @@ func (m *memoFederation) moveTo(t testing.TB, world int) {
 // reply came from the memo: a memoized reply is not rendered.
 func (m *memoFederation) direct(t testing.TB, req wire.AskRequest, keyed bool) (body []byte, memoized bool) {
 	rendered := false
-	body, err := m.fed.AskReply(context.Background(), req.Pattern, req.Functors, keyed,
+	body, _, err := m.fed.AskReply(context.Background(), req.Pattern, req.Functors, keyed,
 		func(generation int64, answers []mediator.Answer) []byte {
 			rendered = true
 			return wire.AppendAskResponse(nil, generation, answers, keyed, nil)
@@ -639,6 +661,12 @@ func TestFederatedReplyMemo(t *testing.T) {
 		}
 	}
 
+	// Only the second child moves. On the first ask after, the first
+	// child answers its validator with a 304 and is asked again without
+	// one, for the bytes the memo does not keep. The next ask is
+	// unconditional and answered from the memo, as both children send
+	// the bytes it saw; on the one after, both answer 304 and nothing is
+	// rendered.
 	m.moveTo(t, 1)
 	for _, req := range memoAsks {
 		for _, query := range memoQueries {
@@ -647,8 +675,24 @@ func TestFederatedReplyMemo(t *testing.T) {
 			if bytes.Equal(old, want) {
 				t.Fatalf("vacuous: the refresh did not move %+v", req)
 			}
-			if got, memoized := m.direct(t, req, query != ""); memoized || !bytes.Equal(got, want) {
-				t.Errorf("world 1: first /ask%s %+v memoized=%v:\n got %s\nwant %s", query, req, memoized, got, want)
+			for i, step := range []struct {
+				memoized bool
+				asks     [2][3]int64 // per child (conditional, unconditional, 304)
+				bodies   bool
+			}{
+				{false, [2][3]int64{{1, 1, 1}, {1, 0, 0}}, true},
+				{true, [2][3]int64{{0, 1, 0}, {0, 1, 0}}, true},
+				{true, [2][3]int64{{1, 0, 1}, {1, 0, 1}}, false},
+			} {
+				before := m.traffic()
+				if got, memoized := m.direct(t, req, query != ""); memoized != step.memoized || !bytes.Equal(got, want) {
+					t.Errorf("world 1: /ask%s %+v, ask %d memoized=%v:\n got %s\nwant %s", query, req, i, memoized, got, want)
+				}
+				asks, bodies := m.trafficSince(before)
+				if asks != step.asks || (bodies[0] != 0) != step.bodies || (bodies[1] != 0) != step.bodies {
+					t.Errorf("world 1: /ask%s %+v, ask %d: children asked (conditional, unconditional, 304) %v, wrote %v body bytes;"+
+						" want %v and body bytes %v", query, req, i, asks, bodies, step.asks, step.bodies)
+				}
 			}
 			if !check("world 1", req, query, want) {
 				t.Errorf("world 1: repeated /ask%s %+v did not come from the memo", query, req)
@@ -656,9 +700,31 @@ func TestFederatedReplyMemo(t *testing.T) {
 		}
 	}
 
+	// The second child moves before every ask. Only the first ask after
+	// a replay is conditional; the unchanged child is asked once per ask
+	// from then on, not a 304 and a re-ask each time.
+	churn := memoAsks[1]
+	for i, world := range []int{0, 1, 0, 1} {
+		m.moveTo(t, world)
+		_, want := rawAsk(t, m.single[world], "", churn)
+		before := m.traffic()
+		if got, memoized := m.direct(t, churn, false); memoized || !bytes.Equal(got, want) {
+			t.Errorf("churn, ask %d memoized=%v:\n got %s\nwant %s", i, memoized, got, want)
+		}
+		wantAsks := [2][3]int64{{0, 1, 0}, {0, 1, 0}}
+		if i == 0 {
+			wantAsks = [2][3]int64{{1, 1, 1}, {1, 0, 0}}
+		}
+		if asks, _ := m.trafficSince(before); asks != wantAsks {
+			t.Errorf("churn, ask %d: children asked (conditional, unconditional, 304) %v, want %v", i, asks, wantAsks)
+		}
+	}
+
 	// A dead child's share is missing, and the memo neither serves the
 	// reply nor keeps it: the first ask after the child returns is
-	// complete, also for an ask only ever made while it was down.
+	// complete, also for an ask only ever made while it was down. The
+	// live child is asked once per ask, but for the first ask of one the
+	// memo had just replayed: its 304 has to be followed by a re-ask.
 	downAsk := wire.AskRequest{Pattern: "X"}
 	m.down.Store(true)
 	for _, req := range append(memoAsks, downAsk) {
@@ -666,9 +732,15 @@ func TestFederatedReplyMemo(t *testing.T) {
 		if req.Functors == nil {
 			_, want = rawAsk(t, m.single[1], "", wire.AskRequest{Pattern: req.Pattern, Functors: []string{"Pview1", "Pview2"}})
 		}
-		for i := 0; i < 2; i++ {
+		for i := 0; i < 3; i++ {
+			before := m.traffic()
 			if got, memoized := m.direct(t, req, false); memoized || !bytes.Equal(got, want) {
 				t.Errorf("child down: %+v, ask %d memoized=%v:\n got %s\nwant %s", req, i, memoized, got, want)
+			}
+			asks, _ := m.trafficSince(before)
+			if live := asks[0]; live[1] != 1 || live[0] != live[2] || live[0] > 0 && i > 0 {
+				t.Errorf("child down: %+v, ask %d: the live child asked (conditional, unconditional, 304) %v,"+
+					" want once unconditionally, after a 304 on the first ask at most", req, i, live)
 			}
 		}
 	}
@@ -686,8 +758,13 @@ func TestFederatedReplyMemo(t *testing.T) {
 
 // TestFederatedMemoAcrossChildRefresh races parent asks, through HTTP
 // and straight into AskReply, against refreshes that move the second
-// child between two worlds: every reply is one of the two single-server
-// replies, never a memoized one the child no longer backs.
+// child between two worlds while the first stays put: every reply is
+// one of the two single-server replies, never a memoized one the child
+// no longer backs. Both ways a conditional ask ends must be seen:
+// replays of the memoized reply, where both children answered 304, and
+// re-asks of the first child after a 304, when the second had moved.
+// The first child never moves, so it answers every conditional ask
+// with a 304, and its 304s past the second child's are re-asks.
 func TestFederatedMemoAcrossChildRefresh(t *testing.T) {
 	m := newMemoFederation(t)
 	req := memoAsks[1]
@@ -695,8 +772,13 @@ func TestFederatedMemoAcrossChildRefresh(t *testing.T) {
 	for w := range want {
 		for k, query := range memoQueries {
 			_, want[w][k] = rawAsk(t, m.single[w], query, req)
+			// Memoized, then replayed: both forms start conditional.
+			m.direct(t, req, k == 1)
 		}
 	}
+	replays := func() int64 { return m.counts[1].notModified.Load() }
+	reasks := func() int64 { return m.counts[0].notModified.Load() - m.counts[1].notModified.Load() }
+	warmReplays, warmReasks := replays(), reasks()
 	stop := make(chan struct{})
 	refreshed := make(chan int)
 	go func() {
@@ -722,7 +804,7 @@ func TestFederatedMemoAcrossChildRefresh(t *testing.T) {
 				}
 			}
 		}
-		return memoized.Load() > 0
+		return memoized.Load() > 0 && replays() > warmReplays && reasks() > warmReasks
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	var wg sync.WaitGroup
@@ -775,6 +857,7 @@ func TestFederatedMemoAcrossChildRefresh(t *testing.T) {
 				counts[w][k] = seen[w][k].Load()
 			}
 		}
-		t.Errorf("vacuous: %d refreshes, replies per world and form %v, %d memoized", n, counts, memoized.Load())
+		t.Errorf("vacuous: %d refreshes, replies per world and form %v, %d memoized, %d all-304 replays, %d re-asks",
+			n, counts, memoized.Load(), replays()-warmReplays, reasks()-warmReasks)
 	}
 }

@@ -29,6 +29,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -267,10 +268,11 @@ type (
 	// replier renders an ask's reply itself, with the generation that
 	// answered: a mediator keeps it in its ask memo, so a repeated ask
 	// writes the bytes it rendered once, and a federation renders its
-	// children's bytes into it without parsing them.
+	// children's bytes into it without parsing them. sum is the SHA-256
+	// digest of a reply the asker's memo holds, nil for any other.
 	replier interface {
 		AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool,
-			render func(generation int64, answers []mediator.Answer) []byte) ([]byte, error)
+			render func(generation int64, answers []mediator.Answer) []byte) (body []byte, sum *[sha256.Size]byte, err error)
 	}
 )
 
@@ -521,18 +523,44 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 // replyAsk serves an ask through an asker that renders the reply
 // itself. The render appends into a pooled buffer, which goes back to
 // the pool once the reply is sent; a memoized reply is the asker's own
-// copy, written and never pooled.
+// copy, written and never pooled. An ask whose If-None-Match names the
+// reply is answered 304 with no body (the wire package's conditional
+// /ask), and counts as served.
 func (s *Server) replyAsk(w http.ResponseWriter, r *http.Request, rp replier, req wire.AskRequest, keyed bool) {
 	a := askBufs.Get().(*askBuf)
 	a.keyed = keyed
-	body, err := rp.AskReply(r.Context(), req.Pattern, req.Functors, keyed, a.render)
-	if err != nil {
+	body, sum, err := rp.AskReply(r.Context(), req.Pattern, req.Functors, keyed, a.render)
+	switch {
+	case err != nil:
 		s.failed.Add(1)
 		writeError(w, err)
-	} else {
+	case namesReply(r.Header, body, sum):
+		w.Header().Set("ETag", r.Header.Get("If-None-Match"))
+		w.WriteHeader(http.StatusNotModified)
+		s.served.Add(1)
+	default:
 		s.sendAsk(w, body)
 	}
 	putAskBuf(a)
+}
+
+// namesReply says whether a request's If-None-Match is the one entity
+// tag of the reply body, whose digest sum holds when the asker's memo
+// does. A reply the memo does not hold is digested here, and only when
+// the request carries a tag.
+func namesReply(h http.Header, body []byte, sum *[sha256.Size]byte) bool {
+	tags := h["If-None-Match"]
+	if len(tags) != 1 {
+		return false
+	}
+	want, ok := wire.ParseETag(tags[0])
+	if !ok {
+		return false
+	}
+	if sum != nil {
+		return *sum == want
+	}
+	return sha256.Sum256(body) == want
 }
 
 // explainAsk serves one ask under a request-scoped profile: a fresh

@@ -12,6 +12,20 @@
 // AskResponse and AskAnswer remain the specification of both, held to
 // json.Marshal and json.Unmarshal of the structs by differential and
 // fuzz tests, and the form every other client decodes.
+//
+// An /ask may be conditional. A client that holds a reply sends
+// If-None-Match with that reply's entity tag, a strong one: the SHA-256
+// digest of the reply's bytes in lowercase hex, quoted (AppendETag).
+// When the reply the server would send has that digest, it answers 304
+// Not Modified with the tag echoed in ETag and no body, and the 304
+// stands for the bytes the client holds. Any other If-None-Match — a
+// weak tag, a list, "*", an unquoted or malformed tag, a stale one —
+// gets the full 200 reply, byte for byte the unconditional ask's; an
+// error is never a 304, and ?explain=1 ignores the header. RFC 9110
+// §13.1.2 would have a POST answer a matching If-None-Match with 412,
+// but /ask is a safe read that carries its query in the body: a match
+// says the client's copy is current, which is what 304 says for a GET.
+// A 200 carries no ETag; the client digests the bytes it read.
 package wire
 
 import (
