@@ -116,7 +116,7 @@ type Federation struct {
 	children []*fedChild
 	route    map[string]int // functor -> children index
 	sink     trace.Sink
-	replies  replyMemo // AskReply's memo
+	replies  *replyMemo // AskReply's memo
 
 	// replayChecksFirstOnly is test instrumentation, unset in the
 	// library: the unsound memo the reply memo tests must catch, which
@@ -133,7 +133,7 @@ var _ mediator.Asker = (*Federation)(nil)
 // mediators over each shard's closed sub-program.
 func New(cfg Config) (*Federation, error) {
 	sink := engine.NewOptions(cfg.Options...).Trace
-	f := &Federation{route: map[string]int{}, sink: sink}
+	f := &Federation{route: map[string]int{}, sink: sink, replies: newReplyMemo()}
 
 	if len(cfg.Programs) > 0 {
 		fused, err := FusePipeline(cfg.Programs, sink, cfg.Compose...)
@@ -281,7 +281,7 @@ func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors [
 	var seen *replyEntry
 	key, memoize := replyKeyOf(patternSrc, functors, keyed, targets)
 	if memoize {
-		if seen = f.replies.lookup(key); seen == nil && !f.replies.full() {
+		if seen = f.replies.Load(key); seen == nil && !f.replies.Full() {
 			seen = &replyEntry{}
 		}
 	}
@@ -343,7 +343,12 @@ func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors [
 	for i, r := range replies {
 		e.shards[i] = r.seen
 	}
-	f.replies.store(key, e)
+	if f.replies.Update(key, func(*replyEntry) *replyEntry { return e }) == nil {
+		// The memo is at a bound: drop the entry this one would have
+		// replaced, which holds bytes for replies that have moved on.
+		f.replies.Update(key, func(*replyEntry) *replyEntry { return nil })
+		return body, nil, nil
+	}
 	return body, &e.sum, nil
 }
 
@@ -653,6 +658,8 @@ func (f *Federation) Stats() mediator.Stats {
 	}
 	agg := mediator.Aggregate(views...)
 	agg.Shards = shards
+	agg.MemoEntries += f.replies.Len()
+	agg.MemoBytes += f.replies.Bytes()
 	return agg
 }
 

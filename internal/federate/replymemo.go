@@ -2,21 +2,31 @@ package federate
 
 import (
 	"crypto/sha256"
-	"strings"
-	"sync"
 	"sync/atomic"
 
-	"yat/internal/mediator"
+	"yat/internal/memo"
 )
 
 // replyMemo is a federation's AskReply memo: per ask, what each child
 // replied, as a digest, and the reply rendered from those replies. The
 // reply is a function of the children's reply bytes, so an entry needs
 // no invalidation — a child whose view moved replies other bytes, and
-// the ask misses. Safe for concurrent use; asks read it without a lock.
-type replyMemo struct {
-	entries sync.Map // replyKey -> *replyEntry
-	n       atomic.Int64
+// the ask misses. It is never emptied, but an entry whose successor the
+// memo refuses is dropped.
+type replyMemo = memo.Map[replyKey, replyEntry]
+
+// maxReplyMemo bounds a federation's reply memo in entries, as
+// memo.MaxBytes does in bytes.
+const maxReplyMemo = 512
+
+func newReplyMemo() *replyMemo { return memo.New(maxReplyMemo, memo.MaxBytes, replyEntrySize) }
+
+// An entry holds its key, the body, a shardSeen per target and
+// replyEntryCost for itself and its map slot (TestReplyMemoHoldsItsByteBound).
+const replyEntryCost = 256
+
+func replyEntrySize(key replyKey, e *replyEntry) int64 {
+	return int64(replyEntryCost + len(key.pattern) + len(key.functors) + len(e.body) + 64*len(e.shards))
 }
 
 // replyKey identifies an ask: the pattern text, the functors as asked,
@@ -57,7 +67,7 @@ func (e *replyEntry) shard(i int) *shardSeen {
 // replyKeyOf keys an ask for the memo. ok is false for an ask the memo
 // must not hold: one with no target, or one with an in-process child,
 // whose answers come with no bytes to digest, or one whose functor list
-// has no key (a functor holding a NUL would make two lists one key).
+// has no key (memo.ListKey).
 func replyKeyOf(patternSrc string, functors []string, keyed bool, targets []target) (key replyKey, ok bool) {
 	if len(targets) == 0 {
 		return key, false
@@ -67,39 +77,6 @@ func replyKeyOf(patternSrc string, functors []string, keyed bool, targets []targ
 			return key, false
 		}
 	}
-	for _, f := range functors {
-		if strings.IndexByte(f, 0) >= 0 {
-			return key, false
-		}
-	}
-	return replyKey{pattern: patternSrc, functors: strings.Join(functors, "\x00"), keyed: keyed}, true
-}
-
-// lookup returns an ask's entry, nil when there is none.
-func (m *replyMemo) lookup(key replyKey) *replyEntry {
-	v, ok := m.entries.Load(key)
-	if !ok {
-		return nil
-	}
-	return v.(*replyEntry)
-}
-
-// full reports whether the memo admits no new ask.
-func (m *replyMemo) full() bool { return m.n.Load() >= mediator.MaxAskMemo }
-
-// store records an ask's entry, replacing the one it had. A new ask
-// takes an entry unless the memo is full: like the mediator's ask memo,
-// it stops admitting at mediator.MaxAskMemo.
-func (m *replyMemo) store(key replyKey, e *replyEntry) {
-	if _, ok := m.entries.Load(key); !ok {
-		if m.n.Add(1) > mediator.MaxAskMemo {
-			m.n.Add(-1)
-			return
-		}
-		if _, loaded := m.entries.LoadOrStore(key, e); !loaded {
-			return
-		}
-		m.n.Add(-1)
-	}
-	m.entries.Store(key, e)
+	fs, ok := memo.ListKey(functors)
+	return replyKey{pattern: patternSrc, functors: fs, keyed: keyed}, ok
 }

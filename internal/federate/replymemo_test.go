@@ -190,8 +190,8 @@ func TestReplyMemoSkipsWhatHasNoBytes(t *testing.T) {
 				t.Errorf("%s: ask %d differs: %s, first %s", name, i, body, first)
 			}
 		}
-		if renders != 3 || fed.replies.n.Load() != 0 {
-			t.Errorf("%s: %d renders in 3 asks, %d memo entries; want 3 and none", name, renders, fed.replies.n.Load())
+		if renders != 3 || fed.replies.Len() != 0 {
+			t.Errorf("%s: %d renders in 3 asks, %d memo entries; want 3 and none", name, renders, fed.replies.Len())
 		}
 	}
 }
@@ -229,7 +229,7 @@ func TestReplyMemoKeepsNoDegradedReply(t *testing.T) {
 			}
 		}
 	}
-	if n := fed.replies.n.Load(); n != 1 {
+	if n := fed.replies.Len(); n != 1 {
 		t.Errorf("%d memo entries after the degraded asks, want the complete one alone", n)
 	}
 	b.Store(cannedReply("Pview2", 1))
@@ -241,9 +241,9 @@ func TestReplyMemoKeepsNoDegradedReply(t *testing.T) {
 	}
 }
 
-// TestReplyMemoIsBounded: the memo stops admitting asks at the ask
-// memo's bound; one past it is rendered every time, while one it holds
-// still takes a new entry when a child moves.
+// TestReplyMemoIsBounded: the memo stops admitting asks at its entry
+// bound; one past it is rendered every time, while one it holds still
+// takes a new entry when a child moves.
 func TestReplyMemoIsBounded(t *testing.T) {
 	var a atomic.Value
 	a.Store(cannedReply("Pview1", 1))
@@ -259,14 +259,14 @@ func TestReplyMemoIsBounded(t *testing.T) {
 		}
 		return string(body)
 	}
-	for i := 0; i <= mediator.MaxAskMemo; i++ {
+	for i := 0; i <= maxReplyMemo; i++ {
 		ask(i)
 	}
-	if n := fed.replies.n.Load(); n != mediator.MaxAskMemo || renders != mediator.MaxAskMemo+1 {
-		t.Fatalf("%d entries after %d renders, want the cap of %d", n, renders, mediator.MaxAskMemo)
+	if n := fed.replies.Len(); n != maxReplyMemo || renders != maxReplyMemo+1 {
+		t.Fatalf("%d entries after %d renders, want the cap of %d", n, renders, maxReplyMemo)
 	}
 	before := renders
-	ask(mediator.MaxAskMemo)
+	ask(maxReplyMemo)
 	ask(0)
 	if renders != before+1 {
 		t.Errorf("%d renders for an ask past the cap and a memoized one, want 1", renders-before)

@@ -22,20 +22,20 @@
 //
 // Every write goes through commit, evict or carryOver, the only places
 // a view is published; the memo of a view is written by its own asks
-// (askMemo.store). No other file names a field of demandCache, cacheView
+// (memoize). No other file names a field of demandCache, cacheView
 // or group.
 package mediator
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"maps"
 	"slices"
 	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 
 	"yat/internal/engine"
+	"yat/internal/memo"
 	"yat/internal/pattern"
 	"yat/internal/tree"
 	"yat/internal/yatl"
@@ -83,29 +83,15 @@ type group struct {
 
 // askKey identifies one memoizable ask: the parsed pattern (by
 // pointer — Ask's pattern parse cache hands back a stable *PTree per
-// source text) and the functor restriction (functorsKey).
+// source text) and the functor restriction (memo.ListKey).
 type askKey struct {
 	pt       *pattern.PTree
 	functors string
 }
 
-// functorsKey joins a functor list into a memo key, NUL-separated. A
-// name holding a NUL names no YATL functor, and would make two lists
-// one key ("A\x00B" and "A", "B"), so such a list has no key: ok is
-// false and the caller bypasses its memo. One functor is its own key,
-// with no allocation.
-func functorsKey(functors []string) (key string, ok bool) {
-	for _, f := range functors {
-		if strings.IndexByte(f, 0) >= 0 {
-			return "", false
-		}
-	}
-	return strings.Join(functors, "\x00"), true
-}
-
-// MaxAskMemo bounds the ask memo; at the cap new asks simply stop
-// memoizing until the next view starts an empty memo. A federation's
-// reply memo keeps the same bound.
+// MaxAskMemo bounds the entries of a view's ask memo; memo.MaxBytes
+// bounds its bytes. At either bound new asks simply stop memoizing until
+// the next view starts an empty memo.
 const MaxAskMemo = 512
 
 // askForm is what an ask hands back: its answers (AskContext and the
@@ -119,12 +105,10 @@ const (
 	formKeyed
 )
 
-// askMemo is one view's ask memo, safe for concurrent use: asks read
-// and write it without a lock. It holds one entry per memoized ask.
-type askMemo struct {
-	entries sync.Map // askKey -> *memoEntry
-	n       atomic.Int64
-}
+// askMemo is one view's ask memo: one entry per memoized ask.
+type askMemo = memo.Map[askKey, memoEntry]
+
+func newAskMemo() *askMemo { return memo.New(MaxAskMemo, memo.MaxBytes, memoEntrySize) }
 
 // memoEntry is one memoized ask: the forms its callers asked for, each
 // filled on first use, so an ask only ever answered over HTTP keeps its
@@ -143,86 +127,54 @@ type memoEntry struct {
 	sums   [2][sha256.Size]byte
 }
 
-// lookup returns a memoized ask's entry, nil when there is none. Its
-// answers are the memo's own and must be copied before they are handed
-// to a caller.
-func (a *askMemo) lookup(key askKey) *memoEntry {
-	v, ok := a.entries.Load(key)
-	if !ok {
+// What a memo entry holds beyond the view's groups, which its answers'
+// names and bound values point into: the entry and its map slot, and per
+// answer the Answer and its binding map (TestAskMemoHoldsItsByteBound
+// measures both). The pattern a key points to is the parse cache's.
+const (
+	memoEntryCost = 256
+	answerCost    = 512
+)
+
+func memoEntrySize(key askKey, e *memoEntry) int64 {
+	return memoEntryCost + int64(len(key.functors)+len(e.bodies[0])+len(e.bodies[1])+answerCost*len(e.answers))
+}
+
+// memoize records one form of a completed ask in m: answers for
+// formAnswers, else the rendered body. A new key takes an entry unless
+// the memo is full; a memoized one gains the form. For a body it returns
+// the digest the stored entry holds for it, nil when the memo kept
+// nothing.
+func memoize(m *askMemo, key askKey, form askForm, answers []Answer, body []byte) *[sha256.Size]byte {
+	var fill *memoEntry // the form alone, copied once
+	i := form - formPlain
+	stored := m.Update(key, func(old *memoEntry) *memoEntry {
+		if fill == nil {
+			fill = new(memoEntry)
+			if form == formAnswers {
+				fill.answers, fill.hasAnswers = slices.Clone(answers), true
+			} else {
+				// Exact size, and never the caller's buffer: a render may
+				// hand back a pooled one it will reuse.
+				fill.bodies[i], fill.sums[i] = append(make([]byte, 0, len(body)), body...), sha256.Sum256(body)
+			}
+		}
+		if old == nil {
+			return fill
+		}
+		next := *old
+		if form == formAnswers {
+			next.answers, next.hasAnswers = fill.answers, true
+		} else {
+			next.bodies[i], next.sums[i] = fill.bodies[i], fill.sums[i]
+		}
+		return &next
+	})
+	if stored == nil || form == formAnswers {
 		return nil
 	}
-	return v.(*memoEntry)
+	return &stored.sums[i]
 }
-
-// store records one form of a completed ask: answers for formAnswers,
-// else the rendered body. A new key takes an entry unless the memo is
-// full; a memoized one gains the form. For a body it returns the digest
-// the stored entry holds for it, nil when the memo kept nothing.
-func (a *askMemo) store(key askKey, form askForm, answers []Answer, body []byte) *[sha256.Size]byte {
-	old := a.lookup(key)
-	if old == nil && a.n.Load() >= MaxAskMemo {
-		return nil // full: copy nothing
-	}
-	var fill memoEntry
-	if form == formAnswers {
-		fill.answers, fill.hasAnswers = slices.Clone(answers), true
-	} else {
-		// Exact size, and never the caller's buffer: a render may hand
-		// back a pooled one it will reuse.
-		fill.bodies[form-formPlain] = append(make([]byte, 0, len(body)), body...)
-		fill.sums[form-formPlain] = sha256.Sum256(body)
-	}
-	for {
-		var stored *memoEntry
-		if old == nil {
-			if !a.reserve() {
-				return nil
-			}
-			e := fill
-			if _, loaded := a.entries.LoadOrStore(key, &e); !loaded {
-				stored = &e
-			} else {
-				a.n.Add(-1)
-			}
-		} else {
-			next := *old
-			if fill.hasAnswers {
-				next.answers, next.hasAnswers = fill.answers, true
-			}
-			for i, b := range fill.bodies {
-				if b != nil {
-					next.bodies[i], next.sums[i] = b, fill.sums[i]
-				}
-			}
-			if a.entries.CompareAndSwap(key, old, &next) {
-				stored = &next
-			}
-		}
-		if stored != nil {
-			if form == formAnswers {
-				return nil
-			}
-			return &stored.sums[form-formPlain]
-		}
-		old = a.lookup(key)
-	}
-}
-
-// reserve claims room for one more entry, false when the memo is full.
-func (a *askMemo) reserve() bool {
-	for {
-		n := a.n.Load()
-		if n >= MaxAskMemo {
-			return false
-		}
-		if a.n.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-// len is the number of memoized asks.
-func (a *askMemo) len() int { return int(a.n.Load()) }
 
 // maxSliceMemo bounds a program's slice memo; combinations past the
 // cap are computed but not retained.
@@ -233,14 +185,15 @@ const maxSliceMemo = 1024
 // One lives per program value: Invalidate and Restore share it, Reload
 // starts a fresh one. Safe for concurrent use.
 type sliceMemo struct {
-	prog *yatl.Program
-
-	mu     sync.Mutex
-	slices map[string]*engine.Slice
+	prog   *yatl.Program
+	slices *memo.Map[string, engine.Slice]
 }
 
+// A slice is sized roughly, by its key and lists: the entry bound is the
+// one a program's slice memo reaches.
 func newSliceMemo(prog *yatl.Program) *sliceMemo {
-	return &sliceMemo{prog: prog, slices: map[string]*engine.Slice{}}
+	return &sliceMemo{prog: prog, slices: memo.New(maxSliceMemo, memo.MaxBytes,
+		func(key string, sl *engine.Slice) int64 { return int64(len(key) + 64*(sl.Rules()+len(sl.Closure))) })}
 }
 
 // get returns the slice for the functors (none = the whole program).
@@ -252,28 +205,20 @@ func (s *sliceMemo) get(functors ...string) *engine.Slice {
 		slices.Sort(functors)
 		functors = slices.Compact(functors)
 	}
-	key, ok := functorsKey(functors)
+	key, ok := memo.ListKey(functors)
 	if !ok {
 		return engine.ComputeSlice(s.prog, functors...)
 	}
-	s.mu.Lock()
-	sl, hit := s.slices[key]
-	s.mu.Unlock()
-	if hit {
+	if sl := s.slices.Load(key); sl != nil {
 		return sl
 	}
-	sl = engine.ComputeSlice(s.prog, functors...)
-	s.mu.Lock()
-	if len(s.slices) < maxSliceMemo {
-		s.slices[key] = sl
-	}
-	s.mu.Unlock()
-	return sl
+	sl := engine.ComputeSlice(s.prog, functors...)
+	return cmp.Or(s.slices.Update(key, func(old *engine.Slice) *engine.Slice { return cmp.Or(old, sl) }), sl)
 }
 
 func newDemandCache(memo *sliceMemo) *demandCache {
 	c := &demandCache{slices: memo}
-	c.cur.Store(&cacheView{groups: map[string]*group{}, memo: new(askMemo)})
+	c.cur.Store(&cacheView{groups: map[string]*group{}, memo: newAskMemo()})
 	return c
 }
 
@@ -289,7 +234,7 @@ func (c *demandCache) publish(edit func(groups map[string]*group)) {
 	cur := c.view()
 	groups := maps.Clone(cur.groups)
 	edit(groups)
-	c.cur.Store(&cacheView{groups: groups, ver: cur.ver + 1, memo: new(askMemo)})
+	c.cur.Store(&cacheView{groups: groups, ver: cur.ver + 1, memo: newAskMemo()})
 }
 
 func (v *cacheView) has(functor string) bool { return v.groups[functor] != nil }

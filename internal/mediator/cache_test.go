@@ -67,7 +67,7 @@ func (w *cacheWatch) look(t testing.TB, m *Mediator) (ver uint64, memo int) {
 		t.Errorf("cache version went from %d back to %d", w.ver, v.ver)
 	}
 	w.cache, w.ver = g.cache, v.ver
-	return v.ver, v.memo.len()
+	return v.ver, v.memo.Len()
 }
 
 // mutates runs one step that must change the cache and checks it
@@ -160,7 +160,7 @@ func TestCacheMutatorsBumpVersion(t *testing.T) {
 	g := m.state().dgen
 	g.cache.evict("Pnone")
 	refresh("auk")() // an empty delta
-	stale.memo.store(askKey{}, formAnswers, nil, nil)
+	memoize(stale.memo, askKey{}, formAnswers, nil, nil)
 	if after, kept := w.look(t, m); after != before || kept != memo {
 		t.Errorf("no-op steps moved the cache: version %d -> %d, memo %d -> %d", before, after, memo, kept)
 	}

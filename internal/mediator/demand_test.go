@@ -512,11 +512,11 @@ func TestSliceMemo(t *testing.T) {
 		t.Errorf("single-functor probe allocates %.0f, want 0", n)
 	}
 
-	for i := len(memo.slices); i < maxSliceMemo+8; i++ {
+	for i := memo.slices.Len(); i < maxSliceMemo+8; i++ {
 		memo.get(fmt.Sprintf("Pextra%d", i))
 	}
-	if len(memo.slices) != maxSliceMemo {
-		t.Errorf("memo holds %d slices, want the cap %d", len(memo.slices), maxSliceMemo)
+	if memo.slices.Len() != maxSliceMemo {
+		t.Errorf("memo holds %d slices, want the cap %d", memo.slices.Len(), maxSliceMemo)
 	}
 	if past := "Pextra" + fmt.Sprint(maxSliceMemo+8); memo.get(past) == memo.get(past) {
 		t.Error("a slice past the cap was retained")

@@ -13,20 +13,23 @@ import (
 	"yat/internal/yatl"
 )
 
-// fillMemo asks 512 separately parsed copies of a pattern — the memo is
-// keyed by parsed-pattern identity — so the ask memo sits at its cap
-// and every later pre-parsed ask is a demand hit: cached group, matcher,
-// sort, a refused memo write.
+// fillMemo asks separately parsed copies of a pattern — the memo is
+// keyed by parsed-pattern identity — until the ask memo refuses one, at
+// its bound in entries or in bytes, so every later pre-parsed ask is a
+// demand hit: cached group, matcher, sort, a refused memo write.
 func fillMemo(tb testing.TB, m *Mediator, pat, functor string) {
 	tb.Helper()
+	held := func() int { return m.state().dgen.cache.view().memo.Len() }
 	for i := 0; i <= MaxAskMemo; i++ {
+		before := held()
 		if _, err := m.AskPattern(yatl.MustParsePattern(pat), functor); err != nil {
 			tb.Fatal(err)
 		}
+		if held() == before {
+			return
+		}
 	}
-	if n := m.state().dgen.cache.view().memo.len(); n != MaxAskMemo {
-		tb.Fatalf("memo holds %d asks, want it at its cap of %d", n, MaxAskMemo)
-	}
+	tb.Fatalf("memo holds %d asks and took every one, want it at a bound", held())
 }
 
 // lookupPattern is serve_lookup's ask: one supplier of one view.

@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"yat/internal/engine"
+	"yat/internal/memo"
 	"yat/internal/pattern"
 	"yat/internal/snapshot"
 	"yat/internal/source"
@@ -592,7 +593,7 @@ var storelessMatcher = &engine.Matcher{}
 // program state the ask read.
 func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, reply, error) {
 	st := m.state()
-	memoize := false
+	memoizable := false
 	var memoKey askKey
 	if g := st.dgen; g != nil && m.opts.Trace == nil {
 		// The repeat of an identical ask skips matching entirely.
@@ -600,11 +601,11 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 		// exists to show the slice and per-rule cache decisions,
 		// which a memoized answer would hide.
 		var key string
-		if key, memoize = functorsKey(functors); memoize {
+		if key, memoizable = memo.ListKey(functors); memoizable {
 			memoKey = askKey{pt: pt, functors: key}
-			memo := g.cache.view().memo
-			if e := memo.lookup(memoKey); e != nil {
-				if out, r, ok := fromMemo(st.num, memo, memoKey, e, form, render); ok {
+			am := g.cache.view().memo
+			if e := am.Load(memoKey); e != nil {
+				if out, r, ok := fromMemo(st.num, am, memoKey, e, form, render); ok {
 					m.cacheHits.Add(1)
 					m.memoHits.Add(1)
 					return out, r, nil
@@ -645,8 +646,8 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 	if form != formAnswers {
 		r.body = render(st.num, out)
 	}
-	if memoize {
-		r.sum = view.memo.store(memoKey, form, out, r.body)
+	if memoizable {
+		r.sum = memoize(view.memo, memoKey, form, out, r.body)
 	}
 	return out, r, nil
 }
@@ -658,7 +659,7 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 // fresh slice header over copied elements so a caller appending to its
 // result cannot disturb the memo; the Name trees and Bindings inside are
 // shared, as they are between any two asks over one cache.
-func fromMemo(generation int64, memo *askMemo, key askKey, e *memoEntry, form askForm, render func(int64, []Answer) []byte) ([]Answer, reply, bool) {
+func fromMemo(generation int64, am *askMemo, key askKey, e *memoEntry, form askForm, render func(int64, []Answer) []byte) ([]Answer, reply, bool) {
 	switch {
 	case form == formAnswers:
 		if !e.hasAnswers || len(e.answers) == 0 {
@@ -669,7 +670,7 @@ func fromMemo(generation int64, memo *askMemo, key askKey, e *memoEntry, form as
 		return nil, reply{e.bodies[form-formPlain], &e.sums[form-formPlain]}, true
 	case e.hasAnswers:
 		body := render(generation, e.answers)
-		return nil, reply{body, memo.store(key, form, nil, body)}, true
+		return nil, reply{body, memoize(am, key, form, nil, body)}, true
 	}
 	return nil, reply{}, false
 }
@@ -890,6 +891,11 @@ type Stats struct {
 	// replies behind an AskContext) matches again over the demand cache:
 	// a cache hit, not a memo hit.
 	MemoHits int64 `json:"memo_hits"`
+	// MemoEntries and MemoBytes are what the ask memo of the current
+	// view holds, as it counts them against MaxAskMemo and
+	// memo.MaxBytes; a federation adds its reply memo's.
+	MemoEntries int   `json:"memo_entries"`
+	MemoBytes   int64 `json:"memo_bytes"`
 	// AskTime is the cumulative wall time spent inside Ask calls;
 	// divide by Asks for the mean per-query latency.
 	AskTime source.Millis `json:"ask_time_ms,omitempty"`
@@ -1013,6 +1019,8 @@ func (m *Mediator) demandStats() Stats {
 		Demand:       true,
 		Restored:     g.restored,
 		CachedRules:  v.cachedRules(),
+		MemoEntries:  v.memo.Len(),
+		MemoBytes:    v.memo.Bytes(),
 		SliceRuns:    l.runs,
 		Err:          l.err,
 		Generation:   st.num,

@@ -55,7 +55,7 @@ func TestAskReplyGenerationIsTheAnswering(t *testing.T) {
 		if g := m.Generation(); g != 2 {
 			t.Fatalf("generation %d after the reload, want 2", g)
 		}
-		if n := m.state().dgen.cache.view().memo.len(); n != 0 {
+		if n := m.state().dgen.cache.view().memo.Len(); n != 0 {
 			t.Fatalf("answers first %v: the new generation's memo holds %d entries: the old generation's reply landed in it", answersFirst, n)
 		}
 		for i, wantRenders := range []int{2, 2} { // render afresh, then a memo hit
@@ -122,7 +122,7 @@ func TestAskMemoForms(t *testing.T) {
 			t.Fatalf("%s: hits/memo/misses/renders = %v, want %v", s.name, got, s.want)
 		}
 	}
-	if n := m.state().dgen.cache.view().memo.len(); n != 2 {
+	if n := m.state().dgen.cache.view().memo.Len(); n != 2 {
 		t.Errorf("memo holds %d entries, want one per key", n)
 	}
 	// A reply no memo holds comes with no digest.

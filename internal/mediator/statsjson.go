@@ -94,6 +94,7 @@ func (s Stats) Render(w io.Writer, timing bool) error {
 	fmt.Fprintln(w)
 	if s.Demand {
 		fmt.Fprintf(w, "  cached-rules: %d  slice-runs: %d\n", s.CachedRules, s.SliceRuns)
+		fmt.Fprintf(w, "  memo: entries=%d bytes=%d\n", s.MemoEntries, s.MemoBytes)
 		fmt.Fprintf(w, "  deltas: runs=%d fallbacks=%d patched-rules=%d\n",
 			s.DeltaRuns, s.DeltaFallbacks, s.PatchedRules)
 	}
@@ -153,6 +154,8 @@ func Aggregate(ss ...Stats) Stats {
 			out.CacheHits += s.CacheHits
 			out.CacheMisses += s.CacheMisses
 			out.MemoHits += s.MemoHits
+			out.MemoEntries += s.MemoEntries
+			out.MemoBytes += s.MemoBytes
 			out.AskTime += s.AskTime
 			out.CachedRules += s.CachedRules
 			out.SliceRuns += s.SliceRuns

@@ -280,7 +280,11 @@ func TestStatsParity(t *testing.T) {
 		if resp, _ := postAsk(t, ts.URL, wire.AskRequest{Pattern: a.pattern, Functors: a.functors}); resp.StatusCode != 200 {
 			t.Fatalf("ask status %d", resp.StatusCode)
 		}
-		if _, err := ref.Ask(a.pattern, a.functors...); err != nil {
+		// The server answers through AskReply, and its memo holds the
+		// reply it rendered: ask the reference the same way.
+		if _, _, err := ref.AskReply(nil, a.pattern, a.functors, false, func(generation int64, answers []mediator.Answer) []byte {
+			return wire.AppendAskResponse(nil, generation, answers, false, nil)
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
