@@ -46,6 +46,28 @@ type Client struct {
 	ownsHTTP bool
 	closed   atomic.Bool
 	gen      atomic.Int64
+	// lease is the last read lease the child granted (the wire
+	// package's lease contract), nil before the first.
+	lease atomic.Pointer[lease]
+}
+
+// lease is a read lease as the client holds it: the child's write
+// epoch, and when the lease expires on the client's monotonic clock.
+type lease struct {
+	epoch wire.Epoch
+	until time.Time
+}
+
+// leaseMargin is what a client takes off a lease's LeaseTTL, counted
+// from when it sent the request, for the two clocks' rates: a child
+// whose clock runs slower than the client's by less than a tenth still
+// holds its writes past the client's expiry.
+const leaseMargin = wire.LeaseTTL / 10
+
+// holds says whether the client holds an unexpired lease at epoch e.
+func (c *Client) holds(e wire.Epoch, now time.Time) bool {
+	l := c.lease.Load()
+	return l != nil && l.epoch == e && now.Before(l.until) && !c.closed.Load()
 }
 
 var _ mediator.Asker = (*Client)(nil)
@@ -123,7 +145,7 @@ func (c *Client) AskContext(ctx context.Context, patternSrc string, functors ...
 // generation the reply carried.
 func (c *Client) ask(ctx context.Context, patternSrc string, functors []string,
 	decode func([]byte) (int64, []mediator.Answer, error)) (int64, []mediator.Answer, error) {
-	reply, err := c.fetchAsk(ctx, patternSrc, functors, nil)
+	reply, _, err := c.fetchAsk(ctx, patternSrc, functors, nil, false)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -136,17 +158,19 @@ func (c *Client) ask(ctx context.Context, patternSrc string, functors []string,
 // validator the ask is conditional (the wire package's conditional
 // /ask): a child whose reply has that SHA-256 digest answers 304, and
 // fetchAsk returns a nil reply and no error. A child that ignores the
-// header answers in full.
-func (c *Client) fetchAsk(ctx context.Context, patternSrc string, functors []string, validator *[sha256.Size]byte) (*replyBuf, error) {
-	req, err := c.askRequest(ctx, wire.AppendAskRequest(nil, wire.AskRequest{Pattern: patternSrc, Functors: functors}), validator)
+// header answers in full. With leased set the ask requests a read
+// lease, and epoch is the write epoch of the one the child granted
+// with the reply, zero when it granted none.
+func (c *Client) fetchAsk(ctx context.Context, patternSrc string, functors []string, validator *[sha256.Size]byte, leased bool) (reply *replyBuf, epoch wire.Epoch, err error) {
+	req, err := c.askRequest(ctx, wire.AppendAskRequest(nil, wire.AskRequest{Pattern: patternSrc, Functors: functors}), validator, leased)
 	if err != nil {
-		return nil, err
+		return nil, epoch, err
 	}
-	return c.send(req, validator != nil)
+	return c.send(req, validator != nil, leased)
 }
 
 // askRequest builds the POST of an ask body to askURL, parsing nothing.
-func (c *Client) askRequest(ctx context.Context, body []byte, validator *[sha256.Size]byte) (*http.Request, error) {
+func (c *Client) askRequest(ctx context.Context, body []byte, validator *[sha256.Size]byte, leased bool) (*http.Request, error) {
 	if c.askErr != nil {
 		return nil, c.askErr
 	}
@@ -167,12 +191,18 @@ func (c *Client) askRequest(ctx context.Context, body []byte, validator *[sha256
 		var tag [2 + 2*sha256.Size]byte
 		req.Header["If-None-Match"] = []string{string(wire.AppendETag(tag[:0], validator))}
 	}
+	if leased {
+		req.Header[wire.LeaseRequestHeader] = leaseRequest
+	}
 	return req.WithContext(ctx), nil
 }
 
-// jsonContentType is every ask's Content-Type header value; requests
-// share it and nothing writes it.
-var jsonContentType = []string{"application/json"}
+// jsonContentType and leaseRequest are header values requests share and
+// nothing writes.
+var (
+	jsonContentType = []string{"application/json"}
+	leaseRequest    = []string{"1"}
+)
 
 // readAsk reads a reply fetchAsk returned with decode and notes the
 // generation it carried.
@@ -247,44 +277,57 @@ func (c *Client) do(ctx context.Context, method, path string) (*replyBuf, error)
 	if err != nil {
 		return nil, err
 	}
-	return c.send(req, false)
+	reply, _, err := c.send(req, false, false)
+	return reply, err
 }
 
 // send runs one round trip and returns the 2xx reply's body in a pooled
 // buffer the caller releases. Non-2xx responses decode the wire error
 // envelope into a typed *RemoteError. A 304 is a nil reply when the
 // request was conditional, and a *RemoteError when it was not: it
-// cannot stand for a reply the client never named.
-func (c *Client) send(req *http.Request, conditional bool) (*replyBuf, error) {
+// cannot stand for a reply the client never named. With leased set, a
+// lease granted with a 200 or a 304 is recorded as the client's, to
+// expire LeaseTTL less leaseMargin after the request was sent, and
+// epoch is its write epoch.
+func (c *Client) send(req *http.Request, conditional, leased bool) (reply *replyBuf, epoch wire.Epoch, err error) {
 	if c.closed.Load() {
-		return nil, &ClosedError{Shard: c.name}
+		return nil, epoch, &ClosedError{Shard: c.name}
 	}
+	sent := time.Now()
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("shard %s: %w", c.name, err)
+		return nil, epoch, fmt.Errorf("shard %s: %w", c.name, err)
 	}
 	defer resp.Body.Close()
+	if leased && (resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified && conditional) {
+		if v := resp.Header[wire.LeaseHeader]; len(v) == 1 {
+			var ok bool
+			if epoch, ok = wire.ParseEpoch(v[0]); ok {
+				c.lease.Store(&lease{epoch: epoch, until: sent.Add(wire.LeaseTTL - leaseMargin)})
+			}
+		}
+	}
 	if resp.StatusCode == http.StatusNotModified {
 		if conditional {
-			return nil, nil
+			return nil, epoch, nil
 		}
-		return nil, &RemoteError{Status: resp.StatusCode, Code: "not_modified",
+		return nil, epoch, &RemoteError{Status: resp.StatusCode, Code: "not_modified",
 			Message: "304 Not Modified to an ask that named no reply"}
 	}
-	reply, err := readReply(resp, maxReplyBytes)
+	reply, err = readReply(resp, maxReplyBytes)
 	if err != nil {
-		return nil, fmt.Errorf("shard %s: reading response: %w", c.name, err)
+		return nil, epoch, fmt.Errorf("shard %s: reading response: %w", c.name, err)
 	}
 	if resp.StatusCode/100 != 2 {
 		defer reply.release()
 		var envelope wire.ErrorResponse
 		if json.Unmarshal(reply.b, &envelope) == nil && envelope.Error.Code != "" {
-			return nil, &RemoteError{Status: resp.StatusCode, Code: envelope.Error.Code, Message: envelope.Error.Message}
+			return nil, epoch, &RemoteError{Status: resp.StatusCode, Code: envelope.Error.Code, Message: envelope.Error.Message}
 		}
-		return nil, &RemoteError{Status: resp.StatusCode, Code: "http_error",
+		return nil, epoch, &RemoteError{Status: resp.StatusCode, Code: "http_error",
 			Message: strings.TrimSpace(string(reply.b))}
 	}
-	return reply, nil
+	return reply, epoch, nil
 }
 
 // maxReplyBytes caps the reply a Client reads from its child.

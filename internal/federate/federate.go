@@ -11,7 +11,9 @@
 // instead of failing it. A federation serving /ask over remote
 // children memoizes each reply against digests of the children's
 // replies (AskReply): a repeated ask whose children answer byte for
-// byte as before is not merged or rendered again. Pipelines of
+// byte as before is not merged or rendered again, and while every child
+// it needs holds the parent to a read lease, no child is asked at all.
+// Pipelines of
 // programs handed to the planner are fused with §4.3 composition
 // before sharding — the intermediate model never crosses the wire
 // because it never exists.
@@ -21,6 +23,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -117,6 +120,9 @@ type Federation struct {
 	route    map[string]int // functor -> children index
 	sink     trace.Sink
 	replies  *replyMemo // AskReply's memo
+	// How AskReply's memo answered: replays of an entry, those of them
+	// that asked no child, and the children's 304s.
+	memoReplays, leasedReplays, notModified atomic.Int64
 
 	// replayChecksFirstOnly is test instrumentation, unset in the
 	// library: the unsound memo the reply memo tests must catch, which
@@ -263,7 +269,12 @@ func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors
 // answered 304 is asked again without a validator, as the memo keeps no
 // child bytes, and the asks after it are unconditional until one is
 // answered from the memo again: a child that is down or keeps moving
-// costs the others one round trip per ask, not two. As with
+// costs the others one round trip per ask, not two. Every such ask
+// requests a read lease (the wire package's lease contract), and while
+// each child's lease holds at the write epoch under which the entry
+// last saw that child's reply, the entry is replayed with no child
+// asked; a child that goes down is therefore noticed only once its
+// lease lapses. As with
 // Mediator.AskReply, a caller must render each form the same way every
 // time; the memo keeps a copy of what render returns, and a reply that
 // came from the memo is shared and must not be modified. A reply
@@ -285,7 +296,18 @@ func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors [
 			seen = &replyEntry{}
 		}
 	}
+	if seen != nil && f.leased(seen, targets) {
+		f.memoReplays.Add(1)
+		f.leasedReplays.Add(1)
+		seen.replay()
+		return seen.body, &seen.sum, nil
+	}
 	replies := f.gather(ctx, patternSrc, targets, wire.RelayAskResponse, seen)
+	for _, r := range replies {
+		if r.err == nil && r.same && r.raw == nil {
+			f.notModified.Add(1)
+		}
+	}
 	if seen != nil && f.replayable(replies) {
 		for i := range replies {
 			if r := &replies[i]; r.raw != nil {
@@ -294,9 +316,9 @@ func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors [
 				f.report(ctx, targets[i], r) // a 304
 			}
 		}
-		if !seen.replayed.Load() {
-			seen.replayed.Store(true)
-		}
+		f.memoReplays.Add(1)
+		seen.replay()
+		f.restamp(key, seen, replies)
 		return seen.body, &seen.sum, nil
 	}
 	if seen != nil && seen.replayed.Load() {
@@ -555,11 +577,13 @@ func (c *fedChild) ask(ctx context.Context, patternSrc string, functors []string
 	return answers, generationOf(c.asker), err
 }
 
-// askDigest is a remote child's ask for a memoized AskReply. A reply
-// whose digest is want's, kept unread in r.raw, is the reply want
-// recorded: its generation and count stand for it. With conditional
-// set the ask names want's digest, and a 304 stands for that reply as
-// well. Any other reply is digested into r.seen and relayed. Digesting
+// askDigest is a remote child's ask for a memoized AskReply, which
+// requests a read lease. A reply whose digest is want's, kept unread in
+// r.raw, is the reply want recorded: its generation and count stand for
+// it, and when a lease came with it, r.seen takes the lease's epoch.
+// With conditional set the ask names want's digest, and a 304 stands
+// for that reply as well. Any other reply is digested into r.seen, with
+// the epoch of the lease that came with it, and relayed. Digesting
 // inside the guarded call means a reply that fails to read is retried
 // and counted against the child as ever.
 func (c *fedChild) askDigest(ctx context.Context, patternSrc string, functors []string, want *shardSeen, conditional bool, r *shardReply) error {
@@ -567,7 +591,7 @@ func (c *fedChild) askDigest(ctx context.Context, patternSrc string, functors []
 	if want != nil && conditional {
 		validator = &want.sum
 	}
-	reply, err := c.client.fetchAsk(ctx, patternSrc, functors, validator)
+	reply, epoch, err := c.client.fetchAsk(ctx, patternSrc, functors, validator, true)
 	if err != nil {
 		return err
 	}
@@ -576,13 +600,60 @@ func (c *fedChild) askDigest(ctx context.Context, patternSrc string, functors []
 	}
 	if want != nil && (reply == nil || r.seen.sum == want.sum) {
 		r.seen, r.same, r.raw = *want, true, reply
+		if epoch != (wire.Epoch{}) {
+			r.seen.epoch = epoch
+		}
 		c.client.gen.Store(want.gen)
 		return nil
 	}
 	r.gen, r.answers, err = c.client.readAsk(reply.b, wire.RelayAskResponse)
 	reply.release()
-	r.seen.gen, r.seen.count = r.gen, len(r.answers)
+	r.seen.gen, r.seen.count, r.seen.epoch = r.gen, len(r.answers), epoch
 	return err
+}
+
+// leased says whether entry e may be replayed with no child asked:
+// every target's client holds an unexpired lease at the epoch under
+// which e last saw that target's reply. The child granted each lease no
+// earlier than the client sent its request, and applies no write until
+// the lease has expired on its own clock, so until then its reply is
+// still the one e saw.
+func (f *Federation) leased(e *replyEntry, targets []target) bool {
+	if len(e.shards) != len(targets) {
+		return false
+	}
+	now := time.Now()
+	for i, t := range targets {
+		if !t.c.client.holds(e.shards[i].epoch, now) {
+			return false
+		}
+	}
+	return true
+}
+
+// restamp stores a successor of the memo's entry seen whose targets
+// carry the epochs the replies replayed came under, when some reply
+// came with a lease under an epoch other than the one seen records.
+func (f *Federation) restamp(key replyKey, seen *replyEntry, replies []shardReply) {
+	var next *replyEntry
+	for i, r := range replies {
+		if r.seen.epoch == (wire.Epoch{}) || r.seen.epoch == seen.shards[i].epoch {
+			continue
+		}
+		if next == nil {
+			next = &replyEntry{shards: slices.Clone(seen.shards), body: seen.body, sum: seen.sum}
+			next.replayed.Store(true)
+		}
+		next.shards[i].epoch = r.seen.epoch
+	}
+	if next != nil {
+		f.replies.Update(key, func(old *replyEntry) *replyEntry {
+			if old != seen {
+				return old
+			}
+			return next
+		})
+	}
 }
 
 // replayable says whether the gathered replies are those the memo
@@ -660,6 +731,9 @@ func (f *Federation) Stats() mediator.Stats {
 	agg.Shards = shards
 	agg.MemoEntries += f.replies.Len()
 	agg.MemoBytes += f.replies.Bytes()
+	agg.MemoReplays += f.memoReplays.Load()
+	agg.LeasedReplays += f.leasedReplays.Load()
+	agg.NotModified += f.notModified.Load()
 	return agg
 }
 

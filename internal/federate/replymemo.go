@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"yat/internal/memo"
+	"yat/internal/serve/wire"
 )
 
 // replyMemo is a federation's AskReply memo: per ask, what each child
@@ -37,7 +38,7 @@ type replyKey struct {
 }
 
 // replyEntry is one memoized reply. Immutable once stored, but for
-// replayed.
+// replayed; a reply under a newer lease epoch stores a successor.
 type replyEntry struct {
 	shards []shardSeen       // per target, in target order
 	body   []byte            // the rendered reply, an exact-size copy
@@ -48,12 +49,22 @@ type replyEntry struct {
 	replayed atomic.Bool
 }
 
+// replay notes that an ask was answered from e.
+func (e *replyEntry) replay() {
+	if !e.replayed.Load() {
+		e.replayed.Store(true)
+	}
+}
+
 // shardSeen is one child's reply as the memo saw it: the SHA-256 digest
-// of its bytes, and the generation and answer count they carried.
+// of its bytes, the generation and answer count they carried, and the
+// write epoch under which the child last sent them with a lease (zero
+// before it did).
 type shardSeen struct {
 	sum   [sha256.Size]byte
 	gen   int64
 	count int
+	epoch wire.Epoch
 }
 
 // shard is target i's reply as the entry saw it, nil when it has none.

@@ -39,12 +39,16 @@ func TestClientAskRequestAllocs(t *testing.T) {
 		return buf.Bytes()
 	}
 	sum := sha256.Sum256(body)
-	for _, validator := range []*[sha256.Size]byte{nil, &sum} {
+	for i, validator := range []*[sha256.Size]byte{nil, &sum, &sum} {
+		leased := i == 2
 		ref := parse()
 		if validator != nil {
 			ref.Header.Set("If-None-Match", `"`+hex.EncodeToString(sum[:])+`"`)
 		}
-		req, err := c.askRequest(ctx, body, validator)
+		if leased {
+			ref.Header.Set(wire.LeaseRequestHeader, "1")
+		}
+		req, err := c.askRequest(ctx, body, validator, leased)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,12 +58,12 @@ func TestClientAskRequestAllocs(t *testing.T) {
 		}
 		resent, _ := io.ReadAll(again)
 		if got, want := written(req), written(ref); !bytes.Equal(got, want) || !bytes.Equal(resent, body) || req.Context() != ctx {
-			t.Errorf("validator %v: request\n%s\nresent body %q; want\n%s", validator != nil, got, resent, want)
+			t.Errorf("validator %v, leased %v: request\n%s\nresent body %q; want\n%s", validator != nil, leased, got, resent, want)
 		}
 	}
 	parsed := testing.AllocsPerRun(100, func() { parse() })
 	built := testing.AllocsPerRun(100, func() {
-		if _, err := c.askRequest(ctx, body, nil); err != nil {
+		if _, err := c.askRequest(ctx, body, nil, false); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -70,7 +74,7 @@ func TestClientAskRequestAllocs(t *testing.T) {
 	bad := NewClient("http://127.0.0.1:8081/%zz", nil)
 	t.Cleanup(bad.Close)
 	_, want := http.NewRequestWithContext(ctx, http.MethodPost, bad.base+"/ask?keys=1", nil)
-	if _, err := bad.askRequest(ctx, body, nil); err == nil || want == nil || err.Error() != want.Error() {
+	if _, err := bad.askRequest(ctx, body, nil, false); err == nil || want == nil || err.Error() != want.Error() {
 		t.Errorf("a base URL that does not parse: error %v, want %v", err, want)
 	}
 }

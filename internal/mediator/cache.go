@@ -81,11 +81,12 @@ type group struct {
 	rules int
 }
 
-// askKey identifies one memoizable ask: the parsed pattern (by
-// pointer — Ask's pattern parse cache hands back a stable *PTree per
-// source text) and the functor restriction (memo.ListKey).
+// askKey identifies one memoizable ask: the pattern's source text and
+// the functor restriction (memo.ListKey). Only an ask given as text is
+// memoized, so a memo hit parses nothing, and no state of the parse
+// cache changes what hits.
 type askKey struct {
-	pt       *pattern.PTree
+	pattern  string
 	functors string
 }
 
@@ -130,14 +131,14 @@ type memoEntry struct {
 // What a memo entry holds beyond the view's groups, which its answers'
 // names and bound values point into: the entry and its map slot, and per
 // answer the Answer and its binding map (TestAskMemoHoldsItsByteBound
-// measures both). The pattern a key points to is the parse cache's.
+// measures both), and the key's text.
 const (
 	memoEntryCost = 256
 	answerCost    = 512
 )
 
 func memoEntrySize(key askKey, e *memoEntry) int64 {
-	return memoEntryCost + int64(len(key.functors)+len(e.bodies[0])+len(e.bodies[1])+answerCost*len(e.answers))
+	return memoEntryCost + int64(len(key.pattern)+len(key.functors)+len(e.bodies[0])+len(e.bodies[1])+answerCost*len(e.answers))
 }
 
 // memoize records one form of a completed ask in m: answers for

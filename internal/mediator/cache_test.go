@@ -260,10 +260,10 @@ func TestLockFreeHitsAcrossRefresh(t *testing.T) {
 
 	fault := source.NewFault("parts", base)
 	m := New(prog, nil, WithDemandDriven(true), WithSources(fault))
-	memoPt := yatl.MustParsePattern(`X`)
-	if _, err := m.AskPattern(memoPt); err != nil { // the one cold fill
+	if _, err := m.Ask(`X`); err != nil { // the one cold fill
 		t.Fatal(err)
 	}
+	parsed := yatl.MustParsePattern(`X`)
 
 	stop := make(chan struct{})
 	refreshed := make(chan int)
@@ -292,13 +292,12 @@ func TestLockFreeHitsAcrossRefresh(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < asks; i++ {
-				pt := memoPt
+				ask := func() ([]Answer, error) { return m.Ask(`X`) }
 				if (w+i)%2 == 1 {
-					// A pattern parsed apart is a key the memo has not seen:
-					// a demand hit.
-					pt = yatl.MustParsePattern(`X`)
+					// A parsed pattern is not memoized: a demand hit.
+					ask = func() ([]Answer, error) { return m.AskPattern(parsed) }
 				}
-				got, err := m.AskPattern(pt)
+				got, err := ask()
 				if err != nil {
 					t.Errorf("ask: %v", err)
 					return

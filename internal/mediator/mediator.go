@@ -473,31 +473,45 @@ func (m *Mediator) Ask(patternSrc string, functors ...string) ([]Answer, error) 
 
 // patCache memoizes parsed query patterns by source text, shared by
 // every mediator and federation in the process (a parse is pure
-// syntax). Capped so a client generating unbounded distinct patterns
-// cannot exhaust memory; patterns past the cap parse uncached.
-var (
-	patCache     sync.Map // string -> *pattern.PTree
-	patCacheSize atomic.Int64
+// syntax). It admits patterns until it holds maxPatCache of them or
+// maxPatCacheBytes of their text, so a client sending unbounded
+// distinct patterns, each up to an /ask body, cannot exhaust memory;
+// patterns past a bound parse uncached. A pattern longer than
+// maxPatCacheText is never offered to it: the cache stops for good at
+// the first pattern it refuses, and a few /ask bodies of that size
+// must not be what stops it.
+var patCache = newPatCache()
+
+const (
+	maxPatCache      = 4096
+	maxPatCacheBytes = 1 << 20
+	maxPatCacheText  = maxPatCacheBytes / 64
 )
 
-const maxPatCache = 4096
+func newPatCache() *memo.Map[string, pattern.PTree] {
+	return memo.New(maxPatCache, maxPatCacheBytes, func(src string, _ *pattern.PTree) int64 { return int64(len(src)) })
+}
 
 // ParsePattern parses an ask pattern (YATL concrete syntax) through
 // the process-wide pattern cache. The error wraps the *yatl.ParseError;
 // it is the one every Asker returns for a malformed pattern.
 func ParsePattern(src string) (*pattern.PTree, error) {
-	if v, ok := patCache.Load(src); ok {
-		return v.(*pattern.PTree), nil
+	if pt := patCache.Load(src); pt != nil {
+		return pt, nil
 	}
 	pt, err := yatl.ParsePattern(src)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: %w", err)
 	}
-	if patCacheSize.Load() < maxPatCache {
-		if _, loaded := patCache.LoadOrStore(src, pt); !loaded {
-			patCacheSize.Add(1)
-		}
+	if len(src) > maxPatCacheText {
+		return pt, nil
 	}
+	patCache.Update(src, func(old *pattern.PTree) *pattern.PTree {
+		if old != nil {
+			return old
+		}
+		return pt
+	})
 	return pt, nil
 }
 
@@ -540,20 +554,11 @@ type reply struct {
 // ask is the one entry of a pattern given as source text: AskContext
 // and AskReply differ only in the form they want back.
 func (m *Mediator) ask(ctx context.Context, patternSrc string, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, reply, error) {
-	start := time.Now()
-	m.asks.Add(1)
-	pt, err := ParsePattern(patternSrc)
-	if err != nil {
-		// A parse failure is still an ask (Asks and AskTime cover it)
-		// but it never consulted the cache, so it is neither a hit nor
-		// a miss: Asks == CacheHits + CacheMisses + parse failures.
-		m.askNanos.Add(time.Since(start).Nanoseconds())
-		return nil, reply{}, err
-	}
-	return m.askPattern(ctx, start, pt, functors, form, render)
+	return m.askTimed(ctx, patternSrc, nil, functors, form, render)
 }
 
-// AskPattern is Ask over a parsed pattern.
+// AskPattern is Ask over a parsed pattern. An ask of a parsed pattern
+// is not memoized: the ask memo is keyed by source text.
 func (m *Mediator) AskPattern(pt *pattern.PTree, functors ...string) ([]Answer, error) {
 	return m.AskPatternContext(nil, pt, functors...)
 }
@@ -561,22 +566,24 @@ func (m *Mediator) AskPattern(pt *pattern.PTree, functors ...string) ([]Answer, 
 // AskPatternContext is AskPattern with a cancellation context applied
 // to any engine run the query triggers.
 func (m *Mediator) AskPatternContext(ctx context.Context, pt *pattern.PTree, functors ...string) ([]Answer, error) {
-	m.asks.Add(1)
-	out, _, err := m.askPattern(ctx, time.Now(), pt, functors, formAnswers, nil)
+	out, _, err := m.askTimed(ctx, "", pt, functors, formAnswers, nil)
 	return out, err
 }
 
-// askPattern is the shared ask core; the caller has already counted
-// the ask and taken the start timestamp. Counter discipline, pinned by
-// TestAskCounterConsistency: every return path adds the elapsed time
-// to AskTime, and exactly one of CacheHits/CacheMisses is incremented
-// — a hit only when the answer came entirely from an already-successful
-// materialization, a miss whenever engine work ran or was awaited,
-// errors included.
-func (m *Mediator) askPattern(ctx context.Context, start time.Time, pt *pattern.PTree, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, reply, error) {
+// askTimed is the shared ask core: it counts the ask and its time
+// around doAsk. Counter discipline, pinned by TestAskCounterConsistency:
+// every return path adds the elapsed time to AskTime, and exactly one
+// of CacheHits/CacheMisses is incremented — a hit only when the answer
+// came entirely from an already-successful materialization, a miss
+// whenever engine work ran or was awaited, errors included — but for a
+// pattern that fails to parse, which is still an ask but never
+// consulted the cache: Asks == CacheHits + CacheMisses + parse failures.
+func (m *Mediator) askTimed(ctx context.Context, src string, pt *pattern.PTree, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, reply, error) {
+	start := time.Now()
+	m.asks.Add(1)
 	// No defer: the closure it would capture allocates on every ask,
 	// and the demand cache-hit path budgets its allocations.
-	out, r, err := m.doAsk(ctx, pt, functors, form, render)
+	out, r, err := m.doAsk(ctx, src, pt, functors, form, render)
 	m.askNanos.Add(time.Since(start).Nanoseconds())
 	return out, r, err
 }
@@ -590,19 +597,20 @@ var storelessMatcher = &engine.Matcher{}
 
 // doAsk answers one ask in the form it wants: the answers, and for a
 // reply form render's reply over them, rendered with the number of the
-// program state the ask read.
-func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, reply, error) {
+// program state the ask read. The pattern is its source text src, or
+// with pt non-nil, pt, which the ask memo does not hold.
+func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, reply, error) {
 	st := m.state()
 	memoizable := false
 	var memoKey askKey
-	if g := st.dgen; g != nil && m.opts.Trace == nil {
-		// The repeat of an identical ask skips matching entirely.
-		// Traced asks bypass the memo in both directions: EXPLAIN
-		// exists to show the slice and per-rule cache decisions,
-		// which a memoized answer would hide.
+	if g := st.dgen; pt == nil && g != nil && m.opts.Trace == nil {
+		// The repeat of an identical ask skips parsing and matching
+		// entirely. Traced asks bypass the memo in both directions:
+		// EXPLAIN exists to show the slice and per-rule cache
+		// decisions, which a memoized answer would hide.
 		var key string
 		if key, memoizable = memo.ListKey(functors); memoizable {
-			memoKey = askKey{pt: pt, functors: key}
+			memoKey = askKey{pattern: src, functors: key}
 			am := g.cache.view().memo
 			if e := am.Load(memoKey); e != nil {
 				if out, r, ok := fromMemo(st.num, am, memoKey, e, form, render); ok {
@@ -611,6 +619,12 @@ func (m *Mediator) doAsk(ctx context.Context, pt *pattern.PTree, functors []stri
 					return out, r, nil
 				}
 			}
+		}
+	}
+	if pt == nil {
+		var err error
+		if pt, err = ParsePattern(src); err != nil {
+			return nil, reply{}, err
 		}
 	}
 	entries, hit, view, err := m.read(ctx, st, pt, functors)
@@ -896,6 +910,14 @@ type Stats struct {
 	// memo.MaxBytes; a federation adds its reply memo's.
 	MemoEntries int   `json:"memo_entries"`
 	MemoBytes   int64 `json:"memo_bytes"`
+	// MemoReplays counts the asks a federation answered from its reply
+	// memo, LeasedReplays those of them no child was asked for, under
+	// the children's read leases, and NotModified the 304s its children
+	// answered its conditional asks with. All three are zero for a
+	// mediator.
+	MemoReplays   int64 `json:"memo_replays"`
+	LeasedReplays int64 `json:"leased_replays"`
+	NotModified   int64 `json:"not_modified"`
 	// AskTime is the cumulative wall time spent inside Ask calls;
 	// divide by Asks for the mean per-query latency.
 	AskTime source.Millis `json:"ask_time_ms,omitempty"`

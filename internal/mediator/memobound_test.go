@@ -1,12 +1,12 @@
 package mediator
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
 	"yat/internal/memo"
-	"yat/internal/pattern"
 	"yat/internal/workload"
 	"yat/internal/yatl"
 )
@@ -67,7 +67,7 @@ func TestAskMemoHoldsItsByteBound(t *testing.T) {
 		held := g.cache.view().memo
 		n, counted, answers := held.Len(), held.Bytes(), 0
 		if !replies {
-			answers = n * len(held.Load(askKey{pt: mustParse(t, spaced(pat, 1)), functors: "Pview1"}).answers)
+			answers = n * len(held.Load(askKey{pattern: spaced(pat, 1), functors: "Pview1"}).answers)
 		}
 		with := liveHeap()
 		runtime.KeepAlive(held)
@@ -96,11 +96,64 @@ func TestAskMemoHoldsItsByteBound(t *testing.T) {
 	}
 }
 
-func mustParse(t *testing.T, src string) *pattern.PTree {
-	t.Helper()
-	pt, err := ParsePattern(src)
-	if err != nil {
+// TestParseCacheHoldsItsBounds fills the process-wide parse cache past
+// its byte bound with 96 distinct patterns of nearly maxPatCacheText
+// bytes, as many /ask bodies could: the live heap grows by the text the
+// cache admits, not by all 1.5 MiB. A longer pattern, even one of half
+// a MiB, is parsed without being offered to the cache, so it does not
+// stop the cache. The test leaves the full cache to the package's later
+// tests (TestAskMemoForms, TestSnapshotRestoreWarmStart, …), which hit
+// their ask memos as before, since a memo is keyed by pattern text; and
+// it checks so itself: a pattern the full cache refuses is a memo hit
+// on its second ask.
+func TestParseCacheHoldsItsBounds(t *testing.T) {
+	pattern := func(i, size int) string {
+		return fmt.Sprintf(`view < -> name -> "%d%s" >`, i, strings.Repeat("x", size))
+	}
+	patCache = newPatCache()
+	if _, err := ParsePattern(pattern(-1, 512<<10)); err != nil {
 		t.Fatal(err)
 	}
-	return pt
+	small := pattern(-2, 8)
+	if _, err := ParsePattern(small); err != nil {
+		t.Fatal(err)
+	}
+	if patCache.Load(small) == nil || patCache.Len() != 1 {
+		t.Fatalf("after a 512 KiB pattern and a small one the parse cache holds %d patterns, the small one %v; want just it",
+			patCache.Len(), patCache.Load(small) != nil)
+	}
+
+	const n, size = 96, maxPatCacheText - 64
+	patCache = newPatCache()
+	before := liveHeap()
+	for i := 0; i < n; i++ {
+		if _, err := ParsePattern(pattern(i, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := liveHeap() - before
+	held := patCache.Len()
+	t.Logf("%d of %d patterns cached, %d bytes of text; the heap grew by %d", held, n, patCache.Bytes(), grown)
+	if held == 0 || held == n || patCache.Bytes() > maxPatCacheBytes {
+		t.Fatalf("the parse cache took %d of %d patterns, %d bytes; want it stopped at %d", held, n, patCache.Bytes(), maxPatCacheBytes)
+	}
+	// The text, which the trees' string constants share, and slack.
+	if limit := int64(maxPatCacheBytes + 512<<10); grown > limit {
+		t.Errorf("%d patterns of %d bytes grew the live heap by %d, past %d", n, size, grown, limit)
+	}
+
+	prog := yatl.MustParse(workload.SelectiveProgram(2))
+	m := New(prog, workload.BrochureStore(4, 2, 4, 1), WithDemandDriven(true))
+	pat := `view < -> name -> N, -> city -> C >`
+	for i := 0; i < 2; i++ {
+		if _, err := m.Ask(pat, "Pview1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if patCache.Load(pat) != nil {
+		t.Fatal("vacuous: the full parse cache admitted a new pattern")
+	}
+	if st := m.Stats(); st.MemoHits != 1 {
+		t.Errorf("a pattern past the parse cache's bound, asked twice: %d memo hits, want 1", st.MemoHits)
+	}
 }

@@ -95,6 +95,7 @@ func (s Stats) Render(w io.Writer, timing bool) error {
 	if s.Demand {
 		fmt.Fprintf(w, "  cached-rules: %d  slice-runs: %d\n", s.CachedRules, s.SliceRuns)
 		fmt.Fprintf(w, "  memo: entries=%d bytes=%d\n", s.MemoEntries, s.MemoBytes)
+		fmt.Fprintf(w, "  replays: memo=%d leased=%d not-modified=%d\n", s.MemoReplays, s.LeasedReplays, s.NotModified)
 		fmt.Fprintf(w, "  deltas: runs=%d fallbacks=%d patched-rules=%d\n",
 			s.DeltaRuns, s.DeltaFallbacks, s.PatchedRules)
 	}
@@ -156,6 +157,9 @@ func Aggregate(ss ...Stats) Stats {
 			out.MemoHits += s.MemoHits
 			out.MemoEntries += s.MemoEntries
 			out.MemoBytes += s.MemoBytes
+			out.MemoReplays += s.MemoReplays
+			out.LeasedReplays += s.LeasedReplays
+			out.NotModified += s.NotModified
 			out.AskTime += s.AskTime
 			out.CachedRules += s.CachedRules
 			out.SliceRuns += s.SliceRuns

@@ -107,7 +107,7 @@ func TestStatsRoundTrip(t *testing.T) {
 	// historical place.
 	data, _ := json.Marshal(Stats{Generation: 1, Err: errors.New("x"), Demand: true})
 	const want = `{"generation":1,"materialized":false,"err":"x","demand":true,"asks":0,"cache_hits":0,` +
-		`"cache_misses":0,"memo_hits":0,"memo_entries":0,"memo_bytes":0,"cached_rules":0,"slice_runs":0,"delta_runs":0,"delta_fallbacks":0,` +
+		`"cache_misses":0,"memo_hits":0,"memo_entries":0,"memo_bytes":0,"memo_replays":0,"leased_replays":0,"not_modified":0,"cached_rules":0,"slice_runs":0,"delta_runs":0,"delta_fallbacks":0,` +
 		`"patched_rules":0,"run":{"activations":0,"bindings":0,"outputs":0,"rounds":0}}`
 	if string(data) != want {
 		t.Errorf("wire bytes drifted:\n got %s\nwant %s", data, want)

@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"yat/internal/federate"
 	"yat/internal/mediator"
@@ -94,31 +97,109 @@ func BenchmarkAsk(b *testing.B) {
 
 // BenchmarkFederatedAsk is a federation parent's /ask in
 // serve_federated's shape (federatedAsks): every ask scatters to both
-// children and is answered from the parent's reply memo, since the
-// children answer from their ask memos byte for byte as before. The
-// children's memo hits and the loopback round trips are in the cost;
-// the bench's traced run cannot show the parent's part of it, which
-// takes AskReply.
+// children and is answered from the parent's reply memo. Under leased
+// the children grant read leases, and an ask under them asks no child;
+// under conditional they grant none, and each child answers every ask
+// with a 304. The loopback round trips are in the cost; the bench's
+// traced run cannot show the parent's part of it, which takes
+// AskReply. child-requests/op is both children's /ask requests per ask.
 func BenchmarkFederatedAsk(b *testing.B) {
-	ask, _ := federatedAsks(b, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ask(b, i)
+	for _, c := range []struct {
+		name   string
+		leases bool
+	}{{"leased", true}, {"conditional", false}} {
+		b.Run(c.name, func(b *testing.B) {
+			counts := &childCounts{leases: c.leases}
+			ask, _, _ := federatedAsks(b, counts)
+			before := counts.snapshot()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ask(b, i)
+			}
+			b.StopTimer()
+			after := counts.snapshot()
+			b.ReportMetric(float64(after[0]+after[1]-before[0]-before[1])/float64(b.N), "child-requests/op")
+		})
 	}
 }
 
+// BenchmarkFederatedRefresh is the write side of the read leases: one
+// goroutine asks a memoFederation's parent in a closed loop while the
+// second child's source is refreshed once per period, open loop, as
+// serve_churn refreshes its server. One op is one period. refresh-ms-p50
+// and -max are the refreshes' latency, late-ms-p50 how long after its
+// tick a refresh began (a refresh that lags pushes the next one late),
+// waits/op the share of refreshes that waited out a lease, and
+// leased-share the share of asks replayed under a lease. Under
+// conditional the children grant no lease, as before leases.
+func BenchmarkFederatedRefresh(b *testing.B) {
+	for _, period := range []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond} {
+		for _, c := range []struct {
+			name   string
+			leases bool
+		}{{"leased", true}, {"conditional", false}} {
+			b.Run(fmt.Sprintf("period=%v/%s", period, c.name), func(b *testing.B) {
+				m := newMemoFederation(b, c.leases)
+				req := memoAsks[1]
+				m.direct(b, req, false)
+				m.direct(b, req, false)
+				stop, stopped := make(chan struct{}), make(chan struct{})
+				var asks atomic.Int64
+				go func() {
+					defer close(stopped)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						m.direct(b, req, false)
+						asks.Add(1)
+					}
+				}()
+				m.moveTo(b, 1) // from here on every tick follows a refresh
+				stats, waits := m.fed.Stats(), m.secondSrv.leaseWaits.Load()
+				took, late := make([]float64, b.N), make([]float64, b.N)
+				b.ResetTimer()
+				tick := time.Now()
+				for i := 0; i < b.N; i++ {
+					tick = tick.Add(period)
+					time.Sleep(time.Until(tick))
+					start := time.Now()
+					m.moveTo(b, i%2)
+					took[i], late[i] = ms(time.Since(start)), ms(start.Sub(tick))
+				}
+				b.StopTimer()
+				close(stop)
+				<-stopped
+				slices.Sort(took)
+				slices.Sort(late)
+				b.ReportMetric(took[b.N/2], "refresh-ms-p50")
+				b.ReportMetric(took[b.N-1], "refresh-ms-max")
+				b.ReportMetric(late[b.N/2], "late-ms-p50")
+				b.ReportMetric(float64(m.secondSrv.leaseWaits.Load()-waits)/float64(b.N), "waits/op")
+				if n := asks.Load(); n > 0 {
+					b.ReportMetric(float64(m.fed.Stats().LeasedReplays-stats.LeasedReplays)/float64(n), "leased-share")
+				}
+			})
+		}
+	}
+}
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
 // federatedAsks builds serve_federated's topology: one child server per
 // shard of SelectiveProgram(8) over BrochureStore(120, 3, 30, 1), each
-// behind httptest and a shard client, and a parent handler over their
-// federation. ask(tb, i) sends the parent the i-th of eight asks, each
-// the whole of two adjacent views, so that it merges two 30-answer
-// replies; each has been asked twice, so the memos hold it and the
-// parent's has answered it once, which makes the next ask conditional.
-// memoized says whether the federation's reply memo answers every one
-// of them.
-// With counts set, it counts both children's /ask traffic.
-func federatedAsks(tb testing.TB, counts *childCounts) (ask func(tb testing.TB, i int), memoized func() bool) {
+// behind httptest and counts' wrapper, and a shard client, and a parent
+// handler over their federation fed. ask(tb, i) sends the parent the
+// i-th of eight asks, each the whole of two adjacent views, so that it
+// merges two 30-answer replies; each has been asked twice, so the memos
+// hold it and the parent's has answered it once, which makes the next
+// ask conditional, or leased when counts lets the children grant
+// leases. memoized says whether the federation's reply memo answers
+// every one of them.
+func federatedAsks(tb testing.TB, counts *childCounts) (ask func(tb testing.TB, i int), memoized func() bool, fed *federate.Federation) {
 	prog := yatl.MustParse(workload.SelectiveProgram(8))
 	store := workload.BrochureStore(120, 3, 30, 1)
 	var children []federate.Child
@@ -127,17 +208,14 @@ func federatedAsks(tb testing.TB, counts *childCounts) (ask func(tb testing.TB, 
 		if err != nil {
 			tb.Fatal(err)
 		}
-		h := child.Handler()
-		if counts != nil {
-			h = counts.wrap(h)
-		}
-		ts := httptest.NewServer(h)
+		ts := httptest.NewServer(counts.wrap(child.Handler()))
 		tb.Cleanup(ts.Close)
 		c := federate.NewClient(ts.URL, nil)
 		tb.Cleanup(c.Close)
 		children = append(children, federate.Child{Asker: c})
 	}
-	fed, err := federate.New(federate.Config{Children: children})
+	var err error
+	fed, err = federate.New(federate.Config{Children: children})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -179,7 +257,7 @@ func federatedAsks(tb testing.TB, counts *childCounts) (ask func(tb testing.TB, 
 		}
 		return true
 	}
-	return ask, memoized
+	return ask, memoized, fed
 }
 
 // TestFederatedAskBytes bounds what a repeated federated /ask allocates,
@@ -190,7 +268,7 @@ func federatedAsks(tb testing.TB, counts *childCounts) (ask func(tb testing.TB, 
 // children write no reply body at all.
 func TestFederatedAskBytes(t *testing.T) {
 	var counts childCounts
-	ask, memoized := federatedAsks(t, &counts)
+	ask, memoized, _ := federatedAsks(t, &counts)
 	before := counts.snapshot()
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()

@@ -39,7 +39,7 @@ func conditionalAsk(t *testing.T, base, query string, req wire.AskRequest, tags 
 }
 
 // serveURL serves h on a test server and returns its URL.
-func serveURL(t *testing.T, h http.Handler) string {
+func serveURL(t testing.TB, h http.Handler) string {
 	t.Helper()
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
@@ -137,9 +137,12 @@ func TestConditionalAskNeverHidesAnError(t *testing.T) {
 
 // childCounts counts what a child server is asked and what it sends: its
 // /ask requests with and without If-None-Match, the 304s, and the reply
-// body bytes it writes.
+// body bytes it writes. Unless leases is set, it strips every ask's
+// lease request, so that the child grants none and the parent asks it
+// every time, conditionally once the reply memo has replayed.
 type childCounts struct {
 	conditional, unconditional, notModified, bodyBytes atomic.Int64
+	leases                                             bool
 }
 
 // wrap counts h's /ask traffic.
@@ -148,6 +151,9 @@ func (c *childCounts) wrap(h http.Handler) http.Handler {
 		if r.URL.Path != "/ask" {
 			h.ServeHTTP(w, r)
 			return
+		}
+		if !c.leases {
+			r.Header.Del(wire.LeaseRequestHeader)
 		}
 		if len(r.Header["If-None-Match"]) > 0 {
 			c.conditional.Add(1)

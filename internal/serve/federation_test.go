@@ -250,7 +250,7 @@ func remoteFederation(t *testing.T, prog *yatl.Program, inputs *tree.Store, shar
 	return serveFederation(t, children...)
 }
 
-func shardClient(t *testing.T, url string) *federate.Client {
+func shardClient(t testing.TB, url string) *federate.Client {
 	t.Helper()
 	c := federate.NewClient(url, nil)
 	t.Cleanup(c.Close)
@@ -503,18 +503,20 @@ func memoWorld(world int) *tree.Store {
 // (catalogues) from a source the test moves between worlds and
 // refreshes with POST /admin/refresh-source/src. A refresh of the
 // second child therefore moves only its own views, and the parent's
-// reply stays one a single server over the current world gives.
+// reply stays one a single server over the current world gives. The
+// children grant read leases only when leases is set.
 type memoFederation struct {
-	fed    *federate.Federation
-	parent string
-	fault  *source.Fault   // the second child's source
-	second string          // the second child's URL
-	down   atomic.Bool     // the second child refuses every request
-	single [2]string       // single servers over each world
-	counts [2]*childCounts // each child's /ask traffic
+	fed       *federate.Federation
+	parent    string
+	fault     *source.Fault   // the second child's source
+	second    string          // the second child's URL
+	secondSrv *Server         // the second child
+	down      atomic.Bool     // the second child refuses every request
+	single    [2]string       // single servers over each world
+	counts    [2]*childCounts // each child's /ask traffic
 }
 
-func newMemoFederation(t *testing.T) *memoFederation {
+func newMemoFederation(t testing.TB, leases bool) *memoFederation {
 	t.Helper()
 	m := &memoFederation{fault: source.NewFault("src", memoWorld(0))}
 	progs := [2]string{"program selective\n", "program selective\n"}
@@ -529,7 +531,7 @@ func newMemoFederation(t *testing.T) *memoFederation {
 		_, ts := newTestServer(t, Config{Prog: yatl.MustParse(progs[0] + progs[1][len("program selective\n"):]), Inputs: memoWorld(w)})
 		m.single[w] = ts.URL
 	}
-	m.counts = [2]*childCounts{{}, {}}
+	m.counts = [2]*childCounts{{leases: leases}, {leases: leases}}
 	first, err := New(Config{Prog: yatl.MustParse(progs[0]), Inputs: memoWorld(0)})
 	if err != nil {
 		t.Fatal(err)
@@ -538,6 +540,7 @@ func newMemoFederation(t *testing.T) *memoFederation {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.secondSrv = second
 	h := m.counts[1].wrap(second.Handler())
 	m.second = serveURL(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if m.down.Load() {
@@ -625,7 +628,7 @@ var memoQueries = [2]string{"", "?keys=1"}
 // is never answered for from the memo; and plain and keyed replies are
 // memoized apart.
 func TestFederatedReplyMemo(t *testing.T) {
-	m := newMemoFederation(t)
+	m := newMemoFederation(t, false)
 	// check asks through the parent twice, and directly, and returns
 	// whether the direct ask was memoized.
 	check := func(when string, req wire.AskRequest, query string, want []byte) bool {
@@ -766,7 +769,7 @@ func TestFederatedReplyMemo(t *testing.T) {
 // The first child never moves, so it answers every conditional ask
 // with a 304, and its 304s past the second child's are re-asks.
 func TestFederatedMemoAcrossChildRefresh(t *testing.T) {
-	m := newMemoFederation(t)
+	m := newMemoFederation(t, false)
 	req := memoAsks[1]
 	var want [2][2][]byte // [world][keyed]
 	for w := range want {

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/url"
@@ -106,7 +107,7 @@ type Server struct {
 	pool []mediator.Asker // one local mediator unless Config.Askers
 	next atomic.Uint64
 
-	admin sync.Mutex // serializes reload/refresh across the askers
+	admin sync.Mutex // held by write: serializes reload/refresh across the askers
 
 	// Durable warm-start state; snapPath is empty when disabled.
 	snapPath     string
@@ -115,6 +116,26 @@ type Server struct {
 	snapFallback string
 	snapSaves    int64
 	snapSaveErr  string
+
+	// Read leases (wire.LeaseHeader). Only a server that built its
+	// mediator itself grants them: nothing but its own admin endpoints
+	// writes that mediator. leaseUntil is when the last lease granted
+	// expires and quietUntil when the last write applied plus LeaseTTL,
+	// both in nanoseconds since start; pending counts the writes begun
+	// and not yet returned, and no lease is granted while one is; epoch
+	// is the write epoch as LeaseHeader carries it.
+	grants     bool
+	leaseUntil atomic.Int64
+	quietUntil atomic.Int64
+	pending    atomic.Int64
+	boot       uint64
+	writes     uint64 // guarded by admin
+	epoch      atomic.Pointer[[]string]
+	leaseWaits atomic.Int64 // writes that waited for a lease to expire
+	// skipLeaseWait is test instrumentation, unset in the library: the
+	// unsound child the lease tests must catch, which applies writes
+	// without waiting out the leases it granted.
+	skipLeaseWait bool
 
 	inflight atomic.Int64
 	served   atomic.Int64
@@ -146,7 +167,12 @@ func New(cfg Config) (*Server, error) {
 	s.pool = cfg.Askers
 	if len(s.pool) == 0 {
 		s.pool = []mediator.Asker{mediator.New(cfg.Prog, cfg.Inputs, s.laneOptions(nil)...)}
+		s.grants = true
 	}
+	for s.boot == 0 {
+		s.boot = rand.Uint64()
+	}
+	s.publishEpoch()
 	if s.snapPath != "" {
 		s.restoreSnapshot()
 	}
@@ -527,9 +553,13 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 // reply is answered 304 with no body (the wire package's conditional
 // /ask), and counts as served.
 func (s *Server) replyAsk(w http.ResponseWriter, r *http.Request, rp replier, req wire.AskRequest, keyed bool) {
+	lease := s.grant(r.Header)
 	a := askBufs.Get().(*askBuf)
 	a.keyed = keyed
 	body, sum, err := rp.AskReply(r.Context(), req.Pattern, req.Functors, keyed, a.render)
+	if err == nil && lease != nil {
+		w.Header()[wire.LeaseHeader] = lease
+	}
 	switch {
 	case err != nil:
 		s.failed.Add(1)
@@ -561,6 +591,77 @@ func namesReply(h http.Header, body []byte, sum *[sha256.Size]byte) bool {
 		return *sum == want
 	}
 	return sha256.Sum256(body) == want
+}
+
+// grant grants an ask that requests it a read lease (the wire package's
+// lease contract) and returns the LeaseHeader value to reply with: the
+// write epoch the lease and the reply are under. It is nil when the ask
+// requested none, when the server grants none, while a write is pending
+// and within LeaseTTL of the last write: a server written more often
+// than a lease lasts grants none, so its writes never wait for one. The
+// grant is made before the reply is computed, and the epoch read after
+// it, so the reply is of that epoch's data.
+func (s *Server) grant(h http.Header) []string {
+	if v := h[wire.LeaseRequestHeader]; !s.grants || len(v) != 1 || v[0] != "1" || s.pending.Load() != 0 {
+		return nil
+	}
+	now := int64(time.Since(s.start))
+	if now < s.quietUntil.Load() {
+		return nil
+	}
+	until := now + int64(wire.LeaseTTL)
+	for held := s.leaseUntil.Load(); held < until && !s.leaseUntil.CompareAndSwap(held, until); {
+		held = s.leaseUntil.Load()
+	}
+	// A write counts itself pending before it loads leaseUntil, and this
+	// ask stored leaseUntil before it loads pending: of the two, at least
+	// one sees the other, so either the write waits for this lease or no
+	// lease is granted.
+	if s.pending.Load() != 0 {
+		return nil
+	}
+	return *s.epoch.Load()
+}
+
+// write applies one write — a reload or a source refresh — under admin.
+// From the moment it is called, before it queues on admin, no lease is
+// granted; it waits until every lease granted has expired, applies, and
+// the epoch moves on, whether or not apply failed. If ctx ends while it
+// waits, write applies nothing and returns ctx's error. A server no
+// client asked for a lease never waits, and a write queued behind
+// another waits for no lease granted after it.
+func (s *Server) write(ctx context.Context, apply func() error) error {
+	s.pending.Add(1)
+	defer s.pending.Add(-1)
+	s.admin.Lock()
+	defer s.admin.Unlock()
+	for waited := false; !s.skipLeaseWait; waited = true {
+		wait := time.Duration(s.leaseUntil.Load()) - time.Since(s.start)
+		if wait <= 0 {
+			break
+		}
+		if !waited {
+			s.leaseWaits.Add(1)
+		}
+		timer := time.NewTimer(wait)
+		select {
+		case <-ctx.Done():
+			timer.Stop()
+			return ctx.Err()
+		case <-timer.C:
+		}
+	}
+	err := apply()
+	s.writes++
+	s.publishEpoch()
+	s.quietUntil.Store(int64(time.Since(s.start) + wire.LeaseTTL))
+	return err
+}
+
+// publishEpoch renders the write epoch for LeaseHeader.
+func (s *Server) publishEpoch() {
+	v := []string{string(wire.AppendEpoch(nil, wire.Epoch{Boot: s.boot, Writes: s.writes}))}
+	s.epoch.Store(&v)
 }
 
 // explainAsk serves one ask under a request-scoped profile: a fresh
@@ -736,12 +837,17 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			"the served askers do not support hot reload (remote or federated)")
 		return
 	}
-	s.admin.Lock()
-	for _, rl := range reloaders {
-		rl.Reload(prog)
+	var gen int64
+	if err := s.write(r.Context(), func() error {
+		for _, rl := range reloaders {
+			rl.Reload(prog)
+		}
+		gen = generationOf(s.pool[0])
+		return nil
+	}); err != nil {
+		writeError(w, err)
+		return
 	}
-	gen := generationOf(s.pool[0])
-	s.admin.Unlock()
 	s.reloads.Add(1)
 	s.cfg.Logf("yatserve: reloaded program %q (%d rules), generation %d",
 		prog.Name, len(prog.Rules), gen)
@@ -776,13 +882,17 @@ func (s *Server) handleRefreshSource(w http.ResponseWriter, r *http.Request) {
 			"the served askers do not support source refresh (remote or federated)")
 		return
 	}
-	s.admin.Lock()
-	defer s.admin.Unlock()
-	for _, rf := range refreshers {
-		if err := rf.RefreshSource(r.Context(), name); err != nil {
-			writeError(w, err)
-			return
+	err := s.write(r.Context(), func() error {
+		for _, rf := range refreshers {
+			if err := rf.RefreshSource(r.Context(), name); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		writeError(w, err)
+		return
 	}
 	s.cfg.Logf("yatserve: refreshed source %q", name)
 	writeJSON(w, http.StatusOK, map[string]any{"refreshed": name})

@@ -48,7 +48,7 @@ rule View%d {
 
 const tagPattern = `view < -> tag -> TAG, -> name -> N, -> city -> C >`
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Prog == nil {
 		cfg.Prog = yatl.MustParse(versionedSelective("v1", "v1"))

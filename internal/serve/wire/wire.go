@@ -25,7 +25,8 @@
 // §13.1.2 would have a POST answer a matching If-None-Match with 412,
 // but /ask is a safe read that carries its query in the body: a match
 // says the client's copy is current, which is what 304 says for a GET.
-// A 200 carries no ETag; the client digests the bytes it read.
+// A 200 carries no ETag; the client digests the bytes it read. An /ask
+// may also request a read lease (LeaseRequestHeader, lease.go).
 package wire
 
 import (
