@@ -283,17 +283,25 @@ func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors
 // full. sum is the SHA-256 digest of the reply when it is memoized,
 // nil otherwise.
 func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool, render func(generation int64, answers []mediator.Answer) []byte) (body []byte, sum *[sha256.Size]byte, err error) {
-	targets, err := f.plan(patternSrc, functors)
-	if err != nil {
-		return nil, nil, err
-	}
 	// seen is the memo's entry for the ask — an empty one for an ask it
-	// has not memoized — and nil when the ask is not memoized at all.
+	// has not memoized — and nil when the ask is not memoized at all. A
+	// memoized ask was planned when its entry was stored, and routes do
+	// not change after New: its targets are the entry's. Only a miss is
+	// planned; a malformed or unroutable ask never has an entry.
 	var seen *replyEntry
-	key, memoize := replyKeyOf(patternSrc, functors, keyed, targets)
-	if memoize {
-		if seen = f.replies.Load(key); seen == nil && !f.replies.Full() {
-			seen = &replyEntry{}
+	var targets []target
+	key, listed := replyKeyOf(patternSrc, functors, keyed)
+	if listed {
+		seen = f.replies.Load(key)
+	}
+	if seen != nil {
+		targets = seen.targets
+	} else {
+		if targets, err = f.plan(patternSrc, functors); err != nil {
+			return nil, nil, err
+		}
+		if listed && memoizable(targets) && !f.replies.Full() {
+			seen = &replyEntry{targets: targets}
 		}
 	}
 	if seen != nil && f.leased(seen, targets) {
@@ -361,7 +369,7 @@ func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors [
 		return body, nil, nil
 	}
 	// Exact size, and never render's buffer, which may be pooled.
-	e := &replyEntry{shards: make([]shardSeen, len(replies)), body: append(make([]byte, 0, len(body)), body...), sum: sha256.Sum256(body)}
+	e := &replyEntry{targets: targets, shards: make([]shardSeen, len(replies)), body: append(make([]byte, 0, len(body)), body...), sum: sha256.Sum256(body)}
 	for i, r := range replies {
 		e.shards[i] = r.seen
 	}
@@ -641,7 +649,7 @@ func (f *Federation) restamp(key replyKey, seen *replyEntry, replies []shardRepl
 			continue
 		}
 		if next == nil {
-			next = &replyEntry{shards: slices.Clone(seen.shards), body: seen.body, sum: seen.sum}
+			next = &replyEntry{targets: seen.targets, shards: slices.Clone(seen.shards), body: seen.body, sum: seen.sum}
 			next.replayed.Store(true)
 		}
 		next.shards[i].epoch = r.seen.epoch

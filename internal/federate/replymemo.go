@@ -22,12 +22,13 @@ const maxReplyMemo = 512
 
 func newReplyMemo() *replyMemo { return memo.New(maxReplyMemo, memo.MaxBytes, replyEntrySize) }
 
-// An entry holds its key, the body, a shardSeen per target and
-// replyEntryCost for itself and its map slot (TestReplyMemoHoldsItsByteBound).
+// An entry holds its key, the body, a target and a shardSeen per
+// target, and replyEntryCost for itself and its map slot
+// (TestReplyMemoHoldsItsByteBound).
 const replyEntryCost = 256
 
 func replyEntrySize(key replyKey, e *replyEntry) int64 {
-	return int64(replyEntryCost + len(key.pattern) + len(key.functors) + len(e.body) + 64*len(e.shards))
+	return int64(replyEntryCost + len(key.pattern) + len(key.functors) + len(e.body) + (32+64)*len(e.shards))
 }
 
 // replyKey identifies an ask: the pattern text, the functors as asked,
@@ -40,9 +41,10 @@ type replyKey struct {
 // replyEntry is one memoized reply. Immutable once stored, but for
 // replayed; a reply under a newer lease epoch stores a successor.
 type replyEntry struct {
-	shards []shardSeen       // per target, in target order
-	body   []byte            // the rendered reply, an exact-size copy
-	sum    [sha256.Size]byte // body's digest, for asks conditional on it
+	targets []target          // the ask's plan, shared by its successors
+	shards  []shardSeen       // per target, in target order
+	body    []byte            // the rendered reply, an exact-size copy
+	sum     [sha256.Size]byte // body's digest, for asks conditional on it
 	// replayed says the last ask that found the entry was answered from
 	// it. Only then are the children asked conditionally: while one is
 	// down or moving, the others' 304s would have them asked twice.
@@ -75,19 +77,21 @@ func (e *replyEntry) shard(i int) *shardSeen {
 	return &e.shards[i]
 }
 
-// replyKeyOf keys an ask for the memo. ok is false for an ask the memo
-// must not hold: one with no target, or one with an in-process child,
-// whose answers come with no bytes to digest, or one whose functor list
-// has no key (memo.ListKey).
-func replyKeyOf(patternSrc string, functors []string, keyed bool, targets []target) (key replyKey, ok bool) {
-	if len(targets) == 0 {
-		return key, false
-	}
-	for _, t := range targets {
-		if t.c.client == nil {
-			return key, false
-		}
-	}
+// replyKeyOf keys an ask for the memo. ok is false for an ask whose
+// functor list has no key (memo.ListKey).
+func replyKeyOf(patternSrc string, functors []string, keyed bool) (key replyKey, ok bool) {
 	fs, ok := memo.ListKey(functors)
 	return replyKey{pattern: patternSrc, functors: fs, keyed: keyed}, ok
+}
+
+// memoizable says whether the memo may hold an ask routed to targets:
+// not one with no target, nor one with an in-process child, whose
+// answers come with no bytes to digest.
+func memoizable(targets []target) bool {
+	for _, t := range targets {
+		if t.c.client == nil {
+			return false
+		}
+	}
+	return len(targets) > 0
 }

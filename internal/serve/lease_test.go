@@ -267,6 +267,84 @@ func TestLeaseWriteWait(t *testing.T) {
 	}
 }
 
+// TestLeaseWaitIsBounded: /ask is unauthenticated and any client may
+// request a lease, so a writer cannot keep readers from holding one.
+// What it can count on is the bound. Four clients ask for leases in a
+// tight loop while the source is refreshed every 400 ms: each refresh
+// returns within LeaseTTL and 50 ms, however many leases were granted
+// before it. A refresh inside the quiet window that follows a write,
+// when no lease has been granted, does not wait at all.
+func TestLeaseWaitIsBounded(t *testing.T) {
+	const refreshes, askers, period = 5, 4, 400 * time.Millisecond
+	req := memoAsks[1]
+	req.Functors = []string{"Pview3"}
+	fault := source.NewFault("src", memoWorld(0))
+	s, ts := newTestServer(t, Config{Prog: yatl.MustParse("program selective\n" + memoRule(1, "brochure") + memoRule(3, "catalogue")),
+		Sources: []source.Source{fault}})
+	refresh := func(w int) time.Duration {
+		t.Helper()
+		fault.SetStore(memoWorld(w))
+		start := time.Now()
+		resp, err := http.Post(ts.URL+"/admin/refresh-source/src", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("refresh: status %d", resp.StatusCode)
+		}
+		return time.Since(start)
+	}
+
+	stop := make(chan struct{})
+	var grants atomic.Int64
+	var wg sync.WaitGroup
+	for a := 0; a < askers; a++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, _, grant, err := leasedAsk(ts.URL, "", req, true); err == nil && grant != "" {
+					grants.Add(1)
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	bound := wire.LeaseTTL + 50*time.Millisecond
+	var worst time.Duration
+	for n := 1; n <= refreshes; n++ {
+		time.Sleep(period)
+		waits := s.leaseWaits.Load()
+		took := refresh(n % 2)
+		if worst = max(worst, took); took > bound {
+			t.Errorf("refresh %d took %v beside leased asks, want <= %v", n, took, bound)
+		}
+		if s.leaseWaits.Load() == waits {
+			continue
+		}
+		// The refresh waited, so leases were being granted up to it: the
+		// next write, right after, falls in its quiet window.
+		if took := refresh((n + 1) % 2); s.leaseWaits.Load() != waits+1 || took > bound/2 {
+			t.Errorf("a refresh in the quiet window after refresh %d took %v and waited %d times, want no wait",
+				n, took, s.leaseWaits.Load()-waits-1)
+		}
+	}
+	if grants.Load() == 0 || s.leaseWaits.Load() == 0 {
+		t.Fatalf("vacuous: %d leases granted, %d refreshes waited for one", grants.Load(), s.leaseWaits.Load())
+	}
+	t.Logf("%d leases granted, %d of %d refreshes waited, the longest took %v", grants.Load(), s.leaseWaits.Load(), refreshes, worst)
+}
+
 // TestLeaseGrantors: only a server that built its mediator itself grants
 // read leases. A server over Askers — a mediator built elsewhere, or a
 // federation of leased children — promises nothing, since others can

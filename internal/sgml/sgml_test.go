@@ -3,6 +3,7 @@ package sgml
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestParseBrochureDTD(t *testing.T) {
@@ -90,57 +91,124 @@ const sampleDoc = `<!-- a comment -->
   </spplrs>
 </brochure>`
 
+// event is one element a Scanner reported.
+type event struct {
+	name     string
+	children int
+	text     string
+}
+
+// recorder is a Sink that keeps what it is told.
+type recorder []event
+
+func (r *recorder) Element(name string, children int, text string) {
+	*r = append(*r, event{name, children, text})
+}
+
+// markup is a Sink that renders the document back as markup, each
+// child element on a line of its own when pretty.
+type markup struct {
+	pretty bool
+	done   []string // the rendered elements whose parent is still open
+}
+
+func (m *markup) Element(name string, children int, text string) {
+	body := Escape(text)
+	if children > 0 {
+		sep := ""
+		if m.pretty {
+			sep = "\n"
+		}
+		top := len(m.done) - children
+		body = sep + strings.Join(m.done[top:], sep) + sep
+		m.done = m.done[:top]
+	}
+	m.done = append(m.done, "<"+name+">"+body+"</"+name+">")
+}
+
+func scan(t *testing.T, src string) recorder {
+	t.Helper()
+	var r recorder
+	var s Scanner
+	if err := s.Scan(src, nil, &r); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// render scans src into markup.
+func render(src string, pretty bool) (string, error) {
+	m := &markup{pretty: pretty}
+	var s Scanner
+	if err := s.Scan(src, nil, m); err != nil {
+		return "", err
+	}
+	return m.done[0], nil
+}
+
+// validate scans src against d.
+func validate(src string, d *DTD) error {
+	var s Scanner
+	return s.Scan(src, d, new(recorder))
+}
+
 func TestParseDocument(t *testing.T) {
-	doc := MustParseDocument(sampleDoc)
-	if doc.Name != "brochure" || len(doc.Children) != 5 {
-		t.Fatalf("doc = %s", doc)
+	events := scan(t, sampleDoc)
+	texts := map[string][]string{}
+	children := map[string][]int{}
+	for _, e := range events {
+		texts[e.name] = append(texts[e.name], e.text)
+		children[e.name] = append(children[e.name], e.children)
 	}
-	title, ok := doc.Find("title")
-	if !ok || title.Text != "Golf" {
-		t.Errorf("title = %v", title)
+	if root := events[len(events)-1]; root.name != "brochure" || root.children != 5 {
+		t.Fatalf("document element = %+v", root)
 	}
-	desc, _ := doc.Find("desc")
-	if desc.Text != "Nice & compact" {
-		t.Errorf("entity decoding wrong: %q", desc.Text)
+	if got := texts["title"]; len(got) != 1 || got[0] != "Golf" {
+		t.Errorf("title = %q", got)
 	}
-	spplrs, _ := doc.Find("spplrs")
-	sups := spplrs.FindAll("supplier")
-	if len(sups) != 2 {
-		t.Fatalf("suppliers = %d", len(sups))
+	if got := texts["desc"]; got[0] != "Nice & compact" {
+		t.Errorf("entity decoding wrong: %q", got)
 	}
-	name, _ := sups[1].Find("name")
-	if name.Text != "VW2" {
-		t.Errorf("supplier 2 name = %q", name.Text)
+	if got := children["spplrs"]; len(got) != 1 || got[0] != 2 {
+		t.Fatalf("suppliers = %v", got)
+	}
+	if got := texts["name"]; len(got) != 2 || got[1] != "VW2" {
+		t.Errorf("supplier names = %q", got)
+	}
+	// Text without a reference stays a substring of the document.
+	title := texts["title"][0]
+	if i := strings.Index(sampleDoc, "Golf"); unsafe.StringData(title) != unsafe.StringData(sampleDoc[i:]) {
+		t.Error("title text was copied")
 	}
 }
 
 func TestDocumentStringRoundTrip(t *testing.T) {
-	doc := MustParseDocument(sampleDoc)
-	again, err := ParseDocument(doc.String())
+	flat, err := render(sampleDoc, false)
 	if err != nil {
-		t.Fatalf("reparse: %v\n%s", err, doc.String())
+		t.Fatal(err)
 	}
-	if again.String() != doc.String() {
+	again, err := render(flat, false)
+	if err != nil {
+		t.Fatalf("reparse: %v\n%s", err, flat)
+	}
+	if again != flat {
 		t.Errorf("round trip unstable")
 	}
 	// Pretty output parses too.
-	pretty, err := ParseDocument(doc.Pretty())
+	pretty, _ := render(sampleDoc, true)
+	back, err := render(pretty, false)
 	if err != nil {
 		t.Fatalf("pretty reparse: %v", err)
 	}
-	if pretty.String() != doc.String() {
+	if back != flat {
 		t.Errorf("pretty round trip changed content")
 	}
 }
 
 func TestParseDocumentWithInlineDoctype(t *testing.T) {
-	src := BrochureDTDSource + "\n" + sampleDoc
-	doc, err := ParseDocument(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Name != "brochure" {
-		t.Errorf("root = %q", doc.Name)
+	events := scan(t, BrochureDTDSource+"\n"+sampleDoc)
+	if root := events[len(events)-1].name; root != "brochure" {
+		t.Errorf("root = %q", root)
 	}
 }
 
@@ -151,56 +219,94 @@ func TestParseDocumentErrors(t *testing.T) {
 		`<a></b>`,
 		`<a><b></b>text</a>`, // mixed content
 		`<a>text<b></b></a>`, // mixed content
-		`<a></a><b></b>`,     // two roots
+		`<a><b></b><!-- c -->text<c></c></a>`,
+		`<a></a><b></b>`, // two roots
 		`text only`,
+		`<!DOCTYPE a [ <!ELEMENT a (#PCDATA)>`,
+		`<a><!-- c</a>`,
+		`<a></a`,
 	}
 	for _, src := range cases {
-		if _, err := ParseDocument(src); err == nil {
-			t.Errorf("ParseDocument(%q) should fail", src)
+		var s Scanner
+		if err := s.Scan(src, nil, new(recorder)); err == nil {
+			t.Errorf("Scan(%q) should fail", src)
 		}
+	}
+}
+
+// TestScanText pins how character data is read: comments split it and
+// vanish, surrounding white space (Unicode's too) is trimmed, blank
+// text between child elements is dropped, and a comment can join the
+// halves of a space rune.
+func TestScanText(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{`<a>foo<!-- c -->bar</a>`, "foobar"},
+		{`<a> foo <!-- c --> bar </a>`, "foo  bar"},
+		{"<a>\u00a0x\u2003</a>", "x"},
+		{"<a> \xc2<!---->\x85 </a>", ""},
+		{`<a>&#233;t&#xE9;</a>`, "été"},
+		{`<a></a>`, ""},
+	} {
+		if got := scan(t, c.src)[0].text; got != c.want {
+			t.Errorf("%q: text %q, want %q", c.src, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		src      string
+		children int
+	}{
+		{"<a><b></b> \n\t<!-- c --> <c></c>\u00a0</a>", 2},
+		{"<a>\xc2<b></b>\x85</a>", 1},
+	} {
+		if root := scan(t, c.src)[c.children]; root.children != c.children {
+			t.Errorf("%q: %+v", c.src, root)
+		}
+	}
+}
+
+// TestScanAllocs pins the one pass: a document of plain text elements
+// scans without an allocation once the scanner's stacks have grown.
+func TestScanAllocs(t *testing.T) {
+	var s Scanner
+	var r recorder
+	if err := s.Scan(sampleDoc, nil, &r); err != nil {
+		t.Fatal(err)
+	}
+	plain := strings.Replace(sampleDoc, "&amp;", "and", 1)
+	if n := testing.AllocsPerRun(100, func() {
+		r = r[:0]
+		if err := s.Scan(plain, nil, &r); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("scanning allocates %v times, want 0", n)
 	}
 }
 
 func TestValidate(t *testing.T) {
 	d := BrochureDTD()
-	doc := MustParseDocument(sampleDoc)
-	if err := Validate(doc, d); err != nil {
+	if err := validate(sampleDoc, d); err != nil {
 		t.Errorf("valid document rejected: %v", err)
 	}
-	// Zero suppliers is fine: (supplier)*.
-	noSups := MustParseDocument(`<brochure><number>1</number><title>t</title>
-		<model>1990</model><desc>d</desc><spplrs></spplrs></brochure>`)
-	if err := Validate(noSups, d); err != nil {
-		t.Errorf("empty spplrs rejected: %v", err)
-	}
-	// Missing mandatory element.
-	missing := MustParseDocument(`<brochure><number>1</number><title>t</title></brochure>`)
-	if err := Validate(missing, d); err == nil {
-		t.Error("missing elements accepted")
-	}
-	// Wrong order.
-	swapped := MustParseDocument(`<brochure><title>t</title><number>1</number>
-		<model>1990</model><desc>d</desc><spplrs></spplrs></brochure>`)
-	if err := Validate(swapped, d); err == nil {
-		t.Error("wrong element order accepted")
-	}
-	// Wrong root.
-	if err := Validate(MustParseDocument(`<other></other>`), d); err == nil {
-		t.Error("wrong root accepted")
-	}
-	// Supplier missing address.
-	badSup := MustParseDocument(`<brochure><number>1</number><title>t</title>
+	for _, c := range []struct{ why, src string }{
+		{"missing elements", `<brochure><number>1</number><title>t</title></brochure>`},
+		{"wrong element order", `<brochure><title>t</title><number>1</number>
+		<model>1990</model><desc>d</desc><spplrs></spplrs></brochure>`},
+		{"wrong root", `<other></other>`},
+		{"incomplete supplier", `<brochure><number>1</number><title>t</title>
 		<model>1990</model><desc>d</desc>
-		<spplrs><supplier><name>n</name></supplier></spplrs></brochure>`)
-	if err := Validate(badSup, d); err == nil {
-		t.Error("incomplete supplier accepted")
+		<spplrs><supplier><name>n</name></supplier></spplrs></brochure>`},
+		{"children under #PCDATA", `<brochure><number><title>y</title></number><title>t</title>
+		<model>1990</model><desc>d</desc><spplrs></spplrs></brochure>`},
+	} {
+		if err := validate(c.src, d); err == nil {
+			t.Errorf("%s accepted", c.why)
+		}
 	}
-	// PCDATA element with children.
-	badText := &Element{Name: "number", Children: []*Element{TextElement("x", "y")}}
-	bad := MustParseDocument(sampleDoc)
-	bad.Children[0] = badText
-	if err := Validate(bad, d); err == nil {
-		t.Error("children under #PCDATA accepted")
+	// Zero suppliers is fine: (supplier)*.
+	if err := validate(`<brochure><number>1</number><title>t</title>
+		<model>1990</model><desc>d</desc><spplrs></spplrs></brochure>`, d); err != nil {
+		t.Errorf("empty spplrs rejected: %v", err)
 	}
 }
 
@@ -211,24 +317,59 @@ func TestValidateChoiceAndPlus(t *testing.T) {
 <!ELEMENT para (#PCDATA)>
 <!ELEMENT list (para)+>
 ]>`)
-	good := MustParseDocument(`<doc><para>a</para><list><para>b</para></list></doc>`)
-	if err := Validate(good, d); err != nil {
+	if err := validate(`<doc><para>a</para><list><para>b</para></list></doc>`, d); err != nil {
 		t.Errorf("valid choice document rejected: %v", err)
 	}
-	empty := MustParseDocument(`<doc></doc>`)
-	if err := Validate(empty, d); err == nil {
+	if err := validate(`<doc></doc>`, d); err == nil {
 		t.Error("(x)+ with zero occurrences accepted")
 	}
-	emptyList := MustParseDocument(`<doc><list></list></doc>`)
-	if err := Validate(emptyList, d); err == nil {
+	if err := validate(`<doc><list></list></doc>`, d); err == nil {
 		t.Error("empty (para)+ list accepted")
 	}
 }
 
 func TestEscapeUnescape(t *testing.T) {
-	raw := `a < b & c > "d" 'e'`
+	raw := `a < b & c > "d" 'e' &#38;`
 	if got := Unescape(Escape(raw)); got != raw {
 		t.Errorf("escape round trip: %q", got)
+	}
+}
+
+// TestUnescapeCharRefs pins the numeric character references: decoded
+// in the one pass with the named entities, literal when they name no
+// character.
+func TestUnescapeCharRefs(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"&#233;", "é"},
+		{"&#xE9;", "é"},
+		{"&#XE9;", "é"},
+		{"&#xe9;t&#233;", "été"},
+		{"&#60;&#x3E;", "<>"},
+		{"&#0065;", "A"},
+		{"&#00000065;", "&#00000065;"},
+		{"&#x+41;", "&#x+41;"},
+		{"&#1_0;", "&#1_0;"},
+		{"&#x10FFFF;", "\U0010FFFF"},
+		{"&amp;#38;", "&#38;"},
+		{"&#38;amp;", "&amp;"},
+		{"&#38;#38;", "&#38;"},
+		{"&#0;", "&#0;"},
+		{"&#xD800;", "&#xD800;"},
+		{"&#57343;", "&#57343;"},
+		{"&#x110000;", "&#x110000;"},
+		{"&#99999999999999999999;", "&#99999999999999999999;"},
+		{"&#;", "&#;"},
+		{"&#x;", "&#x;"},
+		{"&#12", "&#12"},
+		{"&#12a;", "&#12a;"},
+		{"&#xG;", "&#xG;"},
+		{"&# 12;", "&# 12;"},
+		{"&unknown; &", "&unknown; &"},
+		{"a&lt;b&#62;c", "a<b>c"},
+	} {
+		if got := Unescape(c.in); got != c.want {
+			t.Errorf("Unescape(%q) = %q, want %q", c.in, got, c.want)
+		}
 	}
 }
 
@@ -247,28 +388,19 @@ func TestEscapeAllocs(t *testing.T) {
 	}
 }
 
-func TestFindMissing(t *testing.T) {
-	doc := MustParseDocument(sampleDoc)
-	if _, ok := doc.Find("absent"); ok {
-		t.Error("Find(absent) found")
-	}
-	if got := doc.FindAll("absent"); len(got) != 0 {
-		t.Error("FindAll(absent) nonempty")
-	}
-}
-
 func TestValidateAnyAndEmpty(t *testing.T) {
 	d := MustParseDTD(`<!DOCTYPE doc [
 <!ELEMENT doc ANY>
 <!ELEMENT leaf EMPTY>
 ]>`)
-	doc := MustParseDocument(`<doc><leaf></leaf><leaf></leaf></doc>`)
-	if err := Validate(doc, d); err != nil {
+	if err := validate(`<doc><leaf></leaf><leaf></leaf></doc>`, d); err != nil {
 		t.Errorf("ANY content rejected: %v", err)
 	}
-	badLeaf := MustParseDocument(`<doc><leaf>text</leaf></doc>`)
-	if err := Validate(badLeaf, d); err == nil {
+	if err := validate(`<doc><leaf>text</leaf></doc>`, d); err == nil {
 		t.Error("EMPTY with text accepted")
+	}
+	if err := validate(`<doc><other></other></doc>`, d); err == nil {
+		t.Error("undeclared element under ANY accepted")
 	}
 }
 

@@ -3,7 +3,6 @@ package wrapper
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"unicode/utf8"
 
 	"yat/internal/tree"
@@ -21,11 +20,12 @@ type HTMLOptions struct {
 	PageFunctor string
 }
 
-func (o *HTMLOptions) url(n tree.Name) string {
+// appendURL appends the URL of page identity n.
+func (o *HTMLOptions) appendURL(dst []byte, n tree.Name) []byte {
 	if o != nil && o.URL != nil {
-		return o.URL(n)
+		return append(dst, o.URL(n)...)
 	}
-	return SanitizeURL(n)
+	return appendSanitizedURL(dst, n)
 }
 
 func (o *HTMLOptions) functor() string {
@@ -37,25 +37,34 @@ func (o *HTMLOptions) functor() string {
 
 // SanitizeURL is the default identity-to-URL mapping: the canonical
 // key with every rune but an ASCII letter or digit replaced by '_', and
-// ".html". The key is rendered into a stack buffer and the URL into one
-// buffer of the key's length.
+// ".html".
 func SanitizeURL(n tree.Name) string {
 	var kb [128]byte
-	key := n.AppendKey(kb[:0])
-	var b strings.Builder
-	b.Grow(len(key) + len(".html"))
-	for len(key) > 0 {
-		r, size := utf8.DecodeRune(key)
-		key = key[size:]
+	return string(appendSanitizedURL(kb[:0], n))
+}
+
+// appendSanitizedURL appends SanitizeURL(n) to dst. The key is
+// appended and then sanitized in place: each rune becomes one byte, so
+// the write position never passes the read position.
+func appendSanitizedURL(dst []byte, n tree.Name) []byte {
+	start := len(dst)
+	dst = n.AppendKey(dst)
+	w := start
+	for r := start; r < len(dst); {
+		c, size := dst[r], 1
 		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			b.WriteByte(byte(r))
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+		case c >= utf8.RuneSelf:
+			_, size = utf8.DecodeRune(dst[r:])
+			c = '_'
 		default:
-			b.WriteByte('_')
+			c = '_'
 		}
+		dst[w] = c
+		w++
+		r += size
 	}
-	b.WriteString(".html")
-	return b.String()
+	return append(dst[:w], ".html"...)
 }
 
 // ExportHTML renders every page object of a conversion result into
@@ -63,26 +72,29 @@ func SanitizeURL(n tree.Name) string {
 // references under href) resolve to the target page's URL. Two
 // distinct page identities mapping to the same URL (SanitizeURL is
 // lossy) is an error naming both identities — one page silently
-// overwriting the other would lose content.
+// overwriting the other would lose content. Each page renders into one
+// buffer, reused from page to page, and leaves it as one string; URLs
+// and escaped text are appended in place.
 func ExportHTML(outputs *tree.Store, opts *HTMLOptions) (map[string]string, error) {
 	pages := map[string]string{}
 	owner := map[string]tree.Name{}
+	buf := make([]byte, 0, 1024)
 	for _, e := range outputs.Entries() {
 		if e.Name.Functor != opts.functor() {
 			continue
 		}
-		url := opts.url(e.Name)
+		url := string(opts.appendURL(buf[:0], e.Name))
 		if prev, clash := owner[url]; clash {
 			return nil, fmt.Errorf("wrapper: URL collision: pages %s and %s both map to %q", prev, e.Name, url)
 		}
 		owner[url] = e.Name
-		var b strings.Builder
-		b.WriteString("<!DOCTYPE html>\n")
-		if err := renderHTML(&b, e.Tree, opts); err != nil {
+		var err error
+		buf, err = appendHTML(append(buf[:0], "<!DOCTYPE html>\n"...), e.Tree, opts)
+		if err != nil {
 			return nil, fmt.Errorf("wrapper: rendering page %s: %w", e.Name, err)
 		}
-		b.WriteByte('\n')
-		pages[url] = b.String()
+		buf = append(buf, '\n')
+		pages[url] = string(buf)
 	}
 	return pages, nil
 }
@@ -97,63 +109,56 @@ func PageURLs(pages map[string]string) []string {
 	return out
 }
 
-// renderHTML renders one YAT html tree as markup. Symbol nodes become
+// appendHTML renders one YAT html tree as markup. Symbol nodes become
 // tags, atom leaves become text; the anchor shape produced by rule
 // Web6 — a < href -> &Page, cont -> X > — becomes <a href="url">.
-func renderHTML(b *strings.Builder, n *tree.Node, opts *HTMLOptions) error {
+func appendHTML(b []byte, n *tree.Node, opts *HTMLOptions) ([]byte, error) {
+	var err error
 	switch label := n.Label.(type) {
 	case tree.Symbol:
 		if n.IsLeaf() {
 			// A leaf symbol is data (a class name like `car` under h1),
 			// not markup.
-			b.WriteString(htmlEscape(string(label)))
-			return nil
+			return appendEscaped(b, string(label)), nil
 		}
 		if string(label) == "a" {
 			if href, cont, ok := anchorParts(n); ok {
-				writeHref(b, opts.url(href))
-				if err := renderHTML(b, cont, opts); err != nil {
-					return err
+				b = appendHref(b, href, opts)
+				if b, err = appendHTML(b, cont, opts); err != nil {
+					return b, err
 				}
-				b.WriteString("</a>")
-				return nil
+				return append(b, "</a>"...), nil
 			}
 		}
-		b.WriteByte('<')
-		b.WriteString(string(label))
-		b.WriteByte('>')
+		b = append(append(append(b, '<'), label...), '>')
 		for _, c := range n.Children {
-			if err := renderHTML(b, c, opts); err != nil {
-				return err
+			if b, err = appendHTML(b, c, opts); err != nil {
+				return b, err
 			}
 		}
-		b.WriteString("</")
-		b.WriteString(string(label))
-		b.WriteByte('>')
-		return nil
+		return append(append(append(b, "</"...), label...), '>'), nil
 	case tree.String:
-		b.WriteString(htmlEscape(string(label)))
-		return nil
+		return appendEscaped(b, string(label)), nil
 	case tree.Int, tree.Float, tree.Bool:
-		b.WriteString(htmlEscape(n.Label.Display()))
-		return nil
+		// Digits, signs, points, e, Inf, NaN, true, false: nothing to
+		// escape.
+		return tree.AppendDisplay(b, label), nil
 	case tree.Ref:
 		// A bare reference renders as a link to the page if it is
 		// one, else as its name.
-		writeHref(b, opts.url(label.Name))
-		b.WriteString(htmlEscape(label.Name.String()))
-		b.WriteString("</a>")
-		return nil
+		b = appendHref(b, label.Name, opts)
+		b = appendEscaped(b, label.Name.String())
+		return append(b, "</a>"...), nil
 	default:
-		return fmt.Errorf("cannot render label %s", n.Label.Display())
+		return b, fmt.Errorf("cannot render label %s", n.Label.Display())
 	}
 }
 
-// writeHref opens an anchor to url.
-func writeHref(b *strings.Builder, url string) {
-	b.WriteString(`<a href="`)
-	b.WriteString(url)
-	b.WriteString(`">`)
+// appendHref opens an anchor to page identity n.
+func appendHref(b []byte, n tree.Name, opts *HTMLOptions) []byte {
+	b = append(b, `<a href="`...)
+	b = opts.appendURL(b, n)
+	return append(b, `">`...)
 }
 
 // anchorParts recognizes the Web6 anchor shape.
@@ -175,8 +180,25 @@ func anchorParts(n *tree.Node) (href tree.Name, cont *tree.Node, ok bool) {
 	return name, c.Children[0], true
 }
 
-// htmlEscaper is built once; a strings.Replacer is safe for concurrent
-// use.
-var htmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-
-func htmlEscape(s string) string { return htmlEscaper.Replace(s) }
+// appendEscaped appends s with the HTML specials & < > " escaped.
+func appendEscaped(b []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '"':
+			esc = "&quot;"
+		default:
+			continue
+		}
+		b = append(append(b, s[last:i]...), esc...)
+		last = i + 1
+	}
+	return append(b, s[last:]...)
+}

@@ -26,38 +26,33 @@ type SGMLOptions struct {
 	DTD      *sgml.DTD
 }
 
-// SGMLTree converts one SGML element into a YAT tree: each element
-// becomes a node labeled with its tag; #PCDATA becomes an atom leaf.
-// The tree's nodes and child lists come from shared blocks, and each
-// repeated tag is boxed once.
-func SGMLTree(e *sgml.Element, opts *SGMLOptions) *tree.Node {
-	if opts == nil {
-		opts = &SGMLOptions{InferTypes: true}
-	}
-	d := docBuilder{infer: opts.InferTypes}
-	return d.build(e)
-}
-
-// docBuilder builds the trees of one import from one set of blocks. It
-// boxes the first tags it meets once each: the lookup is a scan, and a
-// DTD names a handful.
+// docBuilder is the sink of an SGML import: it builds each element's
+// node as the scanner closes it, from one set of blocks for every
+// document of the import. Each element becomes a node labeled with its
+// tag, and #PCDATA an atom leaf under it. It boxes the first tags it
+// meets once each: the lookup is a scan, and a DTD names a handful.
 type docBuilder struct {
 	blocks tree.Blocks
 	infer  bool
 	tags   [16]tree.Value
 	ntags  int
+	// open holds the nodes of the closed elements whose parent is
+	// still open, the last child last.
+	open []*tree.Node
 }
 
-func (d *docBuilder) build(e *sgml.Element) *tree.Node {
-	if len(e.Children) == 0 {
-		atom := d.blocks.Node(pcdataValue(e.Text, d.infer), nil)
-		return d.blocks.Node(d.tag(e.Name), append(d.blocks.List(1), atom))
+// Element builds the node of one closed element, taking its children
+// off the top of open.
+func (d *docBuilder) Element(name string, children int, text string) {
+	var kids []*tree.Node
+	if children == 0 {
+		kids = append(d.blocks.List(1), d.blocks.Node(pcdataValue(text, d.infer), nil))
+	} else {
+		top := len(d.open) - children
+		kids = append(d.blocks.List(children), d.open[top:]...)
+		d.open = d.open[:top]
 	}
-	kids := d.blocks.List(len(e.Children))
-	for _, c := range e.Children {
-		kids = append(kids, d.build(c))
-	}
-	return d.blocks.Node(d.tag(e.Name), kids)
+	d.open = append(d.open, d.blocks.Node(d.tag(name), kids))
 }
 
 // tag returns the element name as a label, boxed once per builder.
@@ -133,13 +128,22 @@ func numberBytes(t string) (digits, lexeme bool) {
 
 // ImportSGML parses and imports a set of SGML documents into a store,
 // naming each by the given name. With Validate set, non-conforming
-// documents are rejected.
+// documents are rejected. Each document is read in one pass, its trees
+// built as its elements close; validation runs on the same pass. The
+// trees of all documents share blocks, and their string atoms share
+// the documents' bytes: the store keeps each document's text alive.
+// Like every tree a wrapper returns, they are immutable.
 func ImportSGML(docs map[string]string, opts *SGMLOptions) (*tree.Store, error) {
 	if opts == nil {
 		opts = &SGMLOptions{InferTypes: true}
 	}
 	store := tree.NewStore()
-	d := docBuilder{infer: opts.InferTypes}
+	d := &docBuilder{infer: opts.InferTypes}
+	var sc sgml.Scanner
+	var dtd *sgml.DTD
+	if opts.Validate {
+		dtd = opts.DTD
+	}
 	// Deterministic import order.
 	names := make([]string, 0, len(docs))
 	for n := range docs {
@@ -147,16 +151,11 @@ func ImportSGML(docs map[string]string, opts *SGMLOptions) (*tree.Store, error) 
 	}
 	sortStrings(names)
 	for _, name := range names {
-		doc, err := sgml.ParseDocument(docs[name])
-		if err != nil {
+		d.open = d.open[:0]
+		if err := sc.Scan(docs[name], dtd, d); err != nil {
 			return nil, fmt.Errorf("wrapper: importing %s: %w", name, err)
 		}
-		if opts.Validate && opts.DTD != nil {
-			if err := sgml.Validate(doc, opts.DTD); err != nil {
-				return nil, fmt.Errorf("wrapper: importing %s: %w", name, err)
-			}
-		}
-		store.Put(tree.PlainName(name), d.build(doc))
+		store.Put(tree.PlainName(name), d.open[0])
 	}
 	return store, nil
 }

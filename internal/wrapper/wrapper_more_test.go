@@ -28,8 +28,7 @@ func TestDTDModelChoiceAndAny(t *testing.T) {
 		}
 	}
 	// A valid document conforms to the derived model.
-	doc := sgml.MustParseDocument(`<doc><head>h</head><para>a</para><list><para>b</para></list></doc>`)
-	n := SGMLTree(doc, nil)
+	n := importDoc(t, `<doc><head>h</head><para>a</para><list><para>b</para></list></doc>`, nil)
 	if !pattern.Conforms(n, nil, m, "Pdoc") {
 		t.Errorf("document does not conform to choice/optional model: %s", n)
 	}

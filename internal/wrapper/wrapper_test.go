@@ -26,9 +26,18 @@ const brochureDoc = `<brochure>
   </spplrs>
 </brochure>`
 
+// importDoc imports one document.
+func importDoc(t *testing.T, src string, opts *SGMLOptions) *tree.Node {
+	t.Helper()
+	store, err := ImportSGML(map[string]string{"d": src}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store.Entries()[0].Tree
+}
+
 func TestSGMLTreeTyped(t *testing.T) {
-	doc := sgml.MustParseDocument(brochureDoc)
-	n := SGMLTree(doc, nil)
+	n := importDoc(t, brochureDoc, nil)
 	want := tree.MustParse(`brochure < number < 1 >, title < "Golf" >, model < 1995 >,
 		desc < "Nice" >, spplrs < supplier < name < "VW center" >,
 		address < "Bd Lenoir, 75005 Paris" > > > >`)
@@ -38,8 +47,7 @@ func TestSGMLTreeTyped(t *testing.T) {
 }
 
 func TestSGMLTreeUntyped(t *testing.T) {
-	doc := sgml.MustParseDocument(brochureDoc)
-	n := SGMLTree(doc, &SGMLOptions{InferTypes: false})
+	n := importDoc(t, brochureDoc, &SGMLOptions{InferTypes: false})
 	num := n.Children[0].Children[0]
 	if !num.Label.Equal(tree.String("1")) {
 		t.Errorf("untyped number = %v", num.Label)
@@ -175,8 +183,7 @@ func TestDTDModel(t *testing.T) {
 	if err := pattern.InstanceOf(m, pattern.YatModel()); err != nil {
 		t.Errorf("DTD model not a Yat instance: %v", err)
 	}
-	doc := sgml.MustParseDocument(brochureDoc)
-	n := SGMLTree(doc, nil)
+	n := importDoc(t, brochureDoc, nil)
 	if !pattern.Conforms(n, nil, m, "Pbrochure") {
 		t.Error("imported document does not conform to its DTD model")
 	}
@@ -369,16 +376,20 @@ func TestHTMLEscaping(t *testing.T) {
 	}
 }
 
-// TestHTMLEscapeAllocs pins the shared replacer: text with nothing to
-// escape comes back as is, without an allocation.
+// TestHTMLEscapeAllocs pins the escaping writer: text is appended in
+// place, without an allocation while the buffer has room.
 func TestHTMLEscapeAllocs(t *testing.T) {
 	plain := "Supplier 007, 12 Bd Lenoir 75011 Paris"
+	buf := make([]byte, 0, 64)
 	if n := testing.AllocsPerRun(200, func() {
-		if htmlEscape(plain) != plain {
+		if string(appendEscaped(buf[:0], plain)) != plain {
 			t.Fatal("plain text changed")
 		}
+		if string(appendEscaped(buf[:0], `a<b & "c">`)) != "a&lt;b &amp; &quot;c&quot;&gt;" {
+			t.Fatal("specials not escaped")
+		}
 	}); n != 0 {
-		t.Errorf("htmlEscape of plain text: %v allocations, want 0", n)
+		t.Errorf("escaping: %v allocations, want 0", n)
 	}
 }
 
