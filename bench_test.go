@@ -476,8 +476,8 @@ func BenchmarkMediatorQuery(b *testing.B) {
 
 // TestRunAllocs pins the allocations per run of the engine — Rule 1
 // over 100 brochures, the Web program over 25 cars and over the
-// convert_batch objects (≈ 1 360, 1 620 and 2 610) — and of one whole
-// convert_batch conversion, imports and HTML export included (≈ 5 390,
+// convert_batch objects (≈ 1 350, 1 620 and 2 610) — and of one whole
+// convert_batch conversion, imports and HTML export included (≈ 5 360,
 // what BenchmarkConvertBatch reports; ≈ 7 860 while the SGML import
 // built a document tree first and the HTML export minted a string per
 // anchor). Under -race, whose sync.Pool drops match stacks and run
@@ -508,14 +508,14 @@ func TestRunAllocs(t *testing.T) {
 		run          func()
 		budget, race float64
 	}{
-		{"Rule1/brochures=100", run(rule1, workload.BrochureStore(100, 3, 20, 42)), 1500, 4850},
-		{"WebProgram/cars=25", run(web, workload.ODMGStore(25, 13, 3, 11)), 1800, 3750},
+		{"Rule1/brochures=100", run(rule1, workload.BrochureStore(100, 3, 20, 42)), 1490, 4850},
+		{"WebProgram/cars=25", run(web, workload.ODMGStore(25, 13, 3, 11)), 1790, 3750},
 		// The typed run of the Figure 1 pipeline: the Web program checks
 		// Pclass and Ptype against the ODMG objects that Rules 1+2 and
 		// Rule 3 make of the convert_batch inputs.
-		{"WebProgram/convert_batch", run(web, convertBatchObjects(t)), 2900, 6400},
+		{"WebProgram/convert_batch", run(web, convertBatchObjects(t)), 2870, 6400},
 		// The whole pipeline pins the wrappers' blocks as well.
-		{"Pipeline/convert_batch", func() { convertBatch(t, progs, docs, db) }, 5930, 12400},
+		{"Pipeline/convert_batch", func() { convertBatch(t, progs, docs, db) }, 5890, 12400},
 	} {
 		budget := tc.budget
 		if raceEnabled {
@@ -547,12 +547,49 @@ func BenchmarkConvertBatch(b *testing.B) {
 	b.ReportMetric(float64(pages), "pages")
 }
 
+// BenchmarkConvertStages times the engine stages of one convert_batch
+// conversion apart, over inputs imported once: /objects runs Rules 1+2
+// and Rule 3 over the imported documents and database, /web the Web
+// program over the objects they make. With BenchmarkConvertBatch it
+// tells an engine change from a wrapper one.
+func BenchmarkConvertStages(b *testing.B) {
+	docs, db := workload.ConvertBatchSources(42)
+	progs := convertBatchPrograms(b)
+	inputs, err := ImportSGML(docs, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range ImportRelational(db).Entries() {
+		inputs.Put(e.Name, e.Tree)
+	}
+	objects := convertBatchObjects(b)
+	for _, stage := range []struct {
+		name  string
+		progs []*Program
+		in    *Store
+	}{
+		{"objects", progs[:2], inputs},
+		{"web", progs[2:], objects},
+	} {
+		b.Run(stage.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, prog := range stage.progs {
+					if _, err := Run(prog, stage.in); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestConvertBatchBytes bounds the bytes one conversion of the
 // convert_batch pipeline allocates, what BenchmarkConvertBatch reports
 // as B/op. With every run building its working memory afresh it came to
 // 1.58 MB; with the runs' scratch pooled, 0.75 MB; with the wrappers
-// converting in one pass, about 0.67 MB. The ceiling sits about 10 %
-// above.
+// converting in one pass, about 0.68 MB; with stores sized up front,
+// about 0.66 MB. The ceiling sits about 10 % above.
 func TestConvertBatchBytes(t *testing.T) {
 	docs, db := workload.ConvertBatchSources(42)
 	progs := convertBatchPrograms(t)
@@ -562,7 +599,7 @@ func TestConvertBatchBytes(t *testing.T) {
 			convertBatch(b, progs, docs, db)
 		}
 	})
-	ceiling := int64(745_000)
+	ceiling := int64(725_000)
 	if raceEnabled {
 		ceiling = 1_550_000 // ≈ 1.40 MB: its sync.Pool drops run scratch
 	}

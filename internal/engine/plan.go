@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"yat/internal/pattern"
 	"yat/internal/tree"
 	"yat/internal/yatl"
@@ -318,6 +320,50 @@ type bodyPlan struct {
 	root   *pnode
 	slot   int
 	domain string
+}
+
+// same reports whether two body patterns compile to the same plan:
+// equal trees — ops, constant labels, slots, domains, pattern
+// references and their arguments, edge kinds and index slots — the
+// same slot for the body variable and the same body domain. Variable
+// names do not enter a plan, and slots are numbered body-first, so the
+// bodies of Web1 and Web6 are the same plan.
+func (b *bodyPlan) same(o *bodyPlan) bool {
+	return b.slot == o.slot && b.domain == o.domain && b.root.same(o.root)
+}
+
+func (p *pnode) same(q *pnode) bool {
+	if p.op != q.op || p.slot != q.slot || p.pat != q.pat || !sameConst(p.label, q.label) || !sameDomain(p.dom, q.dom) ||
+		len(p.args) != len(q.args) || len(p.edges) != len(q.edges) {
+		return false
+	}
+	for i, a := range p.args {
+		if a.slot != q.args[i].slot || !sameConst(a.konst, q.args[i].konst) {
+			return false
+		}
+	}
+	for i := range p.edges {
+		e, f := &p.edges[i], &q.edges[i]
+		if e.star != f.star || e.index != f.index || e.hasVars != f.hasVars || !e.to.same(f.to) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameConst reports whether two constants, either possibly nil, are of
+// one kind and Equal.
+func sameConst(a, b tree.Value) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Kind() == b.Kind() && a.Equal(b)
+}
+
+// sameDomain reports whether two domains are written alike: the same
+// kinds and symbols in the same order, pattern and reference flag.
+func sameDomain(d, e pattern.Domain) bool {
+	return d.Pattern == e.Pattern && d.Ref == e.Ref && slices.Equal(d.Kinds, e.Kinds) && slices.Equal(d.Symbols, e.Symbols)
 }
 
 type letPlan struct {

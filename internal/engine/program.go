@@ -221,6 +221,24 @@ func executeIn(sc *scratch, prog *yatl.Program, inputs *tree.Store, opts *Option
 			s.perPattern = slices.Grow(s.perPattern, n)[:n]
 		}
 	}
+	// Twin rules share their match: a single-pattern rule whose body
+	// compiles to an earlier rule's plan joins that rule's group.
+	states := sc.states[:len(r.ruleState)]
+	for i, s := range states {
+		if len(s.plan.bodies) != 1 {
+			continue
+		}
+		for _, t := range states[:i] {
+			if len(t.plan.bodies) == 1 && sameBody(&t.plan.bodies[0], &s.plan.bodies[0]) {
+				if t.twin == 0 {
+					sc.twins = append(sc.twins, twinMatch{})
+					t.twin = len(sc.twins)
+				}
+				s.twin = t.twin
+				break
+			}
+		}
+	}
 
 	// Seed with the source inputs.
 	for _, e := range inputs.Entries() {
@@ -355,7 +373,28 @@ type ruleState struct {
 	// evaluated are the frames that survived phases 2 and 3.
 	evaluated []frame
 	evalNext  int
+	// twin is 1 + the index in the scratch's twins of the match the
+	// rule shares with the rules of the same body, 0 when it has none.
+	twin int
 }
+
+// twinMatch is the one match of an activation that a group of twin
+// rules — single-pattern rules whose bodies compile to the same plan —
+// shares: the first rule of the group to reach the activation matches
+// it, and the others copy the frames it kept, or skip the activation
+// when it found none. The kept frames hold only body slots, which
+// twins number alike, until the round's evaluation writes lets into
+// them, after every activation of the round is matched.
+type twinMatch struct {
+	at     uint32     // handle of the activation matched, 0 before any
+	n      int        // frames the match found, repeats included
+	from   *ruleState // the rule that matched, whose raw[lo:hi] it kept
+	lo, hi int
+}
+
+// sameBody decides which bodies are twins; tests swap it to run with
+// no sharing, or with a faulty comparison.
+var sameBody = (*bodyPlan).same
 
 type run struct {
 	// scratch is the run's working memory.
@@ -443,7 +482,7 @@ func (r *run) matchActivation(a *activation) {
 				matchStart = time.Now()
 			}
 			if len(rp.bodies) == 1 {
-				n := r.matchBodyPattern(c, rp, &rp.bodies[0], a)
+				n := r.matchSingle(c, s, a)
 				if r.sink != nil {
 					r.sink.Emit(trace.Event{Kind: trace.KindMatch, Phase: trace.PhaseMatch,
 						Rule: rule.Name, Round: r.round, Count: n, Duration: time.Since(matchStart)})
@@ -454,7 +493,6 @@ func (r *run) matchActivation(a *activation) {
 				a.matched = true
 				blocked = append(blocked, r.hier.blocks[rule.Name]...)
 				c.blocked = blocked
-				r.addMatched(s, c)
 				continue
 			}
 			total := 0
@@ -476,6 +514,34 @@ func (r *run) matchActivation(a *activation) {
 			}
 		}
 	}
+}
+
+// matchSingle matches a single-pattern rule against an activation,
+// adds the frames it keeps to the rule's raw bindings, and returns how
+// many frames the match found. A rule with twins matches only when it
+// is the first of its group to reach the activation; otherwise it
+// copies the frames the first kept into frames of its own width.
+func (r *run) matchSingle(c *matchCtx, s *ruleState, a *activation) int {
+	var t *twinMatch
+	if s.twin > 0 {
+		if t = &r.twins[s.twin-1]; t.at == a.h {
+			for _, f := range t.from.raw[t.lo:t.hi] {
+				k := r.slab.take(len(s.plan.vars))
+				copy(k, f) // past the body slots, both frames are unbound
+				s.raw = append(s.raw, k)
+			}
+			return t.n
+		}
+	}
+	lo := len(s.raw)
+	n := r.matchBodyPattern(c, s.plan, &s.plan.bodies[0], a)
+	if n > 0 {
+		r.addMatched(s, c)
+	}
+	if t != nil {
+		*t = twinMatch{at: a.h, n: n, from: s, lo: lo, hi: len(s.raw)}
+	}
+	return n
 }
 
 // matchBodyPattern matches one body pattern against an activation and
@@ -800,6 +866,7 @@ func (r *run) constructRule(rule *yatl.Rule) error {
 		c.sizes = append(c.sizes, 1)
 	}
 	groups := c.splitByID(s.evaluated, c.ids, c.sizes)
+	r.outputs.Grow(len(c.oids))
 	for i, oid := range c.oids {
 		if err := r.ctx.Err(); err != nil {
 			return cancelErr(err)

@@ -26,10 +26,12 @@ type scratch struct {
 	slab      frameSlab
 	states    []*ruleState
 	ruleState map[*yatl.Rule]*ruleState
-	cons      constructor
-	join      joiner
-	matcher   Matcher
-	conform   *pattern.ConformanceChecker
+	// twins holds one shared match per group of twin rules.
+	twins   []twinMatch
+	cons    constructor
+	join    joiner
+	matcher Matcher
+	conform *pattern.ConformanceChecker
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -52,8 +54,10 @@ func (sc *scratch) reset() int {
 		sc.seenIDs.reset() + sc.dedup.reset() + c.keys.reset() + j.keys.reset() + sizeOf(c.parts) + sizeOf(c.args) +
 		sizeOf(c.ids) + sizeOf(c.sizes) + sizeOf(c.oids) + sizeOf(c.groups) + sizeOf(c.frames) + sizeOf(c.buf) +
 		sizeOf(j.shared) + sizeOf(j.buf) + sizeOf(j.head) + sizeOf(j.next) + sizeOf(j.out[0]) + sizeOf(j.out[1]) +
-		64*len(sc.ruleState) + 96*sc.conform.Reset(nil, nil) + sizeOf(sc.states)
+		64*len(sc.ruleState) + 96*sc.conform.Reset(nil, nil) + sizeOf(sc.states) + sizeOf(sc.twins)
 	sc.tab.reset()
+	clear(sc.twins)
+	sc.twins = sc.twins[:0]
 	clear(sc.active)
 	sc.active = sc.active[:0]
 	for _, s := range sc.states {

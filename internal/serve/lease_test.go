@@ -245,6 +245,10 @@ func TestLeaseWriteWait(t *testing.T) {
 	if n := s.leaseWaits.Load(); n != 1 {
 		t.Errorf("%d writes waited for a lease, want 1", n)
 	}
+	var stats wire.StatsResponse
+	if getJSON(t, ts.URL+"/stats?timing=0", &stats); stats.Server.LeaseWaits != 1 {
+		t.Errorf("/stats reports %d lease waits, want 1", stats.Server.LeaseWaits)
+	}
 	quiet("right after a leased refresh")
 	_, body, grant, _ = leasedAsk(ts.URL, "", req, true)
 	next, ok := wire.ParseEpoch(grant)

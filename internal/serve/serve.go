@@ -745,11 +745,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	timing := r.URL.Query().Get("timing") != "0"
 	med := s.poolStats()
 	srv := wire.ServerStats{
-		Pool:     len(s.pool),
-		Inflight: s.inflight.Load(),
-		Served:   s.served.Load(),
-		Failed:   s.failed.Load(),
-		Reloads:  s.reloads.Load(),
+		Pool:       len(s.pool),
+		Inflight:   s.inflight.Load(),
+		Served:     s.served.Load(),
+		Failed:     s.failed.Load(),
+		Reloads:    s.reloads.Load(),
+		LeaseWaits: s.leaseWaits.Load(),
 	}
 	if timing {
 		srv.UptimeMS = float64(time.Since(s.start)) / float64(time.Millisecond)

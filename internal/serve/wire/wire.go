@@ -91,12 +91,15 @@ type FunctorsResponse struct {
 // ServerStats is the server's own half of GET /stats; the mediator
 // half is mediator.Stats itself.
 type ServerStats struct {
-	Pool     int     `json:"pool"`
-	Inflight int64   `json:"inflight"`
-	Served   int64   `json:"served"`
-	Failed   int64   `json:"failed"`
-	Reloads  int64   `json:"reloads"`
-	UptimeMS float64 `json:"uptime_ms,omitempty"`
+	Pool     int   `json:"pool"`
+	Inflight int64 `json:"inflight"`
+	Served   int64 `json:"served"`
+	Failed   int64 `json:"failed"`
+	Reloads  int64 `json:"reloads"`
+	// LeaseWaits counts the writes — reloads and source refreshes —
+	// that waited for a federation parent's read lease to run out.
+	LeaseWaits int64   `json:"lease_waits"`
+	UptimeMS   float64 `json:"uptime_ms,omitempty"`
 	// Snapshot rides at the end, omitted when no snapshot directory is
 	// configured, so historical documents are byte-identical.
 	Snapshot *SnapshotStatus `json:"snapshot,omitempty"`

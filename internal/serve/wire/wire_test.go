@@ -54,8 +54,8 @@ func TestWireByteStability(t *testing.T) {
 		},
 		{
 			"server_stats",
-			ServerStats{Pool: 4, Inflight: 1, Served: 2, Failed: 3, Reloads: 4},
-			`{"pool":4,"inflight":1,"served":2,"failed":3,"reloads":4}`,
+			ServerStats{Pool: 4, Inflight: 1, Served: 2, Failed: 3, Reloads: 4, LeaseWaits: 5},
+			`{"pool":4,"inflight":1,"served":2,"failed":3,"reloads":4,"lease_waits":5}`,
 		},
 		{
 			"source_health",
@@ -76,7 +76,7 @@ func TestWireByteStability(t *testing.T) {
 			"server_stats_snapshot",
 			ServerStats{Pool: 1, Snapshot: &SnapshotStatus{
 				Path: "/tmp/s.json", Restored: true, Saves: 2}},
-			`{"pool":1,"inflight":0,"served":0,"failed":0,"reloads":0,` +
+			`{"pool":1,"inflight":0,"served":0,"failed":0,"reloads":0,"lease_waits":0,` +
 				`"snapshot":{"path":"/tmp/s.json","restored":true,"saves":2}}`,
 		},
 		{

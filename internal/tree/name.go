@@ -1,6 +1,9 @@
 package tree
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Name identifies a tree in a Store. Plain names (b1, s1, Rsuppliers)
 // have an empty Args slice; Skolem-generated names carry the functor
@@ -106,6 +109,24 @@ func NewStore() *Store {
 	return &Store{byKey: make(map[string]int)}
 }
 
+// Grow makes room for n more trees: the next n inserting Puts do not
+// grow the entry list. The index is made anew at its new size when n
+// would at least double it, and otherwise grows as Puts fill it.
+func (s *Store) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	s.items = slices.Grow(s.items, n)
+	if n < len(s.byKey) {
+		return
+	}
+	byKey := make(map[string]int, len(s.byKey)+n)
+	for k, i := range s.byKey {
+		byKey[k] = i
+	}
+	s.byKey = byKey
+}
+
 // Len reports the number of named trees.
 func (s *Store) Len() int { return len(s.items) }
 
@@ -198,6 +219,7 @@ func (s *Store) SortedEntries() []StoreEntry {
 // Clone returns a deep copy of the store (trees included).
 func (s *Store) Clone() *Store {
 	c := NewStore()
+	c.Grow(len(s.items))
 	for _, e := range s.items {
 		c.Put(e.Name, e.Tree.Clone())
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -665,6 +666,44 @@ func TestStoreLookupAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, func() { s.Put(name, sup) }); got != 0 {
 		t.Errorf("replacing Put: %v allocations, want 0", got)
+	}
+}
+
+// TestStoreGrow checks that a grown store keeps what it held, in order,
+// and takes the trees it made room for without growing its entry list,
+// nor its index where Grow made that anew: one allocation a Put, for
+// the key, and one more at most, where a small map makes its table on
+// the first Put.
+func TestStoreGrow(t *testing.T) {
+	for _, tc := range []struct{ held, room int }{{0, 8}, {3, 8}, {8, 3}, {5, 0}} {
+		names := make([]Name, tc.held+tc.room)
+		for i := range names {
+			names[i] = SkolemName("F", Int(int64(i)))
+		}
+		leaf := Sym("leaf")
+		s := NewStore()
+		for _, n := range names[:tc.held] {
+			s.Put(n, leaf)
+		}
+		s.Grow(tc.room)
+		room := cap(s.Entries())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, n := range names[tc.held:] {
+			s.Put(n, leaf)
+		}
+		runtime.ReadMemStats(&after)
+		if cap(s.Entries()) != room {
+			t.Errorf("held %d, room %d: the entry list grew past the room made", tc.held, tc.room)
+		}
+		if got := after.Mallocs - before.Mallocs; tc.room >= tc.held && got > uint64(tc.room+1) {
+			t.Errorf("held %d, room %d: %d Puts allocate %d times, want <= %d", tc.held, tc.room, tc.room, got, tc.room+1)
+		}
+		for k, e := range s.Entries() {
+			if j, ok := s.Index(names[k]); !ok || j != k || !e.Name.Equal(names[k]) {
+				t.Errorf("held %d, room %d: entry %d is %s at %d, %v", tc.held, tc.room, k, e.Name, j, ok)
+			}
+		}
 	}
 }
 

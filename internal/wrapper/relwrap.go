@@ -53,8 +53,10 @@ func relValue(v relational.Value, t relational.ColType) tree.Value {
 // ImportRelational exposes a whole database as a store: one entry per
 // table, named "R" + table name (the paper's Rsuppliers, Rcars).
 func ImportRelational(db *relational.Database) *tree.Store {
+	names := db.Names()
 	store := tree.NewStore()
-	for _, name := range db.Names() {
+	store.Grow(len(names))
+	for _, name := range names {
 		t, _ := db.Table(name)
 		store.Put(tree.PlainName("R"+name), TableTree(t))
 	}

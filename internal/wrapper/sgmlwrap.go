@@ -138,6 +138,7 @@ func ImportSGML(docs map[string]string, opts *SGMLOptions) (*tree.Store, error) 
 		opts = &SGMLOptions{InferTypes: true}
 	}
 	store := tree.NewStore()
+	store.Grow(len(docs))
 	d := &docBuilder{infer: opts.InferTypes}
 	var sc sgml.Scanner
 	var dtd *sgml.DTD
