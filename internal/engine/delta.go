@@ -13,37 +13,29 @@ import (
 	"yat/internal/yatl"
 )
 
+// storeless matches with no store and no model: conformance-free.
+var storeless = &Matcher{}
+
 // AffectedRules returns the names of the non-exception rules at least
 // one of the given entries can feed: a sound over-approximation (a
 // rule whose bindings could change is always included; a rule that
 // merely pattern-matches an entry it would later drop may be too).
 // The entries are whatever a delta touches — inserted trees, deleted
-// ones, both sides of a rewrite — so the test is a storeless
-// body-pattern match: the conformance-free upper bound of the engine's
-// own match phase, blind to §4.2 blocking, which removing an entry can
-// lift. A rule that ReadsOtherEntries is fed by every entry.
-func AffectedRules(prog *yatl.Program, entries []tree.StoreEntry) map[string]bool {
+// ones, both sides of a rewrite — so the test is a storeless match of
+// the rules' compiled bodies: the conformance-free upper bound of the
+// engine's own match phase, blind to §4.2 blocking, which removing an
+// entry can lift. A rule that ReadsOtherEntries is fed by every entry.
+func (c *Compiled) AffectedRules(entries []tree.StoreEntry) map[string]bool {
 	affected := map[string]bool{}
 	if len(entries) == 0 {
 		return affected
 	}
-	m := &Matcher{}
-	for _, r := range prog.Rules {
-		if r.Exception {
-			continue
-		}
-		if ReadsOtherEntries(r) {
-			affected[r.Name] = true
-			continue
-		}
-		bodies := make([]*PatternPlan, len(r.Body))
-		for i, bp := range r.Body {
-			bodies[i] = CompilePattern(bp.Tree)
-		}
-		if slices.ContainsFunc(entries, func(e tree.StoreEntry) bool {
-			return slices.ContainsFunc(bodies, func(pl *PatternPlan) bool { return m.matches(pl, e.Tree) })
+	for _, p := range c.all.rules {
+		rp := c.plans[p]
+		if ReadsOtherEntries(rp.rule) || slices.ContainsFunc(entries, func(e tree.StoreEntry) bool {
+			return slices.ContainsFunc(rp.bodies, func(bp bodyPlan) bool { return storeless.matches(bp.root, len(rp.vars), e.Tree) })
 		}) {
-			affected[r.Name] = true
+			affected[rp.rule.Name] = true
 		}
 	}
 	return affected

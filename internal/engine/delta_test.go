@@ -28,6 +28,12 @@ func deltaEntry(id, functor, name string) tree.StoreEntry {
 	}
 }
 
+// affectedRules is AffectedRules over the program compiled.
+func affectedRules(prog *yatl.Program, entries []tree.StoreEntry) map[string]bool {
+	c, _ := Compile(prog)
+	return c.AffectedRules(entries)
+}
+
 // AffectedRules matches each entry against every rule body: alpha
 // trees feed Alpha only, beta trees Beta only, and an unmatched tree
 // feeds nothing.
@@ -46,7 +52,7 @@ func TestAffectedRules(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := AffectedRules(prog, c.entries)
+			got := affectedRules(prog, c.entries)
 			if len(got) != len(c.want) {
 				t.Fatalf("affected = %v, want %v", got, c.want)
 			}
@@ -63,7 +69,7 @@ func TestAffectedRules(t *testing.T) {
 // them rather than reporting every delta as affecting them.
 func TestAffectedRulesSkipsExceptions(t *testing.T) {
 	prog := yatl.MustParse(deltaTwoRuleProgram + yatl.ExceptionRuleSource)
-	got := AffectedRules(prog, []tree.StoreEntry{deltaEntry("a1", "alpha", "ant")})
+	got := affectedRules(prog, []tree.StoreEntry{deltaEntry("a1", "alpha", "ant")})
 	if got["Exception"] {
 		t.Errorf("affected = %v, exception rules must be excluded", got)
 	}
@@ -112,7 +118,7 @@ rule HeadOnly {
 			t.Errorf("ReadsOtherEntries(%s) = %v, want %v", r.Name, got, want)
 		}
 	}
-	got := AffectedRules(prog, []tree.StoreEntry{deltaEntry("g1", "gamma", "gnu")})
+	got := affectedRules(prog, []tree.StoreEntry{deltaEntry("g1", "gamma", "gnu")})
 	if len(got) != len(reading) {
 		t.Fatalf("affected = %v, want exactly %v", got, reading)
 	}
@@ -121,7 +127,7 @@ rule HeadOnly {
 			t.Errorf("affected = %v, missing %s", got, r)
 		}
 	}
-	if got := AffectedRules(prog, nil); len(got) != 0 {
+	if got := affectedRules(prog, nil); len(got) != 0 {
 		t.Errorf("an empty delta affects %v, want nothing", got)
 	}
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"yat/internal/pattern"
@@ -13,37 +15,37 @@ import (
 // conflict, and the more specific one is applied first — when it
 // matches an input, the less specific ones are not applied to that
 // input. Explicit `order A before B` statements add user-enforced
-// edges.
+// edges. Rules are named by their position in the program.
 type hierarchy struct {
-	// groups lists the non-exception rules per functor, most specific
-	// first (ties broken by declaration order).
-	groups map[string][]*yatl.Rule
-	// functorOrder preserves first-occurrence order of functors.
-	functorOrder []string
-	// blocks maps a rule name to the names of the less specific rules
-	// it shadows when it matches.
-	blocks map[string][]string
+	// functors lists the functors of the non-exception rules in
+	// first-occurrence order; groups[i] lists functors[i]'s rules, most
+	// specific first (ties broken by declaration order).
+	functors []string
+	groups   [][]int
+	// blocks[p] lists the less specific rules rule p shadows when it
+	// matches; blocks is nil when no rule shadows another.
+	blocks [][]int
 	// exceptions are the exception rules of the program.
-	exceptions []*yatl.Rule
+	exceptions []int
 }
 
 // buildHierarchy computes the rule hierarchy. model provides the
 // pattern definitions used to resolve pattern-domain variables during
 // specificity comparison (may be nil).
-func buildHierarchy(prog *yatl.Program, model *pattern.Model) *hierarchy {
-	h := &hierarchy{groups: map[string][]*yatl.Rule{}, blocks: map[string][]string{}}
-	declIndex := map[string]int{}
-	for i, r := range prog.Rules {
-		declIndex[r.Name] = i
+func buildHierarchy(prog *yatl.Program, model *pattern.Model) hierarchy {
+	h := hierarchy{functors: make([]string, 0, len(prog.Rules)), groups: make([][]int, 0, len(prog.Rules))}
+	index := map[string]int{}
+	for p, r := range prog.Rules {
 		if r.Exception {
-			h.exceptions = append(h.exceptions, r)
+			h.exceptions = append(h.exceptions, p)
 			continue
 		}
-		f := r.Head.Functor
-		if _, ok := h.groups[f]; !ok {
-			h.functorOrder = append(h.functorOrder, f)
+		i, ok := index[r.Head.Functor]
+		if !ok {
+			i, index[r.Head.Functor] = len(h.functors), len(h.functors)
+			h.functors, h.groups = append(h.functors, r.Head.Functor), append(h.groups, nil)
 		}
-		h.groups[f] = append(h.groups[f], r)
+		h.groups[i] = append(h.groups[i], p)
 	}
 
 	// Explicit user orderings (apply regardless of functor grouping).
@@ -52,8 +54,7 @@ func buildHierarchy(prog *yatl.Program, model *pattern.Model) *hierarchy {
 		userBefore[[2]string{o.Before, o.After}] = true
 	}
 
-	for _, f := range h.functorOrder {
-		rules := h.groups[f]
+	for _, group := range h.groups {
 		// strict(a, b): rule a is strictly more specific than b. Two
 		// rules conflict only when they code for the same set of
 		// output patterns: same Skolem functor (the grouping) and the
@@ -61,7 +62,8 @@ func buildHierarchy(prog *yatl.Program, model *pattern.Model) *hierarchy {
 		// body pattern variable, like Web1–Web6) never shadows a
 		// data-keyed one (argument = data variable, like the composed
 		// HtmlPage(SN)).
-		strict := func(a, b *yatl.Rule) bool {
+		strict := func(p, q int) bool {
+			a, b := prog.Rules[p], prog.Rules[q]
 			if userBefore[[2]string{a.Name, b.Name}] {
 				return true
 			}
@@ -75,10 +77,13 @@ func buildHierarchy(prog *yatl.Program, model *pattern.Model) *hierarchy {
 			ba := bodyInstanceOf(b, a, model)
 			return ab && !ba
 		}
-		for _, a := range rules {
-			for _, b := range rules {
+		for _, a := range group {
+			for _, b := range group {
 				if a != b && strict(a, b) {
-					h.blocks[a.Name] = append(h.blocks[a.Name], b.Name)
+					if h.blocks == nil {
+						h.blocks = make([][]int, len(prog.Rules))
+					}
+					h.blocks[a] = append(h.blocks[a], b)
 				}
 			}
 		}
@@ -86,19 +91,26 @@ func buildHierarchy(prog *yatl.Program, model *pattern.Model) *hierarchy {
 		// specific; ties by declaration order. Topological by
 		// counting dominators is enough because strictness is a
 		// strict partial order.
-		sort.SliceStable(rules, func(i, j int) bool {
-			a, b := rules[i], rules[j]
+		sort.SliceStable(group, func(i, j int) bool {
+			a, b := group[i], group[j]
 			if strict(a, b) {
 				return true
 			}
 			if strict(b, a) {
 				return false
 			}
-			return declIndex[a.Name] < declIndex[b.Name]
+			return a < b
 		})
-		h.groups[f] = rules
 	}
 	return h
+}
+
+// shadows lists the less specific rules rule p shadows when it matches.
+func (h *hierarchy) shadows(p int) []int {
+	if h.blocks == nil {
+		return nil
+	}
+	return h.blocks[p]
 }
 
 // argShape classifies a rule's Skolem key structure: per argument,
@@ -154,7 +166,9 @@ type Hierarchy struct {
 	Blocks map[string][]string
 	// Exceptions are the program's exception rules.
 	Exceptions []*yatl.Rule
-	// Conflicts lists the (specific, general) rule pairs in conflict.
+	// Conflicts lists the (specific, general) rule pairs in conflict
+	// per the paper's definition — same Skolem functor and a subtype
+	// relation between input models — sorted.
 	Conflicts [][2]string
 }
 
@@ -163,33 +177,20 @@ type Hierarchy struct {
 // comparison and may be nil.
 func BuildHierarchy(prog *yatl.Program, model *pattern.Model) *Hierarchy {
 	h := buildHierarchy(prog, model)
-	return &Hierarchy{
-		Groups:       h.groups,
-		FunctorOrder: h.functorOrder,
-		Blocks:       h.blocks,
-		Exceptions:   h.exceptions,
-		Conflicts:    conflictPairs(h),
-	}
-}
-
-// conflictPairs returns the pairs (specific, general) of rules in
-// conflict per the paper's definition: same Skolem functor and a
-// subtype relation between input models. It is exposed for testing
-// and for the yatviz tool.
-func conflictPairs(h *hierarchy) [][2]string {
-	var out [][2]string
-	for _, f := range h.functorOrder {
-		for _, r := range h.groups[f] {
-			for _, blocked := range h.blocks[r.Name] {
-				out = append(out, [2]string{r.Name, blocked})
+	out := &Hierarchy{Groups: map[string][]*yatl.Rule{}, FunctorOrder: h.functors, Blocks: map[string][]string{}}
+	for i, f := range h.functors {
+		for _, p := range h.groups[i] {
+			r := prog.Rules[p]
+			out.Groups[f] = append(out.Groups[f], r)
+			for _, q := range h.shadows(p) {
+				out.Blocks[r.Name] = append(out.Blocks[r.Name], prog.Rules[q].Name)
+				out.Conflicts = append(out.Conflicts, [2]string{r.Name, prog.Rules[q].Name})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
+	for _, p := range h.exceptions {
+		out.Exceptions = append(out.Exceptions, prog.Rules[p])
+	}
+	slices.SortFunc(out.Conflicts, func(a, b [2]string) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
 	return out
 }

@@ -58,13 +58,16 @@ func (m *Matcher) MatchTree(pt *pattern.PTree, n *tree.Node) []Binding {
 
 // Matches reports whether the pattern matches at all.
 func (m *Matcher) Matches(pt *pattern.PTree, n *tree.Node) bool {
-	return m.matches(CompilePattern(pt), n)
+	pl := CompilePattern(pt)
+	return m.matches(pl.root, len(pl.vars), n)
 }
 
-func (m *Matcher) matches(pl *PatternPlan, n *tree.Node) bool {
+// matches reports whether n matches the compiled pattern under root,
+// in frames of width w.
+func (m *Matcher) matches(root *pnode, w int, n *tree.Node) bool {
 	c := m.getCtx(nil)
-	c.reset(len(pl.vars))
-	ok := c.matchNode(pl.root, n) < c.top
+	c.reset(w)
+	ok := c.matchNode(root, n) < c.top
 	m.putCtx(c)
 	return ok
 }
@@ -88,7 +91,7 @@ type matchCtx struct {
 	// list of alternatives starts on the stack.
 	bounds []int
 	// blocked is a run's scratch for the rules a match shadows (§4.2).
-	blocked []string
+	blocked []int
 }
 
 var ctxPool = sync.Pool{New: func() any { return new(matchCtx) }}

@@ -238,8 +238,8 @@ func TestMatchMultipleStarsBacktrack(t *testing.T) {
 func TestHierarchyConflicts(t *testing.T) {
 	prog := yatl.MustParse(yatl.WebProgramSource)
 	model, _ := prog.Model("ODMG")
-	h := buildHierarchy(prog, model)
-	pairs := conflictPairs(h)
+	h := BuildHierarchy(prog, model)
+	pairs := h.Conflicts
 	want := map[[2]string]bool{
 		{"Web3", "Web2"}: true,
 		{"Web4", "Web2"}: true,
@@ -255,7 +255,7 @@ func TestHierarchyConflicts(t *testing.T) {
 		}
 	}
 	// Group order: every specific rule precedes Web2.
-	group := h.groups["HtmlElement"]
+	group := h.Groups["HtmlElement"]
 	pos := map[string]int{}
 	for i, r := range group {
 		pos[r.Name] = i
@@ -281,13 +281,13 @@ rule B {
 }
 `
 	prog := yatl.MustParse(src)
-	h := buildHierarchy(prog, nil)
-	group := h.groups["F"]
+	h := BuildHierarchy(prog, nil)
+	group := h.Groups["F"]
 	if group[0].Name != "B" {
 		t.Errorf("user order should put B first, got %s", group[0].Name)
 	}
-	if len(h.blocks["B"]) != 1 || h.blocks["B"][0] != "A" {
-		t.Errorf("B should block A: %v", h.blocks)
+	if len(h.Blocks["B"]) != 1 || h.Blocks["B"][0] != "A" {
+		t.Errorf("B should block A: %v", h.Blocks)
 	}
 }
 

@@ -28,7 +28,7 @@ func (f optionFunc) Apply(o *Options) { f(o) }
 // it replaces the configuration wholesale. A nil receiver (the
 // `Run(prog, inputs, nil)` idiom) applies the defaults. This is
 // load-bearing, not legacy: the mediator folds its option list once
-// at construction and hands the folded value back on every run.
+// at construction and hands the folded value to every Compile.
 func (o *Options) Apply(dst *Options) {
 	if o == nil {
 		return

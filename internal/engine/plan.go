@@ -8,7 +8,7 @@ import (
 	"yat/internal/yatl"
 )
 
-// A rule is compiled once per run into a plan, and phases 1–5 run over
+// A rule is compiled once per program (Compile) into a plan, and phases 1–5 run over
 // dense slot frames: every variable of the rule — body, let, index,
 // Skolem argument, ordering criterion — gets a slot, and a binding in
 // flight is a frame holding one value handle per slot, 0 where the
@@ -296,7 +296,7 @@ func (sl *slots) all(names []string) []int {
 	return out
 }
 
-// rulePlan is a rule compiled for a run.
+// rulePlan is a rule compiled for its program's runs.
 type rulePlan struct {
 	rule *yatl.Rule
 	vars []string // slot → variable name
@@ -314,6 +314,9 @@ type rulePlan struct {
 	// head's pattern references, in preorder: the values a binding
 	// activates for the next round.
 	minted []int
+	// twin is 1 + the index of the match the rule shares with the rules
+	// of the same body (a run's twins), 0 when it has none.
+	twin int
 }
 
 type bodyPlan struct {

@@ -39,11 +39,6 @@ type Options struct {
 	// ignored lists the names of mediator-only options handed to this
 	// run (collected by NewOptions); the run reports them as warnings.
 	ignored []string
-	// ctx carries RunContext's / RunSlice's context to the run core,
-	// which checks it before each activation, binding and Skolem group
-	// and, once cancelled, stops with an error wrapping ctx.Err(). Nil
-	// means the run cannot be cancelled.
-	ctx context.Context
 	// Trace receives typed events for every phase of the run (see
 	// internal/trace): matching attempts, external calls with
 	// durations, dropped bindings with reasons, Skolem definitions,
@@ -121,82 +116,71 @@ func (e *FixpointError) Error() string {
 // hierarchy dispatch per §4.2, and end-of-run dereferencing.
 //
 // Configuration is variadic: pass With* options, a legacy *Options
-// value, or nothing for the defaults.
+// value, or nothing for the defaults. The program is compiled for the
+// one run; a caller running it again compiles it once (Compile).
 func Run(prog *yatl.Program, inputs *tree.Store, opts ...Option) (*Result, error) {
-	return execute(prog, inputs, NewOptions(opts...), nil)
+	return RunContext(nil, prog, inputs, opts...)
 }
 
-// RunContext is Run with a cancellation context.
+// RunContext is Run with a cancellation context, checked before each
+// activation, binding and Skolem group; nil cannot be cancelled.
 func RunContext(ctx context.Context, prog *yatl.Program, inputs *tree.Store, opts ...Option) (*Result, error) {
-	o := NewOptions(opts...)
-	o.ctx = ctx
-	return execute(prog, inputs, o, nil)
+	c, _ := Compile(prog, opts...)
+	return c.Run(ctx, inputs)
 }
 
 // execute is the shared run core. With a nil slice it is a full run;
 // with a slice it restricts matching and evaluation to the slice's
-// rules, constructs only the construct set, and skips the full-run
+// rules and functor groups — whole groups, so the §4.2 blocking and
+// ordering within each are exactly those of the full program —
+// constructs only the construct set, and skips the full-run
 // diagnostics that assume every rule ran (dangling-reference warnings
 // and the §3.5 exception check — slices never contain exception
 // rules). The run's working memory is a pooled scratch, handed back
 // when the run returns, however it returns.
-func execute(prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (*Result, error) {
+func (c *Compiled) execute(ctx context.Context, inputs *tree.Store, sl *Slice) (*Result, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
 	sc := scratchPool.Get().(*scratch)
 	defer func() {
 		if sc.reset() <= maxPooledScratch {
 			scratchPool.Put(sc)
 		}
 	}()
-	return executeIn(sc, prog, inputs, opts, sl)
+	return c.executeIn(sc, ctx, inputs, sl)
 }
 
 // executeIn is execute in the given scratch, which it leaves full.
-func executeIn(sc *scratch, prog *yatl.Program, inputs *tree.Store, opts *Options, sl *Slice) (*Result, error) {
+func (c *Compiled) executeIn(sc *scratch, ctx context.Context, inputs *tree.Store, sl *Slice) (*Result, error) {
+	opts := c.opts
 	reg := opts.Registry
 	if reg == nil {
 		reg = defaultRegistry()
-	}
-	if !opts.DisableSafety {
-		if err := CheckSafety(prog); err != nil {
-			return nil, err
-		}
-	}
-	model := pattern.NewModel()
-	for _, m := range prog.Models {
-		model = model.Merge(m.Model)
-	}
-	if opts.Model != nil {
-		model = model.Merge(opts.Model)
 	}
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = 10000
 	}
-	ctx := opts.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// A slice run interprets the restricted sub-program: the slice's
-	// rules in declaration order, whole functor groups at a time, so
-	// the §4.2 blocking and ordering semantics within each group are
-	// exactly those of the full program.
-	if sl != nil {
-		prog = sl.SubProgram(prog)
-	}
 
-	sc.conform.Reset(inputs, model)
-	sc.matcher = Matcher{Store: inputs, Model: model}
+	sc.conform.Reset(inputs, c.model)
+	sc.matcher = Matcher{Store: inputs, Model: c.model}
 	sc.matcher.once.Do(func() { sc.matcher.checker = sc.conform }) // the scratch lends its checker
 	r := &run{
 		scratch: sc,
-		prog:    prog,
+		c:       c,
+		scope:   c.all,
 		reg:     reg,
-		opts:    opts,
 		ctx:     ctx,
 		sink:    opts.Trace,
 		inputs:  inputs,
 		outputs: tree.NewStore(),
-		hier:    buildHierarchy(prog, model),
+	}
+	if sl != nil {
+		r.scope = sl.scope
 	}
 	// Mediator-only options do nothing on a plain engine run; warn so
 	// the misconfiguration is visible instead of silently absorbed.
@@ -206,39 +190,20 @@ func executeIn(sc *scratch, prog *yatl.Program, inputs *tree.Store, opts *Option
 	var runStart time.Time
 	if r.sink != nil {
 		runStart = time.Now()
-		r.sink.Emit(trace.Event{Kind: trace.KindRunStart, Phase: trace.PhaseRun, Detail: prog.Name})
+		r.sink.Emit(trace.Event{Kind: trace.KindRunStart, Phase: trace.PhaseRun, Detail: c.prog.Name})
 	}
-	for _, rule := range prog.Rules {
-		if rule.Exception {
-			continue
-		}
-		if len(r.ruleState) == len(sc.states) {
-			sc.states = append(sc.states, new(ruleState))
-		}
-		s := sc.states[len(r.ruleState)] // emptied by the scratch's reset
-		s.plan, r.ruleState[rule] = compileRule(rule), s
-		if n := len(rule.Body); n > 1 {
+	// The rule states, by rule position, emptied by the scratch's reset.
+	for len(sc.states) < len(c.plans) {
+		sc.states = append(sc.states, new(ruleState))
+	}
+	for _, p := range r.rules {
+		s := sc.states[p]
+		s.plan = c.plans[p]
+		if n := len(s.plan.bodies); n > 1 {
 			s.perPattern = slices.Grow(s.perPattern, n)[:n]
 		}
 	}
-	// Twin rules share their match: a single-pattern rule whose body
-	// compiles to an earlier rule's plan joins that rule's group.
-	states := sc.states[:len(r.ruleState)]
-	for i, s := range states {
-		if len(s.plan.bodies) != 1 {
-			continue
-		}
-		for _, t := range states[:i] {
-			if len(t.plan.bodies) == 1 && sameBody(&t.plan.bodies[0], &s.plan.bodies[0]) {
-				if t.twin == 0 {
-					sc.twins = append(sc.twins, twinMatch{})
-					t.twin = len(sc.twins)
-				}
-				s.twin = t.twin
-				break
-			}
-		}
-	}
+	sc.twins = slices.Grow(sc.twins, c.twins)[:c.twins]
 
 	// Seed with the source inputs.
 	for _, e := range inputs.Entries() {
@@ -271,11 +236,10 @@ func executeIn(sc *scratch, prog *yatl.Program, inputs *tree.Store, opts *Option
 		}
 		// Multi-pattern rules join across all activations; recompute
 		// when their caches grew, then evaluate any new bindings.
-		for _, rule := range prog.Rules {
-			if rule.Exception || len(rule.Body) < 2 {
-				continue
+		for _, p := range r.rules {
+			if s := r.states[p]; len(s.plan.bodies) > 1 {
+				r.joinMultiBody(s)
 			}
-			r.joinMultiBody(rule)
 		}
 		if err := r.evaluateNewBindings(); err != nil {
 			return nil, err
@@ -284,17 +248,13 @@ func executeIn(sc *scratch, prog *yatl.Program, inputs *tree.Store, opts *Option
 
 	// Construction phase: group the evaluated bindings of each rule
 	// by head Skolem identity and build the output trees.
-	for _, rule := range prog.Rules {
-		if rule.Exception {
-			continue
-		}
+	for _, p := range r.rules {
 		// Support rules of a slice exist only to feed activations;
 		// their outputs are not demanded and are not built.
-		if sl != nil && !sl.Constructs(rule.Name) {
-			continue
-		}
-		if err := r.constructRule(rule); err != nil {
-			return nil, err
+		if s := r.states[p]; sl == nil || sl.Constructs(s.plan.rule.Name) {
+			if err := r.constructRule(s); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -336,7 +296,7 @@ func executeIn(sc *scratch, prog *yatl.Program, inputs *tree.Store, opts *Option
 	if r.sink != nil {
 		r.sink.Emit(trace.Event{Kind: trace.KindRunEnd, Phase: trace.PhaseRun, Duration: time.Since(runStart)})
 	}
-	if len(r.hier.exceptions) > 0 && len(res.Unconverted) > 0 {
+	if len(c.hier.exceptions) > 0 && len(res.Unconverted) > 0 {
 		return res, &ErrUnconverted{IDs: res.Unconverted}
 	}
 	return res, nil
@@ -373,9 +333,6 @@ type ruleState struct {
 	// evaluated are the frames that survived phases 2 and 3.
 	evaluated []frame
 	evalNext  int
-	// twin is 1 + the index in the scratch's twins of the match the
-	// rule shares with the rules of the same body, 0 when it has none.
-	twin int
 }
 
 // twinMatch is the one match of an activation that a group of twin
@@ -399,10 +356,11 @@ var sameBody = (*bodyPlan).same
 type run struct {
 	// scratch is the run's working memory.
 	*scratch
-	prog *yatl.Program
-	reg  *Registry
-	opts *Options
-	ctx  context.Context
+	c *Compiled
+	// scope is the rules and functor groups run.
+	scope
+	reg *Registry
+	ctx context.Context
 	// sink receives trace events; nil disables tracing entirely (the
 	// engine then takes no timestamps and allocates nothing for it).
 	sink trace.Sink
@@ -410,7 +368,6 @@ type run struct {
 	round     int
 	inputs    *tree.Store
 	outputs   *tree.Store
-	hier      *hierarchy
 	processed int
 	warnings  []string
 	// blocks holds the output trees the construction phase builds.
@@ -426,8 +383,8 @@ func cancelErr(err error) error {
 
 func (r *run) totalBindings() int {
 	total := 0
-	for _, s := range r.ruleState {
-		total += len(s.raw)
+	for _, p := range r.rules {
+		total += len(r.states[p].raw)
 	}
 	return total
 }
@@ -467,16 +424,17 @@ func (r *run) activateValue(v tree.Value) {
 func (r *run) matchActivation(a *activation) {
 	c := r.matcher.getCtx(&r.tab)
 	defer r.matcher.putCtx(c)
-	for _, functor := range r.hier.functorOrder {
+	for _, g := range r.groups {
 		// blocked lists the rules of the group a match has shadowed for
 		// this input, in the context's scratch.
 		blocked := c.blocked[:0]
-		for _, rule := range r.hier.groups[functor] {
-			if slices.Contains(blocked, rule.Name) {
+		for _, p := range r.c.hier.groups[g] {
+			if slices.Contains(blocked, p) {
 				continue
 			}
-			s := r.ruleState[rule]
+			s := r.states[p]
 			rp := s.plan
+			rule := rp.rule
 			var matchStart time.Time
 			if r.sink != nil {
 				matchStart = time.Now()
@@ -491,7 +449,7 @@ func (r *run) matchActivation(a *activation) {
 					continue
 				}
 				a.matched = true
-				blocked = append(blocked, r.hier.blocks[rule.Name]...)
+				blocked = append(blocked, r.c.hier.shadows(p)...)
 				c.blocked = blocked
 				continue
 			}
@@ -523,8 +481,8 @@ func (r *run) matchActivation(a *activation) {
 // copies the frames the first kept into frames of its own width.
 func (r *run) matchSingle(c *matchCtx, s *ruleState, a *activation) int {
 	var t *twinMatch
-	if s.twin > 0 {
-		if t = &r.twins[s.twin-1]; t.at == a.h {
+	if s.plan.twin > 0 {
+		if t = &r.twins[s.plan.twin-1]; t.at == a.h {
 			for _, f := range t.from.raw[t.lo:t.hi] {
 				k := r.slab.take(len(s.plan.vars))
 				copy(k, f) // past the body slots, both frames are unbound
@@ -610,8 +568,7 @@ func (r *run) addRaw(s *ruleState, fs []frame) {
 
 // joinMultiBody recomputes the cross-pattern join of a multi-pattern
 // rule when any per-pattern cache grew (Rule 3's heterogeneous join).
-func (r *run) joinMultiBody(rule *yatl.Rule) {
-	s := r.ruleState[rule]
+func (r *run) joinMultiBody(s *ruleState) {
 	if !s.grew {
 		return
 	}
@@ -635,11 +592,8 @@ func (r *run) joinMultiBody(rule *yatl.Rule) {
 // activations are only matched next round, so discovering them after
 // the whole batch changes nothing the batch computes.
 func (r *run) evaluateNewBindings() error {
-	for _, rule := range r.prog.Rules {
-		if rule.Exception {
-			continue
-		}
-		s := r.ruleState[rule]
+	for _, p := range r.rules {
+		s := r.states[p]
 		for ; s.rawNext < len(s.raw); s.rawNext++ {
 			if err := r.ctx.Err(); err != nil {
 				return cancelErr(err)
@@ -655,11 +609,8 @@ func (r *run) evaluateNewBindings() error {
 		}
 	}
 	// Discover activations minted by the new evaluated bindings.
-	for _, rule := range r.prog.Rules {
-		if rule.Exception {
-			continue
-		}
-		s := r.ruleState[rule]
+	for _, p := range r.rules {
+		s := r.states[p]
 		for ; s.evalNext < len(s.evaluated); s.evalNext++ {
 			f := s.evaluated[s.evalNext]
 			for _, slot := range s.plan.minted {
@@ -807,12 +758,12 @@ func resolveOperands(t *values, f frame, ops []operand) ([]tree.Value, bool) {
 // constructRule is phase 4+5 for one rule: evaluate the head Skolem
 // per binding, group the bindings by identity, then build each group's
 // output tree and commit it, in first-occurrence order.
-func (r *run) constructRule(rule *yatl.Rule) error {
-	s := r.ruleState[rule]
+func (r *run) constructRule(s *ruleState) error {
 	if len(s.evaluated) == 0 {
 		return nil
 	}
 	rp := s.plan
+	rule := rp.rule
 	// Group the frames by Skolem identity, in first-occurrence order.
 	c := &r.cons
 	c.plan, c.tab, c.blocks, c.groups, c.frames = rp, &r.tab, &r.blocks, c.groups[:0], c.frames[:0]
@@ -887,7 +838,7 @@ func (r *run) constructRule(rule *yatl.Rule) error {
 		}
 		if err != nil {
 			var nd *NonDetError
-			if errors.As(err, &nd) && r.opts.NonDetWarn {
+			if errors.As(err, &nd) && r.c.opts.NonDetWarn {
 				r.traceDrop(rule.Name, trace.PhaseConstruct, trace.DropNonDeterminism)
 				r.warn(nd.Error())
 				continue
@@ -898,7 +849,7 @@ func (r *run) constructRule(rule *yatl.Rule) error {
 			if !prev.Equal(out) {
 				ndErr := &NonDetError{Rule: rule.Name, OID: oid,
 					Why: "two distinct values for the same Skolem identity"}
-				if r.opts.NonDetWarn {
+				if r.c.opts.NonDetWarn {
 					r.traceDrop(rule.Name, trace.PhaseConstruct, trace.DropNonDeterminism)
 					r.warn(ndErr.Error())
 					continue

@@ -8,7 +8,6 @@ import (
 
 	"yat/internal/pattern"
 	"yat/internal/tree"
-	"yat/internal/yatl"
 )
 
 // scratch is a run's working memory. execute takes one from scratchPool
@@ -23,9 +22,9 @@ type scratch struct {
 	keyBuf []byte
 	dedup  keySet
 	// slab holds the frames the run keeps, matched and joined.
-	slab      frameSlab
-	states    []*ruleState
-	ruleState map[*yatl.Rule]*ruleState
+	slab frameSlab
+	// states holds a run's rule states by rule position.
+	states []*ruleState
 	// twins holds one shared match per group of twin rules.
 	twins   []twinMatch
 	cons    constructor
@@ -35,8 +34,7 @@ type scratch struct {
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{tab: values{vals: []tree.Value{nil}}, ruleState: map[*yatl.Rule]*ruleState{},
-		conform: pattern.NewConformanceChecker(nil, nil)}
+	return &scratch{tab: values{vals: []tree.Value{nil}}, conform: pattern.NewConformanceChecker(nil, nil)}
 }}
 
 // maxPooledScratch bounds the size of a pooled scratch: a larger one is
@@ -44,7 +42,7 @@ var scratchPool = sync.Pool{New: func() any {
 const maxPooledScratch = 4 << 20
 
 // reset empties the scratch, keeping its memory, and returns its size in
-// bytes: its arrays' capacities, and its maps' entries at a bound of
+// bytes: its arrays' capacities, and its checker's entries at a bound of
 // their bytes each (a map keeps the size of its fullest run, which that
 // run's reset counted). It clears every tree pointer, so an idle scratch
 // pins no tree, and zeroes the slabs: take promises unbound frames.
@@ -54,7 +52,7 @@ func (sc *scratch) reset() int {
 		sc.seenIDs.reset() + sc.dedup.reset() + c.keys.reset() + j.keys.reset() + sizeOf(c.parts) + sizeOf(c.args) +
 		sizeOf(c.ids) + sizeOf(c.sizes) + sizeOf(c.oids) + sizeOf(c.groups) + sizeOf(c.frames) + sizeOf(c.buf) +
 		sizeOf(j.shared) + sizeOf(j.buf) + sizeOf(j.head) + sizeOf(j.next) + sizeOf(j.out[0]) + sizeOf(j.out[1]) +
-		64*len(sc.ruleState) + 96*sc.conform.Reset(nil, nil) + sizeOf(sc.states) + sizeOf(sc.twins)
+		96*sc.conform.Reset(nil, nil) + sizeOf(sc.states) + sizeOf(sc.twins)
 	sc.tab.reset()
 	clear(sc.twins)
 	sc.twins = sc.twins[:0]
@@ -68,7 +66,6 @@ func (sc *scratch) reset() int {
 		}
 		*s = ruleState{perPattern: pp[:0], raw: s.raw[:0], rawSeen: s.rawSeen, evaluated: s.evaluated[:0]}
 	}
-	clear(sc.ruleState)
 	clear(c.args[:cap(c.args)])
 	clear(c.oids)
 	c.plan, c.blocks, c.oid = nil, nil, tree.Name{}

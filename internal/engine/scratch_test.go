@@ -104,6 +104,7 @@ func TestRunScratchIsolation(t *testing.T) {
 		t.Errorf("a pooled scratch holds %v", left)
 	}
 
+	compiled, _ := Compile(web)
 	for _, tc := range []struct {
 		name   string
 		reset  func(*scratch) int
@@ -115,7 +116,7 @@ func TestRunScratchIsolation(t *testing.T) {
 		{"reset keeping the checker", resetKeepingChecker, true},
 	} {
 		sc := scratchPool.New().(*scratch)
-		if _, err := executeIn(sc, web, objects, NewOptions(), nil); err != nil {
+		if _, err := compiled.executeIn(sc, nil, objects, nil); err != nil {
 			t.Fatal(err)
 		}
 		tc.reset(sc)
@@ -146,7 +147,7 @@ func leftovers(sc *scratch) []string {
 			break
 		}
 	}
-	if len(sc.ruleState) > 0 || slices.ContainsFunc(sc.states, func(s *ruleState) bool { return s.plan != nil }) {
+	if slices.ContainsFunc(sc.states, func(s *ruleState) bool { return s.plan != nil }) {
 		out = append(out, "a rule state")
 	}
 	// The checker's fields are unexported; reflect reads them.
@@ -246,6 +247,7 @@ func TestScratchSizeCountsWhatItKeeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := workload.BrochureStore(8, 3, 4, 7)
+	compiled, _ := Compile(prog)
 	for _, tc := range []struct {
 		stores []*tree.Store
 		pooled bool
@@ -256,7 +258,7 @@ func TestScratchSizeCountsWhatItKeeps(t *testing.T) {
 		sc := scratchPool.New().(*scratch)
 		size := 0
 		for _, st := range tc.stores {
-			if _, err := executeIn(sc, prog, st, NewOptions(), nil); err != nil {
+			if _, err := compiled.executeIn(sc, nil, st, nil); err != nil {
 				t.Fatal(err)
 			}
 			size = sc.reset()

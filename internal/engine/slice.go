@@ -44,12 +44,11 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"yat/internal/pattern"
-	"yat/internal/trace"
 	"yat/internal/tree"
 	"yat/internal/yatl"
 )
@@ -71,18 +70,24 @@ type Slice struct {
 	// declaration order.
 	Support []*yatl.Rule
 
-	construct map[string]bool
-	include   map[string]bool
+	// prog is the program sliced; scope is what a run of the slice
+	// runs, in prog's rule positions and functor groups.
+	prog *yatl.Program
+	scope
 }
 
 // Rules returns the total number of rules in the slice.
 func (s *Slice) Rules() int { return len(s.Construct) + len(s.Support) }
 
 // Includes reports whether the named rule is in the slice.
-func (s *Slice) Includes(rule string) bool { return s.include[rule] }
+func (s *Slice) Includes(rule string) bool {
+	return s.Constructs(rule) || slices.ContainsFunc(s.Support, func(r *yatl.Rule) bool { return r.Name == rule })
+}
 
 // Constructs reports whether the named rule's outputs are built.
-func (s *Slice) Constructs(rule string) bool { return s.construct[rule] }
+func (s *Slice) Constructs(rule string) bool {
+	return slices.ContainsFunc(s.Construct, func(r *yatl.Rule) bool { return r.Name == rule })
+}
 
 // String renders the slice for diagnostics and trace events.
 func (s *Slice) String() string {
@@ -93,55 +98,35 @@ func (s *Slice) String() string {
 	return fmt.Sprintf("functors=%s construct=%d support=%d", funcs, len(s.Construct), len(s.Support))
 }
 
-// SubProgram restricts a program to the slice's rules, preserving
-// declaration order, models and order statements. Exception rules are
-// never part of a slice: the §3.5 "everything converted" check is
-// only meaningful for full runs. The slice-soundness argument (the
-// construct rules' outputs are byte-identical to a full run's) makes
-// the restriction a closed program in its own right — the federation
-// planner runs one per shard as that child's whole world.
-func (s *Slice) SubProgram(prog *yatl.Program) *yatl.Program {
-	rules := make([]*yatl.Rule, 0, s.Rules())
-	for _, r := range prog.Rules {
-		if !r.Exception && s.include[r.Name] {
-			rules = append(rules, r)
-		}
-	}
-	return &yatl.Program{Name: prog.Name, Rules: rules, Models: prog.Models, Orders: prog.Orders}
-}
-
 // ComputeSlice computes the rule slice needed to materialize the
 // given functors (none = all). Unknown functors contribute no rules.
 // The analysis is purely syntactic and conservative: a slice may
 // include more rules than strictly necessary, never fewer.
 func ComputeSlice(prog *yatl.Program, functors ...string) *Slice {
-	groups := map[string][]*yatl.Rule{}
-	var order []string
-	for _, r := range prog.Rules {
-		if r.Exception {
-			continue
-		}
-		f := r.Head.Functor
-		if _, ok := groups[f]; !ok {
-			order = append(order, f)
-		}
-		groups[f] = append(groups[f], r)
+	c, _ := Compile(prog)
+	return c.computeSlice(functors)
+}
+
+// computeSlice is ComputeSlice over the compiled functor groups.
+func (c *Compiled) computeSlice(functors []string) *Slice {
+	h, rules := &c.hier, c.prog.Rules
+	sl := &Slice{Functors: sortedUnique(functors), prog: c.prog}
+	index := make(map[string]int, len(h.functors))
+	for g, f := range h.functors {
+		index[f] = g
 	}
 
-	sl := &Slice{construct: map[string]bool{}, include: map[string]bool{}}
-	sl.Functors = sortedUnique(functors)
-
 	// Construct set: requested groups closed under head dereferences.
-	needed := map[string]bool{}
-	var work []string
+	needed, supported := make([]bool, len(h.functors)), make([]bool, len(h.functors))
+	var work []int
 	demand := func(f string) {
-		if _, defined := groups[f]; defined && !needed[f] {
-			needed[f] = true
-			work = append(work, f)
+		if g, defined := index[f]; defined && !needed[g] {
+			needed[g] = true
+			work = append(work, g)
 		}
 	}
 	if len(functors) == 0 {
-		for _, f := range order {
+		for _, f := range h.functors {
 			demand(f)
 		}
 	} else {
@@ -150,82 +135,56 @@ func ComputeSlice(prog *yatl.Program, functors ...string) *Slice {
 		}
 	}
 	for len(work) > 0 {
-		f := work[0]
-		work = work[1:]
-		for _, r := range groups[f] {
-			if r.Head.Tree == nil {
-				continue
-			}
-			for _, ref := range r.Head.Tree.PatternRefs() {
-				if !ref.Ref {
-					demand(ref.Name)
+		for _, p := range h.groups[work[0]] {
+			if t := rules[p].Head.Tree; t != nil {
+				for _, ref := range t.PatternRefs() {
+					if !ref.Ref {
+						demand(ref.Name)
+					}
 				}
 			}
 		}
+		work = work[1:]
 	}
 
 	// Support set: close over feeder groups until no group outside
 	// the slice can mint an activation a slice rule matches. An empty
 	// construct set needs no feeding at all.
-	mints := map[string]mintSummary{}
-	for _, rules := range groups {
-		for _, r := range rules {
-			mints[r.Name] = summarizeMints(r)
-		}
+	mints := make([]mintSummary, len(rules))
+	for _, p := range c.all.rules {
+		mints[p] = summarizeMints(rules[p])
 	}
-	supported := map[string]bool{}
-	included := func(f string) bool { return needed[f] || supported[f] }
-	for changed := len(needed) > 0; changed; {
+	included := func(g int) bool { return needed[g] || supported[g] }
+	for changed := slices.Contains(needed, true); changed; {
 		changed = false
 		leafOK := false
-		for _, f := range order {
-			if !included(f) {
-				continue
-			}
-			for _, r := range groups[f] {
-				if ruleCanMatchLeaf(r) {
-					leafOK = true
-				}
+		for g, group := range h.groups {
+			if included(g) && slices.ContainsFunc(group, func(p int) bool { return ruleCanMatchLeaf(rules[p]) }) {
+				leafOK = true
 			}
 		}
-		for _, f := range order {
-			if included(f) {
-				continue
-			}
-			for _, r := range groups[f] {
-				m := mints[r.Name]
-				if m.any || (m.atom && leafOK) {
-					supported[f] = true
-					changed = true
-					break
-				}
+		for g, group := range h.groups {
+			if !included(g) && slices.ContainsFunc(group, func(p int) bool { return mints[p].any || mints[p].atom && leafOK }) {
+				supported[g], changed = true, true
 			}
 		}
 	}
 
-	for _, f := range order {
-		switch {
-		case needed[f]:
+	for g, f := range h.functors {
+		if included(g) {
+			sl.groups = append(sl.groups, g)
+		}
+		if needed[g] {
 			sl.Closure = append(sl.Closure, f)
-			for _, r := range groups[f] {
-				sl.construct[r.Name] = true
-				sl.include[r.Name] = true
-			}
-		case supported[f]:
-			for _, r := range groups[f] {
-				sl.include[r.Name] = true
-			}
 		}
 	}
 	sort.Strings(sl.Closure)
-	for _, r := range prog.Rules {
-		if r.Exception || !sl.include[r.Name] {
-			continue
-		}
-		if sl.construct[r.Name] {
-			sl.Construct = append(sl.Construct, r)
-		} else {
-			sl.Support = append(sl.Support, r)
+	for _, p := range c.all.rules {
+		switch r, g := rules[p], index[rules[p].Head.Functor]; {
+		case needed[g]:
+			sl.rules, sl.Construct = append(sl.rules, p), append(sl.Construct, r)
+		case supported[g]:
+			sl.rules, sl.Support = append(sl.rules, p), append(sl.Support, r)
 		}
 	}
 	return sl
@@ -362,42 +321,20 @@ func ruleCanMatchLeaf(r *yatl.Rule) bool {
 	return false
 }
 
-// RunSlice executes only the given slice of the program over the
-// input store. The outputs of the construct rules are byte-identical
-// to the same rules' outputs in a full run, fully dereferenced within
-// the slice; references to functors outside the closure stay symbolic,
-// exactly as in a full run's store, and are not warned about as
-// dangling: a slice store is partial by design. A nil slice runs the full-program slice. The §3.4 safety
-// check applies to the whole program, so a slice run fails exactly
-// when the full run would fail the check.
+// RunSlice compiles the program and runs the given slice of it
+// (Compiled.RunSlice).
 func RunSlice(ctx context.Context, prog *yatl.Program, inputs *tree.Store, sl *Slice, opts ...Option) (*Result, error) {
-	if sl == nil {
-		sl = ComputeSlice(prog)
-	}
-	o := NewOptions(opts...)
-	o.ctx = ctx
-	if o.Trace != nil {
-		start := time.Now()
-		defer func() {
-			o.Trace.Emit(trace.Event{Kind: trace.KindSliceComputed, Phase: trace.PhaseSlice,
-				Count: sl.Rules(), Detail: sl.String(), Duration: time.Since(start)})
-		}()
-	}
-	return execute(prog, inputs, o, sl)
+	c, _ := Compile(prog, opts...)
+	return c.RunSlice(ctx, inputs, sl)
 }
 
+// sortedUnique returns the strings sorted, without repeats: nil for
+// none.
 func sortedUnique(in []string) []string {
 	if len(in) == 0 {
 		return nil
 	}
-	out := append([]string(nil), in...)
-	sort.Strings(out)
-	n := 0
-	for i, s := range out {
-		if i == 0 || s != out[i-1] {
-			out[n] = s
-			n++
-		}
-	}
-	return out[:n]
+	out := slices.Clone(in)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

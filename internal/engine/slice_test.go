@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -146,6 +147,14 @@ func TestRunSliceMatchesFullRun(t *testing.T) {
 				got := tree.FormatStore(filterFunctors(res.Outputs, closure))
 				if got != want {
 					t.Errorf("%s: slice outputs differ from full run\n got:\n%s\nwant:\n%s", f, got, want)
+				}
+				// A slice of another program value, here the rules in
+				// reverse, runs as this program's slice of its functors.
+				reversed := yatl.MustParse(c.src)
+				slices.Reverse(reversed.Rules)
+				if other, err := RunSlice(nil, prog, c.inputs, ComputeSlice(reversed, f)); err != nil ||
+					tree.FormatStore(other.Outputs) != tree.FormatStore(res.Outputs) {
+					t.Errorf("%s: the slice of the reversed program ran otherwise (%v)", f, err)
 				}
 				// The slice constructs nothing outside its closure.
 				for _, e := range res.Outputs.Entries() {

@@ -309,15 +309,14 @@ func twinRun(prog *yatl.Program, store *tree.Store, model *pattern.Model, sl *Sl
 		err, tree.FormatStore(res.Outputs), res.Warnings, res.Unconverted, res.Stats, events.events), events.matched
 }
 
-// twinGroups returns, per rule of prog, the twin group a run of it
+// twinGroups returns, per rule of prog, the twin group compiling it
 // puts the rule in, 0 for none.
-func twinGroups(prog *yatl.Program, store *tree.Store, model *pattern.Model) []int {
-	sc := scratchPool.New().(*scratch)
-	executeIn(sc, prog, store, NewOptions(WithModel(model), WithNonDetWarn(true), WithMaxRounds(20)), nil)
+func twinGroups(prog *yatl.Program, model *pattern.Model) []int {
+	c, _ := Compile(prog, WithModel(model), WithNonDetWarn(true), WithMaxRounds(20))
 	out := make([]int, len(prog.Rules))
-	for i, r := range prog.Rules {
-		if s := sc.ruleState[r]; s != nil {
-			out[i] = s.twin
+	for i, rp := range c.plans {
+		if rp != nil {
+			out[i] = rp.twin
 		}
 	}
 	return out
@@ -338,8 +337,8 @@ func checkTwinSeed(seed int64, made map[string]int) (diff, grouping string) {
 	}
 	g.program(trees)
 	prog := g.prog
-	groups := twinGroups(prog, store, model)
-	hier := buildHierarchy(prog, model)
+	groups := twinGroups(prog, model)
+	hier := BuildHierarchy(prog, model)
 	for i := range prog.Rules {
 		for j := range prog.Rules[:i] {
 			if g.family[i] != g.family[j] || g.near[i] && g.near[j] {
@@ -355,7 +354,7 @@ func checkTwinSeed(seed int64, made map[string]int) (diff, grouping string) {
 				grouping = fmt.Sprintf("near-twins %s and %s share a match:\n%s\n%s", a.Name, b.Name, a.Body[0].Tree, b.Body[0].Tree)
 			case twin && a.Head.Functor != b.Head.Functor:
 				made["twins across groups"]++
-			case twin && len(hier.blocks[a.Name])+len(hier.blocks[b.Name]) > 0:
+			case twin && len(hier.Blocks[a.Name])+len(hier.Blocks[b.Name]) > 0:
 				made["twins in one group, blocking"]++
 			case twin:
 				made["twins in one group"]++

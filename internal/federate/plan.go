@@ -61,10 +61,25 @@ func PlanShards(prog *yatl.Program, n int) []ShardPlan {
 	}
 	plans := make([]ShardPlan, n)
 	for i := range plans {
-		sl := engine.ComputeSlice(prog, owned[i]...)
-		plans[i] = ShardPlan{Index: i, Total: n, Functors: owned[i], Prog: sl.SubProgram(prog)}
+		plans[i] = ShardPlan{Index: i, Total: n, Functors: owned[i], Prog: subProgram(prog, engine.ComputeSlice(prog, owned[i]...))}
 	}
 	return plans
+}
+
+// subProgram restricts a program to a slice's rules, preserving
+// declaration order, models and order statements. Exception rules are
+// never part of a slice: the §3.5 "everything converted" check is only
+// meaningful for full runs. The slice-soundness argument (the construct
+// rules' outputs are byte-identical to a full run's) makes the
+// restriction a closed program in its own right: a child's whole world.
+func subProgram(prog *yatl.Program, sl *engine.Slice) *yatl.Program {
+	rules := make([]*yatl.Rule, 0, sl.Rules())
+	for _, r := range prog.Rules {
+		if !r.Exception && sl.Includes(r.Name) {
+			rules = append(rules, r)
+		}
+	}
+	return &yatl.Program{Name: prog.Name, Rules: rules, Models: prog.Models, Orders: prog.Orders}
 }
 
 // FusePipeline folds a cross-mediator pipeline prg1 : M1↦M2, prg2 :

@@ -27,7 +27,6 @@
 package mediator
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"maps"
 	"slices"
@@ -44,9 +43,6 @@ import (
 // demandCache is one generation's cache of materialized functor groups
 // plus the ask memo layered over them.
 type demandCache struct {
-	// slices memoizes the rule slices of the program the cache serves;
-	// a group's own slice is slices.get(functor).
-	slices *sliceMemo
 	// cur is the published view; never nil.
 	cur atomic.Pointer[cacheView]
 }
@@ -177,48 +173,8 @@ func memoize(m *askMemo, key askKey, form askForm, answers []Answer, body []byte
 	return &stored.sums[i]
 }
 
-// maxSliceMemo bounds a program's slice memo; combinations past the
-// cap are computed but not retained.
-const maxSliceMemo = 1024
-
-// sliceMemo memoizes one program's rule slices (engine.ComputeSlice)
-// per functor combination, so the demand cache-hit path computes none.
-// One lives per program value: Invalidate and Restore share it, Reload
-// starts a fresh one. Safe for concurrent use.
-type sliceMemo struct {
-	prog   *yatl.Program
-	slices *memo.Map[string, engine.Slice]
-}
-
-// A slice is sized roughly, by its key and lists: the entry bound is the
-// one a program's slice memo reaches.
-func newSliceMemo(prog *yatl.Program) *sliceMemo {
-	return &sliceMemo{prog: prog, slices: memo.New(maxSliceMemo, memo.MaxBytes,
-		func(key string, sl *engine.Slice) int64 { return int64(len(key) + 64*(sl.Rules()+len(sl.Closure))) })}
-}
-
-// get returns the slice for the functors (none = the whole program).
-// The order of the functors and their repeats do not matter. A repeated
-// single-functor probe allocates nothing.
-func (s *sliceMemo) get(functors ...string) *engine.Slice {
-	if len(functors) > 1 {
-		functors = slices.Clone(functors)
-		slices.Sort(functors)
-		functors = slices.Compact(functors)
-	}
-	key, ok := memo.ListKey(functors)
-	if !ok {
-		return engine.ComputeSlice(s.prog, functors...)
-	}
-	if sl := s.slices.Load(key); sl != nil {
-		return sl
-	}
-	sl := engine.ComputeSlice(s.prog, functors...)
-	return cmp.Or(s.slices.Update(key, func(old *engine.Slice) *engine.Slice { return cmp.Or(old, sl) }), sl)
-}
-
-func newDemandCache(memo *sliceMemo) *demandCache {
-	c := &demandCache{slices: memo}
+func newDemandCache() *demandCache {
+	c := &demandCache{}
 	c.cur.Store(&cacheView{groups: map[string]*group{}, memo: newAskMemo()})
 	return c
 }
@@ -334,12 +290,12 @@ func (v *cacheView) cachedRules() int {
 }
 
 // dependents lists, sorted, the cached functors whose group depends on
-// one of the rules: the rule is in the group's slice, as construct or
-// support.
-func (c *demandCache) dependents(rules map[string]bool) []string {
+// one of the rules: the rule is in the group's slice of the program, as
+// construct or support.
+func (c *demandCache) dependents(prog *engine.Compiled, rules map[string]bool) []string {
 	var out []string
 	for f := range c.view().groups {
-		own := c.slices.get(f)
+		own := prog.Slice(f)
 		for rule := range rules {
 			if own.Includes(rule) {
 				out = append(out, f)
@@ -431,8 +387,8 @@ func (c *demandCache) evict(functors ...string) {
 // asks on the old generation and refreshes of the new one cannot
 // disturb each other), the rest are left behind. c itself is not
 // modified.
-func (c *demandCache) carryOver(memo *sliceMemo, keep func(functor string) bool) *demandCache {
-	next := &demandCache{slices: memo}
+func (c *demandCache) carryOver(keep func(functor string) bool) *demandCache {
+	next := &demandCache{}
 	next.cur.Store(c.view())
 	next.publish(func(groups map[string]*group) {
 		maps.DeleteFunc(groups, func(f string, _ *group) bool { return !keep(f) })

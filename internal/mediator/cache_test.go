@@ -18,11 +18,11 @@ import (
 // relies on: a group stands for exactly its functor's construct rules,
 // no entry carries another functor's name, and the bucket lists each
 // identity once.
-func checkInvariants(t testing.TB, c *demandCache) {
+func checkInvariants(t testing.TB, st *progState) {
 	t.Helper()
-	for f, g := range c.view().groups {
+	for f, g := range st.dgen.cache.view().groups {
 		rules := 0
-		for _, r := range c.slices.get(f).Construct {
+		for _, r := range st.comp.Slice(f).Construct {
 			if r.Head.Functor == f {
 				rules++
 			}
@@ -58,10 +58,11 @@ type cacheWatch struct {
 // when no ask ran since — an empty memo.
 func (w *cacheWatch) look(t testing.TB, m *Mediator) (ver uint64, memo int) {
 	t.Helper()
-	g := m.state().dgen
+	st := m.state()
+	g := st.dgen
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	checkInvariants(t, g.cache)
+	checkInvariants(t, st)
 	v := g.cache.view()
 	if g.cache == w.cache && v.ver < w.ver {
 		t.Errorf("cache version went from %d back to %d", w.ver, v.ver)
@@ -220,7 +221,7 @@ func TestReloadSharesUnchangedGroups(t *testing.T) {
 			t.Errorf("in-flight view[%d] changed from %s to %s", i, original[i].Name, e.Name)
 		}
 	}
-	checkInvariants(t, old.dgen.cache)
+	checkInvariants(t, old)
 }
 
 // churnStores are a base PartitionedStore and the same store grown by
@@ -325,5 +326,5 @@ func TestLockFreeHitsAcrossRefresh(t *testing.T) {
 		t.Errorf("misses=%d hits=%d memo hits=%d: want the cold fill's one miss, then memo and demand hits alike",
 			st.CacheMisses, st.CacheHits, st.MemoHits)
 	}
-	checkInvariants(t, m.state().dgen.cache)
+	checkInvariants(t, m.state())
 }

@@ -29,7 +29,7 @@
 // Affected groups are found without running anything, and in one
 // place: every tree the delta touches — inserted, deleted, and both
 // sides of a rewrite — is matched against every rule body
-// (engine.AffectedRules), and a cached group is affected iff its slice
+// (Compiled.AffectedRules), and a cached group is affected iff its slice
 // — construct and support rules alike — contains an affected rule
 // (demandCache.dependents). A rule the delta cannot reach directly or
 // through minted activations is, by slice closure, provably
@@ -42,7 +42,6 @@ import (
 	"slices"
 
 	"yat/internal/delta"
-	"yat/internal/engine"
 	"yat/internal/trace"
 	"yat/internal/tree"
 )
@@ -188,8 +187,8 @@ func (m *Mediator) applyDelta(ctx context.Context, name string) (deltaOutcome, e
 	}
 	// Re-run the union slice of the affected groups over the new inputs
 	// and swap it into the cache; unaffected groups stay.
-	sl := st.slices.get(groups...)
-	res, err := engine.RunSlice(ctx, st.prog, inputs, sl, m.opts)
+	sl := st.comp.Slice(groups...)
+	res, err := st.comp.RunSlice(ctx, inputs, sl)
 	if err != nil {
 		g.failed(err)
 		g.cache.evict(groups...)
@@ -206,7 +205,7 @@ func (m *Mediator) applyDelta(ctx context.Context, name string) (deltaOutcome, e
 }
 
 // affectedGroups returns the cached functor groups whose slices
-// contain a rule the delta can feed (engine.AffectedRules): a rule some
+// contain a rule the delta can feed (Compiled.AffectedRules): a rule some
 // inserted, deleted or rewritten tree — old side or new — can match.
 // Matching the old trees ignores §4.2 blocking and conformance, so it
 // names every rule that did match them. Slice closure extends direct
@@ -220,5 +219,5 @@ func (m *Mediator) affectedGroups(st *progState, g *demandGen, d *delta.Delta) [
 		touched = append(touched,
 			tree.StoreEntry{Name: c.Name, Tree: c.Old}, tree.StoreEntry{Name: c.Name, Tree: c.New})
 	}
-	return g.cache.dependents(engine.AffectedRules(st.prog, touched))
+	return g.cache.dependents(st.comp, st.comp.AffectedRules(touched))
 }

@@ -255,7 +255,8 @@ rule Dead {
 			t.Fatal(err)
 		}
 	}
-	g := m.state().dgen
+	st := m.state()
+	g := st.dgen
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, c := range []struct{ rule, want string }{
@@ -264,7 +265,7 @@ rule Dead {
 		{"Dead", "[Plive Pother]"}, // never fires, but supports every slice as Feed does
 		{"no-such-rule", "[]"},
 	} {
-		if got := fmt.Sprint(g.cache.dependents(map[string]bool{c.rule: true})); got != c.want {
+		if got := fmt.Sprint(g.cache.dependents(st.comp, map[string]bool{c.rule: true})); got != c.want {
 			t.Errorf("dependents(%s) = %s, want %s", c.rule, got, c.want)
 		}
 	}
@@ -489,40 +490,27 @@ func TestNULFunctorBypassesMemos(t *testing.T) {
 	})
 }
 
-// TestSliceMemo: a program's slice memo serves a repeated
-// single-functor probe without allocating, stops retaining at its cap,
-// outlives Invalidate and Restore (same program) and is replaced by
-// Reload.
+// TestSliceMemo: the compiled program's slice memo serves a repeated
+// single-functor probe without allocating, outlives Invalidate and
+// Restore (same program) and is replaced by Reload. Its cap is the
+// engine's (TestCompiledSliceMemo).
 func TestSliceMemo(t *testing.T) {
 	prog := yatl.MustParse(workload.SelectiveProgram(4))
 	m := New(prog, workload.BrochureStore(6, 2, 5, 11), WithDemandDriven(true))
-	memo := m.state().slices
+	comp := m.state().comp
 
-	one := memo.get("Pview1")
-	if one != memo.get("Pview1") || memo.get() != memo.get() {
+	one := comp.Slice("Pview1")
+	if one != comp.Slice("Pview1") || comp.Slice() != comp.Slice() {
 		t.Error("a repeated probe computed a new slice")
 	}
 	if !one.Constructs("View1") || one.Rules() != 1 {
 		t.Errorf("Pview1 slice = %s, want View1 alone", one)
 	}
-	if pair := memo.get("Pview2", "Pview1", "Pview2"); pair != memo.get("Pview1", "Pview2") || pair.Rules() != 2 {
+	if pair := comp.Slice("Pview2", "Pview1", "Pview2"); pair != comp.Slice("Pview1", "Pview2") || pair.Rules() != 2 {
 		t.Errorf("order and repeats changed the two-view slice: %s", pair)
 	}
-	if n := testing.AllocsPerRun(100, func() { memo.get("Pview1") }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { comp.Slice("Pview1") }); n != 0 {
 		t.Errorf("single-functor probe allocates %.0f, want 0", n)
-	}
-
-	for i := memo.slices.Len(); i < maxSliceMemo+8; i++ {
-		memo.get(fmt.Sprintf("Pextra%d", i))
-	}
-	if memo.slices.Len() != maxSliceMemo {
-		t.Errorf("memo holds %d slices, want the cap %d", memo.slices.Len(), maxSliceMemo)
-	}
-	if past := "Pextra" + fmt.Sprint(maxSliceMemo+8); memo.get(past) == memo.get(past) {
-		t.Error("a slice past the cap was retained")
-	}
-	if memo.get("Pview1") != one {
-		t.Error("the cap evicted a retained slice")
 	}
 
 	if _, err := m.Ask(`view < -> name -> N >`, "Pview1"); err != nil {
@@ -533,17 +521,17 @@ func TestSliceMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Invalidate()
-	if m.state().slices != memo {
-		t.Error("Invalidate replaced the slice memo")
+	if m.state().comp != comp {
+		t.Error("Invalidate replaced the compiled program")
 	}
 	if err := m.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if st := m.state(); st.slices != memo || st.dgen.cache.slices != memo {
-		t.Error("Restore replaced the slice memo")
+	if m.state().comp != comp {
+		t.Error("Restore replaced the compiled program")
 	}
 	m.Reload(yatl.MustParse(workload.SelectiveProgram(4)))
-	if st := m.state(); st.slices == memo || st.dgen.cache.slices != st.slices {
-		t.Error("Reload kept the old program's slice memo")
+	if m.state().comp == comp {
+		t.Error("Reload kept the old compiled program")
 	}
 }

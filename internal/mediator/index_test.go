@@ -559,7 +559,7 @@ func TestPointLookupAfterCacheMutations(t *testing.T) {
 	if st := restored.Stats(); st.SliceRuns != runs || st.CacheMisses != 0 {
 		t.Fatalf("the restored generation re-ran a slice: %+v", st)
 	}
-	checkInvariants(t, restored.state().dgen.cache)
+	checkInvariants(t, restored.state())
 }
 
 // Get compares each scanned entry's key in one reused buffer.

@@ -15,7 +15,7 @@
 // With WithDemandDriven the mediator goes further and pushes the
 // query into the engine: an Ask restricted to some functors computes
 // the dependency-closed rule slice for those functors
-// (engine.ComputeSlice), runs only that slice, and caches the
+// (engine.Compiled.Slice), runs only that slice, and caches the
 // materialized outputs per functor group so overlapping slices reuse
 // work.
 // Every slice run of one cache generation reads the one input snapshot
@@ -142,27 +142,26 @@ func (g *generation) materialize(ctx context.Context, m *Mediator, st *progState
 			g.done.Store(true)
 			return
 		}
-		g.result, g.err = engine.RunContext(ctx, st.prog, snap.store(), m.opts)
+		g.result, g.err = st.comp.Run(ctx, snap.store())
 		g.done.Store(true)
 	})
 	return g.result, g.err
 }
 
-// progState is one program lifetime: the program itself plus the
+// progState is one program lifetime: the compiled program plus the
 // materialization state built over it, stamped with a generation
 // number. Invalidate and Reload swap in a fresh progState; every query
 // snapshots exactly one and works against it throughout, so a query
 // racing a reload observes the old program or the new one in its
 // entirety — never a mixed answer.
 type progState struct {
-	prog *yatl.Program
+	// comp is the program compiled under the mediator's options: every
+	// run, slice and refresh goes through it. Invalidate and Restore
+	// share it; Reload compiles the new program.
+	comp *engine.Compiled
 	gen  *generation
 	// dgen is the demand-driven cache, nil unless WithDemandDriven.
 	dgen *demandGen
-	// slices memoizes prog's rule slices, which every demand read and
-	// refresh goes through. Invalidate and Restore share it (same
-	// program value); Reload starts a fresh one.
-	slices *sliceMemo
 	// progHash and optsHash identify the program text and the
 	// result-affecting engine options (registry surface included) this
 	// state computes under — the same canonical hashes the snapshot
@@ -215,8 +214,8 @@ type runLedger struct {
 	err error
 }
 
-func newDemandGen(memo *sliceMemo, ledger runLedger) *demandGen {
-	g := &demandGen{cache: newDemandCache(memo)}
+func newDemandGen(ledger runLedger) *demandGen {
+	g := &demandGen{cache: newDemandCache()}
 	g.ledger.Store(&ledger)
 	return g
 }
@@ -274,19 +273,21 @@ type Mediator struct {
 	patchedRules   atomic.Int64
 
 	// Test instrumentation, unset in the library: beforeRefreshLock runs
-	// each time a refresh is about to lock its generation, and
+	// each time a refresh is about to lock its generation,
 	// refreshCommitsOneGroup is the unsound refresh the generated refresh
-	// test must catch — a re-run that commits only its first group.
+	// test must catch — a re-run that commits only its first group — and
+	// reloadKeepsCompiled the unsound Reload its mutation test must catch,
+	// one that keeps running the old program.
 	beforeRefreshLock      func()
 	refreshCommitsOneGroup bool
+	reloadKeepsCompiled    bool
 }
 
-// New returns a mediator over the program and sources. Nothing runs
-// until the first query. Options configure the underlying engine runs
+// New returns a mediator over the program, compiled, and sources;
+// nothing runs until the first query. Options configure the engine runs
 // (a legacy *engine.Options value also works: it satisfies
 // engine.Option); WithDemandDriven selects the evaluation strategy.
 func New(prog *yatl.Program, inputs *tree.Store, opts ...engine.Option) *Mediator {
-	st := &progState{prog: prog, gen: &generation{}, slices: newSliceMemo(prog), num: 1}
 	m := &Mediator{inputs: inputs}
 	var eng []engine.Option
 	for _, o := range opts {
@@ -300,10 +301,11 @@ func New(prog *yatl.Program, inputs *tree.Store, opts ...engine.Option) *Mediato
 		}
 	}
 	m.opts = engine.NewOptions(eng...)
-	st.progHash = snapshot.HashProgram(prog)
-	st.optsHash = snapshot.HashOptions(m.opts)
+	comp, _ := engine.Compile(prog, m.opts)
+	st := &progState{comp: comp, gen: &generation{}, num: 1,
+		progHash: snapshot.HashProgram(prog), optsHash: snapshot.HashOptions(m.opts)}
 	if m.demand {
-		st.dgen = newDemandGen(st.slices, runLedger{})
+		st.dgen = newDemandGen(runLedger{})
 	}
 	m.cur.Store(st)
 	return m
@@ -317,7 +319,7 @@ func (m *Mediator) state() *progState { return m.cur.Load() }
 
 // Program returns the program the mediator currently serves (the one
 // installed by the constructor or the most recent Reload).
-func (m *Mediator) Program() *yatl.Program { return m.state().prog }
+func (m *Mediator) Program() *yatl.Program { return m.state().comp.Program() }
 
 // Generation returns the current program-state generation number. It
 // starts at 1 and increments on every Invalidate and Reload; two asks
@@ -755,7 +757,7 @@ func (m *Mediator) read(ctx context.Context, st *progState, pt *pattern.PTree, f
 // of every ask missing the same groups.
 func (m *Mediator) ensureDemand(ctx context.Context, st *progState, pt *pattern.PTree, functors []string) ([]tree.StoreEntry, bool, *cacheView, error) {
 	g := st.dgen
-	sl := st.slices.get(functors...)
+	sl := st.comp.Slice(functors...)
 	if v := g.cache.view(); v.covers(sl) {
 		m.traceSlice(sl, v)
 		return v.candidates(pt, functors...), true, v, nil
@@ -790,8 +792,8 @@ func (m *Mediator) ensureDemand(ctx context.Context, st *progState, pt *pattern.
 				g.pin = snap
 			}
 		}
-		sub := st.slices.get(missing...)
-		res, err := engine.RunSlice(ctx, st.prog, snap.store(), sub, m.opts)
+		sub := st.comp.Slice(missing...)
+		res, err := st.comp.RunSlice(ctx, snap.store(), sub)
 		if err != nil {
 			g.failed(err)
 			return nil, false, nil, err
@@ -1035,7 +1037,7 @@ func (m *Mediator) demandStats() Stats {
 	st := m.state()
 	g := st.dgen
 	v, l := g.cache.view(), g.ledger.Load()
-	full := st.slices.get()
+	full := st.comp.Slice()
 	return Stats{
 		Run:          l.stats,
 		Demand:       true,
@@ -1055,13 +1057,12 @@ func (m *Mediator) demandStats() Stats {
 // old generation finish against its consistent snapshot.
 func (m *Mediator) Invalidate() {
 	m.mu.Lock()
-	cur := m.state()
-	next := &progState{prog: cur.prog, gen: &generation{}, slices: cur.slices,
-		progHash: cur.progHash, optsHash: cur.optsHash, num: cur.num + 1}
+	next := *m.state()
+	next.gen, next.num = &generation{}, next.num+1
 	if m.demand {
-		next.dgen = newDemandGen(next.slices, runLedger{})
+		next.dgen = newDemandGen(runLedger{})
 	}
-	m.cur.Store(next)
+	m.cur.Store(&next)
 	m.mu.Unlock()
 }
 
@@ -1087,13 +1088,17 @@ func (m *Mediator) Reload(prog *yatl.Program) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	old := m.state()
-	next := &progState{prog: prog, gen: &generation{}, slices: newSliceMemo(prog),
+	comp, _ := engine.Compile(prog, m.opts)
+	if m.reloadKeepsCompiled {
+		comp = old.comp
+	}
+	next := &progState{comp: comp, gen: &generation{},
 		progHash: snapshot.HashProgram(prog), optsHash: snapshot.HashOptions(m.opts), num: old.num + 1}
 	if m.demand {
 		if next.optsHash == old.optsHash {
-			next.dgen = old.dgen.cloneFor(old.slices, next.slices)
+			next.dgen = old.dgen.cloneFor(old.comp, next.comp)
 		} else {
-			next.dgen = newDemandGen(next.slices, runLedger{})
+			next.dgen = newDemandGen(runLedger{})
 		}
 	}
 	m.cur.Store(next)

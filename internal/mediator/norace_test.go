@@ -1,0 +1,7 @@
+//go:build !race
+
+package mediator
+
+// refreshAllocBudget is TestRefreshAllocs's ceiling; -race builds
+// allocate more.
+const refreshAllocBudget float64 = 450

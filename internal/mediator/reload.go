@@ -11,25 +11,29 @@
 // are byte-identical to what a fresh run would produce. Anything less —
 // a rule edited, added to, removed from or moved within the slice, or
 // renamed — leaves the group behind. Both slices come from the
-// programs' slice memos, the one slicing path fills and refreshes use.
+// compiled programs' slice memos, the one slicing path fills and
+// refreshes use.
 package mediator
 
-import "yat/internal/yatl"
+import (
+	"yat/internal/engine"
+	"yat/internal/yatl"
+)
 
 // cloneFor builds the successor demand generation for a reload from
-// the program sliced by oldSlices to the one sliced by newSlices: the
-// run bookkeeping is copied, the unchanged functor groups are shared and
+// the program compiled as from to the one compiled as to: the run
+// bookkeeping is copied, the unchanged functor groups are shared and
 // with them the input snapshot they were computed from. g is only
 // marked superseded, so a refresh waiting for its lock follows the
 // clone; in-flight queries keep answering from it.
-func (g *demandGen) cloneFor(oldSlices, newSlices *sliceMemo) *demandGen {
+func (g *demandGen) cloneFor(from, to *engine.Compiled) *demandGen {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.superseded = true
-	c := newDemandGen(newSlices, *g.ledger.Load())
+	c := newDemandGen(*g.ledger.Load())
 	c.pin = g.pin
-	c.cache = g.cache.carryOver(newSlices, func(f string) bool {
-		oldSl, newSl := oldSlices.get(f), newSlices.get(f)
+	c.cache = g.cache.carryOver(func(f string) bool {
+		oldSl, newSl := from.Slice(f), to.Slice(f)
 		return sameRules(oldSl.Construct, newSl.Construct) && sameRules(oldSl.Support, newSl.Support)
 	})
 	return c

@@ -3,6 +3,7 @@ package mediator
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -146,6 +147,61 @@ func TestReloadEdgeCases(t *testing.T) {
 			t.Fatalf("tags after reload: %v, want {v2}", tags)
 		}
 	})
+}
+
+// A Reload runs the program it installs. reloadDiff warms a mediator
+// over one edition of a program, reloads it with another whose View1
+// differs in head or in body text, and reports how its asks then
+// differ from a full-mode mediator over the new edition; the check
+// must catch the mutant that keeps the old compiled program across the
+// reload. TestReloadSharesUnchangedGroups is the other half: what an
+// unchanged rule had cached stays shared.
+func TestReloadMutationDetected(t *testing.T) {
+	v1 := versionedSelective("v1", "v1")
+	for _, edit := range []struct{ name, to string }{
+		{"head", versionedSelective("v2", "v1")},
+		{"body", strings.Replace(v1, "supplier < -> name -> SN,", "supplier < -> address -> SN,", 1)},
+	} {
+		for _, demand := range []bool{true, false} {
+			for _, mutant := range []bool{false, true} {
+				diff := reloadDiff(t, v1, edit.to, demand, mutant)
+				if caught := diff != ""; caught != mutant {
+					t.Errorf("%s edit, demand=%v, mutant=%v: caught=%v: %s", edit.name, demand, mutant, caught, diff)
+				}
+			}
+		}
+	}
+}
+
+// reloadDiff reloads a mediator from one edition to the other and
+// describes the first ask that then answers unlike the new edition, ""
+// when none does.
+func reloadDiff(t *testing.T, from, to string, demand, mutant bool) string {
+	t.Helper()
+	inputs := workload.BrochureStore(6, 2, 5, 11)
+	m := New(yatl.MustParse(from), inputs, WithDemandDriven(demand))
+	m.reloadKeepsCompiled = mutant
+	for _, f := range []string{"Pview1", "Pview2"} {
+		if _, err := m.Ask(tagPattern, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Reload(yatl.MustParse(to))
+	oracle := New(yatl.MustParse(to), inputs)
+	for _, functors := range [][]string{{"Pview1"}, {"Pview2"}, nil} {
+		got, err := m.Ask(tagPattern, functors...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.Ask(tagPattern, functors...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(got, want, func(a, b Answer) bool { return a.MergeKey() == b.MergeKey() }) {
+			return fmt.Sprintf("ask %v after the reload: %d answers, not the new edition's %d", functors, len(got), len(want))
+		}
+	}
+	return ""
 }
 
 // The atomicity contract, pinned under the race detector with 1, 4

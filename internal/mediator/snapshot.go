@@ -66,7 +66,7 @@ func (m *Mediator) Snapshot() (*snapshot.Snapshot, error) {
 		Format:      snapshot.FormatVersion,
 		ProgramHash: st.progHash,
 		OptionsHash: st.optsHash,
-		Program:     st.prog.Name,
+		Program:     st.comp.Program().Name,
 		Generation:  st.num,
 		Payload:     payload,
 	}, nil
@@ -104,7 +104,7 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 			return corrupt("functor %s: records are not sorted by functor", rec.Functor)
 		}
 		known := len(rules)
-		for _, r := range st.slices.get(rec.Functor).Construct {
+		for _, r := range st.comp.Slice(rec.Functor).Construct {
 			if r.Head.Functor == rec.Functor {
 				rules = append(rules, r)
 			}
@@ -130,7 +130,7 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 		}
 	}
 
-	g := newDemandGen(st.slices, runLedger{stats: s.Payload.Stats, runs: s.Payload.Runs})
+	g := newDemandGen(runLedger{stats: s.Payload.Stats, runs: s.Payload.Runs})
 	g.restored = true
 	g.cache.commit(rules, outputs)
 	g.pin = restoredSnap(s.Payload.Degraded)
@@ -144,7 +144,7 @@ func (m *Mediator) Restore(s *snapshot.Snapshot) error {
 	if cur.progHash != st.progHash || cur.optsHash != st.optsHash {
 		return s.Verify(cur.progHash, cur.optsHash)
 	}
-	m.cur.Store(&progState{prog: cur.prog, gen: &generation{}, slices: cur.slices,
+	m.cur.Store(&progState{comp: cur.comp, gen: &generation{},
 		progHash: cur.progHash, optsHash: cur.optsHash, num: cur.num, dgen: g})
 	return nil
 }

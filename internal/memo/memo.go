@@ -1,5 +1,5 @@
 // Package memo is the one bounded memo: the mediator's ask memo per
-// cache view, the federation's reply memo and a program's slice memo
+// cache view, the federation's reply memo and a compiled program's slice memo
 // are each a Map of their own entries. A Map admits new keys until it
 // holds its bound in entries, or a new key does not fit its bound in
 // bytes as its owner sizes entries, and then stops. Nothing is evicted;
