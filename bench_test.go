@@ -211,7 +211,7 @@ func BenchmarkInstantiateWebCar(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Instantiate(web, pattern.PcarPattern(), &InstantiateOptions{Model: env}); err != nil {
+		if _, err := Instantiate(web, pattern.PcarPattern(), env); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -274,7 +274,7 @@ func BenchmarkRuleScan(b *testing.B) {
 func BenchmarkComposedVsSequential(b *testing.B) {
 	first := mustProg(b, Rules1And2Typed)
 	second := mustProg(b, WebRules)
-	composed, err := ComposePrograms(first, second, nil)
+	composed, err := ComposePrograms(first, second)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -413,7 +413,7 @@ func BenchmarkComposeSetup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ComposePrograms(first, second, nil); err != nil {
+		if _, err := ComposePrograms(first, second); err != nil {
 			b.Fatal(err)
 		}
 	}

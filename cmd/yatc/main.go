@@ -81,7 +81,7 @@ func main() {
 		second, err := library.ResolveProgram(*composeFlag)
 		fail(err)
 		analyzeOrFail(*composeFlag, second, *forceFlag)
-		prog, err = yat.ComposePrograms(prog, second, nil)
+		prog, err = yat.ComposePrograms(prog, second)
 		fail(err)
 		fmt.Fprintf(os.Stderr, "yatc: composed %s (%d fused rules)\n", prog.Name, len(prog.Rules))
 	}
@@ -147,7 +147,7 @@ func main() {
 // execution, printing warnings and errors to stderr. Error-severity
 // findings abort the run unless -force was given.
 func analyzeOrFail(name string, prog *yat.Program, force bool) {
-	diags, err := analysis.Run(prog, analysis.DefaultAnalyzers(), nil)
+	diags, err := analysis.Run(prog, analysis.DefaultAnalyzers())
 	fail(err)
 	errors := 0
 	for _, d := range diags {
@@ -195,7 +195,6 @@ func loadInputs(inputFile, sgmlDir, dtdFile string) (*yat.Store, error) {
 			if err != nil {
 				return nil, err
 			}
-			opts.Validate = true
 			opts.DTD = dtd
 		}
 		return yat.ImportSGML(docs, opts)

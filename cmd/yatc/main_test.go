@@ -112,7 +112,7 @@ func TestEndToEndConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	composed, err := yat.ComposePrograms(prog, web, nil)
+	composed, err := yat.ComposePrograms(prog, web)
 	if err != nil {
 		t.Fatal(err)
 	}

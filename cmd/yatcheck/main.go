@@ -113,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			all = append(all, fileDiagnostic{File: t.name, Diagnostic: d})
 			continue
 		}
-		diags, err := analysis.Run(t.prog, analysis.DefaultAnalyzers(), nil)
+		diags, err := analysis.Run(t.prog, analysis.DefaultAnalyzers())
 		if err != nil {
 			fmt.Fprintln(stderr, "yatcheck:", err)
 			return 2

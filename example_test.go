@@ -92,7 +92,7 @@ func ExampleRun_transpose() {
 func ExampleInstantiate() {
 	web, _ := yat.ParseProgram(yat.WebRules)
 	env := yat.CarSchemaModel().Merge(yat.ODMGModel())
-	derived, _ := yat.Instantiate(web, pattern.PcarPattern(), &yat.InstantiateOptions{Model: env})
+	derived, _ := yat.Instantiate(web, pattern.PcarPattern(), env)
 	rule, _ := derived.Rule("Web1_Pcar")
 	fmt.Println(rule.Head.Functor, "keyed by", rule.Head.Args[0].Var)
 	fmt.Println("body patterns:", len(rule.Body))
@@ -106,7 +106,7 @@ func ExampleInstantiate() {
 func ExampleComposePrograms() {
 	first, _ := yat.ParseProgram(yat.Rules1And2Typed)
 	second, _ := yat.ParseProgram(yat.WebRules)
-	composed, err := yat.ComposePrograms(first, second, nil)
+	composed, err := yat.ComposePrograms(first, second)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -32,7 +32,7 @@ func main() {
 	}
 	fmt.Println("signatures compatible: out(sgml2odmg) ⊑ in(odmg2html)")
 
-	composed, err := yat.ComposePrograms(first, second, nil)
+	composed, err := yat.ComposePrograms(first, second)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	composed, err := yat.ComposePrograms(first, second, nil)
+	composed, err := yat.ComposePrograms(first, second)
 	if err != nil {
 		log.Fatal(err)
 	}

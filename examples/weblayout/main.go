@@ -24,7 +24,7 @@ func main() {
 
 	// ── Instantiation: derive WebCar ───────────────────────────────
 	env := yat.CarSchemaModel().Merge(yat.ODMGModel())
-	derived, err := yat.Instantiate(web, pattern.PcarPattern(), &yat.InstantiateOptions{Model: env})
+	derived, err := yat.Instantiate(web, pattern.PcarPattern(), env)
 	if err != nil {
 		log.Fatal(err)
 	}

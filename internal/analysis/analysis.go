@@ -134,24 +134,11 @@ func (p *Pass) Reportf(pos Pos, sev Severity, format string, args ...interface{}
 	p.Report(Diagnostic{Pos: pos, Severity: sev, Message: fmt.Sprintf(format, args...)})
 }
 
-// Options configures a driver run.
-type Options struct {
-	// Registry supplies external function signatures; nil uses
-	// engine.NewRegistry().
-	Registry *engine.Registry
-}
-
 // Run executes the analyzers over the program and returns their
 // diagnostics sorted by position (then severity, category, message),
 // with exact duplicates removed.
-func Run(prog *yatl.Program, analyzers []*Analyzer, opts *Options) ([]Diagnostic, error) {
-	reg := (*engine.Registry)(nil)
-	if opts != nil {
-		reg = opts.Registry
-	}
-	if reg == nil {
-		reg = engine.NewRegistry()
-	}
+func Run(prog *yatl.Program, analyzers []*Analyzer) ([]Diagnostic, error) {
+	reg := engine.NewRegistry()
 	var diags []Diagnostic
 	deadRules := sync.OnceValue(func() *DeadRules { return FindDeadRules(prog) })
 	for _, a := range analyzers {

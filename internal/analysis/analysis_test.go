@@ -119,7 +119,7 @@ func TestFixtureCorpus(t *testing.T) {
 	for name, wants := range fixtureWants {
 		t.Run(name, func(t *testing.T) {
 			prog := parseFile(t, filepath.Join("testdata", name))
-			diags, err := Run(prog, DefaultAnalyzers(), nil)
+			diags, err := Run(prog, DefaultAnalyzers())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +186,7 @@ func TestBuiltinProgramsClean(t *testing.T) {
 	lib := library.Builtin()
 	for _, name := range lib.Programs() {
 		prog, _ := lib.Program(name)
-		diags, err := Run(prog, DefaultAnalyzers(), nil)
+		diags, err := Run(prog, DefaultAnalyzers())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -211,7 +211,7 @@ func TestFixtureSourcesClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %s: %v", src.name, err)
 		}
-		diags, err := Run(prog, DefaultAnalyzers(), nil)
+		diags, err := Run(prog, DefaultAnalyzers())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestCyclicProgramTripsSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Run(prog, DefaultAnalyzers(), nil)
+	diags, err := Run(prog, DefaultAnalyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +278,11 @@ func TestSeverityOrderAndParse(t *testing.T) {
 // over the same program agree exactly.
 func TestRunDeterministic(t *testing.T) {
 	prog := parseFile(t, filepath.Join("testdata", "range_restriction.yatl"))
-	a, err := Run(prog, DefaultAnalyzers(), nil)
+	a, err := Run(prog, DefaultAnalyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(prog, DefaultAnalyzers(), nil)
+	b, err := Run(prog, DefaultAnalyzers())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestDeadRuleSharesOneAnalysis(t *testing.T) {
 		},
 	}
 	for run := 0; run < 2; run++ {
-		if _, err := Run(prog, []*Analyzer{grab, DeadRule, grab}, nil); err != nil {
+		if _, err := Run(prog, []*Analyzer{grab, DeadRule, grab}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,51 +11,6 @@ import (
 	"yat/internal/yatl"
 )
 
-// ComposeOptions is the configuration of a program composition, built
-// from ComposeOption values.
-type ComposeOptions struct {
-	Options
-	// SkipTypeCheck bypasses the §4.3 compatibility check (the output
-	// model of the first program must instantiate the input model of
-	// the second).
-	SkipTypeCheck bool
-}
-
-// ComposeOption is one functional configuration item for Compose,
-// mirroring the engine's Run/NewMediator option style.
-type ComposeOption func(*ComposeOptions)
-
-// WithSkipTypeCheck bypasses (or re-enables) the §4.3 compatibility
-// check between the two programs.
-func WithSkipTypeCheck(skip bool) ComposeOption {
-	return func(o *ComposeOptions) { o.SkipTypeCheck = skip }
-}
-
-// WithRegistry supplies the function registry used to evaluate
-// external calls on constant arguments at composition time.
-func WithRegistry(r *engine.Registry) ComposeOption {
-	return func(o *ComposeOptions) { o.Registry = r }
-}
-
-// WithModel supplies extra pattern definitions merged with the
-// programs' declared models.
-func WithModel(m *pattern.Model) ComposeOption {
-	return func(o *ComposeOptions) { o.Model = m }
-}
-
-// NewComposeOptions folds a variadic option list into a
-// configuration; nil options are skipped, so Compose(a, b, nil) is
-// Compose(a, b).
-func NewComposeOptions(opts ...ComposeOption) *ComposeOptions {
-	o := &ComposeOptions{}
-	for _, opt := range opts {
-		if opt != nil {
-			opt(o)
-		}
-	}
-	return o
-}
-
 // Compose fuses two conversion programs prg1 : M1 ↦ M2 and
 // prg2 : M2' ↦ M3 into a single program M1 ↦ M3 (§4.3). After the
 // compatibility check, every rule of prg2 is partially evaluated
@@ -64,14 +19,16 @@ func NewComposeOptions(opts ...ComposeOption) *ComposeOptions {
 // References to intermediate identities splice their Skolem
 // arguments (HtmlPage(Pcar(Pbr)) becomes HtmlPage(Pbr)), so the
 // composed outputs are keyed directly by source values.
-func Compose(prg1, prg2 *yatl.Program, options ...ComposeOption) (*yatl.Program, error) {
-	opts := NewComposeOptions(options...)
-	if !opts.SkipTypeCheck {
-		if err := typing.Compatible(prg1, prg2, opts.Registry); err != nil {
-			return nil, err
-		}
+func Compose(prg1, prg2 *yatl.Program) (*yatl.Program, error) {
+	reg := engine.NewRegistry()
+	if err := typing.Compatible(prg1, prg2, reg); err != nil {
+		return nil, err
 	}
+	return fuse(prg1, prg2, reg)
+}
 
+// fuse is Compose past its compatibility check.
+func fuse(prg1, prg2 *yatl.Program, reg *engine.Registry) (*yatl.Program, error) {
 	// Producers are annotated with their inferred variable domains so
 	// the second program's pattern-domain checks (P2 : Ptype) see the
 	// real types of the intermediate values.
@@ -81,7 +38,7 @@ func Compose(prg1, prg2 *yatl.Program, options ...ComposeOption) (*yatl.Program,
 		if r.Exception || r.Head.Tree == nil {
 			continue
 		}
-		ar, err := typing.AnnotateRule(r, opts.Registry)
+		ar, err := typing.AnnotateRule(r, reg)
 		if err != nil {
 			return nil, fmt.Errorf("compose: annotating %s: %w", r.Name, err)
 		}
@@ -92,13 +49,9 @@ func Compose(prg1, prg2 *yatl.Program, options ...ComposeOption) (*yatl.Program,
 	// The evaluator resolves the intermediate model through prg1's
 	// inferred output signature (e.g. the Psup references inside the
 	// Pcar values).
-	evalOpts := opts.Options
-	if sig1, err := typing.Infer(prg1, opts.Registry); err == nil {
-		if evalOpts.Model == nil {
-			evalOpts.Model = sig1.Out
-		} else {
-			evalOpts.Model = evalOpts.Model.Merge(sig1.Out)
-		}
+	var inter *pattern.Model
+	if sig1, err := typing.Infer(prg1, reg); err == nil {
+		inter = sig1.Out
 	}
 
 	// The evaluator runs prg2's rules; prg1's functors resolve
@@ -115,10 +68,7 @@ func Compose(prg1, prg2 *yatl.Program, options ...ComposeOption) (*yatl.Program,
 			prg2ForEval.Models = append(prg2ForEval.Models, &yatl.ModelDecl{Name: m.Name, Model: m.Model.Clone()})
 		}
 	}
-	ev, err := newEvaluator(prg2ForEval, producers, &evalOpts)
-	if err != nil {
-		return nil, err
-	}
+	ev := newEvaluator(prg2ForEval, producers, inter, reg)
 
 	out := &yatl.Program{Name: prg1.Name + "_" + prg2.Name}
 	out.Models = prg2ForEval.Models

@@ -39,7 +39,7 @@ func webGolfStore() *tree.Store {
 // --- Experiment E9: deriving rule WebCar (§4.1) --------------------------
 
 func TestInstantiateWebCar(t *testing.T) {
-	derived, err := Instantiate(webProgram(t), pattern.PcarPattern(), &Options{Model: carSchemaEnv()})
+	derived, err := Instantiate(webProgram(t), pattern.PcarPattern(), carSchemaEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestInstantiatedProgramEquivalence(t *testing.T) {
 	// combining must reproduce the general program's pages exactly.
 	web := webProgram(t)
 	env := carSchemaEnv()
-	dCar, err := Instantiate(web, pattern.PcarPattern(), &Options{Model: env})
+	dCar, err := Instantiate(web, pattern.PcarPattern(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dSup, err := Instantiate(web, pattern.PsupPattern(), &Options{Model: env})
+	dSup, err := Instantiate(web, pattern.PsupPattern(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestInstantiatedProgramEquivalence(t *testing.T) {
 func TestCustomizeNewWebCar(t *testing.T) {
 	// §4.1: after instantiation the programmer customizes the derived
 	// rule — here removing the suppliers item, as in rule newWebCar.
-	derived, err := Instantiate(webProgram(t), pattern.PcarPattern(), &Options{Model: carSchemaEnv()})
+	derived, err := Instantiate(webProgram(t), pattern.PcarPattern(), carSchemaEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func brochureStore() *tree.Store {
 func TestComposeSGMLToHTML(t *testing.T) {
 	first := yatl.MustParse(yatl.AnnotatedSGMLToODMGSource)
 	second := webProgram(t)
-	composed, err := Compose(first, second, nil)
+	composed, err := Compose(first, second)
 	if err != nil {
 		t.Fatalf("compose: %v", err)
 	}
@@ -287,7 +287,7 @@ func canonicalPages(t *testing.T, outputs *tree.Store) []string {
 func TestComposedEquivalentToSequential(t *testing.T) {
 	first := yatl.MustParse(yatl.AnnotatedSGMLToODMGSource)
 	second := webProgram(t)
-	composed, err := Compose(first, second, nil)
+	composed, err := Compose(first, second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,18 +338,8 @@ func TestComposeIncompatiblePrograms(t *testing.T) {
 	// HTML output does not feed the SGML-consuming program.
 	first := webProgram(t)
 	second := yatl.MustParse(yatl.AnnotatedSGMLToODMGSource)
-	if _, err := Compose(first, second, nil); err == nil {
+	if _, err := Compose(first, second); err == nil {
 		t.Error("incompatible composition should fail the type check")
-	}
-}
-
-func TestComposeSkipTypeCheck(t *testing.T) {
-	// With the check skipped the composition is attempted anyway and
-	// fails to derive rules (nothing matches).
-	first := webProgram(t)
-	second := yatl.MustParse(yatl.AnnotatedSGMLToODMGSource)
-	if _, err := Compose(first, second, WithSkipTypeCheck(true)); err == nil {
-		t.Error("no composed rules should be derivable")
 	}
 }
 
@@ -360,7 +350,7 @@ func TestCombinedCustomizedProgramShadowsGeneral(t *testing.T) {
 	// Web1 keeps handling suppliers. Without the &Psup-typed join
 	// variable this would be ambiguous and non-deterministic.
 	web := webProgram(t)
-	derived, err := Instantiate(web, pattern.PcarPattern(), &Options{Model: carSchemaEnv()})
+	derived, err := Instantiate(web, pattern.PcarPattern(), carSchemaEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +383,7 @@ func TestCombinedCustomizedProgramShadowsGeneral(t *testing.T) {
 }
 
 func TestDerivedJoinVariableIsReferenceTyped(t *testing.T) {
-	derived, err := Instantiate(webProgram(t), pattern.PcarPattern(), &Options{Model: carSchemaEnv()})
+	derived, err := Instantiate(webProgram(t), pattern.PcarPattern(), carSchemaEnv())
 	if err != nil {
 		t.Fatal(err)
 	}

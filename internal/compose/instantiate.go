@@ -10,30 +10,17 @@ import (
 	"yat/internal/yatl"
 )
 
-// Options configures the symbolic evaluator.
-type Options struct {
-	// Registry evaluates external functions on constant arguments at
-	// instantiation time (WebCar's "name: " labels). Defaults to
-	// engine.NewRegistry().
-	Registry *engine.Registry
-	// Model supplies extra pattern definitions (e.g. the schema the
-	// input pattern comes from), merged with the program's declared
-	// models.
-	Model *pattern.Model
-}
-
 // Instantiate specializes a general program onto a specific pattern
 // (§4.1): the rules whose bodies the pattern instantiates are
 // partially evaluated against it, dereferenced Skolem invocations are
 // expanded recursively (with fresh variable renaming), and whatever
 // cannot be resolved statically — external functions on variables,
 // referenced patterns — remains in the derived rule's body. The
-// result reproduces the WebCar derivation.
-func Instantiate(prog *yatl.Program, input *pattern.Pattern, opts *Options) (*yatl.Program, error) {
-	ev, err := newEvaluator(prog, nil, opts)
-	if err != nil {
-		return nil, err
-	}
+// result reproduces the WebCar derivation. The model, when not nil,
+// supplies extra pattern definitions (e.g. the schema the input pattern
+// comes from), merged with the program's declared models.
+func Instantiate(prog *yatl.Program, input *pattern.Pattern, model *pattern.Model) (*yatl.Program, error) {
+	ev := newEvaluator(prog, nil, model, engine.NewRegistry())
 	out := &yatl.Program{Name: prog.Name + "_" + input.Name}
 	for _, m := range prog.Models {
 		out.Models = append(out.Models, &yatl.ModelDecl{Name: m.Name, Model: m.Model.Clone()})
@@ -42,8 +29,8 @@ func Instantiate(prog *yatl.Program, input *pattern.Pattern, opts *Options) (*ya
 	// so the derived program is self-contained: its reference-typed
 	// join variables and rule-hierarchy comparisons resolve at run
 	// time without the caller re-supplying the model.
-	if opts != nil && opts.Model != nil {
-		out.Models = append(out.Models, &yatl.ModelDecl{Name: "Schema" + input.Name, Model: opts.Model.Clone()})
+	if model != nil {
+		out.Models = append(out.Models, &yatl.ModelDecl{Name: "Schema" + input.Name, Model: model.Clone()})
 	}
 	for bi, branch := range input.Union {
 		suffix := ""
@@ -113,20 +100,16 @@ type evaluator struct {
 	freshCounter int
 }
 
-func newEvaluator(prog *yatl.Program, producers map[string][]*yatl.Rule, opts *Options) (*evaluator, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	reg := opts.Registry
-	if reg == nil {
-		reg = engine.NewRegistry()
-	}
+// newEvaluator prepares the symbolic evaluation of prog's rules: its
+// models merged with the extra model (nil for none), external calls
+// on constant arguments evaluated through reg.
+func newEvaluator(prog *yatl.Program, producers map[string][]*yatl.Rule, model *pattern.Model, reg *engine.Registry) *evaluator {
 	env := pattern.NewModel()
 	for _, m := range prog.Models {
 		env = env.Merge(m.Model)
 	}
-	if opts.Model != nil {
-		env = env.Merge(opts.Model)
+	if model != nil {
+		env = env.Merge(model)
 	}
 	ev := &evaluator{
 		prog:      prog,
@@ -141,7 +124,7 @@ func newEvaluator(prog *yatl.Program, producers map[string][]*yatl.Rule, opts *O
 	ev.groups = h.Groups
 	ev.functorOrder = h.FunctorOrder
 	ev.blocks = h.Blocks
-	return ev, nil
+	return ev
 }
 
 // fresh returns a variable name not used in the current derivation.

@@ -7,6 +7,7 @@ import (
 	"yat/internal/engine"
 	"yat/internal/pattern"
 	"yat/internal/tree"
+	"yat/internal/typing"
 	"yat/internal/yatl"
 )
 
@@ -14,7 +15,7 @@ func TestInstantiateWebSup(t *testing.T) {
 	// Instantiating on Psup derives the supplier page rule: three
 	// static list items, all atoms residualized through
 	// data_to_string.
-	derived, err := Instantiate(webProgram(t), pattern.PsupPattern(), &Options{Model: carSchemaEnv()})
+	derived, err := Instantiate(webProgram(t), pattern.PsupPattern(), carSchemaEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestComposedRulePreservesProducerPredicates(t *testing.T) {
 	// must keep it (pages only for post-1975 suppliers).
 	first := yatl.MustParse(yatl.AnnotatedSGMLToODMGSource)
 	second := webProgram(t)
-	composed, err := Compose(first, second, nil)
+	composed, err := Compose(first, second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,26 +255,38 @@ func TestComposedRulePreservesProducerPredicates(t *testing.T) {
 }
 
 func TestComposeRejectsDerefProducerHeads(t *testing.T) {
+	// The pair passes the §4.3 check: F's inlined G value instantiates
+	// the second program's Pg domain.
 	first := yatl.MustParse(`
 program p
 rule R {
   head F(N) = out -> ^G(N)
-  from X = in -> N
+  from X = in -> N : string
 }
 rule G1 {
   head G(N) = g -> N
-  from X = in -> N
+  from X = in -> N : string
 }
 `)
 	second := yatl.MustParse(`
 program q
+model M {
+  Pg = g -> V : string
+}
 rule W {
+  head H(X) = h -> P
+  from X = out -> P : Pg
+}
+rule W2 {
   head H(X) = h -> V
-  from X = out -> V
+  from X = g -> V : string
 }
 `)
-	_, err := Compose(first, second, WithSkipTypeCheck(true))
-	if err == nil || !strings.Contains(err.Error(), "dereferences") {
+	if err := typing.Compatible(first, second, nil); err != nil {
+		t.Fatalf("the pair should be composable: %v", err)
+	}
+	_, err := Compose(first, second)
+	if err == nil || !strings.Contains(err.Error(), "R: producer head dereferences") {
 		t.Errorf("deref producer head should be reported: %v", err)
 	}
 }
@@ -299,14 +312,14 @@ func TestCombinePreservesOrders(t *testing.T) {
 func TestDerivedProgramsReparse(t *testing.T) {
 	// Every derivation path produces programs that survive the
 	// print/parse round trip.
-	derived, err := Instantiate(webProgram(t), pattern.PsupPattern(), &Options{Model: carSchemaEnv()})
+	derived, err := Instantiate(webProgram(t), pattern.PsupPattern(), carSchemaEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := yatl.Parse(derived.String()); err != nil {
 		t.Errorf("instantiated program does not reparse: %v", err)
 	}
-	composed, err := Compose(yatl.MustParse(yatl.AnnotatedSGMLToODMGSource), webProgram(t), nil)
+	composed, err := Compose(yatl.MustParse(yatl.AnnotatedSGMLToODMGSource), webProgram(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +340,7 @@ func TestInstantiateOnCyclicSchema(t *testing.T) {
 	pcar := pattern.NewPattern("PcarX", yatl.MustParsePattern(carStr))
 	env := pattern.NewModel(psup, pcar).Merge(pattern.ODMGModel())
 
-	derived, err := Instantiate(webProgram(t), psup, &Options{Model: env})
+	derived, err := Instantiate(webProgram(t), psup, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,13 +356,13 @@ func TestInstantiateOnCyclicSchema(t *testing.T) {
 		}
 	}
 	// Both directions derive without diverging.
-	if _, err := Instantiate(webProgram(t), pcar, &Options{Model: env}); err != nil {
+	if _, err := Instantiate(webProgram(t), pcar, env); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDerivedRulesDoNotAliasBodies(t *testing.T) {
-	derived, err := Instantiate(webProgram(t), pattern.PcarPattern(), &Options{Model: carSchemaEnv()})
+	derived, err := Instantiate(webProgram(t), pattern.PcarPattern(), carSchemaEnv())
 	if err != nil {
 		t.Fatal(err)
 	}

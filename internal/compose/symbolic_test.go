@@ -217,7 +217,7 @@ rule Base {
 	// Ptype is recursive: set -*> ^Ptype.
 	odmg := pattern.ODMGModel()
 	ptype, _ := odmg.Get("Ptype")
-	_, err := Instantiate(prog, ptype, &Options{Model: odmg})
+	_, err := Instantiate(prog, ptype, odmg)
 	// Either a depth error or a clean failure is acceptable; an
 	// infinite loop is not (the test itself is the guard).
 	if err == nil {

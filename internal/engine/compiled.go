@@ -3,6 +3,7 @@ package engine
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
@@ -23,8 +24,7 @@ import (
 type Compiled struct {
 	prog *yatl.Program
 	opts *Options
-	// err is the §3.4 verdict: nil, or the *SafetyError every run
-	// returns.
+	// err is Check's verdict: nil, or the error every run returns.
 	err   error
 	model *pattern.Model
 	hier  hierarchy
@@ -38,28 +38,51 @@ type Compiled struct {
 
 	sliceOnce sync.Once
 	slices    *memo.Map[string, Slice]
+
+	// roundBound is maxRounds; a test lowers it to reach the guard
+	// with a small input.
+	roundBound int
 }
 
 // scope is what a run runs: rule positions in declaration order, and
 // the indexes of the hierarchy's functor groups to dispatch to.
 type scope struct{ rules, groups []int }
 
+// DuplicateRuleError reports two rules of one program sharing a name,
+// which slices, hierarchy orders and reloads could not tell apart.
+type DuplicateRuleError struct {
+	Rule string
+}
+
+func (e *DuplicateRuleError) Error() string {
+	return fmt.Sprintf("engine: two rules are named %s", e.Rule)
+}
+
+// Check is the static check of a program Compile runs: every rule has
+// a name of its own (else a *DuplicateRuleError), and the program
+// passes §3.4 (CheckSafety).
+func Check(prog *yatl.Program) error {
+	seen := make(map[string]bool, len(prog.Rules))
+	for _, r := range prog.Rules {
+		if seen[r.Name] {
+			return &DuplicateRuleError{Rule: r.Name}
+		}
+		seen[r.Name] = true
+	}
+	return CheckSafety(prog)
+}
+
 // Compile prepares a program for running under the options; the
 // options of every run over the result are these. It returns the
-// §3.4 check's error (unless the options disable the check) beside a
-// Compiled that is usable all the same: its slices and AffectedRules
-// answer, and every run over it returns that error.
+// error of Check beside a Compiled that is usable all the same: its
+// slices and AffectedRules answer, and every run over it returns that
+// error.
 func Compile(prog *yatl.Program, opts ...Option) (*Compiled, error) {
-	c := &Compiled{prog: prog, opts: NewOptions(opts...), plans: make([]*rulePlan, len(prog.Rules))}
-	if !c.opts.DisableSafety {
-		c.err = CheckSafety(prog)
-	}
+	c := &Compiled{prog: prog, opts: NewOptions(opts...), plans: make([]*rulePlan, len(prog.Rules)), roundBound: maxRounds}
+	c.err = Check(prog)
 	c.model = pattern.NewModel()
 	for _, m := range prog.Models {
 		c.model = c.model.Merge(m.Model)
-	}
-	if c.opts.Model != nil {
-		c.model = c.model.Merge(c.opts.Model)
 	}
 	c.hier = buildHierarchy(prog, c.model)
 	nf := len(c.hier.functors)
@@ -93,6 +116,10 @@ func Compile(prog *yatl.Program, opts ...Option) (*Compiled, error) {
 
 // Program returns the program compiled.
 func (c *Compiled) Program() *yatl.Program { return c.prog }
+
+// Options returns the configuration the program was compiled under,
+// which every run over it uses. It must not be written.
+func (c *Compiled) Options() *Options { return c.opts }
 
 // Run executes the program over the input store under ctx (nil: no
 // cancellation); see the package-level Run.

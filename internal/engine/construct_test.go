@@ -2,6 +2,7 @@ package engine
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -459,9 +460,12 @@ rule Three {
 }
 
 func TestMaxRoundsGuard(t *testing.T) {
-	// A program that keeps discovering new subtree activations; the
-	// guard must stop it. (Safe-recursive, so statically accepted —
-	// the guard is about resource bounding, not correctness.)
+	// A program that keeps discovering new subtree activations, one
+	// round per level of its input; the guard must stop it. (Safe-
+	// recursive, so statically accepted — the guard is about resource
+	// bounding, not correctness.) An input deeper than maxRounds runs
+	// for seconds, each activation keying its whole subtree, so the
+	// test lowers the compiled bound instead.
 	src := `
 rule Base {
   head F(X) = w
@@ -473,21 +477,30 @@ rule R {
 }
 `
 	prog := yatl.MustParse("program p\n" + src)
-	deep := tree.Sym("n")
-	cur := deep
-	for i := 0; i < 30; i++ {
-		next := tree.Sym("n")
-		cur.Add(next)
-		cur = next
+	chain := func(depth int) *tree.Store {
+		deep := tree.Sym("n")
+		cur := deep
+		for i := 0; i < depth; i++ {
+			next := tree.Sym("n")
+			cur.Add(next)
+			cur = next
+		}
+		inputs := tree.NewStore()
+		inputs.Put(tree.PlainName("d"), deep)
+		return inputs
 	}
-	inputs := tree.NewStore()
-	inputs.Put(tree.PlainName("d"), deep)
-	// Plenty of rounds: converges fine.
-	if _, err := Run(prog, inputs, &Options{MaxRounds: 100}); err != nil {
+	c, err := Compile(prog)
+	if err != nil || c.roundBound != maxRounds {
+		t.Fatalf("compiled bound %d, err %v; want %d", c.roundBound, err, maxRounds)
+	}
+	c.roundBound = 100
+	// Within the bound: converges fine.
+	if _, err := c.Run(nil, chain(30)); err != nil {
 		t.Errorf("deep recursion should converge: %v", err)
 	}
-	// Starved of rounds: the guard fires.
-	if _, err := Run(prog, inputs, &Options{MaxRounds: 3}); err == nil ||
+	// Past it: the guard fires.
+	var fe *FixpointError
+	if _, err := c.Run(nil, chain(110)); !errors.As(err, &fe) || fe.Rounds != 100 ||
 		!strings.Contains(err.Error(), "did not converge") {
 		t.Errorf("round guard should fire, got %v", err)
 	}

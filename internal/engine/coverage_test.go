@@ -251,7 +251,7 @@ func TestRuntimeOutputChecker(t *testing.T) {
 	                 spplrs < supplier < name < "VW" >, address < "Rue A, 75001 Paris" > > > >
 	`)
 	// Against the ODMG model every output conforms: no warnings.
-	res, err := Run(prog, inputs, &Options{CheckOutputs: pattern.ODMGModel()})
+	res, err := Run(prog, inputs, WithCheckOutputs(pattern.ODMGModel()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestRuntimeOutputChecker(t *testing.T) {
 	}
 	// Against the Car Schema, the int zip makes Psup outputs
 	// non-conforming (the paper's S3 : string): warnings appear.
-	res, err = Run(prog, inputs, &Options{CheckOutputs: pattern.CarSchemaModel()})
+	res, err = Run(prog, inputs, WithCheckOutputs(pattern.CarSchemaModel()))
 	if err != nil {
 		t.Fatal(err)
 	}

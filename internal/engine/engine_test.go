@@ -9,13 +9,13 @@ import (
 	"yat/internal/yatl"
 )
 
-func runProgram(t *testing.T, src string, inputs *tree.Store, opts *Options) *Result {
+func runProgram(t *testing.T, src string, inputs *tree.Store) *Result {
 	t.Helper()
 	prog, err := yatl.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := Run(prog, inputs, opts)
+	res, err := Run(prog, inputs)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -41,7 +41,7 @@ func wantTree(t *testing.T, store *tree.Store, name tree.Name, want string) {
 // --- Experiment E3: Figure 3, Rule 1 -----------------------------------
 
 func TestFigure3Rule1(t *testing.T) {
-	res := runProgram(t, "program p\n"+yatl.Rule1Source, fig3Store(), nil)
+	res := runProgram(t, "program p\n"+yatl.Rule1Source, fig3Store())
 	// Exactly two supplier objects: "VW center" appears in both
 	// brochures but the Skolem identity deduplicates it.
 	if res.Outputs.Len() != 2 {
@@ -60,7 +60,7 @@ func TestRule1YearFilter(t *testing.T) {
 	store := tree.NewStore()
 	store.Put(tree.PlainName("old"), brochure(9, "Beetle", 1968, "Classic",
 		[2]string{"Oldtimer GmbH", "Hauptstr 1, 10115 Berlin"}))
-	res := runProgram(t, "program p\n"+yatl.Rule1Source, store, nil)
+	res := runProgram(t, "program p\n"+yatl.Rule1Source, store)
 	if res.Outputs.Len() != 0 {
 		t.Errorf("pre-1975 brochures should produce no suppliers:\n%s", tree.FormatStore(res.Outputs))
 	}
@@ -95,7 +95,7 @@ func TestRule1TypeFilterDropsMalformedAddress(t *testing.T) {
 // --- Rules 1+2: the §3.1 program ----------------------------------------
 
 func TestRules1And2Program(t *testing.T) {
-	res := runProgram(t, yatl.SGMLToODMGSource, fig3Store(), nil)
+	res := runProgram(t, yatl.SGMLToODMGSource, fig3Store())
 	if res.Outputs.Len() != 4 {
 		t.Fatalf("outputs = %d, want 4 (2 suppliers + 2 cars):\n%s",
 			res.Outputs.Len(), tree.FormatStore(res.Outputs))
@@ -112,8 +112,8 @@ func TestRules1And2RuleOrderIrrelevant(t *testing.T) {
 	// Skolem functions are global to the program, so Rule 1 and Rule
 	// 2 can be applied in any order (§3.1).
 	reversed := "program p\n" + yatl.Rule2Source + yatl.Rule1Source
-	a := runProgram(t, yatl.SGMLToODMGSource, fig3Store(), nil)
-	b := runProgram(t, reversed, fig3Store(), nil)
+	a := runProgram(t, yatl.SGMLToODMGSource, fig3Store())
+	b := runProgram(t, reversed, fig3Store())
 	for _, e := range a.Outputs.Entries() {
 		other, ok := b.Outputs.Get(e.Name)
 		if !ok || !other.Equal(e.Tree) {
@@ -131,7 +131,7 @@ func TestRule2DanglingSupplierRefWarns(t *testing.T) {
 	store := tree.NewStore()
 	store.Put(tree.PlainName("old"), brochure(9, "Beetle", 1968, "Classic",
 		[2]string{"Oldtimer GmbH", "Hauptstr 1, 10115 Berlin"}))
-	res := runProgram(t, yatl.SGMLToODMGSource, store, nil)
+	res := runProgram(t, yatl.SGMLToODMGSource, store)
 	if _, ok := res.Outputs.Get(pcarOID("old")); !ok {
 		t.Fatal("car object missing")
 	}
@@ -149,7 +149,7 @@ func TestRule2DanglingSupplierRefWarns(t *testing.T) {
 // --- Experiment E4: Rule 1' + Rule 2, mutual references ------------------
 
 func TestRule1Prime2CyclicReferences(t *testing.T) {
-	res := runProgram(t, yatl.SGMLToODMGPrimeSource, fig3Store(), nil)
+	res := runProgram(t, yatl.SGMLToODMGPrimeSource, fig3Store())
 	wantTree(t, res.Outputs, psupOID("VW center"),
 		`class < supplier < name < "VW center" >, city < "Paris" >, zip < 75005 >,
 		         sells < set < &Pcar(&b1), &Pcar(&b2) > > > >`)
@@ -172,14 +172,49 @@ func TestCyclicProgramRejected(t *testing.T) {
 	if !strings.Contains(err.Error(), "cyclic") {
 		t.Errorf("error should mention the cycle: %v", err)
 	}
-	// The same program runs with the safety check disabled but is
-	// caught by the dynamic guard during dereferencing.
-	_, err = Run(prog, fig3Store(), &Options{DisableSafety: true})
-	if err == nil {
-		t.Fatal("dynamic cycle should still fail")
-	}
-	if !strings.Contains(err.Error(), "cyclic dereferencing") {
+	// Behind the static check, the dereferencing pass keeps its own
+	// guard: outputs whose dereferences cycle fail there too.
+	a, b := tree.SkolemName("A", tree.Int(1)), tree.SkolemName("B", tree.Int(1))
+	outputs := tree.NewStore()
+	outputs.Put(a, tree.Sym("x", tree.New(derefVal{Name: b})))
+	outputs.Put(b, tree.New(derefVal{Name: a}))
+	e := &derefExpander{outputs: outputs, state: make([]uint8, outputs.Len())}
+	if _, err := e.expandAt(0, a); err == nil || !strings.Contains(err.Error(), "cyclic dereferencing through") {
 		t.Errorf("dynamic guard error: %v", err)
+	}
+}
+
+// A configuration has one spelling, the With… options: an *Options
+// value is what they build, not an option itself.
+func TestOptionsIsNotAnOption(t *testing.T) {
+	if _, ok := any(NewOptions()).(Option); ok {
+		t.Fatal("*Options implements Option")
+	}
+}
+
+// Two rules with one name are one rule to every by-name lookup
+// (slices, §4.2 orders, reload carry-over): Check refuses the program,
+// naming the rule, and so do Compile and every run.
+func TestDuplicateRuleNamesRejected(t *testing.T) {
+	prog := yatl.MustParse("program p\n" + yatl.Rule1Source + yatl.Rule2Source)
+	prog.Rules[1].Name = prog.Rules[0].Name
+	name := prog.Rules[0].Name
+	var dup *DuplicateRuleError
+	if err := Check(prog); !errors.As(err, &dup) || dup.Rule != name {
+		t.Fatalf("Check: %v, want a *DuplicateRuleError naming %s", err, name)
+	}
+	if _, err := Compile(prog); !errors.As(err, &dup) || !strings.Contains(err.Error(), "named "+name) {
+		t.Fatalf("Compile: %v", err)
+	}
+	if _, err := Run(prog, fig3Store()); !errors.As(err, &dup) {
+		t.Fatalf("Run: %v", err)
+	}
+	if _, err := RunSlice(nil, prog, fig3Store(), nil); !errors.As(err, &dup) {
+		t.Fatalf("RunSlice: %v", err)
+	}
+	prog.Rules[1].Name = name + "b"
+	if err := Check(prog); err != nil {
+		t.Fatalf("distinct names: %v", err)
 	}
 }
 
@@ -187,7 +222,7 @@ func TestCyclicProgramRejected(t *testing.T) {
 
 func TestRule3HeterogeneousJoin(t *testing.T) {
 	inputs := mergeStores(fig3Store(), relationalStore())
-	res := runProgram(t, "program p\n"+yatl.Rule3Source, inputs, nil)
+	res := runProgram(t, "program p\n"+yatl.Rule3Source, inputs)
 	// Car 10 ↔ brochure b1 (number 1): supplier "VW center" matches
 	// relational sid 1 via name + sameaddress. Car 20 ↔ brochure b2:
 	// both suppliers match.
@@ -213,7 +248,7 @@ func TestRule3AddressMismatchFiltersJoin(t *testing.T) {
 		tree.Sym("row",
 			tree.Sym("cid", tree.IntLeaf(10)),
 			tree.Sym("broch_num", tree.IntLeaf(1)))))
-	res := runProgram(t, "program p\n"+yatl.Rule3Source, mergeStores(inputs, rel), nil)
+	res := runProgram(t, "program p\n"+yatl.Rule3Source, mergeStores(inputs, rel))
 	if res.Outputs.Len() != 0 {
 		t.Errorf("sameaddress should reject the Lyon row:\n%s", tree.FormatStore(res.Outputs))
 	}
@@ -230,7 +265,7 @@ func TestRule4OrderedList(t *testing.T) {
 		[2]string{"Alpha Cars", "Rue B, 75002 Paris"},
 		[2]string{"Zeta Motors", "Rue A, 75001 Paris"},
 		[2]string{"Mid Auto", "Rue C, 75003 Paris"}))
-	res := runProgram(t, "program p\n"+yatl.Rule4Source+yatl.Rule1Source, store, nil)
+	res := runProgram(t, "program p\n"+yatl.Rule4Source+yatl.Rule1Source, store)
 	wantTree(t, res.Outputs, tree.SkolemName("PsupList", tree.Ref{Name: tree.PlainName("b")}),
 		`list < &Psup("Alpha Cars"), &Psup("Mid Auto"), &Psup("Zeta Motors") >`)
 }
@@ -241,7 +276,7 @@ func TestGroupEdgeKeepsDistinctOnly(t *testing.T) {
 	store.Put(tree.PlainName("b"), brochure(1, "Golf", 1995, "d",
 		[2]string{"Dup", "Rue A, 75001 Paris"},
 		[2]string{"Dup", "Rue A, 75001 Paris"}))
-	res := runProgram(t, yatl.SGMLToODMGSource, store, nil)
+	res := runProgram(t, yatl.SGMLToODMGSource, store)
 	wantTree(t, res.Outputs, pcarOID("b"),
 		`class < car < name < "Golf" >, desc < "d" >,
 		         suppliers < set < &Psup("Dup") > > > >`)
@@ -263,7 +298,7 @@ rule CarStar {
 	store.Put(tree.PlainName("b"), brochure(1, "Golf", 1995, "d",
 		[2]string{"Dup", "Rue A, 75001 Paris"},
 		[2]string{"Dup", "Rue B, 75002 Paris"}))
-	res := runProgram(t, src, store, nil)
+	res := runProgram(t, src, store)
 	wantTree(t, res.Outputs, pcarOID("b"),
 		`class < car < suppliers < set < &Psup("Dup"), &Psup("Dup") > > > >`)
 }
@@ -284,7 +319,7 @@ rule CarStar {
 	store.Put(tree.PlainName("b"), brochure(1, "Golf", 1995, "d",
 		[2]string{"Dup", "Rue A, 75001 Paris"},
 		[2]string{"Dup", "Rue A, 75001 Paris"}))
-	res := runProgram(t, src, store, nil)
+	res := runProgram(t, src, store)
 	wantTree(t, res.Outputs, pcarOID("b"),
 		`class < car < suppliers < set < &Psup("Dup") > > > >`)
 }
@@ -298,7 +333,7 @@ func TestFigure4Transpose(t *testing.T) {
 		`sales < jan < golf < 10 >, polo < 20 > >,
 		         feb < golf < 30 >, polo < 40 > >,
 		         mar < golf < 50 >, polo < 60 > > >`))
-	res := runProgram(t, "program p\n"+yatl.Rule5Source, store, nil)
+	res := runProgram(t, "program p\n"+yatl.Rule5Source, store)
 	wantTree(t, res.Outputs, tree.SkolemName("New", tree.Ref{Name: tree.PlainName("m")}),
 		`sales < golf < jan < 10 >, feb < 30 >, mar < 50 > >,
 		         polo < jan < 20 >, feb < 40 >, mar < 60 > > >`)
@@ -308,12 +343,12 @@ func TestTransposeIsInvolution(t *testing.T) {
 	store := tree.NewStore()
 	m := tree.MustParse(`mat < r1 < a < 1 >, b < 2 >, c < 3 > >, r2 < a < 4 >, b < 5 >, c < 6 > > >`)
 	store.Put(tree.PlainName("m"), m)
-	res1 := runProgram(t, "program p\n"+yatl.Rule5Source, store, nil)
+	res1 := runProgram(t, "program p\n"+yatl.Rule5Source, store)
 	t1, _ := res1.Outputs.Get(tree.SkolemName("New", tree.Ref{Name: tree.PlainName("m")}))
 
 	store2 := tree.NewStore()
 	store2.Put(tree.PlainName("t"), t1)
-	res2 := runProgram(t, "program p\n"+yatl.Rule5Source, store2, nil)
+	res2 := runProgram(t, "program p\n"+yatl.Rule5Source, store2)
 	t2, _ := res2.Outputs.Get(tree.SkolemName("New", tree.Ref{Name: tree.PlainName("t")}))
 	if !t2.Equal(m) {
 		t.Errorf("transpose twice should be identity:\n in: %s\nout: %s", m, t2)
@@ -324,7 +359,7 @@ func TestTransposeRaggedMatrixStillTransposesCells(t *testing.T) {
 	store := tree.NewStore()
 	store.Put(tree.PlainName("m"), tree.MustParse(
 		`mat < r1 < a < 1 > >, r2 < a < 3 >, b < 4 > > >`))
-	res := runProgram(t, "program p\n"+yatl.Rule5Source, store, nil)
+	res := runProgram(t, "program p\n"+yatl.Rule5Source, store)
 	wantTree(t, res.Outputs, tree.SkolemName("New", tree.Ref{Name: tree.PlainName("m")}),
 		`mat < a < r1 < 1 >, r2 < 3 > >, b < r2 < 4 > > >`)
 }
@@ -344,20 +379,6 @@ func TestNonDeterminismDetected(t *testing.T) {
 	var nd *NonDetError
 	if !errors.As(err, &nd) {
 		t.Fatalf("expected NonDetError, got %v", err)
-	}
-	// With NonDetWarn the run completes and reports a warning.
-	res, err := Run(prog, store, &Options{NonDetWarn: true})
-	if err != nil {
-		t.Fatalf("NonDetWarn run failed: %v", err)
-	}
-	found := false
-	for _, w := range res.Warnings {
-		if strings.Contains(w, "non-deterministic") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("expected non-determinism warning, got %v", res.Warnings)
 	}
 }
 
@@ -391,7 +412,7 @@ func TestExceptionRuleSilentWhenAllConverted(t *testing.T) {
 func TestUnconvertedReportedWithoutExceptionRule(t *testing.T) {
 	store := fig3Store()
 	store.Put(tree.PlainName("stray"), tree.Sym("memo"))
-	res := runProgram(t, yatl.SGMLToODMGSource, store, nil)
+	res := runProgram(t, yatl.SGMLToODMGSource, store)
 	if len(res.Unconverted) != 1 {
 		t.Errorf("Unconverted = %v", res.Unconverted)
 	}
@@ -401,7 +422,7 @@ func TestUnconvertedReportedWithoutExceptionRule(t *testing.T) {
 
 func golfWebRun(t *testing.T) *Result {
 	t.Helper()
-	return runProgram(t, yatl.WebProgramSource, webGolfStore(), nil)
+	return runProgram(t, yatl.WebProgramSource, webGolfStore())
 }
 
 func TestWebProgramPages(t *testing.T) {
@@ -461,7 +482,7 @@ func TestWebProgramListUsesOl(t *testing.T) {
 	store := tree.NewStore()
 	store.Put(tree.PlainName("o"), tree.MustParse(
 		`class < thing < items < list < "a", "b" > > > >`))
-	res := runProgram(t, yatl.WebProgramSource, store, nil)
+	res := runProgram(t, yatl.WebProgramSource, store)
 	found := false
 	for _, e := range res.Outputs.Entries() {
 		if e.Name.Functor == "HtmlElement" && strings.HasPrefix(e.Tree.Label.Display(), "ol") {
@@ -479,7 +500,7 @@ func TestWebProgramListUsesOl(t *testing.T) {
 // --- Stats and determinism ------------------------------------------------
 
 func TestRunStats(t *testing.T) {
-	res := runProgram(t, yatl.SGMLToODMGSource, fig3Store(), nil)
+	res := runProgram(t, yatl.SGMLToODMGSource, fig3Store())
 	if res.Stats.Outputs != 4 {
 		t.Errorf("Stats.Outputs = %d", res.Stats.Outputs)
 	}
@@ -494,7 +515,7 @@ func TestRunStats(t *testing.T) {
 func TestRunDeterministicAcrossRepeats(t *testing.T) {
 	var first string
 	for i := 0; i < 5; i++ {
-		res := runProgram(t, yatl.WebProgramSource, webGolfStore(), nil)
+		res := runProgram(t, yatl.WebProgramSource, webGolfStore())
 		dump := tree.FormatStore(res.Outputs)
 		if i == 0 {
 			first = dump

@@ -261,7 +261,7 @@ func (c *matchCtx) matchNode(p *pnode, n *tree.Node) int {
 		// Internal variable: binds the node label only. Pattern
 		// variables are leaves, and a reference leaf has no label to
 		// bind.
-		if p.dom.IsPattern() || n.IsRef() || (!p.dom.IsAny() && !p.dom.Contains(n.Label)) {
+		if n.IsRef() || p.dom != nil && (p.dom.IsPattern() || !p.dom.Contains(n.Label)) {
 			return lo
 		}
 		c.matchEdges(p.edges, n.Children, 0)
@@ -298,9 +298,10 @@ func subtreeValue(n *tree.Node) tree.Value {
 	return tree.TreeVal{Root: n}
 }
 
-// domainAdmits checks a leaf variable's domain against the subtree.
-func (m *Matcher) domainAdmits(d pattern.Domain, n *tree.Node, val tree.Value) bool {
-	if d.IsAny() {
+// domainAdmits checks a leaf variable's domain, nil for unrestricted,
+// against the subtree.
+func (m *Matcher) domainAdmits(d *pattern.Domain, n *tree.Node, val tree.Value) bool {
+	if d == nil {
 		return true
 	}
 	if d.IsRefPattern() {

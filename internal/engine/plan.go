@@ -144,11 +144,11 @@ func (o operand) value(t *values, f frame) (tree.Value, bool) {
 // pnode is a body or ask pattern node compiled for matching.
 type pnode struct {
 	op    uint8
-	label tree.Value     // opConst
-	slot  int            // opVar
-	dom   pattern.Domain // opVar
-	pat   string         // opRef, opDeref: the pattern name
-	args  []operand      // opRef: the Skolem arguments
+	label tree.Value      // opConst
+	slot  int             // opVar
+	dom   *pattern.Domain // opVar: nil when unrestricted
+	pat   string          // opRef, opDeref: the pattern name
+	args  []operand       // opRef: the Skolem arguments
 	edges []pedge
 }
 
@@ -168,12 +168,23 @@ type pedge struct {
 }
 
 func compileMatch(pt *pattern.PTree, sl *slots) *pnode {
-	p := &pnode{}
+	var p *pnode
+	if l, ok := pt.Label.(pattern.Var); ok && !l.Domain.IsAny() {
+		// The node and its domain in one allocation.
+		v := &struct {
+			pnode
+			dom pattern.Domain
+		}{dom: l.Domain}
+		p = &v.pnode
+		p.dom = &v.dom
+	} else {
+		p = &pnode{}
+	}
 	switch l := pt.Label.(type) {
 	case pattern.Const:
 		p.op, p.label = opConst, l.Value
 	case pattern.Var:
-		p.op, p.slot, p.dom = opVar, sl.of(l.Name), l.Domain
+		p.op, p.slot = opVar, sl.of(l.Name)
 	case pattern.PatRef:
 		p.op, p.pat = opDeref, l.Name
 		if l.Ref {
@@ -363,9 +374,13 @@ func sameConst(a, b tree.Value) bool {
 	return a.Kind() == b.Kind() && a.Equal(b)
 }
 
-// sameDomain reports whether two domains are written alike: the same
-// kinds and symbols in the same order, pattern and reference flag.
-func sameDomain(d, e pattern.Domain) bool {
+// sameDomain reports whether two domains, nil for unrestricted, are
+// written alike: the same kinds and symbols in the same order, pattern
+// and reference flag.
+func sameDomain(d, e *pattern.Domain) bool {
+	if d == nil || e == nil {
+		return d == e
+	}
 	return d.Pattern == e.Pattern && d.Ref == e.Ref && slices.Equal(d.Kinds, e.Kinds) && slices.Equal(d.Symbols, e.Symbols)
 }
 

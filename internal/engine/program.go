@@ -20,17 +20,6 @@ type Options struct {
 	// Registry supplies external functions and predicates; defaults
 	// to NewRegistry().
 	Registry *Registry
-	// Model is an extra model environment for pattern-domain checks,
-	// merged with the models declared by the program.
-	Model *pattern.Model
-	// DisableSafety skips the static cycle check of §3.4.
-	DisableSafety bool
-	// NonDetWarn downgrades the run-time non-determinism alert from
-	// an error to a warning (the paper only mandates an alert).
-	NonDetWarn bool
-	// MaxRounds bounds the activation fixpoint as defence against
-	// non-terminating programs; 0 means the default (10000).
-	MaxRounds int
 	// CheckOutputs turns on the run-time type checker of Figure 6:
 	// after dereferencing, every output must conform to some pattern
 	// of this model; non-conforming outputs are reported as warnings
@@ -75,8 +64,8 @@ type Result struct {
 	// in shared arrays, so one entry's tree can be a subtree of
 	// another's. Clone a tree before writing to it.
 	Outputs *tree.Store
-	// Warnings collects non-fatal diagnostics: dangling references,
-	// dropped bindings, and (with NonDetWarn) non-determinism alerts.
+	// Warnings collects non-fatal diagnostics: dangling references
+	// and dropped bindings.
 	Warnings []string
 	// Unconverted lists the identities of source inputs that no rule
 	// matched — the condition the §3.5 exception rule reports. A slice
@@ -100,8 +89,12 @@ func (e *ErrUnconverted) Error() string {
 	return "engine: exception rule fired: input data not converted: " + strings.Join(parts, ", ")
 }
 
+// maxRounds bounds the activation fixpoint as defence against
+// non-terminating programs.
+const maxRounds = 10000
+
 // FixpointError reports that the activation fixpoint exceeded its
-// round bound (Options.MaxRounds) without converging.
+// round bound (maxRounds) without converging.
 type FixpointError struct {
 	Rounds int
 }
@@ -115,9 +108,9 @@ func (e *FixpointError) Error() string {
 // Skolem functions global to the program so rule order is irrelevant,
 // hierarchy dispatch per §4.2, and end-of-run dereferencing.
 //
-// Configuration is variadic: pass With* options, a legacy *Options
-// value, or nothing for the defaults. The program is compiled for the
-// one run; a caller running it again compiles it once (Compile).
+// Configuration is variadic: pass With* options, or nothing for the
+// defaults. The program is compiled for the one run; a caller running
+// it again compiles it once (Compile).
 func Run(prog *yatl.Program, inputs *tree.Store, opts ...Option) (*Result, error) {
 	return RunContext(nil, prog, inputs, opts...)
 }
@@ -157,10 +150,6 @@ func (c *Compiled) executeIn(sc *scratch, ctx context.Context, inputs *tree.Stor
 	reg := opts.Registry
 	if reg == nil {
 		reg = defaultRegistry()
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 10000
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -219,8 +208,8 @@ func (c *Compiled) executeIn(sc *scratch, ctx context.Context, inputs *tree.Stor
 	rounds := 0
 	for r.processed < len(r.active) {
 		rounds++
-		if rounds > maxRounds {
-			return nil, &FixpointError{Rounds: maxRounds}
+		if rounds > c.roundBound {
+			return nil, &FixpointError{Rounds: c.roundBound}
 		}
 		first := r.processed
 		r.processed = len(r.active)
@@ -837,24 +826,12 @@ func (r *run) constructRule(s *ruleState) error {
 				Rule: rule.Name, Count: built, Duration: time.Since(buildStart)})
 		}
 		if err != nil {
-			var nd *NonDetError
-			if errors.As(err, &nd) && r.c.opts.NonDetWarn {
-				r.traceDrop(rule.Name, trace.PhaseConstruct, trace.DropNonDeterminism)
-				r.warn(nd.Error())
-				continue
-			}
 			return err
 		}
 		if prev, ok := r.outputs.Get(oid); ok {
 			if !prev.Equal(out) {
-				ndErr := &NonDetError{Rule: rule.Name, OID: oid,
+				return &NonDetError{Rule: rule.Name, OID: oid,
 					Why: "two distinct values for the same Skolem identity"}
-				if r.c.opts.NonDetWarn {
-					r.traceDrop(rule.Name, trace.PhaseConstruct, trace.DropNonDeterminism)
-					r.warn(ndErr.Error())
-					continue
-				}
-				return ndErr
 			}
 			continue
 		}

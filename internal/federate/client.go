@@ -74,8 +74,6 @@ var _ mediator.Asker = (*Client)(nil)
 
 // ClientOptions tunes NewClient.
 type ClientOptions struct {
-	// Name overrides the display name (default: the base URL's host).
-	Name string
 	// HTTPClient overrides the transport; nil means a dedicated
 	// http.Client with no global timeout — deadlines come from the
 	// federation guard's per-call context.
@@ -87,16 +85,12 @@ type ClientOptions struct {
 func NewClient(base string, opts *ClientOptions) *Client {
 	c := &Client{base: strings.TrimRight(base, "/")}
 	if opts != nil {
-		c.name = opts.Name
 		c.http = opts.HTTPClient
 	}
 	c.askURL, c.askErr = url.Parse(c.base + "/ask?keys=1")
-	if c.name == "" {
-		if c.askErr == nil && c.askURL.Host != "" {
-			c.name = c.askURL.Host
-		} else {
-			c.name = c.base
-		}
+	c.name = c.base
+	if c.askErr == nil && c.askURL.Host != "" {
+		c.name = c.askURL.Host
 	}
 	if c.http == nil {
 		c.http = &http.Client{}

@@ -393,7 +393,7 @@ func cannedClient(t *testing.T, reply []byte) *federate.Client {
 		w.Write(reply)
 	}))
 	t.Cleanup(ts.Close)
-	c := federate.NewClient(ts.URL, &federate.ClientOptions{Name: "canned"})
+	c := federate.NewClient(ts.URL, nil)
 	t.Cleanup(c.Close)
 	return c
 }
@@ -481,10 +481,11 @@ func TestClientRefusesDoubtfulReplies(t *testing.T) {
 		`{"generation":1,"count":1,"answers":[{"name":"b1","binding":{"M":"1","N":"1","N":"2"},"key":"k"}]}`: `duplicate binding variable "N"`,
 	}
 	for reply, want := range forged {
-		answers, err := cannedClient(t, []byte(reply)).Ask("X")
+		c := cannedClient(t, []byte(reply))
+		answers, err := c.Ask("X")
 		var derr *wire.DecodeError
-		if !errors.As(err, &derr) || !strings.HasPrefix(err.Error(), "shard canned: ") || !strings.Contains(err.Error(), want) || answers != nil {
-			t.Errorf("%s:\n%d answers, error %v; want a *wire.DecodeError of shard canned saying %q", reply, len(answers), err, want)
+		if !errors.As(err, &derr) || !strings.HasPrefix(err.Error(), "shard "+c.Name()+": ") || !strings.Contains(err.Error(), want) || answers != nil {
+			t.Errorf("%s:\n%d answers, error %v; want a *wire.DecodeError of shard %s saying %q", reply, len(answers), err, c.Name(), want)
 		}
 	}
 

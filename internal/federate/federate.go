@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"yat/internal/compose"
 	"yat/internal/engine"
 	"yat/internal/mediator"
 	"yat/internal/serve/wire"
@@ -74,8 +73,6 @@ type Config struct {
 	// (sources, registry, ...). A trace sink configured here
 	// also receives the federation's own scatter/fusion events.
 	Options []engine.Option
-	// Compose tunes the pipeline fusion.
-	Compose []compose.ComposeOption
 	// Guard tunes the retry/breaker/timeout decorators around child
 	// calls; nil means the documented defaults.
 	Guard *GuardOptions
@@ -142,7 +139,7 @@ func New(cfg Config) (*Federation, error) {
 	f := &Federation{route: map[string]int{}, sink: sink, replies: newReplyMemo()}
 
 	if len(cfg.Programs) > 0 {
-		fused, err := FusePipeline(cfg.Programs, sink, cfg.Compose...)
+		fused, err := FusePipeline(cfg.Programs, sink)
 		if err != nil {
 			return nil, err
 		}

@@ -89,13 +89,13 @@ func subProgram(prog *yatl.Program, sl *engine.Slice) *yatl.Program {
 // it. Each fusion is announced as a KindComposeFused event on the
 // sink (nil is fine), which is how tests and EXPLAIN prove the
 // intermediate model never existed.
-func FusePipeline(progs []*yatl.Program, sink trace.Sink, opts ...compose.ComposeOption) (*yatl.Program, error) {
+func FusePipeline(progs []*yatl.Program, sink trace.Sink) (*yatl.Program, error) {
 	if len(progs) == 0 {
 		return nil, fmt.Errorf("federate: empty pipeline")
 	}
 	fused := progs[0]
 	for _, next := range progs[1:] {
-		out, err := compose.Compose(fused, next, opts...)
+		out, err := compose.Compose(fused, next)
 		if err != nil {
 			return nil, fmt.Errorf("federate: fusing %s into %s: %w", next.Name, fused.Name, err)
 		}

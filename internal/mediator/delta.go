@@ -100,8 +100,8 @@ func (m *Mediator) refreshDelta(ctx context.Context, name string) error {
 	}
 	count.Add(1)
 	m.patchedRules.Add(int64(out.patched))
-	if m.opts.Trace != nil {
-		m.opts.Trace.Emit(trace.Event{Kind: kind, Phase: trace.PhaseSlice,
+	if sink := m.sink(); sink != nil {
+		sink.Emit(trace.Event{Kind: kind, Phase: trace.PhaseSlice,
 			Detail: out.detail(name), Count: out.patched})
 	}
 	if out.wholesale {

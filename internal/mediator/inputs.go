@@ -81,7 +81,7 @@ func (m *Mediator) fetch(ctx context.Context) (*inputSnap, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sink := m.opts.Trace
+	sink := m.sink()
 	ctx = source.WithSink(ctx, sink)
 	type fetchResult struct {
 		store *tree.Store

@@ -239,7 +239,8 @@ func (g *demandGen) failed(err error) {
 // Mediator answers queries over the virtual target of a conversion.
 type Mediator struct {
 	inputs *tree.Store
-	opts   *engine.Options
+	// eng is the engine options every generation compiles under.
+	eng    []engine.Option
 	demand bool
 
 	// sources is the fault-tolerant source layer (WithSources); when
@@ -284,12 +285,11 @@ type Mediator struct {
 }
 
 // New returns a mediator over the program, compiled, and sources;
-// nothing runs until the first query. Options configure the engine runs
-// (a legacy *engine.Options value also works: it satisfies
-// engine.Option); WithDemandDriven selects the evaluation strategy.
+// nothing runs until the first query. WithDemandDriven selects the
+// evaluation strategy and WithSources the sources; the other options
+// configure the engine runs.
 func New(prog *yatl.Program, inputs *tree.Store, opts ...engine.Option) *Mediator {
 	m := &Mediator{inputs: inputs}
-	var eng []engine.Option
 	for _, o := range opts {
 		switch o := o.(type) {
 		case demandOption:
@@ -297,19 +297,28 @@ func New(prog *yatl.Program, inputs *tree.Store, opts ...engine.Option) *Mediato
 		case sourcesOption:
 			m.sources = append(m.sources, o...)
 		default:
-			eng = append(eng, o)
+			m.eng = append(m.eng, o)
 		}
 	}
-	m.opts = engine.NewOptions(eng...)
-	comp, _ := engine.Compile(prog, m.opts)
-	st := &progState{comp: comp, gen: &generation{}, num: 1,
-		progHash: snapshot.HashProgram(prog), optsHash: snapshot.HashOptions(m.opts)}
+	st := m.compile(prog)
+	st.num = 1
 	if m.demand {
 		st.dgen = newDemandGen(runLedger{})
 	}
 	m.cur.Store(st)
 	return m
 }
+
+// compile compiles the program under the mediator's engine options
+// into a fresh program state, its hashes computed.
+func (m *Mediator) compile(prog *yatl.Program) *progState {
+	comp, _ := engine.Compile(prog, m.eng...)
+	return &progState{comp: comp, gen: &generation{},
+		progHash: snapshot.HashProgram(prog), optsHash: snapshot.HashOptions(comp.Options())}
+}
+
+// sink is the trace sink of the engine options, nil when untraced.
+func (m *Mediator) sink() trace.Sink { return m.state().comp.Options().Trace }
 
 // state snapshots the current program state. Everything a query does
 // afterwards — slicing, materializing, matching — works against this
@@ -605,7 +614,7 @@ func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, fun
 	st := m.state()
 	memoizable := false
 	var memoKey askKey
-	if g := st.dgen; pt == nil && g != nil && m.opts.Trace == nil {
+	if g := st.dgen; pt == nil && g != nil && st.comp.Options().Trace == nil {
 		// The repeat of an identical ask skips parsing and matching
 		// entirely. Traced asks bypass the memo in both directions:
 		// EXPLAIN exists to show the slice and per-rule cache
@@ -808,7 +817,8 @@ func (m *Mediator) ensureDemand(ctx context.Context, st *progState, pt *pattern.
 // traceSlice emits one cache hit or miss event per construct rule of
 // the slice, as the view holds its group or not.
 func (m *Mediator) traceSlice(sl *engine.Slice, v *cacheView) {
-	if m.opts.Trace == nil {
+	sink := m.sink()
+	if sink == nil {
 		return
 	}
 	for _, r := range sl.Construct {
@@ -816,7 +826,7 @@ func (m *Mediator) traceSlice(sl *engine.Slice, v *cacheView) {
 		if !v.has(r.Head.Functor) {
 			kind = trace.KindCacheMiss
 		}
-		m.opts.Trace.Emit(trace.Event{Kind: kind, Phase: trace.PhaseSlice, Rule: r.Name})
+		sink.Emit(trace.Event{Kind: kind, Phase: trace.PhaseSlice, Rule: r.Name})
 	}
 }
 
@@ -1088,12 +1098,11 @@ func (m *Mediator) Reload(prog *yatl.Program) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	old := m.state()
-	comp, _ := engine.Compile(prog, m.opts)
+	next := m.compile(prog)
+	next.num = old.num + 1
 	if m.reloadKeepsCompiled {
-		comp = old.comp
+		next.comp = old.comp
 	}
-	next := &progState{comp: comp, gen: &generation{},
-		progHash: snapshot.HashProgram(prog), optsHash: snapshot.HashOptions(m.opts), num: old.num + 1}
 	if m.demand {
 		if next.optsHash == old.optsHash {
 			next.dgen = old.dgen.cloneFor(old.comp, next.comp)

@@ -207,7 +207,7 @@ func TestMediatorOverComposedProgram(t *testing.T) {
 	// intermediate never exists.
 	first := yatl.MustParse(yatl.AnnotatedSGMLToODMGSource)
 	second := yatl.MustParse(yatl.WebProgramSource)
-	composed, err := compose.Compose(first, second, nil)
+	composed, err := compose.Compose(first, second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ rule R {
 	for i := 0; i < inputs; i++ {
 		store.Put(tree.PlainName(fmt.Sprintf("i%d", i+1)), tree.Sym("in", tree.Str(fmt.Sprintf("v%d", i+1))))
 	}
-	m := New(prog, store, &engine.Options{Registry: reg})
+	m := New(prog, store, engine.WithRegistry(reg))
 
 	var wg sync.WaitGroup
 	counts := make([]int, clients)

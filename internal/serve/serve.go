@@ -71,10 +71,6 @@ type Config struct {
 	Inputs *tree.Store
 	// Sources are fault-tolerant live sources feeding the mediator.
 	Sources []source.Source
-	// Options are engine options applied to the mediator (registry,
-	// model, ...). Trace sinks are rejected: tracing is
-	// request-scoped, the served mediator always runs with a nil sink.
-	Options []engine.Option
 	// Pool configures nothing: the server runs one mediator. It is kept
 	// only for callers that still set it, and goes in the next change
 	// that may touch them.
@@ -145,14 +141,11 @@ type Server struct {
 }
 
 // New builds a Server over one demand-driven mediator (or the
-// configured askers). It fails fast on a nil program or a traced option
-// set instead of surprising the first request.
+// configured askers). It fails fast on a nil program instead of
+// surprising the first request.
 func New(cfg Config) (*Server, error) {
 	if cfg.Prog == nil && len(cfg.Askers) == 0 {
 		return nil, errors.New("serve: Config.Prog or Config.Askers is required")
-	}
-	if engine.NewOptions(cfg.Options...).Trace != nil {
-		return nil, errors.New("serve: tracing is request-scoped; do not configure a pool-wide sink")
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
@@ -260,12 +253,11 @@ func (s *Server) snapshotStatus() *wire.SnapshotStatus {
 	}
 }
 
-// laneOptions assembles a mediator's option list: the configured
-// engine options, demand-driven evaluation (what every served mediator
-// runs), the sources, and (for request-scoped tracing only) a sink.
+// laneOptions assembles a mediator's option list: demand-driven
+// evaluation (what every served mediator runs), the sources, and (for
+// request-scoped tracing only) a sink.
 func (s *Server) laneOptions(sink trace.Sink) []engine.Option {
-	opts := append([]engine.Option(nil), s.cfg.Options...)
-	opts = append(opts, mediator.WithDemandDriven(true))
+	opts := []engine.Option{mediator.WithDemandDriven(true)}
 	if len(s.cfg.Sources) > 0 {
 		opts = append(opts, mediator.WithSources(s.cfg.Sources...))
 	}
@@ -389,6 +381,7 @@ func ErrorCode(err error) (code string, status int) {
 	var (
 		parseErr   *yatl.ParseError
 		safety     *engine.SafetyError
+		dup        *engine.DuplicateRuleError
 		unconv     *engine.ErrUnconverted
 		nondet     *engine.NonDetError
 		fixpoint   *engine.FixpointError
@@ -404,6 +397,8 @@ func ErrorCode(err error) (code string, status int) {
 		return "parse_error", http.StatusBadRequest
 	case errors.As(err, &safety):
 		return "safety_error", http.StatusUnprocessableEntity
+	case errors.As(err, &dup):
+		return "duplicate_rule", http.StatusUnprocessableEntity
 	case errors.As(err, &unconv):
 		return "unconverted", http.StatusUnprocessableEntity
 	case errors.As(err, &nondet):
@@ -828,7 +823,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", "program has no rules")
 		return
 	}
-	if err := engine.CheckSafety(prog); err != nil {
+	if err := engine.Check(prog); err != nil {
 		writeError(w, err)
 		return
 	}

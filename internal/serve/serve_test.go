@@ -600,12 +600,31 @@ func TestReloadRejectsBadPrograms(t *testing.T) {
 	if e := decodeError(t, resp); e.Code != "bad_request" {
 		t.Fatalf("empty reload code %q, want bad_request", e.Code)
 	}
-	// The server still serves the original program.
+	// Two rules with one name would be one rule to every by-name
+	// lookup; the reload is refused.
+	_, before := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern})
+	dup := "program dup\nrule R {\n  head F(X) = a\n  from X = b\n}\nrule R {\n  head G(X) = a\n  from X = c\n}\n"
+	resp, err = http.Post(ts.URL+"/admin/reload", "text/plain", strings.NewReader(dup))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("duplicate-rule reload status %d, want 422", resp.StatusCode)
+	}
+	if e := decodeError(t, resp); e.Code != "duplicate_rule" || !strings.Contains(e.Message, "named R") {
+		t.Fatalf("duplicate-rule reload error %+v, want duplicate_rule naming R", e)
+	}
+	// The server still serves the original program, at its generation.
 	if got := s.program().Name; got != "selective" {
 		t.Fatalf("program swapped to %q on a failed reload", got)
 	}
-	if resp, _ := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern}); resp.StatusCode != 200 {
+	resp, after := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern})
+	if resp.StatusCode != 200 {
 		t.Fatalf("ask after failed reload: %d", resp.StatusCode)
+	}
+	if after.Generation != before.Generation || after.Count != before.Count || after.Count == 0 {
+		t.Fatalf("after failed reloads: generation %d, %d answers; before: %d, %d",
+			after.Generation, after.Count, before.Generation, before.Count)
 	}
 }
 

@@ -163,26 +163,23 @@ func HashProgram(prog *yatl.Program) string {
 
 // HashOptions is the canonical hash of the result-affecting engine
 // options: the registry fingerprint (names and type signatures of
-// every callable), the model environments, the fixpoint bound, the
-// non-determinism policy, the output checker, and the safety
-// toggle. Tracing is deliberately excluded — a sink observes a run
-// without changing it — so a snapshot taken with tracing on restores
-// without it, and the other way round.
+// every callable) and the output checker. Tracing is deliberately
+// excluded — a sink observes a run without changing it — so a snapshot
+// taken with tracing on restores without it, and the other way round.
+// The document keeps the lines of the settings the engine no longer
+// has (an extra model, the round bound, the non-determinism policy,
+// the safety toggle) at the values every run had, so snapshots written
+// when they existed still restore.
 func HashOptions(opts *engine.Options) string {
 	if opts == nil {
 		opts = &engine.Options{}
-	}
-	model := ""
-	if opts.Model != nil {
-		model = opts.Model.String()
 	}
 	check := ""
 	if opts.CheckOutputs != nil {
 		check = opts.CheckOutputs.String()
 	}
-	doc := fmt.Sprintf("registry=%s\nmodel=%s\ncheck_outputs=%s\nmax_rounds=%d\nnondet_warn=%t\ndisable_safety=%t\n",
-		opts.Registry.Fingerprint(), model, check,
-		opts.MaxRounds, opts.NonDetWarn, opts.DisableSafety)
+	doc := fmt.Sprintf("registry=%s\nmodel=\ncheck_outputs=%s\nmax_rounds=0\nnondet_warn=false\ndisable_safety=false\n",
+		opts.Registry.Fingerprint(), check)
 	return sum([]byte(doc))
 }
 

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"yat/internal/engine"
+	"yat/internal/pattern"
+	"yat/internal/trace"
 	"yat/internal/tree"
 	"yat/internal/yatl"
 )
@@ -306,8 +308,7 @@ func TestHashProgramDiscriminates(t *testing.T) {
 	}
 }
 
-// HashOptions covers the registry surface and the result-affecting
-// knobs.
+// HashOptions covers the registry surface and the output checker.
 func TestHashOptionsDiscriminates(t *testing.T) {
 	base := engine.NewOptions()
 	if HashOptions(base) != HashOptions(engine.NewOptions()) {
@@ -316,16 +317,43 @@ func TestHashOptionsDiscriminates(t *testing.T) {
 	if HashOptions(base) != HashOptions(nil) {
 		t.Fatal("nil options differ from the zero options")
 	}
-	rounds := engine.NewOptions(engine.WithMaxRounds(7))
-	if HashOptions(base) == HashOptions(rounds) {
-		t.Fatal("MaxRounds must affect the options hash")
+	withReg := engine.NewOptions(engine.WithRegistry(extraRegistry()))
+	if HashOptions(base) == HashOptions(withReg) {
+		t.Fatal("registry surface must affect the options hash")
 	}
+	check := engine.NewOptions(engine.WithCheckOutputs(pattern.ODMGModel()))
+	if HashOptions(base) == HashOptions(check) {
+		t.Fatal("the output checker must affect the options hash")
+	}
+	if HashOptions(base) != HashOptions(engine.NewOptions(engine.WithTrace(trace.NewProfile()))) {
+		t.Fatal("a trace sink must not affect the options hash")
+	}
+}
+
+// extraRegistry is the builtin registry plus one function.
+func extraRegistry() *engine.Registry {
 	reg := engine.NewRegistry()
 	reg.Register(engine.Func{Name: "extra", Fn: func(args []tree.Value) (tree.Value, error) {
 		return tree.String("x"), nil
 	}})
-	withReg := engine.NewOptions(engine.WithRegistry(reg))
-	if HashOptions(base) == HashOptions(withReg) {
-		t.Fatal("registry surface must affect the options hash")
+	return reg
+}
+
+// The options hash keys every snapshot on disk: its digests are pinned,
+// so a change to its document (a setting added or removed) that would
+// turn existing snapshots away shows here.
+func TestHashOptionsStable(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts *engine.Options
+		want string
+	}{
+		{"defaults", engine.NewOptions(), "bd1e192383668f6e56b46cfd57ce7e6b056bef2b3abd7b2a81869dbea91271de"},
+		{"extra function", engine.NewOptions(engine.WithRegistry(extraRegistry())), "e75d660d2110da0de35b3499b4fd0651ec70c2757cadb235a2c8149cac133c30"},
+		{"output checker", engine.NewOptions(engine.WithCheckOutputs(pattern.ODMGModel())), "626322d6104dd8a44413fe666cb53e1fed530c50ff8e1c6690c9d067f0ba11ab"},
+	} {
+		if got := HashOptions(c.opts); got != c.want {
+			t.Errorf("%s: HashOptions = %s, want %s", c.name, got, c.want)
+		}
 	}
 }

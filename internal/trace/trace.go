@@ -228,7 +228,6 @@ const (
 	DropPredicateFalse    = "predicate-false"
 	DropPredicateError    = "predicate-error"
 	DropSkolemError       = "skolem-error"
-	DropNonDeterminism    = "non-determinism"
 )
 
 // Event is one observation from the engine. It is passed by value and

@@ -59,7 +59,7 @@ func refImportSGML(docs map[string]string, opts *SGMLOptions) (*tree.Store, erro
 		if err != nil {
 			return nil, fmt.Errorf("wrapper: importing %s: %w", name, err)
 		}
-		if opts.Validate && opts.DTD != nil {
+		if opts.DTD != nil {
 			if err := refValidate(doc, opts.DTD); err != nil {
 				return nil, fmt.Errorf("wrapper: importing %s: %w", name, err)
 			}

@@ -88,7 +88,7 @@ func FuzzImportSGML(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string, mode uint8) {
 		dtd := fuzzDTDs[int(mode)%len(fuzzDTDs)]
 		for _, infer := range []bool{true, false} {
-			opts := &SGMLOptions{InferTypes: infer, Validate: dtd != nil, DTD: dtd}
+			opts := &SGMLOptions{InferTypes: infer, DTD: dtd}
 			checkImportMatchesReference(t, map[string]string{"d": src}, opts)
 		}
 	})
@@ -99,7 +99,7 @@ func FuzzImportSGML(f *testing.F) {
 func TestImportSGMLMatchesReference(t *testing.T) {
 	docs, _ := workload.ConvertBatchSources(42)
 	checkImportMatchesReference(t, docs, nil)
-	checkImportMatchesReference(t, docs, &SGMLOptions{Validate: true, DTD: sgml.BrochureDTD()})
+	checkImportMatchesReference(t, docs, &SGMLOptions{DTD: sgml.BrochureDTD()})
 }
 
 func checkImportMatchesReference(t *testing.T, docs map[string]string, opts *SGMLOptions) {

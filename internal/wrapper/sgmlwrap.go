@@ -21,9 +21,8 @@ type SGMLOptions struct {
 	// atoms (1995 → Int), so predicates like Year > 1975 apply.
 	// Without it all character data imports as strings.
 	InferTypes bool
-	// Validate checks each document against the DTD before import.
-	Validate bool
-	DTD      *sgml.DTD
+	// DTD, when set, validates each document before import.
+	DTD *sgml.DTD
 }
 
 // docBuilder is the sink of an SGML import: it builds each element's
@@ -127,7 +126,7 @@ func numberBytes(t string) (digits, lexeme bool) {
 }
 
 // ImportSGML parses and imports a set of SGML documents into a store,
-// naming each by the given name. With Validate set, non-conforming
+// naming each by the given name. With a DTD set, non-conforming
 // documents are rejected. Each document is read in one pass, its trees
 // built as its elements close; validation runs on the same pass. The
 // trees of all documents share blocks, and their string atoms share
@@ -141,10 +140,6 @@ func ImportSGML(docs map[string]string, opts *SGMLOptions) (*tree.Store, error) 
 	store.Grow(len(docs))
 	d := &docBuilder{infer: opts.InferTypes}
 	var sc sgml.Scanner
-	var dtd *sgml.DTD
-	if opts.Validate {
-		dtd = opts.DTD
-	}
 	// Deterministic import order.
 	names := make([]string, 0, len(docs))
 	for n := range docs {
@@ -153,7 +148,7 @@ func ImportSGML(docs map[string]string, opts *SGMLOptions) (*tree.Store, error) 
 	sortStrings(names)
 	for _, name := range names {
 		d.open = d.open[:0]
-		if err := sc.Scan(docs[name], dtd, d); err != nil {
+		if err := sc.Scan(docs[name], opts.DTD, d); err != nil {
 			return nil, fmt.Errorf("wrapper: importing %s: %w", name, err)
 		}
 		store.Put(tree.PlainName(name), d.open[0])

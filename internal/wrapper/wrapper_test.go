@@ -136,7 +136,7 @@ func TestPCDataNameAllocs(t *testing.T) {
 
 func TestImportSGMLValidates(t *testing.T) {
 	good := map[string]string{"b1": brochureDoc}
-	store, err := ImportSGML(good, &SGMLOptions{InferTypes: true, Validate: true, DTD: sgml.BrochureDTD()})
+	store, err := ImportSGML(good, &SGMLOptions{InferTypes: true, DTD: sgml.BrochureDTD()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestImportSGMLValidates(t *testing.T) {
 		t.Errorf("store = %v", store.Names())
 	}
 	bad := map[string]string{"b1": `<brochure><title>t</title></brochure>`}
-	if _, err := ImportSGML(bad, &SGMLOptions{Validate: true, DTD: sgml.BrochureDTD()}); err == nil {
+	if _, err := ImportSGML(bad, &SGMLOptions{DTD: sgml.BrochureDTD()}); err == nil {
 		t.Error("invalid document accepted")
 	}
 	malformed := map[string]string{"b1": `<a><b></a>`}

@@ -6,30 +6,23 @@ import (
 	"strings"
 	"testing"
 
+	"yat/internal/engine"
 	"yat/internal/tree"
 	"yat/internal/workload"
 	"yat/internal/yatl"
 )
 
-// The functional options and the legacy *RunOptions literal are two
-// spellings of the same configuration: identical outputs, and nil
-// still means defaults.
+// The defaults spelt out, left out or given as nil are one
+// configuration: identical outputs.
 func TestFunctionalOptionsEquivalent(t *testing.T) {
 	prog, err := ParseProgram(Rules1And2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := workload.BrochureStore(6, 2, 4, 42)
-	legacy, err := Run(prog, inputs, &RunOptions{Registry: NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	functional, err := Run(prog, inputs, WithRegistry(NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if FormatStore(functional.Outputs) != FormatStore(legacy.Outputs) {
-		t.Error("functional options changed the run's outputs")
 	}
 	bare, err := Run(prog, inputs)
 	if err != nil {
@@ -45,7 +38,7 @@ func TestFunctionalOptionsEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if FormatStore(bare.Outputs) != FormatStore(viaNil.Outputs) ||
-		FormatStore(bare.Outputs) != FormatStore(legacy.Outputs) ||
+		FormatStore(bare.Outputs) != FormatStore(functional.Outputs) ||
 		FormatStore(bare.Outputs) != FormatStore(noop.Outputs) {
 		t.Error("default configurations disagree")
 	}
@@ -64,9 +57,22 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	// A live context runs normally.
 	res, err := RunContext(context.Background(), prog, workload.BrochureStore(4, 2, 3, 42),
-		&RunOptions{Registry: NewRegistry()})
+		WithRegistry(NewRegistry()))
 	if err != nil || res.Outputs.Len() == 0 {
 		t.Errorf("live RunContext failed: %v", err)
+	}
+}
+
+// A program with two rules of one name does not run.
+func TestRunRefusesDuplicateRuleNames(t *testing.T) {
+	prog, err := ParseProgram(yatl.SGMLToODMGSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Rules[1].Name = prog.Rules[0].Name
+	var dup *engine.DuplicateRuleError
+	if _, err := Run(prog, workload.BrochureStore(2, 1, 2, 42)); !errors.As(err, &dup) || dup.Rule != prog.Rules[0].Name {
+		t.Fatalf("Run: %v, want a *engine.DuplicateRuleError naming %s", err, prog.Rules[0].Name)
 	}
 }
 

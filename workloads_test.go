@@ -108,7 +108,7 @@ func TestWorkloadGoldens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := ComposePrograms(first, second, nil)
+		p, err := ComposePrograms(first, second)
 		if err != nil {
 			t.Fatal(err)
 		}

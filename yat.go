@@ -75,10 +75,6 @@ type (
 	// Program is a YATL conversion program.
 	Program = yatl.Program
 
-	// RunOptions configures program execution. Prefer building
-	// configurations from the With* options; a *RunOptions literal
-	// still works anywhere an Option is accepted.
-	RunOptions = engine.Options
 	// Option is one functional configuration item for Run, RunContext,
 	// RunSlice and NewMediator.
 	Option = engine.Option
@@ -197,7 +193,7 @@ type (
 	// cycles that are not safe-recursive).
 	SafetyError = engine.SafetyError
 	// NonDetError reports run-time non-determinism (one identity, two
-	// distinct values) when NonDetWarn is off.
+	// distinct values).
 	NonDetError = engine.NonDetError
 	// ParseError is a positioned YATL syntax error.
 	ParseError = yatl.ParseError
@@ -214,7 +210,7 @@ func NewRegistry() *engine.Registry { return engine.NewRegistry() }
 // exception reachability, §3.4 safety, §3.5 typing and coverage) over a
 // program and returns the diagnostics sorted by source position.
 func Analyze(prog *Program) ([]analysis.Diagnostic, error) {
-	return analysis.Run(prog, analysis.DefaultAnalyzers(), nil)
+	return analysis.Run(prog, analysis.DefaultAnalyzers())
 }
 
 // Typing.
@@ -243,12 +239,11 @@ var (
 	BrochureModel  = pattern.BrochureModel
 )
 
-// InstantiateOptions configures program instantiation/composition.
-type InstantiateOptions = compose.Options
-
-// Instantiate specializes a general program onto a pattern (§4.1).
-func Instantiate(prog *Program, input *pattern.Pattern, opts *InstantiateOptions) (*Program, error) {
-	return compose.Instantiate(prog, input, opts)
+// Instantiate specializes a general program onto a pattern (§4.1); a
+// non-nil model supplies extra pattern definitions (the schema the
+// pattern comes from).
+func Instantiate(prog *Program, input *pattern.Pattern, model *pattern.Model) (*Program, error) {
+	return compose.Instantiate(prog, input, model)
 }
 
 // Combine merges programs into one rule hierarchy (§4.2).
@@ -257,10 +252,9 @@ func Combine(name string, progs ...*Program) *Program {
 }
 
 // ComposePrograms fuses prg1 : M1 ↦ M2 and prg2 : M2' ↦ M3 into a
-// one-step M1 ↦ M3 program (§4.3). Options are variadic; nil options
-// are skipped.
-func ComposePrograms(prg1, prg2 *Program, opts ...compose.ComposeOption) (*Program, error) {
-	return compose.Compose(prg1, prg2, opts...)
+// one-step M1 ↦ M3 program (§4.3).
+func ComposePrograms(prg1, prg2 *Program) (*Program, error) {
+	return compose.Compose(prg1, prg2)
 }
 
 // SGMLOptions configures SGML import.
