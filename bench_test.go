@@ -476,15 +476,16 @@ func BenchmarkMediatorQuery(b *testing.B) {
 
 // TestRunAllocs pins the allocations per run of the engine — Rule 1
 // over 100 brochures, the Web program over 25 cars and over the
-// convert_batch objects (≈ 1 350, 1 620 and 2 610) — and of one whole
-// convert_batch conversion, imports and HTML export included (≈ 5 360,
-// what BenchmarkConvertBatch reports; ≈ 7 860 while the SGML import
-// built a document tree first and the HTML export minted a string per
-// anchor). Under -race, whose sync.Pool drops match stacks and run
-// scratch, the runs read ≈ 4 130, 2 610, 4 640 and 11 300. Each
-// ceiling sits about 10 % above its count, the -race ones but the
-// pipeline's above their older, higher counts. The stores are the
-// benchmarks'.
+// convert_batch objects (≈ 790, 990 and 1 570; ≈ 1 350, 1 620 and 2 610
+// while every external call made its argument slice and every
+// placeholder and atom activation its node) — and of one whole
+// convert_batch conversion, imports and HTML export included (≈ 3 740,
+// what BenchmarkConvertBatch reports; ≈ 5 360 before, and ≈ 7 860 while
+// the SGML import built a document tree first and the HTML export
+// minted a string per anchor). Under -race, whose sync.Pool drops match
+// stacks and run scratch, the runs read ≈ 3 560, 1 840, 2 940 and
+// 8 090 at most. Each ceiling sits about 10 % above its count. The
+// stores are the benchmarks'.
 func TestRunAllocs(t *testing.T) {
 	rule1, err := ParseProgram("program p\n" + yatl.Rule1Source)
 	if err != nil {
@@ -508,14 +509,14 @@ func TestRunAllocs(t *testing.T) {
 		run          func()
 		budget, race float64
 	}{
-		{"Rule1/brochures=100", run(rule1, workload.BrochureStore(100, 3, 20, 42)), 1490, 4850},
-		{"WebProgram/cars=25", run(web, workload.ODMGStore(25, 13, 3, 11)), 1790, 3750},
+		{"Rule1/brochures=100", run(rule1, workload.BrochureStore(100, 3, 20, 42)), 870, 3920},
+		{"WebProgram/cars=25", run(web, workload.ODMGStore(25, 13, 3, 11)), 1090, 2030},
 		// The typed run of the Figure 1 pipeline: the Web program checks
 		// Pclass and Ptype against the ODMG objects that Rules 1+2 and
 		// Rule 3 make of the convert_batch inputs.
-		{"WebProgram/convert_batch", run(web, convertBatchObjects(t)), 2870, 6400},
+		{"WebProgram/convert_batch", run(web, convertBatchObjects(t)), 1720, 3240},
 		// The whole pipeline pins the wrappers' blocks as well.
-		{"Pipeline/convert_batch", func() { convertBatch(t, progs, docs, db) }, 5890, 12400},
+		{"Pipeline/convert_batch", func() { convertBatch(t, progs, docs, db) }, 4110, 8900},
 	} {
 		budget := tc.budget
 		if raceEnabled {
@@ -589,7 +590,10 @@ func BenchmarkConvertStages(b *testing.B) {
 // as B/op. With every run building its working memory afresh it came to
 // 1.58 MB; with the runs' scratch pooled, 0.75 MB; with the wrappers
 // converting in one pass, about 0.68 MB; with stores sized up front,
-// about 0.66 MB. The ceiling sits about 10 % above.
+// about 0.66 MB; with calls' arguments, placeholders and atom leaves
+// kept in the scratch, 0.57 MB at GOMAXPROCS 1 and up to 0.65 MB at 4
+// or 8, where collections empty the pool more often. The ceiling sits
+// about 10 % above the highest.
 func TestConvertBatchBytes(t *testing.T) {
 	docs, db := workload.ConvertBatchSources(42)
 	progs := convertBatchPrograms(t)
@@ -599,9 +603,9 @@ func TestConvertBatchBytes(t *testing.T) {
 			convertBatch(b, progs, docs, db)
 		}
 	})
-	ceiling := int64(725_000)
+	ceiling := int64(710_000)
 	if raceEnabled {
-		ceiling = 1_550_000 // ≈ 1.40 MB: its sync.Pool drops run scratch
+		ceiling = 1_400_000 // ≈ 1.27 MB: its sync.Pool drops run scratch
 	}
 	if got := r.AllocedBytesPerOp(); r.N == 0 || got > ceiling {
 		t.Errorf("%d bytes allocated per conversion over %d conversions, want <= %d", got, r.N, ceiling)

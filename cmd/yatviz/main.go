@@ -51,10 +51,12 @@ func inspectProgram(w io.Writer, spec string) error {
 	fmt.Fprintf(w, "program %s: %d rules\n\n", prog.Name, len(prog.Rules))
 	fmt.Fprint(w, prog.String())
 
-	if err := engine.CheckSafety(prog); err != nil {
+	// The verdict of engine.Check, the check Compile and a server's
+	// reload run: rule names distinct, and §3.4's safety.
+	if err := engine.Check(prog); err != nil {
 		fmt.Fprintf(w, "\nsafety: REJECTED — %v\n", err)
 	} else {
-		fmt.Fprintf(w, "\nsafety: ok (no dereferenced-Skolem cycle, or safe-recursive)\n")
+		fmt.Fprintf(w, "\nsafety: ok (rule names distinct; no dereferenced-Skolem cycle, or safe-recursive)\n")
 	}
 
 	model := pattern.NewModel()

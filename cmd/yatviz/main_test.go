@@ -27,6 +27,39 @@ func TestInspectBuiltinProgram(t *testing.T) {
 	}
 }
 
+// TestInspectDuplicateRuleNames checks that a program with two rules of
+// one name, which passes §3.4's safety check but which Compile refuses,
+// is reported rejected, not ok.
+func TestInspectDuplicateRuleNames(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dup.yatl")
+	src := `program dup
+
+rule R {
+  head P(X) = a -> N
+  from X = b -> N
+}
+
+rule R {
+  head Q(X) = c -> N
+  from X = d -> N
+}
+`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := inspectProgram(&b, path); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if !strings.Contains(out, "safety: REJECTED — engine: two rules are named R") {
+		t.Errorf("a program with two rules named R is not rejected:\n%s", out)
+	}
+	if strings.Contains(out, "safety: ok") {
+		t.Errorf("a program with two rules named R is reported ok:\n%s", out)
+	}
+}
+
 func TestInspectUnknownProgram(t *testing.T) {
 	var b strings.Builder
 	if err := inspectProgram(&b, "nope"); err == nil {

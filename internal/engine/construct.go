@@ -9,19 +9,20 @@ import (
 )
 
 // derefVal is the internal label of a placeholder node standing for a
-// dereferenced Skolem (^P(args) in a head). The final dereferencing
-// pass (§3.1: "dereferenciation is handled at the end of rules
-// processing") replaces these with the named value.
+// dereferenced Skolem (^P(args) in a head), as a *derefVal: a pointer
+// boxes into a tree.Value without an allocation. The final
+// dereferencing pass (§3.1: "dereferenciation is handled at the end of
+// rules processing") replaces these with the named value.
 type derefVal struct {
 	Name tree.Name
 }
 
-func (derefVal) Kind() tree.Kind { return tree.KindRef }
+func (*derefVal) Kind() tree.Kind { return tree.KindRef }
 
-func (d derefVal) Display() string { return "^" + d.Name.String() }
+func (d *derefVal) Display() string { return "^" + d.Name.String() }
 
-func (d derefVal) Equal(v tree.Value) bool {
-	o, ok := v.(derefVal)
+func (d *derefVal) Equal(v tree.Value) bool {
+	o, ok := v.(*derefVal)
 	return ok && o.Name.Equal(d.Name)
 }
 
@@ -45,24 +46,26 @@ func (e *NonDetError) Error() string {
 // built one at a time by one constructor, oid naming the current one.
 // Nodes, child lists and the arguments of the names they mint come
 // from the run's blocks; a ^P(args) placeholder node, which the
-// dereferencing pass throws away, does not.
+// dereferencing pass throws away, comes from the run's scratch nodes.
 type constructor struct {
 	plan   *rulePlan
 	tab    *values // the table the frames' handles index
 	blocks *tree.Blocks
+	nodes  *nodeSlab
 	oid    tree.Name
 	buf    []byte
 	// parts stacks the partitions of the grouping edges being built;
 	// args is skolemArgs' scratch.
 	parts [][][]frame
 	args  []tree.Value
-	// keys, ids and sizes group a rule's frames or a partition, oids
-	// names a rule's groups; splitByID cuts the groups from two stacks.
-	keys       keySet
-	ids, sizes []int
-	oids       []tree.Name
-	groups     [][]frame
-	frames     []frame
+	// oidKeys keys a rule's groups, numbered as oids names them, and
+	// keys a partition's; ids and sizes group the frames of either.
+	// splitByID cuts the groups from two stacks.
+	oidKeys, keys keySet
+	ids, sizes    []int
+	oids          []tree.Name
+	groups        [][]frame
+	frames        []frame
 }
 
 // construct builds the output tree for one Skolem group. The group
@@ -97,7 +100,7 @@ func (c *constructor) construct(h *hnode, group []frame) (*tree.Node, error) {
 		if h.op == opRef {
 			return c.blocks.Node(tree.Ref{Name: oid}, nil), nil
 		}
-		return tree.New(derefVal{Name: oid}), nil
+		return c.nodes.placeholder(oid), nil
 	}
 	return nil, fmt.Errorf("engine: rule %s: unknown head label", c.plan.rule.Name)
 }

@@ -282,7 +282,8 @@ rule Sups {
 		var out []int
 		for _, e := range inputs.Entries() {
 			s := &ruleState{plan: compileRule(prog.Rules[0])}
-			r.activate(tree.Ref{Name: e.Name}, e.Tree, true)
+			id := tree.Ref{Name: e.Name}
+			r.activate(tree.AppendBinaryKey(nil, id), id, e.Tree, true)
 			c := r.matcher.getCtx(&r.tab)
 			r.matchBodyPattern(c, s.plan, &s.plan.bodies[0], &r.active[len(r.active)-1])
 			keep(r, s, c)

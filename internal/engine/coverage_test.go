@@ -17,14 +17,14 @@ func TestBindingString(t *testing.T) {
 }
 
 func TestDerefValLabel(t *testing.T) {
-	d := derefVal{Name: tree.SkolemName("F", tree.Int(1))}
+	d := &derefVal{Name: tree.SkolemName("F", tree.Int(1))}
 	if d.Kind() != tree.KindRef {
 		t.Error("derefVal kind")
 	}
 	if d.Display() != "^F(1)" {
 		t.Errorf("derefVal display = %q", d.Display())
 	}
-	if !d.Equal(derefVal{Name: tree.SkolemName("F", tree.Int(1))}) {
+	if !d.Equal(&derefVal{Name: tree.SkolemName("F", tree.Int(1))}) {
 		t.Error("derefVal equality")
 	}
 	if d.Equal(tree.Symbol("F")) {

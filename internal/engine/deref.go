@@ -51,24 +51,23 @@ type derefExpander struct {
 	// it found, seen their keys.
 	inputs   *tree.Store
 	dangling []tree.Name
-	seen     map[string]bool
+	seen     keySet
 	buf      []byte
 }
 
 // checkRef records name if it is a dangling reference seen first here.
+// The name is keyed once, for both stores and the seen set.
 func (e *derefExpander) checkRef(name tree.Name) {
-	if e.outputs.Has(name) || e.inputs.Has(name) {
-		return
-	}
 	e.buf = name.AppendBinaryKey(e.buf[:0])
-	if e.seen[string(e.buf)] {
+	if _, ok := e.outputs.IndexKey(e.buf); ok {
 		return
 	}
-	if e.seen == nil {
-		e.seen = map[string]bool{}
+	if _, ok := e.inputs.IndexKey(e.buf); ok {
+		return
 	}
-	e.seen[string(e.buf)] = true
-	e.dangling = append(e.dangling, name)
+	if _, fresh := e.seen.add(e.buf); fresh {
+		e.dangling = append(e.dangling, name)
+	}
 }
 
 // expandAt expands the entry at position i, bound to name.
@@ -94,7 +93,7 @@ func (e *derefExpander) expandAt(i int, name tree.Name) (*tree.Node, error) {
 }
 
 func (e *derefExpander) expandNode(n *tree.Node) (*tree.Node, error) {
-	if d, ok := n.Label.(derefVal); ok {
+	if d, ok := n.Label.(*derefVal); ok {
 		i, ok := e.outputs.Index(d.Name)
 		if !ok {
 			return nil, fmt.Errorf("engine: dereferenced Skolem %s has no associated value", d.Name)

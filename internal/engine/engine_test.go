@@ -176,8 +176,8 @@ func TestCyclicProgramRejected(t *testing.T) {
 	// guard: outputs whose dereferences cycle fail there too.
 	a, b := tree.SkolemName("A", tree.Int(1)), tree.SkolemName("B", tree.Int(1))
 	outputs := tree.NewStore()
-	outputs.Put(a, tree.Sym("x", tree.New(derefVal{Name: b})))
-	outputs.Put(b, tree.New(derefVal{Name: a}))
+	outputs.Put(a, tree.Sym("x", tree.New(&derefVal{Name: b})))
+	outputs.Put(b, tree.New(&derefVal{Name: a}))
 	e := &derefExpander{outputs: outputs, state: make([]uint8, outputs.Len())}
 	if _, err := e.expandAt(0, a); err == nil || !strings.Contains(err.Error(), "cyclic dereferencing through") {
 		t.Errorf("dynamic guard error: %v", err)

@@ -68,7 +68,10 @@ type Func struct {
 	Name   string
 	Params []ParamType
 	Result ParamType
-	Fn     func(args []tree.Value) (tree.Value, error)
+	// Fn computes the function. A run passes every call's arguments in
+	// one slice that it reuses for the next call, so Fn must not retain
+	// args or write to it; the values in it are its own to keep.
+	Fn func(args []tree.Value) (tree.Value, error)
 }
 
 // Registry holds the external functions and boolean predicates

@@ -196,7 +196,9 @@ func (c *Compiled) executeIn(sc *scratch, ctx context.Context, inputs *tree.Stor
 
 	// Seed with the source inputs.
 	for _, e := range inputs.Entries() {
-		r.activate(tree.Ref{Name: e.Name}, e.Tree, true)
+		var id tree.Value = tree.Ref{Name: e.Name} // boxed once
+		r.keyBuf = tree.AppendBinaryKey(r.keyBuf[:0], id)
+		r.activate(r.keyBuf, id, e.Tree, true)
 	}
 
 	// Activation fixpoint: match new inputs, evaluate new bindings,
@@ -379,30 +381,35 @@ func (r *run) totalBindings() int {
 }
 
 // activate registers an input for rule application, once per
-// identity.
-func (r *run) activate(id tree.Value, node *tree.Node, source bool) {
-	r.keyBuf = tree.AppendBinaryKey(r.keyBuf[:0], id)
-	if _, fresh := r.seenIDs.add(r.keyBuf); !fresh {
+// identity: key is id's binary key. A nil node is a leaf labeled id,
+// made only for an identity not seen before.
+func (r *run) activate(key []byte, id tree.Value, node *tree.Node, source bool) {
+	if _, fresh := r.seenIDs.add(key); !fresh {
 		return
+	}
+	if node == nil {
+		node = r.nodes.leaf(id)
 	}
 	r.active = append(r.active, activation{id: id, node: node, source: source, h: r.tab.add(id)})
 }
 
 // activateValue turns a Skolem-argument value into an activation: a
-// reference resolves through the input store, a wrapped subtree
-// activates directly, an atom becomes a leaf input (derived, so the
-// exception check ignores it).
+// wrapped subtree activates directly, an atom becomes a leaf input
+// (derived, so the exception check ignores it). The value is keyed
+// before anything is built, so a repeated atom makes no leaf. A
+// reference activates nothing: the input it names, if any, was
+// activated at the start of the run under the key of this very
+// reference.
 func (r *run) activateValue(v tree.Value) {
-	switch val := v.(type) {
-	case tree.Ref:
-		if n, ok := r.inputs.Get(val.Name); ok {
-			r.activate(v, n, false)
-		}
-	case tree.TreeVal:
-		r.activate(v, val.Root, false)
-	default:
-		r.activate(v, tree.New(val), false)
+	if _, ok := v.(tree.Ref); ok {
+		return
 	}
+	var node *tree.Node
+	if val, ok := v.(tree.TreeVal); ok {
+		node = val.Root
+	}
+	r.keyBuf = tree.AppendBinaryKey(r.keyBuf[:0], v)
+	r.activate(r.keyBuf, v, node, false)
 }
 
 // matchActivation applies phase 1 to one input: per functor group,
@@ -620,7 +627,7 @@ func (r *run) evaluateNewBindings() error {
 func (r *run) evalBinding(rp *rulePlan, f frame) (bool, error) {
 	rule := rp.rule
 	for _, l := range rp.lets {
-		args, ok := resolveOperands(&r.tab, f, l.args)
+		args, ok := r.resolveOperands(f, l.args)
 		if !ok {
 			r.traceDrop(rule.Name, trace.PhaseFunctions, trace.DropUnresolvedOperand)
 			return false, nil
@@ -690,7 +697,7 @@ func (r *run) traceDrop(rule string, phase trace.Phase, reason string) {
 func (r *run) evalPred(rule string, pp *predPlan, f frame) (bool, error) {
 	p := &pp.pred
 	if p.IsCall() {
-		args, ok := resolveOperands(&r.tab, f, pp.args)
+		args, ok := r.resolveOperands(f, pp.args)
 		if !ok {
 			return false, nil
 		}
@@ -732,16 +739,19 @@ func (r *run) evalPred(rule string, pp *predPlan, f frame) (bool, error) {
 	return ok, nil
 }
 
-func resolveOperands(t *values, f frame, ops []operand) ([]tree.Value, bool) {
-	out := make([]tree.Value, len(ops))
-	for i, o := range ops {
-		v, ok := o.value(t, f)
+// resolveOperands returns the values of a call's operands in frame f,
+// in the scratch's operand slice, which the next call reuses (Func.Fn
+// retains no argument slice); ok is false when one is unbound.
+func (r *run) resolveOperands(f frame, ops []operand) ([]tree.Value, bool) {
+	r.operands = r.operands[:0]
+	for _, o := range ops {
+		v, ok := o.value(&r.tab, f)
 		if !ok {
 			return nil, false
 		}
-		out[i] = v
+		r.operands = append(r.operands, v)
 	}
-	return out, true
+	return r.operands, true
 }
 
 // constructRule is phase 4+5 for one rule: evaluate the head Skolem
@@ -755,8 +765,8 @@ func (r *run) constructRule(s *ruleState) error {
 	rule := rp.rule
 	// Group the frames by Skolem identity, in first-occurrence order.
 	c := &r.cons
-	c.plan, c.tab, c.blocks, c.groups, c.frames = rp, &r.tab, &r.blocks, c.groups[:0], c.frames[:0]
-	c.keys.reset()
+	c.plan, c.tab, c.blocks, c.nodes, c.groups, c.frames = rp, &r.tab, &r.blocks, &r.nodes, c.groups[:0], c.frames[:0]
+	c.oidKeys.reset()
 	clear(c.oids) // the previous rule's names
 	c.ids, c.oids, c.sizes = append(c.ids[:0], make([]int, len(s.evaluated))...), c.oids[:0], c.sizes[:0]
 	for k := range s.evaluated {
@@ -771,7 +781,7 @@ func (r *run) constructRule(s *ruleState) error {
 		args, bound := c.skolemArgs(rp.skolem, s.evaluated[k])
 		if bound {
 			r.keyBuf = tree.Name{Functor: rule.Head.Functor, Args: args}.AppendBinaryKey(r.keyBuf[:0])
-			if g, fresh := c.keys.add(r.keyBuf); !fresh {
+			if g, fresh := c.oidKeys.add(r.keyBuf); !fresh {
 				c.ids[k] = g
 				c.sizes[g]++
 				continue
@@ -828,14 +838,13 @@ func (r *run) constructRule(s *ruleState) error {
 		if err != nil {
 			return err
 		}
-		if prev, ok := r.outputs.Get(oid); ok {
-			if !prev.Equal(out) {
-				return &NonDetError{Rule: rule.Name, OID: oid,
-					Why: "two distinct values for the same Skolem identity"}
-			}
-			continue
+		// Group i's key is number i of c.oidKeys: the frame that keys a
+		// new identity names it, and a frame with an unbound argument
+		// keys nothing and names nothing (evalSkolem fails on it).
+		if prev, found := r.outputs.GetOrPut(c.oidKeys.key(i), oid, out); found && !prev.Equal(out) {
+			return &NonDetError{Rule: rule.Name, OID: oid,
+				Why: "two distinct values for the same Skolem identity"}
 		}
-		r.outputs.Put(oid, out)
 	}
 	return nil
 }

@@ -21,8 +21,12 @@ type scratch struct {
 	// keyBuf holds the key being built; dedup, an activation's keys.
 	keyBuf []byte
 	dedup  keySet
-	// slab holds the frames the run keeps, matched and joined.
-	slab frameSlab
+	// slab holds the frames the run keeps, matched and joined; nodes,
+	// the nodes it throws away.
+	slab  frameSlab
+	nodes nodeSlab
+	// operands holds the arguments of the external call being made.
+	operands []tree.Value
 	// states holds a run's rule states by rule position.
 	states []*ruleState
 	// twins holds one shared match per group of twin rules.
@@ -48,8 +52,8 @@ const maxPooledScratch = 4 << 20
 // pins no tree, and zeroes the slabs: take promises unbound frames.
 func (sc *scratch) reset() int {
 	c, j := &sc.cons, &sc.join
-	n := sizeOf(sc.tab.vals) + sizeOf(sc.active) + sizeOf(sc.keyBuf) + 4*sc.slab.reset() +
-		sc.seenIDs.reset() + sc.dedup.reset() + c.keys.reset() + j.keys.reset() + sizeOf(c.parts) + sizeOf(c.args) +
+	n := sizeOf(sc.tab.vals) + sizeOf(sc.active) + sizeOf(sc.keyBuf) + 4*sc.slab.reset() + sc.nodes.reset() + sizeOf(sc.operands) +
+		sc.seenIDs.reset() + sc.dedup.reset() + c.oidKeys.reset() + c.keys.reset() + j.keys.reset() + sizeOf(c.parts) + sizeOf(c.args) +
 		sizeOf(c.ids) + sizeOf(c.sizes) + sizeOf(c.oids) + sizeOf(c.groups) + sizeOf(c.frames) + sizeOf(c.buf) +
 		sizeOf(j.shared) + sizeOf(j.buf) + sizeOf(j.head) + sizeOf(j.next) + sizeOf(j.out[0]) + sizeOf(j.out[1]) +
 		96*sc.conform.Reset(nil, nil) + sizeOf(sc.states) + sizeOf(sc.twins)
@@ -66,9 +70,10 @@ func (sc *scratch) reset() int {
 		}
 		*s = ruleState{perPattern: pp[:0], raw: s.raw[:0], rawSeen: s.rawSeen, evaluated: s.evaluated[:0]}
 	}
+	clear(sc.operands[:cap(sc.operands)])
 	clear(c.args[:cap(c.args)])
 	clear(c.oids)
-	c.plan, c.blocks, c.oid = nil, nil, tree.Name{}
+	c.plan, c.blocks, c.nodes, c.oid = nil, nil, nil, tree.Name{}
 	sc.matcher = Matcher{}
 	return n
 }
@@ -127,6 +132,9 @@ func (s *keySet) find(h uint64, k []byte) (int, uint64) {
 	return -1, p
 }
 
+// key returns the key numbered i.
+func (s *keySet) key(i int) []byte { return s.buf[s.keys[i].lo:s.keys[i].hi] }
+
 // reset empties the set and returns its size in bytes.
 func (s *keySet) reset() int {
 	n := sizeOf(s.slots) + sizeOf(s.keys) + sizeOf(s.buf)
@@ -136,5 +144,68 @@ func (s *keySet) reset() int {
 		clear(s.slots)
 	}
 	s.keys, s.buf = s.keys[:0], s.buf[:0]
+	return n
+}
+
+// nodeSlab hands out the nodes a run throws away — the ^P placeholders
+// the dereferencing pass replaces, with their labels, and atom
+// activations' leaves — from blocks the scratch keeps, so that once the
+// pool is warm they cost no allocation. A reset zeroes all it handed
+// out: no tree a run returns may point into the slab, which is why
+// output nodes come from the run's tree.Blocks instead, and why a
+// throwaway node does not come from those, where it would pin an output
+// block.
+type nodeSlab struct {
+	nodes  slab[tree.Node]
+	derefs slab[derefVal]
+}
+
+// leaf returns a childless node labeled label.
+func (s *nodeSlab) leaf(label tree.Value) *tree.Node {
+	n := s.nodes.take()
+	n.Label = label
+	return n
+}
+
+// placeholder returns the placeholder node of ^name.
+func (s *nodeSlab) placeholder(name tree.Name) *tree.Node {
+	d := s.derefs.take()
+	d.Name = name
+	return s.leaf(d)
+}
+
+// reset zeroes what the slab handed out and returns its size in bytes.
+func (s *nodeSlab) reset() int { return s.nodes.reset() + s.derefs.reset() }
+
+// slab hands out Ts from blocks kept across resets: 16 Ts, then twice
+// the block before, up to 512, so that a small run zeroes a small block.
+type slab[T any] struct {
+	blocks [][]T
+	b, i   int // the block and the element take hands out next
+}
+
+func (s *slab[T]) take() *T {
+	if s.b == len(s.blocks) {
+		s.blocks = append(s.blocks, make([]T, 16<<min(s.b, 5)))
+	}
+	t := &s.blocks[s.b][s.i]
+	if s.i++; s.i == len(s.blocks[s.b]) {
+		s.b, s.i = s.b+1, 0
+	}
+	return t
+}
+
+// reset zeroes the Ts handed out and returns the slab's size in bytes.
+func (s *slab[T]) reset() int {
+	n := sizeOf(s.blocks)
+	for k, blk := range s.blocks {
+		n += sizeOf(blk)
+		if k < s.b {
+			clear(blk)
+		} else if k == s.b {
+			clear(blk[:s.i])
+		}
+	}
+	s.b, s.i = 0, 0
 	return n
 }

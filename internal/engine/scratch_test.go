@@ -126,6 +126,85 @@ func TestRunScratchIsolation(t *testing.T) {
 	}
 }
 
+// TestScratchNodesNeverOutliveARun runs the Figure 1 pipeline — Rules
+// 1+2 and Rule 3 into ODMG objects, the Web program into pages — in one
+// scratch, reset after every run as execute resets it, keeps the digest
+// of the objects and pages, then runs other programs over other inputs
+// through the same scratch. The digest must not change: placeholders
+// and atom activations' leaves come from the scratch's node slab, which
+// every reset zeroes and the next run refills, so an output node cut
+// from it would change under the held outputs.
+func TestScratchNodesNeverOutliveARun(t *testing.T) {
+	sc := scratchPool.New().(*scratch)
+	run := func(src string, in *tree.Store) *Result {
+		t.Helper()
+		c, err := Compile(yatl.MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.executeIn(sc, nil, in, nil)
+		sc.reset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	docs, db := workload.ConvertBatchSources(42)
+	inputs, err := wrapper.ImportSGML(docs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range wrapper.ImportRelational(db).Entries() {
+		inputs.Put(e.Name, e.Tree)
+	}
+	objects := tree.NewStore()
+	for _, src := range []string{yatl.SGMLToODMGSource, "program join\n" + yatl.Rule3Source} {
+		for _, e := range run(src, inputs).Outputs.Entries() {
+			objects.Put(e.Name, e.Tree)
+		}
+	}
+	pages := run(yatl.WebProgramSource, objects).Outputs
+	digest := func() (d string) {
+		defer func() {
+			if p := recover(); p != nil {
+				d = fmt.Sprint("formatting the outputs panics: ", p)
+			}
+		}()
+		return tree.FormatStore(objects) + tree.FormatStore(pages)
+	}
+	want := digest()
+	if !strings.Contains(want, "&Psup(") || !strings.Contains(want, "HtmlPage(") {
+		t.Fatalf("the pipeline made no supplier references or pages:\n%.300s", want)
+	}
+	for _, later := range []struct {
+		src string
+		in  *tree.Store
+	}{
+		{yatl.SGMLToODMGSource, workload.BrochureStore(30, 3, 12, 7)},
+		{yatl.WebProgramSource, workload.ODMGStore(25, 13, 3, 11)},
+		{"program join\n" + yatl.Rule3Source, inputs},
+		{yatl.WebProgramSource, objects},
+	} {
+		run(later.src, later.in)
+		if digest() != want {
+			t.Fatalf("the pipeline's outputs changed under a later run of %.40q: a node of theirs is in the scratch", later.src)
+		}
+	}
+	if len(sc.nodes.nodes.blocks) == 0 || len(sc.nodes.derefs.blocks) == 0 {
+		t.Fatal("the runs took no node from the scratch")
+	}
+	for _, b := range sc.nodes.nodes.blocks {
+		if slices.ContainsFunc(b, func(n tree.Node) bool { return n.Label != nil }) {
+			t.Fatal("a released scratch holds a node")
+		}
+	}
+	for _, b := range sc.nodes.derefs.blocks {
+		if slices.ContainsFunc(b, func(d derefVal) bool { return d.Name.Functor != "" }) {
+			t.Fatal("a released scratch holds a placeholder's name")
+		}
+	}
+}
+
 // leftovers lists what a released scratch still holds that it should
 // not: a tree value, an activation, a bound slab handle, a rule state,
 // or the store or answers of the matcher or its conformance checker.

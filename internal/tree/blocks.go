@@ -12,7 +12,8 @@ package tree
 // exactly one block of each.
 //
 // A node keeps its whole block alive, so a node the builder throws away
-// (a placeholder, a scratch leaf) is made with New, not here. The zero
+// (a placeholder, a scratch leaf) is made with New, or kept in memory of
+// the builder's own, not here. The zero
 // value is ready to use; a Blocks is not safe for concurrent use.
 type Blocks struct {
 	nodes []Node

@@ -204,12 +204,9 @@ func sameArgKinds(a, b Name) bool {
 	return true
 }
 
-// checkKeySeed generates one seed's names and values and checks every
-// pair: their keys under nameKey are equal, and Name.Equal holds,
-// exactly when their Name.Key()s are equal and their arguments have the
-// same kinds at every depth. It returns the first pair that breaks
-// this.
-func checkKeySeed(seed int64, made map[string]int, nameKey func(Name, []byte) []byte) string {
+// keySeedNames generates one seed's names: at least 40, each followed
+// by its variants, some names wrapping a value as their one argument.
+func keySeedNames(seed int64, made map[string]int) []Name {
 	g := &keyGen{Rand: rand.New(rand.NewSource(seed)), made: made}
 	var names []Name
 	for len(names) < 40 {
@@ -223,6 +220,33 @@ func checkKeySeed(seed int64, made map[string]int, nameKey func(Name, []byte) []
 		names = append(names, n)
 		names = append(names, g.variants(n)...)
 	}
+	return names
+}
+
+// keySeeds returns the seeds a generated key test runs: 300 from 1,
+// 3 000 under YAT_SOAK=1, or the one seed YAT_KEY_SEED names.
+func keySeeds(t *testing.T) (first, n int64) {
+	first, n = 1, 300
+	if os.Getenv("YAT_SOAK") == "1" {
+		n = 3000
+	}
+	if s := os.Getenv("YAT_KEY_SEED"); s != "" {
+		seed, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, n = seed, 1
+	}
+	return first, n
+}
+
+// checkKeySeed generates one seed's names and values and checks every
+// pair: their keys under nameKey are equal, and Name.Equal holds,
+// exactly when their Name.Key()s are equal and their arguments have the
+// same kinds at every depth. It returns the first pair that breaks
+// this.
+func checkKeySeed(seed int64, made map[string]int, nameKey func(Name, []byte) []byte) string {
+	names := keySeedNames(seed, made)
 	keys := make([]string, len(names))
 	for i, n := range names {
 		keys[i] = string(nameKey(n, nil))
@@ -254,17 +278,7 @@ func checkKeySeed(seed int64, made map[string]int, nameKey func(Name, []byte) []
 // the Name.Key()s are and the arguments' kinds agree at every depth. A
 // failure prints the seed to rerun alone.
 func TestBinaryKeyMatchesNameKey(t *testing.T) {
-	first, seeds := int64(1), int64(300)
-	if os.Getenv("YAT_SOAK") == "1" {
-		seeds = 3000
-	}
-	if s := os.Getenv("YAT_KEY_SEED"); s != "" {
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first, seeds = n, 1
-	}
+	first, seeds := keySeeds(t)
 	made := map[string]int{}
 	for seed := first; seed < first+seeds; seed++ {
 		if diff := checkKeySeed(seed, made, Name.AppendBinaryKey); diff != "" {
@@ -283,6 +297,78 @@ func TestBinaryKeyMatchesNameKey(t *testing.T) {
 		}
 	}
 	t.Logf("%d seeds; traps %v", seeds, made)
+}
+
+// checkKeyedSeed puts one seed's names in two stores, one through the
+// keyed paths (GetOrPut, IndexKey) with each name's AppendBinaryKey, one
+// through the named ones (Put, Get, Index), and returns the first
+// answer on which they differ: found versus replaced, the tree kept,
+// a position, a hit or a miss (every third name goes in neither store).
+// made counts the trees kept and the misses.
+func checkKeyedSeed(seed int64, made map[string]int) string {
+	names := keySeedNames(seed, map[string]int{})
+	named, keyed := NewStore(), NewStore()
+	for i, n := range names {
+		if i%3 == 2 {
+			continue
+		}
+		key := n.AppendBinaryKey(nil)
+		t := New(Int(int64(i)))
+		before, _ := named.Get(n)
+		replaced := named.Put(n, t)
+		bound, found := keyed.GetOrPut(key, n, t)
+		want := t
+		if replaced {
+			made["tree kept"]++
+			want = before
+			named.Put(n, before) // GetOrPut keeps the tree bound first
+		}
+		if found != replaced || bound != want {
+			return fmt.Sprintf("%s: GetOrPut found %v, the tree of name %d; Put replaced %v, want that of %d",
+				n, found, bound.Label, replaced, want.Label)
+		}
+	}
+	if named.Len() != keyed.Len() {
+		return fmt.Sprintf("%d named entries, %d keyed", named.Len(), keyed.Len())
+	}
+	for _, n := range names {
+		i, ok := named.Index(n)
+		j, kok := keyed.IndexKey(n.AppendBinaryKey(nil))
+		if i != j || ok != kok {
+			return fmt.Sprintf("%s: Index = %d, %v; IndexKey = %d, %v", n, i, ok, j, kok)
+		}
+		if !ok {
+			made["miss"]++
+		}
+		if t, _ := named.Get(n); ok && keyed.Entries()[j].Tree != t {
+			return fmt.Sprintf("%s: the keyed store holds the tree of name %v, the named one of %v",
+				n, keyed.Entries()[j].Tree.Label, t.Label)
+		}
+	}
+	return ""
+}
+
+// TestKeyedStoreMatchesNamed checks the keyed paths of a Store, which
+// the engine takes with a key it already holds, against the named ones
+// over generated names (checkKeyedSeed). A failure prints the seed to
+// rerun alone.
+func TestKeyedStoreMatchesNamed(t *testing.T) {
+	first, seeds := keySeeds(t)
+	made := map[string]int{}
+	for seed := first; seed < first+seeds; seed++ {
+		if diff := checkKeyedSeed(seed, made); diff != "" {
+			t.Fatalf("seed %d: %s\nrerun with YAT_KEY_SEED=%d go test ./internal/tree -run TestKeyedStoreMatchesNamed",
+				seed, diff, seed)
+		}
+	}
+	if seeds > 1 {
+		for _, answer := range []string{"tree kept", "miss"} {
+			if int64(made[answer]) < seeds/10 {
+				t.Errorf("%q answered %d times in %d seeds, want ≥ %d", answer, made[answer], seeds, seeds/10)
+			}
+		}
+		t.Logf("%d seeds; answers %v", seeds, made)
+	}
 }
 
 // TestBinaryKeyLayout pins the encoding: the kind tag, the payload's

@@ -152,6 +152,20 @@ func (s *Store) Put(name Name, t *Node) (replaced bool) {
 	return false
 }
 
+// GetOrPut binds name to t unless it is bound already, and returns the
+// tree bound to it and whether that was bound before, a tree a Put would
+// have replaced. key must be name's AppendBinaryKey: a caller that keyed
+// the name already inserts it without a second encoding, where Get then
+// Put encode it twice and probe the index three times.
+func (s *Store) GetOrPut(key []byte, name Name, t *Node) (bound *Node, found bool) {
+	if i, ok := s.byKey[string(key)]; ok {
+		return s.items[i].Tree, true
+	}
+	s.byKey[string(key)] = len(s.items)
+	s.items = append(s.items, StoreEntry{Name: name, Tree: t})
+	return t, false
+}
+
 // Get returns the tree bound to name.
 func (s *Store) Get(name Name) (*Node, bool) {
 	i, ok := s.Index(name)
@@ -165,7 +179,13 @@ func (s *Store) Get(name Name) (*Node, bool) {
 // replaces the tree keeps the position.
 func (s *Store) Index(name Name) (int, bool) {
 	var buf [keyBufSize]byte
-	i, ok := s.byKey[string(name.AppendBinaryKey(buf[:0]))]
+	return s.IndexKey(name.AppendBinaryKey(buf[:0]))
+}
+
+// IndexKey is Index by the name's AppendBinaryKey, for a caller that
+// holds the key already.
+func (s *Store) IndexKey(key []byte) (int, bool) {
+	i, ok := s.byKey[string(key)]
 	return i, ok
 }
 
