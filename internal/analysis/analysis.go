@@ -192,17 +192,6 @@ func Max(diags []Diagnostic) (Severity, bool) {
 	return max, true
 }
 
-// AtLeast counts the diagnostics at or above the given severity.
-func AtLeast(diags []Diagnostic, min Severity) int {
-	n := 0
-	for _, d := range diags {
-		if d.Severity >= min {
-			n++
-		}
-	}
-	return n
-}
-
 // DefaultAnalyzers returns every analyzer of the framework: the eight
 // syntactic checks, the safety, typing and coverage adapters, and
 // deadrule, which reports what FindDeadRules proves dead.
@@ -222,14 +211,4 @@ func DefaultAnalyzers() []*Analyzer {
 		Coverage,
 		DeadRule,
 	}
-}
-
-// ByName returns the analyzer with the given name from DefaultAnalyzers.
-func ByName(name string) (*Analyzer, bool) {
-	for _, a := range DefaultAnalyzers() {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return nil, false
 }

@@ -3,7 +3,6 @@ package federate
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -139,7 +138,7 @@ func (c *Client) AskContext(ctx context.Context, patternSrc string, functors ...
 // generation the reply carried.
 func (c *Client) ask(ctx context.Context, patternSrc string, functors []string,
 	decode func([]byte) (int64, []mediator.Answer, error)) (int64, []mediator.Answer, error) {
-	reply, _, err := c.fetchAsk(ctx, patternSrc, functors, nil, false)
+	reply, _, err := c.fetchAsk(ctx, patternSrc, functors, wire.Epoch{}, false)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -149,22 +148,22 @@ func (c *Client) ask(ctx context.Context, patternSrc string, functors []string,
 
 // fetchAsk POSTs /ask?keys=1 and returns the reply unread, in a pooled
 // buffer the caller releases once it is done with the bytes. With a
-// validator the ask is conditional (the wire package's conditional
-// /ask): a child whose reply has that SHA-256 digest answers 304, and
-// fetchAsk returns a nil reply and no error. A child that ignores the
-// header answers in full. With leased set the ask requests a read
-// lease, and epoch is the write epoch of the one the child granted
-// with the reply, zero when it granted none.
-func (c *Client) fetchAsk(ctx context.Context, patternSrc string, functors []string, validator *[sha256.Size]byte, leased bool) (reply *replyBuf, epoch wire.Epoch, err error) {
-	req, err := c.askRequest(ctx, wire.AppendAskRequest(nil, wire.AskRequest{Pattern: patternSrc, Functors: functors}), validator, leased)
+// non-zero tag the ask is conditional on that write epoch (the wire
+// package's conditional /ask): a child still at that epoch answers
+// 304, and fetchAsk returns a nil reply and no error. A child that
+// ignores the header answers in full. With leased set the ask requests
+// a read lease, and epoch is the write epoch the reply's ETag names,
+// zero when it names none.
+func (c *Client) fetchAsk(ctx context.Context, patternSrc string, functors []string, tag wire.Epoch, leased bool) (reply *replyBuf, epoch wire.Epoch, err error) {
+	req, err := c.askRequest(ctx, wire.AppendAskRequest(nil, wire.AskRequest{Pattern: patternSrc, Functors: functors}), tag, leased)
 	if err != nil {
 		return nil, epoch, err
 	}
-	return c.send(req, validator != nil, leased)
+	return c.send(req, tag != wire.Epoch{}, leased)
 }
 
 // askRequest builds the POST of an ask body to askURL, parsing nothing.
-func (c *Client) askRequest(ctx context.Context, body []byte, validator *[sha256.Size]byte, leased bool) (*http.Request, error) {
+func (c *Client) askRequest(ctx context.Context, body []byte, tag wire.Epoch, leased bool) (*http.Request, error) {
 	if c.askErr != nil {
 		return nil, c.askErr
 	}
@@ -181,9 +180,10 @@ func (c *Client) askRequest(ctx context.Context, body []byte, validator *[sha256
 		// reused connection the child had closed is sent again.
 		GetBody: func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil },
 	}
-	if validator != nil {
-		var tag [2 + 2*sha256.Size]byte
-		req.Header["If-None-Match"] = []string{string(wire.AppendETag(tag[:0], validator))}
+	if tag != (wire.Epoch{}) {
+		var buf [48]byte
+		quoted := append(wire.AppendEpoch(append(buf[:0], '"'), tag), '"')
+		req.Header["If-None-Match"] = []string{string(quoted)}
 	}
 	if leased {
 		req.Header[wire.LeaseRequestHeader] = leaseRequest
@@ -282,7 +282,7 @@ func (c *Client) do(ctx context.Context, method, path string) (*replyBuf, error)
 // cannot stand for a reply the client never named. With leased set, a
 // lease granted with a 200 or a 304 is recorded as the client's, to
 // expire LeaseTTL less leaseMargin after the request was sent, and
-// epoch is its write epoch.
+// epoch is the write epoch the reply's ETag names.
 func (c *Client) send(req *http.Request, conditional, leased bool) (reply *replyBuf, epoch wire.Epoch, err error) {
 	if c.closed.Load() {
 		return nil, epoch, &ClosedError{Shard: c.name}
@@ -295,10 +295,12 @@ func (c *Client) send(req *http.Request, conditional, leased bool) (reply *reply
 	defer resp.Body.Close()
 	if leased && (resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified && conditional) {
 		if v := resp.Header[wire.LeaseHeader]; len(v) == 1 {
-			var ok bool
-			if epoch, ok = wire.ParseEpoch(v[0]); ok {
-				c.lease.Store(&lease{epoch: epoch, until: sent.Add(wire.LeaseTTL - leaseMargin)})
+			if e, ok := wire.ParseEpoch(v[0]); ok {
+				c.lease.Store(&lease{epoch: e, until: sent.Add(wire.LeaseTTL - leaseMargin)})
 			}
+		}
+		if v := resp.Header["Etag"]; len(v) == 1 && len(v[0]) > 2 && v[0][0] == '"' && v[0][len(v[0])-1] == '"' {
+			epoch, _ = wire.ParseEpoch(v[0][1 : len(v[0])-1])
 		}
 	}
 	if resp.StatusCode == http.StatusNotModified {

@@ -11,12 +11,12 @@
 // instead of failing it. A federation serving /ask over remote
 // children memoizes each reply against digests of the children's
 // replies (AskReply): a repeated ask whose children answer byte for
-// byte as before is not merged or rendered again, and while every child
-// it needs holds the parent to a read lease, no child is asked at all.
-// Pipelines of
-// programs handed to the planner are fused with §4.3 composition
-// before sharding — the intermediate model never crosses the wire
-// because it never exists.
+// byte as before, or answer 304 to the write epoch they tagged their
+// reply with, is not merged or rendered again, and while every child it
+// needs holds the parent to a read lease, no child is asked at all.
+// Pipelines of programs handed to the planner are fused with §4.3
+// composition before sharding — the intermediate model never crosses
+// the wire because it never exists.
 package federate
 
 import (
@@ -255,13 +255,14 @@ func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors
 // and no trees: only rendering may read them.
 //
 // When every child asked is a remote *Client, the reply is memoized
-// against the SHA-256 digest of each child's reply. An ask (pattern,
-// functors as given, keyed) whose children all answer byte for byte as
-// they did for the memoized reply gets that reply back, with no child
-// reply read, merged or rendered. Once an ask has been answered so, the
-// next one is conditional: each child is sent its digest (the wire
-// package's conditional /ask) and answers 304 when its reply is still
-// the one the memo saw, which stands for those bytes. When a 304 came
+// against the SHA-256 digest of each child's reply, and the write epoch
+// the child tagged it with. An ask (pattern, functors as given, keyed)
+// whose children all answer byte for byte as they did for the memoized
+// reply gets that reply back, with no child reply read, merged or
+// rendered. Once an ask has been answered so, the next one is
+// conditional: each child is sent its epoch (the wire package's
+// conditional /ask) and answers 304 when it is still at that epoch,
+// which stands for those bytes. When a 304 came
 // but some other child's reply moved or failed, each child that
 // answered 304 is asked again without a validator, as the memo keeps no
 // child bytes, and the asks after it are unconditional until one is
@@ -277,9 +278,8 @@ func (f *Federation) AskContext(ctx context.Context, patternSrc string, functors
 // came from the memo is shared and must not be modified. A reply
 // degraded by a failed child is neither memoized nor served from the
 // memo, and any bytes the memo has not seen are read and checked in
-// full. sum is the SHA-256 digest of the reply when it is memoized,
-// nil otherwise.
-func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool, render func(generation int64, answers []mediator.Answer) []byte) (body []byte, sum *[sha256.Size]byte, err error) {
+// full.
+func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool, render func(generation int64, answers []mediator.Answer) []byte) (body []byte, err error) {
 	// seen is the memo's entry for the ask — an empty one for an ask it
 	// has not memoized — and nil when the ask is not memoized at all. A
 	// memoized ask was planned when its entry was stored, and routes do
@@ -295,7 +295,7 @@ func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors [
 		targets = seen.targets
 	} else {
 		if targets, err = f.plan(patternSrc, functors); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if listed && memoizable(targets) && !f.replies.Full() {
 			seen = &replyEntry{targets: targets}
@@ -305,7 +305,7 @@ func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors [
 		f.memoReplays.Add(1)
 		f.leasedReplays.Add(1)
 		seen.replay()
-		return seen.body, &seen.sum, nil
+		return seen.body, nil
 	}
 	replies := f.gather(ctx, patternSrc, targets, wire.RelayAskResponse, seen)
 	for _, r := range replies {
@@ -324,7 +324,7 @@ func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors [
 		f.memoReplays.Add(1)
 		seen.replay()
 		f.restamp(key, seen, replies)
-		return seen.body, &seen.sum, nil
+		return seen.body, nil
 	}
 	if seen != nil && seen.replayed.Load() {
 		seen.replayed.Store(false)
@@ -359,14 +359,14 @@ func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors [
 	}
 	answers, generation, err := f.merge(targets, replies)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	body = render(generation, answers)
 	if !complete {
-		return body, nil, nil
+		return body, nil
 	}
 	// Exact size, and never render's buffer, which may be pooled.
-	e := &replyEntry{targets: targets, shards: make([]shardSeen, len(replies)), body: append(make([]byte, 0, len(body)), body...), sum: sha256.Sum256(body)}
+	e := &replyEntry{targets: targets, shards: make([]shardSeen, len(replies)), body: append(make([]byte, 0, len(body)), body...)}
 	for i, r := range replies {
 		e.shards[i] = r.seen
 	}
@@ -374,9 +374,8 @@ func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors [
 		// The memo is at a bound: drop the entry this one would have
 		// replaced, which holds bytes for replies that have moved on.
 		f.replies.Update(key, func(*replyEntry) *replyEntry { return nil })
-		return body, nil, nil
 	}
-	return body, &e.sum, nil
+	return body, nil
 }
 
 // target is one child's share of an ask.
@@ -447,7 +446,8 @@ type shardReply struct {
 // reads a remote child's reply with decode. With seen non-nil (every
 // target remote) it digests each reply and leaves unread one whose
 // digest is seen's for its target; when seen was replayed by the last
-// ask that found it, it asks each target conditionally on that digest.
+// ask that found it, it asks each target conditionally on the epoch
+// seen records for it.
 // The last target is asked on the calling goroutine, which would
 // otherwise only wait.
 func (f *Federation) gather(ctx context.Context, patternSrc string, targets []target,
@@ -585,18 +585,18 @@ func (c *fedChild) ask(ctx context.Context, patternSrc string, functors []string
 // askDigest is a remote child's ask for a memoized AskReply, which
 // requests a read lease. A reply whose digest is want's, kept unread in
 // r.raw, is the reply want recorded: its generation and count stand for
-// it, and when a lease came with it, r.seen takes the lease's epoch.
-// With conditional set the ask names want's digest, and a 304 stands
-// for that reply as well. Any other reply is digested into r.seen, with
-// the epoch of the lease that came with it, and relayed. Digesting
-// inside the guarded call means a reply that fails to read is retried
-// and counted against the child as ever.
+// it, and when the reply was tagged, r.seen takes the tag's epoch. With
+// conditional set the ask names want's epoch, and a 304 stands for that
+// reply as well. Any other reply is digested into r.seen, with the epoch
+// it was tagged with, and relayed. Digesting inside the guarded call
+// means a reply that fails to read is retried and counted against the
+// child as ever.
 func (c *fedChild) askDigest(ctx context.Context, patternSrc string, functors []string, want *shardSeen, conditional bool, r *shardReply) error {
-	var validator *[sha256.Size]byte
+	var tag wire.Epoch
 	if want != nil && conditional {
-		validator = &want.sum
+		tag = want.epoch
 	}
-	reply, epoch, err := c.client.fetchAsk(ctx, patternSrc, functors, validator, true)
+	reply, epoch, err := c.client.fetchAsk(ctx, patternSrc, functors, tag, true)
 	if err != nil {
 		return err
 	}
@@ -638,7 +638,7 @@ func (f *Federation) leased(e *replyEntry, targets []target) bool {
 
 // restamp stores a successor of the memo's entry seen whose targets
 // carry the epochs the replies replayed came under, when some reply
-// came with a lease under an epoch other than the one seen records.
+// was tagged with an epoch other than the one seen records.
 func (f *Federation) restamp(key replyKey, seen *replyEntry, replies []shardReply) {
 	var next *replyEntry
 	for i, r := range replies {
@@ -646,7 +646,7 @@ func (f *Federation) restamp(key replyKey, seen *replyEntry, replies []shardRepl
 			continue
 		}
 		if next == nil {
-			next = &replyEntry{targets: seen.targets, shards: slices.Clone(seen.shards), body: seen.body, sum: seen.sum}
+			next = &replyEntry{targets: seen.targets, shards: slices.Clone(seen.shards), body: seen.body}
 			next.replayed.Store(true)
 		}
 		next.shards[i].epoch = r.seen.epoch

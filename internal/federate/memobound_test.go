@@ -60,7 +60,7 @@ func TestReplyMemoHoldsItsByteBound(t *testing.T) {
 	renders := 0
 	ask := func(i int) {
 		pat := "view <" + strings.Repeat(" ", i) + " -> name -> N >"
-		if _, _, err := fed.AskReply(context.Background(), pat, nil, false, countingRender(false, &renders)); err != nil {
+		if _, err := fed.AskReply(context.Background(), pat, nil, false, countingRender(false, &renders)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -39,12 +39,11 @@ type replyKey struct {
 }
 
 // replyEntry is one memoized reply. Immutable once stored, but for
-// replayed; a reply under a newer lease epoch stores a successor.
+// replayed; a reply under a newer epoch stores a successor.
 type replyEntry struct {
-	targets []target          // the ask's plan, shared by its successors
-	shards  []shardSeen       // per target, in target order
-	body    []byte            // the rendered reply, an exact-size copy
-	sum     [sha256.Size]byte // body's digest, for asks conditional on it
+	targets []target    // the ask's plan, shared by its successors
+	shards  []shardSeen // per target, in target order
+	body    []byte      // the rendered reply, an exact-size copy
 	// replayed says the last ask that found the entry was answered from
 	// it. Only then are the children asked conditionally: while one is
 	// down or moving, the others' 304s would have them asked twice.
@@ -60,8 +59,8 @@ func (e *replyEntry) replay() {
 
 // shardSeen is one child's reply as the memo saw it: the SHA-256 digest
 // of its bytes, the generation and answer count they carried, and the
-// write epoch under which the child last sent them with a lease (zero
-// before it did).
+// write epoch the child last tagged them with (zero for a child that
+// holds none).
 type shardSeen struct {
 	sum   [sha256.Size]byte
 	gen   int64

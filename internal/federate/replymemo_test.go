@@ -3,9 +3,9 @@ package federate
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -25,14 +25,16 @@ import (
 )
 
 // cannedChild serves the ask reply *reply holds — an empty one fails
-// with 503 — and functors on /functors. It ignores If-None-Match, as a
-// child of an earlier release does.
+// with 503 — and functors on /functors. It holds no write epoch, as a
+// server over a federation does: its replies carry no ETag, and it
+// ignores If-None-Match.
 func cannedChild(t *testing.T, reply *atomic.Value, functors string) *Client {
 	return newCannedChild(t, reply, functors, false)
 }
 
-// conditionalChild is cannedChild answering an ask whose If-None-Match
-// names its reply with a 304, as serve does.
+// conditionalChild is cannedChild with a write epoch, as serve has: each
+// reply it holds is an epoch of its own, which tags the reply, and an
+// ask whose If-None-Match names it is answered 304.
 func conditionalChild(t *testing.T, reply *atomic.Value, functors string) *Client {
 	return newCannedChild(t, reply, functors, true)
 }
@@ -43,11 +45,16 @@ func newCannedChild(t *testing.T, reply *atomic.Value, functors string, conditio
 		switch r.URL.Path {
 		case "/ask":
 			body := reply.Load().(string)
-			sum := sha256.Sum256([]byte(body))
+			writes := fnv.New64a()
+			io.WriteString(writes, body)
+			tag := `"` + string(wire.AppendEpoch(nil, wire.Epoch{Boot: 1, Writes: writes.Sum64()})) + `"`
+			if conditional && body != "" {
+				w.Header().Set("ETag", tag)
+			}
 			switch {
 			case body == "":
 				http.Error(w, "down", http.StatusServiceUnavailable)
-			case conditional && r.Header.Get("If-None-Match") == string(wire.AppendETag(nil, &sum)):
+			case conditional && r.Header.Get("If-None-Match") == tag:
 				w.WriteHeader(http.StatusNotModified)
 			default:
 				io.WriteString(w, body)
@@ -95,7 +102,7 @@ func replayAfterSecondChildMoves(t *testing.T, child func(*testing.T, *atomic.Va
 	fed.replayChecksFirstOnly = checksFirstOnly
 	renders := 0
 	ask := func() string {
-		body, _, err := fed.AskReply(context.Background(), "X", nil, false, countingRender(false, &renders))
+		body, err := fed.AskReply(context.Background(), "X", nil, false, countingRender(false, &renders))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,9 +122,9 @@ func replayAfterSecondChildMoves(t *testing.T, child func(*testing.T, *atomic.Va
 
 // TestReplyMemoChecksEveryDigest replays a memoized reply only when
 // every child's reply is the one the memo saw — by a 304 from a child
-// that honours If-None-Match, by the digest of the bytes from one that
-// ignores it: the mutant that checks the first target's alone replays a
-// reply the second child no longer backs.
+// that tags its replies with an epoch, by the digest of the bytes from
+// one that holds none: the mutant that checks the first target's alone
+// replays a reply the second child no longer backs.
 func TestReplyMemoChecksEveryDigest(t *testing.T) {
 	for name, child := range map[string]func(*testing.T, *atomic.Value, string) *Client{
 		"conditional": conditionalChild, "unconditional": cannedChild,
@@ -152,7 +159,7 @@ func TestClientRefusesAnUnaskedNotModified(t *testing.T) {
 		t.Fatal(err)
 	}
 	renders := 0
-	body, _, err := fed.AskReply(context.Background(), "X", nil, false, countingRender(false, &renders))
+	body, err := fed.AskReply(context.Background(), "X", nil, false, countingRender(false, &renders))
 	var fe *FanoutError
 	if !errors.As(err, &fe) || !strings.Contains(err.Error(), "not_modified") || body != nil || renders != 0 {
 		t.Errorf("AskReply against a 304: reply %q, %d renders, error %v; want the child failed", body, renders, err)
@@ -180,7 +187,7 @@ func TestReplyMemoSkipsWhatHasNoBytes(t *testing.T) {
 		renders := 0
 		var first []byte
 		for i := 0; i < 3; i++ {
-			body, _, err := fed.AskReply(context.Background(), "X", nil, true, countingRender(true, &renders))
+			body, err := fed.AskReply(context.Background(), "X", nil, true, countingRender(true, &renders))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -212,7 +219,7 @@ func TestReplyMemoKeepsNoDegradedReply(t *testing.T) {
 	}
 	renders := 0
 	ask := func(functors ...string) string {
-		body, _, err := fed.AskReply(context.Background(), "X", functors, false, countingRender(false, &renders))
+		body, err := fed.AskReply(context.Background(), "X", functors, false, countingRender(false, &renders))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +260,7 @@ func TestReplyMemoIsBounded(t *testing.T) {
 	}
 	renders := 0
 	ask := func(i int) string {
-		body, _, err := fed.AskReply(context.Background(), fmt.Sprintf("view < -> name -> N%d >", i), nil, false, countingRender(false, &renders))
+		body, err := fed.AskReply(context.Background(), fmt.Sprintf("view < -> name -> N%d >", i), nil, false, countingRender(false, &renders))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +316,7 @@ func TestReplyMemoHitReportsLikeAMiss(t *testing.T) {
 			}
 			ca.gen.Store(7) // as a /functors call observing generation 7 would
 			before, called := len(rec.Events()), [2]int64{fed.children[0].asks.Load(), fed.children[1].asks.Load()}
-			if _, _, err := fed.AskReply(context.Background(), "X", nil, true, countingRender(true, &renders)); err != nil {
+			if _, err := fed.AskReply(context.Background(), "X", nil, true, countingRender(true, &renders)); err != nil {
 				t.Fatal(err)
 			}
 			if g := ca.Generation(); g != 3 {

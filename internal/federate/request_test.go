@@ -3,8 +3,6 @@ package federate
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"io"
 	"net/http"
 	"testing"
@@ -38,17 +36,17 @@ func TestClientAskRequestAllocs(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	sum := sha256.Sum256(body)
-	for i, validator := range []*[sha256.Size]byte{nil, &sum, &sum} {
+	epoch := wire.Epoch{Boot: 0x9f3c, Writes: 17}
+	for i, tag := range []wire.Epoch{{}, epoch, epoch} {
 		leased := i == 2
 		ref := parse()
-		if validator != nil {
-			ref.Header.Set("If-None-Match", `"`+hex.EncodeToString(sum[:])+`"`)
+		if tag != (wire.Epoch{}) {
+			ref.Header.Set("If-None-Match", `"9f3c.17"`)
 		}
 		if leased {
 			ref.Header.Set(wire.LeaseRequestHeader, "1")
 		}
-		req, err := c.askRequest(ctx, body, validator, leased)
+		req, err := c.askRequest(ctx, body, tag, leased)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,12 +56,12 @@ func TestClientAskRequestAllocs(t *testing.T) {
 		}
 		resent, _ := io.ReadAll(again)
 		if got, want := written(req), written(ref); !bytes.Equal(got, want) || !bytes.Equal(resent, body) || req.Context() != ctx {
-			t.Errorf("validator %v, leased %v: request\n%s\nresent body %q; want\n%s", validator != nil, leased, got, resent, want)
+			t.Errorf("tag %+v, leased %v: request\n%s\nresent body %q; want\n%s", tag, leased, got, resent, want)
 		}
 	}
 	parsed := testing.AllocsPerRun(100, func() { parse() })
 	built := testing.AllocsPerRun(100, func() {
-		if _, err := c.askRequest(ctx, body, nil, false); err != nil {
+		if _, err := c.askRequest(ctx, body, wire.Epoch{}, false); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -74,7 +72,7 @@ func TestClientAskRequestAllocs(t *testing.T) {
 	bad := NewClient("http://127.0.0.1:8081/%zz", nil)
 	t.Cleanup(bad.Close)
 	_, want := http.NewRequestWithContext(ctx, http.MethodPost, bad.base+"/ask?keys=1", nil)
-	if _, err := bad.askRequest(ctx, body, nil, false); err == nil || want == nil || err.Error() != want.Error() {
+	if _, err := bad.askRequest(ctx, body, wire.Epoch{}, false); err == nil || want == nil || err.Error() != want.Error() {
 		t.Errorf("a base URL that does not parse: error %v, want %v", err, want)
 	}
 }

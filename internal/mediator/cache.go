@@ -27,7 +27,6 @@
 package mediator
 
 import (
-	"crypto/sha256"
 	"maps"
 	"slices"
 	"sort"
@@ -117,11 +116,8 @@ type memoEntry struct {
 	answers    []Answer
 	hasAnswers bool
 	// bodies are the rendered replies, plain and keyed, nil until asked
-	// for: exact-size copies of what an AskReply render returned. sums
-	// are their SHA-256 digests, taken as they enter the memo, so a
-	// conditional ask that names one is answered without its bytes.
+	// for: exact-size copies of what an AskReply render returned.
 	bodies [2][]byte
-	sums   [2][sha256.Size]byte
 }
 
 // What a memo entry holds beyond the view's groups, which its answers'
@@ -139,13 +135,11 @@ func memoEntrySize(key askKey, e *memoEntry) int64 {
 
 // memoize records one form of a completed ask in m: answers for
 // formAnswers, else the rendered body. A new key takes an entry unless
-// the memo is full; a memoized one gains the form. For a body it returns
-// the digest the stored entry holds for it, nil when the memo kept
-// nothing.
-func memoize(m *askMemo, key askKey, form askForm, answers []Answer, body []byte) *[sha256.Size]byte {
+// the memo is full; a memoized one gains the form.
+func memoize(m *askMemo, key askKey, form askForm, answers []Answer, body []byte) {
 	var fill *memoEntry // the form alone, copied once
 	i := form - formPlain
-	stored := m.Update(key, func(old *memoEntry) *memoEntry {
+	m.Update(key, func(old *memoEntry) *memoEntry {
 		if fill == nil {
 			fill = new(memoEntry)
 			if form == formAnswers {
@@ -153,7 +147,7 @@ func memoize(m *askMemo, key askKey, form askForm, answers []Answer, body []byte
 			} else {
 				// Exact size, and never the caller's buffer: a render may
 				// hand back a pooled one it will reuse.
-				fill.bodies[i], fill.sums[i] = append(make([]byte, 0, len(body)), body...), sha256.Sum256(body)
+				fill.bodies[i] = append(make([]byte, 0, len(body)), body...)
 			}
 		}
 		if old == nil {
@@ -163,14 +157,10 @@ func memoize(m *askMemo, key askKey, form askForm, answers []Answer, body []byte
 		if form == formAnswers {
 			next.answers, next.hasAnswers = fill.answers, true
 		} else {
-			next.bodies[i], next.sums[i] = fill.bodies[i], fill.sums[i]
+			next.bodies[i] = fill.bodies[i]
 		}
 		return &next
 	})
-	if stored == nil || form == formAnswers {
-		return nil
-	}
-	return &stored.sums[i]
 }
 
 func newDemandCache() *demandCache {

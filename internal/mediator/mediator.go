@@ -34,7 +34,6 @@ package mediator
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"slices"
 	"sort"
@@ -543,28 +542,19 @@ func (m *Mediator) AskContext(ctx context.Context, patternSrc string, functors .
 // a copy of what render returns, never the slice itself, so render may
 // append into a buffer its caller reuses once the reply is sent; a reply
 // that came from the memo is shared and must not be modified. render
-// must neither modify the answers nor retain them. sum is the SHA-256
-// digest of the reply's bytes when the memo holds them — it is taken
-// once, as they enter it — and nil otherwise.
-func (m *Mediator) AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool, render func(generation int64, answers []Answer) []byte) (body []byte, sum *[sha256.Size]byte, err error) {
+// must neither modify the answers nor retain them.
+func (m *Mediator) AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool, render func(generation int64, answers []Answer) []byte) ([]byte, error) {
 	form := formPlain
 	if keyed {
 		form = formKeyed
 	}
-	_, r, err := m.ask(ctx, patternSrc, functors, form, render)
-	return r.body, r.sum, err
-}
-
-// reply is a rendered ask reply, and the digest the ask memo holds for
-// its bytes (nil when the memo does not hold them).
-type reply struct {
-	body []byte
-	sum  *[sha256.Size]byte
+	_, body, err := m.ask(ctx, patternSrc, functors, form, render)
+	return body, err
 }
 
 // ask is the one entry of a pattern given as source text: AskContext
 // and AskReply differ only in the form they want back.
-func (m *Mediator) ask(ctx context.Context, patternSrc string, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, reply, error) {
+func (m *Mediator) ask(ctx context.Context, patternSrc string, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, []byte, error) {
 	return m.askTimed(ctx, patternSrc, nil, functors, form, render)
 }
 
@@ -589,14 +579,14 @@ func (m *Mediator) AskPatternContext(ctx context.Context, pt *pattern.PTree, fun
 // whenever engine work ran or was awaited, errors included — but for a
 // pattern that fails to parse, which is still an ask but never
 // consulted the cache: Asks == CacheHits + CacheMisses + parse failures.
-func (m *Mediator) askTimed(ctx context.Context, src string, pt *pattern.PTree, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, reply, error) {
+func (m *Mediator) askTimed(ctx context.Context, src string, pt *pattern.PTree, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, []byte, error) {
 	start := time.Now()
 	m.asks.Add(1)
 	// No defer: the closure it would capture allocates on every ask,
 	// and the demand cache-hit path budgets its allocations.
-	out, r, err := m.doAsk(ctx, src, pt, functors, form, render)
+	out, body, err := m.doAsk(ctx, src, pt, functors, form, render)
 	m.askNanos.Add(time.Since(start).Nanoseconds())
-	return out, r, err
+	return out, body, err
 }
 
 // storelessMatcher serves every ask, in both modes, through the ask's
@@ -610,7 +600,7 @@ var storelessMatcher = &engine.Matcher{}
 // reply form render's reply over them, rendered with the number of the
 // program state the ask read. The pattern is its source text src, or
 // with pt non-nil, pt, which the ask memo does not hold.
-func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, reply, error) {
+func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, functors []string, form askForm, render func(int64, []Answer) []byte) ([]Answer, []byte, error) {
 	st := m.state()
 	memoizable := false
 	var memoKey askKey
@@ -624,10 +614,10 @@ func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, fun
 			memoKey = askKey{pattern: src, functors: key}
 			am := g.cache.view().memo
 			if e := am.Load(memoKey); e != nil {
-				if out, r, ok := fromMemo(st.num, am, memoKey, e, form, render); ok {
+				if out, body, ok := fromMemo(st.num, am, memoKey, e, form, render); ok {
 					m.cacheHits.Add(1)
 					m.memoHits.Add(1)
-					return out, r, nil
+					return out, body, nil
 				}
 			}
 		}
@@ -635,7 +625,7 @@ func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, fun
 	if pt == nil {
 		var err error
 		if pt, err = ParsePattern(src); err != nil {
-			return nil, reply{}, err
+			return nil, nil, err
 		}
 	}
 	entries, hit, view, err := m.read(ctx, st, pt, functors)
@@ -647,7 +637,7 @@ func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, fun
 		m.cacheMiss.Add(1)
 	}
 	if err != nil {
-		return nil, reply{}, err
+		return nil, nil, err
 	}
 	var out []Answer
 	if len(entries) > 0 {
@@ -667,14 +657,14 @@ func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, fun
 		}
 		sort.Stable(&answerOrder{out, names})
 	}
-	var r reply
+	var body []byte
 	if form != formAnswers {
-		r.body = render(st.num, out)
+		body = render(st.num, out)
 	}
 	if memoizable {
-		r.sum = memoize(view.memo, memoKey, form, out, r.body)
+		memoize(view.memo, memoKey, form, out, body)
 	}
-	return out, r, nil
+	return out, body, nil
 }
 
 // fromMemo serves an ask from its memo entry when the entry holds the
@@ -684,20 +674,21 @@ func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, fun
 // fresh slice header over copied elements so a caller appending to its
 // result cannot disturb the memo; the Name trees and Bindings inside are
 // shared, as they are between any two asks over one cache.
-func fromMemo(generation int64, am *askMemo, key askKey, e *memoEntry, form askForm, render func(int64, []Answer) []byte) ([]Answer, reply, bool) {
+func fromMemo(generation int64, am *askMemo, key askKey, e *memoEntry, form askForm, render func(int64, []Answer) []byte) ([]Answer, []byte, bool) {
 	switch {
 	case form == formAnswers:
 		if !e.hasAnswers || len(e.answers) == 0 {
-			return nil, reply{}, e.hasAnswers
+			return nil, nil, e.hasAnswers
 		}
-		return slices.Clone(e.answers), reply{}, true
+		return slices.Clone(e.answers), nil, true
 	case e.bodies[form-formPlain] != nil:
-		return nil, reply{e.bodies[form-formPlain], &e.sums[form-formPlain]}, true
+		return nil, e.bodies[form-formPlain], true
 	case e.hasAnswers:
 		body := render(generation, e.answers)
-		return nil, reply{body, memoize(am, key, form, nil, body)}, true
+		memoize(am, key, form, nil, body)
+		return nil, body, true
 	}
-	return nil, reply{}, false
+	return nil, nil, false
 }
 
 // answerOrder sorts answers by (Name.Key, Binding.Key), the order

@@ -56,7 +56,7 @@ func TestAskMemoHoldsItsByteBound(t *testing.T) {
 		for i := 1; i <= variants; i++ {
 			var err error
 			if replies {
-				_, _, err = m.AskReply(nil, spaced(pat, i), []string{"Pview1"}, true, textReply(true, &renders))
+				_, err = m.AskReply(nil, spaced(pat, i), []string{"Pview1"}, true, textReply(true, &renders))
 			} else {
 				_, err = m.Ask(spaced(pat, i), "Pview1")
 			}

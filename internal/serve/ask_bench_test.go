@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -124,28 +123,40 @@ func BenchmarkFederatedAsk(b *testing.B) {
 	}
 }
 
-// BenchmarkFederatedRefresh is the write side of the read leases: one
-// goroutine asks a memoFederation's parent in a closed loop while the
-// second child's source is refreshed once per period, open loop, as
-// serve_churn refreshes its server. One op is one period. refresh-ms-p50
-// and -max are the refreshes' latency, late-ms-p50 how long after its
-// tick a refresh began (a refresh that lags pushes the next one late),
-// waits/op the share of refreshes that waited out a lease, and
-// leased-share the share of asks replayed under a lease. Under
-// conditional the children grant no lease, as before leases.
+// BenchmarkFederatedRefresh is the write side of the read leases, and
+// the parent's side of a refreshed child: one goroutine asks a
+// memoFederation's parent in a closed loop while the second child's
+// source is refreshed once per period, open loop, as serve_churn
+// refreshes its server. One op is one period. refresh-ms-p50 and -max
+// are the refreshes' latency, late-ms-p50 how long after its tick a
+// refresh began (a refresh that lags pushes the next one late), waits/op
+// the share of refreshes that waited out a lease, leased-share the share
+// of asks replayed under a lease, ask-us-p50 the parent's ask latency
+// and not-modified/op the children's 304s per period. Under conditional
+// the children grant no lease, as before leases. Each refresh moves the
+// child to the other world, but under same it rewrites the world it
+// serves: the child's replies stay as they were while its epoch moves.
 func BenchmarkFederatedRefresh(b *testing.B) {
 	for _, period := range []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond} {
 		for _, c := range []struct {
-			name   string
-			leases bool
-		}{{"leased", true}, {"conditional", false}} {
+			name         string
+			leases, same bool
+		}{{"leased", true, false}, {"conditional", false, false}, {"leased/same", true, true}, {"conditional/same", false, true}} {
 			b.Run(fmt.Sprintf("period=%v/%s", period, c.name), func(b *testing.B) {
 				m := newMemoFederation(b, c.leases)
 				req := memoAsks[1]
 				m.direct(b, req, false)
 				m.direct(b, req, false)
 				stop, stopped := make(chan struct{}), make(chan struct{})
-				var asks atomic.Int64
+				var asks []float64 // µs, written by the asking goroutine until stopped
+				world := func(i int) int {
+					if c.same {
+						return 0
+					}
+					return i % 2
+				}
+				m.moveTo(b, world(1)) // from here on every tick follows a refresh
+				stats, waits := m.fed.Stats(), m.secondSrv.leaseWaits.Load()
 				go func() {
 					defer close(stopped)
 					for {
@@ -154,12 +165,11 @@ func BenchmarkFederatedRefresh(b *testing.B) {
 							return
 						default:
 						}
+						start := time.Now()
 						m.direct(b, req, false)
-						asks.Add(1)
+						asks = append(asks, float64(time.Since(start))/float64(time.Microsecond))
 					}
 				}()
-				m.moveTo(b, 1) // from here on every tick follows a refresh
-				stats, waits := m.fed.Stats(), m.secondSrv.leaseWaits.Load()
 				took, late := make([]float64, b.N), make([]float64, b.N)
 				b.ResetTimer()
 				tick := time.Now()
@@ -167,7 +177,7 @@ func BenchmarkFederatedRefresh(b *testing.B) {
 					tick = tick.Add(period)
 					time.Sleep(time.Until(tick))
 					start := time.Now()
-					m.moveTo(b, i%2)
+					m.moveTo(b, world(i))
 					took[i], late[i] = ms(time.Since(start)), ms(start.Sub(tick))
 				}
 				b.StopTimer()
@@ -179,8 +189,12 @@ func BenchmarkFederatedRefresh(b *testing.B) {
 				b.ReportMetric(took[b.N-1], "refresh-ms-max")
 				b.ReportMetric(late[b.N/2], "late-ms-p50")
 				b.ReportMetric(float64(m.secondSrv.leaseWaits.Load()-waits)/float64(b.N), "waits/op")
-				if n := asks.Load(); n > 0 {
-					b.ReportMetric(float64(m.fed.Stats().LeasedReplays-stats.LeasedReplays)/float64(n), "leased-share")
+				after := m.fed.Stats()
+				b.ReportMetric(float64(after.NotModified-stats.NotModified)/float64(b.N), "not-modified/op")
+				if n := len(asks); n > 0 {
+					slices.Sort(asks)
+					b.ReportMetric(asks[n/2], "ask-us-p50")
+					b.ReportMetric(float64(after.LeasedReplays-stats.LeasedReplays)/float64(n), "leased-share")
 				}
 			})
 		}
@@ -246,7 +260,7 @@ func federatedAsks(tb testing.TB, counts *childCounts) (ask func(tb testing.TB, 
 	memoized = func() bool {
 		for _, req := range reqs {
 			rendered := false
-			_, _, err := fed.AskReply(context.Background(), req.Pattern, req.Functors, false,
+			_, err := fed.AskReply(context.Background(), req.Pattern, req.Functors, false,
 				func(generation int64, answers []mediator.Answer) []byte {
 					rendered = true
 					return wire.AppendAskResponse(nil, generation, answers, false, nil)

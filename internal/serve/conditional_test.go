@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
@@ -46,17 +47,20 @@ func serveURL(t testing.TB, h http.Handler) string {
 	return ts.URL
 }
 
-// etagOf is the entity tag of a reply, as a parent sends it.
-func etagOf(body []byte) string {
+// shaTag is a reply's SHA-256 digest as an entity tag, which names no
+// epoch.
+func shaTag(body []byte) string {
 	sum := sha256.Sum256(body)
-	return string(wire.AppendETag(nil, &sum))
+	return `"` + hex.EncodeToString(sum[:]) + `"`
 }
 
 // TestConditionalAsk is the conditional /ask contract on one child
 // server, for a reply its ask memo holds and for one it renders afresh
-// (the memo is full): an If-None-Match naming the reply gets a bodiless
-// 304 that echoes the tag and counts as served; every other one gets
-// the 200 an unconditional ask gets, byte for byte.
+// (the memo is full): every 200 carries the server's write epoch as its
+// ETag, and an If-None-Match naming that epoch gets a bodiless 304 that
+// echoes the tag and counts as served. Every other one gets the 200 an
+// unconditional ask gets, byte for byte: among them the epoch before a
+// write that left the reply as it was.
 func TestConditionalAsk(t *testing.T) {
 	req := wire.AskRequest{Pattern: warmPattern, Functors: []string{"Pview1"}}
 	for _, pastCap := range []bool{false, true} {
@@ -65,11 +69,20 @@ func TestConditionalAsk(t *testing.T) {
 			fillAskMemo(t, s.pool[0])
 		}
 		ts := serveURL(t, s.Handler())
+		resp, before := rawAsk(t, ts, "", req)
+		stale := resp.Header.Get("ETag")
+		if err := s.write(context.Background(), func() error { return nil }); err != nil {
+			t.Fatal(err)
+		}
 		for _, query := range []string{"", "?keys=1"} {
 			name := map[bool]string{false: "memoized", true: "past the memo's cap"}[pastCap] + " /ask" + query
 			resp, want := rawAsk(t, ts, query, req)
 			checkAskFraming(t, resp, want)
-			tag := etagOf(want)
+			tag := resp.Header.Get("ETag")
+			epoch, ok := wire.ParseEpoch(strings.Trim(tag, `"`))
+			if !ok || tag != `"`+string(wire.AppendEpoch(nil, epoch))+`"` || epoch.Writes != 1 || tag == stale || query == "" && !bytes.Equal(want, before) {
+				t.Fatalf("%s: ETag %q after one write that changed nothing, before it %q; want the next epoch, quoted, and the same reply", name, tag, stale)
+			}
 
 			served := s.served.Load()
 			resp, body := conditionalAsk(t, ts, query, req, tag)
@@ -81,26 +94,28 @@ func TestConditionalAsk(t *testing.T) {
 				t.Errorf("%s: a 304 counted %d served asks, want 1", name, got)
 			}
 
-			stale := etagOf(append(bytes.Clone(want), ' '))
-			hexSum := strings.Trim(tag, `"`)
+			bare := strings.Trim(tag, `"`)
+			otherBoot := `"` + string(wire.AppendEpoch(nil, wire.Epoch{Boot: epoch.Boot + 1, Writes: epoch.Writes})) + `"`
 			for _, tags := range [][]string{
 				{stale},
+				{otherBoot},
+				{`"` + string(wire.AppendEpoch(nil, wire.Epoch{})) + `"`},
 				{"W/" + tag},
 				{stale + ", " + tag},
 				{tag + ", " + stale},
 				{tag, stale},
 				{"*"},
-				{hexSum},
-				{`"` + hexSum[2:] + `"`},
-				{`"` + hexSum + `00"`},
-				{`"` + strings.ToUpper(hexSum) + `"`},
-				{`"` + strings.Repeat("z", len(hexSum)) + `"`},
-				{`"` + hex.EncodeToString(make([]byte, sha256.Size)) + `"`},
+				{bare},
+				{`"` + bare + `.0"`},
+				{`"` + strings.Replace(bare, ".", "", 1) + `"`},
+				{`"` + bare[:len(bare)-1] + `x"`},
+				{`" ` + bare + `"`},
+				{shaTag(want)},
 				{""},
 			} {
 				resp, body := conditionalAsk(t, ts, query, req, tags...)
-				if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
-					t.Errorf("%s, If-None-Match %q: status %d\n got %s\nwant %s", name, tags, resp.StatusCode, body, want)
+				if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) || resp.Header.Get("ETag") != tag {
+					t.Errorf("%s, If-None-Match %q: status %d, ETag %q\n got %s\nwant %s", name, tags, resp.StatusCode, resp.Header.Get("ETag"), body, want)
 					continue
 				}
 				checkAskFraming(t, resp, body)
@@ -109,28 +124,30 @@ func TestConditionalAsk(t *testing.T) {
 	}
 }
 
-// TestConditionalAskNeverHidesAnError: an error reply is sent whole
-// whatever tag the ask names, its own included, and ?explain=1 answers
-// with its profile even when the tag names the plain reply.
+// TestConditionalAskNeverHidesAnError: an error reply is sent whole,
+// untagged, whatever tag the ask names, the server's current epoch
+// included, and ?explain=1 answers with its profile even when the tag
+// names the plain reply's epoch.
 func TestConditionalAskNeverHidesAnError(t *testing.T) {
 	s, _ := warmServer(t)
 	ts := serveURL(t, s.Handler())
+	req := wire.AskRequest{Pattern: warmPattern, Functors: []string{"Pview1"}}
+	ok, plain := rawAsk(t, ts, "", req)
+	current := ok.Header.Get("ETag")
 	bad := wire.AskRequest{Pattern: "view < -> name ->"}
 	resp, want := rawAsk(t, ts, "", bad)
-	if resp.StatusCode/100 == 2 {
-		t.Fatalf("vacuous: the malformed ask answered %d", resp.StatusCode)
+	if resp.StatusCode/100 == 2 || current == "" {
+		t.Fatalf("vacuous: the malformed ask answered %d, the well-formed one tagged %q", resp.StatusCode, current)
 	}
-	for _, tag := range []string{etagOf(want), etagOf(nil)} {
+	for _, tag := range []string{current, shaTag(want), shaTag(nil)} {
 		got, body := conditionalAsk(t, ts, "", bad, tag)
-		if got.StatusCode != resp.StatusCode || !bytes.Equal(body, want) {
-			t.Errorf("error reply under If-None-Match %s: status %d %s, want %d %s", tag, got.StatusCode, body, resp.StatusCode, want)
+		if got.StatusCode != resp.StatusCode || !bytes.Equal(body, want) || got.Header.Get("ETag") != "" {
+			t.Errorf("error reply under If-None-Match %s: status %d %s, ETag %q; want %d %s, none", tag, got.StatusCode, body, got.Header.Get("ETag"), resp.StatusCode, want)
 		}
 	}
 
-	req := wire.AskRequest{Pattern: warmPattern, Functors: []string{"Pview1"}}
-	_, plain := rawAsk(t, ts, "", req)
-	resp, body := conditionalAsk(t, ts, "?explain=1", req, etagOf(plain))
-	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"profile":`)) {
+	resp, body := conditionalAsk(t, ts, "?explain=1", req, current)
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"profile":`)) || bytes.Equal(body, plain) {
 		t.Errorf("?explain=1 under the plain reply's tag: status %d, %d bytes, want 200 with a profile", resp.StatusCode, len(body))
 	}
 }

@@ -604,7 +604,7 @@ func (m *memoFederation) moveTo(t testing.TB, world int) {
 // reply came from the memo: a memoized reply is not rendered.
 func (m *memoFederation) direct(t testing.TB, req wire.AskRequest, keyed bool) (body []byte, memoized bool) {
 	rendered := false
-	body, _, err := m.fed.AskReply(context.Background(), req.Pattern, req.Functors, keyed,
+	body, err := m.fed.AskReply(context.Background(), req.Pattern, req.Functors, keyed,
 		func(generation int64, answers []mediator.Answer) []byte {
 			rendered = true
 			return wire.AppendAskResponse(nil, generation, answers, keyed, nil)

@@ -168,6 +168,209 @@ func leaseRace(t *testing.T, skipWait bool) string {
 	return ""
 }
 
+// TestConditionalAskLinearizable races conditional asks straight at a
+// child against refreshes that move it between two worlds, with no
+// lease requested: each asker sends back the tag of the last tagged
+// reply it got, and every reply — a 304 standing for the bytes the
+// asker holds — is byte for byte one of the two worlds' and
+// linearizable: of a world the child held at some point of the ask, and
+// not older than what an ask that ended before it began returned. Each
+// refresh holds its write pending a little before and after it applies,
+// and the child's mediator holds back one reply at a time that it
+// computed before a begun refresh applied, until the refresh returns,
+// so that the two unsound children are caught: one that tags replies
+// and answers 304 while a write is pending, and one that reads its
+// epoch after computing the reply.
+func TestConditionalAskLinearizable(t *testing.T) {
+	if diff := conditionalRace(t, nil); diff != "" {
+		t.Error(diff)
+	}
+	for name, mutate := range map[string]func(*Server){
+		"tags replies while a write is pending": func(s *Server) { s.tagWhilePending = true },
+		"reads its epoch after the reply":       func(s *Server) { s.tagAfterReply = true },
+	} {
+		if conditionalRace(t, mutate) == "" {
+			t.Errorf("a child that %s went unnoticed", name)
+		}
+	}
+}
+
+// heldBack is a child's mediator that calls hold with each reply it has
+// computed, before it returns it.
+type heldBack struct {
+	*mediator.Mediator
+	hold func()
+}
+
+func (h heldBack) AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool,
+	render func(int64, []mediator.Answer) []byte) ([]byte, error) {
+	body, err := h.Mediator.AskReply(ctx, patternSrc, functors, keyed, render)
+	h.hold()
+	return body, err
+}
+
+// taggedAsk POSTs an ask to base's /ask, conditional on tag unless it
+// is empty, and returns the status, the body and the ETag.
+func taggedAsk(base string, req wire.AskRequest, tag string) (status int, body []byte, etag string, err error) {
+	hreq, err := http.NewRequest(http.MethodPost, base+"/ask", bytes.NewReader(wire.AppendAskRequest(nil, req)))
+	if err != nil {
+		return 0, nil, "", err
+	}
+	if tag != "" {
+		hreq.Header.Set("If-None-Match", tag)
+	}
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		return 0, nil, "", err
+	}
+	defer resp.Body.Close()
+	body, err = io.ReadAll(resp.Body)
+	return resp.StatusCode, body, resp.Header.Get("ETag"), err
+}
+
+// conditionalRace runs TestConditionalAskLinearizable's race against a
+// child that mutate makes unsound (none when nil), and describes the
+// first reply that was not linearizable ("" when every one was).
+func conditionalRace(t *testing.T, mutate func(*Server)) string {
+	t.Helper()
+	const refreshes, askers, steer = 8, 4, 3 * time.Millisecond
+	prog := yatl.MustParse("program selective\n" + memoRule(1, "brochure") + memoRule(3, "catalogue"))
+	req := wire.AskRequest{Pattern: "X", Functors: []string{"Pview3", "Pview1"}}
+	var want [2][]byte
+	for w := range want {
+		_, single := newTestServer(t, Config{Prog: prog, Inputs: memoWorld(w)})
+		_, want[w] = rawAsk(t, single.URL, "", req)
+	}
+	fault := source.NewFault("src", memoWorld(0))
+	s, ts := newTestServer(t, Config{Prog: prog, Sources: []source.Source{fault}})
+	if mutate != nil {
+		mutate(s)
+	}
+
+	// started, applied and done count the refreshes begun, whose new
+	// world the mediator serves, and returned; after n have been applied
+	// the child serves world n%2. One reply at a time that was computed
+	// while a refresh was begun and not applied is held back until the
+	// refresh returns; the others go at once.
+	var started, applied, done atomic.Int64
+	var holding atomic.Bool
+	med := s.pool[0].(*mediator.Mediator)
+	s.pool[0] = heldBack{Mediator: med, hold: func() {
+		if n := started.Load(); n > applied.Load() && holding.CompareAndSwap(false, true) {
+			for done.Load() < n {
+				time.Sleep(50 * time.Microsecond)
+			}
+			holding.Store(false)
+		}
+	}}
+	stop := make(chan struct{})
+	go func() {
+		defer close(stop)
+		for n := 1; n <= refreshes; n++ {
+			time.Sleep(10 * time.Millisecond)
+			fault.SetStore(memoWorld(n % 2))
+			started.Add(1)
+			err := s.write(context.Background(), func() error {
+				time.Sleep(steer)
+				err := med.RefreshSource(context.Background(), "src")
+				applied.Add(1)
+				time.Sleep(steer)
+				return err
+			})
+			done.Add(1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var (
+		mu      sync.Mutex
+		diff    string
+		seen    atomic.Int64 // the newest world version an ask that ended returned
+		checked atomic.Int64 // 304s whose ask began and ended with no refresh under way
+		kinds   [2]atomic.Int64
+	)
+	fail := func(s string) {
+		mu.Lock()
+		defer mu.Unlock()
+		if diff == "" {
+			diff = s
+		}
+	}
+	var wg sync.WaitGroup
+	for a := 0; a < askers; a++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held []byte // the last tagged 200's bytes, sent back as its tag
+			var tag string
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				floor, from := seen.Load(), applied.Load()
+				status, body, etag, err := taggedAsk(ts.URL, req, tag)
+				to := started.Load()
+				switch {
+				case err != nil:
+					fail(err.Error())
+					return
+				case status == http.StatusNotModified:
+					kinds[1].Add(1)
+					body = held
+				case status == http.StatusOK:
+					kinds[0].Add(1)
+					if etag != "" {
+						held, tag = body, etag
+					}
+				default:
+					fail(fmt.Sprintf("status %d: %s", status, body))
+					return
+				}
+				world := -1
+				for w := range want {
+					if bytes.Equal(body, want[w]) {
+						world = w
+					}
+				}
+				if world < 0 {
+					fail(fmt.Sprintf("a reply of neither world (status %d):\n got %s\nwant %s\n  or %s", status, body, want[0], want[1]))
+					return
+				}
+				// The versions the reply may be of: those the child held during
+				// the ask, none older than a reply that ended before it began.
+				v := max(from, floor)
+				if v%2 != int64(world) {
+					v++
+				}
+				if v > to {
+					fail(fmt.Sprintf("status %d, world %d: the ask began with refresh %d applied (and a reply of refresh %d seen) and ended with refresh %d begun",
+						status, world, from, floor, to))
+					return
+				}
+				if status == http.StatusNotModified && from == to {
+					checked.Add(1)
+				}
+				for old := seen.Load(); old < v && !seen.CompareAndSwap(old, v); {
+					old = seen.Load()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if diff != "" {
+		return diff
+	}
+	if done.Load() != refreshes || kinds[0].Load() < refreshes || checked.Load() == 0 {
+		t.Fatalf("vacuous: %d refreshes, %d full replies, %d 304s, %d of them beside no refresh",
+			done.Load(), kinds[0].Load(), kinds[1].Load(), checked.Load())
+	}
+	return ""
+}
+
 // TestLeaseWriteWait: a refresh of a child that granted a lease stops
 // granting at once, waits the lease out and then applies, so it returns
 // within LeaseTTL of the grant plus its own time; for LeaseTTL after it
@@ -421,12 +624,13 @@ func TestLeasedReplayAsksNoChild(t *testing.T) {
 	}
 }
 
-// TestLeaseRestampedBy304: a refresh that leaves a child's reply as it
-// was still moves the child to its next write epoch, so the parent's
-// first ask after it is conditional; the child's 304 under the new
-// epoch re-stamps the memo's entry, and the ask after that is replayed
-// under the new lease with no child asked.
-func TestLeaseRestampedBy304(t *testing.T) {
+// TestLeaseRestampedByUnchangedReply: a refresh that leaves a child's
+// reply as it was still moves the child to its next write epoch, so the
+// parent's first ask after it is conditional on the old epoch and
+// answered in full; the bytes are the ones the memo saw, so the ask is
+// replayed and re-stamps the memo's entry with the new epoch, and the
+// ask after that is replayed under the new lease with no child asked.
+func TestLeaseRestampedByUnchangedReply(t *testing.T) {
 	m := newMemoFederation(t, true)
 	req := memoAsks[1]
 	_, want := rawAsk(t, m.single[0], "", req)
@@ -450,8 +654,8 @@ func TestLeaseRestampedBy304(t *testing.T) {
 		}
 		asks, _ := m.trafficSince(start)
 		again, _ := m.trafficSince(mid)
-		if asks[1] != [3]int64{1, 0, 1} || again != [2][3]int64{} {
-			t.Errorf("the second child after its refresh asked (conditional, unconditional, 304) %v, then %v; want one 304, then nothing",
+		if asks[1] != [3]int64{1, 0, 0} || again != [2][3]int64{} {
+			t.Errorf("the second child after its refresh asked (conditional, unconditional, 304) %v, then %v; want one conditional ask answered in full, then nothing",
 				asks[1], again)
 		}
 		return

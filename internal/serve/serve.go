@@ -29,7 +29,6 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -113,25 +112,29 @@ type Server struct {
 	snapSaves    int64
 	snapSaveErr  string
 
-	// Read leases (wire.LeaseHeader). Only a server that built its
-	// mediator itself grants them: nothing but its own admin endpoints
-	// writes that mediator. leaseUntil is when the last lease granted
-	// expires and quietUntil when the last write applied plus LeaseTTL,
-	// both in nanoseconds since start; pending counts the writes begun
-	// and not yet returned, and no lease is granted while one is; epoch
-	// is the write epoch as LeaseHeader carries it.
+	// The write epoch, which tags ask replies (the wire package's
+	// conditional /ask) and read leases (wire.LeaseHeader). Only a server
+	// that built its mediator itself holds one: nothing but its own admin
+	// endpoints writes that mediator. leaseUntil is when the last lease
+	// granted expires and quietUntil when the last write applied plus
+	// LeaseTTL, both in nanoseconds since start; pending counts the
+	// writes begun and not yet returned, and while one is no reply is
+	// tagged and no lease granted; epoch is the write epoch as replies
+	// carry it.
 	grants     bool
 	leaseUntil atomic.Int64
 	quietUntil atomic.Int64
 	pending    atomic.Int64
 	boot       uint64
 	writes     uint64 // guarded by admin
-	epoch      atomic.Pointer[[]string]
+	epoch      atomic.Pointer[epochTags]
 	leaseWaits atomic.Int64 // writes that waited for a lease to expire
-	// skipLeaseWait is test instrumentation, unset in the library: the
-	// unsound child the lease tests must catch, which applies writes
-	// without waiting out the leases it granted.
-	skipLeaseWait bool
+	// Test instrumentation, unset in the library: the unsound children
+	// the lease and conditional-ask tests must catch. skipLeaseWait
+	// applies writes without waiting out the leases it granted;
+	// tagWhilePending tags replies, and answers 304, while a write is
+	// pending; tagAfterReply reads the epoch after computing the reply.
+	skipLeaseWait, tagWhilePending, tagAfterReply bool
 
 	inflight atomic.Int64
 	served   atomic.Int64
@@ -286,11 +289,10 @@ type (
 	// replier renders an ask's reply itself, with the generation that
 	// answered: a mediator keeps it in its ask memo, so a repeated ask
 	// writes the bytes it rendered once, and a federation renders its
-	// children's bytes into it without parsing them. sum is the SHA-256
-	// digest of a reply the asker's memo holds, nil for any other.
+	// children's bytes into it without parsing them.
 	replier interface {
 		AskReply(ctx context.Context, patternSrc string, functors []string, keyed bool,
-			render func(generation int64, answers []mediator.Answer) []byte) (body []byte, sum *[sha256.Size]byte, err error)
+			render func(generation int64, answers []mediator.Answer) []byte) ([]byte, error)
 	}
 )
 
@@ -544,78 +546,70 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 // replyAsk serves an ask through an asker that renders the reply
 // itself. The render appends into a pooled buffer, which goes back to
 // the pool once the reply is sent; a memoized reply is the asker's own
-// copy, written and never pooled. An ask whose If-None-Match names the
-// reply is answered 304 with no body (the wire package's conditional
-// /ask), and counts as served.
+// copy, written and never pooled. A reply under the server's write
+// epoch carries it as its ETag, and an ask whose If-None-Match names
+// that epoch is answered 304 with no body (the wire package's
+// conditional /ask), and counts as served.
 func (s *Server) replyAsk(w http.ResponseWriter, r *http.Request, rp replier, req wire.AskRequest, keyed bool) {
-	lease := s.grant(r.Header)
+	tags, leased := s.stamp(r.Header)
 	a := askBufs.Get().(*askBuf)
 	a.keyed = keyed
-	body, sum, err := rp.AskReply(r.Context(), req.Pattern, req.Functors, keyed, a.render)
-	if err == nil && lease != nil {
-		w.Header()[wire.LeaseHeader] = lease
+	body, err := rp.AskReply(r.Context(), req.Pattern, req.Functors, keyed, a.render)
+	if s.tagAfterReply {
+		tags, leased = s.stamp(r.Header)
 	}
 	switch {
 	case err != nil:
 		s.failed.Add(1)
 		writeError(w, err)
-	case namesReply(r.Header, body, sum):
-		w.Header().Set("ETag", r.Header.Get("If-None-Match"))
-		w.WriteHeader(http.StatusNotModified)
-		s.served.Add(1)
-	default:
+	case tags == nil:
 		s.sendAsk(w, body)
+	default:
+		h := w.Header()
+		h["Etag"] = tags.etag
+		if leased {
+			h[wire.LeaseHeader] = tags.lease
+		}
+		if v := r.Header["If-None-Match"]; len(v) == 1 && v[0] == tags.etag[0] {
+			w.WriteHeader(http.StatusNotModified)
+			s.served.Add(1)
+		} else {
+			s.sendAsk(w, body)
+		}
 	}
 	putAskBuf(a)
 }
 
-// namesReply says whether a request's If-None-Match is the one entity
-// tag of the reply body, whose digest sum holds when the asker's memo
-// does. A reply the memo does not hold is digested here, and only when
-// the request carries a tag.
-func namesReply(h http.Header, body []byte, sum *[sha256.Size]byte) bool {
-	tags := h["If-None-Match"]
-	if len(tags) != 1 {
-		return false
-	}
-	want, ok := wire.ParseETag(tags[0])
-	if !ok {
-		return false
-	}
-	if sum != nil {
-		return *sum == want
-	}
-	return sha256.Sum256(body) == want
-}
+// epochTags is a write epoch as replies carry it: LeaseHeader's value,
+// and the entity tag, quoted. Every reply under the epoch shares them.
+type epochTags struct{ lease, etag []string }
 
-// grant grants an ask that requests it a read lease (the wire package's
-// lease contract) and returns the LeaseHeader value to reply with: the
-// write epoch the lease and the reply are under. It is nil when the ask
-// requested none, when the server grants none, while a write is pending
-// and within LeaseTTL of the last write: a server written more often
-// than a lease lasts grants none, so its writes never wait for one. The
-// grant is made before the reply is computed, and the epoch read after
-// it, so the reply is of that epoch's data.
-func (s *Server) grant(h http.Header) []string {
-	if v := h[wire.LeaseRequestHeader]; !s.grants || len(v) != 1 || v[0] != "1" || s.pending.Load() != 0 {
-		return nil
+// stamp reads the write epoch an ask's reply is under, and grants the
+// ask a read lease (the wire package's lease contract) when it requests
+// one. tags is nil when the server holds no epoch and while a write is
+// pending: the reply is then neither tagged nor leased, and a
+// conditional ask is answered in full. The epoch is read before the
+// reply is computed, so the reply is of that epoch's data or newer, and
+// a newer reply is never confirmed: by the next ask the write that made
+// it has moved the epoch on. No lease is granted within LeaseTTL of the
+// last write either, so a server written more often than a lease lasts
+// grants none and its writes never wait for one.
+func (s *Server) stamp(h http.Header) (tags *epochTags, leased bool) {
+	if !s.grants || s.pending.Load() != 0 && !s.tagWhilePending {
+		return nil, false
 	}
-	now := int64(time.Since(s.start))
-	if now < s.quietUntil.Load() {
-		return nil
+	if v := h[wire.LeaseRequestHeader]; len(v) == 1 && v[0] == "1" && time.Since(s.start) >= time.Duration(s.quietUntil.Load()) {
+		until := int64(time.Since(s.start) + wire.LeaseTTL)
+		for held := s.leaseUntil.Load(); held < until && !s.leaseUntil.CompareAndSwap(held, until); {
+			held = s.leaseUntil.Load()
+		}
+		// A write counts itself pending before it loads leaseUntil, and this
+		// ask stored leaseUntil before it loads pending: of the two, at least
+		// one sees the other, so either the write waits for this lease or no
+		// lease is granted.
+		leased = s.pending.Load() == 0
 	}
-	until := now + int64(wire.LeaseTTL)
-	for held := s.leaseUntil.Load(); held < until && !s.leaseUntil.CompareAndSwap(held, until); {
-		held = s.leaseUntil.Load()
-	}
-	// A write counts itself pending before it loads leaseUntil, and this
-	// ask stored leaseUntil before it loads pending: of the two, at least
-	// one sees the other, so either the write waits for this lease or no
-	// lease is granted.
-	if s.pending.Load() != 0 {
-		return nil
-	}
-	return *s.epoch.Load()
+	return s.epoch.Load(), leased
 }
 
 // write applies one write — a reload or a source refresh — under admin.
@@ -653,10 +647,10 @@ func (s *Server) write(ctx context.Context, apply func() error) error {
 	return err
 }
 
-// publishEpoch renders the write epoch for LeaseHeader.
+// publishEpoch renders the write epoch for the replies under it.
 func (s *Server) publishEpoch() {
-	v := []string{string(wire.AppendEpoch(nil, wire.Epoch{Boot: s.boot, Writes: s.writes}))}
-	s.epoch.Store(&v)
+	e := string(wire.AppendEpoch(nil, wire.Epoch{Boot: s.boot, Writes: s.writes}))
+	s.epoch.Store(&epochTags{lease: []string{e}, etag: []string{`"` + e + `"`}})
 }
 
 // explainAsk serves one ask under a request-scoped profile: a fresh

@@ -282,7 +282,7 @@ func TestStatsParity(t *testing.T) {
 		}
 		// The server answers through AskReply, and its memo holds the
 		// reply it rendered: ask the reference the same way.
-		if _, _, err := ref.AskReply(nil, a.pattern, a.functors, false, func(generation int64, answers []mediator.Answer) []byte {
+		if _, err := ref.AskReply(nil, a.pattern, a.functors, false, func(generation int64, answers []mediator.Answer) []byte {
 			return wire.AppendAskResponse(nil, generation, answers, false, nil)
 		}); err != nil {
 			t.Fatal(err)

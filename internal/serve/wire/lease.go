@@ -13,15 +13,17 @@ import (
 // granted it, which is no earlier than the client sent the request. A
 // server that can keep that promise grants it on a 200 or 304 reply
 // with LeaseHeader, whose value is the server's write epoch
-// (AppendEpoch): the reply and the lease are both under that epoch. A
-// write marks itself pending, so that no ask is granted a lease from
-// then on, waits until every lease it granted has expired, applies and
-// moves to the next epoch. A client that holds a lease at epoch E and
-// a reply the server sent under E may therefore answer from that reply,
-// without asking, until its own clock says LeaseTTL has passed since it
-// sent the request, less a margin for the two clocks' rates. A reply
-// without LeaseHeader grants nothing; any other ask, and any other
-// value of the request header, is served as it always was.
+// (AppendEpoch), the one the reply's ETag names: the reply and the
+// lease are both under that epoch. The epoch is the one freshness token
+// a server hands out: its ETag says a reply is current, a lease on it
+// for how long. A write marks itself pending, so that no ask is granted
+// a lease from then on, waits until every lease it granted has expired,
+// applies and moves to the next epoch. A client that holds a lease at
+// epoch E and a reply the server sent under E may therefore answer from
+// that reply, without asking, until its own clock says LeaseTTL has
+// passed since it sent the request, less a margin for the two clocks'
+// rates. A reply without LeaseHeader grants nothing; any other ask, and
+// any other value of the request header, is served as it always was.
 const (
 	LeaseRequestHeader = "Yat-Lease-Request"
 	LeaseHeader        = "Yat-Lease"

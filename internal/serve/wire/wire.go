@@ -13,20 +13,26 @@
 // json.Marshal and json.Unmarshal of the structs by differential and
 // fuzz tests, and the form every other client decodes.
 //
-// An /ask may be conditional. A client that holds a reply sends
-// If-None-Match with that reply's entity tag, a strong one: the SHA-256
-// digest of the reply's bytes in lowercase hex, quoted (AppendETag).
-// When the reply the server would send has that digest, it answers 304
-// Not Modified with the tag echoed in ETag and no body, and the 304
-// stands for the bytes the client holds. Any other If-None-Match — a
-// weak tag, a list, "*", an unquoted or malformed tag, a stale one —
-// gets the full 200 reply, byte for byte the unconditional ask's; an
-// error is never a 304, and ?explain=1 ignores the header. RFC 9110
-// §13.1.2 would have a POST answer a matching If-None-Match with 412,
-// but /ask is a safe read that carries its query in the body: a match
-// says the client's copy is current, which is what 304 says for a GET.
-// A 200 carries no ETag; the client digests the bytes it read. An /ask
-// may also request a read lease (LeaseRequestHeader, lease.go).
+// An /ask may be conditional. A server that holds a write epoch
+// (Epoch, lease.go) stamps every 200 ask reply with an ETag: the epoch
+// as AppendEpoch writes it, quoted. It reads the epoch with no write
+// pending, before it computes the reply, so the reply is that epoch's
+// data or newer, and newer data is never confirmed under it. A client
+// that holds a reply sends its tag back in If-None-Match; when the ask
+// succeeds and the server, with no write pending, is still at that
+// epoch, it answers 304 Not Modified with the tag in ETag and no body,
+// and the 304 stands for the bytes the client holds. Any other
+// If-None-Match — a stale epoch, another incarnation's, the zero epoch,
+// a weak tag, a list, "*", an unquoted or malformed tag — gets the
+// full 200 reply, byte for byte the unconditional ask's; an error is
+// never a 304, and ?explain=1 ignores the header. A server without an
+// epoch — one over a federation or over askers built elsewhere — sends
+// no ETag and answers every ask in full. RFC 9110 §13.1.2 would have a
+// POST answer a matching If-None-Match with 412, but /ask is a safe
+// read that carries its query in the body: a match says the client's
+// copy is current, which is what 304 says for a GET. An /ask may also
+// request a read lease (LeaseRequestHeader, lease.go), under the same
+// epoch.
 package wire
 
 import (

@@ -219,24 +219,6 @@ func joinOperands(ops []Operand) string {
 	return strings.Join(parts, ", ")
 }
 
-// NewRule returns a rule with the given name, head and body; use the
-// With* methods for predicates and lets.
-func NewRule(name string, head Head, body ...BodyPattern) *Rule {
-	return &Rule{Name: name, Head: head, Body: body}
-}
-
-// WithPred appends a predicate and returns the rule.
-func (r *Rule) WithPred(p Pred) *Rule {
-	r.Preds = append(r.Preds, p)
-	return r
-}
-
-// WithLet appends an external function call and returns the rule.
-func (r *Rule) WithLet(l Let) *Rule {
-	r.Lets = append(r.Lets, l)
-	return r
-}
-
 // Clone returns a deep copy of the rule.
 func (r *Rule) Clone() *Rule {
 	c := &Rule{

@@ -135,15 +135,6 @@ func ParseModel(src string) (string, *pattern.Model, error) {
 	return decl.Name, decl.Model, nil
 }
 
-// MustParseModel is ParseModel that panics on error.
-func MustParseModel(src string) *pattern.Model {
-	_, m, err := ParseModel(src)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // --- parser machinery ---------------------------------------------------
 
 // ParseError is a YATL syntax error carrying the source position of
