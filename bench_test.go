@@ -476,11 +476,13 @@ func BenchmarkMediatorQuery(b *testing.B) {
 
 // TestRunAllocs pins the allocations per run of the engine — Rule 1
 // over 100 brochures, the Web program over 25 cars and over the
-// convert_batch objects (≈ 790, 990 and 1 570; ≈ 1 350, 1 620 and 2 610
-// while every external call made its argument slice and every
-// placeholder and atom activation its node) — and of one whole
-// convert_batch conversion, imports and HTML export included (≈ 3 740,
-// what BenchmarkConvertBatch reports; ≈ 5 360 before, and ≈ 7 860 while
+// convert_batch objects (≈ 790, 920 and 1 450; ≈ 990 and 1 570 while a
+// matched reference was boxed again, ≈ 1 350, 1 620 and 2 610 while
+// every external call made its argument slice and every placeholder and
+// atom activation its node) — and of one whole convert_batch
+// conversion, imports and HTML export included (≈ 3 620, what
+// BenchmarkConvertBatch reports; ≈ 3 740 while a matched reference was
+// boxed again, ≈ 5 360 before, and ≈ 7 860 while
 // the SGML import built a document tree first and the HTML export
 // minted a string per anchor). Under -race, whose sync.Pool drops match
 // stacks and run scratch, the runs read ≈ 3 560, 1 840, 2 940 and
@@ -510,13 +512,13 @@ func TestRunAllocs(t *testing.T) {
 		budget, race float64
 	}{
 		{"Rule1/brochures=100", run(rule1, workload.BrochureStore(100, 3, 20, 42)), 870, 3920},
-		{"WebProgram/cars=25", run(web, workload.ODMGStore(25, 13, 3, 11)), 1090, 2030},
+		{"WebProgram/cars=25", run(web, workload.ODMGStore(25, 13, 3, 11)), 1020, 2030},
 		// The typed run of the Figure 1 pipeline: the Web program checks
 		// Pclass and Ptype against the ODMG objects that Rules 1+2 and
 		// Rule 3 make of the convert_batch inputs.
-		{"WebProgram/convert_batch", run(web, convertBatchObjects(t)), 1720, 3240},
+		{"WebProgram/convert_batch", run(web, convertBatchObjects(t)), 1600, 3240},
 		// The whole pipeline pins the wrappers' blocks as well.
-		{"Pipeline/convert_batch", func() { convertBatch(t, progs, docs, db) }, 4110, 8900},
+		{"Pipeline/convert_batch", func() { convertBatch(t, progs, docs, db) }, 3990, 8900},
 	} {
 		budget := tc.budget
 		if raceEnabled {

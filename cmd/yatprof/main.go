@@ -36,6 +36,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -99,10 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var med *yat.Mediator
 	if *askFlag != "" {
-		opts := []yat.Option{
-			yat.WithTrace(profile),
-			yat.WithDemandDriven(*demandFlag),
-		}
+		opts := []yat.Option{yat.WithDemandDriven(*demandFlag)}
 		if *faultFlag > 0 {
 			// Serve the store through the fault layer: N scripted
 			// failures, then healthy, retried on a fake clock so the
@@ -128,7 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		var answers []yat.MediatorAnswer
-		answers, err = med.Ask(*askFlag, functors...)
+		answers, err = med.AskContext(yat.TraceContext(context.Background(), profile), *askFlag, functors...)
 		if err == nil {
 			fmt.Fprintf(stdout, "answers: %d\n", len(answers))
 		}

@@ -6,7 +6,9 @@
 //	GET  /stats                      mediator stats (?timing=0 for
 //	                                 the deterministic document)
 //	GET  /explain                    an ask under a request-scoped EXPLAIN
-//	                                 profile (also POST /ask?explain=1)
+//	                                 profile (also POST /ask?explain=1):
+//	                                 the served ask, memo and cache hits
+//	                                 included, with what it cost here
 //	GET  /healthz                    liveness + per-source health
 //	POST /admin/reload               hot-swap a recompiled program (body =
 //	                                 YATL source)
@@ -29,7 +31,8 @@
 //	              intermediate models never exist
 //	-input        input store: a file in YAT tree syntax, or
 //	              brochures:N,S,P[,seed] — a synthetic store of N
-//	              brochures with S suppliers each from a pool of P
+//	              brochures with S suppliers each from a pool of P.
+//	              Required unless -child children are given
 //	-split        serve the input through N static sources instead of a
 //	              pre-materialized store (exercises the source layer and
 //	              per-source health; 0 = direct store)
@@ -104,8 +107,8 @@ func run(args []string, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *progFlag == "" && len(childFlag) == 0 {
-		fmt.Fprintln(stderr, "yatserve: -program is required (unless -child children are given)")
+	if len(childFlag) == 0 && (*progFlag == "" || *inputFlag == "") {
+		fmt.Fprintln(stderr, "yatserve: -program and -input are required (unless -child children are given)")
 		fs.Usage()
 		return 2
 	}
@@ -261,9 +264,9 @@ func shardProgram(prog *yatl.Program, spec string) (*yatl.Program, []string, err
 	return plans[i].Prog, plans[i].Functors, nil
 }
 
-// loadInputs resolves an -input spec: empty (no inputs — the program
-// must be fed by sources or need none), a brochures:N,S,P[,seed]
-// synthetic store, or a file in YAT tree syntax.
+// loadInputs resolves an -input spec: empty (a parent federation,
+// which reads none), a brochures:N,S,P[,seed] synthetic store, or a
+// file in YAT tree syntax.
 func loadInputs(spec string) (*tree.Store, error) {
 	if spec == "" {
 		return nil, nil

@@ -68,3 +68,13 @@ func TestRunBadUsage(t *testing.T) {
 		}
 	}
 }
+
+// TestRunWithoutInput: a server that builds its own mediator has
+// nothing to read without -input, so yatserve refuses to boot it and
+// prints its usage, where it used to boot one whose every ask panicked.
+func TestRunWithoutInput(t *testing.T) {
+	var stderr strings.Builder
+	if code := run([]string{"-program", "selective:4"}, &stderr); code != 2 || !strings.Contains(stderr.String(), "Usage of yatserve") {
+		t.Fatalf("-program without -input: exit %d, want 2 with the usage (stderr %s)", code, stderr.String())
+	}
+}

@@ -140,7 +140,7 @@ func (c *Compiled) RunSlice(ctx context.Context, inputs *tree.Store, sl *Slice) 
 	} else if sl.prog != c.prog {
 		sl = c.Slice(sl.Functors...)
 	}
-	if sink := c.opts.Trace; sink != nil {
+	if sink := c.sink(ctx); sink != nil {
 		start := time.Now()
 		defer func() {
 			sink.Emit(trace.Event{Kind: trace.KindSliceComputed, Phase: trace.PhaseSlice,
@@ -148,6 +148,15 @@ func (c *Compiled) RunSlice(ctx context.Context, inputs *tree.Store, sl *Slice) 
 		}()
 	}
 	return c.execute(ctx, inputs, sl)
+}
+
+// sink is the trace sink of a run under ctx: the one the context
+// carries (trace.WithSink), else the one compiled in (WithTrace).
+func (c *Compiled) sink(ctx context.Context) trace.Sink {
+	if s := trace.SinkFrom(ctx); s != nil {
+		return s
+	}
+	return c.opts.Trace
 }
 
 // maxSlices bounds the slices a Compiled retains; combinations past

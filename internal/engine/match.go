@@ -287,12 +287,9 @@ func (c *matchCtx) matchNode(p *pnode, n *tree.Node) int {
 }
 
 // subtreeValue is the value a leaf variable binds when matched
-// against node n.
+// against node n: a reference or atom is its label, boxed already.
 func subtreeValue(n *tree.Node) tree.Value {
-	if name, ok := n.RefName(); ok {
-		return tree.Ref{Name: name}
-	}
-	if n.IsLeaf() {
+	if _, ok := n.Label.(tree.Ref); ok || n.IsLeaf() {
 		return n.Label
 	}
 	return tree.TreeVal{Root: n}

@@ -34,8 +34,9 @@ type Options struct {
 	// construction, and round boundaries. Nil disables tracing at
 	// zero cost — the engine then takes no timestamps and allocates
 	// nothing on behalf of the sink. A sink shared by concurrent runs
-	// (a mediator's asks) must be safe for concurrent use
-	// (trace.Profile is).
+	// must be safe for concurrent use (trace.Profile is). A run whose
+	// context carries a sink (trace.WithSink) emits to that one instead:
+	// that is how a mediator's ask is traced.
 	Trace trace.Sink
 }
 
@@ -164,7 +165,7 @@ func (c *Compiled) executeIn(sc *scratch, ctx context.Context, inputs *tree.Stor
 		scope:   c.all,
 		reg:     reg,
 		ctx:     ctx,
-		sink:    opts.Trace,
+		sink:    c.sink(ctx),
 		inputs:  inputs,
 		outputs: tree.NewStore(),
 	}

@@ -451,7 +451,7 @@ func TestClientDecodesBothReplyLayouts(t *testing.T) {
 	}
 	// Rendered again or forwarded, a parent serves the same bytes.
 	for _, keyed := range []bool{false, true} {
-		if a, b := wire.AppendAskResponse(nil, 1, old, keyed, nil), wire.AppendAskResponse(nil, 1, cur, keyed, nil); !bytes.Equal(a, b) {
+		if a, b := wire.AppendAskResponse(nil, 1, old, keyed), wire.AppendAskResponse(nil, 1, cur, keyed); !bytes.Equal(a, b) {
 			t.Errorf("keyed=%v: a parent would serve\n%s from the indented reply and\n%s from the compact one", keyed, a, b)
 		}
 	}
@@ -584,7 +584,7 @@ func TestClientAskAllocs(t *testing.T) {
 		if err != nil || len(answers) != 30 {
 			t.Fatalf("%s: %d answers (%v), want the benchmark's 30", functor, len(answers), err)
 		}
-		replies[i] = wire.AppendAskResponse(nil, 1, answers, true, nil)
+		replies[i] = wire.AppendAskResponse(nil, 1, answers, true)
 	}
 	for _, c := range []struct {
 		name   string
@@ -612,7 +612,7 @@ func TestClientAskAllocs(t *testing.T) {
 		}
 		buf := make([]byte, 0, 16<<10)
 		for _, keyed := range []bool{false, true} {
-			if n := testing.AllocsPerRun(100, func() { buf = wire.AppendAskResponse(buf[:0], 1, merged, keyed, nil) }); n > 8 {
+			if n := testing.AllocsPerRun(100, func() { buf = wire.AppendAskResponse(buf[:0], 1, merged, keyed) }); n > 8 {
 				t.Errorf("%s, keyed=%v: encoding 60 forwarded answers: %v allocations, want <= 8", c.name, keyed, n)
 			}
 		}

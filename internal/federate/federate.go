@@ -70,8 +70,9 @@ type Config struct {
 	// carries WithSources).
 	Inputs *tree.Store
 	// Options are engine options applied to in-process children
-	// (sources, registry, ...). A trace sink configured here
-	// also receives the federation's own scatter/fusion events.
+	// (sources, registry, ...). A trace sink configured here receives
+	// New's compose-fusion events; an ask's events, the shard asks
+	// among them, go to the sink its context carries (trace.WithSink).
 	Options []engine.Option
 	// Guard tunes the retry/breaker/timeout decorators around child
 	// calls; nil means the documented defaults.
@@ -115,8 +116,7 @@ type Federation struct {
 	prog     *yatl.Program // fused program; nil for opaque children
 	children []*fedChild
 	route    map[string]int // functor -> children index
-	sink     trace.Sink
-	replies  *replyMemo // AskReply's memo
+	replies  *replyMemo     // AskReply's memo
 	// How AskReply's memo answered: replays of an entry, those of them
 	// that asked no child, and the children's 304s.
 	memoReplays, leasedReplays, notModified atomic.Int64
@@ -135,11 +135,10 @@ var _ mediator.Asker = (*Federation)(nil)
 // Programs, plans shards, and spawns demand-driven in-process child
 // mediators over each shard's closed sub-program.
 func New(cfg Config) (*Federation, error) {
-	sink := engine.NewOptions(cfg.Options...).Trace
-	f := &Federation{route: map[string]int{}, sink: sink, replies: newReplyMemo()}
+	f := &Federation{route: map[string]int{}, replies: newReplyMemo()}
 
 	if len(cfg.Programs) > 0 {
-		fused, err := FusePipeline(cfg.Programs, sink)
+		fused, err := FusePipeline(cfg.Programs, engine.NewOptions(cfg.Options...).Trace)
 		if err != nil {
 			return nil, err
 		}
@@ -304,6 +303,7 @@ func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors [
 	if seen != nil && f.leased(seen, targets) {
 		f.memoReplays.Add(1)
 		f.leasedReplays.Add(1)
+		trace.Emit(ctx, trace.Event{Kind: trace.KindMemoHit, Phase: trace.PhaseFederate})
 		seen.replay()
 		return seen.body, nil
 	}
@@ -322,6 +322,7 @@ func (f *Federation) AskReply(ctx context.Context, patternSrc string, functors [
 			}
 		}
 		f.memoReplays.Add(1)
+		trace.Emit(ctx, trace.Event{Kind: trace.KindMemoHit, Phase: trace.PhaseFederate})
 		seen.replay()
 		f.restamp(key, seen, replies)
 		return seen.body, nil
@@ -507,7 +508,7 @@ func (f *Federation) report(ctx context.Context, t target, r *shardReply) {
 		// A caller that hung up says nothing about the child.
 		if ctx.Err() == nil {
 			t.c.called(r.err)
-			f.emit(trace.Event{Kind: trace.KindShardDegraded, Phase: trace.PhaseFederate,
+			trace.Emit(ctx, trace.Event{Kind: trace.KindShardDegraded, Phase: trace.PhaseFederate,
 				Detail: t.c.name + ": " + r.err.Error()})
 		}
 		return
@@ -517,7 +518,7 @@ func (f *Federation) report(ctx context.Context, t target, r *shardReply) {
 	if r.same {
 		count = r.seen.count
 	}
-	f.emit(trace.Event{Kind: trace.KindShardAsk, Phase: trace.PhaseFederate,
+	trace.Emit(ctx, trace.Event{Kind: trace.KindShardAsk, Phase: trace.PhaseFederate,
 		Detail: t.c.name, Count: count, Duration: r.took})
 }
 
@@ -765,10 +766,4 @@ func generationOf(a mediator.Asker) int64 {
 		return gn.Generation()
 	}
 	return 1
-}
-
-func (f *Federation) emit(e trace.Event) {
-	if f.sink != nil {
-		f.sink.Emit(e)
-	}
 }

@@ -191,7 +191,6 @@ func TestChildTimeoutDegrades(t *testing.T) {
 			{Name: "fast", Asker: healthy, Functors: plans[0].Functors},
 			{Name: "stuck", Asker: slow, Functors: plans[1].Functors},
 		},
-		Options: []engine.Option{engine.WithTrace(profile)},
 		Guard: &GuardOptions{
 			Timeout: 30 * time.Millisecond,
 			Retry:   &source.RetryOptions{MaxAttempts: 1},
@@ -200,7 +199,7 @@ func TestChildTimeoutDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers, err := fed.Ask("X")
+	answers, err := fed.AskContext(trace.WithSink(context.Background(), profile), "X")
 	if err != nil {
 		t.Fatalf("degraded ask must not error, got %v", err)
 	}

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"yat/internal/engine"
 	"yat/internal/mediator"
 	"yat/internal/serve/wire"
 	"yat/internal/source"
@@ -76,7 +75,7 @@ func newCannedChild(t *testing.T, reply *atomic.Value, functors string, conditio
 func countingRender(keyed bool, renders *int) func(int64, []mediator.Answer) []byte {
 	return func(generation int64, answers []mediator.Answer) []byte {
 		*renders++
-		return wire.AppendAskResponse(nil, generation, answers, keyed, nil)
+		return wire.AppendAskResponse(nil, generation, answers, keyed)
 	}
 }
 
@@ -300,8 +299,7 @@ func TestReplyMemoHitReportsLikeAMiss(t *testing.T) {
 		b.Store(cannedReply("Pview2", 1))
 		ca := child(t, &a, `["Pview1"]`)
 		rec := &trace.Recorder{}
-		fed, err := New(Config{Children: []Child{{Asker: ca}, {Asker: child(t, &b, `["Pview2"]`)}},
-			Options: []engine.Option{engine.WithTrace(rec)}})
+		fed, err := New(Config{Children: []Child{{Asker: ca}, {Asker: child(t, &b, `["Pview2"]`)}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +314,7 @@ func TestReplyMemoHitReportsLikeAMiss(t *testing.T) {
 			}
 			ca.gen.Store(7) // as a /functors call observing generation 7 would
 			before, called := len(rec.Events()), [2]int64{fed.children[0].asks.Load(), fed.children[1].asks.Load()}
-			if _, err := fed.AskReply(context.Background(), "X", nil, true, countingRender(true, &renders)); err != nil {
+			if _, err := fed.AskReply(trace.WithSink(context.Background(), rec), "X", nil, true, countingRender(true, &renders)); err != nil {
 				t.Fatal(err)
 			}
 			if g := ca.Generation(); g != 3 {

@@ -100,7 +100,7 @@ func (m *Mediator) refreshDelta(ctx context.Context, name string) error {
 	}
 	count.Add(1)
 	m.patchedRules.Add(int64(out.patched))
-	if sink := m.sink(); sink != nil {
+	if sink := trace.SinkFrom(ctx); sink != nil {
 		sink.Emit(trace.Event{Kind: kind, Phase: trace.PhaseSlice,
 			Detail: out.detail(name), Count: out.patched})
 	}

@@ -287,12 +287,12 @@ func TestRefreshReRunsInPlace(t *testing.T) {
 					merged.Put(e.Name, e.Tree)
 				}
 			}
-			m := New(prog, nil, engine.WithTrace(rec), WithDemandDriven(true), WithSources(srcs...))
+			m := New(prog, nil, WithDemandDriven(true), WithSources(srcs...))
 			if _, err := m.Ask(`X`); err != nil {
 				t.Fatalf("warm ask: %v", err)
 			}
 			fault.SetStore(c.alphas)
-			if err := m.RefreshSource(context.Background(), "src1"); err != nil {
+			if err := m.RefreshSource(trace.WithSink(context.Background(), rec), "src1"); err != nil {
 				t.Fatal(err)
 			}
 			if n, falls := len(deltaEvents(rec, trace.KindDeltaApplied)), deltaEvents(rec, trace.KindDeltaFallback); n != 1 || len(falls) != 0 {
@@ -333,13 +333,13 @@ func TestDeltaFallbackReasons(t *testing.T) {
 		if betas != nil {
 			srcs = append(srcs, source.Static("src2", betas))
 		}
-		all := append([]engine.Option{engine.WithTrace(rec), WithDemandDriven(true), WithSources(srcs...)}, opts...)
+		all := append([]engine.Option{WithDemandDriven(true), WithSources(srcs...)}, opts...)
 		m := New(prog, nil, all...)
 		if _, err := m.Ask(`X`); err != nil {
 			t.Fatalf("warm ask: %v", err)
 		}
 		mutate(fault)
-		err := m.RefreshSource(ctx, "src1")
+		err := m.RefreshSource(trace.WithSink(ctx, rec), "src1")
 		return m, fault, rec, err
 	}
 
@@ -386,13 +386,13 @@ func TestDeltaFallbackReasons(t *testing.T) {
 		betas := betaStore("bee", "boa")
 		flaky := source.NewFault("src2", betas)
 		flaky.SetErr(errors.New("down"))
-		m := New(prog, nil, engine.WithTrace(rec), WithDemandDriven(true),
+		m := New(prog, nil, WithDemandDriven(true),
 			WithSources(source.Static("src1", alphas), flaky))
 		if got, err := m.Ask(`X`); err != nil || len(got) != 2 {
 			t.Fatalf("degraded warm = %d answers, %v; want the 2 Pa answers", len(got), err)
 		}
 		flaky.SetErr(nil)
-		if err := m.RefreshSource(ctx, "src2"); err != nil {
+		if err := m.RefreshSource(trace.WithSink(ctx, rec), "src2"); err != nil {
 			t.Fatal(err)
 		}
 		wantFallback(t, rec, ReasonDegradedSource)
@@ -415,13 +415,13 @@ func TestDeltaFallbackReasons(t *testing.T) {
 		prog := yatl.MustParse(twoSourceProgram)
 		betas := betaStore("bee")
 		neighbour := source.NewFault("src1", alphaStore("ant", "asp"))
-		m := New(prog, nil, engine.WithTrace(rec), WithDemandDriven(true),
+		m := New(prog, nil, WithDemandDriven(true),
 			WithSources(neighbour, source.Static("src2", betas)))
 		if _, err := m.Ask(`X`); err != nil {
 			t.Fatalf("warm ask: %v", err)
 		}
 		neighbour.SetErr(errors.New("down"))
-		if err := m.RefreshSource(ctx, "src2"); err != nil {
+		if err := m.RefreshSource(trace.WithSink(ctx, rec), "src2"); err != nil {
 			t.Fatal(err)
 		}
 		wantFallback(t, rec, ReasonFetchFailed)
@@ -458,7 +458,7 @@ func TestDeltaFallbackReasons(t *testing.T) {
 		}
 		rec := &trace.Recorder{}
 		newAlphas := alphaStore("ant", "auk")
-		m := New(prog, nil, engine.WithTrace(rec), WithDemandDriven(true),
+		m := New(prog, nil, WithDemandDriven(true),
 			WithSources(source.Static("src1", newAlphas), source.Static("src2", betas)))
 		if _, err := m.Ask(`X`, "Pb"); err != nil {
 			t.Fatal(err)
@@ -466,7 +466,7 @@ func TestDeltaFallbackReasons(t *testing.T) {
 		if err := m.Restore(snap); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.RefreshSource(ctx, "src1"); err != nil {
+		if err := m.RefreshSource(trace.WithSink(ctx, rec), "src1"); err != nil {
 			t.Fatal(err)
 		}
 		wantFallback(t, rec, ReasonNoBaseline)
@@ -549,17 +549,18 @@ func TestDeltaTraceAndStatsRender(t *testing.T) {
 	prof := trace.NewProfile()
 	prog := yatl.MustParse(twoSourceProgram)
 	fault := source.NewFault("src1", alphaStore("ant", "asp"))
-	m := New(prog, nil, engine.WithTrace(prof), WithDemandDriven(true),
+	m := New(prog, nil, WithDemandDriven(true),
 		WithSources(fault, source.Static("src2", betaStore("bee"))))
-	if _, err := m.Ask(`X`); err != nil {
+	ctx := trace.WithSink(context.Background(), prof)
+	if _, err := m.AskContext(ctx, `X`); err != nil {
 		t.Fatal(err)
 	}
 	fault.SetStore(alphaStore("ant", "asp", "auk"))
-	if err := m.RefreshSource(context.Background(), "src1"); err != nil {
+	if err := m.RefreshSource(ctx, "src1"); err != nil {
 		t.Fatal(err)
 	}
 	fault.SetErr(errors.New("down"))
-	if err := m.RefreshSource(context.Background(), "src1"); err == nil {
+	if err := m.RefreshSource(ctx, "src1"); err == nil {
 		t.Fatal("refresh of a source that is down succeeded")
 	}
 

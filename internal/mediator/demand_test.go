@@ -97,14 +97,15 @@ func TestDemandMatchesFullMediator(t *testing.T) {
 }
 
 // Query pushdown, observed through the trace layer: a Psup ask on the
-// typed program computes a one-rule slice, only that rule matches, and
-// a repeat ask is a pure cache hit with no engine run.
+// typed program computes a one-rule slice, only that rule matches, a
+// repeat ask is one memo hit, and the same ask of a parsed pattern,
+// which the memo does not hold, is a pure cache hit with no engine run.
 func TestDemandEvaluatesOnlyTheSlice(t *testing.T) {
 	prog := yatl.MustParse(yatl.AnnotatedSGMLToODMGSource)
 	rec := &trace.Recorder{}
-	m := New(prog, workload.BrochureStore(6, 2, 4, 3),
-		engine.WithTrace(rec), WithDemandDriven(true))
-	if _, err := m.Ask(`X`, "Psup"); err != nil {
+	ctx := trace.WithSink(context.Background(), rec)
+	m := New(prog, workload.BrochureStore(6, 2, 4, 3), WithDemandDriven(true))
+	if _, err := m.AskContext(ctx, `X`, "Psup"); err != nil {
 		t.Fatal(err)
 	}
 	slices, misses, hits := 0, 0, 0
@@ -126,15 +127,22 @@ func TestDemandEvaluatesOnlyTheSlice(t *testing.T) {
 		t.Errorf("cold ask: slices=%d misses=%d hits=%d, want 1/1/0", slices, misses, hits)
 	}
 	before := len(rec.Events())
-	if _, err := m.Ask(`X`, "Psup"); err != nil {
+	if _, err := m.AskContext(ctx, `X`, "Psup"); err != nil {
 		t.Fatal(err)
 	}
-	var fresh []trace.Event
-	for _, e := range rec.Events()[before:] {
-		fresh = append(fresh, e)
+	if fresh := rec.Events()[before:]; len(fresh) != 1 || fresh[0].Kind != trace.KindMemoHit {
+		t.Errorf("repeat ask emitted %v, want a single memo hit", fresh)
 	}
-	if len(fresh) != 1 || fresh[0].Kind != trace.KindCacheHit || fresh[0].Rule != "Sup" {
-		t.Errorf("warm ask emitted %v, want a single Sup cache hit", fresh)
+	pt, err := ParsePattern(`X`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = len(rec.Events())
+	if _, err := m.AskPatternContext(ctx, pt, "Psup"); err != nil {
+		t.Fatal(err)
+	}
+	if fresh := rec.Events()[before:]; len(fresh) != 1 || fresh[0].Kind != trace.KindCacheHit || fresh[0].Rule != "Sup" {
+		t.Errorf("warm parsed-pattern ask emitted %v, want a single Sup cache hit", fresh)
 	}
 	if s := m.Stats(); !s.Demand || s.SliceRuns != 1 || s.CachedRules != 1 || s.Materialized {
 		t.Errorf("stats after one sliced ask: %+v", s)

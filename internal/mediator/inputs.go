@@ -81,8 +81,7 @@ func (m *Mediator) fetch(ctx context.Context) (*inputSnap, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sink := m.sink()
-	ctx = source.WithSink(ctx, sink)
+	sink := trace.SinkFrom(ctx)
 	type fetchResult struct {
 		store *tree.Store
 		err   error

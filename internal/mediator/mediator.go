@@ -286,7 +286,9 @@ type Mediator struct {
 // New returns a mediator over the program, compiled, and sources;
 // nothing runs until the first query. WithDemandDriven selects the
 // evaluation strategy and WithSources the sources; the other options
-// configure the engine runs.
+// configure the engine runs. An ask or refresh is traced through its
+// context (trace.WithSink): its memo, cache, fetch and delta events and
+// its engine runs go to the sink the context carries.
 func New(prog *yatl.Program, inputs *tree.Store, opts ...engine.Option) *Mediator {
 	m := &Mediator{inputs: inputs}
 	for _, o := range opts {
@@ -315,9 +317,6 @@ func (m *Mediator) compile(prog *yatl.Program) *progState {
 	return &progState{comp: comp, gen: &generation{},
 		progHash: snapshot.HashProgram(prog), optsHash: snapshot.HashOptions(comp.Options())}
 }
-
-// sink is the trace sink of the engine options, nil when untraced.
-func (m *Mediator) sink() trace.Sink { return m.state().comp.Options().Trace }
 
 // state snapshots the current program state. Everything a query does
 // afterwards — slicing, materializing, matching — works against this
@@ -604,11 +603,9 @@ func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, fun
 	st := m.state()
 	memoizable := false
 	var memoKey askKey
-	if g := st.dgen; pt == nil && g != nil && st.comp.Options().Trace == nil {
+	if g := st.dgen; pt == nil && g != nil {
 		// The repeat of an identical ask skips parsing and matching
-		// entirely. Traced asks bypass the memo in both directions:
-		// EXPLAIN exists to show the slice and per-rule cache
-		// decisions, which a memoized answer would hide.
+		// entirely.
 		var key string
 		if key, memoizable = memo.ListKey(functors); memoizable {
 			memoKey = askKey{pattern: src, functors: key}
@@ -617,6 +614,7 @@ func (m *Mediator) doAsk(ctx context.Context, src string, pt *pattern.PTree, fun
 				if out, body, ok := fromMemo(st.num, am, memoKey, e, form, render); ok {
 					m.cacheHits.Add(1)
 					m.memoHits.Add(1)
+					trace.Emit(ctx, trace.Event{Kind: trace.KindMemoHit, Phase: trace.PhaseSlice})
 					return out, body, nil
 				}
 			}
@@ -759,14 +757,14 @@ func (m *Mediator) ensureDemand(ctx context.Context, st *progState, pt *pattern.
 	g := st.dgen
 	sl := st.comp.Slice(functors...)
 	if v := g.cache.view(); v.covers(sl) {
-		m.traceSlice(sl, v)
+		traceSlice(ctx, sl, v)
 		return v.candidates(pt, functors...), true, v, nil
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 
 	v := g.cache.view()
-	m.traceSlice(sl, v)
+	traceSlice(ctx, sl, v)
 	var missing []string // repeats are harmless: the memo dedups
 	for _, r := range sl.Construct {
 		if !v.has(r.Head.Functor) {
@@ -806,9 +804,10 @@ func (m *Mediator) ensureDemand(ctx context.Context, st *progState, pt *pattern.
 }
 
 // traceSlice emits one cache hit or miss event per construct rule of
-// the slice, as the view holds its group or not.
-func (m *Mediator) traceSlice(sl *engine.Slice, v *cacheView) {
-	sink := m.sink()
+// the slice, as the view holds its group or not, to the sink ctx
+// carries.
+func traceSlice(ctx context.Context, sl *engine.Slice, v *cacheView) {
+	sink := trace.SinkFrom(ctx)
 	if sink == nil {
 		return
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"yat/internal/engine"
 	"yat/internal/source"
 	"yat/internal/trace"
 	"yat/internal/tree"
@@ -79,14 +78,14 @@ func TestPartialFailureDegradation(t *testing.T) {
 				down.SetErr(errors.New("connection refused"))
 				prof := trace.NewProfile()
 				degraded := New(prog, nil,
-					engine.WithTrace(prof),
 					WithDemandDriven(demand),
 					WithSources(
 						source.Static("src1", alphas),
 						source.WithRetry(down, source.RetryOptions{MaxAttempts: 3, Clock: clock, Jitter: -1}),
 					))
+				ctx := trace.WithSink(context.Background(), prof)
 				concurrently(par, func() {
-					got, err := degraded.Ask(`X`, "Pa")
+					got, err := degraded.AskContext(ctx, `X`, "Pa")
 					if err != nil {
 						t.Errorf("degraded ask: %v", err)
 						return
@@ -98,7 +97,7 @@ func TestPartialFailureDegradation(t *testing.T) {
 					}
 					// The functor that does depend on the dead source
 					// degrades to no answers, not an error.
-					bs, err := degraded.Ask(`X`, "Pb")
+					bs, err := degraded.AskContext(ctx, `X`, "Pb")
 					if err != nil {
 						t.Errorf("degraded Pb ask: %v", err)
 						return

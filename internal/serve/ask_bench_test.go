@@ -263,7 +263,7 @@ func federatedAsks(tb testing.TB, counts *childCounts) (ask func(tb testing.TB, 
 			_, err := fed.AskReply(context.Background(), req.Pattern, req.Functors, false,
 				func(generation int64, answers []mediator.Answer) []byte {
 					rendered = true
-					return wire.AppendAskResponse(nil, generation, answers, false, nil)
+					return wire.AppendAskResponse(nil, generation, answers, false)
 				})
 			if err != nil || rendered {
 				return false

@@ -116,6 +116,16 @@ func warmViewAnswers(t *testing.T) []mediator.Answer {
 	return answers
 }
 
+// writeAsk sends answers as the handler sends an asker's answers: the
+// reply rendered into a pooled buffer (askReply's render), sent, and the
+// buffer put back.
+func writeAsk(s *Server, w http.ResponseWriter, answers []mediator.Answer, keyed bool) {
+	a := askBufs.Get().(*askBuf)
+	a.keyed = keyed
+	s.sendAsk(w, a.render(1, answers))
+	putAskBuf(a)
+}
+
 // TestAskEncodeAllocs bounds the handler's encode step. The encoder
 // that preceded it (a map and a display string per binding, then an
 // indenting json.Encoder) spent 555 allocations on this reply.
@@ -124,7 +134,7 @@ func TestAskEncodeAllocs(t *testing.T) {
 	answers := warmViewAnswers(t)
 	w := &discardWriter{h: http.Header{}}
 	for _, keyed := range []bool{false, true} {
-		allocs := testing.AllocsPerRun(200, func() { s.writeAsk(w, 1, answers, keyed, nil) })
+		allocs := testing.AllocsPerRun(200, func() { writeAsk(s, w, answers, keyed) })
 		if allocs > 8 {
 			t.Errorf("keyed=%v: %v allocations per 30-answer reply, want <= 8", keyed, allocs)
 		}
@@ -139,11 +149,11 @@ func TestAskEncodeAllocs(t *testing.T) {
 func TestAskCountsAfterTheWrite(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	answers := warmViewAnswers(t)
-	s.writeAsk(&discardWriter{h: http.Header{}}, 1, answers, false, nil)
+	writeAsk(s, &discardWriter{h: http.Header{}}, answers, false)
 	if served, failed := s.served.Load(), s.failed.Load(); served != 1 || failed != 0 {
 		t.Fatalf("after a good write: served %d failed %d, want 1 0", served, failed)
 	}
-	s.writeAsk(&discardWriter{h: http.Header{}, fail: true}, 1, answers, false, nil)
+	writeAsk(s, &discardWriter{h: http.Header{}, fail: true}, answers, false)
 	if served, failed := s.served.Load(), s.failed.Load(); served != 1 || failed != 1 {
 		t.Fatalf("after a broken write: served %d failed %d, want 1 1", served, failed)
 	}
@@ -157,7 +167,7 @@ func TestAskBufferPoolIsBounded(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	huge := []mediator.Answer{{Name: tree.SkolemName("Pbig", tree.String(strings.Repeat("x", 2*maxPooledAskBuf)))}}
 	w := &discardWriter{h: http.Header{}}
-	s.writeAsk(w, 1, huge, false, nil)
+	writeAsk(s, w, huge, false)
 	if w.n < 2*maxPooledAskBuf {
 		t.Fatalf("huge reply was %d bytes", w.n)
 	}

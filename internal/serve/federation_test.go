@@ -607,7 +607,7 @@ func (m *memoFederation) direct(t testing.TB, req wire.AskRequest, keyed bool) (
 	body, err := m.fed.AskReply(context.Background(), req.Pattern, req.Functors, keyed,
 		func(generation int64, answers []mediator.Answer) []byte {
 			rendered = true
-			return wire.AppendAskResponse(nil, generation, answers, keyed, nil)
+			return wire.AppendAskResponse(nil, generation, answers, keyed)
 		})
 	if err != nil {
 		t.Errorf("AskReply %+v: %v", req, err)

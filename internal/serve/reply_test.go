@@ -50,7 +50,7 @@ func referenceReply(t testing.TB, twin *mediator.Mediator, k askKeyCase, keyed b
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wire.AppendAskResponse(nil, twin.Generation(), answers, keyed, nil)
+	return wire.AppendAskResponse(nil, twin.Generation(), answers, keyed)
 }
 
 // Every /ask reply is byte for byte the reply rendered from AskContext's
@@ -169,7 +169,7 @@ func TestAskReplyAcrossRefresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		answers[w] = string(wire.AppendAskResponse(nil, 1, got, true, nil))
+		answers[w] = string(wire.AppendAskResponse(nil, 1, got, true))
 	}
 
 	fault := source.NewFault("src", stores[0])
@@ -231,7 +231,7 @@ func TestAskReplyAcrossRefresh(t *testing.T) {
 						t.Errorf("ask: %v", err)
 						return
 					}
-					got = wire.AppendAskResponse(nil, 1, as, true, nil)
+					got = wire.AppendAskResponse(nil, 1, as, true)
 				} else {
 					got = serveAsk(h, k, form == 1)
 				}

@@ -13,10 +13,12 @@
 // Requests ride the existing functional-options API: AskContext
 // carries the request context for cancellation, typed engine errors
 // map onto stable JSON error codes and HTTP statuses, and tracing is
-// strictly request-scoped — the served mediator runs with a nil trace
-// sink (the zero-overhead guarantee), while /ask?explain=1 and
-// /explain build a fresh profile, and a fresh mediator under it, for
-// that one request.
+// strictly request-scoped. /ask?explain=1 and /explain put a fresh
+// profile in the ask's context (trace.WithSink) and ask the served
+// asker like any other ask: memo, demand cache and pinned data alike,
+// so the profile shows what that ask cost. A plain ask's context
+// carries no sink, and nothing is recorded (the zero-overhead
+// guarantee).
 //
 // Every request goroutine asks the one mediator: its memo and demand
 // hits take no lock, so they neither contend with each other nor wait
@@ -60,13 +62,15 @@ type Config struct {
 	// Askers, when set, are served instead of the server's own mediator,
 	// round-robin — any mediator.Asker: a federation router, remote
 	// shard clients, or pre-built mediators. Prog then becomes optional
-	// (it still feeds /explain and the healthz program name when given).
+	// (it still names the program in /healthz when given). An explained
+	// ask over them shows this server's layers only: a remote asker's
+	// own events stay with it.
 	Askers []mediator.Asker
 	// Prog is the conversion program to serve. Required unless Askers
 	// is set.
 	Prog *yatl.Program
-	// Inputs is the pre-materialized input store (may be nil when
-	// Sources feed the mediators instead).
+	// Inputs is the pre-materialized input store. The server's own
+	// mediator needs it or Sources.
 	Inputs *tree.Store
 	// Sources are fault-tolerant live sources feeding the mediator.
 	Sources []source.Source
@@ -144,11 +148,14 @@ type Server struct {
 }
 
 // New builds a Server over one demand-driven mediator (or the
-// configured askers). It fails fast on a nil program instead of
-// surprising the first request.
+// configured askers). It fails fast on a nil program, or a mediator
+// with nothing to read, instead of surprising the first request.
 func New(cfg Config) (*Server, error) {
 	if cfg.Prog == nil && len(cfg.Askers) == 0 {
 		return nil, errors.New("serve: Config.Prog or Config.Askers is required")
+	}
+	if len(cfg.Askers) == 0 && cfg.Inputs == nil && len(cfg.Sources) == 0 {
+		return nil, errors.New("serve: Config.Inputs or Config.Sources is required unless Config.Askers is set")
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
@@ -162,7 +169,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.pool = cfg.Askers
 	if len(s.pool) == 0 {
-		s.pool = []mediator.Asker{mediator.New(cfg.Prog, cfg.Inputs, s.laneOptions(nil)...)}
+		s.pool = []mediator.Asker{mediator.New(cfg.Prog, cfg.Inputs,
+			mediator.WithDemandDriven(true), mediator.WithSources(cfg.Sources...))}
 		s.grants = true
 	}
 	for s.boot == 0 {
@@ -256,20 +264,6 @@ func (s *Server) snapshotStatus() *wire.SnapshotStatus {
 	}
 }
 
-// laneOptions assembles a mediator's option list: demand-driven
-// evaluation (what every served mediator runs), the sources, and (for
-// request-scoped tracing only) a sink.
-func (s *Server) laneOptions(sink trace.Sink) []engine.Option {
-	opts := []engine.Option{mediator.WithDemandDriven(true)}
-	if len(s.cfg.Sources) > 0 {
-		opts = append(opts, mediator.WithSources(s.cfg.Sources...))
-	}
-	if sink != nil {
-		opts = append(opts, engine.WithTrace(sink))
-	}
-	return opts
-}
-
 // The optional asker capabilities, discovered by type assertion: a
 // local *mediator.Mediator has them all, remote shard clients and
 // federation routers only some.
@@ -332,22 +326,15 @@ func (s *Server) lane() mediator.Asker {
 	return s.pool[s.next.Add(1)%uint64(len(s.pool))]
 }
 
-// program is the currently served program (construction or the most
-// recent successful reload). Askers that cannot report one — remote
-// clients — fall back to the configured program, which may be nil.
-func (s *Server) program() *yatl.Program {
-	if p, ok := s.pool[0].(programmer); ok {
-		if prog := p.Program(); prog != nil {
-			return prog
-		}
-	}
-	return s.cfg.Prog
-}
-
-// progName is the served program's display name, tolerating opaque
-// askers.
+// progName is the name of the currently served program (construction
+// or the most recent successful reload). Askers that cannot report one
+// — remote clients — fall back to the configured program, if any.
 func (s *Server) progName() string {
-	if p := s.program(); p != nil {
+	p := s.cfg.Prog
+	if pr, ok := s.pool[0].(programmer); ok && pr.Program() != nil {
+		p = pr.Program()
+	}
+	if p != nil {
 		return p.Name
 	}
 	return "(remote)"
@@ -450,15 +437,15 @@ func writeError(w http.ResponseWriter, err error) {
 // askBuf is one pooled ask reply buffer.
 type askBuf struct {
 	b []byte
-	// keyed and render serve an AskReply: render appends the reply, plain
-	// or keyed, into b. It is bound once per buffer; a method value made
+	// keyed and render serve askReply: render appends the reply, plain or
+	// keyed, into b. It is bound once per buffer; a method value made
 	// per ask would allocate.
 	keyed  bool
 	render func(generation int64, answers []mediator.Answer) []byte
 }
 
 func (a *askBuf) appendReply(generation int64, answers []mediator.Answer) []byte {
-	a.b = wire.AppendAskResponse(a.b[:0], generation, answers, a.keyed, nil)
+	a.b = wire.AppendAskResponse(a.b[:0], generation, answers, a.keyed)
 	return a.b
 }
 
@@ -477,17 +464,6 @@ func putAskBuf(a *askBuf) {
 	if cap(a.b) <= maxPooledAskBuf {
 		askBufs.Put(a)
 	}
-}
-
-// writeAsk is the encode-and-send of an ask answered by an Asker
-// without AskReply, and of /ask?explain=1 and GET /explain:
-// wire.AppendAskResponse renders the answers compact into a pooled
-// buffer, and sendAsk sends it.
-func (s *Server) writeAsk(w http.ResponseWriter, generation int64, answers []mediator.Answer, keyed bool, profile json.RawMessage) {
-	a := askBufs.Get().(*askBuf)
-	a.b = wire.AppendAskResponse(a.b[:0], generation, answers, keyed, profile)
-	s.sendAsk(w, a.b)
-	putAskBuf(a)
 }
 
 // sendAsk sends a finished ask reply in one Write with its
@@ -528,33 +504,35 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		s.explainAsk(w, r, q, req.Pattern, req.Functors)
 		return
 	}
-	keyed := q.Get("keys") == "1"
-	med := s.lane()
-	if rp, ok := med.(replier); ok {
-		s.replyAsk(w, r, rp, req, keyed)
-		return
-	}
-	answers, err := med.AskContext(r.Context(), req.Pattern, req.Functors...)
-	if err != nil {
-		s.failed.Add(1)
-		writeError(w, err)
-		return
-	}
-	s.writeAsk(w, generationOf(med), answers, keyed, nil)
+	s.replyAsk(w, r, req, q.Get("keys") == "1")
 }
 
-// replyAsk serves an ask through an asker that renders the reply
-// itself. The render appends into a pooled buffer, which goes back to
-// the pool once the reply is sent; a memoized reply is the asker's own
-// copy, written and never pooled. A reply under the server's write
-// epoch carries it as its ETag, and an ask whose If-None-Match names
-// that epoch is answered 304 with no body (the wire package's
+// askReply asks med and returns its reply, which a renders into its
+// pooled buffer: through AskReply when med renders its replies itself,
+// else from the answers of AskContext, under the generation med
+// reports. A memoized reply is the asker's own copy, written and never
+// pooled.
+func askReply(ctx context.Context, med mediator.Asker, pattern string, functors []string, a *askBuf) ([]byte, error) {
+	if rp, ok := med.(replier); ok {
+		return rp.AskReply(ctx, pattern, functors, a.keyed, a.render)
+	}
+	answers, err := med.AskContext(ctx, pattern, functors...)
+	if err != nil {
+		return nil, err
+	}
+	return a.render(generationOf(med), answers), nil
+}
+
+// replyAsk serves a plain ask through the next lane. The buffer goes
+// back to the pool once the reply is sent. A reply under the server's
+// write epoch carries it as its ETag, and an ask whose If-None-Match
+// names that epoch is answered 304 with no body (the wire package's
 // conditional /ask), and counts as served.
-func (s *Server) replyAsk(w http.ResponseWriter, r *http.Request, rp replier, req wire.AskRequest, keyed bool) {
+func (s *Server) replyAsk(w http.ResponseWriter, r *http.Request, req wire.AskRequest, keyed bool) {
 	tags, leased := s.stamp(r.Header)
 	a := askBufs.Get().(*askBuf)
 	a.keyed = keyed
-	body, err := rp.AskReply(r.Context(), req.Pattern, req.Functors, keyed, a.render)
+	body, err := askReply(r.Context(), s.lane(), req.Pattern, req.Functors, a)
 	if s.tagAfterReply {
 		tags, leased = s.stamp(r.Header)
 	}
@@ -653,35 +631,28 @@ func (s *Server) publishEpoch() {
 	s.epoch.Store(&epochTags{lease: []string{e}, etag: []string{`"` + e + `"`}})
 }
 
-// explainAsk serves one ask under a request-scoped profile: a fresh
-// mediator over the current program with its own trace.Profile, so
-// the EXPLAIN covers exactly this request (cold, slices and cache
-// decisions visible) and the served nil-sink mediator stays untouched.
+// explainAsk serves one ask under a request-scoped profile: the ask
+// takes a plain ask's path — the next lane, its memo, its demand cache,
+// the data it pinned — with the profile in its context, so the profile
+// shows what the ask cost there, and this server's layers only. The
+// reply is the plain reply, answers and generation as the lane rendered
+// them, with the profile added; it is not tagged, and no memo keeps it.
 func (s *Server) explainAsk(w http.ResponseWriter, r *http.Request, q url.Values, pattern string, functors []string) {
-	prog := s.program()
-	if prog == nil {
-		// Askers-only servers over remote askers have no local program to
-		// re-run under a profile.
-		s.failed.Add(1)
-		writeErr(w, http.StatusNotImplemented, "explain_unavailable",
-			"EXPLAIN needs a local program; this server fronts opaque askers")
-		return
-	}
 	profile := trace.NewProfile()
-	med := mediator.New(prog, s.cfg.Inputs, s.laneOptions(profile)...)
-	answers, err := med.AskContext(r.Context(), pattern, functors...)
+	a := askBufs.Get().(*askBuf)
+	a.keyed = q.Get("keys") == "1"
+	body, err := askReply(trace.WithSink(r.Context(), profile), s.lane(), pattern, functors, a)
+	var doc []byte
+	if err == nil {
+		doc, err = json.Marshal(profile.Document(q.Get("timing") == "1"))
+	}
 	if err != nil {
 		s.failed.Add(1)
 		writeError(w, err)
-		return
+	} else {
+		s.sendAsk(w, wire.AppendProfile(nil, body, doc))
 	}
-	data, err := json.Marshal(profile.Document(q.Get("timing") == "1"))
-	if err != nil {
-		s.failed.Add(1)
-		writeError(w, err)
-		return
-	}
-	s.writeAsk(w, med.Generation(), answers, q.Get("keys") == "1", data)
+	putAskBuf(a)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {

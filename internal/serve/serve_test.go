@@ -21,6 +21,7 @@ import (
 	"yat/internal/mediator"
 	"yat/internal/serve/wire"
 	"yat/internal/source"
+	"yat/internal/trace"
 	"yat/internal/workload"
 	"yat/internal/yatl"
 )
@@ -283,7 +284,7 @@ func TestStatsParity(t *testing.T) {
 		// The server answers through AskReply, and its memo holds the
 		// reply it rendered: ask the reference the same way.
 		if _, err := ref.AskReply(nil, a.pattern, a.functors, false, func(generation int64, answers []mediator.Answer) []byte {
-			return wire.AppendAskResponse(nil, generation, answers, false, nil)
+			return wire.AppendAskResponse(nil, generation, answers, false)
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +322,7 @@ func TestStatsParity(t *testing.T) {
 // Request-scoped tracing: explain requests carry an EXPLAIN profile
 // covering exactly that request, and the served mediator keeps serving
 // untraced (the profile of a later plain ask is absent again). Explain
-// replies go through the same encoder as any ask reply, so they are
+// replies are the served reply with the profile added, so they are
 // framed the same way and honour ?keys=1.
 func TestExplain(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -357,16 +358,18 @@ func TestExplain(t *testing.T) {
 	if out2.Count != out.Count || out2.Profile == nil {
 		t.Fatalf("explain: count=%d (want %d) profile=%v", out2.Count, out.Count, out2.Profile != nil)
 	}
-	var profile struct {
-		Rules []struct {
-			Rule string `json:"rule"`
-		} `json:"rules"`
-	}
+	// It takes the served path: the first explained ask warmed the cache,
+	// so this one is a memo or demand hit and runs no slice.
+	var profile trace.Document
 	if err := json.Unmarshal(out2.Profile, &profile); err != nil {
 		t.Fatal(err)
 	}
-	if len(profile.Rules) == 0 {
-		t.Fatal("explain profile has no rule lines")
+	hits := profile.MemoHits
+	for _, r := range profile.Rules {
+		hits += r.CacheHits
+	}
+	if hits == 0 || profile.Slices != 0 {
+		t.Fatalf("explain after a warm ask: %d memo or demand hits, %d slices; want a hit and no slice run: %s", hits, profile.Slices, out2.Profile)
 	}
 
 	// A plain ask afterwards carries no profile: tracing never leaks
@@ -615,7 +618,7 @@ func TestReloadRejectsBadPrograms(t *testing.T) {
 		t.Fatalf("duplicate-rule reload error %+v, want duplicate_rule naming R", e)
 	}
 	// The server still serves the original program, at its generation.
-	if got := s.program().Name; got != "selective" {
+	if got := s.progName(); got != "selective" {
 		t.Fatalf("program swapped to %q on a failed reload", got)
 	}
 	resp, after := postAsk(t, ts.URL, wire.AskRequest{Pattern: tagPattern})

@@ -110,7 +110,7 @@ func checkDecode(t testing.TB, data []byte) (accepted, forwarded int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := AppendAskResponse(nil, gen, got, keyed, nil)
+		out := AppendAskResponse(nil, gen, got, keyed)
 		if string(out) != string(marshaled)+"\n" {
 			t.Fatalf("%q re-encoded (keyed=%v):\n got %q\nwant %q", data, keyed, out, marshaled)
 		}
@@ -144,7 +144,7 @@ func checkDecode(t testing.TB, data []byte) (accepted, forwarded int) {
 // refuses.
 func checkEncoderOutput(t testing.TB, generation int64, answers []mediator.Answer, keyed bool, profile json.RawMessage) {
 	t.Helper()
-	reply := AppendAskResponse(nil, generation, answers, keyed, profile)
+	reply := AppendProfile(nil, AppendAskResponse(nil, generation, answers, keyed), profile)
 	n, fwd := checkDecode(t, reply)
 	if bytes.Contains(reply, []byte(`\ufffd`)) {
 		return
@@ -159,7 +159,7 @@ func checkEncoderOutput(t testing.TB, generation int64, answers []mediator.Answe
 		t.Fatalf("%d of %d answers forwarded (keyed=%v): %q", fwd, len(answers), keyed, reply)
 	}
 	_, got, _ := DecodeAskResponse(reply)
-	want := AppendAskResponse(nil, generation, answers, keyed, nil)
+	want := AppendAskResponse(nil, generation, answers, keyed)
 	// A keyed reply is relayed whole and unparsed.
 	_, relayed, _ := RelayAskResponse(reply)
 	for i, a := range relayed {
@@ -167,7 +167,7 @@ func checkEncoderOutput(t testing.TB, generation int64, answers []mediator.Answe
 			t.Fatalf("answer %d relayed as %+v (keyed=%v): %q", i, a, keyed, reply)
 		}
 	}
-	if out := AppendAskResponse(nil, generation, got, keyed, nil); string(out) != string(want) {
+	if out := AppendAskResponse(nil, generation, got, keyed); string(out) != string(want) {
 		t.Fatalf("round trip (keyed=%v):\n got %q\nwant %q", keyed, out, want)
 	}
 }
@@ -196,7 +196,7 @@ func relayDiff(data []byte, relay func([]byte) (int64, []mediator.Answer, error)
 		}
 	}
 	for _, keyed := range []bool{false, true} {
-		if r, e := AppendAskResponse(nil, gen, relayed, keyed, nil), AppendAskResponse(nil, gen, eager, keyed, nil); !bytes.Equal(r, e) {
+		if r, e := AppendAskResponse(nil, gen, relayed, keyed), AppendAskResponse(nil, gen, eager, keyed); !bytes.Equal(r, e) {
 			return fmt.Sprintf("keyed=%v: relayed answers render\n%s\neager ones\n%s", keyed, r, e)
 		}
 	}

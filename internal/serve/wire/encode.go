@@ -10,14 +10,13 @@ import (
 	"yat/internal/tree"
 )
 
-// AppendAskResponse appends the POST /ask (and GET /explain) reply —
-// the compact JSON of an AskResponse plus the newline a json.Encoder
-// ends a document with — to dst, rendering straight from the answer
-// trees: no AskAnswer values, no binding maps, no display strings. An
-// answer relayed from a remote child (DecodeAskResponse) is not even
-// rendered: the members the child wrote are forwarded as they came.
-// keyed adds each answer's merge key (?keys=1); a non-empty profile
-// rides at the end.
+// AppendAskResponse appends the POST /ask reply — the compact JSON of
+// an AskResponse plus the newline a json.Encoder ends a document with —
+// to dst, rendering straight from the answer trees: no AskAnswer
+// values, no binding maps, no display strings. An answer relayed from a
+// remote child (DecodeAskResponse) is not even rendered: the members
+// the child wrote are forwarded as they came. keyed adds each answer's
+// merge key (?keys=1).
 //
 // The bytes are exactly json.Marshal(AskResponse{…}) + "\n" for the
 // same answers — for a relayed answer, over the display strings its
@@ -25,10 +24,8 @@ import (
 // encoding/json's string escaping (HTML-safe, U+2028/9, U+FFFD for
 // invalid UTF-8). That identity is the wire contract — every decoder
 // of the struct decodes this — and the differential and fuzz tests
-// hold it against encoding/json itself. profile must be valid JSON (it
-// is a marshaled trace.Document); one that is not is left out rather
-// than corrupting the reply.
-func AppendAskResponse(dst []byte, generation int64, answers []mediator.Answer, keyed bool, profile json.RawMessage) []byte {
+// hold it against encoding/json itself.
+func AppendAskResponse(dst []byte, generation int64, answers []mediator.Answer, keyed bool) []byte {
 	// One display form at a time is rendered here, then escaped into
 	// dst; it outgrows the stack only for unusually large values.
 	var scratchBuf [256]byte
@@ -81,15 +78,24 @@ func AppendAskResponse(dst []byte, generation int64, answers []mediator.Answer, 
 		}
 		dst = append(dst, '}')
 	}
-	dst = append(dst, ']')
-	if len(profile) > 0 {
-		// Marshaling the RawMessage compacts and HTML-escapes it exactly
-		// as marshaling the struct field does.
-		if p, err := json.Marshal(profile); err == nil {
-			dst = append(dst, `,"profile":`...)
-			dst = append(dst, p...)
-		}
+	return append(dst, "]}\n"...)
+}
+
+// AppendProfile appends reply, an AppendAskResponse reply, to dst with
+// the profile added (an explained ask): the bytes of
+// json.Marshal(AskResponse{…, Profile: profile}) + "\n". profile must be
+// valid JSON (it is a marshaled trace.Document); one that is not is
+// left out rather than corrupting the reply.
+func AppendProfile(dst, reply []byte, profile json.RawMessage) []byte {
+	// Marshaling the RawMessage compacts and HTML-escapes it exactly as
+	// marshaling the struct field does.
+	p, err := json.Marshal(profile)
+	if err != nil || len(profile) == 0 {
+		return append(dst, reply...)
 	}
+	dst = append(dst, reply[:len(reply)-len("}\n")]...)
+	dst = append(dst, `,"profile":`...)
+	dst = append(dst, p...)
 	return append(dst, "}\n"...)
 }
 

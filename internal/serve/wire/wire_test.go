@@ -237,8 +237,9 @@ var oracleProfiles = []json.RawMessage{
 }
 
 // TestAppendAskResponseMatchesMarshal is the differential test:
-// AppendAskResponse ≡ wireAnswers + json.Marshal + "\n" over every
-// value kind, name shape, binding shape, key mode and profile.
+// AppendAskResponse, and AppendProfile over it, ≡ wireAnswers +
+// json.Marshal + "\n" over every value kind, name shape, binding shape,
+// key mode and profile.
 func TestAppendAskResponseMatchesMarshal(t *testing.T) {
 	answers := oracleAnswers(oracleValues())
 	sets := [][]mediator.Answer{nil, {}, answers[:1], answers}
@@ -247,7 +248,8 @@ func TestAppendAskResponseMatchesMarshal(t *testing.T) {
 			for pi, profile := range oracleProfiles {
 				want := oracleAskResponse(t, int64(si+1), set, keyed, profile)
 				// A non-empty dst is appended to, not overwritten.
-				got := AppendAskResponse([]byte("prefix"), int64(si+1), set, keyed, profile)
+				plain := AppendAskResponse([]byte("prefix"), int64(si+1), set, keyed)
+				got := AppendProfile([]byte("prefix"), plain[len("prefix"):], profile)
 				if string(got) != "prefix"+string(want) {
 					t.Fatalf("set %d keyed=%v profile %d diverges from json.Marshal:\n got %q\nwant %q",
 						si, keyed, pi, got[len("prefix"):], want)
@@ -260,7 +262,7 @@ func TestAppendAskResponseMatchesMarshal(t *testing.T) {
 	}
 	// An invalid profile (json.Marshal of the struct would fail) is left
 	// out; the reply stays a valid document.
-	got := AppendAskResponse(nil, 1, answers[:1], false, json.RawMessage(`{"unterminated`))
+	got := AppendProfile(nil, AppendAskResponse(nil, 1, answers[:1], false), json.RawMessage(`{"unterminated`))
 	if want := oracleAskResponse(t, 1, answers[:1], false, nil); string(got) != string(want) {
 		t.Errorf("invalid profile: got %q, want %q", got, want)
 	}
@@ -302,7 +304,7 @@ func FuzzAppendAskResponse(f *testing.F) {
 			profile, _ = json.Marshal(map[string]any{s1: s2, "n": n})
 		}
 		want := oracleAskResponse(t, n, answers, keyed, profile)
-		if got := AppendAskResponse(nil, n, answers, keyed, profile); string(got) != string(want) {
+		if got := AppendProfile(nil, AppendAskResponse(nil, n, answers, keyed), profile); string(got) != string(want) {
 			t.Fatalf("diverges from json.Marshal:\n got %q\nwant %q", got, want)
 		}
 	})

@@ -141,7 +141,7 @@ func (b *breaker) record(ctx context.Context, err error) {
 	b.probing = false
 	b.mu.Unlock()
 	if opened {
-		emit(ctx, trace.Event{Kind: trace.KindBreakerOpen, Phase: trace.PhaseSource,
+		trace.Emit(ctx, trace.Event{Kind: trace.KindBreakerOpen, Phase: trace.PhaseSource,
 			Detail: b.inner.Name(), Count: b.consecFailsSnapshot()})
 	}
 }

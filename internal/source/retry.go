@@ -110,7 +110,7 @@ func (r *retrier) Fetch(ctx context.Context) (*tree.Store, error) {
 	for attempt := 1; attempt <= r.opts.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			r.retries.Add(1)
-			emit(ctx, trace.Event{Kind: trace.KindSourceRetry, Phase: trace.PhaseSource,
+			trace.Emit(ctx, trace.Event{Kind: trace.KindSourceRetry, Phase: trace.PhaseSource,
 				Detail: r.inner.Name(), Count: attempt})
 			if err := r.sleep(ctx, r.backoff(attempt-1)); err != nil {
 				return nil, fmt.Errorf("source %s: retry wait: %w", r.inner.Name(), err)

@@ -27,8 +27,8 @@
 // Decorators report what happened through two channels: counters,
 // exposed as a Stats snapshot via the Statser interface and merged
 // along the chain, and trace events (source-retry, breaker-open)
-// emitted to a trace.Sink carried by the fetch context (WithSink) so
-// the mediator's EXPLAIN profile sees them.
+// emitted to the trace.Sink the fetch context carries (trace.WithSink),
+// so the EXPLAIN profile of the ask that fetched sees them.
 package source
 
 import (
@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"yat/internal/trace"
 	"yat/internal/tree"
 )
 
@@ -152,26 +151,6 @@ func FromFunc(name string, fn func(context.Context) (*tree.Store, error)) Source
 func (s *funcSource) Name() string { return s.name }
 
 func (s *funcSource) Fetch(ctx context.Context) (*tree.Store, error) { return s.fn(ctx) }
-
-// sinkKey carries a trace.Sink through fetch contexts.
-type sinkKey struct{}
-
-// WithSink returns a context carrying the sink; decorators emit their
-// source-retry / breaker-open events to it. A nil sink returns ctx
-// unchanged.
-func WithSink(ctx context.Context, s trace.Sink) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, sinkKey{}, s)
-}
-
-// emit sends an event to the context's sink, if any.
-func emit(ctx context.Context, e trace.Event) {
-	if s, _ := ctx.Value(sinkKey{}).(trace.Sink); s != nil {
-		s.Emit(e)
-	}
-}
 
 // counter is a tiny alias to keep decorator structs tidy.
 type counter = atomic.Int64

@@ -163,7 +163,7 @@ func TestRetryEmitsRetryEvents(t *testing.T) {
 	rec := &trace.Recorder{}
 	fault := NewFault("flaky", testStore(t, "a"), Step{Fail: errors.New("boom")})
 	s := WithRetry(fault, RetryOptions{MaxAttempts: 3, Clock: clock})
-	if _, err := s.Fetch(WithSink(context.Background(), rec)); err != nil {
+	if _, err := s.Fetch(trace.WithSink(context.Background(), rec)); err != nil {
 		t.Fatal(err)
 	}
 	retries := 0
@@ -286,7 +286,7 @@ func TestBreakerEmitsOpenEvent(t *testing.T) {
 	fault := NewFault("db", testStore(t))
 	fault.SetErr(errors.New("boom"))
 	s := WithBreaker(fault, BreakerOptions{Threshold: 1, Clock: clock})
-	ctx := WithSink(context.Background(), rec)
+	ctx := trace.WithSink(context.Background(), rec)
 	s.Fetch(ctx) //nolint:errcheck // failure is the point
 	opens := 0
 	for _, e := range rec.Events() {

@@ -1,7 +1,8 @@
 // Package trace is the engine's structured observability layer: the
 // run loop emits typed events per phase per rule (§3.1's five phases,
 // plus fixpoint round boundaries and run start/end), and any consumer
-// implementing Sink can attach to a run through engine.Options.Trace.
+// implementing Sink can attach to a run through engine.Options.Trace,
+// or to one ask through its context (WithSink).
 //
 // The package defines one ready-made sink, Profile, which aggregates
 // the event stream into per-rule/per-phase counts and wall times and
@@ -22,6 +23,7 @@
 package trace
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -172,6 +174,9 @@ const (
 	// materialization) is how tests assert the intermediate model
 	// never existed.
 	KindComposeFused
+	// KindMemoHit records an ask answered from a memo — the mediator's
+	// ask memo or the federation's reply memo — with no match run.
+	KindMemoHit
 )
 
 func (k Kind) String() string {
@@ -216,6 +221,8 @@ func (k Kind) String() string {
 		return "shard-degraded"
 	case KindComposeFused:
 		return "compose-fused"
+	case KindMemoHit:
+		return "memo-hit"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -247,6 +254,36 @@ type Event struct {
 // concurrent use: concurrent runs may share one sink.
 type Sink interface {
 	Emit(Event)
+}
+
+type sinkKey struct{}
+
+// WithSink returns a context carrying the sink, to which every layer an
+// ask crosses emits its events: the federation, the mediator, the
+// source decorators and the engine runs. A nil sink returns ctx.
+func WithSink(ctx context.Context, s Sink) context.Context {
+	if s == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, sinkKey{}, s)
+}
+
+// SinkFrom returns the sink ctx carries, nil when it carries none or is
+// nil: with no sink nothing is recorded.
+func SinkFrom(ctx context.Context) Sink {
+	if ctx == nil {
+		return nil
+	}
+	s, _ := ctx.Value(sinkKey{}).(Sink)
+	return s
+}
+
+// Emit sends e to the sink ctx carries, if any. An event whose fields
+// cost something to build checks SinkFrom first.
+func Emit(ctx context.Context, e Event) {
+	if s := SinkFrom(ctx); s != nil {
+		s.Emit(e)
+	}
 }
 
 // PhaseProfile aggregates one rule's activity inside one phase: one
@@ -347,6 +384,8 @@ type Document struct {
 	Events int `json:"events"`
 	// Wall is the run's wall time (zero until KindRunEnd).
 	Wall time.Duration `json:"wall_ns,omitempty"`
+	// MemoHits counts asks answered from a memo.
+	MemoHits int `json:"memo_hits,omitempty"`
 	// Slices counts demand-driven slice evaluations; SliceRules sums
 	// the rules they ran.
 	Slices     int `json:"slices,omitempty"`
@@ -397,6 +436,9 @@ func (p *Profile) Emit(e Event) {
 	case KindRound:
 		p.doc.Rounds++
 		p.doc.RoundPending = append(p.doc.RoundPending, e.Count)
+		return
+	case KindMemoHit:
+		p.doc.MemoHits++
 		return
 	case KindSliceComputed:
 		p.doc.Slices++
@@ -639,6 +681,9 @@ func (p *Profile) Render(w io.Writer, timing bool) error {
 		fmt.Fprintf(w, "rounds: %d %v  total: %v\n", d.Rounds, d.RoundPending, d.Wall)
 	} else {
 		fmt.Fprintf(w, "rounds: %d %v\n", d.Rounds, d.RoundPending)
+	}
+	if d.MemoHits > 0 {
+		fmt.Fprintf(w, "memo hits: %d\n", d.MemoHits)
 	}
 	if d.Slices > 0 {
 		fmt.Fprintf(w, "slices: %d rules=%d\n", d.Slices, d.SliceRules)

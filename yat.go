@@ -414,8 +414,9 @@ var (
 	SourceStatsOf = source.StatsOf
 )
 
-// Observability (the internal/trace layer). Attach a sink with
-// WithTrace; a nil sink costs nothing.
+// Observability (the internal/trace layer). Attach a sink to a run
+// with WithTrace, and to a mediator's ask with TraceContext; a nil sink
+// costs nothing.
 type (
 	// TraceSink consumes typed engine events; a sink shared by
 	// concurrent runs (a mediator's asks) must be safe for concurrent
@@ -432,3 +433,8 @@ type (
 //	res, err := yat.Run(prog, inputs, yat.WithTrace(p))
 //	fmt.Print(p.Text(true)) // EXPLAIN table with wall times
 var NewTraceProfile = trace.NewProfile
+
+// TraceContext returns a context carrying the sink: a mediator ask
+// under it (Mediator.AskContext) reports its memo, cache and fetch
+// decisions and its engine runs to the sink.
+var TraceContext = trace.WithSink
